@@ -150,7 +150,7 @@ func BenchmarkAllFigures(b *testing.B) {
 	b.ResetTimer()
 	var figs []analysis.Figure
 	for i := 0; i < b.N; i++ {
-		figs = analysis.AllFigures(agg)
+		figs = analysis.NewFrame(agg).Figures()
 	}
 	if len(figs) != 10 {
 		b.Fatal("figure count")
@@ -460,11 +460,11 @@ func BenchmarkScalarFingerprintDurations(b *testing.B) {
 }
 
 func BenchmarkScalarCurveShares(b *testing.B) {
-	agg := studyAggregate(b)
+	f := studyFrame(b)
 	b.ResetTimer()
 	var shares []analysis.CurveShare
 	for i := 0; i < b.N; i++ {
-		shares = analysis.CurveSharesOverall(agg)
+		shares = analysis.CurveSharesFrame(f)
 	}
 	if len(shares) == 0 || shares[0].Curve != registry.CurveSecp256r1 {
 		b.Fatal("curve shares wrong")
@@ -473,11 +473,11 @@ func BenchmarkScalarCurveShares(b *testing.B) {
 }
 
 func BenchmarkScalarTLS13(b *testing.B) {
-	agg := studyAggregate(b)
+	f := studyFrame(b)
 	b.ResetTimer()
 	var scalars []analysis.Scalar
 	for i := 0; i < b.N; i++ {
-		scalars = analysis.PassiveScalars(agg)
+		scalars = analysis.PassiveScalarsFrame(f)
 	}
 	for _, s := range scalars {
 		if s.ID == "S7c" {

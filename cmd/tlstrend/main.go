@@ -238,7 +238,7 @@ func cmdServe(args []string) error {
 	outPath := fs.String("out", "", "tee every record ingested into the default study to this TSV log")
 	flush := fs.Int("flush", 0, "records per ingest shard before merging (0 = default)")
 	queueBound := fs.Int("queue-bound", service.DefaultQueueBound,
-		"parsed shards buffered between stream readers and the merge loop; full = shed with 429/busy (0 = merge inline)")
+		"parsed shards buffered between stream readers and the merge loop; full = shed with 429/busy (at least 1)")
 	studies := fs.String("studies", "notary", "comma-separated study ids to host; the first is the default")
 	snapDir := fs.String("snapshot-dir", "", "durable snapshot directory for the default study (enables crash recovery)")
 	snapEvery := fs.Uint64("snapshot-every", 50000, "snapshot after this many new records (0 = off)")
@@ -255,6 +255,9 @@ func cmdServe(args []string) error {
 	unionID := fs.String("union", "", "also host a union study under this id, federating every hosted study")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *queueBound < 1 {
+		return fmt.Errorf("serve: -queue-bound must be at least 1 (got %d)", *queueBound)
 	}
 
 	// One generation-keyed result cache fronts every hosted study: keys are
@@ -673,7 +676,7 @@ func cmdQuery(args []string) error {
 		} else if err := s.Run(nil); err != nil {
 			return err
 		}
-		res, err = s.QueryExpr(parsed)
+		res, _, _, _, err = s.QueryExprInfoJSON(parsed)
 	}
 	if err != nil {
 		return err

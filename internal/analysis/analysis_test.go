@@ -52,8 +52,7 @@ func figByNum(t testing.TB, n int) Figure {
 }
 
 func TestAllFiguresBuild(t *testing.T) {
-	agg := sharedAgg(t)
-	figs := AllFigures(agg)
+	figs := sharedFrame(t).Figures()
 	if len(figs) != 10 {
 		t.Fatalf("expected 10 figures, got %d", len(figs))
 	}
@@ -154,7 +153,7 @@ func TestRenderChart(t *testing.T) {
 }
 
 func TestPassiveScalars(t *testing.T) {
-	scalars := PassiveScalars(sharedAgg(t))
+	scalars := PassiveScalarsFrame(sharedFrame(t))
 	if len(scalars) < 14 {
 		t.Fatalf("expected ≥14 scalars, got %d", len(scalars))
 	}
@@ -243,7 +242,7 @@ func TestBuildTable2(t *testing.T) {
 }
 
 func TestCurveSharesOrdered(t *testing.T) {
-	shares := CurveSharesOverall(sharedAgg(t))
+	shares := CurveSharesFrame(sharedFrame(t))
 	if len(shares) == 0 {
 		t.Fatal("no curve shares")
 	}
@@ -313,7 +312,7 @@ func TestExtensionUptake(t *testing.T) {
 }
 
 func TestAttackImpacts(t *testing.T) {
-	impacts := AttackImpacts(sharedAgg(t))
+	impacts := AttackImpactsFrame(sharedFrame(t))
 	if len(impacts) < 6 {
 		t.Fatalf("only %d impacts", len(impacts))
 	}
@@ -349,7 +348,7 @@ func TestAttackImpacts(t *testing.T) {
 }
 
 func TestTLS13VariantSharesAnalysis(t *testing.T) {
-	shares := TLS13VariantShares(sharedAgg(t))
+	shares := TLS13VariantSharesFrame(sharedFrame(t))
 	if len(shares) == 0 {
 		t.Fatal("no variant shares")
 	}

@@ -240,9 +240,9 @@ func SpecByName(name string) (FigureSpec, bool) {
 // becomes a series with one point per month on the frame's axis. The
 // produced Series share the frame's month index, making Series.Value O(1).
 // Catalog specs evaluate through the frame's pre-compiled plans (no
-// per-call validation or selector resolution); a hand-built spec falls
-// back to the interpreter. EvalFigure panics on a spec whose expression
-// does not validate — specs are static data, so that is a programming
+// per-call validation or selector resolution); a hand-built spec compiles
+// on the spot. EvalFigure panics on a spec whose expression does not
+// compile to a series — specs are static data, so that is a programming
 // error, not an input error.
 func (f *Frame) EvalFigure(spec FigureSpec) Figure {
 	fig := Figure{
@@ -252,16 +252,14 @@ func (f *Frame) EvalFigure(spec FigureSpec) Figure {
 		Events: attackEvents(spec.Events...),
 	}
 	for _, m := range spec.Metrics {
-		var vals []float64
-		if p := f.planFor(m.Expr); p != nil {
-			vals = p.EvalSeries()
-		} else {
-			var err error
-			vals, err = f.EvalSeries(m.Expr)
-			if err != nil {
-				panic(fmt.Sprintf("analysis: figure %s metric %s: %v", spec.ID, m.Name, err))
-			}
+		p, err := f.planFor(m.Expr)
+		if err == nil && p.Kind() == KindScalar {
+			err = fmt.Errorf("expression %s is a scalar, not a series", m.Expr)
 		}
+		if err != nil {
+			panic(fmt.Sprintf("analysis: figure %s metric %s: %v", spec.ID, m.Name, err))
+		}
+		vals := p.EvalSeries()
 		pts := make([]Point, len(vals))
 		for i, v := range vals {
 			pts[i] = Point{Month: f.Months[i], Value: v}

@@ -9,7 +9,6 @@ package analysis
 import (
 	"sort"
 
-	"tlsage/internal/notary"
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
 )
@@ -77,13 +76,6 @@ func attackEvents(names ...string) []timeline.Event {
 	return out
 }
 
-// AllFigures builds every passive-dataset figure from one frame snapshot of
-// agg. Callers holding a Frame (core.Study caches one) should use
-// Frame.Figures directly.
-func AllFigures(agg *notary.Aggregate) []Figure {
-	return NewFrame(agg).Figures()
-}
-
 // TLS13VariantShare is one advertised TLS 1.3 variant's share of
 // variant-bearing hellos (§6.4: 0x7e02 at 82.3%, draft-18 at 13.4%).
 type TLS13VariantShare struct {
@@ -114,11 +106,6 @@ func TLS13VariantSharesFrame(f *Frame) []TLS13VariantShare {
 	return out
 }
 
-// TLS13VariantShares computes the advertised-variant split over all months.
-func TLS13VariantShares(agg *notary.Aggregate) []TLS13VariantShare {
-	return TLS13VariantSharesFrame(NewFrame(agg))
-}
-
 // CurveShare is one row of the §6.3.3 table: negotiated curve shares over
 // the whole dataset, descending.
 type CurveShare struct {
@@ -146,9 +133,4 @@ func CurveSharesFrame(f *Frame) []CurveShare {
 		return out[i].Curve < out[j].Curve
 	})
 	return out
-}
-
-// CurveSharesOverall computes curve usage over all months.
-func CurveSharesOverall(agg *notary.Aggregate) []CurveShare {
-	return CurveSharesFrame(NewFrame(agg))
 }

@@ -65,10 +65,6 @@ type Frame struct {
 	index map[timeline.Month]int
 	// generation is the aggregate generation this frame snapshotted.
 	generation uint64
-	// fingerprint hashes the frame's layout (generation, month axis, keyed
-	// column sets), computed once at build time — the cheap revalidation
-	// token for compiled plans (Plan.ValidFor).
-	fingerprint uint64
 
 	// planOnce/plans memoize compiled plans for the package's static
 	// expressions (figure catalog, impact metrics, passive scalars), built
@@ -331,7 +327,6 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 		}
 	})
 	f.buildFPColumns(fpVols, fpRows, n)
-	f.fingerprint = f.computeFingerprint()
 	return f
 }
 
@@ -385,45 +380,6 @@ func (f *Frame) FingerprintGauges() (distinct, topK int, otherShare float64) {
 	return f.fpDistinct, TopKFingerprints, otherShare
 }
 
-// computeFingerprint hashes the layout a compiled plan binds to: the
-// generation, the month axis, and how many columns each keyed family holds.
-// Equal generations within one study imply equal content (generations count
-// ingested records), so an equal fingerprint means a plan's bound columns
-// hold the same values. FNV-1a, O(months + families).
-func (f *Frame) computeFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(f.generation)
-	mix(uint64(len(f.Months)))
-	for _, m := range f.Months {
-		mix(uint64(m.Index()))
-	}
-	mix(uint64(len(f.Version)))
-	mix(uint64(len(f.Class)))
-	mix(uint64(len(f.Kex)))
-	mix(uint64(len(f.Curve)))
-	mix(uint64(len(f.Extension)))
-	mix(uint64(len(f.TLS13Variant)))
-	mix(uint64(len(f.PosSum)))
-	mix(uint64(len(f.PosCount)))
-	mix(uint64(len(f.FPCol)))
-	mix(uint64(len(f.Agent)))
-	return h
-}
-
-// Fingerprint returns the frame's layout fingerprint (see Plan.ValidFor).
-func (f *Frame) Fingerprint() uint64 { return f.fingerprint }
-
 // sharedPlans returns the memoized compiled plans for the package's static
 // expressions — every catalog metric, impact metric and passive scalar —
 // compiling them on first use. Static expressions cannot fail compilation
@@ -461,10 +417,24 @@ func (f *Frame) sharedPlans() map[*Expr]*Plan {
 	return f.plans
 }
 
-// planFor returns the pre-compiled plan for one of the package's static
-// expressions, nil for a foreign expression (callers fall back to the
-// interpreter).
-func (f *Frame) planFor(e *Expr) *Plan { return f.sharedPlans()[e] }
+// planFor returns a compiled plan for e: the memoized one for the package's
+// static expressions, a fresh Compile for a foreign expression.
+func (f *Frame) planFor(e *Expr) (*Plan, error) {
+	if p := f.sharedPlans()[e]; p != nil {
+		return p, nil
+	}
+	return Compile(e, f)
+}
+
+// mustPlan is planFor for the package's own static expressions, which are
+// validated at init: a compile failure is a programming error.
+func (f *Frame) mustPlan(e *Expr) *Plan {
+	p, err := f.planFor(e)
+	if err != nil {
+		panic("analysis: static expression failed to compile: " + err.Error())
+	}
+	return p
+}
 
 // Len returns the number of months on the frame's axis.
 func (f *Frame) Len() int { return len(f.Months) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"tlsage/internal/notary"
 	"tlsage/internal/timeline"
 )
 
@@ -42,12 +41,6 @@ var impactMetrics = []struct {
 	{timeline.EventHeartbleed, "heartbeat offered %", q("pct(offers-heartbeat / total)")},
 }
 
-// AttackImpacts evaluates every event/metric pair available in the
-// aggregate's window.
-func AttackImpacts(agg *notary.Aggregate) []AttackImpact {
-	return AttackImpactsFrame(NewFrame(agg))
-}
-
 // AttackImpactsFrame evaluates the event/metric pairs against a frame.
 func AttackImpactsFrame(f *Frame) []AttackImpact {
 	var out []AttackImpact
@@ -70,18 +63,12 @@ func AttackImpactsFrame(f *Frame) []AttackImpact {
 			}
 		}
 		imp := AttackImpact{Event: ev, Metric: im.metric}
-		if p := f.planFor(im.expr); p != nil {
-			// The compiled plan streams single rows, so reading the three
-			// sample months never materializes the full series.
-			imp.Before = p.seriesAt(before)
-			imp.After6 = p.seriesAt(after6)
-			imp.After12 = p.seriesAt(after12)
-		} else {
-			vals := f.evalSeries(im.expr)
-			imp.Before = vals[before]
-			imp.After6 = vals[after6]
-			imp.After12 = vals[after12]
-		}
+		// The compiled plan streams single rows, so reading the three
+		// sample months never materializes the full series.
+		p := f.mustPlan(im.expr)
+		imp.Before = p.seriesAt(before)
+		imp.After6 = p.seriesAt(after6)
+		imp.After12 = p.seriesAt(after12)
 		out = append(out, imp)
 	}
 	return out

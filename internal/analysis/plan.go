@@ -21,9 +21,9 @@ package analysis
 //     materialized.
 //
 // A Plan is bound to the Frame it was compiled against (its kernels hold
-// that frame's column slices); ValidFor revalidates the binding cheaply by
-// layout fingerprint when a study's generation advances. Plans are
-// immutable after Compile and safe for concurrent evaluation.
+// that frame's column slices), so holders re-Compile when the study's
+// generation advances. Plans are immutable after Compile and safe for
+// concurrent evaluation.
 //
 // Compiled evaluation is bit-for-bit identical to the interpreter —
 // plan_test.go proves it differentially for the whole catalog and for
@@ -225,19 +225,6 @@ func (p *Plan) Kind() Kind { return p.kind }
 // Query returns the canonical text form of the compiled expression — the
 // result-cache key.
 func (p *Plan) Query() string { return p.query }
-
-// Frame returns the frame the plan was compiled against.
-func (p *Plan) Frame() *Frame { return p.frame }
-
-// ValidFor reports whether the plan's column bindings are valid for f: the
-// exact frame it was compiled against, or a frame with an identical layout
-// fingerprint (same generation, month axis and column layout — equal
-// fingerprints mean the bound columns hold the same values). Holders
-// re-Compile when this returns false, i.e. whenever the study's generation
-// advances.
-func (p *Plan) ValidFor(f *Frame) bool {
-	return f != nil && (p.frame == f || p.frame.Fingerprint() == f.Fingerprint())
-}
 
 // seriesAt evaluates the fused series at one row — the streaming form the
 // scalar reductions consume, so they never materialize the series.

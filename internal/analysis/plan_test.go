@@ -3,6 +3,7 @@ package analysis
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,7 +81,7 @@ func TestCompileCatalogParity(t *testing.T) {
 			}
 			assertSameResult(t, e, want, p.Eval())
 			// The memoized catalog plan must agree too.
-			if mp := f.planFor(e); mp == nil {
+			if mp := f.sharedPlans()[e]; mp == nil {
 				t.Fatalf("no shared plan for static expression %s", e)
 			} else {
 				assertSameResult(t, e, want, mp.Eval())
@@ -135,37 +136,43 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestPlanValidFor: a plan is valid for its own frame and for any frame with
-// an identical layout fingerprint (same aggregate, rebuilt), and invalid for
-// a frame of different content or for nil.
-func TestPlanValidFor(t *testing.T) {
+// TestEvalFigureHandBuiltSpec: a spec outside the catalog has no memoized
+// plan, so EvalFigure compiles it on the spot — equal to the interpreter —
+// and a metric that does not compile to a series panics naming the figure
+// and the metric.
+func TestEvalFigureHandBuiltSpec(t *testing.T) {
 	f := sharedFrame(t)
-	p, err := CompileQuery("pct(version:tls12 / established)", f)
+	e, err := ParseQuery("pct(sum(version:tls11, version:tls12) / established)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.ValidFor(f) {
-		t.Error("plan invalid for its own frame")
+	fig := f.EvalFigure(FigureSpec{ID: "Figure X", Metrics: []MetricSpec{{Name: "modern", Expr: e}}})
+	want, err := f.EvalSeries(e)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Frame() != f {
-		t.Error("Frame() identity")
+	if len(fig.Series) != 1 || len(fig.Series[0].Points) != len(want) {
+		t.Fatalf("hand-built figure shape: %+v", fig.Series)
 	}
-	rebuilt := NewFrame(sharedAgg(t))
-	if rebuilt.Fingerprint() != f.Fingerprint() {
-		t.Error("rebuilding the same aggregate changed the fingerprint")
+	for i, p := range fig.Series[0].Points {
+		if p.Value != want[i] || p.Month != f.Months[i] {
+			t.Fatalf("row %d: %+v, want %v at %v", i, p, want[i], f.Months[i])
+		}
 	}
-	if !p.ValidFor(rebuilt) {
-		t.Error("plan invalid for an identical rebuild")
-	}
-	if p.ValidFor(nil) {
-		t.Error("plan valid for nil frame")
-	}
-	other := NewFrame(notary.NewAggregate())
-	if p.ValidFor(other) {
-		t.Error("plan valid for a frame with different content")
-	}
-	if other.Fingerprint() == f.Fingerprint() {
-		t.Error("empty and populated frames share a fingerprint")
+
+	for name, bad := range map[string]*Expr{
+		"invalid": {Op: OpCol, Col: "no-such-column"},
+		"scalar":  q("count(total)"),
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "analysis: figure Figure X metric "+name+": ") {
+					t.Errorf("%s metric: panic %q, want the figure/metric prefix", name, msg)
+				}
+			}()
+			f.EvalFigure(FigureSpec{ID: "Figure X", Metrics: []MetricSpec{{Name: name, Expr: bad}}})
+		}()
 	}
 }
 

@@ -30,12 +30,6 @@ func (s Scalar) Deviation() float64 {
 	return d
 }
 
-// PassiveScalars extracts the paper's headline passive-measurement scalars
-// from an aggregate covering the study window.
-func PassiveScalars(agg *notary.Aggregate) []Scalar {
-	return PassiveScalarsFrame(NewFrame(agg))
-}
-
 // passiveScalarSpecs declares the unconditional passive scalars as query
 // expressions: a monthly pct read through at(), matching the figure
 // convention that a missing month or empty denominator yields 0.
@@ -74,14 +68,8 @@ var (
 )
 
 // scalarOf evaluates a static scalar expression through the frame's
-// pre-compiled plan, falling back to the interpreter for foreign
-// expressions.
-func (f *Frame) scalarOf(e *Expr) float64 {
-	if p := f.planFor(e); p != nil {
-		return p.EvalScalar()
-	}
-	return f.evalScalar(e)
-}
+// pre-compiled plan.
+func (f *Frame) scalarOf(e *Expr) float64 { return f.mustPlan(e).EvalScalar() }
 
 // PassiveScalarsFrame extracts the passive scalars from a frame snapshot.
 // Every value is the evaluation of a serializable query expression,

@@ -63,7 +63,7 @@ type Study struct {
 	// Add/Merge through the Aggregate() accessor).
 	frame *analysis.Frame
 
-	// queryCache, when set, fronts Query/QueryExpr with a shared
+	// queryCache, when set, fronts every Query* call with a shared
 	// generation-keyed result cache; cacheID namespaces this study's keys
 	// within it. cacheEpoch versions aggregate replacements (Run, LoadLog):
 	// generations count records, so a rebuilt study can land on a colliding
@@ -82,45 +82,12 @@ type Study struct {
 	// on.
 	flightMu sync.Mutex
 	flights  map[flightKey]*queryFlight
-	// compiles counts actual compile+evaluate computations (cache hits and
-	// flight followers excluded); tests pin singleflight against it.
+	// compiles counts analysis.Compile calls on the query path (cache hits
+	// and flight followers excluded); tests pin singleflight against it.
 	compiles atomic.Uint64
 	// testComputeHook, when non-nil (set by tests before any queries), runs
 	// at the start of every leader computation.
 	testComputeHook func()
-
-	// planMu guards the compiled-plan memo: plans keyed by (cache epoch,
-	// frame fingerprint, canonical query text), so a repeated ad-hoc query
-	// that misses the result cache — evicted entry, or no result cache at
-	// all — pays only evaluation while the frame is unchanged. A moving
-	// study changes the fingerprint with every merge, which makes stale
-	// plans (bound to the old frame's column slices) unreachable without an
-	// invalidation hook; the epoch keeps keys disjoint across Run/LoadLog
-	// swaps, whose rebuilt aggregate can collide on (generation, layout)
-	// with different contents. Entries age out FIFO past
-	// maxPlanMemoEntries.
-	planMu    sync.Mutex
-	planMemo  map[planKey]*analysis.Plan
-	planOrder []planKey
-	// planCompiles counts actual analysis.Compile calls (memo misses);
-	// the memo tests pin it. compiles above keeps its original meaning —
-	// compute runs, hit or miss in the plan memo — so the singleflight
-	// accounting is unchanged.
-	planCompiles atomic.Uint64
-}
-
-// maxPlanMemoEntries bounds the compiled-plan memo. Plans are small (a few
-// slices of frame-length ints, usually shared with the frame itself), so
-// the bound is about key churn on a moving study, not memory: each merge
-// changes the fingerprint and strands the previous generation's entries
-// until FIFO eviction reclaims them.
-const maxPlanMemoEntries = 256
-
-// planKey addresses one memoized plan.
-type planKey struct {
-	epoch       uint64
-	fingerprint uint64
-	query       string
 }
 
 // flightKey coordinates one in-flight computation; it mirrors the cache key
@@ -417,21 +384,15 @@ func (s *Study) FigureByName(name string) (analysis.Figure, error) {
 // Query parses src with analysis.ParseQuery and evaluates it against the
 // study's cached frame — the ad-hoc metric path beyond the figure catalog.
 func (s *Study) Query(src string) (analysis.QueryResult, error) {
-	res, _, _, err := s.QueryInfo(src)
+	res, _, _, _, err := s.QueryInfoJSON(src)
 	return res, err
 }
 
-// QueryInfo is Query plus the aggregate generation the result belongs to
-// and whether it was served from the attached result cache — the service
-// layer stamps both onto response headers.
-func (s *Study) QueryInfo(src string) (analysis.QueryResult, uint64, bool, error) {
-	res, _, gen, hit, err := s.QueryInfoJSON(src)
-	return res, gen, hit, err
-}
-
-// QueryInfoJSON is QueryInfo plus the serialized JSON response body when the
-// attached result cache holds one (nil otherwise) — the service writes it to
-// the wire directly, so a hit skips json.Marshal as well as evaluation.
+// QueryInfoJSON is Query plus what the service layer stamps onto a response:
+// the serialized JSON body when the attached result cache holds one (nil
+// otherwise, so a hit skips json.Marshal as well as evaluation), the
+// aggregate generation the result belongs to, and whether it was served from
+// the cache.
 func (s *Study) QueryInfoJSON(src string) (analysis.QueryResult, []byte, uint64, bool, error) {
 	e, err := analysis.ParseQuery(src)
 	if err != nil {
@@ -440,25 +401,11 @@ func (s *Study) QueryInfoJSON(src string) (analysis.QueryResult, []byte, uint64,
 	return s.queryValidated(e)
 }
 
-// QueryExpr evaluates an already-built expression (e.g. decoded from JSON)
-// against the study's cached frame.
-func (s *Study) QueryExpr(e *analysis.Expr) (analysis.QueryResult, error) {
-	res, _, _, err := s.QueryExprInfo(e)
-	return res, err
-}
-
-// QueryExprInfo is QueryExpr with the generation/cache-hit metadata of
-// QueryInfo. The expression is validated before anything else: the cache is
-// keyed by canonical text, and only a validated expression's String() is
-// guaranteed to be canonical (a malformed column name could otherwise
-// impersonate another query's key).
-func (s *Study) QueryExprInfo(e *analysis.Expr) (analysis.QueryResult, uint64, bool, error) {
-	res, _, gen, hit, err := s.QueryExprInfoJSON(e)
-	return res, gen, hit, err
-}
-
-// QueryExprInfoJSON is QueryExprInfo plus the cached serialized JSON body
-// (see QueryInfoJSON).
+// QueryExprInfoJSON is QueryInfoJSON for an already-built expression (e.g.
+// decoded from JSON). The expression is validated before anything else: the
+// cache is keyed by canonical text, and only a validated expression's
+// String() is guaranteed to be canonical (a malformed column name could
+// otherwise impersonate another query's key).
 func (s *Study) QueryExprInfoJSON(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
 	if err := e.Validate(); err != nil {
 		return analysis.QueryResult{}, nil, 0, false, err
@@ -548,10 +495,7 @@ func (s *Study) computeQuery(e *analysis.Expr, cache *analysis.QueryCache, id, k
 	if err != nil {
 		return analysis.QueryResult{}, nil, 0, err
 	}
-	if key == "" {
-		key = e.String() // cache-less path: canonicalize for the plan memo
-	}
-	p, err := s.compiledPlan(e, f, epoch, key)
+	p, err := analysis.Compile(e, f)
 	if err != nil {
 		return analysis.QueryResult{}, nil, 0, err
 	}
@@ -567,46 +511,10 @@ func (s *Study) computeQuery(e *analysis.Expr, cache *analysis.QueryCache, id, k
 	return res, body, f.Generation(), nil
 }
 
-// compiledPlan returns a plan for e bound to f, from the memo when a valid
-// entry exists and by compiling (and memoizing) otherwise. The double
-// ValidFor check is belt and braces: the key's fingerprint already implies
-// validity, but a fingerprint collision across epochs is excluded by the
-// epoch and within an epoch by the monotone generation, so the check only
-// guards the invariant cheaply.
-func (s *Study) compiledPlan(e *analysis.Expr, f *analysis.Frame, epoch uint64, key string) (*analysis.Plan, error) {
-	pk := planKey{epoch: epoch, fingerprint: f.Fingerprint(), query: key}
-	s.planMu.Lock()
-	if p, ok := s.planMemo[pk]; ok && p.ValidFor(f) {
-		s.planMu.Unlock()
-		return p, nil
-	}
-	s.planMu.Unlock()
-	// Compile outside the lock: plans are immutable and a racing duplicate
-	// compile of the same key is only wasted work, never wrong.
-	p, err := analysis.Compile(e, f)
-	if err != nil {
-		return nil, err
-	}
-	s.planCompiles.Add(1)
-	s.planMu.Lock()
-	if _, dup := s.planMemo[pk]; !dup {
-		if s.planMemo == nil {
-			s.planMemo = make(map[planKey]*analysis.Plan)
-		}
-		for len(s.planOrder) >= maxPlanMemoEntries {
-			delete(s.planMemo, s.planOrder[0])
-			s.planOrder = s.planOrder[1:]
-		}
-		s.planMemo[pk] = p
-		s.planOrder = append(s.planOrder, pk)
-	}
-	s.planMu.Unlock()
-	return p, nil
-}
-
-// PlanCompiles reports how many times a query actually compiled (plan-memo
-// misses) — the observability hook the memo tests and benchmarks pin.
-func (s *Study) PlanCompiles() uint64 { return s.planCompiles.Load() }
+// PlanCompiles reports how many times the query path called
+// analysis.Compile: once per query that was neither a result-cache hit nor
+// a singleflight follower.
+func (s *Study) PlanCompiles() uint64 { return s.compiles.Load() }
 
 // Scalars returns the passive and fingerprint scalar findings. Both halves
 // are computed under one shared lock acquisition, so a live report never

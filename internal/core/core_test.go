@@ -444,13 +444,13 @@ func TestStudyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byExpr, err := s.QueryExpr(e)
+	byExpr, _, _, _, err := s.QueryExprInfoJSON(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byText, err := s.Query("over(null-negotiated / established)")
 	if err != nil || byExpr.Value != byText.Value || byExpr.Kind != "scalar" {
-		t.Errorf("QueryExpr %v/%v vs Query %v (err %v)", byExpr.Value, byExpr.Kind, byText.Value, err)
+		t.Errorf("QueryExprInfoJSON %v/%v vs Query %v (err %v)", byExpr.Value, byExpr.Kind, byText.Value, err)
 	}
 
 	if _, err := s.Query("pct(bogus / total)"); err == nil {
@@ -733,11 +733,11 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 	s.SetQueryCache(cache, "test")
 
 	const src = "pct(version:tls12 / established)"
-	res1, gen1, hit1, err := s.QueryInfo(src)
+	res1, _, gen1, hit1, err := s.QueryInfoJSON(src)
 	if err != nil || hit1 {
 		t.Fatalf("first query: err=%v hit=%v, want a miss", err, hit1)
 	}
-	res2, gen2, hit2, err := s.QueryInfo(src)
+	res2, _, gen2, hit2, err := s.QueryInfoJSON(src)
 	if err != nil || !hit2 || gen2 != gen1 {
 		t.Fatalf("repeat query: err=%v hit=%v gen=%d/%d, want a hit at the same generation",
 			err, hit2, gen2, gen1)
@@ -756,7 +756,7 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, hit, err := s.QueryExprInfo(e); err != nil || !hit {
+	if _, _, _, hit, err := s.QueryExprInfoJSON(e); err != nil || !hit {
 		t.Errorf("Expr form of a cached query: err=%v hit=%v, want a hit", err, hit)
 	}
 
@@ -767,7 +767,7 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 	if err := s.MergeShard(donor); err != nil {
 		t.Fatal(err)
 	}
-	res3, gen3, hit3, err := s.QueryInfo(src)
+	res3, _, gen3, hit3, err := s.QueryInfoJSON(src)
 	if err != nil || hit3 || gen3 != gen1+1 {
 		t.Fatalf("post-ingest query: err=%v hit=%v gen=%d, want a miss at generation %d",
 			err, hit3, gen3, gen1+1)
@@ -793,7 +793,7 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 	if err := s.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	res4, gen4, hit4, err := s.QueryInfo(src)
+	res4, _, gen4, hit4, err := s.QueryInfoJSON(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -816,7 +816,7 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 			t.Fatal("post-replacement result diverges from the interpreter")
 		}
 	}
-	if _, _, hit5, err := s.QueryInfo(src); err != nil || !hit5 {
+	if _, _, _, hit5, err := s.QueryInfoJSON(src); err != nil || !hit5 {
 		t.Errorf("repeat after replacement: err=%v hit=%v, want a hit", err, hit5)
 	}
 	if st := cache.Stats(); st.Hits == 0 || st.Misses == 0 {
@@ -826,7 +826,7 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 	// An unrun study reports the sentinel through the cached path too.
 	var unrun Study
 	unrun.SetQueryCache(cache, "unrun")
-	if _, _, _, err := unrun.QueryInfo(src); !errors.Is(err, ErrNotRun) {
+	if _, _, _, _, err := unrun.QueryInfoJSON(src); !errors.Is(err, ErrNotRun) {
 		t.Errorf("unrun study: err=%v, want ErrNotRun", err)
 	}
 }

@@ -62,7 +62,8 @@ func (h *Host) Cohort() string { return h.cohort }
 // Config returns the host's configuration (read-only).
 func (h *Host) Config() *handshake.ServerConfig { return h.cfg }
 
-// Served reports how many connections the host has answered.
+// Served reports how many connections the host has produced a reply for,
+// counted before the reply is written.
 func (h *Host) Served() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -108,12 +109,14 @@ func (h *Host) serve(conn net.Conn) {
 	if err != nil {
 		return // malformed or timed-out client; drop silently like real boxes
 	}
-	if _, err := conn.Write(reply); err != nil {
-		return
-	}
+	// Count before writing: a client that has read its reply must already
+	// see itself in Served().
 	h.mu.Lock()
 	h.served++
 	h.mu.Unlock()
+	if _, err := conn.Write(reply); err != nil {
+		return
+	}
 
 	if h.cfg.HeartbeatEnabled {
 		h.serveHeartbeat(conn)

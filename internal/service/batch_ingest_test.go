@@ -241,6 +241,93 @@ func TestIngestBatchRejection(t *testing.T) {
 	}
 }
 
+// TestDefaultServerIngestsThroughQueue pins the single ingest path: a server
+// built with no options owns a DefaultQueueBound merge queue, its ingest
+// reply describes applied state, /healthz carries the queue gauges, and
+// Close returns only after a shard still waiting in the queue has merged.
+func TestDefaultServerIngestsThroughQueue(t *testing.T) {
+	log, _ := sharedLog(t)
+	post := func(url string) (ingestStats, int) {
+		resp, err := http.Post(url+"/ingest", ContentTypeTSV, bytes.NewReader(log))
+		if err != nil {
+			t.Error(err)
+			return ingestStats{}, 0
+		}
+		defer resp.Body.Close()
+		var st ingestStats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Error(err)
+		}
+		return st, resp.StatusCode
+	}
+
+	srv := NewServer(core.NewLiveStudy())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	reply, status := post(ts.URL)
+	records, _, gen, err := srv.Study().Counts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK || reply.Records == 0 || reply.Records != records || reply.Generation != gen {
+		t.Fatalf("ingest replied %d %+v, study holds %d records at generation %d", status, reply, records, gen)
+	}
+	var health struct {
+		Queue struct {
+			Capacity int    `json:"capacity"`
+			Enqueued uint64 `json:"batches_enqueued"`
+			Merged   uint64 `json:"batches_merged"`
+		} `json:"ingest_queue"`
+	}
+	if err := json.Unmarshal(mustGet(t, ts.URL+"/healthz"), &health); err != nil {
+		t.Fatal(err)
+	}
+	if q := health.Queue; q.Capacity != DefaultQueueBound || q.Enqueued == 0 || q.Merged != q.Enqueued {
+		t.Errorf("ingest_queue = %+v, want capacity %d with every shard merged", q, DefaultQueueBound)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Close drains: hold the merge loop so the stream's only shard (the log
+	// is shorter than one flush) sits in the queue when Close arrives.
+	gate := make(chan struct{})
+	held := NewServer(core.NewLiveStudy(), Option(func(s *Server) { s.queueGate = gate }))
+	hts := httptest.NewServer(held.Handler())
+	defer hts.Close()
+	var heldReply ingestStats
+	posted := make(chan struct{})
+	go func() {
+		defer close(posted)
+		heldReply, _ = post(hts.URL)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for held.queue.enqueued.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stream never enqueued its shard")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- held.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a queued shard was still unmerged")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _, _ := held.Study().Counts(); got != records {
+		t.Errorf("study holds %d records after Close, want the drained %d", got, records)
+	}
+	<-posted
+	if heldReply.Records != records {
+		t.Errorf("held stream replied %d records, want %d", heldReply.Records, records)
+	}
+}
+
 // TestIngestQueueSaturationSheds pins the bounded-queue backpressure, run
 // under -race in CI: with the merge loop held by the test gate and a
 // capacity-1 queue, a binary stream is part-applied and shed — FeedHTTP must

@@ -1,6 +1,6 @@
 // Federation wiring: the core half of tiered collection. POST /merge folds
 // a delta frame (internal/federation) into the served study through the
-// same locked MergeShard path local ingestion uses, sequencing deltas per
+// same merge queue local ingestion uses, sequencing deltas per
 // source so edge retries never double-count; Router.Union hosts a study
 // that is the live union of named children; and every merged shard flows
 // through shard observers — the tee that feeds an attached edge Pusher and
@@ -47,9 +47,15 @@ func (s *Server) addShardObserver(fn func(*notary.Aggregate)) {
 	s.shardObs = append(s.shardObs, fn)
 }
 
-// noteShard runs the shard observers. The list is fixed once serving
-// starts, so the iteration is lock-free.
-func (s *Server) noteShard(shard *notary.Aggregate) {
+// afterMerge runs what follows every shard that folded into the study,
+// whichever goroutine merged it (the merge loop or a union's absorb): the
+// durability checkpoint — the snapshot record-count trigger is re-checked at
+// every merge — then the shard observers. The observer list is fixed once
+// serving starts, so the iteration is lock-free.
+func (s *Server) afterMerge(shard *notary.Aggregate) {
+	if s.snaps != nil {
+		s.snaps.noteProgress()
+	}
 	for _, fn := range s.shardObs {
 		fn(shard)
 	}
@@ -233,10 +239,9 @@ func federationEdgeHealth(st federation.PusherStats) map[string]any {
 }
 
 // handleMerge is POST /merge: decode one delta frame, sequence it against
-// the source's cursor, and fold it through the study's locked merge path —
-// the queue when one is configured, so federated ingest shares local
-// ingestion's backpressure. Generation, frames, the query cache and
-// /healthz all see it as ordinary ingest.
+// the source's cursor, and fold it through the merge queue, so federated
+// ingest shares local ingestion's backpressure. Generation, frames, the
+// query cache and /healthz all see it as ordinary ingest.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if !s.acquireStream() {
 		w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfter))
@@ -311,19 +316,10 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Proceed: fold through the same path local shards take.
-	var mergeErr error
-	if s.queue != nil {
-		qs := &queueStream{}
-		if mergeErr = s.queue.enqueue(qs, d.Agg); mergeErr == nil {
-			mergeErr = qs.wait() // the merge loop runs onMerge + observers
-		}
-	} else {
-		if mergeErr = s.study.MergeShard(d.Agg); mergeErr == nil {
-			if s.snaps != nil {
-				s.snaps.noteProgress()
-			}
-			s.noteShard(d.Agg)
-		}
+	qs := &queueStream{}
+	mergeErr := s.queue.enqueue(qs, d.Agg)
+	if mergeErr == nil {
+		mergeErr = qs.wait() // the merge loop runs afterMerge
 	}
 	if mergeErr != nil {
 		s.fed.complete(d.Source, d.Base, recs, 0, false)
@@ -357,12 +353,9 @@ func (s *Server) absorb(child string, shard *notary.Aggregate) {
 		// live studies, so this is unreachable in assembled routers.
 		return
 	}
-	if s.snaps != nil {
-		s.snaps.noteProgress()
-	}
 	_, _, gen, _ := s.study.Counts()
 	s.fed.noteChild(child, shard.Generation(), gen)
-	s.noteShard(shard)
+	s.afterMerge(shard)
 }
 
 // Union mounts srv under id as a federated union study: every shard that

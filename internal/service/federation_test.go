@@ -286,8 +286,8 @@ func flushUntilAcked(t *testing.T, p *federation.Pusher) {
 func TestFederationParity(t *testing.T) {
 	log, _ := sharedLog(t)
 
-	// Core: eu and us merge targets (one queued, one inline) plus the global
-	// union study over both.
+	// Core: eu and us merge targets (default and tight queue bounds) plus the
+	// global union study over both.
 	rt := NewRouter()
 	eu := NewServer(core.NewLiveStudy())
 	us := NewServer(core.NewLiveStudy(), WithQueueBound(16))

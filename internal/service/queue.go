@@ -10,12 +10,10 @@ import (
 )
 
 // The bounded merge queue: the flow-control stage between stream readers and
-// the live study. Without it, every connection handler merges its shards
-// inline under the study's write lock — correct, but at heavy traffic the
-// readers all stack up on that lock and the only backpressure is the
-// in-flight stream cap. With a queue, readers parse and enqueue decoded
-// shards; one merge loop owns the study write path; and a full queue sheds
-// the offending stream with 429/busy instead of buffering without bound.
+// the live study. Readers parse and enqueue decoded shards; one merge loop
+// owns the study write path, so handlers never stack up on the study's write
+// lock; and a full queue sheds the offending stream with 429/busy instead of
+// buffering without bound.
 //
 // Shedding is edge-triggered per shard, so a stream can be part-applied when
 // its later shard finds the queue full. The server subtracts the doomed
@@ -42,8 +40,7 @@ type queuedShard struct {
 
 // queueStream tracks one ingest stream's shards through the queue, so its
 // handler can wait for everything it enqueued to merge before replying —
-// the reply's record count and generation then mean the same thing they do
-// on the inline-merge path.
+// the reply's record count and generation then describe applied state.
 type queueStream struct {
 	wg       sync.WaitGroup
 	enqueued int // shards handed to the queue (reader goroutine only)
@@ -74,12 +71,10 @@ type mergeQueue struct {
 	study *core.Study
 	ch    chan queuedShard
 	wg    sync.WaitGroup
-	// onMerge, when set, runs after every successful merge — the durability
-	// checkpoint hook, same contract as shardIngester.onFlush.
-	onMerge func()
-	// onShard, when set, receives every successfully merged shard — the
-	// federation tee (Server.noteShard as a method value).
-	onShard func(*notary.Aggregate)
+	// afterMerge receives every successfully merged shard — the durability
+	// checkpoint and the federation tee (Server.afterMerge as a method
+	// value).
+	afterMerge func(*notary.Aggregate)
 	// gate, when non-nil (tests only), is received from before each merge so
 	// saturation tests can hold the loop deterministically.
 	gate chan struct{}
@@ -95,16 +90,15 @@ type mergeQueue struct {
 	shedFull atomic.Uint64
 }
 
-func newMergeQueue(study *core.Study, bound int, onMerge func(), onShard func(*notary.Aggregate), gate chan struct{}) *mergeQueue {
+func newMergeQueue(study *core.Study, bound int, afterMerge func(*notary.Aggregate), gate chan struct{}) *mergeQueue {
 	if bound <= 0 {
 		bound = DefaultQueueBound
 	}
 	q := &mergeQueue{
-		study:   study,
-		ch:      make(chan queuedShard, bound),
-		onMerge: onMerge,
-		onShard: onShard,
-		gate:    gate,
+		study:      study,
+		ch:         make(chan queuedShard, bound),
+		afterMerge: afterMerge,
+		gate:       gate,
 	}
 	q.wg.Add(1)
 	go q.loop()
@@ -142,12 +136,7 @@ func (q *mergeQueue) loop() {
 		if err := q.study.MergeShard(qs.shard); err != nil {
 			qs.st.fail(err)
 		} else {
-			if q.onMerge != nil {
-				q.onMerge()
-			}
-			if q.onShard != nil {
-				q.onShard(qs.shard)
-			}
+			q.afterMerge(qs.shard)
 		}
 		q.merged.Add(1)
 		qs.st.wg.Done()

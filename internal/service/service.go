@@ -32,9 +32,9 @@
 // Aggregate.Merge every FlushEvery records and at stream end. The merged
 // content is identical to serial ingestion for every flush cadence, so a
 // served study's figures and scalars match the offline loadlog path
-// exactly. With WithQueueBound the fold is decoupled further: shards travel
-// a bounded queue to a single merge loop, and a stream that finds the queue
-// full is shed (429 / "busy") instead of buffering without bound.
+// exactly. Shards travel a bounded queue (queue.go) to the single merge loop
+// that owns the study's write path, and a stream that finds the queue full
+// is shed (429 / "busy") instead of buffering without bound.
 //
 // Raw TCP ingest shares one port for both wire formats: the first bytes of
 // each connection are sniffed for the batch magic, and anything else takes
@@ -106,9 +106,9 @@ type Server struct {
 	// wedging Close behind the handler drain (0 = no deadline).
 	idleTimeout time.Duration
 
-	// queue, when WithQueueBound is configured, decouples stream readers
-	// from the study write path: parsed shards travel this bounded channel
-	// to a single merge loop, and a full queue sheds the stream instead of
+	// queue decouples stream readers from the study write path: parsed
+	// shards travel this bounded channel (WithQueueBound sizes it) to a
+	// single merge loop, and a full queue sheds the stream instead of
 	// buffering it. queueGate is the test hook newMergeQueue threads to the
 	// loop.
 	queue      *mergeQueue
@@ -204,17 +204,13 @@ func WithIdleTimeout(d time.Duration) Option {
 	}
 }
 
-// WithQueueBound routes shard merges through a bounded queue of n parsed
-// shards drained by a single merge loop. Stream readers then never block on
-// the study's write lock: a reader whose shard finds the queue full is shed
-// with 429/Retry-After (HTTP) or a "busy" status line (TCP) rather than
-// stacking up behind a slow merge. n <= 0 keeps the inline-merge path.
+// WithQueueBound sizes the bounded queue of parsed shards that the single
+// merge loop drains. Stream readers never block on the study's write lock:
+// a reader whose shard finds the queue full is shed with 429/Retry-After
+// (HTTP) or a "busy" status line (TCP) rather than stacking up behind a
+// slow merge. n <= 0 means DefaultQueueBound.
 func WithQueueBound(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.queueBound = n
-		}
-	}
+	return func(s *Server) { s.queueBound = n }
 }
 
 // WithQueryCache attaches a query result cache to the served study, with id
@@ -253,16 +249,10 @@ func NewServer(study *core.Study, opts ...Option) *Server {
 	if s.durOpts != nil {
 		s.snaps = newSnapshotManager(study, *s.durOpts)
 	}
-	if s.queueBound > 0 {
-		var onMerge func()
-		if s.snaps != nil {
-			onMerge = s.snaps.noteProgress
-		}
-		// noteShard is bound as a method value: observers appended later
-		// (Router.Union, under the assemble-before-serving contract) are still
-		// seen by the merge loop.
-		s.queue = newMergeQueue(study, s.queueBound, onMerge, s.noteShard, s.queueGate)
-	}
+	// afterMerge is bound as a method value: observers appended later
+	// (Router.Union, under the assemble-before-serving contract) are still
+	// seen by the merge loop.
+	s.queue = newMergeQueue(study, s.queueBound, s.afterMerge, s.queueGate)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngest)
 	mux.HandleFunc("POST /merge", s.handleMerge)
@@ -283,12 +273,13 @@ func (s *Server) Study() *core.Study { return s.study }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close releases the server's durable resources: raw-TCP listeners stop
-// accepting, in-flight TCP ingest streams are drained to completion, and
-// only then is the teed log sink flushed and closed — so every record that
-// reached the aggregate is also on disk. With durability configured a final
-// snapshot of the drained state is written last (the SIGTERM path). The
-// drain is bounded when WithIdleTimeout is set: a stalled client's read
-// deadline expires and its handler exits instead of wedging Close.
+// accepting, in-flight TCP ingest streams are drained to completion, queued
+// shards merge, and only then is the teed log sink flushed and closed — so
+// every record that reached the aggregate is also on disk. With durability
+// configured a final snapshot of the drained state is written last (the
+// SIGTERM path). The drain is bounded when WithIdleTimeout is set: a stalled
+// client's read deadline expires and its handler exits instead of wedging
+// Close.
 func (s *Server) Close() error {
 	s.tcpMu.Lock()
 	lns := s.tcpLns
@@ -301,11 +292,9 @@ func (s *Server) Close() error {
 		}
 	}
 	s.connWG.Wait()
-	if s.queue != nil {
-		// Drain queued shards into the study before the tee flushes and the
-		// final snapshot is cut, so durable state matches what merged.
-		s.queue.close()
-	}
+	// Drain queued shards into the study before the tee flushes and the
+	// final snapshot is cut, so durable state matches what merged.
+	s.queue.close()
 	if s.logSink != nil {
 		if err := s.logSink.Close(); err != nil && first == nil {
 			first = err
@@ -362,17 +351,7 @@ type ingestStats struct {
 // so feeders can tell a cleanly shed stream (0 applied, safe to retry) from
 // a part-applied one.
 func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
-	ing := newShardIngester(s.study, s.flushEvery, s.logSink)
-	ing.onShard = s.noteShard
-	if s.queue != nil {
-		ing.queue = s.queue
-		ing.qs = &queueStream{}
-	} else if s.snaps != nil {
-		// Flush boundaries double as durability checkpoints: the snapshot
-		// record-count trigger is re-checked every time a shard folds in.
-		// (In queue mode the merge loop owns this hook instead.)
-		ing.onFlush = s.snaps.noteProgress
-	}
+	ing := newShardIngester(s.study, s.flushEvery, s.logSink, s.queue)
 	var readErr error
 	if binary {
 		frames, _, err := notary.ReadBatches(r, ing)
@@ -384,13 +363,9 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 		s.tsvRecords.Add(uint64(ing.seen))
 	}
 	flushErr := ing.Close()
-	var mergeErr error
-	if ing.qs != nil {
-		// Wait for every shard this stream enqueued to fold in, so the
-		// reply's record count and generation describe applied state exactly
-		// as on the inline-merge path.
-		mergeErr = ing.qs.wait()
-	}
+	// Wait for every shard this stream enqueued to fold in, so the reply's
+	// record count and generation describe applied state.
+	mergeErr := ing.qs.wait()
 	_, _, gen, err := s.study.Counts()
 	if err != nil {
 		return ingestStats{}, err
@@ -406,8 +381,8 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 	}
 }
 
-// shardIngester accumulates a stream into a private aggregate and merges it
-// into the live study every flushEvery records — the sharded ingest path.
+// shardIngester accumulates a stream into a private aggregate and hands it
+// to the merge queue every flushEvery records — the sharded ingest path.
 type shardIngester struct {
 	study *core.Study
 	shard *notary.Aggregate
@@ -416,24 +391,18 @@ type shardIngester struct {
 	since int
 	total int // records applied (or accepted into the queue)
 	seen  int // records observed, including any in a shed shard
-	// onFlush, when set, runs after every successful merge into the live
-	// study — the durability checkpoint hook (inline-merge mode only).
-	onFlush func()
-	// onShard, when set, receives every successfully merged shard — the
-	// federation tee. On the queue path the merge loop owns this hook
-	// instead, so it fires only once per shard either way.
-	onShard func(*notary.Aggregate)
-	// queue/qs, when set, switch flush from inline MergeShard to enqueueing
-	// on the server's bounded merge queue under this stream's tracker.
+	// queue is the server's bounded merge queue; qs tracks the shards this
+	// stream enqueued on it.
 	queue *mergeQueue
 	qs    *queueStream
 }
 
-func newShardIngester(study *core.Study, every int, tee *notary.LockedSink) *shardIngester {
+func newShardIngester(study *core.Study, every int, tee *notary.LockedSink, queue *mergeQueue) *shardIngester {
 	if every <= 0 {
 		every = DefaultFlushEvery
 	}
-	return &shardIngester{study: study, shard: study.NewShard(), every: every, tee: tee}
+	return &shardIngester{study: study, shard: study.NewShard(), every: every, tee: tee,
+		queue: queue, qs: &queueStream{}}
 }
 
 // Observe implements notary.Sink: records land in the private shard, with
@@ -455,37 +424,23 @@ func (si *shardIngester) Observe(r *notary.Record) error {
 	return nil
 }
 
-// Close folds the remaining shard into the live study. It does not close
-// the shared tee — the server owns that.
+// Close enqueues the remaining shard. It does not close the shared tee —
+// the server owns that.
 func (si *shardIngester) Close() error { return si.flush() }
 
 func (si *shardIngester) flush() error {
 	if si.since == 0 {
 		return nil
 	}
-	if si.queue != nil {
-		if err := si.queue.enqueue(si.qs, si.shard); err != nil {
-			// The shed shard never reaches the study: report only applied
-			// records so the feeder can tell whether a retry would duplicate.
-			si.total -= si.since
-			si.shard = si.study.NewShard()
-			si.since = 0
-			return err
-		}
-	} else {
-		if err := si.study.MergeShard(si.shard); err != nil {
-			return err
-		}
-		if si.onFlush != nil {
-			si.onFlush()
-		}
-		if si.onShard != nil {
-			si.onShard(si.shard)
-		}
+	err := si.queue.enqueue(si.qs, si.shard)
+	if err != nil {
+		// The shed shard never reaches the study: report only applied
+		// records so the feeder can tell whether a retry would duplicate.
+		si.total -= si.since
 	}
 	si.shard = si.study.NewShard()
 	si.since = 0
-	return nil
+	return err
 }
 
 // --- HTTP handlers ---
@@ -744,11 +699,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"binary_records": s.binaryRecords.Load(),
 		"tsv_records":    s.tsvRecords.Load(),
 	}
-	if s.queue != nil {
-		// Merge-queue gauges: depth/lag say how far merging trails parsing,
-		// shed_full how often saturation turned arrivals away.
-		health["ingest_queue"] = s.queue.stats()
-	}
+	// Merge-queue gauges: depth/lag say how far merging trails parsing,
+	// shed_full how often saturation turned arrivals away.
+	health["ingest_queue"] = s.queue.stats()
 	if s.snaps != nil {
 		snapGen, age, written, errs := s.snaps.status()
 		ageSeconds := -1.0 // no snapshot written by this process yet

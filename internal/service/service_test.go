@@ -663,11 +663,7 @@ func TestQueryAttributionFamiliesServed(t *testing.T) {
 		"pct(fp:* / established)",
 	}
 	for _, src := range queries {
-		parsed, err := analysis.ParseQuery(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := offline.QueryExpr(parsed)
+		want, err := offline.Query(src)
 		if err != nil {
 			t.Fatalf("%s offline: %v", src, err)
 		}
