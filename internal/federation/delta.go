@@ -7,21 +7,13 @@
 // and associative the federated study is byte-identical to a single node
 // ingesting every record itself.
 //
-// The wire format is a delta frame:
-//
-//	offset  size  field
-//	0       4     magic "TLSD"
-//	4       1     version byte (DeltaVersion)
-//	5       4     payload length, uint32 little-endian
-//	9       N     payload (see below)
-//	9+N     4     CRC32-IEEE of the payload, little-endian
-//
-// The payload carries the pushing source's name, the base generation the
-// delta starts after (the exactly-once cursor: this delta covers records
-// base+1..base+Records at the source), the aggregate's snapshot payload
-// version, and the snapshot codec's varint payload of the aggregate itself
-// (notary.AppendAggregatePayload) — so the delta and snapshot formats share
-// one deterministic, fuzz-hardened aggregate encoding.
+// The wire format is a delta frame in the shared envelope (see package
+// framing). Its payload carries the pushing source's name, the base
+// generation the delta starts after (the exactly-once cursor: this delta
+// covers records base+1..base+Records at the source), the aggregate's
+// snapshot payload version, and the snapshot codec's varint payload of the
+// aggregate itself (notary.AppendAggregatePayload) — so the delta and
+// snapshot formats share one deterministic, fuzz-hardened aggregate encoding.
 //
 // Decoding is defensive in the snapshot/batch codec style: every length is
 // bounds-checked against the bytes present, so arbitrary or corrupted input
@@ -31,25 +23,25 @@ package federation
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"tlsage/internal/framing"
 	"tlsage/internal/notary"
 )
-
-// deltaMagic brands delta frames.
-const deltaMagic = "TLSD"
 
 // DeltaVersion is the delta frame version byte written by this build.
 const DeltaVersion = 1
 
-// deltaHeaderLen is magic + version + payload length.
-const deltaHeaderLen = len(deltaMagic) + 1 + 4
-
-// maxDeltaPayload caps the payload length a reader will believe. A delta is
-// O(months×counters) — a few MiB for the multi-year study — so a corrupt
-// length field must not drive a GiB-scale allocation.
-const maxDeltaPayload = 1 << 30
+// deltaFormat is the TLSD envelope. A delta is O(months×counters) — a few
+// MiB for the multi-year study — so the 1 GiB cap keeps a corrupt length
+// field from driving a GiB-scale allocation.
+var deltaFormat = framing.Format{
+	Magic:      "TLSD",
+	MinVersion: DeltaVersion,
+	Version:    DeltaVersion,
+	LenBytes:   4,
+	MaxPayload: 1 << 30,
+}
 
 // MaxDeltaSource bounds the source-name length on the wire.
 const MaxDeltaSource = 256
@@ -86,84 +78,40 @@ func AppendDelta(dst []byte, d *Delta) ([]byte, error) {
 	if d.Agg == nil {
 		return nil, fmt.Errorf("federation: delta without an aggregate")
 	}
-	dst = append(dst, deltaMagic...)
-	dst = append(dst, DeltaVersion)
-	lenAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // payload length backfilled below
-	payloadAt := len(dst)
+	dst, mark := deltaFormat.Begin(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(d.Source)))
 	dst = append(dst, d.Source...)
 	dst = binary.AppendUvarint(dst, d.Base)
 	dst = append(dst, notary.SnapshotVersion)
 	dst = notary.AppendAggregatePayload(dst, d.Agg)
-	payload := dst[payloadAt:]
-	if len(payload) > maxDeltaPayload {
-		return nil, fmt.Errorf("federation: delta payload %d bytes exceeds the %d cap", len(payload), maxDeltaPayload)
+	dst, err := deltaFormat.End(dst, mark)
+	if err != nil {
+		return nil, fmt.Errorf("federation: delta: %w", err)
 	}
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(payload)))
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload)), nil
+	return dst, nil
 }
 
 // EncodeDelta frames d into a fresh buffer.
 func EncodeDelta(d *Delta) ([]byte, error) { return AppendDelta(nil, d) }
 
-// WriteDelta writes the framed delta to w.
-func WriteDelta(w io.Writer, d *Delta) error {
-	buf, err := EncodeDelta(d)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // ReadDelta reads one framed delta from r and decodes it. Truncated,
 // corrupted or version-mismatched input yields an error; the returned delta
 // is nil unless the checksum and every field decoded cleanly.
 func ReadDelta(r io.Reader) (*Delta, error) {
-	var hdr [9]byte // deltaHeaderLen
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("federation: delta header: %w", err)
-	}
-	if string(hdr[:4]) != deltaMagic {
-		return nil, fmt.Errorf("federation: not a delta frame (bad magic %q)", hdr[:4])
-	}
-	if hdr[4] != DeltaVersion {
-		return nil, fmt.Errorf("federation: delta version %d, this build reads %d", hdr[4], DeltaVersion)
-	}
-	n := binary.LittleEndian.Uint32(hdr[5:])
-	if n > maxDeltaPayload {
-		return nil, fmt.Errorf("federation: implausible delta payload length %d", n)
-	}
-	// LimitReader + ReadAll grows with the bytes actually present, so a
-	// corrupt length over a short stream fails without a huge up-front
-	// allocation.
-	body, err := io.ReadAll(io.LimitReader(r, int64(n)+4))
-	if err != nil {
-		return nil, fmt.Errorf("federation: delta body: %w", err)
-	}
-	if uint64(len(body)) != uint64(n)+4 {
-		return nil, fmt.Errorf("federation: truncated delta: %d payload+trailer bytes, want %d", len(body), n+4)
-	}
-	payload, trailer := body[:n], body[n:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("federation: delta checksum mismatch (%08x, want %08x)", got, want)
-	}
-	return decodeDeltaPayload(payload)
+	return decodeDeltaFrame(deltaFormat.NewReader(r).Next())
 }
 
 // DecodeDelta decodes one framed delta from b (exactly one frame; no
 // trailing bytes are tolerated).
 func DecodeDelta(b []byte) (*Delta, error) {
-	r := newSliceReader(b)
-	d, err := ReadDelta(r)
+	return decodeDeltaFrame(deltaFormat.Decode(b))
+}
+
+func decodeDeltaFrame(_ byte, payload []byte, err error) (*Delta, error) {
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("federation: delta: %w", err)
 	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("federation: %d trailing bytes after delta frame", len(b)-r.off)
-	}
-	return d, nil
+	return decodeDeltaPayload(payload)
 }
 
 // decodeDeltaPayload parses the checksummed payload: source, base,
@@ -192,22 +140,4 @@ func decodeDeltaPayload(payload []byte) (*Delta, error) {
 		return nil, err
 	}
 	return &Delta{Source: source, Base: base, Agg: agg}, nil
-}
-
-// sliceReader reads a byte slice without the bytes.Reader ReadAll
-// growth-probing, so DecodeDelta sees EOF exactly at the end of b.
-type sliceReader struct {
-	b   []byte
-	off int
-}
-
-func newSliceReader(b []byte) *sliceReader { return &sliceReader{b: b} }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if s.off >= len(s.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b[s.off:])
-	s.off += n
-	return n, nil
 }

@@ -160,14 +160,11 @@ func TestDeltaVersionAndMagic(t *testing.T) {
 func TestDeltaStreamed(t *testing.T) {
 	d1 := &Delta{Source: "a", Base: 1, Agg: buildAggregate(1, 3)}
 	d2 := &Delta{Source: "b", Base: 2, Agg: buildAggregate(2, 5)}
-	var buf bytes.Buffer
-	if err := WriteDelta(&buf, d1); err != nil {
-		t.Fatalf("WriteDelta: %v", err)
+	stream, err := AppendDelta(mustEncode(t, d1), d2)
+	if err != nil {
+		t.Fatalf("AppendDelta: %v", err)
 	}
-	if err := WriteDelta(&buf, d2); err != nil {
-		t.Fatalf("WriteDelta: %v", err)
-	}
-	r := bytes.NewReader(buf.Bytes())
+	r := bytes.NewReader(stream)
 	for i, want := range []*Delta{d1, d2} {
 		got, err := ReadDelta(r)
 		if err != nil {
@@ -187,7 +184,7 @@ func TestDeltaStreamed(t *testing.T) {
 // delta (decode∘encode is a retraction).
 func FuzzReadDelta(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(deltaMagic))
+	f.Add([]byte(deltaFormat.Magic))
 	if enc, err := EncodeDelta(&Delta{Source: "", Agg: notary.NewAggregate()}); err == nil {
 		f.Add(enc)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"tlsage/internal/notary"
+	"tlsage/internal/retry"
 )
 
 // DefaultPushInterval is how often a Pusher ships its accumulated delta
@@ -65,14 +65,12 @@ type PusherOptions struct {
 	Rebase func(from uint64) (*notary.Aggregate, error)
 	// Client is the HTTP client to push with; nil uses http.DefaultClient.
 	Client *http.Client
-	// BaseDelay seeds the failure backoff (default 250ms), doubling per
-	// consecutive failure up to MaxDelay (default 10s); the upstream's
-	// Retry-After raises the floor, full jitter spreads synchronized edges
-	// apart. Mirrors the feed retry discipline.
+	// BaseDelay, MaxDelay and Rand configure the retry.Backoff after a failed
+	// push (zero values: 250ms doubling to 10s, math/rand jitter); the
+	// upstream's Retry-After is its floor. The feeders share the rule.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Rand supplies jitter in [0,1); nil uses math/rand.
-	Rand func() float64
+	Rand      func() float64
 	// Logf receives push-failure and rebase warnings; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -91,7 +89,7 @@ type Pusher struct {
 	mu          sync.Mutex
 	pending     *notary.Aggregate // accumulated but not yet acked upstream
 	shipped     uint64            // source generation acked through
-	backoff     time.Duration     // current failure backoff (0 = healthy)
+	backoff     retry.Backoff     // failure streak; Reset on every ack
 	nextAllowed time.Time         // timer pushes wait for this after a failure
 	lastErr     error
 	deltas      uint64 // deltas acked upstream
@@ -132,15 +130,6 @@ func NewPusher(opts PusherOptions) (*Pusher, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultPushInterval
 	}
-	if opts.BaseDelay <= 0 {
-		opts.BaseDelay = 250 * time.Millisecond
-	}
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = 10 * time.Second
-	}
-	if opts.Rand == nil {
-		opts.Rand = rand.Float64
-	}
 	pending := opts.Initial
 	if pending == nil {
 		pending = notary.NewAggregate()
@@ -150,6 +139,7 @@ func NewPusher(opts PusherOptions) (*Pusher, error) {
 		url:     mergeURL(opts.Upstream),
 		pending: pending,
 		shipped: opts.Shipped,
+		backoff: retry.Backoff{Base: opts.BaseDelay, Max: opts.MaxDelay, Rand: opts.Rand},
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -289,7 +279,7 @@ func (p *Pusher) push(force bool) error {
 		p.shipped = base + take.Generation()
 		p.deltas++
 		p.lastPush = time.Now()
-		p.backoff = 0
+		p.backoff.Reset()
 		p.nextAllowed = time.Time{}
 		p.lastErr = nil
 		p.persistLocked()
@@ -300,11 +290,7 @@ func (p *Pusher) push(force bool) error {
 	case status == http.StatusConflict:
 		return p.rebase(take, ack)
 	default:
-		msg := ack.Error
-		if msg == "" {
-			msg = http.StatusText(status)
-		}
-		return p.fail(take, fmt.Errorf("federation: upstream %s replied %d: %s", p.url, status, msg), retryAfter)
+		return p.fail(take, fmt.Errorf("federation: upstream %s replied %d: %s", p.url, status, ack.Error), retryAfter)
 	}
 }
 
@@ -317,20 +303,7 @@ func (p *Pusher) fail(take *notary.Aggregate, err error, floor time.Duration) er
 	p.pending = take
 	p.errs++
 	p.lastErr = err
-	if p.backoff == 0 {
-		p.backoff = p.opts.BaseDelay
-	} else if p.backoff *= 2; p.backoff > p.opts.MaxDelay {
-		p.backoff = p.opts.MaxDelay
-	}
-	delay := p.backoff
-	if floor > delay {
-		delay = floor
-	}
-	// Full jitter on top of the floor: [delay, 2*delay), capped.
-	delay += time.Duration(p.opts.Rand() * float64(delay))
-	if delay > p.opts.MaxDelay && floor <= p.opts.MaxDelay {
-		delay = p.opts.MaxDelay
-	}
+	delay := p.backoff.Next(floor)
 	p.nextAllowed = time.Now().Add(delay)
 	p.mu.Unlock()
 	p.logf("federation: push failed, retrying in %v: %v", delay.Round(time.Millisecond), err)
@@ -349,17 +322,12 @@ func (p *Pusher) rebase(take *notary.Aggregate, ack MergeAck) error {
 		return p.fail(take, fmt.Errorf("%w and no rebase source is configured", conflict), 0)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	rebuilt, err := p.opts.Rebase(ack.AppliedThrough)
 	if err != nil {
-		// Retain under the lock — the fail path without re-locking.
-		take.Merge(p.pending)
-		p.pending = take
-		p.errs++
-		p.lastErr = fmt.Errorf("%w; rebase failed: %v", conflict, err)
-		p.nextAllowed = time.Now().Add(p.opts.BaseDelay)
-		return p.lastErr
+		p.mu.Unlock()
+		return p.fail(take, fmt.Errorf("%w; rebase failed: %v", conflict, err), 0)
 	}
+	defer p.mu.Unlock()
 	if rebuilt == nil {
 		rebuilt = notary.NewAggregate()
 	}
@@ -370,7 +338,7 @@ func (p *Pusher) rebase(take *notary.Aggregate, ack MergeAck) error {
 		ack.AppliedThrough, rebuilt.Generation(), take.Generation())
 	p.pending = rebuilt
 	p.shipped = ack.AppliedThrough
-	p.backoff = 0
+	p.backoff.Reset()
 	p.nextAllowed = time.Time{}
 	p.lastErr = nil
 	p.persistLocked()
@@ -410,36 +378,15 @@ func LoadShippedState(path string) (uint64, error) {
 	return gen, nil
 }
 
-// SaveShippedState atomically persists the shipped-through generation:
-// write a temp file in the same directory, fsync, rename into place. A
-// crash leaves either the old cursor or the new one, never a torn file.
+// SaveShippedState atomically persists the shipped-through generation
+// (notary.ReplaceFile: temp file in the same directory, fsync, rename, fsync
+// the directory). A crash leaves either the old cursor or the new one, never
+// a torn file.
 func SaveShippedState(path string, gen uint64) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".shipped-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := fmt.Fprintf(tmp, "%d\n", gen); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	return notary.ReplaceFile(filepath.Dir(path), ".shipped-*", func(w io.Writer) (string, error) {
+		_, err := fmt.Fprintf(w, "%d\n", gen)
+		return filepath.Base(path), err
+	})
 }
 
 // --- one-shot push ---
@@ -459,17 +406,14 @@ func PushDelta(upstream string, d *Delta, client *http.Client) (MergeAck, error)
 		return ack, err
 	}
 	if status != http.StatusOK {
-		msg := ack.Error
-		if msg == "" {
-			msg = http.StatusText(status)
-		}
-		return ack, fmt.Errorf("federation: upstream replied %d: %s", status, msg)
+		return ack, fmt.Errorf("federation: upstream replied %d: %s", status, ack.Error)
 	}
 	return ack, nil
 }
 
-// postDelta POSTs one encoded frame and parses the MergeAck reply (which
-// may be an error shape on non-200 statuses).
+// postDelta POSTs one encoded frame and parses the MergeAck reply. On a
+// non-200 status ack.Error is never empty: a reply that names no cause gets
+// the status text.
 func postDelta(client *http.Client, url string, frame []byte) (status int, retryAfter time.Duration, ack MergeAck, err error) {
 	if client == nil {
 		client = http.DefaultClient
@@ -486,8 +430,8 @@ func postDelta(client *http.Client, url string, frame []byte) (status int, retry
 	// Tolerate a non-JSON body (proxy error page, wrong port): the caller
 	// still gets the status code; the ack just stays zero.
 	_ = json.Unmarshal(raw, &ack)
-	if secs, aerr := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); aerr == nil && secs >= 0 {
-		retryAfter = time.Duration(secs) * time.Second
+	if ack.Error == "" && resp.StatusCode != http.StatusOK {
+		ack.Error = http.StatusText(resp.StatusCode)
 	}
-	return resp.StatusCode, retryAfter, ack, nil
+	return resp.StatusCode, retry.ParseRetryAfter(resp.Header.Get("Retry-After")), ack, nil
 }

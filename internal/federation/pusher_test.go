@@ -186,6 +186,54 @@ func TestPusherRetainsAcross429(t *testing.T) {
 	_ = p.Close()
 }
 
+// TestPusherRetryAfterCannotParkTimerPushes: the upstream's Retry-After is a
+// floor under the backoff, never a way past MaxDelay. One 429 asking for
+// eleven days — or for more seconds than a Duration holds — must see the
+// next timer push within 2×MaxDelay, and the delta still lands exactly once.
+func TestPusherRetryAfterCannotParkTimerPushes(t *testing.T) {
+	const maxDelay = 150 * time.Millisecond
+	for _, retryAfter := range []string{"1000000", "999999999999"} {
+		sink := newMergeSink()
+		arrived := make(chan time.Time, 16)
+		sink.fail = func(n int, w http.ResponseWriter) bool {
+			arrived <- time.Now()
+			if n == 1 {
+				w.Header().Set("Retry-After", retryAfter)
+				w.WriteHeader(http.StatusTooManyRequests)
+				return true
+			}
+			return false
+		}
+		srv := httptest.NewServer(sink)
+		p, err := NewPusher(PusherOptions{
+			Source: "edge-test", Upstream: srv.URL, Interval: 5 * time.Millisecond,
+			BaseDelay: time.Millisecond, MaxDelay: maxDelay,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := buildAggregate(1, 5)
+		p.Observe(shard)
+		shed := <-arrived
+		select {
+		case retried := <-arrived:
+			if gap := retried.Sub(shed); gap > 2*maxDelay {
+				t.Errorf("Retry-After %s: timer push retried after %v, want within %v", retryAfter, gap, 2*maxDelay)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("Retry-After %s parked the pusher's timer pushes", retryAfter)
+		}
+		if err := p.Close(); err != nil {
+			t.Errorf("Retry-After %s: close: %v", retryAfter, err)
+		}
+		if p.ShippedThrough() != shard.Generation() || sink.deltas != 1 {
+			t.Errorf("Retry-After %s: shipped through %d in %d deltas, want %d in 1",
+				retryAfter, p.ShippedThrough(), sink.deltas, shard.Generation())
+		}
+		srv.Close()
+	}
+}
+
 // TestPusherRetainsAcrossTransportError: a dead upstream (connection
 // refused) keeps the delta retained; once the upstream exists the retry
 // ships everything exactly once.

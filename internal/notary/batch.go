@@ -4,28 +4,19 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"tlsage/internal/framing"
 	"tlsage/internal/registry"
 )
 
-// Batch codec: a length-prefixed binary frame carrying a batch of Records —
-// the wire counterpart of the snapshot codec's on-disk framing, and the
-// binary sibling of the TSV log line. A producer packs records into frames
-// (EncodeBatch/AppendBatch/BatchWriter); a consumer streams frames back into
-// a Sink (ReadBatches). TSV stays the debug/interop path; this format exists
-// so ingest cost scales with batch count instead of per-line parsing.
-//
-// Frame layout:
-//
-//	offset  size  field
-//	0       4     magic "TLSB"
-//	4       1     version byte (BatchVersion)
-//	5       4     payload length, uint32 little-endian
-//	9       N     payload (record count + packed records, see below)
-//	9+N     4     CRC32-IEEE of the payload, little-endian
+// Batch codec: frames carrying batches of Records, in the same envelope as
+// the snapshot codec (see package framing) — the binary sibling of the TSV
+// log line. A producer packs records into frames (EncodeBatch/AppendBatch/
+// BatchWriter); a consumer streams frames back into a Sink (ReadBatches).
+// TSV stays the debug/interop path; this format exists so ingest cost scales
+// with batch count instead of per-line parsing.
 //
 // The payload is an unsigned varint record count followed by that many
 // packed records. Per record:
@@ -40,35 +31,30 @@ import (
 //	            (uvarint count + uvarint elements, bounds-checked)
 //	fp, truth, cohort (uvarint length + raw bytes)
 //
-// A stream is any number of frames back to back; EOF at a frame boundary
-// ends it cleanly, EOF anywhere else is an error. Decoding is defensive the
-// same way the snapshot codec is: every length is bounds-checked against the
-// bytes actually present (fuzzed by FuzzReadBatches).
-
-// batchMagic brands batch frames. It differs from the snapshot magic in its
-// first bytes read off the wire, which is what lets the TCP listener sniff
-// binary streams apart from TSV (no TSV log starts with "TLSB": headers
-// start with '#', record lines with a decimal year).
-const batchMagic = "TLSB"
+// Decoding is defensive the same way the snapshot codec is: every length is
+// bounds-checked against the bytes actually present (FuzzReadBatches).
 
 // BatchVersion is the batch wire-format version byte written by this build.
 // Version 2 marks the generation where aggregates derive fingerprint/client
 // attribution counters from Record.Fingerprint; the record payload itself is
 // unchanged (the fingerprint was always carried), so readers accept
-// batchMinVersion through BatchVersion and reject anything newer — the
-// format can evolve without silent misdecodes.
+// batchFormat.MinVersion through BatchVersion and reject anything newer —
+// the format can evolve without silent misdecodes.
 const BatchVersion = 2
 
-// batchMinVersion is the oldest batch version this build still reads.
-const batchMinVersion = 1
-
-// batchHeaderLen is magic + version + payload length.
-const batchHeaderLen = len(batchMagic) + 1 + 4
-
-// maxBatchPayload caps the payload length a reader will believe. Frames are
-// producer-sized (a few hundred records, tens of KiB); a corrupt length
-// field must not drive a huge allocation.
-const maxBatchPayload = 1 << 26
+// batchFormat is the TLSB envelope. The magic differs from the snapshot
+// magic in its first bytes read off the wire, which is what lets the TCP
+// listener sniff binary streams apart from TSV (no TSV log starts with it:
+// headers start with '#', record lines with a decimal year). Frames are
+// producer-sized (a few hundred records, tens of KiB); the 64 MiB cap keeps
+// a corrupt length field from driving a huge allocation.
+var batchFormat = framing.Format{
+	Magic:      "TLSB",
+	MinVersion: 1,
+	Version:    BatchVersion,
+	LenBytes:   4,
+	MaxPayload: 1 << 26,
+}
 
 // DefaultBatchSize is the records-per-frame used by producers that don't
 // choose one. Big enough to amortize framing and syscalls, small enough to
@@ -80,7 +66,8 @@ const DefaultBatchSize = 512
 // listener peeks ahead with this to route one port between binary batches
 // and TSV lines.
 func IsBatchStream(prefix []byte) bool {
-	return len(prefix) >= len(batchMagic) && string(prefix[:len(batchMagic)]) == batchMagic
+	magic := batchFormat.Magic
+	return len(prefix) >= len(magic) && string(prefix[:len(magic)]) == magic
 }
 
 // BatchError tags a malformed batch frame with its 0-based index in the
@@ -110,22 +97,21 @@ const (
 )
 
 // AppendBatch appends one complete framed batch of recs to dst and returns
-// the extended slice. The payload must stay under maxBatchPayload (64 MiB)
-// or readers will reject the frame — keep batches producer-sized
-// (DefaultBatchSize records is ~100 KiB).
+// the extended slice. It panics if the payload exceeds the format's 64 MiB
+// cap (some 600k records): keep batches producer-sized (DefaultBatchSize
+// records is ~100 KiB), or stream through a BatchWriter, which splits frames
+// at the cap.
 func AppendBatch(dst []byte, recs []*Record) []byte {
-	dst = append(dst, batchMagic...)
-	dst = append(dst, BatchVersion)
-	lenAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // payload length backfilled below
-	payloadAt := len(dst)
+	dst, mark := batchFormat.Begin(dst)
 	dst = appendCount(dst, len(recs))
 	for _, r := range recs {
 		dst = appendRecordBinary(dst, r)
 	}
-	payload := dst[payloadAt:]
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(payload)))
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	dst, err := batchFormat.End(dst, mark)
+	if err != nil {
+		panic("notary: batch: " + err.Error())
+	}
+	return dst
 }
 
 // EncodeBatch returns one framed batch of recs.
@@ -181,7 +167,8 @@ func appendCodeList[T ~uint8 | ~uint16](dst []byte, vals []T) []byte {
 }
 
 // BatchWriter packs records into framed batches. It implements Sink: Observe
-// buffers one encoded record, emitting a frame every batchSize records;
+// buffers one encoded record, emitting a frame every batchSize records — or
+// sooner, when one more record would push the payload past the format's cap;
 // Close flushes the partial frame. The encode buffers are reused across
 // frames, so steady-state writing allocates nothing — the binary counterpart
 // of LogWriter.
@@ -205,11 +192,20 @@ func NewBatchWriter(w io.Writer, batchSize int) *BatchWriter {
 
 // Observe implements Sink.
 func (bw *BatchWriter) Observe(r *Record) error {
+	before := len(bw.recs)
 	bw.recs = appendRecordBinary(bw.recs, r)
+	if bw.count > 0 && uint64(len(bw.recs))+binary.MaxVarintLen64 > batchFormat.MaxPayload {
+		// r would take the payload past the cap every reader enforces: ship
+		// the records before it and let r open the next frame. (A single
+		// record past the cap is refused by the envelope when it flushes.)
+		if err := bw.flushFrame(before); err != nil {
+			return err
+		}
+	}
 	bw.count++
 	bw.n++
 	if bw.count >= bw.every {
-		return bw.flushFrame()
+		return bw.flushFrame(len(bw.recs))
 	}
 	return nil
 }
@@ -219,7 +215,7 @@ func (bw *BatchWriter) Close() error {
 	if bw.count == 0 {
 		return nil
 	}
-	return bw.flushFrame()
+	return bw.flushFrame(len(bw.recs))
 }
 
 // Count reports how many records have been written.
@@ -228,20 +224,19 @@ func (bw *BatchWriter) Count() int64 { return bw.n }
 // Frames reports how many frames have been emitted.
 func (bw *BatchWriter) Frames() int64 { return bw.frames }
 
-func (bw *BatchWriter) flushFrame() error {
-	dst := append(bw.frame[:0], batchMagic...)
-	dst = append(dst, BatchVersion)
-	lenAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	payloadAt := len(dst)
+// flushFrame emits the first n packed bytes — bw.count records — as one
+// frame and keeps whatever follows them as the start of the next.
+func (bw *BatchWriter) flushFrame(n int) error {
+	dst, mark := batchFormat.Begin(bw.frame[:0])
 	dst = appendCount(dst, bw.count)
-	dst = append(dst, bw.recs...)
-	payload := dst[payloadAt:]
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	dst = append(dst, bw.recs[:n]...)
+	dst, err := batchFormat.End(dst, mark)
 	bw.frame = dst
-	bw.recs = bw.recs[:0]
+	bw.recs = bw.recs[:copy(bw.recs, bw.recs[n:])]
 	bw.count = 0
+	if err != nil {
+		return fmt.Errorf("notary: batch: %w", err)
+	}
 	if _, err := bw.w.Write(dst); err != nil {
 		return err
 	}
@@ -341,39 +336,16 @@ func decodeRecordBinary(d *snapDecoder, r *Record, in internTable) {
 // only valid for the duration of Observe. The sink is not closed. It
 // returns how many frames and records were delivered.
 func ReadBatches(r io.Reader, sink Sink) (frames, records uint64, err error) {
-	var hdr [9]byte // batchHeaderLen
-	var body []byte
+	fr := batchFormat.NewReader(r)
 	var rec Record
 	intern := make(internTable)
 	for frame := 0; ; frame++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return frames, records, nil
-			}
-			return frames, records, &BatchError{Frame: frame, Err: fmt.Errorf("frame header: %w", err)}
+		_, payload, err := fr.Next()
+		if err == io.EOF {
+			return frames, records, nil
 		}
-		if string(hdr[:4]) != batchMagic {
-			return frames, records, &BatchError{Frame: frame, Err: fmt.Errorf("bad magic %q", hdr[:4])}
-		}
-		if hdr[4] < batchMinVersion || hdr[4] > BatchVersion {
-			return frames, records, &BatchError{Frame: frame,
-				Err: fmt.Errorf("version %d, this build reads %d..%d", hdr[4], batchMinVersion, BatchVersion)}
-		}
-		n := binary.LittleEndian.Uint32(hdr[5:])
-		if n > maxBatchPayload {
-			return frames, records, &BatchError{Frame: frame, Err: fmt.Errorf("implausible payload length %d", n)}
-		}
-		// LimitReader + ReadAll grows with the bytes actually present, so a
-		// corrupt length over a short stream fails without a huge up-front
-		// allocation. body is reused across frames.
-		body, err = readFullReuse(r, body, int(n)+4)
 		if err != nil {
 			return frames, records, &BatchError{Frame: frame, Err: err}
-		}
-		payload, trailer := body[:n], body[n:]
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(trailer); got != want {
-			return frames, records, &BatchError{Frame: frame,
-				Err: fmt.Errorf("checksum mismatch (%08x, want %08x)", got, want)}
 		}
 		d := &snapDecoder{b: payload, what: "batch"}
 		count := d.length(minRecordEncodedLen)
@@ -397,31 +369,6 @@ func ReadBatches(r io.Reader, sink Sink) (frames, records uint64, err error) {
 	}
 }
 
-// readFullReuse reads exactly want bytes into buf[:0] (growing in bounded
-// chunks, so a corrupt length never allocates more than the stream holds)
-// and returns the filled buffer.
-func readFullReuse(r io.Reader, buf []byte, want int) ([]byte, error) {
-	buf = buf[:0]
-	const chunk = 1 << 20
-	for len(buf) < want {
-		step := want - len(buf)
-		if step > chunk {
-			step = chunk
-		}
-		at := len(buf)
-		if cap(buf) < at+step {
-			grown := make([]byte, at, at+step)
-			copy(grown, buf)
-			buf = grown
-		}
-		buf = buf[:at+step]
-		if _, err := io.ReadFull(r, buf[at:]); err != nil {
-			return buf, fmt.Errorf("truncated frame: %d of %d payload+trailer bytes: %w", at, want, err)
-		}
-	}
-	return buf, nil
-}
-
 // SniffReader wraps r in a buffered reader whose first bytes have been
 // peeked, reporting whether the stream starts with a batch frame. The
 // returned reader replays the stream from the beginning. Short or empty
@@ -429,6 +376,6 @@ func readFullReuse(r io.Reader, buf []byte, want int) ([]byte, error) {
 // diagnose.
 func SniffReader(r io.Reader) (*bufio.Reader, bool) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	prefix, _ := br.Peek(len(batchMagic))
+	prefix, _ := br.Peek(len(batchFormat.Magic))
 	return br, IsBatchStream(prefix)
 }

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"tlsage/internal/registry"
@@ -129,6 +129,94 @@ func TestBatchWriterFraming(t *testing.T) {
 	}
 }
 
+// TestBatchWriterSplitsAtPayloadCap: the record count is not the only flush
+// trigger. A writer whose batchSize would never fire (feed -batch 10000000)
+// still cuts a frame before the packed bytes cross the envelope's payload
+// cap, so it never streams a frame every reader would reject; a single
+// record past the cap is refused with an error rather than written. The cap
+// is shrunk from 64 MiB for the test's duration, for writer and reader alike,
+// so the stream stays small and ReadBatches accepting it means every frame
+// fits.
+func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
+	defer func(real uint64) { batchFormat.MaxPayload = real }(batchFormat.MaxPayload)
+	batchFormat.MaxPayload = 4096
+	recs := buildBatchRecords(41, 600)
+	var buf bytes.Buffer
+	bw := NewBatchWriter(&buf, 10_000_000)
+	for _, r := range recs {
+		if err := bw.Observe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bw.Frames() < 2 || bw.Count() != int64(len(recs)) {
+		t.Fatalf("writer emitted %d frames for %d records (%d bytes); want the cap to split them",
+			bw.Frames(), bw.Count(), buf.Len())
+	}
+	// Frames are cut at the cap, not well short of it: at most one record's
+	// worth of room is wasted per frame, so they are more than half full.
+	if most := 2*buf.Len()/int(batchFormat.MaxPayload) + 1; int(bw.Frames()) > most {
+		t.Fatalf("%d bytes went out in %d frames, want at most %d", buf.Len(), bw.Frames(), most)
+	}
+	var got collectSink
+	frames, records, err := ReadBatches(&buf, &got)
+	if err != nil || frames != uint64(bw.Frames()) || records != uint64(len(recs)) {
+		t.Fatalf("ReadBatches: %d frames / %d records, err %v; writer reported %d / %d",
+			frames, records, err, bw.Frames(), len(recs))
+	}
+	for i, r := range recs {
+		if !reflect.DeepEqual(r.Clone(), got.recs[i]) {
+			t.Fatalf("record %d changed across a cap split", i)
+		}
+	}
+
+	// One record alone past the cap cannot be framed: the envelope refuses
+	// it when the frame is flushed, and nothing is written.
+	huge := recs[0].Clone()
+	huge.Fingerprint = strings.Repeat("f", int(batchFormat.MaxPayload))
+	buf.Reset()
+	bw = NewBatchWriter(&buf, 10_000_000)
+	err = bw.Observe(huge)
+	if err == nil {
+		err = bw.Close()
+	}
+	if err == nil || buf.Len() != 0 {
+		t.Fatalf("oversize record: err %v with %d bytes written, want a refusal", err, buf.Len())
+	}
+}
+
+// TestReadBatchesAllocsArePerStream is the envelope's allocation guard at
+// the public entry point: the frame reader's state (header scratch, body
+// buffer) is reused from frame to frame, so reading 32 frames allocates
+// exactly what reading one of them does — the per-stream cost — and that
+// cost is no higher than it was before the envelope was extracted.
+func TestReadBatchesAllocsArePerStream(t *testing.T) {
+	one := EncodeBatch(buildBatchRecords(61, 32))
+	many := bytes.Repeat(one, 32)
+	sink := nullSink()
+	rd := bytes.NewReader(nil)
+	allocs := func(stream []byte, frames uint64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			rd.Reset(stream)
+			if got, _, err := ReadBatches(rd, sink); err != nil || got != frames {
+				t.Fatalf("ReadBatches: %d frames, err %v", got, err)
+			}
+		})
+	}
+	a1, a32 := allocs(one, 1), allocs(many, 32)
+	if a32 != a1 {
+		t.Errorf("32 frames cost %v allocs, 1 frame %v: per-frame allocation crept into the stream reader", a32, a1)
+	}
+	// Measured with this same test on the commit before internal/framing
+	// existed: 47 for either stream.
+	const atParent = 47
+	if a32 > atParent {
+		t.Errorf("a 32-frame stream costs %v allocs, %d before the envelope was extracted", a32, atParent)
+	}
+}
+
 // TestBatchTruncation cuts a two-frame stream at every byte offset. The
 // empty prefix and the exact frame boundary are clean stream ends (that is
 // the streaming contract); every other cut must error.
@@ -175,10 +263,12 @@ func TestBatchCorruption(t *testing.T) {
 // exercise payload-level rejections that checksum verification would
 // otherwise mask.
 func reframe(payload []byte) []byte {
-	dst := append([]byte(batchMagic), BatchVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	dst, mark := batchFormat.Begin(nil)
+	dst, err := batchFormat.End(append(dst, payload...), mark)
+	if err != nil {
+		panic(err)
+	}
+	return dst
 }
 
 // TestBatchRejectsMalformedPayloads covers short frames and structurally
@@ -229,8 +319,8 @@ func TestBatchRejectsHeader(t *testing.T) {
 		t.Errorf("trailing garbage read without error (%d frames)", frames)
 	}
 
-	huge := append([]byte(batchMagic), BatchVersion)
-	huge = binary.LittleEndian.AppendUint32(huge, maxBatchPayload+1)
+	huge := append([]byte(batchFormat.Magic), BatchVersion)
+	huge = binary.LittleEndian.AppendUint32(huge, uint32(batchFormat.MaxPayload)+1)
 	if _, _, err := ReadBatches(bytes.NewReader(huge), nullSink()); err == nil {
 		t.Error("implausible payload length read without error")
 	}
@@ -273,7 +363,7 @@ func TestIsBatchStream(t *testing.T) {
 // (decode∘encode retraction).
 func FuzzReadBatches(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(batchMagic))
+	f.Add([]byte(batchFormat.Magic))
 	f.Add(EncodeBatch(nil))
 	f.Add(EncodeBatch(buildBatchRecords(1, 3)))
 	f.Add(AppendBatch(EncodeBatch(buildBatchRecords(2, 20)), buildBatchRecords(3, 4)))

@@ -2,6 +2,7 @@ package notary
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,38 +35,46 @@ func compatFixtureAggregate() *Aggregate {
 	return agg
 }
 
-// TestRecordCompatFixtures re-records the version-1 fixtures. It only runs
+// TestRecordCompatFixtures records the fixtures of the codec versions this
+// build writes, as testdata/{snapshot,batch}_v<version>.bin. It only runs
 // when RECORD_COMPAT_FIXTURES is set and exists so the recording procedure is
-// documented in code; running it on a post-bump tree would overwrite genuine
-// v1 bytes with current-version bytes.
+// documented in code. The file name carries the version byte, so recording on
+// a post-bump tree adds the new version's files and leaves the genuine older
+// bytes alone; re-recording a committed version is only honest on a tree
+// whose encoders are the ones that shipped it.
 func TestRecordCompatFixtures(t *testing.T) {
 	if os.Getenv("RECORD_COMPAT_FIXTURES") == "" {
-		t.Skip("set RECORD_COMPAT_FIXTURES=1 on a pre-bump tree to record")
+		t.Skip("set RECORD_COMPAT_FIXTURES=1 to record the current versions' fixtures")
 	}
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	snap := EncodeSnapshot(nil, compatFixtureAggregate())
-	if err := os.WriteFile(filepath.Join("testdata", "snapshot_v1.bin"), snap, 0o644); err != nil {
+	if err := os.WriteFile(fixturePath("snapshot", SnapshotVersion), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	batch := EncodeBatch(compatFixtureRecords())
-	if err := os.WriteFile(filepath.Join("testdata", "batch_v1.bin"), batch, 0o644); err != nil {
+	if err := os.WriteFile(fixturePath("batch", BatchVersion), batch, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func readFixture(t *testing.T, name string) []byte {
+func fixturePath(kind string, version int) string {
+	return filepath.Join("testdata", fmt.Sprintf("%s_v%d.bin", kind, version))
+}
+
+func readFixture(t *testing.T, kind string, version int) []byte {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", name))
+	name := fixturePath(kind, version)
+	b, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(b) < 5 {
 		t.Fatalf("fixture %s too short (%d bytes)", name, len(b))
 	}
-	if b[4] != 1 {
-		t.Fatalf("fixture %s carries version %d, want recorded version 1", name, b[4])
+	if int(b[4]) != version {
+		t.Fatalf("fixture %s carries version %d, want recorded version %d", name, b[4], version)
 	}
 	return b
 }
@@ -75,7 +84,7 @@ func readFixture(t *testing.T, name string) []byte {
 // every pre-existing counter intact and the ByFingerprint/ByClientClass maps
 // empty — an upgrade must not force a re-ingest.
 func TestSnapshotV1Decodes(t *testing.T) {
-	got, err := DecodeSnapshot(readFixture(t, "snapshot_v1.bin"))
+	got, err := DecodeSnapshot(readFixture(t, "snapshot", 1))
 	if err != nil {
 		t.Fatalf("v1 snapshot rejected: %v", err)
 	}
@@ -107,7 +116,7 @@ func TestSnapshotV1Decodes(t *testing.T) {
 // reader; the record payload never changed, so ingesting it fills the new
 // attribution counters exactly as a live stream would.
 func TestBatchV1Decodes(t *testing.T) {
-	raw := readFixture(t, "batch_v1.bin")
+	raw := readFixture(t, "batch", 1)
 	got := NewAggregate()
 	frames, records, err := ReadBatches(bytes.NewReader(raw), got)
 	if err != nil {
@@ -126,14 +135,65 @@ func TestBatchV1Decodes(t *testing.T) {
 // still fail loudly — forward compatibility is an explicit error, never a
 // misdecode.
 func TestUnknownNewerVersionsRejected(t *testing.T) {
-	snap := append([]byte(nil), readFixture(t, "snapshot_v1.bin")...)
+	snap := append([]byte(nil), readFixture(t, "snapshot", 1)...)
 	snap[4] = SnapshotVersion + 1
 	if _, err := DecodeSnapshot(snap); err == nil {
 		t.Error("snapshot version beyond current accepted")
 	}
-	batch := append([]byte(nil), readFixture(t, "batch_v1.bin")...)
+	batch := append([]byte(nil), readFixture(t, "batch", 1)...)
 	batch[4] = BatchVersion + 1
 	if _, _, err := ReadBatches(bytes.NewReader(batch), NewAggregate()); err == nil {
 		t.Error("batch version beyond current accepted")
+	}
+}
+
+// TestCurrentVersionGoldens pins the bytes this build writes: the encoders
+// reproduce the committed current-version fixtures byte for byte (through
+// every producer: EncodeSnapshot, WriteSnapshot, EncodeBatch and a
+// BatchWriter holding the whole stream in one frame), and the decoders read
+// them back to the fixture content. A refactor of the framing or payload
+// code that moves a single wire byte fails here.
+func TestCurrentVersionGoldens(t *testing.T) {
+	recs := compatFixtureRecords()
+	agg := compatFixtureAggregate()
+
+	snap := readFixture(t, "snapshot", SnapshotVersion)
+	if got := EncodeSnapshot(nil, agg); !bytes.Equal(got, snap) {
+		t.Errorf("EncodeSnapshot wrote %d bytes that differ from the %d-byte golden", len(got), len(snap))
+	}
+	if got := EncodeSnapshot([]byte("prefix"), agg); !bytes.Equal(got[len("prefix"):], snap) {
+		t.Error("EncodeSnapshot onto a non-empty dst differs from the golden")
+	}
+	var sbuf bytes.Buffer
+	if err := WriteSnapshot(&sbuf, agg); err != nil || !bytes.Equal(sbuf.Bytes(), snap) {
+		t.Errorf("WriteSnapshot differs from the golden (err %v)", err)
+	}
+	if got, err := DecodeSnapshot(snap); err != nil || !reflect.DeepEqual(got, agg) {
+		t.Errorf("DecodeSnapshot(golden): err %v, equal to fixture content: %v", err, err == nil)
+	}
+	if got, err := ReadSnapshot(bytes.NewReader(snap)); err != nil || !reflect.DeepEqual(got, agg) {
+		t.Errorf("ReadSnapshot(golden): err %v", err)
+	}
+
+	batch := readFixture(t, "batch", BatchVersion)
+	if got := EncodeBatch(recs); !bytes.Equal(got, batch) {
+		t.Errorf("EncodeBatch wrote %d bytes that differ from the %d-byte golden", len(got), len(batch))
+	}
+	var bbuf bytes.Buffer
+	bw := NewBatchWriter(&bbuf, len(recs))
+	for _, r := range recs {
+		if err := bw.Observe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil || !bytes.Equal(bbuf.Bytes(), batch) {
+		t.Errorf("BatchWriter differs from the golden (err %v)", err)
+	}
+	got := NewAggregate()
+	if frames, records, err := ReadBatches(bytes.NewReader(batch), got); err != nil || frames != 1 || records != uint64(len(recs)) {
+		t.Fatalf("ReadBatches(golden): frames=%d records=%d err=%v", frames, records, err)
+	}
+	if !reflect.DeepEqual(got, agg) {
+		t.Error("golden batch ingest differs from the fixture content")
 	}
 }

@@ -3,30 +3,21 @@ package notary
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"sort"
 	"time"
 
+	"tlsage/internal/framing"
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
 )
 
-// Snapshot codec: a versioned, length-prefixed binary encoding of an
-// Aggregate. It is the durability format of the live service (periodic
-// snapshot-to-disk, restart recovery) and the future federation wire format
-// (shipping merged aggregate deltas upstream costs O(months×counters)
-// instead of O(records)).
-//
-// Frame layout:
-//
-//	offset  size  field
-//	0       4     magic "TLSN"
-//	4       1     version byte (SnapshotVersion)
-//	5       8     payload length, uint64 little-endian
-//	13      N     payload (varint-packed counters, see below)
-//	13+N    4     CRC32-IEEE of the payload, little-endian
+// Snapshot codec: a versioned binary encoding of an Aggregate in the shared
+// frame envelope (see package framing). It is the durability format of the
+// live service (periodic snapshot-to-disk, restart recovery), and its bare
+// payload is what a federation delta embeds (shipping merged aggregates
+// upstream costs O(months×counters) instead of O(records)).
 //
 // The payload packs the generation, every MonthStats (counters, maps,
 // fingerprint capability sets) and the fingerprint lifetime maps. Map
@@ -39,40 +30,36 @@ import (
 // actually present, so arbitrary or corrupted input yields an error — never
 // a panic or an implausible allocation (fuzzed by FuzzReadSnapshot).
 
-// snapshotMagic brands snapshot files/streams.
-const snapshotMagic = "TLSN"
-
 // SnapshotVersion is the wire-format version byte written by this build.
 // Version 2 appended the per-month ByFingerprint/ByClientClass attribution
-// maps after the FPs table. Readers accept snapshotMinVersion through
+// maps after the FPs table. Readers accept snapshotFormat.MinVersion through
 // SnapshotVersion — a version-1 snapshot still decodes, with the attribution
 // maps left empty — and reject anything newer, so the format can evolve
 // without silent misdecodes.
 const SnapshotVersion = 2
 
-// snapshotMinVersion is the oldest snapshot version this build still reads.
-const snapshotMinVersion = 1
-
-// snapshotHeaderLen is magic + version + payload length.
-const snapshotHeaderLen = len(snapshotMagic) + 1 + 8
-
-// maxSnapshotPayload caps the payload length a reader will believe. A real
-// snapshot of the multi-year study is a few MiB; a corrupt length field must
-// not drive a multi-GiB allocation.
-const maxSnapshotPayload = 1 << 32
+// snapshotFormat is the TLSN envelope. The length field is 8 bytes wide, a
+// format fact since version 1. A real snapshot of the multi-year study is a
+// few MiB; the 4 GiB cap keeps a corrupt length field from being believed.
+var snapshotFormat = framing.Format{
+	Magic:      "TLSN",
+	MinVersion: 1,
+	Version:    SnapshotVersion,
+	LenBytes:   8,
+	MaxPayload: 1 << 32,
+}
 
 // EncodeSnapshot appends the complete framed snapshot of a to dst and
 // returns the extended slice. Encoding is deterministic for equal content.
+// It panics if the payload exceeds the format's 4 GiB cap, three orders of
+// magnitude past the full study.
 func EncodeSnapshot(dst []byte, a *Aggregate) []byte {
-	dst = append(dst, snapshotMagic...)
-	dst = append(dst, SnapshotVersion)
-	lenAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // payload length backfilled below
-	payloadAt := len(dst)
-	dst = appendSnapshotPayload(dst, a)
-	payload := dst[payloadAt:]
-	binary.LittleEndian.PutUint64(dst[lenAt:], uint64(len(payload)))
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	dst, mark := snapshotFormat.Begin(dst)
+	dst, err := snapshotFormat.End(AppendAggregatePayload(dst, a), mark)
+	if err != nil {
+		panic("notary: snapshot: " + err.Error())
+	}
+	return dst
 }
 
 // WriteSnapshot writes the framed snapshot of a to w.
@@ -85,46 +72,20 @@ func WriteSnapshot(w io.Writer, a *Aggregate) error {
 // corrupted or version-mismatched input yields an error; the returned
 // aggregate is nil unless the checksum and every field decoded cleanly.
 func ReadSnapshot(r io.Reader) (*Aggregate, error) {
-	var hdr [13]byte // snapshotHeaderLen
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("notary: snapshot header: %w", err)
-	}
-	if string(hdr[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("notary: not a snapshot (bad magic %q)", hdr[:4])
-	}
-	if hdr[4] < snapshotMinVersion || hdr[4] > SnapshotVersion {
-		return nil, fmt.Errorf("notary: snapshot version %d, this build reads %d..%d",
-			hdr[4], snapshotMinVersion, SnapshotVersion)
-	}
-	version := hdr[4]
-	n := binary.LittleEndian.Uint64(hdr[5:])
-	if n > maxSnapshotPayload {
-		return nil, fmt.Errorf("notary: implausible snapshot payload length %d", n)
-	}
-	// LimitReader + ReadAll grows with the bytes actually present, so a
-	// corrupt length over a short stream fails without a huge up-front
-	// allocation.
-	body, err := io.ReadAll(io.LimitReader(r, int64(n)+4))
-	if err != nil {
-		return nil, fmt.Errorf("notary: snapshot body: %w", err)
-	}
-	if uint64(len(body)) != n+4 {
-		return nil, fmt.Errorf("notary: truncated snapshot: %d payload+trailer bytes, want %d", len(body), n+4)
-	}
-	payload, trailer := body[:n], body[n:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(trailer); got != want {
-		return nil, fmt.Errorf("notary: snapshot checksum mismatch (%08x, want %08x)", got, want)
-	}
-	return decodeSnapshotPayload(payload, version)
+	return decodeSnapshotFrame(snapshotFormat.NewReader(r).Next())
 }
 
-// AppendAggregatePayload appends the snapshot codec's bare varint-packed
-// payload of a to dst — no magic, length prefix or checksum trailer. The
-// federation delta frame embeds this payload inside its own framing so the
-// two wire formats share one (deterministic, fuzz-hardened) aggregate
-// encoding instead of nesting complete frames.
-func AppendAggregatePayload(dst []byte, a *Aggregate) []byte {
-	return appendSnapshotPayload(dst, a)
+// DecodeSnapshot decodes one framed snapshot from b (exactly one frame; no
+// trailing bytes are tolerated).
+func DecodeSnapshot(b []byte) (*Aggregate, error) {
+	return decodeSnapshotFrame(snapshotFormat.Decode(b))
+}
+
+func decodeSnapshotFrame(version byte, payload []byte, err error) (*Aggregate, error) {
+	if err != nil {
+		return nil, fmt.Errorf("notary: snapshot: %w", err)
+	}
+	return decodeSnapshotPayload(payload, version)
 }
 
 // DecodeAggregatePayload decodes a payload written by AppendAggregatePayload
@@ -132,43 +93,11 @@ func AppendAggregatePayload(dst []byte, a *Aggregate) []byte {
 // this build). Trailing bytes, corrupt fields and out-of-range versions all
 // error; arbitrary input never panics.
 func DecodeAggregatePayload(b []byte, version byte) (*Aggregate, error) {
-	if version < snapshotMinVersion || version > SnapshotVersion {
+	if oldest := snapshotFormat.MinVersion; version < oldest || version > SnapshotVersion {
 		return nil, fmt.Errorf("notary: aggregate payload version %d, this build reads %d..%d",
-			version, snapshotMinVersion, SnapshotVersion)
+			version, oldest, SnapshotVersion)
 	}
 	return decodeSnapshotPayload(b, version)
-}
-
-// DecodeSnapshot decodes one framed snapshot from b (exactly one frame; no
-// trailing bytes are tolerated).
-func DecodeSnapshot(b []byte) (*Aggregate, error) {
-	r := newExactReader(b)
-	a, err := ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("notary: %d trailing bytes after snapshot frame", len(b)-r.off)
-	}
-	return a, nil
-}
-
-// exactReader is a bytes.Reader variant whose ReadAll path sees EOF exactly
-// at the end of b, and which lets DecodeSnapshot reject trailing garbage.
-type exactReader struct {
-	b   []byte
-	off int
-}
-
-func newExactReader(b []byte) *exactReader { return &exactReader{b: b} }
-
-func (e *exactReader) Read(p []byte) (int, error) {
-	if e.off >= len(e.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, e.b[e.off:])
-	e.off += n
-	return n, nil
 }
 
 // --- payload encoding ---
@@ -276,7 +205,12 @@ func fpCapsFromByte(b byte, count int) *FPCaps {
 	}
 }
 
-func appendSnapshotPayload(dst []byte, a *Aggregate) []byte {
+// AppendAggregatePayload appends the snapshot codec's bare varint-packed
+// payload of a to dst — no envelope. The federation delta frame embeds this
+// payload inside its own frame so the two wire formats share one
+// (deterministic, fuzz-hardened) aggregate encoding instead of nesting
+// complete frames.
+func AppendAggregatePayload(dst []byte, a *Aggregate) []byte {
 	dst = appendUvarint(dst, a.generation)
 	months := a.Months()
 	dst = appendCount(dst, len(months))

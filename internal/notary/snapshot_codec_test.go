@@ -126,7 +126,7 @@ func TestSnapshotVersionAndMagic(t *testing.T) {
 // the same aggregate (decode∘encode is a retraction).
 func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(snapshotMagic))
+	f.Add([]byte(snapshotFormat.Magic))
 	f.Add(EncodeSnapshot(nil, NewAggregate()))
 	f.Add(EncodeSnapshot(nil, buildAggregate(1, 5)))
 	f.Add(EncodeSnapshot(nil, buildAggregate(2, 100)))

@@ -124,51 +124,20 @@ func listSnapshots(dir string) ([]string, error) {
 	return out, nil
 }
 
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
-
-// WriteStudySnapshot atomically writes one snapshot of the study into dir:
-// encode to a temp file, fsync, rename into place, fsync the directory, then
-// prune snapshots beyond keep (<= 0 means DefaultSnapshotKeep). A reader can
-// never observe a torn file under the final name. It returns the snapshot
-// path and the generation it captured.
+// WriteStudySnapshot atomically writes one snapshot of the study into dir
+// (notary.ReplaceFile: encode to a temp file, fsync, rename into place, fsync
+// the directory), then prunes snapshots beyond keep (<= 0 means
+// DefaultSnapshotKeep). A reader can never observe a torn file under the
+// final name. It returns the snapshot path and the generation it captured.
 func WriteStudySnapshot(dir string, study *core.Study, keep int) (string, uint64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", 0, err
-	}
-	tmp, err := os.CreateTemp(dir, snapshotTmpPat)
+	var gen uint64
+	err := notary.ReplaceFile(dir, snapshotTmpPat, func(w io.Writer) (name string, err error) {
+		gen, err = study.WriteSnapshot(w)
+		return snapshotName(gen), err
+	})
 	if err != nil {
 		return "", 0, err
 	}
-	tmpName := tmp.Name()
-	fail := func(err error) (string, uint64, error) {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", 0, err
-	}
-	gen, err := study.WriteSnapshot(tmp)
-	if err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", 0, err
-	}
-	final := filepath.Join(dir, snapshotName(gen))
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return "", 0, err
-	}
-	syncDir(dir)
 	if keep <= 0 {
 		keep = DefaultSnapshotKeep
 	}
@@ -177,7 +146,7 @@ func WriteStudySnapshot(dir string, study *core.Study, keep int) (string, uint64
 			_ = os.Remove(old)
 		}
 	}
-	return final, gen, nil
+	return filepath.Join(dir, snapshotName(gen)), gen, nil
 }
 
 // RecoveryInfo reports what RecoverStudy reconstructed.

@@ -175,6 +175,22 @@ func TestMergeEndpoint(t *testing.T) {
 	}
 }
 
+// TestMergeMaxBodyBytes: a delta frame cut off by -max-body answers 413, not
+// the 400 of a corrupt one — the *http.MaxBytesError has to survive the
+// frame reader's truncation wrapping for handleMerge to tell them apart.
+func TestMergeMaxBodyBytes(t *testing.T) {
+	srv := NewServer(core.NewLiveStudy(), WithMaxBodyBytes(64))
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if status, _ := postDeltaFrame(t, ts.URL, &federation.Delta{Source: "edge-a", Agg: fedShard(1, 4)}); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize delta: %d, want 413", status)
+	}
+	if _, _, gen, _ := srv.Study().Counts(); gen != 0 {
+		t.Fatalf("a refused delta moved the study to generation %d", gen)
+	}
+}
+
 // TestUnionValidation pins Union's assembly-time errors.
 func TestUnionValidation(t *testing.T) {
 	rt := NewRouter()

@@ -2,14 +2,15 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
+
+	"tlsage/internal/retry"
 )
 
 // FeedOptions tunes the retry behavior of FeedHTTP and FeedTCP. The zero
@@ -24,17 +25,14 @@ type FeedOptions struct {
 	// MaxRetries is how many times a shed stream is retried before giving
 	// up. 0 means no retries.
 	MaxRetries int
-	// BaseDelay seeds the exponential backoff (default 250ms). Each shed
-	// doubles it, capped at MaxDelay (default 10s); the server's
-	// Retry-After (or the busy line's seconds) raises the floor.
+	// BaseDelay, MaxDelay and Rand configure the retry.Backoff between
+	// attempts (zero values: 250ms doubling to 10s, math/rand jitter); the
+	// server's Retry-After, or the busy line's seconds, is its floor.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
+	Rand      func() float64
 	// Sleep is the delay function — a test hook; nil means time.Sleep.
 	Sleep func(time.Duration)
-	// Rand supplies jitter in [0,1); nil uses math/rand. Jitter spreads
-	// synchronized feeders apart so they don't re-saturate the server in
-	// lockstep after a shed.
-	Rand func() float64
 	// Logf, when set, receives one line per retry ("server busy, retrying
 	// in ...").
 	Logf func(format string, args ...any)
@@ -49,68 +47,35 @@ type FeedResult struct {
 
 // errShed is the internal marker for "the server shed this stream; retry
 // after the embedded delay floor".
-type errShed struct {
-	retryAfter time.Duration
-}
+type errShed struct{ retryAfter time.Duration }
 
 func (e errShed) Error() string { return "server busy" }
 
 // feedRetry runs attempt until it succeeds, fails hard, or exhausts the
 // retry budget. Only errShed results are retried.
 func feedRetry(opts FeedOptions, attempt func() (FeedResult, error)) (FeedResult, error) {
-	base := opts.BaseDelay
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	maxDelay := opts.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 10 * time.Second
-	}
 	sleep := opts.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	rnd := opts.Rand
-	if rnd == nil {
-		rnd = rand.Float64
-	}
-	backoff := base
+	backoff := retry.Backoff{Base: opts.BaseDelay, Max: opts.MaxDelay, Rand: opts.Rand}
 	for try := 0; ; try++ {
 		res, err := attempt()
 		res.Attempts = try + 1
 		var shed errShed
-		if err == nil || !asShed(err, &shed) {
+		if !errors.As(err, &shed) {
 			return res, err
 		}
 		if try >= opts.MaxRetries {
 			return res, fmt.Errorf("feed: server still busy after %d attempts", try+1)
 		}
-		delay := backoff
-		if shed.retryAfter > delay {
-			delay = shed.retryAfter
-		}
-		// Full jitter on top of the floor: [delay, 2*delay).
-		delay += time.Duration(rnd() * float64(delay))
-		if delay > maxDelay {
-			delay = maxDelay
-		}
+		delay := backoff.Next(shed.retryAfter)
 		if opts.Logf != nil {
 			opts.Logf("feed: server busy, retrying in %v (attempt %d/%d)",
 				delay.Round(time.Millisecond), try+2, opts.MaxRetries+1)
 		}
 		sleep(delay)
-		if backoff *= 2; backoff > maxDelay {
-			backoff = maxDelay
-		}
 	}
-}
-
-func asShed(err error, out *errShed) bool {
-	if se, ok := err.(errShed); ok {
-		*out = se
-		return true
-	}
-	return false
 }
 
 // FeedHTTP streams a record log (TSV, or batch-framed with opts.Binary)
@@ -154,7 +119,7 @@ func FeedHTTP(baseURL string, open func() (io.ReadCloser, error), opts FeedOptio
 					"feed: server shed a part-applied stream (%d records merged); not retrying to avoid duplicates",
 					reply.Records)
 			}
-			return res, errShed{retryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
+			return res, errShed{retryAfter: retry.ParseRetryAfter(resp.Header.Get("Retry-After"))}
 		}
 		if err := json.Unmarshal(raw, &reply); err != nil {
 			// Not a tlstrend serve reply (wrong port, proxy error page, ...):
@@ -201,9 +166,11 @@ func FeedTCP(addr string, open func() (io.ReadCloser, error), opts FeedOptions) 
 		line := strings.TrimSpace(string(reply))
 		switch {
 		case strings.HasPrefix(line, "busy"):
-			return res, errShed{retryAfter: parseBusyLine(line)}
+			return res, errShed{retryAfter: retry.ParseRetryAfter(strings.TrimPrefix(line, "busy"))}
 		case strings.HasPrefix(line, "ok "):
-			res.Records, res.Generation = parseOKLine(line)
+			// "ok <records> <generation>"; malformed counts degrade to zeros
+			// rather than failing a stream the server accepted.
+			_, _ = fmt.Sscanf(line, "ok %d %d", &res.Records, &res.Generation)
 			return res, nil
 		case line == "" && copyErr != nil:
 			return res, fmt.Errorf("feed: streaming to %s: %w", addr, copyErr)
@@ -211,39 +178,4 @@ func FeedTCP(addr string, open func() (io.ReadCloser, error), opts FeedOptions) 
 			return res, fmt.Errorf("feed: %s", line)
 		}
 	})
-}
-
-// parseRetryAfter reads an HTTP Retry-After value in its delta-seconds
-// form; anything else (absolute dates, garbage, absent) yields 0 and the
-// client falls back to pure exponential backoff.
-func parseRetryAfter(v string) time.Duration {
-	secs, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
-// parseBusyLine reads the seconds hint off a TCP "busy <seconds>" line.
-func parseBusyLine(line string) time.Duration {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return 0
-	}
-	return parseRetryAfter(fields[1])
-}
-
-// parseOKLine reads "ok <records> <generation>"; malformed counts
-// degrade to zeros rather than failing a stream the server accepted.
-func parseOKLine(line string) (int, uint64) {
-	fields := strings.Fields(line)
-	var records int
-	var gen uint64
-	if len(fields) >= 2 {
-		records, _ = strconv.Atoi(fields[1])
-	}
-	if len(fields) >= 3 {
-		gen, _ = strconv.ParseUint(fields[2], 10, 64)
-	}
-	return records, gen
 }

@@ -195,6 +195,38 @@ func TestFeedRetryGivesUp(t *testing.T) {
 	}
 }
 
+// TestFeedRetryAfterIsCappedAtMaxDelay: the server's Retry-After raises the
+// backoff floor but never past MaxDelay — not for a value of days, nor for
+// one with more seconds than a Duration holds (which must saturate, not wrap
+// into a negative floor).
+func TestFeedRetryAfterIsCappedAtMaxDelay(t *testing.T) {
+	const maxDelay = 2 * time.Second
+	for _, retryAfter := range []string{"1000000", "999999999999"} {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Retry-After", retryAfter)
+			w.WriteHeader(http.StatusTooManyRequests)
+		}))
+		var delays []time.Duration
+		_, err := FeedHTTP(hs.URL, func() (io.ReadCloser, error) {
+			return io.NopCloser(strings.NewReader("")), nil
+		}, FeedOptions{
+			MaxRetries: 4,
+			MaxDelay:   maxDelay,
+			Sleep:      func(d time.Duration) { delays = append(delays, d) },
+		})
+		hs.Close()
+		if err == nil || len(delays) != 4 {
+			t.Fatalf("Retry-After %s: err %v after %d sleeps, want a still-busy failure after 4", retryAfter, err, len(delays))
+		}
+		for i, d := range delays {
+			// The floor is honoured as far as the cap allows: exactly MaxDelay.
+			if d != maxDelay {
+				t.Errorf("Retry-After %s: delay %d = %v, want %v", retryAfter, i, d, maxDelay)
+			}
+		}
+	}
+}
+
 // TestIngestMaxBodyBytes pins the 413 path: a capped body cuts the stream
 // off with RequestEntityTooLarge and keeps the prefix that fit.
 func TestIngestMaxBodyBytes(t *testing.T) {
