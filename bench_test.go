@@ -141,6 +141,79 @@ func BenchmarkFrameBuild(b *testing.B) {
 	b.ReportMetric(float64(f.Len()), "months")
 }
 
+// BenchmarkFrameAdvance measures what a query pays for the frame after a
+// generation bump under live ingest: a 256-record shard lands in the newest
+// month (untimed), then Study.Frame() advances the cached frame over that
+// one month. Compare BenchmarkFrameBuild, the cost before frames advanced.
+func BenchmarkFrameAdvance(b *testing.B) {
+	s := core.NewLiveStudy()
+	if err := s.MergeShard(studyAggregate(b)); err != nil {
+		b.Fatal(err)
+	}
+	opts := simulate.DefaultOptions(256) // one live-feeder stream's worth
+	opts.Start = opts.End
+	shard := s.NewShard()
+	if err := simulate.New(opts).Run(shard); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Frame(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var f *analysis.Frame
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := s.MergeShard(shard); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		f, _ = s.Frame()
+	}
+	b.ReportMetric(float64(f.Len()), "months")
+}
+
+// TestFrameAdvanceAllocsIndependentOfMonths pins Frame.Advance to an
+// allocation count that does not grow with the months it leaves untouched:
+// the same month content repeated over 3 and over 60 months, one month
+// touched, must cost the same number of allocations (the column copies come
+// out of one slab whatever the axis length).
+func TestFrameAdvanceAllocsIndependentOfMonths(t *testing.T) {
+	opts := simulate.DefaultOptions(300)
+	opts.Start = opts.End
+	opts.Workers = 1
+	var recs []*notary.Record
+	if err := simulate.New(opts).Run(notary.SinkFunc(func(r *notary.Record) error {
+		recs = append(recs, r.Clone())
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(months int) float64 {
+		agg := notary.NewAggregate()
+		touched := opts.End
+		for m := 0; m < months; m++ {
+			for _, r := range recs {
+				r.Date = touched.AddMonths(-m).Mid()
+				agg.Add(r)
+			}
+		}
+		prev := analysis.NewFrame(agg)
+		for _, r := range recs { // every fingerprint grows alike, so the top-K set holds
+			r.Date = touched.Mid()
+			agg.Add(r)
+		}
+		return testing.AllocsPerRun(20, func() { prev.Advance(agg, []timeline.Month{touched}) })
+	}
+	few, many := allocs(3), allocs(60)
+	if few != many {
+		t.Errorf("Advance allocates %.0f times over 3 months but %.0f over 60", few, many)
+	}
+	if many > 64 {
+		t.Errorf("Advance allocates %.0f times, want at most 64", many)
+	}
+}
+
 // BenchmarkAllFigures measures the full frame path end to end: snapshot
 // build plus all ten catalog figures (compare BenchmarkAllFiguresLegacy in
 // internal/analysis, the recorded pre-refactor map-walking baseline).

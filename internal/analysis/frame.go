@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 
 	"tlsage/internal/notary"
@@ -41,10 +44,12 @@ func FPID(fp string) string {
 
 // Frame is a columnar, immutable snapshot of a notary.Aggregate: a sorted
 // month axis plus one dense per-month column for every counter the analysis
-// layer queries. It is built in a single pass over the aggregate and is the
-// substrate every figure, scalar and impact metric evaluates against —
-// instead of ten figure constructors each re-walking the per-month maps, the
-// maps are walked once here and the queries become slice scans.
+// layer queries. It is the substrate every figure, scalar and impact metric
+// evaluates against — instead of ten figure constructors each re-walking the
+// per-month maps, the maps are walked once here and the queries become slice
+// scans. NewFrame builds one in a single pass over the aggregate; Advance
+// derives the next one from its predecessor by re-reading only the months a
+// write touched.
 //
 // Keyed columns (versions, classes, key exchanges, curves, extensions,
 // TLS 1.3 variants) live in maps from key to a dense []int aligned with
@@ -53,7 +58,7 @@ func FPID(fp string) string {
 // suite-class totals of Figure 9 and the forward-secret key-exchange total —
 // are classified once at build time.
 //
-// A Frame never mutates after NewFrame returns, so it is safe to share
+// A Frame never mutates after its constructor returns, so it is safe to share
 // across goroutines and to cache: Generation records the aggregate
 // generation it snapshotted, letting holders detect staleness while the
 // aggregate keeps ingesting (the live-service read path).
@@ -113,14 +118,24 @@ type Frame struct {
 	// saw. FPNames maps each top-K FPID back to its full fingerprint string.
 	// Agent holds attributed volume per client class (from the aggregate's
 	// classifier), keyed by the clientdb class name.
-	FPConns    []int
-	FPCol      map[string][]int
-	FPNames    map[string]string
-	Agent      map[string][]int
-	fpDistinct int
+	FPConns []int
+	FPCol   map[string][]int
+	FPNames map[string]string
+	Agent   map[string][]int
+
+	// The frame's own copy of the aggregate's fingerprint volumes, which is
+	// what lets Advance re-rank without re-reading untouched months.
+	// Fingerprints get dense ids: fpIDs and fpStrs map string to id and
+	// back, fpVol is the whole-window volume by id, fpRows[i] is month i's
+	// volumes, and fpTop lists the fingerprints that own FPCol's columns.
+	fpIDs  map[string]int
+	fpStrs []string
+	fpVol  []int
+	fpRows [][]fpCount
+	fpTop  []fpColumn
 
 	// Build-time suite classification (Figure 9): negotiated connections per
-	// AEAD family, from one SuiteByID pass over the union of observed suites.
+	// AEAD family, classified through the registry's suite-class table.
 	NegAEAD, NegGCM128, NegGCM256, NegChaCha []int
 
 	// KexForwardSecret sums the forward-secret key exchanges (§6.3.1),
@@ -128,60 +143,91 @@ type Frame struct {
 	KexForwardSecret []int
 }
 
-// negClass is the build-time classification of one negotiated suite ID.
-type negClass uint8
+// counters lists the frame's plain (unkeyed) int columns. NewFrame allocates
+// through it and Advance copies through it, so a column added to the struct
+// and to this list is carried by both; a test fails for one left off.
+func (f *Frame) counters() []*[]int {
+	return []*[]int{
+		&f.Total, &f.Established,
+		&f.AdvRC4, &f.AdvDES, &f.Adv3DES, &f.AdvAEAD,
+		&f.AdvExport, &f.AdvAnon, &f.AdvNULL,
+		&f.AdvAESGCM128, &f.AdvAESGCM256, &f.AdvChaCha, &f.AdvCCM,
+		&f.AdvTLS13,
+		&f.OffersHeartbeat, &f.HeartbeatAck,
+		&f.NULLNegotiated, &f.AnonNegotiated,
+		&f.ExportNegotiated, &f.UnofferedChoice, &f.SSLv2Hellos,
+		&f.FPTotal, &f.FPRC4, &f.FPDES, &f.FP3DES, &f.FPAEAD,
+		&f.FPConns,
+		&f.NegAEAD, &f.NegGCM128, &f.NegGCM256, &f.NegChaCha,
+		&f.KexForwardSecret,
+	}
+}
 
-const (
-	negAEAD negClass = 1 << iota
-	negGCM128
-	negGCM256
-	negChaCha
-)
+// slab carves len-n int columns out of one zeroed allocation, so building a
+// frame costs one column allocation instead of one per column. Past its
+// capacity (a key the build did not budget for) it allocates singly.
+type slab struct {
+	buf []int
+	n   int
+}
 
-// classifyNegSuite resolves one suite ID's figure classes. Each distinct ID
-// is classified once per frame build; the result is cached in NewFrame.
-func classifyNegSuite(id uint16) negClass {
-	s, ok := registry.SuiteByID(id)
-	if !ok {
-		return 0
+func newSlab(cols, n int) *slab { return &slab{buf: make([]int, cols*n), n: n} }
+
+func (s *slab) take() []int {
+	if len(s.buf) < s.n {
+		return make([]int, s.n)
 	}
-	var c negClass
-	if s.IsAEAD() {
-		c |= negAEAD
-	}
-	if s.Mode == registry.ModeGCM && s.Cipher == registry.CipherAES128 {
-		c |= negGCM128
-	}
-	if s.Mode == registry.ModeGCM && s.Cipher == registry.CipherAES256 {
-		c |= negGCM256
-	}
-	if s.Cipher == registry.CipherChaCha20 {
-		c |= negChaCha
-	}
+	c := s.buf[:s.n:s.n]
+	s.buf = s.buf[s.n:]
 	return c
 }
 
-// col returns the dense column for key k in m, allocating it on first use.
-func col[K comparable](m map[K][]int, k K, n int) []int {
+func (s *slab) copyOf(src []int) []int {
+	c := s.take()
+	copy(c, src)
+	return c
+}
+
+// col returns the dense column for key k in m, taking it from sl on first use.
+func col[K comparable](m map[K][]int, k K, sl *slab) []int {
 	c, ok := m[k]
 	if !ok {
-		c = make([]int, n)
+		c = sl.take()
 		m[k] = c
 	}
 	return c
 }
 
-// NewFrame snapshots agg into a columnar frame in one chronological pass.
+// cloneCols copies a keyed column family into columns taken from sl.
+func cloneCols[K comparable](src map[K][]int, sl *slab) map[K][]int {
+	dst := make(map[K][]int, len(src))
+	for k, c := range src {
+		dst[k] = sl.copyOf(c)
+	}
+	return dst
+}
+
+// fpCount is one month's connection count for one fingerprint, by the
+// frame's dense fingerprint id.
+type fpCount struct{ id, n int }
+
+// fpColumn is one top-K fingerprint's column: its dense id and its FPID key
+// in FPCol and FPNames.
+type fpColumn struct {
+	id  int
+	key string
+}
+
+// NewFrame snapshots agg into a columnar frame in one chronological pass:
+// every row filled, no predecessor to copy from. Advance is the other
+// constructor; both fill rows through fillRow and build the fp: family
+// through buildFPColumns.
 func NewFrame(agg *notary.Aggregate) *Frame {
 	n := agg.NumMonths()
-	ints := func() []int { return make([]int, n) }
 	f := &Frame{
 		Months:     make([]timeline.Month, 0, n),
 		index:      make(map[timeline.Month]int, n),
 		generation: agg.Generation(),
-
-		Total:       ints(),
-		Established: ints(),
 
 		Version:      make(map[registry.Version][]int),
 		Class:        make(map[string][]int),
@@ -189,183 +235,362 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 		Curve:        make(map[registry.CurveID][]int),
 		Extension:    make(map[registry.ExtensionID][]int),
 		TLS13Variant: make(map[registry.Version][]int),
+		PosSum:       make(map[string][]float64),
+		PosCount:     make(map[string][]int),
+		Agent:        make(map[string][]int),
 
-		AdvRC4: ints(), AdvDES: ints(), Adv3DES: ints(), AdvAEAD: ints(),
-		AdvExport: ints(), AdvAnon: ints(), AdvNULL: ints(),
-		AdvAESGCM128: ints(), AdvAESGCM256: ints(), AdvChaCha: ints(), AdvCCM: ints(),
-		AdvTLS13:        ints(),
-		OffersHeartbeat: ints(), HeartbeatAck: ints(),
-		NULLNegotiated: ints(), AnonNegotiated: ints(),
-		ExportNegotiated: ints(), UnofferedChoice: ints(), SSLv2Hellos: ints(),
-
-		PosSum:   make(map[string][]float64),
-		PosCount: make(map[string][]int),
-
-		FPTotal: ints(),
-		FPRC4:   ints(), FPDES: ints(), FP3DES: ints(), FPAEAD: ints(),
-
-		FPConns: ints(),
-		FPCol:   make(map[string][]int),
-		FPNames: make(map[string]string),
-		Agent:   make(map[string][]int),
-
-		NegAEAD: ints(), NegGCM128: ints(), NegGCM256: ints(), NegChaCha: ints(),
-
-		KexForwardSecret: ints(),
+		fpIDs:  make(map[string]int),
+		fpRows: make([][]fpCount, n),
 	}
-
-	suiteClasses := make(map[uint16]negClass)
-	fpVols := make(map[string]int)         // whole-window volume per fingerprint
-	fpRows := make([]map[string]int, 0, n) // per-row ByFingerprint, aligned with Months
-	row := 0
+	counters := f.counters()
+	sl := newSlab(len(counters)+TopKFingerprints+1, n)
+	for _, c := range counters {
+		*c = sl.take()
+	}
 	agg.EachMonth(func(ms *notary.MonthStats) {
-		i := row
-		row++
+		i := len(f.Months)
 		f.Months = append(f.Months, ms.Month)
 		f.index[ms.Month] = i
-
-		f.Total[i] = ms.Total
-		f.Established[i] = ms.Established
-
-		for v, c := range ms.ByVersion {
-			col(f.Version, v, n)[i] = c
-		}
-		for cl, c := range ms.ByClass {
-			col(f.Class, cl, n)[i] = c
-		}
-		for k, c := range ms.ByKex {
-			col(f.Kex, k, n)[i] = c
-			if k.ForwardSecret() {
-				f.KexForwardSecret[i] += c
-			}
-		}
-		for cv, c := range ms.ByCurve {
-			col(f.Curve, cv, n)[i] = c
-		}
-		for e, c := range ms.ByExtension {
-			col(f.Extension, e, n)[i] = c
-		}
-		for v, c := range ms.TLS13Variant {
-			col(f.TLS13Variant, v, n)[i] = c
-		}
-
-		f.AdvRC4[i] = ms.AdvRC4
-		f.AdvDES[i] = ms.AdvDES
-		f.Adv3DES[i] = ms.Adv3DES
-		f.AdvAEAD[i] = ms.AdvAEAD
-		f.AdvExport[i] = ms.AdvExport
-		f.AdvAnon[i] = ms.AdvAnon
-		f.AdvNULL[i] = ms.AdvNULL
-		f.AdvAESGCM128[i] = ms.AdvAESGCM128
-		f.AdvAESGCM256[i] = ms.AdvAESGCM256
-		f.AdvChaCha[i] = ms.AdvChaCha
-		f.AdvCCM[i] = ms.AdvCCM
-		f.AdvTLS13[i] = ms.AdvTLS13
-		f.OffersHeartbeat[i] = ms.OffersHeartbeatN
-		f.HeartbeatAck[i] = ms.HeartbeatAckN
-		f.NULLNegotiated[i] = ms.NULLNegotiated
-		f.AnonNegotiated[i] = ms.AnonNegotiated
-		f.ExportNegotiated[i] = ms.ExportNegotiated
-		f.UnofferedChoice[i] = ms.UnofferedChoice
-		f.SSLv2Hellos[i] = ms.SSLv2Hellos
-
-		for cl, s := range ms.PosSum {
-			c, ok := f.PosSum[cl]
-			if !ok {
-				c = make([]float64, n)
-				f.PosSum[cl] = c
-			}
-			c[i] = s
-		}
-		for cl, cnt := range ms.PosCount {
-			col(f.PosCount, cl, n)[i] = cnt
-		}
-
-		fpRows = append(fpRows, ms.ByFingerprint)
-		for fp, c := range ms.ByFingerprint {
-			fpVols[fp] += c
-			f.FPConns[i] += c
-		}
-		for class, c := range ms.ByClientClass {
-			col(f.Agent, class, n)[i] = c
-		}
-
-		for _, caps := range ms.FPs {
-			f.FPTotal[i]++
-			if caps.RC4 {
-				f.FPRC4[i]++
-			}
-			if caps.DES {
-				f.FPDES[i]++
-			}
-			if caps.TDES {
-				f.FP3DES[i]++
-			}
-			if caps.AEAD {
-				f.FPAEAD[i]++
-			}
-		}
-
-		for id, c := range ms.BySuite {
-			nc, seen := suiteClasses[id]
-			if !seen {
-				nc = classifyNegSuite(id)
-				suiteClasses[id] = nc
-			}
-			if nc&negAEAD != 0 {
-				f.NegAEAD[i] += c
-			}
-			if nc&negGCM128 != 0 {
-				f.NegGCM128[i] += c
-			}
-			if nc&negGCM256 != 0 {
-				f.NegGCM256[i] += c
-			}
-			if nc&negChaCha != 0 {
-				f.NegChaCha[i] += c
-			}
-		}
+		f.fillRow(i, ms, nil, sl)
 	})
-	f.buildFPColumns(fpVols, fpRows, n)
+	f.canonicalizeFingerprints()
+	f.buildFPColumns(nil, nil, sl)
 	return f
 }
 
-// buildFPColumns materializes the fp: family from the per-month volumes
-// collected during the aggregate pass: rank all fingerprints by whole-window
-// volume (ties broken by fingerprint string, so the column set is fully
-// deterministic), give the top K their own dense columns keyed by FPID, and
-// fold everything past the cap into the FPOtherKey bucket.
-func (f *Frame) buildFPColumns(fpVols map[string]int, fpRows []map[string]int, n int) {
-	f.fpDistinct = len(fpVols)
-	if len(fpVols) == 0 {
-		return
+// Advance returns the frame of agg given that f is the frame of an earlier
+// state of the same aggregate and that, since then, agg only grew — by Add
+// and Merge — in the months listed in touched, all of which are already on
+// f's axis. The result equals NewFrame(agg) in every exported column, in
+// FPNames, FingerprintGauges, Generation and Row, at the cost of copying the
+// columns and re-reading the touched months instead of walking every month's
+// maps. f itself is not written, so readers may keep evaluating against it;
+// the two frames share what cannot differ between them (the month axis, the
+// untouched months' fingerprint rows and, unless a new fingerprint appeared,
+// the fingerprint id tables).
+//
+// The caller decides whether these preconditions hold and calls NewFrame
+// when they do not (core.Study.frameLocked is that caller). A month missing
+// from touched leaves its row stale; a touched month outside the axis panics.
+//
+// The fp: family stays exact because the frame carries its own copy of what
+// NewFrame learned about fingerprints: whole-window volumes (fpVol) and each
+// month's volumes (fpRows). A touched month's old row leaves the volumes, its
+// new row enters them, the top K are re-selected under the same (volume
+// desc, fingerprint asc) rule, and the columns are patched in the touched
+// rows when the top-K set held, or rebuilt from fpRows when it did not.
+//
+// Two designs that look simpler do not work. (1) A mutation counter on
+// notary.Aggregate or MonthStats to find the touched months: it makes two
+// aggregates of equal content unequal under reflect.DeepEqual, which the
+// merge property, the snapshot and delta round trips, the goldens and the
+// pusher's exactly-once tests all rely on — so the writer (core.Study)
+// names the months instead. (2) Ranking from the aggregate's whole-window
+// fpConns instead of carrying fpVol: an aggregate recovered from a version-1
+// snapshot has fpConns but empty ByFingerprint, and would grow 32 all-zero
+// fp: columns that NewFrame does not give it.
+func (f *Frame) Advance(agg *notary.Aggregate, touched []timeline.Month) *Frame {
+	n := len(f.Months)
+	next := &Frame{
+		Months:     f.Months,
+		index:      f.index,
+		generation: agg.Generation(),
+
+		fpIDs:  f.fpIDs,
+		fpStrs: f.fpStrs,
+		fpVol:  slices.Clone(f.fpVol),
+		fpRows: slices.Clone(f.fpRows),
 	}
-	ranked := make([]string, 0, len(fpVols))
-	for fp := range fpVols {
-		ranked = append(ranked, fp)
+	counters, prevCounters := next.counters(), f.counters()
+	sl := newSlab(len(counters)+len(f.Version)+len(f.Class)+len(f.Kex)+len(f.Curve)+
+		len(f.Extension)+len(f.TLS13Variant)+len(f.PosCount)+len(f.Agent)+TopKFingerprints+1, n)
+	for c := range counters {
+		*counters[c] = sl.copyOf(*prevCounters[c])
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if fpVols[ranked[i]] != fpVols[ranked[j]] {
-			return fpVols[ranked[i]] > fpVols[ranked[j]]
+	next.Version = cloneCols(f.Version, sl)
+	next.Class = cloneCols(f.Class, sl)
+	next.Kex = cloneCols(f.Kex, sl)
+	next.Curve = cloneCols(f.Curve, sl)
+	next.Extension = cloneCols(f.Extension, sl)
+	next.TLS13Variant = cloneCols(f.TLS13Variant, sl)
+	next.PosCount = cloneCols(f.PosCount, sl)
+	next.Agent = cloneCols(f.Agent, sl)
+	next.PosSum = make(map[string][]float64, len(f.PosSum))
+	for cl, c := range f.PosSum {
+		next.PosSum[cl] = slices.Clone(c)
+	}
+
+	rows := make([]int, 0, len(touched))
+	for _, m := range touched {
+		i, ok := f.index[m]
+		if !ok {
+			panic("analysis: Advance: touched month " + m.String() + " is not on the frame's axis")
 		}
-		return ranked[i] < ranked[j]
-	})
-	top := make(map[string]string, TopKFingerprints) // fingerprint -> column key
-	for r, fp := range ranked {
-		if r >= TopKFingerprints {
-			break
+		if slices.Contains(rows, i) {
+			continue
 		}
-		id := FPID(fp)
-		top[fp] = id
-		f.FPNames[id] = fp
+		rows = append(rows, i)
+		next.fillRow(i, agg.Stats(m), f, sl)
 	}
-	for i, byFP := range fpRows {
-		for fp, c := range byFP {
-			if id, ok := top[fp]; ok {
-				col(f.FPCol, id, n)[i] += c
-			} else {
-				col(f.FPCol, FPOtherKey, n)[i] += c
+	next.buildFPColumns(f, rows, sl)
+	return next
+}
+
+// fillRow writes row i of every column except the fp: family from one
+// month's stats — the only code that reads a MonthStats — and records the
+// month's fingerprint volumes in fpRows and fpVol for buildFPColumns. prev is
+// the frame f is advancing from, nil when f is built from scratch: row i's
+// old volumes leave fpVol before the new ones enter. A cell is only written
+// for a key the month has, so a refilled row relies on keys never leaving a
+// month (Add and Merge only add).
+func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
+	f.Total[i] = ms.Total
+	f.Established[i] = ms.Established
+
+	for v, c := range ms.ByVersion {
+		col(f.Version, v, sl)[i] = c
+	}
+	for cl, c := range ms.ByClass {
+		col(f.Class, cl, sl)[i] = c
+	}
+	forwardSecret := 0
+	for k, c := range ms.ByKex {
+		col(f.Kex, k, sl)[i] = c
+		if k.ForwardSecret() {
+			forwardSecret += c
+		}
+	}
+	f.KexForwardSecret[i] = forwardSecret
+	for cv, c := range ms.ByCurve {
+		col(f.Curve, cv, sl)[i] = c
+	}
+	for e, c := range ms.ByExtension {
+		col(f.Extension, e, sl)[i] = c
+	}
+	for v, c := range ms.TLS13Variant {
+		col(f.TLS13Variant, v, sl)[i] = c
+	}
+
+	f.AdvRC4[i] = ms.AdvRC4
+	f.AdvDES[i] = ms.AdvDES
+	f.Adv3DES[i] = ms.Adv3DES
+	f.AdvAEAD[i] = ms.AdvAEAD
+	f.AdvExport[i] = ms.AdvExport
+	f.AdvAnon[i] = ms.AdvAnon
+	f.AdvNULL[i] = ms.AdvNULL
+	f.AdvAESGCM128[i] = ms.AdvAESGCM128
+	f.AdvAESGCM256[i] = ms.AdvAESGCM256
+	f.AdvChaCha[i] = ms.AdvChaCha
+	f.AdvCCM[i] = ms.AdvCCM
+	f.AdvTLS13[i] = ms.AdvTLS13
+	f.OffersHeartbeat[i] = ms.OffersHeartbeatN
+	f.HeartbeatAck[i] = ms.HeartbeatAckN
+	f.NULLNegotiated[i] = ms.NULLNegotiated
+	f.AnonNegotiated[i] = ms.AnonNegotiated
+	f.ExportNegotiated[i] = ms.ExportNegotiated
+	f.UnofferedChoice[i] = ms.UnofferedChoice
+	f.SSLv2Hellos[i] = ms.SSLv2Hellos
+
+	for cl, s := range ms.PosSum {
+		c, ok := f.PosSum[cl]
+		if !ok {
+			c = make([]float64, sl.n)
+			f.PosSum[cl] = c
+		}
+		c[i] = s
+	}
+	for cl, cnt := range ms.PosCount {
+		col(f.PosCount, cl, sl)[i] = cnt
+	}
+	for class, c := range ms.ByClientClass {
+		col(f.Agent, class, sl)[i] = c
+	}
+
+	if prev != nil {
+		for _, e := range prev.fpRows[i] {
+			f.fpVol[e.id] -= e.n
+		}
+	}
+	row := make([]fpCount, 0, len(ms.ByFingerprint))
+	conns := 0
+	for fp, c := range ms.ByFingerprint {
+		id := f.fingerprintID(fp, prev)
+		row = append(row, fpCount{id, c})
+		f.fpVol[id] += c
+		conns += c
+	}
+	f.fpRows[i], f.FPConns[i] = row, conns
+
+	var rc4, des, tdes, aead int
+	for _, caps := range ms.FPs {
+		if caps.RC4 {
+			rc4++
+		}
+		if caps.DES {
+			des++
+		}
+		if caps.TDES {
+			tdes++
+		}
+		if caps.AEAD {
+			aead++
+		}
+	}
+	f.FPTotal[i] = len(ms.FPs)
+	f.FPRC4[i], f.FPDES[i], f.FP3DES[i], f.FPAEAD[i] = rc4, des, tdes, aead
+
+	// Figure 9: negotiated connections per AEAD family.
+	var negAEAD, gcm128, gcm256, chacha int
+	for id, c := range ms.BySuite {
+		bits := registry.SuiteClassBits(id)
+		if bits.Has(registry.ClassAEAD) {
+			negAEAD += c
+		}
+		if bits.Has(registry.ClassGCM128) {
+			gcm128 += c
+		}
+		if bits.Has(registry.ClassGCM256) {
+			gcm256 += c
+		}
+		if bits.Has(registry.ClassChaCha) {
+			chacha += c
+		}
+	}
+	f.NegAEAD[i], f.NegGCM128[i], f.NegGCM256[i], f.NegChaCha[i] = negAEAD, gcm128, gcm256, chacha
+}
+
+// fingerprintID returns fp's dense id, interning it on first sight. A frame
+// advancing from prev shares prev's id tables until its first new
+// fingerprint, and copies them before writing.
+func (f *Frame) fingerprintID(fp string, prev *Frame) int {
+	if id, ok := f.fpIDs[fp]; ok {
+		return id
+	}
+	if prev != nil && len(f.fpStrs) == len(prev.fpStrs) {
+		f.fpIDs = maps.Clone(prev.fpIDs)
+		f.fpStrs = slices.Clone(prev.fpStrs)
+	}
+	id := len(f.fpStrs)
+	f.fpIDs[fp] = id
+	f.fpStrs = append(f.fpStrs, fp)
+	f.fpVol = append(f.fpVol, 0)
+	return id
+}
+
+// fpCompare is the fp: family's ranking rule over fingerprint ids: higher
+// whole-window volume first, ties broken by fingerprint string so the column
+// set is fully deterministic.
+func (f *Frame) fpCompare(a, b int) int {
+	if c := cmp.Compare(f.fpVol[b], f.fpVol[a]); c != 0 {
+		return c
+	}
+	return strings.Compare(f.fpStrs[a], f.fpStrs[b])
+}
+
+// canonicalizeFingerprints renumbers the fingerprint ids by rank and orders
+// every row by id. fillRow numbers fingerprints as map iteration meets them;
+// after this, two frames built from aggregates of equal content are deeply
+// equal (the merge property test compares them whole).
+func (f *Frame) canonicalizeFingerprints() {
+	ranked := make([]int, len(f.fpStrs))
+	for id := range ranked {
+		ranked[id] = id
+	}
+	slices.SortFunc(ranked, f.fpCompare)
+	newID := make([]int, len(ranked))
+	strs, vol := make([]string, len(ranked)), make([]int, len(ranked))
+	for r, old := range ranked {
+		newID[old], strs[r], vol[r] = r, f.fpStrs[old], f.fpVol[old]
+		f.fpIDs[strs[r]] = r
+	}
+	f.fpStrs, f.fpVol = strs, vol
+	// Each row is rewritten in place through a dense scratch (count+1 by new
+	// id, 0 = absent), which sorts it by id in one sweep.
+	cell := make([]int, len(ranked))
+	for _, row := range f.fpRows {
+		if len(row) == 0 {
+			continue
+		}
+		for _, e := range row {
+			cell[newID[e.id]] = e.n + 1
+		}
+		row = row[:0]
+		for id, c := range cell {
+			if c != 0 {
+				row = append(row, fpCount{id, c - 1})
+				cell[id] = 0
 			}
+		}
+	}
+}
+
+// topFingerprints selects the ids of the TopKFingerprints highest-ranked
+// fingerprints, in rank order, in one pass that keeps only the current top K.
+func (f *Frame) topFingerprints() []int {
+	top := make([]int, 0, TopKFingerprints+1)
+	for id := range f.fpVol {
+		if len(top) == TopKFingerprints && f.fpCompare(id, top[len(top)-1]) > 0 {
+			continue
+		}
+		at, _ := slices.BinarySearchFunc(top, id, f.fpCompare)
+		top = slices.Insert(top, at, id)
+		if len(top) > TopKFingerprints {
+			top = top[:TopKFingerprints]
+		}
+	}
+	return top
+}
+
+// buildFPColumns materializes the fp: family from fpVol and fpRows: the top
+// K fingerprints get their own dense columns keyed by FPID, and everything
+// past the cap folds into the FPOtherKey bucket. When f advances from prev
+// and the top-K set held, prev's columns are copied and only rows — the rows
+// fillRow just wrote — are refilled; otherwise (no prev, or a fingerprint
+// crossed the cap) the family is built over every row.
+func (f *Frame) buildFPColumns(prev *Frame, rows []int, sl *slab) {
+	top := f.topFingerprints()
+	held := prev != nil && len(top) == len(prev.fpTop)
+	for r := 0; held && r < len(prev.fpTop); r++ {
+		held = slices.Contains(top, prev.fpTop[r].id)
+	}
+	if held {
+		f.fpTop, f.FPNames = prev.fpTop, prev.FPNames
+		f.FPCol = cloneCols(prev.FPCol, sl)
+		for _, c := range f.FPCol {
+			for _, i := range rows {
+				c[i] = 0
+			}
+		}
+	} else {
+		f.fpTop = make([]fpColumn, len(top))
+		f.FPNames = make(map[string]string, len(top))
+		f.FPCol = make(map[string][]int, len(top)+1)
+		for r, id := range top {
+			f.fpTop[r] = fpColumn{id, FPID(f.fpStrs[id])}
+			f.FPNames[f.fpTop[r].key] = f.fpStrs[id]
+		}
+		rows = make([]int, len(f.fpRows))
+		for i := range rows {
+			rows[i] = i
+		}
+	}
+	cols := make([][]int, len(f.fpTop))
+	slot := make([]int32, len(f.fpVol)) // fingerprint id → 1 + its index in cols; 0 past the cap
+	for s, tc := range f.fpTop {
+		cols[s] = col(f.FPCol, tc.key, sl)
+		slot[tc.id] = int32(s) + 1
+	}
+	var other []int
+	for _, i := range rows {
+		for _, e := range f.fpRows[i] {
+			if s := slot[e.id]; s != 0 {
+				cols[s-1][i] += e.n
+				continue
+			}
+			if other == nil {
+				other = col(f.FPCol, FPOtherKey, sl)
+			}
+			other[i] += e.n
 		}
 	}
 }
@@ -377,7 +602,7 @@ func (f *Frame) FingerprintGauges() (distinct, topK int, otherShare float64) {
 	if total := sumCol(f.FPConns); total > 0 {
 		otherShare = 100 * float64(sumCol(f.FPCol[FPOtherKey])) / float64(total)
 	}
-	return f.fpDistinct, TopKFingerprints, otherShare
+	return len(f.fpStrs), TopKFingerprints, otherShare
 }
 
 // sharedPlans returns the memoized compiled plans for the package's static

@@ -3,6 +3,10 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+
+	"tlsage/internal/timeline"
 )
 
 // JSON marshalling for the query-service wire format. The shapes are
@@ -77,14 +81,101 @@ func (r QueryResult) MarshalJSON() ([]byte, error) {
 }
 
 // EncodeJSONBody renders the result exactly as the service's JSON writer
-// does — two-space indent plus a trailing newline — so a body cached next to
-// the QueryResult serves byte-identical to a freshly encoded response.
+// does — json.MarshalIndent with a two-space indent, plus a trailing newline
+// — so a body cached next to the QueryResult serves byte-identical to a
+// freshly encoded response. It appends the bytes directly instead of going
+// through MarshalJSON: the reflective path costs one json.Marshal per point,
+// and this runs on every result-cache miss. A differential test pins it to
+// json.MarshalIndent.
 func (r QueryResult) EncodeJSONBody() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
+	size := 96 + len(r.Query)
+	if r.Kind == "series" {
+		size += 64 + len(r.Series.Name) + 88*len(r.Series.Points)
+	}
+	b := make([]byte, 0, size)
+	var err error
+	b = append(b, "{\n  \"query\": "...)
+	b = appendJSONString(b, r.Query)
+	b = append(b, ",\n  \"kind\": "...)
+	b = appendJSONString(b, r.Kind)
+	if r.Kind == "series" {
+		b = append(b, ",\n  \"series\": {\n    \"name\": "...)
+		b = appendJSONString(b, r.Series.Name)
+		b = append(b, ",\n    \"points\": "...)
+		switch {
+		case r.Series.Points == nil:
+			b = append(b, "null"...)
+		case len(r.Series.Points) == 0:
+			b = append(b, "[]"...)
+		default:
+			for i, p := range r.Series.Points {
+				if i == 0 {
+					b = append(b, "[\n      {\n        \"month\": \""...)
+				} else {
+					b = append(b, ",\n      {\n        \"month\": \""...)
+				}
+				b = appendMonth(b, p.Month)
+				b = append(b, "\",\n        \"value\": "...)
+				if b, err = appendJSONFloat(b, p.Value); err != nil {
+					return nil, err
+				}
+				b = append(b, "\n      }"...)
+			}
+			b = append(b, "\n    ]"...)
+		}
+		b = append(b, "\n  }"...)
+	}
+	b = append(b, ",\n  \"value\": "...)
+	if b, err = appendJSONFloat(b, r.Value); err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	return append(b, "\n}\n"...), nil
+}
+
+// appendJSONString appends s as encoding/json renders a string. Text that
+// needs no escaping under json.Marshal's rules (which also escape <, > and
+// &) is copied; anything else takes json.Marshal itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendMonth appends m as Month.String renders it (which needs no JSON
+// escaping: digits and dashes only).
+func appendMonth(b []byte, m timeline.Month) []byte {
+	y, mo := m.Year, int(m.M)
+	if y < 0 || y > 9999 || mo < 0 || mo > 99 {
+		return append(b, m.String()...)
+	}
+	return append(b, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10),
+		'-', byte('0'+mo/10), byte('0'+mo%10))
+}
+
+// appendJSONFloat appends f under encoding/json's float64 rules: the
+// shortest representation that round-trips, exponent form below 1e-6 and
+// from 1e21 with a two-digit exponent's leading zero dropped, and NaN and
+// the infinities rejected.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, fmt.Errorf("analysis: query result: unsupported value %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // UnmarshalJSON parses a served query result (the remote-query client path).

@@ -241,7 +241,14 @@ func FuzzCompileEval(fz *testing.F) {
 	if err != nil {
 		fz.Fatal(err)
 	}
-	frames := []*Frame{NewFrame(agg), NewFrame(notary.NewAggregate())}
+	// The third frame got where it is through Advance, not NewFrame.
+	grown, err := simulate.New(small).RunAggregate()
+	if err != nil {
+		fz.Fatal(err)
+	}
+	before := NewFrame(grown)
+	grown.Merge(agg)
+	frames := []*Frame{NewFrame(agg), NewFrame(notary.NewAggregate()), before.Advance(grown, agg.Months())}
 	fz.Fuzz(func(t *testing.T, src string) {
 		e, err := ParseQuery(src)
 		if err != nil {

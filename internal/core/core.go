@@ -17,6 +17,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,14 +55,22 @@ type Study struct {
 	agg *notary.Aggregate
 	db  *fingerprint.DB
 	// frameMu guards the frame cache below; it is separate from mu so
-	// concurrent readers can settle who rebuilds without writing under a
-	// shared read lock.
+	// concurrent readers can settle who brings the frame up to date without
+	// writing under a shared read lock.
 	frameMu sync.Mutex
 	// frame caches the columnar snapshot of agg that all figure/scalar
-	// queries evaluate against. It is rebuilt lazily whenever the
-	// aggregate's generation moves (Run, LoadLog, live ingestion, or any
-	// Add/Merge through the Aggregate() accessor).
+	// queries evaluate against. It is brought up to date lazily whenever the
+	// aggregate's generation moves: advanced over the months the locked
+	// write paths touched, or built anew (see frameLocked).
 	frame *analysis.Frame
+	// touched lists the months IngestSink and MergeShard wrote since frame
+	// was built, and accounted is the generation the aggregate shows if
+	// those were the only writes: a write this study did not see (through
+	// Aggregate()) leaves the two generations apart, and the next frame is a
+	// full build. Both are written under mu held exclusively, or under mu
+	// shared plus frameMu.
+	touched   []timeline.Month
+	accounted uint64
 
 	// queryCache, when set, fronts every Query* call with a shared
 	// generation-keyed result cache; cacheID namespaces this study's keys
@@ -218,12 +227,7 @@ func (s *Study) RunSinks(logWriter io.Writer, extra ...notary.Sink) error {
 	if closeErr != nil {
 		return closeErr
 	}
-	s.mu.Lock()
-	s.agg = agg
-	s.db = db
-	s.cacheEpoch++
-	s.mu.Unlock()
-	s.invalidateFrame()
+	s.replaceAggregate(agg, db)
 	return nil
 }
 
@@ -239,20 +243,37 @@ func (s *Study) LoadLog(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.agg = agg
-	s.db = db
-	s.cacheEpoch++
-	s.mu.Unlock()
-	s.invalidateFrame()
+	s.replaceAggregate(agg, db)
 	return nil
 }
 
-// invalidateFrame drops the cached snapshot so the next Frame call rebuilds.
-func (s *Study) invalidateFrame() {
+// replaceAggregate swaps in a rebuilt aggregate (Run, LoadLog). The cache
+// epoch moves and the cached frame is dropped in the same critical section,
+// so no reader can pair the old frame with the new aggregate even when both
+// stand at the same generation.
+func (s *Study) replaceAggregate(agg *notary.Aggregate, db *fingerprint.DB) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.agg, s.db = agg, db
+	s.cacheEpoch++
 	s.frameMu.Lock()
 	s.frame = nil
 	s.frameMu.Unlock()
+}
+
+// noteWrite records that a locked write path took the aggregate from
+// generation before to its current one by writing months. Callers hold mu
+// exclusively.
+func (s *Study) noteWrite(before uint64, months ...timeline.Month) {
+	if before != s.accounted {
+		return // an unseen write came first; frameLocked will notice
+	}
+	s.accounted = s.agg.Generation()
+	for _, m := range months {
+		if !slices.Contains(s.touched, m) {
+			s.touched = append(s.touched, m)
+		}
+	}
 }
 
 // IngestSink returns a concurrency-safe sink feeding the study's live
@@ -273,7 +294,9 @@ func (is ingestSink) Observe(r *notary.Record) error {
 	if is.s.agg == nil {
 		return fmt.Errorf("core: study has no aggregate (use NewLiveStudy or Run first)")
 	}
+	before := is.s.agg.Generation()
 	is.s.agg.Add(r)
+	is.s.noteWrite(before, timeline.MonthOf(r.Date))
 	return nil
 }
 
@@ -289,7 +312,9 @@ func (s *Study) MergeShard(shard *notary.Aggregate) error {
 	if s.agg == nil {
 		return fmt.Errorf("core: study has no aggregate (use NewLiveStudy or Run first)")
 	}
+	before := s.agg.Generation()
 	s.agg.Merge(shard)
+	s.noteWrite(before, shard.Months()...)
 	return nil
 }
 
@@ -307,21 +332,23 @@ func (s *Study) Counts() (records, months int, generation uint64, err error) {
 
 // Aggregate exposes the raw monthly statistics; nil before Run. Direct
 // mutation through this accessor is a batch-mode convenience — concurrent
-// producers must deliver through IngestSink or MergeShard instead.
+// producers must deliver through IngestSink or MergeShard instead — and
+// costs the next Frame call a full build, since the study cannot know which
+// months it wrote.
 func (s *Study) Aggregate() *notary.Aggregate { return s.agg }
 
 // FingerprintDB exposes the §4 fingerprint database; nil before Run.
 func (s *Study) FingerprintDB() *fingerprint.DB { return s.db }
 
 // Frame returns the columnar snapshot of the study's aggregate, building it
-// on first use and rebuilding it whenever the aggregate has mutated since
-// the cached snapshot (generation check). Callers may hold the returned
-// frame across further ingestion: it is immutable, and a later Frame call
-// yields a fresh snapshot.
+// on first use and bringing it up to date whenever the aggregate has mutated
+// since the cached snapshot (generation check). Callers may hold the
+// returned frame across further ingestion: it is immutable, and a later
+// Frame call yields a fresh snapshot.
 //
 // Frame is safe for concurrent readers, including while producers deliver
 // through IngestSink or MergeShard: the aggregate is read under the shared
-// lock (excluding writers for the duration of a rebuild) and the cache slot
+// lock (excluding writers while the frame catches up) and the cache slot
 // has its own mutex, so every reader gets a self-consistent snapshot and
 // ingestion never observes a torn frame.
 func (s *Study) Frame() (*analysis.Frame, error) {
@@ -330,16 +357,29 @@ func (s *Study) Frame() (*analysis.Frame, error) {
 	return s.frameLocked()
 }
 
-// frameLocked is Frame's body; callers hold s.mu (read or write).
+// frameLocked is Frame's body; callers hold s.mu (read or write). It is the
+// one place that chooses between the two frame constructors: a stale frame
+// advances when every write since it was built went through IngestSink or
+// MergeShard (the aggregate stands at the accounted generation) and none of
+// them opened a new month; a first build, a replaced aggregate, a new month
+// or a write through Aggregate() gets NewFrame.
 func (s *Study) frameLocked() (*analysis.Frame, error) {
 	if s.agg == nil {
 		return nil, ErrNotRun
 	}
 	s.frameMu.Lock()
 	defer s.frameMu.Unlock()
-	if s.frame == nil || s.frame.Generation() != s.agg.Generation() {
+	gen := s.agg.Generation()
+	if s.frame != nil && s.frame.Generation() == gen {
+		return s.frame, nil
+	}
+	if s.frame != nil && gen == s.accounted && s.agg.NumMonths() == s.frame.Len() {
+		// Months are never removed, so an equal count means an equal axis.
+		s.frame = s.frame.Advance(s.agg, s.touched)
+	} else {
 		s.frame = analysis.NewFrame(s.agg)
 	}
+	s.accounted, s.touched = gen, s.touched[:0]
 	return s.frame, nil
 }
 

@@ -135,7 +135,7 @@ func ScanSuites(ids []uint16) SuiteScan {
 		fresh := b &^ sc.Bits
 		sc.Bits |= b
 		for fresh != 0 {
-			bit := fresh & (fresh - 1) ^ fresh
+			bit := fresh&(fresh-1) ^ fresh
 			sc.first[bits.TrailingZeros16(uint16(bit))] = int32(i)
 			fresh &^= bit
 		}
