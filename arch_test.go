@@ -1,10 +1,12 @@
 package tlsage
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -53,5 +55,63 @@ func TestOneFrameEnvelope(t *testing.T) {
 	}
 	if !seen {
 		t.Errorf("%s no longer imports hash/crc32: the guard is looking in the wrong place", envelope)
+	}
+}
+
+// TestOneServeAssembly guards the "one assembly" decision: recovery,
+// compaction, the ingest log and the pusher are put together by
+// service.Open, so a production file under cmd/ that calls one of the pieces
+// is assembling a second serve. bench/ is not walked (its in-process host
+// predates Open and is frozen).
+func TestOneServeAssembly(t *testing.T) {
+	// The pieces, by the package that declares them.
+	pieces := map[string][]string{
+		"service":    {"RecoverStudy", "OpenIngestLog", "WriteStudySnapshot"},
+		"federation": {"NewPusher", "LoadShippedState"},
+	}
+	// references lists the pieces the production files of dir mention,
+	// qualified (other packages) or bare (the declaring package itself).
+	references := func(dir string) map[string]bool {
+		t.Helper()
+		found := map[string]bool{}
+		fset := token.NewFileSet()
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if pkg, ok := n.X.(*ast.Ident); ok && slices.Contains(pieces[pkg.Name], n.Sel.Name) {
+						found[pkg.Name+"."+n.Sel.Name] = true
+					}
+				case *ast.CallExpr:
+					if fn, ok := n.Fun.(*ast.Ident); ok && slices.Contains(pieces[f.Name.Name], fn.Name) {
+						found[f.Name.Name+"."+fn.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return found
+	}
+	for ref := range references("cmd") {
+		t.Errorf("cmd/ references %s: the serve assembly lives in service.Open", ref)
+	}
+	home := references(filepath.Join("internal", "service"))
+	for pkg, names := range pieces {
+		for _, name := range names {
+			if !home[pkg+"."+name] {
+				t.Errorf("internal/service no longer references %s.%s: the guard is looking in the wrong place", pkg, name)
+			}
+		}
 	}
 }

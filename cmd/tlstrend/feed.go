@@ -1,0 +1,97 @@
+package main
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"time"
+
+	"tlsage/internal/notary"
+	"tlsage/internal/service"
+	"tlsage/internal/simulate"
+)
+
+// cmdFeed streams records into a running serve instance: either a replay of
+// a TSV connection log or a live simulation encoded on the fly. With
+// -binary the stream travels as length-prefixed batch frames (a TSV input
+// file is transcoded on the fly) — the fast path for bulk replay. With
+// -retry, a stream the server sheds under load (HTTP 429 or a TCP "busy"
+// line) is retried with exponential backoff and jitter, honoring the
+// server's Retry-After hint.
+func cmdFeed(args []string) error {
+	fs, sim := simFlagSet("feed", 1000)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "server base URL (HTTP ingest)")
+	tcpAddr := fs.String("tcp", "", "stream over raw TCP to this address instead of HTTP")
+	in := fs.String("in", "", "TSV connection log to replay (empty = simulate live)")
+	binary := fs.Bool("binary", false, "send the binary batch framing instead of TSV (TSV input is transcoded)")
+	batch := fs.Int("batch", notary.DefaultBatchSize, "records per binary batch frame")
+	retry := fs.Int("retry", 0, "retries when the server sheds the stream under load (0 = fail fast)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	// encoded streams what produce delivers through a pipe in the chosen wire
+	// encoding (batch frames of -batch records, or TSV lines), so the feeder
+	// never holds more than one frame plus the pipe's buffer.
+	encoded := func(produce func(notary.Sink) error) io.ReadCloser {
+		pr, pw := io.Pipe()
+		go func() {
+			var enc notary.Sink = notary.NewLogWriter(pw)
+			if *binary {
+				enc = notary.NewBatchWriter(pw, *batch)
+			}
+			err := produce(enc)
+			if err == nil {
+				err = enc.Close()
+			}
+			pw.CloseWithError(err)
+		}()
+		return pr
+	}
+
+	// The stream must be reopenable: a shed attempt restarts from the top,
+	// so each try replays the file — or re-runs the deterministic simulation
+	// (the same seed reproduces the same stream).
+	var open func() (io.ReadCloser, error)
+	switch {
+	case *in != "" && !*binary:
+		open = func() (io.ReadCloser, error) { return os.Open(*in) }
+	case *in != "":
+		// Transcode the TSV log into batch frames on the fly.
+		open = func() (io.ReadCloser, error) {
+			f, err := os.Open(*in)
+			if err != nil {
+				return nil, err
+			}
+			return encoded(func(enc notary.Sink) error {
+				defer f.Close()
+				return notary.ReadLog(f, enc)
+			}), nil
+		}
+	default:
+		opts := sim.options()
+		open = func() (io.ReadCloser, error) {
+			return encoded(func(enc notary.Sink) error { return simulate.New(opts).Run(enc) }), nil
+		}
+	}
+
+	fopts := service.FeedOptions{
+		Binary:     *binary,
+		MaxRetries: *retry,
+		Logf:       stderrf,
+	}
+	start := time.Now()
+	var res service.FeedResult
+	var err error
+	if *tcpAddr != "" {
+		res, err = service.FeedTCP(*tcpAddr, open, fopts)
+	} else {
+		res, err = service.FeedHTTP(*addr, open, fopts)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "fed %d records in %v (server generation %d, %d attempt(s))\n",
+		res.Records, time.Since(start).Round(time.Millisecond), res.Generation, res.Attempts)
+	return nil
+}

@@ -1,20 +1,72 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"tlsage/internal/core"
 )
 
+// startServe launches `tlstrend serve` on loopback ports of the kernel's
+// choosing and reads both listen addresses off stderr through the markers the
+// benchmark relies on ("on http://", "on tcp://"). wait blocks until the
+// process exits and returns everything it wrote to stderr.
+func startServe(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, httpURL, tcpAddr string, wait func() (string, error)) {
+	t.Helper()
+	cmd = exec.Command(bin, append([]string{"serve", "-http", "127.0.0.1:0", "-tcp", "127.0.0.1:0"}, args...)...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cmd.Process.Kill() })
+	var log strings.Builder
+	sc := bufio.NewScanner(stderr)
+	addrAfter := func(line, marker string) string {
+		_, rest, ok := strings.Cut(line, marker)
+		if !ok {
+			return ""
+		}
+		addr, _, _ := strings.Cut(rest, " ")
+		return addr
+	}
+	for (httpURL == "" || tcpAddr == "") && sc.Scan() {
+		log.WriteString(sc.Text() + "\n")
+		if a := addrAfter(sc.Text(), "on http://"); a != "" {
+			httpURL = "http://" + a
+		}
+		if a := addrAfter(sc.Text(), "on tcp://"); a != "" {
+			tcpAddr = a
+		}
+	}
+	if httpURL == "" || tcpAddr == "" {
+		t.Fatalf("serve exited before announcing both addresses:\n%s", log.String())
+	}
+	wait = func() (string, error) {
+		for sc.Scan() {
+			log.WriteString(sc.Text() + "\n")
+		}
+		return log.String(), cmd.Wait()
+	}
+	return cmd, httpURL, tcpAddr, wait
+}
+
 // TestCLI drives the built binary: serve refuses a queue bound below 1 —
-// the merge queue is the only ingest path, so there is no "0 = off" — and
-// an offline query prints exactly what core.Study.Query computes.
+// the merge queue is the only ingest path, so there is no "0 = off" — serve's
+// flag set is the one pinned in testdata, a served study survives SIGTERM and
+// a restart byte for byte, and an offline query prints exactly what
+// core.Study.Query computes.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tlstrend")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -29,6 +81,72 @@ func TestCLI(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "-queue-bound") {
 			t.Errorf("error output does not name the flag:\n%s", out)
+		}
+	})
+
+	t.Run("serve -h lists the pinned flags", func(t *testing.T) {
+		// -h exits 0 after printing every flag with its default and usage:
+		// the golden is the parent commit's output, so a knob added, lost or
+		// re-defaulted shows as a diff.
+		got, err := exec.Command(bin, "serve", "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("serve -h: %v\n%s", err, got)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "serve_help.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("serve -h printed\n%s\nwant\n%s", got, want)
+		}
+	})
+
+	t.Run("serve feed query SIGTERM restart", func(t *testing.T) {
+		dir := t.TempDir()
+		out, snaps := filepath.Join(dir, "conn.log"), filepath.Join(dir, "snaps")
+		run := func(args ...string) []byte {
+			t.Helper()
+			cmd := exec.Command(bin, args...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			stdout, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("tlstrend %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+			}
+			return stdout
+		}
+		const q = "pct(version:tls12 / established)"
+
+		serve, url, tcp, wait := startServe(t, bin, "-out", out, "-snapshot-dir", snaps)
+		run("feed", "-addr", url, "-conns", "20")
+		run("feed", "-tcp", tcp, "-conns", "20", "-seed", "2", "-binary")
+		before := run("query", "-addr", url, "-q", q, "-json")
+		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		stopped := time.AfterFunc(30*time.Second, func() { _ = serve.Process.Kill() })
+		log, err := wait()
+		stopped.Stop()
+		if err != nil {
+			t.Fatalf("serve after SIGTERM: %v, want exit 0\n%s", err, log)
+		}
+		if !strings.Contains(log, "final state of notary: 3000 records") {
+			t.Errorf("serve did not report the final state of both feeds:\n%s", log)
+		}
+		if final, _ := filepath.Glob(filepath.Join(snaps, "snap-*3000.tlsnap")); len(final) != 1 {
+			t.Errorf("no final snapshot at generation 3000 in %s", snaps)
+		}
+
+		serve, url, _, wait = startServe(t, bin, "-out", out, "-snapshot-dir", snaps)
+		after := run("query", "-addr", url, "-q", q, "-json")
+		if !bytes.Equal(before, after) {
+			t.Errorf("query after restart printed\n%s\nbefore it\n%s", after, before)
+		}
+		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if log, err := wait(); err != nil || !strings.Contains(log, "recovered 3000 records") {
+			t.Errorf("restarted serve: exit %v, want 0 and a recovery of 3000 records\n%s", err, log)
 		}
 	})
 

@@ -1,0 +1,137 @@
+package main
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"net"
+	"os"
+	"os/signal"
+	"strconv"
+	"strings"
+	"syscall"
+	"time"
+
+	"tlsage/internal/core"
+	"tlsage/internal/federation"
+	"tlsage/internal/service"
+	"tlsage/internal/timeline"
+)
+
+func parseDate(s string) (timeline.Date, error) {
+	parts := strings.Split(s, "-")
+	if len(parts) != 3 {
+		return timeline.Date{}, fmt.Errorf("bad date %q (want YYYY-MM-DD)", s)
+	}
+	y, err1 := strconv.Atoi(parts[0])
+	m, err2 := strconv.Atoi(parts[1])
+	d, err3 := strconv.Atoi(parts[2])
+	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > 31 {
+		return timeline.Date{}, fmt.Errorf("bad date %q", s)
+	}
+	return timeline.D(y, time.Month(m), d), nil
+}
+
+func cmdScan(args []string) error {
+	fs := flag.NewFlagSet("scan", flag.ExitOnError)
+	hosts := fs.Int("hosts", 300, "farm size")
+	workers := fs.Int("workers", 24, "scanner workers")
+	seed := fs.Int64("seed", 7, "population seed")
+	dateStr := fs.String("date", "2018-05-13", "population snapshot date")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	date, err := parseDate(*dateStr)
+	if err != nil {
+		return err
+	}
+	c := &core.ScanCampaign{Date: date, Hosts: *hosts, Workers: *workers, Seed: *seed}
+	rep, err := c.Run(context.Background())
+	if err != nil {
+		return err
+	}
+	fmt.Printf("Scan campaign at %s over %d hosts\n", rep.Date, rep.Hosts)
+	fmt.Printf("  SSL3 support:        %6.2f%%\n", rep.SSL3SupportPct())
+	fmt.Printf("  chose RC4:           %6.2f%%\n", rep.RC4ChosenPct())
+	fmt.Printf("  chose CBC:           %6.2f%%\n", rep.CBCChosenPct())
+	fmt.Printf("  chose 3DES:          %6.2f%%\n", rep.TDESChosenPct())
+	fmt.Printf("  heartbeat support:   %6.2f%%\n", rep.HeartbeatSupportPct())
+	fmt.Printf("  Heartbleed vuln.:    %6.2f%%\n", rep.HeartbleedVulnerablePct())
+	fmt.Printf("  export support:      %6.2f%%\n", rep.ExportSupportPct())
+	fmt.Printf("  RC4 supported:       %6.2f%%\n", rep.RC4SupportPct())
+	fmt.Printf("  Heartbleed leak:     %d bytes over-read across %d hosts\n", rep.LeakedBytes, rep.VulnerableHosts)
+	return nil
+}
+
+func cmdScanSweep(args []string) error {
+	fs := flag.NewFlagSet("scansweep", flag.ExitOnError)
+	hosts := fs.Int("hosts", 150, "farm size per snapshot")
+	step := fs.Int("step", 3, "months between snapshots")
+	workers := fs.Int("workers", 24, "scanner workers")
+	seed := fs.Int64("seed", 7, "population seed")
+	alexa := fs.Bool("alexa", false, "popularity-weighted (Alexa-style) universe")
+	serveAddr := fs.String("serve", "", "after the sweep, host the results as study 'scan' at this HTTP address")
+	pushURL := fs.String("push", "", "POST the sweep as one pre-aggregated delta to this core study URL ({url}/merge)")
+	pushSource := fs.String("push-source", "scansweep", "delta source name for -push; re-pushing the same campaign from the same source is an idempotent no-op, a different campaign needs a distinct source")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sweep := &core.ScanSweep{
+		StepMonths:         *step,
+		HostsPerSnapshot:   *hosts,
+		Workers:            *workers,
+		Seed:               *seed,
+		PopularityWeighted: *alexa,
+	}
+	months, reports, err := sweep.RunReports(context.Background())
+	if err != nil {
+		return err
+	}
+	if err := core.RenderSweep(os.Stdout, core.SweepPoints(months, reports)); err != nil {
+		return err
+	}
+	if *pushURL != "" {
+		// Federated form of -serve: fold the campaign into a bare aggregate
+		// and ship it to a running core's /merge endpoint as one delta, where
+		// it answers the same queries without the core re-running the sweep.
+		agg, err := core.ScanAggregate(months, reports)
+		if err != nil {
+			return err
+		}
+		ack, err := federation.PushDelta(*pushURL, &federation.Delta{Source: *pushSource, Agg: agg}, nil)
+		if err != nil {
+			return err
+		}
+		if ack.Duplicate {
+			fmt.Fprintf(os.Stderr, "upstream %s had already applied this campaign (source %q); nothing re-counted\n",
+				*pushURL, *pushSource)
+		} else {
+			fmt.Fprintf(os.Stderr, "pushed %d campaign records to %s (upstream generation %d)\n",
+				ack.Records, *pushURL, ack.Generation)
+		}
+	}
+	if *serveAddr == "" {
+		return nil
+	}
+	// Host the sweep on the standard query surface: the campaign counters
+	// fold into a Study (see core.NewScanStudy) and mount on a Router, so
+	// e.g. POST /studies/scan/query {"query": "pct(version:ssl3 / total)"}
+	// replays the table above month by month.
+	study, err := core.NewScanStudy(months, reports)
+	if err != nil {
+		return err
+	}
+	rt := service.NewRouter()
+	if err := rt.Add("scan", service.NewServer(study)); err != nil {
+		return err
+	}
+	defer rt.Close()
+	ln, err := net.Listen("tcp", *serveAddr)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	fmt.Fprintf(os.Stderr, "serving sweep results on http://%s/studies/scan/ (Ctrl-C to stop)\n", ln.Addr())
+	return service.ServeUntilDone(ctx, ln, rt.Handler())
+}

@@ -83,39 +83,9 @@ type Study struct {
 	cacheID    string
 	cacheEpoch uint64
 
-	// flightMu/flights singleflight concurrent misses for the same cache
-	// key: the first caller computes, later arrivals wait on done and share
-	// the published result, so a thundering dashboard compiles each query
-	// once per generation instead of once per client. Only cache-backed
-	// queries fly — without a cache there is no canonical key to rendezvous
-	// on.
-	flightMu sync.Mutex
-	flights  map[flightKey]*queryFlight
-	// compiles counts analysis.Compile calls on the query path (cache hits
-	// and flight followers excluded); tests pin singleflight against it.
+	// compiles counts analysis.Compile calls on the query path: one per query
+	// that was not a result-cache hit.
 	compiles atomic.Uint64
-	// testComputeHook, when non-nil (set by tests before any queries), runs
-	// at the start of every leader computation.
-	testComputeHook func()
-}
-
-// flightKey coordinates one in-flight computation; it mirrors the cache key
-// minus the study id (flights are per Study already).
-type flightKey struct {
-	epoch      uint64
-	generation uint64
-	query      string
-}
-
-// queryFlight is one in-progress query computation. done closes only after
-// res/body/gen/err are published, so waiters read them without locks.
-type queryFlight struct {
-	done    chan struct{}
-	waiters atomic.Int32
-	res     analysis.QueryResult
-	body    []byte
-	gen     uint64
-	err     error
 }
 
 // SetQueryCache attaches a (possibly shared) query result cache, with id
@@ -482,62 +452,30 @@ func (s *Study) frameWithEpoch() (*analysis.Frame, uint64, error) {
 // an entry exists for the study's current (epoch, generation) — without
 // touching the frame — and otherwise by compiling a plan against the
 // current frame, evaluating it, and caching the result (with its serialized
-// body) under coordinates read atomically with that frame. Concurrent
-// misses for the same key join one in-flight computation instead of each
-// compiling. A nil cache degrades to plain compile-and-evaluate.
+// body) under coordinates read atomically with that frame. Concurrent misses
+// for one key each compile and evaluate (microseconds; the frame they share
+// is brought up to date once, under frameMu) and QueryCache.Put keeps the
+// last of their identical entries. A nil cache degrades to plain
+// compile-and-evaluate.
 func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
 	cache, id, epoch, gen, err := s.cacheCoords()
 	if err != nil {
 		return analysis.QueryResult{}, nil, 0, false, err
 	}
-	if cache == nil {
-		res, body, gen, err := s.computeQuery(e, nil, "", "")
-		return res, body, gen, false, err
-	}
-	key := e.String()
-	if res, body, hit := cache.Get(id, epoch, gen, key); hit {
-		return res, body, gen, true, nil
-	}
-	fk := flightKey{epoch, gen, key}
-	s.flightMu.Lock()
-	if f, ok := s.flights[fk]; ok {
-		f.waiters.Add(1)
-		s.flightMu.Unlock()
-		<-f.done
-		// A follower's answer came from shared work, so it reports as a
-		// cache hit: the query was compiled once for the whole flight.
-		return f.res, f.body, f.gen, f.err == nil, f.err
-	}
-	f := &queryFlight{done: make(chan struct{})}
-	if s.flights == nil {
-		s.flights = make(map[flightKey]*queryFlight)
-	}
-	s.flights[fk] = f
-	s.flightMu.Unlock()
-	f.res, f.body, f.gen, f.err = s.computeQuery(e, cache, id, key)
-	// Unregister before waking waiters, so a failed flight cannot capture
-	// callers that arrive after its error is already decided.
-	s.flightMu.Lock()
-	delete(s.flights, fk)
-	s.flightMu.Unlock()
-	close(f.done)
-	return f.res, f.body, f.gen, false, f.err
-}
-
-// computeQuery compiles and evaluates e against the current frame. With a
-// cache attached it also serializes the response body and stores both under
-// the frame's coordinates.
-func (s *Study) computeQuery(e *analysis.Expr, cache *analysis.QueryCache, id, key string) (analysis.QueryResult, []byte, uint64, error) {
-	if hook := s.testComputeHook; hook != nil {
-		hook()
+	var key string
+	if cache != nil {
+		key = e.String()
+		if res, body, hit := cache.Get(id, epoch, gen, key); hit {
+			return res, body, gen, true, nil
+		}
 	}
 	f, epoch, err := s.frameWithEpoch()
 	if err != nil {
-		return analysis.QueryResult{}, nil, 0, err
+		return analysis.QueryResult{}, nil, 0, false, err
 	}
 	p, err := analysis.Compile(e, f)
 	if err != nil {
-		return analysis.QueryResult{}, nil, 0, err
+		return analysis.QueryResult{}, nil, 0, false, err
 	}
 	s.compiles.Add(1)
 	res := p.Eval()
@@ -548,12 +486,11 @@ func (s *Study) computeQuery(e *analysis.Expr, cache *analysis.QueryCache, id, k
 		body, _ = res.EncodeJSONBody()
 		cache.Put(id, epoch, f.Generation(), key, res, body)
 	}
-	return res, body, f.Generation(), nil
+	return res, body, f.Generation(), false, nil
 }
 
 // PlanCompiles reports how many times the query path called
-// analysis.Compile: once per query that was neither a result-cache hit nor
-// a singleflight follower.
+// analysis.Compile: once per query that was not a result-cache hit.
 func (s *Study) PlanCompiles() uint64 { return s.compiles.Load() }
 
 // Scalars returns the passive and fingerprint scalar findings. Both halves

@@ -17,7 +17,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,24 +56,8 @@ type DurabilityOptions struct {
 	// Keep is how many snapshots to retain (older ones are pruned after
 	// each successful write). <= 0 means DefaultSnapshotKeep.
 	Keep int
-	// Logf receives recovery and snapshot-failure warnings; nil means
-	// log.Printf.
+	// Logf receives snapshot-failure warnings; nil means log.Printf.
 	Logf func(format string, args ...any)
-}
-
-func (o *DurabilityOptions) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
-func (o *DurabilityOptions) keep() int {
-	if o.Keep <= 0 {
-		return DefaultSnapshotKeep
-	}
-	return o.Keep
 }
 
 // snapshotName returns the file name for a snapshot at gen.
@@ -96,31 +80,20 @@ func parseSnapshotName(name string) (uint64, bool) {
 // listSnapshots returns the snapshot files in dir, newest (highest
 // generation) first. A missing directory yields an empty list.
 func listSnapshots(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(dir) // sorted by name, which snapshotName makes oldest first
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	type snap struct {
-		gen  uint64
-		name string
-	}
-	var snaps []snap
+	var out []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if gen, ok := parseSnapshotName(e.Name()); ok {
-			snaps = append(snaps, snap{gen, e.Name()})
+		if _, ok := parseSnapshotName(e.Name()); ok && !e.IsDir() {
+			out = append(out, filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].gen > snaps[j].gen })
-	out := make([]string, len(snaps))
-	for i, s := range snaps {
-		out[i] = filepath.Join(dir, s.name)
-	}
+	slices.Reverse(out)
 	return out, nil
 }
 
@@ -224,26 +197,15 @@ func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*
 		study = core.NewLiveStudy()
 	}
 	if logPath != "" {
-		f, err := os.Open(logPath)
-		if errors.Is(err, fs.ErrNotExist) {
-			return study, info, nil
-		}
+		n, base, torn, err := replayLogTail(logPath, info.SnapshotRecords, study.IngestSink())
 		if err != nil {
-			return nil, info, err
+			return nil, info, fmt.Errorf("service: replaying %s: %w", logPath, err)
 		}
-		defer f.Close()
-		n, base, err := notary.ReadLogTail(f, info.SnapshotRecords, study.IngestSink())
-		info.ReplayedRecords = n
-		info.LogBase = base
-		if err != nil {
-			var le *notary.LineError
-			if !errors.As(err, &le) {
-				return nil, info, fmt.Errorf("service: replaying %s: %w", logPath, err)
-			}
-			info.LogTruncated = true
-			info.TornLine = le.Line
+		info.ReplayedRecords, info.LogBase = n, base
+		if torn != nil {
+			info.LogTruncated, info.TornLine = true, torn.Line
 			logf("service: log %s: dropping torn tail from line %d (%v); %d replayed records kept",
-				logPath, le.Line, le.Err, n)
+				logPath, torn.Line, torn.Err, n)
 		}
 		if base > info.SnapshotRecords {
 			logf("service: log %s resumes at generation %d but the best snapshot covers %d; records %d..%d are unrecoverable",
@@ -253,20 +215,41 @@ func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*
 	return study, info, nil
 }
 
+// replayLogTail delivers the records of the log at path past generation skip
+// to sink (notary.ReadLogTail). A missing log delivers nothing. A malformed
+// line — the torn tail a crash mid-write leaves — ends the replay with
+// everything before it delivered, and is returned as torn rather than err.
+func replayLogTail(path string, skip uint64, sink notary.Sink) (delivered, base uint64, torn *notary.LineError, err error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, 0, nil, nil
+	}
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	defer f.Close()
+	delivered, base, err = notary.ReadLogTail(f, skip, sink)
+	if errors.As(err, &torn) {
+		err = nil
+	}
+	return delivered, base, torn, err
+}
+
 // OpenIngestLog opens the serve -out log for writing, consistently with the
 // state RecoverStudy just rebuilt (gen is the recovered study's generation,
 // tornLine the RecoveryInfo.TornLine it reported).
 //
-// With durable snapshots the recovered state was compacted into a fresh
-// snapshot, so the log is truncated and restarted with a #base directive
-// recording the generation it resumes at — the next recovery aligns the
-// snapshot's record count against base instead of assuming the log starts
-// at generation zero. Without snapshots the log is the only durable copy of
-// everything recovery just replayed, so truncating it would demote durable
+// restart says nothing but the log still needs the records it holds: the
+// recovered state was compacted into a fresh snapshot (and, on an edge, all
+// of it has shipped). The log is then truncated and restarted with a #base
+// directive recording the generation it resumes at — the next recovery
+// aligns the snapshot's record count against base instead of assuming the
+// log starts at generation zero. Otherwise the log is the only durable copy
+// of what recovery just replayed, so truncating it would demote durable
 // records to memory-only; instead the torn tail (if any) is trimmed off and
 // the log is opened in append mode.
-func OpenIngestLog(path string, gen uint64, durableSnapshots bool, tornLine int) (*os.File, error) {
-	if !durableSnapshots && gen > 0 {
+func OpenIngestLog(path string, gen uint64, restart bool, tornLine int) (*os.File, error) {
+	if !restart && gen > 0 {
 		if tornLine > 0 {
 			if err := trimLogAt(path, tornLine); err != nil {
 				return nil, fmt.Errorf("service: trimming torn tail of %s: %w", path, err)
@@ -350,6 +333,9 @@ type snapshotManager struct {
 }
 
 func newSnapshotManager(study *core.Study, opts DurabilityOptions) *snapshotManager {
+	if opts.Logf == nil {
+		opts.Logf = log.Printf
+	}
 	m := &snapshotManager{
 		study: study,
 		opts:  opts,
@@ -419,9 +405,9 @@ func (m *snapshotManager) snapshotLocked() {
 	if err != nil || gen == m.lastGen.Load() {
 		return
 	}
-	if _, gen, err = WriteStudySnapshot(m.opts.Dir, m.study, m.opts.keep()); err != nil {
+	if _, gen, err = WriteStudySnapshot(m.opts.Dir, m.study, m.opts.Keep); err != nil {
 		m.errs.Add(1)
-		m.opts.logf("service: snapshot failed: %v", err)
+		m.opts.Logf("service: snapshot failed: %v", err)
 		return
 	}
 	m.lastGen.Store(gen)

@@ -241,8 +241,19 @@ func federationEdgeHealth(st federation.PusherStats) map[string]any {
 // handleMerge is POST /merge: decode one delta frame, sequence it against
 // the source's cursor, and fold it through the merge queue, so federated
 // ingest shares local ingestion's backpressure. Generation, frames, the
-// query cache and /healthz all see it as ordinary ingest.
+// query cache and /healthz all see it as ordinary ingest. A study that tees
+// its records into a log (WithLogSink) refuses every delta with 403.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
+	if s.logSink != nil {
+		// Recovery skips the log lines the snapshot's generation covers, and
+		// a delta advances the generation without writing any: the next
+		// restart would skip the wrong records. 403 is neither the status a
+		// pusher backs off on (429) nor the one it rebases on (409).
+		s.setGeneration(w)
+		writeError(w, http.StatusForbidden, errors.New(
+			"this study tees its records into a log (serve -out), which a merged delta would misalign on the next recovery; push to a study hosted without -out"))
+		return
+	}
 	if !s.acquireStream() {
 		w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfter))
 		writeError(w, http.StatusTooManyRequests,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -188,6 +189,36 @@ func TestMergeMaxBodyBytes(t *testing.T) {
 	}
 	if _, _, gen, _ := srv.Study().Counts(); gen != 0 {
 		t.Fatalf("a refused delta moved the study to generation %d", gen)
+	}
+}
+
+// TestMergeRefusedOnLoggedStudy: a study that tees its records into a log
+// cannot take deltas — they would advance the generation recovery uses as
+// the log's replay cursor — so POST /merge answers a 4xx no sender retries or
+// rebases on, names the flag to drop, and touches nothing.
+func TestMergeRefusedOnLoggedStudy(t *testing.T) {
+	var teed bytes.Buffer
+	srv := NewServer(core.NewLiveStudy(), WithLogSink(notary.NewLogWriter(&teed)))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	status, ack := postDeltaFrame(t, ts.URL, &federation.Delta{Source: "edge-a", Agg: fedShard(1, 4)})
+	if status < 400 || status >= 500 || status == http.StatusConflict || status == http.StatusTooManyRequests {
+		t.Fatalf("delta into a logged study: %d, want a 4xx other than 409/429", status)
+	}
+	if !strings.Contains(ack.Error, "-out") {
+		t.Errorf("refusal %q does not name -out", ack.Error)
+	}
+	if _, _, gen, _ := srv.Study().Counts(); gen != 0 {
+		t.Errorf("the refused delta moved the study to generation %d", gen)
+	}
+	if block := srv.fed.health(); block != nil {
+		t.Errorf("the refused delta registered a source cursor: %v", block)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if teed.Len() != 0 {
+		t.Errorf("the refused delta wrote %d bytes to the record log", teed.Len())
 	}
 }
 
@@ -494,246 +525,153 @@ func TestFederationParity(t *testing.T) {
 	}
 }
 
-// windowSink delivers at most n records into agg, silently dropping the
-// rest — the replay-a-range helper for the restart tests.
-type windowSink struct {
-	agg *notary.Aggregate
-	n   uint64
-}
-
-func (ws *windowSink) Observe(r *notary.Record) error {
-	if ws.n == 0 {
-		return nil
-	}
-	ws.n--
-	return ws.agg.Observe(r)
-}
-
-func (ws *windowSink) Close() error { return nil }
-
-// replayRange rebuilds the merged contributions of log records
-// [from, from+n) — the durable-log replay an edge runs at startup (and the
-// Rebase hook runs after a conflict). Shards come from a classifier-bearing
-// study so attribution matches the live ingest path.
-func replayRange(t *testing.T, log []byte, from, n uint64) *notary.Aggregate {
-	t.Helper()
-	shard := core.NewLiveStudy().NewShard()
-	delivered, _, err := notary.ReadLogTail(bytes.NewReader(log), from, &windowSink{agg: shard, n: n})
-	if err != nil {
-		t.Fatalf("replaying log tail from %d: %v", from, err)
-	}
-	if delivered < n {
-		t.Fatalf("log tail from %d delivered %d records, want at least %d", from, delivered, n)
-	}
-	return shard
-}
-
-// TestEdgeRestartNoReship pins restart correctness for the edge cursor: an
-// edge recovering from its durable log must never re-ship already-acked
-// records, across three crash shapes — a clean restart, a crash that lost
-// the final ack (duplicate re-push), and a kill mid-push where the server
-// applied a delta the edge never heard about and more records arrived
-// before the crash (409 → rebase).
+// TestEdgeRestartNoReship pins restart correctness for the edge cursor
+// through the production start-up (Open): an edge recovering from its
+// durable log must never lose or re-ship records, across three crash shapes
+// — a crash with acked records and an unshipped tail, a crash that lost the
+// final ack (duplicate re-push), and a kill mid-push where the core applied
+// a delta the edge never heard about and more records arrived before the
+// crash (409 → rebase from the log, which the restart therefore may not
+// have truncated). Every crash leaves a torn final log line.
 func TestEdgeRestartNoReship(t *testing.T) {
 	log, _ := sharedLog(t)
-	total := func() uint64 {
-		shard := core.NewLiveStudy().NewShard()
-		if err := notary.ReadLog(bytes.NewReader(log), shard); err != nil {
-			t.Fatal(err)
-		}
-		return shard.Generation()
-	}()
+	total := countRecords(log)
 	if total < 30 {
 		t.Fatalf("shared log too small for the restart scenarios: %d records", total)
 	}
 	k1, k2 := total/3, 2*total/3
+	torn := recordLines(t, log, 0, 1)
+	torn = torn[:len(torn)/2]
 
-	// check runs one crash/restart scenario and verifies the core holds the
-	// whole log exactly once afterwards.
-	check := func(t *testing.T, scenario func(t *testing.T, coreURL, statePath string)) {
-		srv := NewServer(core.NewLiveStudy())
-		defer srv.Close()
-		ts := httptest.NewServer(srv.Handler())
+	// edge is one scenario's handle on the edge node across its sessions.
+	type edge struct {
+		cfg Config
+		*testNode
+	}
+	// check runs one crash/restart scenario against a core whose /merge
+	// requests fail as plan says, then verifies the core holds the whole log
+	// exactly once — and still does after one more, clean, restart, which
+	// finds nothing unshipped and so restarts the log.
+	check := func(t *testing.T, plan map[uint64]string, scenario func(t *testing.T, e *edge)) {
+		coreSrv := NewServer(core.NewLiveStudy())
+		defer coreSrv.Close()
+		ts := httptest.NewServer(&faultGate{next: coreSrv.Handler(), plan: plan})
 		defer ts.Close()
-		statePath := filepath.Join(t.TempDir(), "shipped.gen")
-		scenario(t, ts.URL, statePath)
+		dir := t.TempDir()
+		e := &edge{cfg: Config{
+			Out:         filepath.Join(dir, "conn.log"),
+			SnapshotDir: filepath.Join(dir, "snaps"),
+			Upstream:    ts.URL,
+			PushSource:  "edge-restart",
+		}}
+		e.testNode = startNode(t, e.cfg)
+		scenario(t, e)
 
-		_, _, gen, err := srv.Study().Counts()
-		if err != nil {
-			t.Fatal(err)
+		requireCore := func(when string) {
+			t.Helper()
+			if _, _, gen, err := coreSrv.Study().Counts(); err != nil || gen != uint64(total) {
+				t.Fatalf("%s: core at generation %d (err %v), want %d (records lost or re-shipped)", when, gen, err, total)
+			}
 		}
-		if gen != total {
-			t.Fatalf("core at generation %d after restart scenario, want %d (records lost or re-shipped)", gen, total)
+		requireCore("after the restart scenario")
+		requireServedParity(t, ts.URL, log)
+		e.testNode = startNode(t, e.cfg)
+		if _, queued := e.narrated("queued for push"); queued {
+			t.Fatal("a clean restart found records to re-ship")
 		}
-		// Byte-level: the core's scalars equal a study that loaded the log
-		// directly.
-		refStudy := core.NewStudyFromAggregate(replayRange(t, log, 0, total))
-		ref := httptest.NewServer(NewServer(refStudy).Handler())
-		defer ref.Close()
-		got := mustGet(t, ts.URL+"/scalars")
-		want := mustGet(t, ref.URL+"/scalars")
-		if !bytes.Equal(got, want) {
-			t.Fatal("core scalars differ from direct log load after restart scenario")
+		e.shutdown(t)
+		requireCore("after a further clean restart")
+		if raw, err := os.ReadFile(e.cfg.Out); err != nil || string(raw) != notary.LogBaseDirective(uint64(total)) {
+			t.Fatalf("fully shipped log after restart is %q (err %v), want just the #base directive", raw, err)
 		}
 	}
-
-	newPusher := func(t *testing.T, coreURL, statePath string, shipped uint64, initial *notary.Aggregate, rebase func(from uint64) (*notary.Aggregate, error)) *federation.Pusher {
+	// ingest feeds records (from, to] of the log to the edge.
+	ingest := func(t *testing.T, e *edge, from, to int) {
 		t.Helper()
-		p, err := federation.NewPusher(federation.PusherOptions{
-			Source:    "edge-restart",
-			Upstream:  coreURL,
-			Interval:  time.Hour,
-			BaseDelay: time.Millisecond,
-			Rand:      func() float64 { return 0 },
-			Shipped:   shipped,
-			Initial:   initial,
-			StatePath: statePath,
-			Rebase:    rebase,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+		postTSV(t, e.http, recordLines(t, log, from, to))
 	}
-	loadState := func(t *testing.T, statePath string) uint64 {
+	requireCursor := func(t *testing.T, e *edge, want int) {
 		t.Helper()
-		gen, err := federation.LoadShippedState(statePath)
-		if err != nil {
-			t.Fatal(err)
+		got, err := federation.LoadShippedState(filepath.Join(e.cfg.SnapshotDir, "shipped.gen"))
+		if err != nil || got != uint64(want) {
+			t.Fatalf("persisted shipped cursor %d (err %v), want %d", got, err, want)
 		}
-		return gen
+	}
+	// restart kills the edge and runs the production start-up again.
+	restart := func(t *testing.T, e *edge) {
+		t.Helper()
+		e.crash(t, torn)
+		e.testNode = startNode(t, e.cfg)
 	}
 
 	t.Run("clean-restart", func(t *testing.T) {
-		check(t, func(t *testing.T, coreURL, statePath string) {
-			// Session 1: ship the first k1 records, acked and persisted.
-			p1 := newPusher(t, coreURL, statePath, 0, nil, nil)
-			p1.Observe(replayRange(t, log, 0, k1))
-			if err := p1.Flush(); err != nil {
+		check(t, nil, func(t *testing.T, e *edge) {
+			// Session 1: the first k1 records ship, acked and persisted; the
+			// rest are logged but never pushed.
+			ingest(t, e, 0, k1)
+			if err := e.def.pusher.Flush(); err != nil {
 				t.Fatalf("session 1 flush: %v", err)
 			}
-			// Crash: p1 abandoned without Close.
-
-			// Session 2: recover the cursor, replay the unshipped tail.
-			shipped := loadState(t, statePath)
-			if shipped != k1 {
-				t.Fatalf("recovered cursor %d, want %d", shipped, k1)
+			requireCursor(t, e, k1)
+			ingest(t, e, k1, total)
+			restart(t, e)
+			// Session 2 replayed the unshipped tail out of the log; Close
+			// ships it.
+			if _, queued := e.narrated(fmt.Sprintf("%d recovered records past the shipped cursor (%d) queued", total-k1, k1)); !queued {
+				t.Fatal("restart did not queue the unshipped log tail")
 			}
-			p2 := newPusher(t, coreURL, statePath, shipped, replayRange(t, log, shipped, total-shipped), nil)
-			if err := p2.Close(); err != nil {
-				t.Fatalf("session 2 close: %v", err)
-			}
+			e.shutdown(t)
+			requireCursor(t, e, total)
 		})
 	})
 
 	t.Run("lost-ack-duplicate", func(t *testing.T) {
-		check(t, func(t *testing.T, coreURL, statePath string) {
-			// Session 1 ships k1 records but the server's ack never arrives
-			// (apply-kill), so the persisted cursor stays 0.
-			client := &http.Client{Transport: &applyKillOnce{}}
-			p1, err := federation.NewPusher(federation.PusherOptions{
-				Source: "edge-restart", Upstream: coreURL, Interval: time.Hour,
-				BaseDelay: time.Millisecond, Rand: func() float64 { return 0 },
-				StatePath: statePath, Client: client,
-			})
-			if err != nil {
-				t.Fatal(err)
+		// The core applies the first delta but its ack never arrives, so the
+		// persisted cursor stays 0.
+		check(t, map[uint64]string{1: "apply-kill"}, func(t *testing.T, e *edge) {
+			ingest(t, e, 0, k1)
+			if err := e.def.pusher.Flush(); err == nil {
+				t.Fatal("session 1 flush succeeded despite the killed ack")
 			}
-			p1.Observe(replayRange(t, log, 0, k1))
-			if err := p1.Flush(); err == nil {
-				t.Fatal("session 1 flush succeeded despite killed ack")
-			}
-			// Crash before any retry.
-
-			// Session 2: the stale cursor replays from 0; the re-push is a
-			// duplicate the server acks without re-applying, then the rest
+			requireCursor(t, e, 0)
+			restart(t, e)
+			// Session 2 replays from the stale cursor; the re-push is a
+			// duplicate the core acks without re-applying, then the rest
 			// ships normally.
-			shipped := loadState(t, statePath)
-			if shipped != 0 {
-				t.Fatalf("recovered cursor %d, want 0 (ack was lost)", shipped)
-			}
-			p2 := newPusher(t, coreURL, statePath, 0, replayRange(t, log, 0, k1), nil)
-			if err := p2.Flush(); err != nil {
+			if err := e.def.pusher.Flush(); err != nil {
 				t.Fatalf("duplicate re-push: %v", err)
 			}
-			p2.Observe(replayRange(t, log, k1, total-k1))
-			if err := p2.Close(); err != nil {
-				t.Fatalf("session 2 close: %v", err)
-			}
+			requireCursor(t, e, k1)
+			ingest(t, e, k1, total)
+			e.shutdown(t)
 		})
 	})
 
 	t.Run("kill-mid-push-rebase", func(t *testing.T) {
-		check(t, func(t *testing.T, coreURL, statePath string) {
-			// Session 1: first delta [0,k1) acked and persisted; second delta
-			// [k1,k2) applied upstream but the ack killed; more records
-			// [k2,total) logged but never pushed; crash.
-			client := &http.Client{Transport: &applyKillOnce{skip: 1}}
-			p1, err := federation.NewPusher(federation.PusherOptions{
-				Source: "edge-restart", Upstream: coreURL, Interval: time.Hour,
-				BaseDelay: time.Millisecond, Rand: func() float64 { return 0 },
-				StatePath: statePath, Client: client,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p1.Observe(replayRange(t, log, 0, k1))
-			if err := p1.Flush(); err != nil {
+		// Session 1: delta [0,k1) acked and persisted; delta [k1,k2) applied
+		// upstream but the ack killed; records [k2,total) logged but never
+		// pushed; crash with cursor k1 persisted and the upstream at k2.
+		check(t, map[uint64]string{2: "apply-kill"}, func(t *testing.T, e *edge) {
+			ingest(t, e, 0, k1)
+			if err := e.def.pusher.Flush(); err != nil {
 				t.Fatalf("session 1 first flush: %v", err)
 			}
-			p1.Observe(replayRange(t, log, k1, k2-k1))
-			if err := p1.Flush(); err == nil {
-				t.Fatal("session 1 second flush succeeded despite killed ack")
+			ingest(t, e, k1, k2)
+			if err := e.def.pusher.Flush(); err == nil {
+				t.Fatal("session 1 second flush succeeded despite the killed ack")
 			}
-			// Crash with cursor k1 persisted and the upstream at k2.
-
-			// Session 2: replaying from the stale cursor overlaps what the
-			// upstream already applied — the push conflicts and the rebase
-			// hook replays past the server's cursor.
-			shipped := loadState(t, statePath)
-			if shipped != k1 {
-				t.Fatalf("recovered cursor %d, want %d", shipped, k1)
-			}
-			var rebasedFrom uint64
-			p2 := newPusher(t, coreURL, statePath, shipped,
-				replayRange(t, log, shipped, total-shipped),
-				func(from uint64) (*notary.Aggregate, error) {
-					rebasedFrom = from
-					return replayRange(t, log, from, total-from), nil
-				})
-			if err := p2.Close(); err != nil {
-				t.Fatalf("session 2 close: %v", err)
-			}
-			if rebasedFrom != k2 {
-				t.Fatalf("rebase hook saw cursor %d, want %d", rebasedFrom, k2)
+			requireCursor(t, e, k1)
+			ingest(t, e, k2, total)
+			restart(t, e)
+			// Session 2: the tail replayed from the stale cursor overlaps what
+			// the upstream already applied — the push conflicts and the rebase
+			// replays the log past the upstream's cursor.
+			e.shutdown(t)
+			if _, rebased := e.narrated(fmt.Sprintf("rebased on upstream cursor %d:", k2)); !rebased {
+				t.Fatalf("no rebase on the upstream's cursor %d", k2)
 			}
 		})
 	})
-}
-
-// applyKillOnce is a RoundTripper that lets one request through to the
-// server but reports a transport error instead of the response — the lost
-// ack. skip counts requests passed through untouched first.
-type applyKillOnce struct {
-	skip  int
-	fired bool
-}
-
-func (a *applyKillOnce) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		return resp, err
-	}
-	if !a.fired {
-		if a.skip > 0 {
-			a.skip--
-			return resp, nil
-		}
-		a.fired = true
-		resp.Body.Close()
-		return nil, fmt.Errorf("injected fault: connection lost after server processed the request")
-	}
-	return resp, nil
 }
 
 // TestScanCampaignMergeParity: POST /merge doubles as the ingest path for

@@ -42,10 +42,9 @@ type queuedShard struct {
 // handler can wait for everything it enqueued to merge before replying —
 // the reply's record count and generation then describe applied state.
 type queueStream struct {
-	wg       sync.WaitGroup
-	enqueued int // shards handed to the queue (reader goroutine only)
-	mu       sync.Mutex
-	err      error
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error
 }
 
 func (st *queueStream) fail(err error) {
@@ -117,7 +116,6 @@ func (q *mergeQueue) enqueue(st *queueStream, shard *notary.Aggregate) error {
 	st.wg.Add(1)
 	select {
 	case q.ch <- queuedShard{shard: shard, st: st}:
-		st.enqueued++
 		q.enqueued.Add(1)
 		return nil
 	default:

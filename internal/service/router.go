@@ -29,7 +29,7 @@ type Router struct {
 }
 
 // NewRouter builds an empty router; the first study added becomes the
-// default unless SetDefault picks another.
+// default.
 func NewRouter() *Router {
 	rt := &Router{
 		mux:     http.NewServeMux(),
@@ -68,15 +68,6 @@ func (rt *Router) Add(id string, srv *Server) error {
 	if rt.defaultID == "" {
 		rt.defaultID = id
 	}
-	return nil
-}
-
-// SetDefault picks which study answers the legacy root routes.
-func (rt *Router) SetDefault(id string) error {
-	if _, ok := rt.servers[id]; !ok {
-		return fmt.Errorf("service: no study %q", id)
-	}
-	rt.defaultID = id
 	return nil
 }
 

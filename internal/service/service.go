@@ -25,7 +25,10 @@
 // Every JSON response carries an X-Generation header with the served
 // aggregate generation, so pollers can detect staleness without
 // re-downloading bodies. Multiple named studies are hosted by a Router
-// (router.go), which nests a whole Server under /studies/{id}/.
+// (router.go), which nests a whole Server under /studies/{id}/. A whole
+// `tlstrend serve` process — recovered study, compaction snapshot, edge
+// pusher, record log, router, union — is one Node, assembled from the flag
+// set by Open (open.go) in a fixed order that tests run as-is.
 //
 // Ingestion is sharded: each stream parses into a private notary.Aggregate
 // (no lock contention on the parse) and folds into the live study via
@@ -216,8 +219,9 @@ func WithQueueBound(n int) Option {
 // WithQueryCache attaches a query result cache to the served study, with id
 // namespacing its entries (the Router passes the study id, so one cache
 // serves every hosted study without key collisions). POST /query responses
-// then carry X-Cache: hit|miss and /healthz reports the cache gauges. A nil
-// cache disables caching.
+// then carry X-Cache: hit when the body came out of the cache and miss when
+// this request compiled and evaluated it, and /healthz reports the cache
+// gauges. A nil cache disables caching.
 func WithQueryCache(c *analysis.QueryCache, id string) Option {
 	return func(s *Server) {
 		s.queryCache = c
@@ -626,7 +630,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// result cache (when one is attached) and reports the exact generation
 	// the body was computed against — the X-Generation header therefore
 	// always describes the data in the body even while ingestion advances
-	// the study, and X-Cache tells dashboards whether the hot path was hit.
+	// the study, and X-Cache says whether the body came out of the cache (hit)
+	// or this request computed it (miss).
 	var (
 		res  analysis.QueryResult
 		body []byte
