@@ -286,9 +286,9 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 // merge property, the snapshot and delta round trips, the goldens and the
 // pusher's exactly-once tests all rely on — so the writer (core.Study)
 // names the months instead. (2) Ranking from the aggregate's whole-window
-// fpConns instead of carrying fpVol: an aggregate recovered from a version-1
-// snapshot has fpConns but empty ByFingerprint, and would grow 32 all-zero
-// fp: columns that NewFrame does not give it.
+// fingerprint lifetimes instead of carrying fpVol: an aggregate recovered
+// from a version-1 snapshot has those but empty ByFingerprint, and would
+// grow 32 all-zero fp: columns that NewFrame does not give it.
 func (f *Frame) Advance(agg *notary.Aggregate, touched []timeline.Month) *Frame {
 	n := len(f.Months)
 	next := &Frame{
@@ -347,27 +347,27 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 	f.Total[i] = ms.Total
 	f.Established[i] = ms.Established
 
-	for v, c := range ms.ByVersion {
+	for v, c := range ms.ByVersion.All() {
 		col(f.Version, v, sl)[i] = c
 	}
 	for cl, c := range ms.ByClass {
 		col(f.Class, cl, sl)[i] = c
 	}
 	forwardSecret := 0
-	for k, c := range ms.ByKex {
+	for k, c := range ms.ByKex.All() {
 		col(f.Kex, k, sl)[i] = c
 		if k.ForwardSecret() {
 			forwardSecret += c
 		}
 	}
 	f.KexForwardSecret[i] = forwardSecret
-	for cv, c := range ms.ByCurve {
+	for cv, c := range ms.ByCurve.All() {
 		col(f.Curve, cv, sl)[i] = c
 	}
-	for e, c := range ms.ByExtension {
+	for e, c := range ms.ByExtension.All() {
 		col(f.Extension, e, sl)[i] = c
 	}
-	for v, c := range ms.TLS13Variant {
+	for v, c := range ms.TLS13Variant.All() {
 		col(f.TLS13Variant, v, sl)[i] = c
 	}
 
@@ -441,7 +441,7 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 
 	// Figure 9: negotiated connections per AEAD family.
 	var negAEAD, gcm128, gcm256, chacha int
-	for id, c := range ms.BySuite {
+	for id, c := range ms.BySuite.All() {
 		bits := registry.SuiteClassBits(id)
 		if bits.Has(registry.ClassAEAD) {
 			negAEAD += c

@@ -3,10 +3,12 @@ package analysis
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"tlsage/internal/notary"
+	"tlsage/internal/registry"
 	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
 )
@@ -123,6 +125,17 @@ func TestFrameMergeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One month also holds a key touched with a zero delta: it is present,
+	// so it owns a column (all zero), sharded or not.
+	zeroMonth, zeroKey := whole.Months()[0], registry.ExtensionID(0xfeed)
+	shard := split.a
+	if zeroMonth.Index()%2 != 0 {
+		shard = split.b
+	}
+	for _, a := range []*notary.Aggregate{whole, shard} {
+		a.UpdateMonth(zeroMonth, 0, func(ms *notary.MonthStats) { ms.ByExtension.Add(zeroKey, 0) })
+	}
+
 	merged := notary.NewAggregate()
 	merged.Merge(split.a)
 	merged.Merge(split.b)
@@ -130,6 +143,10 @@ func TestFrameMergeProperty(t *testing.T) {
 	fWhole, fMerged := NewFrame(whole), NewFrame(merged)
 	if !reflect.DeepEqual(fWhole, fMerged) {
 		t.Fatal("Frame(merge(a, b)) != Frame(unsharded stream)")
+	}
+	col, ok := fMerged.Extension[zeroKey]
+	if !ok || len(col) != fMerged.Len() || slices.Max(col) != 0 {
+		t.Fatalf("present-but-zero extension column = %v, %v; want an all-zero column", col, ok)
 	}
 }
 

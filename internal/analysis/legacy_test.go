@@ -27,7 +27,7 @@ func legacyBuildSeries(agg *notary.Aggregate, name string, f legacyMetric) Serie
 
 func legacyFigure1Versions(agg *notary.Aggregate) Figure {
 	ver := func(v registry.Version) legacyMetric {
-		return func(ms *notary.MonthStats) float64 { return ms.PctEstablished(ms.ByVersion[v]) }
+		return func(ms *notary.MonthStats) float64 { return ms.PctEstablished(ms.ByVersion.Get(v)) }
 	}
 	return Figure{
 		ID:    "Figure 1",
@@ -154,10 +154,10 @@ func legacyFigure7WeakAdvertised(agg *notary.Aggregate) Figure {
 
 func legacyFigure8Kex(agg *notary.Aggregate) Figure {
 	kex := func(k registry.KeyExchange) legacyMetric {
-		return func(ms *notary.MonthStats) float64 { return ms.PctEstablished(ms.ByKex[k]) }
+		return func(ms *notary.MonthStats) float64 { return ms.PctEstablished(ms.ByKex.Get(k)) }
 	}
 	ecdhe := func(ms *notary.MonthStats) float64 {
-		return ms.PctEstablished(ms.ByKex[registry.KexECDHE] + ms.ByKex[registry.KexTLS13])
+		return ms.PctEstablished(ms.ByKex.Get(registry.KexECDHE) + ms.ByKex.Get(registry.KexTLS13))
 	}
 	return Figure{
 		ID:    "Figure 8",
@@ -175,7 +175,7 @@ func legacyFigure9AEADNegotiated(agg *notary.Aggregate) Figure {
 	suiteSel := func(sel func(registry.Suite) bool) legacyMetric {
 		return func(ms *notary.MonthStats) float64 {
 			n := 0
-			for id, c := range ms.BySuite {
+			for id, c := range ms.BySuite.All() {
 				if s, ok := registry.SuiteByID(id); ok && sel(s) {
 					n += c
 				}
@@ -216,7 +216,7 @@ func legacyFigure10AEADAdvertised(agg *notary.Aggregate) Figure {
 
 func legacyExtensionUptake(agg *notary.Aggregate) Figure {
 	ext := func(id registry.ExtensionID) legacyMetric {
-		return func(ms *notary.MonthStats) float64 { return ms.Pct(ms.ByExtension[id]) }
+		return func(ms *notary.MonthStats) float64 { return ms.Pct(ms.ByExtension.Get(id)) }
 	}
 	return Figure{
 		ID:    "Figure E1",
@@ -253,7 +253,7 @@ func legacyCurveSharesOverall(agg *notary.Aggregate) []CurveShare {
 	totals := map[registry.CurveID]int{}
 	grand := 0
 	for _, m := range agg.Months() {
-		for c, n := range agg.Stats(m).ByCurve {
+		for c, n := range agg.Stats(m).ByCurve.All() {
 			totals[c] += n
 			grand += n
 		}
@@ -275,7 +275,7 @@ func legacyTLS13VariantShares(agg *notary.Aggregate) []TLS13VariantShare {
 	totals := map[registry.Version]int{}
 	grand := 0
 	for _, m := range agg.Months() {
-		for v, n := range agg.Stats(m).TLS13Variant {
+		for v, n := range agg.Stats(m).TLS13Variant.All() {
 			totals[v] += n
 			grand += n
 		}
@@ -312,11 +312,11 @@ func legacyPassiveScalars(agg *notary.Aggregate) []Scalar {
 	out = append(out,
 		Scalar{"S-F1a", "TLS 1.0 negotiated, Feb 2018", 2.8,
 			pctOr(feb18, func(ms *notary.MonthStats) float64 {
-				return ms.PctEstablished(ms.ByVersion[registry.VersionTLS10])
+				return ms.PctEstablished(ms.ByVersion.Get(registry.VersionTLS10))
 			}), "%"},
 		Scalar{"S-F1b", "TLS 1.2 negotiated, Feb 2018", 90,
 			pctOr(feb18, func(ms *notary.MonthStats) float64 {
-				return ms.PctEstablished(ms.ByVersion[registry.VersionTLS12])
+				return ms.PctEstablished(ms.ByVersion.Get(registry.VersionTLS12))
 			}), "%"},
 		Scalar{"S7a", "TLS 1.3 client support, Feb 2018", 0.5,
 			pctOr(feb18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvTLS13) }), "%"},
@@ -326,7 +326,7 @@ func legacyPassiveScalars(agg *notary.Aggregate) []Scalar {
 			pctOr(apr18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvTLS13) }), "%"},
 		Scalar{"S7d", "TLS 1.3 negotiated, Apr 2018", 1.3,
 			pctOr(apr18, func(ms *notary.MonthStats) float64 {
-				return ms.PctEstablished(ms.ByVersion[registry.VersionTLS13])
+				return ms.PctEstablished(ms.ByVersion.Get(registry.VersionTLS13))
 			}), "%"},
 		Scalar{"S3c", "heartbeat negotiated, 2018", 3.0,
 			pctOr(mar18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.HeartbeatAckN) }), "%"},
@@ -370,12 +370,12 @@ func legacyPassiveScalars(agg *notary.Aggregate) []Scalar {
 	)
 	if feb18 != nil {
 		grand := 0
-		for _, n := range feb18.ByCurve {
+		for _, n := range feb18.ByCurve.All() {
 			grand += n
 		}
 		if grand > 0 {
 			out = append(out, Scalar{"S6d", "x25519 share, Feb 2018", 22.2,
-				100 * float64(feb18.ByCurve[registry.CurveX25519]) / float64(grand), "%"})
+				100 * float64(feb18.ByCurve.Get(registry.CurveX25519)) / float64(grand), "%"})
 		}
 	}
 	return out

@@ -211,7 +211,7 @@ func ScanAggregate(months []timeline.Month, reports []*CampaignReport) (*notary.
 			chrome := rep.Probes["chrome2015"]
 			ms.Total += rep.Hosts
 			ms.Established += chrome.Answered
-			ms.ByVersion[registry.VersionSSL3] += rep.Probes["ssl3only"].Answered
+			ms.ByVersion.Add(registry.VersionSSL3, rep.Probes["ssl3only"].Answered)
 			ms.ByClass["RC4"] += chrome.ChoseRC4
 			ms.ByClass["CBC"] += chrome.CBCTotal()
 			ms.ByClass["3DES"] += chrome.Chose3DES

@@ -23,9 +23,9 @@ func buildAggregate(seed uint64, months int) *notary.Aggregate {
 		agg.UpdateMonth(m, 10+i, func(ms *notary.MonthStats) {
 			ms.Total += int(10 + i)
 			ms.Established += int(7 + i + seed)
-			ms.ByVersion[registry.VersionTLS12] += int(3 + seed)
+			ms.ByVersion.Add(registry.VersionTLS12, int(3+seed))
 			ms.ByClass["RC4"] += int(2 + i)
-			ms.ByKex[registry.KexECDHE] += int(1 + seed)
+			ms.ByKex.Add(registry.KexECDHE, int(1+seed))
 			ms.AdvRC4 += int(i)
 			ms.OffersHeartbeatN += int(seed)
 		})

@@ -13,6 +13,13 @@ func timeMonth(m int) time.Month { return time.Month(m) }
 // MonthStats accumulates everything the paper's figures need for one
 // calendar month. All percentage series in the figure renderers derive from
 // these counters.
+//
+// The six counters keyed by a wire code point (ByVersion, ByKex, BySuite,
+// ByCurve, TLS13Variant, ByExtension) are dense Counts tables; the
+// string-keyed ones are maps. Either way a key is "present" once anything
+// has touched it, even with a zero delta: a present key is written to
+// snapshots and deltas and gets a column in the analysis frame, an absent
+// one does not.
 type MonthStats struct {
 	Month timeline.Month
 
@@ -20,11 +27,11 @@ type MonthStats struct {
 	Established int
 
 	// Negotiated parameters (established connections only).
-	ByVersion map[registry.Version]int // canonical versions
-	ByClass   map[string]int           // AEAD / CBC / RC4 / other
-	ByKex     map[registry.KeyExchange]int
-	BySuite   map[uint16]int
-	ByCurve   map[registry.CurveID]int
+	ByVersion Counts[registry.Version]     // dense; canonical versions
+	ByClass   map[string]int               // AEAD / CBC / RC4 / other
+	ByKex     Counts[registry.KeyExchange] // dense
+	BySuite   Counts[uint16]               // dense
+	ByCurve   Counts[registry.CurveID]     // dense
 
 	// Client advertisement counters (all observed hellos).
 	AdvRC4, AdvDES, Adv3DES, AdvAEAD  int
@@ -32,7 +39,7 @@ type MonthStats struct {
 	AdvAESGCM128, AdvAESGCM256        int
 	AdvChaCha, AdvCCM                 int
 	AdvTLS13                          int
-	TLS13Variant                      map[registry.Version]int
+	TLS13Variant                      Counts[registry.Version] // dense
 	OffersHeartbeatN, HeartbeatAckN   int
 	NULLNegotiated, AnonNegotiated    int
 	ExportNegotiated, UnofferedChoice int
@@ -45,8 +52,8 @@ type MonthStats struct {
 
 	// ByExtension counts connections advertising each extension (GREASE
 	// stripped) — the §9 deployment-tracking data (renegotiation_info,
-	// encrypt_then_mac, ...).
-	ByExtension map[registry.ExtensionID]int
+	// encrypt_then_mac, ...). Dense.
+	ByExtension Counts[registry.ExtensionID]
 
 	// Distinct fingerprints and their capability flags (Figure 4).
 	FPs map[string]*FPCaps
@@ -68,17 +75,11 @@ type FPCaps struct {
 	Count                                     int
 }
 
-// newMonthStats allocates the counter maps.
+// newMonthStats allocates the counter maps; the Counts fields start empty.
 func newMonthStats(m timeline.Month) *MonthStats {
 	return &MonthStats{
 		Month:         m,
-		ByVersion:     make(map[registry.Version]int),
 		ByClass:       make(map[string]int),
-		ByKex:         make(map[registry.KeyExchange]int),
-		BySuite:       make(map[uint16]int),
-		ByCurve:       make(map[registry.CurveID]int),
-		TLS13Variant:  make(map[registry.Version]int),
-		ByExtension:   make(map[registry.ExtensionID]int),
 		PosSum:        make(map[string]float64),
 		PosCount:      make(map[string]int),
 		FPs:           make(map[string]*FPCaps),
@@ -121,9 +122,10 @@ type Classifier interface {
 // and read per-month statistics back.
 type Aggregate struct {
 	months map[timeline.Month]*MonthStats
-	// FP lifetime tracking for §4.1.
-	fpFirst, fpLast map[string]timeline.Date
-	fpConns         map[string]int64
+	// fps holds one row per fingerprint ever seen: its §4.1 lifetime and the
+	// classifier's verdict on it, so Add hashes the fingerprint once here
+	// instead of once per fact.
+	fps map[string]*fpLife
 	// classifier attributes fingerprints to client classes at Add time. It
 	// is configuration, not content: Merge ignores the donor's classifier,
 	// and equality of aggregate *content* is unaffected by it (ByClientClass
@@ -139,20 +141,54 @@ type Aggregate struct {
 	generation uint64
 }
 
+// fpLife is one fingerprint's row in Aggregate.fps.
+type fpLife struct {
+	first, last timeline.Date
+	conns       int64
+	// class and attributed memoise classifier.ClassOf for this fingerprint
+	// (Classifier is pure, so the verdict cannot change under one
+	// classifier). They always reflect the aggregate's current classifier —
+	// unattributed while there is none — so equal content under the same
+	// classifier stays reflect.DeepEqual however the rows came to be.
+	class      string
+	attributed bool
+}
+
 // NewAggregate returns an empty aggregator.
 func NewAggregate() *Aggregate {
 	return &Aggregate{
-		months:  make(map[timeline.Month]*MonthStats),
-		fpFirst: make(map[string]timeline.Date),
-		fpLast:  make(map[string]timeline.Date),
-		fpConns: make(map[string]int64),
+		months: make(map[timeline.Month]*MonthStats),
+		fps:    make(map[string]*fpLife),
 	}
 }
 
 // SetClassifier installs (or clears, with nil) the fingerprint→class
 // attribution used by Add. Install it before ingesting: records added while
-// no classifier is set are never re-attributed.
-func (a *Aggregate) SetClassifier(c Classifier) { a.classifier = c }
+// no classifier is set are never re-attributed. Fingerprints the aggregate
+// already knows (from a decoded snapshot, say) are re-resolved here, so
+// records of theirs added from now on are attributed.
+func (a *Aggregate) SetClassifier(c Classifier) {
+	a.classifier = c
+	for fp, life := range a.fps {
+		life.classify(c, fp)
+	}
+}
+
+func (l *fpLife) classify(c Classifier, fp string) {
+	l.class, l.attributed = "", false
+	if c != nil {
+		l.class, l.attributed = c.ClassOf(fp)
+	}
+}
+
+// newLife adds the row of a fingerprint the aggregate has not met, with no
+// connections yet, resolving its class at this first sight.
+func (a *Aggregate) newLife(fp string, first, last timeline.Date) *fpLife {
+	l := &fpLife{first: first, last: last}
+	l.classify(a.classifier, fp)
+	a.fps[fp] = l
+	return l
+}
 
 // Classifier returns the installed classifier, nil when attribution is off.
 func (a *Aggregate) Classifier() Classifier { return a.classifier }
@@ -182,10 +218,10 @@ func (a *Aggregate) Add(r *Record) {
 		ms.SSLv2Hellos++
 	}
 
-	// Advertisement counters, GREASE-stripped. One dense-table pass over the
-	// list replaces the ~15 predicate rescans this block used to make.
-	suites := registry.StripGREASE16(r.ClientSuites)
-	scan := registry.ScanSuites(suites)
+	// Advertisement counters, GREASE-stripped: one dense-table pass over the
+	// list that steps over GREASE in place, so nSuites and every index are
+	// those of the stripped list without materialising it.
+	scan, nSuites := registry.ScanSuitesNoGREASE(r.ClientSuites)
 	if scan.Bits.Has(registry.ClassRC4) {
 		ms.AdvRC4++
 	}
@@ -222,21 +258,23 @@ func (a *Aggregate) Add(r *Record) {
 	if r.SupportsTLS13() {
 		ms.AdvTLS13++
 		if v := r.AdvertisedTLS13Variant(); v != 0 {
-			ms.TLS13Variant[v]++
+			ms.TLS13Variant.Add(v, 1)
 		}
 	}
 	if r.OffersHeartbeat {
 		ms.OffersHeartbeatN++
 	}
-	for _, e := range registry.StripGREASEExt(r.ClientExtensions) {
-		ms.ByExtension[e]++
+	for _, e := range r.ClientExtensions {
+		if !registry.IsGREASE(uint16(e)) {
+			ms.ByExtension.Add(e, 1)
+		}
 	}
 
 	// Figure 5 positions, from the first-index side of the same pass.
-	if n := len(suites); n > 1 {
+	if nSuites > 1 {
 		for _, pc := range positionClasses {
 			if idx := scan.FirstIndex(pc.bit); idx >= 0 {
-				ms.PosSum[pc.name] += float64(idx) / float64(n-1)
+				ms.PosSum[pc.name] += float64(idx) / float64(nSuites-1)
 				ms.PosCount[pc.name]++
 			}
 		}
@@ -258,23 +296,21 @@ func (a *Aggregate) Add(r *Record) {
 			ms.FPs[r.Fingerprint] = caps
 		}
 		caps.Count++
-		if _, seen := a.fpFirst[r.Fingerprint]; !seen {
-			a.fpFirst[r.Fingerprint] = r.Date
-			a.fpLast[r.Fingerprint] = r.Date
+		life := a.fps[r.Fingerprint]
+		if life == nil {
+			life = a.newLife(r.Fingerprint, r.Date, r.Date)
 		} else {
-			if r.Date.After(a.fpLast[r.Fingerprint]) {
-				a.fpLast[r.Fingerprint] = r.Date
+			if r.Date.After(life.last) {
+				life.last = r.Date
 			}
-			if a.fpFirst[r.Fingerprint].After(r.Date) {
-				a.fpFirst[r.Fingerprint] = r.Date
+			if life.first.After(r.Date) {
+				life.first = r.Date
 			}
 		}
-		a.fpConns[r.Fingerprint]++
+		life.conns++
 		ms.ByFingerprint[r.Fingerprint]++
-		if a.classifier != nil {
-			if class, ok := a.classifier.ClassOf(r.Fingerprint); ok {
-				ms.ByClientClass[class]++
-			}
+		if life.attributed {
+			ms.ByClientClass[life.class]++
 		}
 	}
 
@@ -283,11 +319,11 @@ func (a *Aggregate) Add(r *Record) {
 		return
 	}
 	ms.Established++
-	ms.ByVersion[r.Version.Canonical()]++
+	ms.ByVersion.Add(r.Version.Canonical(), 1)
 	if s, ok := registry.SuiteByID(r.Suite); ok {
 		ms.ByClass[s.TrafficClass()]++
-		ms.ByKex[s.Kex]++
-		ms.BySuite[r.Suite]++
+		ms.ByKex.Add(s.Kex, 1)
+		ms.BySuite.Add(r.Suite, 1)
 		if s.IsNULLCipher() {
 			ms.NULLNegotiated++
 		}
@@ -299,7 +335,7 @@ func (a *Aggregate) Add(r *Record) {
 		}
 	}
 	if r.Curve != 0 {
-		ms.ByCurve[r.Curve]++
+		ms.ByCurve.Add(r.Curve, 1)
 	}
 	if r.HeartbeatAck {
 		ms.HeartbeatAckN++
@@ -325,21 +361,13 @@ var positionClasses = []struct {
 func (ms *MonthStats) merge(o *MonthStats) {
 	ms.Total += o.Total
 	ms.Established += o.Established
-	for k, v := range o.ByVersion {
-		ms.ByVersion[k] += v
-	}
+	ms.ByVersion.merge(&o.ByVersion)
 	for k, v := range o.ByClass {
 		ms.ByClass[k] += v
 	}
-	for k, v := range o.ByKex {
-		ms.ByKex[k] += v
-	}
-	for k, v := range o.BySuite {
-		ms.BySuite[k] += v
-	}
-	for k, v := range o.ByCurve {
-		ms.ByCurve[k] += v
-	}
+	ms.ByKex.merge(&o.ByKex)
+	ms.BySuite.merge(&o.BySuite)
+	ms.ByCurve.merge(&o.ByCurve)
 	ms.AdvRC4 += o.AdvRC4
 	ms.AdvDES += o.AdvDES
 	ms.Adv3DES += o.Adv3DES
@@ -352,12 +380,8 @@ func (ms *MonthStats) merge(o *MonthStats) {
 	ms.AdvChaCha += o.AdvChaCha
 	ms.AdvCCM += o.AdvCCM
 	ms.AdvTLS13 += o.AdvTLS13
-	for k, v := range o.TLS13Variant {
-		ms.TLS13Variant[k] += v
-	}
-	for k, v := range o.ByExtension {
-		ms.ByExtension[k] += v
-	}
+	ms.TLS13Variant.merge(&o.TLS13Variant)
+	ms.ByExtension.merge(&o.ByExtension)
 	ms.OffersHeartbeatN += o.OffersHeartbeatN
 	ms.HeartbeatAckN += o.HeartbeatAckN
 	ms.NULLNegotiated += o.NULLNegotiated
@@ -412,18 +436,19 @@ func (a *Aggregate) Merge(other *Aggregate) {
 		}
 		ms.merge(oms)
 	}
-	for fp, first := range other.fpFirst {
-		if cur, seen := a.fpFirst[fp]; !seen || cur.After(first) {
-			a.fpFirst[fp] = first
+	for fp, ol := range other.fps {
+		life := a.fps[fp]
+		if life == nil {
+			life = a.newLife(fp, ol.first, ol.last)
+		} else {
+			if life.first.After(ol.first) {
+				life.first = ol.first
+			}
+			if ol.last.After(life.last) {
+				life.last = ol.last
+			}
 		}
-	}
-	for fp, last := range other.fpLast {
-		if cur, seen := a.fpLast[fp]; !seen || last.After(cur) {
-			a.fpLast[fp] = last
-		}
-	}
-	for fp, n := range other.fpConns {
-		a.fpConns[fp] += n
+		life.conns += ol.conns
 	}
 }
 
@@ -494,15 +519,14 @@ type FPDuration struct {
 
 // FPDurations returns lifetime stats for every fingerprint seen.
 func (a *Aggregate) FPDurations() []FPDuration {
-	out := make([]FPDuration, 0, len(a.fpFirst))
-	for fp, first := range a.fpFirst {
-		last := a.fpLast[fp]
+	out := make([]FPDuration, 0, len(a.fps))
+	for fp, life := range a.fps {
 		out = append(out, FPDuration{
 			Fingerprint: fp,
-			First:       first,
-			Last:        last,
-			Days:        last.DaysSince(first) + 1,
-			Connections: a.fpConns[fp],
+			First:       life.first,
+			Last:        life.last,
+			Days:        life.last.DaysSince(life.first) + 1,
+			Connections: life.conns,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })

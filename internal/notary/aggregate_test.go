@@ -1,0 +1,151 @@
+package notary
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"tlsage/internal/registry"
+	"tlsage/internal/timeline"
+)
+
+// In steady state — the month and the fingerprint already known to the
+// aggregate — Add allocates nothing, with or without GREASE in the hello.
+func TestAddAllocFree(t *testing.T) {
+	plain := sampleRecord()
+	grease := sampleRecord()
+	grease.ClientSuites = append([]uint16{0x0a0a}, grease.ClientSuites...)
+	grease.ClientSuites = append(grease.ClientSuites, 0xfafa)
+	grease.ClientExtensions = append([]registry.ExtensionID{0x2a2a}, grease.ClientExtensions...)
+	grease.ClientSupportedVs = append([]registry.Version{0x3a3a}, grease.ClientSupportedVs...)
+	grease.Fingerprint = "fp-grease"
+
+	for _, tc := range []struct {
+		name string
+		rec  *Record
+	}{{"plain", plain}, {"grease", grease}} {
+		agg := NewAggregate()
+		agg.SetClassifier(testClassifier{mark: "fp"})
+		agg.Add(tc.rec)
+		if got := testing.AllocsPerRun(200, func() { agg.Add(tc.rec) }); got != 0 {
+			t.Errorf("%s hello: Add allocates %v per record in steady state, want 0", tc.name, got)
+		}
+		ms := agg.Stats(timeline.MonthOf(tc.rec.Date))
+		if ms.Total != 202 || ms.ByClientClass["Class fp"] != 202 {
+			t.Errorf("%s hello: Total %d, attributed %d, want 202 each", tc.name, ms.Total, ms.ByClientClass["Class fp"])
+		}
+	}
+}
+
+// The GREASE-skipping scan counts and positions exactly what the stripped
+// copy did: a hello with GREASE sprinkled through it aggregates like the
+// same hello without it.
+func TestAddIgnoresGREASEInPlace(t *testing.T) {
+	clean := &Record{
+		Date:              timeline.D(2017, time.March, 1),
+		ClientVersion:     registry.VersionTLS12,
+		ClientSuites:      []uint16{0xC02F, 0xC013, 0x0005, 0x000A},
+		ClientExtensions:  []registry.ExtensionID{registry.ExtServerName, registry.ExtALPN},
+		ClientSupportedVs: []registry.Version{registry.VersionTLS13Draft18},
+	}
+	greased := clean.Clone()
+	greased.ClientSuites = []uint16{0x0a0a, 0xC02F, 0x1a1a, 0xC013, 0x0005, 0xfafa, 0x000A, 0x2a2a}
+	greased.ClientExtensions = []registry.ExtensionID{0x4a4a, registry.ExtServerName, 0x5a5a, registry.ExtALPN}
+	greased.ClientSupportedVs = []registry.Version{0x6a6a, registry.VersionTLS13Draft18}
+
+	want, got := NewAggregate(), NewAggregate()
+	want.Add(clean)
+	got.Add(greased)
+	m := timeline.M(2017, time.March)
+	w, g := want.Stats(m), got.Stats(m)
+	for _, class := range []string{"AEAD", "CBC", "RC4", "3DES"} {
+		if w.PosSum[class] != g.PosSum[class] || w.PosCount[class] != g.PosCount[class] {
+			t.Errorf("%s position: greased %v/%d, clean %v/%d", class,
+				g.PosSum[class], g.PosCount[class], w.PosSum[class], w.PosCount[class])
+		}
+	}
+	if g.ByExtension.Len() != 2 || g.ByExtension.Get(registry.ExtALPN) != 1 {
+		t.Errorf("greased hello counted %d extensions, want the 2 real ones", g.ByExtension.Len())
+	}
+	if g.AdvRC4 != 1 || g.Adv3DES != 1 || g.AdvAEAD != 1 || g.AdvTLS13 != 1 {
+		t.Error("greased hello lost an advertisement counter")
+	}
+}
+
+// A classifier installed after a snapshot decode attributes records of the
+// fingerprints the snapshot already held; records that arrived while no
+// classifier was set stay unattributed.
+func TestSetClassifierAfterDecode(t *testing.T) {
+	rec := sampleRecord()
+	rec.Fingerprint = "fp-known"
+	src := NewAggregate()
+	src.Add(rec)
+	agg, err := DecodeSnapshot(EncodeSnapshot(nil, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	agg.Add(rec) // still no classifier: counted, never attributed
+	ms := agg.Stats(timeline.MonthOf(rec.Date))
+	if len(ms.ByClientClass) != 0 {
+		t.Fatalf("attributed %v with no classifier", ms.ByClientClass)
+	}
+
+	agg.SetClassifier(testClassifier{mark: "known"})
+	agg.Add(rec)
+	if got := ms.ByClientClass["Class known"]; got != 1 {
+		t.Errorf("ByClientClass = %d after one classified record of a decoded fingerprint, want 1", got)
+	}
+	if ms.ByFingerprint["fp-known"] != 3 || ms.Total != 3 {
+		t.Errorf("ByFingerprint %d, Total %d, want 3 each", ms.ByFingerprint["fp-known"], ms.Total)
+	}
+
+	// Swapping the classifier re-resolves too; clearing it stops attribution.
+	agg.SetClassifier(testClassifier{mark: "fp"})
+	agg.Add(rec)
+	agg.SetClassifier(nil)
+	agg.Add(rec)
+	if ms.ByClientClass["Class known"] != 1 || ms.ByClientClass["Class fp"] != 1 || len(ms.ByClientClass) != 2 {
+		t.Errorf("after swapping and clearing the classifier: %v", ms.ByClientClass)
+	}
+}
+
+// BenchmarkAggregateAdd is the ingest inner loop the service runs: records
+// are added to a private shard, which is merged into the standing aggregate
+// every 4096 records (the default flush) or every 256 (a live feeder's
+// stream).
+func BenchmarkAggregateAdd(b *testing.B) {
+	recs := benchIngestRecordSet()
+	for _, shard := range []int{4096, 256} {
+		b.Run(fmt.Sprintf("shard%d", shard), func(b *testing.B) {
+			cls := testClassifier{mark: "a"}
+			standing := NewAggregate()
+			standing.SetClassifier(cls)
+			pass := func() {
+				for lo := 0; lo < len(recs); lo += shard {
+					sh := NewAggregate()
+					sh.SetClassifier(cls)
+					for _, r := range recs[lo:min(lo+shard, len(recs))] {
+						sh.Add(r)
+					}
+					standing.Merge(sh)
+				}
+			}
+			pass() // months and fingerprints at their steady size
+			b.ReportAllocs()
+			var ms0, ms1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			total := float64(b.N * len(recs))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/record")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/total, "allocs/record")
+		})
+	}
+}

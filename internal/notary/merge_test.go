@@ -105,6 +105,14 @@ func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 		for _, r := range recs {
 			parts[rnd.Intn(len(parts))].Add(r)
 		}
+		// One month also holds a key touched with a zero delta (what a scan
+		// campaign with no answers leaves behind). Like a map entry it is
+		// present, and presence is content: it must survive Merge and the
+		// codec.
+		zeroMonth, zeroKey := timeline.MonthOf(recs[0].Date), registry.CurveID(0xfeed)
+		for _, a := range []*Aggregate{want, parts[0]} {
+			a.UpdateMonth(zeroMonth, 0, func(ms *MonthStats) { ms.ByCurve.Add(zeroKey, 0) })
+		}
 		got := NewAggregate()
 		got.SetClassifier(cls)
 		for _, p := range parts {
@@ -138,6 +146,19 @@ func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want.FPDurations(), got.FPDurations()) {
 			t.Fatalf("trial %d: FPDurations differ after merge", trial)
+		}
+		back, err := DecodeSnapshot(EncodeSnapshot(nil, got))
+		if err != nil {
+			t.Fatalf("trial %d: merged aggregate does not decode: %v", trial, err)
+		}
+		back.SetClassifier(cls)
+		if !reflect.DeepEqual(back, got) {
+			t.Fatalf("trial %d: merged aggregate changed across encode/decode", trial)
+		}
+		for name, a := range map[string]*Aggregate{"merged": got, "decoded": back} {
+			if c := &a.Stats(zeroMonth).ByCurve; !c.Has(zeroKey) || c.Get(zeroKey) != 0 {
+				t.Fatalf("trial %d: %s aggregate lost the present-but-zero key", trial, name)
+			}
 		}
 		if cls != nil {
 			attributed := 0

@@ -154,25 +154,25 @@ func TestAggregateCounters(t *testing.T) {
 	if ms.Total != 2 || ms.Established != 1 {
 		t.Fatalf("total=%d established=%d", ms.Total, ms.Established)
 	}
-	if ms.ByVersion[registry.VersionTLS12] != 1 {
+	if ms.ByVersion.Get(registry.VersionTLS12) != 1 {
 		t.Error("version counter")
 	}
 	if ms.ByClass["AEAD"] != 1 {
 		t.Error("class counter")
 	}
-	if ms.ByKex[registry.KexECDHE] != 1 {
+	if ms.ByKex.Get(registry.KexECDHE) != 1 {
 		t.Error("kex counter")
 	}
 	if ms.AdvRC4 != 2 || ms.Adv3DES != 2 || ms.AdvAEAD != 2 {
 		t.Error("advertisement counters")
 	}
-	if ms.AdvTLS13 != 2 || ms.TLS13Variant[registry.VersionTLS13Google] != 2 {
+	if ms.AdvTLS13 != 2 || ms.TLS13Variant.Get(registry.VersionTLS13Google) != 2 {
 		t.Error("TLS 1.3 advertisement counters")
 	}
 	if ms.OffersHeartbeatN != 2 || ms.HeartbeatAckN != 1 {
 		t.Error("heartbeat counters")
 	}
-	if ms.ByCurve[registry.CurveSecp256r1] != 1 {
+	if ms.ByCurve.Get(registry.CurveSecp256r1) != 1 {
 		t.Error("curve counter")
 	}
 	if len(ms.FPs) != 2 {
@@ -306,17 +306,17 @@ func TestAggregateByExtension(t *testing.T) {
 	r := sampleRecord()
 	agg.Add(r)
 	ms := agg.Stats(timeline.M(2015, time.June))
-	if ms.ByExtension[registry.ExtServerName] != 1 || ms.ByExtension[registry.ExtSupportedGroups] != 1 {
+	if ms.ByExtension.Get(registry.ExtServerName) != 1 || ms.ByExtension.Get(registry.ExtSupportedGroups) != 1 {
 		t.Errorf("extension counters: %v", ms.ByExtension)
 	}
 	// GREASE extensions are stripped.
 	r2 := sampleRecord()
 	r2.ClientExtensions = []registry.ExtensionID{registry.ExtensionID(0x0a0a), registry.ExtALPN}
 	agg.Add(r2)
-	if ms.ByExtension[registry.ExtensionID(0x0a0a)] != 0 {
+	if ms.ByExtension.Get(registry.ExtensionID(0x0a0a)) != 0 {
 		t.Error("GREASE extension counted")
 	}
-	if ms.ByExtension[registry.ExtALPN] != 1 {
+	if ms.ByExtension.Get(registry.ExtALPN) != 1 {
 		t.Error("ALPN not counted")
 	}
 }

@@ -375,10 +375,19 @@ func parseDate(s string) (timeline.Date, error) {
 	y, err1 := strconv.Atoi(s[:i])
 	m, err2 := strconv.Atoi(s[i+1 : j])
 	d, err3 := strconv.Atoi(s[j+1:])
-	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 {
+	if err1 != nil || err2 != nil || err3 != nil || !validDate(y, m, d) {
 		return timeline.Date{}, fmt.Errorf("notary: bad date %q", s)
 	}
 	return timeline.Date{Year: y, Month: timeMonth(m), Day: d}, nil
+}
+
+// validDate bounds every date on its way in: TSV lines (parseDate) and TLSB
+// records, snapshots and deltas (snapDecoder.date) all pass through it, so a
+// date that was accepted can always be written out and read back. The year
+// range is the one appendDate's four digits can carry; the day is
+// range-checked only, never against the month's length.
+func validDate(year, month, day int) bool {
+	return year >= 1 && year <= 9999 && month >= 1 && month <= 12 && day >= 1 && day <= 31
 }
 
 // appendParsedHexList parses a comma-separated %04x list into dst[:0],

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tlsage/internal/framing"
-	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
 )
 
@@ -121,18 +120,13 @@ func appendDateEnc(dst []byte, d timeline.Date) []byte {
 	return appendCount(dst, d.Day)
 }
 
-// appendU16Map encodes a map keyed by a uint16-backed code point type in
-// sorted key order.
-func appendU16Map[K ~uint8 | ~uint16](dst []byte, m map[K]int) []byte {
-	dst = appendCount(dst, len(m))
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+// appendCounts encodes a code-point counter table: its present keys in
+// ascending order, which is the order Counts iterates in.
+func appendCounts[K ~uint8 | ~uint16](dst []byte, c *Counts[K]) []byte {
+	dst = appendCount(dst, c.Len())
+	for k, v := range c.All() {
 		dst = appendUvarint(dst, uint64(k))
-		dst = appendCount(dst, m[k])
+		dst = appendCount(dst, v)
 	}
 	return dst
 }
@@ -217,15 +211,15 @@ func AppendAggregatePayload(dst []byte, a *Aggregate) []byte {
 	for _, m := range months {
 		dst = appendMonthStats(dst, a.months[m])
 	}
-	// Fingerprint lifetimes: fpFirst, fpLast and fpConns always share one
-	// key set (Add fills all three together, Merge preserves that), so one
-	// row carries all three values.
-	dst = appendCount(dst, len(a.fpFirst))
-	for _, fp := range sortedStringKeys(a.fpFirst) {
+	// Fingerprint lifetimes, one row each. The memoised class is
+	// configuration-derived and not written.
+	dst = appendCount(dst, len(a.fps))
+	for _, fp := range sortedStringKeys(a.fps) {
+		life := a.fps[fp]
 		dst = appendString(dst, fp)
-		dst = appendDateEnc(dst, a.fpFirst[fp])
-		dst = appendDateEnc(dst, a.fpLast[fp])
-		dst = appendUvarint(dst, uint64(a.fpConns[fp]))
+		dst = appendDateEnc(dst, life.first)
+		dst = appendDateEnc(dst, life.last)
+		dst = appendUvarint(dst, uint64(life.conns))
 	}
 	return dst
 }
@@ -235,13 +229,13 @@ func appendMonthStats(dst []byte, ms *MonthStats) []byte {
 	dst = appendCount(dst, int(ms.Month.M))
 	dst = appendCount(dst, ms.Total)
 	dst = appendCount(dst, ms.Established)
-	dst = appendU16Map(dst, ms.ByVersion)
+	dst = appendCounts(dst, &ms.ByVersion)
 	dst = appendStrIntMap(dst, ms.ByClass)
-	dst = appendU16Map(dst, ms.ByKex)
-	dst = appendU16Map(dst, ms.BySuite)
-	dst = appendU16Map(dst, ms.ByCurve)
-	dst = appendU16Map(dst, ms.TLS13Variant)
-	dst = appendU16Map(dst, ms.ByExtension)
+	dst = appendCounts(dst, &ms.ByKex)
+	dst = appendCounts(dst, &ms.BySuite)
+	dst = appendCounts(dst, &ms.ByCurve)
+	dst = appendCounts(dst, &ms.TLS13Variant)
+	dst = appendCounts(dst, &ms.ByExtension)
 	for _, v := range [...]int{
 		ms.AdvRC4, ms.AdvDES, ms.Adv3DES, ms.AdvAEAD,
 		ms.AdvExport, ms.AdvAnon, ms.AdvNULL,
@@ -393,25 +387,25 @@ func (d *snapDecoder) date() timeline.Date {
 	if d.err != nil {
 		return timeline.Date{}
 	}
-	if m < 1 || m > 12 {
-		d.fail("bad month %d in date", m)
+	if !validDate(y, m, day) {
+		d.fail("bad date %d-%d-%d", y, m, day)
 		return timeline.Date{}
 	}
 	return timeline.Date{Year: y, Month: time.Month(m), Day: day}
 }
 
-func decodeU16Map[K ~uint8 | ~uint16](d *snapDecoder, max uint64) map[K]int {
+// decodeCounts fills c from the appendCounts encoding. Keys beyond K's
+// range are refused; of a repeated key the last entry wins.
+func decodeCounts[K ~uint8 | ~uint16](d *snapDecoder, c *Counts[K]) {
 	n := d.length(2)
-	m := make(map[K]int, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.uvarint()
-		if k > max {
+		if k > uint64(^K(0)) {
 			d.fail("map key %d out of range", k)
-			return m
+			return
 		}
-		m[K(k)] = d.count()
+		c.Set(K(k), d.count())
 	}
-	return m
 }
 
 func (d *snapDecoder) strIntMap() map[string]int {
@@ -449,13 +443,11 @@ func decodeSnapshotPayload(b []byte, version byte) (*Aggregate, error) {
 		if d.err != nil {
 			break
 		}
-		if _, dup := a.fpFirst[fp]; dup {
+		if _, dup := a.fps[fp]; dup {
 			d.fail("duplicate fingerprint %q", fp)
 			break
 		}
-		a.fpFirst[fp] = first
-		a.fpLast[fp] = last
-		a.fpConns[fp] = int64(conns)
+		a.newLife(fp, first, last).conns = int64(conns)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -469,19 +461,19 @@ func decodeSnapshotPayload(b []byte, version byte) (*Aggregate, error) {
 func decodeMonthStats(d *snapDecoder, version byte) *MonthStats {
 	year := d.count()
 	month := d.count()
-	if d.err == nil && (month < 1 || month > 12) {
-		d.fail("bad month number %d", month)
+	if d.err == nil && !validDate(year, month, 1) {
+		d.fail("bad month %d-%d", year, month)
 	}
 	ms := newMonthStats(timeline.Month{Year: year, M: time.Month(month)})
 	ms.Total = d.count()
 	ms.Established = d.count()
-	ms.ByVersion = decodeU16Map[registry.Version](d, math.MaxUint16)
+	decodeCounts(d, &ms.ByVersion)
 	ms.ByClass = d.strIntMap()
-	ms.ByKex = decodeU16Map[registry.KeyExchange](d, math.MaxUint8)
-	ms.BySuite = decodeU16Map[uint16](d, math.MaxUint16)
-	ms.ByCurve = decodeU16Map[registry.CurveID](d, math.MaxUint16)
-	ms.TLS13Variant = decodeU16Map[registry.Version](d, math.MaxUint16)
-	ms.ByExtension = decodeU16Map[registry.ExtensionID](d, math.MaxUint16)
+	decodeCounts(d, &ms.ByKex)
+	decodeCounts(d, &ms.BySuite)
+	decodeCounts(d, &ms.ByCurve)
+	decodeCounts(d, &ms.TLS13Variant)
+	decodeCounts(d, &ms.ByExtension)
 	for _, p := range [...]*int{
 		&ms.AdvRC4, &ms.AdvDES, &ms.Adv3DES, &ms.AdvAEAD,
 		&ms.AdvExport, &ms.AdvAnon, &ms.AdvNULL,

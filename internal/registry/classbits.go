@@ -121,24 +121,42 @@ func (sc *SuiteScan) FirstIndex(c ClassBits) int {
 // It subsumes one ListHas call per class plus one FirstIndexWhere call per
 // position class, and performs no allocation.
 func ScanSuites(ids []uint16) SuiteScan {
+	sc, _ := scanSuites(ids, false)
+	return sc
+}
+
+// ScanSuitesNoGREASE is ScanSuites(StripGREASE16(ids)) together with the
+// length of that stripped list, computed by stepping over GREASE code points
+// in place: no copy is made, and indexes are positions in the stripped list.
+func ScanSuitesNoGREASE(ids []uint16) (sc SuiteScan, n int) {
+	return scanSuites(ids, true)
+}
+
+// scanSuites is the shared pass; n is the number of list slots counted, all
+// of them unless skipGREASE. A GREASE code point has no class bits, so the
+// GREASE test only runs on the classless slots.
+func scanSuites(ids []uint16, skipGREASE bool) (sc SuiteScan, n int) {
 	classBitsOnce.Do(buildClassBitsTab)
-	var sc SuiteScan
 	for i := range sc.first {
 		sc.first[i] = -1
 	}
 	tab := classBitsTab
+	skipped := 0
 	for i, id := range ids {
 		b := tab[id]
 		if b == 0 {
+			if skipGREASE && IsGREASE(id) {
+				skipped++
+			}
 			continue
 		}
 		fresh := b &^ sc.Bits
 		sc.Bits |= b
 		for fresh != 0 {
 			bit := fresh&(fresh-1) ^ fresh
-			sc.first[bits.TrailingZeros16(uint16(bit))] = int32(i)
+			sc.first[bits.TrailingZeros16(uint16(bit))] = int32(i - skipped)
 			fresh &^= bit
 		}
 	}
-	return sc
+	return sc, len(ids) - skipped
 }

@@ -86,6 +86,25 @@ func TestScanSuitesEquivalence(t *testing.T) {
 	}
 }
 
+// ScanSuitesNoGREASE is ScanSuites over the stripped copy, without the copy.
+func TestScanSuitesNoGREASEMatchesStrippedScan(t *testing.T) {
+	rnd := rand.New(rand.NewSource(43))
+	all := AllSuites()
+	for trial := 0; trial < 500; trial++ {
+		ids := randomSuiteList(rnd, all)
+		stripped := StripGREASE16(ids)
+		got, n := ScanSuitesNoGREASE(ids)
+		if want := ScanSuites(stripped); got != want || n != len(stripped) {
+			t.Fatalf("trial %d: scan %+v over %d slots, want %+v over %d (ids %04x)",
+				trial, got, n, want, len(stripped), ids)
+		}
+	}
+	list := []uint16{0x1a1a, 0x1301, 0xc02f, 0x2a2a, 0x000a}
+	if got := testing.AllocsPerRun(200, func() { _, _ = ScanSuitesNoGREASE(list) }); got != 0 {
+		t.Errorf("ScanSuitesNoGREASE: %v allocs/run, want 0", got)
+	}
+}
+
 // Allocation-regression guards for the aggregation hot path.
 
 func TestStripGREASE16FastPathAllocs(t *testing.T) {

@@ -7,19 +7,21 @@ import (
 )
 
 var (
-	suiteOnce   sync.Once
-	suiteByID   map[uint16]Suite
+	suiteOnce sync.Once
+	// suiteSlot is dense over the uint16 code-point space, like classBitsTab:
+	// 1 + the suite's index in suiteTable, 0 for unregistered code points.
+	suiteSlot   []uint16
 	suiteByName map[string]uint16
 )
 
 func buildSuiteIndex() {
-	suiteByID = make(map[uint16]Suite, len(suiteTable))
+	suiteSlot = make([]uint16, 1<<16)
 	suiteByName = make(map[string]uint16, len(suiteTable))
-	for _, s := range suiteTable {
-		if _, dup := suiteByID[s.ID]; dup {
+	for i, s := range suiteTable {
+		if suiteSlot[s.ID] != 0 {
 			panic(fmt.Sprintf("registry: duplicate suite id %#04x", s.ID))
 		}
-		suiteByID[s.ID] = s
+		suiteSlot[s.ID] = uint16(i + 1)
 		suiteByName[s.Name] = s.ID
 	}
 }
@@ -28,8 +30,11 @@ func buildSuiteIndex() {
 // for unregistered code points (including GREASE values).
 func SuiteByID(id uint16) (Suite, bool) {
 	suiteOnce.Do(buildSuiteIndex)
-	s, ok := suiteByID[id]
-	return s, ok
+	slot := suiteSlot[id]
+	if slot == 0 {
+		return Suite{}, false
+	}
+	return suiteTable[slot-1], true
 }
 
 // MustSuite returns the suite registered under id and panics if unknown.

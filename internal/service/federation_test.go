@@ -31,7 +31,7 @@ func fedShard(seed uint64, months int) *notary.Aggregate {
 		agg.UpdateMonth(m, 5+i, func(ms *notary.MonthStats) {
 			ms.Total += int(5 + i)
 			ms.Established += int(3 + seed)
-			ms.ByVersion[registry.VersionTLS12] += int(2 + seed)
+			ms.ByVersion.Add(registry.VersionTLS12, int(2+seed))
 			ms.ByClass["RC4"] += int(1 + i)
 		})
 		m = m.Next()

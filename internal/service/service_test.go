@@ -314,6 +314,78 @@ func TestIngestBadLineKeepsPrefix(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesOutOfRangeDate: a line whose year no snapshot could carry
+// is a malformed field like any other — 400 over HTTP, an "error:" line over
+// TCP, the stream stopping there — instead of being acknowledged and then
+// poisoning every snapshot and delta the study writes.
+func TestIngestRefusesOutOfRangeDate(t *testing.T) {
+	log, _ := sharedLog(t)
+	lines := bytes.SplitAfter(log, []byte{'\n'})
+	var good []byte
+	for _, l := range lines {
+		if len(l) > 0 && l[0] != '#' {
+			good = l
+			break
+		}
+	}
+	hostile := append([]byte("9223372036854775807-05-10"), good[bytes.IndexByte(good, '\t'):]...)
+	stream := func() []byte { return bytes.Join([][]byte{good, hostile, good}, nil) }
+
+	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(1))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/ingest", "text/tab-separated-values", bytes.NewReader(stream()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("line 2")) {
+		t.Fatalf("HTTP: status %d body %s, want 400 naming line 2", resp.StatusCode, body)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeTCP(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(stream()); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
+	conn.Close()
+	if err != nil || !strings.HasPrefix(string(reply), "error:") || !strings.Contains(string(reply), "line 2") {
+		t.Fatalf("TCP: reply %q (err %v), want an error: line naming line 2", reply, err)
+	}
+
+	// Each stream kept its first line and nothing after the bad one, and the
+	// study still snapshots and recovers.
+	if records, _, _, err := srv.Study().Counts(); err != nil || records != 2 {
+		t.Fatalf("%d records (err %v), want the 2 good prefixes", records, err)
+	}
+	var snap bytes.Buffer
+	if _, err := srv.Study().WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := notary.ReadSnapshot(&snap); err != nil {
+		t.Fatalf("the study's own snapshot does not decode: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("ServeTCP: %v", err)
+	}
+}
+
 // TestServiceConcurrentIngestAndQuery hammers /ingest from several streams
 // while readers poll /healthz and /figures — run under -race. Generations
 // must be monotonic per reader and the final count must equal the total fed.

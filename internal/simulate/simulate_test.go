@@ -84,7 +84,7 @@ func TestFigure1VersionShape(t *testing.T) {
 	a := studyAgg(t)
 	v := func(y int, m time.Month, ver registry.Version) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 {
-			return ms.PctEstablished(ms.ByVersion[ver])
+			return ms.PctEstablished(ms.ByVersion.Get(ver))
 		})
 	}
 	if got := v(2012, time.March, registry.VersionTLS10); got < 80 {
@@ -233,13 +233,13 @@ func TestFigure8ForwardSecrecy(t *testing.T) {
 	a := studyAgg(t)
 	kex := func(y int, m time.Month, k registry.KeyExchange) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 {
-			return ms.PctEstablished(ms.ByKex[k])
+			return ms.PctEstablished(ms.ByKex.Get(k))
 		})
 	}
 	fs := func(y int, m time.Month) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 {
 			n := 0
-			for k, c := range ms.ByKex {
+			for k, c := range ms.ByKex.All() {
 				if k.ForwardSecret() {
 					n += c
 				}
@@ -261,7 +261,7 @@ func TestFigure8ForwardSecrecy(t *testing.T) {
 	// DHE never found much use: stays below 20% at all times.
 	for _, m := range a.Months() {
 		ms := a.Stats(m)
-		if p := ms.PctEstablished(ms.ByKex[registry.KexDHE]); p > 20 {
+		if p := ms.PctEstablished(ms.ByKex.Get(registry.KexDHE)); p > 20 {
 			t.Errorf("DHE at %v = %0.1f%%, should stay minor", m, p)
 		}
 	}
@@ -273,7 +273,7 @@ func TestFigure9AEADBreakdown(t *testing.T) {
 	a := studyAgg(t)
 	ms := a.Stats(timeline.M(2018, time.March))
 	gcm128, gcm256, chacha := 0, 0, 0
-	for id, n := range ms.BySuite {
+	for id, n := range ms.BySuite.All() {
 		s, ok := registry.SuiteByID(id)
 		if !ok {
 			continue
@@ -318,14 +318,14 @@ func TestTLS13Uptake(t *testing.T) {
 		t.Errorf("TLS1.3 client support Apr 2018 = %0.1f%%, want ≈23.6%%", apr)
 	}
 	neg := pct(t, a, 2018, time.April, func(ms *notary.MonthStats) float64 {
-		return ms.PctEstablished(ms.ByVersion[registry.VersionTLS13])
+		return ms.PctEstablished(ms.ByVersion.Get(registry.VersionTLS13))
 	})
 	if neg > 6 {
 		t.Errorf("TLS1.3 negotiated Apr 2018 = %0.1f%%, want ≈1.3%%", neg)
 	}
 	// Variant split: the Google experimental variant dominates.
 	ms := a.Stats(timeline.M(2018, time.April))
-	if ms.TLS13Variant[registry.VersionTLS13Google] <= ms.TLS13Variant[registry.VersionTLS13Draft18] {
+	if ms.TLS13Variant.Get(registry.VersionTLS13Google) <= ms.TLS13Variant.Get(registry.VersionTLS13Draft18) {
 		t.Error("0x7e02 should dominate draft-18 (82.3% in the paper)")
 	}
 }
@@ -483,7 +483,7 @@ func TestCurveShares(t *testing.T) {
 	totals := map[registry.CurveID]int{}
 	grand := 0
 	for _, m := range a.Months() {
-		for c, n := range a.Stats(m).ByCurve {
+		for c, n := range a.Stats(m).ByCurve.All() {
 			totals[c] += n
 			grand += n
 		}
@@ -497,10 +497,10 @@ func TestCurveShares(t *testing.T) {
 	}
 	ms := a.Stats(timeline.M(2018, time.February))
 	mGrand := 0
-	for _, n := range ms.ByCurve {
+	for _, n := range ms.ByCurve.All() {
 		mGrand += n
 	}
-	x := 100 * float64(ms.ByCurve[registry.CurveX25519]) / float64(mGrand)
+	x := 100 * float64(ms.ByCurve.Get(registry.CurveX25519)) / float64(mGrand)
 	if x < 8 || x > 45 {
 		t.Errorf("x25519 share Feb 2018 = %0.1f%%, want ≈22%%", x)
 	}
