@@ -115,3 +115,91 @@ func TestOneServeAssembly(t *testing.T) {
 		}
 	}
 }
+
+// calledOnlyByTests is TestProductionCallsProduction's allow-list: name →
+// why a declaration that only tests reach stays in a production file.
+var calledOnlyByTests = map[string]string{
+	"AllSuites": "read accessor: the registered suites in code-point order. The notary codec, merge and snapshot " +
+		"property tests and the registry's class-bit property test draw their random suite lists from it; " +
+		"production looks a suite up by ID and never enumerates them",
+	"Served": "read accessor: the connections a farm host has answered. The scanner tests assert through it that a " +
+		"finished scan probed every target exactly once and that a cancelled one opened no connection",
+}
+
+// TestProductionCallsProduction guards the "production code is what
+// production calls" decision: every top-level func or method declared in a
+// non-test file under internal/ must be named in some non-test file of the
+// module (cmd/, examples/ and bench/ count as callers) outside its own
+// declaration. What only _test.go files reach is either a predecessor that
+// belongs beside the differential test using it, or dead. The check is by
+// name on purpose (go/parser only; the type-checked scan needs a source
+// importer and 13 s), so two declarations sharing a name vouch for each
+// other; the methods the standard library calls through its interfaces are
+// exempt.
+func TestProductionCallsProduction(t *testing.T) {
+	exempt := []string{"init", "String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON", "MarshalBinary",
+		"Read", "Write", "Len", "Less", "Swap", "ServeHTTP"}
+	type decl struct {
+		name string
+		pos  token.Position
+	}
+	var decls []decl
+	named := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		for _, d := range f.Decls {
+			fn, isFunc := d.(*ast.FuncDecl)
+			if isFunc && internal {
+				decls = append(decls, decl{fn.Name.Name, fset.Position(fn.Pos())})
+			}
+			// Every identifier names something, except a func's own name
+			// and, inside its declaration, calls to itself.
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !(isFunc && id.Name == fn.Name.Name) {
+					named[id.Name] = true
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("no declarations under internal/: the guard is looking in the wrong place")
+	}
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.name] = true
+		if named[d.name] || slices.Contains(exempt, d.name) || calledOnlyByTests[d.name] != "" {
+			continue
+		}
+		t.Errorf("%s:%d: %s is reached only from tests: delete it, or move it into the _test.go that uses it as a reference", d.pos.Filename, d.pos.Line, d.name)
+	}
+	for name, reason := range calledOnlyByTests {
+		if reason == "" {
+			t.Errorf("allow-list entry %s has no reason", name)
+		}
+		if !declared[name] || named[name] {
+			t.Errorf("allow-list entry %s is stale: it is no longer declared under internal/, or production names it now", name)
+		}
+	}
+}

@@ -24,7 +24,6 @@ import (
 	"tlsage/internal/handshake"
 	"tlsage/internal/notary"
 	"tlsage/internal/population"
-	"tlsage/internal/registry"
 	"tlsage/internal/scanner"
 	"tlsage/internal/serverfarm"
 	"tlsage/internal/simulate"
@@ -36,18 +35,27 @@ var (
 	benchAgg       *notary.Aggregate
 	benchFrameOnce sync.Once
 	benchFrame     *analysis.Frame
+	// benchDB is the fingerprint database every bench aggregate classifies
+	// with, as Study.Run and Study.LoadLog install it.
+	benchDB = sync.OnceValue(fingerprint.BuildDefault)
 )
+
+// simulateClassified runs the simulator the way `tlstrend simulate` does
+// (Study.RunSinks): Simulator.Run into one aggregate whose classifier is the
+// fingerprint database.
+func simulateClassified(b *testing.B, opts simulate.Options) *notary.Aggregate {
+	b.Helper()
+	agg := notary.NewAggregate()
+	agg.SetClassifier(benchDB())
+	if err := simulate.New(opts).Run(agg); err != nil {
+		b.Fatal(err)
+	}
+	return agg
+}
 
 func studyAggregate(b *testing.B) *notary.Aggregate {
 	b.Helper()
-	benchOnce.Do(func() {
-		sim := simulate.New(simulate.DefaultOptions(800))
-		var err error
-		benchAgg, err = sim.RunAggregate()
-		if err != nil {
-			panic(err)
-		}
-	})
+	benchOnce.Do(func() { benchAgg = simulateClassified(b, simulate.DefaultOptions(800)) })
 	return benchAgg
 }
 
@@ -71,12 +79,13 @@ func benchFigure(b *testing.B, n int) analysis.Figure {
 
 // monthVal extracts a series value for metric reporting.
 func monthVal(fig analysis.Figure, series string, y int, m time.Month) float64 {
-	s, ok := fig.SeriesByName(series)
-	if !ok {
-		return -1
+	for _, s := range fig.Series {
+		if s.Name == series {
+			v, _ := s.Value(timeline.M(y, m))
+			return v
+		}
 	}
-	v, _ := s.Value(timeline.M(y, m))
-	return v
+	return -1
 }
 
 // --- Tables ---
@@ -91,12 +100,11 @@ func BenchmarkTable1VersionDates(b *testing.B) {
 }
 
 func BenchmarkTable2FingerprintSummary(b *testing.B) {
-	agg := studyAggregate(b)
-	db := fingerprint.BuildDefault()
+	f, db := studyFrame(b), benchDB()
 	b.ResetTimer()
 	var rep analysis.Table2Report
 	for i := 0; i < b.N; i++ {
-		rep = analysis.BuildTable2(agg, db)
+		rep = analysis.BuildTable2Frame(f, db)
 	}
 	b.ReportMetric(rep.TotalCoverage, "coverage_pct_paper_69.23")
 	b.ReportMetric(float64(rep.TotalFPs), "fingerprints_paper_1562")
@@ -230,37 +238,10 @@ func BenchmarkAllFigures(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryEval measures the Expr interpreter on the catalog-equivalent
-// expressions of Figure 1 (five version-share series). Compare against
-// BenchmarkQueryEvalNative: the same five series through the catalog engine
-// (Frame.EvalFigure), which evaluates the same Expr data plus the
-// Figure/Point packaging.
-func BenchmarkQueryEval(b *testing.B) {
-	f := studyFrame(b)
-	exprs := make([]*analysis.Expr, 0, 5)
-	for _, v := range []string{"ssl3", "tls10", "tls11", "tls12", "tls13"} {
-		e, err := analysis.ParseQuery("pct(version:" + v + " / established)")
-		if err != nil {
-			b.Fatal(err)
-		}
-		exprs = append(exprs, e)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var vals []float64
-	for i := 0; i < b.N; i++ {
-		for _, e := range exprs {
-			var err error
-			vals, err = f.EvalSeries(e)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(vals[len(vals)-1], "tls13_apr18_pct")
-}
-
-// BenchmarkQueryEvalNative is the catalog-engine side of the comparison.
+// BenchmarkQueryEvalNative measures Figure 1 (five version-share series)
+// through the catalog engine (Frame.EvalFigure): the shared compiled plans
+// plus the Figure/Point packaging. Compare BenchmarkQueryCompiled, the same
+// five series as bare plans.
 func BenchmarkQueryEvalNative(b *testing.B) {
 	studyFrame(b)
 	b.ReportAllocs()
@@ -272,14 +253,18 @@ func BenchmarkQueryEvalNative(b *testing.B) {
 	b.ReportMetric(float64(len(fig.Series)), "series")
 }
 
-// benchPlans compiles the Figure 1 expression set (the same five series
-// BenchmarkQueryEval interprets) against the shared frame.
+// benchPlans compiles the Figure 1 expression set against the shared frame,
+// the way Study.Query does: ParseQuery, then Compile.
 func benchPlans(b *testing.B) []*analysis.Plan {
 	b.Helper()
 	f := studyFrame(b)
 	plans := make([]*analysis.Plan, 0, 5)
 	for _, v := range []string{"ssl3", "tls10", "tls11", "tls12", "tls13"} {
-		p, err := analysis.CompileQuery("pct(version:"+v+" / established)", f)
+		e, err := analysis.ParseQuery("pct(version:" + v + " / established)")
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := analysis.Compile(e, f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,9 +273,9 @@ func benchPlans(b *testing.B) []*analysis.Plan {
 	return plans
 }
 
-// BenchmarkQueryCompiled measures the plan path on the exact expression set
-// of BenchmarkQueryEval: compile once, then evaluate per request — the
-// served hot path on a cache miss.
+// BenchmarkQueryCompiled measures the plan path on the Figure 1 expression
+// set: compile once, then evaluate per request — the served hot path on a
+// cache miss.
 func BenchmarkQueryCompiled(b *testing.B) {
 	plans := benchPlans(b)
 	b.ReportAllocs()
@@ -333,8 +318,9 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 	cache := analysis.NewQueryCache(64, 1<<20)
 	keys := make([]string, len(plans))
 	for i, p := range plans {
-		keys[i] = p.Query()
-		cache.Put("bench", 0, f.Generation(), keys[i], p.Eval(), nil)
+		res := p.Eval()
+		keys[i] = res.Query
+		cache.Put("bench", 0, f.Generation(), keys[i], res, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -532,19 +518,6 @@ func BenchmarkScalarFingerprintDurations(b *testing.B) {
 	b.ReportMetric(float64(st.SingleDay), "single_day_fps")
 }
 
-func BenchmarkScalarCurveShares(b *testing.B) {
-	f := studyFrame(b)
-	b.ResetTimer()
-	var shares []analysis.CurveShare
-	for i := 0; i < b.N; i++ {
-		shares = analysis.CurveSharesFrame(f)
-	}
-	if len(shares) == 0 || shares[0].Curve != registry.CurveSecp256r1 {
-		b.Fatal("curve shares wrong")
-	}
-	b.ReportMetric(shares[0].Share, "secp256r1_pct_paper_84.4")
-}
-
 func BenchmarkScalarTLS13(b *testing.B) {
 	f := studyFrame(b)
 	b.ResetTimer()
@@ -561,7 +534,9 @@ func BenchmarkScalarTLS13(b *testing.B) {
 
 // --- Ablations (DESIGN.md §4) ---
 
-// Ablation 1: wire-level simulation vs struct-level fast path.
+// Ablation 1: wire-level simulation vs struct-level fast path. Like every
+// simulation ablation below it times what `tlstrend simulate` runs:
+// Simulator.Run into one classified aggregate.
 func benchSimulate(b *testing.B, wireLevel bool) {
 	opts := simulate.DefaultOptions(100)
 	opts.End = timeline.M(2013, time.December)
@@ -569,16 +544,14 @@ func benchSimulate(b *testing.B, wireLevel bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(i + 1)
-		if _, err := simulate.New(opts).RunAggregate(); err != nil {
-			b.Fatal(err)
-		}
+		simulateClassified(b, opts)
 	}
 }
 
 func BenchmarkAblationSimWireLevel(b *testing.B)   { benchSimulate(b, true) }
 func BenchmarkAblationSimStructLevel(b *testing.B) { benchSimulate(b, false) }
 
-// Ablation 5: parallel sharded simulation vs the sequential path, at the
+// Ablation 5: months simulated in parallel vs the sequential path, at the
 // study configuration (800 conns/month, full window, wire level). Reports
 // the serial and 8-worker wall-clock and their ratio.
 func BenchmarkAblationSimParallelSpeedup(b *testing.B) {
@@ -588,15 +561,11 @@ func BenchmarkAblationSimParallelSpeedup(b *testing.B) {
 		opts.Seed = int64(i + 1)
 		opts.Workers = 1
 		start := time.Now()
-		if _, err := simulate.New(opts).RunAggregate(); err != nil {
-			b.Fatal(err)
-		}
+		simulateClassified(b, opts)
 		serial += time.Since(start)
 		opts.Workers = 8
 		start = time.Now()
-		if _, err := simulate.New(opts).RunAggregate(); err != nil {
-			b.Fatal(err)
-		}
+		simulateClassified(b, opts)
 		parallel += time.Since(start)
 	}
 	b.ReportMetric(serial.Seconds()/float64(b.N), "serial_s/op")
@@ -612,9 +581,7 @@ func benchSimWorkers(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(i + 1)
-		if _, err := simulate.New(opts).RunAggregate(); err != nil {
-			b.Fatal(err)
-		}
+		simulateClassified(b, opts)
 	}
 }
 
@@ -678,9 +645,7 @@ func BenchmarkAblationAggStreaming(b *testing.B) {
 	opts := simulate.DefaultOptions(100)
 	opts.End = timeline.M(2012, time.December)
 	for i := 0; i < b.N; i++ {
-		if _, err := simulate.New(opts).RunAggregate(); err != nil {
-			b.Fatal(err)
-		}
+		simulateClassified(b, opts)
 	}
 }
 
@@ -734,23 +699,26 @@ func benchLog(b *testing.B) []byte {
 }
 
 func BenchmarkLoadLogSerial(b *testing.B) {
-	log := benchLog(b)
+	log, db := benchLog(b), benchDB()
 	b.SetBytes(int64(len(log)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agg := notary.NewAggregate()
+		agg.SetClassifier(db) // classified like the parallel benches below
 		if err := notary.ReadLog(bytes.NewReader(log), agg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// benchLoadLogParallel times the sharded reader with the classifier
+// Study.LoadLog passes it.
 func benchLoadLogParallel(b *testing.B, workers int) {
-	log := benchLog(b)
+	log, db := benchLog(b), benchDB()
 	b.SetBytes(int64(len(log)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := notary.ReadLogParallel(bytes.NewReader(log), workers); err != nil {
+		if _, err := notary.ReadLogParallel(bytes.NewReader(log), workers, db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -764,18 +732,19 @@ func BenchmarkLoadLogParallel8(b *testing.B) { benchLoadLogParallel(b, 8) }
 // wall-clock of both paths and their ratio (compare with the simulation
 // speedup of Ablation 5 — LoadLog should now scale the same way).
 func BenchmarkAblationLoadLogSpeedup(b *testing.B) {
-	log := benchLog(b)
+	log, db := benchLog(b), benchDB()
 	var serial, parallel time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		agg := notary.NewAggregate()
+		agg.SetClassifier(db) // the same attribution work on both sides
 		if err := notary.ReadLog(bytes.NewReader(log), agg); err != nil {
 			b.Fatal(err)
 		}
 		serial += time.Since(start)
 		start = time.Now()
-		if _, err := notary.ReadLogParallel(bytes.NewReader(log), 8); err != nil {
+		if _, err := notary.ReadLogParallel(bytes.NewReader(log), 8, db); err != nil {
 			b.Fatal(err)
 		}
 		parallel += time.Since(start)

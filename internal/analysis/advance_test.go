@@ -280,10 +280,7 @@ func TestAdvanceLeavesPredecessorAlone(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, src := range queries {
-		p, err := CompileQuery(src, prev)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := mustCompile(t, src, prev)
 		want := p.Eval()
 		wg.Add(1)
 		go func() {

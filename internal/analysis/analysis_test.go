@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"tlsage/internal/fingerprint"
 	"tlsage/internal/notary"
 	"tlsage/internal/registry"
 	"tlsage/internal/simulate"
@@ -21,16 +20,19 @@ var (
 	testFrame     *Frame
 )
 
+// simulated runs the simulator into a fresh aggregate.
+func simulated(t testing.TB, opts simulate.Options) *notary.Aggregate {
+	t.Helper()
+	agg := notary.NewAggregate()
+	if err := simulate.New(opts).Run(agg); err != nil {
+		t.Fatal(err)
+	}
+	return agg
+}
+
 func sharedAgg(t testing.TB) *notary.Aggregate {
 	t.Helper()
-	testAggOnce.Do(func() {
-		sim := simulate.New(simulate.DefaultOptions(400))
-		var err error
-		testAgg, err = sim.RunAggregate()
-		if err != nil {
-			panic(err)
-		}
-	})
+	testAggOnce.Do(func() { testAgg = simulated(t, simulate.DefaultOptions(400)) })
 	return testAgg
 }
 
@@ -73,9 +75,19 @@ func TestAllFiguresBuild(t *testing.T) {
 	}
 }
 
+// seriesByName locates a figure's series.
+func seriesByName(f Figure, name string) (*Series, bool) {
+	for i := range f.Series {
+		if f.Series[i].Name == name {
+			return &f.Series[i], true
+		}
+	}
+	return nil, false
+}
+
 func TestFigure1SeriesShape(t *testing.T) {
 	f := figByNum(t, 1)
-	tls10, ok := f.SeriesByName("TLSv10")
+	tls10, ok := seriesByName(f, "TLSv10")
 	if !ok {
 		t.Fatal("TLSv10 series missing")
 	}
@@ -91,8 +103,8 @@ func TestFigure1SeriesShape(t *testing.T) {
 
 func TestFigure8SeriesConsistency(t *testing.T) {
 	f := figByNum(t, 8)
-	rsa, _ := f.SeriesByName("RSA")
-	ecdhe, _ := f.SeriesByName("ECDHE")
+	rsa, _ := seriesByName(f, "RSA")
+	ecdhe, _ := seriesByName(f, "ECDHE")
 	rsaEarly, _ := rsa.Value(timeline.M(2012, time.June))
 	ecdheLate, _ := ecdhe.Value(timeline.M(2018, time.March))
 	if rsaEarly < 40 || ecdheLate < 70 {
@@ -215,9 +227,8 @@ func TestFingerprintScalars(t *testing.T) {
 }
 
 func TestBuildTable2(t *testing.T) {
-	agg := sharedAgg(t)
-	db := fingerprint.BuildDefault()
-	rep := BuildTable2(agg, db)
+	agg, db := classifiedAgg(t)
+	rep := BuildTable2Frame(NewFrame(agg), db)
 	if rep.TotalFPs < 1500 {
 		t.Errorf("DB size %d", rep.TotalFPs)
 	}
@@ -241,23 +252,32 @@ func TestBuildTable2(t *testing.T) {
 	}
 }
 
+// curveShare is c's share of curve-bearing connections over the whole
+// window, stated the way the S6a–c scalars state it.
+func curveShare(t *testing.T, f *Frame, c registry.CurveID) float64 {
+	t.Helper()
+	return mustCompile(t, "over(curve:"+fold(c.String())+" / curve:*)", f).EvalScalar()
+}
+
 func TestCurveSharesOrdered(t *testing.T) {
-	shares := CurveSharesFrame(sharedFrame(t))
-	if len(shares) == 0 {
+	f := sharedFrame(t)
+	if len(f.Curve) == 0 {
 		t.Fatal("no curve shares")
 	}
-	sum := 0.0
-	for i, s := range shares {
-		sum += s.Share
-		if i > 0 && shares[i-1].Share < s.Share {
-			t.Error("shares not descending")
+	var sum, topShare float64
+	var top registry.CurveID
+	for c := range f.Curve {
+		share := curveShare(t, f, c)
+		sum += share
+		if share > topShare {
+			top, topShare = c, share
 		}
 	}
 	if sum < 99.9 || sum > 100.1 {
 		t.Errorf("shares sum to %0.2f", sum)
 	}
-	if shares[0].Curve != registry.CurveSecp256r1 {
-		t.Errorf("top curve = %v, want secp256r1", shares[0].Curve)
+	if top != registry.CurveSecp256r1 {
+		t.Errorf("top curve = %v, want secp256r1", top)
 	}
 }
 
@@ -265,10 +285,6 @@ func TestSeriesValueMissing(t *testing.T) {
 	s := Series{Name: "x", Points: []Point{{Month: timeline.M(2015, time.June), Value: 5}}}
 	if _, ok := s.Value(timeline.M(2015, time.July)); ok {
 		t.Error("missing month reported present")
-	}
-	f := Figure{ID: "f", Series: []Series{s}}
-	if _, ok := f.SeriesByName("y"); ok {
-		t.Error("missing series reported present")
 	}
 }
 
@@ -280,10 +296,10 @@ func TestExtensionUptake(t *testing.T) {
 	if f.ID != "Figure E1" || len(f.Series) != 7 {
 		t.Fatalf("figure: %s with %d series", f.ID, len(f.Series))
 	}
-	rie, _ := f.SeriesByName("renegotiation_info")
-	etm, _ := f.SeriesByName("encrypt_then_mac")
-	sv, _ := f.SeriesByName("supported_versions")
-	hb, _ := f.SeriesByName("heartbeat")
+	rie, _ := seriesByName(f, "renegotiation_info")
+	etm, _ := seriesByName(f, "encrypt_then_mac")
+	sv, _ := seriesByName(f, "supported_versions")
+	hb, _ := seriesByName(f, "heartbeat")
 
 	// RIE is near-universal across the study (the post-renegotiation-attack
 	// response the paper mentions in §9).

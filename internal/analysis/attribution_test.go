@@ -3,9 +3,11 @@ package analysis
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"tlsage/internal/clientdb"
 	"tlsage/internal/fingerprint"
 	"tlsage/internal/notary"
 	"tlsage/internal/simulate"
@@ -32,6 +34,50 @@ func classifiedAgg(t testing.TB) (*notary.Aggregate, *fingerprint.DB) {
 		classifiedA = agg
 	})
 	return classifiedA, classifiedDB
+}
+
+// BuildTable2 is Table 2's first builder and BuildTable2Frame's reference: it
+// matches the database against every fingerprint-bearing record in the
+// aggregate, recomputing by a walk of the per-month fingerprint tables the
+// attribution the ingest-time ByClientClass counters record.
+func BuildTable2(agg *notary.Aggregate, db *fingerprint.DB) Table2Report {
+	classConns := map[string]int64{}
+	var total, matched int64
+	for _, m := range agg.Months() {
+		for fp, caps := range agg.Stats(m).FPs {
+			total += int64(caps.Count)
+			if e, ok := db.Lookup(fingerprint.Fingerprint(fp)); ok {
+				matched += int64(caps.Count)
+				classConns[string(e.Class)] += int64(caps.Count)
+			}
+		}
+	}
+	rep := Table2Report{TotalFPs: db.Size()}
+	if total > 0 {
+		rep.TotalCoverage = 100 * float64(matched) / float64(total)
+	}
+	counts := db.CountByClass()
+	classes := make([]string, 0, len(counts))
+	for c := range counts {
+		classes = append(classes, string(c))
+	}
+	// Rank by attributed volume with a name tie-break, so equal-volume
+	// classes (all of them, on an unclassified window) order deterministically
+	// and BuildTable2Frame can match byte-for-byte.
+	sort.Slice(classes, func(i, j int) bool {
+		if classConns[classes[i]] != classConns[classes[j]] {
+			return classConns[classes[i]] > classConns[classes[j]]
+		}
+		return classes[i] < classes[j]
+	})
+	for _, c := range classes {
+		cov := 0.0
+		if total > 0 {
+			cov = 100 * float64(classConns[c]) / float64(total)
+		}
+		rep.Rows = append(rep.Rows, Table2Row{Class: c, NumFPs: counts[clientdb.Class(c)], Coverage: cov})
+	}
+	return rep
 }
 
 // TestTable2FrameMatchesLegacy is the golden parity check for the declarative
@@ -81,10 +127,7 @@ func TestFPFamilyMatchesAggregate(t *testing.T) {
 	if !reflect.DeepEqual(f.FPConns, wantConns) {
 		t.Errorf("fp-conns diverges from ByFingerprint walk")
 	}
-	res, err := f.QueryString("fp:*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustQuery(t, f, "fp:*")
 	for i, p := range res.Series.Points {
 		if p.Value != float64(wantConns[i]) {
 			t.Errorf("fp:* month %v = %v, want %d", months[i], p.Value, wantConns[i])
@@ -125,16 +168,17 @@ func TestAgentFamilyMatchesAggregate(t *testing.T) {
 	f := NewFrame(agg)
 	months := agg.Months()
 
+	slugs := make(map[string]string, len(agentKeys))
+	for slug, class := range agentKeys {
+		slugs[class] = slug
+	}
 	attributed := 0
 	for class, col := range f.Agent {
-		slug, ok := AgentSlug(class)
+		slug, ok := slugs[class]
 		if !ok {
 			t.Fatalf("Agent column %q has no query slug", class)
 		}
-		res, err := f.QueryString("agent:" + slug)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustQuery(t, f, "agent:"+slug)
 		for i, p := range res.Series.Points {
 			want := agg.Stats(months[i]).ByClientClass[class]
 			if p.Value != float64(want) || col[i] != want {
@@ -146,10 +190,7 @@ func TestAgentFamilyMatchesAggregate(t *testing.T) {
 	if attributed == 0 {
 		t.Fatal("no attributed volume — vacuous")
 	}
-	res, err := f.QueryString("count(agent:*)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustQuery(t, f, "count(agent:*)")
 	if res.Value != float64(attributed) {
 		t.Errorf("count(agent:*) = %v, want %d", res.Value, attributed)
 	}
@@ -187,11 +228,7 @@ func BenchmarkQueryFP(b *testing.B) {
 		"over(agent:* / fp-conns)",
 		"count(fp:other)",
 	} {
-		p, err := CompileQuery(src, f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plans = append(plans, p)
+		plans = append(plans, mustCompile(b, src, f))
 	}
 	buf := make([]float64, f.Len())
 	b.ReportAllocs()

@@ -16,7 +16,7 @@ import (
 // figure catalog, the ad-hoc CLI/service queries and the impact metrics all
 // share. Unlike the closure-based evaluators it replaces, an Expr is pure
 // data: it marshals to JSON, round-trips through the compact text grammar
-// (ParseQuery / String) and is evaluated by one interpreter (Frame.Query).
+// (ParseQuery / String) and is evaluated by one engine (Compile → Plan).
 //
 // An expression has one of three kinds:
 //
@@ -182,17 +182,6 @@ var agentKeys = map[string]string{
 	"cloud-storage": string(clientdb.ClassCloudStorage),
 	"email":         string(clientdb.ClassEmail),
 	"malware":       string(clientdb.ClassMalware),
-}
-
-// AgentSlug returns the agent: selector slug for a clientdb class name,
-// ok=false for a class the vocabulary does not carry.
-func AgentSlug(class string) (string, bool) {
-	for slug, name := range agentKeys {
-		if name == class {
-			return slug, true
-		}
-	}
-	return "", false
 }
 
 // isFPID reports whether s has the shape of an FPID column key: exactly 12
@@ -435,149 +424,6 @@ func (e *Expr) Validate() error {
 	return fmt.Errorf("unknown operation %q", e.Op)
 }
 
-// --- evaluation ---
-
-// evalColumn resolves a validated column-kind expression to a dense []int
-// aligned with the frame's months; nil means all-zero. Only sum nodes and
-// family wildcards allocate (one scratch column each).
-func (f *Frame) evalColumn(e *Expr) []int {
-	switch e.Op {
-	case OpCol:
-		// fold is a no-op (and alloc-free) for canonical selectors; it keeps
-		// evaluation of a JSON-decoded, never-canonicalized tree working.
-		name := fold(e.Col)
-		if get, ok := namedColumns[name]; ok {
-			return get(f)
-		}
-		i := strings.IndexByte(name, ':')
-		def := columnFamilies[name[:i]]
-		if key := name[i+1:]; key != "*" {
-			return def.column(f, key)
-		}
-		out := make([]int, f.Len())
-		for _, c := range def.all(f) {
-			for i, v := range c {
-				out[i] += v
-			}
-		}
-		return out
-	case OpSum:
-		out := make([]int, f.Len())
-		for _, a := range e.Args {
-			for i, v := range f.evalColumn(a) {
-				out[i] += v
-			}
-		}
-		return out
-	}
-	panic(fmt.Sprintf("analysis: evalColumn on %q node", e.Op))
-}
-
-// evalSeries evaluates a validated series- or column-kind expression into
-// one float64 per month. The returned slice is the only allocation for
-// pct/position over plain columns.
-func (f *Frame) evalSeries(e *Expr) []float64 {
-	out := make([]float64, f.Len())
-	switch e.Op {
-	case OpPct:
-		num, den := f.evalColumn(e.Args[0]), f.evalColumn(e.Args[1])
-		for i := range out {
-			out[i] = pctAt(num, den, i)
-		}
-	case OpPosition:
-		class := classKeys[fold(e.Class)]
-		sums, counts := f.PosSum[class], f.PosCount[class]
-		for i := range out {
-			if c := at(counts, i); c != 0 {
-				out[i] = 100 * sums[i] / float64(c)
-			}
-		}
-	default: // column promotion: raw counts
-		for i, v := range f.evalColumn(e) {
-			out[i] = float64(v)
-		}
-	}
-	return out
-}
-
-// evalScalar evaluates a validated scalar-kind expression.
-func (f *Frame) evalScalar(e *Expr) float64 {
-	switch e.Op {
-	case OpAt:
-		m, _ := parseMonth(e.Month) // validated
-		row, ok := f.Row(m)
-		if !ok {
-			return 0
-		}
-		return f.evalSeries(e.Args[0])[row]
-	case OpOver:
-		num, den := sumCol(f.evalColumn(e.Args[0])), sumCol(f.evalColumn(e.Args[1]))
-		if den == 0 {
-			return 0
-		}
-		return 100 * float64(num) / float64(den)
-	case OpCount:
-		return float64(sumCol(f.evalColumn(e.Args[0])))
-	}
-	vals := f.evalSeries(e.Args[0])
-	if len(vals) == 0 {
-		return 0
-	}
-	switch e.Op {
-	case OpMean:
-		s := 0.0
-		for _, v := range vals {
-			s += v
-		}
-		return s / float64(len(vals))
-	case OpMin:
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v < m {
-				m = v
-			}
-		}
-		return m
-	case OpMax:
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	case OpFirst:
-		return vals[0]
-	case OpLast:
-		return vals[len(vals)-1]
-	}
-	panic(fmt.Sprintf("analysis: evalScalar on %q node", e.Op))
-}
-
-// EvalSeries validates e and evaluates it as a monthly series (columns
-// evaluate to their raw counts). Beyond validation bookkeeping, the result
-// slice is the only per-month allocation for plain-column expressions.
-func (f *Frame) EvalSeries(e *Expr) ([]float64, error) {
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	if e.Kind() == KindScalar {
-		return nil, fmt.Errorf("expression %s is a scalar, not a series", e)
-	}
-	return f.evalSeries(e), nil
-}
-
-// EvalScalar validates e and evaluates it as a single value.
-func (f *Frame) EvalScalar(e *Expr) (float64, error) {
-	if err := e.Validate(); err != nil {
-		return 0, err
-	}
-	if e.Kind() != KindScalar {
-		return 0, fmt.Errorf("expression %s is a %s, not a scalar (wrap it in at/over/mean/...)", e, e.Kind())
-	}
-	return f.evalScalar(e), nil
-}
-
 // QueryResult is the answer to one expression query: a monthly series or a
 // single scalar, tagged with the canonical form of the query it answers.
 type QueryResult struct {
@@ -589,35 +435,4 @@ type QueryResult struct {
 	Series Series
 	// Value holds the result when Kind == "scalar".
 	Value float64
-}
-
-// Query validates and evaluates an expression of any kind against the frame.
-// Series results share the frame's month index (Series.Value is O(1)).
-func (f *Frame) Query(e *Expr) (QueryResult, error) {
-	if err := e.Validate(); err != nil {
-		return QueryResult{}, err
-	}
-	src := e.String()
-	if e.Kind() == KindScalar {
-		return QueryResult{Query: src, Kind: "scalar", Value: f.evalScalar(e)}, nil
-	}
-	vals := f.evalSeries(e)
-	pts := make([]Point, len(vals))
-	for i, v := range vals {
-		pts[i] = Point{Month: f.Months[i], Value: v}
-	}
-	return QueryResult{
-		Query:  src,
-		Kind:   "series",
-		Series: Series{Name: src, Points: pts, index: f.index},
-	}, nil
-}
-
-// QueryString parses src with ParseQuery and evaluates it.
-func (f *Frame) QueryString(src string) (QueryResult, error) {
-	e, err := ParseQuery(src)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return f.Query(e)
 }

@@ -18,20 +18,20 @@ func TestCatalogExprSerializedParity(t *testing.T) {
 	f := sharedFrame(t)
 	for _, spec := range Catalog() {
 		for _, m := range spec.Metrics {
-			want, err := f.EvalSeries(m.Expr)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", spec.Name, m.Name, err)
+			series := func(e *Expr) []float64 {
+				p, err := Compile(e, f)
+				if err != nil {
+					t.Fatalf("%s/%s: compile %s: %v", spec.Name, m.Name, e, err)
+				}
+				return p.EvalSeries()
 			}
+			want := series(m.Expr)
 
 			reparsed, err := ParseQuery(m.Expr.String())
 			if err != nil {
 				t.Fatalf("%s/%s: reparse %q: %v", spec.Name, m.Name, m.Expr, err)
 			}
-			got, err := f.EvalSeries(reparsed)
-			if err != nil {
-				t.Fatalf("%s/%s: eval reparsed: %v", spec.Name, m.Name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got := series(reparsed); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s/%s: text round-trip changed values", spec.Name, m.Name)
 			}
 
@@ -43,11 +43,7 @@ func TestCatalogExprSerializedParity(t *testing.T) {
 			if err := json.Unmarshal(raw, &decoded); err != nil {
 				t.Fatalf("%s/%s: unmarshal: %v", spec.Name, m.Name, err)
 			}
-			got, err = f.EvalSeries(&decoded)
-			if err != nil {
-				t.Fatalf("%s/%s: eval decoded: %v", spec.Name, m.Name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got := series(&decoded); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s/%s: JSON round-trip changed values", spec.Name, m.Name)
 			}
 		}
@@ -58,10 +54,7 @@ func TestCatalogExprSerializedParity(t *testing.T) {
 // over the shared frame.
 func TestQueryScalarOps(t *testing.T) {
 	f := sharedFrame(t)
-	series, err := f.EvalSeries(q("pct(class:rc4 / established)"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := mustCompile(t, "pct(class:rc4 / established)", f).EvalSeries()
 	sum, min, max := 0.0, series[0], series[0]
 	for _, v := range series {
 		sum += v
@@ -84,10 +77,7 @@ func TestQueryScalarOps(t *testing.T) {
 		{"count(established)", float64(sumCol(f.Established))},
 	}
 	for _, c := range cases {
-		res, err := f.QueryString(c.src)
-		if err != nil {
-			t.Fatalf("%s: %v", c.src, err)
-		}
+		res := mustQuery(t, f, c.src)
 		if res.Kind != "scalar" || res.Value != c.want {
 			t.Errorf("%s = %v (%s), want %v", c.src, res.Value, res.Kind, c.want)
 		}
@@ -95,16 +85,12 @@ func TestQueryScalarOps(t *testing.T) {
 
 	// at() on a month inside the window equals the series row; outside = 0.
 	m := f.Months[f.Len()/2]
-	res, err := f.QueryString("at(pct(class:rc4 / established), " + m.String() + ")")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustQuery(t, f, "at(pct(class:rc4 / established), "+m.String()+")")
 	if res.Value != series[f.Len()/2] {
 		t.Errorf("at(%v) = %v, want %v", m, res.Value, series[f.Len()/2])
 	}
-	res, err = f.QueryString("at(pct(class:rc4 / established), 1999-01)")
-	if err != nil || res.Value != 0 {
-		t.Errorf("at(missing month) = %v, %v, want 0", res.Value, err)
+	if res = mustQuery(t, f, "at(pct(class:rc4 / established), 1999-01)"); res.Value != 0 {
+		t.Errorf("at(missing month) = %v, want 0", res.Value)
 	}
 }
 
@@ -112,10 +98,7 @@ func TestQueryScalarOps(t *testing.T) {
 // sum of every observed curve column.
 func TestQueryWildcardColumn(t *testing.T) {
 	f := sharedFrame(t)
-	vals, err := f.EvalSeries(q("curve:*"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals := mustCompile(t, "curve:*", f).EvalSeries()
 	for i := 0; i < f.Len(); i++ {
 		want := 0
 		for _, c := range f.Curve {
@@ -130,18 +113,9 @@ func TestQueryWildcardColumn(t *testing.T) {
 // TestQueryCaseInsensitive: selectors, op names and aliases fold.
 func TestQueryCaseInsensitive(t *testing.T) {
 	f := sharedFrame(t)
-	a, err := f.QueryString("pct(version:tls12 / established)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.QueryString("PCT(Version:TLSv12 / ESTABLISHED)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := f.QueryString("ratio(version:tls12 / established)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustQuery(t, f, "pct(version:tls12 / established)")
+	b := mustQuery(t, f, "PCT(Version:TLSv12 / ESTABLISHED)")
+	c := mustQuery(t, f, "ratio(version:tls12 / established)")
 	for _, other := range []QueryResult{b, c} {
 		if !reflect.DeepEqual(a.Series.Points, other.Series.Points) {
 			t.Fatal("case/alias variants evaluate differently")
@@ -172,8 +146,12 @@ func TestParseQueryErrors(t *testing.T) {
 			t.Errorf("ParseQuery(%q) accepted", src)
 		}
 	}
-	// EvalSeries rejects scalar-kind expressions, EvalScalar series-kind.
+	// A scalar-kind plan has no series; the interpreter's EvalSeries rejects
+	// scalar-kind expressions, its EvalScalar series-kind.
 	f := sharedFrame(t)
+	if mustCompile(t, "count(total)", f).EvalSeries() != nil {
+		t.Error("a scalar plan evaluated to a series")
+	}
 	if _, err := f.EvalSeries(q("count(total)")); err == nil {
 		t.Error("EvalSeries accepted a scalar expression")
 	}
@@ -268,14 +246,15 @@ func TestExprJSONRoundTripProperty(t *testing.T) {
 			t.Fatalf("text round trip changed the tree: %q -> %q", e, reparsed)
 		}
 
-		want, err := f.Query(e)
+		p, err := Compile(e, f)
 		if err != nil {
-			t.Fatalf("eval %s: %v", e, err)
+			t.Fatalf("compile %s: %v", e, err)
 		}
-		got, err := f.Query(&decoded)
+		pd, err := Compile(&decoded, f)
 		if err != nil {
-			t.Fatalf("eval decoded %s: %v", &decoded, err)
+			t.Fatalf("compile decoded %s: %v", &decoded, err)
 		}
+		want, got := p.Eval(), pd.Eval()
 		if want.Kind != got.Kind || want.Value != got.Value ||
 			!reflect.DeepEqual(want.Series.Points, got.Series.Points) {
 			t.Fatalf("decoded tree evaluates differently: %s", e)
@@ -385,9 +364,7 @@ func TestColumnNames(t *testing.T) {
 	}
 	f := sharedFrame(t)
 	for _, n := range names {
-		if _, err := f.QueryString(n); err != nil {
-			t.Errorf("column %q does not evaluate: %v", n, err)
-		}
+		mustQuery(t, f, n)
 	}
 }
 
@@ -396,10 +373,7 @@ func TestColumnNames(t *testing.T) {
 func TestQueryResultJSONRoundTrip(t *testing.T) {
 	f := sharedFrame(t)
 	for _, src := range []string{"pct(class:aead / established)", "count(total)"} {
-		want, err := f.QueryString(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustQuery(t, f, src)
 		raw, err := json.Marshal(want)
 		if err != nil {
 			t.Fatal(err)

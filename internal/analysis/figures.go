@@ -54,16 +54,6 @@ type Figure struct {
 	Events []timeline.Event
 }
 
-// SeriesByName locates a series.
-func (f *Figure) SeriesByName(name string) (*Series, bool) {
-	for i := range f.Series {
-		if f.Series[i].Name == name {
-			return &f.Series[i], true
-		}
-	}
-	return nil, false
-}
-
 func attackEvents(names ...string) []timeline.Event {
 	var out []timeline.Event
 	for _, e := range timeline.Events() {
@@ -102,35 +92,6 @@ func TLS13VariantSharesFrame(f *Frame) []TLS13VariantShare {
 			return out[i].Share > out[j].Share
 		}
 		return out[i].Variant < out[j].Variant
-	})
-	return out
-}
-
-// CurveShare is one row of the §6.3.3 table: negotiated curve shares over
-// the whole dataset, descending.
-type CurveShare struct {
-	Curve registry.CurveID
-	Share float64 // percent of curve-bearing connections
-}
-
-// CurveSharesFrame computes curve usage over all months of the frame.
-func CurveSharesFrame(f *Frame) []CurveShare {
-	grand := 0
-	totals := make(map[registry.CurveID]int, len(f.Curve))
-	for cv, c := range f.Curve {
-		n := sumCol(c)
-		totals[cv] = n
-		grand += n
-	}
-	out := make([]CurveShare, 0, len(totals))
-	for c, n := range totals {
-		out = append(out, CurveShare{Curve: c, Share: 100 * float64(n) / float64(grand)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
-		}
-		return out[i].Curve < out[j].Curve
 	})
 	return out
 }

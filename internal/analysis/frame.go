@@ -675,24 +675,6 @@ func (f *Frame) Row(m timeline.Month) (int, bool) {
 	return i, ok
 }
 
-// at reads column c at row i, treating a nil (never-observed) column as 0.
-func at(c []int, i int) int {
-	if c == nil {
-		return 0
-	}
-	return c[i]
-}
-
-// pctAt returns 100·num/den at row i with the figure convention that an
-// empty denominator yields 0. A negative row (month outside the frame) also
-// yields 0, matching the old nil-MonthStats behaviour.
-func pctAt(num, den []int, i int) float64 {
-	if i < 0 || at(den, i) == 0 {
-		return 0
-	}
-	return 100 * float64(at(num, i)) / float64(at(den, i))
-}
-
 // sumCol returns the sum of a column, 0 for nil.
 func sumCol(c []int) int {
 	n := 0

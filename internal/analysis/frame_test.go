@@ -86,8 +86,15 @@ func TestFrameScalarParity(t *testing.T) {
 		}
 	}
 
-	if !reflect.DeepEqual(CurveSharesFrame(f), legacyCurveSharesOverall(agg)) {
-		t.Error("curve shares diverge from the map-walking output")
+	// Every observed curve's share, asked the way the S6 scalars ask it.
+	legacyShares := legacyCurveSharesOverall(agg)
+	if len(legacyShares) != len(f.Curve) {
+		t.Errorf("frame carries %d curves, the map-walking output %d", len(f.Curve), len(legacyShares))
+	}
+	for _, s := range legacyShares {
+		if got := curveShare(t, f, s.Curve); got != s.Share {
+			t.Errorf("%v share = %v, diverges from the map-walking output %v", s.Curve, got, s.Share)
+		}
 	}
 	if !reflect.DeepEqual(TLS13VariantSharesFrame(f), legacyTLS13VariantShares(agg)) {
 		t.Error("TLS 1.3 variant shares diverge from the map-walking output")
@@ -186,19 +193,12 @@ func TestFrameRowAndSeriesIndex(t *testing.T) {
 func TestFrameStalenessGeneration(t *testing.T) {
 	opts := simulate.DefaultOptions(40)
 	opts.End = timeline.M(2012, time.June)
-	agg, err := simulate.New(opts).RunAggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := simulated(t, opts)
 	f := NewFrame(agg)
 	if f.Generation() != agg.Generation() {
 		t.Fatalf("fresh frame generation %d != aggregate %d", f.Generation(), agg.Generation())
 	}
-	more, err := simulate.New(opts).RunAggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg.Merge(more) // ingest more records: the frame must become stale
+	agg.Merge(simulated(t, opts)) // ingest more records: the frame must become stale
 	if f.Generation() == agg.Generation() {
 		t.Error("frame not detectably stale after aggregate mutation")
 	}

@@ -80,12 +80,12 @@ func (r QueryResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// EncodeJSONBody renders the result exactly as the service's JSON writer
-// does — json.MarshalIndent with a two-space indent, plus a trailing newline
-// — so a body cached next to the QueryResult serves byte-identical to a
-// freshly encoded response. It appends the bytes directly instead of going
-// through MarshalJSON: the reflective path costs one json.Marshal per point,
-// and this runs on every result-cache miss. A differential test pins it to
+// EncodeJSONBody renders the body POST /query serves, cached or not: the
+// bytes json.MarshalIndent with a two-space indent produces, plus a trailing
+// newline — the shape the service's JSON writer gives every other endpoint.
+// It appends the bytes directly instead of going through MarshalJSON: the
+// reflective path costs one json.Marshal per point, and this runs on every
+// query that is not a result-cache hit. A differential test pins it to
 // json.MarshalIndent.
 func (r QueryResult) EncodeJSONBody() ([]byte, error) {
 	size := 96 + len(r.Query)

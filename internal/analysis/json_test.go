@@ -164,11 +164,7 @@ func TestEncodeJSONBodyMatchesMarshalIndent(t *testing.T) {
 	agg, _ := classifiedAgg(t)
 	for _, f := range []*Frame{NewFrame(agg), NewFrame(notary.NewAggregate())} {
 		for _, text := range texts {
-			p, err := CompileQuery(text, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireBodyParity(t, p.Eval())
+			requireBodyParity(t, mustCompile(t, text, f).Eval())
 		}
 	}
 

@@ -17,6 +17,23 @@ import (
 
 type legacyMetric func(ms *notary.MonthStats) float64
 
+// legacyPct and legacyPctEstablished are the seed's MonthStats percentage
+// helpers, which only this reference still calls: 100·n over the month's
+// records or established connections, 0 for an empty denominator.
+func legacyPct(ms *notary.MonthStats, n int) float64 {
+	if ms.Total == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(ms.Total)
+}
+
+func legacyPctEstablished(ms *notary.MonthStats, n int) float64 {
+	if ms.Established == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(ms.Established)
+}
+
 func legacyBuildSeries(agg *notary.Aggregate, name string, f legacyMetric) Series {
 	s := Series{Name: name}
 	for _, m := range agg.Months() {
@@ -27,7 +44,7 @@ func legacyBuildSeries(agg *notary.Aggregate, name string, f legacyMetric) Serie
 
 func legacyFigure1Versions(agg *notary.Aggregate) Figure {
 	ver := func(v registry.Version) legacyMetric {
-		return func(ms *notary.MonthStats) float64 { return ms.PctEstablished(ms.ByVersion.Get(v)) }
+		return func(ms *notary.MonthStats) float64 { return legacyPctEstablished(ms, ms.ByVersion.Get(v)) }
 	}
 	return Figure{
 		ID:    "Figure 1",
@@ -47,7 +64,7 @@ func legacyFigure1Versions(agg *notary.Aggregate) Figure {
 
 func legacyFigure2NegotiatedClasses(agg *notary.Aggregate) Figure {
 	cls := func(c string) legacyMetric {
-		return func(ms *notary.MonthStats) float64 { return ms.PctEstablished(ms.ByClass[c]) }
+		return func(ms *notary.MonthStats) float64 { return legacyPctEstablished(ms, ms.ByClass[c]) }
 	}
 	return Figure{
 		ID:    "Figure 2",
@@ -68,10 +85,10 @@ func legacyFigure3Advertised(agg *notary.Aggregate) Figure {
 		ID:    "Figure 3",
 		Title: "Client-advertised RC4 / DES / 3DES / AEAD (% connections)",
 		Series: []Series{
-			legacyBuildSeries(agg, "AEAD", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvAEAD) }),
-			legacyBuildSeries(agg, "RC4", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvRC4) }),
-			legacyBuildSeries(agg, "DES", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvDES) }),
-			legacyBuildSeries(agg, "3DES", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.Adv3DES) }),
+			legacyBuildSeries(agg, "AEAD", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvAEAD) }),
+			legacyBuildSeries(agg, "RC4", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvRC4) }),
+			legacyBuildSeries(agg, "DES", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvDES) }),
+			legacyBuildSeries(agg, "3DES", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.Adv3DES) }),
 		},
 		Events: attackEvents(timeline.EventLucky13, timeline.EventPOODLE, timeline.EventRC4,
 			timeline.EventRC4Passwords, timeline.EventRC4NoMore, timeline.EventSweet32),
@@ -132,7 +149,7 @@ func legacyFigure6RC4Advertised(agg *notary.Aggregate) Figure {
 		ID:    "Figure 6",
 		Title: "Connections with client-advertised RC4 (%)",
 		Series: []Series{
-			legacyBuildSeries(agg, "RC4 advertised", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvRC4) }),
+			legacyBuildSeries(agg, "RC4 advertised", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvRC4) }),
 		},
 		Events: attackEvents(timeline.EventRC4, timeline.EventRFC7465,
 			timeline.EventRC4Passwords, timeline.EventRC4NoMore),
@@ -144,9 +161,9 @@ func legacyFigure7WeakAdvertised(agg *notary.Aggregate) Figure {
 		ID:    "Figure 7",
 		Title: "Client-advertised Export / Anonymous / NULL suites (% connections)",
 		Series: []Series{
-			legacyBuildSeries(agg, "Export", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvExport) }),
-			legacyBuildSeries(agg, "Anonymous", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvAnon) }),
-			legacyBuildSeries(agg, "Null", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvNULL) }),
+			legacyBuildSeries(agg, "Export", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvExport) }),
+			legacyBuildSeries(agg, "Anonymous", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvAnon) }),
+			legacyBuildSeries(agg, "Null", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvNULL) }),
 		},
 		Events: attackEvents(timeline.EventFREAK, timeline.EventLogjam),
 	}
@@ -154,10 +171,10 @@ func legacyFigure7WeakAdvertised(agg *notary.Aggregate) Figure {
 
 func legacyFigure8Kex(agg *notary.Aggregate) Figure {
 	kex := func(k registry.KeyExchange) legacyMetric {
-		return func(ms *notary.MonthStats) float64 { return ms.PctEstablished(ms.ByKex.Get(k)) }
+		return func(ms *notary.MonthStats) float64 { return legacyPctEstablished(ms, ms.ByKex.Get(k)) }
 	}
 	ecdhe := func(ms *notary.MonthStats) float64 {
-		return ms.PctEstablished(ms.ByKex.Get(registry.KexECDHE) + ms.ByKex.Get(registry.KexTLS13))
+		return legacyPctEstablished(ms, ms.ByKex.Get(registry.KexECDHE)+ms.ByKex.Get(registry.KexTLS13))
 	}
 	return Figure{
 		ID:    "Figure 8",
@@ -180,7 +197,7 @@ func legacyFigure9AEADNegotiated(agg *notary.Aggregate) Figure {
 					n += c
 				}
 			}
-			return ms.PctEstablished(n)
+			return legacyPctEstablished(ms, n)
 		}
 	}
 	return Figure{
@@ -206,17 +223,17 @@ func legacyFigure10AEADAdvertised(agg *notary.Aggregate) Figure {
 		ID:    "Figure 10",
 		Title: "Client-advertised AEAD ciphers (% connections)",
 		Series: []Series{
-			legacyBuildSeries(agg, "AES128-GCM", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvAESGCM128) }),
-			legacyBuildSeries(agg, "AES256-GCM", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvAESGCM256) }),
-			legacyBuildSeries(agg, "ChaCha20-Poly1305", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvChaCha) }),
-			legacyBuildSeries(agg, "AES-CCM", func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvCCM) }),
+			legacyBuildSeries(agg, "AES128-GCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvAESGCM128) }),
+			legacyBuildSeries(agg, "AES256-GCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvAESGCM256) }),
+			legacyBuildSeries(agg, "ChaCha20-Poly1305", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvChaCha) }),
+			legacyBuildSeries(agg, "AES-CCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvCCM) }),
 		},
 	}
 }
 
 func legacyExtensionUptake(agg *notary.Aggregate) Figure {
 	ext := func(id registry.ExtensionID) legacyMetric {
-		return func(ms *notary.MonthStats) float64 { return ms.Pct(ms.ByExtension.Get(id)) }
+		return func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.ByExtension.Get(id)) }
 	}
 	return Figure{
 		ID:    "Figure E1",
@@ -247,6 +264,13 @@ func legacyAllFigures(agg *notary.Aggregate) []Figure {
 		legacyFigure9AEADNegotiated(agg),
 		legacyFigure10AEADAdvertised(agg),
 	}
+}
+
+// CurveShare is one row of the §6.3.3 table: negotiated curve shares over
+// the whole dataset, descending.
+type CurveShare struct {
+	Curve registry.CurveID
+	Share float64 // percent of curve-bearing connections
 }
 
 func legacyCurveSharesOverall(agg *notary.Aggregate) []CurveShare {
@@ -312,30 +336,30 @@ func legacyPassiveScalars(agg *notary.Aggregate) []Scalar {
 	out = append(out,
 		Scalar{"S-F1a", "TLS 1.0 negotiated, Feb 2018", 2.8,
 			pctOr(feb18, func(ms *notary.MonthStats) float64 {
-				return ms.PctEstablished(ms.ByVersion.Get(registry.VersionTLS10))
+				return legacyPctEstablished(ms, ms.ByVersion.Get(registry.VersionTLS10))
 			}), "%"},
 		Scalar{"S-F1b", "TLS 1.2 negotiated, Feb 2018", 90,
 			pctOr(feb18, func(ms *notary.MonthStats) float64 {
-				return ms.PctEstablished(ms.ByVersion.Get(registry.VersionTLS12))
+				return legacyPctEstablished(ms, ms.ByVersion.Get(registry.VersionTLS12))
 			}), "%"},
 		Scalar{"S7a", "TLS 1.3 client support, Feb 2018", 0.5,
-			pctOr(feb18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvTLS13) }), "%"},
+			pctOr(feb18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvTLS13) }), "%"},
 		Scalar{"S7b", "TLS 1.3 client support, Mar 2018", 9.8,
-			pctOr(mar18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvTLS13) }), "%"},
+			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvTLS13) }), "%"},
 		Scalar{"S7c", "TLS 1.3 client support, Apr 2018", 23.6,
-			pctOr(apr18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvTLS13) }), "%"},
+			pctOr(apr18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvTLS13) }), "%"},
 		Scalar{"S7d", "TLS 1.3 negotiated, Apr 2018", 1.3,
 			pctOr(apr18, func(ms *notary.MonthStats) float64 {
-				return ms.PctEstablished(ms.ByVersion.Get(registry.VersionTLS13))
+				return legacyPctEstablished(ms, ms.ByVersion.Get(registry.VersionTLS13))
 			}), "%"},
 		Scalar{"S3c", "heartbeat negotiated, 2018", 3.0,
-			pctOr(mar18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.HeartbeatAckN) }), "%"},
+			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.HeartbeatAckN) }), "%"},
 		Scalar{"S-F3a", "3DES advertised, Mar 2018", 69,
-			pctOr(mar18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.Adv3DES) }), "%"},
+			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.Adv3DES) }), "%"},
 		Scalar{"S-F7a", "export advertised, 2012", 28.19,
-			pctOr(get(2012, time.June), func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvExport) }), "%"},
+			pctOr(get(2012, time.June), func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvExport) }), "%"},
 		Scalar{"S-F7b", "export advertised, 2018", 1.03,
-			pctOr(mar18, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvExport) }), "%"},
+			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvExport) }), "%"},
 	)
 
 	var est, nullNeg, anonNeg int

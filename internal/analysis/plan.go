@@ -1,11 +1,9 @@
 package analysis
 
-// The plan compiler: the second stage of the query engine. The Expr
-// interpreter (expr.go) re-walks the tree, re-validates it and re-resolves
-// column selectors through the vocabulary maps on every evaluation; a Plan
-// does all of that exactly once, against one Frame's column layout, and
-// leaves behind a flat program whose evaluation is a single fused loop over
-// the month axis.
+// The plan compiler: the query engine's one evaluator. A Plan validates an
+// expression and resolves its column selectors through the vocabulary maps
+// exactly once, against one Frame's column layout, and leaves behind a flat
+// program whose evaluation is a single fused loop over the month axis.
 //
 // Compilation lowers an expression as follows:
 //
@@ -25,7 +23,8 @@ package analysis
 // generation advances. Plans are immutable after Compile and safe for
 // concurrent evaluation.
 //
-// Compiled evaluation is bit-for-bit identical to the interpreter —
+// Compiled evaluation is bit-for-bit identical to the tree interpreter it
+// replaced, which lives on as the test oracle in interp_test.go —
 // plan_test.go proves it differentially for the whole catalog and for
 // randomly generated expressions, and FuzzCompileEval keeps it that way.
 
@@ -105,15 +104,6 @@ func Compile(e *Expr, f *Frame) (*Plan, error) {
 		p.compileScalar(e)
 	}
 	return p, nil
-}
-
-// CompileQuery parses src with ParseQuery and compiles it against f.
-func CompileQuery(src string, f *Frame) (*Plan, error) {
-	e, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(e, f)
 }
 
 // compileColumn resolves a validated column-kind expression to one dense
@@ -222,10 +212,6 @@ func (p *Plan) compileScalar(e *Expr) {
 // Kind returns what the plan evaluates to.
 func (p *Plan) Kind() Kind { return p.kind }
 
-// Query returns the canonical text form of the compiled expression — the
-// result-cache key.
-func (p *Plan) Query() string { return p.query }
-
 // seriesAt evaluates the fused series at one row — the streaming form the
 // scalar reductions consume, so they never materialize the series.
 func (p *Plan) seriesAt(i int) float64 {
@@ -298,8 +284,7 @@ func (p *Plan) EvalSeriesInto(dst []float64) []float64 {
 func (p *Plan) EvalSeries() []float64 { return p.EvalSeriesInto(nil) }
 
 // EvalScalar evaluates a scalar-kind plan with zero allocations: the
-// reduction streams the fused series instead of materializing it. Results
-// are bit-for-bit identical to the interpreter's EvalScalar.
+// reduction streams the fused series instead of materializing it.
 func (p *Plan) EvalScalar() float64 {
 	switch p.reduce {
 	case reduceAt:
@@ -351,8 +336,7 @@ func (p *Plan) EvalScalar() float64 {
 	panic(fmt.Sprintf("analysis: EvalScalar on series-kind plan %q", p.query))
 }
 
-// Eval evaluates the plan into the same QueryResult the interpreter's
-// Frame.Query produces, byte-identical on the wire.
+// Eval evaluates the plan into the QueryResult the query surface serves.
 func (p *Plan) Eval() QueryResult {
 	if p.kind == KindScalar {
 		return QueryResult{Query: p.query, Kind: "scalar", Value: p.EvalScalar()}

@@ -193,11 +193,11 @@ var table2Exprs = func() []*Expr {
 
 // BuildTable2Frame reproduces Table 2 from a frame through the query surface:
 // every coverage number is the evaluation of an agent:-family expression
-// against the frame's attribution columns. It matches BuildTable2 exactly —
-// byte-for-byte through RenderTable2 — when the source aggregate's classifier
-// is db, because the ingest-time ByClientClass counters then record the same
-// attribution BuildTable2 recomputes by walking the per-month fingerprint
-// tables.
+// against the frame's attribution columns, which hold what the source
+// aggregate's classifier attributed at ingest time — so the coverage is db's
+// when that classifier is db. Rows rank by attributed volume with a name
+// tie-break, so equal-volume classes (all of them, on an unclassified
+// window) order deterministically.
 func BuildTable2Frame(f *Frame, db *fingerprint.DB) Table2Report {
 	rep := Table2Report{TotalFPs: db.Size(), TotalCoverage: f.scalarOf(exprTable2TotalCoverage)}
 	counts := db.CountByClass()
@@ -220,48 +220,6 @@ func BuildTable2Frame(f *Frame, db *fingerprint.DB) Table2Report {
 		cov := 0.0
 		if e, ok := table2ClassExprs[c]; ok {
 			cov = f.scalarOf(e.coverage)
-		}
-		rep.Rows = append(rep.Rows, Table2Row{Class: c, NumFPs: counts[clientdb.Class(c)], Coverage: cov})
-	}
-	return rep
-}
-
-// BuildTable2 matches the database against every fingerprint-bearing record
-// in the aggregate.
-func BuildTable2(agg *notary.Aggregate, db *fingerprint.DB) Table2Report {
-	classConns := map[string]int64{}
-	var total, matched int64
-	for _, m := range agg.Months() {
-		for fp, caps := range agg.Stats(m).FPs {
-			total += int64(caps.Count)
-			if e, ok := db.Lookup(fingerprint.Fingerprint(fp)); ok {
-				matched += int64(caps.Count)
-				classConns[string(e.Class)] += int64(caps.Count)
-			}
-		}
-	}
-	rep := Table2Report{TotalFPs: db.Size()}
-	if total > 0 {
-		rep.TotalCoverage = 100 * float64(matched) / float64(total)
-	}
-	counts := db.CountByClass()
-	classes := make([]string, 0, len(counts))
-	for c := range counts {
-		classes = append(classes, string(c))
-	}
-	// Rank by attributed volume with a name tie-break, so equal-volume
-	// classes (all of them, on an unclassified window) order deterministically
-	// and BuildTable2Frame can match byte-for-byte.
-	sort.Slice(classes, func(i, j int) bool {
-		if classConns[classes[i]] != classConns[classes[j]] {
-			return classConns[classes[i]] > classConns[classes[j]]
-		}
-		return classes[i] < classes[j]
-	})
-	for _, c := range classes {
-		cov := 0.0
-		if total > 0 {
-			cov = 100 * float64(classConns[c]) / float64(total)
 		}
 		rep.Rows = append(rep.Rows, Table2Row{Class: c, NumFPs: counts[clientdb.Class(c)], Coverage: cov})
 	}

@@ -103,11 +103,6 @@ func (c *Config) CountWhere(pred func(registry.Suite) bool) int {
 	return n
 }
 
-// Offers reports whether any advertised suite matches pred.
-func (c *Config) Offers(pred func(registry.Suite) bool) bool {
-	return registry.ListHas(c.Suites, pred)
-}
-
 // BuildHello constructs the wire ClientHello for this configuration.
 // rnd seeds the random field and GREASE placement; fallback selects the
 // downgraded retry form (used after a failed first attempt).

@@ -107,7 +107,7 @@ func TestTable3CBC(t *testing.T) {
 		{"Safari", "10.1", 15, 12},
 	}
 	for _, w := range want {
-		row, ok := FindRow(rows, w.browser, w.version)
+		row, ok := findRow(rows, w.browser, w.version)
 		if !ok {
 			t.Errorf("Table 3 missing row %s %s", w.browser, w.version)
 			continue
@@ -143,7 +143,7 @@ func TestTable4RC4(t *testing.T) {
 		{"Safari", "10", 0, "removed completely"},
 	}
 	for _, w := range checks {
-		row, ok := FindRow(rows, w.browser, w.version)
+		row, ok := findRow(rows, w.browser, w.version)
 		if !ok {
 			t.Errorf("Table 4 missing row %s %s", w.browser, w.version)
 			continue
@@ -170,7 +170,7 @@ func TestTable53DES(t *testing.T) {
 		{"Safari", "9", 6, 3},
 	}
 	for _, w := range checks {
-		row, ok := FindRow(rows, w.browser, w.version)
+		row, ok := findRow(rows, w.browser, w.version)
 		if !ok {
 			t.Errorf("Table 5 missing row %s %s", w.browser, w.version)
 			continue
@@ -278,9 +278,32 @@ func TestBuildHelloGREASE(t *testing.T) {
 		t.Error("Chrome 65 supported_versions should lead with GREASE")
 	}
 	// GREASE never changes the semantic max version.
-	if ch.MaxSupportedVersion() != registry.VersionTLS13 {
-		t.Errorf("MaxSupportedVersion = %v", ch.MaxSupportedVersion())
+	max := registry.Version(0)
+	for _, v := range svs {
+		if !registry.IsGREASE(uint16(v)) && v.Canonical() > max {
+			max = v.Canonical()
+		}
 	}
+	if max != registry.VersionTLS13 {
+		t.Errorf("highest offered version = %v", max)
+	}
+}
+
+// findRow locates the row for a given browser and version.
+func findRow(rows []TableRow, browser, version string) (TableRow, bool) {
+	for _, r := range rows {
+		if r.Browser == browser && r.Version == version {
+			return r, true
+		}
+	}
+	return TableRow{}, false
+}
+
+// offers reports whether ids carries a suite of class c, asked the way the
+// aggregation path asks it.
+func offers(ids []uint16, c registry.ClassBits) bool {
+	scan, _ := registry.ScanSuitesNoGREASE(ids)
+	return scan.Bits.Has(c)
 }
 
 func TestBuildHelloRC4FallbackOnly(t *testing.T) {
@@ -288,11 +311,11 @@ func TestBuildHelloRC4FallbackOnly(t *testing.T) {
 	p, _ := ProfileByName("Firefox")
 	rel, _ := p.ReleaseByVersion("36")
 	primary := rel.Config.BuildHello(rnd, false)
-	if registry.ListHas(primary.CipherSuites, registry.Suite.IsRC4) {
+	if offers(primary.CipherSuites, registry.ClassRC4) {
 		t.Error("FF36 primary hello must not offer RC4")
 	}
 	retry := rel.Config.BuildHello(rnd, true)
-	if !registry.ListHas(retry.CipherSuites, registry.Suite.IsRC4) {
+	if !offers(retry.CipherSuites, registry.ClassRC4) {
 		t.Error("FF36 fallback hello must offer RC4")
 	}
 	// Fallback retries carry the SCSV.
@@ -328,24 +351,24 @@ func TestHeartbeatAdvertisedByOpenSSL(t *testing.T) {
 func TestOddClientsOfferWeakSuites(t *testing.T) {
 	cases := []struct {
 		profile string
-		pred    func(registry.Suite) bool
+		class   registry.ClassBits
 		label   string
 	}{
-		{"Lookout Personal", registry.Suite.IsNULLCipher, "NULL"},
-		{"Lookout Personal", registry.Suite.IsAnon, "anonymous"},
-		{"Craftar Image Recognition", registry.Suite.IsNULLCipher, "NULL"},
-		{"Shodan scanner", registry.Suite.IsAnon, "anonymous"},
-		{"Kaspersky", registry.Suite.IsAnon, "anonymous"},
-		{"Nagios check_tcp", registry.Suite.IsAnon, "anonymous"},
-		{"InstallMoney", registry.Suite.IsExport, "export"},
-		{"Globus GridFTP", registry.Suite.IsNULLCipher, "NULL"},
+		{"Lookout Personal", registry.ClassNULL, "NULL"},
+		{"Lookout Personal", registry.ClassAnon, "anonymous"},
+		{"Craftar Image Recognition", registry.ClassNULL, "NULL"},
+		{"Shodan scanner", registry.ClassAnon, "anonymous"},
+		{"Kaspersky", registry.ClassAnon, "anonymous"},
+		{"Nagios check_tcp", registry.ClassAnon, "anonymous"},
+		{"InstallMoney", registry.ClassExport, "export"},
+		{"Globus GridFTP", registry.ClassNULL, "NULL"},
 	}
 	for _, c := range cases {
 		p, ok := ProfileByName(c.profile)
 		if !ok {
 			t.Fatalf("profile %s missing", c.profile)
 		}
-		if !p.Releases[len(p.Releases)-1].Config.Offers(c.pred) {
+		if !offers(p.Releases[len(p.Releases)-1].Config.Suites, c.class) {
 			t.Errorf("%s should offer %s suites", c.profile, c.label)
 		}
 	}
@@ -359,10 +382,12 @@ func TestAndroid23MatchesPaperDescription(t *testing.T) {
 	if cfg.MaxVersion() != registry.VersionTLS10 {
 		t.Error("Android 2.3 must top out at TLS 1.0")
 	}
-	if cfg.Offers(func(s registry.Suite) bool { return s.Kex == registry.KexECDHE }) {
-		t.Error("Android 2.3 must not offer ECDHE")
+	for _, id := range cfg.Suites {
+		if s, ok := registry.SuiteByID(id); ok && s.Kex == registry.KexECDHE {
+			t.Error("Android 2.3 must not offer ECDHE")
+		}
 	}
-	if cfg.Offers(registry.Suite.IsAEAD) {
+	if offers(cfg.Suites, registry.ClassAEAD) {
 		t.Error("Android 2.3 must not offer AEAD")
 	}
 }

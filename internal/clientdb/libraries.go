@@ -576,6 +576,3 @@ var libraryProfiles = []*Profile{
 	avProxy, mobileApps, lookout, craftar, shodan,
 	gridFTP, nagios, interwise, zbot, installMoney, holaVPN, kaspersky,
 }
-
-// LibraryProfiles returns every non-browser profile (shared; do not mutate).
-func LibraryProfiles() []*Profile { return libraryProfiles }

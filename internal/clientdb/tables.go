@@ -127,14 +127,3 @@ func Table6Versions() []VersionSupportRow {
 	}
 	return rows
 }
-
-// FindRow locates the row for a given browser and version, for tests and
-// the experiment report.
-func FindRow(rows []TableRow, browser, version string) (TableRow, bool) {
-	for _, r := range rows {
-		if r.Browser == browser && r.Version == version {
-			return r, true
-		}
-	}
-	return TableRow{}, false
-}

@@ -123,9 +123,6 @@ var unknownProfiles = []*Profile{
 	unknownTools, unknownEmbedded, unknownLegacyApp, unknownRandomizer,
 }
 
-// UnknownProfiles returns the unlabeled profiles (shared; do not mutate).
-func UnknownProfiles() []*Profile { return unknownProfiles }
-
 // RandomizerProfileName is the profile whose cipher order is shuffled per
 // connection by the traffic generator.
 const RandomizerProfileName = "unknown-randomizer"

@@ -209,7 +209,7 @@ func (s *Study) RunSinks(logWriter io.Writer, extra ...notary.Sink) error {
 // attribution a live run would.
 func (s *Study) LoadLog(r io.Reader) error {
 	db := fingerprint.BuildDefault()
-	agg, err := notary.ReadLogParallelClassified(r, s.Options.Workers, db)
+	agg, err := notary.ReadLogParallel(r, s.Options.Workers, db)
 	if err != nil {
 		return err
 	}
@@ -306,9 +306,6 @@ func (s *Study) Counts() (records, months int, generation uint64, err error) {
 // costs the next Frame call a full build, since the study cannot know which
 // months it wrote.
 func (s *Study) Aggregate() *notary.Aggregate { return s.agg }
-
-// FingerprintDB exposes the §4 fingerprint database; nil before Run.
-func (s *Study) FingerprintDB() *fingerprint.DB { return s.db }
 
 // Frame returns the columnar snapshot of the study's aggregate, building it
 // on first use and bringing it up to date whenever the aggregate has mutated
@@ -526,9 +523,9 @@ func (s *Study) Impacts() ([]analysis.AttackImpact, error) {
 
 // Table2 reproduces the fingerprint summary table through the query surface:
 // every coverage number is an agent:-family expression evaluated against the
-// study's cached frame (analysis.BuildTable2Frame), byte-identical to the
-// legacy aggregate walk because the study's classifier is its own fingerprint
-// database. An aggregate recovered from a pre-attribution (v1) snapshot has
+// study's cached frame (analysis.BuildTable2Frame). The coverage is the
+// fingerprint database's own because the study installs that database as
+// its aggregate's classifier. An aggregate recovered from a pre-attribution (v1) snapshot has
 // empty attribution counters; its Table 2 reports zero coverage until records
 // are re-ingested or new ones arrive.
 func (s *Study) Table2() (analysis.Table2Report, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -76,8 +77,8 @@ func TestStudyFiguresAndScalars(t *testing.T) {
 	if err != nil || st.Total == 0 {
 		t.Errorf("durations: %v", err)
 	}
-	if s.Aggregate() == nil || s.FingerprintDB() == nil {
-		t.Error("accessors nil after Run")
+	if s.Aggregate() == nil {
+		t.Error("aggregate nil after Run")
 	}
 }
 
@@ -102,6 +103,51 @@ func TestStudyLogRoundTrip(t *testing.T) {
 	a, b := s.Aggregate().Stats(m), s2.Aggregate().Stats(m)
 	if a.Total != b.Total || a.Established != b.Established || a.AdvRC4 != b.AdvRC4 {
 		t.Error("reloaded aggregate differs")
+	}
+}
+
+// Study.Run is what `tlstrend simulate` runs — Simulator.Run teed into a
+// classified aggregate and the TSV log — and Options.Workers may not move a
+// byte of it: every width must fill the identical aggregate (client-class
+// attribution included), write the identical log and report the identical
+// scalars.
+func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
+	run := func(workers int) (*Study, []byte) {
+		s := NewStudy(60)
+		s.Options.End = timeline.M(2015, time.June) // 41 months, fingerprints from Feb 2014
+		s.Options.Workers = workers
+		var log bytes.Buffer
+		if err := s.Run(&log); err != nil {
+			t.Fatal(err)
+		}
+		return s, log.Bytes()
+	}
+	want, wantLog := run(1)
+	if want.Aggregate().TotalRecords() != 41*60 {
+		t.Fatalf("unexpected record count %d", want.Aggregate().TotalRecords())
+	}
+	if len(want.Aggregate().Stats(timeline.M(2015, time.June)).ByClientClass) == 0 {
+		t.Fatal("no client-class attribution — the classifier is not installed, so the sweep would not cover it")
+	}
+	wantScalars, err := want.Scalars()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		got, gotLog := run(workers)
+		if !reflect.DeepEqual(want.Aggregate(), got.Aggregate()) {
+			t.Errorf("Workers=%d: aggregate differs from Workers=1", workers)
+		}
+		if !bytes.Equal(wantLog, gotLog) {
+			t.Errorf("Workers=%d: TSV log differs from Workers=1", workers)
+		}
+		gotScalars, err := got.Scalars()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantScalars, gotScalars) {
+			t.Errorf("Workers=%d: scalars differ from Workers=1:\n%+v\n%+v", workers, gotScalars, wantScalars)
+		}
 	}
 }
 
@@ -324,10 +370,11 @@ func TestScanSweepDeclines(t *testing.T) {
 		Workers:          24,
 		Seed:             11,
 	}
-	points, err := sweep.Run(context.Background())
+	months, reports, err := sweep.RunReports(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := SweepPoints(months, reports)
 	if len(points) != 4 {
 		t.Fatalf("got %d snapshots", len(points))
 	}
@@ -427,8 +474,13 @@ func TestStudyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, ok := fig.SeriesByName("TLSv12")
-	if !ok {
+	var want analysis.Series
+	for _, s := range fig.Series {
+		if s.Name == "TLSv12" {
+			want = s
+		}
+	}
+	if want.Name == "" {
 		t.Fatal("no TLSv12 series")
 	}
 	if len(res.Series.Points) != len(want.Points) {
@@ -476,11 +528,11 @@ func TestScanSweepParallelDeterministic(t *testing.T) {
 			Seed:             21,
 			SnapshotWorkers:  snapshotWorkers,
 		}
-		points, err := sweep.Run(context.Background())
+		months, reports, err := sweep.RunReports(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return points
+		return SweepPoints(months, reports)
 	}
 	serial := run(1)
 	parallel := run(3)
@@ -761,7 +813,7 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 	}
 
 	// A generation advance through live ingestion makes the entry
-	// unreachable; the recomputed result matches the interpreter exactly.
+	// unreachable; the recomputed result matches a fresh compile exactly.
 	donor := notary.NewAggregate()
 	donor.Add(&notary.Record{Date: timeline.D(2012, time.March, 3)})
 	if err := s.MergeShard(donor); err != nil {
@@ -776,13 +828,14 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.Query(e)
+	plan, err := analysis.Compile(e, f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := plan.Eval()
 	for i := range want.Series.Points {
 		if res3.Series.Points[i] != want.Series.Points[i] {
-			t.Fatal("post-ingest result diverges from the interpreter")
+			t.Fatal("post-ingest result diverges from a fresh compile")
 		}
 	}
 
@@ -807,13 +860,14 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want4, err := f4.Query(e)
+	plan4, err := analysis.Compile(e, f4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want4 := plan4.Eval()
 	for i := range want4.Series.Points {
 		if res4.Series.Points[i] != want4.Series.Points[i] {
-			t.Fatal("post-replacement result diverges from the interpreter")
+			t.Fatal("post-replacement result diverges from a fresh compile")
 		}
 	}
 	if _, _, _, hit5, err := s.QueryInfoJSON(src); err != nil || !hit5 {

@@ -54,18 +54,9 @@ type SweepPoint struct {
 	ExportSupport    float64
 }
 
-// Run executes the sweep: all snapshots on a bounded worker pool, reported
-// in chronological order regardless of completion order. On failure it
-// returns the points of the snapshots that preceded the (chronologically)
-// first failing one, plus that snapshot's error.
-func (s *ScanSweep) Run(ctx context.Context) ([]SweepPoint, error) {
-	months, reports, err := s.RunReports(ctx)
-	return SweepPoints(months, reports), err
-}
-
-// SweepPoints derives the rendered per-month metrics from raw campaign
-// reports — the same projection Run applies, exposed so callers holding the
-// reports (e.g. to host them via NewScanStudy) can still print the table.
+// SweepPoints derives the rendered per-month metrics from the raw campaign
+// reports RunReports returns, so callers holding the reports (e.g. to host
+// them via NewScanStudy) can still print the table.
 func SweepPoints(months []timeline.Month, reports []*CampaignReport) []SweepPoint {
 	points := make([]SweepPoint, len(reports))
 	for i, rep := range reports {
@@ -84,11 +75,12 @@ func SweepPoints(months []timeline.Month, reports []*CampaignReport) []SweepPoin
 	return points
 }
 
-// RunReports executes the sweep and returns the raw per-month campaign
-// reports in chronological order — the input NewScanStudy hosts on the query
-// surface; Run derives its SweepPoints from exactly these reports. On
-// failure both slices stop before the (chronologically) first failing
-// snapshot, and that snapshot's error is returned.
+// RunReports executes the sweep — all snapshots on a bounded worker pool —
+// and returns the raw per-month campaign reports in chronological order
+// regardless of completion order: the input NewScanStudy hosts on the query
+// surface and SweepPoints renders. On failure both slices stop before the
+// (chronologically) first failing snapshot, and that snapshot's error is
+// returned.
 func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*CampaignReport, error) {
 	if s.Start == (timeline.Month{}) {
 		s.Start = timeline.M(2015, time.August)

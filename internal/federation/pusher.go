@@ -169,13 +169,6 @@ func (p *Pusher) Observe(shard *notary.Aggregate) {
 	p.mu.Unlock()
 }
 
-// ShippedThrough reports the source generation acked upstream.
-func (p *Pusher) ShippedThrough() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.shipped
-}
-
 // Stats snapshots the healthz gauges. RetainedBytes encodes the pending
 // delta on demand — healthz polls are rare and the encoding is
 // O(months×counters).

@@ -126,7 +126,7 @@ func TestPusherShipsExactlyOnce(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if got := p.ShippedThrough(); got != want.Generation() {
+	if got := p.Stats().ShippedThrough; got != want.Generation() {
 		t.Fatalf("shipped through %d, want %d", got, want.Generation())
 	}
 	if !reflect.DeepEqual(sink.agg, want) {
@@ -180,8 +180,8 @@ func TestPusherRetainsAcross429(t *testing.T) {
 	if !reflect.DeepEqual(sink.agg, want) {
 		t.Fatal("upstream aggregate differs after retry (lost or doubled records)")
 	}
-	if p.ShippedThrough() != want.Generation() {
-		t.Fatalf("shipped through %d, want %d", p.ShippedThrough(), want.Generation())
+	if p.Stats().ShippedThrough != want.Generation() {
+		t.Fatalf("shipped through %d, want %d", p.Stats().ShippedThrough, want.Generation())
 	}
 	_ = p.Close()
 }
@@ -226,9 +226,9 @@ func TestPusherRetryAfterCannotParkTimerPushes(t *testing.T) {
 		if err := p.Close(); err != nil {
 			t.Errorf("Retry-After %s: close: %v", retryAfter, err)
 		}
-		if p.ShippedThrough() != shard.Generation() || sink.deltas != 1 {
+		if p.Stats().ShippedThrough != shard.Generation() || sink.deltas != 1 {
 			t.Errorf("Retry-After %s: shipped through %d in %d deltas, want %d in 1",
-				retryAfter, p.ShippedThrough(), sink.deltas, shard.Generation())
+				retryAfter, p.Stats().ShippedThrough, sink.deltas, shard.Generation())
 		}
 		srv.Close()
 	}
@@ -256,7 +256,7 @@ func TestPusherRetainsAcrossTransportError(t *testing.T) {
 	// the retained state — the restart shape, minus the durable log.
 	srv2 := httptest.NewServer(sink)
 	defer srv2.Close()
-	p2 := testPusher(t, srv2.URL, PusherOptions{Initial: retained(p), Shipped: p.ShippedThrough()})
+	p2 := testPusher(t, srv2.URL, PusherOptions{Initial: retained(p), Shipped: p.Stats().ShippedThrough})
 	if err := p2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -319,8 +319,8 @@ func TestPusherDuplicateAck(t *testing.T) {
 	if !reflect.DeepEqual(sink.agg, shard) {
 		t.Fatal("upstream aggregate differs (duplicate double-counted)")
 	}
-	if p.ShippedThrough() != shard.Generation() {
-		t.Fatalf("shipped through %d, want %d", p.ShippedThrough(), shard.Generation())
+	if p.Stats().ShippedThrough != shard.Generation() {
+		t.Fatalf("shipped through %d, want %d", p.Stats().ShippedThrough, shard.Generation())
 	}
 	_ = p.Close()
 }
@@ -385,8 +385,8 @@ func TestPusherRebase(t *testing.T) {
 	if !reflect.DeepEqual(sink.agg, want) {
 		t.Fatal("upstream aggregate differs after rebase (overlap double-counted or tail lost)")
 	}
-	if p.ShippedThrough() != want.Generation() {
-		t.Fatalf("shipped through %d, want %d", p.ShippedThrough(), want.Generation())
+	if p.Stats().ShippedThrough != want.Generation() {
+		t.Fatalf("shipped through %d, want %d", p.Stats().ShippedThrough, want.Generation())
 	}
 	_ = p.Close()
 }

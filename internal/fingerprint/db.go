@@ -2,7 +2,6 @@ package fingerprint
 
 import (
 	"math/rand"
-	"sort"
 
 	"tlsage/internal/clientdb"
 	"tlsage/internal/registry"
@@ -98,16 +97,6 @@ func (db *DB) CountByClass() map[clientdb.Class]int {
 	return out
 }
 
-// Fingerprints returns all registered fingerprints, sorted.
-func (db *DB) Fingerprints() []Fingerprint {
-	out := make([]Fingerprint, 0, len(db.entries))
-	for fp := range db.entries {
-		out = append(out, fp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // table2Targets is the per-class fingerprint count from Table 2. (The
 // table's rows sum to 1,562 although its "All" row prints 1,684 — the
 // original's arithmetic, reproduced as printed rows.)
@@ -121,15 +110,6 @@ var table2Targets = map[clientdb.Class]int{
 	clientdb.ClassCloudStorage: 29,
 	clientdb.ClassEmail:        33,
 	clientdb.ClassMalware:      49,
-}
-
-// Table2Targets returns a copy of the per-class targets.
-func Table2Targets() map[clientdb.Class]int {
-	out := make(map[clientdb.Class]int, len(table2Targets))
-	for k, v := range table2Targets {
-		out[k] = v
-	}
-	return out
 }
 
 // BuildDefault constructs the study fingerprint database: one fingerprint

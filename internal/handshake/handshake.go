@@ -87,12 +87,6 @@ func (c *ServerConfig) Validate() error {
 	return nil
 }
 
-// Supports reports whether the server's suite set contains a suite matching
-// pred.
-func (c *ServerConfig) Supports(pred func(registry.Suite) bool) bool {
-	return registry.ListHas(c.Suites, pred)
-}
-
 // Result is the outcome of one negotiation.
 type Result struct {
 	// OK is true when the server answered with a ServerHello (even a

@@ -88,22 +88,6 @@ func newMonthStats(m timeline.Month) *MonthStats {
 	}
 }
 
-// Pct returns 100·n/Total, 0 for empty months.
-func (ms *MonthStats) Pct(n int) float64 {
-	if ms.Total == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(ms.Total)
-}
-
-// PctEstablished returns 100·n/Established.
-func (ms *MonthStats) PctEstablished(n int) float64 {
-	if ms.Established == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(ms.Established)
-}
-
 // Classifier attributes a fingerprint to a client class (Table 2). It is an
 // interface — not a concrete DB — because internal/fingerprint already
 // imports notary; the fingerprint.DB satisfies it from the other side of the

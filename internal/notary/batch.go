@@ -13,8 +13,8 @@ import (
 
 // Batch codec: frames carrying batches of Records, in the same envelope as
 // the snapshot codec (see package framing) — the binary sibling of the TSV
-// log line. A producer packs records into frames (EncodeBatch/AppendBatch/
-// BatchWriter); a consumer streams frames back into a Sink (ReadBatches).
+// log line. A producer packs records into frames (BatchWriter); a consumer
+// streams frames back into a Sink (ReadBatches).
 // TSV stays the debug/interop path; this format exists so ingest cost scales
 // with batch count instead of per-line parsing.
 //
@@ -96,27 +96,6 @@ const (
 	batchFlagMask = batchSSLv2<<1 - 1
 )
 
-// AppendBatch appends one complete framed batch of recs to dst and returns
-// the extended slice. It panics if the payload exceeds the format's 64 MiB
-// cap (some 600k records): keep batches producer-sized (DefaultBatchSize
-// records is ~100 KiB), or stream through a BatchWriter, which splits frames
-// at the cap.
-func AppendBatch(dst []byte, recs []*Record) []byte {
-	dst, mark := batchFormat.Begin(dst)
-	dst = appendCount(dst, len(recs))
-	for _, r := range recs {
-		dst = appendRecordBinary(dst, r)
-	}
-	dst, err := batchFormat.End(dst, mark)
-	if err != nil {
-		panic("notary: batch: " + err.Error())
-	}
-	return dst
-}
-
-// EncodeBatch returns one framed batch of recs.
-func EncodeBatch(recs []*Record) []byte { return AppendBatch(nil, recs) }
-
 func recordFlags(r *Record) byte {
 	var b byte
 	if r.Established {
@@ -173,13 +152,11 @@ func appendCodeList[T ~uint8 | ~uint16](dst []byte, vals []T) []byte {
 // frames, so steady-state writing allocates nothing — the binary counterpart
 // of LogWriter.
 type BatchWriter struct {
-	w      io.Writer
-	every  int
-	recs   []byte // packed records of the frame being built
-	count  int    // records in recs
-	frame  []byte // reused frame assembly buffer
-	frames int64
-	n      int64
+	w     io.Writer
+	every int
+	recs  []byte // packed records of the frame being built
+	count int    // records in recs
+	frame []byte // reused frame assembly buffer
 }
 
 // NewBatchWriter wraps w. batchSize <= 0 uses DefaultBatchSize.
@@ -203,7 +180,6 @@ func (bw *BatchWriter) Observe(r *Record) error {
 		}
 	}
 	bw.count++
-	bw.n++
 	if bw.count >= bw.every {
 		return bw.flushFrame(len(bw.recs))
 	}
@@ -218,12 +194,6 @@ func (bw *BatchWriter) Close() error {
 	return bw.flushFrame(len(bw.recs))
 }
 
-// Count reports how many records have been written.
-func (bw *BatchWriter) Count() int64 { return bw.n }
-
-// Frames reports how many frames have been emitted.
-func (bw *BatchWriter) Frames() int64 { return bw.frames }
-
 // flushFrame emits the first n packed bytes — bw.count records — as one
 // frame and keeps whatever follows them as the start of the next.
 func (bw *BatchWriter) flushFrame(n int) error {
@@ -237,11 +207,8 @@ func (bw *BatchWriter) flushFrame(n int) error {
 	if err != nil {
 		return fmt.Errorf("notary: batch: %w", err)
 	}
-	if _, err := bw.w.Write(dst); err != nil {
-		return err
-	}
-	bw.frames++
-	return nil
+	_, err = bw.w.Write(dst)
+	return err
 }
 
 // --- decoding ---

@@ -40,7 +40,7 @@ func TestDateBoundsOnIngest(t *testing.T) {
 		"2015-06-00": false, "2015-06-32": false, "2015-06--3": false, "-2015-06-03": false,
 		"2015-06-9223372036854775807": false,
 	} {
-		if _, err := ParseTSV(date + rest); (err == nil) != ok {
+		if _, err := parseTSV(date + rest); (err == nil) != ok {
 			t.Errorf("TSV date %q: err = %v, want accepted = %v", date, err, ok)
 		}
 	}
@@ -54,7 +54,7 @@ func TestDateBoundsOnIngest(t *testing.T) {
 		r := sampleRecord()
 		r.Date = d
 		var be *BatchError
-		if _, _, err := ReadBatches(bytes.NewReader(EncodeBatch([]*Record{r})), NewAggregate()); !errors.As(err, &be) {
+		if _, _, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{r})), NewAggregate()); !errors.As(err, &be) {
 			t.Errorf("TLSB date %v: err = %v, want a *BatchError", d, err)
 		}
 	}
@@ -130,7 +130,7 @@ func TestAcceptedInputSurvivesSnapshot(t *testing.T) {
 		}
 		r.Date = timeline.Date{Year: y, Month: time.Month(m), Day: d}
 		agg = NewAggregate()
-		_, _, err := ReadBatches(bytes.NewReader(EncodeBatch([]*Record{r})), agg)
+		_, _, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{r})), agg)
 		check("tlsb "+r.Date.String(), agg, err)
 	}
 	if accepted < 100 || refused < 100 {

@@ -19,7 +19,6 @@ type LogWriter struct {
 	w       *bufio.Writer
 	buf     []byte
 	wroteHd bool
-	n       int64
 }
 
 // NewLogWriter wraps w.
@@ -36,11 +35,8 @@ func (lw *LogWriter) Write(r *Record) error {
 		lw.wroteHd = true
 	}
 	lw.buf = r.AppendTSV(lw.buf[:0])
-	if _, err := lw.w.Write(lw.buf); err != nil {
-		return err
-	}
-	lw.n++
-	return nil
+	_, err := lw.w.Write(lw.buf)
+	return err
 }
 
 // Observe implements Sink.
@@ -48,9 +44,6 @@ func (lw *LogWriter) Observe(r *Record) error { return lw.Write(r) }
 
 // Close implements Sink by flushing the underlying buffer.
 func (lw *LogWriter) Close() error { return lw.Flush() }
-
-// Count reports how many records have been written.
-func (lw *LogWriter) Count() int64 { return lw.n }
 
 // Flush flushes the underlying buffer.
 func (lw *LogWriter) Flush() error { return lw.w.Flush() }
@@ -121,6 +114,12 @@ func ReadLog(r io.Reader, sink Sink) error {
 	return err
 }
 
+// maxLogLine is the line ceiling both log readers share: a line of this many
+// bytes or more (terminator excluded) fails with bufio.ErrTooLong. LogWriter
+// emits nothing near it; the ceiling is what keeps a newline-free input from
+// being buffered whole.
+const maxLogLine = 1 << 22
+
 // ReadLogTail is ReadLog that discards every record covered by the first
 // skip generations before delivering the rest — the log-replay half of
 // snapshot recovery: a snapshot covering generations 1..N plus the log tail
@@ -134,7 +133,7 @@ func ReadLog(r io.Reader, sink Sink) error {
 // above the snapshot's generation means the gap is in neither source.
 func ReadLogTail(r io.Reader, skip uint64, sink Sink) (delivered, base uint64, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, 0, 1<<16), maxLogLine)
 	var rec Record
 	lineNo := 0
 	sawBase := false
@@ -186,19 +185,13 @@ const defaultChunkSize = 1 << 20
 // and the shards are combined with Aggregate.Merge — so the result is
 // identical to feeding serial ReadLog into one Aggregate, for every worker
 // count. workers <= 0 uses GOMAXPROCS; workers == 1 is the serial path.
-// A malformed line produces the same "notary: line N" error the serial
-// reader reports, and the earliest such line wins. One divergence: the
-// chunked reader has no line-length ceiling, while the serial scanner
-// rejects lines over 4 MiB (far beyond anything LogWriter emits).
-func ReadLogParallel(r io.Reader, workers int) (*Aggregate, error) {
-	return readLogParallel(r, workers, defaultChunkSize, nil)
-}
-
-// ReadLogParallelClassified is ReadLogParallel with a fingerprint classifier
-// installed on every shard (and the merged result), so ByClientClass fills
-// during the parallel ingest exactly as a serial classified Add would.
-func ReadLogParallelClassified(r io.Reader, workers int, c Classifier) (*Aggregate, error) {
-	return readLogParallel(r, workers, defaultChunkSize, c)
+// A malformed or over-long line (maxLogLine) produces the same error the
+// serial reader reports, and the earliest such line wins. A non-nil
+// classifier is installed on every shard and on the merged result, so
+// ByClientClass fills during the parallel ingest exactly as a serial
+// classified Add would.
+func ReadLogParallel(r io.Reader, workers int, classifier Classifier) (*Aggregate, error) {
+	return readLogParallel(r, workers, defaultChunkSize, classifier)
 }
 
 // readLogParallel is ReadLogParallel with the chunk size exposed, so tests
@@ -264,6 +257,13 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 					} else {
 						line, rest = rest, nil
 					}
+					// The serial scanner gives up on a line it cannot buffer
+					// together with its terminator; match it.
+					if len(line) >= maxLogLine {
+						errs[w] = shardErr{line: lineNo, err: bufio.ErrTooLong}
+						aborted.Store(true)
+						break
+					}
 					// bufio.ScanLines strips a trailing \r; match it.
 					if len(line) > 0 && line[len(line)-1] == '\r' {
 						line = line[:len(line)-1]
@@ -286,8 +286,10 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 	}
 
 	// Chunker: read fixed-size blocks, cut at the last newline, and carry
-	// the trailing partial line into the next chunk.
+	// the trailing partial line into the next chunk — up to the line ceiling,
+	// so carry never holds more than maxLogLine plus one block.
 	var readErr error
+	var tooLong shardErr
 	block := make([]byte, chunkSize)
 	var carry []byte
 	nextLine := 1
@@ -310,6 +312,10 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 				nextLine += bytes.Count(buf, []byte{'\n'})
 				dispatch(buf, first)
 			}
+			if len(carry) >= maxLogLine {
+				tooLong = shardErr{line: nextLine, err: bufio.ErrTooLong}
+				break
+			}
 		}
 		if err != nil {
 			if err != io.EOF && err != io.ErrUnexpectedEOF {
@@ -318,7 +324,7 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 			break
 		}
 	}
-	if readErr == nil && len(carry) > 0 && !aborted.Load() {
+	if readErr == nil && tooLong.err == nil && len(carry) > 0 && !aborted.Load() {
 		dispatch(carry, nextLine)
 	}
 	close(jobs)
@@ -327,7 +333,7 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 	if readErr != nil {
 		return nil, readErr
 	}
-	first := shardErr{}
+	first := tooLong // past every dispatched line, so any shard's error is earlier
 	for _, se := range errs {
 		if se.err != nil && (first.err == nil || se.line < first.line) {
 			first = se

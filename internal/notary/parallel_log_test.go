@@ -1,8 +1,10 @@
 package notary
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -67,7 +69,7 @@ func TestReadLogParallelMatchesSerial(t *testing.T) {
 	log, want := buildCorpus(t, 3, 700)
 
 	for _, workers := range []int{0, 2, 3, 8, 64} {
-		got, err := ReadLogParallel(bytes.NewReader(log), workers)
+		got, err := ReadLogParallel(bytes.NewReader(log), workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,5 +210,91 @@ func TestReadLogParallelEndToEndDates(t *testing.T) {
 	aggregatesEqual(t, want, got)
 	if !reflect.DeepEqual(want.FPDurations(), got.FPDurations()) {
 		t.Fatal("FPDurations differ after parallel load")
+	}
+}
+
+// Both readers share one line ceiling: a line of maxLogLine bytes or more
+// fails with the identical error at every worker count, one byte less loads,
+// and the earliest bad line — malformed or over-long — wins as it does for
+// the serial reader.
+func TestReadLogLineCeiling(t *testing.T) {
+	log, _ := buildCorpus(t, 13, 60)
+	lines := bytes.SplitAfter(log, []byte("\n"))
+	comment := func(n int) []byte { // an n-byte comment line, terminator excluded
+		return append(bytes.Repeat([]byte("#"), n), '\n')
+	}
+	// with returns the log with extra lines spliced in before the given lines.
+	with := func(extra map[int][]byte) []byte {
+		var out []byte
+		for i, l := range lines {
+			out = append(out, extra[i]...)
+			out = append(out, l...)
+		}
+		return out
+	}
+	long, garbage := comment(5<<20), []byte("garbage\tline\n")
+	cases := []struct {
+		name     string
+		log      []byte
+		wantLong bool
+	}{
+		{"5 MiB line", with(map[int][]byte{30: long}), true},
+		{"exactly the ceiling", with(map[int][]byte{30: comment(maxLogLine)}), true},
+		{"one under the ceiling", with(map[int][]byte{30: comment(maxLogLine - 1)}), false},
+		{"5 MiB CRLF line", with(map[int][]byte{30: append(bytes.Repeat([]byte("x"), 5<<20), "\r\n"...)}), true},
+		{"over-long last line, unterminated", append(with(nil), bytes.Repeat([]byte("#"), maxLogLine)...), true},
+		{"malformed line first", with(map[int][]byte{10: garbage, 40: long}), false},
+		{"over-long line first", with(map[int][]byte{10: long, 40: garbage}), true},
+	}
+	for _, c := range cases {
+		want := ReadLog(bytes.NewReader(c.log), NewAggregate())
+		if c.wantLong != (want == bufio.ErrTooLong) {
+			t.Fatalf("%s: serial reader returned %v", c.name, want)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, cs := range []int{1 << 12, defaultChunkSize, maxLogLine + 4096} {
+				agg, err := readLogParallel(bytes.NewReader(c.log), workers, cs, nil)
+				if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+					t.Errorf("%s workers=%d chunk=%d: error %v, serial %v", c.name, workers, cs, err, want)
+				}
+				if (agg == nil) != (err != nil) {
+					t.Errorf("%s workers=%d chunk=%d: aggregate %v alongside error %v", c.name, workers, cs, agg != nil, err)
+				}
+			}
+		}
+	}
+}
+
+// newlineFree yields n bytes holding no newline and counts what was taken.
+type newlineFree struct{ n, taken int }
+
+func (r *newlineFree) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(len(p), r.n)]
+	for i := range p {
+		p[i] = 'x'
+	}
+	r.n -= len(p)
+	r.taken += len(p)
+	return len(p), nil
+}
+
+// A newline-free input fails at the ceiling instead of being buffered whole:
+// neither reader takes more than the ceiling plus one block from it.
+func TestReadLogNewlineFreeInputIsBounded(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, cs := range []int{1 << 16, defaultChunkSize, 3 << 20} {
+			src := &newlineFree{n: 64 << 20}
+			agg, err := readLogParallel(src, workers, cs, nil)
+			if err != bufio.ErrTooLong || agg != nil {
+				t.Errorf("workers=%d chunk=%d: err %v (aggregate %v), want bufio.ErrTooLong", workers, cs, err, agg != nil)
+			}
+			if src.taken > maxLogLine+cs {
+				t.Errorf("workers=%d chunk=%d: read %d bytes of a newline-free input, want at most %d",
+					workers, cs, src.taken, maxLogLine+cs)
+			}
+		}
 	}
 }

@@ -133,12 +133,6 @@ func (r *Record) FromClientHello(ch *wire.ClientHello) {
 	r.OffersHeartbeat = ch.OffersHeartbeat()
 }
 
-// ClientOffers reports whether the hello offered a suite matching pred
-// (GREASE and unknown code points never match).
-func (r *Record) ClientOffers(pred func(registry.Suite) bool) bool {
-	return registry.ListHas(r.ClientSuites, pred)
-}
-
 // SupportsTLS13 reports whether the client advertised any TLS 1.3 variant in
 // supported_versions (§6.4's "client indicates support" metric).
 func (r *Record) SupportsTLS13() bool {
@@ -264,18 +258,9 @@ func appendHexList[T ~uint8 | ~uint16](dst []byte, vals []T) []byte {
 	return dst
 }
 
-// ParseTSV parses one log line produced by AppendTSV.
-func ParseTSV(line string) (Record, error) {
-	var r Record
-	if err := ParseTSVInto(&r, line); err != nil {
-		return Record{}, err
-	}
-	return r, nil
-}
-
-// ParseTSVInto parses one log line into r, reusing r's slice capacity — the
-// pooled counterpart of ParseTSV for the log-ingestion hot path. On error
-// r is left in an unspecified partially-filled state.
+// ParseTSVInto parses one log line produced by AppendTSV into r, reusing r's
+// slice capacity, so the log-ingestion hot path parses into one pooled
+// record. On error r is left in an unspecified partially-filled state.
 func ParseTSVInto(r *Record, line string) error {
 	r.Reset()
 	line = strings.TrimSuffix(line, "\n")

@@ -151,9 +151,9 @@ func TestAppendTSVAllocFree(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("AppendTSV into a reused buffer allocates %v times per record, want 0", got)
 	}
-	// And it must still match what ParseTSV expects.
+	// And it must still match what ParseTSVInto expects.
 	line := string(r.AppendTSV(nil))
-	back, err := ParseTSV(line)
+	back, err := parseTSV(line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +164,9 @@ func TestAppendTSVAllocFree(t *testing.T) {
 
 // The pooled parse path: reusing one record across ParseTSVInto calls must
 // not allocate beyond the per-field string handling, and far below the
-// make-five-slices cost of ParseTSV. The bound is the regression guard for
-// the pooled record path (ParseTSV allocates ≥6: the record's slices plus
-// the fields split).
+// make-five-slices cost of parsing into a fresh record. The bound is the
+// regression guard for the pooled record path (a fresh record costs ≥6: its
+// slices plus the fields split).
 func TestParseTSVIntoAllocBound(t *testing.T) {
 	line := string(sampleRecord().AppendTSV(nil))
 	var rec Record

@@ -50,32 +50,6 @@ func NewClientPopulation(entries []WeightedProfile) (*ClientPopulation, error) {
 	return &ClientPopulation{entries: entries}, nil
 }
 
-// Profiles returns the profiles in the population.
-func (cp *ClientPopulation) Profiles() []*clientdb.Profile {
-	out := make([]*clientdb.Profile, len(cp.entries))
-	for i, e := range cp.entries {
-		out[i] = e.Profile
-	}
-	return out
-}
-
-// Weights returns the normalized traffic share per profile name at date d.
-func (cp *ClientPopulation) Weights(d timeline.Date) map[string]float64 {
-	out := make(map[string]float64, len(cp.entries))
-	total := 0.0
-	for _, e := range cp.entries {
-		w := e.Weight.Value(d)
-		out[e.Profile.Name] = w
-		total += w
-	}
-	if total > 0 {
-		for k := range out {
-			out[k] /= total
-		}
-	}
-	return out
-}
-
 // Sample draws a client profile (by traffic weight at d) and a release index
 // (by the profile's installed-version mix at d).
 func (cp *ClientPopulation) Sample(d timeline.Date, rnd *rand.Rand) (*clientdb.Profile, int) {
@@ -98,21 +72,4 @@ func (cp *ClientPopulation) Sample(d timeline.Date, rnd *rand.Rand) (*clientdb.P
 	}
 	p := cp.entries[idx].Profile
 	return p, p.SampleRelease(d, rnd)
-}
-
-// ClassShare sums normalized weights per fingerprint class at d, splitting
-// labeled and unlabeled mass — the quantities behind Table 2's coverage
-// column.
-func (cp *ClientPopulation) ClassShare(d timeline.Date) (byClass map[clientdb.Class]float64, unlabeled float64) {
-	byClass = make(map[clientdb.Class]float64)
-	w := cp.Weights(d)
-	for _, e := range cp.entries {
-		share := w[e.Profile.Name]
-		if e.Profile.Unlabeled {
-			unlabeled += share
-			continue
-		}
-		byClass[e.Profile.Class] += share
-	}
-	return byClass, unlabeled
 }

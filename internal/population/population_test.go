@@ -11,11 +11,65 @@ import (
 	"tlsage/internal/timeline"
 )
 
+// The normalized views below are how the calibration tests read the model;
+// the simulator itself only ever draws from it (Sample, SampleForClient).
+
+// Weights returns the normalized traffic share per profile name at date d.
+func (cp *ClientPopulation) Weights(d timeline.Date) map[string]float64 {
+	out := make(map[string]float64, len(cp.entries))
+	total := 0.0
+	for _, e := range cp.entries {
+		w := e.Weight.Value(d)
+		out[e.Profile.Name] = w
+		total += w
+	}
+	if total > 0 {
+		for k := range out {
+			out[k] /= total
+		}
+	}
+	return out
+}
+
+// ClassShare sums normalized weights per fingerprint class at d, splitting
+// labeled and unlabeled mass — the quantities behind Table 2's coverage
+// column.
+func (cp *ClientPopulation) ClassShare(d timeline.Date) (byClass map[clientdb.Class]float64, unlabeled float64) {
+	byClass = make(map[clientdb.Class]float64)
+	w := cp.Weights(d)
+	for _, e := range cp.entries {
+		share := w[e.Profile.Name]
+		if e.Profile.Unlabeled {
+			unlabeled += share
+			continue
+		}
+		byClass[e.Profile.Class] += share
+	}
+	return byClass, unlabeled
+}
+
+// Weights returns normalized cohort weights at d in the given universe.
+func (sp *ServerPopulation) Weights(d timeline.Date, u Universe) map[string]float64 {
+	out := make(map[string]float64, len(sp.cohorts))
+	total := 0.0
+	for _, c := range sp.cohorts {
+		w := c.curve(u).Value(d)
+		out[c.Name] = w
+		total += w
+	}
+	if total > 0 {
+		for k := range out {
+			out[k] /= total
+		}
+	}
+	return out
+}
+
 func TestDefaultClientsCoversAllProfiles(t *testing.T) {
 	cp := DefaultClients()
-	if len(cp.Profiles()) != len(clientdb.AllProfiles()) {
+	if len(cp.entries) != len(clientdb.AllProfiles()) {
 		t.Fatalf("population covers %d profiles, clientdb has %d",
-			len(cp.Profiles()), len(clientdb.AllProfiles()))
+			len(cp.entries), len(clientdb.AllProfiles()))
 	}
 }
 
@@ -89,8 +143,8 @@ func TestServerPopulationValidates(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sp.Cohorts()) < 12 {
-		t.Errorf("expected ≥12 cohorts, got %d", len(sp.Cohorts()))
+	if len(sp.cohorts) < 12 {
+		t.Errorf("expected ≥12 cohorts, got %d", len(sp.cohorts))
 	}
 }
 

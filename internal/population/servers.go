@@ -58,9 +58,6 @@ type ServerPopulation struct {
 	vulnGivenHeartbeat adoption.Curve
 }
 
-// Cohorts returns the cohort list (shared; do not mutate).
-func (sp *ServerPopulation) Cohorts() []Cohort { return sp.cohorts }
-
 // CohortByName locates a cohort.
 func (sp *ServerPopulation) CohortByName(name string) (*Cohort, bool) {
 	for i := range sp.cohorts {
@@ -69,23 +66,6 @@ func (sp *ServerPopulation) CohortByName(name string) (*Cohort, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Weights returns normalized cohort weights at d in the given universe.
-func (sp *ServerPopulation) Weights(d timeline.Date, u Universe) map[string]float64 {
-	out := make(map[string]float64, len(sp.cohorts))
-	total := 0.0
-	for _, c := range sp.cohorts {
-		w := c.curve(u).Value(d)
-		out[c.Name] = w
-		total += w
-	}
-	if total > 0 {
-		for k := range out {
-			out[k] /= total
-		}
-	}
-	return out
 }
 
 func (c *Cohort) curve(u Universe) adoption.Curve {

@@ -9,7 +9,7 @@ import (
 // classifies cipher lists on. It exists so the aggregation hot path can
 // characterise a whole advertised list in a single pass over a dense
 // (suite ID → bitmask) table instead of re-walking the list once per
-// predicate through per-ID map lookups.
+// predicate.
 type ClassBits uint16
 
 // Class bits, one per classifier the monthly aggregation needs. GCM128 and
@@ -103,9 +103,9 @@ func SuiteClassBits(id uint16) ClassBits {
 
 // SuiteScan is the one-pass summary of a cipher-suite list: the union of all
 // class bits present plus, per class bit, the index of the first suite in the
-// list carrying it (-1 when absent). Indexes are positions in the scanned
-// list, so unknown code points still occupy a slot — the Figure 5 relative
-// positions depend on that.
+// list carrying it (-1 when absent). Indexes are positions in the list with
+// its GREASE code points removed, so unknown code points still occupy a slot
+// — the Figure 5 relative positions depend on that.
 type SuiteScan struct {
 	Bits  ClassBits
 	first [NumClassBits]int32
@@ -117,25 +117,12 @@ func (sc *SuiteScan) FirstIndex(c ClassBits) int {
 	return int(sc.first[bits.TrailingZeros16(uint16(c))])
 }
 
-// ScanSuites characterises ids in a single pass over the dense class table.
-// It subsumes one ListHas call per class plus one FirstIndexWhere call per
-// position class, and performs no allocation.
-func ScanSuites(ids []uint16) SuiteScan {
-	sc, _ := scanSuites(ids, false)
-	return sc
-}
-
-// ScanSuitesNoGREASE is ScanSuites(StripGREASE16(ids)) together with the
-// length of that stripped list, computed by stepping over GREASE code points
-// in place: no copy is made, and indexes are positions in the stripped list.
+// ScanSuitesNoGREASE characterises StripGREASE16(ids) in a single pass over
+// the dense class table, and returns the length of that stripped list with
+// it. GREASE code points are stepped over in place: no copy is made and
+// nothing is allocated. A GREASE code point has no class bits, so the GREASE
+// test only runs on the classless slots.
 func ScanSuitesNoGREASE(ids []uint16) (sc SuiteScan, n int) {
-	return scanSuites(ids, true)
-}
-
-// scanSuites is the shared pass; n is the number of list slots counted, all
-// of them unless skipGREASE. A GREASE code point has no class bits, so the
-// GREASE test only runs on the classless slots.
-func scanSuites(ids []uint16, skipGREASE bool) (sc SuiteScan, n int) {
 	classBitsOnce.Do(buildClassBitsTab)
 	for i := range sc.first {
 		sc.first[i] = -1
@@ -145,7 +132,7 @@ func scanSuites(ids []uint16, skipGREASE bool) (sc SuiteScan, n int) {
 	for i, id := range ids {
 		b := tab[id]
 		if b == 0 {
-			if skipGREASE && IsGREASE(id) {
+			if IsGREASE(id) {
 				skipped++
 			}
 			continue

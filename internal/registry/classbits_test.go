@@ -5,6 +5,48 @@ import (
 	"testing"
 )
 
+// The predicate walkers below are what the aggregation hot path called before
+// the dense class-bit table: one list walk per question, one registry lookup
+// per code point. They stay as the oracle ScanSuitesNoGREASE is held to.
+
+// Classify buckets a raw code-point list using the registry. Unknown and
+// signalling (SCSV) code points are ignored, matching how the Notary analysis
+// treats them. The returned map is keyed by TrafficClass.
+func Classify(ids []uint16) map[string]int {
+	out := make(map[string]int, 4)
+	for _, id := range ids {
+		s, ok := SuiteByID(id)
+		if !ok || id == 0x00FF || id == 0x5600 {
+			continue
+		}
+		out[s.TrafficClass()]++
+	}
+	return out
+}
+
+// ListHas reports whether any suite in ids satisfies pred. Unregistered code
+// points never match.
+func ListHas(ids []uint16, pred func(Suite) bool) bool {
+	for _, id := range ids {
+		if s, ok := SuiteByID(id); ok && pred(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// FirstIndexWhere returns the index of the first suite in ids satisfying
+// pred, or -1. Figure 5 of the paper is built on this: the relative position
+// of the first AEAD/CBC/RC4/DES/3DES suite in the advertised list.
+func FirstIndexWhere(ids []uint16, pred func(Suite) bool) int {
+	for i, id := range ids {
+		if s, ok := SuiteByID(id); ok && pred(s) {
+			return i
+		}
+	}
+	return -1
+}
+
 // classPredicates maps each class bit to the closure predicate it replaces.
 var classPredicates = []struct {
 	name string
@@ -65,14 +107,18 @@ func randomSuiteList(rnd *rand.Rand, all []Suite) []uint16 {
 	return out
 }
 
-// ScanSuites over random lists must agree with ListHas and FirstIndexWhere
-// for every class.
+// ScanSuitesNoGREASE over random lists must agree with ListHas and
+// FirstIndexWhere over the GREASE-stripped copy, for every class.
 func TestScanSuitesEquivalence(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	all := AllSuites()
 	for trial := 0; trial < 500; trial++ {
-		ids := randomSuiteList(rnd, all)
-		scan := ScanSuites(ids)
+		raw := randomSuiteList(rnd, all)
+		ids := StripGREASE16(raw)
+		scan, n := ScanSuitesNoGREASE(raw)
+		if n != len(ids) {
+			t.Fatalf("trial %d: %d slots counted, stripped list has %d (ids %04x)", trial, n, len(ids), raw)
+		}
 		for _, cp := range classPredicates {
 			if got, want := scan.Bits.Has(cp.bit), ListHas(ids, cp.pred); got != want {
 				t.Fatalf("trial %d class %s: Bits.Has = %v, ListHas = %v (ids %04x)",
@@ -86,7 +132,7 @@ func TestScanSuitesEquivalence(t *testing.T) {
 	}
 }
 
-// ScanSuitesNoGREASE is ScanSuites over the stripped copy, without the copy.
+// Scanning in place equals scanning the stripped copy, without the copy.
 func TestScanSuitesNoGREASEMatchesStrippedScan(t *testing.T) {
 	rnd := rand.New(rand.NewSource(43))
 	all := AllSuites()
@@ -94,7 +140,7 @@ func TestScanSuitesNoGREASEMatchesStrippedScan(t *testing.T) {
 		ids := randomSuiteList(rnd, all)
 		stripped := StripGREASE16(ids)
 		got, n := ScanSuitesNoGREASE(ids)
-		if want := ScanSuites(stripped); got != want || n != len(stripped) {
+		if want, wantN := ScanSuitesNoGREASE(stripped); got != want || n != wantN || n != len(stripped) {
 			t.Fatalf("trial %d: scan %+v over %d slots, want %+v over %d (ids %04x)",
 				trial, got, n, want, len(stripped), ids)
 		}
@@ -118,10 +164,10 @@ func TestStripGREASE16FastPathAllocs(t *testing.T) {
 
 func TestScanSuitesAllocs(t *testing.T) {
 	list := []uint16{0x1a1a, 0x1301, 0xc02f, 0x009c, 0x002f, 0x000a, 0xcca8}
-	ScanSuites(list) // build the table outside the measured runs
+	ScanSuitesNoGREASE(list) // build the table outside the measured runs
 	if got := testing.AllocsPerRun(200, func() {
-		_ = ScanSuites(list)
+		_, _ = ScanSuitesNoGREASE(list)
 	}); got > 1 {
-		t.Errorf("ScanSuites: %v allocs/run, want ≤ 1", got)
+		t.Errorf("ScanSuitesNoGREASE: %v allocs/run, want ≤ 1", got)
 	}
 }

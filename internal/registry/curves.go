@@ -73,12 +73,6 @@ func (c CurveID) String() string {
 	return fmt.Sprintf("curve(%#04x)", uint16(c))
 }
 
-// Known reports whether c is a registered group.
-func (c CurveID) Known() bool {
-	_, ok := curveNames[c]
-	return ok
-}
-
 // AllCurves returns the registered named groups in ascending order.
 func AllCurves() []CurveID {
 	out := make([]CurveID, 0, len(curveNames))

@@ -104,12 +104,6 @@ func (e ExtensionID) String() string {
 	return fmt.Sprintf("extension(%#04x)", uint16(e))
 }
 
-// Known reports whether e is a registered (or well-known draft) extension.
-func (e ExtensionID) Known() bool {
-	_, ok := extensionNames[e]
-	return ok
-}
-
 // AllExtensions returns the registered extension IDs in ascending order.
 func AllExtensions() []ExtensionID {
 	out := make([]ExtensionID, 0, len(extensionNames))

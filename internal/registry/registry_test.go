@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// suiteNamed looks a registered suite up by its IANA name.
+func suiteNamed(t *testing.T, name string) Suite {
+	t.Helper()
+	for _, s := range suiteTable {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("unknown suite %s", name)
+	return Suite{}
+}
+
 func TestSuiteTableNoDuplicates(t *testing.T) {
 	seen := make(map[uint16]string)
 	names := make(map[string]uint16)
@@ -29,10 +41,6 @@ func TestSuiteLookupRoundTrip(t *testing.T) {
 		}
 		if got.Name != s.Name {
 			t.Fatalf("SuiteByID(%#04x) = %s, want %s", s.ID, got.Name, s.Name)
-		}
-		id, ok := SuiteIDByName(s.Name)
-		if !ok || id != s.ID {
-			t.Fatalf("SuiteIDByName(%s) = %#04x,%v want %#04x", s.Name, id, ok, s.ID)
 		}
 	}
 }
@@ -87,29 +95,9 @@ func TestForwardSecrecyClassification(t *testing.T) {
 		{"TLS_AES_128_GCM_SHA256", true}, // TLS 1.3 always FS
 	}
 	for _, c := range cases {
-		id, ok := SuiteIDByName(c.name)
-		if !ok {
-			t.Fatalf("unknown suite %s", c.name)
-		}
-		if got := MustSuite(id).ForwardSecret(); got != c.want {
+		if got := suiteNamed(t, c.name).Kex.ForwardSecret(); got != c.want {
 			t.Errorf("%s: ForwardSecret=%v want %v", c.name, got, c.want)
 		}
-	}
-}
-
-func TestSweet32Vulnerable(t *testing.T) {
-	des, _ := SuiteIDByName("TLS_RSA_WITH_DES_CBC_SHA")
-	tdes, _ := SuiteIDByName("TLS_RSA_WITH_3DES_EDE_CBC_SHA")
-	aes, _ := SuiteIDByName("TLS_RSA_WITH_AES_128_CBC_SHA")
-	rc4, _ := SuiteIDByName("TLS_RSA_WITH_RC4_128_SHA")
-	if !MustSuite(des).Sweet32Vulnerable() || !MustSuite(tdes).Sweet32Vulnerable() {
-		t.Error("DES/3DES CBC should be Sweet32-vulnerable")
-	}
-	if MustSuite(aes).Sweet32Vulnerable() {
-		t.Error("AES-128-CBC is not Sweet32-vulnerable")
-	}
-	if MustSuite(rc4).Sweet32Vulnerable() {
-		t.Error("RC4 (stream) is not Sweet32-vulnerable")
 	}
 }
 
@@ -122,8 +110,7 @@ func TestTrafficClass(t *testing.T) {
 		"TLS_RSA_WITH_NULL_SHA":                       "other",
 	}
 	for name, want := range cases {
-		id, _ := SuiteIDByName(name)
-		if got := MustSuite(id).TrafficClass(); got != want {
+		if got := suiteNamed(t, name).TrafficClass(); got != want {
 			t.Errorf("%s: class=%s want %s", name, got, want)
 		}
 	}
@@ -256,10 +243,10 @@ func TestExtensionNames(t *testing.T) {
 	if ExtSupportedVersions != 43 {
 		t.Errorf("supported_versions must be 43")
 	}
-	if !ExtRenegotiationInfo.Known() {
+	if ExtRenegotiationInfo.String() != "renegotiation_info" {
 		t.Error("renegotiation_info should be known")
 	}
-	if ExtensionID(0x9999).Known() {
+	if ExtensionID(0x9999).String() != "extension(0x9999)" {
 		t.Error("0x9999 should be unknown")
 	}
 	exts := AllExtensions()
@@ -274,20 +261,20 @@ func TestCurveNames(t *testing.T) {
 	if CurveSecp256r1.String() != "secp256r1" || CurveX25519.String() != "x25519" {
 		t.Error("curve naming broken")
 	}
-	if CurveID(999).Known() {
+	if CurveID(999).String() != "curve(0x03e7)" {
 		t.Error("curve 999 should be unknown")
 	}
 }
 
 func TestSuitesWhere(t *testing.T) {
-	exports := SuitesWhere(Suite.IsExport)
+	var exports []uint16
+	for _, s := range AllSuites() {
+		if s.IsExport() {
+			exports = append(exports, s.ID)
+		}
+	}
 	if len(exports) == 0 {
 		t.Fatal("no export suites found")
-	}
-	for _, id := range exports {
-		if !MustSuite(id).IsExport() {
-			t.Errorf("%#04x not export", id)
-		}
 	}
 	// The canonical FREAK suite must be present.
 	found := false
@@ -327,7 +314,6 @@ func TestAllStringersTotal(t *testing.T) {
 				t.Fatalf("empty stringer for suite %04x", s.ID)
 			}
 		}
-		_ = s.Cipher.BlockSizeBits()
 		_ = s.TrafficClass()
 	}
 	for _, e := range AllExtensions() {
@@ -335,26 +321,17 @@ func TestAllStringersTotal(t *testing.T) {
 			t.Fatalf("empty extension name for %d", e)
 		}
 	}
-	for _, v := range AllVersions() {
-		if v.String() == "" || !v.Known() {
-			t.Fatalf("version %d", v)
+	for _, r := range VersionReleases() {
+		if r.Version.String() == "" || strings.HasPrefix(r.Version.String(), "Version(") {
+			t.Fatalf("version %d", r.Version)
 		}
 	}
 	for c := CurveID(1); c <= CurveID(30); c++ {
 		_ = c.String()
 	}
 	for _, v := range []Version{VersionTLS13Draft18, VersionTLS13Draft28, VersionTLS13Google} {
-		if !v.Known() || !v.IsTLS13Variant() {
+		if strings.HasPrefix(v.String(), "Version(") || !v.IsTLS13Variant() {
 			t.Errorf("%v should be a known 1.3 variant", v)
 		}
 	}
-}
-
-func TestMustSuitePanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustSuite should panic on unknown id")
-		}
-	}()
-	MustSuite(0xBEEF)
 }

@@ -176,18 +176,6 @@ func (c CipherAlgorithm) String() string {
 	return fmt.Sprintf("CipherAlgorithm(%d)", uint8(c))
 }
 
-// BlockSizeBits returns the block size of the cipher in bits, or 0 for
-// stream ciphers and NULL. Sweet32 (§5.6) targets 64-bit block ciphers.
-func (c CipherAlgorithm) BlockSizeBits() int {
-	switch c {
-	case CipherRC2, CipherDES, CipherDES40, Cipher3DES, CipherIDEA, CipherGOST28147:
-		return 64
-	case CipherSEED, CipherAES128, CipherAES256, CipherCamellia128, CipherCamellia256, CipherARIA128, CipherARIA256:
-		return 128
-	}
-	return 0
-}
-
 // CipherMode identifies the mode of operation of the bulk cipher.
 type CipherMode uint8
 
@@ -319,18 +307,8 @@ func (s Suite) IsAnon() bool { return s.Auth == AuthAnon }
 // IsExport reports whether the suite is export-grade (§5.5).
 func (s Suite) IsExport() bool { return s.Export }
 
-// ForwardSecret reports whether the suite's key exchange provides forward
-// secrecy (§6.3.1).
-func (s Suite) ForwardSecret() bool { return s.Kex.ForwardSecret() }
-
 // IsTLS13 reports whether the suite is a TLS 1.3 suite (0x13xx space).
 func (s Suite) IsTLS13() bool { return s.Kex == KexTLS13 }
-
-// Sweet32Vulnerable reports whether the suite uses a 64-bit block cipher in
-// CBC mode, the precondition for the Sweet32 birthday attack (§5.6).
-func (s Suite) Sweet32Vulnerable() bool {
-	return s.Mode == ModeCBC && s.Cipher.BlockSizeBits() == 64
-}
 
 // TrafficClass buckets a suite the way Figures 2 and 3 of the paper do:
 // "AEAD", "CBC", "RC4", or "other" (NULL/stream oddities).

@@ -63,16 +63,6 @@ func (v Version) String() string {
 	return fmt.Sprintf("Version(%#04x)", uint16(v))
 }
 
-// Known reports whether v is one of the registered protocol versions.
-func (v Version) Known() bool {
-	switch v {
-	case VersionSSL2, VersionSSL3, VersionTLS10, VersionTLS11, VersionTLS12,
-		VersionTLS13, VersionTLS13Draft18, VersionTLS13Draft28, VersionTLS13Google:
-		return true
-	}
-	return false
-}
-
 // IsTLS13Variant reports whether v denotes TLS 1.3 proper or one of its
 // draft/experimental code points.
 func (v Version) IsTLS13Variant() bool {
@@ -118,9 +108,4 @@ func VersionReleases() []struct {
 		{VersionTLS12, "TLS 1.2", ReleaseDate{2008, 8}},
 		{VersionTLS13, "TLS 1.3", ReleaseDate{2018, 8}},
 	}
-}
-
-// AllVersions lists the negotiable record-layer versions in ascending order.
-func AllVersions() []Version {
-	return []Version{VersionSSL2, VersionSSL3, VersionTLS10, VersionTLS11, VersionTLS12, VersionTLS13}
 }

@@ -93,9 +93,6 @@ func TestScanChrome2015AgainstFarm(t *testing.T) {
 	if sum.HeartbeatAck != 1 {
 		t.Errorf("heartbeat count: %+v", sum)
 	}
-	if sum.Frac(sum.ChoseRC4) < 0.32 || sum.Frac(sum.ChoseRC4) > 0.35 {
-		t.Errorf("Frac broken: %v", sum.Frac(sum.ChoseRC4))
-	}
 }
 
 func TestSSL3OnlyProbe(t *testing.T) {

@@ -61,14 +61,6 @@ func Summarize(results []Result) Summary {
 	return s
 }
 
-// Frac returns n as a fraction of scanned targets (0 when empty).
-func (s Summary) Frac(n int) float64 {
-	if s.Targets == 0 {
-		return 0
-	}
-	return float64(n) / float64(s.Targets)
-}
-
 // CBCTotal counts servers choosing any CBC-mode suite (3DES included), the
 // §5.2 metric.
 func (s Summary) CBCTotal() int { return s.ChoseCBC + s.Chose3DES }

@@ -80,7 +80,7 @@ const (
 	// ContentTypeTSV is the textual connection-log stream (LogWriter format).
 	ContentTypeTSV = "text/tab-separated-values"
 	// ContentTypeBatch is the length-prefixed binary batch framing
-	// (notary.EncodeBatch / notary.ReadBatches).
+	// (notary.BatchWriter / notary.ReadBatches).
 	ContentTypeBatch = "application/x-tlsage-batch"
 )
 
@@ -665,16 +665,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	if body != nil {
-		// The cache stored the serialized response next to the result
-		// (EncodeJSONBody matches writeJSON byte for byte), so a hit skips
-		// re-marshalling entirely.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body)
-		return
+	if body == nil {
+		// No result cache supplied the serialized response: encode it here
+		// with the encoder the cache uses, so /query has one body format
+		// whatever served it.
+		if body, err = res.EncodeJSONBody(); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
 	}
-	writeJSON(w, http.StatusOK, res)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // nothing useful to do about a broken client connection
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

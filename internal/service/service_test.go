@@ -617,7 +617,7 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 	ingest(tsPlain)
 
 	const reqBody = `{"query": "pct(version:tls12 / established)"}`
-	postQuery := func(ts *httptest.Server) (http.Header, []byte) {
+	postQueryBody := func(ts *httptest.Server, reqBody string) (http.Header, []byte) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(reqBody))
 		if err != nil {
@@ -632,6 +632,10 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 			t.Fatalf("query status %d: %s", resp.StatusCode, body)
 		}
 		return resp.Header, body
+	}
+	postQuery := func(ts *httptest.Server) (http.Header, []byte) {
+		t.Helper()
+		return postQueryBody(ts, reqBody)
 	}
 
 	h1, body1 := postQuery(tsCached)
@@ -657,6 +661,25 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(bodyPlain, body1) {
 		t.Error("cached and uncached servers serve different bodies")
+	}
+	// /query has one encoder whatever serves the body: over the whole query
+	// sweep, series and scalars alike, the uncached server — a miss every
+	// time — writes the bytes the cached server computes and then replays.
+	for _, q := range paritySweep {
+		req := `{"query": "` + q + `"}`
+		_, want := postQueryBody(tsCached, req)
+		if hc, replayed := postQueryBody(tsCached, req); hc.Get("X-Cache") != "hit" || !bytes.Equal(replayed, want) {
+			t.Errorf("%s: cached server's repeat: X-Cache=%q, same bytes: %v", q, hc.Get("X-Cache"), bytes.Equal(replayed, want))
+		}
+		for i := 0; i < 2; i++ {
+			hp, got := postQueryBody(tsPlain, req)
+			if hp.Get("X-Cache") != "miss" {
+				t.Errorf("%s: uncached server: X-Cache=%q, want miss", q, hp.Get("X-Cache"))
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: uncached server serves different bytes:\n%s\n---\n%s", q, got, want)
+			}
+		}
 	}
 
 	// Further ingestion advances the generation: the next query misses and

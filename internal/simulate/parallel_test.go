@@ -12,27 +12,20 @@ import (
 	"tlsage/internal/timeline"
 )
 
-// RunAggregate must produce an identical aggregate for every worker count:
-// each month has its own seed-derived RNG stream, so sharding the window
-// cannot change the dataset.
+// Run must fill an identical aggregate for every worker count: each month
+// has its own seed-derived RNG stream and months are delivered in order, so
+// sharding the window cannot change the dataset.
 func TestParallelRunAggregateIdentical(t *testing.T) {
 	opts := DefaultOptions(60)
 	opts.End = timeline.M(2015, time.June) // 41 months, keeps the test quick
 	opts.Workers = 1
-	want, err := New(opts).RunAggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runAggregate(t, opts)
 	if want.TotalRecords() != 41*60 {
 		t.Fatalf("unexpected record count %d", want.TotalRecords())
 	}
 	for _, workers := range []int{0, 2, 3, 8, 64} {
 		opts.Workers = workers
-		got, err := New(opts).RunAggregate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
+		if got := runAggregate(t, opts); !reflect.DeepEqual(want, got) {
 			t.Errorf("Workers=%d aggregate differs from Workers=1", workers)
 		}
 	}
@@ -46,11 +39,9 @@ func TestParallelRunStreamOrder(t *testing.T) {
 	collect := func(workers int) []string {
 		opts.Workers = workers
 		var lines []string
-		if err := New(opts).RunFunc(func(r *notary.Record) {
+		runEach(t, opts, func(r *notary.Record) {
 			lines = append(lines, string(r.AppendTSV(nil)))
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 		return lines
 	}
 	want := collect(1)
@@ -79,10 +70,7 @@ func TestParallelRunAggregatePropagatesSinkCoverage(t *testing.T) {
 	opts := DefaultOptions(30)
 	opts.End = timeline.M(2012, time.December)
 	opts.Workers = 4
-	agg, err := New(opts).RunAggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := runAggregate(t, opts)
 	months := agg.Months()
 	if len(months) != 11 {
 		t.Fatalf("got %d months, want 11", len(months))
@@ -175,7 +163,7 @@ func TestFallbackVersionsUsedInDance(t *testing.T) {
 	opts.Start = timeline.M(2014, time.March)
 	opts.End = timeline.M(2014, time.March)
 	sawFallback := false
-	err := New(opts).RunFunc(func(r *notary.Record) {
+	runEach(t, opts, func(r *notary.Record) {
 		if r.UsedFallback {
 			sawFallback = true
 			if !strings.HasPrefix(r.Date.String(), "2014-03") {
@@ -183,9 +171,6 @@ func TestFallbackVersionsUsedInDance(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !sawFallback {
 		t.Error("no fallback dance observed in March 2014")
 	}

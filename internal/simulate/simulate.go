@@ -97,9 +97,6 @@ func New(opts Options) *Simulator {
 	}
 }
 
-// Options returns the effective options.
-func (s *Simulator) Options() Options { return s.opts }
-
 // workerCount resolves Options.Workers against the month count.
 func (s *Simulator) workerCount(months int) int {
 	w := s.opts.Workers
@@ -245,72 +242,6 @@ func (s *Simulator) Run(sink notary.Sink) error {
 		<-sem
 	}
 	return firstErr
-}
-
-// RunFunc runs the simulation into a plain per-record function — a
-// convenience wrapper over Run for callers without sink state.
-func (s *Simulator) RunFunc(fn func(*notary.Record)) error {
-	return s.Run(notary.SinkFunc(func(r *notary.Record) error {
-		fn(r)
-		return nil
-	}))
-}
-
-// RunAggregate runs the simulation into a fresh aggregator. With Workers > 1
-// each worker accumulates its months into a private notary.Aggregate and the
-// shards are merged; the result is identical to the sequential path.
-func (s *Simulator) RunAggregate() (*notary.Aggregate, error) {
-	months := timeline.MonthsBetween(s.opts.Start, s.opts.End)
-	workers := s.workerCount(len(months))
-	if workers <= 1 {
-		agg := notary.NewAggregate()
-		if err := s.Run(agg); err != nil {
-			return nil, err
-		}
-		return agg, nil
-	}
-
-	aggs := make([]*notary.Aggregate, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			agg := notary.NewAggregate()
-			aggs[w] = agg
-			var sc scratch
-			observe := func(r *notary.Record) error {
-				agg.Add(r)
-				notary.ReleaseRecord(r)
-				return nil
-			}
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(months) || aborted.Load() {
-					return
-				}
-				if err := s.runMonth(months[idx], &sc, observe); err != nil {
-					errs[w] = err
-					aborted.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	agg := notary.NewAggregate()
-	for _, shard := range aggs {
-		agg.Merge(shard)
-	}
-	return agg, nil
 }
 
 // connection simulates one observed connection in month m. The returned

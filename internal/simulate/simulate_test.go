@@ -23,13 +23,52 @@ var (
 func studyAgg(t *testing.T) *notary.Aggregate {
 	t.Helper()
 	aggOnce.Do(func() {
-		sim := New(DefaultOptions(1500))
-		agg, aggErr = sim.RunAggregate()
+		agg = notary.NewAggregate()
+		aggErr = New(DefaultOptions(1500)).Run(agg)
 	})
 	if aggErr != nil {
 		t.Fatal(aggErr)
 	}
 	return agg
+}
+
+// runAggregate runs the simulation into a fresh aggregate through Run, the
+// one pipeline the simulator has.
+func runAggregate(t *testing.T, opts Options) *notary.Aggregate {
+	t.Helper()
+	agg := notary.NewAggregate()
+	if err := New(opts).Run(agg); err != nil {
+		t.Fatal(err)
+	}
+	return agg
+}
+
+// runEach runs the simulation, handing every record to fn.
+func runEach(t *testing.T, opts Options, fn func(*notary.Record)) {
+	t.Helper()
+	err := New(opts).Run(notary.SinkFunc(func(r *notary.Record) error {
+		fn(r)
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pctTotal is 100·n over the month's records, 0 for an empty month.
+func pctTotal(ms *notary.MonthStats, n int) float64 {
+	if ms.Total == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(ms.Total)
+}
+
+// pctEstablished is 100·n over the month's established connections.
+func pctEstablished(ms *notary.MonthStats, n int) float64 {
+	if ms.Established == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(ms.Established)
 }
 
 func pct(t *testing.T, a *notary.Aggregate, y int, m time.Month, f func(*notary.MonthStats) float64) float64 {
@@ -46,11 +85,7 @@ func TestDeterminism(t *testing.T) {
 	opts.End = timeline.M(2012, time.June)
 	var lines1, lines2 []string
 	run := func(out *[]string) {
-		sim := New(opts)
-		err := sim.RunFunc(func(r *notary.Record) { *out = append(*out, string(r.AppendTSV(nil))) })
-		if err != nil {
-			t.Fatal(err)
-		}
+		runEach(t, opts, func(r *notary.Record) { *out = append(*out, string(r.AppendTSV(nil))) })
 	}
 	run(&lines1)
 	run(&lines2)
@@ -84,7 +119,7 @@ func TestFigure1VersionShape(t *testing.T) {
 	a := studyAgg(t)
 	v := func(y int, m time.Month, ver registry.Version) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 {
-			return ms.PctEstablished(ms.ByVersion.Get(ver))
+			return pctEstablished(ms, ms.ByVersion.Get(ver))
 		})
 	}
 	if got := v(2012, time.March, registry.VersionTLS10); got < 80 {
@@ -114,7 +149,7 @@ func TestFigure2ClassShape(t *testing.T) {
 	a := studyAgg(t)
 	cls := func(y int, m time.Month, class string) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 {
-			return ms.PctEstablished(ms.ByClass[class])
+			return pctEstablished(ms, ms.ByClass[class])
 		})
 	}
 	// RC4 peaks around 50-65% in Aug 2013, near zero by Mar 2018.
@@ -141,7 +176,7 @@ func TestFigure2ClassShape(t *testing.T) {
 func TestFigure3AdvertisedShape(t *testing.T) {
 	a := studyAgg(t)
 	get := func(y int, m time.Month, f func(*notary.MonthStats) int) float64 {
-		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return ms.Pct(f(ms)) })
+		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return pctTotal(ms, f(ms)) })
 	}
 	// Nearly all clients advertised RC4 and 3DES in 2012-2014.
 	if got := get(2013, time.June, func(ms *notary.MonthStats) int { return ms.AdvRC4 }); got < 85 {
@@ -187,7 +222,7 @@ func TestFigure3AdvertisedShape(t *testing.T) {
 func TestFigure7WeakAdvertisement(t *testing.T) {
 	a := studyAgg(t)
 	get := func(y int, m time.Month, f func(*notary.MonthStats) int) float64 {
-		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return ms.Pct(f(ms)) })
+		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return pctTotal(ms, f(ms)) })
 	}
 	exp12 := get(2012, time.June, func(ms *notary.MonthStats) int { return ms.AdvExport })
 	exp18 := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.AdvExport })
@@ -216,7 +251,7 @@ func TestNULLNegotiation(t *testing.T) {
 	a := studyAgg(t)
 	nullPct := func(y int, m time.Month) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 {
-			return ms.PctEstablished(ms.NULLNegotiated)
+			return pctEstablished(ms, ms.NULLNegotiated)
 		})
 	}
 	if got := nullPct(2012, time.June); got < 1 || got > 9 {
@@ -233,7 +268,7 @@ func TestFigure8ForwardSecrecy(t *testing.T) {
 	a := studyAgg(t)
 	kex := func(y int, m time.Month, k registry.KeyExchange) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 {
-			return ms.PctEstablished(ms.ByKex.Get(k))
+			return pctEstablished(ms, ms.ByKex.Get(k))
 		})
 	}
 	fs := func(y int, m time.Month) float64 {
@@ -244,7 +279,7 @@ func TestFigure8ForwardSecrecy(t *testing.T) {
 					n += c
 				}
 			}
-			return ms.PctEstablished(n)
+			return pctEstablished(ms, n)
 		})
 	}
 	if got := kex(2012, time.June, registry.KexRSA); got < 40 {
@@ -261,7 +296,7 @@ func TestFigure8ForwardSecrecy(t *testing.T) {
 	// DHE never found much use: stays below 20% at all times.
 	for _, m := range a.Months() {
 		ms := a.Stats(m)
-		if p := ms.PctEstablished(ms.ByKex.Get(registry.KexDHE)); p > 20 {
+		if p := pctEstablished(ms, ms.ByKex.Get(registry.KexDHE)); p > 20 {
 			t.Errorf("DHE at %v = %0.1f%%, should stay minor", m, p)
 		}
 	}
@@ -290,7 +325,7 @@ func TestFigure9AEADBreakdown(t *testing.T) {
 	if gcm128 <= gcm256 {
 		t.Errorf("AES-128-GCM (%d) should dominate AES-256-GCM (%d)", gcm128, gcm256)
 	}
-	chachaPct := ms.PctEstablished(chacha)
+	chachaPct := pctEstablished(ms, chacha)
 	if chachaPct < 0.3 || chachaPct > 8 {
 		t.Errorf("ChaCha20 negotiated Mar 2018 = %0.1f%%, want ≈1.7%%", chachaPct)
 	}
@@ -305,7 +340,7 @@ func TestFigure9AEADBreakdown(t *testing.T) {
 func TestTLS13Uptake(t *testing.T) {
 	a := studyAgg(t)
 	sup := func(y int, m time.Month) float64 {
-		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return ms.Pct(ms.AdvTLS13) })
+		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return pctTotal(ms, ms.AdvTLS13) })
 	}
 	feb, mar, apr := sup(2018, time.February), sup(2018, time.March), sup(2018, time.April)
 	if feb > 6 {
@@ -318,7 +353,7 @@ func TestTLS13Uptake(t *testing.T) {
 		t.Errorf("TLS1.3 client support Apr 2018 = %0.1f%%, want ≈23.6%%", apr)
 	}
 	neg := pct(t, a, 2018, time.April, func(ms *notary.MonthStats) float64 {
-		return ms.PctEstablished(ms.ByVersion.Get(registry.VersionTLS13))
+		return pctEstablished(ms, ms.ByVersion.Get(registry.VersionTLS13))
 	})
 	if neg > 6 {
 		t.Errorf("TLS1.3 negotiated Apr 2018 = %0.1f%%, want ≈1.3%%", neg)
@@ -334,7 +369,7 @@ func TestTLS13Uptake(t *testing.T) {
 func TestHeartbeatNegotiated(t *testing.T) {
 	a := studyAgg(t)
 	got := pct(t, a, 2018, time.March, func(ms *notary.MonthStats) float64 {
-		return ms.Pct(ms.HeartbeatAckN)
+		return pctTotal(ms, ms.HeartbeatAckN)
 	})
 	if got < 0.5 || got > 8 {
 		t.Errorf("heartbeat negotiated Mar 2018 = %0.1f%%, want ≈3%%", got)
@@ -404,7 +439,7 @@ func TestFigure4FingerprintCapabilities(t *testing.T) {
 	}
 	// Traffic-weighted RC4 advertisement is far below the fingerprint share
 	// (the Figure 4 vs Figure 3 contrast).
-	trafficRC4 := ms.Pct(ms.AdvRC4)
+	trafficRC4 := pctTotal(ms, ms.AdvRC4)
 	if trafficRC4 >= rc4Pct {
 		t.Errorf("traffic RC4 (%0.0f%%) should be below fingerprint RC4 (%0.0f%%)", trafficRC4, rc4Pct)
 	}
@@ -513,20 +548,13 @@ func TestWireAblationAgreement(t *testing.T) {
 	optsA.End = timeline.M(2013, time.December)
 	optsB := optsA
 	optsB.WireLevel = false
-	aggA, err := New(optsA).RunAggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggB, err := New(optsB).RunAggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	aggA, aggB := runAggregate(t, optsA), runAggregate(t, optsB)
 	msA := aggA.Stats(timeline.M(2013, time.June))
 	msB := aggB.Stats(timeline.M(2013, time.June))
 	if msA.Total != msB.Total {
 		t.Fatal("sample sizes differ")
 	}
-	diff := math.Abs(msA.PctEstablished(msA.ByClass["RC4"]) - msB.PctEstablished(msB.ByClass["RC4"]))
+	diff := math.Abs(pctEstablished(msA, msA.ByClass["RC4"]) - pctEstablished(msB, msB.ByClass["RC4"]))
 	if diff > 8 {
 		t.Errorf("wire vs struct RC4 share differs by %0.1f points", diff)
 	}
@@ -538,15 +566,12 @@ func TestFallbackDanceHappens(t *testing.T) {
 	opts.Start = timeline.M(2014, time.January)
 	opts.End = timeline.M(2014, time.June)
 	n, fallbacks := 0, 0
-	err := New(opts).RunFunc(func(r *notary.Record) {
+	runEach(t, opts, func(r *notary.Record) {
 		n++
 		if r.UsedFallback {
 			fallbacks++
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if fallbacks == 0 {
 		t.Error("no fallback retries observed in 2014")
 	}
@@ -586,7 +611,7 @@ func TestStructLevelSSLv2Path(t *testing.T) {
 	opts.End = timeline.M(2013, time.March)
 	opts.WireLevel = false
 	sslv2 := 0
-	err := New(opts).RunFunc(func(r *notary.Record) {
+	runEach(t, opts, func(r *notary.Record) {
 		if r.SSLv2Hello {
 			sslv2++
 			if r.ClientVersion != registry.VersionSSL2 {
@@ -594,9 +619,6 @@ func TestStructLevelSSLv2Path(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sslv2 == 0 {
 		t.Skip("no Nagios samples at this size/seed")
 	}

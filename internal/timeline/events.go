@@ -77,24 +77,3 @@ func EventDate(name string) (Date, bool) {
 	}
 	return Date{}, false
 }
-
-// MustEventDate looks up an event date and panics on unknown names; for use
-// in static model tables.
-func MustEventDate(name string) Date {
-	d, ok := EventDate(name)
-	if !ok {
-		panic("timeline: unknown event " + name)
-	}
-	return d
-}
-
-// EventsBefore returns all events dated strictly before d.
-func EventsBefore(d Date) []Event {
-	var out []Event
-	for _, e := range events {
-		if e.Date.Before(d) {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -65,9 +65,6 @@ func MonthOf(d Date) Month { return Month{d.Year, d.Month} }
 // String renders the month as YYYY-MM.
 func (m Month) String() string { return fmt.Sprintf("%04d-%02d", m.Year, m.M) }
 
-// Start returns the first day of the month.
-func (m Month) Start() Date { return Date{m.Year, m.M, 1} }
-
 // Mid returns the 15th, used as the representative sampling date of a month.
 func (m Month) Mid() Date { return Date{m.Year, m.M, 15} }
 
@@ -113,6 +110,3 @@ func MonthsBetween(first, last Month) []Month {
 	}
 	return out
 }
-
-// StudyMonths returns the full study window, month by month.
-func StudyMonths() []Month { return MonthsBetween(StudyStart, StudyEnd) }

@@ -48,7 +48,7 @@ func TestMonthAddSubProperty(t *testing.T) {
 }
 
 func TestStudyMonths(t *testing.T) {
-	months := StudyMonths()
+	months := MonthsBetween(StudyStart, StudyEnd)
 	if len(months) != 75 {
 		t.Fatalf("study window = %d months, want 75 (Feb 2012 .. Apr 2018)", len(months))
 	}
@@ -79,8 +79,8 @@ func TestMonthOfAndStrings(t *testing.T) {
 	if MonthOf(d).String() != "2015-03" {
 		t.Errorf("Month.String = %s", MonthOf(d))
 	}
-	if MonthOf(d).Mid().Day != 15 || MonthOf(d).Start().Day != 1 {
-		t.Error("Mid/Start days wrong")
+	if MonthOf(d).Mid().Day != 15 {
+		t.Error("Mid day wrong")
 	}
 }
 
@@ -117,22 +117,13 @@ func TestEventCatalogue(t *testing.T) {
 }
 
 func TestEventsBefore(t *testing.T) {
-	pre2014 := EventsBefore(D(2014, time.January, 1))
-	for _, e := range pre2014 {
-		if !e.Date.Before(D(2014, time.January, 1)) {
-			t.Errorf("event %s not before 2014", e.Name)
+	pre2014 := 0
+	for _, e := range Events() {
+		if e.Date.Before(D(2014, time.January, 1)) {
+			pre2014++
 		}
 	}
-	if len(pre2014) != 4 { // BEAST, Lucky13, RC4, Snowden
-		t.Errorf("EventsBefore(2014) = %d events, want 4", len(pre2014))
+	if pre2014 != 4 { // BEAST, Lucky13, RC4, Snowden
+		t.Errorf("%d events before 2014, want 4", pre2014)
 	}
-}
-
-func TestMustEventDatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustEventDate should panic on unknown event")
-		}
-	}()
-	MustEventDate("nope")
 }

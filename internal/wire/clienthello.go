@@ -208,40 +208,3 @@ func (ch *ClientHello) OffersHeartbeat() bool {
 	_, ok := FindExtension(ch.Extensions, registry.ExtHeartbeat)
 	return ok
 }
-
-// ServerName returns the SNI host name, or "" when absent or unparseable.
-func (ch *ClientHello) ServerName() string {
-	e, ok := FindExtension(ch.Extensions, registry.ExtServerName)
-	if !ok {
-		return ""
-	}
-	name, err := ParseServerName(e.Data)
-	if err != nil {
-		return ""
-	}
-	return name
-}
-
-// MaxSupportedVersion returns the highest protocol version the hello offers:
-// the maximum of the supported_versions list when present (TLS 1.3
-// semantics, draft and experimental values canonicalized), otherwise the
-// legacy version field.
-func (ch *ClientHello) MaxSupportedVersion() registry.Version {
-	svs := ch.SupportedVersions()
-	if len(svs) == 0 {
-		return ch.Version
-	}
-	max := registry.Version(0)
-	for _, v := range svs {
-		if registry.IsGREASE(uint16(v)) {
-			continue
-		}
-		if c := v.Canonical(); c > max {
-			max = c
-		}
-	}
-	if max == 0 {
-		return ch.Version
-	}
-	return max
-}

@@ -61,19 +61,6 @@ func (r *reader) u16(context string) uint16 {
 	return v
 }
 
-func (r *reader) u24(context string) uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) < 3 {
-		r.fail(context)
-		return 0
-	}
-	v := uint32(r.data[0])<<16 | uint32(r.data[1])<<8 | uint32(r.data[2])
-	r.data = r.data[3:]
-	return v
-}
-
 // bytes consumes exactly n bytes. The returned slice aliases the input; the
 // caller copies if it needs to retain the data (gopacket NoCopy convention).
 func (r *reader) bytes(n int, context string) []byte {

@@ -107,49 +107,7 @@ func NewHeartbeatExtension(mode uint8) Extension {
 	return Extension{ID: registry.ExtHeartbeat, Data: []byte{mode}}
 }
 
-// NewServerNameExtension builds a server_name (SNI) extension carrying one
-// host_name entry.
-func NewServerNameExtension(host string) Extension {
-	var b builder
-	var list builder
-	list.u8(0) // name_type host_name
-	list.vec16([]byte(host))
-	b.vec16(list.buf)
-	return Extension{ID: registry.ExtServerName, Data: b.buf}
-}
-
-// --- Typed extension parsers ---
-
 // The supported_groups / ec_point_formats / supported_versions bodies are
 // decoded by the ClientHello.Append* accessors in clienthello.go — one
 // decoder per extension, shared by the plain and append-into accessor
 // families.
-
-// ParseServerName decodes the first host_name entry of a server_name body.
-func ParseServerName(data []byte) (string, error) {
-	r := newReader(data)
-	list := r.vec16("server_name list")
-	if r.err != nil {
-		return "", r.err
-	}
-	lr := newReader(list)
-	for !lr.empty() {
-		nameType := lr.u8("server_name type")
-		name := lr.vec16("server_name value")
-		if lr.err != nil {
-			return "", lr.err
-		}
-		if nameType == 0 {
-			return string(name), nil
-		}
-	}
-	return "", fmt.Errorf("%w: no host_name entry", ErrMalformed)
-}
-
-// ParseHeartbeatMode decodes a heartbeat extension body.
-func ParseHeartbeatMode(data []byte) (uint8, error) {
-	if len(data) < 1 {
-		return 0, fmt.Errorf("%w: heartbeat body", ErrTruncated)
-	}
-	return data[0], nil
-}

@@ -11,6 +11,17 @@ import (
 	"tlsage/internal/registry"
 )
 
+// serverNameExtension builds a server_name (SNI) extension carrying one
+// host_name entry.
+func serverNameExtension(host string) Extension {
+	var b builder
+	var list builder
+	list.u8(0) // name_type host_name
+	list.vec16([]byte(host))
+	b.vec16(list.buf)
+	return Extension{ID: registry.ExtServerName, Data: b.buf}
+}
+
 func sampleClientHello() *ClientHello {
 	ch := &ClientHello{
 		Version:            registry.VersionTLS12,
@@ -18,7 +29,7 @@ func sampleClientHello() *ClientHello {
 		CipherSuites:       []uint16{0xC02F, 0xC030, 0xC013, 0xC014, 0x009C, 0x0035, 0x002F, 0x000A},
 		CompressionMethods: []byte{0},
 		Extensions: []Extension{
-			NewServerNameExtension("example.org"),
+			serverNameExtension("example.org"),
 			NewSupportedGroupsExtension([]registry.CurveID{registry.CurveX25519, registry.CurveSecp256r1, registry.CurveSecp384r1}),
 			NewECPointFormatsExtension([]registry.ECPointFormat{registry.PointFormatUncompressed}),
 			NewSupportedVersionsExtension([]registry.Version{registry.VersionTLS13, registry.VersionTLS12}),
@@ -48,9 +59,6 @@ func TestClientHelloRoundTrip(t *testing.T) {
 
 func TestClientHelloAccessors(t *testing.T) {
 	ch := sampleClientHello()
-	if got := ch.ServerName(); got != "example.org" {
-		t.Errorf("ServerName = %q", got)
-	}
 	groups := ch.SupportedGroups()
 	if len(groups) != 3 || groups[0] != registry.CurveX25519 {
 		t.Errorf("SupportedGroups = %v", groups)
@@ -62,29 +70,9 @@ func TestClientHelloAccessors(t *testing.T) {
 	if !ch.OffersHeartbeat() {
 		t.Error("OffersHeartbeat = false")
 	}
-	if got := ch.MaxSupportedVersion(); got != registry.VersionTLS13 {
-		t.Errorf("MaxSupportedVersion = %v", got)
-	}
 	ids := ch.ExtensionIDs()
 	if len(ids) != 5 || ids[0] != registry.ExtServerName {
 		t.Errorf("ExtensionIDs = %v", ids)
-	}
-}
-
-func TestMaxSupportedVersionFallsBackToLegacy(t *testing.T) {
-	ch := &ClientHello{Version: registry.VersionTLS12, CipherSuites: []uint16{0x002F}}
-	if got := ch.MaxSupportedVersion(); got != registry.VersionTLS12 {
-		t.Errorf("MaxSupportedVersion = %v, want TLS12", got)
-	}
-	// GREASE-only supported_versions also falls back.
-	ch.Extensions = []Extension{NewSupportedVersionsExtension([]registry.Version{0x0a0a})}
-	if got := ch.MaxSupportedVersion(); got != registry.VersionTLS12 {
-		t.Errorf("MaxSupportedVersion with GREASE-only list = %v, want TLS12", got)
-	}
-	// Draft versions canonicalize to TLS 1.3.
-	ch.Extensions = []Extension{NewSupportedVersionsExtension([]registry.Version{registry.VersionTLS13Google, registry.VersionTLS12})}
-	if got := ch.MaxSupportedVersion(); got != registry.VersionTLS13 {
-		t.Errorf("MaxSupportedVersion with google draft = %v, want TLS13", got)
 	}
 }
 
@@ -108,7 +96,7 @@ func TestClientHelloNoExtensions(t *testing.T) {
 	if len(got.Extensions) != 0 {
 		t.Errorf("expected no extensions, got %v", got.Extensions)
 	}
-	if got.SupportedGroups() != nil || got.ServerName() != "" || got.OffersHeartbeat() {
+	if got.SupportedGroups() != nil || got.OffersHeartbeat() {
 		t.Error("accessors on extension-less hello should be empty")
 	}
 }
