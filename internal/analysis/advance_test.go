@@ -61,25 +61,6 @@ func advanceOrBuild(t *testing.T, prev *Frame, agg *notary.Aggregate, touched []
 	return got, true
 }
 
-// TestCountersListEveryIntColumn: a plain []int column left off
-// Frame.counters would be allocated by nobody and copied by nobody.
-func TestCountersListEveryIntColumn(t *testing.T) {
-	f := NewFrame(notary.NewAggregate())
-	listed := map[*[]int]bool{}
-	for _, c := range f.counters() {
-		listed[c] = true
-	}
-	v := reflect.ValueOf(f).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if !v.Type().Field(i).IsExported() {
-			continue
-		}
-		if c, ok := v.Field(i).Addr().Interface().(*[]int); ok && !listed[c] {
-			t.Errorf("column %s is not in Frame.counters", v.Type().Field(i).Name)
-		}
-	}
-}
-
 var (
 	advanceRecsOnce sync.Once
 	advanceRecs     []*notary.Record

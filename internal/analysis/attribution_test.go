@@ -124,7 +124,7 @@ func TestFPFamilyMatchesAggregate(t *testing.T) {
 	if sumCol(wantConns) == 0 {
 		t.Fatal("aggregate has no fingerprint volume — vacuous")
 	}
-	if !reflect.DeepEqual(f.FPConns, wantConns) {
+	if !reflect.DeepEqual(f.Plain[colFPConns], wantConns) {
 		t.Errorf("fp-conns diverges from ByFingerprint walk")
 	}
 	res := mustQuery(t, f, "fp:*")

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -98,43 +98,16 @@ func (e *Expr) Kind() Kind {
 
 // --- column vocabulary ---
 
-// namedColumns maps the canonical name of every plain frame column to its
-// accessor. Keyed counters (versions, classes, ...) go through the family
-// selectors instead.
-var namedColumns = map[string]func(*Frame) []int{
-	"total":              func(f *Frame) []int { return f.Total },
-	"established":        func(f *Frame) []int { return f.Established },
-	"fingerprints":       func(f *Frame) []int { return f.FPTotal },
-	"fp-conns":           func(f *Frame) []int { return f.FPConns },
-	"adv-rc4":            func(f *Frame) []int { return f.AdvRC4 },
-	"adv-des":            func(f *Frame) []int { return f.AdvDES },
-	"adv-3des":           func(f *Frame) []int { return f.Adv3DES },
-	"adv-aead":           func(f *Frame) []int { return f.AdvAEAD },
-	"adv-export":         func(f *Frame) []int { return f.AdvExport },
-	"adv-anon":           func(f *Frame) []int { return f.AdvAnon },
-	"adv-null":           func(f *Frame) []int { return f.AdvNULL },
-	"adv-aes128-gcm":     func(f *Frame) []int { return f.AdvAESGCM128 },
-	"adv-aes256-gcm":     func(f *Frame) []int { return f.AdvAESGCM256 },
-	"adv-chacha":         func(f *Frame) []int { return f.AdvChaCha },
-	"adv-ccm":            func(f *Frame) []int { return f.AdvCCM },
-	"adv-tls13":          func(f *Frame) []int { return f.AdvTLS13 },
-	"offers-heartbeat":   func(f *Frame) []int { return f.OffersHeartbeat },
-	"heartbeat-ack":      func(f *Frame) []int { return f.HeartbeatAck },
-	"null-negotiated":    func(f *Frame) []int { return f.NULLNegotiated },
-	"anon-negotiated":    func(f *Frame) []int { return f.AnonNegotiated },
-	"export-negotiated":  func(f *Frame) []int { return f.ExportNegotiated },
-	"unoffered-choice":   func(f *Frame) []int { return f.UnofferedChoice },
-	"sslv2-hellos":       func(f *Frame) []int { return f.SSLv2Hellos },
-	"fp-rc4":             func(f *Frame) []int { return f.FPRC4 },
-	"fp-des":             func(f *Frame) []int { return f.FPDES },
-	"fp-3des":            func(f *Frame) []int { return f.FP3DES },
-	"fp-aead":            func(f *Frame) []int { return f.FPAEAD },
-	"neg-aead":           func(f *Frame) []int { return f.NegAEAD },
-	"neg-aes128-gcm":     func(f *Frame) []int { return f.NegGCM128 },
-	"neg-aes256-gcm":     func(f *Frame) []int { return f.NegGCM256 },
-	"neg-chacha":         func(f *Frame) []int { return f.NegChaCha },
-	"kex-forward-secret": func(f *Frame) []int { return f.KexForwardSecret },
-}
+// plainIndex inverts plainNames: the canonical name of every plain frame
+// column to its index in Frame.Plain. Keyed counters (versions, classes,
+// ...) go through the family selectors instead.
+var plainIndex = func() map[string]int {
+	m := make(map[string]int, numPlain)
+	for i, name := range plainNames {
+		m[name] = i
+	}
+	return m
+}()
 
 // versionKeys maps canonical (and alias) version names to wire values. The
 // canonical form is the first spelling, e.g. "tls12".
@@ -150,8 +123,10 @@ var versionKeys = map[string]registry.Version{
 	"tls13-google": registry.VersionTLS13Google, "tlsv13-google": registry.VersionTLS13Google,
 }
 
-// classKeys maps canonical class names to the Frame's suite-class map keys
-// (shared by class: selectors and position()).
+// classKeys maps canonical class names to the Frame's suite-class map keys,
+// which for the five Figure 5 classes are also notary.PosClass names (shared
+// by class: selectors and position(); position(stream) and position(other)
+// are valid and zero).
 var classKeys = map[string]string{
 	"aead": "AEAD", "cbc": "CBC", "rc4": "RC4",
 	"des": "DES", "3des": "3DES", "stream": "Stream", "other": "other",
@@ -285,12 +260,7 @@ func intCols[K comparable](m map[K][]int) map[string][]int {
 // ColumnNames lists every plain named column, sorted — the discoverable half
 // of the column vocabulary (family selectors are open-ended).
 func ColumnNames() []string {
-	out := make([]string, 0, len(namedColumns))
-	for n := range namedColumns {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(slices.Values(plainNames[:]))
 }
 
 // --- validation ---
@@ -310,7 +280,7 @@ func fold(s string) string {
 // (folded) form without touching the input.
 func checkColumn(name string) (string, error) {
 	name = fold(name)
-	if _, ok := namedColumns[name]; ok {
+	if _, ok := plainIndex[name]; ok {
 		return name, nil
 	}
 	if i := strings.IndexByte(name, ':'); i >= 0 {

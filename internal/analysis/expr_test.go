@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
+
+	"tlsage/internal/notary"
 )
 
 // TestCatalogExprSerializedParity is the tentpole guarantee: every catalog
@@ -74,7 +75,7 @@ func TestQueryScalarOps(t *testing.T) {
 		{"max(pct(class:rc4 / established))", max},
 		{"first(pct(class:rc4 / established))", series[0]},
 		{"last(pct(class:rc4 / established))", series[len(series)-1]},
-		{"count(established)", float64(sumCol(f.Established))},
+		{"count(established)", float64(sumCol(f.Plain[notary.Established]))},
 	}
 	for _, c := range cases {
 		res := mustQuery(t, f, c.src)
@@ -353,18 +354,67 @@ func TestConcurrentCatalogEval(t *testing.T) {
 	wg.Wait()
 }
 
-// TestColumnNames: the discoverable vocabulary is sorted and resolvable.
+// TestColumnNames: the plain-column vocabulary is exactly the 32 names the
+// query surface has always served, sorted; every slot of the name table —
+// each notary.Counter and each derived column — has a name of its own; and
+// every name resolves.
 func TestColumnNames(t *testing.T) {
-	names := ColumnNames()
-	if len(names) != len(namedColumns) {
-		t.Fatalf("ColumnNames lists %d of %d", len(names), len(namedColumns))
+	want := []string{
+		"adv-3des", "adv-aead", "adv-aes128-gcm", "adv-aes256-gcm", "adv-anon",
+		"adv-ccm", "adv-chacha", "adv-des", "adv-export", "adv-null", "adv-rc4",
+		"adv-tls13", "anon-negotiated", "established", "export-negotiated",
+		"fingerprints", "fp-3des", "fp-aead", "fp-conns", "fp-des", "fp-rc4",
+		"heartbeat-ack", "kex-forward-secret", "neg-aead", "neg-aes128-gcm",
+		"neg-aes256-gcm", "neg-chacha", "null-negotiated", "offers-heartbeat",
+		"sslv2-hellos", "total", "unoffered-choice",
 	}
-	if !strings.HasPrefix(names[0], "adv-") {
-		t.Errorf("names not sorted: %v", names[:3])
+	names := ColumnNames()
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("ColumnNames:\n got %q\nwant %q", names, want)
+	}
+	if int(notary.NumCounters) > numPlain {
+		t.Fatalf("%d notary counters do not fit %d plain columns", notary.NumCounters, numPlain)
+	}
+	for i, n := range plainNames {
+		if n == "" {
+			t.Errorf("plain column %d has no query name", i)
+		} else if plainIndex[n] != i {
+			t.Errorf("plain columns %d and %d share the name %q", i, plainIndex[n], n)
+		}
 	}
 	f := sharedFrame(t)
 	for _, n := range names {
 		mustQuery(t, f, n)
+	}
+}
+
+// TestPositionClassSpellings: position() accepts every class: spelling. The
+// five Figure 5 classes read the month's accumulators; stream and other are
+// valid and identically zero.
+func TestPositionClassSpellings(t *testing.T) {
+	agg, f := sharedAgg(t), sharedFrame(t)
+	tracked := 0
+	for key, name := range classKeys {
+		res := mustQuery(t, f, "position("+key+")")
+		class, ok := notary.ParsePosClass(name)
+		if ok {
+			tracked++
+		}
+		for i, p := range res.Series.Points {
+			want := 0.0
+			if pos := agg.Stats(f.Months[i]).Pos[class]; ok && pos.Count != 0 {
+				want = 100 * pos.Sum / float64(pos.Count)
+			}
+			if p.Value != want {
+				t.Fatalf("position(%s) at %v = %v, want %v", key, p.Month, p.Value, want)
+			}
+		}
+		if ok && mustQuery(t, f, "max(position("+key+"))").Value == 0 {
+			t.Errorf("position(%s) is identically zero on the study — vacuous", key)
+		}
+	}
+	if tracked != int(notary.NumPosClasses) {
+		t.Errorf("classKeys spells %d of the %d position classes", tracked, notary.NumPosClasses)
 	}
 }
 

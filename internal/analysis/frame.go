@@ -51,9 +51,12 @@ func FPID(fp string) string {
 // derives the next one from its predecessor by re-reading only the months a
 // write touched.
 //
-// Keyed columns (versions, classes, key exchanges, curves, extensions,
-// TLS 1.3 variants) live in maps from key to a dense []int aligned with
-// Months; a key absent from the map means the counter was zero everywhere.
+// The unkeyed columns — notary's plain counters and the frame's own derived
+// totals — live in one array, Plain, and the Figure 5 accumulators in Pos;
+// both are fixed by the notary schema and always allocated. Keyed
+// columns (versions, classes, key exchanges, curves, extensions, TLS 1.3
+// variants) live in maps from key to a dense []int aligned with Months; a
+// key absent from the map means the counter was zero everywhere.
 // Derived columns that used to be recomputed per series — the negotiated
 // suite-class totals of Figure 9 and the forward-secret key-exchange total —
 // are classified once at build time.
@@ -79,9 +82,10 @@ type Frame struct {
 	planOnce sync.Once
 	plans    map[*Expr]*Plan
 
-	// Denominators.
-	Total       []int // all observed hellos
-	Established []int // established connections
+	// Plain holds every unkeyed int column: the notary schema's counters,
+	// indexed by notary.Counter, then the frame's own derived columns (the
+	// col* constants below). plainNames gives each its query name.
+	Plain [numPlain][]int
 
 	// Negotiated parameters, one dense column per observed key.
 	Version      map[registry.Version][]int
@@ -91,34 +95,21 @@ type Frame struct {
 	Extension    map[registry.ExtensionID][]int
 	TLS13Variant map[registry.Version][]int
 
-	// Client advertisement counters.
-	AdvRC4, AdvDES, Adv3DES, AdvAEAD               []int
-	AdvExport, AdvAnon, AdvNULL                    []int
-	AdvAESGCM128, AdvAESGCM256, AdvChaCha, AdvCCM  []int
-	AdvTLS13                                       []int
-	OffersHeartbeat, HeartbeatAck                  []int
-	NULLNegotiated, AnonNegotiated                 []int
-	ExportNegotiated, UnofferedChoice, SSLv2Hellos []int
+	// Figure 5 relative-position accumulators, per suite class: the month's
+	// summed positions and the number of client lists they were summed over.
+	Pos [notary.NumPosClasses]struct {
+		Sum   []float64
+		Count []int
+	}
 
-	// Figure 5 relative-position accumulators, per suite class.
-	PosSum   map[string][]float64
-	PosCount map[string][]int
-
-	// Fingerprint capability counts (Figure 4): distinct fingerprints per
-	// month and how many of them advertise each class.
-	FPTotal                      []int
-	FPRC4, FPDES, FP3DES, FPAEAD []int
-
-	// Fingerprint attribution (§4 / Table 2). FPConns is the per-month
-	// volume of fingerprint-bearing connections (the fp: family denominator,
-	// named column "fp-conns"). FPCol carries one dense volume column per
-	// top-K fingerprint — ranked by whole-window volume, keyed by FPID —
-	// plus the FPOtherKey bucket absorbing everything past the cap, so the
-	// family stays dense no matter how many distinct fingerprints the window
-	// saw. FPNames maps each top-K FPID back to its full fingerprint string.
+	// Fingerprint attribution (§4 / Table 2). FPCol carries one dense volume
+	// column per top-K fingerprint — ranked by whole-window volume, keyed by
+	// FPID — plus the FPOtherKey bucket absorbing everything past the cap, so
+	// the family stays dense no matter how many distinct fingerprints the
+	// window saw. FPNames maps each top-K FPID back to its full fingerprint
+	// string.
 	// Agent holds attributed volume per client class (from the aggregate's
 	// classifier), keyed by the clientdb class name.
-	FPConns []int
 	FPCol   map[string][]int
 	FPNames map[string]string
 	Agent   map[string][]int
@@ -133,34 +124,69 @@ type Frame struct {
 	fpVol  []int
 	fpRows [][]fpCount
 	fpTop  []fpColumn
-
-	// Build-time suite classification (Figure 9): negotiated connections per
-	// AEAD family, classified through the registry's suite-class table.
-	NegAEAD, NegGCM128, NegGCM256, NegChaCha []int
-
-	// KexForwardSecret sums the forward-secret key exchanges (§6.3.1),
-	// classified once at build time.
-	KexForwardSecret []int
 }
 
-// counters lists the frame's plain (unkeyed) int columns. NewFrame allocates
-// through it and Advance copies through it, so a column added to the struct
-// and to this list is carried by both; a test fails for one left off.
-func (f *Frame) counters() []*[]int {
-	return []*[]int{
-		&f.Total, &f.Established,
-		&f.AdvRC4, &f.AdvDES, &f.Adv3DES, &f.AdvAEAD,
-		&f.AdvExport, &f.AdvAnon, &f.AdvNULL,
-		&f.AdvAESGCM128, &f.AdvAESGCM256, &f.AdvChaCha, &f.AdvCCM,
-		&f.AdvTLS13,
-		&f.OffersHeartbeat, &f.HeartbeatAck,
-		&f.NULLNegotiated, &f.AnonNegotiated,
-		&f.ExportNegotiated, &f.UnofferedChoice, &f.SSLv2Hellos,
-		&f.FPTotal, &f.FPRC4, &f.FPDES, &f.FP3DES, &f.FPAEAD,
-		&f.FPConns,
-		&f.NegAEAD, &f.NegGCM128, &f.NegGCM256, &f.NegChaCha,
-		&f.KexForwardSecret,
-	}
+// The frame's derived plain columns, indexed after the notary schema's
+// counters in Frame.Plain.
+const (
+	// Fingerprint capability counts (Figure 4): distinct fingerprints per
+	// month and how many of them advertise each class.
+	colFingerprints = int(notary.NumCounters) + iota
+	colFPRC4
+	colFPDES
+	colFP3DES
+	colFPAEAD
+	// colFPConns is the per-month volume of fingerprint-bearing connections,
+	// the fp: family's denominator.
+	colFPConns
+	// Build-time suite classification (Figure 9): negotiated connections per
+	// AEAD family, classified through the registry's suite-class table.
+	colNegAEAD
+	colNegGCM128
+	colNegGCM256
+	colNegChaCha
+	// colKexForwardSecret sums the forward-secret key exchanges (§6.3.1).
+	colKexForwardSecret
+
+	numPlain
+)
+
+// plainNames is the query name of every plain column. The literal is keyed,
+// so a counter added to the schema without a name here is a visible gap (and
+// fails TestColumnNames).
+var plainNames = [numPlain]string{
+	notary.Total:            "total",
+	notary.Established:      "established",
+	notary.AdvRC4:           "adv-rc4",
+	notary.AdvDES:           "adv-des",
+	notary.Adv3DES:          "adv-3des",
+	notary.AdvAEAD:          "adv-aead",
+	notary.AdvExport:        "adv-export",
+	notary.AdvAnon:          "adv-anon",
+	notary.AdvNULL:          "adv-null",
+	notary.AdvAESGCM128:     "adv-aes128-gcm",
+	notary.AdvAESGCM256:     "adv-aes256-gcm",
+	notary.AdvChaCha:        "adv-chacha",
+	notary.AdvCCM:           "adv-ccm",
+	notary.AdvTLS13:         "adv-tls13",
+	notary.OffersHeartbeatN: "offers-heartbeat",
+	notary.HeartbeatAckN:    "heartbeat-ack",
+	notary.NULLNegotiated:   "null-negotiated",
+	notary.AnonNegotiated:   "anon-negotiated",
+	notary.ExportNegotiated: "export-negotiated",
+	notary.UnofferedChoice:  "unoffered-choice",
+	notary.SSLv2Hellos:      "sslv2-hellos",
+	colFingerprints:         "fingerprints",
+	colFPRC4:                "fp-rc4",
+	colFPDES:                "fp-des",
+	colFP3DES:               "fp-3des",
+	colFPAEAD:               "fp-aead",
+	colFPConns:              "fp-conns",
+	colNegAEAD:              "neg-aead",
+	colNegGCM128:            "neg-aes128-gcm",
+	colNegGCM256:            "neg-aes256-gcm",
+	colNegChaCha:            "neg-chacha",
+	colKexForwardSecret:     "kex-forward-secret",
 }
 
 // slab carves len-n int columns out of one zeroed allocation, so building a
@@ -235,17 +261,17 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 		Curve:        make(map[registry.CurveID][]int),
 		Extension:    make(map[registry.ExtensionID][]int),
 		TLS13Variant: make(map[registry.Version][]int),
-		PosSum:       make(map[string][]float64),
-		PosCount:     make(map[string][]int),
 		Agent:        make(map[string][]int),
 
 		fpIDs:  make(map[string]int),
 		fpRows: make([][]fpCount, n),
 	}
-	counters := f.counters()
-	sl := newSlab(len(counters)+TopKFingerprints+1, n)
-	for _, c := range counters {
-		*c = sl.take()
+	sl := newSlab(numPlain+len(f.Pos)+TopKFingerprints+1, n)
+	for c := range f.Plain {
+		f.Plain[c] = sl.take()
+	}
+	for c := range f.Pos {
+		f.Pos[c].Sum, f.Pos[c].Count = make([]float64, n), sl.take()
 	}
 	agg.EachMonth(func(ms *notary.MonthStats) {
 		i := len(f.Months)
@@ -301,11 +327,13 @@ func (f *Frame) Advance(agg *notary.Aggregate, touched []timeline.Month) *Frame 
 		fpVol:  slices.Clone(f.fpVol),
 		fpRows: slices.Clone(f.fpRows),
 	}
-	counters, prevCounters := next.counters(), f.counters()
-	sl := newSlab(len(counters)+len(f.Version)+len(f.Class)+len(f.Kex)+len(f.Curve)+
-		len(f.Extension)+len(f.TLS13Variant)+len(f.PosCount)+len(f.Agent)+TopKFingerprints+1, n)
-	for c := range counters {
-		*counters[c] = sl.copyOf(*prevCounters[c])
+	sl := newSlab(numPlain+len(f.Pos)+len(f.Version)+len(f.Class)+len(f.Kex)+len(f.Curve)+
+		len(f.Extension)+len(f.TLS13Variant)+len(f.Agent)+TopKFingerprints+1, n)
+	for c := range f.Plain {
+		next.Plain[c] = sl.copyOf(f.Plain[c])
+	}
+	for c := range f.Pos {
+		next.Pos[c].Sum, next.Pos[c].Count = slices.Clone(f.Pos[c].Sum), sl.copyOf(f.Pos[c].Count)
 	}
 	next.Version = cloneCols(f.Version, sl)
 	next.Class = cloneCols(f.Class, sl)
@@ -313,12 +341,7 @@ func (f *Frame) Advance(agg *notary.Aggregate, touched []timeline.Month) *Frame 
 	next.Curve = cloneCols(f.Curve, sl)
 	next.Extension = cloneCols(f.Extension, sl)
 	next.TLS13Variant = cloneCols(f.TLS13Variant, sl)
-	next.PosCount = cloneCols(f.PosCount, sl)
 	next.Agent = cloneCols(f.Agent, sl)
-	next.PosSum = make(map[string][]float64, len(f.PosSum))
-	for cl, c := range f.PosSum {
-		next.PosSum[cl] = slices.Clone(c)
-	}
 
 	rows := make([]int, 0, len(touched))
 	for _, m := range touched {
@@ -344,9 +367,12 @@ func (f *Frame) Advance(agg *notary.Aggregate, touched []timeline.Month) *Frame 
 // for a key the month has, so a refilled row relies on keys never leaving a
 // month (Add and Merge only add).
 func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
-	f.Total[i] = ms.Total
-	f.Established[i] = ms.Established
-
+	for c, v := range ms.N {
+		f.Plain[c][i] = v
+	}
+	for c, p := range ms.Pos {
+		f.Pos[c].Sum[i], f.Pos[c].Count[i] = p.Sum, p.Count
+	}
 	for v, c := range ms.ByVersion.All() {
 		col(f.Version, v, sl)[i] = c
 	}
@@ -360,7 +386,7 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 			forwardSecret += c
 		}
 	}
-	f.KexForwardSecret[i] = forwardSecret
+	f.Plain[colKexForwardSecret][i] = forwardSecret
 	for cv, c := range ms.ByCurve.All() {
 		col(f.Curve, cv, sl)[i] = c
 	}
@@ -371,37 +397,6 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 		col(f.TLS13Variant, v, sl)[i] = c
 	}
 
-	f.AdvRC4[i] = ms.AdvRC4
-	f.AdvDES[i] = ms.AdvDES
-	f.Adv3DES[i] = ms.Adv3DES
-	f.AdvAEAD[i] = ms.AdvAEAD
-	f.AdvExport[i] = ms.AdvExport
-	f.AdvAnon[i] = ms.AdvAnon
-	f.AdvNULL[i] = ms.AdvNULL
-	f.AdvAESGCM128[i] = ms.AdvAESGCM128
-	f.AdvAESGCM256[i] = ms.AdvAESGCM256
-	f.AdvChaCha[i] = ms.AdvChaCha
-	f.AdvCCM[i] = ms.AdvCCM
-	f.AdvTLS13[i] = ms.AdvTLS13
-	f.OffersHeartbeat[i] = ms.OffersHeartbeatN
-	f.HeartbeatAck[i] = ms.HeartbeatAckN
-	f.NULLNegotiated[i] = ms.NULLNegotiated
-	f.AnonNegotiated[i] = ms.AnonNegotiated
-	f.ExportNegotiated[i] = ms.ExportNegotiated
-	f.UnofferedChoice[i] = ms.UnofferedChoice
-	f.SSLv2Hellos[i] = ms.SSLv2Hellos
-
-	for cl, s := range ms.PosSum {
-		c, ok := f.PosSum[cl]
-		if !ok {
-			c = make([]float64, sl.n)
-			f.PosSum[cl] = c
-		}
-		c[i] = s
-	}
-	for cl, cnt := range ms.PosCount {
-		col(f.PosCount, cl, sl)[i] = cnt
-	}
 	for class, c := range ms.ByClientClass {
 		col(f.Agent, class, sl)[i] = c
 	}
@@ -419,7 +414,7 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 		f.fpVol[id] += c
 		conns += c
 	}
-	f.fpRows[i], f.FPConns[i] = row, conns
+	f.fpRows[i], f.Plain[colFPConns][i] = row, conns
 
 	var rc4, des, tdes, aead int
 	for _, caps := range ms.FPs {
@@ -436,8 +431,8 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 			aead++
 		}
 	}
-	f.FPTotal[i] = len(ms.FPs)
-	f.FPRC4[i], f.FPDES[i], f.FP3DES[i], f.FPAEAD[i] = rc4, des, tdes, aead
+	f.Plain[colFingerprints][i] = len(ms.FPs)
+	f.Plain[colFPRC4][i], f.Plain[colFPDES][i], f.Plain[colFP3DES][i], f.Plain[colFPAEAD][i] = rc4, des, tdes, aead
 
 	// Figure 9: negotiated connections per AEAD family.
 	var negAEAD, gcm128, gcm256, chacha int
@@ -456,7 +451,7 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 			chacha += c
 		}
 	}
-	f.NegAEAD[i], f.NegGCM128[i], f.NegGCM256[i], f.NegChaCha[i] = negAEAD, gcm128, gcm256, chacha
+	f.Plain[colNegAEAD][i], f.Plain[colNegGCM128][i], f.Plain[colNegGCM256][i], f.Plain[colNegChaCha][i] = negAEAD, gcm128, gcm256, chacha
 }
 
 // fingerprintID returns fp's dense id, interning it on first sight. A frame
@@ -599,7 +594,7 @@ func (f *Frame) buildFPColumns(prev *Frame, rows []int, sl *slab) {
 // distinct fingerprints in the window, the column cap, and the share of
 // fingerprinted volume folded into the FPOtherKey bucket (percent).
 func (f *Frame) FingerprintGauges() (distinct, topK int, otherShare float64) {
-	if total := sumCol(f.FPConns); total > 0 {
+	if total := sumCol(f.Plain[colFPConns]); total > 0 {
 		otherShare = 100 * float64(sumCol(f.FPCol[FPOtherKey])) / float64(total)
 	}
 	return len(f.fpStrs), TopKFingerprints, otherShare

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"tlsage/internal/notary"
 )
 
 // mustCompile parses and compiles src against f the way every production
@@ -63,8 +65,8 @@ func (f *Frame) evalColumn(e *Expr) []int {
 		// fold is a no-op (and alloc-free) for canonical selectors; it keeps
 		// evaluation of a JSON-decoded, never-canonicalized tree working.
 		name := fold(e.Col)
-		if get, ok := namedColumns[name]; ok {
-			return get(f)
+		if i, ok := plainIndex[name]; ok {
+			return f.Plain[i]
 		}
 		i := strings.IndexByte(name, ':')
 		def := columnFamilies[name[:i]]
@@ -102,11 +104,13 @@ func (f *Frame) evalSeries(e *Expr) []float64 {
 			out[i] = pctAt(num, den, i)
 		}
 	case OpPosition:
-		class := classKeys[fold(e.Class)]
-		sums, counts := f.PosSum[class], f.PosCount[class]
-		for i := range out {
-			if c := at(counts, i); c != 0 {
-				out[i] = 100 * sums[i] / float64(c)
+		// stream and other are valid spellings Figure 5 does not track.
+		if class, ok := notary.ParsePosClass(classKeys[fold(e.Class)]); ok {
+			sums, counts := f.Pos[class].Sum, f.Pos[class].Count
+			for i := range out {
+				if c := at(counts, i); c != 0 {
+					out[i] = 100 * sums[i] / float64(c)
+				}
 			}
 		}
 	default: // column promotion: raw counts

@@ -21,17 +21,17 @@ type legacyMetric func(ms *notary.MonthStats) float64
 // helpers, which only this reference still calls: 100·n over the month's
 // records or established connections, 0 for an empty denominator.
 func legacyPct(ms *notary.MonthStats, n int) float64 {
-	if ms.Total == 0 {
+	if ms.N[notary.Total] == 0 {
 		return 0
 	}
-	return 100 * float64(n) / float64(ms.Total)
+	return 100 * float64(n) / float64(ms.N[notary.Total])
 }
 
 func legacyPctEstablished(ms *notary.MonthStats, n int) float64 {
-	if ms.Established == 0 {
+	if ms.N[notary.Established] == 0 {
 		return 0
 	}
-	return 100 * float64(n) / float64(ms.Established)
+	return 100 * float64(n) / float64(ms.N[notary.Established])
 }
 
 func legacyBuildSeries(agg *notary.Aggregate, name string, f legacyMetric) Series {
@@ -85,10 +85,10 @@ func legacyFigure3Advertised(agg *notary.Aggregate) Figure {
 		ID:    "Figure 3",
 		Title: "Client-advertised RC4 / DES / 3DES / AEAD (% connections)",
 		Series: []Series{
-			legacyBuildSeries(agg, "AEAD", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvAEAD) }),
-			legacyBuildSeries(agg, "RC4", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvRC4) }),
-			legacyBuildSeries(agg, "DES", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvDES) }),
-			legacyBuildSeries(agg, "3DES", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.Adv3DES) }),
+			legacyBuildSeries(agg, "AEAD", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvAEAD]) }),
+			legacyBuildSeries(agg, "RC4", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvRC4]) }),
+			legacyBuildSeries(agg, "DES", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvDES]) }),
+			legacyBuildSeries(agg, "3DES", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.Adv3DES]) }),
 		},
 		Events: attackEvents(timeline.EventLucky13, timeline.EventPOODLE, timeline.EventRC4,
 			timeline.EventRC4Passwords, timeline.EventRC4NoMore, timeline.EventSweet32),
@@ -125,17 +125,17 @@ func legacyFigure4FingerprintClasses(agg *notary.Aggregate) Figure {
 }
 
 func legacyFigure5Positions(agg *notary.Aggregate) Figure {
-	pos := func(class string) legacyMetric {
+	pos := func(class notary.PosClass) legacyMetric {
 		return func(ms *notary.MonthStats) float64 {
-			if ms.PosCount[class] == 0 {
+			if ms.Pos[class].Count == 0 {
 				return 0
 			}
-			return 100 * ms.PosSum[class] / float64(ms.PosCount[class])
+			return 100 * ms.Pos[class].Sum / float64(ms.Pos[class].Count)
 		}
 	}
 	var series []Series
-	for _, class := range []string{"AEAD", "CBC", "RC4", "DES", "3DES"} {
-		series = append(series, legacyBuildSeries(agg, class, pos(class)))
+	for _, class := range []notary.PosClass{notary.PosAEAD, notary.PosCBC, notary.PosRC4, notary.PosDES, notary.Pos3DES} {
+		series = append(series, legacyBuildSeries(agg, class.String(), pos(class)))
 	}
 	return Figure{
 		ID:     "Figure 5",
@@ -149,7 +149,7 @@ func legacyFigure6RC4Advertised(agg *notary.Aggregate) Figure {
 		ID:    "Figure 6",
 		Title: "Connections with client-advertised RC4 (%)",
 		Series: []Series{
-			legacyBuildSeries(agg, "RC4 advertised", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvRC4) }),
+			legacyBuildSeries(agg, "RC4 advertised", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvRC4]) }),
 		},
 		Events: attackEvents(timeline.EventRC4, timeline.EventRFC7465,
 			timeline.EventRC4Passwords, timeline.EventRC4NoMore),
@@ -161,9 +161,9 @@ func legacyFigure7WeakAdvertised(agg *notary.Aggregate) Figure {
 		ID:    "Figure 7",
 		Title: "Client-advertised Export / Anonymous / NULL suites (% connections)",
 		Series: []Series{
-			legacyBuildSeries(agg, "Export", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvExport) }),
-			legacyBuildSeries(agg, "Anonymous", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvAnon) }),
-			legacyBuildSeries(agg, "Null", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvNULL) }),
+			legacyBuildSeries(agg, "Export", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvExport]) }),
+			legacyBuildSeries(agg, "Anonymous", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvAnon]) }),
+			legacyBuildSeries(agg, "Null", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvNULL]) }),
 		},
 		Events: attackEvents(timeline.EventFREAK, timeline.EventLogjam),
 	}
@@ -223,10 +223,10 @@ func legacyFigure10AEADAdvertised(agg *notary.Aggregate) Figure {
 		ID:    "Figure 10",
 		Title: "Client-advertised AEAD ciphers (% connections)",
 		Series: []Series{
-			legacyBuildSeries(agg, "AES128-GCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvAESGCM128) }),
-			legacyBuildSeries(agg, "AES256-GCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvAESGCM256) }),
-			legacyBuildSeries(agg, "ChaCha20-Poly1305", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvChaCha) }),
-			legacyBuildSeries(agg, "AES-CCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvCCM) }),
+			legacyBuildSeries(agg, "AES128-GCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvAESGCM128]) }),
+			legacyBuildSeries(agg, "AES256-GCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvAESGCM256]) }),
+			legacyBuildSeries(agg, "ChaCha20-Poly1305", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvChaCha]) }),
+			legacyBuildSeries(agg, "AES-CCM", func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvCCM]) }),
 		},
 	}
 }
@@ -343,31 +343,31 @@ func legacyPassiveScalars(agg *notary.Aggregate) []Scalar {
 				return legacyPctEstablished(ms, ms.ByVersion.Get(registry.VersionTLS12))
 			}), "%"},
 		Scalar{"S7a", "TLS 1.3 client support, Feb 2018", 0.5,
-			pctOr(feb18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvTLS13) }), "%"},
+			pctOr(feb18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvTLS13]) }), "%"},
 		Scalar{"S7b", "TLS 1.3 client support, Mar 2018", 9.8,
-			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvTLS13) }), "%"},
+			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvTLS13]) }), "%"},
 		Scalar{"S7c", "TLS 1.3 client support, Apr 2018", 23.6,
-			pctOr(apr18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvTLS13) }), "%"},
+			pctOr(apr18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvTLS13]) }), "%"},
 		Scalar{"S7d", "TLS 1.3 negotiated, Apr 2018", 1.3,
 			pctOr(apr18, func(ms *notary.MonthStats) float64 {
 				return legacyPctEstablished(ms, ms.ByVersion.Get(registry.VersionTLS13))
 			}), "%"},
 		Scalar{"S3c", "heartbeat negotiated, 2018", 3.0,
-			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.HeartbeatAckN) }), "%"},
+			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.HeartbeatAckN]) }), "%"},
 		Scalar{"S-F3a", "3DES advertised, Mar 2018", 69,
-			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.Adv3DES) }), "%"},
+			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.Adv3DES]) }), "%"},
 		Scalar{"S-F7a", "export advertised, 2012", 28.19,
-			pctOr(get(2012, time.June), func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvExport) }), "%"},
+			pctOr(get(2012, time.June), func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvExport]) }), "%"},
 		Scalar{"S-F7b", "export advertised, 2018", 1.03,
-			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.AdvExport) }), "%"},
+			pctOr(mar18, func(ms *notary.MonthStats) float64 { return legacyPct(ms, ms.N[notary.AdvExport]) }), "%"},
 	)
 
 	var est, nullNeg, anonNeg int
 	for _, m := range agg.Months() {
 		ms := agg.Stats(m)
-		est += ms.Established
-		nullNeg += ms.NULLNegotiated
-		anonNeg += ms.AnonNegotiated
+		est += ms.N[notary.Established]
+		nullNeg += ms.N[notary.NULLNegotiated]
+		anonNeg += ms.N[notary.AnonNegotiated]
 	}
 	if est > 0 {
 		out = append(out,

@@ -31,6 +31,8 @@ package analysis
 import (
 	"fmt"
 	"strings"
+
+	"tlsage/internal/notary"
 )
 
 // planKernel selects the fused series loop.
@@ -38,7 +40,8 @@ type planKernel uint8
 
 const (
 	// kernelZero: the series is identically zero (a never-observed column,
-	// an unobserved position class, or a ratio with a missing operand).
+	// a class position() accepts but Figure 5 does not track, or a ratio with
+	// a missing operand).
 	kernelZero planKernel = iota
 	// kernelCol: raw counts of one resolved column (column→series promotion).
 	kernelCol
@@ -114,8 +117,8 @@ func (p *Plan) compileColumn(e *Expr) []int {
 	switch e.Op {
 	case OpCol:
 		name := fold(e.Col)
-		if get, ok := namedColumns[name]; ok {
-			return get(f)
+		if i, ok := plainIndex[name]; ok {
+			return f.Plain[i]
 		}
 		i := strings.IndexByte(name, ':')
 		def := columnFamilies[name[:i]]
@@ -157,13 +160,13 @@ func (p *Plan) compileSeries(e *Expr) {
 		}
 		p.kernel, p.num, p.den = kernelPct, num, den
 	case OpPosition:
-		class := classKeys[fold(e.Class)]
-		sums, counts := p.frame.PosSum[class], p.frame.PosCount[class]
-		if sums == nil || counts == nil {
+		class, ok := notary.ParsePosClass(classKeys[fold(e.Class)])
+		if !ok { // stream, other: valid spellings Figure 5 does not track
 			p.kernel = kernelZero
 			return
 		}
-		p.kernel, p.posSum, p.posCount = kernelPosition, sums, counts
+		pos := p.frame.Pos[class]
+		p.kernel, p.posSum, p.posCount = kernelPosition, pos.Sum, pos.Count
 	default: // column promotion: raw counts
 		if col := p.compileColumn(e); col != nil {
 			p.kernel, p.col = kernelCol, col

@@ -82,7 +82,7 @@ func PassiveScalarsFrame(f *Frame) []Scalar {
 	}
 
 	// Whole-dataset NULL and anonymous negotiation rates (§6.1, §6.2).
-	if sumCol(f.Established) > 0 {
+	if sumCol(f.Plain[notary.Established]) > 0 {
 		out = append(out,
 			Scalar{"S-61", "NULL negotiated, whole dataset", 2.84,
 				f.scalarOf(exprNullNegotiated), "%"},

@@ -101,7 +101,7 @@ func TestStudyLogRoundTrip(t *testing.T) {
 	// Monthly stats agree.
 	m := timeline.M(2012, time.June)
 	a, b := s.Aggregate().Stats(m), s2.Aggregate().Stats(m)
-	if a.Total != b.Total || a.Established != b.Established || a.AdvRC4 != b.AdvRC4 {
+	if a.N[notary.Total] != b.N[notary.Total] || a.N[notary.Established] != b.N[notary.Established] || a.N[notary.AdvRC4] != b.N[notary.AdvRC4] {
 		t.Error("reloaded aggregate differs")
 	}
 }
@@ -186,7 +186,7 @@ func TestStudyLoadLogParallelAndSinks(t *testing.T) {
 		}
 		m := timeline.M(2012, time.August)
 		a, b := s.Aggregate().Stats(m), s2.Aggregate().Stats(m)
-		if b == nil || a.Total != b.Total || a.Established != b.Established || a.AdvRC4 != b.AdvRC4 {
+		if b == nil || a.N[notary.Total] != b.N[notary.Total] || a.N[notary.Established] != b.N[notary.Established] || a.N[notary.AdvRC4] != b.N[notary.AdvRC4] {
 			t.Errorf("workers=%d: reloaded aggregate differs", workers)
 		}
 	}
@@ -726,13 +726,13 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 				}
 				total := 0
 				for i := range f.Months {
-					total += f.Total[i]
+					total += f.Plain[notary.Total][i]
 				}
 				if uint64(total) != f.Generation() {
 					t.Errorf("torn frame: %d records at generation %d", total, f.Generation())
 					return
 				}
-				if len(f.Established) != f.Len() || len(f.AdvRC4) != f.Len() {
+				if len(f.Plain[notary.Established]) != f.Len() || len(f.Plain[notary.AdvRC4]) != f.Len() {
 					t.Errorf("frame columns misaligned with month axis")
 					return
 				}

@@ -201,16 +201,16 @@ func ScanAggregate(months []timeline.Month, reports []*CampaignReport) (*notary.
 		rep := rep
 		agg.UpdateMonth(months[i], uint64(rep.Hosts), func(ms *notary.MonthStats) {
 			chrome := rep.Probes["chrome2015"]
-			ms.Total += rep.Hosts
-			ms.Established += chrome.Answered
+			ms.N[notary.Total] += rep.Hosts
+			ms.N[notary.Established] += chrome.Answered
 			ms.ByVersion.Add(registry.VersionSSL3, rep.Probes["ssl3only"].Answered)
 			ms.ByClass["RC4"] += chrome.ChoseRC4
 			ms.ByClass["CBC"] += chrome.CBCTotal()
 			ms.ByClass["3DES"] += chrome.Chose3DES
-			ms.AdvRC4 += rep.Probes["rc4only"].Answered
-			ms.AdvExport += rep.Probes["exportonly"].ChoseExport
-			ms.OffersHeartbeatN += chrome.HeartbeatAck
-			ms.HeartbeatAckN += rep.VulnerableHosts
+			ms.N[notary.AdvRC4] += rep.Probes["rc4only"].Answered
+			ms.N[notary.AdvExport] += rep.Probes["exportonly"].ChoseExport
+			ms.N[notary.OffersHeartbeatN] += chrome.HeartbeatAck
+			ms.N[notary.HeartbeatAckN] += rep.VulnerableHosts
 		})
 	}
 	return agg, nil

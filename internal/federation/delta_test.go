@@ -2,6 +2,7 @@ package federation
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -21,13 +22,13 @@ func buildAggregate(seed uint64, months int) *notary.Aggregate {
 	for i := 0; i < months; i++ {
 		i := uint64(i)
 		agg.UpdateMonth(m, 10+i, func(ms *notary.MonthStats) {
-			ms.Total += int(10 + i)
-			ms.Established += int(7 + i + seed)
+			ms.N[notary.Total] += int(10 + i)
+			ms.N[notary.Established] += int(7 + i + seed)
 			ms.ByVersion.Add(registry.VersionTLS12, int(3+seed))
 			ms.ByClass["RC4"] += int(2 + i)
 			ms.ByKex.Add(registry.KexECDHE, int(1+seed))
-			ms.AdvRC4 += int(i)
-			ms.OffersHeartbeatN += int(seed)
+			ms.N[notary.AdvRC4] += int(i)
+			ms.N[notary.OffersHeartbeatN] += int(seed)
 		})
 		m = m.Next()
 	}
@@ -192,6 +193,21 @@ func FuzzReadDelta(f *testing.F) {
 		f.Add(enc)
 	}
 	if enc, err := EncodeDelta(&Delta{Source: "edge-us", Base: 7, Agg: buildAggregate(2, 30)}); err == nil {
+		f.Add(enc)
+	}
+	// Position sums no Add or Merge can produce: NaN, and above the count.
+	for _, sum := range []float64{math.NaN(), 2.5} {
+		agg := buildAggregate(3, 2)
+		agg.UpdateMonth(timeline.M(2012, time.January), 0, func(ms *notary.MonthStats) {
+			ms.Pos[notary.PosRC4].Sum, ms.Pos[notary.PosRC4].Count = sum, 2
+		})
+		enc, err := EncodeDelta(&Delta{Source: "edge-bad", Agg: agg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeDelta(enc); err == nil {
+			f.Fatalf("delta with position sum %v decoded without error", sum)
+		}
 		f.Add(enc)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -14,17 +14,18 @@ func timeMonth(m int) time.Month { return time.Month(m) }
 // calendar month. All percentage series in the figure renderers derive from
 // these counters.
 //
-// The six counters keyed by a wire code point (ByVersion, ByKex, BySuite,
-// ByCurve, TLS13Variant, ByExtension) are dense Counts tables; the
-// string-keyed ones are maps. Either way a key is "present" once anything
-// has touched it, even with a zero delta: a present key is written to
-// snapshots and deltas and gets a column in the analysis frame, an absent
-// one does not.
+// The plain counters and Figure 5's position accumulators are fixed arrays
+// indexed by the schema's enums (schema.go). The six counters keyed by a
+// wire code point (ByVersion, ByKex, BySuite, ByCurve, TLS13Variant,
+// ByExtension) are dense Counts tables; the string-keyed ones are maps.
+// In a table or map a key is "present" once anything has touched it, even
+// with a zero delta: a present key is written to snapshots and deltas and
+// gets a column in the analysis frame, an absent one does not.
 type MonthStats struct {
 	Month timeline.Month
 
-	Total       int
-	Established int
+	// N holds the plain counters, indexed by Counter (see schema.go).
+	N [NumCounters]int
 
 	// Negotiated parameters (established connections only).
 	ByVersion Counts[registry.Version]     // dense; canonical versions
@@ -33,22 +34,18 @@ type MonthStats struct {
 	BySuite   Counts[uint16]               // dense
 	ByCurve   Counts[registry.CurveID]     // dense
 
-	// Client advertisement counters (all observed hellos).
-	AdvRC4, AdvDES, Adv3DES, AdvAEAD  int
-	AdvExport, AdvAnon, AdvNULL       int
-	AdvAESGCM128, AdvAESGCM256        int
-	AdvChaCha, AdvCCM                 int
-	AdvTLS13                          int
-	TLS13Variant                      Counts[registry.Version] // dense
-	OffersHeartbeatN, HeartbeatAckN   int
-	NULLNegotiated, AnonNegotiated    int
-	ExportNegotiated, UnofferedChoice int
-	SSLv2Hellos                       int
+	// TLS13Variant counts the TLS 1.3 draft/variant each AdvTLS13 hello
+	// advertised. Dense.
+	TLS13Variant Counts[registry.Version]
 
-	// Position sums for Figure 5: relative position (0..1) of the first
-	// suite of each class in client lists, summed; denominators per class.
-	PosSum   map[string]float64
-	PosCount map[string]int
+	// Pos holds Figure 5's accumulators per suite class: the relative
+	// position (0..1) of the class's first suite in each client list, summed,
+	// and the number of lists that carried the class. Each term is at most 1,
+	// so Sum <= Count always; a class is present once Count > 0.
+	Pos [NumPosClasses]struct {
+		Sum   float64
+		Count int
+	}
 
 	// ByExtension counts connections advertising each extension (GREASE
 	// stripped) — the §9 deployment-tracking data (renegotiation_info,
@@ -80,8 +77,6 @@ func newMonthStats(m timeline.Month) *MonthStats {
 	return &MonthStats{
 		Month:         m,
 		ByClass:       make(map[string]int),
-		PosSum:        make(map[string]float64),
-		PosCount:      make(map[string]int),
 		FPs:           make(map[string]*FPCaps),
 		ByFingerprint: make(map[string]int),
 		ByClientClass: make(map[string]int),
@@ -197,56 +192,28 @@ func (a *Aggregate) Add(r *Record) {
 		ms = newMonthStats(m)
 		a.months[m] = ms
 	}
-	ms.Total++
+	ms.N[Total]++
 	if r.SSLv2Hello {
-		ms.SSLv2Hellos++
+		ms.N[SSLv2Hellos]++
 	}
 
 	// Advertisement counters, GREASE-stripped: one dense-table pass over the
 	// list that steps over GREASE in place, so nSuites and every index are
 	// those of the stripped list without materialising it.
 	scan, nSuites := registry.ScanSuitesNoGREASE(r.ClientSuites)
-	if scan.Bits.Has(registry.ClassRC4) {
-		ms.AdvRC4++
-	}
-	if scan.Bits.Has(registry.ClassDES) {
-		ms.AdvDES++
-	}
-	if scan.Bits.Has(registry.Class3DES) {
-		ms.Adv3DES++
-	}
-	if scan.Bits.Has(registry.ClassAEAD) {
-		ms.AdvAEAD++
-	}
-	if scan.Bits.Has(registry.ClassExport) {
-		ms.AdvExport++
-	}
-	if scan.Bits.Has(registry.ClassAnon) {
-		ms.AdvAnon++
-	}
-	if scan.Bits.Has(registry.ClassNULL) {
-		ms.AdvNULL++
-	}
-	if scan.Bits.Has(registry.ClassGCM128) {
-		ms.AdvAESGCM128++
-	}
-	if scan.Bits.Has(registry.ClassGCM256) {
-		ms.AdvAESGCM256++
-	}
-	if scan.Bits.Has(registry.ClassChaCha) {
-		ms.AdvChaCha++
-	}
-	if scan.Bits.Has(registry.ClassCCM) {
-		ms.AdvCCM++
+	for _, ac := range advCounters {
+		if scan.Bits.Has(ac.bit) {
+			ms.N[ac.c]++
+		}
 	}
 	if r.SupportsTLS13() {
-		ms.AdvTLS13++
+		ms.N[AdvTLS13]++
 		if v := r.AdvertisedTLS13Variant(); v != 0 {
 			ms.TLS13Variant.Add(v, 1)
 		}
 	}
 	if r.OffersHeartbeat {
-		ms.OffersHeartbeatN++
+		ms.N[OffersHeartbeatN]++
 	}
 	for _, e := range r.ClientExtensions {
 		if !registry.IsGREASE(uint16(e)) {
@@ -256,10 +223,10 @@ func (a *Aggregate) Add(r *Record) {
 
 	// Figure 5 positions, from the first-index side of the same pass.
 	if nSuites > 1 {
-		for _, pc := range positionClasses {
-			if idx := scan.FirstIndex(pc.bit); idx >= 0 {
-				ms.PosSum[pc.name] += float64(idx) / float64(nSuites-1)
-				ms.PosCount[pc.name]++
+		for c := range ms.Pos {
+			if idx := scan.FirstIndex(posClasses[c].bit); idx >= 0 {
+				ms.Pos[c].Sum += float64(idx) / float64(nSuites-1)
+				ms.Pos[c].Count++
 			}
 		}
 	}
@@ -302,49 +269,42 @@ func (a *Aggregate) Add(r *Record) {
 	if !r.Established {
 		return
 	}
-	ms.Established++
+	ms.N[Established]++
 	ms.ByVersion.Add(r.Version.Canonical(), 1)
 	if s, ok := registry.SuiteByID(r.Suite); ok {
 		ms.ByClass[s.TrafficClass()]++
 		ms.ByKex.Add(s.Kex, 1)
 		ms.BySuite.Add(r.Suite, 1)
 		if s.IsNULLCipher() {
-			ms.NULLNegotiated++
+			ms.N[NULLNegotiated]++
 		}
 		if s.IsAnon() {
-			ms.AnonNegotiated++
+			ms.N[AnonNegotiated]++
 		}
 		if s.IsExport() {
-			ms.ExportNegotiated++
+			ms.N[ExportNegotiated]++
 		}
 	}
 	if r.Curve != 0 {
 		ms.ByCurve.Add(r.Curve, 1)
 	}
 	if r.HeartbeatAck {
-		ms.HeartbeatAckN++
+		ms.N[HeartbeatAckN]++
 	}
 	if r.SuiteUnoffer {
-		ms.UnofferedChoice++
+		ms.N[UnofferedChoice]++
 	}
-}
-
-// positionClasses are the Figure 5 suite classes.
-var positionClasses = []struct {
-	name string
-	bit  registry.ClassBits
-}{
-	{"AEAD", registry.ClassAEAD},
-	{"CBC", registry.ClassCBC},
-	{"RC4", registry.ClassRC4},
-	{"DES", registry.ClassDES},
-	{"3DES", registry.Class3DES},
 }
 
 // merge folds o's counters into ms. Both must describe the same month.
 func (ms *MonthStats) merge(o *MonthStats) {
-	ms.Total += o.Total
-	ms.Established += o.Established
+	for c, v := range o.N {
+		ms.N[c] += v
+	}
+	for c, p := range o.Pos {
+		ms.Pos[c].Sum += p.Sum
+		ms.Pos[c].Count += p.Count
+	}
 	ms.ByVersion.merge(&o.ByVersion)
 	for k, v := range o.ByClass {
 		ms.ByClass[k] += v
@@ -352,33 +312,8 @@ func (ms *MonthStats) merge(o *MonthStats) {
 	ms.ByKex.merge(&o.ByKex)
 	ms.BySuite.merge(&o.BySuite)
 	ms.ByCurve.merge(&o.ByCurve)
-	ms.AdvRC4 += o.AdvRC4
-	ms.AdvDES += o.AdvDES
-	ms.Adv3DES += o.Adv3DES
-	ms.AdvAEAD += o.AdvAEAD
-	ms.AdvExport += o.AdvExport
-	ms.AdvAnon += o.AdvAnon
-	ms.AdvNULL += o.AdvNULL
-	ms.AdvAESGCM128 += o.AdvAESGCM128
-	ms.AdvAESGCM256 += o.AdvAESGCM256
-	ms.AdvChaCha += o.AdvChaCha
-	ms.AdvCCM += o.AdvCCM
-	ms.AdvTLS13 += o.AdvTLS13
 	ms.TLS13Variant.merge(&o.TLS13Variant)
 	ms.ByExtension.merge(&o.ByExtension)
-	ms.OffersHeartbeatN += o.OffersHeartbeatN
-	ms.HeartbeatAckN += o.HeartbeatAckN
-	ms.NULLNegotiated += o.NULLNegotiated
-	ms.AnonNegotiated += o.AnonNegotiated
-	ms.ExportNegotiated += o.ExportNegotiated
-	ms.UnofferedChoice += o.UnofferedChoice
-	ms.SSLv2Hellos += o.SSLv2Hellos
-	for k, v := range o.PosSum {
-		ms.PosSum[k] += v
-	}
-	for k, v := range o.PosCount {
-		ms.PosCount[k] += v
-	}
 	for k, v := range o.ByFingerprint {
 		ms.ByFingerprint[k] += v
 	}
@@ -488,7 +423,7 @@ func (a *Aggregate) UpdateMonth(m timeline.Month, records uint64, fn func(*Month
 func (a *Aggregate) TotalRecords() int {
 	n := 0
 	for _, ms := range a.months {
-		n += ms.Total
+		n += ms.N[Total]
 	}
 	return n
 }

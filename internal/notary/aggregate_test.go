@@ -32,8 +32,8 @@ func TestAddAllocFree(t *testing.T) {
 			t.Errorf("%s hello: Add allocates %v per record in steady state, want 0", tc.name, got)
 		}
 		ms := agg.Stats(timeline.MonthOf(tc.rec.Date))
-		if ms.Total != 202 || ms.ByClientClass["Class fp"] != 202 {
-			t.Errorf("%s hello: Total %d, attributed %d, want 202 each", tc.name, ms.Total, ms.ByClientClass["Class fp"])
+		if ms.N[Total] != 202 || ms.ByClientClass["Class fp"] != 202 {
+			t.Errorf("%s hello: Total %d, attributed %d, want 202 each", tc.name, ms.N[Total], ms.ByClientClass["Class fp"])
 		}
 	}
 }
@@ -59,16 +59,15 @@ func TestAddIgnoresGREASEInPlace(t *testing.T) {
 	got.Add(greased)
 	m := timeline.M(2017, time.March)
 	w, g := want.Stats(m), got.Stats(m)
-	for _, class := range []string{"AEAD", "CBC", "RC4", "3DES"} {
-		if w.PosSum[class] != g.PosSum[class] || w.PosCount[class] != g.PosCount[class] {
-			t.Errorf("%s position: greased %v/%d, clean %v/%d", class,
-				g.PosSum[class], g.PosCount[class], w.PosSum[class], w.PosCount[class])
+	for _, class := range []PosClass{PosAEAD, PosCBC, PosRC4, Pos3DES} {
+		if w.Pos[class] != g.Pos[class] {
+			t.Errorf("%v position: greased %+v, clean %+v", class, g.Pos[class], w.Pos[class])
 		}
 	}
 	if g.ByExtension.Len() != 2 || g.ByExtension.Get(registry.ExtALPN) != 1 {
 		t.Errorf("greased hello counted %d extensions, want the 2 real ones", g.ByExtension.Len())
 	}
-	if g.AdvRC4 != 1 || g.Adv3DES != 1 || g.AdvAEAD != 1 || g.AdvTLS13 != 1 {
+	if g.N[AdvRC4] != 1 || g.N[Adv3DES] != 1 || g.N[AdvAEAD] != 1 || g.N[AdvTLS13] != 1 {
 		t.Error("greased hello lost an advertisement counter")
 	}
 }
@@ -97,8 +96,8 @@ func TestSetClassifierAfterDecode(t *testing.T) {
 	if got := ms.ByClientClass["Class known"]; got != 1 {
 		t.Errorf("ByClientClass = %d after one classified record of a decoded fingerprint, want 1", got)
 	}
-	if ms.ByFingerprint["fp-known"] != 3 || ms.Total != 3 {
-		t.Errorf("ByFingerprint %d, Total %d, want 3 each", ms.ByFingerprint["fp-known"], ms.Total)
+	if ms.ByFingerprint["fp-known"] != 3 || ms.N[Total] != 3 {
+		t.Errorf("ByFingerprint %d, Total %d, want 3 each", ms.ByFingerprint["fp-known"], ms.N[Total])
 	}
 
 	// Swapping the classifier re-resolves too; clearing it stops attribution.

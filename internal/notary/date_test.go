@@ -65,7 +65,7 @@ func TestDateBoundsOnIngest(t *testing.T) {
 func TestDateBoundsOnSnapshotDecode(t *testing.T) {
 	for name, build := range map[string]func(*Aggregate){
 		"month year": func(a *Aggregate) {
-			a.UpdateMonth(timeline.M(10000, time.May), 1, func(ms *MonthStats) { ms.Total++ })
+			a.UpdateMonth(timeline.M(10000, time.May), 1, func(ms *MonthStats) { ms.N[Total]++ })
 		},
 		"fingerprint day": func(a *Aggregate) {
 			a.newLife("fp", timeline.D(2015, time.May, 10), timeline.D(2015, time.May, 32))

@@ -58,7 +58,7 @@ func TestLockedSinkConcurrentProducers(t *testing.T) {
 	}
 	for _, m := range serial.Months() {
 		a, b := live.Stats(m), serial.Stats(m)
-		if b == nil || a == nil || a.Total != b.Total || a.Established != b.Established {
+		if b == nil || a == nil || a.N[Total] != b.N[Total] || a.N[Established] != b.N[Established] {
 			t.Fatalf("month %v differs under concurrent delivery", m)
 		}
 	}

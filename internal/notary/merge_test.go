@@ -74,7 +74,7 @@ func (c testClassifier) ClassOf(fp string) (string, bool) {
 
 // Merging aggregates built from any partition of a record stream must equal
 // the aggregate built from the whole stream — including FPDurations
-// first/last dates, the PosSum/PosCount position accumulators, and the
+// first/last dates, the Pos position accumulators, and the
 // ByFingerprint/ByClientClass attribution maps filled by a classifier.
 func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
@@ -119,7 +119,7 @@ func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 			got.Merge(p)
 		}
 
-		// PosSum accumulates idx/(n-1) terms, and float addition is not
+		// Pos[c].Sum accumulates idx/(n-1) terms, and float addition is not
 		// associative, so an arbitrary within-month partition may differ in
 		// the last bits. Compare it with an epsilon, everything else exactly.
 		// (The sharded simulation pipeline itself shards at month granularity
@@ -130,15 +130,12 @@ func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 			if gms == nil {
 				t.Fatalf("trial %d: month %v missing after merge", trial, m)
 			}
-			for class, wsum := range wms.PosSum {
-				if diff := math.Abs(wsum - gms.PosSum[class]); diff > 1e-9 {
-					t.Fatalf("trial %d: month %v PosSum[%s] off by %g", trial, m, class, diff)
+			for c := range wms.Pos {
+				if diff := math.Abs(wms.Pos[c].Sum - gms.Pos[c].Sum); diff > 1e-9 {
+					t.Fatalf("trial %d: month %v Pos[%v].Sum off by %g", trial, m, PosClass(c), diff)
 				}
+				gms.Pos[c].Sum = wms.Pos[c].Sum
 			}
-			if len(wms.PosSum) != len(gms.PosSum) {
-				t.Fatalf("trial %d: month %v PosSum keys differ", trial, m)
-			}
-			gms.PosSum = wms.PosSum
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d (%d records, %d shards): merged aggregate differs from single-stream Add",
@@ -191,7 +188,7 @@ func TestMergeIsAdditiveAndNonDestructive(t *testing.T) {
 
 	a.Merge(b)
 	m := timeline.MonthOf(rec.Date)
-	if got := a.Stats(m).Total; got != 20 {
+	if got := a.Stats(m).N[Total]; got != 20 {
 		t.Errorf("merged Total = %d, want 20", got)
 	}
 	if got := a.Stats(m).FPs["fp-shared"].Count; got != 20 {

@@ -158,8 +158,8 @@ func TestAggregateCounters(t *testing.T) {
 		t.Fatalf("months = %v", months)
 	}
 	ms := agg.Stats(months[0])
-	if ms.Total != 2 || ms.Established != 1 {
-		t.Fatalf("total=%d established=%d", ms.Total, ms.Established)
+	if ms.N[Total] != 2 || ms.N[Established] != 1 {
+		t.Fatalf("total=%d established=%d", ms.N[Total], ms.N[Established])
 	}
 	if ms.ByVersion.Get(registry.VersionTLS12) != 1 {
 		t.Error("version counter")
@@ -170,13 +170,13 @@ func TestAggregateCounters(t *testing.T) {
 	if ms.ByKex.Get(registry.KexECDHE) != 1 {
 		t.Error("kex counter")
 	}
-	if ms.AdvRC4 != 2 || ms.Adv3DES != 2 || ms.AdvAEAD != 2 {
+	if ms.N[AdvRC4] != 2 || ms.N[Adv3DES] != 2 || ms.N[AdvAEAD] != 2 {
 		t.Error("advertisement counters")
 	}
-	if ms.AdvTLS13 != 2 || ms.TLS13Variant.Get(registry.VersionTLS13Google) != 2 {
+	if ms.N[AdvTLS13] != 2 || ms.TLS13Variant.Get(registry.VersionTLS13Google) != 2 {
 		t.Error("TLS 1.3 advertisement counters")
 	}
-	if ms.OffersHeartbeatN != 2 || ms.HeartbeatAckN != 1 {
+	if ms.N[OffersHeartbeatN] != 2 || ms.N[HeartbeatAckN] != 1 {
 		t.Error("heartbeat counters")
 	}
 	if ms.ByCurve.Get(registry.CurveSecp256r1) != 1 {
@@ -197,7 +197,7 @@ func TestAggregateGREASEStripped(t *testing.T) {
 	}
 	agg.Add(r)
 	ms := agg.Stats(timeline.M(2017, time.March))
-	if ms.AdvRC4 != 0 || ms.AdvAEAD != 1 {
+	if ms.N[AdvRC4] != 0 || ms.N[AdvAEAD] != 1 {
 		t.Error("GREASE not stripped in advertisement counting")
 	}
 }
@@ -212,13 +212,13 @@ func TestFigure5Positions(t *testing.T) {
 	}
 	agg.Add(r)
 	ms := agg.Stats(timeline.M(2015, time.January))
-	if got := ms.PosSum["AEAD"] / float64(ms.PosCount["AEAD"]); got != 0 {
+	if got := ms.Pos[PosAEAD].Sum / float64(ms.Pos[PosAEAD].Count); got != 0 {
 		t.Errorf("AEAD position = %v", got)
 	}
-	if got := ms.PosSum["CBC"] / float64(ms.PosCount["CBC"]); got < 0.32 || got > 0.35 {
+	if got := ms.Pos[PosCBC].Sum / float64(ms.Pos[PosCBC].Count); got < 0.32 || got > 0.35 {
 		t.Errorf("CBC position = %v, want 1/3", got)
 	}
-	if got := ms.PosSum["3DES"] / float64(ms.PosCount["3DES"]); got != 1 {
+	if got := ms.Pos[Pos3DES].Sum / float64(ms.Pos[Pos3DES].Count); got != 1 {
 		t.Errorf("3DES position = %v, want 1 (bottom)", got)
 	}
 	// Note: the CBC class includes the 3DES suite, but the *first* CBC suite

@@ -38,7 +38,7 @@ func buildCorpus(t testing.TB, seed int64, n int) ([]byte, *Aggregate) {
 }
 
 // aggregatesEqual compares two aggregates the way the merge property test
-// does: PosSum within epsilon (float addition across shards is not
+// does: Pos[c].Sum within epsilon (float addition across shards is not
 // associative), everything else exactly.
 func aggregatesEqual(t *testing.T, want, got *Aggregate) {
 	t.Helper()
@@ -47,15 +47,12 @@ func aggregatesEqual(t *testing.T, want, got *Aggregate) {
 		if gms == nil {
 			t.Fatalf("month %v missing from parallel aggregate", m)
 		}
-		if len(wms.PosSum) != len(gms.PosSum) {
-			t.Fatalf("month %v PosSum keys differ", m)
-		}
-		for class, wsum := range wms.PosSum {
-			if diff := wsum - gms.PosSum[class]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("month %v PosSum[%s] off by %g", m, class, diff)
+		for c := range wms.Pos {
+			if diff := wms.Pos[c].Sum - gms.Pos[c].Sum; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("month %v Pos[%v].Sum off by %g", m, PosClass(c), diff)
 			}
+			gms.Pos[c].Sum = wms.Pos[c].Sum
 		}
-		gms.PosSum = wms.PosSum
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("parallel aggregate differs from serial ReadLog")

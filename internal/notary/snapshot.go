@@ -19,11 +19,11 @@ import (
 // upstream costs O(months×counters) instead of O(records)).
 //
 // The payload packs the generation, every MonthStats (counters, maps,
-// fingerprint capability sets) and the fingerprint lifetime maps. Map
-// entries are written in sorted key order, so encoding is deterministic:
-// equal aggregate content yields equal bytes. All integer counters are
-// unsigned varints; float64 position sums are fixed 8-byte little-endian
-// IEEE 754.
+// fingerprint capability sets) and the fingerprint lifetime maps. The plain
+// counters are written in schema order (see schema.go), map entries in
+// sorted key order, so encoding is deterministic: equal aggregate content
+// yields equal bytes. All integer counters are unsigned varints; float64
+// position sums are fixed 8-byte little-endian IEEE 754.
 //
 // Decoding is defensive: every length is bounds-checked against the bytes
 // actually present, so arbitrary or corrupted input yields an error — never
@@ -227,8 +227,9 @@ func AppendAggregatePayload(dst []byte, a *Aggregate) []byte {
 func appendMonthStats(dst []byte, ms *MonthStats) []byte {
 	dst = appendCount(dst, ms.Month.Year)
 	dst = appendCount(dst, int(ms.Month.M))
-	dst = appendCount(dst, ms.Total)
-	dst = appendCount(dst, ms.Established)
+	for _, v := range ms.N[:payloadSplit] {
+		dst = appendCount(dst, v)
+	}
 	dst = appendCounts(dst, &ms.ByVersion)
 	dst = appendStrIntMap(dst, ms.ByClass)
 	dst = appendCounts(dst, &ms.ByKex)
@@ -236,23 +237,31 @@ func appendMonthStats(dst []byte, ms *MonthStats) []byte {
 	dst = appendCounts(dst, &ms.ByCurve)
 	dst = appendCounts(dst, &ms.TLS13Variant)
 	dst = appendCounts(dst, &ms.ByExtension)
-	for _, v := range [...]int{
-		ms.AdvRC4, ms.AdvDES, ms.Adv3DES, ms.AdvAEAD,
-		ms.AdvExport, ms.AdvAnon, ms.AdvNULL,
-		ms.AdvAESGCM128, ms.AdvAESGCM256, ms.AdvChaCha, ms.AdvCCM,
-		ms.AdvTLS13,
-		ms.OffersHeartbeatN, ms.HeartbeatAckN,
-		ms.NULLNegotiated, ms.AnonNegotiated,
-		ms.ExportNegotiated, ms.UnofferedChoice, ms.SSLv2Hellos,
-	} {
+	for _, v := range ms.N[payloadSplit:] {
 		dst = appendCount(dst, v)
 	}
-	dst = appendCount(dst, len(ms.PosSum))
-	for _, k := range sortedStringKeys(ms.PosSum) {
-		dst = appendString(dst, k)
-		dst = appendFloat64(dst, ms.PosSum[k])
+	// The position sums, then the position counts: two name-keyed tables of
+	// the present classes (Count > 0), which PosClass order keeps sorted.
+	present := 0
+	for _, p := range ms.Pos {
+		if p.Count > 0 {
+			present++
+		}
 	}
-	dst = appendStrIntMap(dst, ms.PosCount)
+	dst = appendCount(dst, present)
+	for c, p := range ms.Pos {
+		if p.Count > 0 {
+			dst = appendString(dst, PosClass(c).String())
+			dst = appendFloat64(dst, p.Sum)
+		}
+	}
+	dst = appendCount(dst, present)
+	for c, p := range ms.Pos {
+		if p.Count > 0 {
+			dst = appendString(dst, PosClass(c).String())
+			dst = appendCount(dst, p.Count)
+		}
+	}
 	dst = appendCount(dst, len(ms.FPs))
 	for _, fp := range sortedStringKeys(ms.FPs) {
 		caps := ms.FPs[fp]
@@ -458,6 +467,43 @@ func decodeSnapshotPayload(b []byte, version byte) (*Aggregate, error) {
 	return a, nil
 }
 
+// decodePositions reads the two name-keyed position tables into ms.Pos and
+// holds them to what Add and Merge can build: known classes, and per class a
+// finite sum with 0 <= Sum <= Count (each term Add sums is idx/(n-1) <= 1).
+// Anything else would poison every figure and snapshot downstream — a NaN
+// sum survives merge and cannot be marshalled.
+func decodePositions(d *snapDecoder, ms *MonthStats) {
+	class := func() PosClass {
+		name := d.str()
+		c, ok := ParsePosClass(name)
+		if d.err == nil && !ok {
+			d.fail("unknown position class %q", name)
+		}
+		return c
+	}
+	var sumOnly [NumPosClasses]bool // in the sums table, not (yet) in the counts table
+	nSum := d.length(9)
+	for i := 0; i < nSum && d.err == nil; i++ {
+		c := class()
+		ms.Pos[c].Sum, sumOnly[c] = d.float64(), true
+	}
+	nCount := d.length(2)
+	for i := 0; i < nCount && d.err == nil; i++ {
+		c := class()
+		ms.Pos[c].Count, sumOnly[c] = d.count(), false
+	}
+	for c, p := range ms.Pos {
+		if d.err != nil {
+			return
+		}
+		if sumOnly[c] {
+			d.fail("position class %v has a sum but no count", PosClass(c))
+		} else if !(p.Sum >= 0 && p.Sum <= float64(p.Count)) { // also refuses NaN
+			d.fail("position class %v: sum %v outside [0, count %d]", PosClass(c), p.Sum, p.Count)
+		}
+	}
+}
+
 func decodeMonthStats(d *snapDecoder, version byte) *MonthStats {
 	year := d.count()
 	month := d.count()
@@ -465,8 +511,10 @@ func decodeMonthStats(d *snapDecoder, version byte) *MonthStats {
 		d.fail("bad month %d-%d", year, month)
 	}
 	ms := newMonthStats(timeline.Month{Year: year, M: time.Month(month)})
-	ms.Total = d.count()
-	ms.Established = d.count()
+	head, tail := ms.N[:payloadSplit], ms.N[payloadSplit:]
+	for c := range head {
+		head[c] = d.count()
+	}
 	decodeCounts(d, &ms.ByVersion)
 	ms.ByClass = d.strIntMap()
 	decodeCounts(d, &ms.ByKex)
@@ -474,23 +522,10 @@ func decodeMonthStats(d *snapDecoder, version byte) *MonthStats {
 	decodeCounts(d, &ms.ByCurve)
 	decodeCounts(d, &ms.TLS13Variant)
 	decodeCounts(d, &ms.ByExtension)
-	for _, p := range [...]*int{
-		&ms.AdvRC4, &ms.AdvDES, &ms.Adv3DES, &ms.AdvAEAD,
-		&ms.AdvExport, &ms.AdvAnon, &ms.AdvNULL,
-		&ms.AdvAESGCM128, &ms.AdvAESGCM256, &ms.AdvChaCha, &ms.AdvCCM,
-		&ms.AdvTLS13,
-		&ms.OffersHeartbeatN, &ms.HeartbeatAckN,
-		&ms.NULLNegotiated, &ms.AnonNegotiated,
-		&ms.ExportNegotiated, &ms.UnofferedChoice, &ms.SSLv2Hellos,
-	} {
-		*p = d.count()
+	for c := range tail {
+		tail[c] = d.count()
 	}
-	nPos := d.length(9)
-	for i := 0; i < nPos && d.err == nil; i++ {
-		k := d.str()
-		ms.PosSum[k] = d.float64()
-	}
-	ms.PosCount = d.strIntMap()
+	decodePositions(d, ms)
 	nFPs := d.length(3)
 	for i := 0; i < nFPs && d.err == nil; i++ {
 		fp := d.str()

@@ -2,11 +2,15 @@ package notary
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"tlsage/internal/registry"
+	"tlsage/internal/timeline"
 )
 
 // buildAggregate ingests n pseudo-random records, reusing the merge tests'
@@ -121,6 +125,86 @@ func TestSnapshotVersionAndMagic(t *testing.T) {
 	}
 }
 
+// poisonedAggregate holds one month whose AEAD position accumulators are set
+// by hand — the encoder writes whatever it is given, so this is how a hostile
+// or buggy peer's CRC-valid frame is built.
+func poisonedAggregate(sum float64, count int) *Aggregate {
+	agg := NewAggregate()
+	agg.UpdateMonth(timeline.M(2016, time.May), 3, func(ms *MonthStats) {
+		ms.N[Total] = 3
+		ms.Pos[PosAEAD].Sum, ms.Pos[PosAEAD].Count = sum, count
+	})
+	return agg
+}
+
+// TestDecodeRefusesImpossiblePositions: Add sums terms idx/(n-1) <= 1 and
+// counts each, so a position entry that is non-finite, negative, above its
+// count, of an unknown class or without a count cannot come from Add and
+// Merge. A NaN that got in would survive every merge, blank /figures and be
+// written into the receiver's own snapshots.
+func TestDecodeRefusesImpossiblePositions(t *testing.T) {
+	if _, err := DecodeSnapshot(EncodeSnapshot(nil, poisonedAggregate(1.5, 2))); err != nil {
+		t.Fatalf("a sum below its count must decode: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		sum   float64
+		count int
+	}{
+		{"NaN", math.NaN(), 2},
+		{"+Inf", math.Inf(1), 2},
+		{"-Inf", math.Inf(-1), 2},
+		{"negative", -0.25, 2},
+		{"above count", 2.5, 2},
+	} {
+		if _, err := DecodeSnapshot(EncodeSnapshot(nil, poisonedAggregate(tc.sum, tc.count))); err == nil {
+			t.Errorf("%s position sum decoded without error", tc.name)
+		}
+	}
+
+	// Class-table damage needs payload surgery: the two tables name the
+	// class once each, sums first.
+	payload := AppendAggregatePayload(nil, poisonedAggregate(1.5, 2))
+	name := []byte("\x04AEAD")
+	if bytes.Count(payload, name) != 2 {
+		t.Fatalf("payload names the class %d times, want 2", bytes.Count(payload, name))
+	}
+	if _, err := DecodeAggregatePayload(payload, SnapshotVersion); err != nil {
+		t.Fatalf("unmodified payload: %v", err)
+	}
+	unknown := bytes.Replace(payload, name, []byte("\x04AEAX"), 1)
+	if _, err := DecodeAggregatePayload(unknown, SnapshotVersion); err == nil {
+		t.Error("unknown position class decoded without error")
+	}
+	// Drop the count table's one entry (name + varint 2) and zero its length.
+	at := bytes.LastIndex(payload, name)
+	noCount := append([]byte(nil), payload[:at-1]...)
+	noCount = append(noCount, 0)
+	noCount = append(noCount, payload[at+len(name)+1:]...)
+	if _, err := DecodeAggregatePayload(noCount, SnapshotVersion); err == nil {
+		t.Error("position sum without a count decoded without error")
+	}
+}
+
+// TestPosClassOrderIsSortedNameOrder: the encoder writes the position tables
+// by walking the enum and relies on that being the sorted-key order the
+// format has always had.
+func TestPosClassOrderIsSortedNameOrder(t *testing.T) {
+	var names []string
+	for c := PosClass(0); c < NumPosClasses; c++ {
+		if got, ok := ParsePosClass(c.String()); !ok || got != c {
+			t.Errorf("ParsePosClass(%q) = %v, %v", c.String(), got, ok)
+		}
+		names = append(names, c.String())
+	}
+	if !sort.StringsAreSorted(names) {
+		t.Errorf("PosClass names %q are not in sorted order", names)
+	}
+	if _, ok := ParsePosClass("Stream"); ok {
+		t.Error("ParsePosClass accepted a class Figure 5 does not track")
+	}
+}
+
 // FuzzReadSnapshot feeds arbitrary bytes to the decoder: it must never
 // panic, and anything it accepts must re-encode to a frame that decodes to
 // the same aggregate (decode∘encode is a retraction).
@@ -130,6 +214,8 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(EncodeSnapshot(nil, NewAggregate()))
 	f.Add(EncodeSnapshot(nil, buildAggregate(1, 5)))
 	f.Add(EncodeSnapshot(nil, buildAggregate(2, 100)))
+	f.Add(EncodeSnapshot(nil, poisonedAggregate(math.NaN(), 2)))
+	f.Add(EncodeSnapshot(nil, poisonedAggregate(2.5, 2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeSnapshot(data)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -29,8 +30,8 @@ func fedShard(seed uint64, months int) *notary.Aggregate {
 	for i := 0; i < months; i++ {
 		i := uint64(i)
 		agg.UpdateMonth(m, 5+i, func(ms *notary.MonthStats) {
-			ms.Total += int(5 + i)
-			ms.Established += int(3 + seed)
+			ms.N[notary.Total] += int(5 + i)
+			ms.N[notary.Established] += int(3 + seed)
 			ms.ByVersion.Add(registry.VersionTLS12, int(2+seed))
 			ms.ByClass["RC4"] += int(1 + i)
 		})
@@ -174,6 +175,41 @@ func TestMergeEndpoint(t *testing.T) {
 	if src, ok := fed.Core.Sources["edge-a"]; !ok || src.AppliedThrough != both.Generation() || src.Deltas != 2 {
 		t.Fatalf("edge-a source gauges %+v", fed.Core.Sources)
 	}
+}
+
+// TestMergeRefusesPoisonedDelta: a CRC-valid delta whose position sum is NaN
+// (or exceeds its count) cannot have come from Add and Merge. It used to be
+// merged, after which /figures answered 200 with an empty body and the NaN
+// went into the core's own snapshots; now it is a 400 that applies nothing.
+func TestMergeRefusesPoisonedDelta(t *testing.T) {
+	srv := NewServer(core.NewLiveStudy())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	good := fedShard(1, 4)
+	if status, _ := postDeltaFrame(t, ts.URL, &federation.Delta{Source: "edge-a", Agg: good}); status != http.StatusOK {
+		t.Fatalf("good delta: %d", status)
+	}
+	for name, sum := range map[string]float64{"NaN": math.NaN(), "sum above count": 2.5} {
+		bad := fedShard(2, 4)
+		bad.UpdateMonth(timeline.M(2012, time.March), 0, func(ms *notary.MonthStats) {
+			ms.Pos[notary.PosAEAD].Sum, ms.Pos[notary.PosAEAD].Count = sum, 2
+		})
+		status, ack := postDeltaFrame(t, ts.URL, &federation.Delta{Source: "edge-b", Agg: bad})
+		if status != http.StatusBadRequest || ack.Error == "" {
+			t.Fatalf("%s delta: %d %+v, want 400 with an error", name, status, ack)
+		}
+	}
+	if _, _, gen, _ := srv.Study().Counts(); gen != good.Generation() {
+		t.Fatalf("a refused delta moved the study to generation %d, want %d", gen, good.Generation())
+	}
+	for _, path := range []string{"/figures", "/figure/5", "/scalars"} {
+		if body := mustGet(t, ts.URL+path); !json.Valid(body) {
+			t.Errorf("GET %s after the refused deltas is not JSON: %q", path, body)
+		}
+	}
+	postQuery(t, ts.URL+"/query", "position(aead)")
 }
 
 // TestMergeMaxBodyBytes: a delta frame cut off by -max-body answers 413, not

@@ -449,12 +449,19 @@ func (si *shardIngester) flush() error {
 
 // --- HTTP handlers ---
 
+// writeJSON marshals before it writes the status line, so a value that
+// cannot be encoded (a NaN in a figure, say) is answered 500 with the reason
+// and never as the chosen status over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		// writeError's map of strings always marshals, so this ends here.
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // nothing useful to do about a broken client connection
+	_, _ = w.Write(append(body, '\n')) // nothing useful to do about a broken client connection
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -117,6 +118,27 @@ func mustGet(t *testing.T, url string) []byte {
 		t.Fatalf("GET %s: %d: %s", url, resp.StatusCode, body)
 	}
 	return body
+}
+
+// TestWriteJSONEncodeFailure: a value that cannot be marshalled is answered
+// 500 with a JSON error body — never the intended status over an empty body,
+// which is what encoding straight into the ResponseWriter produced.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"value": math.NaN()})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q is not a JSON object: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(body["error"], "NaN") {
+		t.Fatalf("unencodable value answered %d %v, want 500 naming the NaN", rec.Code, body)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusTeapot, map[string]int{"a": 1})
+	if want := "{\n  \"a\": 1\n}\n"; rec.Code != http.StatusTeapot || rec.Body.String() != want {
+		t.Fatalf("encodable value answered %d %q, want 418 %q", rec.Code, rec.Body.String(), want)
+	}
 }
 
 // TestServeFeedScalarParity is the end-to-end acceptance check: a simulated

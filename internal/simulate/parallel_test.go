@@ -76,8 +76,8 @@ func TestParallelRunAggregatePropagatesSinkCoverage(t *testing.T) {
 		t.Fatalf("got %d months, want 11", len(months))
 	}
 	for _, m := range months {
-		if agg.Stats(m).Total != 30 {
-			t.Errorf("month %v has %d records, want 30", m, agg.Stats(m).Total)
+		if agg.Stats(m).N[notary.Total] != 30 {
+			t.Errorf("month %v has %d records, want 30", m, agg.Stats(m).N[notary.Total])
 		}
 	}
 }

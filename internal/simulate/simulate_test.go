@@ -57,18 +57,18 @@ func runEach(t *testing.T, opts Options, fn func(*notary.Record)) {
 
 // pctTotal is 100·n over the month's records, 0 for an empty month.
 func pctTotal(ms *notary.MonthStats, n int) float64 {
-	if ms.Total == 0 {
+	if ms.N[notary.Total] == 0 {
 		return 0
 	}
-	return 100 * float64(n) / float64(ms.Total)
+	return 100 * float64(n) / float64(ms.N[notary.Total])
 }
 
 // pctEstablished is 100·n over the month's established connections.
 func pctEstablished(ms *notary.MonthStats, n int) float64 {
-	if ms.Established == 0 {
+	if ms.N[notary.Established] == 0 {
 		return 0
 	}
-	return 100 * float64(n) / float64(ms.Established)
+	return 100 * float64(n) / float64(ms.N[notary.Established])
 }
 
 func pct(t *testing.T, a *notary.Aggregate, y int, m time.Month, f func(*notary.MonthStats) float64) float64 {
@@ -179,32 +179,32 @@ func TestFigure3AdvertisedShape(t *testing.T) {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return pctTotal(ms, f(ms)) })
 	}
 	// Nearly all clients advertised RC4 and 3DES in 2012-2014.
-	if got := get(2013, time.June, func(ms *notary.MonthStats) int { return ms.AdvRC4 }); got < 85 {
+	if got := get(2013, time.June, func(ms *notary.MonthStats) int { return ms.N[notary.AdvRC4] }); got < 85 {
 		t.Errorf("RC4 advertised Jun 2013 = %0.1f%%", got)
 	}
-	if got := get(2014, time.June, func(ms *notary.MonthStats) int { return ms.Adv3DES }); got < 90 {
+	if got := get(2014, time.June, func(ms *notary.MonthStats) int { return ms.N[notary.Adv3DES] }); got < 90 {
 		t.Errorf("3DES advertised Jun 2014 = %0.1f%%", got)
 	}
 	// 3DES advertisement falls to ≈69% by 2018 (§5.6).
-	got3des := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.Adv3DES })
+	got3des := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.N[notary.Adv3DES] })
 	if got3des < 55 || got3des > 82 {
 		t.Errorf("3DES advertised Mar 2018 = %0.1f%%, want ≈69%%", got3des)
 	}
 	// RC4 advertisement collapses after the 2015 browser removals but keeps
 	// a residual tail (Figure 6): ≈10% in 2018.
-	gotRC4 := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.AdvRC4 })
+	gotRC4 := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.N[notary.AdvRC4] })
 	if gotRC4 < 2 || gotRC4 > 25 {
 		t.Errorf("RC4 advertised Mar 2018 = %0.1f%%, want ≈10%%", gotRC4)
 	}
 	// The drop between Jan 2015 and Jan 2017 is the cliff.
-	pre := get(2015, time.January, func(ms *notary.MonthStats) int { return ms.AdvRC4 })
-	post := get(2017, time.January, func(ms *notary.MonthStats) int { return ms.AdvRC4 })
+	pre := get(2015, time.January, func(ms *notary.MonthStats) int { return ms.N[notary.AdvRC4] })
+	post := get(2017, time.January, func(ms *notary.MonthStats) int { return ms.N[notary.AdvRC4] })
 	if pre-post < 30 {
 		t.Errorf("RC4 advertisement cliff too small: %0.1f%% → %0.1f%%", pre, post)
 	}
 	// DES advertised: substantial in 2012, minor by 2018.
-	desEarly := get(2012, time.June, func(ms *notary.MonthStats) int { return ms.AdvDES })
-	desLate := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.AdvDES })
+	desEarly := get(2012, time.June, func(ms *notary.MonthStats) int { return ms.N[notary.AdvDES] })
+	desLate := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.N[notary.AdvDES] })
 	if desEarly < 20 {
 		t.Errorf("DES advertised Jun 2012 = %0.1f%%, want ≳30%%", desEarly)
 	}
@@ -212,7 +212,7 @@ func TestFigure3AdvertisedShape(t *testing.T) {
 		t.Errorf("DES advertisement should collapse: %0.1f%% → %0.1f%%", desEarly, desLate)
 	}
 	// AEAD advertisement near-universal by 2018.
-	if got := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.AdvAEAD }); got < 80 {
+	if got := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.N[notary.AdvAEAD] }); got < 80 {
 		t.Errorf("AEAD advertised Mar 2018 = %0.1f%%", got)
 	}
 }
@@ -224,8 +224,8 @@ func TestFigure7WeakAdvertisement(t *testing.T) {
 	get := func(y int, m time.Month, f func(*notary.MonthStats) int) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return pctTotal(ms, f(ms)) })
 	}
-	exp12 := get(2012, time.June, func(ms *notary.MonthStats) int { return ms.AdvExport })
-	exp18 := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.AdvExport })
+	exp12 := get(2012, time.June, func(ms *notary.MonthStats) int { return ms.N[notary.AdvExport] })
+	exp18 := get(2018, time.March, func(ms *notary.MonthStats) int { return ms.N[notary.AdvExport] })
 	if exp12 < 18 || exp12 > 38 {
 		t.Errorf("export advertised 2012 = %0.1f%%, want ≈28%%", exp12)
 	}
@@ -233,9 +233,9 @@ func TestFigure7WeakAdvertisement(t *testing.T) {
 		t.Errorf("export advertised 2018 = %0.1f%%, want ≈1%%", exp18)
 	}
 	// Anonymous spike: July 2015 roughly doubles May 2015.
-	may := get(2015, time.May, func(ms *notary.MonthStats) int { return ms.AdvAnon })
-	jul := get(2015, time.July, func(ms *notary.MonthStats) int { return ms.AdvAnon })
-	oct := get(2015, time.November, func(ms *notary.MonthStats) int { return ms.AdvAnon })
+	may := get(2015, time.May, func(ms *notary.MonthStats) int { return ms.N[notary.AdvAnon] })
+	jul := get(2015, time.July, func(ms *notary.MonthStats) int { return ms.N[notary.AdvAnon] })
+	oct := get(2015, time.November, func(ms *notary.MonthStats) int { return ms.N[notary.AdvAnon] })
 	if jul < may*1.5 {
 		t.Errorf("anonymous spike missing: May %0.1f%% → Jul %0.1f%%", may, jul)
 	}
@@ -251,7 +251,7 @@ func TestNULLNegotiation(t *testing.T) {
 	a := studyAgg(t)
 	nullPct := func(y int, m time.Month) float64 {
 		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 {
-			return pctEstablished(ms, ms.NULLNegotiated)
+			return pctEstablished(ms, ms.N[notary.NULLNegotiated])
 		})
 	}
 	if got := nullPct(2012, time.June); got < 1 || got > 9 {
@@ -330,8 +330,8 @@ func TestFigure9AEADBreakdown(t *testing.T) {
 		t.Errorf("ChaCha20 negotiated Mar 2018 = %0.1f%%, want ≈1.7%%", chachaPct)
 	}
 	// Advertised AEAD: GCM-128 advertised more than CCM.
-	if ms.AdvCCM > ms.AdvAESGCM128/4 {
-		t.Errorf("CCM advertised (%d) should be rare vs GCM (%d)", ms.AdvCCM, ms.AdvAESGCM128)
+	if ms.N[notary.AdvCCM] > ms.N[notary.AdvAESGCM128]/4 {
+		t.Errorf("CCM advertised (%d) should be rare vs GCM (%d)", ms.N[notary.AdvCCM], ms.N[notary.AdvAESGCM128])
 	}
 }
 
@@ -340,7 +340,7 @@ func TestFigure9AEADBreakdown(t *testing.T) {
 func TestTLS13Uptake(t *testing.T) {
 	a := studyAgg(t)
 	sup := func(y int, m time.Month) float64 {
-		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return pctTotal(ms, ms.AdvTLS13) })
+		return pct(t, a, y, m, func(ms *notary.MonthStats) float64 { return pctTotal(ms, ms.N[notary.AdvTLS13]) })
 	}
 	feb, mar, apr := sup(2018, time.February), sup(2018, time.March), sup(2018, time.April)
 	if feb > 6 {
@@ -369,7 +369,7 @@ func TestTLS13Uptake(t *testing.T) {
 func TestHeartbeatNegotiated(t *testing.T) {
 	a := studyAgg(t)
 	got := pct(t, a, 2018, time.March, func(ms *notary.MonthStats) float64 {
-		return pctTotal(ms, ms.HeartbeatAckN)
+		return pctTotal(ms, ms.N[notary.HeartbeatAckN])
 	})
 	if got < 0.5 || got > 8 {
 		t.Errorf("heartbeat negotiated Mar 2018 = %0.1f%%, want ≈3%%", got)
@@ -380,20 +380,20 @@ func TestHeartbeatNegotiated(t *testing.T) {
 // RC4/3DES lower, with CBC's first position stable over time.
 func TestFigure5Positions(t *testing.T) {
 	a := studyAgg(t)
-	pos := func(y int, m time.Month, class string) float64 {
-		ms := a.Stats(timeline.M(y, m))
-		if ms.PosCount[class] == 0 {
+	pos := func(y int, m time.Month, class notary.PosClass) float64 {
+		p := a.Stats(timeline.M(y, m)).Pos[class]
+		if p.Count == 0 {
 			return math.NaN()
 		}
-		return 100 * ms.PosSum[class] / float64(ms.PosCount[class])
+		return 100 * p.Sum / float64(p.Count)
 	}
 	for _, ym := range []struct {
 		y int
 		m time.Month
 	}{{2015, time.June}, {2017, time.June}} {
-		aead := pos(ym.y, ym.m, "AEAD")
-		cbc := pos(ym.y, ym.m, "CBC")
-		tdes := pos(ym.y, ym.m, "3DES")
+		aead := pos(ym.y, ym.m, notary.PosAEAD)
+		cbc := pos(ym.y, ym.m, notary.PosCBC)
+		tdes := pos(ym.y, ym.m, notary.Pos3DES)
 		if !(aead < cbc && cbc < tdes) {
 			t.Errorf("%d-%d: positions AEAD=%0.0f CBC=%0.0f 3DES=%0.0f, want AEAD<CBC<3DES",
 				ym.y, ym.m, aead, cbc, tdes)
@@ -439,7 +439,7 @@ func TestFigure4FingerprintCapabilities(t *testing.T) {
 	}
 	// Traffic-weighted RC4 advertisement is far below the fingerprint share
 	// (the Figure 4 vs Figure 3 contrast).
-	trafficRC4 := pctTotal(ms, ms.AdvRC4)
+	trafficRC4 := pctTotal(ms, ms.N[notary.AdvRC4])
 	if trafficRC4 >= rc4Pct {
 		t.Errorf("traffic RC4 (%0.0f%%) should be below fingerprint RC4 (%0.0f%%)", trafficRC4, rc4Pct)
 	}
@@ -475,7 +475,7 @@ func TestSSLv2Trickle(t *testing.T) {
 	a := studyAgg(t)
 	total := 0
 	for _, m := range a.Months() {
-		total += a.Stats(m).SSLv2Hellos
+		total += a.Stats(m).N[notary.SSLv2Hellos]
 	}
 	if total == 0 {
 		t.Error("no SSLv2 hellos observed")
@@ -493,15 +493,15 @@ func TestExportNegotiationAnomaly(t *testing.T) {
 	exp, unoffered := 0, 0
 	for _, m := range a.Months() {
 		ms := a.Stats(m)
-		exp += ms.ExportNegotiated
-		unoffered += ms.UnofferedChoice
+		exp += ms.N[notary.ExportNegotiated]
+		unoffered += ms.N[notary.UnofferedChoice]
 	}
 	if exp == 0 {
 		t.Error("expected a few export-negotiated connections (Interwise)")
 	}
 	total := 0
 	for _, m := range a.Months() {
-		total += a.Stats(m).Established
+		total += a.Stats(m).N[notary.Established]
 	}
 	if frac := float64(exp) / float64(total); frac > 0.005 {
 		t.Errorf("export negotiated fraction = %0.4f, want tiny", frac)
@@ -551,7 +551,7 @@ func TestWireAblationAgreement(t *testing.T) {
 	aggA, aggB := runAggregate(t, optsA), runAggregate(t, optsB)
 	msA := aggA.Stats(timeline.M(2013, time.June))
 	msB := aggB.Stats(timeline.M(2013, time.June))
-	if msA.Total != msB.Total {
+	if msA.N[notary.Total] != msB.N[notary.Total] {
 		t.Fatal("sample sizes differ")
 	}
 	diff := math.Abs(pctEstablished(msA, msA.ByClass["RC4"]) - pctEstablished(msB, msB.ByClass["RC4"]))
