@@ -2,21 +2,25 @@ package notary
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"tlsage/internal/framing"
 	"tlsage/internal/registry"
+	"tlsage/internal/timeline"
 )
 
 // Batch codec: frames carrying batches of Records, in the same envelope as
 // the snapshot codec (see package framing) — the binary sibling of the TSV
 // log line. A producer packs records into frames (BatchWriter); a consumer
 // streams frames back into a Sink (ReadBatches).
-// TSV stays the debug/interop path; this format exists so ingest cost scales
-// with batch count instead of per-line parsing.
+// TSV stays the debug/interop path; this format exists so a record costs a
+// few dozen varint reads rather than a line of text, and a stream one
+// checksum and one read per frame.
 //
 // The payload is an unsigned varint record count followed by that many
 // packed records. Per record:
@@ -32,7 +36,19 @@ import (
 //	fp, truth, cohort (uvarint length + raw bytes)
 //
 // Decoding is defensive the same way the snapshot codec is: every length is
-// bounds-checked against the bytes actually present (FuzzReadBatches).
+// bounds-checked against the bytes actually present. It is also the largest
+// line in a collector's CPU profile, so the decoder reads a record in the
+// spelling every writer uses — varints of one to three bytes, values in range
+// — through fixed-shape code (decodeRecordHead, decodeCodeList's loop,
+// varint3) that touches each byte once and calls nothing per element.
+// Anything else is not consumed there: it drops to the checked snapDecoder
+// statements in the same function, which accept what else is legal (a
+// non-minimal varint) and produce every error. FuzzReadBatches holds the
+// result to the statement-per-element decoder kept in decode_ref_test.go.
+//
+// The three strings must be ones the TSV log can carry (see loggable): a
+// collector tees what it acknowledges into -out as TSV lines, and recovery
+// reads them back.
 
 // BatchVersion is the batch wire-format version byte written by this build.
 // Version 2 marks the generation where aggregates derive fingerprint/client
@@ -226,13 +242,33 @@ const maxInternEntries = 1 << 16
 
 // internTable dedupes the record strings of a stream. Fingerprints, truth
 // labels and cohorts repeat across virtually every record, so interning
-// makes steady-state binary decode allocation-free where TSV pays at least
-// one line allocation per record.
+// makes steady-state decode allocation-free. Both record decoders read their
+// strings through one table per stream (per worker, in the parallel reader).
 type internTable map[string]string
 
-// str reads one length-prefixed string from d, returning a previously
-// interned copy when the bytes were seen before. The map lookup keyed by
-// string(b) does not allocate (the compiler elides the conversion).
+// add copies b into the table, a string new to the stream, and returns the
+// copy. A lookup keyed by string(b) does not allocate (the compiler elides
+// the conversion), so callers index the table first and pay for the copy on
+// a miss only.
+func (in internTable) add(b []byte) string {
+	s := string(b)
+	if len(in) < maxInternEntries {
+		in[s] = s
+	}
+	return s
+}
+
+// loggable reports whether a record string survives the TSV log: a TAB, LF
+// or CR would split the line LogWriter tees it into, and "-" is how that
+// line spells the empty string. A TLSB record carrying such a string is
+// refused at decode, so whatever was acknowledged can be written out and
+// read back (the rule validDate gives dates); TSV input cannot spell one.
+func loggable(b []byte) bool {
+	return bytes.IndexAny(b, "\t\n\r") < 0 && !(len(b) == 1 && b[0] == '-')
+}
+
+// str reads one length-prefixed record string from d. The loggable check
+// runs on a table miss only: what the table holds has passed it.
 func (in internTable) str(d *snapDecoder) string {
 	n := d.length(1)
 	if d.err != nil || n == 0 {
@@ -243,35 +279,102 @@ func (in internTable) str(d *snapDecoder) string {
 	if s, ok := in[string(b)]; ok {
 		return s
 	}
-	s := string(b)
-	if len(in) < maxInternEntries {
-		in[s] = s
+	if !loggable(b) {
+		d.fail("record string %q cannot be written to a log line", b)
+		return ""
 	}
-	return s
+	return in.add(b)
 }
 
-func decodeCodeList[T ~uint8 | ~uint16](d *snapDecoder, dst []T, max uint64) []T {
+// decodeCodeList decodes a count-prefixed code-point list into dst's storage,
+// sized once from the bounds-checked count. The loop reads the one-, two- and
+// three-byte varints every value up to 0xFFFF fits in straight off the
+// payload. An element of any other shape — a longer varint, a value beyond
+// T's range, fewer than three bytes left (a valid record has its three string
+// lengths there) — is left unconsumed for the checked statements below it,
+// which own every error.
+func decodeCodeList[T ~uint8 | ~uint16](d *snapDecoder, dst []T) []T {
 	n := d.length(1)
-	dst = dst[:0]
-	for i := 0; i < n && d.err == nil; i++ {
+	if n > cap(dst) {
+		dst = make([]T, n, max(n, 2*cap(dst)))
+	}
+	dst = dst[:n]
+	b, off, i := d.b, d.off, 0
+	for ; i < n; i++ {
+		v, w := varint3(b, off)
+		if w == 0 || v > uint32(^T(0)) {
+			break
+		}
+		dst[i] = T(v)
+		off += w
+	}
+	d.off = off
+	dst = dst[:i]
+	for ; i < n && d.err == nil; i++ {
 		v := d.uvarint()
-		if v > max {
+		if v > uint64(^T(0)) {
 			d.fail("list element %d out of range", v)
-			return dst
+			break
 		}
 		dst = append(dst, T(v))
 	}
 	return dst
 }
 
+// maxRecordHeadLen is the widest fixed head decodeRecordHead recognises:
+// flags, seven varints of up to three bytes, alert.
+const maxRecordHeadLen = 1 + 7*3 + 1
+
+// decodeRecordHead reads a record's fixed head — flags, date, four code
+// points, alert — when it is spelled the way every writer spells it: each
+// varint one to three bytes wide, each value in range. It reports the flags
+// and whether it did; when it did not (a wider varint, a bad value, a head
+// within maxRecordHeadLen of the payload's end) it has consumed nothing and
+// the checked statements in decodeRecordBinary read the same bytes.
+func decodeRecordHead(d *snapDecoder, r *Record) (flags byte, ok bool) {
+	b := d.b[d.off:]
+	if d.err != nil || len(b) < maxRecordHeadLen {
+		return 0, false
+	}
+	off := 1
+	var v [7]uint32 // year, month, day, client_version, version, suite, curve
+	for i := range v {
+		x, w := varint3(b, off)
+		if w == 0 {
+			return 0, false
+		}
+		v[i], off = x, off+w
+	}
+	if b[0]&^byte(batchFlagMask) != 0 || !validDate(int(v[0]), int(v[1]), int(v[2])) ||
+		v[3]|v[4]|v[5]|v[6] > math.MaxUint16 {
+		return 0, false
+	}
+	r.Date = timeline.Date{Year: int(v[0]), Month: time.Month(v[1]), Day: int(v[2])}
+	r.ClientVersion = registry.Version(v[3])
+	r.Version = registry.Version(v[4])
+	r.Suite = uint16(v[5])
+	r.Curve = registry.CurveID(v[6])
+	r.AlertDesc = b[off]
+	d.off += off + 1
+	return b[0], true
+}
+
 // decodeRecordBinary decodes one packed record into r, reusing r's slice
-// capacity and interning strings through in.
+// capacity and interning strings through in. It assigns every field of r.
 func decodeRecordBinary(d *snapDecoder, r *Record, in internTable) {
-	r.Reset()
-	flags := d.byte()
-	if d.err == nil && flags&^byte(batchFlagMask) != 0 {
-		d.fail("unknown record flag bits %#x", flags)
-		return
+	flags, ok := decodeRecordHead(d, r)
+	if !ok {
+		flags = d.byte()
+		if d.err == nil && flags&^byte(batchFlagMask) != 0 {
+			d.fail("unknown record flag bits %#x", flags)
+			return
+		}
+		r.Date = d.date()
+		r.ClientVersion = registry.Version(d.u16())
+		r.Version = registry.Version(d.u16())
+		r.Suite = d.u16()
+		r.Curve = registry.CurveID(d.u16())
+		r.AlertDesc = d.byte()
 	}
 	r.Established = flags&batchEstablished != 0
 	r.OffersHeartbeat = flags&batchOffersHB != 0
@@ -279,17 +382,11 @@ func decodeRecordBinary(d *snapDecoder, r *Record, in internTable) {
 	r.SuiteUnoffer = flags&batchSuiteUnoffer != 0
 	r.UsedFallback = flags&batchFallback != 0
 	r.SSLv2Hello = flags&batchSSLv2 != 0
-	r.Date = d.date()
-	r.ClientVersion = registry.Version(d.u16())
-	r.Version = registry.Version(d.u16())
-	r.Suite = d.u16()
-	r.Curve = registry.CurveID(d.u16())
-	r.AlertDesc = d.byte()
-	r.ClientSuites = decodeCodeList(d, r.ClientSuites, math.MaxUint16)
-	r.ClientExtensions = decodeCodeList(d, r.ClientExtensions, math.MaxUint16)
-	r.ClientCurves = decodeCodeList(d, r.ClientCurves, math.MaxUint16)
-	r.ClientPointFmts = decodeCodeList(d, r.ClientPointFmts, math.MaxUint8)
-	r.ClientSupportedVs = decodeCodeList(d, r.ClientSupportedVs, math.MaxUint16)
+	r.ClientSuites = decodeCodeList(d, r.ClientSuites)
+	r.ClientExtensions = decodeCodeList(d, r.ClientExtensions)
+	r.ClientCurves = decodeCodeList(d, r.ClientCurves)
+	r.ClientPointFmts = decodeCodeList(d, r.ClientPointFmts)
+	r.ClientSupportedVs = decodeCodeList(d, r.ClientSupportedVs)
 	r.Fingerprint = in.str(d)
 	r.TruthClient = in.str(d)
 	r.ServerCohort = in.str(d)

@@ -379,16 +379,18 @@ func TestIsBatchStream(t *testing.T) {
 	}
 }
 
-// FuzzReadBatches asserts the decoder is panic-free on arbitrary bytes and
-// that whatever it accepts re-encodes and re-decodes to the same records
+// FuzzReadBatches asserts the decoder is panic-free on arbitrary bytes, that
+// it agrees with the reference decoder on them (diffReadBatches), and that
+// whatever it accepts re-encodes and re-decodes to the same records
 // (decode∘encode retraction).
 func FuzzReadBatches(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(batchFormat.Magic))
-	f.Add(encodeBatch(nil))
 	f.Add(encodeBatch(buildBatchRecords(1, 3)))
 	f.Add(append(encodeBatch(buildBatchRecords(2, 20)), encodeBatch(buildBatchRecords(3, 4))...))
+	for _, data := range tlsbSeeds() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		diffReadBatches(t, data)
 		var got collectSink
 		if _, _, err := ReadBatches(bytes.NewReader(data), &got); err != nil {
 			return

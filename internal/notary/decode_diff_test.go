@@ -1,0 +1,468 @@
+package notary
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"tlsage/internal/registry"
+)
+
+// Differential tests: the production record decoders against the reference
+// decoders of decode_ref_test.go — same accept/reject, same error text, same
+// records — on hand-built edge cases and on whatever the fuzzer finds.
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+func requireSameRecords(t *testing.T, what string, got, want []*Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records delivered, reference %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: record %d\n have %+v\n want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// diffReadBatches holds ReadBatches to the reference under the current
+// rules, and the current rules to the predecessor's but for one refusal.
+func diffReadBatches(t *testing.T, data []byte) {
+	t.Helper()
+	var got, want, old collectSink
+	gf, gn, gerr := ReadBatches(bytes.NewReader(data), &got)
+	wf, wn, werr := refReadBatches(bytes.NewReader(data), &want, current)
+	if gf != wf || gn != wn || errText(gerr) != errText(werr) {
+		t.Fatalf("ReadBatches: %d frames, %d records, err %v\nreference:   %d frames, %d records, err %v",
+			gf, gn, gerr, wf, wn, werr)
+	}
+	var be *BatchError
+	if gerr != nil && !errors.As(gerr, &be) {
+		t.Fatalf("ReadBatches: err %v is not a *BatchError", gerr)
+	}
+	requireSameRecords(t, "ReadBatches", got.recs, want.recs)
+
+	_, on, oerr := refReadBatches(bytes.NewReader(data), &old, predecessor)
+	if on != wn || errText(oerr) != errText(werr) {
+		// The one thing the predecessor took and this build does not: a
+		// record string the TSV log cannot carry.
+		if werr == nil || !strings.Contains(werr.Error(), "cannot be written to a log line") || on < wn {
+			t.Fatalf("the rules changed more than the string refusal:\n now    %d records, err %v\n before %d records, err %v",
+				wn, werr, on, oerr)
+		}
+		// Where the predecessor got through the record, it shows the string.
+		if on > wn {
+			bad := old.recs[wn]
+			if loggable([]byte(bad.Fingerprint)) && loggable([]byte(bad.TruthClient)) && loggable([]byte(bad.ServerCohort)) {
+				t.Fatalf("record %d refused for its strings, but all three can be logged: %+v", wn, bad)
+			}
+		}
+	}
+}
+
+// diffReadLog is diffReadBatches for the TSV readers, the parallel one
+// included: it must stop with the serial reader's error.
+func diffReadLog(t *testing.T, data []byte) {
+	t.Helper()
+	var got, want, old collectSink
+	gn, gbase, gerr := ReadLogTail(bytes.NewReader(data), 0, &got)
+	wn, wbase, werr := refReadLogTail(bytes.NewReader(data), 0, &want, current)
+	if gn != wn || gbase != wbase || errText(gerr) != errText(werr) {
+		t.Fatalf("ReadLogTail: %d records, base %d, err %v\nreference:   %d records, base %d, err %v",
+			gn, gbase, gerr, wn, wbase, werr)
+	}
+	requireSameRecords(t, "ReadLogTail", got.recs, want.recs)
+
+	agg, perr := readLogParallel(bytes.NewReader(data), 3, 61, nil)
+	var le *LineError
+	if errors.As(gerr, &le) && le.Err != nil && strings.HasPrefix(le.Err.Error(), "base directive") {
+		// The parallel reader does not read directives; see LogBaseDirective.
+	} else if errText(perr) != errText(gerr) || (perr == nil && uint64(agg.TotalRecords()) != gn) {
+		t.Fatalf("readLogParallel: err %v, serial reader %d records, err %v", perr, gn, gerr)
+	}
+
+	on, _, oerr := refReadLogTail(bytes.NewReader(data), 0, &old, predecessor)
+	if on != wn || errText(oerr) != errText(werr) {
+		// The one thing the predecessor took and this build does not: a list
+		// element past its type's range, which it then truncated.
+		var wide uint64
+		if werr != nil {
+			if _, elem, ok := strings.Cut(werr.Error(), "bad hex list element "); ok {
+				elem, _ = strconv.Unquote(elem)
+				wide, _ = strconv.ParseUint(elem, 16, 16)
+			}
+		}
+		if wide <= 0xff || on < wn {
+			t.Fatalf("the rules changed more than the element bound:\n now    %d records, err %v\n before %d records, err %v",
+				wn, werr, on, oerr)
+		}
+	}
+}
+
+// --- TLSB seeds ---
+
+// appendRecordSpelled is appendRecordBinary with the varint writer exposed,
+// so a seed can spell every value of a record the long way round.
+func appendRecordSpelled(dst []byte, r *Record, uv func([]byte, uint64) []byte) []byte {
+	list := func(dst []byte, n int, at func(int) uint64) []byte {
+		dst = uv(dst, uint64(n))
+		for i := 0; i < n; i++ {
+			dst = uv(dst, at(i))
+		}
+		return dst
+	}
+	str := func(dst []byte, s string) []byte { return append(uv(dst, uint64(len(s))), s...) }
+	dst = append(dst, recordFlags(r))
+	dst = uv(uv(uv(dst, uint64(r.Date.Year)), uint64(r.Date.Month)), uint64(r.Date.Day))
+	dst = uv(uv(uv(uv(dst, uint64(r.ClientVersion)), uint64(r.Version)), uint64(r.Suite)), uint64(r.Curve))
+	dst = append(dst, r.AlertDesc)
+	dst = list(dst, len(r.ClientSuites), func(i int) uint64 { return uint64(r.ClientSuites[i]) })
+	dst = list(dst, len(r.ClientExtensions), func(i int) uint64 { return uint64(r.ClientExtensions[i]) })
+	dst = list(dst, len(r.ClientCurves), func(i int) uint64 { return uint64(r.ClientCurves[i]) })
+	dst = list(dst, len(r.ClientPointFmts), func(i int) uint64 { return uint64(r.ClientPointFmts[i]) })
+	dst = list(dst, len(r.ClientSupportedVs), func(i int) uint64 { return uint64(r.ClientSupportedVs[i]) })
+	return str(str(str(dst, r.Fingerprint), r.TruthClient), r.ServerCohort)
+}
+
+// paddedUvarint writes v as a varint of at least width bytes: legal to
+// binary.Uvarint, never what AppendUvarint writes. 0x80 0x00 is zero.
+func paddedUvarint(width int) func([]byte, uint64) []byte {
+	return func(dst []byte, v uint64) []byte {
+		start := len(dst)
+		dst = binary.AppendUvarint(dst, v)
+		for len(dst)-start < width {
+			dst[len(dst)-1] |= 0x80
+			dst = append(dst, 0)
+		}
+		return dst
+	}
+}
+
+// spelledFrame frames recs with every varint written by uv, count included.
+func spelledFrame(recs []*Record, uv func([]byte, uint64) []byte) []byte {
+	payload := uv(nil, uint64(len(recs)))
+	for _, r := range recs {
+		payload = appendRecordSpelled(payload, r, uv)
+	}
+	return reframe(payload)
+}
+
+// tlsbSeeds are the inputs the kernels' fall-through tails exist for.
+func tlsbSeeds() map[string][]byte {
+	recs := buildBatchRecords(17, 12)
+	one := sampleRecord()
+	seeds := map[string][]byte{
+		"empty":      {},
+		"magic only": []byte(batchFormat.Magic),
+		"no records": encodeBatch(nil),
+		"valid":      encodeBatch(recs),
+		"two frames": append(encodeBatch(recs[:5]), encodeBatch(recs[5:])...),
+	}
+	// Overlong spellings: 0x80 0x00 and friends are accepted, up to the ten
+	// bytes binary.Uvarint reads, and refused past them.
+	for _, w := range []int{2, 3, 4, 10, 11} {
+		seeds[fmt.Sprintf("varints padded to %d bytes", w)] = spelledFrame(recs, paddedUvarint(w))
+	}
+	// One value out of its range, in each list and each scalar, at each
+	// width the fast loop reads.
+	for _, v := range []uint64{0xff, 0x100, 0x3fff, 0x4000, 0xffff, 0x10000, 0x1fffff, 0x200000, 1 << 40} {
+		for field := 0; field < 9; field++ {
+			n := 0
+			uv := func(dst []byte, x uint64) []byte {
+				// Varints of a record, in order: 3 date, 4 scalars, then per
+				// list a count and its elements. Replace the field-th scalar,
+				// or the first element of list field-4.
+				n++
+				switch {
+				case field < 4 && n == 4+field:
+					x = v
+				case field >= 4 && n == listElementOrdinal(one, field-4):
+					x = v
+				}
+				return binary.AppendUvarint(dst, x)
+			}
+			payload := appendRecordSpelled(binary.AppendUvarint(nil, 1), one, uv)
+			seeds[fmt.Sprintf("value %#x in field %d", v, field)] = reframe(payload)
+		}
+	}
+	// A payload that ends inside, or just after, each of the last bytes of a
+	// record: lists ending one and two bytes before the payload's end, string
+	// lengths with nothing behind them.
+	short := &Record{Date: one.Date, ClientSuites: []uint16{0xc02f, 5}, ClientSupportedVs: []registry.Version{0x0303}}
+	whole := appendRecordBinary(binary.AppendUvarint(nil, 1), short)
+	for cut := 1; cut <= 12 && cut < len(whole); cut++ {
+		seeds[fmt.Sprintf("payload cut %d bytes short", cut)] = reframe(whole[:len(whole)-cut])
+	}
+	// Strings the TSV log cannot carry.
+	for _, s := range []string{"a\tb", "a\nb", "a\rb", "\r", "-", "--", " - "} {
+		for field := 0; field < 3; field++ {
+			r := one.Clone()
+			*[]*string{&r.Fingerprint, &r.TruthClient, &r.ServerCohort}[field] = s
+			seeds[fmt.Sprintf("string %q in field %d", s, field)] = encodeBatch([]*Record{recs[0], r, recs[1]})
+		}
+	}
+	return seeds
+}
+
+// listElementOrdinal is the 1-based position, among the varints
+// appendRecordSpelled writes for r, of the first element of its list-th list.
+func listElementOrdinal(r *Record, list int) int {
+	lens := []int{len(r.ClientSuites), len(r.ClientExtensions), len(r.ClientCurves), len(r.ClientPointFmts), len(r.ClientSupportedVs)}
+	n := 3 + 4 // date, scalars
+	for i := 0; i < list; i++ {
+		n += 1 + lens[i]
+	}
+	return n + 2 // this list's count, then its first element
+}
+
+// --- TSV seeds ---
+
+// tsvSeeds are log streams spelling fields every way strconv takes them, and
+// several it does not.
+func tsvSeeds() map[string][]byte {
+	var buf bytes.Buffer
+	lw := NewLogWriter(&buf)
+	for _, r := range buildBatchRecords(19, 25) {
+		lw.Write(r)
+	}
+	lw.Flush()
+	log := buf.Bytes()
+	line := strings.TrimSuffix(string(sampleRecord().AppendTSV(nil)), "\n")
+	f := strings.Split(line, "\t")
+	with := func(field int, value string) []byte {
+		g := append([]string(nil), f...)
+		g[field] = value
+		return []byte(line + "\n" + strings.Join(g, "\t") + "\n" + line + "\n")
+	}
+	seeds := map[string][]byte{
+		"empty":               {},
+		"valid":               log,
+		"no final newline":    bytes.TrimSuffix(log, []byte("\n")),
+		"crlf":                bytes.ReplaceAll(log, []byte("\n"), []byte("\r\n")),
+		"blank and comments":  []byte("\n\n# c\n" + line + "\n\n#\n"),
+		"19 fields":           []byte(strings.Join(f[:19], "\t") + "\n"),
+		"21 fields":           []byte(line + "\tx\n"),
+		"21 fields, bad date": []byte("x" + line + "\tx\n"),
+		"trailing tab":        []byte(line + "\t\n"),
+		"tabs only":           []byte(strings.Repeat("\t", 19) + "\n"),
+		"base directives":     []byte(LogBaseDirective(7) + line + "\n" + LogBaseDirective(9) + line + "\n"),
+		"base rewind":         []byte(line + "\n" + line + "\n" + LogBaseDirective(1) + line + "\n"),
+		"cr inside a string":  with(17, "a\rb"),
+		"dash string":         with(18, "-"),
+		"empty string":        with(19, ""),
+	}
+	for _, list := range []string{
+		"C02F,c013", "c02f,C013,00Ff", "f", "0,1,22,333", "00000ffff", "0000c02f,c013", "10000", "c02f,10000",
+		"c02f,", "c02f,,c013", ",c02f", ",", ",,", "c02f,c013,", "c02f, c013", "c02f c013", "+c02f", "0xc02f", "c0_2f",
+		"c02g", "c02f,c01", "c02f,c013x", "-", "--", "-,c02f", "c02f,-", "", "c02f\r", "00ff", "0100", "0100,01ff", "ff", "100",
+	} {
+		for _, field := range []int{11, 14, 15} { // suites; point formats (uint8); supported versions
+			seeds[fmt.Sprintf("list %q in field %d", list, field)] = with(field, list)
+		}
+	}
+	for _, scalar := range []string{"C02F", "c02f", "f", "00000ffff", "10000", "", "-", "c02g", "+fff", "0x1f", " c02f", "c02f "} {
+		for _, field := range []int{2, 3, 4, 10} {
+			seeds[fmt.Sprintf("scalar %q in field %d", scalar, field)] = with(field, scalar)
+		}
+	}
+	for _, alert := range []string{"0", "7", "40", "255", "256", "007", "0255", "", "-1", "+1", "a", "4 0"} {
+		seeds[fmt.Sprintf("alert %q", alert)] = with(7, alert)
+	}
+	for _, flag := range []string{"T", "F", "", "t", "TT", "true", "-"} {
+		seeds[fmt.Sprintf("flag %q", flag)] = with(1, flag)
+		seeds[fmt.Sprintf("last flag %q", flag)] = with(16, flag)
+	}
+	for _, date := range []string{
+		"2015-06-03", "2015-6-3", "02015-006-003", "+2015-06-03", "2015-+6-03", "0000-06-03", "9999-12-31", "10000-01-01",
+		"2015-13-03", "2015-06-32", "2015-06-00", "2015/06/03", "2015-06-03-", "2015-06", "20150603", "", "-", "201a-06-03",
+		"2015-0a-03", "2015-06-0a", "２０１５-06-03",
+	} {
+		seeds[fmt.Sprintf("date %q", date)] = with(0, date)
+	}
+	return seeds
+}
+
+// longLines are the line-ceiling cases, too big to hand the fuzzer: a record
+// line one byte under the ceiling, and one at it.
+func longLines() map[string][]byte {
+	line := strings.TrimSuffix(string(sampleRecord().AppendTSV(nil)), "\n")
+	f := strings.Split(line, "\t")
+	padded := func(total int) []byte {
+		g := append([]string(nil), f...)
+		g[17] = strings.Repeat("f", total-(len(line)-len(f[17])))
+		return []byte(line + "\n" + strings.Join(g, "\t") + "\n" + line + "\n")
+	}
+	return map[string][]byte{
+		"a 4 MiB-1 line": padded(maxLogLine - 1),
+		"a 4 MiB line":   padded(maxLogLine),
+	}
+}
+
+func TestDecodersMatchReference(t *testing.T) {
+	tlsb := tlsbSeeds()
+	for name, data := range tlsb {
+		t.Run("tlsb/"+name, func(t *testing.T) { diffReadBatches(t, data) })
+	}
+	for _, seeds := range []map[string][]byte{tsvSeeds(), longLines()} {
+		for name, data := range seeds {
+			t.Run("tsv/"+name, func(t *testing.T) { diffReadLog(t, data) })
+		}
+	}
+	// The seeds above are only worth their names if both outcomes occur.
+	var sink collectSink
+	if _, _, err := ReadBatches(bytes.NewReader(tlsb["varints padded to 10 bytes"]), &sink); err != nil || len(sink.recs) != 12 {
+		t.Errorf("ten-byte varints: %d records, err %v; want all 12 accepted", len(sink.recs), err)
+	}
+	if _, _, err := ReadBatches(bytes.NewReader(tlsb["varints padded to 11 bytes"]), nullSink()); err == nil {
+		t.Error("eleven-byte varints accepted")
+	}
+	if n, _, err := ReadLogTail(bytes.NewReader(longLines()["a 4 MiB-1 line"]), 0, nullSink()); err != nil || n != 3 {
+		t.Errorf("a line one byte under the ceiling: %d records, err %v", n, err)
+	}
+}
+
+func FuzzReadLog(f *testing.F) {
+	for _, data := range tsvSeeds() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { diffReadLog(t, data) })
+}
+
+// --- the two refusals, each failing before this build ---
+
+// A TLSB record whose fp, truth or cohort could not be written to the -out
+// log and read back — it would add or drop a field, or read back as empty —
+// is refused as a *BatchError, not acknowledged and teed.
+func TestTLSBRefusesStringsTheLogCannotCarry(t *testing.T) {
+	good := buildBatchRecords(29, 2)
+	for field, name := range []string{"fp", "truth", "cohort"} {
+		for _, s := range []string{"a\tb", "a\nb", "a\rb", "-"} {
+			r := sampleRecord()
+			*[]*string{&r.Fingerprint, &r.TruthClient, &r.ServerCohort}[field] = s
+			var log bytes.Buffer
+			lw := NewLogWriter(&log)
+			_, n, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{good[0], r, good[1]})), lw)
+			var be *BatchError
+			if !errors.As(err, &be) || n != 1 {
+				t.Errorf("%s = %q: %d records, err %v; want the first record and a *BatchError", name, s, n, err)
+				continue
+			}
+			// What was delivered replays.
+			if err := lw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var back collectSink
+			if err := ReadLog(&log, &back); err != nil || len(back.recs) != 1 || !reflect.DeepEqual(back.recs[0], good[0].Clone()) {
+				t.Errorf("%s = %q: the teed log replays %d records, err %v", name, s, len(back.recs), err)
+			}
+		}
+	}
+}
+
+// Whatever ReadBatches accepts survives the TSV tee: the log LogWriter makes
+// of it reads back as the same records. Strings are drawn from an alphabet
+// heavy in the bytes the log format gives meaning to.
+func TestAcceptedTLSBSurvivesTheTSVTee(t *testing.T) {
+	rnd := rand.New(rand.NewSource(31))
+	text := func() string {
+		b := make([]byte, rnd.Intn(4))
+		for i := range b {
+			const alphabet = "ab-#, \t\n\r\x00\xff"
+			b[i] = alphabet[rnd.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	base := buildBatchRecords(37, 32)
+	accepted, refused := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		r := base[rnd.Intn(len(base))].Clone()
+		r.Fingerprint, r.TruthClient, r.ServerCohort = text(), text(), text()
+		var log bytes.Buffer
+		var took collectSink
+		lw := NewLogWriter(&log)
+		if _, _, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{r})), Tee(&took, lw)); err != nil {
+			refused++
+			continue
+		}
+		accepted++
+		if err := lw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var back collectSink
+		if err := ReadLog(&log, &back); err != nil {
+			t.Fatalf("accepted %q/%q/%q, but the teed log does not replay: %v", r.Fingerprint, r.TruthClient, r.ServerCohort, err)
+		}
+		requireSameRecords(t, fmt.Sprintf("tee of %q/%q/%q", r.Fingerprint, r.TruthClient, r.ServerCohort), back.recs, took.recs)
+	}
+	if accepted < 300 || refused < 300 {
+		t.Fatalf("vacuous: %d inputs accepted, %d refused", accepted, refused)
+	}
+}
+
+// A point format is one byte. The TSV reader used to parse 16 bits and keep
+// the low eight, where the TLSB reader refuses the same value.
+func TestPointFormatsAreBoundedInBothFormats(t *testing.T) {
+	line := strings.Split(string(sampleRecord().AppendTSV(nil)), "\t")
+	line[14] = "0100,01ff"
+	var le *LineError
+	if err := ReadLog(strings.NewReader(strings.Join(line, "\t")), nullSink()); !errors.As(err, &le) ||
+		!strings.Contains(err.Error(), `bad hex list element "0100"`) {
+		t.Errorf("TSV client_pfs 0100,01ff: err %v, want a *LineError naming 0100", err)
+	}
+	line[14] = "0000,00ff"
+	var got collectSink
+	if err := ReadLog(strings.NewReader(strings.Join(line, "\t")), &got); err != nil ||
+		!reflect.DeepEqual(got.recs[0].ClientPointFmts, []registry.ECPointFormat{0, 255}) {
+		t.Errorf("TSV client_pfs 0000,00ff: %v, err %v", got.recs, err)
+	}
+
+	wide := tlsbSeeds()["value 0x100 in field 7"] // the first point format of the sample record
+	var be *BatchError
+	if _, _, err := ReadBatches(bytes.NewReader(wide), nullSink()); !errors.As(err, &be) ||
+		!strings.Contains(err.Error(), "list element 256 out of range") {
+		t.Errorf("TLSB point format 256: err %v, want a *BatchError naming it", err)
+	}
+}
+
+// TestReadLogAllocsArePerStream is TestReadBatchesAllocsArePerStream for the
+// TSV reader: the scanner's window, the record and the intern table are the
+// stream's, so a 32× longer log of the same lines allocates exactly what the
+// short one does — nothing per line.
+func TestReadLogAllocsArePerStream(t *testing.T) {
+	var one bytes.Buffer
+	lw := NewLogWriter(&one)
+	for _, r := range buildBatchRecords(61, 32) {
+		if err := lw.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	many := bytes.Repeat(one.Bytes(), 32)
+	sink := nullSink()
+	rd := bytes.NewReader(nil)
+	allocs := func(stream []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			rd.Reset(stream)
+			if err := ReadLog(rd, sink); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a1, a32 := allocs(one.Bytes()), allocs(many); a32 != a1 {
+		t.Errorf("32× the lines cost %v allocs, 1× %v: per-line allocation crept into the log reader", a32, a1)
+	}
+}

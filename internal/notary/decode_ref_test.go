@@ -1,0 +1,385 @@
+package notary
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+	"strings"
+	"time"
+
+	"tlsage/internal/registry"
+	"tlsage/internal/timeline"
+)
+
+// The record decoders as they were before the fixed-shape kernels: one
+// generic binary.Uvarint call per varint, one strings.IndexByte and one
+// strconv.ParseUint per hex element, a string per line. They are the oracles
+// of the differential tests in decode_diff_test.go and share no decoding
+// statement with production — only the snapDecoder struct, its fail method
+// and the frame envelope.
+//
+// refRules names the two places the production decoders are deliberately
+// stricter than these were. With both off a reference is its predecessor,
+// verbatim; the differential tests compare production against both on and
+// check that off-versus-on differs on nothing but those two refusals.
+type refRules struct {
+	loggableStrings bool // TLSB: fp/truth/cohort must survive the TSV log
+	boundedElements bool // TSV: a list element must fit its code-point type
+}
+
+var predecessor, current = refRules{}, refRules{loggableStrings: true, boundedElements: true}
+
+// --- TLSB ---
+
+func refUvarint(d *snapDecoder) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.fail("bad varint at offset %d", d.off)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func refCount(d *snapDecoder) int {
+	v := refUvarint(d)
+	if v > uint64(math.MaxInt)/2 {
+		d.fail("implausible count %d", v)
+		return 0
+	}
+	return int(v)
+}
+
+func refLength(d *snapDecoder, min int) int {
+	n := refCount(d)
+	if d.err != nil {
+		return 0
+	}
+	if min < 1 {
+		min = 1
+	}
+	if n > d.remaining()/min {
+		d.fail("length %d exceeds remaining %d bytes", n, d.remaining())
+		return 0
+	}
+	return n
+}
+
+func refByte(d *snapDecoder) byte {
+	if d.err != nil {
+		return 0
+	}
+	if d.remaining() < 1 {
+		d.fail("unexpected end of payload")
+		return 0
+	}
+	b := d.b[d.off]
+	d.off++
+	return b
+}
+
+func refU16(d *snapDecoder) uint16 {
+	v := refUvarint(d)
+	if v > math.MaxUint16 {
+		d.fail("code point %d exceeds uint16", v)
+		return 0
+	}
+	return uint16(v)
+}
+
+func refDate(d *snapDecoder) timeline.Date {
+	y := refCount(d)
+	m := refCount(d)
+	day := refCount(d)
+	if d.err != nil {
+		return timeline.Date{}
+	}
+	if !validDate(y, m, day) {
+		d.fail("bad date %d-%d-%d", y, m, day)
+		return timeline.Date{}
+	}
+	return timeline.Date{Year: y, Month: time.Month(m), Day: day}
+}
+
+func refStr(d *snapDecoder, in map[string]string, rules refRules) string {
+	n := refLength(d, 1)
+	if d.err != nil || n == 0 {
+		return ""
+	}
+	b := d.b[d.off : d.off+n]
+	d.off += n
+	if rules.loggableStrings && (bytes.ContainsAny(b, "\t\n\r") || string(b) == "-") {
+		d.fail("record string %q cannot be written to a log line", b)
+		return ""
+	}
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(in) < maxInternEntries {
+		in[s] = s
+	}
+	return s
+}
+
+func refDecodeCodeList[T ~uint8 | ~uint16](d *snapDecoder, dst []T, max uint64) []T {
+	n := refLength(d, 1)
+	dst = dst[:0]
+	for i := 0; i < n && d.err == nil; i++ {
+		v := refUvarint(d)
+		if v > max {
+			d.fail("list element %d out of range", v)
+			return dst
+		}
+		dst = append(dst, T(v))
+	}
+	return dst
+}
+
+func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rules refRules) {
+	r.Reset()
+	flags := refByte(d)
+	if d.err == nil && flags&^byte(batchFlagMask) != 0 {
+		d.fail("unknown record flag bits %#x", flags)
+		return
+	}
+	r.Established = flags&batchEstablished != 0
+	r.OffersHeartbeat = flags&batchOffersHB != 0
+	r.HeartbeatAck = flags&batchHBAck != 0
+	r.SuiteUnoffer = flags&batchSuiteUnoffer != 0
+	r.UsedFallback = flags&batchFallback != 0
+	r.SSLv2Hello = flags&batchSSLv2 != 0
+	r.Date = refDate(d)
+	r.ClientVersion = registry.Version(refU16(d))
+	r.Version = registry.Version(refU16(d))
+	r.Suite = refU16(d)
+	r.Curve = registry.CurveID(refU16(d))
+	r.AlertDesc = refByte(d)
+	r.ClientSuites = refDecodeCodeList(d, r.ClientSuites, math.MaxUint16)
+	r.ClientExtensions = refDecodeCodeList(d, r.ClientExtensions, math.MaxUint16)
+	r.ClientCurves = refDecodeCodeList(d, r.ClientCurves, math.MaxUint16)
+	r.ClientPointFmts = refDecodeCodeList(d, r.ClientPointFmts, math.MaxUint8)
+	r.ClientSupportedVs = refDecodeCodeList(d, r.ClientSupportedVs, math.MaxUint16)
+	r.Fingerprint = refStr(d, in, rules)
+	r.TruthClient = refStr(d, in, rules)
+	r.ServerCohort = refStr(d, in, rules)
+}
+
+func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uint64, err error) {
+	fr := batchFormat.NewReader(r)
+	var rec Record
+	intern := make(map[string]string)
+	for frame := 0; ; frame++ {
+		_, payload, err := fr.Next()
+		if err == io.EOF {
+			return frames, records, nil
+		}
+		if err != nil {
+			return frames, records, &BatchError{Frame: frame, Err: err}
+		}
+		d := &snapDecoder{b: payload, what: "batch"}
+		count := refLength(d, minRecordEncodedLen)
+		for i := 0; i < count && d.err == nil; i++ {
+			refDecodeRecordBinary(d, &rec, intern, rules)
+			if d.err != nil {
+				break
+			}
+			if err := sink.Observe(&rec); err != nil {
+				return frames, records, err
+			}
+			records++
+		}
+		if d.err == nil && d.remaining() != 0 {
+			d.fail("%d trailing bytes", d.remaining())
+		}
+		if d.err != nil {
+			return frames, records, &BatchError{Frame: frame, Err: d.err}
+		}
+		frames++
+	}
+}
+
+// --- TSV ---
+
+func refParseTSVInto(r *Record, line string, rules refRules) error {
+	r.Reset()
+	line = strings.TrimSuffix(line, "\n")
+	var fields [20]string
+	n := 0
+	for s := line; ; {
+		i := strings.IndexByte(s, '\t')
+		if i < 0 {
+			if n < len(fields) {
+				fields[n] = s
+			}
+			n++
+			break
+		}
+		if n < len(fields) {
+			fields[n] = s[:i]
+		}
+		n++
+		s = s[i+1:]
+	}
+	if n != 20 {
+		return fmt.Errorf("notary: %d fields, want 20", n)
+	}
+	var err error
+	if r.Date, err = refParseDate(fields[0]); err != nil {
+		return err
+	}
+	r.Established = fields[1] == "T"
+	if v, err := strconv.ParseUint(fields[2], 16, 16); err == nil {
+		r.Version = registry.Version(v)
+	} else {
+		return err
+	}
+	if v, err := strconv.ParseUint(fields[3], 16, 16); err == nil {
+		r.Suite = uint16(v)
+	} else {
+		return err
+	}
+	if v, err := strconv.ParseUint(fields[4], 16, 16); err == nil {
+		r.Curve = registry.CurveID(v)
+	} else {
+		return err
+	}
+	r.HeartbeatAck = fields[5] == "T"
+	r.SuiteUnoffer = fields[6] == "T"
+	if v, err := strconv.ParseUint(fields[7], 10, 8); err == nil {
+		r.AlertDesc = uint8(v)
+	} else {
+		return err
+	}
+	r.UsedFallback = fields[8] == "T"
+	r.SSLv2Hello = fields[9] == "T"
+	if v, err := strconv.ParseUint(fields[10], 16, 16); err == nil {
+		r.ClientVersion = registry.Version(v)
+	} else {
+		return err
+	}
+	if r.ClientSuites, err = refAppendParsedHexList(r.ClientSuites, fields[11], rules); err != nil {
+		return err
+	}
+	if r.ClientExtensions, err = refAppendParsedHexList(r.ClientExtensions, fields[12], rules); err != nil {
+		return err
+	}
+	if r.ClientCurves, err = refAppendParsedHexList(r.ClientCurves, fields[13], rules); err != nil {
+		return err
+	}
+	if r.ClientPointFmts, err = refAppendParsedHexList(r.ClientPointFmts, fields[14], rules); err != nil {
+		return err
+	}
+	if r.ClientSupportedVs, err = refAppendParsedHexList(r.ClientSupportedVs, fields[15], rules); err != nil {
+		return err
+	}
+	r.OffersHeartbeat = fields[16] == "T"
+	r.Fingerprint = refDashEmpty(fields[17])
+	r.TruthClient = refDashEmpty(fields[18])
+	r.ServerCohort = refDashEmpty(fields[19])
+	return nil
+}
+
+func refDashEmpty(s string) string {
+	if s == "-" {
+		return ""
+	}
+	return s
+}
+
+func refParseDate(s string) (timeline.Date, error) {
+	i := strings.IndexByte(s, '-')
+	if i < 0 {
+		return timeline.Date{}, fmt.Errorf("notary: bad date %q", s)
+	}
+	j := strings.IndexByte(s[i+1:], '-')
+	if j < 0 || strings.IndexByte(s[i+1+j+1:], '-') >= 0 {
+		return timeline.Date{}, fmt.Errorf("notary: bad date %q", s)
+	}
+	j += i + 1
+	y, err1 := strconv.Atoi(s[:i])
+	m, err2 := strconv.Atoi(s[i+1 : j])
+	d, err3 := strconv.Atoi(s[j+1:])
+	if err1 != nil || err2 != nil || err3 != nil || !validDate(y, m, d) {
+		return timeline.Date{}, fmt.Errorf("notary: bad date %q", s)
+	}
+	return timeline.Date{Year: y, Month: timeMonth(m), Day: d}, nil
+}
+
+func refAppendParsedHexList[T ~uint8 | ~uint16](dst []T, s string, rules refRules) ([]T, error) {
+	dst = dst[:0]
+	if s == "-" || s == "" {
+		return dst, nil
+	}
+	for len(s) > 0 {
+		var p string
+		if i := strings.IndexByte(s, ','); i >= 0 {
+			p, s = s[:i], s[i+1:]
+		} else {
+			p, s = s, ""
+		}
+		v, err := strconv.ParseUint(p, 16, 16)
+		if err != nil || rules.boundedElements && v > uint64(^T(0)) {
+			return dst, fmt.Errorf("notary: bad hex list element %q", p)
+		}
+		dst = append(dst, T(v))
+	}
+	return dst, nil
+}
+
+func refParseLogBase(line string) (uint64, bool) {
+	if !strings.HasPrefix(line, logBasePrefix) {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(strings.TrimSpace(line[len(logBasePrefix):]), 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return gen, true
+}
+
+func refReadLogTail(r io.Reader, skip uint64, sink Sink, rules refRules) (delivered, base uint64, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), maxLogLine)
+	var rec Record
+	lineNo := 0
+	sawBase := false
+	var gen uint64
+	for sc.Scan() {
+		lineNo++
+		line := sc.Text()
+		if b, ok := refParseLogBase(line); ok {
+			if b < gen {
+				return delivered, base, &LineError{Line: lineNo,
+					Err: fmt.Errorf("base directive rewinds generation %d to %d", gen, b)}
+			}
+			if !sawBase {
+				base, sawBase = b, true
+			}
+			gen = b
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		if err := refParseTSVInto(&rec, line, rules); err != nil {
+			return delivered, base, &LineError{Line: lineNo, Err: err}
+		}
+		gen++
+		if gen <= skip {
+			continue
+		}
+		if err := sink.Observe(&rec); err != nil {
+			return delivered, base, err
+		}
+		delivered++
+	}
+	return delivered, base, sc.Err()
+}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -66,11 +65,11 @@ func LogBaseDirective(gen uint64) string {
 }
 
 // parseLogBase recognizes a base directive line.
-func parseLogBase(line string) (uint64, bool) {
-	if !strings.HasPrefix(line, logBasePrefix) {
+func parseLogBase(line []byte) (uint64, bool) {
+	if len(line) < len(logBasePrefix) || string(line[:len(logBasePrefix)]) != logBasePrefix {
 		return 0, false
 	}
-	gen, err := strconv.ParseUint(strings.TrimSpace(line[len(logBasePrefix):]), 10, 64)
+	gen, err := strconv.ParseUint(string(bytes.TrimSpace(line[len(logBasePrefix):])), 10, 64)
 	if err != nil {
 		return 0, false
 	}
@@ -93,12 +92,14 @@ func (e *LineError) Unwrap() error { return e.Err }
 // consumeLine applies the shared per-line semantics of both log readers:
 // blank and comment (#...) lines are skipped, anything else is parsed into
 // rec with the error tagged by its 1-based line number. It reports whether
-// rec now holds a record.
-func consumeLine(rec *Record, line string, lineNo int) (bool, error) {
-	if line == "" || line[0] == '#' {
+// rec now holds a record. line is the reader's own buffer — the scanner's
+// window or a slice of the chunk — and is not kept: the only bytes that
+// outlive the call are the strings in copied on their first appearance.
+func consumeLine(rec *Record, line []byte, lineNo int, in internTable) (bool, error) {
+	if len(line) == 0 || line[0] == '#' {
 		return false, nil
 	}
-	if err := ParseTSVInto(rec, line); err != nil {
+	if err := parseTSVLine(rec, line, in); err != nil {
 		return false, &LineError{Line: lineNo, Err: err}
 	}
 	return true, nil
@@ -109,6 +110,12 @@ func consumeLine(rec *Record, line string, lineNo int) (bool, error) {
 // malformed lines surface as *LineError. Records are parsed into a reused
 // buffer, so the Sink contract applies: the record is only valid for the
 // duration of Observe. The sink is not closed.
+//
+// Lines are parsed where the scanner holds them (parseTSVLine over
+// Scanner.Bytes): no string is made of a line or of a field, and the three
+// string fields go through the stream's intern table, so a log of repeating
+// clients allocates per distinct string, not per line
+// (TestReadLogAllocsArePerStream).
 func ReadLog(r io.Reader, sink Sink) error {
 	_, _, err := ReadLogTail(r, 0, sink)
 	return err
@@ -135,12 +142,13 @@ func ReadLogTail(r io.Reader, skip uint64, sink Sink) (delivered, base uint64, e
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), maxLogLine)
 	var rec Record
+	intern := make(internTable)
 	lineNo := 0
 	sawBase := false
 	var gen uint64 // absolute generation of the last record line seen
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		line := sc.Bytes()
 		if b, ok := parseLogBase(line); ok {
 			// A directive that rewinds would re-deliver records already
 			// counted; nothing writes that, so treat it as corruption and
@@ -155,7 +163,7 @@ func ReadLogTail(r io.Reader, skip uint64, sink Sink) (delivered, base uint64, e
 			gen = b
 			continue
 		}
-		ok, err := consumeLine(&rec, line, lineNo)
+		ok, err := consumeLine(&rec, line, lineNo, intern)
 		if err != nil {
 			return delivered, base, err
 		}
@@ -189,7 +197,8 @@ const defaultChunkSize = 1 << 20
 // serial reader reports, and the earliest such line wins. A non-nil
 // classifier is installed on every shard and on the merged result, so
 // ByClientClass fills during the parallel ingest exactly as a serial
-// classified Add would.
+// classified Add would. Workers parse their chunk's lines in place, each
+// through its own intern table.
 func ReadLogParallel(r io.Reader, workers int, classifier Classifier) (*Aggregate, error) {
 	return readLogParallel(r, workers, defaultChunkSize, classifier)
 }
@@ -238,6 +247,7 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 			agg.SetClassifier(classifier)
 			aggs[w] = agg
 			var rec Record
+			intern := make(internTable)
 			for c := range jobs {
 				// A worker keeps only its first error: its chunks arrive in
 				// file order, so later ones cannot lower the error line. Other
@@ -268,7 +278,7 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 					if len(line) > 0 && line[len(line)-1] == '\r' {
 						line = line[:len(line)-1]
 					}
-					ok, err := consumeLine(&rec, string(line), lineNo)
+					ok, err := consumeLine(&rec, line, lineNo, intern)
 					if err != nil {
 						errs[w] = shardErr{line: lineNo, err: err}
 						aborted.Store(true)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,10 +34,11 @@ func sampleRecord() *Record {
 	}
 }
 
-// parseTSV parses one log line into a fresh record.
+// parseTSV parses one log line, with or without its terminator, into a
+// fresh record.
 func parseTSV(line string) (Record, error) {
 	var r Record
-	err := ParseTSVInto(&r, line)
+	err := parseTSVLine(&r, []byte(strings.TrimSuffix(line, "\n")), make(internTable))
 	return r, err
 }
 

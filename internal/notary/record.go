@@ -6,7 +6,9 @@
 package notary
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -258,142 +260,238 @@ func appendHexList[T ~uint8 | ~uint16](dst []byte, vals []T) []byte {
 	return dst
 }
 
-// ParseTSVInto parses one log line produced by AppendTSV into r, reusing r's
-// slice capacity, so the log-ingestion hot path parses into one pooled
-// record. On error r is left in an unspecified partially-filled state.
-func ParseTSVInto(r *Record, line string) error {
-	r.Reset()
-	line = strings.TrimSuffix(line, "\n")
-	var fields [20]string
-	n := 0
-	for s := line; ; {
-		i := strings.IndexByte(s, '\t')
-		if i < 0 {
-			if n < len(fields) {
-				fields[n] = s
-			}
-			n++
-			break
-		}
-		if n < len(fields) {
-			fields[n] = s[:i]
-		}
-		n++
-		s = s[i+1:]
+// hexNibble maps an ASCII hex digit of either case to its value and every
+// other byte to 0xff. The decimal digits are its entries up to 9.
+var hexNibble = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = 0xff
 	}
-	if n != 20 {
+	for i := range 10 {
+		t['0'+i] = uint8(i)
+	}
+	for i := range 6 {
+		t['a'+i], t['A'+i] = uint8(10+i), uint8(10+i)
+	}
+	return t
+}()
+
+// hex4 reads the four hex digits appendHex16 writes from the head of p.
+func hex4(p []byte) (v uint16, ok bool) {
+	_ = p[3]
+	a, b, c, d := hexNibble[p[0]], hexNibble[p[1]], hexNibble[p[2]], hexNibble[p[3]]
+	return uint16(a)<<12 | uint16(b)<<8 | uint16(c)<<4 | uint16(d), a|b|c|d <= 0xf
+}
+
+// parseTSVLine parses one log line produced by AppendTSV (terminator
+// excluded) into r, reusing r's slice capacity and interning its strings
+// through in, so the log-ingestion hot path parses into one pooled record
+// and allocates only for a string new to the stream. It assigns every field
+// of r; on error r is left in an unspecified partially-filled state.
+func parseTSVLine(r *Record, line []byte, in internTable) error {
+	p := tsvLine{b: line}
+	r.Date = p.date()
+	r.Established = p.flag()
+	r.Version = registry.Version(p.hex16())
+	r.Suite = p.hex16()
+	r.Curve = registry.CurveID(p.hex16())
+	r.HeartbeatAck = p.flag()
+	r.SuiteUnoffer = p.flag()
+	r.AlertDesc = p.alert()
+	r.UsedFallback = p.flag()
+	r.SSLv2Hello = p.flag()
+	r.ClientVersion = registry.Version(p.hex16())
+	r.ClientSuites = parseHexList(&p, r.ClientSuites)
+	r.ClientExtensions = parseHexList(&p, r.ClientExtensions)
+	r.ClientCurves = parseHexList(&p, r.ClientCurves)
+	r.ClientPointFmts = parseHexList(&p, r.ClientPointFmts)
+	r.ClientSupportedVs = parseHexList(&p, r.ClientSupportedVs)
+	r.OffersHeartbeat = p.flag()
+	r.Fingerprint = in.text(p.field())
+	r.TruthClient = in.text(p.field())
+	r.ServerCohort = in.text(p.field())
+	if p.err == nil && p.off > len(line) {
+		return nil
+	}
+	// A line of the wrong width is reported as that, whatever else is wrong
+	// with it.
+	if n := bytes.Count(line, []byte{'\t'}) + 1; n != 20 {
 		return fmt.Errorf("notary: %d fields, want 20", n)
 	}
-	var err error
-	if r.Date, err = parseDate(fields[0]); err != nil {
-		return err
+	return p.err
+}
+
+// tsvLine is the cursor that walks one log line, left to right, once. Each
+// reader first tries its field in the one spelling AppendTSV writes — four
+// hex digits, YYYY-MM-DD, one letter, one decimal digit — with the tab after
+// it, through hexNibble; any other spelling is cut at its tab by field and
+// handed to the strconv statements below the fixed shape, which decide what
+// else is accepted and own every error text. Errors are sticky the way
+// snapDecoder's are: the first one is kept, reading goes on, and the caller
+// checks once at the end.
+type tsvLine struct {
+	b   []byte
+	off int // start of the next field; len(b)+1 once the last one is cut
+	err error
+}
+
+func (p *tsvLine) fail(err error) {
+	if p.err == nil {
+		p.err = err
 	}
-	r.Established = fields[1] == "T"
-	if v, err := strconv.ParseUint(fields[2], 16, 16); err == nil {
-		r.Version = registry.Version(v)
-	} else {
-		return err
+}
+
+// field cuts the next field at its tab, or at the end of the line.
+func (p *tsvLine) field() []byte {
+	if p.off > len(p.b) {
+		p.fail(io.ErrUnexpectedEOF) // parseTSVLine reports such a line by its width
+		return nil
 	}
-	if v, err := strconv.ParseUint(fields[3], 16, 16); err == nil {
-		r.Suite = uint16(v)
-	} else {
-		return err
+	rest := p.b[p.off:]
+	if i := bytes.IndexByte(rest, '\t'); i >= 0 {
+		p.off += i + 1
+		return rest[:i]
 	}
-	if v, err := strconv.ParseUint(fields[4], 16, 16); err == nil {
-		r.Curve = registry.CurveID(v)
-	} else {
-		return err
+	p.off = len(p.b) + 1
+	return rest
+}
+
+// shaped returns the next w bytes when a tab follows them: the next field,
+// if the caller finds no tab among them. The caller then steps w+1 on.
+func (p *tsvLine) shaped(w int) []byte {
+	if e := p.off + w; e < len(p.b) && p.b[e] == '\t' {
+		return p.b[p.off:e]
 	}
-	r.HeartbeatAck = fields[5] == "T"
-	r.SuiteUnoffer = fields[6] == "T"
-	if v, err := strconv.ParseUint(fields[7], 10, 8); err == nil {
-		r.AlertDesc = uint8(v)
-	} else {
-		return err
-	}
-	r.UsedFallback = fields[8] == "T"
-	r.SSLv2Hello = fields[9] == "T"
-	if v, err := strconv.ParseUint(fields[10], 16, 16); err == nil {
-		r.ClientVersion = registry.Version(v)
-	} else {
-		return err
-	}
-	if r.ClientSuites, err = appendParsedHexList(r.ClientSuites, fields[11]); err != nil {
-		return err
-	}
-	if r.ClientExtensions, err = appendParsedHexList(r.ClientExtensions, fields[12]); err != nil {
-		return err
-	}
-	if r.ClientCurves, err = appendParsedHexList(r.ClientCurves, fields[13]); err != nil {
-		return err
-	}
-	if r.ClientPointFmts, err = appendParsedHexList(r.ClientPointFmts, fields[14]); err != nil {
-		return err
-	}
-	if r.ClientSupportedVs, err = appendParsedHexList(r.ClientSupportedVs, fields[15]); err != nil {
-		return err
-	}
-	r.OffersHeartbeat = fields[16] == "T"
-	r.Fingerprint = dashEmpty(fields[17])
-	r.TruthClient = dashEmpty(fields[18])
-	r.ServerCohort = dashEmpty(fields[19])
 	return nil
 }
 
-func dashEmpty(s string) string {
-	if s == "-" {
-		return ""
+func (p *tsvLine) flag() bool {
+	if f := p.shaped(1); f != nil && f[0] != '\t' {
+		p.off += 2
+		return f[0] == 'T'
 	}
-	return s
+	f := p.field()
+	return len(f) == 1 && f[0] == 'T'
 }
 
-func parseDate(s string) (timeline.Date, error) {
-	i := strings.IndexByte(s, '-')
-	if i < 0 {
-		return timeline.Date{}, fmt.Errorf("notary: bad date %q", s)
+func (p *tsvLine) hex16() uint16 {
+	if f := p.shaped(4); f != nil {
+		if v, ok := hex4(f); ok {
+			p.off += 5
+			return v
+		}
 	}
-	j := strings.IndexByte(s[i+1:], '-')
-	if j < 0 || strings.IndexByte(s[i+1+j+1:], '-') >= 0 {
-		return timeline.Date{}, fmt.Errorf("notary: bad date %q", s)
+	v, err := strconv.ParseUint(string(p.field()), 16, 16)
+	if err != nil {
+		p.fail(err)
 	}
-	j += i + 1
-	y, err1 := strconv.Atoi(s[:i])
-	m, err2 := strconv.Atoi(s[i+1 : j])
-	d, err3 := strconv.Atoi(s[j+1:])
-	if err1 != nil || err2 != nil || err3 != nil || !validDate(y, m, d) {
-		return timeline.Date{}, fmt.Errorf("notary: bad date %q", s)
-	}
-	return timeline.Date{Year: y, Month: timeMonth(m), Day: d}, nil
+	return uint16(v)
 }
 
-// validDate bounds every date on its way in: TSV lines (parseDate) and TLSB
-// records, snapshots and deltas (snapDecoder.date) all pass through it, so a
-// date that was accepted can always be written out and read back. The year
-// range is the one appendDate's four digits can carry; the day is
+func (p *tsvLine) alert() uint8 {
+	if f := p.shaped(1); f != nil && hexNibble[f[0]] <= 9 {
+		p.off += 2
+		return hexNibble[f[0]]
+	}
+	v, err := strconv.ParseUint(string(p.field()), 10, 8)
+	if err != nil {
+		p.fail(err)
+	}
+	return uint8(v)
+}
+
+func (p *tsvLine) date() timeline.Date {
+	if f := p.shaped(10); f != nil && f[4] == '-' && f[7] == '-' {
+		yh, ok1 := dec2(f)
+		yl, ok2 := dec2(f[2:])
+		m, ok3 := dec2(f[5:])
+		d, ok4 := dec2(f[8:])
+		if y := yh*100 + yl; ok1 && ok2 && ok3 && ok4 && validDate(y, m, d) {
+			p.off += 11
+			return timeline.Date{Year: y, Month: timeMonth(m), Day: d}
+		}
+	}
+	// Three signed decimal numbers of any width between exactly two dashes.
+	s := string(p.field())
+	if ymd := strings.Split(s, "-"); len(ymd) == 3 {
+		y, err1 := strconv.Atoi(ymd[0])
+		m, err2 := strconv.Atoi(ymd[1])
+		d, err3 := strconv.Atoi(ymd[2])
+		if err1 == nil && err2 == nil && err3 == nil && validDate(y, m, d) {
+			return timeline.Date{Year: y, Month: timeMonth(m), Day: d}
+		}
+	}
+	p.fail(fmt.Errorf("notary: bad date %q", s))
+	return timeline.Date{}
+}
+
+// dec2 reads two decimal digits from the head of f.
+func dec2(f []byte) (int, bool) {
+	a, b := hexNibble[f[0]], hexNibble[f[1]]
+	return int(a)*10 + int(b), a <= 9 && b <= 9
+}
+
+// validDate bounds every date on its way in: TSV lines (tsvLine.date) and
+// TLSB records, snapshots and deltas (snapDecoder.date) all pass through it,
+// so a date that was accepted can always be written out and read back. The
+// year range is the one appendDate's four digits can carry; the day is
 // range-checked only, never against the month's length.
 func validDate(year, month, day int) bool {
 	return year >= 1 && year <= 9999 && month >= 1 && month <= 12 && day >= 1 && day <= 31
 }
 
-// appendParsedHexList parses a comma-separated %04x list into dst[:0],
-// keeping dst's capacity. "-" and "" parse to an empty list.
-func appendParsedHexList[T ~uint8 | ~uint16](dst []T, s string) ([]T, error) {
+// parseHexList parses the next field, a comma-separated %04x list, into
+// dst[:0], keeping dst's capacity. "-" and "" parse to an empty list.
+// Elements are bounded by T's range, as the TLSB decoder bounds them.
+func parseHexList[T ~uint8 | ~uint16](p *tsvLine, dst []T) []T {
 	dst = dst[:0]
-	if s == "-" || s == "" {
-		return dst, nil
+	if f := p.shaped(1); f != nil && f[0] == '-' {
+		p.off += 2
+		return dst
 	}
-	for len(s) > 0 {
-		var p string
-		if i := strings.IndexByte(s, ','); i >= 0 {
-			p, s = s[:i], s[i+1:]
-		} else {
-			p, s = s, ""
+	// The shape appendHexList writes: four digits, then a comma or the
+	// field's tab.
+	for b := p.b; p.off+4 < len(b); {
+		v, ok := hex4(b[p.off:])
+		c := b[p.off+4]
+		if !ok || v > uint16(^T(0)) || c != ',' && c != '\t' {
+			break
 		}
-		v, err := strconv.ParseUint(p, 16, 16)
-		if err != nil {
-			return dst, fmt.Errorf("notary: bad hex list element %q", p)
+		dst = append(dst, T(v))
+		p.off += 5
+		if c == '\t' {
+			return dst
+		}
+	}
+	// Whatever else ParseUint takes — fewer or more digits — and every
+	// refusal, over what is left of the field.
+	rest := p.field()
+	if len(dst) == 0 && len(rest) == 1 && rest[0] == '-' {
+		return dst // the whole field: nothing of it was taken above
+	}
+	for len(rest) > 0 {
+		e := rest
+		if i := bytes.IndexByte(rest, ','); i >= 0 {
+			e, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		v, err := strconv.ParseUint(string(e), 16, 16)
+		if err != nil || v > uint64(^T(0)) {
+			p.fail(fmt.Errorf("notary: bad hex list element %q", e))
+			return dst
 		}
 		dst = append(dst, T(v))
 	}
-	return dst, nil
+	return dst
+}
+
+// text interns one TSV string field, "-" and "" reading as empty.
+func (in internTable) text(f []byte) string {
+	if len(f) == 0 || len(f) == 1 && f[0] == '-' {
+		return ""
+	}
+	if s, ok := in[string(f)]; ok {
+		return s
+	}
+	return in.add(f)
 }

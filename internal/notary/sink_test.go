@@ -151,7 +151,7 @@ func TestAppendTSVAllocFree(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("AppendTSV into a reused buffer allocates %v times per record, want 0", got)
 	}
-	// And it must still match what ParseTSVInto expects.
+	// And it must still match what the log parser expects.
 	line := string(r.AppendTSV(nil))
 	back, err := parseTSV(line)
 	if err != nil {
@@ -162,41 +162,40 @@ func TestAppendTSVAllocFree(t *testing.T) {
 	}
 }
 
-// The pooled parse path: reusing one record across ParseTSVInto calls must
-// not allocate beyond the per-field string handling, and far below the
-// make-five-slices cost of parsing into a fresh record. The bound is the
-// regression guard for the pooled record path (a fresh record costs ≥6: its
-// slices plus the fields split).
+// The pooled parse path: once the stream's strings are interned, parsing a
+// line into a reused record allocates nothing — no line string, no field
+// strings, no list growth.
 func TestParseTSVIntoAllocBound(t *testing.T) {
-	line := string(sampleRecord().AppendTSV(nil))
+	line := bytes.TrimSuffix(sampleRecord().AppendTSV(nil), []byte("\n"))
 	var rec Record
-	if err := ParseTSVInto(&rec, line); err != nil {
+	intern := make(internTable)
+	if err := parseTSVLine(&rec, line, intern); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		if err := ParseTSVInto(&rec, line); err != nil {
+		if err := parseTSVLine(&rec, line, intern); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 3 {
-		t.Errorf("ParseTSVInto allocates %v times per record, want ≤3 (reused slices)", got)
+	}); got != 0 {
+		t.Errorf("parseTSVLine allocates %v times per record in steady state, want 0", got)
 	}
 }
 
 // A full pooled lease → fill-from-TSV → re-serialize → release cycle stays
-// allocation-free once the pool is warm (strings aside, which the parser
-// interns from the line).
+// allocation-free once the pool and the intern table are warm.
 func TestPooledRecordCycleAllocBound(t *testing.T) {
-	line := string(sampleRecord().AppendTSV(nil))
+	line := bytes.TrimSuffix(sampleRecord().AppendTSV(nil), []byte("\n"))
+	intern := make(internTable)
 	// Warm the pool with one fully-grown record.
 	warm := LeaseRecord()
-	if err := ParseTSVInto(warm, line); err != nil {
+	if err := parseTSVLine(warm, line, intern); err != nil {
 		t.Fatal(err)
 	}
 	ReleaseRecord(warm)
 	buf := make([]byte, 0, 1024)
 	if got := testing.AllocsPerRun(200, func() {
 		r := LeaseRecord()
-		if err := ParseTSVInto(r, line); err != nil {
+		if err := parseTSVLine(r, line, intern); err != nil {
 			t.Fatal(err)
 		}
 		buf = r.AppendTSV(buf[:0])

@@ -302,9 +302,39 @@ func (d *snapDecoder) fail(format string, args ...any) {
 
 func (d *snapDecoder) remaining() int { return len(d.b) - d.off }
 
+// varint3 reads the varint of one to three bytes at p[off] — every value up
+// to 0x1FFFFF, so every code point, date part and ordinary count — and
+// returns it with its width. Width 0 means the bytes there are something
+// else: a longer varint, or fewer than three bytes before the end of p
+// (inside a valid record its three string lengths follow). The caller then
+// leaves them to uvarint, which owns the errors. It is small enough to
+// inline into the record decoder's loops.
+func varint3(p []byte, off int) (v uint32, w int) {
+	if off+3 > len(p) {
+		return 0, 0
+	}
+	v = uint32(p[off])
+	if v < 0x80 {
+		return v, 1
+	}
+	b := uint32(p[off+1])
+	if b < 0x80 {
+		return v&0x7f | b<<7, 2
+	}
+	c := uint32(p[off+2])
+	if c < 0x80 {
+		return v&0x7f | b&0x7f<<7 | c<<14, 3
+	}
+	return 0, 0
+}
+
 func (d *snapDecoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
+	}
+	if v, w := varint3(d.b, d.off); w != 0 {
+		d.off += w
+		return uint64(v)
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
@@ -330,12 +360,18 @@ func (d *snapDecoder) count() int {
 // length reads a collection/string length and checks it against the bytes
 // left (each encoded element needs at least min bytes).
 func (d *snapDecoder) length(min int) int {
+	if min < 1 {
+		min = 1
+	}
+	// A length under 128 that fits — every list and string of a record — is
+	// its one byte, settled by a multiplication.
+	if b := d.b[d.off:]; d.err == nil && len(b) > 0 && b[0] < 0x80 && int(b[0])*min < len(b) {
+		d.off++
+		return int(b[0])
+	}
 	n := d.count()
 	if d.err != nil {
 		return 0
-	}
-	if min < 1 {
-		min = 1
 	}
 	if n > d.remaining()/min {
 		d.fail("length %d exceeds remaining %d bytes", n, d.remaining())

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
+	"tlsage/internal/framing"
 	"tlsage/internal/notary"
 )
 
@@ -174,6 +176,109 @@ func TestIngestWireFormatParity(t *testing.T) {
 			}
 			if err := <-served; err != nil {
 				t.Fatalf("ServeTCP: %v", err)
+			}
+		})
+	}
+}
+
+// TestIngestBoundsPointFormatsOnEveryPath is the parity suite's refusal arm:
+// a point format is one byte, and a record naming format 0x100 is refused on
+// all four format × transport pairs alike — 400 over HTTP, an error line over
+// TCP, a study holding the one good record before it. The TSV reader used to
+// keep the low byte and acknowledge the record.
+func TestIngestBoundsPointFormatsOnEveryPath(t *testing.T) {
+	// Two records, alike but for client_pfs: 0000, then 0100,01ff.
+	line := func(pfs string) string {
+		return "2013-03-09\tF\t0000\t0000\t0000\tF\tF\t0\tF\tF\t0301\tc02f\t-\t-\t" + pfs + "\t-\tF\t-\t-\t-\n"
+	}
+	tsv := []byte(line("0000") + line("0100,01ff"))
+	// The same two as one TLSB frame, packed by hand from batch.go's layout
+	// (BatchWriter cannot spell a point format past a byte).
+	record := func(pfs ...uint64) []byte {
+		rec := []byte{0}                             // flags
+		rec = binary.AppendUvarint(rec, 2013)        // date
+		rec = append(rec, 3, 9, 0x81, 0x06, 0, 0, 0) // client_version 0x0301, version, suite, curve
+		rec = append(rec, 0)                         // alert
+		rec = append(rec, 1, 0xaf, 0x80, 0x03)       // client_suites: c02f
+		rec = append(rec, 0, 0, byte(len(pfs)))      // no extensions, no curves
+		for _, v := range pfs {
+			rec = binary.AppendUvarint(rec, v)
+		}
+		return append(rec, 0, 0, 0, 0) // no supported versions, three empty strings
+	}
+	payload := append(append([]byte{2}, record(0)...), record(0x100, 0x1ff)...)
+	format := framing.Format{Magic: "TLSB", MinVersion: 1, Version: notary.BatchVersion, LenBytes: 4, MaxPayload: 1 << 26}
+	dst, mark := format.Begin(nil)
+	batch, err := format.End(append(dst, payload...), mark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both spell the same first record.
+	var fromTSV, fromBatch bytes.Buffer
+	if err := notary.ReadLog(bytes.NewReader([]byte(line("0000"))), notary.NewBatchWriter(&fromTSV, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := notary.ReadBatches(bytes.NewReader(batch), notary.NewBatchWriter(&fromBatch, 1)); err == nil ||
+		!bytes.Equal(fromTSV.Bytes(), fromBatch.Bytes()) || fromTSV.Len() == 0 {
+		t.Fatalf("the hand-packed frame's first record is not the TSV line's (err %v)", err)
+	}
+
+	for _, p := range []struct {
+		name, contentType string
+		body              []byte
+		tcp               bool
+	}{
+		{"tsv-http", ContentTypeTSV, tsv, false},
+		{"binary-http", ContentTypeBatch, batch, false},
+		{"tsv-tcp", "", tsv, true},
+		{"binary-tcp", "", batch, true},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			srv := NewServer(core.NewLiveStudy())
+			defer srv.Close()
+			var reply string
+			if p.tcp {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go srv.ServeTCP(ln)
+				conn, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				if _, err := conn.Write(p.body); err != nil {
+					t.Fatal(err)
+				}
+				if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+				raw, err := io.ReadAll(conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reply = string(raw); !strings.HasPrefix(reply, "error: ") {
+					t.Fatalf("tcp reply %q, want an error line", reply)
+				}
+			} else {
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+				resp, err := http.Post(ts.URL+"/ingest", p.contentType, bytes.NewReader(p.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if reply = string(raw); resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("status %d (%s), want 400", resp.StatusCode, reply)
+				}
+			}
+			if !strings.Contains(reply, "0100") && !strings.Contains(reply, "element 256 out of range") {
+				t.Errorf("reply %q does not name the element", reply)
+			}
+			if records, _, _, err := srv.Study().Counts(); err != nil || records != 1 {
+				t.Errorf("study holds %d records (err %v), want the one before the refusal", records, err)
 			}
 		})
 	}

@@ -18,6 +18,7 @@ import (
 
 	"tlsage/internal/core"
 	"tlsage/internal/notary"
+	"tlsage/internal/timeline"
 )
 
 // testNode is a node opened through the production assembly and serving on
@@ -318,6 +319,54 @@ func TestOpenRestartParity(t *testing.T) {
 				requireServedParity(t, n.http, log)
 			})
 		}
+	}
+}
+
+// TestOpenHostileTLSBRecordKeepsTheLogTail: what a collector acknowledges it
+// tees into -out as a TSV line, and the next recovery takes a line of the
+// wrong width for a torn tail — dropping it and every acknowledged record
+// after it. So a TLSB record whose string would break its line (a TAB), or
+// read back as another string ("-"), is refused with 400 before it is
+// counted, and a kill after it recovers everything that was acknowledged.
+func TestOpenHostileTLSBRecordKeepsTheLogTail(t *testing.T) {
+	log, _ := sharedLog(t)
+	total := countRecords(log)
+	half := total / 2
+	for name, hostile := range map[string]notary.Record{
+		"tab in cohort": {ServerCohort: "modern\tecdhe"},
+		"dash as fp":    {Fingerprint: "-"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			hostile.Date = timeline.D(2013, time.March, 9)
+			hostile.ClientSuites = []uint16{0xc02f}
+			var frame bytes.Buffer
+			bw := notary.NewBatchWriter(&frame, 1)
+			if err := bw.Observe(&hostile); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := Config{Out: filepath.Join(t.TempDir(), "conn.log"), Flush: 61}
+			n := startNode(t, cfg)
+			postTSV(t, n.http, logPrefix(t, log, half))
+			resp, err := http.Post(n.http+"/ingest", ContentTypeBatch, &frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("hostile frame: %d: %s, want 400", resp.StatusCode, raw)
+			}
+			postTSV(t, n.http, recordLines(t, log, half, total))
+
+			n.crash(t, nil)
+			n = startNode(t, cfg)
+			defer n.shutdown(t)
+			if gen := n.generation(t); gen != uint64(total) {
+				t.Fatalf("reopened at generation %d, want all %d acknowledged records", gen, total)
+			}
+			requireServedParity(t, n.http, log)
+		})
 	}
 }
 
