@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,8 +17,8 @@ import (
 
 // requireSameFrame asserts got answers exactly as want does: every exported
 // column (FPNames among them), FingerprintGauges, Generation, Len and Row.
-// Unexported state is deliberately not compared — an advanced frame numbers
-// its fingerprints in arrival order, a fresh one by rank.
+// Unexported state is deliberately not compared — an advanced frame whose
+// top-K set held keeps its predecessor's column list, in the old rank order.
 func requireSameFrame(t *testing.T, want, got *Frame) {
 	t.Helper()
 	wv, gv := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
@@ -200,15 +201,16 @@ func TestAdvanceTopKBoundary(t *testing.T) {
 }
 
 // TestAdvanceEdgeShapes covers the aggregates the property walk does not
-// reach: empty, recovered from a version-1 snapshot (fingerprint lifetimes
-// but no per-month fingerprint volumes), and a delta touching every row.
+// reach: empty, recovered from a version-1 snapshot (fingerprint rows and
+// lifetimes but no class attribution), and a delta touching every row.
 func TestAdvanceEdgeShapes(t *testing.T) {
 	recs, db := simulatedRecords(t)
 
 	empty := notary.NewAggregate()
 	requireSameFrame(t, NewFrame(empty), NewFrame(empty).Advance(empty, nil))
 
-	// Version-1 shape: attribution maps present but empty in every month.
+	// Version-1 shape: every month's fingerprint rows, which version 1 always
+	// carried, and a ByClientClass map present but empty.
 	v1 := classified(db)
 	whole := classified(db)
 	for _, r := range recs {
@@ -216,21 +218,23 @@ func TestAdvanceEdgeShapes(t *testing.T) {
 		whole.Add(r)
 	}
 	for _, m := range v1.Months() {
-		ms := v1.Stats(m)
-		ms.ByFingerprint = make(map[string]int)
-		ms.ByClientClass = make(map[string]int)
+		v1.Stats(m).ByClientClass = make(map[string]int)
 	}
-	f := NewFrame(v1)
-	if len(f.FPCol) != 0 || len(f.FPNames) != 0 {
-		t.Fatalf("v1-shaped aggregate has %d fp: columns, want none", len(f.FPCol))
+	f, full := NewFrame(v1), NewFrame(whole)
+	if len(f.FPCol) != TopKFingerprints+1 || !reflect.DeepEqual(f.FPCol, full.FPCol) ||
+		!reflect.DeepEqual(f.FPNames, full.FPNames) || !reflect.DeepEqual(f.Plain[colFPConns], full.Plain[colFPConns]) {
+		t.Fatalf("v1-shaped aggregate's %d fp: columns and fp-conns are not the volumes its fingerprint rows carry", len(f.FPCol))
+	}
+	if len(f.Agent) != 0 || len(full.Agent) == 0 {
+		t.Fatalf("v1-shaped aggregate has %d agent: columns (the attributed one %d), want none", len(f.Agent), len(full.Agent))
 	}
 	for _, r := range recs[len(recs)-50:] { // new records attribute as usual
 		v1.Add(r)
 	}
 	last := timeline.MonthOf(recs[len(recs)-1].Date)
 	f, ok := advanceOrBuild(t, f, v1, []timeline.Month{last, timeline.MonthOf(recs[len(recs)-50].Date)})
-	if !ok || len(f.FPCol) == 0 {
-		t.Fatalf("advanced=%v with %d fp: columns after fingerprinted records arrived", ok, len(f.FPCol))
+	if !ok || len(f.Agent) == 0 {
+		t.Fatalf("advanced=%v with %d agent: columns after classified records arrived", ok, len(f.Agent))
 	}
 
 	// A delta as large as the study: every one of the 75 rows is touched.
@@ -285,7 +289,7 @@ func TestAdvanceLeavesPredecessorAlone(t *testing.T) {
 	rest := append([]*notary.Record(nil), recs[half:]...)
 	// The second half of the window opens new months; keep to the first
 	// half's axis so every step is an advance from prev's lineage, and put a
-	// never-seen fingerprint in each so the shared id tables must be copied.
+	// never-seen fingerprint in each.
 	for step := 0; step < 40; step++ {
 		r := rest[rnd.Intn(len(rest))].Clone()
 		r.Date = recs[rnd.Intn(half)].Date
@@ -309,4 +313,50 @@ func TestAdvanceLeavesPredecessorAlone(t *testing.T) {
 	if !reflect.DeepEqual(prev, twin) {
 		t.Fatal("Advance wrote to its predecessor")
 	}
+}
+
+// FuzzFrameFromSnapshot: whatever notary.DecodeSnapshot accepts — the rows of
+// a month and the lifetime rows it ranks from need not agree — gives a frame
+// whose fp: family sums to fp-conns in every row, and advancing that frame
+// over every month changes nothing.
+func FuzzFrameFromSnapshot(fz *testing.F) {
+	for _, name := range []string{"snapshot_v1.bin", "snapshot_v2.bin"} {
+		b, err := os.ReadFile("../notary/testdata/" + name)
+		if err != nil {
+			fz.Fatal(err)
+		}
+		fz.Add(b)
+	}
+	// Month rows that disagree with the lifetime rows: a fingerprint no
+	// lifetime row knows, one whose month row is gone, one counted twice over.
+	m := timeline.M(2015, time.March)
+	odd := notary.NewAggregate()
+	for i := 0; i < TopKFingerprints+4; i++ {
+		odd.Add(fpRecord(m, fmt.Sprintf("fp-%02d", i)))
+		odd.Add(fpRecord(m.Next(), fmt.Sprintf("fp-%02d", i)))
+	}
+	odd.UpdateMonth(m, 0, func(ms *notary.MonthStats) {
+		ms.FPs["fp-ghost"] = &notary.FPCaps{Count: 5}
+		delete(ms.FPs, "fp-01")
+		ms.FPs["fp-02"].Count += 7
+	})
+	fz.Add(notary.EncodeSnapshot(nil, odd))
+
+	fz.Fuzz(func(t *testing.T, data []byte) {
+		agg, err := notary.DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		f := NewFrame(agg)
+		for i, m := range f.Months {
+			sum := 0
+			for _, c := range f.FPCol {
+				sum += c[i]
+			}
+			if sum != f.Plain[colFPConns][i] {
+				t.Fatalf("%v: fp:* sums to %d, fp-conns is %d", m, sum, f.Plain[colFPConns][i])
+			}
+		}
+		requireSameFrame(t, f, f.Advance(agg, agg.Months()))
+	})
 }

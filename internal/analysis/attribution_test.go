@@ -116,16 +116,16 @@ func TestFPFamilyMatchesAggregate(t *testing.T) {
 	wantConns := make([]int, len(months))
 	totalVols := make(map[string]int)
 	for i, m := range months {
-		for fp, c := range agg.Stats(m).ByFingerprint {
-			wantConns[i] += c
-			totalVols[fp] += c
+		for fp, caps := range agg.Stats(m).FPs {
+			wantConns[i] += caps.Count
+			totalVols[fp] += caps.Count
 		}
 	}
 	if sumCol(wantConns) == 0 {
 		t.Fatal("aggregate has no fingerprint volume — vacuous")
 	}
 	if !reflect.DeepEqual(f.Plain[colFPConns], wantConns) {
-		t.Errorf("fp-conns diverges from ByFingerprint walk")
+		t.Errorf("fp-conns diverges from the FPs walk")
 	}
 	res := mustQuery(t, f, "fp:*")
 	for i, p := range res.Series.Points {

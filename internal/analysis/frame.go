@@ -3,7 +3,6 @@ package analysis
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -114,16 +113,14 @@ type Frame struct {
 	FPNames map[string]string
 	Agent   map[string][]int
 
-	// The frame's own copy of the aggregate's fingerprint volumes, which is
-	// what lets Advance re-rank without re-reading untouched months.
-	// Fingerprints get dense ids: fpIDs and fpStrs map string to id and
-	// back, fpVol is the whole-window volume by id, fpRows[i] is month i's
-	// volumes, and fpTop lists the fingerprints that own FPCol's columns.
-	fpIDs  map[string]int
-	fpStrs []string
-	fpVol  []int
-	fpRows [][]fpCount
-	fpTop  []fpColumn
+	// fpTop lists the fingerprints that own FPCol's columns, in rank order,
+	// and fpDistinct counts the aggregate's lifetime rows they were ranked
+	// from. fpFloor is the whole-window volume of the K-th of them (zero
+	// while there are fewer): volumes only grow, so a fingerprint below it
+	// cannot be in a successor's top K.
+	fpTop      []fpColumn
+	fpDistinct int
+	fpFloor    int64
 }
 
 // The frame's derived plain columns, indexed after the notary schema's
@@ -233,14 +230,11 @@ func cloneCols[K comparable](src map[K][]int, sl *slab) map[K][]int {
 	return dst
 }
 
-// fpCount is one month's connection count for one fingerprint, by the
-// frame's dense fingerprint id.
-type fpCount struct{ id, n int }
-
-// fpColumn is one top-K fingerprint's column: its dense id and its FPID key
-// in FPCol and FPNames.
+// fpColumn is one top-K fingerprint's column: the fingerprint, the
+// whole-window volume it was ranked by, and its FPID key in FPCol and FPNames.
 type fpColumn struct {
-	id  int
+	fp  string
+	vol int64
 	key string
 }
 
@@ -262,9 +256,6 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 		Extension:    make(map[registry.ExtensionID][]int),
 		TLS13Variant: make(map[registry.Version][]int),
 		Agent:        make(map[string][]int),
-
-		fpIDs:  make(map[string]int),
-		fpRows: make([][]fpCount, n),
 	}
 	sl := newSlab(numPlain+len(f.Pos)+TopKFingerprints+1, n)
 	for c := range f.Plain {
@@ -277,10 +268,9 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 		i := len(f.Months)
 		f.Months = append(f.Months, ms.Month)
 		f.index[ms.Month] = i
-		f.fillRow(i, ms, nil, sl)
+		f.fillRow(i, ms, sl)
 	})
-	f.canonicalizeFingerprints()
-	f.buildFPColumns(nil, nil, sl)
+	f.buildFPColumns(agg, nil, nil, sl)
 	return f
 }
 
@@ -291,41 +281,31 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 // FPNames, FingerprintGauges, Generation and Row, at the cost of copying the
 // columns and re-reading the touched months instead of walking every month's
 // maps. f itself is not written, so readers may keep evaluating against it;
-// the two frames share what cannot differ between them (the month axis, the
-// untouched months' fingerprint rows and, unless a new fingerprint appeared,
-// the fingerprint id tables).
+// the two frames share what cannot differ between them (the month axis and,
+// while the top-K set holds, its column list and names).
 //
 // The caller decides whether these preconditions hold and calls NewFrame
 // when they do not (core.Study.frameLocked is that caller). A month missing
 // from touched leaves its row stale; a touched month outside the axis panics.
 //
-// The fp: family stays exact because the frame carries its own copy of what
-// NewFrame learned about fingerprints: whole-window volumes (fpVol) and each
-// month's volumes (fpRows). A touched month's old row leaves the volumes, its
-// new row enters them, the top K are re-selected under the same (volume
-// desc, fingerprint asc) rule, and the columns are patched in the touched
-// rows when the top-K set held, or rebuilt from fpRows when it did not.
+// The fp: family stays exact because both constructors rank it from the one
+// whole-window source, the aggregate's lifetime rows: the top K are
+// re-selected under the same (volume desc, fingerprint asc) rule, and the
+// columns are patched in the touched rows when the top-K set held, or rebuilt
+// from every month's rows when it did not.
 //
-// Two designs that look simpler do not work. (1) A mutation counter on
-// notary.Aggregate or MonthStats to find the touched months: it makes two
+// A design that looks simpler does not work: a mutation counter on
+// notary.Aggregate or MonthStats to find the touched months makes two
 // aggregates of equal content unequal under reflect.DeepEqual, which the
 // merge property, the snapshot and delta round trips, the goldens and the
 // pusher's exactly-once tests all rely on — so the writer (core.Study)
-// names the months instead. (2) Ranking from the aggregate's whole-window
-// fingerprint lifetimes instead of carrying fpVol: an aggregate recovered
-// from a version-1 snapshot has those but empty ByFingerprint, and would
-// grow 32 all-zero fp: columns that NewFrame does not give it.
+// names the months instead.
 func (f *Frame) Advance(agg *notary.Aggregate, touched []timeline.Month) *Frame {
 	n := len(f.Months)
 	next := &Frame{
 		Months:     f.Months,
 		index:      f.index,
 		generation: agg.Generation(),
-
-		fpIDs:  f.fpIDs,
-		fpStrs: f.fpStrs,
-		fpVol:  slices.Clone(f.fpVol),
-		fpRows: slices.Clone(f.fpRows),
 	}
 	sl := newSlab(numPlain+len(f.Pos)+len(f.Version)+len(f.Class)+len(f.Kex)+len(f.Curve)+
 		len(f.Extension)+len(f.TLS13Variant)+len(f.Agent)+TopKFingerprints+1, n)
@@ -353,20 +333,16 @@ func (f *Frame) Advance(agg *notary.Aggregate, touched []timeline.Month) *Frame 
 			continue
 		}
 		rows = append(rows, i)
-		next.fillRow(i, agg.Stats(m), f, sl)
+		next.fillRow(i, agg.Stats(m), sl)
 	}
-	next.buildFPColumns(f, rows, sl)
+	next.buildFPColumns(agg, f, rows, sl)
 	return next
 }
 
 // fillRow writes row i of every column except the fp: family from one
-// month's stats — the only code that reads a MonthStats — and records the
-// month's fingerprint volumes in fpRows and fpVol for buildFPColumns. prev is
-// the frame f is advancing from, nil when f is built from scratch: row i's
-// old volumes leave fpVol before the new ones enter. A cell is only written
-// for a key the month has, so a refilled row relies on keys never leaving a
-// month (Add and Merge only add).
-func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
+// month's stats. A cell is only written for a key the month has, so a
+// refilled row relies on keys never leaving a month (Add and Merge only add).
+func (f *Frame) fillRow(i int, ms *notary.MonthStats, sl *slab) {
 	for c, v := range ms.N {
 		f.Plain[c][i] = v
 	}
@@ -401,37 +377,23 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 		col(f.Agent, class, sl)[i] = c
 	}
 
-	if prev != nil {
-		for _, e := range prev.fpRows[i] {
-			f.fpVol[e.id] -= e.n
-		}
-	}
-	row := make([]fpCount, 0, len(ms.ByFingerprint))
-	conns := 0
-	for fp, c := range ms.ByFingerprint {
-		id := f.fingerprintID(fp, prev)
-		row = append(row, fpCount{id, c})
-		f.fpVol[id] += c
-		conns += c
-	}
-	f.fpRows[i], f.Plain[colFPConns][i] = row, conns
-
-	var rc4, des, tdes, aead int
+	var conns, rc4, des, tdes, aead int
 	for _, caps := range ms.FPs {
-		if caps.RC4 {
+		conns += caps.Count
+		if caps.Classes.Has(registry.ClassRC4) {
 			rc4++
 		}
-		if caps.DES {
+		if caps.Classes.Has(registry.ClassDES) {
 			des++
 		}
-		if caps.TDES {
+		if caps.Classes.Has(registry.Class3DES) {
 			tdes++
 		}
-		if caps.AEAD {
+		if caps.Classes.Has(registry.ClassAEAD) {
 			aead++
 		}
 	}
-	f.Plain[colFingerprints][i] = len(ms.FPs)
+	f.Plain[colFingerprints][i], f.Plain[colFPConns][i] = len(ms.FPs), conns
 	f.Plain[colFPRC4][i], f.Plain[colFPDES][i], f.Plain[colFP3DES][i], f.Plain[colFPAEAD][i] = rc4, des, tdes, aead
 
 	// Figure 9: negotiated connections per AEAD family.
@@ -454,81 +416,29 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, prev *Frame, sl *slab) {
 	f.Plain[colNegAEAD][i], f.Plain[colNegGCM128][i], f.Plain[colNegGCM256][i], f.Plain[colNegChaCha][i] = negAEAD, gcm128, gcm256, chacha
 }
 
-// fingerprintID returns fp's dense id, interning it on first sight. A frame
-// advancing from prev shares prev's id tables until its first new
-// fingerprint, and copies them before writing.
-func (f *Frame) fingerprintID(fp string, prev *Frame) int {
-	if id, ok := f.fpIDs[fp]; ok {
-		return id
-	}
-	if prev != nil && len(f.fpStrs) == len(prev.fpStrs) {
-		f.fpIDs = maps.Clone(prev.fpIDs)
-		f.fpStrs = slices.Clone(prev.fpStrs)
-	}
-	id := len(f.fpStrs)
-	f.fpIDs[fp] = id
-	f.fpStrs = append(f.fpStrs, fp)
-	f.fpVol = append(f.fpVol, 0)
-	return id
-}
-
-// fpCompare is the fp: family's ranking rule over fingerprint ids: higher
-// whole-window volume first, ties broken by fingerprint string so the column
-// set is fully deterministic.
-func (f *Frame) fpCompare(a, b int) int {
-	if c := cmp.Compare(f.fpVol[b], f.fpVol[a]); c != 0 {
+// compareRank is the fp: family's ranking rule: higher whole-window volume
+// first, ties broken by fingerprint string so the column set is fully
+// deterministic.
+func compareRank(a, b fpColumn) int {
+	if c := cmp.Compare(b.vol, a.vol); c != 0 {
 		return c
 	}
-	return strings.Compare(f.fpStrs[a], f.fpStrs[b])
+	return strings.Compare(a.fp, b.fp)
 }
 
-// canonicalizeFingerprints renumbers the fingerprint ids by rank and orders
-// every row by id. fillRow numbers fingerprints as map iteration meets them;
-// after this, two frames built from aggregates of equal content are deeply
-// equal (the merge property test compares them whole).
-func (f *Frame) canonicalizeFingerprints() {
-	ranked := make([]int, len(f.fpStrs))
-	for id := range ranked {
-		ranked[id] = id
-	}
-	slices.SortFunc(ranked, f.fpCompare)
-	newID := make([]int, len(ranked))
-	strs, vol := make([]string, len(ranked)), make([]int, len(ranked))
-	for r, old := range ranked {
-		newID[old], strs[r], vol[r] = r, f.fpStrs[old], f.fpVol[old]
-		f.fpIDs[strs[r]] = r
-	}
-	f.fpStrs, f.fpVol = strs, vol
-	// Each row is rewritten in place through a dense scratch (count+1 by new
-	// id, 0 = absent), which sorts it by id in one sweep.
-	cell := make([]int, len(ranked))
-	for _, row := range f.fpRows {
-		if len(row) == 0 {
+// topFingerprints selects the TopKFingerprints highest-ranked fingerprints of
+// agg, in rank order, in one pass over its lifetime rows that keeps only the
+// current top K. It does not rank a fingerprint below floor, which spares an
+// advancing frame the window's long tail.
+func topFingerprints(agg *notary.Aggregate, floor int64) []fpColumn {
+	top := make([]fpColumn, 0, TopKFingerprints+1)
+	for fp, vol := range agg.FingerprintVolumes() {
+		e := fpColumn{fp: fp, vol: vol}
+		if vol < floor || len(top) == TopKFingerprints && compareRank(e, top[len(top)-1]) > 0 {
 			continue
 		}
-		for _, e := range row {
-			cell[newID[e.id]] = e.n + 1
-		}
-		row = row[:0]
-		for id, c := range cell {
-			if c != 0 {
-				row = append(row, fpCount{id, c - 1})
-				cell[id] = 0
-			}
-		}
-	}
-}
-
-// topFingerprints selects the ids of the TopKFingerprints highest-ranked
-// fingerprints, in rank order, in one pass that keeps only the current top K.
-func (f *Frame) topFingerprints() []int {
-	top := make([]int, 0, TopKFingerprints+1)
-	for id := range f.fpVol {
-		if len(top) == TopKFingerprints && f.fpCompare(id, top[len(top)-1]) > 0 {
-			continue
-		}
-		at, _ := slices.BinarySearchFunc(top, id, f.fpCompare)
-		top = slices.Insert(top, at, id)
+		at, _ := slices.BinarySearchFunc(top, e, compareRank)
+		top = slices.Insert(top, at, e)
 		if len(top) > TopKFingerprints {
 			top = top[:TopKFingerprints]
 		}
@@ -536,17 +446,26 @@ func (f *Frame) topFingerprints() []int {
 	return top
 }
 
-// buildFPColumns materializes the fp: family from fpVol and fpRows: the top
-// K fingerprints get their own dense columns keyed by FPID, and everything
-// past the cap folds into the FPOtherKey bucket. When f advances from prev
-// and the top-K set held, prev's columns are copied and only rows — the rows
-// fillRow just wrote — are refilled; otherwise (no prev, or a fingerprint
-// crossed the cap) the family is built over every row.
-func (f *Frame) buildFPColumns(prev *Frame, rows []int, sl *slab) {
-	top := f.topFingerprints()
+// buildFPColumns materializes the fp: family: agg's top K fingerprints get
+// their own dense columns keyed by FPID, filled from each month's rows, and
+// the rest of a month's fp-conns folds into the FPOtherKey bucket, which
+// exists once some month has a rest. When f advances from prev and the top-K
+// set held, prev's columns are copied and only rows — the rows fillRow just
+// wrote — are refilled; otherwise (no prev, or a fingerprint crossed the cap)
+// the family is built over every row.
+func (f *Frame) buildFPColumns(agg *notary.Aggregate, prev *Frame, rows []int, sl *slab) {
+	var floor int64
+	if prev != nil {
+		floor = prev.fpFloor
+	}
+	top := topFingerprints(agg, floor)
+	f.fpDistinct = agg.NumFingerprints()
+	if len(top) == TopKFingerprints {
+		f.fpFloor = top[len(top)-1].vol
+	}
 	held := prev != nil && len(top) == len(prev.fpTop)
-	for r := 0; held && r < len(prev.fpTop); r++ {
-		held = slices.Contains(top, prev.fpTop[r].id)
+	for r := 0; held && r < len(top); r++ {
+		held = slices.ContainsFunc(prev.fpTop, func(c fpColumn) bool { return c.fp == top[r].fp })
 	}
 	if held {
 		f.fpTop, f.FPNames = prev.fpTop, prev.FPNames
@@ -557,35 +476,36 @@ func (f *Frame) buildFPColumns(prev *Frame, rows []int, sl *slab) {
 			}
 		}
 	} else {
-		f.fpTop = make([]fpColumn, len(top))
+		f.fpTop = top
 		f.FPNames = make(map[string]string, len(top))
 		f.FPCol = make(map[string][]int, len(top)+1)
-		for r, id := range top {
-			f.fpTop[r] = fpColumn{id, FPID(f.fpStrs[id])}
-			f.FPNames[f.fpTop[r].key] = f.fpStrs[id]
+		for r := range top {
+			top[r].key = FPID(top[r].fp)
+			f.FPNames[top[r].key] = top[r].fp
 		}
-		rows = make([]int, len(f.fpRows))
+		rows = make([]int, len(f.Months))
 		for i := range rows {
 			rows[i] = i
 		}
 	}
 	cols := make([][]int, len(f.fpTop))
-	slot := make([]int32, len(f.fpVol)) // fingerprint id → 1 + its index in cols; 0 past the cap
 	for s, tc := range f.fpTop {
 		cols[s] = col(f.FPCol, tc.key, sl)
-		slot[tc.id] = int32(s) + 1
 	}
-	var other []int
+	other := f.FPCol[FPOtherKey]
 	for _, i := range rows {
-		for _, e := range f.fpRows[i] {
-			if s := slot[e.id]; s != 0 {
-				cols[s-1][i] += e.n
-				continue
+		fps, rest := agg.Stats(f.Months[i]).FPs, f.Plain[colFPConns][i]
+		for s, tc := range f.fpTop {
+			if caps := fps[tc.fp]; caps != nil {
+				cols[s][i] += caps.Count
+				rest -= caps.Count
 			}
-			if other == nil {
-				other = col(f.FPCol, FPOtherKey, sl)
-			}
-			other[i] += e.n
+		}
+		if other == nil && rest != 0 {
+			other = col(f.FPCol, FPOtherKey, sl)
+		}
+		if other != nil {
+			other[i] = rest
 		}
 	}
 }
@@ -597,7 +517,7 @@ func (f *Frame) FingerprintGauges() (distinct, topK int, otherShare float64) {
 	if total := sumCol(f.Plain[colFPConns]); total > 0 {
 		otherShare = 100 * float64(sumCol(f.FPCol[FPOtherKey])) / float64(total)
 	}
-	return len(f.fpStrs), TopKFingerprints, otherShare
+	return f.fpDistinct, TopKFingerprints, otherShare
 }
 
 // sharedPlans returns the memoized compiled plans for the package's static

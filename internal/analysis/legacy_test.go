@@ -96,14 +96,14 @@ func legacyFigure3Advertised(agg *notary.Aggregate) Figure {
 }
 
 func legacyFigure4FingerprintClasses(agg *notary.Aggregate) Figure {
-	fpPct := func(sel func(*notary.FPCaps) bool) legacyMetric {
+	fpPct := func(class registry.ClassBits) legacyMetric {
 		return func(ms *notary.MonthStats) float64 {
 			if len(ms.FPs) == 0 {
 				return 0
 			}
 			n := 0
 			for _, caps := range ms.FPs {
-				if sel(caps) {
+				if caps.Classes.Has(class) {
 					n++
 				}
 			}
@@ -114,10 +114,10 @@ func legacyFigure4FingerprintClasses(agg *notary.Aggregate) Figure {
 		ID:    "Figure 4",
 		Title: "Fingerprints supporting RC4 / DES / 3DES / AEAD (% monthly fingerprints)",
 		Series: []Series{
-			legacyBuildSeries(agg, "AEAD", fpPct(func(c *notary.FPCaps) bool { return c.AEAD })),
-			legacyBuildSeries(agg, "RC4", fpPct(func(c *notary.FPCaps) bool { return c.RC4 })),
-			legacyBuildSeries(agg, "DES", fpPct(func(c *notary.FPCaps) bool { return c.DES })),
-			legacyBuildSeries(agg, "3DES", fpPct(func(c *notary.FPCaps) bool { return c.TDES })),
+			legacyBuildSeries(agg, "AEAD", fpPct(registry.ClassAEAD)),
+			legacyBuildSeries(agg, "RC4", fpPct(registry.ClassRC4)),
+			legacyBuildSeries(agg, "DES", fpPct(registry.ClassDES)),
+			legacyBuildSeries(agg, "3DES", fpPct(registry.Class3DES)),
 		},
 		Events: attackEvents(timeline.EventPOODLE, timeline.EventRC4Passwords,
 			timeline.EventRC4NoMore, timeline.EventSweet32),

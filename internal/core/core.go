@@ -525,9 +525,11 @@ func (s *Study) Impacts() ([]analysis.AttackImpact, error) {
 // every coverage number is an agent:-family expression evaluated against the
 // study's cached frame (analysis.BuildTable2Frame). The coverage is the
 // fingerprint database's own because the study installs that database as
-// its aggregate's classifier. An aggregate recovered from a pre-attribution (v1) snapshot has
-// empty attribution counters; its Table 2 reports zero coverage until records
-// are re-ingested or new ones arrive.
+// its aggregate's classifier. An aggregate recovered from a pre-attribution
+// (v1) snapshot has no class attribution — fp-conns and the fp: family answer
+// from the per-month fingerprint rows version 1 always carried, the agent:
+// family is empty — so its Table 2 reports zero coverage until records are
+// re-ingested or new ones arrive.
 func (s *Study) Table2() (analysis.Table2Report, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

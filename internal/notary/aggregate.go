@@ -1,14 +1,12 @@
 package notary
 
 import (
+	"iter"
 	"sort"
-	"time"
 
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
 )
-
-func timeMonth(m int) time.Month { return time.Month(m) }
 
 // MonthStats accumulates everything the paper's figures need for one
 // calendar month. All percentage series in the figure renderers derive from
@@ -52,13 +50,10 @@ type MonthStats struct {
 	// encrypt_then_mac, ...). Dense.
 	ByExtension Counts[registry.ExtensionID]
 
-	// Distinct fingerprints and their capability flags (Figure 4).
+	// FPs holds one row per fingerprint seen in the month: its capability
+	// classes (Figure 4) and its connections (§4 attribution, the volume the
+	// fp: query family reads).
 	FPs map[string]*FPCaps
-
-	// Connections per fingerprint (§4 attribution). Unlike FPs (distinct
-	// fingerprints + capabilities), this is the per-month volume counter the
-	// fp: query family reads.
-	ByFingerprint map[string]int
 
 	// Connections per attributed client class (Table 2), keyed by the
 	// clientdb class name. Only filled when the owning aggregate has a
@@ -66,10 +61,12 @@ type MonthStats struct {
 	ByClientClass map[string]int
 }
 
-// FPCaps records the suite classes a fingerprint's cipher list contains.
+// FPCaps is one fingerprint's row in a month: the suite classes its cipher
+// list contains — of the seven the snapshot format has a flag bit for
+// (fpWireClasses) — and its connections.
 type FPCaps struct {
-	RC4, DES, TDES, AEAD, NULLc, Anon, Export bool
-	Count                                     int
+	Classes registry.ClassBits
+	Count   int
 }
 
 // newMonthStats allocates the counter maps; the Counts fields start empty.
@@ -78,7 +75,6 @@ func newMonthStats(m timeline.Month) *MonthStats {
 		Month:         m,
 		ByClass:       make(map[string]int),
 		FPs:           make(map[string]*FPCaps),
-		ByFingerprint: make(map[string]int),
 		ByClientClass: make(map[string]int),
 	}
 }
@@ -235,15 +231,7 @@ func (a *Aggregate) Add(r *Record) {
 	if r.Fingerprint != "" {
 		caps, ok := ms.FPs[r.Fingerprint]
 		if !ok {
-			caps = &FPCaps{
-				RC4:    scan.Bits.Has(registry.ClassRC4),
-				DES:    scan.Bits.Has(registry.ClassDES),
-				TDES:   scan.Bits.Has(registry.Class3DES),
-				AEAD:   scan.Bits.Has(registry.ClassAEAD),
-				NULLc:  scan.Bits.Has(registry.ClassNULL),
-				Anon:   scan.Bits.Has(registry.ClassAnon),
-				Export: scan.Bits.Has(registry.ClassExport),
-			}
+			caps = &FPCaps{Classes: scan.Bits & fpClassMask}
 			ms.FPs[r.Fingerprint] = caps
 		}
 		caps.Count++
@@ -259,7 +247,6 @@ func (a *Aggregate) Add(r *Record) {
 			}
 		}
 		life.conns++
-		ms.ByFingerprint[r.Fingerprint]++
 		if life.attributed {
 			ms.ByClientClass[life.class]++
 		}
@@ -314,9 +301,6 @@ func (ms *MonthStats) merge(o *MonthStats) {
 	ms.ByCurve.merge(&o.ByCurve)
 	ms.TLS13Variant.merge(&o.TLS13Variant)
 	ms.ByExtension.merge(&o.ByExtension)
-	for k, v := range o.ByFingerprint {
-		ms.ByFingerprint[k] += v
-	}
 	for k, v := range o.ByClientClass {
 		ms.ByClientClass[k] += v
 	}
@@ -328,15 +312,9 @@ func (ms *MonthStats) merge(o *MonthStats) {
 			continue
 		}
 		c.Count += oc.Count
-		// A fingerprint hashes the cipher list, so capability flags agree
+		// A fingerprint hashes the cipher list, so capability classes agree
 		// across shards; OR keeps merge closed under hand-built inputs.
-		c.RC4 = c.RC4 || oc.RC4
-		c.DES = c.DES || oc.DES
-		c.TDES = c.TDES || oc.TDES
-		c.AEAD = c.AEAD || oc.AEAD
-		c.NULLc = c.NULLc || oc.NULLc
-		c.Anon = c.Anon || oc.Anon
-		c.Export = c.Export || oc.Export
+		c.Classes |= oc.Classes
 	}
 }
 
@@ -426,6 +404,21 @@ func (a *Aggregate) TotalRecords() int {
 		n += ms.N[Total]
 	}
 	return n
+}
+
+// NumFingerprints returns the number of distinct fingerprints ever seen.
+func (a *Aggregate) NumFingerprints() int { return len(a.fps) }
+
+// FingerprintVolumes iterates every fingerprint ever seen with its
+// whole-window connections, in no particular order.
+func (a *Aggregate) FingerprintVolumes() iter.Seq2[string, int64] {
+	return func(yield func(string, int64) bool) {
+		for fp, life := range a.fps {
+			if !yield(fp, life.conns) {
+				return
+			}
+		}
+	}
 }
 
 // FPDuration describes one fingerprint's observed lifetime (§4.1).

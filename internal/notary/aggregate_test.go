@@ -96,8 +96,8 @@ func TestSetClassifierAfterDecode(t *testing.T) {
 	if got := ms.ByClientClass["Class known"]; got != 1 {
 		t.Errorf("ByClientClass = %d after one classified record of a decoded fingerprint, want 1", got)
 	}
-	if ms.ByFingerprint["fp-known"] != 3 || ms.N[Total] != 3 {
-		t.Errorf("ByFingerprint %d, Total %d, want 3 each", ms.ByFingerprint["fp-known"], ms.N[Total])
+	if ms.FPs["fp-known"].Count != 3 || ms.N[Total] != 3 {
+		t.Errorf("FPs count %d, Total %d, want 3 each", ms.FPs["fp-known"].Count, ms.N[Total])
 	}
 
 	// Swapping the classifier re-resolves too; clearing it stops attribution.

@@ -80,32 +80,33 @@ func readFixture(t *testing.T, kind string, version int) []byte {
 }
 
 // TestSnapshotV1Decodes: a genuine version-1 snapshot (recorded before the
-// attribution counters existed) must decode under the version-2 reader with
-// every pre-existing counter intact and the ByFingerprint/ByClientClass maps
-// empty — an upgrade must not force a re-ingest.
+// attribution tables existed) must decode under the version-2 reader with
+// every pre-existing counter intact — an upgrade must not force a re-ingest.
+// Version 1 always carried each month's per-fingerprint counts in its FPs
+// rows, so the fingerprint volumes come back too; only ByClientClass, which
+// version 1 had nowhere, stays empty.
 func TestSnapshotV1Decodes(t *testing.T) {
 	got, err := DecodeSnapshot(readFixture(t, "snapshot", 1))
 	if err != nil {
 		t.Fatalf("v1 snapshot rejected: %v", err)
 	}
-	want := compatFixtureAggregate()
-	fpVolume := 0
-	for _, m := range want.Months() {
-		ms := want.Stats(m)
-		fpVolume += len(ms.ByFingerprint)
-		// A v1 payload carries no attribution maps; the decoder leaves them
-		// allocated but empty.
-		ms.ByFingerprint = make(map[string]int)
-		ms.ByClientClass = make(map[string]int)
-	}
-	if fpVolume == 0 {
-		t.Fatal("fixture has no fingerprint volume at all — weak fixture")
-	}
+	want := compatFixtureAggregate() // no classifier: its ByClientClass maps are empty too
+	var fpVolume, lifetime int64
 	for _, m := range got.Months() {
 		gms := got.Stats(m)
-		if len(gms.ByFingerprint) != 0 || len(gms.ByClientClass) != 0 {
-			t.Fatalf("month %v: v1 decode invented attribution counters", m)
+		if len(gms.ByClientClass) != 0 {
+			t.Fatalf("month %v: v1 decode invented class attribution", m)
 		}
+		for _, caps := range gms.FPs {
+			fpVolume += int64(caps.Count)
+		}
+	}
+	for _, conns := range got.FingerprintVolumes() {
+		lifetime += conns
+	}
+	if fpVolume == 0 || fpVolume != lifetime {
+		t.Fatalf("v1 decode carries %d per-month fingerprint connections against %d lifetime ones, want equal and non-zero",
+			fpVolume, lifetime)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("v1 snapshot decode differs from replayed fixture records")

@@ -310,7 +310,7 @@ func refParseDate(s string) (timeline.Date, error) {
 	if err1 != nil || err2 != nil || err3 != nil || !validDate(y, m, d) {
 		return timeline.Date{}, fmt.Errorf("notary: bad date %q", s)
 	}
-	return timeline.Date{Year: y, Month: timeMonth(m), Day: d}, nil
+	return timeline.Date{Year: y, Month: time.Month(m), Day: d}, nil
 }
 
 func refAppendParsedHexList[T ~uint8 | ~uint16](dst []T, s string, rules refRules) ([]T, error) {

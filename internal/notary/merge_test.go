@@ -74,8 +74,8 @@ func (c testClassifier) ClassOf(fp string) (string, bool) {
 
 // Merging aggregates built from any partition of a record stream must equal
 // the aggregate built from the whole stream — including FPDurations
-// first/last dates, the Pos position accumulators, and the
-// ByFingerprint/ByClientClass attribution maps filled by a classifier.
+// first/last dates, the Pos position accumulators, and the ByClientClass
+// attribution map filled by a classifier.
 func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	all := registry.AllSuites()
@@ -155,6 +155,22 @@ func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 		for name, a := range map[string]*Aggregate{"merged": got, "decoded": back} {
 			if c := &a.Stats(zeroMonth).ByCurve; !c.Has(zeroKey) || c.Get(zeroKey) != 0 {
 				t.Fatalf("trial %d: %s aggregate lost the present-but-zero key", trial, name)
+			}
+			// The frame ranks the fp: family from the lifetime rows and fills
+			// it from the month rows: the two must tell one story.
+			monthly := make(map[string]int64)
+			for _, m := range a.Months() {
+				for fp, caps := range a.Stats(m).FPs {
+					monthly[fp] += int64(caps.Count)
+				}
+			}
+			for fp, conns := range a.FingerprintVolumes() {
+				if monthly[fp] != conns {
+					t.Fatalf("trial %d: %s aggregate: %q has %d lifetime connections, %d over its months", trial, name, fp, conns, monthly[fp])
+				}
+			}
+			if len(monthly) != a.NumFingerprints() || len(monthly) == 0 {
+				t.Fatalf("trial %d: %s aggregate: %d fingerprints over the months, %d lifetime rows", trial, name, len(monthly), a.NumFingerprints())
 			}
 		}
 		if cls != nil {

@@ -11,6 +11,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"time"
 
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
@@ -407,7 +408,7 @@ func (p *tsvLine) date() timeline.Date {
 		d, ok4 := dec2(f[8:])
 		if y := yh*100 + yl; ok1 && ok2 && ok3 && ok4 && validDate(y, m, d) {
 			p.off += 11
-			return timeline.Date{Year: y, Month: timeMonth(m), Day: d}
+			return timeline.Date{Year: y, Month: time.Month(m), Day: d}
 		}
 	}
 	// Three signed decimal numbers of any width between exactly two dashes.
@@ -417,7 +418,7 @@ func (p *tsvLine) date() timeline.Date {
 		m, err2 := strconv.Atoi(ymd[1])
 		d, err3 := strconv.Atoi(ymd[2])
 		if err1 == nil && err2 == nil && err3 == nil && validDate(y, m, d) {
-			return timeline.Date{Year: y, Month: timeMonth(m), Day: d}
+			return timeline.Date{Year: y, Month: time.Month(m), Day: d}
 		}
 	}
 	p.fail(fmt.Errorf("notary: bad date %q", s))

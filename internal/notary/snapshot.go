@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tlsage/internal/framing"
+	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
 )
 
@@ -31,10 +32,10 @@ import (
 
 // SnapshotVersion is the wire-format version byte written by this build.
 // Version 2 appended the per-month ByFingerprint/ByClientClass attribution
-// maps after the FPs table. Readers accept snapshotFormat.MinVersion through
-// SnapshotVersion — a version-1 snapshot still decodes, with the attribution
-// maps left empty — and reject anything newer, so the format can evolve
-// without silent misdecodes.
+// tables after the FPs table. Readers accept snapshotFormat.MinVersion
+// through SnapshotVersion — a version-1 snapshot still decodes, with
+// ByClientClass left empty — and reject anything newer, so the format can
+// evolve without silent misdecodes.
 const SnapshotVersion = 2
 
 // snapshotFormat is the TLSN envelope. The length field is 8 bytes wide, a
@@ -149,54 +150,34 @@ func appendStrIntMap(dst []byte, m map[string]int) []byte {
 	return dst
 }
 
-// FPCaps flag bits in the snapshot encoding.
-const (
-	fpRC4 = 1 << iota
-	fpDES
-	fpTDES
-	fpAEAD
-	fpNULL
-	fpAnon
-	fpExport
-)
+// fpWireClasses is the class behind each flag bit of a fingerprint row's
+// byte in the snapshot encoding, bit 0 first. fpClassMask is their union:
+// what Add keeps of a cipher list's classes, so a row round-trips.
+var fpWireClasses = [7]registry.ClassBits{
+	registry.ClassRC4, registry.ClassDES, registry.Class3DES, registry.ClassAEAD,
+	registry.ClassNULL, registry.ClassAnon, registry.ClassExport,
+}
 
-func fpCapsByte(c *FPCaps) byte {
+var fpClassMask = fpCapsFromByte(0x7f)
+
+func fpCapsByte(classes registry.ClassBits) byte {
 	var b byte
-	if c.RC4 {
-		b |= fpRC4
-	}
-	if c.DES {
-		b |= fpDES
-	}
-	if c.TDES {
-		b |= fpTDES
-	}
-	if c.AEAD {
-		b |= fpAEAD
-	}
-	if c.NULLc {
-		b |= fpNULL
-	}
-	if c.Anon {
-		b |= fpAnon
-	}
-	if c.Export {
-		b |= fpExport
+	for i, c := range fpWireClasses {
+		if classes.Has(c) {
+			b |= 1 << i
+		}
 	}
 	return b
 }
 
-func fpCapsFromByte(b byte, count int) *FPCaps {
-	return &FPCaps{
-		RC4:    b&fpRC4 != 0,
-		DES:    b&fpDES != 0,
-		TDES:   b&fpTDES != 0,
-		AEAD:   b&fpAEAD != 0,
-		NULLc:  b&fpNULL != 0,
-		Anon:   b&fpAnon != 0,
-		Export: b&fpExport != 0,
-		Count:  count,
+func fpCapsFromByte(b byte) registry.ClassBits {
+	var classes registry.ClassBits
+	for i, c := range fpWireClasses {
+		if b&(1<<i) != 0 {
+			classes |= c
+		}
 	}
+	return classes
 }
 
 // AppendAggregatePayload appends the snapshot codec's bare varint-packed
@@ -262,15 +243,21 @@ func appendMonthStats(dst []byte, ms *MonthStats) []byte {
 			dst = appendCount(dst, p.Count)
 		}
 	}
-	dst = appendCount(dst, len(ms.FPs))
-	for _, fp := range sortedStringKeys(ms.FPs) {
+	fps := sortedStringKeys(ms.FPs)
+	dst = appendCount(dst, len(fps))
+	for _, fp := range fps {
 		caps := ms.FPs[fp]
 		dst = appendString(dst, fp)
-		dst = append(dst, fpCapsByte(caps))
+		dst = append(dst, fpCapsByte(caps.Classes))
 		dst = appendCount(dst, caps.Count)
 	}
-	// Version 2: per-month attribution maps.
-	dst = appendStrIntMap(dst, ms.ByFingerprint)
+	// Version 2: the per-month attribution tables. The format's first one,
+	// ByFingerprint, repeats the rows' volumes.
+	dst = appendCount(dst, len(fps))
+	for _, fp := range fps {
+		dst = appendString(dst, fp)
+		dst = appendCount(dst, ms.FPs[fp].Count)
+	}
 	return appendStrIntMap(dst, ms.ByClientClass)
 }
 
@@ -485,6 +472,9 @@ func decodeSnapshotPayload(b []byte, version byte) (*Aggregate, error) {
 		first := d.date()
 		last := d.date()
 		conns := d.uvarint()
+		if conns > math.MaxInt64/2 { // like count(): never negative, and survives summing
+			d.fail("implausible count %d", conns)
+		}
 		if d.err != nil {
 			break
 		}
@@ -570,10 +560,14 @@ func decodeMonthStats(d *snapDecoder, version byte) *MonthStats {
 		if d.err != nil {
 			break
 		}
-		ms.FPs[fp] = fpCapsFromByte(flags, count)
+		if _, dup := ms.FPs[fp]; dup {
+			d.fail("duplicate fingerprint %q in month %v", fp, ms.Month)
+			break
+		}
+		ms.FPs[fp] = &FPCaps{Classes: fpCapsFromByte(flags), Count: count}
 	}
 	if version >= 2 {
-		ms.ByFingerprint = d.strIntMap()
+		d.strIntMap() // the ByFingerprint table: checked like any other, and the rows already say it
 		ms.ByClientClass = d.strIntMap()
 	}
 	return ms

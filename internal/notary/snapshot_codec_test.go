@@ -2,10 +2,12 @@ package notary
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,6 +185,38 @@ func TestDecodeRefusesImpossiblePositions(t *testing.T) {
 	noCount = append(noCount, payload[at+len(name)+1:]...)
 	if _, err := DecodeAggregatePayload(noCount, SnapshotVersion); err == nil {
 		t.Error("position sum without a count decoded without error")
+	}
+}
+
+// TestDecodeRefusesImpossibleFingerprintRows: the frame ranks the fp: family
+// from the lifetime rows and derives fp:other from the month rows, so neither
+// may carry what Add and Merge cannot build. A month's table naming one
+// fingerprint twice cannot come from an encoder (it writes a map's sorted
+// keys) and must not let the later row replace the earlier; a lifetime volume
+// past int64 would turn negative and shrink under Merge.
+func TestDecodeRefusesImpossibleFingerprintRows(t *testing.T) {
+	agg := NewAggregate()
+	for _, fp := range []string{"fp-a", "fp-b"} {
+		agg.Add(&Record{Date: timeline.D(2016, time.May, 9), Fingerprint: fp})
+	}
+	payload := AppendAggregatePayload(nil, agg)
+	if _, err := DecodeAggregatePayload(payload, SnapshotVersion); err != nil {
+		t.Fatalf("unmodified payload: %v", err)
+	}
+	// The month's row table names each fingerprint first; its volume table
+	// and the lifetime rows follow.
+	name := []byte("\x04fp-b")
+	if bytes.Count(payload, name) != 3 {
+		t.Fatalf("payload names the fingerprint %d times, want 3", bytes.Count(payload, name))
+	}
+	repeated := bytes.Replace(payload, name, []byte("\x04fp-a"), 1)
+	if _, err := DecodeAggregatePayload(repeated, SnapshotVersion); err == nil || !strings.Contains(err.Error(), "duplicate fingerprint") {
+		t.Errorf("repeated fingerprint row: err = %v, want a duplicate-fingerprint refusal", err)
+	}
+	// The payload ends with the last lifetime row's volume, the one byte 1.
+	huge := binary.AppendUvarint(payload[:len(payload)-1:len(payload)-1], 1<<63)
+	if _, err := DecodeAggregatePayload(huge, SnapshotVersion); err == nil || !strings.Contains(err.Error(), "implausible count") {
+		t.Errorf("lifetime volume 1<<63: err = %v, want an implausible-count refusal", err)
 	}
 }
 

@@ -415,13 +415,13 @@ func TestFigure4FingerprintCapabilities(t *testing.T) {
 	// shares over distinct fingerprints as the paper does.
 	rc4, tdes, aead := 0, 0, 0
 	for _, caps := range ms.FPs {
-		if caps.RC4 {
+		if caps.Classes.Has(registry.ClassRC4) {
 			rc4++
 		}
-		if caps.TDES {
+		if caps.Classes.Has(registry.Class3DES) {
 			tdes++
 		}
-		if caps.AEAD {
+		if caps.Classes.Has(registry.ClassAEAD) {
 			aead++
 		}
 	}
