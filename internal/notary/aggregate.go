@@ -193,37 +193,32 @@ func (a *Aggregate) Add(r *Record) {
 		ms.N[SSLv2Hellos]++
 	}
 
-	// Advertisement counters, GREASE-stripped: one dense-table pass over the
-	// list that steps over GREASE in place, so nSuites and every index are
-	// those of the stripped list without materialising it.
-	scan, nSuites := registry.ScanSuitesNoGREASE(r.ClientSuites)
+	// The offered side, as a shape: the one the record's decoder prepared
+	// when this hello's bytes were first seen, or one made here for a record
+	// that carries none.
+	sh := r.memoShape()
+	if sh == nil {
+		var exts [32]registry.ExtensionID // beyond any real hello; a longer list allocates
+		spot := shapeOf(r.ClientSuites, r.ClientExtensions, r.ClientSupportedVs, exts[:0])
+		sh = &spot
+	}
 	for _, ac := range advCounters {
-		if scan.Bits.Has(ac.bit) {
+		if sh.bits.Has(ac.bit) {
 			ms.N[ac.c]++
 		}
 	}
-	if r.SupportsTLS13() {
+	if sh.variant != 0 {
 		ms.N[AdvTLS13]++
-		if v := r.AdvertisedTLS13Variant(); v != 0 {
-			ms.TLS13Variant.Add(v, 1)
-		}
+		ms.TLS13Variant.Add(sh.variant, 1)
 	}
 	if r.OffersHeartbeat {
 		ms.N[OffersHeartbeatN]++
 	}
-	for _, e := range r.ClientExtensions {
-		if !registry.IsGREASE(uint16(e)) {
-			ms.ByExtension.Add(e, 1)
-		}
-	}
-
-	// Figure 5 positions, from the first-index side of the same pass.
-	if nSuites > 1 {
-		for c := range ms.Pos {
-			if idx := scan.FirstIndex(posClasses[c].bit); idx >= 0 {
-				ms.Pos[c].Sum += float64(idx) / float64(nSuites-1)
-				ms.Pos[c].Count++
-			}
+	ms.ByExtension.addEach(sh.exts)
+	for c := range ms.Pos {
+		if sh.pos[c].ok {
+			ms.Pos[c].Sum += sh.pos[c].term
+			ms.Pos[c].Count++
 		}
 	}
 
@@ -231,7 +226,7 @@ func (a *Aggregate) Add(r *Record) {
 	if r.Fingerprint != "" {
 		caps, ok := ms.FPs[r.Fingerprint]
 		if !ok {
-			caps = &FPCaps{Classes: scan.Bits & fpClassMask}
+			caps = &FPCaps{Classes: sh.bits & fpClassMask}
 			ms.FPs[r.Fingerprint] = caps
 		}
 		caps.Count++

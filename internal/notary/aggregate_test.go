@@ -1,6 +1,7 @@
 package notary
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -113,38 +114,66 @@ func TestSetClassifierAfterDecode(t *testing.T) {
 // BenchmarkAggregateAdd is the ingest inner loop the service runs: records
 // are added to a private shard, which is merged into the standing aggregate
 // every 4096 records (the default flush) or every 256 (a live feeder's
-// stream).
+// stream). The plain runs add records held in memory, which carry no hello
+// row, so Add makes each one's shape on the spot; the decoded runs read the
+// same records from a TLSB stream straight into the shard, as the service
+// does, so their time is BenchmarkIngestBinary's decode plus an Add that
+// folds the decoder's rows.
 func BenchmarkAggregateAdd(b *testing.B) {
 	recs := benchIngestRecordSet()
-	for _, shard := range []int{4096, 256} {
-		b.Run(fmt.Sprintf("shard%d", shard), func(b *testing.B) {
-			cls := testClassifier{mark: "a"}
-			standing := NewAggregate()
-			standing.SetClassifier(cls)
-			pass := func() {
-				for lo := 0; lo < len(recs); lo += shard {
-					sh := NewAggregate()
-					sh.SetClassifier(cls)
-					for _, r := range recs[lo:min(lo+shard, len(recs))] {
-						sh.Add(r)
+	stream := encodeBatch(recs)
+	for _, decoded := range []bool{false, true} {
+		for _, shard := range []int{4096, 256} {
+			name := fmt.Sprintf("shard%d", shard)
+			if decoded {
+				name = "decoded-" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				cls := testClassifier{mark: "a"}
+				standing := NewAggregate()
+				standing.SetClassifier(cls)
+				var sh *Aggregate
+				n := 0
+				add := SinkFunc(func(r *Record) error {
+					if n%shard == 0 {
+						sh = NewAggregate()
+						sh.SetClassifier(cls)
 					}
-					standing.Merge(sh)
+					sh.Add(r)
+					if n++; n%shard == 0 || n == len(recs) {
+						standing.Merge(sh)
+					}
+					return nil
+				})
+				rd := bytes.NewReader(nil)
+				pass := func() {
+					n = 0
+					if decoded {
+						rd.Reset(stream)
+						if _, _, err := ReadBatches(rd, add); err != nil {
+							b.Fatal(err)
+						}
+						return
+					}
+					for _, r := range recs {
+						add(r)
+					}
 				}
-			}
-			pass() // months and fingerprints at their steady size
-			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pass()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			total := float64(b.N * len(recs))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/record")
-			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/total, "allocs/record")
-		})
+				pass() // months and fingerprints at their steady size
+				b.ReportAllocs()
+				var ms0, ms1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms1)
+				total := float64(b.N * len(recs))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/record")
+				b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/total, "allocs/record")
+			})
+		}
 	}
 }

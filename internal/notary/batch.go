@@ -43,8 +43,10 @@ import (
 // varint3) that touches each byte once and calls nothing per element.
 // Anything else is not consumed there: it drops to the checked snapDecoder
 // statements in the same function, which accept what else is legal (a
-// non-minimal varint) and produce every error. FuzzReadBatches holds the
-// result to the statement-per-element decoder kept in decode_ref_test.go.
+// non-minimal varint) and produce every error. A record's five lists, fp and
+// truth — its hello — are decoded once per distinct spelling and found again
+// by their bytes after that (hello.go). FuzzReadBatches holds the result to
+// the statement-per-element decoder kept in decode_ref_test.go.
 //
 // The three strings must be ones the TSV log can carry (see loggable): a
 // collector tees what it acknowledges into -out as TSV lines, and recovery
@@ -235,29 +237,6 @@ func (bw *BatchWriter) flushFrame(n int) error {
 // record count against the payload size before decoding.
 const minRecordEncodedLen = 17
 
-// maxInternEntries caps the decoder's string intern table. Real streams
-// carry a few hundred distinct fingerprint/profile/cohort strings; past the
-// cap new strings just allocate instead of interning.
-const maxInternEntries = 1 << 16
-
-// internTable dedupes the record strings of a stream. Fingerprints, truth
-// labels and cohorts repeat across virtually every record, so interning
-// makes steady-state decode allocation-free. Both record decoders read their
-// strings through one table per stream (per worker, in the parallel reader).
-type internTable map[string]string
-
-// add copies b into the table, a string new to the stream, and returns the
-// copy. A lookup keyed by string(b) does not allocate (the compiler elides
-// the conversion), so callers index the table first and pay for the copy on
-// a miss only.
-func (in internTable) add(b []byte) string {
-	s := string(b)
-	if len(in) < maxInternEntries {
-		in[s] = s
-	}
-	return s
-}
-
 // loggable reports whether a record string survives the TSV log: a TAB, LF
 // or CR would split the line LogWriter tees it into, and "-" is how that
 // line spells the empty string. A TLSB record carrying such a string is
@@ -269,22 +248,28 @@ func loggable(b []byte) bool {
 
 // str reads one length-prefixed record string from d. The loggable check
 // runs on a table miss only: what the table holds has passed it.
-func (in internTable) str(d *snapDecoder) string {
+func (t *decodeTables) str(d *snapDecoder) string {
 	n := d.length(1)
 	if d.err != nil || n == 0 {
 		return ""
 	}
 	b := d.b[d.off : d.off+n]
 	d.off += n
-	if s, ok := in[string(b)]; ok {
+	if s, ok := t.strs[string(b)]; ok {
 		return s
 	}
 	if !loggable(b) {
 		d.fail("record string %q cannot be written to a log line", b)
 		return ""
 	}
-	return in.add(b)
+	return t.intern(b)
 }
+
+// maxListLen bounds a record's code-point lists in both formats: TLS carries
+// at most 32,767 cipher suites, and every other list is shorter. Without it a
+// count is bounded only by its frame (64 MiB) or line (4 MiB), and one record
+// buys a 100 MB slice.
+const maxListLen = 1 << 15
 
 // decodeCodeList decodes a count-prefixed code-point list into dst's storage,
 // sized once from the bounds-checked count. The loop reads the one-, two- and
@@ -295,6 +280,10 @@ func (in internTable) str(d *snapDecoder) string {
 // which own every error.
 func decodeCodeList[T ~uint8 | ~uint16](d *snapDecoder, dst []T) []T {
 	n := d.length(1)
+	if n > maxListLen {
+		d.fail("list of %d elements exceeds %d", n, maxListLen)
+		return dst[:0]
+	}
 	if n > cap(dst) {
 		dst = make([]T, n, max(n, 2*cap(dst)))
 	}
@@ -359,9 +348,13 @@ func decodeRecordHead(d *snapDecoder, r *Record) (flags byte, ok bool) {
 	return b[0], true
 }
 
-// decodeRecordBinary decodes one packed record into r, reusing r's slice
-// capacity and interning strings through in. It assigns every field of r.
-func decodeRecordBinary(d *snapDecoder, r *Record, in internTable) {
+// decodeRecordBinary decodes one packed record into r through the decoder
+// tables t. The five lists, fp and truth are the record's hello span: a span
+// t holds is stepped over, and one it does not is read by the checked
+// decoders into t's scratch lists and remembered once all of it decoded. It
+// assigns every field of r, whose lists are then t's — a row's or the scratch
+// — and read-only.
+func decodeRecordBinary(d *snapDecoder, r *Record, t *decodeTables) {
 	flags, ok := decodeRecordHead(d, r)
 	if !ok {
 		flags = d.byte()
@@ -382,27 +375,44 @@ func decodeRecordBinary(d *snapDecoder, r *Record, in internTable) {
 	r.SuiteUnoffer = flags&batchSuiteUnoffer != 0
 	r.UsedFallback = flags&batchFallback != 0
 	r.SSLv2Hello = flags&batchSSLv2 != 0
-	r.ClientSuites = decodeCodeList(d, r.ClientSuites)
-	r.ClientExtensions = decodeCodeList(d, r.ClientExtensions)
-	r.ClientCurves = decodeCodeList(d, r.ClientCurves)
-	r.ClientPointFmts = decodeCodeList(d, r.ClientPointFmts)
-	r.ClientSupportedVs = decodeCodeList(d, r.ClientSupportedVs)
-	r.Fingerprint = in.str(d)
-	r.TruthClient = in.str(d)
-	r.ServerCohort = in.str(d)
+	start := d.off
+	key := tlsbHelloSpan(d.b, start)
+	if row := t.rows[string(key)]; row != nil && d.err == nil {
+		r.setHello(row)
+		d.off += len(key)
+	} else {
+		s := &t.scratch
+		s.suites = decodeCodeList(d, s.suites)
+		s.exts = decodeCodeList(d, s.exts)
+		s.curves = decodeCodeList(d, s.curves)
+		s.pfs = decodeCodeList(d, s.pfs)
+		s.svs = decodeCodeList(d, s.svs)
+		fp := t.str(d)
+		truth := t.str(d)
+		t.settle(r, d.b[start:d.off], fp, truth, d.err == nil)
+	}
+	r.ServerCohort = t.str(d)
 }
 
 // ReadBatches streams framed batches from r, delivering each record to sink.
 // EOF at a frame boundary (including an empty stream) ends the stream
 // cleanly; a truncated, corrupted or version-mismatched frame surfaces as
 // *BatchError and stops the stream, like ReadLog's *LineError. Records are
-// decoded into a reused buffer, so the Sink contract applies: the record is
-// only valid for the duration of Observe. The sink is not closed. It
-// returns how many frames and records were delivered.
+// decoded into a reused buffer whose lists are the decoder's own, shared
+// between records, so the Sink contract applies: the record is only valid for
+// the duration of Observe, and read-only. The sink is not closed. It returns
+// how many frames and records were delivered.
 func ReadBatches(r io.Reader, sink Sink) (frames, records uint64, err error) {
+	t := tlsbTables.Get().(*decodeTables)
+	defer tlsbTables.Put(t)
+	return readBatches(r, sink, t)
+}
+
+// readBatches is ReadBatches through the given decoder tables, which a test
+// can hold cold or warm where the pool's state is the garbage collector's.
+func readBatches(r io.Reader, sink Sink, t *decodeTables) (frames, records uint64, err error) {
 	fr := batchFormat.NewReader(r)
 	var rec Record
-	intern := make(internTable)
 	for frame := 0; ; frame++ {
 		_, payload, err := fr.Next()
 		if err == io.EOF {
@@ -414,7 +424,7 @@ func ReadBatches(r io.Reader, sink Sink) (frames, records uint64, err error) {
 		d := &snapDecoder{b: payload, what: "batch"}
 		count := d.length(minRecordEncodedLen)
 		for i := 0; i < count && d.err == nil; i++ {
-			decodeRecordBinary(d, &rec, intern)
+			decodeRecordBinary(d, &rec, t)
 			if d.err != nil {
 				break
 			}

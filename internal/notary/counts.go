@@ -83,6 +83,23 @@ func (c *Counts[K]) touch(k K) *int {
 // Add adds delta to k's counter. A zero delta still makes k present.
 func (c *Counts[K]) Add(k K, delta int) { *c.touch(k) += delta }
 
+// addEach is Add(k, 1) for each of keys, looking a page up once per run of
+// keys that share it: once per page when the keys ascend.
+func (c *Counts[K]) addEach(keys []K) {
+	var p *countsPage
+	at := -1
+	for _, k := range keys {
+		if id := int(uint16(k) >> 6); id != at {
+			p, at = c.ensurePage(uint16(id)), id
+		}
+		if bit := uint64(1) << (k & 63); p.present&bit == 0 {
+			p.present |= bit
+			c.n++
+		}
+		p.n[k&63]++
+	}
+}
+
 // Set stores v as k's counter, replacing whatever it held.
 func (c *Counts[K]) Set(k K, v int) { *c.touch(k) = v }
 

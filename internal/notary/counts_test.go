@@ -35,6 +35,18 @@ func (m *countsModel) set(k uint16, v int) {
 	m.checkKey(k)
 }
 
+// addEach is add(k, 1) for each of keys through Counts.addEach, which wants
+// them ascending to be quick but must be right in any order.
+func (m *countsModel) addEach(keys []uint16) {
+	m.c.addEach(keys)
+	for _, k := range keys {
+		m.model[k]++
+	}
+	for _, k := range keys {
+		m.checkKey(k)
+	}
+}
+
 func (m *countsModel) checkKey(k uint16) {
 	m.t.Helper()
 	want, present := m.model[k]
@@ -201,7 +213,9 @@ func TestCountsMergeMatchesAddLoop(t *testing.T) {
 }
 
 // FuzzCounts replays an arbitrary op tape against the map model. Each op is
-// four bytes: kind, key (big endian), operand.
+// four bytes: kind, key (big endian), operand. Kind 2 gathers its key into a
+// batch, which an odd operand (or the tape's end) sorts and hands to addEach,
+// repeated keys included; an operand of 3 hands it over unsorted.
 func FuzzCounts(f *testing.F) {
 	tape := func(ops ...[4]byte) []byte {
 		var b []byte
@@ -220,16 +234,31 @@ func FuzzCounts(f *testing.F) {
 		grease = append(grease, byte(g))
 	}
 	f.Add(grease)
+	f.Add(tape([4]byte{2, 0x00, 0x3f, 0}, [4]byte{2, 0x00, 0x40, 0}, [4]byte{2, 0x00, 0x3f, 0}, [4]byte{2, 0xff, 0x01, 1},
+		[4]byte{1, 0x00, 0x40, 9}, [4]byte{2, 0xff, 0x01, 0}, [4]byte{2, 0x00, 0x00, 3}, [4]byte{2, 0x00, 0x41, 0}))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := newCountsModel(t)
+		var batch []uint16
 		for ; len(ops) >= 4; ops = ops[4:] {
 			k, v := binary.BigEndian.Uint16(ops[1:]), int(ops[3])
-			if ops[0]&1 == 0 {
+			switch ops[0] % 3 {
+			case 0:
 				m.add(k, v)
-			} else {
+			case 1:
 				m.set(k, v)
+			default:
+				batch = append(batch, k)
+				if v&1 != 0 {
+					if v != 3 {
+						slices.Sort(batch)
+					}
+					m.addEach(batch)
+					batch = batch[:0]
+				}
 			}
 		}
+		slices.Sort(batch)
+		m.addEach(batch)
 		m.checkAll()
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,87 +26,193 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// checkHandle holds a record that carries a table row to what the handle
+// promises: the lists, fp and truth are the row's, and the row's shape is the
+// one shapeOf makes of those lists (extensions sorted).
+func checkHandle(r *Record) error {
+	row := r.hello
+	if row == nil {
+		return nil
+	}
+	if r.memoShape() == nil || r.Fingerprint != row.fp || r.TruthClient != row.truth {
+		return fmt.Errorf("record %+v is not on its row %+v", r, row)
+	}
+	want := shapeOf(r.ClientSuites, r.ClientExtensions, r.ClientSupportedVs, nil)
+	slices.Sort(want.exts)
+	got := row.shape
+	if !slices.Equal(got.exts, want.exts) {
+		return fmt.Errorf("row extensions %v, shapeOf %v", got.exts, want.exts)
+	}
+	got.exts, want.exts = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("row shape %+v, shapeOf %+v", got, want)
+	}
+	return nil
+}
+
+// sameRecord reports whether a and b say the same thing: every field but the
+// row handle, which names the decoder table a record came through and is
+// held to the lists by checkHandle instead.
+func sameRecord(t testing.TB, a, b *Record) bool {
+	t.Helper()
+	x, y := *a, *b
+	for _, r := range []*Record{&x, &y} {
+		if err := checkHandle(r); err != nil {
+			t.Error(err)
+		}
+		r.hello = nil
+	}
+	return reflect.DeepEqual(&x, &y)
+}
+
 func requireSameRecords(t *testing.T, what string, got, want []*Record) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d records delivered, reference %d", what, len(got), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
+		if !sameRecord(t, got[i], want[i]) {
 			t.Fatalf("%s: record %d\n have %+v\n want %+v", what, i, got[i], want[i])
 		}
 	}
 }
 
+// requireSameAggregate: folding the decoder's records as they are delivered —
+// through their rows — gives the aggregate the reference's records give,
+// Pos[c].Sum bit for bit.
+func requireSameAggregate(t *testing.T, what string, got, want *Aggregate) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: the aggregate of the records as delivered differs from the aggregate of the reference's", what)
+	}
+}
+
+// tablePasses are the decoder tables a differential test reads its stream
+// through: a cold table, the same table again now that it holds the stream's
+// hellos, and whatever the decoder's pool hands out (nil).
+func tablePasses() []struct {
+	name string
+	tab  *decodeTables
+} {
+	t := newDecodeTables()
+	return []struct {
+		name string
+		tab  *decodeTables
+	}{{"cold table", t}, {"warm table", t}, {"pooled table", nil}}
+}
+
 // diffReadBatches holds ReadBatches to the reference under the current
-// rules, and the current rules to the predecessor's but for one refusal.
+// rules, and the current rules to the predecessor's but for two refusals.
 func diffReadBatches(t *testing.T, data []byte) {
 	t.Helper()
-	var got, want, old collectSink
-	gf, gn, gerr := ReadBatches(bytes.NewReader(data), &got)
-	wf, wn, werr := refReadBatches(bytes.NewReader(data), &want, current)
-	if gf != wf || gn != wn || errText(gerr) != errText(werr) {
-		t.Fatalf("ReadBatches: %d frames, %d records, err %v\nreference:   %d frames, %d records, err %v",
-			gf, gn, gerr, wf, wn, werr)
+	var want, old collectSink
+	wagg := NewAggregate()
+	wf, wn, werr := refReadBatches(bytes.NewReader(data), Tee(&want, wagg), current)
+	for _, p := range tablePasses() {
+		pass := p.name
+		var got collectSink
+		agg := NewAggregate()
+		var gf, gn uint64
+		var gerr error
+		if p.tab != nil {
+			gf, gn, gerr = readBatches(bytes.NewReader(data), Tee(&got, agg), p.tab)
+		} else {
+			gf, gn, gerr = ReadBatches(bytes.NewReader(data), Tee(&got, agg))
+		}
+		if gf != wf || gn != wn || errText(gerr) != errText(werr) {
+			t.Fatalf("ReadBatches, %s: %d frames, %d records, err %v\nreference:   %d frames, %d records, err %v",
+				pass, gf, gn, gerr, wf, wn, werr)
+		}
+		var be *BatchError
+		if gerr != nil && !errors.As(gerr, &be) {
+			t.Fatalf("ReadBatches, %s: err %v is not a *BatchError", pass, gerr)
+		}
+		requireSameRecords(t, "ReadBatches, "+pass, got.recs, want.recs)
+		requireSameAggregate(t, "ReadBatches, "+pass, agg, wagg)
 	}
-	var be *BatchError
-	if gerr != nil && !errors.As(gerr, &be) {
-		t.Fatalf("ReadBatches: err %v is not a *BatchError", gerr)
-	}
-	requireSameRecords(t, "ReadBatches", got.recs, want.recs)
 
 	_, on, oerr := refReadBatches(bytes.NewReader(data), &old, predecessor)
 	if on != wn || errText(oerr) != errText(werr) {
-		// The one thing the predecessor took and this build does not: a
-		// record string the TSV log cannot carry.
-		if werr == nil || !strings.Contains(werr.Error(), "cannot be written to a log line") || on < wn {
-			t.Fatalf("the rules changed more than the string refusal:\n now    %d records, err %v\n before %d records, err %v",
+		// The two things the predecessor took and this build does not: a
+		// record string the TSV log cannot carry, and a list past the cap.
+		if werr == nil || on < wn {
+			t.Fatalf("the rules changed more than the two refusals:\n now    %d records, err %v\n before %d records, err %v",
 				wn, werr, on, oerr)
 		}
-		// Where the predecessor got through the record, it shows the string.
-		if on > wn {
-			bad := old.recs[wn]
-			if loggable([]byte(bad.Fingerprint)) && loggable([]byte(bad.TruthClient)) && loggable([]byte(bad.ServerCohort)) {
-				t.Fatalf("record %d refused for its strings, but all three can be logged: %+v", wn, bad)
+		switch {
+		case strings.Contains(werr.Error(), "cannot be written to a log line"):
+			// Where the predecessor got through the record, it shows the string.
+			if on > wn {
+				bad := old.recs[wn]
+				if loggable([]byte(bad.Fingerprint)) && loggable([]byte(bad.TruthClient)) && loggable([]byte(bad.ServerCohort)) {
+					t.Fatalf("record %d refused for its strings, but all three can be logged: %+v", wn, bad)
+				}
 			}
+		case strings.Contains(werr.Error(), fmt.Sprintf("elements exceeds %d", maxListLen)):
+			if on > wn && longestList(old.recs[wn]) <= maxListLen {
+				t.Fatalf("record %d refused for a list of %d elements", wn, longestList(old.recs[wn]))
+			}
+		default:
+			t.Fatalf("the rules changed more than the two refusals:\n now    %d records, err %v\n before %d records, err %v",
+				wn, werr, on, oerr)
 		}
 	}
+}
+
+func longestList(r *Record) int {
+	return max(len(r.ClientSuites), len(r.ClientExtensions), len(r.ClientCurves), len(r.ClientPointFmts), len(r.ClientSupportedVs))
 }
 
 // diffReadLog is diffReadBatches for the TSV readers, the parallel one
 // included: it must stop with the serial reader's error.
 func diffReadLog(t *testing.T, data []byte) {
 	t.Helper()
-	var got, want, old collectSink
-	gn, gbase, gerr := ReadLogTail(bytes.NewReader(data), 0, &got)
-	wn, wbase, werr := refReadLogTail(bytes.NewReader(data), 0, &want, current)
-	if gn != wn || gbase != wbase || errText(gerr) != errText(werr) {
-		t.Fatalf("ReadLogTail: %d records, base %d, err %v\nreference:   %d records, base %d, err %v",
-			gn, gbase, gerr, wn, wbase, werr)
+	var want, old collectSink
+	wagg := NewAggregate()
+	wn, wbase, werr := refReadLogTail(bytes.NewReader(data), 0, Tee(&want, wagg), current)
+	for _, p := range tablePasses() {
+		pass := p.name
+		var got collectSink
+		agg := NewAggregate()
+		var gn, gbase uint64
+		var gerr error
+		if p.tab != nil {
+			gn, gbase, gerr = readLogTail(bytes.NewReader(data), 0, Tee(&got, agg), p.tab)
+		} else {
+			gn, gbase, gerr = ReadLogTail(bytes.NewReader(data), 0, Tee(&got, agg))
+		}
+		if gn != wn || gbase != wbase || errText(gerr) != errText(werr) {
+			t.Fatalf("ReadLogTail, %s: %d records, base %d, err %v\nreference:   %d records, base %d, err %v",
+				pass, gn, gbase, gerr, wn, wbase, werr)
+		}
+		requireSameRecords(t, "ReadLogTail, "+pass, got.recs, want.recs)
+		requireSameAggregate(t, "ReadLogTail, "+pass, agg, wagg)
 	}
-	requireSameRecords(t, "ReadLogTail", got.recs, want.recs)
 
-	agg, perr := readLogParallel(bytes.NewReader(data), 3, 61, nil)
+	pagg, perr := readLogParallel(bytes.NewReader(data), 3, 61, nil)
 	var le *LineError
-	if errors.As(gerr, &le) && le.Err != nil && strings.HasPrefix(le.Err.Error(), "base directive") {
+	if errors.As(werr, &le) && le.Err != nil && strings.HasPrefix(le.Err.Error(), "base directive") {
 		// The parallel reader does not read directives; see LogBaseDirective.
-	} else if errText(perr) != errText(gerr) || (perr == nil && uint64(agg.TotalRecords()) != gn) {
-		t.Fatalf("readLogParallel: err %v, serial reader %d records, err %v", perr, gn, gerr)
+	} else if errText(perr) != errText(werr) || (perr == nil && uint64(pagg.TotalRecords()) != wn) {
+		t.Fatalf("readLogParallel: err %v, serial reader %d records, err %v", perr, wn, werr)
 	}
 
 	on, _, oerr := refReadLogTail(bytes.NewReader(data), 0, &old, predecessor)
 	if on != wn || errText(oerr) != errText(werr) {
-		// The one thing the predecessor took and this build does not: a list
-		// element past its type's range, which it then truncated.
+		// The two things the predecessor took and this build does not: a list
+		// element past its type's range, which it then truncated, and a list
+		// past the cap.
 		var wide uint64
+		capped := false
 		if werr != nil {
 			if _, elem, ok := strings.Cut(werr.Error(), "bad hex list element "); ok {
 				elem, _ = strconv.Unquote(elem)
 				wide, _ = strconv.ParseUint(elem, 16, 16)
 			}
+			capped = strings.Contains(werr.Error(), fmt.Sprintf("hex list exceeds %d elements", maxListLen))
 		}
-		if wide <= 0xff || on < wn {
-			t.Fatalf("the rules changed more than the element bound:\n now    %d records, err %v\n before %d records, err %v",
+		if !(wide > 0xff || capped) || on < wn {
+			t.Fatalf("the rules changed more than the two bounds:\n now    %d records, err %v\n before %d records, err %v",
 				wn, werr, on, oerr)
 		}
 	}
@@ -213,7 +320,37 @@ func tlsbSeeds() map[string][]byte {
 			seeds[fmt.Sprintf("string %q in field %d", s, field)] = encodeBatch([]*Record{recs[0], r, recs[1]})
 		}
 	}
+	// Streams that try the hello table: every one repeats its hellos, so the
+	// later records are table hits — or must not be.
+	a, b := helloPair(func(r *Record) { r.ClientSuites = []uint16{0xc02f, 0x0005, 0x000a} })
+	seeds["one fingerprint over two lists"] = encodeBatch([]*Record{a, b, a, b, b, a})
+	a, b = helloPair(func(r *Record) { r.ClientSuites[0] = 0x1a1a })
+	a.ClientSuites[0] = 0x0a0a
+	seeds["lists differing only in a GREASE value"] = encodeBatch([]*Record{a, b, a, b, b, a})
+	a, b = helloPair(func(r *Record) { r.TruthClient = "Firefox" })
+	seeds["one hello under two truth labels"] = encodeBatch([]*Record{a, b, a, b})
+	spellings := binary.AppendUvarint(nil, 6)
+	for i := 0; i < 6; i++ {
+		spellings = appendRecordSpelled(spellings, one, paddedUvarint(1+i%3))
+	}
+	seeds["one hello spelled three ways"] = reframe(spellings)
+	twice := appendRecordBinary(appendRecordBinary(binary.AppendUvarint(nil, 2), one), one)
+	for cut := 1; cut <= len(one.Fingerprint)+len(one.TruthClient)+len(one.ServerCohort)+6; cut++ {
+		seeds[fmt.Sprintf("a known hello cut %d bytes short", cut)] = reframe(twice[:len(twice)-cut])
+	}
+	bare := &Record{Date: one.Date, ClientSuites: []uint16{5}}
+	seeds["a hello that ends its payload"] = encodeBatch([]*Record{bare, one, bare, bare})
 	return seeds
+}
+
+// helloPair returns two copies of the sample record, the second changed by
+// edit: one fingerprint string, one everything else, over whatever differs.
+func helloPair(edit func(*Record)) (a, b *Record) {
+	a, b = sampleRecord(), sampleRecord()
+	a.ClientSuites = append([]uint16{0x2a2a}, a.ClientSuites...)
+	b.ClientSuites = append([]uint16{0x2a2a}, b.ClientSuites...)
+	edit(b)
+	return a, b
 }
 
 // listElementOrdinal is the 1-based position, among the varints
@@ -232,13 +369,7 @@ func listElementOrdinal(r *Record, list int) int {
 // tsvSeeds are log streams spelling fields every way strconv takes them, and
 // several it does not.
 func tsvSeeds() map[string][]byte {
-	var buf bytes.Buffer
-	lw := NewLogWriter(&buf)
-	for _, r := range buildBatchRecords(19, 25) {
-		lw.Write(r)
-	}
-	lw.Flush()
-	log := buf.Bytes()
+	log := tsvLog(buildBatchRecords(19, 25))
 	line := strings.TrimSuffix(string(sampleRecord().AppendTSV(nil)), "\n")
 	f := strings.Split(line, "\t")
 	with := func(field int, value string) []byte {
@@ -262,6 +393,23 @@ func tsvSeeds() map[string][]byte {
 		"cr inside a string":  with(17, "a\rb"),
 		"dash string":         with(18, "-"),
 		"empty string":        with(19, ""),
+		// Lines that try the hello table: the first line's hello is known by
+		// the time the rest are read.
+		"one fingerprint over two lists":         with(11, "c02f,0005,000a"),
+		"lists differing only in a GREASE value": with(11, "0a0a,"+f[11]),
+		"one hello, offers_hb F":                 with(16, "F"),
+		"one hello, upper-case hex":              with(12, strings.ToUpper(f[12])),
+		"one hello, another truth":               with(18, "Firefox"),
+		"a known hello in 21 fields":             []byte(line + "\n" + line + "\tx\n"),
+		"a known hello in 19 fields":             []byte(line + "\n" + strings.Join(f[1:], "\t") + "\n"),
+		"a known hello, no cohort":               []byte(line + "\n" + strings.Join(f[:19], "\t") + "\n"),
+		"a known hello, bad date":                []byte(line + "\n" + "x" + line + "\n" + line + "\n"),
+	}
+	for _, empty := range []string{"-", ""} {
+		g := append([]string(nil), f...)
+		g[13], g[14] = empty, empty
+		l := strings.Join(g, "\t") + "\n"
+		seeds[fmt.Sprintf("empty lists spelled %q, twice", empty)] = []byte(l + l + line + "\n" + l)
 	}
 	for _, list := range []string{
 		"C02F,c013", "c02f,C013,00Ff", "f", "0,1,22,333", "00000ffff", "0000c02f,c013", "10000", "c02f,10000",
@@ -364,7 +512,7 @@ func TestTLSBRefusesStringsTheLogCannotCarry(t *testing.T) {
 				t.Fatal(err)
 			}
 			var back collectSink
-			if err := ReadLog(&log, &back); err != nil || len(back.recs) != 1 || !reflect.DeepEqual(back.recs[0], good[0].Clone()) {
+			if err := ReadLog(&log, &back); err != nil || len(back.recs) != 1 || !sameRecord(t, back.recs[0], good[0].Clone()) {
 				t.Errorf("%s = %q: the teed log replays %d records, err %v", name, s, len(back.recs), err)
 			}
 		}
@@ -433,36 +581,5 @@ func TestPointFormatsAreBoundedInBothFormats(t *testing.T) {
 	if _, _, err := ReadBatches(bytes.NewReader(wide), nullSink()); !errors.As(err, &be) ||
 		!strings.Contains(err.Error(), "list element 256 out of range") {
 		t.Errorf("TLSB point format 256: err %v, want a *BatchError naming it", err)
-	}
-}
-
-// TestReadLogAllocsArePerStream is TestReadBatchesAllocsArePerStream for the
-// TSV reader: the scanner's window, the record and the intern table are the
-// stream's, so a 32× longer log of the same lines allocates exactly what the
-// short one does — nothing per line.
-func TestReadLogAllocsArePerStream(t *testing.T) {
-	var one bytes.Buffer
-	lw := NewLogWriter(&one)
-	for _, r := range buildBatchRecords(61, 32) {
-		if err := lw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	many := bytes.Repeat(one.Bytes(), 32)
-	sink := nullSink()
-	rd := bytes.NewReader(nil)
-	allocs := func(stream []byte) float64 {
-		return testing.AllocsPerRun(20, func() {
-			rd.Reset(stream)
-			if err := ReadLog(rd, sink); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if a1, a32 := allocs(one.Bytes()), allocs(many); a32 != a1 {
-		t.Errorf("32× the lines cost %v allocs, 1× %v: per-line allocation crept into the log reader", a32, a1)
 	}
 }

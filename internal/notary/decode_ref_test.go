@@ -22,16 +22,17 @@ import (
 // statement with production — only the snapDecoder struct, its fail method
 // and the frame envelope.
 //
-// refRules names the two places the production decoders are deliberately
-// stricter than these were. With both off a reference is its predecessor,
-// verbatim; the differential tests compare production against both on and
-// check that off-versus-on differs on nothing but those two refusals.
+// refRules names the three places the production decoders are deliberately
+// stricter than these were. With all off a reference is its predecessor,
+// verbatim; the differential tests compare production against all on and
+// check that off-versus-on differs on nothing but those three refusals.
 type refRules struct {
 	loggableStrings bool // TLSB: fp/truth/cohort must survive the TSV log
 	boundedElements bool // TSV: a list element must fit its code-point type
+	listCap         bool // both: a list holds at most maxListLen elements
 }
 
-var predecessor, current = refRules{}, refRules{loggableStrings: true, boundedElements: true}
+var predecessor, current = refRules{}, refRules{loggableStrings: true, boundedElements: true, listCap: true}
 
 // --- TLSB ---
 
@@ -129,9 +130,13 @@ func refStr(d *snapDecoder, in map[string]string, rules refRules) string {
 	return s
 }
 
-func refDecodeCodeList[T ~uint8 | ~uint16](d *snapDecoder, dst []T, max uint64) []T {
+func refDecodeCodeList[T ~uint8 | ~uint16](d *snapDecoder, dst []T, max uint64, rules refRules) []T {
 	n := refLength(d, 1)
 	dst = dst[:0]
+	if rules.listCap && n > maxListLen {
+		d.fail("list of %d elements exceeds %d", n, maxListLen)
+		return dst
+	}
 	for i := 0; i < n && d.err == nil; i++ {
 		v := refUvarint(d)
 		if v > max {
@@ -162,11 +167,11 @@ func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rule
 	r.Suite = refU16(d)
 	r.Curve = registry.CurveID(refU16(d))
 	r.AlertDesc = refByte(d)
-	r.ClientSuites = refDecodeCodeList(d, r.ClientSuites, math.MaxUint16)
-	r.ClientExtensions = refDecodeCodeList(d, r.ClientExtensions, math.MaxUint16)
-	r.ClientCurves = refDecodeCodeList(d, r.ClientCurves, math.MaxUint16)
-	r.ClientPointFmts = refDecodeCodeList(d, r.ClientPointFmts, math.MaxUint8)
-	r.ClientSupportedVs = refDecodeCodeList(d, r.ClientSupportedVs, math.MaxUint16)
+	r.ClientSuites = refDecodeCodeList(d, r.ClientSuites, math.MaxUint16, rules)
+	r.ClientExtensions = refDecodeCodeList(d, r.ClientExtensions, math.MaxUint16, rules)
+	r.ClientCurves = refDecodeCodeList(d, r.ClientCurves, math.MaxUint16, rules)
+	r.ClientPointFmts = refDecodeCodeList(d, r.ClientPointFmts, math.MaxUint8, rules)
+	r.ClientSupportedVs = refDecodeCodeList(d, r.ClientSupportedVs, math.MaxUint16, rules)
 	r.Fingerprint = refStr(d, in, rules)
 	r.TruthClient = refStr(d, in, rules)
 	r.ServerCohort = refStr(d, in, rules)
@@ -319,6 +324,9 @@ func refAppendParsedHexList[T ~uint8 | ~uint16](dst []T, s string, rules refRule
 		return dst, nil
 	}
 	for len(s) > 0 {
+		if rules.listCap && len(dst) >= maxListLen {
+			return dst, fmt.Errorf("notary: hex list exceeds %d elements", maxListLen)
+		}
 		var p string
 		if i := strings.IndexByte(s, ','); i >= 0 {
 			p, s = s[:i], s[i+1:]

@@ -1,0 +1,325 @@
+package notary
+
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+	"sync"
+
+	"tlsage/internal/registry"
+)
+
+// Hello rows: the offered side of a connection — the five client lists, the
+// fingerprint and the truth label — repeats. §4's fingerprint is a hash of
+// those lists, and a few thousand of them cover a collector's whole intake.
+// So each record decoder remembers the hellos it has decoded, keyed by their
+// raw encoded bytes, and a record that spells a known hello is not decoded
+// again: its lists are pointed at the remembered row's, and Aggregate.Add
+// folds the row's prepared helloShape instead of scanning the lists.
+//
+// The key is the record's bytes from its first list through its truth label,
+// which are contiguous in both formats, and never the fingerprint string
+// alone: that is input, and two different lists may carry one fingerprint.
+// Decoding a span reads nothing outside it, so equal bytes decode equally —
+// a hit gives the records, and the refusals, the checked decoders give.
+
+// lists is the five client lists of a Record.
+type lists struct {
+	suites []uint16
+	exts   []registry.ExtensionID
+	curves []registry.CurveID
+	pfs    []registry.ECPointFormat
+	svs    []registry.Version
+}
+
+// helloShape is everything Aggregate.Add takes from a hello's lists.
+type helloShape struct {
+	// bits are the suite classes of the GREASE-stripped cipher list: which
+	// advertisement counters the hello bumps (advCounters) and which
+	// capability classes its fingerprint has.
+	bits registry.ClassBits
+	// variant is the first TLS 1.3 variant in supported_versions (§6.4), 0
+	// when the client offers none.
+	variant registry.Version
+	// exts is the GREASE-stripped extension list — a multiset: a repeated
+	// extension counts twice. A table row holds it sorted ascending.
+	exts []registry.ExtensionID
+	// pos holds Figure 5's term per class: the relative position of the
+	// class's first suite, for a list of more than one suite that has one.
+	pos [NumPosClasses]struct {
+		term float64
+		ok   bool
+	}
+}
+
+// shapeOf computes the shape of a hello. exts is built in scratch's storage.
+func shapeOf(suites []uint16, exts []registry.ExtensionID, svs []registry.Version, scratch []registry.ExtensionID) (sh helloShape) {
+	// One dense-table pass that steps over GREASE in place, so n and every
+	// index are those of the stripped list without materialising it.
+	scan, n := registry.ScanSuitesNoGREASE(suites)
+	sh.bits = scan.Bits
+	for _, v := range svs {
+		if !registry.IsGREASE(uint16(v)) && v.IsTLS13Variant() {
+			sh.variant = v
+			break
+		}
+	}
+	sh.exts = scratch[:0]
+	for _, e := range exts {
+		if !registry.IsGREASE(uint16(e)) {
+			sh.exts = append(sh.exts, e)
+		}
+	}
+	if n > 1 {
+		for c := range sh.pos {
+			if idx := scan.FirstIndex(posClasses[c].bit); idx >= 0 {
+				sh.pos[c].term, sh.pos[c].ok = float64(idx)/float64(n-1), true
+			}
+		}
+	}
+	return sh
+}
+
+// helloRow is one remembered hello. It is immutable once inserted: records
+// decoded through it share its slices.
+type helloRow struct {
+	lists
+	fp, truth string
+	// offersHB is offers_hb of the record the row was made from. That field
+	// lies inside a TSV span, so it is what every TSV record on the row says;
+	// a TLSB record's is in its flags byte and never read from here.
+	offersHB bool
+	shape    helloShape
+}
+
+// setHello points r's offered side at row.
+func (r *Record) setHello(row *helloRow) {
+	r.setLists(row.lists)
+	r.Fingerprint, r.TruthClient, r.hello = row.fp, row.truth, row
+}
+
+func (r *Record) setLists(l lists) {
+	r.ClientSuites, r.ClientExtensions, r.ClientCurves, r.ClientPointFmts, r.ClientSupportedVs =
+		l.suites, l.exts, l.curves, l.pfs, l.svs
+}
+
+// sameList reports whether a and b are one slice: same length, same storage.
+func sameList[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// memoShape returns the shape of the row r was decoded through, for as long
+// as r's five lists are still that row's slices; nil once any of them was
+// replaced, or when r never had a row (a simulated, hand-built or cloned
+// record).
+func (r *Record) memoShape() *helloShape {
+	row := r.hello
+	if row == nil || !sameList(r.ClientSuites, row.suites) || !sameList(r.ClientExtensions, row.exts) ||
+		!sameList(r.ClientCurves, row.curves) || !sameList(r.ClientPointFmts, row.pfs) ||
+		!sameList(r.ClientSupportedVs, row.svs) {
+		return nil
+	}
+	return &row.shape
+}
+
+// What bounds a decodeTables: a hello span or string above maxHelloSpan bytes
+// is decoded every time and never kept; the tables are emptied when they hold
+// maxHelloRows rows, maxInternEntries strings or maxTableBytes bytes of keys
+// and strings. A TLSB list element takes at least a byte and decodes to two,
+// twice over for an extension (the shape's sorted copy), so a table tops out
+// near 2 MiB of keys and strings, 8 MiB of lists and 1.2 MiB of rows. A
+// 150,000-record simulated log fills a TSV table with 3,045 rows in about
+// 2 MiB (1.0 keys and strings, 0.2 lists, 0.9 rows).
+const (
+	maxHelloSpan     = 1 << 12
+	maxHelloRows     = 1 << 12
+	maxInternEntries = 1 << 14
+	maxTableBytes    = 1 << 21
+)
+
+// decodeTables is what a record decoder keeps from record to record: the
+// hello rows, the strings interned beside them (the cohort is outside the
+// hello span), and the list storage a miss decodes into. Nothing in it is
+// about a stream or a peer — keys are content — so a table outlives its
+// stream through its decoder's pool. It is not safe for concurrent use: a
+// stream, or a parallel reader's worker, draws its own.
+type decodeTables struct {
+	rows map[string]*helloRow
+	strs map[string]string
+	held int // bytes of the keys of both maps
+
+	// scratch is where the checked decoders put a hello's lists on a miss; a
+	// row takes copies.
+	scratch lists
+
+	// A row's lists are carved from chunks, so a distinct hello costs its key,
+	// its row and a share of a chunk, not an allocation per list. A chunk is
+	// only ever appended to: emptying the tables drops the chunks, it does not
+	// rewind them, because a record may still point into one.
+	chunk lists
+}
+
+// chunkLen is the elements a list chunk is opened with.
+const chunkLen = 2048
+
+func newDecodeTables() *decodeTables {
+	return &decodeTables{rows: make(map[string]*helloRow), strs: make(map[string]string)}
+}
+
+// One pool per decoder. The formats must not share: a TLSB span and a TSV
+// span are different spellings that could collide byte for byte, and a string
+// interned from TSV has not passed TLSB's loggable check (a CR inside a field
+// survives bufio.ScanLines), which str runs on a table miss only.
+var tlsbTables, tsvTables = sync.Pool{New: pooledTables}, sync.Pool{New: pooledTables}
+
+func pooledTables() any { return newDecodeTables() }
+
+// reserve accounts for an n-byte key about to be inserted, emptying the
+// tables first when they are full.
+func (t *decodeTables) reserve(n int) {
+	if len(t.rows) >= maxHelloRows || len(t.strs) >= maxInternEntries || t.held+n > maxTableBytes {
+		clear(t.rows)
+		clear(t.strs)
+		t.held = 0
+		t.chunk = lists{}
+	}
+	t.held += n
+}
+
+// intern copies b, a string the table does not hold, and keeps the copy. A
+// lookup keyed by string(b) does not allocate (the compiler elides the
+// conversion), so callers index strs first and pay for the copy on a miss
+// only.
+func (t *decodeTables) intern(b []byte) string {
+	s := string(b)
+	if len(b) <= maxHelloSpan {
+		t.reserve(len(b))
+		t.strs[s] = s
+	}
+	return s
+}
+
+// carve copies src to the end of *chunk, opening a new chunk when it does not
+// fit, and returns the copy with no spare capacity behind it; nil for an
+// empty src.
+func carve[T any](chunk *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	if len(src) > cap(*chunk)-len(*chunk) {
+		*chunk = make([]T, 0, max(chunkLen, len(src)))
+	}
+	n := len(*chunk)
+	*chunk = append(*chunk, src...)
+	return (*chunk)[n:len(*chunk):len(*chunk)]
+}
+
+// settle ends a miss. The checked decoders have read the span key into
+// t.scratch, r.OffersHeartbeat, fp and truth; clean says they read all of it
+// without error. A clean span of ordinary size is remembered and r pointed at
+// its row; anything else leaves r on the scratch lists, which hold until the
+// next record is decoded through t.
+func (t *decodeTables) settle(r *Record, key []byte, fp, truth string, clean bool) {
+	if !clean || len(key) > maxHelloSpan {
+		r.setLists(t.scratch)
+		r.Fingerprint, r.TruthClient, r.hello = fp, truth, nil
+		return
+	}
+	// The decoders look a span up only where they can find its end without
+	// decoding; one they could not may still be here.
+	row := t.rows[string(key)]
+	if row == nil {
+		t.reserve(len(key))
+		c, s := &t.chunk, &t.scratch
+		row = &helloRow{fp: fp, truth: truth, offersHB: r.OffersHeartbeat,
+			lists: lists{carve(&c.suites, s.suites), carve(&c.exts, s.exts), carve(&c.curves, s.curves),
+				carve(&c.pfs, s.pfs), carve(&c.svs, s.svs)}}
+		// The shape's extension set is stripped into a second carved copy of
+		// the list, which has room for all of it, and sorted there.
+		row.shape = shapeOf(row.suites, row.exts, row.svs, carve(&c.exts, s.exts)[:0])
+		slices.Sort(row.shape.exts)
+		t.rows[string(key)] = row
+	}
+	r.setHello(row)
+}
+
+// tlsbHelloSpan returns the TLSB hello span that starts at b[off] — five
+// count-prefixed varint lists, then the length-prefixed fp and truth —
+// without decoding it, or nil when the bytes there are not spelled the
+// ordinary way (a count or length wider than three bytes, a span that runs
+// into the last three bytes of b): the checked decoders then say what they
+// are.
+func tlsbHelloSpan(b []byte, off int) []byte {
+	end := off
+	for range 5 {
+		n, w := varint3(b, end)
+		if w == 0 {
+			return nil
+		}
+		if end = skipVarints(b, end+w, int(n)); end < 0 {
+			return nil
+		}
+	}
+	for range 2 {
+		n, w := varint3(b, end)
+		if w == 0 {
+			return nil
+		}
+		if end += w + int(n); end > len(b) {
+			return nil
+		}
+	}
+	return b[off:end]
+}
+
+// skipVarints returns the offset just past the n-th varint at or after
+// b[off] — the n-th byte with a clear top bit — or -1 when b holds fewer. It
+// steps eight bytes at a time.
+func skipVarints(b []byte, off, n int) int {
+	for n > 0 && off+8 <= len(b) {
+		ends := ^binary.LittleEndian.Uint64(b[off:]) & tops
+		if c := bits.OnesCount64(ends); c < n {
+			n -= c
+			off += 8
+			continue
+		}
+		return off + nthMark(ends, n) + 1
+	}
+	for ; n > 0; off++ {
+		if off >= len(b) {
+			return -1
+		}
+		if b[off] < 0x80 {
+			n--
+		}
+	}
+	return off
+}
+
+// tops has the top bit of each of a word's eight bytes.
+const tops = 0x8080808080808080
+
+// nthMark returns which byte of a little-endian word carries the n-th of its
+// marks, counting both from the low end, n from 1.
+func nthMark(marks uint64, n int) int {
+	for ; n > 1; n-- {
+		marks &= marks - 1
+	}
+	return bits.TrailingZeros64(marks) / 8
+}
+
+// tsvHelloSpan returns the TSV hello span that starts at b[off], the eight
+// fields client_suites … truth, taking the line to have its twenty fields:
+// the span then ends at the line's last tab, the one before the cohort. A
+// line of another width gives a span of another width, which no row has — a
+// key is only ever what the checked parser read as eight fields.
+func tsvHelloSpan(b []byte, off int) []byte {
+	end := len(b) - 1
+	for end >= off && b[end] != '\t' {
+		end--
+	}
+	if end < off {
+		return nil
+	}
+	return b[off:end]
+}

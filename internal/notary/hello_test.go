@@ -1,0 +1,411 @@
+package notary
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"tlsage/internal/registry"
+)
+
+// Tests of the hello tables (hello.go) beyond what the differential harness
+// of decode_diff_test.go gives every seed: one table across streams and
+// across its cap, the two decoders' pools kept apart, Add's distrust of a
+// record whose lists were replaced, the list cap, and the allocation pins.
+
+// tsvLog is the log LogWriter makes of recs.
+func tsvLog(recs []*Record) []byte {
+	var buf bytes.Buffer
+	lw := NewLogWriter(&buf)
+	for _, r := range recs {
+		if err := lw.Write(r); err != nil {
+			panic(err)
+		}
+	}
+	if err := lw.Flush(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// distinctHellos returns n records with n different cipher lists.
+func distinctHellos(n int) []*Record {
+	recs := make([]*Record, n)
+	for i := range recs {
+		r := sampleRecord()
+		r.ClientSuites = []uint16{0xc02f, uint16(i), 0x000a}
+		r.Fingerprint = fmt.Sprintf("fp-%d", i%7) // fewer fingerprints than lists
+		recs[i] = r
+	}
+	return recs
+}
+
+// One table serves stream after stream — other peers, other hellos, a stream
+// that fails half way, a table filled to its cap, emptied and filled again —
+// and every stream still decodes to the reference's records, error and
+// aggregate.
+func TestOneTableManyStreams(t *testing.T) {
+	many := distinctHellos(maxHelloRows + 300)
+	peerA, peerB := buildBatchRecords(71, 200), buildBatchRecords(72, 200)
+	mixed := append(append([]*Record(nil), peerA[:50]...), peerB[:50]...)
+	rand.New(rand.NewSource(73)).Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+	broken := encodeBatch(peerA[:20])
+	broken = append(broken, tlsbSeeds()["string \"a\\rb\" in field 0"]...)
+	streams := [][]*Record{peerA, peerB, mixed, nil, peerA, many, many[:400], peerB, many[maxHelloRows-100:]}
+
+	tlsb, tsv := newDecodeTables(), newDecodeTables()
+	emptied := false
+	for i, recs := range streams {
+		data, log := encodeBatch(recs), tsvLog(recs)
+		if recs == nil {
+			data, log = broken, append(tsvLog(peerA[:20]), "2015-06-03\tT\tzz\n"...)
+		}
+		var got, want collectSink
+		agg, wagg := NewAggregate(), NewAggregate()
+		gf, gn, gerr := readBatches(bytes.NewReader(data), Tee(&got, agg), tlsb)
+		wf, wn, werr := refReadBatches(bytes.NewReader(data), Tee(&want, wagg), current)
+		if gf != wf || gn != wn || errText(gerr) != errText(werr) || (recs == nil) != (gerr != nil) {
+			t.Fatalf("TLSB stream %d: %d frames, %d records, err %v; reference %d, %d, %v", i, gf, gn, gerr, wf, wn, werr)
+		}
+		requireSameRecords(t, fmt.Sprintf("TLSB stream %d", i), got.recs, want.recs)
+		requireSameAggregate(t, fmt.Sprintf("TLSB stream %d", i), agg, wagg)
+
+		got, want = collectSink{}, collectSink{}
+		agg, wagg = NewAggregate(), NewAggregate()
+		gn, _, gerr = readLogTail(bytes.NewReader(log), 0, Tee(&got, agg), tsv)
+		wn, _, werr = refReadLogTail(bytes.NewReader(log), 0, Tee(&want, wagg), current)
+		if gn != wn || errText(gerr) != errText(werr) || (recs == nil) != (gerr != nil) {
+			t.Fatalf("TSV stream %d: %d records, err %v; reference %d, %v", i, gn, gerr, wn, werr)
+		}
+		requireSameRecords(t, fmt.Sprintf("TSV stream %d", i), got.recs, want.recs)
+		requireSameAggregate(t, fmt.Sprintf("TSV stream %d", i), agg, wagg)
+
+		for _, tab := range []*decodeTables{tlsb, tsv} {
+			if len(tab.rows) > maxHelloRows || len(tab.strs) > maxInternEntries || tab.held > maxTableBytes {
+				t.Fatalf("after stream %d a table holds %d rows, %d strings, %d bytes: past its bounds", i, len(tab.rows), len(tab.strs), tab.held)
+			}
+		}
+		if len(recs) == len(many) && len(tlsb.rows) < maxHelloRows && len(tsv.rows) < maxHelloRows {
+			emptied = true
+		}
+	}
+	if !emptied {
+		t.Error("vacuous: no table was emptied at its cap")
+	}
+}
+
+// A span or string too long to keep is decoded, correctly, every time, and
+// the table stays as it was.
+func TestOversizeHelloIsNeverKept(t *testing.T) {
+	long := sampleRecord()
+	long.Fingerprint = strings.Repeat("f", maxHelloSpan+1)
+	wide := sampleRecord()
+	wide.ClientSuites = make([]uint16, maxHelloSpan)
+	recs := []*Record{long, wide, long, wide}
+	tlsb, tsv := newDecodeTables(), newDecodeTables()
+	var got collectSink
+	if _, _, err := readBatches(bytes.NewReader(encodeBatch(recs)), &got, tlsb); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readLogTail(bytes.NewReader(tsvLog(recs)), 0, &got, tsv); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got.recs {
+		if !sameRecord(t, r, recs[i%len(recs)].Clone()) {
+			t.Fatalf("record %d changed", i)
+		}
+	}
+	for _, tab := range []*decodeTables{tlsb, tsv} {
+		if len(tab.rows) != 0 || tab.held > 64 { // the truth and cohort strings
+			t.Errorf("a table kept %d rows and %d bytes of oversize hellos", len(tab.rows), tab.held)
+		}
+	}
+}
+
+// A string with a CR inside is legal in a TSV field (bufio.ScanLines strips
+// only a trailing one) and not in a TLSB record, whose strings must survive
+// the log. The TSV reader interning it must not let the TLSB reader, next on
+// the same goroutine and so next at any pool they shared, take it unchecked.
+func TestTSVTablesNeverServeTLSB(t *testing.T) {
+	r := sampleRecord()
+	r.Fingerprint = "a\rb"
+	for round := 0; round < 20; round++ {
+		var got collectSink
+		if err := ReadLog(bytes.NewReader(tsvLog([]*Record{r, r})), &got); err != nil || got.recs[1].Fingerprint != "a\rb" {
+			t.Fatalf("TSV: %v, err %v", got.recs, err)
+		}
+		var be *BatchError
+		if _, n, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{r})), nullSink()); !errors.As(err, &be) || n != 0 ||
+			!strings.Contains(err.Error(), "cannot be written to a log line") {
+			t.Fatalf("round %d: TLSB took %d records with a CR in the fingerprint, err %v", round, n, err)
+		}
+	}
+}
+
+// Add folds a record's row only while the record's lists are the row's. A
+// sink that points a list elsewhere — against the contract, but cheap to
+// survive — gets that record folded from the lists it now has.
+func TestAddDistrustsARowWhoseListsWereReplaced(t *testing.T) {
+	recs := buildBatchRecords(83, 300)
+	other := []uint16{0x0005, 0xc02f, 0x000a, 0x0004}
+	edits := []func(*Record){
+		func(r *Record) { r.ClientSuites = other },
+		func(r *Record) { r.ClientSuites = r.ClientSuites[:len(r.ClientSuites)-1] },
+		func(r *Record) {
+			r.ClientExtensions = append([]registry.ExtensionID{registry.ExtALPN}, r.ClientExtensions...)
+		},
+		func(r *Record) { r.ClientSupportedVs = []registry.Version{registry.VersionTLS13Draft18} },
+		func(r *Record) { r.ClientCurves = nil; r.ClientPointFmts = nil },
+		func(r *Record) { *r = *r.Clone() },
+		func(r *Record) { r.Fingerprint = "another" }, // no list: the row still holds
+	}
+	want, got := NewAggregate(), NewAggregate()
+	n, trusted := 0, 0
+	edit := func(r *Record) {
+		if n%3 == 0 {
+			edits[n/3%len(edits)](r)
+		}
+		n++
+	}
+	for _, r := range recs {
+		cp := r.Clone()
+		edit(cp)
+		want.Add(cp)
+	}
+	n = 0
+	for pass := 0; pass < 2; pass++ { // the second pass is all table hits
+		got, n = NewAggregate(), 0
+		_, _, err := ReadBatches(bytes.NewReader(encodeBatch(recs)), SinkFunc(func(r *Record) error {
+			if r.hello == nil {
+				t.Fatal("a decoded record carries no row")
+			}
+			edit(r)
+			if r.memoShape() != nil {
+				trusted++
+			}
+			got.Add(r)
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: the aggregate of the edited decoded records differs from that of edited clones", pass)
+		}
+	}
+	if trusted < len(recs) || trusted > 2*len(recs)-len(recs)/4 {
+		t.Errorf("vacuous: %d of %d records kept their row", trusted, 2*len(recs))
+	}
+}
+
+// A record that came through a decoder and is then reset — a pooled record
+// parsed into and released — gives up its lists: they are a table row's.
+func TestResetDropsARowsLists(t *testing.T) {
+	tab := newDecodeTables()
+	line := bytes.TrimSuffix(sampleRecord().AppendTSV(nil), []byte("\n"))
+	var r Record
+	if err := parseTSVLine(&r, line, tab); err != nil || r.hello == nil {
+		t.Fatalf("parse: err %v, row %v", err, r.hello)
+	}
+	row := r.hello
+	r.Reset()
+	if !reflect.DeepEqual(r, Record{}) {
+		t.Errorf("Reset kept %+v of a record on a row", r)
+	}
+	r.ClientSuites = append(r.ClientSuites[:0], 1, 2, 3, 4, 5, 6, 7, 8) // as FromClientHello refills
+	if row.suites[0] != sampleRecord().ClientSuites[0] {
+		t.Error("refilling a reset record wrote into the row it had been on")
+	}
+}
+
+// --- the list cap ---
+
+// A list above maxListLen elements is refused by both decoders, one element
+// under it is read by both, and what TLSB accepts the TSV tee reads back.
+func TestListCapInBothFormats(t *testing.T) {
+	atCap, over := sampleRecord(), sampleRecord()
+	atCap.ClientSuites = make([]uint16, maxListLen)
+	over.ClientExtensions = make([]registry.ExtensionID, maxListLen+1)
+	for i := range atCap.ClientSuites {
+		atCap.ClientSuites[i] = uint16(i)
+	}
+	good := sampleRecord()
+
+	t.Run("tlsb", func(t *testing.T) {
+		diffReadBatches(t, encodeBatch([]*Record{good, atCap, good}))
+		diffReadBatches(t, encodeBatch([]*Record{good, over, good}))
+		var log bytes.Buffer
+		lw := NewLogWriter(&log)
+		if _, n, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{good, atCap})), lw); err != nil || n != 2 {
+			t.Fatalf("a list of %d elements: %d records, err %v", maxListLen, n, err)
+		}
+		if err := lw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var back collectSink
+		if err := ReadLog(&log, &back); err != nil || len(back.recs) != 2 || !sameRecord(t, back.recs[1], atCap.Clone()) {
+			t.Fatalf("the teed log of a list at the cap replays %d records, err %v", len(back.recs), err)
+		}
+		var be *BatchError
+		_, n, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{good, over, good})), nullSink())
+		if !errors.As(err, &be) || n != 1 || !strings.Contains(err.Error(), fmt.Sprintf("list of %d elements exceeds %d", maxListLen+1, maxListLen)) {
+			t.Fatalf("a list of %d elements: %d records, err %v", maxListLen+1, n, err)
+		}
+	})
+	t.Run("tsv", func(t *testing.T) {
+		diffReadLog(t, tsvLog([]*Record{good, atCap, good}))
+		diffReadLog(t, tsvLog([]*Record{good, over, good}))
+		var le *LineError
+		err := ReadLog(bytes.NewReader(tsvLog([]*Record{good, over, good})), nullSink())
+		if !errors.As(err, &le) || le.Line != 5 || !strings.Contains(err.Error(), fmt.Sprintf("hex list exceeds %d elements", maxListLen)) {
+			t.Fatalf("a list of %d elements: err %v", maxListLen+1, err)
+		}
+		// The cap is on elements, however they are spelled: short ones that
+		// only the strconv tail reads count too.
+		f := strings.Split(strings.TrimSuffix(string(good.AppendTSV(nil)), "\n"), "\t")
+		f[11] = strings.Repeat("f,", maxListLen) + "f"
+		diffReadLog(t, []byte(strings.Join(f, "\t")+"\n"))
+		f[11] = strings.Repeat("f,", maxListLen-1) + "f"
+		diffReadLog(t, []byte(strings.Join(f, "\t")+"\n"))
+		if err := ReadLog(strings.NewReader(strings.Join(f, "\t")+"\n"), nullSink()); err != nil {
+			t.Fatalf("%d one-digit elements: %v", maxListLen, err)
+		}
+	})
+	// A count that claims more than the cap is refused before anything is
+	// sized from it, whatever the frame has room for.
+	payload := binary.AppendUvarint(nil, 1)
+	payload = append(payload, 0)                         // flags
+	payload = append(payload, 0xdf, 0x0f, 6, 3)          // 2015-06-03
+	payload = append(payload, 0, 0, 0, 0, 0)             // four code points, alert
+	payload = binary.AppendUvarint(payload, 1<<20)       // client_suites count
+	payload = append(payload, make([]byte, 1<<20+16)...) // room for it
+	var be *BatchError
+	if _, _, err := ReadBatches(bytes.NewReader(reframe(payload)), nullSink()); !errors.As(err, &be) ||
+		!strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("a count of 1<<20: err %v", err)
+	}
+}
+
+// --- span finders ---
+
+// skipVarints lands where a byte-at-a-time count of terminators lands, at
+// every offset and count, word-aligned or not, through the end of the buffer.
+func TestSkipVarintsMatchesByteLoop(t *testing.T) {
+	rnd := rand.New(rand.NewSource(89))
+	for trial := 0; trial < 200; trial++ {
+		b := make([]byte, rnd.Intn(60))
+		for i := range b {
+			if b[i] = byte(rnd.Intn(256)); rnd.Intn(3) == 0 {
+				b[i] |= 0x80
+			}
+		}
+		for off := 0; off <= len(b); off++ {
+			for n := 0; n <= len(b)-off+1; n++ {
+				want, left := off, n
+				for ; left > 0 && want < len(b); want++ {
+					if b[want] < 0x80 {
+						left--
+					}
+				}
+				if left > 0 {
+					want = -1
+				}
+				if got := skipVarints(b, off, n); got != want {
+					t.Fatalf("skipVarints(%x, %d, %d) = %d, want %d", b, off, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The span tlsbHelloSpan finds without decoding is the span the checked
+// decoders consume — or it finds none, and they say what the bytes are.
+func TestTLSBHelloSpanIsWhatTheDecodersRead(t *testing.T) {
+	found := 0
+	for _, r := range append(buildBatchRecords(97, 300), &Record{Date: sampleRecord().Date}, sampleRecord()) {
+		for _, width := range []int{1, 2, 3, 4} {
+			enc := appendRecordSpelled(nil, r, paddedUvarint(width))
+			var head Record
+			d := &snapDecoder{b: enc, what: "batch"}
+			decodeRecordBinary(d, &head, newDecodeTables())
+			if d.err != nil || d.off != len(enc) {
+				t.Fatalf("width %d: decode stopped at %d of %d, err %v", width, d.off, len(enc), d.err)
+			}
+			// The span starts after the head: flags, seven varints, alert.
+			start := skipVarints(enc, 1, 7) + 1
+			cohort := len(paddedUvarint(width)(nil, uint64(len(r.ServerCohort)))) + len(r.ServerCohort)
+			span := tlsbHelloSpan(enc, start)
+			if span == nil {
+				continue
+			}
+			found++
+			if want := enc[start : len(enc)-cohort]; !bytes.Equal(span, want) {
+				t.Fatalf("width %d: span of %d bytes, the decoders read %d", width, len(span), len(want))
+			}
+		}
+	}
+	if found < 600 {
+		t.Errorf("vacuous: only %d spans found without decoding", found)
+	}
+}
+
+// --- allocation pins ---
+
+// The decoders' allocations are the stream's and the table's, never the
+// record's or the frame's. Pinned through the entry points that take the
+// tables, because what a pool holds is the garbage collector's business. With
+// a warm table 32 frames cost exactly what one costs — the frame reader's
+// state, 8 allocations at most, where a TLSB stream cost 47 before the tables
+// kept the lists and strings between streams. With a cold one the extra is
+// the distinct hellos': a key, a row and a fingerprint string each, and a
+// constant for the chunks their lists are carved from and the maps' growth —
+// not a slice per list.
+func TestReadBatchesAllocsArePerStream(t *testing.T) {
+	recs := buildBatchRecords(61, 32)
+	one := encodeBatch(recs)
+	pinStreamAllocs(t, one, bytes.Repeat(one, 32), func(rd *bytes.Reader, tab *decodeTables) error {
+		_, _, err := readBatches(rd, nullSink(), tab)
+		return err
+	})
+}
+
+// TestReadLogAllocsArePerStream is the same pin for the TSV reader.
+func TestReadLogAllocsArePerStream(t *testing.T) {
+	one := tsvLog(buildBatchRecords(61, 32))
+	pinStreamAllocs(t, one, bytes.Repeat(one, 32), func(rd *bytes.Reader, tab *decodeTables) error {
+		_, _, err := readLogTail(rd, 0, nullSink(), tab)
+		return err
+	})
+}
+
+func pinStreamAllocs(t *testing.T, one, many []byte, read func(*bytes.Reader, *decodeTables) error) {
+	t.Helper()
+	rd := bytes.NewReader(nil)
+	run := func(stream []byte, tab *decodeTables) {
+		rd.Reset(stream)
+		if err := read(rd, tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := newDecodeTables()
+	run(one, warm)
+	hellos := len(warm.rows)
+	a1 := testing.AllocsPerRun(20, func() { run(one, warm) })
+	a32 := testing.AllocsPerRun(20, func() { run(many, warm) })
+	if a32 != a1 {
+		t.Errorf("warm table: 32× the stream costs %v allocs, 1× %v: per-record allocation crept into the reader", a32, a1)
+	}
+	if a32 > 8 {
+		t.Errorf("warm table: a stream costs %v allocs, want at most 8", a32)
+	}
+	cold := testing.AllocsPerRun(20, func() { run(many, newDecodeTables()) })
+	if extra := cold - a32; hellos < 20 || extra > 3*float64(hellos)+40 {
+		t.Errorf("cold table: %v allocs over the warm %v for %d distinct hellos, want at most 3 each + 40", extra, a32, hellos)
+	}
+	t.Logf("warm %v allocs per stream; cold %v over it for %d distinct hellos", a32, cold-a32, hellos)
+}

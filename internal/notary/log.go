@@ -94,12 +94,13 @@ func (e *LineError) Unwrap() error { return e.Err }
 // rec with the error tagged by its 1-based line number. It reports whether
 // rec now holds a record. line is the reader's own buffer — the scanner's
 // window or a slice of the chunk — and is not kept: the only bytes that
-// outlive the call are the strings in copied on their first appearance.
-func consumeLine(rec *Record, line []byte, lineNo int, in internTable) (bool, error) {
+// outlive the call are the hellos and strings t copied on their first
+// appearance.
+func consumeLine(rec *Record, line []byte, lineNo int, t *decodeTables) (bool, error) {
 	if len(line) == 0 || line[0] == '#' {
 		return false, nil
 	}
-	if err := parseTSVLine(rec, line, in); err != nil {
+	if err := parseTSVLine(rec, line, t); err != nil {
 		return false, &LineError{Line: lineNo, Err: err}
 	}
 	return true, nil
@@ -108,13 +109,14 @@ func consumeLine(rec *Record, line []byte, lineNo int, in internTable) (bool, er
 // ReadLog parses a log written by LogWriter, delivering each record to
 // sink. Comment lines (#...) are skipped. Parsing stops at the first error;
 // malformed lines surface as *LineError. Records are parsed into a reused
-// buffer, so the Sink contract applies: the record is only valid for the
-// duration of Observe. The sink is not closed.
+// buffer whose lists are the decoder's own, shared between records, so the
+// Sink contract applies: the record is only valid for the duration of
+// Observe, and read-only. The sink is not closed.
 //
 // Lines are parsed where the scanner holds them (parseTSVLine over
-// Scanner.Bytes): no string is made of a line or of a field, and the three
-// string fields go through the stream's intern table, so a log of repeating
-// clients allocates per distinct string, not per line
+// Scanner.Bytes): no string is made of a line or of a field, and hellos and
+// strings go through the decoder tables, so a log of repeating clients
+// allocates per distinct hello and string, not per line
 // (TestReadLogAllocsArePerStream).
 func ReadLog(r io.Reader, sink Sink) error {
 	_, _, err := ReadLogTail(r, 0, sink)
@@ -139,10 +141,17 @@ const maxLogLine = 1 << 22
 // base directive seen (0 when the log starts at generation zero) — a base
 // above the snapshot's generation means the gap is in neither source.
 func ReadLogTail(r io.Reader, skip uint64, sink Sink) (delivered, base uint64, err error) {
+	t := tsvTables.Get().(*decodeTables)
+	defer tsvTables.Put(t)
+	return readLogTail(r, skip, sink, t)
+}
+
+// readLogTail is ReadLogTail through the given decoder tables (see
+// readBatches).
+func readLogTail(r io.Reader, skip uint64, sink Sink, t *decodeTables) (delivered, base uint64, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), maxLogLine)
 	var rec Record
-	intern := make(internTable)
 	lineNo := 0
 	sawBase := false
 	var gen uint64 // absolute generation of the last record line seen
@@ -163,7 +172,7 @@ func ReadLogTail(r io.Reader, skip uint64, sink Sink) (delivered, base uint64, e
 			gen = b
 			continue
 		}
-		ok, err := consumeLine(&rec, line, lineNo, intern)
+		ok, err := consumeLine(&rec, line, lineNo, t)
 		if err != nil {
 			return delivered, base, err
 		}
@@ -198,7 +207,7 @@ const defaultChunkSize = 1 << 20
 // classifier is installed on every shard and on the merged result, so
 // ByClientClass fills during the parallel ingest exactly as a serial
 // classified Add would. Workers parse their chunk's lines in place, each
-// through its own intern table.
+// through decoder tables of its own.
 func ReadLogParallel(r io.Reader, workers int, classifier Classifier) (*Aggregate, error) {
 	return readLogParallel(r, workers, defaultChunkSize, classifier)
 }
@@ -247,7 +256,8 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 			agg.SetClassifier(classifier)
 			aggs[w] = agg
 			var rec Record
-			intern := make(internTable)
+			t := tsvTables.Get().(*decodeTables)
+			defer tsvTables.Put(t)
 			for c := range jobs {
 				// A worker keeps only its first error: its chunks arrive in
 				// file order, so later ones cannot lower the error line. Other
@@ -278,7 +288,7 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 					if len(line) > 0 && line[len(line)-1] == '\r' {
 						line = line[:len(line)-1]
 					}
-					ok, err := consumeLine(&rec, line, lineNo, intern)
+					ok, err := consumeLine(&rec, line, lineNo, t)
 					if err != nil {
 						errs[w] = shardErr{line: lineNo, err: err}
 						aborted.Store(true)

@@ -38,7 +38,7 @@ func sampleRecord() *Record {
 // fresh record.
 func parseTSV(line string) (Record, error) {
 	var r Record
-	err := parseTSVLine(&r, []byte(strings.TrimSuffix(line, "\n")), make(internTable))
+	err := parseTSVLine(&r, []byte(strings.TrimSuffix(line, "\n")), newDecodeTables())
 	return r, err
 }
 
@@ -49,7 +49,7 @@ func TestTSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(*r, got) {
+	if !sameRecord(t, r, &got) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", *r, got)
 	}
 }
@@ -65,7 +65,7 @@ func TestTSVRoundTripEmptyFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(*r, got) {
+	if !sameRecord(t, r, &got) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", *r, got)
 	}
 }
@@ -106,11 +106,11 @@ func TestObserveWireTLS(t *testing.T) {
 	if r.ClientVersion != registry.VersionTLS12 || len(r.ClientSuites) != 2 {
 		t.Errorf("observed %+v", r)
 	}
-	if !r.OffersHeartbeat || !r.SupportsTLS13() {
+	if !r.OffersHeartbeat {
 		t.Error("extension observation broken")
 	}
-	if r.AdvertisedTLS13Variant() != registry.VersionTLS13Draft18 {
-		t.Errorf("variant = %v", r.AdvertisedTLS13Variant())
+	if v := shapeOf(r.ClientSuites, r.ClientExtensions, r.ClientSupportedVs, nil).variant; v != registry.VersionTLS13Draft18 {
+		t.Errorf("variant = %v", v)
 	}
 	if len(r.ClientCurves) != 1 || r.ClientCurves[0] != registry.CurveX25519 {
 		t.Error("curves not observed")

@@ -55,11 +55,23 @@ type Record struct {
 	TruthClient string
 	// ServerCohort labels the responding server's cohort for evaluation.
 	ServerCohort string
+
+	// hello is the table row a record decoder pointed the five lists at (see
+	// hello.go), nil for a record made any other way. Aggregate.Add reads the
+	// row's prepared shape through it, after checking the lists still are the
+	// row's.
+	hello *helloRow
 }
 
 // Reset zeroes the record while keeping the capacity of its five
 // client-side slices, so a pooled record is refilled without allocating.
+// Lists that may be a decoder's table row are dropped instead: that storage
+// is shared and not this record's to refill.
 func (r *Record) Reset() {
+	if r.hello != nil {
+		*r = Record{}
+		return
+	}
 	suites := r.ClientSuites[:0]
 	exts := r.ClientExtensions[:0]
 	curves := r.ClientCurves[:0]
@@ -79,6 +91,7 @@ func (r *Record) Reset() {
 // pooled records as soon as Observe returns.
 func (r *Record) Clone() *Record {
 	cp := *r
+	cp.hello = nil
 	cp.ClientSuites = append([]uint16(nil), r.ClientSuites...)
 	cp.ClientExtensions = append([]registry.ExtensionID(nil), r.ClientExtensions...)
 	cp.ClientCurves = append([]registry.CurveID(nil), r.ClientCurves...)
@@ -134,34 +147,6 @@ func (r *Record) FromClientHello(ch *wire.ClientHello) {
 	r.ClientPointFmts = ch.AppendECPointFormats(r.ClientPointFmts[:0])
 	r.ClientSupportedVs = ch.AppendSupportedVersions(r.ClientSupportedVs[:0])
 	r.OffersHeartbeat = ch.OffersHeartbeat()
-}
-
-// SupportsTLS13 reports whether the client advertised any TLS 1.3 variant in
-// supported_versions (§6.4's "client indicates support" metric).
-func (r *Record) SupportsTLS13() bool {
-	for _, v := range r.ClientSupportedVs {
-		if registry.IsGREASE(uint16(v)) {
-			continue
-		}
-		if v.IsTLS13Variant() {
-			return true
-		}
-	}
-	return false
-}
-
-// AdvertisedTLS13Variant returns the first (highest-preference) TLS 1.3
-// variant offered, or 0 — the per-draft deployment view of §6.4.
-func (r *Record) AdvertisedTLS13Variant() registry.Version {
-	for _, v := range r.ClientSupportedVs {
-		if registry.IsGREASE(uint16(v)) {
-			continue
-		}
-		if v.IsTLS13Variant() {
-			return v
-		}
-	}
-	return 0
 }
 
 // --- TSV serialization (Bro-style log line) ---
@@ -284,11 +269,14 @@ func hex4(p []byte) (v uint16, ok bool) {
 }
 
 // parseTSVLine parses one log line produced by AppendTSV (terminator
-// excluded) into r, reusing r's slice capacity and interning its strings
-// through in, so the log-ingestion hot path parses into one pooled record
-// and allocates only for a string new to the stream. It assigns every field
-// of r; on error r is left in an unspecified partially-filled state.
-func parseTSVLine(r *Record, line []byte, in internTable) error {
+// excluded) into r through the decoder tables t, so the log-ingestion hot
+// path allocates only for a hello or a string new to t. The eight fields
+// client_suites … truth are the line's hello span: a span t holds is not
+// parsed again, and one it does not is parsed into t's scratch lists and
+// remembered once all of it parsed. It assigns every field of r, whose lists
+// are then t's — a row's or the scratch — and read-only; on error r is left
+// in an unspecified partially-filled state.
+func parseTSVLine(r *Record, line []byte, t *decodeTables) error {
 	p := tsvLine{b: line}
 	r.Date = p.date()
 	r.Established = p.flag()
@@ -301,15 +289,30 @@ func parseTSVLine(r *Record, line []byte, in internTable) error {
 	r.UsedFallback = p.flag()
 	r.SSLv2Hello = p.flag()
 	r.ClientVersion = registry.Version(p.hex16())
-	r.ClientSuites = parseHexList(&p, r.ClientSuites)
-	r.ClientExtensions = parseHexList(&p, r.ClientExtensions)
-	r.ClientCurves = parseHexList(&p, r.ClientCurves)
-	r.ClientPointFmts = parseHexList(&p, r.ClientPointFmts)
-	r.ClientSupportedVs = parseHexList(&p, r.ClientSupportedVs)
-	r.OffersHeartbeat = p.flag()
-	r.Fingerprint = in.text(p.field())
-	r.TruthClient = in.text(p.field())
-	r.ServerCohort = in.text(p.field())
+	start := p.off
+	key := tsvHelloSpan(line, start)
+	if row := t.rows[string(key)]; row != nil {
+		r.setHello(row)
+		r.OffersHeartbeat = row.offersHB
+		p.off += len(key) + 1
+	} else {
+		s := &t.scratch
+		s.suites = parseHexList(&p, s.suites)
+		s.exts = parseHexList(&p, s.exts)
+		s.curves = parseHexList(&p, s.curves)
+		s.pfs = parseHexList(&p, s.pfs)
+		s.svs = parseHexList(&p, s.svs)
+		r.OffersHeartbeat = p.flag()
+		fp := t.text(p.field())
+		truth := t.text(p.field())
+		// The eight fields are a span once a tab has ended the last of them.
+		clean := p.err == nil && p.off <= len(line)
+		if clean {
+			key = line[start : p.off-1]
+		}
+		t.settle(r, key, fp, truth, clean)
+	}
+	r.ServerCohort = t.text(p.field())
 	if p.err == nil && p.off > len(line) {
 		return nil
 	}
@@ -442,7 +445,8 @@ func validDate(year, month, day int) bool {
 
 // parseHexList parses the next field, a comma-separated %04x list, into
 // dst[:0], keeping dst's capacity. "-" and "" parse to an empty list.
-// Elements are bounded by T's range, as the TLSB decoder bounds them.
+// Elements are bounded by T's range and the list by maxListLen, as the TLSB
+// decoder bounds them.
 func parseHexList[T ~uint8 | ~uint16](p *tsvLine, dst []T) []T {
 	dst = dst[:0]
 	if f := p.shaped(1); f != nil && f[0] == '-' {
@@ -451,7 +455,7 @@ func parseHexList[T ~uint8 | ~uint16](p *tsvLine, dst []T) []T {
 	}
 	// The shape appendHexList writes: four digits, then a comma or the
 	// field's tab.
-	for b := p.b; p.off+4 < len(b); {
+	for b := p.b; p.off+4 < len(b) && len(dst) < maxListLen; {
 		v, ok := hex4(b[p.off:])
 		c := b[p.off+4]
 		if !ok || v > uint16(^T(0)) || c != ',' && c != '\t' {
@@ -470,6 +474,10 @@ func parseHexList[T ~uint8 | ~uint16](p *tsvLine, dst []T) []T {
 		return dst // the whole field: nothing of it was taken above
 	}
 	for len(rest) > 0 {
+		if len(dst) >= maxListLen {
+			p.fail(fmt.Errorf("notary: hex list exceeds %d elements", maxListLen))
+			return dst
+		}
 		e := rest
 		if i := bytes.IndexByte(rest, ','); i >= 0 {
 			e, rest = rest[:i], rest[i+1:]
@@ -487,12 +495,12 @@ func parseHexList[T ~uint8 | ~uint16](p *tsvLine, dst []T) []T {
 }
 
 // text interns one TSV string field, "-" and "" reading as empty.
-func (in internTable) text(f []byte) string {
+func (t *decodeTables) text(f []byte) string {
 	if len(f) == 0 || len(f) == 1 && f[0] == '-' {
 		return ""
 	}
-	if s, ok := in[string(f)]; ok {
+	if s, ok := t.strs[string(f)]; ok {
 		return s
 	}
-	return in.add(f)
+	return t.intern(f)
 }

@@ -11,8 +11,12 @@ import "sync"
 // producers lease records from a shared pool and reclaim them as soon as
 // Observe returns — so a sink that retains data beyond the call must copy
 // it explicitly (Record.Clone, or per-field copies as Aggregate.Add does).
-// Close flushes whatever the sink buffers; producers do not call it, the
-// owner of the sink does.
+// The record's five client lists are read-only during the call: a record
+// from ReadLog or ReadBatches shares them with every other record of the
+// same hello (see hello.go), so a sink that wants to change one replaces the
+// slice — Add then folds the record from the lists it has — and never writes
+// through it. Close flushes whatever the sink buffers; producers do not call
+// it, the owner of the sink does.
 type Sink interface {
 	Observe(*Record) error
 	Close() error

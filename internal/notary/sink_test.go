@@ -157,7 +157,7 @@ func TestAppendTSVAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(*r, back) {
+	if !sameRecord(t, r, &back) {
 		t.Fatal("direct-append TSV does not round-trip")
 	}
 }
@@ -168,7 +168,7 @@ func TestAppendTSVAllocFree(t *testing.T) {
 func TestParseTSVIntoAllocBound(t *testing.T) {
 	line := bytes.TrimSuffix(sampleRecord().AppendTSV(nil), []byte("\n"))
 	var rec Record
-	intern := make(internTable)
+	intern := newDecodeTables()
 	if err := parseTSVLine(&rec, line, intern); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestParseTSVIntoAllocBound(t *testing.T) {
 // allocation-free once the pool and the intern table are warm.
 func TestPooledRecordCycleAllocBound(t *testing.T) {
 	line := bytes.TrimSuffix(sampleRecord().AppendTSV(nil), []byte("\n"))
-	intern := make(internTable)
+	intern := newDecodeTables()
 	// Warm the pool with one fully-grown record.
 	warm := LeaseRecord()
 	if err := parseTSVLine(warm, line, intern); err != nil {

@@ -181,6 +181,97 @@ func TestIngestWireFormatParity(t *testing.T) {
 	}
 }
 
+// TestConcurrentStreamsOfBothFormats is the parity check for what streams
+// share: the record decoders draw their hello tables from one pool per format
+// (notary/hello.go), so a table warmed by one peer's stream decodes the next
+// peer's. Eight streams — TSV and binary, over HTTP and TCP, two of each —
+// feed disjoint slices of one log at the same time, and /scalars must come
+// out byte-identical to the offline load of the whole log. Run under -race.
+func TestConcurrentStreamsOfBothFormats(t *testing.T) {
+	log, offline := sharedLog(t)
+	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(61), WithQueueBound(64))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeTCP(ln) }()
+
+	const streams = 8
+	chunks := make([][]byte, streams)
+	n := 0
+	for _, l := range bytes.SplitAfter(log, []byte{'\n'}) {
+		if len(l) == 0 || l[0] == '#' {
+			continue
+		}
+		// Runs of 16 lines, so neighbouring records — the same clients — go to
+		// different streams and every table meets every hello.
+		chunks[n/16%streams] = append(chunks[n/16%streams], l...)
+		n++
+	}
+	var wg sync.WaitGroup
+	for i, chunk := range chunks {
+		body, contentType := chunk, ContentTypeTSV
+		if i%2 == 1 {
+			body, contentType = transcodeBatch(t, chunk, 37), ContentTypeBatch
+		}
+		wg.Add(1)
+		go func(overTCP bool) {
+			defer wg.Done()
+			if !overTCP {
+				resp, err := http.Post(ts.URL+"/ingest", contentType, bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("ingest: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("ingest status %d", resp.StatusCode)
+				}
+				return
+			}
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			defer conn.Close()
+			if _, err := conn.Write(body); err != nil {
+				t.Errorf("tcp write: %v", err)
+				return
+			}
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Errorf("tcp close-write: %v", err)
+				return
+			}
+			if reply, err := io.ReadAll(conn); err != nil || !strings.HasPrefix(string(reply), "ok ") {
+				t.Errorf("tcp reply %q, err %v", reply, err)
+			}
+		}(i/2%2 == 1)
+	}
+	wg.Wait()
+
+	offlineScalars, err := offline.Scalars()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustGet(t, ts.URL+"/scalars"), encodeLikeServer(t, offlineScalars); !bytes.Equal(got, want) {
+		t.Errorf("/scalars after eight concurrent streams diverges from offline loadlog:\ngot:  %s\nwant: %s", got, want)
+	}
+	if records, _, _, err := srv.Study().Counts(); err != nil || records != offline.Aggregate().TotalRecords() {
+		t.Errorf("%d records (err %v), want %d", records, err, offline.Aggregate().TotalRecords())
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ServeTCP: %v", err)
+	}
+}
+
 // TestIngestBoundsPointFormatsOnEveryPath is the parity suite's refusal arm:
 // a point format is one byte, and a record naming format 0x100 is refused on
 // all four format × transport pairs alike — 400 over HTTP, an error line over
