@@ -110,6 +110,19 @@ type Reader struct {
 // NewReader starts reading frames of format f from r.
 func (f *Format) NewReader(r io.Reader) *Reader { return &Reader{f: f, r: r} }
 
+// Lend gives the Reader a body buffer to start from in place of growing its
+// own: a caller that reads stream after stream keeps one between them. The
+// Reader grows past it like any other.
+func (rd *Reader) Lend(body []byte) { rd.body = body }
+
+// Reclaim takes the body buffer back — the lent one, or what the Reader grew
+// in its place — and ends the Reader's use of it: the last payload handed out
+// is the caller's to overwrite.
+func (rd *Reader) Reclaim() (body []byte) {
+	body, rd.body = rd.body, nil
+	return body
+}
+
 // Next reads the next frame and returns its version byte and payload; the
 // payload is valid until the following call. A stream that ends at a frame
 // boundary (an empty stream included) returns bare io.EOF.

@@ -324,6 +324,52 @@ func TestReaderStateIsPerStream(t *testing.T) {
 	}
 }
 
+// TestLentBody: a Reader that is lent a body buffer reads into it and hands
+// it back, so a second stream through the same buffer allocates no body; a
+// frame the lent buffer cannot hold grows a larger one, and that is what comes
+// back.
+func TestLentBody(t *testing.T) {
+	for _, tc := range testFormats {
+		f := &tc.f
+		want := patterned(4096)
+		stream := bytes.Repeat(frame(t, f, nil, want), 3)
+		var body []byte
+		read := func() {
+			fr := f.NewReader(bytes.NewReader(stream))
+			fr.Lend(body)
+			for n := 0; ; n++ {
+				_, p, err := fr.Next()
+				if err == io.EOF && n == 3 {
+					break
+				}
+				if err != nil || !bytes.Equal(p, want) {
+					t.Fatalf("%s: frame %d: err %v", tc.name, n, err)
+				}
+			}
+			body = fr.Reclaim()
+			if _, _, err := fr.Next(); err != io.EOF {
+				t.Fatalf("%s: a Reader without its body: err %v", tc.name, err)
+			}
+		}
+		read()
+		if cap(body) < len(want)+trailerLen {
+			t.Fatalf("%s: reclaimed a body of cap %d", tc.name, cap(body))
+		}
+		kept := &body[:1][0]
+		if got := allocated(read); got > 1024 {
+			t.Errorf("%s: a stream through a lent body allocated %d bytes", tc.name, got)
+		}
+		if &body[:1][0] != kept {
+			t.Errorf("%s: the lent body was replaced though every frame fit it", tc.name)
+		}
+		body = make([]byte, 0, 16)
+		read()
+		if cap(body) < len(want)+trailerLen {
+			t.Errorf("%s: a 16-byte lent body came back with cap %d", tc.name, cap(body))
+		}
+	}
+}
+
 // FuzzFrameRead: arbitrary bytes never panic either reader; whatever the
 // slice form accepts re-frames to the identical bytes, and the frames a
 // stream reader hands out re-frame to exactly the prefix it consumed.

@@ -165,6 +165,22 @@ func (a *Aggregate) newLife(fp string, first, last timeline.Date) *fpLife {
 	return l
 }
 
+// life returns fp's lifetime row widened to cover first through last, adding
+// the row of a fingerprint the aggregate has not met.
+func (a *Aggregate) life(fp string, first, last timeline.Date) *fpLife {
+	l := a.fps[fp]
+	if l == nil {
+		return a.newLife(fp, first, last)
+	}
+	if last.After(l.last) {
+		l.last = last
+	}
+	if l.first.After(first) {
+		l.first = first
+	}
+	return l
+}
+
 // Classifier returns the installed classifier, nil when attribution is off.
 func (a *Aggregate) Classifier() Classifier { return a.classifier }
 
@@ -179,20 +195,22 @@ func (a *Aggregate) Observe(r *Record) error {
 // Close is a no-op: an aggregate buffers nothing.
 func (a *Aggregate) Close() error { return nil }
 
-// Add ingests one record.
-func (a *Aggregate) Add(r *Record) {
-	a.generation++
-	m := timeline.MonthOf(r.Date)
+// month returns month m's stats, creating them on first sight.
+func (a *Aggregate) month(m timeline.Month) *MonthStats {
 	ms, ok := a.months[m]
 	if !ok {
 		ms = newMonthStats(m)
 		a.months[m] = ms
 	}
-	ms.N[Total]++
-	if r.SSLv2Hello {
-		ms.N[SSLv2Hellos]++
-	}
+	return ms
+}
 
+// Add ingests one record: what varies from record to record (tally), then
+// its hello and its negotiated suite, folded once each. A ShardBuilder does
+// the first per record and the two folds once per distinct hello and suite,
+// through the same three bodies.
+func (a *Aggregate) Add(r *Record) {
+	ms := a.month(timeline.MonthOf(r.Date))
 	// The offered side, as a shape: the one the record's decoder prepared
 	// when this hello's bytes were first seen, or one made here for a record
 	// that carries none.
@@ -202,71 +220,36 @@ func (a *Aggregate) Add(r *Record) {
 		spot := shapeOf(r.ClientSuites, r.ClientExtensions, r.ClientSupportedVs, exts[:0])
 		sh = &spot
 	}
-	for _, ac := range advCounters {
-		if sh.bits.Has(ac.bit) {
-			ms.N[ac.c]++
-		}
+	a.tally(ms, r, sh)
+	a.foldHello(ms, sh, r.Fingerprint, r.Date, r.Date, 1)
+	if r.Established {
+		ms.foldSuite(r.Suite, 1)
 	}
-	if sh.variant != 0 {
-		ms.N[AdvTLS13]++
-		ms.TLS13Variant.Add(sh.variant, 1)
+}
+
+// tally counts what is r's own in ms, r's month: the record and its flags,
+// Figure 5's position terms — float sums, so added record by record in
+// arrival order whoever calls — and the negotiated side but for the suite.
+func (a *Aggregate) tally(ms *MonthStats, r *Record, sh *helloShape) {
+	a.generation++
+	ms.N[Total]++
+	if r.SSLv2Hello {
+		ms.N[SSLv2Hellos]++
 	}
 	if r.OffersHeartbeat {
 		ms.N[OffersHeartbeatN]++
 	}
-	ms.ByExtension.addEach(sh.exts)
 	for c := range ms.Pos {
 		if sh.pos[c].ok {
 			ms.Pos[c].Sum += sh.pos[c].term
 			ms.Pos[c].Count++
 		}
 	}
-
-	// Fingerprint capabilities.
-	if r.Fingerprint != "" {
-		caps, ok := ms.FPs[r.Fingerprint]
-		if !ok {
-			caps = &FPCaps{Classes: sh.bits & fpClassMask}
-			ms.FPs[r.Fingerprint] = caps
-		}
-		caps.Count++
-		life := a.fps[r.Fingerprint]
-		if life == nil {
-			life = a.newLife(r.Fingerprint, r.Date, r.Date)
-		} else {
-			if r.Date.After(life.last) {
-				life.last = r.Date
-			}
-			if life.first.After(r.Date) {
-				life.first = r.Date
-			}
-		}
-		life.conns++
-		if life.attributed {
-			ms.ByClientClass[life.class]++
-		}
-	}
-
-	// Negotiated side.
 	if !r.Established {
 		return
 	}
 	ms.N[Established]++
 	ms.ByVersion.Add(r.Version.Canonical(), 1)
-	if s, ok := registry.SuiteByID(r.Suite); ok {
-		ms.ByClass[s.TrafficClass()]++
-		ms.ByKex.Add(s.Kex, 1)
-		ms.BySuite.Add(r.Suite, 1)
-		if s.IsNULLCipher() {
-			ms.N[NULLNegotiated]++
-		}
-		if s.IsAnon() {
-			ms.N[AnonNegotiated]++
-		}
-		if s.IsExport() {
-			ms.N[ExportNegotiated]++
-		}
-	}
 	if r.Curve != 0 {
 		ms.ByCurve.Add(r.Curve, 1)
 	}
@@ -275,6 +258,56 @@ func (a *Aggregate) Add(r *Record) {
 	}
 	if r.SuiteUnoffer {
 		ms.N[UnofferedChoice]++
+	}
+}
+
+// foldHello counts n records of month ms that offered the hello sh under
+// fingerprint fp, the earliest dated first and the latest last. The first
+// hello folded for a fingerprint in a month decides its FPCaps.Classes.
+func (a *Aggregate) foldHello(ms *MonthStats, sh *helloShape, fp string, first, last timeline.Date, n int) {
+	for _, ac := range advCounters {
+		if sh.bits.Has(ac.bit) {
+			ms.N[ac.c] += n
+		}
+	}
+	if sh.variant != 0 {
+		ms.N[AdvTLS13] += n
+		ms.TLS13Variant.Add(sh.variant, n)
+	}
+	ms.ByExtension.addEach(sh.exts, n)
+	if fp == "" {
+		return
+	}
+	caps, ok := ms.FPs[fp]
+	if !ok {
+		caps = &FPCaps{Classes: sh.bits & fpClassMask}
+		ms.FPs[fp] = caps
+	}
+	caps.Count += n
+	life := a.life(fp, first, last)
+	life.conns += int64(n)
+	if life.attributed {
+		ms.ByClientClass[life.class] += n
+	}
+}
+
+// foldSuite counts n established connections that negotiated suite.
+func (ms *MonthStats) foldSuite(suite uint16, n int) {
+	s, ok := registry.SuiteByID(suite)
+	if !ok {
+		return
+	}
+	ms.ByClass[s.TrafficClass()] += n
+	ms.ByKex.Add(s.Kex, n)
+	ms.BySuite.Add(suite, n)
+	if s.IsNULLCipher() {
+		ms.N[NULLNegotiated] += n
+	}
+	if s.IsAnon() {
+		ms.N[AnonNegotiated] += n
+	}
+	if s.IsExport() {
+		ms.N[ExportNegotiated] += n
 	}
 }
 
@@ -321,26 +354,10 @@ func (ms *MonthStats) merge(o *MonthStats) {
 func (a *Aggregate) Merge(other *Aggregate) {
 	a.generation += other.generation
 	for m, oms := range other.months {
-		ms, ok := a.months[m]
-		if !ok {
-			ms = newMonthStats(m)
-			a.months[m] = ms
-		}
-		ms.merge(oms)
+		a.month(m).merge(oms)
 	}
 	for fp, ol := range other.fps {
-		life := a.fps[fp]
-		if life == nil {
-			life = a.newLife(fp, ol.first, ol.last)
-		} else {
-			if life.first.After(ol.first) {
-				life.first = ol.first
-			}
-			if ol.last.After(life.last) {
-				life.last = ol.last
-			}
-		}
-		life.conns += ol.conns
+		a.life(fp, ol.first, ol.last).conns += ol.conns
 	}
 }
 
@@ -383,12 +400,7 @@ func (a *Aggregate) EachMonth(fn func(*MonthStats)) {
 // counters, not individual records) so they can populate an Aggregate and
 // ride the same Frame/query machinery as record streams.
 func (a *Aggregate) UpdateMonth(m timeline.Month, records uint64, fn func(*MonthStats)) {
-	ms, ok := a.months[m]
-	if !ok {
-		ms = newMonthStats(m)
-		a.months[m] = ms
-	}
-	fn(ms)
+	fn(a.month(m))
 	a.generation += records
 }
 

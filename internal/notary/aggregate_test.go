@@ -112,32 +112,40 @@ func TestSetClassifierAfterDecode(t *testing.T) {
 }
 
 // BenchmarkAggregateAdd is the ingest inner loop the service runs: records
-// are added to a private shard, which is merged into the standing aggregate
-// every 4096 records (the default flush) or every 256 (a live feeder's
-// stream). The plain runs add records held in memory, which carry no hello
-// row, so Add makes each one's shape on the spot; the decoded runs read the
-// same records from a TLSB stream straight into the shard, as the service
-// does, so their time is BenchmarkIngestBinary's decode plus an Add that
-// folds the decoder's rows.
+// are folded into a private shard, which is merged into the standing
+// aggregate every 4096 records (the default flush) or every 256 (a live
+// feeder's stream). The plain runs add records held in memory, which carry no
+// hello row, so Add makes each one's shape on the spot; the decoded runs read
+// the same records from a TLSB stream straight into the shard, so their time
+// is BenchmarkIngestBinary's decode plus an Add that folds the decoder's
+// rows; the built runs read that stream into a ShardBuilder, as the service
+// does, which folds each row once per flush.
 func BenchmarkAggregateAdd(b *testing.B) {
 	recs := benchIngestRecordSet()
 	stream := encodeBatch(recs)
-	for _, decoded := range []bool{false, true} {
+	for _, mode := range []string{"", "decoded-", "built-"} {
 		for _, shard := range []int{4096, 256} {
-			name := fmt.Sprintf("shard%d", shard)
-			if decoded {
-				name = "decoded-" + name
-			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(fmt.Sprintf("%sshard%d", mode, shard), func(b *testing.B) {
 				cls := testClassifier{mark: "a"}
-				standing := NewAggregate()
-				standing.SetClassifier(cls)
+				newShard := func() *Aggregate {
+					sh := NewAggregate()
+					sh.SetClassifier(cls)
+					return sh
+				}
+				standing := newShard()
 				var sh *Aggregate
+				built := NewShardBuilder(newShard)
 				n := 0
 				add := SinkFunc(func(r *Record) error {
+					if mode == "built-" {
+						built.Add(r)
+						if n++; n%shard == 0 || n == len(recs) {
+							standing.Merge(built.Flush())
+						}
+						return nil
+					}
 					if n%shard == 0 {
-						sh = NewAggregate()
-						sh.SetClassifier(cls)
+						sh = newShard()
 					}
 					sh.Add(r)
 					if n++; n%shard == 0 || n == len(recs) {
@@ -148,7 +156,7 @@ func BenchmarkAggregateAdd(b *testing.B) {
 				rd := bytes.NewReader(nil)
 				pass := func() {
 					n = 0
-					if decoded {
+					if mode != "" {
 						rd.Reset(stream)
 						if _, _, err := ReadBatches(rd, add); err != nil {
 							b.Fatal(err)

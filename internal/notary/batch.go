@@ -412,6 +412,14 @@ func ReadBatches(r io.Reader, sink Sink) (frames, records uint64, err error) {
 // can hold cold or warm where the pool's state is the garbage collector's.
 func readBatches(r io.Reader, sink Sink, t *decodeTables) (frames, records uint64, err error) {
 	fr := batchFormat.NewReader(r)
+	fr.Lend(t.frame)
+	defer func() {
+		// All of the body, or none of it when a frame grew it past the bound:
+		// a single 64 MiB frame must not stay pinned in a pool.
+		if t.frame = fr.Reclaim(); cap(t.frame) > maxKeptBuffer {
+			t.frame = nil
+		}
+	}()
 	var rec Record
 	for frame := 0; ; frame++ {
 		_, payload, err := fr.Next()

@@ -83,9 +83,9 @@ func (c *Counts[K]) touch(k K) *int {
 // Add adds delta to k's counter. A zero delta still makes k present.
 func (c *Counts[K]) Add(k K, delta int) { *c.touch(k) += delta }
 
-// addEach is Add(k, 1) for each of keys, looking a page up once per run of
+// addEach is Add(k, n) for each of keys, looking a page up once per run of
 // keys that share it: once per page when the keys ascend.
-func (c *Counts[K]) addEach(keys []K) {
+func (c *Counts[K]) addEach(keys []K, n int) {
 	var p *countsPage
 	at := -1
 	for _, k := range keys {
@@ -96,8 +96,18 @@ func (c *Counts[K]) addEach(keys []K) {
 			p.present |= bit
 			c.n++
 		}
-		p.n[k&63]++
+		p.n[k&63] += n
 	}
+}
+
+// reset empties c but keeps its pages, zeroed, for the keys to come: what a
+// table its owner refills with much the same keys wants. A table reset this
+// way is no longer reflect.DeepEqual to one that never held them.
+func (c *Counts[K]) reset() {
+	for _, e := range c.dir {
+		*e.page = countsPage{}
+	}
+	c.n = 0
 }
 
 // Set stores v as k's counter, replacing whatever it held.

@@ -35,12 +35,12 @@ func (m *countsModel) set(k uint16, v int) {
 	m.checkKey(k)
 }
 
-// addEach is add(k, 1) for each of keys through Counts.addEach, which wants
+// addEach is add(k, n) for each of keys through Counts.addEach, which wants
 // them ascending to be quick but must be right in any order.
-func (m *countsModel) addEach(keys []uint16) {
-	m.c.addEach(keys)
+func (m *countsModel) addEach(keys []uint16, n int) {
+	m.c.addEach(keys, n)
 	for _, k := range keys {
-		m.model[k]++
+		m.model[k] += n
 	}
 	for _, k := range keys {
 		m.checkKey(k)
@@ -215,7 +215,9 @@ func TestCountsMergeMatchesAddLoop(t *testing.T) {
 // FuzzCounts replays an arbitrary op tape against the map model. Each op is
 // four bytes: kind, key (big endian), operand. Kind 2 gathers its key into a
 // batch, which an odd operand (or the tape's end) sorts and hands to addEach,
-// repeated keys included; an operand of 3 hands it over unsorted.
+// repeated keys included, to be added operand/4 times each — zero included; an
+// operand of 3 hands it over unsorted. An operand of 255 to kind 1 resets the
+// table (the model forgets everything) before the Set.
 func FuzzCounts(f *testing.F) {
 	tape := func(ops ...[4]byte) []byte {
 		var b []byte
@@ -236,6 +238,7 @@ func FuzzCounts(f *testing.F) {
 	f.Add(grease)
 	f.Add(tape([4]byte{2, 0x00, 0x3f, 0}, [4]byte{2, 0x00, 0x40, 0}, [4]byte{2, 0x00, 0x3f, 0}, [4]byte{2, 0xff, 0x01, 1},
 		[4]byte{1, 0x00, 0x40, 9}, [4]byte{2, 0xff, 0x01, 0}, [4]byte{2, 0x00, 0x00, 3}, [4]byte{2, 0x00, 0x41, 0}))
+	f.Add(tape([4]byte{0, 0x00, 0x3f, 2}, [4]byte{2, 0x00, 0x41, 13}, [4]byte{1, 0x01, 0x00, 255}, [4]byte{2, 0x00, 0x41, 21}, [4]byte{0, 0x00, 0x3f, 0}))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := newCountsModel(t)
 		var batch []uint16
@@ -245,6 +248,11 @@ func FuzzCounts(f *testing.F) {
 			case 0:
 				m.add(k, v)
 			case 1:
+				if v == 255 {
+					m.c.reset()
+					clear(m.model)
+					m.checkAll()
+				}
 				m.set(k, v)
 			default:
 				batch = append(batch, k)
@@ -252,13 +260,13 @@ func FuzzCounts(f *testing.F) {
 					if v != 3 {
 						slices.Sort(batch)
 					}
-					m.addEach(batch)
+					m.addEach(batch, v/4)
 					batch = batch[:0]
 				}
 			}
 		}
 		slices.Sort(batch)
-		m.addEach(batch)
+		m.addEach(batch, 1)
 		m.checkAll()
 	})
 }

@@ -78,13 +78,22 @@ func requireSameRecords(t *testing.T, what string, got, want []*Record) {
 }
 
 // requireSameAggregate: folding the decoder's records as they are delivered —
-// through their rows — gives the aggregate the reference's records give,
-// Pos[c].Sum bit for bit.
+// through their rows, one by one (Add) or a cell at a time (a ShardBuilder's
+// Flush) — gives the aggregate the reference's records give, Pos[c].Sum,
+// FPCaps.Classes, lifetime dates and generation bit for bit.
 func requireSameAggregate(t *testing.T, what string, got, want *Aggregate) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: the aggregate of the records as delivered differs from the aggregate of the reference's", what)
 	}
+}
+
+// classified returns an empty aggregate that attributes the fingerprints with
+// an 'f' in them: the sample record's, and most of the random ones.
+func classified() *Aggregate {
+	agg := NewAggregate()
+	agg.SetClassifier(testClassifier{mark: "f"})
+	return agg
 }
 
 // tablePasses are the decoder tables a differential test reads its stream
@@ -106,18 +115,18 @@ func tablePasses() []struct {
 func diffReadBatches(t *testing.T, data []byte) {
 	t.Helper()
 	var want, old collectSink
-	wagg := NewAggregate()
+	wagg := classified()
 	wf, wn, werr := refReadBatches(bytes.NewReader(data), Tee(&want, wagg), current)
 	for _, p := range tablePasses() {
 		pass := p.name
 		var got collectSink
-		agg := NewAggregate()
+		agg, built := classified(), NewShardBuilder(classified)
 		var gf, gn uint64
 		var gerr error
 		if p.tab != nil {
-			gf, gn, gerr = readBatches(bytes.NewReader(data), Tee(&got, agg), p.tab)
+			gf, gn, gerr = readBatches(bytes.NewReader(data), Tee(&got, agg, built), p.tab)
 		} else {
-			gf, gn, gerr = ReadBatches(bytes.NewReader(data), Tee(&got, agg))
+			gf, gn, gerr = ReadBatches(bytes.NewReader(data), Tee(&got, agg, built))
 		}
 		if gf != wf || gn != wn || errText(gerr) != errText(werr) {
 			t.Fatalf("ReadBatches, %s: %d frames, %d records, err %v\nreference:   %d frames, %d records, err %v",
@@ -129,6 +138,7 @@ func diffReadBatches(t *testing.T, data []byte) {
 		}
 		requireSameRecords(t, "ReadBatches, "+pass, got.recs, want.recs)
 		requireSameAggregate(t, "ReadBatches, "+pass, agg, wagg)
+		requireSameAggregate(t, "ReadBatches, "+pass+", through a builder", built.Flush(), wagg)
 	}
 
 	_, on, oerr := refReadBatches(bytes.NewReader(data), &old, predecessor)
@@ -168,18 +178,18 @@ func longestList(r *Record) int {
 func diffReadLog(t *testing.T, data []byte) {
 	t.Helper()
 	var want, old collectSink
-	wagg := NewAggregate()
+	wagg := classified()
 	wn, wbase, werr := refReadLogTail(bytes.NewReader(data), 0, Tee(&want, wagg), current)
 	for _, p := range tablePasses() {
 		pass := p.name
 		var got collectSink
-		agg := NewAggregate()
+		agg, built := classified(), NewShardBuilder(classified)
 		var gn, gbase uint64
 		var gerr error
 		if p.tab != nil {
-			gn, gbase, gerr = readLogTail(bytes.NewReader(data), 0, Tee(&got, agg), p.tab)
+			gn, gbase, gerr = readLogTail(bytes.NewReader(data), 0, Tee(&got, agg, built), p.tab)
 		} else {
-			gn, gbase, gerr = ReadLogTail(bytes.NewReader(data), 0, Tee(&got, agg))
+			gn, gbase, gerr = ReadLogTail(bytes.NewReader(data), 0, Tee(&got, agg, built))
 		}
 		if gn != wn || gbase != wbase || errText(gerr) != errText(werr) {
 			t.Fatalf("ReadLogTail, %s: %d records, base %d, err %v\nreference:   %d records, base %d, err %v",
@@ -187,6 +197,7 @@ func diffReadLog(t *testing.T, data []byte) {
 		}
 		requireSameRecords(t, "ReadLogTail, "+pass, got.recs, want.recs)
 		requireSameAggregate(t, "ReadLogTail, "+pass, agg, wagg)
+		requireSameAggregate(t, "ReadLogTail, "+pass+", through a builder", built.Flush(), wagg)
 	}
 
 	pagg, perr := readLogParallel(bytes.NewReader(data), 3, 61, nil)

@@ -129,12 +129,16 @@ func (r *Record) memoShape() *helloShape {
 // twice over for an extension (the shape's sorted copy), so a table tops out
 // near 2 MiB of keys and strings, 8 MiB of lists and 1.2 MiB of rows. A
 // 150,000-record simulated log fills a TSV table with 3,045 rows in about
-// 2 MiB (1.0 keys and strings, 0.2 lists, 0.9 rows).
+// 2 MiB (1.0 keys and strings, 0.2 lists, 0.9 rows). Beside them a table
+// keeps its decoder's stream buffer, at most maxKeptBuffer bytes of it: a
+// TLSB table the frame body (≈ 104 KiB for a 512-record frame), a TSV table
+// the scanner's 64 KiB window — 12.2 MiB a table at the very most.
 const (
 	maxHelloSpan     = 1 << 12
 	maxHelloRows     = 1 << 12
 	maxInternEntries = 1 << 14
 	maxTableBytes    = 1 << 21
+	maxKeptBuffer    = 1 << 20
 )
 
 // decodeTables is what a record decoder keeps from record to record: the
@@ -151,6 +155,12 @@ type decodeTables struct {
 	// scratch is where the checked decoders put a hello's lists on a miss; a
 	// row takes copies.
 	scratch lists
+
+	// The buffer the stream is read through, kept from stream to stream so a
+	// connection does not grow its own: the TLSB reader's frame body (see
+	// readBatches), the TSV reader's scanner window. Nothing decoded points into
+	// either — rows, keys and strings are copies.
+	frame, line []byte
 
 	// A row's lists are carved from chunks, so a distinct hello costs its key,
 	// its row and a share of a chunk, not an allocation per list. A chunk is

@@ -150,7 +150,10 @@ func ReadLogTail(r io.Reader, skip uint64, sink Sink) (delivered, base uint64, e
 // readBatches).
 func readLogTail(r io.Reader, skip uint64, sink Sink, t *decodeTables) (delivered, base uint64, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), maxLogLine)
+	if t.line == nil {
+		t.line = make([]byte, 0, 1<<16)
+	}
+	sc.Buffer(t.line, maxLogLine) // a longer line grows a buffer of the scanner's own
 	var rec Record
 	lineNo := 0
 	sawBase := false
@@ -198,10 +201,11 @@ const defaultChunkSize = 1 << 20
 
 // ReadLogParallel parses a log written by LogWriter on a pool of workers
 // and returns the merged Aggregate. The byte stream is split on line
-// boundaries into chunks, each chunk is parsed into a per-shard Aggregate,
-// and the shards are combined with Aggregate.Merge — so the result is
-// identical to feeding serial ReadLog into one Aggregate, for every worker
-// count. workers <= 0 uses GOMAXPROCS; workers == 1 is the serial path.
+// boundaries into chunks, each worker folds its chunks into a shard of its
+// own through a ShardBuilder, and the shards are combined with
+// Aggregate.Merge — so the result is identical to feeding serial ReadLog
+// into one Aggregate, for every worker count. workers <= 0 uses GOMAXPROCS;
+// workers == 1 is the serial path.
 // A malformed or over-long line (maxLogLine) produces the same error the
 // serial reader reports, and the earliest such line wins. A non-nil
 // classifier is installed on every shard and on the merged result, so
@@ -218,13 +222,17 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
+	newShard := func() *Aggregate {
 		agg := NewAggregate()
 		agg.SetClassifier(classifier)
-		if err := ReadLog(r, agg); err != nil {
+		return agg
+	}
+	if workers == 1 {
+		shard := NewShardBuilder(newShard)
+		if err := ReadLog(r, shard); err != nil {
 			return nil, err
 		}
-		return agg, nil
+		return shard.Flush(), nil
 	}
 	if chunkSize < 1 {
 		chunkSize = 1
@@ -252,9 +260,8 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			agg := NewAggregate()
-			agg.SetClassifier(classifier)
-			aggs[w] = agg
+			shard := NewShardBuilder(newShard)
+			defer func() { aggs[w] = shard.Flush() }()
 			var rec Record
 			t := tsvTables.Get().(*decodeTables)
 			defer tsvTables.Put(t)
@@ -295,7 +302,7 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 						break
 					}
 					if ok {
-						agg.Add(&rec)
+						shard.Add(&rec)
 					}
 					lineNo++
 				}
@@ -362,8 +369,7 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 	if first.err != nil {
 		return nil, first.err
 	}
-	agg := NewAggregate()
-	agg.SetClassifier(classifier)
+	agg := newShard()
 	for _, shard := range aggs {
 		agg.Merge(shard)
 	}

@@ -1,0 +1,177 @@
+package notary
+
+import "tlsage/internal/timeline"
+
+// ShardBuilder accumulates decoder records into a private Aggregate — the
+// shard a stream builds before a merge — paying for a hello's shape once per
+// distinct hello, not once per record: a 4,096-record shard of a simulated
+// stream holds under two hundred distinct (month, hello) pairs and a few
+// dozen (month, suite) ones. For a record on a decoder's hello row it does
+// what is the record's own (Aggregate.tally) and counts the record in its
+// (month, row) cell and its month's raw-suite table; Flush folds each cell's
+// shape and each suite times its count through the bodies Add runs with a
+// count of one (foldHello, foldSuite). Those counters are integers, so the
+// product is the sum; Figure 5's position sums are floats, which is why tally
+// adds them record by record, in arrival order, and a Flush is
+// reflect.DeepEqual to Add over the same records, Pos[c].Sum bit for bit.
+//
+// A record with no row (an oversize hello, a list or fingerprint a sink
+// replaced, a record no decoder made) goes through Add once the pending cells
+// are folded: the first hello seen for a fingerprint in a month decides its
+// FPCaps.Classes, in a builder as in Add.
+//
+// A ShardBuilder serves one stream: it is not safe for concurrent use, and
+// nothing of the shard may be read before Flush.
+type ShardBuilder struct {
+	newShard func() *Aggregate
+	agg      *Aggregate // the shard under construction; nil until a record needs it
+	months   map[timeline.Month]*builderMonth
+	last     *builderMonth // the previous record's month: a stream's dates run together
+	cells    []helloCell   // pending, in first-seen order
+}
+
+// builderMonth is what a builder keeps per month beside the shard's stats.
+type builderMonth struct {
+	month timeline.Month
+	ms    *MonthStats         // the shard's month; nil until this shard touches it
+	cells map[*helloRow]int32 // the month's pending cells, as indexes into ShardBuilder.cells
+	// suites counts established connections per negotiated suite as it came,
+	// pending foldSuite.
+	suites Counts[uint16]
+}
+
+// helloCell counts the records of one month that came through one hello row.
+// It holds the row: a decoder table emptied mid-shard lets go of its rows, a
+// cell does not.
+type helloCell struct {
+	bm          *builderMonth
+	row         *helloRow
+	n           int
+	first, last timeline.Date
+}
+
+const (
+	// maxPendingCells bounds the rows a builder pins, whatever its owner's
+	// flush cadence: at this many cells they are folded into the shard early.
+	// A whole-log builder (ReadLogParallel's) would otherwise hold a cell per
+	// fingerprint row of its aggregate.
+	maxPendingCells = 1 << 12
+	// maxKeptMonths bounds the per-month state carried from one flush to the
+	// next (a study spans 75 months; a feeder may spray dates).
+	maxKeptMonths = 1 << 8
+)
+
+// NewShardBuilder returns an empty builder. newShard makes each shard — a
+// fresh aggregate configured like the one the shards are merged into (see
+// core.Study.NewShard) — and is called once per Flush, when the shard's first
+// record arrives.
+func NewShardBuilder(newShard func() *Aggregate) *ShardBuilder {
+	return &ShardBuilder{newShard: newShard, months: make(map[timeline.Month]*builderMonth)}
+}
+
+func (b *ShardBuilder) shard() *Aggregate {
+	if b.agg == nil {
+		b.agg = b.newShard()
+	}
+	return b.agg
+}
+
+// month returns the builder's state for month m, bound to the shard's stats.
+func (b *ShardBuilder) month(m timeline.Month) *builderMonth {
+	if bm := b.last; bm != nil && bm.month == m {
+		return bm
+	}
+	bm := b.months[m]
+	if bm == nil {
+		bm = &builderMonth{month: m, cells: make(map[*helloRow]int32)}
+		b.months[m] = bm
+	}
+	if bm.ms == nil {
+		bm.ms = b.shard().month(m)
+	}
+	b.last = bm
+	return bm
+}
+
+// Observe implements Sink.
+func (b *ShardBuilder) Observe(r *Record) error {
+	b.Add(r)
+	return nil
+}
+
+// Add counts one record into the shard. Like Aggregate.Add it keeps nothing
+// of r but the row its decoder gave it, which is immutable.
+func (b *ShardBuilder) Add(r *Record) {
+	sh := r.memoShape()
+	if sh == nil || r.Fingerprint != r.hello.fp {
+		b.foldCells()
+		b.shard().Add(r)
+		return
+	}
+	bm := b.month(timeline.MonthOf(r.Date))
+	b.agg.tally(bm.ms, r, sh)
+	if r.Established {
+		bm.suites.Add(r.Suite, 1)
+	}
+	i, ok := bm.cells[r.hello]
+	if !ok {
+		if len(b.cells) >= maxPendingCells {
+			b.foldCells()
+		}
+		i = int32(len(b.cells))
+		bm.cells[r.hello] = i
+		b.cells = append(b.cells, helloCell{bm: bm, row: r.hello, first: r.Date, last: r.Date})
+	}
+	c := &b.cells[i]
+	c.n++
+	if r.Date.After(c.last) {
+		c.last = r.Date
+	}
+	if c.first.After(r.Date) {
+		c.first = r.Date
+	}
+}
+
+// Close implements Sink. It is a no-op: the owner takes the shard with Flush.
+func (b *ShardBuilder) Close() error { return nil }
+
+// foldCells folds the pending cells into the shard, oldest first, and forgets
+// them.
+func (b *ShardBuilder) foldCells() {
+	if len(b.cells) == 0 {
+		return
+	}
+	for i := range b.cells {
+		c := &b.cells[i]
+		b.agg.foldHello(c.bm.ms, &c.row.shape, c.row.fp, c.first, c.last, c.n)
+		if len(c.bm.cells) > 0 {
+			clear(c.bm.cells) // once per month that has cells, not per month kept
+		}
+	}
+	clear(b.cells) // let go of the rows
+	b.cells = b.cells[:0]
+}
+
+// Flush completes the shard — every record observed since the last Flush —
+// and returns it, the caller's to merge and keep; with no record it is a
+// fresh empty shard. The builder is then empty and ready for the stream's
+// next shard, with the capacity of its cells, indexes and suite pages kept.
+func (b *ShardBuilder) Flush() *Aggregate {
+	agg := b.shard()
+	b.foldCells()
+	for _, bm := range b.months {
+		if bm.ms == nil {
+			continue
+		}
+		for suite, n := range bm.suites.All() {
+			bm.ms.foldSuite(suite, n)
+		}
+		bm.suites.reset()
+		bm.ms = nil
+	}
+	if len(b.months) > maxKeptMonths {
+		clear(b.months)
+	}
+	b.agg, b.last = nil, nil
+	return agg
+}

@@ -1,0 +1,326 @@
+package notary
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"tlsage/internal/registry"
+	"tlsage/internal/timeline"
+)
+
+// Tests of the ShardBuilder beyond what the differential harness gives every
+// seed and fuzz input (decode_diff_test.go folds each stream through a builder
+// too): the orders the first-seen rule depends on, dates, a decoder table
+// emptied under a builder's cells, the builder's own early fold, flush
+// cadences, and what a warm pool spares a stream.
+
+// oversize returns r with a cipher list too long for a hello table to keep:
+// the decoders hand it to sinks with no row. Its list is all RC4.
+func oversize(r *Record) *Record {
+	r.ClientSuites = make([]uint16, maxHelloSpan)
+	for i := range r.ClientSuites {
+		r.ClientSuites[i] = 0x0005
+	}
+	return r
+}
+
+// builderSeeds are streams whose aggregate depends on what a builder defers.
+func builderSeeds() map[string][]*Record {
+	// One fingerprint over two lists with different class bits: AEAD among
+	// others on a table row, RC4 alone on a record no table keeps.
+	row, bare := sampleRecord(), oversize(sampleRecord())
+	// One hello on descending dates, over a month boundary and back.
+	var dated []*Record
+	for _, d := range []timeline.Date{
+		timeline.D(2015, time.June, 20), timeline.D(2015, time.June, 10), timeline.D(2015, time.June, 3),
+		timeline.D(2015, time.July, 1), timeline.D(2015, time.June, 30), timeline.D(2015, time.May, 31),
+		timeline.D(2015, time.July, 2), timeline.D(2015, time.June, 1),
+	} {
+		r := sampleRecord()
+		r.Date = d
+		dated = append(dated, r)
+	}
+	return map[string][]*Record{
+		"one fingerprint, two class sets, the row first":       {row, row, bare, row},
+		"one fingerprint, two class sets, the row-less first":  {bare, row, bare, row, row},
+		"descending dates and a month boundary inside a shard": dated,
+	}
+}
+
+func TestBuilderSeedsMatchReference(t *testing.T) {
+	for name, recs := range builderSeeds() {
+		t.Run(name, func(t *testing.T) {
+			diffReadBatches(t, encodeBatch(recs))
+			diffReadLog(t, tsvLog(recs))
+		})
+	}
+	// The first two are only worth their names if the order shows.
+	seeds := builderSeeds()
+	classes := func(recs []*Record) registry.ClassBits {
+		b := NewShardBuilder(classified)
+		if _, _, err := ReadBatches(bytes.NewReader(encodeBatch(recs)), b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Flush().Stats(timeline.MonthOf(recs[0].Date)).FPs[recs[0].Fingerprint].Classes
+	}
+	first := classes(seeds["one fingerprint, two class sets, the row first"])
+	second := classes(seeds["one fingerprint, two class sets, the row-less first"])
+	if first == second || !first.Has(registry.ClassAEAD) || second.Has(registry.ClassAEAD) {
+		t.Errorf("vacuous: FPCaps.Classes %b with the row first, %b with the row-less record first", first, second)
+	}
+}
+
+// Flush of nothing is a fresh shard, and leaves the builder usable.
+func TestBuilderFlushOfNothing(t *testing.T) {
+	b := NewShardBuilder(classified)
+	for i := 0; i < 2; i++ {
+		if got := b.Flush(); !reflect.DeepEqual(got, classified()) {
+			t.Fatalf("Flush %d of an empty builder: %d records", i, got.TotalRecords())
+		}
+	}
+	if err := b.Observe(sampleRecord()); err != nil {
+		t.Fatal(err)
+	}
+	want := classified()
+	want.Add(sampleRecord())
+	requireSameAggregate(t, "one record after two empty flushes", b.Flush(), want)
+}
+
+// A decoder table emptied mid-shard lets go of its rows and makes new ones for
+// the hellos that come again; the builder's cells hold the old rows, and the
+// shard comes out as if nothing had happened. The table is emptied through its
+// string bound, with three hellos, so the builder's own early fold (below)
+// stays out of it.
+func TestBuilderCellsOutliveAnEmptiedTable(t *testing.T) {
+	hellos := distinctHellos(3)
+	recs := make([]*Record, maxInternEntries+500)
+	for i := range recs {
+		r := *hellos[i%len(hellos)]
+		r.ServerCohort = fmt.Sprintf("cohort-%d", i) // interned beside the rows
+		r.Date.Day = 1 + i%28
+		recs[i] = &r
+	}
+	want := classified()
+	for _, r := range recs {
+		want.Add(r)
+	}
+	for _, format := range []string{"tlsb", "tsv"} {
+		tab, b := newDecodeTables(), NewShardBuilder(classified)
+		var rows []*helloRow
+		emptied := false
+		probe := SinkFunc(func(r *Record) error {
+			if len(tab.strs) < 100 && len(rows) > 3 {
+				emptied = true
+			}
+			if len(rows) == 0 || rows[len(rows)-1] != r.hello {
+				rows = append(rows, r.hello)
+			}
+			return nil
+		})
+		var err error
+		if format == "tlsb" {
+			_, _, err = readBatches(bytes.NewReader(encodeBatch(recs)), Tee(probe, b), tab)
+		} else {
+			_, _, err = readLogTail(bytes.NewReader(tsvLog(recs)), 0, Tee(probe, b), tab)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !emptied || len(b.cells) <= len(hellos) {
+			t.Errorf("%s: vacuous: table emptied: %v; %d cells pending for %d hellos", format, emptied, len(b.cells), len(hellos))
+		}
+		requireSameAggregate(t, format+": a table emptied mid-shard", b.Flush(), want)
+	}
+}
+
+// A builder nobody flushes folds its cells itself at maxPendingCells, and a
+// stream that keeps making new cells — more hellos than the bound, over two
+// months — still comes out as Add has it.
+func TestBuilderFoldsEarlyAtItsCellBound(t *testing.T) {
+	recs := distinctHellos(maxPendingCells + 300)
+	for i, r := range recs {
+		if i%2 == 1 {
+			r.Date = timeline.D(2015, time.July, 1+i%28)
+		}
+	}
+	recs = append(recs, recs[:600]...)
+	want, b := classified(), NewShardBuilder(classified)
+	most := 0
+	for _, r := range recs {
+		want.Add(r)
+	}
+	_, _, err := ReadBatches(bytes.NewReader(encodeBatch(recs)), Tee(b, SinkFunc(func(*Record) error {
+		most = max(most, len(b.cells))
+		return nil
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if most != maxPendingCells {
+		t.Errorf("the builder held %d cells at most, want %d", most, maxPendingCells)
+	}
+	requireSameAggregate(t, "a builder folding early", b.Flush(), want)
+}
+
+// dyadicRecords are random records whose position terms add exactly in any
+// order: every GREASE-stripped cipher list has 2, 3, 5, 9 or 17 suites, so a
+// term is a multiple of 1/16. Every ninth is too long for a table row.
+func dyadicRecords(seed int64, n int) []*Record {
+	recs := buildBatchRecords(seed, n)
+	for i, r := range recs {
+		var suites []uint16
+		for _, s := range r.ClientSuites {
+			if !registry.IsGREASE(s) {
+				suites = append(suites, s)
+			}
+		}
+		for _, keep := range []int{17, 9, 5, 3, 2} {
+			if len(suites) >= keep {
+				suites = suites[:keep]
+				break
+			}
+		}
+		r.ClientSuites = suites
+		if i%9 == 0 {
+			oversize(r)
+		}
+	}
+	return recs
+}
+
+// One stream flushed every 1, 7 and 4,096 records: each cadence's shards,
+// merged, are the shards Add makes at that cadence, merged — and, the terms
+// being exact, all three are the one aggregate of the whole stream, content
+// and generation.
+func TestBuilderFlushCadences(t *testing.T) {
+	recs := dyadicRecords(101, 9000)
+	stream := encodeBatch(recs)
+	whole := classified()
+	for _, r := range recs {
+		whole.Add(r)
+	}
+	for _, every := range []int{1, 7, 4096} {
+		built, added := classified(), classified()
+		b, shard := NewShardBuilder(classified), classified()
+		n := 0
+		_, _, err := ReadBatches(bytes.NewReader(stream), SinkFunc(func(r *Record) error {
+			b.Add(r)
+			shard.Add(r)
+			if n++; n%every == 0 {
+				built.Merge(b.Flush())
+				added.Merge(shard)
+				shard = classified()
+			}
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		built.Merge(b.Flush())
+		added.Merge(shard)
+		requireSameAggregate(t, fmt.Sprintf("flush every %d: builder shards against Add shards", every), built, added)
+		requireSameAggregate(t, fmt.Sprintf("flush every %d: merged shards against the whole stream", every), built, whole)
+		if built.Generation() != uint64(len(recs)) {
+			t.Errorf("flush every %d: generation %d, want %d", every, built.Generation(), len(recs))
+		}
+	}
+}
+
+// A second stream through a warm pool allocates no frame body and no scanner
+// window: what it allocates is bounded in bytes, far under either buffer. The
+// pin goes through the entry points that take the table, as the allocation
+// pins of hello_test.go do.
+func TestStreamBuffersAllocBound(t *testing.T) {
+	recs := buildBatchRecords(61, 512)
+	for name, c := range map[string]struct {
+		stream []byte
+		read   func(*bytes.Reader, *decodeTables) error
+	}{
+		"tlsb": {encodeBatch(recs), func(rd *bytes.Reader, tab *decodeTables) error {
+			_, _, err := readBatches(rd, nullSink(), tab)
+			return err
+		}},
+		"tsv": {tsvLog(recs), func(rd *bytes.Reader, tab *decodeTables) error {
+			_, _, err := readLogTail(rd, 0, nullSink(), tab)
+			return err
+		}},
+	} {
+		tab, rd := newDecodeTables(), bytes.NewReader(nil)
+		run := func() {
+			rd.Reset(c.stream)
+			if err := c.read(rd, tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		perStream := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: a %d-byte stream through a warm table allocates %d bytes", name, len(c.stream), perStream)
+		if perStream > 8<<10 {
+			t.Errorf("%s: a stream through a warm table allocates %d bytes, want at most 8 KiB: a stream buffer is not the table's", name, perStream)
+		}
+	}
+}
+
+// A frame above maxKeptBuffer is read, and its body leaves with the stream.
+func TestOversizeFrameBodyIsNotKept(t *testing.T) {
+	big := sampleRecord()
+	big.ClientSuites = make([]uint16, maxListLen)
+	var recs []*Record
+	for i := 0; i < 40; i++ {
+		recs = append(recs, big)
+	}
+	stream := encodeBatch(recs)
+	if len(stream) <= maxKeptBuffer {
+		t.Fatalf("vacuous: the frame is %d bytes", len(stream))
+	}
+	tab := newDecodeTables()
+	if _, n, err := readBatches(bytes.NewReader(stream), nullSink(), tab); err != nil || n != uint64(len(recs)) {
+		t.Fatalf("%d records, err %v", n, err)
+	}
+	if tab.frame != nil {
+		t.Errorf("the table kept a %d-byte frame body", cap(tab.frame))
+	}
+	if _, _, err := readBatches(bytes.NewReader(encodeBatch(recs[:1])), nullSink(), tab); err != nil || tab.frame == nil {
+		t.Errorf("an ordinary frame after it: err %v, body kept: %v", err, tab.frame != nil)
+	}
+}
+
+// A property run on top of the named seeds: random records, most of them
+// repeated hellos, through one builder flushed at random points — every shard
+// is bit for bit the shard Add makes of the same records.
+func TestBuilderMatchesAddAtRandomFlushPoints(t *testing.T) {
+	rnd := rand.New(rand.NewSource(103))
+	recs := buildBatchRecords(107, 400)
+	for trial := 0; trial < 30; trial++ {
+		var stream []*Record
+		for i := 0; i < 600; i++ {
+			stream = append(stream, recs[rnd.Intn(1+rnd.Intn(len(recs)))])
+		}
+		b, shard := NewShardBuilder(classified), classified()
+		_, _, err := ReadBatches(bytes.NewReader(encodeBatch(stream)), SinkFunc(func(r *Record) error {
+			b.Add(r)
+			shard.Add(r)
+			if rnd.Intn(50) == 0 {
+				requireSameAggregate(t, fmt.Sprintf("trial %d", trial), b.Flush(), shard)
+				shard = classified()
+			}
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameAggregate(t, fmt.Sprintf("trial %d, last shard", trial), b.Flush(), shard)
+	}
+}

@@ -181,6 +181,42 @@ func TestIngestWireFormatParity(t *testing.T) {
 	}
 }
 
+// TestFlushCadenceParity: a stream's shards are built a cell at a time and
+// folded at each flush (notary.ShardBuilder), one builder for all of a
+// stream's shards, so the cadence must not show. The same log, as TSV and as
+// binary batches, flushed every record, every 7 and once per 4,096, serves
+// /scalars and the query sweep byte-identically to an offline LoadLog.
+func TestFlushCadenceParity(t *testing.T) {
+	log, offline := sharedLog(t)
+	batch := transcodeBatch(t, log, 53)
+	records := offline.Aggregate().TotalRecords()
+	for _, every := range []int{1, 7, 4096} {
+		for _, in := range []struct {
+			name, contentType string
+			body              []byte
+		}{{"tsv", ContentTypeTSV, log}, {"binary", ContentTypeBatch, batch}} {
+			t.Run(fmt.Sprintf("every-%d/%s", every, in.name), func(t *testing.T) {
+				// Room for a shard per record: nothing is shed.
+				srv := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithQueueBound(records))
+				defer srv.Close()
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+				resp, err := http.Post(ts.URL+"/ingest", in.contentType, bytes.NewReader(in.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fed ingestStats
+				err = json.NewDecoder(resp.Body).Decode(&fed)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || fed.Records != records || fed.Generation != uint64(records) {
+					t.Fatalf("ingest: status %d, %+v, err %v; want %d records", resp.StatusCode, fed, err, records)
+				}
+				requireServedParity(t, ts.URL, log)
+			})
+		}
+	}
+}
+
 // TestConcurrentStreamsOfBothFormats is the parity check for what streams
 // share: the record decoders draw their hello tables from one pool per format
 // (notary/hello.go), so a table warmed by one peer's stream decodes the next

@@ -236,12 +236,12 @@ func openPusher(cfg *Config, study *core.Study, defaultID string, recovered uint
 // past generation from, in a shard of the study's so client attribution
 // matches live ingest, with recovery's tolerance for a torn final line.
 func replayUnshipped(study *core.Study, path string, from uint64, logf func(string, ...any)) (*notary.Aggregate, error) {
-	shard := study.NewShard()
+	shard := notary.NewShardBuilder(study.NewShard)
 	_, _, torn, err := replayLogTail(path, from, shard)
 	if torn != nil {
 		logf("warning: replaying %s past generation %d: %v (keeping the valid prefix)", path, from, torn)
 	}
-	return shard, err
+	return shard.Flush(), err
 }
 
 // Handler returns the node's HTTP handler: the router over every hosted

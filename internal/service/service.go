@@ -385,11 +385,11 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 	}
 }
 
-// shardIngester accumulates a stream into a private aggregate and hands it
-// to the merge queue every flushEvery records — the sharded ingest path.
+// shardIngester accumulates a stream into private shards of the study's, one
+// builder for all of them, and hands a shard to the merge queue every
+// flushEvery records — the sharded ingest path.
 type shardIngester struct {
-	study *core.Study
-	shard *notary.Aggregate
+	shard *notary.ShardBuilder
 	tee   *notary.LockedSink // optional, may be nil
 	every int
 	since int
@@ -405,7 +405,7 @@ func newShardIngester(study *core.Study, every int, tee *notary.LockedSink, queu
 	if every <= 0 {
 		every = DefaultFlushEvery
 	}
-	return &shardIngester{study: study, shard: study.NewShard(), every: every, tee: tee,
+	return &shardIngester{shard: notary.NewShardBuilder(study.NewShard), every: every, tee: tee,
 		queue: queue, qs: &queueStream{}}
 }
 
@@ -436,13 +436,12 @@ func (si *shardIngester) flush() error {
 	if si.since == 0 {
 		return nil
 	}
-	err := si.queue.enqueue(si.qs, si.shard)
+	err := si.queue.enqueue(si.qs, si.shard.Flush())
 	if err != nil {
 		// The shed shard never reaches the study: report only applied
 		// records so the feeder can tell whether a retry would duplicate.
 		si.total -= si.since
 	}
-	si.shard = si.study.NewShard()
 	si.since = 0
 	return err
 }
