@@ -75,6 +75,19 @@ func cmdFeed(args []string) error {
 		}
 	}
 
+	// What goes on the wire is counted where the transport reads it; a retry
+	// reopens the stream, and the count is the last attempt's.
+	var sent int64
+	stream := open
+	open = func() (io.ReadCloser, error) {
+		rc, err := stream()
+		if err != nil {
+			return nil, err
+		}
+		sent = 0
+		return countingReader{rc, &sent}, nil
+	}
+
 	fopts := service.FeedOptions{
 		Binary:     *binary,
 		MaxRetries: *retry,
@@ -91,7 +104,20 @@ func cmdFeed(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "fed %d records in %v (server generation %d, %d attempt(s))\n",
-		res.Records, time.Since(start).Round(time.Millisecond), res.Generation, res.Attempts)
+	fmt.Fprintf(os.Stderr, "fed %d records in %v (%d bytes, %.1f B/record, server generation %d, %d attempt(s))\n",
+		res.Records, time.Since(start).Round(time.Millisecond), sent, float64(sent)/float64(max(res.Records, 1)),
+		res.Generation, res.Attempts)
 	return nil
+}
+
+// countingReader adds what is read through it to *n.
+type countingReader struct {
+	io.ReadCloser
+	n *int64
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	n, err := c.ReadCloser.Read(p)
+	*c.n += int64(n)
+	return n, err
 }

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -119,7 +122,17 @@ func TestCLI(t *testing.T) {
 
 		serve, url, tcp, wait := startServe(t, bin, "-out", out, "-snapshot-dir", snaps)
 		run("feed", "-addr", url, "-conns", "20")
-		run("feed", "-tcp", tcp, "-conns", "20", "-seed", "2", "-binary")
+		// feed's summary line carries the stream's wire cost: a TLSB record
+		// of these frames is a few dozen bytes, a TSV line a few hundred.
+		summary, err := exec.Command(bin, "feed", "-tcp", tcp, "-conns", "20", "-seed", "2", "-binary").CombinedOutput()
+		m := regexp.MustCompile(`fed 1500 records in \S+ \((\d+) bytes, ([\d.]+) B/record, `).FindSubmatch(summary)
+		if err != nil || m == nil {
+			t.Fatalf("feed -binary: err %v, summary %q", err, summary)
+		}
+		sent, _ := strconv.Atoi(string(m[1]))
+		if perRecord := fmt.Sprintf("%.1f", float64(sent)/1500); sent < 20*1500 || sent > 100*1500 || string(m[2]) != perRecord {
+			t.Errorf("feed -binary sent %d bytes at %s B/record: want 20 to 100 bytes a record, and %s", sent, m[2], perRecord)
+		}
 		before := run("query", "-addr", url, "-q", q, "-json")
 		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatal(err)

@@ -31,22 +31,41 @@ import (
 //	date (uvarint year, month, day)
 //	client_version, version, suite, curve (uvarints, uint16-bounded)
 //	alert byte
-//	client_suites, client_exts, client_curves, client_pfs, client_svs
+//	hello reference (uvarint; version 3 on)
+//	hello span, unless the reference stands for it:
+//	    client_suites, client_exts, client_curves, client_pfs, client_svs
 //	            (uvarint count + uvarint elements, bounds-checked)
-//	fp, truth, cohort (uvarint length + raw bytes)
+//	    fp, truth (uvarint length + raw bytes)
+//	cohort reference (uvarint; version 3 on)
+//	cohort (uvarint length + raw bytes), unless the reference stands for it
+//
+// A hello repeats — a 512-record frame of a collector's intake spells some 65
+// distinct ones — and so does a cohort, so from version 3 on a frame sends
+// each once. A reference is read against d, the entries of its kind the frame
+// has defined so far: 0 means the value follows and is not remembered (what a
+// writer sends for a span too long to keep, or in a frame already at its
+// definition cap); d+1 means it follows and becomes entry d+1; 1..d stands
+// for that entry and nothing follows; anything larger is an error. Entries
+// never cross a frame: frames stay self-contained, so a stream can be cut
+// and concatenated at frame boundaries, and the frame checksum covers every
+// definition. Versions 1 and 2 are the same grammar with every reference 0
+// and omitted. A record is ≈ 37 bytes at 512-record frames where version 2
+// spent ≈ 203.
 //
 // Decoding is defensive the same way the snapshot codec is: every length is
-// bounds-checked against the bytes actually present. It is also the largest
-// line in a collector's CPU profile, so the decoder reads a record in the
-// spelling every writer uses — varints of one to three bytes, values in range
-// — through fixed-shape code (decodeRecordHead, decodeCodeList's loop,
-// varint3) that touches each byte once and calls nothing per element.
-// Anything else is not consumed there: it drops to the checked snapDecoder
-// statements in the same function, which accept what else is legal (a
-// non-minimal varint) and produce every error. A record's five lists, fp and
-// truth — its hello — are decoded once per distinct spelling and found again
-// by their bytes after that (hello.go). FuzzReadBatches holds the result to
-// the statement-per-element decoder kept in decode_ref_test.go.
+// bounds-checked against the bytes actually present, and a frame may define
+// at most maxHelloRows entries of either kind, none above maxHelloSpan bytes
+// (hello.go). It is also the largest line in a collector's CPU profile, so
+// the decoder reads a record in the spelling every writer uses — varints of
+// one to three bytes, values in range — through fixed-shape code
+// (decodeRecordHead, decodeCodeList's loop, varint3) that touches each byte
+// once and calls nothing per element. Anything else is not consumed there: it
+// drops to the checked snapDecoder statements in the same function, which
+// accept what else is legal (a non-minimal varint) and produce every error. A
+// record's five lists, fp and truth — its hello — are decoded once per
+// distinct spelling and found again by their bytes after that (hello.go).
+// FuzzReadBatches holds the result to the statement-per-element decoder kept
+// in decode_ref_test.go.
 //
 // The three strings must be ones the TSV log can carry (see loggable): a
 // collector tees what it acknowledges into -out as TSV lines, and recovery
@@ -54,11 +73,11 @@ import (
 
 // BatchVersion is the batch wire-format version byte written by this build.
 // Version 2 marks the generation where aggregates derive fingerprint/client
-// attribution counters from Record.Fingerprint; the record payload itself is
-// unchanged (the fingerprint was always carried), so readers accept
-// batchFormat.MinVersion through BatchVersion and reject anything newer —
-// the format can evolve without silent misdecodes.
-const BatchVersion = 2
+// attribution counters from Record.Fingerprint, over version 1's payload;
+// version 3 adds the two frame-local references. Readers accept
+// batchFormat.MinVersion through BatchVersion and reject anything newer — the
+// format can evolve without silent misdecodes.
+const BatchVersion = 3
 
 // batchFormat is the TLSB envelope. The magic differs from the snapshot
 // magic in its first bytes read off the wire, which is what lets the TCP
@@ -137,24 +156,6 @@ func recordFlags(r *Record) byte {
 	return b
 }
 
-func appendRecordBinary(dst []byte, r *Record) []byte {
-	dst = append(dst, recordFlags(r))
-	dst = appendDateEnc(dst, r.Date)
-	dst = appendUvarint(dst, uint64(r.ClientVersion))
-	dst = appendUvarint(dst, uint64(r.Version))
-	dst = appendUvarint(dst, uint64(r.Suite))
-	dst = appendUvarint(dst, uint64(r.Curve))
-	dst = append(dst, r.AlertDesc)
-	dst = appendCodeList(dst, r.ClientSuites)
-	dst = appendCodeList(dst, r.ClientExtensions)
-	dst = appendCodeList(dst, r.ClientCurves)
-	dst = appendCodeList(dst, r.ClientPointFmts)
-	dst = appendCodeList(dst, r.ClientSupportedVs)
-	dst = appendString(dst, r.Fingerprint)
-	dst = appendString(dst, r.TruthClient)
-	return appendString(dst, r.ServerCohort)
-}
-
 func appendCodeList[T ~uint8 | ~uint16](dst []byte, vals []T) []byte {
 	dst = appendCount(dst, len(vals))
 	for _, v := range vals {
@@ -163,18 +164,60 @@ func appendCodeList[T ~uint8 | ~uint16](dst []byte, vals []T) []byte {
 	return dst
 }
 
+// frameDict is one of a BatchWriter's two dictionaries, hellos or cohorts:
+// which entry of the frame being built stands for a value. It outlives the
+// frame — a slot is stamped with the frame that defined it last and stands
+// for nothing in any other — so a writer whose values repeat from frame to
+// frame allocates nothing; it is emptied at the bounds a decoder's table is.
+type frameDict struct {
+	slots map[string]*dictSlot
+	held  int // bytes of slots' keys
+	defs  int // entries the frame being built has defined
+}
+
+type dictSlot struct{ frame, ref int }
+
+// put appends the reference that stands for body — a hello span, or a cohort
+// with its length — in the given frame, and body itself where the reference
+// says it follows.
+func (t *frameDict) put(dst, body []byte, frame int) []byte {
+	s := t.slots[string(body)]
+	if s != nil && s.frame == frame {
+		return appendCount(dst, s.ref)
+	}
+	if len(body) > maxHelloSpan || t.defs >= maxHelloRows {
+		return append(append(dst, 0), body...)
+	}
+	if s == nil {
+		if len(t.slots) >= maxHelloRows || t.held+len(body) > maxTableBytes {
+			clear(t.slots)
+			t.held = 0
+		}
+		s = new(dictSlot)
+		t.slots[string(body)] = s
+		t.held += len(body)
+	}
+	t.defs++
+	s.frame, s.ref = frame, t.defs
+	return append(appendCount(dst, t.defs), body...)
+}
+
 // BatchWriter packs records into framed batches. It implements Sink: Observe
 // buffers one encoded record, emitting a frame every batchSize records — or
 // sooner, when one more record would push the payload past the format's cap;
-// Close flushes the partial frame. The encode buffers are reused across
-// frames, so steady-state writing allocates nothing — the binary counterpart
-// of LogWriter.
+// Close flushes the partial frame. The encode buffers and the dictionaries
+// are reused across frames, so steady-state writing allocates nothing — the
+// binary counterpart of LogWriter.
 type BatchWriter struct {
 	w     io.Writer
 	every int
 	recs  []byte // packed records of the frame being built
 	count int    // records in recs
-	frame []byte // reused frame assembly buffer
+	frame int    // frames emitted so far: the stamp of the one being built
+	value []byte // the hello span or cohort being looked up
+
+	hellos, cohorts frameDict
+	out             []byte // reused frame assembly buffer
 }
 
 // NewBatchWriter wraps w. batchSize <= 0 uses DefaultBatchSize.
@@ -182,24 +225,51 @@ func NewBatchWriter(w io.Writer, batchSize int) *BatchWriter {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	return &BatchWriter{w: w, every: batchSize}
+	return &BatchWriter{w: w, every: batchSize,
+		hellos:  frameDict{slots: make(map[string]*dictSlot)},
+		cohorts: frameDict{slots: make(map[string]*dictSlot)}}
+}
+
+// appendRecord packs r onto dst for the frame being built.
+func (bw *BatchWriter) appendRecord(dst []byte, r *Record) []byte {
+	dst = append(dst, recordFlags(r))
+	dst = appendDateEnc(dst, r.Date)
+	dst = appendUvarint(dst, uint64(r.ClientVersion))
+	dst = appendUvarint(dst, uint64(r.Version))
+	dst = appendUvarint(dst, uint64(r.Suite))
+	dst = appendUvarint(dst, uint64(r.Curve))
+	dst = append(dst, r.AlertDesc)
+	v := appendCodeList(bw.value[:0], r.ClientSuites)
+	v = appendCodeList(v, r.ClientExtensions)
+	v = appendCodeList(v, r.ClientCurves)
+	v = appendCodeList(v, r.ClientPointFmts)
+	v = appendCodeList(v, r.ClientSupportedVs)
+	v = appendString(appendString(v, r.Fingerprint), r.TruthClient)
+	dst = bw.hellos.put(dst, v, bw.frame)
+	v = appendString(v[:0], r.ServerCohort)
+	bw.value = v
+	return bw.cohorts.put(dst, v, bw.frame)
 }
 
 // Observe implements Sink.
 func (bw *BatchWriter) Observe(r *Record) error {
 	before := len(bw.recs)
-	bw.recs = appendRecordBinary(bw.recs, r)
+	bw.recs = bw.appendRecord(bw.recs, r)
 	if bw.count > 0 && uint64(len(bw.recs))+binary.MaxVarintLen64 > batchFormat.MaxPayload {
 		// r would take the payload past the cap every reader enforces: ship
-		// the records before it and let r open the next frame. (A single
-		// record past the cap is refused by the envelope when it flushes.)
-		if err := bw.flushFrame(before); err != nil {
+		// the records before it and let r open the next frame, packed again
+		// because its references pointed into the frame just shipped. (A
+		// single record past the cap is refused by the envelope when it
+		// flushes.)
+		bw.recs = bw.recs[:before]
+		if err := bw.flushFrame(); err != nil {
 			return err
 		}
+		bw.recs = bw.appendRecord(bw.recs, r)
 	}
 	bw.count++
 	if bw.count >= bw.every {
-		return bw.flushFrame(len(bw.recs))
+		return bw.flushFrame()
 	}
 	return nil
 }
@@ -209,19 +279,20 @@ func (bw *BatchWriter) Close() error {
 	if bw.count == 0 {
 		return nil
 	}
-	return bw.flushFrame(len(bw.recs))
+	return bw.flushFrame()
 }
 
-// flushFrame emits the first n packed bytes — bw.count records — as one
-// frame and keeps whatever follows them as the start of the next.
-func (bw *BatchWriter) flushFrame(n int) error {
-	dst, mark := batchFormat.Begin(bw.frame[:0])
+// flushFrame emits the packed records as one frame and starts the next, which
+// has defined nothing.
+func (bw *BatchWriter) flushFrame() error {
+	dst, mark := batchFormat.Begin(bw.out[:0])
 	dst = appendCount(dst, bw.count)
-	dst = append(dst, bw.recs[:n]...)
+	dst = append(dst, bw.recs...)
 	dst, err := batchFormat.End(dst, mark)
-	bw.frame = dst
-	bw.recs = bw.recs[:copy(bw.recs, bw.recs[n:])]
-	bw.count = 0
+	bw.out = dst
+	bw.recs, bw.count = bw.recs[:0], 0
+	bw.frame++
+	bw.hellos.defs, bw.cohorts.defs = 0, 0
 	if err != nil {
 		return fmt.Errorf("notary: batch: %w", err)
 	}
@@ -231,11 +302,12 @@ func (bw *BatchWriter) flushFrame(n int) error {
 
 // --- decoding ---
 
-// minRecordEncodedLen bounds how small one packed record can be: flags,
-// three date varints, four code-point varints, the alert byte, five list
-// counts and three string lengths — 17 bytes. Used to sanity-bound the
-// record count against the payload size before decoding.
-const minRecordEncodedLen = 17
+// minRecordEncodedLen bounds how small one packed record can be, by frame
+// version: flags, three date varints, four code-point varints and the alert
+// byte, then five list counts and three string lengths — or, from version 3
+// on, two references. Used to sanity-bound the record count against the
+// payload size before decoding.
+var minRecordEncodedLen = [BatchVersion + 1]int{1: 17, 2: 17, 3: 11}
 
 // loggable reports whether a record string survives the TSV log: a TAB, LF
 // or CR would split the line LogWriter tees it into, and "-" is how that
@@ -348,13 +420,30 @@ func decodeRecordHead(d *snapDecoder, r *Record) (flags byte, ok bool) {
 	return b[0], true
 }
 
-// decodeRecordBinary decodes one packed record into r through the decoder
-// tables t. The five lists, fp and truth are the record's hello span: a span
-// t holds is stepped over, and one it does not is read by the checked
-// decoders into t's scratch lists and remembered once all of it decoded. It
+// ref reads a version-3 reference against the defined entries its kind has in
+// this frame; see the package comment for the rule.
+func (d *snapDecoder) ref(defined int) int {
+	v := d.uvarint()
+	switch {
+	case v > uint64(defined)+1:
+		d.fail("reference %d, but the frame has defined %d entries", v, defined)
+	case v == uint64(defined)+1 && defined >= maxHelloRows:
+		d.fail("more than %d definitions in one frame", maxHelloRows)
+	default:
+		return int(v)
+	}
+	return 0
+}
+
+// decodeRecordBinary decodes one packed record of a frame of the given version
+// into r through the decoder tables t. The five lists, fp and truth are the
+// record's hello span: a span t holds is stepped over, and one it does not is
+// read by the checked decoders into t's scratch lists and remembered once all
+// of it decoded. A version-3 record may name an entry of its frame in place of
+// the span, or of the cohort, and a span or cohort it defines becomes one. It
 // assigns every field of r, whose lists are then t's — a row's or the scratch
 // — and read-only.
-func decodeRecordBinary(d *snapDecoder, r *Record, t *decodeTables) {
+func decodeRecordBinary(d *snapDecoder, r *Record, t *decodeTables, version byte) {
 	flags, ok := decodeRecordHead(d, r)
 	if !ok {
 		flags = d.byte()
@@ -375,23 +464,54 @@ func decodeRecordBinary(d *snapDecoder, r *Record, t *decodeTables) {
 	r.SuiteUnoffer = flags&batchSuiteUnoffer != 0
 	r.UsedFallback = flags&batchFallback != 0
 	r.SSLv2Hello = flags&batchSSLv2 != 0
-	start := d.off
-	key := tlsbHelloSpan(d.b, start)
-	if row := t.rows[string(key)]; row != nil && d.err == nil {
-		r.setHello(row)
-		d.off += len(key)
-	} else {
-		s := &t.scratch
-		s.suites = decodeCodeList(d, s.suites)
-		s.exts = decodeCodeList(d, s.exts)
-		s.curves = decodeCodeList(d, s.curves)
-		s.pfs = decodeCodeList(d, s.pfs)
-		s.svs = decodeCodeList(d, s.svs)
-		fp := t.str(d)
-		truth := t.str(d)
-		t.settle(r, d.b[start:d.off], fp, truth, d.err == nil)
+	ref := 0 // versions 1 and 2: every reference is 0 and omitted
+	if version >= 3 {
+		ref = d.ref(len(t.hellos))
 	}
+	if 0 < ref && ref <= len(t.hellos) {
+		r.setHello(t.hellos[ref-1])
+	} else {
+		start := d.off
+		key := tlsbHelloSpan(d.b, start)
+		if row := t.rows[string(key)]; row != nil && d.err == nil {
+			r.setHello(row)
+			d.off += len(key)
+		} else {
+			s := &t.scratch
+			s.suites = decodeCodeList(d, s.suites)
+			s.exts = decodeCodeList(d, s.exts)
+			s.curves = decodeCodeList(d, s.curves)
+			s.pfs = decodeCodeList(d, s.pfs)
+			s.svs = decodeCodeList(d, s.svs)
+			fp := t.str(d)
+			truth := t.str(d)
+			t.settle(r, d.b[start:d.off], fp, truth, d.err == nil)
+		}
+		if ref != 0 && d.err == nil {
+			// What settle would not keep is not an entry either.
+			if r.hello == nil {
+				d.fail("definition of %d bytes exceeds %d", d.off-start, maxHelloSpan)
+				return
+			}
+			t.hellos = append(t.hellos, r.hello)
+		}
+	}
+	if ref = 0; version >= 3 {
+		ref = d.ref(len(t.cohorts))
+	}
+	if 0 < ref && ref <= len(t.cohorts) {
+		r.ServerCohort = t.cohorts[ref-1]
+		return
+	}
+	start := d.off
 	r.ServerCohort = t.str(d)
+	if ref != 0 && d.err == nil {
+		if d.off-start > maxHelloSpan {
+			d.fail("definition of %d bytes exceeds %d", d.off-start, maxHelloSpan)
+			return
+		}
+		t.cohorts = append(t.cohorts, r.ServerCohort)
+	}
 }
 
 // ReadBatches streams framed batches from r, delivering each record to sink.
@@ -414,6 +534,7 @@ func readBatches(r io.Reader, sink Sink, t *decodeTables) (frames, records uint6
 	fr := batchFormat.NewReader(r)
 	fr.Lend(t.frame)
 	defer func() {
+		t.endFrame()
 		// All of the body, or none of it when a frame grew it past the bound:
 		// a single 64 MiB frame must not stay pinned in a pool.
 		if t.frame = fr.Reclaim(); cap(t.frame) > maxKeptBuffer {
@@ -422,7 +543,8 @@ func readBatches(r io.Reader, sink Sink, t *decodeTables) (frames, records uint6
 	}()
 	var rec Record
 	for frame := 0; ; frame++ {
-		_, payload, err := fr.Next()
+		t.endFrame()
+		version, payload, err := fr.Next()
 		if err == io.EOF {
 			return frames, records, nil
 		}
@@ -430,9 +552,9 @@ func readBatches(r io.Reader, sink Sink, t *decodeTables) (frames, records uint6
 			return frames, records, &BatchError{Frame: frame, Err: err}
 		}
 		d := &snapDecoder{b: payload, what: "batch"}
-		count := d.length(minRecordEncodedLen)
+		count := d.length(minRecordEncodedLen[version])
 		for i := 0; i < count && d.err == nil; i++ {
-			decodeRecordBinary(d, &rec, t)
+			decodeRecordBinary(d, &rec, t, version)
 			if d.err != nil {
 				break
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -67,15 +68,15 @@ func (c *collectSink) Close() error { return nil }
 // records, but the decoder accepts one, so that frame is built by hand.
 func encodeBatch(recs []*Record) []byte {
 	if len(recs) == 0 {
-		dst, mark := batchFormat.Begin(nil)
-		dst, err := batchFormat.End(appendCount(dst, 0), mark)
-		if err != nil {
-			panic(err)
-		}
-		return dst
+		return reframe(BatchVersion, appendCount(nil, 0))
 	}
+	return encodeFrames(recs, len(recs))
+}
+
+// encodeFrames is a BatchWriter's stream of recs in frames of size records.
+func encodeFrames(recs []*Record, size int) []byte {
 	var buf bytes.Buffer
-	bw := NewBatchWriter(&buf, len(recs))
+	bw := NewBatchWriter(&buf, size)
 	for _, r := range recs {
 		if err := bw.Observe(r); err != nil {
 			panic(err)
@@ -180,7 +181,7 @@ func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	size := buf.Len()
+	size, stream := buf.Len(), bytes.Clone(buf.Bytes())
 	var got collectSink
 	frames, records, err := ReadBatches(&buf, &got)
 	if err != nil || records != uint64(len(recs)) {
@@ -200,6 +201,22 @@ func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
 			t.Fatalf("record %d changed across a cap split", i)
 		}
 	}
+	// The record that did not fit was packed against the frame it was cut
+	// from; it opens the next one packed again, as that frame's first
+	// definitions. Every frame decodes alone, and starts that way.
+	for f := 0; len(stream) > 0; f++ {
+		n := 9 + int(binary.LittleEndian.Uint32(stream[5:])) + 4 // header, payload, CRC
+		one, payload := stream[:n], stream[9:n-4]
+		stream = stream[n:]
+		var alone collectSink
+		if _, _, err := ReadBatches(bytes.NewReader(one), &alone); err != nil {
+			t.Fatalf("frame %d does not decode alone: %v", f, err)
+		}
+		_, count := binary.Uvarint(payload)
+		if ref := payload[count+len(appendRecordHead(nil, alone.recs[0]))]; ref != 1 {
+			t.Fatalf("frame %d opens with hello reference %d, want the definition of entry 1", f, ref)
+		}
+	}
 
 	// One record alone past the cap cannot be framed: the envelope refuses
 	// it when the frame is flushed, and nothing is written.
@@ -213,6 +230,28 @@ func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
 	}
 	if err == nil || buf.Len() != 0 {
 		t.Fatalf("oversize record: err %v with %d bytes written, want a refusal", err, buf.Len())
+	}
+}
+
+// TestBatchWriterAllocsAreSteadyState: a writer's dictionaries outlive its
+// frames, so once they hold the stream's hellos and cohorts a record costs no
+// allocation, whether it defines an entry of its frame or names one.
+func TestBatchWriterAllocsAreSteadyState(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's build allocates once per frame inside the envelope")
+	}
+	recs := benchIngestRecordSet()
+	bw := NewBatchWriter(io.Discard, 64)
+	write := func() {
+		for _, r := range recs {
+			if err := bw.Observe(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write() // 78 frames: the buffers reach their size, the dictionaries fill
+	if got := testing.AllocsPerRun(5, write); got != 0 {
+		t.Errorf("a warm writer allocates %v times per %d records, want 0", got, len(recs))
 	}
 }
 
@@ -258,12 +297,14 @@ func TestBatchCorruption(t *testing.T) {
 	}
 }
 
-// reframe wraps payload in a valid header and CRC trailer, so tests can
-// exercise payload-level rejections that checksum verification would
-// otherwise mask.
-func reframe(payload []byte) []byte {
-	dst, mark := batchFormat.Begin(nil)
-	dst, err := batchFormat.End(append(dst, payload...), mark)
+// reframe wraps payload in a valid header of the given version and a CRC
+// trailer, so tests can exercise payload-level rejections that checksum
+// verification would otherwise mask, and spell the frames of older writers.
+func reframe(version byte, payload []byte) []byte {
+	f := batchFormat
+	f.Version = version
+	dst, mark := f.Begin(nil)
+	dst, err := f.End(append(dst, payload...), mark)
 	if err != nil {
 		panic(err)
 	}
@@ -276,24 +317,38 @@ func reframe(payload []byte) []byte {
 func TestBatchRejectsMalformedPayloads(t *testing.T) {
 	one := buildBatchRecords(11, 1)
 	rec := appendRecordBinary(nil, one[0])
+	// The same record as a version-3 writer opens a frame with it: both of its
+	// values are definitions.
+	rec3 := appendRecordV3(nil, one[0], binary.AppendUvarint, 1, true, 1, true)
 
-	cases := []struct {
-		name    string
-		payload []byte
-	}{
-		{"count exceeds payload", appendCount(nil, 50)},
-		{"count over records present", append(appendCount(nil, 2), rec...)},
-		{"trailing payload bytes", append(append(appendCount(nil, 1), rec...), 0xff)},
-		{"unknown flag bits", func() []byte {
-			p := append(appendCount(nil, 1), rec...)
-			p[1] |= 0x80 // first record's flags byte
-			return p
-		}()},
-		{"empty payload", nil},
+	for version, rec := range map[byte][]byte{2: rec, 3: rec3} {
+		cases := []struct {
+			name    string
+			payload []byte
+		}{
+			{"count exceeds payload", appendCount(nil, 50)},
+			{"count over records present", append(appendCount(nil, 2), rec...)},
+			{"trailing payload bytes", append(append(appendCount(nil, 1), rec...), 0xff)},
+			{"unknown flag bits", func() []byte {
+				p := append(appendCount(nil, 1), rec...)
+				p[1] |= 0x80 // first record's flags byte
+				return p
+			}()},
+			{"empty payload", nil},
+		}
+		for _, tc := range cases {
+			if _, _, err := ReadBatches(bytes.NewReader(reframe(version, tc.payload)), nullSink()); err == nil {
+				t.Errorf("version %d, %s: read without error", version, tc.name)
+			}
+		}
+		if _, n, err := ReadBatches(bytes.NewReader(reframe(version, append(appendCount(nil, 1), rec...))), nullSink()); err != nil || n != 1 {
+			t.Errorf("version %d: the record the cases damage reads as %d records, err %v", version, n, err)
+		}
 	}
-	for _, tc := range cases {
-		if _, _, err := ReadBatches(bytes.NewReader(reframe(tc.payload)), nullSink()); err == nil {
-			t.Errorf("%s: read without error", tc.name)
+	// One grammar per version: neither spelling reads under the other's stamp.
+	for version, rec := range map[byte][]byte{3: rec, 2: rec3} {
+		if _, _, err := ReadBatches(bytes.NewReader(reframe(version, append(appendCount(nil, 1), rec...))), nullSink()); err == nil {
+			t.Errorf("a version-%d record read under a version-%d stamp", 5-version, version)
 		}
 	}
 }

@@ -13,9 +13,8 @@ import (
 )
 
 // compatFixtureRecords builds the deterministic record stream behind the
-// recorded testdata/{snapshot,batch}_v1.bin fixtures. The fixtures were
-// written by the version-1 codecs (RECORD_COMPAT_FIXTURES=1 on the pre-bump
-// tree); regenerating them under a newer codec would defeat the point of the
+// recorded testdata/{snapshot,batch}_v*.bin fixtures. Each was written by the
+// codec of its version (RECORD_COMPAT_FIXTURES=1 on the tree that shipped it); regenerating them under a newer codec would defeat the point of the
 // compatibility tests, so the recorder test below is guarded.
 func compatFixtureRecords() []*Record {
 	rnd := rand.New(rand.NewSource(99))
@@ -113,22 +112,53 @@ func TestSnapshotV1Decodes(t *testing.T) {
 	}
 }
 
-// TestBatchV1Decodes: a version-1 batch stream decodes under the version-2
-// reader; the record payload never changed, so ingesting it fills the new
-// attribution counters exactly as a live stream would.
+// TestBatchV1Decodes: a version-1 batch stream decodes under the current
+// reader; the record payload did not change through version 2, so ingesting it
+// fills the new attribution counters exactly as a live stream would.
 func TestBatchV1Decodes(t *testing.T) {
-	raw := readFixture(t, "batch", 1)
-	got := NewAggregate()
-	frames, records, err := ReadBatches(bytes.NewReader(raw), got)
-	if err != nil {
-		t.Fatalf("v1 batch rejected: %v", err)
+	requireFixtureContent(t, "v1 batch", readFixture(t, "batch", 1), 1)
+}
+
+// TestBatchV2Decodes: version 3 gave records their frame-local references, and
+// a version-2 stream — every hello and cohort in line — still decodes to the
+// same records, alone and in one stream with version-3 frames, whose entries
+// a version-2 frame neither sees nor disturbs. The retired version-2 encoder
+// kept as the tests' oracle writes the recorded bytes.
+func TestBatchV2Decodes(t *testing.T) {
+	v2, v3 := readFixture(t, "batch", 2), readFixture(t, "batch", 3)
+	requireFixtureContent(t, "v2 batch", v2, 1)
+	if got := encodeBatchV2(compatFixtureRecords()); !bytes.Equal(got, v2) {
+		t.Errorf("the version-2 oracle encoder wrote %d bytes that differ from the %d-byte fixture", len(got), len(v2))
 	}
-	want := compatFixtureAggregate()
-	if records != uint64(want.TotalRecords()) {
-		t.Fatalf("decoded %d records from %d frames, want %d", records, frames, want.TotalRecords())
+	requireFixtureContent(t, "v2 + v3 frames", append(bytes.Clone(v2), v3...), 2)
+	requireFixtureContent(t, "v3 + v2 + v3 + v1 frames", bytes.Join([][]byte{v3, v2, v3, readFixture(t, "batch", 1)}, nil), 4)
+}
+
+// requireFixtureContent reads raw, a stream of whole fixtures, and holds the
+// records to the fixture's, that many times over.
+func requireFixtureContent(t *testing.T, what string, raw []byte, times int) {
+	t.Helper()
+	var got collectSink
+	agg, wagg := NewAggregate(), NewAggregate()
+	frames, records, err := ReadBatches(bytes.NewReader(raw), Tee(&got, agg))
+	if err != nil || frames != uint64(times) {
+		t.Fatalf("%s: %d frames, %d records, err %v; want %d frames", what, frames, records, err, times)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("v1 batch ingest differs from replayed fixture records")
+	var want []*Record
+	for i := 0; i < times; i++ {
+		want = append(want, compatFixtureRecords()...)
+	}
+	if len(got.recs) != len(want) {
+		t.Fatalf("%s: decoded %d records, want %d", what, len(got.recs), len(want))
+	}
+	for i, r := range want {
+		if !sameRecord(t, got.recs[i], r.Clone()) {
+			t.Fatalf("%s: record %d differs from the fixture's", what, i)
+		}
+		wagg.Add(r)
+	}
+	if !reflect.DeepEqual(agg, wagg) {
+		t.Fatalf("%s: ingest differs from replayed fixture records", what)
 	}
 }
 

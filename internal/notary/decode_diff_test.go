@@ -231,8 +231,9 @@ func diffReadLog(t *testing.T, data []byte) {
 
 // --- TLSB seeds ---
 
-// appendRecordSpelled is appendRecordBinary with the varint writer exposed,
-// so a seed can spell every value of a record the long way round.
+// appendRecordSpelled is appendRecordBinary — a version-2 record — with the
+// varint writer exposed, so a seed can spell every value of a record the long
+// way round.
 func appendRecordSpelled(dst []byte, r *Record, uv func([]byte, uint64) []byte) []byte {
 	list := func(dst []byte, n int, at func(int) uint64) []byte {
 		dst = uv(dst, uint64(n))
@@ -268,13 +269,14 @@ func paddedUvarint(width int) func([]byte, uint64) []byte {
 	}
 }
 
-// spelledFrame frames recs with every varint written by uv, count included.
+// spelledFrame frames recs, as version 2 spells them, with every varint
+// written by uv, count included.
 func spelledFrame(recs []*Record, uv func([]byte, uint64) []byte) []byte {
 	payload := uv(nil, uint64(len(recs)))
 	for _, r := range recs {
 		payload = appendRecordSpelled(payload, r, uv)
 	}
-	return reframe(payload)
+	return reframe(2, payload)
 }
 
 // tlsbSeeds are the inputs the kernels' fall-through tails exist for.
@@ -312,7 +314,7 @@ func tlsbSeeds() map[string][]byte {
 				return binary.AppendUvarint(dst, x)
 			}
 			payload := appendRecordSpelled(binary.AppendUvarint(nil, 1), one, uv)
-			seeds[fmt.Sprintf("value %#x in field %d", v, field)] = reframe(payload)
+			seeds[fmt.Sprintf("value %#x in field %d", v, field)] = reframe(2, payload)
 		}
 	}
 	// A payload that ends inside, or just after, each of the last bytes of a
@@ -321,7 +323,7 @@ func tlsbSeeds() map[string][]byte {
 	short := &Record{Date: one.Date, ClientSuites: []uint16{0xc02f, 5}, ClientSupportedVs: []registry.Version{0x0303}}
 	whole := appendRecordBinary(binary.AppendUvarint(nil, 1), short)
 	for cut := 1; cut <= 12 && cut < len(whole); cut++ {
-		seeds[fmt.Sprintf("payload cut %d bytes short", cut)] = reframe(whole[:len(whole)-cut])
+		seeds[fmt.Sprintf("payload cut %d bytes short", cut)] = reframe(2, whole[:len(whole)-cut])
 	}
 	// Strings the TSV log cannot carry.
 	for _, s := range []string{"a\tb", "a\nb", "a\rb", "\r", "-", "--", " - "} {
@@ -344,13 +346,116 @@ func tlsbSeeds() map[string][]byte {
 	for i := 0; i < 6; i++ {
 		spellings = appendRecordSpelled(spellings, one, paddedUvarint(1+i%3))
 	}
-	seeds["one hello spelled three ways"] = reframe(spellings)
+	seeds["one hello spelled three ways"] = reframe(2, spellings)
 	twice := appendRecordBinary(appendRecordBinary(binary.AppendUvarint(nil, 2), one), one)
 	for cut := 1; cut <= len(one.Fingerprint)+len(one.TruthClient)+len(one.ServerCohort)+6; cut++ {
-		seeds[fmt.Sprintf("a known hello cut %d bytes short", cut)] = reframe(twice[:len(twice)-cut])
+		seeds[fmt.Sprintf("a known hello cut %d bytes short", cut)] = reframe(2, twice[:len(twice)-cut])
 	}
 	bare := &Record{Date: one.Date, ClientSuites: []uint16{5}}
 	seeds["a hello that ends its payload"] = encodeBatch([]*Record{bare, one, bare, bare})
+	// Every seed above that a BatchWriter framed is version 3; the hand-spelled
+	// ones are version 2. The same records the other way round, and together.
+	seeds["valid, version 2"] = encodeBatchV2(recs)
+	seeds["a version-2 frame, then a version-3 frame"] = append(encodeBatchV2(recs[:5]), encodeBatch(recs[5:])...)
+	seeds["a hello that ends its payload, version 2"] = encodeBatchV2([]*Record{bare, one, bare, bare})
+	for name, data := range v3Seeds() {
+		seeds[name] = data
+	}
+	return seeds
+}
+
+// appendRecordV3 spells r as a version-3 record by hand: the two references
+// as given and as uv writes them, each followed by its value when the flag
+// says so — whether or not the rule does.
+func appendRecordV3(dst []byte, r *Record, uv func([]byte, uint64) []byte, helloRef uint64, hello bool, cohortRef uint64, cohort bool) []byte {
+	dst = uv(appendRecordHead(dst, r), helloRef)
+	if hello {
+		dst = appendHelloSpan(dst, r)
+	}
+	dst = uv(dst, cohortRef)
+	if cohort {
+		dst = appendString(dst, r.ServerCohort)
+	}
+	return dst
+}
+
+// v3Frame frames records spelled by appendRecordV3.
+func v3Frame(recs ...[]byte) []byte {
+	return reframe(3, bytes.Join(append([][]byte{appendCount(nil, len(recs))}, recs...), nil))
+}
+
+// v3Seeds are the shapes the frame dictionaries add: references the rule
+// refuses, entries that must not outlive their frame or their bounds, and
+// entries that must outlive the decoder table's.
+func v3Seeds() map[string][]byte {
+	a, b := sampleRecord(), sampleRecord()
+	b.ClientSuites, b.ServerCohort = []uint16{0xc02f, 0x0005}, "legacy-rsa"
+	uv := binary.AppendUvarint
+	def := func(r *Record, hello, cohort uint64) []byte {
+		return appendRecordV3(nil, r, uv, hello, true, cohort, true)
+	}
+	ref := func(r *Record, hello, cohort uint64) []byte {
+		return appendRecordV3(nil, r, uv, hello, false, cohort, false)
+	}
+	two := v3Frame(def(a, 1, 1), def(b, 2, 2), ref(a, 1, 1), ref(b, 2, 2), ref(b, 2, 1))
+	seeds := map[string][]byte{
+		"v3: two entries of each kind":      two,
+		"v3: a forward hello reference":     v3Frame(def(a, 1, 1), def(b, 3, 2)),
+		"v3: a forward cohort reference":    v3Frame(def(a, 1, 1), def(b, 2, 3)),
+		"v3: a reference before any entry":  v3Frame(ref(a, 2, 1)),
+		"v3: entry 2 of the previous frame": append(bytes.Clone(two), v3Frame(ref(b, 2, 2))...),
+		// With nothing defined a 1 is a definition: what follows is read as one.
+		"v3: entry 1 of the previous frame": append(bytes.Clone(two), v3Frame(ref(a, 1, 1))...),
+		"v3: the previous frame again":      append(bytes.Clone(two), two...),
+		"v3: values sent as 0 are not entries": v3Frame(def(a, 0, 0), def(a, 1, 1), ref(a, 1, 1), def(b, 0, 0), def(b, 2, 2),
+			ref(b, 2, 2), ref(a, 1, 2)),
+		"v3: a 0 is not entry 1":          v3Frame(def(a, 0, 0), ref(a, 1, 1)),
+		"v3: one hello under two entries": v3Frame(def(a, 1, 1), def(a, 2, 2), ref(a, 1, 2), ref(a, 2, 1)),
+		"v3: a definition with no value":  v3Frame(def(a, 1, 1), ref(b, 2, 2)),
+		"v3: a reference with a value":    v3Frame(def(a, 1, 1), def(a, 1, 1)),
+	}
+	// References spelled the long way round are references all the same.
+	uv = paddedUvarint(2)
+	seeds["v3: references padded to 2 bytes"] = v3Frame(def(a, 1, 1), ref(a, 1, 1), def(b, 2, 2), ref(b, 2, 1), def(b, 0, 0))
+	uv = binary.AppendUvarint
+	// A definition above maxHelloSpan bytes is refused; the same value sent as
+	// 0, which is what a writer does with it, is read every time and never kept.
+	long, wide := sampleRecord(), sampleRecord()
+	long.Fingerprint = strings.Repeat("f", maxHelloSpan+1)
+	wide.ServerCohort = strings.Repeat("c", maxHelloSpan+1)
+	seeds["v3: a hello definition past the span bound"] = v3Frame(def(a, 1, 1), appendRecordV3(nil, long, uv, 2, true, 1, false))
+	seeds["v3: the same hello sent as 0"] = v3Frame(def(a, 1, 1), appendRecordV3(nil, long, uv, 0, true, 1, false),
+		appendRecordV3(nil, long, uv, 0, true, 1, false), ref(a, 1, 1))
+	seeds["v3: a cohort definition past the span bound"] = v3Frame(def(a, 1, 1), appendRecordV3(nil, wide, uv, 1, false, 2, true))
+	seeds["v3: the same cohort sent as 0"] = v3Frame(def(a, 1, 1), appendRecordV3(nil, wide, uv, 1, false, 0, true),
+		appendRecordV3(nil, wide, uv, 1, false, 0, true), ref(a, 1, 1))
+	// A frame that fills the decoder's string table until it is emptied, and
+	// goes on naming the entries it defined before that.
+	churn := [][]byte{def(a, 1, 1), def(b, 2, 2)}
+	for i := 0; i < maxInternEntries+10; i++ {
+		r := *a
+		r.ServerCohort = strconv.FormatInt(int64(i), 36)
+		churn = append(churn, appendRecordV3(nil, &r, uv, 1+uint64(i%2), false, 0, true))
+	}
+	seeds["v3: the table emptied under the frame's entries"] = v3Frame(append(churn, ref(a, 1, 1), ref(b, 2, 2), ref(a, 1, 2))...)
+	// A frame at its definition cap: a writer sends what is left as 0 (one
+	// BatchWriter frame of more distinct hellos than the cap), and one
+	// definition more is refused.
+	many := distinctHellos(maxHelloRows + 40)
+	seeds["v3: more distinct hellos than a frame may define"] = encodeBatch(many)
+	atCap := make([][]byte, 0, maxHelloRows+2)
+	for i, r := range many[:maxHelloRows] {
+		r.ServerCohort = strconv.FormatInt(int64(i), 36)
+		atCap = append(atCap, def(r, uint64(i+1), uint64(i+1)))
+	}
+	seeds["v3: a frame at its definition cap"] = v3Frame(append(atCap, ref(many[7], 8, 9), def(many[maxHelloRows], 0, 0))...)
+	seeds["v3: one hello definition past the cap"] = v3Frame(append(atCap, def(many[maxHelloRows], maxHelloRows+1, 1))...)
+	seeds["v3: one cohort definition past the cap"] = v3Frame(append(atCap, appendRecordV3(nil, many[maxHelloRows], uv, 1, false, maxHelloRows+1, true))...)
+	// A writer cut short by the payload cap: the record that did not fit opens
+	// the next frame, packed again.
+	defer func(real uint64) { batchFormat.MaxPayload = real }(batchFormat.MaxPayload)
+	batchFormat.MaxPayload = 1024
+	seeds["v3: frames cut at the payload cap"] = encodeBatch(buildBatchRecords(23, 60))
 	return seeds
 }
 

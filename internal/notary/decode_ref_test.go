@@ -148,7 +148,31 @@ func refDecodeCodeList[T ~uint8 | ~uint16](d *snapDecoder, dst []T, max uint64, 
 	return dst
 }
 
-func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rules refRules) {
+// refEntries is what a version-3 frame has defined so far, as the reference
+// keeps it: copies of the values, looked up by position and nothing else.
+type refEntries struct {
+	hellos  []*Record // the five lists, fp and truth of each defined hello
+	cohorts []string
+}
+
+// refRef reads a version-3 reference against the defined entries of its kind.
+func refRef(d *snapDecoder, defined int) int {
+	v := refUvarint(d)
+	if d.err != nil {
+		return 0
+	}
+	if v > uint64(defined)+1 {
+		d.fail("reference %d, but the frame has defined %d entries", v, defined)
+		return 0
+	}
+	if v == uint64(defined)+1 && defined >= maxHelloRows {
+		d.fail("more than %d definitions in one frame", maxHelloRows)
+		return 0
+	}
+	return int(v)
+}
+
+func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rules refRules, version byte, e *refEntries) {
 	r.Reset()
 	flags := refByte(d)
 	if d.err == nil && flags&^byte(batchFlagMask) != 0 {
@@ -167,14 +191,49 @@ func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rule
 	r.Suite = refU16(d)
 	r.Curve = registry.CurveID(refU16(d))
 	r.AlertDesc = refByte(d)
-	r.ClientSuites = refDecodeCodeList(d, r.ClientSuites, math.MaxUint16, rules)
-	r.ClientExtensions = refDecodeCodeList(d, r.ClientExtensions, math.MaxUint16, rules)
-	r.ClientCurves = refDecodeCodeList(d, r.ClientCurves, math.MaxUint16, rules)
-	r.ClientPointFmts = refDecodeCodeList(d, r.ClientPointFmts, math.MaxUint8, rules)
-	r.ClientSupportedVs = refDecodeCodeList(d, r.ClientSupportedVs, math.MaxUint16, rules)
-	r.Fingerprint = refStr(d, in, rules)
-	r.TruthClient = refStr(d, in, rules)
+	ref := 0
+	if version >= 3 {
+		ref = refRef(d, len(e.hellos))
+	}
+	if ref >= 1 && ref <= len(e.hellos) {
+		h := e.hellos[ref-1].Clone()
+		r.ClientSuites, r.ClientExtensions, r.ClientCurves = h.ClientSuites, h.ClientExtensions, h.ClientCurves
+		r.ClientPointFmts, r.ClientSupportedVs = h.ClientPointFmts, h.ClientSupportedVs
+		r.Fingerprint, r.TruthClient = h.Fingerprint, h.TruthClient
+	} else {
+		start := d.off
+		r.ClientSuites = refDecodeCodeList(d, r.ClientSuites, math.MaxUint16, rules)
+		r.ClientExtensions = refDecodeCodeList(d, r.ClientExtensions, math.MaxUint16, rules)
+		r.ClientCurves = refDecodeCodeList(d, r.ClientCurves, math.MaxUint16, rules)
+		r.ClientPointFmts = refDecodeCodeList(d, r.ClientPointFmts, math.MaxUint8, rules)
+		r.ClientSupportedVs = refDecodeCodeList(d, r.ClientSupportedVs, math.MaxUint16, rules)
+		r.Fingerprint = refStr(d, in, rules)
+		r.TruthClient = refStr(d, in, rules)
+		if ref != 0 && d.err == nil {
+			if d.off-start > maxHelloSpan {
+				d.fail("definition of %d bytes exceeds %d", d.off-start, maxHelloSpan)
+				return
+			}
+			e.hellos = append(e.hellos, r.Clone())
+		}
+	}
+	ref = 0
+	if version >= 3 {
+		ref = refRef(d, len(e.cohorts))
+	}
+	if ref >= 1 && ref <= len(e.cohorts) {
+		r.ServerCohort = e.cohorts[ref-1]
+		return
+	}
+	start := d.off
 	r.ServerCohort = refStr(d, in, rules)
+	if ref != 0 && d.err == nil {
+		if d.off-start > maxHelloSpan {
+			d.fail("definition of %d bytes exceeds %d", d.off-start, maxHelloSpan)
+			return
+		}
+		e.cohorts = append(e.cohorts, r.ServerCohort)
+	}
 }
 
 func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uint64, err error) {
@@ -182,7 +241,7 @@ func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uin
 	var rec Record
 	intern := make(map[string]string)
 	for frame := 0; ; frame++ {
-		_, payload, err := fr.Next()
+		version, payload, err := fr.Next()
 		if err == io.EOF {
 			return frames, records, nil
 		}
@@ -190,9 +249,14 @@ func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uin
 			return frames, records, &BatchError{Frame: frame, Err: err}
 		}
 		d := &snapDecoder{b: payload, what: "batch"}
-		count := refLength(d, minRecordEncodedLen)
+		minLen := 17 // flags, 3 date, 4 code points, alert, 5 counts, 3 string lengths
+		if version >= 3 {
+			minLen = 11 // two references in place of the counts and lengths
+		}
+		count := refLength(d, minLen)
+		var entries refEntries // nothing crosses a frame
 		for i := 0; i < count && d.err == nil; i++ {
-			refDecodeRecordBinary(d, &rec, intern, rules)
+			refDecodeRecordBinary(d, &rec, intern, rules, version, &entries)
 			if d.err != nil {
 				break
 			}
@@ -209,6 +273,45 @@ func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uin
 		}
 		frames++
 	}
+}
+
+// --- the version-2 record encoder ---
+
+// appendRecordBinary packs r the way BatchWriter did through version 2: every
+// hello and cohort in line, no references. It is the oracle version-3 streams
+// are held to (the same records must come back from either spelling) and what
+// the hand-built payloads of these tests start from.
+func appendRecordBinary(dst []byte, r *Record) []byte {
+	return appendString(appendHelloSpan(appendRecordHead(dst, r), r), r.ServerCohort)
+}
+
+func appendRecordHead(dst []byte, r *Record) []byte {
+	dst = append(dst, recordFlags(r))
+	dst = appendDateEnc(dst, r.Date)
+	dst = appendUvarint(dst, uint64(r.ClientVersion))
+	dst = appendUvarint(dst, uint64(r.Version))
+	dst = appendUvarint(dst, uint64(r.Suite))
+	dst = appendUvarint(dst, uint64(r.Curve))
+	return append(dst, r.AlertDesc)
+}
+
+func appendHelloSpan(dst []byte, r *Record) []byte {
+	dst = appendCodeList(dst, r.ClientSuites)
+	dst = appendCodeList(dst, r.ClientExtensions)
+	dst = appendCodeList(dst, r.ClientCurves)
+	dst = appendCodeList(dst, r.ClientPointFmts)
+	dst = appendCodeList(dst, r.ClientSupportedVs)
+	dst = appendString(dst, r.Fingerprint)
+	return appendString(dst, r.TruthClient)
+}
+
+// encodeBatchV2 frames recs as one version-2 frame.
+func encodeBatchV2(recs []*Record) []byte {
+	payload := appendCount(nil, len(recs))
+	for _, r := range recs {
+		payload = appendRecordBinary(payload, r)
+	}
+	return reframe(2, payload)
 }
 
 // --- TSV ---

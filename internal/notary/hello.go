@@ -131,8 +131,12 @@ func (r *Record) memoShape() *helloShape {
 // 150,000-record simulated log fills a TSV table with 3,045 rows in about
 // 2 MiB (1.0 keys and strings, 0.2 lists, 0.9 rows). Beside them a table
 // keeps its decoder's stream buffer, at most maxKeptBuffer bytes of it: a
-// TLSB table the frame body (≈ 104 KiB for a 512-record frame), a TSV table
-// the scanner's 64 KiB window — 12.2 MiB a table at the very most.
+// TLSB table the frame body (≈ 18 KiB for a 512-record frame), a TSV table
+// the scanner's 64 KiB window — 12.2 MiB a table at the very most. While a
+// version-3 TLSB frame is read the table also holds the entries the frame has
+// defined, which outlive an emptying of the maps: at most maxHelloRows rows
+// and as many cohorts, none from a definition above maxHelloSpan bytes — one
+// full table's rows — all let go at the frame's end.
 const (
 	maxHelloSpan     = 1 << 12
 	maxHelloRows     = 1 << 12
@@ -162,6 +166,11 @@ type decodeTables struct {
 	// either — rows, keys and strings are copies.
 	frame, line []byte
 
+	// What the version-3 TLSB frame being read has defined, in order: entry i
+	// is hellos[i-1] or cohorts[i-1]. Emptied at every frame boundary.
+	hellos  []*helloRow
+	cohorts []string
+
 	// A row's lists are carved from chunks, so a distinct hello costs its key,
 	// its row and a share of a chunk, not an allocation per list. A chunk is
 	// only ever appended to: emptying the tables drops the chunks, it does not
@@ -183,6 +192,13 @@ func newDecodeTables() *decodeTables {
 var tlsbTables, tsvTables = sync.Pool{New: pooledTables}, sync.Pool{New: pooledTables}
 
 func pooledTables() any { return newDecodeTables() }
+
+// endFrame forgets the frame's entries, and lets go of what they point at.
+func (t *decodeTables) endFrame() {
+	clear(t.hellos)
+	clear(t.cohorts)
+	t.hellos, t.cohorts = t.hellos[:0], t.cohorts[:0]
+}
 
 // reserve accounts for an n-byte key about to be inserted, emptying the
 // tables first when they are full.

@@ -127,6 +127,122 @@ func TestOversizeHelloIsNeverKept(t *testing.T) {
 	}
 }
 
+// What a version-3 frame's references may do, seed by seed: every outcome is
+// also the reference decoder's (TestDecodersMatchReference runs the same
+// seeds), and here it is the outcome the rule names.
+func TestFrameReferencesFollowTheRule(t *testing.T) {
+	seeds := v3Seeds()
+	for _, c := range []struct {
+		seed    string
+		records uint64
+		err     string // "" accepts; "*" is whatever the bytes happen to spell
+	}{
+		{"v3: two entries of each kind", 5, ""},
+		{"v3: a forward hello reference", 1, "reference 3, but the frame has defined 1 entries"},
+		{"v3: a forward cohort reference", 1, "reference 3, but the frame has defined 1 entries"},
+		{"v3: a reference before any entry", 0, "reference 2, but the frame has defined 0 entries"},
+		{"v3: entry 2 of the previous frame", 5, "batch frame 1: notary: batch payload: reference 2, but the frame has defined 0 entries"},
+		{"v3: entry 1 of the previous frame", 5, "*"},
+		{"v3: the previous frame again", 10, ""},
+		{"v3: values sent as 0 are not entries", 7, ""},
+		{"v3: a 0 is not entry 1", 1, "*"},
+		{"v3: one hello under two entries", 4, ""},
+		{"v3: a definition with no value", 1, "*"},
+		{"v3: references padded to 2 bytes", 5, ""},
+		{"v3: a hello definition past the span bound", 1, fmt.Sprintf("definition of %d bytes exceeds %d", maxHelloSpan+32, maxHelloSpan)},
+		{"v3: the same hello sent as 0", 4, ""},
+		{"v3: a cohort definition past the span bound", 1, fmt.Sprintf("definition of %d bytes exceeds %d", maxHelloSpan+3, maxHelloSpan)},
+		{"v3: the same cohort sent as 0", 4, ""},
+		{"v3: the table emptied under the frame's entries", maxInternEntries + 15, ""},
+		{"v3: more distinct hellos than a frame may define", maxHelloRows + 40, ""},
+		{"v3: a frame at its definition cap", maxHelloRows + 2, ""},
+		{"v3: one hello definition past the cap", maxHelloRows, fmt.Sprintf("more than %d definitions in one frame", maxHelloRows)},
+		{"v3: one cohort definition past the cap", maxHelloRows, fmt.Sprintf("more than %d definitions in one frame", maxHelloRows)},
+		{"v3: frames cut at the payload cap", 60, ""},
+	} {
+		data, ok := seeds[c.seed]
+		if !ok {
+			t.Fatalf("no seed %q", c.seed)
+		}
+		tab := newDecodeTables()
+		emptied := false
+		_, n, err := readBatches(bytes.NewReader(data), SinkFunc(func(*Record) error {
+			emptied = emptied || len(tab.strs) < 10 && len(tab.cohorts) == 2
+			return nil
+		}), tab)
+		var be *BatchError
+		switch {
+		case n != c.records, (c.err == "") != (err == nil), err != nil && !errors.As(err, &be),
+			c.err != "" && c.err != "*" && !strings.Contains(err.Error(), c.err):
+			t.Errorf("%s: %d records, err %v; want %d records, err %q", c.seed, n, err, c.records, c.err)
+		}
+		// A frame's entries end with it, however it ended.
+		for _, row := range tab.hellos[:cap(tab.hellos)] {
+			if len(tab.hellos) != 0 || row != nil {
+				t.Fatalf("%s: the table still holds an entry of the frame", c.seed)
+			}
+		}
+		for _, s := range tab.cohorts[:cap(tab.cohorts)] {
+			if len(tab.cohorts) != 0 || s != "" {
+				t.Fatalf("%s: the table still holds a cohort of the frame", c.seed)
+			}
+		}
+		switch c.seed {
+		case "v3: the same hello sent as 0", "v3: the same cohort sent as 0":
+			if len(tab.rows) != 1 || tab.held > 128 { // the sample record's span, and its three strings
+				t.Errorf("%s: the table kept %d rows and %d bytes", c.seed, len(tab.rows), tab.held)
+			}
+		case "v3: the table emptied under the frame's entries":
+			if !emptied {
+				t.Errorf("%s: vacuous: the table was never emptied", c.seed)
+			}
+		case "v3: frames cut at the payload cap":
+			if frames, _, _ := ReadBatches(bytes.NewReader(data), nullSink()); frames < 4 {
+				t.Errorf("%s: vacuous: %d frames", c.seed, frames)
+			}
+		}
+	}
+}
+
+// A frame as large as the envelope lets it be, all of it minimal definitions,
+// is refused at the definition cap. Nothing of it stays with the table: not
+// the body, not an entry, and no more rows than a table holds.
+func TestHostileFrameOfDefinitionsIsRefusedAtTheCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and reads a 64 MiB frame")
+	}
+	size := int(batchFormat.MaxPayload)
+	frame, mark := batchFormat.Begin(make([]byte, 0, size+16))
+	count := len(frame)
+	frame = append(frame, 0x80, 0x80, 0x80, 0) // the record count, once it is known
+	r, suite := &Record{Date: sampleRecord().Date}, make([]uint16, 1)
+	n := 0
+	for ; len(frame)-count+64 < size; n++ {
+		r.ClientSuites, suite[0] = suite, uint16(n)
+		frame = appendRecordV3(frame, r, binary.AppendUvarint, uint64(n+1), true, 0, true)
+	}
+	copy(frame[count:], paddedUvarint(4)(nil, uint64(n)))
+	frame, err := batchFormat.End(frame, mark)
+	if err != nil || len(frame) < size-64 {
+		t.Fatalf("a %d-byte frame of %d definitions, err %v", len(frame), n, err)
+	}
+	tab := newDecodeTables()
+	var be *BatchError
+	_, got, err := readBatches(bytes.NewReader(frame), nullSink(), tab)
+	if !errors.As(err, &be) || got != maxHelloRows || !strings.Contains(err.Error(), "definitions in one frame") {
+		t.Fatalf("%d records, err %v; want the %d a frame may define and a *BatchError", got, err, maxHelloRows)
+	}
+	if tab.frame != nil || len(tab.hellos) != 0 || cap(tab.hellos) > 2*maxHelloRows || len(tab.rows) > maxHelloRows || tab.held > maxTableBytes {
+		t.Errorf("the table kept a %d-byte body, %d of %d entries, %d rows, %d bytes of keys",
+			cap(tab.frame), len(tab.hellos), cap(tab.hellos), len(tab.rows), tab.held)
+	}
+	for _, row := range tab.hellos[:cap(tab.hellos)] {
+		if row != nil {
+			t.Fatal("the table still holds an entry of the refused frame")
+		}
+	}
+}
+
 // A string with a CR inside is legal in a TSV field (bufio.ScanLines strips
 // only a trailing one) and not in a TLSB record, whose strings must survive
 // the log. The TSV reader interning it must not let the TLSB reader, next on
@@ -285,7 +401,7 @@ func TestListCapInBothFormats(t *testing.T) {
 	payload = binary.AppendUvarint(payload, 1<<20)       // client_suites count
 	payload = append(payload, make([]byte, 1<<20+16)...) // room for it
 	var be *BatchError
-	if _, _, err := ReadBatches(bytes.NewReader(reframe(payload)), nullSink()); !errors.As(err, &be) ||
+	if _, _, err := ReadBatches(bytes.NewReader(reframe(2, payload)), nullSink()); !errors.As(err, &be) ||
 		!strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("a count of 1<<20: err %v", err)
 	}
@@ -332,7 +448,7 @@ func TestTLSBHelloSpanIsWhatTheDecodersRead(t *testing.T) {
 			enc := appendRecordSpelled(nil, r, paddedUvarint(width))
 			var head Record
 			d := &snapDecoder{b: enc, what: "batch"}
-			decodeRecordBinary(d, &head, newDecodeTables())
+			decodeRecordBinary(d, &head, newDecodeTables(), 2)
 			if d.err != nil || d.off != len(enc) {
 				t.Fatalf("width %d: decode stopped at %d of %d, err %v", width, d.off, len(enc), d.err)
 			}

@@ -95,7 +95,8 @@ func TestBuilderFlushOfNothing(t *testing.T) {
 // the hellos that come again; the builder's cells hold the old rows, and the
 // shard comes out as if nothing had happened. The table is emptied through its
 // string bound, with three hellos, so the builder's own early fold (below)
-// stays out of it.
+// stays out of it — and, for TLSB, between frames: the frame being read keeps
+// its entries' rows whatever the table does, the next one defines them anew.
 func TestBuilderCellsOutliveAnEmptiedTable(t *testing.T) {
 	hellos := distinctHellos(3)
 	recs := make([]*Record, maxInternEntries+500)
@@ -124,7 +125,7 @@ func TestBuilderCellsOutliveAnEmptiedTable(t *testing.T) {
 		})
 		var err error
 		if format == "tlsb" {
-			_, _, err = readBatches(bytes.NewReader(encodeBatch(recs)), Tee(probe, b), tab)
+			_, _, err = readBatches(bytes.NewReader(encodeFrames(recs, DefaultBatchSize)), Tee(probe, b), tab)
 		} else {
 			_, _, err = readLogTail(bytes.NewReader(tsvLog(recs)), 0, Tee(probe, b), tab)
 		}

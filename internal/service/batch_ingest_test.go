@@ -319,8 +319,9 @@ func TestIngestBoundsPointFormatsOnEveryPath(t *testing.T) {
 		return "2013-03-09\tF\t0000\t0000\t0000\tF\tF\t0\tF\tF\t0301\tc02f\t-\t-\t" + pfs + "\t-\tF\t-\t-\t-\n"
 	}
 	tsv := []byte(line("0000") + line("0100,01ff"))
-	// The same two as one TLSB frame, packed by hand from batch.go's layout
-	// (BatchWriter cannot spell a point format past a byte).
+	// The same two as one version-2 TLSB frame — no references, every value
+	// in line — packed by hand from batch.go's layout (BatchWriter cannot spell
+	// a point format past a byte).
 	record := func(pfs ...uint64) []byte {
 		rec := []byte{0}                             // flags
 		rec = binary.AppendUvarint(rec, 2013)        // date
@@ -334,7 +335,7 @@ func TestIngestBoundsPointFormatsOnEveryPath(t *testing.T) {
 		return append(rec, 0, 0, 0, 0) // no supported versions, three empty strings
 	}
 	payload := append(append([]byte{2}, record(0)...), record(0x100, 0x1ff)...)
-	format := framing.Format{Magic: "TLSB", MinVersion: 1, Version: notary.BatchVersion, LenBytes: 4, MaxPayload: 1 << 26}
+	format := framing.Format{Magic: "TLSB", MinVersion: 1, Version: 2, LenBytes: 4, MaxPayload: 1 << 26}
 	dst, mark := format.Begin(nil)
 	batch, err := format.End(append(dst, payload...), mark)
 	if err != nil {
