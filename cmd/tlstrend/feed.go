@@ -12,9 +12,11 @@ import (
 )
 
 // cmdFeed streams records into a running serve instance: either a replay of
-// a TSV connection log or a live simulation encoded on the fly. With
-// -binary the stream travels as length-prefixed batch frames (a TSV input
-// file is transcoded on the fly) — the fast path for bulk replay. With
+// a connection log — TSV, or the record log serve -out writes — or a live
+// simulation encoded on the fly. Without -binary a log is sent as it is (the
+// server's TSV reader is the log reader); with -binary the stream travels as
+// length-prefixed batch frames (the log is transcoded on the fly) — the fast
+// path for bulk replay. With
 // -retry, a stream the server sheds under load (HTTP 429 or a TCP "busy"
 // line) is retried with exponential backoff and jitter, honoring the
 // server's Retry-After hint.
@@ -22,8 +24,8 @@ func cmdFeed(args []string) error {
 	fs, sim := simFlagSet("feed", 1000)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "server base URL (HTTP ingest)")
 	tcpAddr := fs.String("tcp", "", "stream over raw TCP to this address instead of HTTP")
-	in := fs.String("in", "", "TSV connection log to replay (empty = simulate live)")
-	binary := fs.Bool("binary", false, "send the binary batch framing instead of TSV (TSV input is transcoded)")
+	in := fs.String("in", "", "connection log to replay: TSV or a serve -out record log (empty = simulate live)")
+	binary := fs.Bool("binary", false, "send the binary batch framing instead of TSV (a log given with -in is transcoded)")
 	batch := fs.Int("batch", notary.DefaultBatchSize, "records per binary batch frame")
 	retry := fs.Int("retry", 0, "retries when the server sheds the stream under load (0 = fail fast)")
 	if err := fs.Parse(args); err != nil {
@@ -57,7 +59,7 @@ func cmdFeed(args []string) error {
 	case *in != "" && !*binary:
 		open = func() (io.ReadCloser, error) { return os.Open(*in) }
 	case *in != "":
-		// Transcode the TSV log into batch frames on the fly.
+		// Transcode the log into batch frames on the fly.
 		open = func() (io.ReadCloser, error) {
 			f, err := os.Open(*in)
 			if err != nil {

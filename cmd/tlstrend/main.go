@@ -5,7 +5,7 @@
 // Usage:
 //
 //	tlstrend simulate   [-conns N] [-seed S] [-workers W] [-out conn.log]   run the passive study, optionally writing a TSV log
-//	tlstrend loadlog    [-in conn.log] [-workers W] [-figure N] [-chart]    post-hoc analysis of a TSV log (sharded parse)
+//	tlstrend loadlog    [-in conn.log] [-workers W] [-figure N] [-chart]    post-hoc analysis of a TSV log or a serve -out record log (sharded parse)
 //	tlstrend serve      [-http ADDR] [-tcp ADDR] [-out conn.log] [-studies a,b] [-snapshot-dir DIR] [-max-inflight N] [-queue-bound N] [-query-cache N] [-upstream URL [-push-interval D] [-push-source S]] [-union ID]  live notary service: TSV + binary-batch ingest, JSON query endpoints, durable snapshots, restart recovery, cached queries; -upstream turns the node into an edge collector pushing aggregate deltas, -union hosts a federated union study
 //	tlstrend feed       [-addr URL | -tcp ADDR] [-in conn.log | -conns N] [-binary [-batch N]] [-retry N]  stream a log or a live simulation into a server
 //	tlstrend query      -q EXPR [-in conn.log | -conns N | -addr URL [-study ID]]  evaluate a metric expression offline or remotely
@@ -78,7 +78,7 @@ func usage() {
 
 commands:
   simulate      run the passive Notary study (optionally write a TSV log)
-  loadlog       rebuild the study from a TSV log (post-hoc, sharded parsing)
+  loadlog       rebuild the study from a TSV log or a serve -out record log (post-hoc, sharded parsing)
   serve         run the live notary service: ingest TSV or binary-batch streams, serve JSON queries;
                 -upstream pushes merged shards upstream as aggregate deltas (edge collector),
                 -union hosts a study that is the live union of every hosted study
@@ -165,7 +165,8 @@ func (sf *simFlags) run(logPath string) (*core.Study, error) {
 	return s, nil
 }
 
-// loadLog rebuilds s from the TSV log at path (the sharded post-hoc parse).
+// loadLog rebuilds s from the log at path, TSV or a serve -out record log
+// (the sharded post-hoc parse).
 func loadLog(s *core.Study, path string) error {
 	f, err := os.Open(path)
 	if err != nil {

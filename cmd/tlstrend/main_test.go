@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"tlsage/internal/core"
+	"tlsage/internal/notary"
 )
 
 // startServe launches `tlstrend serve` on loopback ports of the kernel's
@@ -68,8 +69,9 @@ func startServe(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, httpUR
 // TestCLI drives the built binary: serve refuses a queue bound below 1 —
 // the merge queue is the only ingest path, so there is no "0 = off" — serve's
 // flag set is the one pinned in testdata, a served study survives SIGTERM and
-// a restart byte for byte, and an offline query prints exactly what
-// core.Study.Query computes.
+// a restart byte for byte, every command that takes a log reads a TSV log, a
+// serve -out frame log and one continued by the other alike, and an offline
+// query prints exactly what core.Study.Query computes.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tlstrend")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -160,6 +162,73 @@ func TestCLI(t *testing.T) {
 		}
 		if log, err := wait(); err != nil || !strings.Contains(log, "recovered 3000 records") {
 			t.Errorf("restarted serve: exit %v, want 0 and a recovery of 3000 records\n%s", err, log)
+		}
+	})
+
+	t.Run("loadlog, query -in and feed -in read every kind of log", func(t *testing.T) {
+		// The service package's committed logs: 150 records as the last
+		// TSV-teeing build logged them, the same as this build's tee frames
+		// them, and the first half of one continued by the second half of the
+		// other.
+		fixture := func(name string) []byte {
+			raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "service", "testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}
+		tsv, v3 := fixture("outlog_tsv.log"), fixture("outlog_v3.bin")
+		second, err := notary.LogEntryOffset(bytes.NewReader(v3), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(tsv, []byte("\n"))
+		mixed := append(bytes.Join(lines[:3+75], nil), v3[second:]...) // header, the first feed's lines, the second feed's frame
+		dir := t.TempDir()
+		logs := map[string]string{}
+		for kind, raw := range map[string][]byte{"tsv": tsv, "v3": v3, "mixed": mixed} {
+			logs[kind] = filepath.Join(dir, kind+".log")
+			if err := os.WriteFile(logs[kind], raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run := func(args ...string) (stdout, stderr []byte) {
+			t.Helper()
+			cmd := exec.Command(bin, args...)
+			var errBuf bytes.Buffer
+			cmd.Stderr = &errBuf
+			stdout, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("tlstrend %s: %v\n%s", strings.Join(args, " "), err, errBuf.Bytes())
+			}
+			return stdout, errBuf.Bytes()
+		}
+		serve, url, tcp, wait := startServe(t, bin)
+		wantLoaded, _ := run("loadlog", "-in", logs["tsv"], "-workers", "1")
+		wantQuery, _ := run("query", "-in", logs["tsv"], "-q", "count(total)", "-json")
+		fed := 0
+		for kind, path := range logs {
+			for _, workers := range []string{"1", "4"} {
+				if got, _ := run("loadlog", "-in", path, "-workers", workers); !bytes.Equal(got, wantLoaded) {
+					t.Errorf("loadlog -in %s -workers %s printed\n%s\nwant what the TSV log gives\n%s", kind, workers, got, wantLoaded)
+				}
+			}
+			if got, _ := run("query", "-in", path, "-q", "count(total)", "-json"); !bytes.Equal(got, wantQuery) {
+				t.Errorf("query -in %s printed\n%s\nwant\n%s", kind, got, wantQuery)
+			}
+			for _, how := range [][]string{{"-addr", url}, {"-addr", url, "-binary"}, {"-tcp", tcp}} {
+				_, summary := run(append([]string{"feed", "-in", path}, how...)...)
+				if fed += 150; !bytes.Contains(summary, []byte("fed 150 records in")) ||
+					!bytes.Contains(summary, []byte(fmt.Sprintf("server generation %d,", fed))) {
+					t.Errorf("feed -in %s %v: %s, want 150 records fed and generation %d", kind, how, summary, fed)
+				}
+			}
+		}
+		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if log, err := wait(); err != nil || !strings.Contains(log, fmt.Sprintf("final state of notary: %d records", fed)) {
+			t.Errorf("serve: exit %v, want 0 and %d records\n%s", err, fed, log)
 		}
 	})
 

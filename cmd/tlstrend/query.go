@@ -21,7 +21,7 @@ func cmdQuery(args []string) error {
 	expr := fs.String("q", "", "metric expression, e.g. 'pct(version:tls12 / established)'")
 	addr := fs.String("addr", "", "query a running server at this base URL instead of evaluating offline")
 	study := fs.String("study", "", "server study id (with -addr; empty = the default study's routes)")
-	in := fs.String("in", "", "TSV connection log to load (offline; empty = simulate)")
+	in := fs.String("in", "", "connection log to load: TSV or a serve -out record log (offline; empty = simulate)")
 	asJSON := fs.Bool("json", false, "print the raw JSON result instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -47,7 +47,7 @@ func printTable2(s *core.Study) error {
 
 func cmdLoadLog(args []string) error {
 	fs := flag.NewFlagSet("loadlog", flag.ExitOnError)
-	in := fs.String("in", "notary_conn.log", "TSV connection log to analyze")
+	in := fs.String("in", "notary_conn.log", "connection log to analyze: TSV or a serve -out record log")
 	workers := fs.Int("workers", 0, "parse workers (0 = all cores, 1 = serial)")
 	figure := fs.Int("figure", 0, "also print figure N (1–10)")
 	chart := fs.Bool("chart", false, "render the figure as an ASCII chart")

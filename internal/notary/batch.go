@@ -67,9 +67,10 @@ import (
 // FuzzReadBatches holds the result to the statement-per-element decoder kept
 // in decode_ref_test.go.
 //
-// The three strings must be ones the TSV log can carry (see loggable): a
-// collector tees what it acknowledges into -out as TSV lines, and recovery
-// reads them back.
+// The three strings must be ones a TSV line can carry too (see loggable): a
+// collector tees what it acknowledges into -out as frames of this format,
+// recovery reads them back, and LogWriter — simulate -out, feed without
+// -binary — must be able to write any record either decoder accepted.
 
 // BatchVersion is the batch wire-format version byte written by this build.
 // Version 2 marks the generation where aggregates derive fingerprint/client
@@ -170,44 +171,68 @@ func appendCodeList[T ~uint8 | ~uint16](dst []byte, vals []T) []byte {
 // for nothing in any other — so a writer whose values repeat from frame to
 // frame allocates nothing; it is emptied at the bounds a decoder's table is.
 type frameDict struct {
-	slots map[string]*dictSlot
-	held  int // bytes of slots' keys
-	defs  int // entries the frame being built has defined
+	slots   map[string]*dictSlot
+	held    int // bytes of slots' keys
+	defs    int // entries the frame being built has defined
+	emptied int // times slots was emptied: a slot found before the last is stale
 }
 
-type dictSlot struct{ frame, ref int }
+// dictSlot is one value of a frameDict: body is its encoding, the slot's key.
+type dictSlot struct {
+	body       string
+	frame, ref int
+}
 
-// put appends the reference that stands for body — a hello span, or a cohort
-// with its length — in the given frame, and body itself where the reference
-// says it follows.
-func (t *frameDict) put(dst, body []byte, frame int) []byte {
+// slot returns the slot of body — a hello span, or a cohort with its length —
+// making one, and room for it first, when the dictionary has none; nil for a
+// body that cannot become an entry: one too long, or new to a frame already
+// at its definition cap.
+func (t *frameDict) slot(body []byte) *dictSlot {
 	s := t.slots[string(body)]
-	if s != nil && s.frame == frame {
-		return appendCount(dst, s.ref)
-	}
-	if len(body) > maxHelloSpan || t.defs >= maxHelloRows {
-		return append(append(dst, 0), body...)
-	}
-	if s == nil {
+	if s == nil && len(body) <= maxHelloSpan && t.defs < maxHelloRows {
 		if len(t.slots) >= maxHelloRows || t.held+len(body) > maxTableBytes {
 			clear(t.slots)
 			t.held = 0
+			t.emptied++
 		}
-		s = new(dictSlot)
-		t.slots[string(body)] = s
+		s = &dictSlot{body: string(body), frame: -1}
+		t.slots[s.body] = s
 		t.held += len(body)
 	}
-	t.defs++
-	s.frame, s.ref = frame, t.defs
-	return append(appendCount(dst, t.defs), body...)
+	return s
+}
+
+// put appends the reference that stands for a value in the given frame, and
+// the value where the reference says it follows. The value is s's; one that
+// got no slot is body, and is sent as it is.
+func (t *frameDict) put(dst []byte, s *dictSlot, body []byte, frame int) []byte {
+	if s == nil {
+		return append(append(dst, 0), body...)
+	}
+	if s.frame == frame {
+		return appendCount(dst, s.ref)
+	}
+	ref := 0 // in a frame at its definition cap the value follows and is not an entry
+	if t.defs < maxHelloRows {
+		t.defs++
+		s.frame, s.ref, ref = frame, t.defs, t.defs
+	}
+	return append(appendCount(dst, ref), s.body...)
 }
 
 // BatchWriter packs records into framed batches. It implements Sink: Observe
-// buffers one encoded record, emitting a frame every batchSize records — or
-// sooner, when one more record would push the payload past the format's cap;
-// Close flushes the partial frame. The encode buffers and the dictionaries
-// are reused across frames, so steady-state writing allocates nothing — the
-// binary counterpart of LogWriter.
+// buffers one encoded record, emitting a frame — one Write — every batchSize
+// records, or sooner, when one more record would push the payload past the
+// format's cap; Close flushes the partial frame and leaves the writer ready
+// for the next record. The encode buffers and the dictionaries are reused
+// across frames, so steady-state writing allocates nothing — the binary
+// counterpart of LogWriter.
+//
+// A record that still carries its decoder's hello row — what a collector tees
+// and what feed -binary -in transcodes — is not spelled and hashed again: the
+// writer remembers the slot it found for the row. The slots, keyed by content,
+// stay the authority on what a frame has defined, because two streams decode
+// through two tables and hand the writer two rows for one hello.
 type BatchWriter struct {
 	w     io.Writer
 	every int
@@ -217,7 +242,11 @@ type BatchWriter struct {
 	value []byte // the hello span or cohort being looked up
 
 	hellos, cohorts frameDict
-	out             []byte // reused frame assembly buffer
+	// rows holds, per decoder row, the slot in hellos of the row's span as
+	// this format spells it; good while hellos.emptied is rowsAt.
+	rows   map[*helloRow]*dictSlot
+	rowsAt int
+	out    []byte // reused frame assembly buffer
 }
 
 // NewBatchWriter wraps w. batchSize <= 0 uses DefaultBatchSize.
@@ -227,7 +256,44 @@ func NewBatchWriter(w io.Writer, batchSize int) *BatchWriter {
 	}
 	return &BatchWriter{w: w, every: batchSize,
 		hellos:  frameDict{slots: make(map[string]*dictSlot)},
-		cohorts: frameDict{slots: make(map[string]*dictSlot)}}
+		cohorts: frameDict{slots: make(map[string]*dictSlot)},
+		rows:    make(map[*helloRow]*dictSlot)}
+}
+
+// intactRow returns the row r was decoded through while r's offered side is
+// still all of it the row's (memoShape, and the two strings), else nil.
+func (r *Record) intactRow() *helloRow {
+	if r.memoShape() == nil || r.Fingerprint != r.hello.fp || r.TruthClient != r.hello.truth {
+		return nil
+	}
+	return r.hello
+}
+
+// helloSlot returns the slot of r's hello span, or nil with the span left in
+// bw.value when it gets none.
+func (bw *BatchWriter) helloSlot(r *Record) *dictSlot {
+	row := r.intactRow()
+	if row != nil {
+		if bw.rowsAt != bw.hellos.emptied || len(bw.rows) >= maxHelloRows {
+			clear(bw.rows)
+			bw.rowsAt = bw.hellos.emptied
+		}
+		if s := bw.rows[row]; s != nil {
+			return s
+		}
+	}
+	v := appendCodeList(bw.value[:0], r.ClientSuites)
+	v = appendCodeList(v, r.ClientExtensions)
+	v = appendCodeList(v, r.ClientCurves)
+	v = appendCodeList(v, r.ClientPointFmts)
+	v = appendCodeList(v, r.ClientSupportedVs)
+	v = appendString(appendString(v, r.Fingerprint), r.TruthClient)
+	bw.value = v
+	s := bw.hellos.slot(v)
+	if s != nil && row != nil && bw.rowsAt == bw.hellos.emptied {
+		bw.rows[row] = s
+	}
+	return s
 }
 
 // appendRecord packs r onto dst for the frame being built.
@@ -239,16 +305,9 @@ func (bw *BatchWriter) appendRecord(dst []byte, r *Record) []byte {
 	dst = appendUvarint(dst, uint64(r.Suite))
 	dst = appendUvarint(dst, uint64(r.Curve))
 	dst = append(dst, r.AlertDesc)
-	v := appendCodeList(bw.value[:0], r.ClientSuites)
-	v = appendCodeList(v, r.ClientExtensions)
-	v = appendCodeList(v, r.ClientCurves)
-	v = appendCodeList(v, r.ClientPointFmts)
-	v = appendCodeList(v, r.ClientSupportedVs)
-	v = appendString(appendString(v, r.Fingerprint), r.TruthClient)
-	dst = bw.hellos.put(dst, v, bw.frame)
-	v = appendString(v[:0], r.ServerCohort)
-	bw.value = v
-	return bw.cohorts.put(dst, v, bw.frame)
+	dst = bw.hellos.put(dst, bw.helloSlot(r), bw.value, bw.frame)
+	bw.value = appendString(bw.value[:0], r.ServerCohort)
+	return bw.cohorts.put(dst, bw.cohorts.slot(bw.value), bw.value, bw.frame)
 }
 
 // Observe implements Sink.
@@ -309,11 +368,12 @@ func (bw *BatchWriter) flushFrame() error {
 // payload size before decoding.
 var minRecordEncodedLen = [BatchVersion + 1]int{1: 17, 2: 17, 3: 11}
 
-// loggable reports whether a record string survives the TSV log: a TAB, LF
-// or CR would split the line LogWriter tees it into, and "-" is how that
-// line spells the empty string. A TLSB record carrying such a string is
-// refused at decode, so whatever was acknowledged can be written out and
-// read back (the rule validDate gives dates); TSV input cannot spell one.
+// loggable reports whether a record string survives a TSV line: a TAB, LF or
+// CR would split the line LogWriter writes it into, and "-" is how that line
+// spells the empty string. A record carrying such a string is refused at
+// decode, in either format, so whatever was acknowledged can be written out
+// as lines or as frames and read back (the rule validDate gives dates). A
+// TSV line can spell only one of them, a CR inside a field.
 func loggable(b []byte) bool {
 	return bytes.IndexAny(b, "\t\n\r") < 0 && !(len(b) == 1 && b[0] == '-')
 }
@@ -531,46 +591,75 @@ func ReadBatches(r io.Reader, sink Sink) (frames, records uint64, err error) {
 // readBatches is ReadBatches through the given decoder tables, which a test
 // can hold cold or warm where the pool's state is the garbage collector's.
 func readBatches(r io.Reader, sink Sink, t *decodeTables) (frames, records uint64, err error) {
-	fr := batchFormat.NewReader(r)
-	fr.Lend(t.frame)
-	defer func() {
-		t.endFrame()
-		// All of the body, or none of it when a frame grew it past the bound:
-		// a single 64 MiB frame must not stay pinned in a pool.
-		if t.frame = fr.Reclaim(); cap(t.frame) > maxKeptBuffer {
-			t.frame = nil
-		}
-	}()
+	fr := t.frameReader(r)
+	defer t.endFrames(fr)
 	var rec Record
-	for frame := 0; ; frame++ {
-		t.endFrame()
+	for ; ; frames++ {
 		version, payload, err := fr.Next()
 		if err == io.EOF {
 			return frames, records, nil
 		}
 		if err != nil {
-			return frames, records, &BatchError{Frame: frame, Err: err}
+			return frames, records, &BatchError{Frame: int(frames), Err: err}
 		}
-		d := &snapDecoder{b: payload, what: "batch"}
-		count := d.length(minRecordEncodedLen[version])
-		for i := 0; i < count && d.err == nil; i++ {
-			decodeRecordBinary(d, &rec, t, version)
-			if d.err != nil {
-				break
-			}
-			if err := sink.Observe(&rec); err != nil {
-				return frames, records, err
-			}
-			records++
+		_, n, err := t.decodeFrame(int(frames), version, payload, &rec, 0, sink)
+		records += n
+		if err != nil {
+			return frames, records, err
 		}
-		if d.err == nil && d.remaining() != 0 {
-			d.fail("%d trailing bytes", d.remaining())
-		}
-		if d.err != nil {
-			return frames, records, &BatchError{Frame: frame, Err: d.err}
-		}
-		frames++
 	}
+}
+
+// frameReader starts reading r's frames into the body buffer t keeps from
+// stream to stream; endFrames takes the buffer back.
+func (t *decodeTables) frameReader(r io.Reader) *framing.Reader {
+	fr := batchFormat.NewReader(r)
+	fr.Lend(t.frame)
+	return fr
+}
+
+func (t *decodeTables) endFrames(fr *framing.Reader) {
+	t.endFrame()
+	// All of the body, or none of it when a frame grew it past the bound: a
+	// single 64 MiB frame must not stay pinned in a pool.
+	if t.frame = fr.Reclaim(); cap(t.frame) > maxKeptBuffer {
+		t.frame = nil
+	}
+}
+
+// decodeFrame decodes the records of one frame's payload through t, into rec
+// one after the other, and delivers those past the first skip to sink. It
+// returns how many records the frame holds and how many it delivered; a frame
+// of no more than skip records is taken at its leading count and not decoded.
+// A malformed payload ends it with a *BatchError naming frame, everything
+// before the malformed record delivered.
+func (t *decodeTables) decodeFrame(frame int, version byte, payload []byte, rec *Record, skip uint64, sink Sink) (held, delivered uint64, err error) {
+	t.endFrame()
+	d := &snapDecoder{b: payload, what: "batch"}
+	count := d.length(minRecordEncodedLen[version])
+	if d.err == nil && count > 0 && uint64(count) <= skip {
+		return uint64(count), 0, nil
+	}
+	for ; held < uint64(count) && d.err == nil; held++ {
+		decodeRecordBinary(d, rec, t, version)
+		if d.err != nil {
+			break
+		}
+		if held < skip {
+			continue
+		}
+		if err := sink.Observe(rec); err != nil {
+			return held, delivered, err
+		}
+		delivered++
+	}
+	if d.err == nil && d.remaining() != 0 {
+		d.fail("%d trailing bytes", d.remaining())
+	}
+	if d.err != nil {
+		return held, delivered, &BatchError{Frame: frame, Err: d.err}
+	}
+	return held, delivered, nil
 }
 
 // SniffReader wraps r in a buffered reader whose first bytes have been

@@ -235,23 +235,161 @@ func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
 
 // TestBatchWriterAllocsAreSteadyState: a writer's dictionaries outlive its
 // frames, so once they hold the stream's hellos and cohorts a record costs no
-// allocation, whether it defines an entry of its frame or names one.
+// allocation, whether it defines an entry of its frame or names one — and
+// whether the writer finds its hello by content or by the decoder row the
+// record still carries.
 func TestBatchWriterAllocsAreSteadyState(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's build allocates once per frame inside the envelope")
 	}
-	recs := benchIngestRecordSet()
-	bw := NewBatchWriter(io.Discard, 64)
-	write := func() {
-		for _, r := range recs {
+	cloned := benchIngestRecordSet()
+	for name, recs := range map[string][]*Record{"by content": cloned, "by row": onRows(t, newDecodeTables(), cloned)} {
+		bw := NewBatchWriter(io.Discard, 64)
+		write := func() {
+			for _, r := range recs {
+				if err := bw.Observe(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		write() // 78 frames: the buffers reach their size, the dictionaries fill
+		if got := testing.AllocsPerRun(5, write); got != 0 {
+			t.Errorf("%s: a warm writer allocates %v times per %d records, want 0", name, got, len(recs))
+		}
+		if byRow := len(bw.rows) > 0; byRow != (name == "by row") {
+			t.Errorf("%s: the writer remembers %d rows", name, len(bw.rows))
+		}
+	}
+}
+
+// onRows returns recs as a decoder hands them to a sink — each still on the
+// hello row of tab it was decoded through — by way of a frame stream. The
+// copies share the rows' lists, which is what a row is for.
+func onRows(t *testing.T, tab *decodeTables, recs []*Record) []*Record {
+	t.Helper()
+	var out []*Record
+	_, _, err := readBatches(bytes.NewReader(encodeFrames(recs, DefaultBatchSize)), SinkFunc(func(r *Record) error {
+		if r.intactRow() == nil {
+			t.Fatalf("record %d arrived without a row", len(out))
+		}
+		keep := *r
+		out = append(out, &keep)
+		return nil
+	}), tab)
+	if err != nil || len(out) != len(recs) {
+		t.Fatalf("%d of %d records, err %v", len(out), len(recs), err)
+	}
+	return out
+}
+
+// The writer's row memo is a shortcut to the content-keyed dictionary, never a
+// second opinion: a stream of records on decoder rows is framed byte for byte
+// as the stream of their clones, which carry no row, is — across frames,
+// across a dictionary filled past its cap and emptied, when the dictionary is
+// emptied under rows the memo still holds (a record's second appearance then
+// shares its frame with a clone, and must share its definition), and for
+// records whose fingerprint a sink rewrote under a row others still use.
+func TestRowKeyedWriterMatchesContentKeyed(t *testing.T) {
+	rewritten := onRows(t, newDecodeTables(), benchIngestRecordSet()[:600])
+	for i, r := range rewritten {
+		if i%3 == 0 {
+			r.Fingerprint += "'" // no longer the row's: the memo must not be used
+		}
+	}
+	// Spans of ≈ 3 KiB fill the dictionary's byte bound with some 700 of
+	// them, long before the memo's row bound.
+	wide := distinctHellos(900)
+	for _, r := range wide {
+		for len(r.ClientSuites) < 1400 {
+			r.ClientSuites = append(r.ClientSuites, uint16(0x1000+len(r.ClientSuites)))
+		}
+	}
+	wide = onRows(t, newDecodeTables(), wide)
+	emptied := wide
+	for _, r := range wide[:50] {
+		emptied = append(emptied, r, r.Clone())
+	}
+	for name, c := range map[string]struct {
+		recs []*Record
+		size int
+	}{
+		"benchmark-shaped":                  {onRows(t, newDecodeTables(), benchIngestRecordSet()), 64},
+		"past the dictionary's cap":         {onRows(t, newDecodeTables(), append(distinctHellos(maxHelloRows+300), distinctHellos(500)...)), 700},
+		"one frame past its cap":            {onRows(t, newDecodeTables(), distinctHellos(maxHelloRows+50)), maxHelloRows + 50},
+		"the dictionary emptied under rows": {emptied, 2000},
+		"rewritten under the row":           {rewritten, 16},
+	} {
+		var byRow, byContent bytes.Buffer
+		rw, cw := NewBatchWriter(&byRow, c.size), NewBatchWriter(&byContent, c.size)
+		remembered := 0
+		for _, r := range c.recs {
+			if err := errors.Join(rw.Observe(r), cw.Observe(r.Clone())); err != nil {
+				t.Fatal(err)
+			}
+			remembered = max(remembered, len(rw.rows))
+		}
+		if err := errors.Join(rw.Close(), cw.Close()); err != nil {
+			t.Fatal(err)
+		}
+		if remembered == 0 || len(cw.rows) != 0 {
+			t.Fatalf("%s: vacuous: the row-keyed writer remembered %d rows, the content-keyed one %d", name, remembered, len(cw.rows))
+		}
+		if name == "the dictionary emptied under rows" && (rw.hellos.emptied == 0 || remembered >= maxHelloRows) {
+			t.Fatalf("%s: vacuous: the dictionary was emptied %d times, the memo reached %d rows", name, rw.hellos.emptied, remembered)
+		}
+		if !bytes.Equal(byRow.Bytes(), byContent.Bytes()) {
+			t.Errorf("%s: the row-keyed writer's %d bytes differ from the content-keyed writer's %d", name, byRow.Len(), byContent.Len())
+		}
+	}
+}
+
+// Two streams decode through two tables and hand one tee two rows for one
+// hello. The dictionary is keyed by content, so a frame still defines each
+// distinct hello once: never more definitions than distinct spans.
+func TestTwoTablesOneDefinitionPerHello(t *testing.T) {
+	recs := benchIngestRecordSet()[:2000]
+	a, b := onRows(t, newDecodeTables(), recs), onRows(t, newDecodeTables(), recs)
+	var log bytes.Buffer
+	bw := NewBatchWriter(&log, 100)
+	var written []*Record
+	for i := range recs {
+		// Stream b runs three records behind a, so a hello's two rows meet in
+		// one frame.
+		for _, r := range []*Record{a[i], b[max(i-3, 0)]} {
+			if a[i].hello == b[i].hello {
+				t.Fatal("vacuous: both streams decoded through one row")
+			}
+			written = append(written, r)
 			if err := bw.Observe(r); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	write() // 78 frames: the buffers reach their size, the dictionaries fill
-	if got := testing.AllocsPerRun(5, write); got != 0 {
-		t.Errorf("a warm writer allocates %v times per %d records, want 0", got, len(recs))
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tab := newDecodeTables()
+	seen, defined, distinct := 0, 0, map[string]bool{}
+	endOfFrame := func() {
+		if defined > len(distinct) {
+			t.Fatalf("a frame ending at record %d defines %d hellos for %d distinct spans", seen, defined, len(distinct))
+		}
+		defined, distinct = 0, map[string]bool{}
+	}
+	_, n, err := readBatches(&log, SinkFunc(func(r *Record) error {
+		if !sameRecord(t, r, written[seen]) {
+			t.Fatalf("record %d read back as %+v, written as %+v", seen, r, written[seen])
+		}
+		if seen++; len(tab.hellos) < defined {
+			endOfFrame()
+		}
+		defined = len(tab.hellos)
+		distinct[string(appendHelloSpan(nil, r))] = true
+		return nil
+	}), tab)
+	endOfFrame()
+	if err != nil || n != uint64(len(written)) {
+		t.Fatalf("%d of %d records read back, err %v", n, len(written), err)
 	}
 }
 

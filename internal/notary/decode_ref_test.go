@@ -27,7 +27,7 @@ import (
 // verbatim; the differential tests compare production against all on and
 // check that off-versus-on differs on nothing but those three refusals.
 type refRules struct {
-	loggableStrings bool // TLSB: fp/truth/cohort must survive the TSV log
+	loggableStrings bool // both: fp/truth/cohort must survive a TSV line (TSV can only spell the CR)
 	boundedElements bool // TSV: a list element must fit its code-point type
 	listCap         bool // both: a list holds at most maxListLen elements
 }
@@ -238,7 +238,6 @@ func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rule
 
 func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uint64, err error) {
 	fr := batchFormat.NewReader(r)
-	var rec Record
 	intern := make(map[string]string)
 	for frame := 0; ; frame++ {
 		version, payload, err := fr.Next()
@@ -248,31 +247,50 @@ func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uin
 		if err != nil {
 			return frames, records, &BatchError{Frame: frame, Err: err}
 		}
-		d := &snapDecoder{b: payload, what: "batch"}
-		minLen := 17 // flags, 3 date, 4 code points, alert, 5 counts, 3 string lengths
-		if version >= 3 {
-			minLen = 11 // two references in place of the counts and lengths
-		}
-		count := refLength(d, minLen)
-		var entries refEntries // nothing crosses a frame
-		for i := 0; i < count && d.err == nil; i++ {
-			refDecodeRecordBinary(d, &rec, intern, rules, version, &entries)
-			if d.err != nil {
-				break
-			}
-			if err := sink.Observe(&rec); err != nil {
-				return frames, records, err
-			}
-			records++
-		}
-		if d.err == nil && d.remaining() != 0 {
-			d.fail("%d trailing bytes", d.remaining())
-		}
-		if d.err != nil {
-			return frames, records, &BatchError{Frame: frame, Err: d.err}
+		_, n, err := refDecodeFrame(frame, version, payload, intern, rules, 0, sink)
+		records += n
+		if err != nil {
+			return frames, records, err
 		}
 		frames++
 	}
+}
+
+// refDecodeFrame decodes one frame's payload record by record and delivers
+// the records past the first skip; a frame of no more than skip records is
+// believed at its count.
+func refDecodeFrame(frame int, version byte, payload []byte, intern map[string]string, rules refRules, skip uint64, sink Sink) (held, delivered uint64, err error) {
+	var rec Record
+	d := &snapDecoder{b: payload, what: "batch"}
+	minLen := 17 // flags, 3 date, 4 code points, alert, 5 counts, 3 string lengths
+	if version >= 3 {
+		minLen = 11 // two references in place of the counts and lengths
+	}
+	count := refLength(d, minLen)
+	if d.err == nil && count > 0 && uint64(count) <= skip {
+		return uint64(count), 0, nil
+	}
+	var entries refEntries // nothing crosses a frame
+	for i := 0; i < count && d.err == nil; i++ {
+		refDecodeRecordBinary(d, &rec, intern, rules, version, &entries)
+		if d.err != nil {
+			break
+		}
+		if held++; held <= skip {
+			continue
+		}
+		if err := sink.Observe(&rec); err != nil {
+			return held, delivered, err
+		}
+		delivered++
+	}
+	if d.err == nil && d.remaining() != 0 {
+		d.fail("%d trailing bytes", d.remaining())
+	}
+	if d.err != nil {
+		return held, delivered, &BatchError{Frame: frame, Err: d.err}
+	}
+	return held, delivered, nil
 }
 
 // --- the version-2 record encoder ---
@@ -392,6 +410,13 @@ func refParseTSVInto(r *Record, line string, rules refRules) error {
 	r.Fingerprint = refDashEmpty(fields[17])
 	r.TruthClient = refDashEmpty(fields[18])
 	r.ServerCohort = refDashEmpty(fields[19])
+	if rules.loggableStrings {
+		for _, s := range []string{r.Fingerprint, r.TruthClient, r.ServerCohort} {
+			if strings.Contains(s, "\r") {
+				return fmt.Errorf("notary: record string %q cannot be written to a log", s)
+			}
+		}
+	}
 	return nil
 }
 
@@ -456,19 +481,50 @@ func refParseLogBase(line string) (uint64, bool) {
 	return gen, true
 }
 
+// refReadLogTail is the log reader over the whole log in memory, which makes
+// the entry rule one statement: where an entry starts, the TLSB magic means a
+// frame and anything else a line.
 func refReadLogTail(r io.Reader, skip uint64, sink Sink, rules refRules) (delivered, base uint64, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), maxLogLine)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return 0, 0, err
+	}
 	var rec Record
-	lineNo := 0
+	intern := make(map[string]string)
+	entry, frames := 0, 0
 	sawBase := false
 	var gen uint64
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
+	for len(data) > 0 {
+		entry++
+		if bytes.HasPrefix(data, []byte("TLSB")) {
+			br := bytes.NewReader(data)
+			version, payload, err := batchFormat.NewReader(br).Next()
+			if err != nil {
+				return delivered, base, &LineError{Line: entry, Err: fmt.Errorf("batch frame: %w", err)}
+			}
+			data = data[len(data)-br.Len():]
+			var behind uint64
+			if skip > gen {
+				behind = skip - gen
+			}
+			held, n, err := refDecodeFrame(frames, version, payload, intern, rules, behind, sink)
+			gen += held
+			delivered += n
+			if err != nil {
+				return delivered, base, err
+			}
+			frames++
+			continue
+		}
+		raw, rest, _ := bytes.Cut(data, []byte("\n"))
+		if len(raw) >= maxLogLine {
+			return delivered, base, bufio.ErrTooLong
+		}
+		data = rest
+		line := strings.TrimSuffix(string(raw), "\r")
 		if b, ok := refParseLogBase(line); ok {
 			if b < gen {
-				return delivered, base, &LineError{Line: lineNo,
+				return delivered, base, &LineError{Line: entry,
 					Err: fmt.Errorf("base directive rewinds generation %d to %d", gen, b)}
 			}
 			if !sawBase {
@@ -481,7 +537,7 @@ func refReadLogTail(r io.Reader, skip uint64, sink Sink, rules refRules) (delive
 			continue
 		}
 		if err := refParseTSVInto(&rec, line, rules); err != nil {
-			return delivered, base, &LineError{Line: lineNo, Err: err}
+			return delivered, base, &LineError{Line: entry, Err: err}
 		}
 		gen++
 		if gen <= skip {
@@ -492,5 +548,5 @@ func refReadLogTail(r io.Reader, skip uint64, sink Sink, rules refRules) (delive
 		}
 		delivered++
 	}
-	return delivered, base, sc.Err()
+	return delivered, base, nil
 }

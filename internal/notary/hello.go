@@ -132,7 +132,7 @@ func (r *Record) memoShape() *helloShape {
 // 2 MiB (1.0 keys and strings, 0.2 lists, 0.9 rows). Beside them a table
 // keeps its decoder's stream buffer, at most maxKeptBuffer bytes of it: a
 // TLSB table the frame body (≈ 18 KiB for a 512-record frame), a TSV table
-// the scanner's 64 KiB window — 12.2 MiB a table at the very most. While a
+// the log reader's 64 KiB window — 12.2 MiB a table at the very most. While a
 // version-3 TLSB frame is read the table also holds the entries the frame has
 // defined, which outlive an emptying of the maps: at most maxHelloRows rows
 // and as many cohorts, none from a definition above maxHelloSpan bytes — one
@@ -162,7 +162,7 @@ type decodeTables struct {
 
 	// The buffer the stream is read through, kept from stream to stream so a
 	// connection does not grow its own: the TLSB reader's frame body (see
-	// readBatches), the TSV reader's scanner window. Nothing decoded points into
+	// readBatches), the log reader's window (see logReader). Nothing decoded points into
 	// either — rows, keys and strings are copies.
 	frame, line []byte
 
@@ -186,9 +186,8 @@ func newDecodeTables() *decodeTables {
 }
 
 // One pool per decoder. The formats must not share: a TLSB span and a TSV
-// span are different spellings that could collide byte for byte, and a string
-// interned from TSV has not passed TLSB's loggable check (a CR inside a field
-// survives bufio.ScanLines), which str runs on a table miss only.
+// span are different spellings that could collide byte for byte. (The strings
+// interned beside them have passed the same loggable check in either.)
 var tlsbTables, tsvTables = sync.Pool{New: pooledTables}, sync.Pool{New: pooledTables}
 
 func pooledTables() any { return newDecodeTables() }

@@ -39,7 +39,8 @@ func buildCorpus(t testing.TB, seed int64, n int) ([]byte, *Aggregate) {
 
 // aggregatesEqual compares two aggregates the way the merge property test
 // does: Pos[c].Sum within epsilon (float addition across shards is not
-// associative), everything else exactly.
+// associative) — 1e-9, of the sum once that is above one — everything else
+// exactly.
 func aggregatesEqual(t *testing.T, want, got *Aggregate) {
 	t.Helper()
 	for _, m := range want.Months() {
@@ -48,7 +49,7 @@ func aggregatesEqual(t *testing.T, want, got *Aggregate) {
 			t.Fatalf("month %v missing from parallel aggregate", m)
 		}
 		for c := range wms.Pos {
-			if diff := wms.Pos[c].Sum - gms.Pos[c].Sum; diff > 1e-9 || diff < -1e-9 {
+			if diff, eps := wms.Pos[c].Sum-gms.Pos[c].Sum, 1e-9*max(1, wms.Pos[c].Sum); diff > eps || diff < -eps {
 				t.Fatalf("month %v Pos[%v].Sum off by %g", m, PosClass(c), diff)
 			}
 			gms.Pos[c].Sum = wms.Pos[c].Sum

@@ -303,8 +303,8 @@ func parseTSVLine(r *Record, line []byte, t *decodeTables) error {
 		s.pfs = parseHexList(&p, s.pfs)
 		s.svs = parseHexList(&p, s.svs)
 		r.OffersHeartbeat = p.flag()
-		fp := t.text(p.field())
-		truth := t.text(p.field())
+		fp := p.text(t)
+		truth := p.text(t)
 		// The eight fields are a span once a tab has ended the last of them.
 		clean := p.err == nil && p.off <= len(line)
 		if clean {
@@ -312,7 +312,7 @@ func parseTSVLine(r *Record, line []byte, t *decodeTables) error {
 		}
 		t.settle(r, key, fp, truth, clean)
 	}
-	r.ServerCohort = t.text(p.field())
+	r.ServerCohort = p.text(t)
 	if p.err == nil && p.off > len(line) {
 		return nil
 	}
@@ -494,13 +494,21 @@ func parseHexList[T ~uint8 | ~uint16](p *tsvLine, dst []T) []T {
 	return dst
 }
 
-// text interns one TSV string field, "-" and "" reading as empty.
-func (t *decodeTables) text(f []byte) string {
+// text cuts and interns the next field, a record string, "-" and "" reading
+// as empty. A string new to t must be loggable: a line cannot spell a TAB or a
+// newline inside a field, but it can a carriage return, which no frame reader
+// takes — and a collector tees what this parser accepts into frames.
+func (p *tsvLine) text(t *decodeTables) string {
+	f := p.field()
 	if len(f) == 0 || len(f) == 1 && f[0] == '-' {
 		return ""
 	}
 	if s, ok := t.strs[string(f)]; ok {
 		return s
+	}
+	if !loggable(f) {
+		p.fail(fmt.Errorf("notary: record string %q cannot be written to a log", f))
+		return ""
 	}
 	return t.intern(f)
 }

@@ -3,10 +3,20 @@
 // versioned, checksummed on-disk form; this file adds the operational half —
 // atomic writes (tmp + fsync + rename), periodic snapshotting, retention,
 // and startup recovery that loads the newest intact snapshot and replays
-// only the TSV log tail past its record count. A notary that loses its
+// only the record log's tail past its record count. A notary that loses its
 // aggregate on restart breaks the paper's multi-year collection; with this
-// in place a crash costs at most the records since the last snapshot that
-// also missed the durable log.
+// in place a crash costs no acknowledged record: a stream's records are
+// handed to the kernel — the log's last, partial frame closed and written —
+// after the stream's last shard is enqueued and before its reply, so what a
+// SIGKILL can take is records of streams still in flight, whose feeders have
+// no acknowledgement and send them again. (The log is not fsynced: the
+// guarantee is against the process dying, not the machine.)
+//
+// The log (serve -out) is a sequence of entries, read by notary.ReadLog: TLSB
+// frames of notary.DefaultBatchSize records, which is what this build
+// appends; TSV lines, which is what builds before it wrote and what a log
+// they started still begins with; and #base directives. A frame the crash
+// cut short is a torn entry exactly as a cut line is.
 package service
 
 import (
@@ -136,14 +146,14 @@ type RecoveryInfo struct {
 	// above SnapshotRecords means generations SnapshotRecords+1..LogBase are
 	// in neither source.
 	LogBase uint64
-	// TornLine is the 1-based log line replay stopped at because it was
-	// malformed (0 = the whole log parsed). Everything from this line on is
-	// not reflected in the recovered study.
+	// TornLine is the 1-based log entry — a line, or a frame — replay stopped
+	// at because it was malformed or cut short (0 = the whole log parsed).
+	// Everything from this entry on is not reflected in the recovered study.
 	TornLine int
 	// CorruptSnapshots counts snapshot files skipped for failing their
 	// checksum or decode (torn writes, flipped bits).
 	CorruptSnapshots int
-	// LogTruncated reports that the log ended in a torn line (the usual
+	// LogTruncated reports that the log ended in a torn entry (the usual
 	// signature of a crash mid-write); the valid prefix was kept.
 	LogTruncated bool
 }
@@ -153,12 +163,14 @@ func (ri RecoveryInfo) Records() uint64 { return ri.SnapshotRecords + ri.Replaye
 
 // RecoverStudy rebuilds a live study after a restart: it loads the newest
 // snapshot in dir that passes its checksum — torn or corrupted files are
-// skipped with a logged warning, never a crash — then replays only the TSV
-// log tail past the snapshot's record count. Either source may be absent: no
+// skipped with a logged warning, never a crash — then replays only the log's
+// tail past the snapshot's record count. Either source may be absent: no
 // usable snapshot degrades to a full log replay, no log to the bare
-// snapshot, neither to an empty study. A torn final log line (crash
-// mid-write) is dropped with a warning and the valid prefix kept; leftover
-// .tmp files from interrupted snapshot writes are removed.
+// snapshot, neither to an empty study. A torn final log entry (crash
+// mid-write: a cut line, a cut frame) is dropped with a warning and the valid
+// prefix kept; a frame that passes its checksum and does not decode is no
+// crash's doing and fails the recovery. Leftover .tmp files from interrupted
+// snapshot writes are removed.
 func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*core.Study, RecoveryInfo, error) {
 	if logf == nil {
 		logf = log.Printf
@@ -199,12 +211,18 @@ func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*
 	if logPath != "" {
 		n, base, torn, err := replayLogTail(logPath, info.SnapshotRecords, study.IngestSink())
 		if err != nil {
-			return nil, info, fmt.Errorf("service: replaying %s: %w", logPath, err)
+			// A frame that passed its checksum is not a torn tail and is not
+			// trimmed: say what an operator can do about it.
+			hint := ""
+			if undecodable := (*notary.BatchError)(nil); errors.As(err, &undecodable) {
+				hint = " (no crash writes such a frame; move the log aside to start from the snapshots alone)"
+			}
+			return nil, info, fmt.Errorf("service: replaying %s: %w%s", logPath, err, hint)
 		}
 		info.ReplayedRecords, info.LogBase = n, base
 		if torn != nil {
 			info.LogTruncated, info.TornLine = true, torn.Line
-			logf("service: log %s: dropping torn tail from line %d (%v); %d replayed records kept",
+			logf("service: log %s: dropping torn tail from entry %d (%v); %d replayed records kept",
 				logPath, torn.Line, torn.Err, n)
 		}
 		if base > info.SnapshotRecords {
@@ -217,8 +235,9 @@ func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*
 
 // replayLogTail delivers the records of the log at path past generation skip
 // to sink (notary.ReadLogTail). A missing log delivers nothing. A malformed
-// line — the torn tail a crash mid-write leaves — ends the replay with
-// everything before it delivered, and is returned as torn rather than err.
+// line or a cut frame — the torn tail a crash mid-write leaves — ends the
+// replay with everything before it delivered, and is returned as torn rather
+// than err.
 func replayLogTail(path string, skip uint64, sink notary.Sink) (delivered, base uint64, torn *notary.LineError, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -247,7 +266,11 @@ func replayLogTail(path string, skip uint64, sink notary.Sink) (delivered, base 
 // log starts at generation zero. Otherwise the log is the only durable copy
 // of what recovery just replayed, so truncating it would demote durable
 // records to memory-only; instead the torn tail (if any) is trimmed off and
-// the log is opened in append mode.
+// the log is opened in append mode, on a line boundary: a crash can cut a
+// TSV line inside its last field, where what is left still reads as a record
+// and is not torn, and the frame appended next must not be read as the rest
+// of that line. (After a frame the newline is a blank line, which every
+// reader skips.)
 func OpenIngestLog(path string, gen uint64, restart bool, tornLine int) (*os.File, error) {
 	if !restart && gen > 0 {
 		if tornLine > 0 {
@@ -255,7 +278,15 @@ func OpenIngestLog(path string, gen uint64, restart bool, tornLine int) (*os.Fil
 				return nil, fmt.Errorf("service: trimming torn tail of %s: %w", path, err)
 			}
 		}
-		return os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		if err := endLastLine(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("service: ending the last line of %s: %w", path, err)
+		}
+		return f, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -270,34 +301,37 @@ func OpenIngestLog(path string, gen uint64, restart bool, tornLine int) (*os.Fil
 	return f, nil
 }
 
+// endLastLine appends a newline to a log that does not end in one.
+func endLastLine(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	_, err = f.WriteString("\n")
+	return err
+}
+
 // trimLogAt truncates the log file to the byte offset where its 1-based
-// line begins, dropping that line and everything after it. Appending fresh
-// records after a torn line would fuse them into one malformed line and
-// poison the next replay; after the trim the file holds exactly the records
-// recovery kept.
-func trimLogAt(path string, line int) error {
+// entry — a line or a frame — begins, dropping that entry and everything
+// after it. Appending fresh records after a torn entry would fuse them into
+// one malformed entry and poison the next replay; after the trim the file
+// holds exactly the records recovery kept.
+func trimLogAt(path string, entry int) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	var off int64
-	buf := make([]byte, 1<<16)
-	remaining := line - 1 // complete lines to keep
-	for remaining > 0 {
-		n, err := f.Read(buf)
-		for i := 0; i < n && remaining > 0; i++ {
-			off++
-			if buf[i] == '\n' {
-				remaining--
-			}
-		}
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return err
-		}
+	off, err := notary.LogEntryOffset(f, entry)
+	if err != nil {
+		return err
 	}
 	return f.Truncate(off)
 }

@@ -44,7 +44,7 @@ import (
 type Config struct {
 	HTTP             string        // -http: HTTP listen address (ingest + query)
 	TCP              string        // -tcp: raw-TCP ingest listen address for the default study ("" = none)
-	Out              string        // -out: tee the default study's records into this TSV log
+	Out              string        // -out: tee the default study's records into this record log
 	Flush            int           // -flush: records per ingest shard (0 = DefaultFlushEvery)
 	QueueBound       int           // -queue-bound: merge-queue capacity, at least 1
 	Studies          string        // -studies: comma-separated study ids; the first is the default
@@ -155,7 +155,9 @@ func Open(cfg Config) (_ *Node, err error) {
 		if n.logFile, err = OpenIngestLog(cfg.Out, recovered, restartLog, recovery.TornLine); err != nil {
 			return nil, err
 		}
-		defOpts = append(defOpts, WithLogSink(notary.NewLogWriter(n.logFile)))
+		// One write per frame; Server.ingest closes the partial frame before it
+		// acknowledges a stream.
+		defOpts = append(defOpts, WithLogSink(notary.NewBatchWriter(n.logFile, notary.DefaultBatchSize)))
 	}
 	defOpts = append(defOpts, WithDurability(DurabilityOptions{Dir: cfg.SnapshotDir,
 		EveryRecords: cfg.SnapshotEvery, Interval: cfg.SnapshotInterval, Keep: cfg.SnapshotKeep, Logf: cfg.Logf}))

@@ -1,17 +1,19 @@
 // Package service runs the live Notary collector: the long-runtime mode the
 // paper's vantage point implies. A Server keeps one core.Study hot — the
-// same aggregate that answers batch queries — and ingests TSV record
-// streams over HTTP POST or raw TCP while serving JSON query endpoints off
+// same aggregate that answers batch queries — and ingests record streams,
+// TSV or binary, over HTTP POST or raw TCP while serving JSON query endpoints off
 // generation-checked analysis.Frame snapshots, so queries never observe a
 // half-applied record and ingestion never waits on a slow reader.
 //
 // Endpoints:
 //
-//	POST /ingest          a connection-log stream: TSV (LogWriter format;
-//	                      header and comment lines are skipped, ReadLog
-//	                      semantics) or, with Content-Type
+//	POST /ingest          a connection-log stream: a record log (ReadLog
+//	                      semantics: TSV lines in LogWriter's format, header
+//	                      and comment lines skipped — and, because a
+//	                      collector's -out log can be posted as it is, batch
+//	                      frames between them) or, with Content-Type
 //	                      application/x-tlsage-batch, the length-prefixed
-//	                      binary batch framing (notary.ReadBatches)
+//	                      binary batch framing alone (notary.ReadBatches)
 //	GET  /figures         every catalog figure, evaluated on a frame snapshot
 //	GET  /figure/{name}   one figure by catalog name ("versions") or number ("1")
 //	GET  /scalars         the paper-vs-measured scalar report
@@ -41,7 +43,9 @@
 //
 // Raw TCP ingest shares one port for both wire formats: the first bytes of
 // each connection are sniffed for the batch magic, and anything else takes
-// the TSV debug path.
+// the TSV debug path. The dispatch — Content-Type or sniff — picks the reader
+// and the /healthz counter; the TSV reader is the log reader, so a stream it
+// is handed may carry frames too.
 package service
 
 import (
@@ -89,8 +93,9 @@ type Server struct {
 	study      *core.Study
 	flushEvery int
 	// logSink, when set, receives every ingested record before it reaches
-	// the aggregate — the durable tee (e.g. a LogWriter). It is wrapped in
-	// a LockedSink so concurrent streams interleave whole records.
+	// the aggregate — the durable tee (a BatchWriter on the -out log). It is
+	// wrapped in a LockedSink so concurrent streams interleave whole records,
+	// and closed — flushed, not poisoned — at the end of every stream.
 	logSink *notary.LockedSink
 	mux     *http.ServeMux
 
@@ -164,8 +169,9 @@ func WithFlushEvery(n int) Option {
 }
 
 // WithLogSink tees every ingested record into sink (typically a
-// notary.LogWriter over a file) before aggregation. The server wraps it for
-// concurrent delivery and closes it in Close.
+// notary.BatchWriter over a file) before aggregation. The server wraps it for
+// concurrent delivery and calls its Close — which must flush what the sink
+// buffers and leave it usable — before it acknowledges a stream, and in Close.
 func WithLogSink(sink notary.Sink) Option {
 	return func(s *Server) { s.logSink = notary.NewLockedSink(sink) }
 }
@@ -346,8 +352,8 @@ type ingestStats struct {
 	Generation uint64 `json:"generation"`
 }
 
-// ingest drains one record stream into the live study — TSV with ReadLog's
-// line semantics or, when binary is set, the batch framing via ReadBatches —
+// ingest drains one record stream into the live study — a record log with
+// ReadLog's semantics or, when binary is set, the batch framing via ReadBatches —
 // returning how many records were applied. On a malformed line or frame the
 // error is returned and everything already flushed stays applied — a live
 // collector keeps what it has seen. A merge-queue shed surfaces as
@@ -367,6 +373,14 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 		s.tsvRecords.Add(uint64(ing.seen))
 	}
 	flushErr := ing.Close()
+	if s.logSink != nil {
+		// An acknowledged record is in the kernel: the tee's partial frame is
+		// written out now that the stream's last shard is enqueued, while the
+		// merge loop works, and before the reply.
+		if err := s.logSink.Close(); flushErr == nil {
+			flushErr = err
+		}
+	}
 	// Wait for every shard this stream enqueued to fold in, so the reply's
 	// record count and generation describe applied state.
 	mergeErr := ing.qs.wait()
@@ -478,7 +492,7 @@ func (s *Server) setGeneration(w http.ResponseWriter) {
 
 // ingestErrorStatus separates the error classes of a failed ingest so
 // clients know whether to fix the payload or retry: an oversized body is
-// 413, a malformed line or batch frame (or a line beyond the scanner's
+// 413, a malformed line or batch frame (or a line beyond the log reader's
 // length ceiling) is 400, a merge-queue shed is 429, and anything else —
 // merge or durable-tee failures inside the collector — is 500.
 func ingestErrorStatus(err error) int {
@@ -498,7 +512,7 @@ func ingestErrorStatus(err error) int {
 }
 
 // bodyCapTracker remembers that the wrapped MaxBytesReader cut the stream
-// off. The line scanner treats a read error like EOF, so the cap usually
+// off. The log reader treats a read error like EOF, so the cap usually
 // surfaces as a parse failure on the torn final line — without the sticky
 // flag an oversized body would misreport as 400 instead of 413.
 type bodyCapTracker struct {
