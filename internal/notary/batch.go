@@ -68,7 +68,7 @@ import (
 // in decode_ref_test.go.
 //
 // The three strings must be ones a TSV line can carry too (see loggable): a
-// collector tees what it acknowledges into -out as frames of this format,
+// collector writes what it acknowledges to -out as frames of this format,
 // recovery reads them back, and LogWriter — simulate -out, feed without
 // -binary — must be able to write any record either decoder accepted.
 
@@ -228,11 +228,11 @@ func (t *frameDict) put(dst []byte, s *dictSlot, body []byte, frame int) []byte 
 // across frames, so steady-state writing allocates nothing — the binary
 // counterpart of LogWriter.
 //
-// A record that still carries its decoder's hello row — what a collector tees
-// and what feed -binary -in transcodes — is not spelled and hashed again: the
-// writer remembers the slot it found for the row. The slots, keyed by content,
-// stay the authority on what a frame has defined, because two streams decode
-// through two tables and hand the writer two rows for one hello.
+// A record that still carries its decoder's hello row — what a collector's
+// streams pack for its log and what feed -binary -in transcodes — is not
+// spelled and hashed again: the writer remembers the slot it found for the
+// row. The slots, keyed by content, stay the authority on what a frame has
+// defined, because two decoder tables hand a writer two rows for one hello.
 type BatchWriter struct {
 	w     io.Writer
 	every int
@@ -339,6 +339,17 @@ func (bw *BatchWriter) Close() error {
 		return nil
 	}
 	return bw.flushFrame()
+}
+
+// WriteFrames closes the partial frame and writes frames — whole frames of
+// this format, such as another BatchWriter packed — in one Write. A collector
+// appends each merged shard's frame to its log this way.
+func (bw *BatchWriter) WriteFrames(frames []byte) error {
+	if err := bw.Close(); err != nil {
+		return err
+	}
+	_, err := bw.w.Write(frames)
+	return err
 }
 
 // flushFrame emits the packed records as one frame and starts the next, which

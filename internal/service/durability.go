@@ -5,17 +5,19 @@
 // and startup recovery that loads the newest intact snapshot and replays
 // only the record log's tail past its record count. A notary that loses its
 // aggregate on restart breaks the paper's multi-year collection; with this
-// in place a crash costs no acknowledged record: a stream's records are
-// handed to the kernel — the log's last, partial frame closed and written —
-// after the stream's last shard is enqueued and before its reply, so what a
-// SIGKILL can take is records of streams still in flight, whose feeders have
-// no acknowledgement and send them again. (The log is not fsynced: the
-// guarantee is against the process dying, not the machine.)
+// in place a crash costs no acknowledged record. The merge loop writes each
+// shard to the log — one frame, one write — before the shard merges, and a
+// stream is acknowledged after its shards merged, so an acknowledged record
+// is in the kernel: a SIGKILL takes only streams still in flight, whose
+// feeders have no reply and send them again. (The log is not fsynced: the
+// guarantee is against the process dying, not the machine.) The log holds
+// exactly the merged shards, in merge order, so a snapshot at generation G
+// plus the log's records past G is exactly the merged state.
 //
 // The log (serve -out) is a sequence of entries, read by notary.ReadLog: TLSB
-// frames of notary.DefaultBatchSize records, which is what this build
-// appends; TSV lines, which is what builds before it wrote and what a log
-// they started still begins with; and #base directives. A frame the crash
+// frames, one per merged shard (up to -flush records), which is what this
+// build appends; TSV lines, which is what builds before it wrote and what a
+// log they started still begins with; and #base directives. A frame the crash
 // cut short is a torn entry exactly as a cut line is.
 package service
 

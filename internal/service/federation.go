@@ -328,7 +328,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	}
 	// Proceed: fold through the same path local shards take.
 	qs := &queueStream{}
-	mergeErr := s.queue.enqueue(qs, d.Agg)
+	mergeErr := s.queue.enqueue(qs, d.Agg, nil)
 	if mergeErr == nil {
 		mergeErr = qs.wait() // the merge loop runs afterMerge
 	}

@@ -13,7 +13,7 @@
 //     trim its torn tail and append, because the log is the only durable
 //     copy (no snapshots) or what a 409 rebase will replay (unshipped tail);
 //  6. one Server per study id on a Router; the default study carries the
-//     log tee, the snapshot manager and the pusher;
+//     record log, the snapshot manager and the pusher;
 //  7. the union study over every hosted study.
 //
 // Steps 3 → 5 and 4 → 5 are the orderings a restart may not get wrong: a log
@@ -73,7 +73,7 @@ type Config struct {
 type Node struct {
 	cfg     Config
 	rt      *Router
-	def     *Server  // the default study's server: TCP ingest, log tee, snapshots, pusher
+	def     *Server  // the default study's server: TCP ingest, record log, snapshots, pusher
 	logFile *os.File // the open -out log, nil without -out
 }
 
@@ -155,8 +155,8 @@ func Open(cfg Config) (_ *Node, err error) {
 		if n.logFile, err = OpenIngestLog(cfg.Out, recovered, restartLog, recovery.TornLine); err != nil {
 			return nil, err
 		}
-		// One write per frame; Server.ingest closes the partial frame before it
-		// acknowledges a stream.
+		// The merge loop writes each shard's frame through it, one write per
+		// shard, before the shard merges and its stream is acknowledged.
 		defOpts = append(defOpts, WithLogSink(notary.NewBatchWriter(n.logFile, notary.DefaultBatchSize)))
 	}
 	defOpts = append(defOpts, WithDurability(DurabilityOptions{Dir: cfg.SnapshotDir,
@@ -298,8 +298,8 @@ func ServeUntilDone(ctx context.Context, ln net.Listener, h http.Handler) error 
 }
 
 // Close shuts the node down: every hosted server closes — TCP listeners
-// stop, in-flight streams and queued shards drain, the log tee flushes, the
-// pusher ships its final delta, the final snapshot is written — then the log
+// stop, in-flight streams and queued shards drain into the log and the study,
+// the pusher ships its final delta, the final snapshot is written — then the log
 // file closes (which can still fail on a full disk) and the final state of
 // every study is narrated. The first error wins. A failed Open closes what it
 // had assembled the same way.

@@ -114,10 +114,9 @@ func (tn *testNode) shutdown(t *testing.T) {
 
 // crash abandons the node the way SIGKILL does: no drain, no final push, no
 // final snapshot, no Close. The log file is left with what the kernel had —
-// every acknowledged stream's records, because a stream's reply waits for the
-// tee's frame to be written; whatever the tee still buffers dies with the
-// process — followed by torn, the fragment of an entry the process died
-// writing. Goroutines that would keep touching the directory stop; the parked
+// every acknowledged stream's records, because a stream's reply waits for its
+// shards to be written and merged — followed by torn, the fragment of an entry
+// the process died writing. Goroutines that would keep touching the directory stop; the parked
 // merge loop and pusher timer are left behind like the process would leave
 // nothing.
 func (tn *testNode) crash(t *testing.T, torn []byte) {
@@ -186,12 +185,28 @@ func requireServedParity(t *testing.T, url string, want []byte) {
 	if err := offline.LoadLog(bytes.NewReader(want)); err != nil {
 		t.Fatal(err)
 	}
-	refSrv := NewServer(&offline)
-	defer refSrv.Close()
-	ref := httptest.NewServer(refSrv.Handler())
-	defer ref.Close()
-	if got, want := mustGet(t, url+"/scalars"), mustGet(t, ref.URL+"/scalars"); !bytes.Equal(got, want) {
-		t.Fatalf("/scalars differs from an offline LoadLog:\n%s\n---\n%s", got, want)
+	requireSameServed(t, url, serveStudy(t, &offline), "an offline LoadLog")
+}
+
+// serveStudy serves st on loopback for the rest of the test and returns the
+// base URL.
+func serveStudy(t *testing.T, st *core.Study) string {
+	t.Helper()
+	srv := NewServer(st)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return ts.URL
+}
+
+// requireSameServed compares /scalars and the query sweep served at url with
+// those served at ref (what ref is, for the message), byte for byte.
+func requireSameServed(t *testing.T, url, ref, what string) {
+	t.Helper()
+	if got, want := mustGet(t, url+"/scalars"), mustGet(t, ref+"/scalars"); !bytes.Equal(got, want) {
+		t.Fatalf("/scalars differs from %s:\n%s\n---\n%s", what, got, want)
 	}
 	for _, q := range paritySweep {
 		body, err := json.Marshal(map[string]string{"query": q})
@@ -210,8 +225,8 @@ func requireServedParity(t *testing.T, url string, want []byte) {
 			}
 			return raw
 		}
-		if got, want := post(url), post(ref.URL); !bytes.Equal(got, want) {
-			t.Errorf("query %q differs from an offline LoadLog:\n%s\n---\n%s", q, got, want)
+		if got, want := post(url), post(ref); !bytes.Equal(got, want) {
+			t.Errorf("query %q differs from %s:\n%s\n---\n%s", q, what, got, want)
 		}
 	}
 }

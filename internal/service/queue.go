@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +15,8 @@ import (
 // the live study. Readers parse and enqueue decoded shards; one merge loop
 // owns the study write path, so handlers never stack up on the study's write
 // lock; and a full queue sheds the offending stream with 429/busy instead of
-// buffering without bound.
+// buffering without bound. The merge loop is also the -out log's only
+// writer (writeLog), so a shed shard never reaches the log.
 //
 // Shedding is edge-triggered per shard, so a stream can be part-applied when
 // its later shard finds the queue full. The server subtracts the doomed
@@ -32,10 +35,23 @@ var errIngestBusy = errors.New("service: ingest merge queue saturated")
 
 // queuedShard is one parsed shard awaiting merge, tagged with the stream
 // that produced it so completion (and any merge error) reaches the right
-// handler.
+// handler. On a server with a log it carries its records as TLSB frames
+// (see stage).
 type queuedShard struct {
 	shard *notary.Aggregate
+	frame *[]byte
 	st    *queueStream
+}
+
+// frameBufs recycles the buffers shards carry their frames in.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// releaseFrame returns a shard's frame buffer to frameBufs; nil is a no-op.
+func releaseFrame(b *[]byte) {
+	if b != nil {
+		*b = (*b)[:0]
+		frameBufs.Put(b)
+	}
 }
 
 // queueStream tracks one ingest stream's shards through the queue, so its
@@ -74,6 +90,12 @@ type mergeQueue struct {
 	// checkpoint and the federation tee (Server.afterMerge as a method
 	// value).
 	afterMerge func(*notary.Aggregate)
+	// log, when non-nil, is the record log. logErr is its first failed
+	// write, which may have left part of a frame in the log — recovery cuts
+	// that and everything after it — so nothing is written, and no shard
+	// merges, after it.
+	log    notary.Sink
+	logErr error
 	// gate, when non-nil (tests only), is received from before each merge so
 	// saturation tests can hold the loop deterministically.
 	gate chan struct{}
@@ -89,7 +111,7 @@ type mergeQueue struct {
 	shedFull atomic.Uint64
 }
 
-func newMergeQueue(study *core.Study, bound int, afterMerge func(*notary.Aggregate), gate chan struct{}) *mergeQueue {
+func newMergeQueue(study *core.Study, bound int, afterMerge func(*notary.Aggregate), log notary.Sink, gate chan struct{}) *mergeQueue {
 	if bound <= 0 {
 		bound = DefaultQueueBound
 	}
@@ -97,6 +119,7 @@ func newMergeQueue(study *core.Study, bound int, afterMerge func(*notary.Aggrega
 		study:      study,
 		ch:         make(chan queuedShard, bound),
 		afterMerge: afterMerge,
+		log:        log,
 		gate:       gate,
 	}
 	q.wg.Add(1)
@@ -104,9 +127,10 @@ func newMergeQueue(study *core.Study, bound int, afterMerge func(*notary.Aggrega
 	return q
 }
 
-// enqueue hands a shard to the merge loop without blocking: a full (or
-// closed) queue sheds with errIngestBusy instead of buffering the reader.
-func (q *mergeQueue) enqueue(st *queueStream, shard *notary.Aggregate) error {
+// enqueue hands a shard, and its frame, to the merge loop without blocking: a
+// full (or closed) queue sheds with errIngestBusy instead of buffering the
+// reader, and the frame stays the caller's.
+func (q *mergeQueue) enqueue(st *queueStream, shard *notary.Aggregate, frame *[]byte) error {
 	q.closeMu.RLock()
 	defer q.closeMu.RUnlock()
 	if q.closed {
@@ -115,7 +139,7 @@ func (q *mergeQueue) enqueue(st *queueStream, shard *notary.Aggregate) error {
 	}
 	st.wg.Add(1)
 	select {
-	case q.ch <- queuedShard{shard: shard, st: st}:
+	case q.ch <- queuedShard{shard: shard, frame: frame, st: st}:
 		q.enqueued.Add(1)
 		return nil
 	default:
@@ -131,7 +155,15 @@ func (q *mergeQueue) loop() {
 		if q.gate != nil {
 			<-q.gate
 		}
-		if err := q.study.MergeShard(qs.shard); err != nil {
+		var err error
+		if qs.frame != nil {
+			err = q.writeLog(*qs.frame)
+			releaseFrame(qs.frame)
+		}
+		if err == nil {
+			err = q.study.MergeShard(qs.shard)
+		}
+		if err != nil {
 			qs.st.fail(err)
 		} else {
 			q.afterMerge(qs.shard)
@@ -139,6 +171,28 @@ func (q *mergeQueue) loop() {
 		q.merged.Add(1)
 		qs.st.wg.Done()
 	}
+}
+
+// writeLog writes a shard's frame to the log: in one write through a sink
+// with WriteFrames (notary.BatchWriter); any other sink — a TSV LogWriter —
+// gets the frame's records, then Close, which flushes them.
+func (q *mergeQueue) writeLog(frame []byte) error {
+	if q.logErr != nil {
+		return q.logErr
+	}
+	var err error
+	if fw, ok := q.log.(interface{ WriteFrames([]byte) error }); ok {
+		err = fw.WriteFrames(frame)
+	} else {
+		_, _, err = notary.ReadBatches(bytes.NewReader(frame), q.log)
+		if cerr := q.log.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		q.logErr = fmt.Errorf("service: writing the record log (nothing merges after this): %w", err)
+	}
+	return q.logErr
 }
 
 // close drains the queue: no further enqueues are accepted (they shed), and

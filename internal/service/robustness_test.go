@@ -252,7 +252,7 @@ func TestIngestMaxBodyBytes(t *testing.T) {
 	}
 }
 
-// failingSink errors on the nth record — an internal tee failure.
+// failingSink errors on the nth record — a record-log write failure.
 type failingSink struct{ n, seen int }
 
 func (f *failingSink) Observe(*notary.Record) error {
@@ -265,8 +265,8 @@ func (f *failingSink) Observe(*notary.Record) error {
 
 func (f *failingSink) Close() error { return nil }
 
-// TestIngestInternalErrorIs500: a failure inside the collector (the durable
-// tee, not the client's bytes) answers 500, not 400.
+// TestIngestInternalErrorIs500: a failure inside the collector (the record
+// log, not the client's bytes) answers 500, not 400.
 func TestIngestInternalErrorIs500(t *testing.T) {
 	log, _ := sharedLog(t)
 	srv := NewServer(core.NewLiveStudy(), WithLogSink(&failingSink{n: 5}))

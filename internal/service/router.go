@@ -87,7 +87,7 @@ func (rt *Router) IDs() []string { return append([]string(nil), rt.ids...) }
 // Handler returns the routing HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Close closes every hosted server (TCP listeners, durable tees); the first
+// Close closes every hosted server (TCP listeners, merge queues); the first
 // error wins.
 func (rt *Router) Close() error {
 	var first error

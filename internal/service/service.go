@@ -39,7 +39,8 @@
 // served study's figures and scalars match the offline loadlog path
 // exactly. Shards travel a bounded queue (queue.go) to the single merge loop
 // that owns the study's write path, and a stream that finds the queue full
-// is shed (429 / "busy") instead of buffering without bound.
+// is shed (429 / "busy") instead of buffering without bound. The merge loop
+// also writes each shard to the record log, if any, before merging it.
 //
 // Raw TCP ingest shares one port for both wire formats: the first bytes of
 // each connection are sniffed for the batch magic, and anything else takes
@@ -92,11 +93,11 @@ const (
 type Server struct {
 	study      *core.Study
 	flushEvery int
-	// logSink, when set, receives every ingested record before it reaches
-	// the aggregate — the durable tee (a BatchWriter on the -out log). It is
-	// wrapped in a LockedSink so concurrent streams interleave whole records,
-	// and closed — flushed, not poisoned — at the end of every stream.
-	logSink *notary.LockedSink
+	// logSink, when set, is the record log (a BatchWriter on the -out log),
+	// written by the merge loop alone: each shard's frame before the shard
+	// merges. stages pools the per-stream encoders that pack those frames.
+	logSink notary.Sink
+	stages  sync.Pool
 	mux     *http.ServeMux
 
 	// Backpressure: sem bounds concurrently ingesting streams (nil =
@@ -149,7 +150,7 @@ type Server struct {
 
 	// tcpMu guards tcpLns, the raw-TCP listeners Close shuts down; connWG
 	// tracks in-flight TCP ingest handlers so Close can drain them before
-	// flushing the durable tee.
+	// it drains the merge queue.
 	tcpMu  sync.Mutex
 	tcpLns []net.Listener
 	connWG sync.WaitGroup
@@ -168,12 +169,13 @@ func WithFlushEvery(n int) Option {
 	}
 }
 
-// WithLogSink tees every ingested record into sink (typically a
-// notary.BatchWriter over a file) before aggregation. The server wraps it for
-// concurrent delivery and calls its Close — which must flush what the sink
-// buffers and leave it usable — before it acknowledges a stream, and in Close.
+// WithLogSink makes sink (typically a notary.BatchWriter over a file) the
+// study's record log. The merge loop writes every shard to it before the shard
+// merges — as TLSB frames in one call to a sink with WriteFrames([]byte) error,
+// as records and then Close, which must flush, to any other — and a shard
+// whose write fails does not merge, nor does any after it.
 func WithLogSink(sink notary.Sink) Option {
-	return func(s *Server) { s.logSink = notary.NewLockedSink(sink) }
+	return func(s *Server) { s.logSink = sink }
 }
 
 // WithMaxInFlight bounds how many ingest streams (HTTP + TCP combined) may
@@ -259,10 +261,14 @@ func NewServer(study *core.Study, opts ...Option) *Server {
 	if s.durOpts != nil {
 		s.snaps = newSnapshotManager(study, *s.durOpts)
 	}
+	if s.logSink != nil {
+		every := s.flushEvery
+		s.stages.New = func() any { return newStage(every) }
+	}
 	// afterMerge is bound as a method value: observers appended later
 	// (Router.Union, under the assemble-before-serving contract) are still
 	// seen by the merge loop.
-	s.queue = newMergeQueue(study, s.queueBound, s.afterMerge, s.queueGate)
+	s.queue = newMergeQueue(study, s.queueBound, s.afterMerge, s.logSink, s.queueGate)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngest)
 	mux.HandleFunc("POST /merge", s.handleMerge)
@@ -283,13 +289,11 @@ func (s *Server) Study() *core.Study { return s.study }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close releases the server's durable resources: raw-TCP listeners stop
-// accepting, in-flight TCP ingest streams are drained to completion, queued
-// shards merge, and only then is the teed log sink flushed and closed — so
-// every record that reached the aggregate is also on disk. With durability
-// configured a final snapshot of the drained state is written last (the
-// SIGTERM path). The drain is bounded when WithIdleTimeout is set: a stalled
-// client's read deadline expires and its handler exits instead of wedging
-// Close.
+// accepting, in-flight TCP ingest streams are drained to completion, and
+// queued shards are written to the log and merge. With durability configured
+// a final snapshot of the drained state is written last (the SIGTERM path).
+// The drain is bounded when WithIdleTimeout is set: a stalled client's read
+// deadline expires and its handler exits instead of wedging Close.
 func (s *Server) Close() error {
 	s.tcpMu.Lock()
 	lns := s.tcpLns
@@ -302,14 +306,9 @@ func (s *Server) Close() error {
 		}
 	}
 	s.connWG.Wait()
-	// Drain queued shards into the study before the tee flushes and the
-	// final snapshot is cut, so durable state matches what merged.
+	// Drain queued shards into the log and the study before the final
+	// snapshot is cut, so durable state matches what merged.
 	s.queue.close()
-	if s.logSink != nil {
-		if err := s.logSink.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	if s.pusher != nil {
 		// After the ingest paths drained: the final push covers every shard
 		// the study accepted.
@@ -361,7 +360,10 @@ type ingestStats struct {
 // so feeders can tell a cleanly shed stream (0 applied, safe to retry) from
 // a part-applied one.
 func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
-	ing := newShardIngester(s.study, s.flushEvery, s.logSink, s.queue)
+	ing := newShardIngester(s.study, s.flushEvery, s.queue)
+	if s.logSink != nil {
+		ing.stage = s.stages.Get().(*stage)
+	}
 	var readErr error
 	if binary {
 		frames, _, err := notary.ReadBatches(r, ing)
@@ -373,16 +375,11 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 		s.tsvRecords.Add(uint64(ing.seen))
 	}
 	flushErr := ing.Close()
-	if s.logSink != nil {
-		// An acknowledged record is in the kernel: the tee's partial frame is
-		// written out now that the stream's last shard is enqueued, while the
-		// merge loop works, and before the reply.
-		if err := s.logSink.Close(); flushErr == nil {
-			flushErr = err
-		}
+	if ing.stage != nil {
+		s.stages.Put(ing.stage)
 	}
-	// Wait for every shard this stream enqueued to fold in, so the reply's
-	// record count and generation describe applied state.
+	// Wait for every shard this stream enqueued to be logged and fold in, so
+	// the reply's record count and generation describe applied state.
 	mergeErr := ing.qs.wait()
 	_, _, gen, err := s.study.Counts()
 	if err != nil {
@@ -404,7 +401,7 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 // flushEvery records — the sharded ingest path.
 type shardIngester struct {
 	shard *notary.ShardBuilder
-	tee   *notary.LockedSink // optional, may be nil
+	stage *stage // packs the shard's frame; nil without a log
 	every int
 	since int
 	total int // records applied (or accepted into the queue)
@@ -415,21 +412,21 @@ type shardIngester struct {
 	qs    *queueStream
 }
 
-func newShardIngester(study *core.Study, every int, tee *notary.LockedSink, queue *mergeQueue) *shardIngester {
+func newShardIngester(study *core.Study, every int, queue *mergeQueue) *shardIngester {
 	if every <= 0 {
 		every = DefaultFlushEvery
 	}
-	return &shardIngester{shard: notary.NewShardBuilder(study.NewShard), every: every, tee: tee,
+	return &shardIngester{shard: notary.NewShardBuilder(study.NewShard), every: every,
 		queue: queue, qs: &queueStream{}}
 }
 
-// Observe implements notary.Sink: records land in the private shard, with
-// the durable tee (if any) written first so the log orders records the way
-// they were accepted.
+// Observe implements notary.Sink: records land in the private shard and, with
+// a log, in the shard's frame, which the merge loop writes before the shard
+// merges — so the log is in merge order and holds no shard that did not merge.
 func (si *shardIngester) Observe(r *notary.Record) error {
-	if si.tee != nil {
-		if err := si.tee.Observe(r); err != nil {
-			return err
+	if si.stage != nil {
+		if err := si.stage.bw.Observe(r); err != nil {
+			return si.send(err)
 		}
 	}
 	si.shard.Add(r)
@@ -437,27 +434,69 @@ func (si *shardIngester) Observe(r *notary.Record) error {
 	si.seen++
 	si.since++
 	if si.since >= si.every {
-		return si.flush()
+		return si.send(nil)
 	}
 	return nil
 }
 
-// Close enqueues the remaining shard. It does not close the shared tee —
-// the server owns that.
-func (si *shardIngester) Close() error { return si.flush() }
+// Close enqueues the remaining shard.
+func (si *shardIngester) Close() error { return si.send(nil) }
 
-func (si *shardIngester) flush() error {
+// send hands the shard and its frame to the merge queue. When failed says the
+// frame lost records, or the queue sheds them, neither goes anywhere and the
+// stream reports only applied records, so the feeder can tell whether a retry
+// would duplicate.
+func (si *shardIngester) send(failed error) error {
 	if si.since == 0 {
-		return nil
+		return failed
 	}
-	err := si.queue.enqueue(si.qs, si.shard.Flush())
+	shard, err := si.shard.Flush(), failed
+	var frame *[]byte
+	if si.stage != nil {
+		var ferr error
+		if frame, ferr = si.stage.frame(); err == nil {
+			err = ferr
+		}
+	}
+	if err == nil {
+		err = si.queue.enqueue(si.qs, shard, frame)
+	}
 	if err != nil {
-		// The shed shard never reaches the study: report only applied
-		// records so the feeder can tell whether a retry would duplicate.
+		releaseFrame(frame)
 		si.total -= si.since
 	}
 	si.since = 0
 	return err
+}
+
+// stage packs the records a stream adds to its shard into the TLSB frame the
+// shard carries: a BatchWriter of the stream's own, flushing at the shard
+// cadence, over a buffer from frameBufs, so it takes no lock. A server pools
+// its stages; a warm one allocates nothing per record.
+type stage struct {
+	bw  *notary.BatchWriter
+	buf *[]byte // the frames being packed
+}
+
+func newStage(every int) *stage {
+	st := &stage{buf: frameBufs.Get().(*[]byte)}
+	st.bw = notary.NewBatchWriter(st, every)
+	return st
+}
+
+// Write takes the stage's BatchWriter's frames.
+func (st *stage) Write(p []byte) (int, error) {
+	*st.buf = append(*st.buf, p...)
+	return len(p), nil
+}
+
+// frame closes the partial frame and hands over the buffer holding the
+// shard's frames; the next shard's go into another.
+func (st *stage) frame() (*[]byte, error) {
+	err := st.bw.Close()
+	b := st.buf
+	st.buf = frameBufs.Get().(*[]byte)
+	return b, err
 }
 
 // --- HTTP handlers ---
@@ -494,7 +533,7 @@ func (s *Server) setGeneration(w http.ResponseWriter) {
 // clients know whether to fix the payload or retry: an oversized body is
 // 413, a malformed line or batch frame (or a line beyond the log reader's
 // length ceiling) is 400, a merge-queue shed is 429, and anything else —
-// merge or durable-tee failures inside the collector — is 500.
+// merge or record-log write failures inside the collector — is 500.
 func ingestErrorStatus(err error) int {
 	var le *notary.LineError
 	var be *notary.BatchError

@@ -534,7 +534,7 @@ func TestLogSinkTee(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if err := srv.Close(); err != nil { // flushes the tee
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var replay core.Study
@@ -547,7 +547,7 @@ func TestLogSinkTee(t *testing.T) {
 }
 
 // TestCloseDrainsInFlightTCPStream pins the shutdown ordering: Close must
-// wait for in-flight TCP ingest handlers before flushing the durable tee,
+// wait for in-flight TCP ingest handlers before it drains the merge queue,
 // so every record that reached the aggregate is also in the log.
 func TestCloseDrainsInFlightTCPStream(t *testing.T) {
 	log, offline := sharedLog(t)
