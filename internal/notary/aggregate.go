@@ -97,6 +97,8 @@ type Classifier interface {
 // and read per-month statistics back.
 type Aggregate struct {
 	months map[timeline.Month]*MonthStats
+	// spare holds the months Reset emptied, for month to reuse.
+	spare []*MonthStats
 	// fps holds one row per fingerprint ever seen: its §4.1 lifetime and the
 	// classifier's verdict on it, so Add hashes the fingerprint once here
 	// instead of once per fact.
@@ -199,10 +201,46 @@ func (a *Aggregate) Close() error { return nil }
 func (a *Aggregate) month(m timeline.Month) *MonthStats {
 	ms, ok := a.months[m]
 	if !ok {
-		ms = newMonthStats(m)
+		if n := len(a.spare); n > 0 {
+			ms, a.spare = a.spare[n-1], a.spare[:n-1]
+			ms.Month = m
+		} else {
+			ms = newMonthStats(m)
+		}
 		a.months[m] = ms
 	}
 	return ms
+}
+
+// Reset empties a in place for the records to come, keeping its classifier
+// and what its months grew — their maps, Counts pages and MonthStats, up to
+// maxKeptMonths of them: a collector empties each shard once it has merged
+// and builds the next one in it. An emptied aggregate reads, merges and
+// encodes as a fresh one does, but it is not reflect.DeepEqual to one: its
+// tables keep zeroed pages and it keeps its spare months. An aggregate it is
+// merged into stays reflect.DeepEqual to one fresh shards were merged into,
+// because Counts.merge skips a page with nothing present.
+func (a *Aggregate) Reset() {
+	for _, ms := range a.months {
+		if len(a.spare) >= maxKeptMonths {
+			break
+		}
+		clear(ms.N[:])
+		clear(ms.Pos[:])
+		ms.ByVersion.reset()
+		ms.ByKex.reset()
+		ms.BySuite.reset()
+		ms.ByCurve.reset()
+		ms.TLS13Variant.reset()
+		ms.ByExtension.reset()
+		clear(ms.ByClass)
+		clear(ms.FPs)
+		clear(ms.ByClientClass)
+		a.spare = append(a.spare, ms)
+	}
+	clear(a.months)
+	clear(a.fps)
+	a.generation = 0
 }
 
 // Add ingests one record: what varies from record to record (tally), then

@@ -242,11 +242,18 @@ type BatchWriter struct {
 	value []byte // the hello span or cohort being looked up
 
 	hellos, cohorts frameDict
-	// rows holds, per decoder row, the slot in hellos of the row's span as
-	// this format spells it; good while hellos.emptied is rowsAt.
-	rows   map[*helloRow]*dictSlot
+	out             []byte // reused frame assembly buffer
+	// rows holds, at a decoder row's slot, the slot in hellos of that row's
+	// span as this format spells it; an entry is good for the row it names,
+	// and only while hellos.emptied is rowsAt.
+	rows   [maxHelloRows]rowSlot
 	rowsAt int
-	out    []byte // reused frame assembly buffer
+}
+
+// rowSlot is an entry of BatchWriter.rows.
+type rowSlot struct {
+	row  *helloRow
+	slot *dictSlot
 }
 
 // NewBatchWriter wraps w. batchSize <= 0 uses DefaultBatchSize.
@@ -256,8 +263,7 @@ func NewBatchWriter(w io.Writer, batchSize int) *BatchWriter {
 	}
 	return &BatchWriter{w: w, every: batchSize,
 		hellos:  frameDict{slots: make(map[string]*dictSlot)},
-		cohorts: frameDict{slots: make(map[string]*dictSlot)},
-		rows:    make(map[*helloRow]*dictSlot)}
+		cohorts: frameDict{slots: make(map[string]*dictSlot)}}
 }
 
 // intactRow returns the row r was decoded through while r's offered side is
@@ -274,12 +280,12 @@ func (r *Record) intactRow() *helloRow {
 func (bw *BatchWriter) helloSlot(r *Record) *dictSlot {
 	row := r.intactRow()
 	if row != nil {
-		if bw.rowsAt != bw.hellos.emptied || len(bw.rows) >= maxHelloRows {
-			clear(bw.rows)
+		if bw.rowsAt != bw.hellos.emptied {
+			clear(bw.rows[:])
 			bw.rowsAt = bw.hellos.emptied
 		}
-		if s := bw.rows[row]; s != nil {
-			return s
+		if memo := bw.rows[row.slot()]; memo.row == row {
+			return memo.slot
 		}
 	}
 	v := appendCodeList(bw.value[:0], r.ClientSuites)
@@ -290,8 +296,9 @@ func (bw *BatchWriter) helloSlot(r *Record) *dictSlot {
 	v = appendString(appendString(v, r.Fingerprint), r.TruthClient)
 	bw.value = v
 	s := bw.hellos.slot(v)
-	if s != nil && row != nil && bw.rowsAt == bw.hellos.emptied {
-		bw.rows[row] = s
+	if s != nil && row != nil {
+		// Should the lookup have emptied hellos, the next one clears rows.
+		bw.rows[row.slot()] = rowSlot{row, s}
 	}
 	return s
 }
@@ -673,13 +680,10 @@ func (t *decodeTables) decodeFrame(frame int, version byte, payload []byte, rec 
 	return held, delivered, nil
 }
 
-// SniffReader wraps r in a buffered reader whose first bytes have been
-// peeked, reporting whether the stream starts with a batch frame. The
-// returned reader replays the stream from the beginning. Short or empty
-// streams are reported as not-binary and left for the TSV reader to
-// diagnose.
-func SniffReader(r io.Reader) (*bufio.Reader, bool) {
-	br := bufio.NewReaderSize(r, 1<<16)
+// Sniff peeks at the first bytes br reads, consuming nothing, and reports
+// whether the stream starts with a batch frame. Short or empty streams are
+// reported as not-binary and left for the TSV reader to diagnose.
+func Sniff(br *bufio.Reader) bool {
 	prefix, _ := br.Peek(len(batchFormat.Magic))
-	return br, IsBatchStream(prefix)
+	return IsBatchStream(prefix)
 }

@@ -256,8 +256,8 @@ func TestBatchWriterAllocsAreSteadyState(t *testing.T) {
 		if got := testing.AllocsPerRun(5, write); got != 0 {
 			t.Errorf("%s: a warm writer allocates %v times per %d records, want 0", name, got, len(recs))
 		}
-		if byRow := len(bw.rows) > 0; byRow != (name == "by row") {
-			t.Errorf("%s: the writer remembers %d rows", name, len(bw.rows))
+		if byRow := usedRows(bw) > 0; byRow != (name == "by row") {
+			t.Errorf("%s: the writer remembers %d rows", name, usedRows(bw))
 		}
 	}
 }
@@ -282,13 +282,25 @@ func onRows(t *testing.T, tab *decodeTables, recs []*Record) []*Record {
 	return out
 }
 
+// usedRows counts the entries of a writer's row memo that name a row.
+func usedRows(bw *BatchWriter) int {
+	n := 0
+	for _, e := range bw.rows {
+		if e.row != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // The writer's row memo is a shortcut to the content-keyed dictionary, never a
 // second opinion: a stream of records on decoder rows is framed byte for byte
 // as the stream of their clones, which carry no row, is — across frames,
 // across a dictionary filled past its cap and emptied, when the dictionary is
 // emptied under rows the memo still holds (a record's second appearance then
-// shares its frame with a clone, and must share its definition), and for
-// records whose fingerprint a sink rewrote under a row others still use.
+// shares its frame with a clone, and must share its definition), for records
+// whose fingerprint a sink rewrote under a row others still use, and for rows
+// of two tables whose ordinals collide, so each takes the other's memo slot.
 func TestRowKeyedWriterMatchesContentKeyed(t *testing.T) {
 	rewritten := onRows(t, newDecodeTables(), benchIngestRecordSet()[:600])
 	for i, r := range rewritten {
@@ -309,6 +321,15 @@ func TestRowKeyedWriterMatchesContentKeyed(t *testing.T) {
 	for _, r := range wide[:50] {
 		emptied = append(emptied, r, r.Clone())
 	}
+	hellos := distinctHellos(400)
+	mine, theirs := onRows(t, newDecodeTables(), hellos[:200]), onRows(t, newDecodeTables(), hellos[200:])
+	var colliding []*Record
+	for i := range mine {
+		if mine[i].hello.slot() != theirs[i].hello.slot() {
+			t.Fatalf("vacuous: rows %d of the two tables have slots %d and %d", i, mine[i].hello.slot(), theirs[i].hello.slot())
+		}
+		colliding = append(colliding, mine[i], theirs[i], mine[i])
+	}
 	for name, c := range map[string]struct {
 		recs []*Record
 		size int
@@ -318,6 +339,7 @@ func TestRowKeyedWriterMatchesContentKeyed(t *testing.T) {
 		"one frame past its cap":            {onRows(t, newDecodeTables(), distinctHellos(maxHelloRows+50)), maxHelloRows + 50},
 		"the dictionary emptied under rows": {emptied, 2000},
 		"rewritten under the row":           {rewritten, 16},
+		"rows whose ordinals collide":       {colliding, 90},
 	} {
 		var byRow, byContent bytes.Buffer
 		rw, cw := NewBatchWriter(&byRow, c.size), NewBatchWriter(&byContent, c.size)
@@ -326,13 +348,13 @@ func TestRowKeyedWriterMatchesContentKeyed(t *testing.T) {
 			if err := errors.Join(rw.Observe(r), cw.Observe(r.Clone())); err != nil {
 				t.Fatal(err)
 			}
-			remembered = max(remembered, len(rw.rows))
+			remembered = max(remembered, usedRows(rw))
 		}
 		if err := errors.Join(rw.Close(), cw.Close()); err != nil {
 			t.Fatal(err)
 		}
-		if remembered == 0 || len(cw.rows) != 0 {
-			t.Fatalf("%s: vacuous: the row-keyed writer remembered %d rows, the content-keyed one %d", name, remembered, len(cw.rows))
+		if remembered == 0 || usedRows(cw) != 0 {
+			t.Fatalf("%s: vacuous: the row-keyed writer remembered %d rows, the content-keyed one %d", name, remembered, usedRows(cw))
 		}
 		if name == "the dictionary emptied under rows" && (rw.hellos.emptied == 0 || remembered >= maxHelloRows) {
 			t.Fatalf("%s: vacuous: the dictionary was emptied %d times, the memo reached %d rows", name, rw.hellos.emptied, remembered)

@@ -145,9 +145,13 @@ func (c *Counts[K]) All() iter.Seq2[K, int] {
 }
 
 // merge adds o's counters into c, key by key; every key present in o becomes
-// present in c. It is Add over o.All() done a page at a time.
+// present in c. It is Add over o.All() done a page at a time, so a page of o's
+// with no key present (one reset left) adds no page to c.
 func (c *Counts[K]) merge(o *Counts[K]) {
 	for _, e := range o.dir {
+		if e.page.present == 0 {
+			continue
+		}
 		p := c.ensurePage(e.id)
 		c.n += bits.OnesCount64(e.page.present &^ p.present)
 		p.present |= e.page.present

@@ -217,7 +217,8 @@ func TestCountsMergeMatchesAddLoop(t *testing.T) {
 // batch, which an odd operand (or the tape's end) sorts and hands to addEach,
 // repeated keys included, to be added operand/4 times each — zero included; an
 // operand of 3 hands it over unsorted. An operand of 255 to kind 1 resets the
-// table (the model forgets everything) before the Set.
+// table (the model forgets everything) before the Set. Kind 3 merges a donor
+// that held its key, by operand, and was reset: that adds no page and no key.
 func FuzzCounts(f *testing.F) {
 	tape := func(ops ...[4]byte) []byte {
 		var b []byte
@@ -239,14 +240,25 @@ func FuzzCounts(f *testing.F) {
 	f.Add(tape([4]byte{2, 0x00, 0x3f, 0}, [4]byte{2, 0x00, 0x40, 0}, [4]byte{2, 0x00, 0x3f, 0}, [4]byte{2, 0xff, 0x01, 1},
 		[4]byte{1, 0x00, 0x40, 9}, [4]byte{2, 0xff, 0x01, 0}, [4]byte{2, 0x00, 0x00, 3}, [4]byte{2, 0x00, 0x41, 0}))
 	f.Add(tape([4]byte{0, 0x00, 0x3f, 2}, [4]byte{2, 0x00, 0x41, 13}, [4]byte{1, 0x01, 0x00, 255}, [4]byte{2, 0x00, 0x41, 21}, [4]byte{0, 0x00, 0x3f, 0}))
+	f.Add(tape([4]byte{0, 0x13, 0x01, 1}, [4]byte{3, 0x13, 0x02, 4}, [4]byte{3, 0xc0, 0x2f, 0}, [4]byte{0, 0xc0, 0x2f, 1}))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := newCountsModel(t)
 		var batch []uint16
+		var donor Counts[uint16]
 		for ; len(ops) >= 4; ops = ops[4:] {
 			k, v := binary.BigEndian.Uint16(ops[1:]), int(ops[3])
-			switch ops[0] % 3 {
+			switch ops[0] % 4 {
 			case 0:
 				m.add(k, v)
+			case 3:
+				donor.Add(k, v)
+				donor.reset()
+				pages := len(m.c.dir)
+				m.c.merge(&donor)
+				if len(m.c.dir) != pages {
+					t.Fatalf("merging a reset table took %d pages to %d", pages, len(m.c.dir))
+				}
+				m.checkKey(k)
 			case 1:
 				if v == 255 {
 					m.c.reset()

@@ -89,8 +89,19 @@ type helloRow struct {
 	// lies inside a TSV span, so it is what every TSV record on the row says;
 	// a TLSB record's is in its flags byte and never read from here.
 	offersHB bool
-	shape    helloShape
+	// id is the row's ordinal in the table that made it: a decodeTables
+	// numbers its rows consecutively and never starts over, and it empties at
+	// maxHelloRows rows, so the rows it holds at once have distinct ids modulo
+	// maxHelloRows. A sink that keeps something per row (ShardBuilder,
+	// BatchWriter) keeps it in a direct-mapped array at slot() and believes
+	// an entry only for the row the entry names: rows of other tables, and
+	// the table's own from before it emptied, share the slots.
+	id    uint32
+	shape helloShape
 }
+
+// slot is the row's index in a direct-mapped array of maxHelloRows entries.
+func (row *helloRow) slot() int { return int(row.id % maxHelloRows) }
 
 // setHello points r's offered side at row.
 func (r *Record) setHello(row *helloRow) {
@@ -154,7 +165,8 @@ const (
 type decodeTables struct {
 	rows map[string]*helloRow
 	strs map[string]string
-	held int // bytes of the keys of both maps
+	held int    // bytes of the keys of both maps
+	made uint32 // rows made: the next row's id
 
 	// scratch is where the checked decoders put a hello's lists on a miss; a
 	// row takes copies.
@@ -256,9 +268,10 @@ func (t *decodeTables) settle(r *Record, key []byte, fp, truth string, clean boo
 	if row == nil {
 		t.reserve(len(key))
 		c, s := &t.chunk, &t.scratch
-		row = &helloRow{fp: fp, truth: truth, offersHB: r.OffersHeartbeat,
+		row = &helloRow{fp: fp, truth: truth, offersHB: r.OffersHeartbeat, id: t.made,
 			lists: lists{carve(&c.suites, s.suites), carve(&c.exts, s.exts), carve(&c.curves, s.curves),
 				carve(&c.pfs, s.pfs), carve(&c.svs, s.svs)}}
+		t.made++
 		// The shape's extension set is stripped into a second carved copy of
 		// the list, which has room for all of it, and sorted there.
 		row.shape = shapeOf(row.suites, row.exts, row.svs, carve(&c.exts, s.exts)[:0])

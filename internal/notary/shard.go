@@ -15,26 +15,36 @@ import "tlsage/internal/timeline"
 // adds them record by record, in arrival order, and a Flush is
 // reflect.DeepEqual to Add over the same records, Pos[c].Sum bit for bit.
 //
+// A record finds its cell by its row's ordinal (helloRow.id), through a
+// direct-mapped slot that is believed only while the cell it names is the
+// record's row in the record's month. A miss opens a new cell, even for a
+// (month, row) pair that has one: every fold is additive, so two cells of a
+// pair count what one would, and the pair's first cell keeps its first-seen
+// place. A stream whose rows or months thrash a slot only folds sooner, at
+// maxPendingCells.
+//
 // A record with no row (an oversize hello, a list or fingerprint a sink
 // replaced, a record no decoder made) goes through Add once the pending cells
 // are folded: the first hello seen for a fingerprint in a month decides its
 // FPCaps.Classes, in a builder as in Add.
 //
-// A ShardBuilder serves one stream: it is not safe for concurrent use, and
-// nothing of the shard may be read before Flush.
+// A ShardBuilder serves one stream at a time: it is not safe for concurrent
+// use, and nothing of the shard may be read before Flush.
 type ShardBuilder struct {
 	newShard func() *Aggregate
 	agg      *Aggregate // the shard under construction; nil until a record needs it
 	months   map[timeline.Month]*builderMonth
 	last     *builderMonth // the previous record's month: a stream's dates run together
 	cells    []helloCell   // pending, in first-seen order
+	// slots holds, at a row's slot, 1 + the index in cells of the cell last
+	// opened for a row there; 0 when no pending cell has the slot.
+	slots [maxHelloRows]int32
 }
 
 // builderMonth is what a builder keeps per month beside the shard's stats.
 type builderMonth struct {
 	month timeline.Month
-	ms    *MonthStats         // the shard's month; nil until this shard touches it
-	cells map[*helloRow]int32 // the month's pending cells, as indexes into ShardBuilder.cells
+	ms    *MonthStats // the shard's month; nil until this shard touches it
 	// suites counts established connections per negotiated suite as it came,
 	// pending foldSuite.
 	suites Counts[uint16]
@@ -57,12 +67,13 @@ const (
 	// fingerprint row of its aggregate.
 	maxPendingCells = 1 << 12
 	// maxKeptMonths bounds the per-month state carried from one flush to the
-	// next (a study spans 75 months; a feeder may spray dates).
+	// next (a study spans 75 months; a feeder may spray dates), by a builder
+	// and by an emptied aggregate alike.
 	maxKeptMonths = 1 << 8
 )
 
-// NewShardBuilder returns an empty builder. newShard makes each shard — a
-// fresh aggregate configured like the one the shards are merged into (see
+// NewShardBuilder returns an empty builder. newShard makes each shard — an
+// empty aggregate configured like the one the shards are merged into (see
 // core.Study.NewShard) — and is called once per Flush, when the shard's first
 // record arrives.
 func NewShardBuilder(newShard func() *Aggregate) *ShardBuilder {
@@ -83,7 +94,7 @@ func (b *ShardBuilder) month(m timeline.Month) *builderMonth {
 	}
 	bm := b.months[m]
 	if bm == nil {
-		bm = &builderMonth{month: m, cells: make(map[*helloRow]int32)}
+		bm = &builderMonth{month: m}
 		b.months[m] = bm
 	}
 	if bm.ms == nil {
@@ -113,16 +124,15 @@ func (b *ShardBuilder) Add(r *Record) {
 	if r.Established {
 		bm.suites.Add(r.Suite, 1)
 	}
-	i, ok := bm.cells[r.hello]
-	if !ok {
+	slot := &b.slots[r.hello.slot()]
+	if i := *slot - 1; i < 0 || b.cells[i].row != r.hello || b.cells[i].bm != bm {
 		if len(b.cells) >= maxPendingCells {
 			b.foldCells()
 		}
-		i = int32(len(b.cells))
-		bm.cells[r.hello] = i
 		b.cells = append(b.cells, helloCell{bm: bm, row: r.hello, first: r.Date, last: r.Date})
+		*slot = int32(len(b.cells))
 	}
-	c := &b.cells[i]
+	c := &b.cells[*slot-1]
 	c.n++
 	if r.Date.After(c.last) {
 		c.last = r.Date
@@ -136,26 +146,21 @@ func (b *ShardBuilder) Add(r *Record) {
 func (b *ShardBuilder) Close() error { return nil }
 
 // foldCells folds the pending cells into the shard, oldest first, and forgets
-// them.
+// them and their slots.
 func (b *ShardBuilder) foldCells() {
-	if len(b.cells) == 0 {
-		return
-	}
-	for i := range b.cells {
-		c := &b.cells[i]
+	for _, c := range b.cells {
 		b.agg.foldHello(c.bm.ms, &c.row.shape, c.row.fp, c.first, c.last, c.n)
-		if len(c.bm.cells) > 0 {
-			clear(c.bm.cells) // once per month that has cells, not per month kept
-		}
+		b.slots[c.row.slot()] = 0
 	}
 	clear(b.cells) // let go of the rows
 	b.cells = b.cells[:0]
 }
 
 // Flush completes the shard — every record observed since the last Flush —
-// and returns it, the caller's to merge and keep; with no record it is a
-// fresh empty shard. The builder is then empty and ready for the stream's
-// next shard, with the capacity of its cells, indexes and suite pages kept.
+// and returns it, the caller's to merge and keep; with no record it is an
+// empty shard. The builder is then empty and ready for the stream's next
+// shard, or the next stream's, with the capacity of its cells and suite pages
+// kept.
 func (b *ShardBuilder) Flush() *Aggregate {
 	agg := b.shard()
 	b.foldCells()

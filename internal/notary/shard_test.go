@@ -197,7 +197,9 @@ func dyadicRecords(seed int64, n int) []*Record {
 // One stream flushed every 1, 7 and 4,096 records: each cadence's shards,
 // merged, are the shards Add makes at that cadence, merged — and, the terms
 // being exact, all three are the one aggregate of the whole stream, content
-// and generation.
+// and generation. So are the shards of a builder that builds every shard in
+// one aggregate, emptied after each merge, as a collector does: what Reset
+// keeps never reaches the aggregate merged into.
 func TestBuilderFlushCadences(t *testing.T) {
 	recs := dyadicRecords(101, 9000)
 	stream := encodeBatch(recs)
@@ -206,15 +208,23 @@ func TestBuilderFlushCadences(t *testing.T) {
 		whole.Add(r)
 	}
 	for _, every := range []int{1, 7, 4096} {
-		built, added := classified(), classified()
+		built, added, recycled := classified(), classified(), classified()
 		b, shard := NewShardBuilder(classified), classified()
+		reused := classified()
+		rb := NewShardBuilder(func() *Aggregate { return reused })
 		n := 0
+		flush := func() {
+			built.Merge(b.Flush())
+			added.Merge(shard)
+			recycled.Merge(rb.Flush())
+			reused.Reset()
+		}
 		_, _, err := ReadBatches(bytes.NewReader(stream), SinkFunc(func(r *Record) error {
 			b.Add(r)
 			shard.Add(r)
+			rb.Add(r)
 			if n++; n%every == 0 {
-				built.Merge(b.Flush())
-				added.Merge(shard)
+				flush()
 				shard = classified()
 			}
 			return nil
@@ -222,10 +232,13 @@ func TestBuilderFlushCadences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		built.Merge(b.Flush())
-		added.Merge(shard)
+		flush()
 		requireSameAggregate(t, fmt.Sprintf("flush every %d: builder shards against Add shards", every), built, added)
 		requireSameAggregate(t, fmt.Sprintf("flush every %d: merged shards against the whole stream", every), built, whole)
+		requireSameAggregate(t, fmt.Sprintf("flush every %d: shards of one emptied aggregate against the whole stream", every), recycled, whole)
+		if len(reused.spare) == 0 {
+			t.Errorf("flush every %d: vacuous: the emptied aggregate kept no month", every)
+		}
 		if built.Generation() != uint64(len(recs)) {
 			t.Errorf("flush every %d: generation %d, want %d", every, built.Generation(), len(recs))
 		}
@@ -323,5 +336,49 @@ func TestBuilderMatchesAddAtRandomFlushPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameAggregate(t, fmt.Sprintf("trial %d, last shard", trial), b.Flush(), shard)
+	}
+}
+
+// Records on rows of two decoder tables, whose ordinals collide slot for
+// slot, with months alternating record by record: a slot keeps naming a cell
+// of the other table's row or of the other month, every such lookup misses
+// and opens a duplicate cell, and the shard is still Add's, bit for bit. The
+// first order needs the builder to check a cell's month, the second its row.
+func TestBuilderSlotThrash(t *testing.T) {
+	hellos := distinctHellos(300)
+	mine, theirs := onRows(t, newDecodeTables(), hellos[:150]), onRows(t, newDecodeTables(), hellos[150:])
+	for i := range mine {
+		if mine[i].hello.slot() != theirs[i].hello.slot() {
+			t.Fatalf("vacuous: rows %d of the two tables have slots %d and %d", i, mine[i].hello.slot(), theirs[i].hello.slot())
+		}
+	}
+	next := func(i int) int { return (i + 1) % len(mine) }
+	for name, order := range map[string]func(i int) []*Record{
+		"one row over two months": func(i int) []*Record { return []*Record{mine[i], mine[i], theirs[i], theirs[i]} },
+		"two rows in one month":   func(i int) []*Record { return []*Record{mine[i], theirs[next(i)], theirs[i], mine[next(i)]} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var recs []*Record
+			for round := 0; round < 3; round++ {
+				for i := range mine {
+					for _, r := range order(i) {
+						on := *r // still on its row
+						if len(recs)%2 == 1 {
+							on.Date = timeline.D(2015, time.July, 1+i%28)
+						}
+						recs = append(recs, &on)
+					}
+				}
+			}
+			want, b := classified(), NewShardBuilder(classified)
+			for _, r := range recs {
+				want.Add(r)
+				b.Add(r)
+			}
+			if pairs := 2 * len(hellos); len(b.cells) <= pairs {
+				t.Fatalf("vacuous: %d cells pending for %d (month, row) pairs", len(b.cells), pairs)
+			}
+			requireSameAggregate(t, name, b.Flush(), want)
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"tlsage/internal/framing"
@@ -54,17 +55,37 @@ var snapshotFormat = framing.Format{
 // It panics if the payload exceeds the format's 4 GiB cap, three orders of
 // magnitude past the full study.
 func EncodeSnapshot(dst []byte, a *Aggregate) []byte {
+	var keys []string
+	return encodeSnapshot(dst, a, &keys)
+}
+
+// encodeSnapshot is EncodeSnapshot sorting map keys in *keys' storage.
+func encodeSnapshot(dst []byte, a *Aggregate, keys *[]string) []byte {
 	dst, mark := snapshotFormat.Begin(dst)
-	dst, err := snapshotFormat.End(AppendAggregatePayload(dst, a), mark)
+	dst, err := snapshotFormat.End(appendAggregatePayload(dst, a, keys), mark)
 	if err != nil {
 		panic("notary: snapshot: " + err.Error())
 	}
 	return dst
 }
 
+// snapshotBuf is what WriteSnapshot encodes in, kept from snapshot to
+// snapshot: a collector's snapshots are much the same size, and growing a
+// fresh buffer to it every time was most of what a logging collector
+// allocated. It is not a sync.Pool because every collection empties a pool,
+// and a collector collects many times between two snapshots.
+var snapshotBuf struct {
+	sync.Mutex
+	b    []byte
+	keys []string
+}
+
 // WriteSnapshot writes the framed snapshot of a to w.
 func WriteSnapshot(w io.Writer, a *Aggregate) error {
-	_, err := w.Write(EncodeSnapshot(nil, a))
+	snapshotBuf.Lock()
+	defer snapshotBuf.Unlock()
+	snapshotBuf.b = encodeSnapshot(snapshotBuf.b[:0], a, &snapshotBuf.keys)
+	_, err := w.Write(snapshotBuf.b)
 	return err
 }
 
@@ -132,8 +153,9 @@ func appendCounts[K ~uint8 | ~uint16](dst []byte, c *Counts[K]) []byte {
 	return dst
 }
 
-func sortedStringKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedStringKeys returns m's keys in ascending order, in keys' storage.
+func sortedStringKeys[V any](keys []string, m map[string]V) []string {
+	keys = keys[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -141,9 +163,10 @@ func sortedStringKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-func appendStrIntMap(dst []byte, m map[string]int) []byte {
+func appendStrIntMap(dst []byte, m map[string]int, keys *[]string) []byte {
 	dst = appendCount(dst, len(m))
-	for _, k := range sortedStringKeys(m) {
+	*keys = sortedStringKeys(*keys, m)
+	for _, k := range *keys {
 		dst = appendString(dst, k)
 		dst = appendCount(dst, m[k])
 	}
@@ -186,16 +209,22 @@ func fpCapsFromByte(b byte) registry.ClassBits {
 // (deterministic, fuzz-hardened) aggregate encoding instead of nesting
 // complete frames.
 func AppendAggregatePayload(dst []byte, a *Aggregate) []byte {
+	var keys []string
+	return appendAggregatePayload(dst, a, &keys)
+}
+
+func appendAggregatePayload(dst []byte, a *Aggregate, keys *[]string) []byte {
 	dst = appendUvarint(dst, a.generation)
 	months := a.Months()
 	dst = appendCount(dst, len(months))
 	for _, m := range months {
-		dst = appendMonthStats(dst, a.months[m])
+		dst = appendMonthStats(dst, a.months[m], keys)
 	}
 	// Fingerprint lifetimes, one row each. The memoised class is
 	// configuration-derived and not written.
 	dst = appendCount(dst, len(a.fps))
-	for _, fp := range sortedStringKeys(a.fps) {
+	*keys = sortedStringKeys(*keys, a.fps)
+	for _, fp := range *keys {
 		life := a.fps[fp]
 		dst = appendString(dst, fp)
 		dst = appendDateEnc(dst, life.first)
@@ -205,14 +234,14 @@ func AppendAggregatePayload(dst []byte, a *Aggregate) []byte {
 	return dst
 }
 
-func appendMonthStats(dst []byte, ms *MonthStats) []byte {
+func appendMonthStats(dst []byte, ms *MonthStats, keys *[]string) []byte {
 	dst = appendCount(dst, ms.Month.Year)
 	dst = appendCount(dst, int(ms.Month.M))
 	for _, v := range ms.N[:payloadSplit] {
 		dst = appendCount(dst, v)
 	}
 	dst = appendCounts(dst, &ms.ByVersion)
-	dst = appendStrIntMap(dst, ms.ByClass)
+	dst = appendStrIntMap(dst, ms.ByClass, keys)
 	dst = appendCounts(dst, &ms.ByKex)
 	dst = appendCounts(dst, &ms.BySuite)
 	dst = appendCounts(dst, &ms.ByCurve)
@@ -243,7 +272,8 @@ func appendMonthStats(dst []byte, ms *MonthStats) []byte {
 			dst = appendCount(dst, p.Count)
 		}
 	}
-	fps := sortedStringKeys(ms.FPs)
+	*keys = sortedStringKeys(*keys, ms.FPs)
+	fps := *keys
 	dst = appendCount(dst, len(fps))
 	for _, fp := range fps {
 		caps := ms.FPs[fp]
@@ -258,7 +288,7 @@ func appendMonthStats(dst []byte, ms *MonthStats) []byte {
 		dst = appendString(dst, fp)
 		dst = appendCount(dst, ms.FPs[fp].Count)
 	}
-	return appendStrIntMap(dst, ms.ByClientClass)
+	return appendStrIntMap(dst, ms.ByClientClass, keys)
 }
 
 // --- payload decoding ---

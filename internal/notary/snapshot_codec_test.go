@@ -3,9 +3,11 @@ package notary
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -285,6 +287,36 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeSnapshot(enc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestWriteSnapshotAllocsAreSteadyState: a warm WriteSnapshot encodes into the
+// buffer the last one grew, and sorts map keys in a slice kept beside it, so
+// a study that has not grown costs a few allocations of a few hundred bytes
+// whatever the size of its snapshot — not the snapshot's bytes again.
+func TestWriteSnapshotAllocsAreSteadyState(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's build allocates on its own")
+	}
+	for _, n := range []int{2000, 20000} {
+		agg := buildAggregate(1, n)
+		write := func() {
+			if err := WriteSnapshot(io.Discard, agg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write()
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, write) // runs+1 writes
+		runtime.ReadMemStats(&after)
+		perWrite := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		size := len(EncodeSnapshot(nil, agg))
+		t.Logf("a %d-byte snapshot: %v allocations, %d bytes a warm write", size, allocs, perWrite)
+		if allocs > 8 || perWrite > 4<<10 {
+			t.Errorf("a warm WriteSnapshot of a %d-byte snapshot allocates %v times, %d bytes; want at most 8 and 4 KiB", size, allocs, perWrite)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
+	"tlsage/internal/federation"
 	"tlsage/internal/framing"
 	"tlsage/internal/notary"
 )
@@ -682,5 +685,171 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("ServeTCP: %v", err)
+	}
+}
+
+// TestWarmIngestAllocs: a server recycles what a stream uses — the decoder
+// tables, its ShardBuilder, the shards the merge loop hands back — so once
+// those are warm a 16,384-record TLSB stream (32 frames of 512) allocates a
+// few bytes a record: the fingerprint rows of its shards, not shards,
+// builders or tables.
+func TestWarmIngestAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's build allocates on its own, and sync.Pool drops at random under it")
+	}
+	log, _ := sharedLog(t)
+	var recs []*notary.Record
+	if err := notary.ReadLog(bytes.NewReader(log), notary.SinkFunc(func(r *notary.Record) error {
+		recs = append(recs, r.Clone())
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	const n = 32 * notary.DefaultBatchSize
+	var stream bytes.Buffer
+	bw := notary.NewBatchWriter(&stream, notary.DefaultBatchSize)
+	for i := 0; i < n; i++ {
+		if err := bw.Observe(recs[i%len(recs)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(core.NewLiveStudy())
+	defer srv.Close()
+	ingest := func() {
+		if st, err := srv.ingest(bytes.NewReader(stream.Bytes()), true); err != nil || st.Records != n {
+			t.Fatalf("ingested %d records, err %v; want %d", st.Records, err, n)
+		}
+	}
+	ingest()
+	ingest()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / runs / n
+	t.Logf("a warm %d-record stream allocates %.2f bytes and %.3f times a record", n, perRecord,
+		float64(after.Mallocs-before.Mallocs)/runs/n)
+	if perRecord > 3 {
+		t.Errorf("a warm %d-record stream allocates %.2f bytes a record, want at most 3", n, perRecord)
+	}
+}
+
+// TestRecycledShardParity: the merge loop empties every stream shard it has
+// merged and hands it to the next stream's builder, so a shard an observer
+// kept, or a page an emptied shard kept, would show here. An edge study with
+// an attached pusher and a union over it takes many streams — TSV and binary,
+// concurrent over HTTP and one after the other over TCP — at several flush
+// cadences; the edge serves /scalars and the query sweep byte for byte as an
+// offline load does, the union and the core the pusher feeds serve the
+// edge's bytes, and the edge's aggregate has no page with nothing present
+// (its snapshot decodes to it, reflect.DeepEqual). Run under -race in CI.
+func TestRecycledShardParity(t *testing.T) {
+	base, _ := sharedLog(t)
+	// The log's last records again, on a curve no other record names: the
+	// shards they are built in go back with that curve's page, and the
+	// shards built in them next, of other months, must not hand the study
+	// an empty one.
+	var recs []*notary.Record
+	if err := notary.ReadLog(bytes.NewReader(base), notary.SinkFunc(func(r *notary.Record) error {
+		recs = append(recs, r.Clone())
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	var rare bytes.Buffer
+	lw := notary.NewLogWriter(&rare)
+	for _, r := range recs[len(recs)-40:] {
+		r.Curve = 0x0100
+		if err := lw.Observe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log := append(append([]byte(nil), base...), rare.Bytes()...)
+	chunks := append([][]byte{rare.Bytes()}, splitLog(base, 7)...)
+	for _, every := range []int{1, 7, 61, 4096} {
+		t.Run(fmt.Sprintf("every-%d", every), func(t *testing.T) {
+			upstream := NewServer(core.NewLiveStudy())
+			defer upstream.Close()
+			upTS := httptest.NewServer(upstream.Handler())
+			defer upTS.Close()
+			p, err := federation.NewPusher(federation.PusherOptions{Source: "edge", Upstream: upTS.URL,
+				Interval: time.Hour, BaseDelay: time.Millisecond, Rand: func() float64 { return 0 }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := NewRouter()
+			edge := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithQueueBound(countRecords(log)), WithPusher(p))
+			if err := rt.Add("edge", edge); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Union("all", NewServer(core.NewLiveStudy()), "edge"); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(rt.Handler())
+			defer ts.Close()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- edge.ServeTCP(ln) }()
+			edgeURL := ts.URL + "/studies/edge"
+
+			postTSV(t, edgeURL, chunks[0])
+			concurrentStreams(t, edgeURL, chunks[1], chunks[2], chunks[3])
+			flushUntilAcked(t, p)
+			resp, err := http.Post(edgeURL+"/ingest", ContentTypeBatch, bytes.NewReader(transcodeBatch(t, chunks[4], 37)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("binary ingest: status %d", resp.StatusCode)
+			}
+			for _, body := range [][]byte{chunks[5], transcodeBatch(t, chunks[6], 53), chunks[7]} {
+				conn, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Write(body); err != nil {
+					t.Fatal(err)
+				}
+				conn.(*net.TCPConn).CloseWrite()
+				reply, err := io.ReadAll(conn)
+				conn.Close()
+				if err != nil || !strings.HasPrefix(string(reply), "ok ") {
+					t.Fatalf("tcp reply %q, err %v", reply, err)
+				}
+			}
+			if err := rt.Close(); err != nil { // the pusher ships the rest
+				t.Fatal(err)
+			}
+			if err := <-served; err != nil {
+				t.Fatalf("ServeTCP: %v", err)
+			}
+
+			requireServedParity(t, edgeURL, log)
+			requireSameServed(t, ts.URL+"/studies/all", edgeURL, "the edge")
+			requireSameServed(t, upTS.URL, edgeURL, "the edge")
+			agg := edge.Study().Aggregate()
+			back, err := notary.DecodeSnapshot(notary.EncodeSnapshot(nil, agg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			back.SetClassifier(agg.Classifier())
+			if !reflect.DeepEqual(back, agg) {
+				t.Error("the edge's aggregate differs from its own snapshot, decoded: a table holds a page with nothing present")
+			}
+		})
 	}
 }

@@ -24,8 +24,9 @@ import (
 // the served study — record-stream flushes, queued merges and federated
 // deltas alike. Observers run on the merging goroutine and receive the
 // merged shard read-only; they must not retain or mutate it beyond
-// Merge-style copying. Like Router.Add, observer registration is not safe
-// concurrently with request serving.
+// Merge-style copying, because once they have returned the merge loop empties
+// a stream's shard and builds another one in it. Like Router.Add, observer
+// registration is not safe concurrently with request serving.
 func WithShardObserver(fn func(*notary.Aggregate)) Option {
 	return func(s *Server) { s.shardObs = append(s.shardObs, fn) }
 }

@@ -61,6 +61,10 @@ type queueStream struct {
 	wg  sync.WaitGroup
 	mu  sync.Mutex
 	err error
+	// shards, when set, takes back each of the stream's shards once it has
+	// merged and its observers have returned, emptied; nil for a federated
+	// delta, which is never reused.
+	shards *sync.Pool
 }
 
 func (st *queueStream) fail(err error) {
@@ -69,6 +73,15 @@ func (st *queueStream) fail(err error) {
 		st.err = err
 	}
 	st.mu.Unlock()
+}
+
+// recycle empties a merged shard of the stream's and puts it back in the pool
+// it came from; a federated delta's stays as it is.
+func (st *queueStream) recycle(shard *notary.Aggregate) {
+	if st.shards != nil {
+		shard.Reset()
+		st.shards.Put(shard)
+	}
 }
 
 // wait blocks until every shard the stream enqueued has merged and returns
@@ -167,6 +180,7 @@ func (q *mergeQueue) loop() {
 			qs.st.fail(err)
 		} else {
 			q.afterMerge(qs.shard)
+			qs.st.recycle(qs.shard)
 		}
 		q.merged.Add(1)
 		qs.st.wg.Done()

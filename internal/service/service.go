@@ -98,7 +98,11 @@ type Server struct {
 	// merges. stages pools the per-stream encoders that pack those frames.
 	logSink notary.Sink
 	stages  sync.Pool
-	mux     *http.ServeMux
+	// builders pools the streams' ShardBuilders, and shards the aggregates
+	// they build shards in (New is the study's NewShard): the merge loop
+	// empties each shard it merged and puts it back.
+	builders, shards sync.Pool
+	mux              *http.ServeMux
 
 	// Backpressure: sem bounds concurrently ingesting streams (nil =
 	// unbounded); saturated arrivals are shed with 429/Retry-After (HTTP)
@@ -265,6 +269,8 @@ func NewServer(study *core.Study, opts ...Option) *Server {
 		every := s.flushEvery
 		s.stages.New = func() any { return newStage(every) }
 	}
+	s.shards.New = func() any { return study.NewShard() }
+	s.builders.New = func() any { return notary.NewShardBuilder(s.newShard) }
 	// afterMerge is bound as a method value: observers appended later
 	// (Router.Union, under the assemble-before-serving contract) are still
 	// seen by the merge loop.
@@ -281,6 +287,10 @@ func NewServer(study *core.Study, opts ...Option) *Server {
 	s.mux = mux
 	return s
 }
+
+// newShard draws an empty shard of the study's from the pool the merge loop
+// hands merged shards back to.
+func (s *Server) newShard() *notary.Aggregate { return s.shards.Get().(*notary.Aggregate) }
 
 // Study exposes the served study (e.g. for parity checks).
 func (s *Server) Study() *core.Study { return s.study }
@@ -360,7 +370,8 @@ type ingestStats struct {
 // so feeders can tell a cleanly shed stream (0 applied, safe to retry) from
 // a part-applied one.
 func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
-	ing := newShardIngester(s.study, s.flushEvery, s.queue)
+	ing := &shardIngester{shard: s.builders.Get().(*notary.ShardBuilder), every: s.flushEvery,
+		queue: s.queue, qs: &queueStream{shards: &s.shards}}
 	if s.logSink != nil {
 		ing.stage = s.stages.Get().(*stage)
 	}
@@ -374,7 +385,8 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 		readErr = notary.ReadLog(r, ing)
 		s.tsvRecords.Add(uint64(ing.seen))
 	}
-	flushErr := ing.Close()
+	flushErr := ing.Close() // leaves the builder empty
+	s.builders.Put(ing.shard)
 	if ing.stage != nil {
 		s.stages.Put(ing.stage)
 	}
@@ -397,7 +409,7 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 }
 
 // shardIngester accumulates a stream into private shards of the study's, one
-// builder for all of them, and hands a shard to the merge queue every
+// pooled builder for all of them, and hands a shard to the merge queue every
 // flushEvery records — the sharded ingest path.
 type shardIngester struct {
 	shard *notary.ShardBuilder
@@ -410,14 +422,6 @@ type shardIngester struct {
 	// stream enqueued on it.
 	queue *mergeQueue
 	qs    *queueStream
-}
-
-func newShardIngester(study *core.Study, every int, queue *mergeQueue) *shardIngester {
-	if every <= 0 {
-		every = DefaultFlushEvery
-	}
-	return &shardIngester{shard: notary.NewShardBuilder(study.NewShard), every: every,
-		queue: queue, qs: &queueStream{}}
 }
 
 // Observe implements notary.Sink: records land in the private shard and, with
@@ -821,6 +825,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // maxAcceptBackoff caps the retry delay after transient Accept errors.
 const maxAcceptBackoff = time.Second
 
+// tcpReaders recycles the buffered readers raw-TCP streams are read through.
+var tcpReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+
 // ServeTCP accepts raw record streams on ln: each connection is one log
 // stream, ingested with the same semantics as POST /ingest; the server
 // replies with a single status line ("ok <records> <generation>",
@@ -880,10 +887,15 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 			if s.idleTimeout > 0 {
 				src = &idleDeadlineReader{conn: conn, idle: s.idleTimeout}
 			}
+			br := tcpReaders.Get().(*bufio.Reader)
+			br.Reset(src)
+			defer func() {
+				br.Reset(nil)
+				tcpReaders.Put(br)
+			}()
 			// Sniff under the idle deadline too — a client that connects and
 			// never sends its first bytes must still time out.
-			br, binary := notary.SniffReader(src)
-			st, err := s.ingest(br, binary)
+			st, err := s.ingest(br, notary.Sniff(br))
 			if err != nil {
 				// The client may still be mid-stream; stop reading without
 				// resetting the connection so the error line below survives
