@@ -676,82 +676,74 @@ func BenchmarkAblationAggPostHoc(b *testing.B) {
 
 // --- Sharded log ingestion (the post-hoc Notary workload) ---
 
-var (
-	logOnce  sync.Once
-	logBytes []byte
-)
+// logFrameSize is the records per frame of the frame-log arm: a shard of
+// serve's default -flush, what serve -out writes one frame per.
+const logFrameSize = 4096
 
-// benchLog renders a study-shaped TSV log once per process (~55k records).
-func benchLog(b *testing.B) []byte {
-	b.Helper()
-	logOnce.Do(func() {
-		var buf bytes.Buffer
-		lw := notary.NewLogWriter(&buf)
-		if err := simulate.New(simulate.DefaultOptions(750)).Run(lw); err != nil {
-			panic(err)
+// benchLogs renders a study-shaped log (~55k records) once per process in
+// both kinds the loaders read: TSV lines (LogWriter) and TLSB frames of
+// logFrameSize records (BatchWriter).
+var benchLogs = sync.OnceValue(func() map[string][]byte {
+	var tsv, frames bytes.Buffer
+	lw, bw := notary.NewLogWriter(&tsv), notary.NewBatchWriter(&frames, logFrameSize)
+	tee := notary.Tee(lw, bw)
+	if err := simulate.New(simulate.DefaultOptions(750)).Run(tee); err != nil {
+		panic(err)
+	}
+	if err := tee.Close(); err != nil {
+		panic(err)
+	}
+	return map[string][]byte{"tsv": tsv.Bytes(), "frames": frames.Bytes()}
+})
+
+// forEachLog runs bench once per log kind, as a sub-benchmark named after it.
+func forEachLog(b *testing.B, bench func(b *testing.B, log []byte)) {
+	for _, kind := range []string{"tsv", "frames"} {
+		log := benchLogs()[kind]
+		b.Run(kind, func(b *testing.B) { bench(b, log) })
+	}
+}
+
+// loadLog is what Study.LoadLog runs at the given worker count, with the
+// classifier it passes: workers 1 is ReadLog into a ShardBuilder.
+func loadLog(b *testing.B, log []byte, workers int) {
+	if _, err := notary.ReadLogParallel(bytes.NewReader(log), workers, benchDB()); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func benchLoadLog(b *testing.B, workers int) {
+	forEachLog(b, func(b *testing.B, log []byte) {
+		b.SetBytes(int64(len(log)))
+		for i := 0; i < b.N; i++ {
+			loadLog(b, log, workers)
 		}
-		if err := lw.Close(); err != nil {
-			panic(err)
-		}
-		logBytes = buf.Bytes()
 	})
-	return logBytes
 }
 
-func BenchmarkLoadLogSerial(b *testing.B) {
-	log, db := benchLog(b), benchDB()
-	b.SetBytes(int64(len(log)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := notary.NewAggregate()
-		agg.SetClassifier(db) // classified like the parallel benches below
-		if err := notary.ReadLog(bytes.NewReader(log), agg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkLoadLogSerial(b *testing.B)    { benchLoadLog(b, 1) }
+func BenchmarkLoadLogParallel2(b *testing.B) { benchLoadLog(b, 2) }
+func BenchmarkLoadLogParallel4(b *testing.B) { benchLoadLog(b, 4) }
+func BenchmarkLoadLogParallel8(b *testing.B) { benchLoadLog(b, 8) }
 
-// benchLoadLogParallel times the sharded reader with the classifier
-// Study.LoadLog passes it.
-func benchLoadLogParallel(b *testing.B, workers int) {
-	log, db := benchLog(b), benchDB()
-	b.SetBytes(int64(len(log)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := notary.ReadLogParallel(bytes.NewReader(log), workers, db); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLoadLogParallel2(b *testing.B) { benchLoadLogParallel(b, 2) }
-func BenchmarkLoadLogParallel4(b *testing.B) { benchLoadLogParallel(b, 4) }
-func BenchmarkLoadLogParallel8(b *testing.B) { benchLoadLogParallel(b, 8) }
-
-// Ablation 6: sharded log ingestion vs the serial scanner, reporting the
-// wall-clock of both paths and their ratio (compare with the simulation
-// speedup of Ablation 5 — LoadLog should now scale the same way).
+// Ablation 6: sharded log ingestion vs the serial path (-workers 1), for each
+// kind of log, reporting the wall-clock of both and their ratio (compare with
+// the simulation speedup of Ablation 5 — LoadLog should scale the same way).
 func BenchmarkAblationLoadLogSpeedup(b *testing.B) {
-	log, db := benchLog(b), benchDB()
-	var serial, parallel time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		agg := notary.NewAggregate()
-		agg.SetClassifier(db) // the same attribution work on both sides
-		if err := notary.ReadLog(bytes.NewReader(log), agg); err != nil {
-			b.Fatal(err)
+	forEachLog(b, func(b *testing.B, log []byte) {
+		var serial, parallel time.Duration
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			loadLog(b, log, 1)
+			serial += time.Since(start)
+			start = time.Now()
+			loadLog(b, log, 8)
+			parallel += time.Since(start)
 		}
-		serial += time.Since(start)
-		start = time.Now()
-		if _, err := notary.ReadLogParallel(bytes.NewReader(log), 8, db); err != nil {
-			b.Fatal(err)
-		}
-		parallel += time.Since(start)
-	}
-	b.ReportMetric(serial.Seconds()/float64(b.N), "serial_s/op")
-	b.ReportMetric(parallel.Seconds()/float64(b.N), "parallel8_s/op")
-	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup_8workers")
+		b.ReportMetric(serial.Seconds()/float64(b.N), "serial_s/op")
+		b.ReportMetric(parallel.Seconds()/float64(b.N), "parallel8_s/op")
+		b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup_8workers")
+	})
 }
 
 // sampleFarmConfigs draws deterministic host configs for the worker ablation.

@@ -47,10 +47,10 @@ var ErrNotRun = errors.New("core: study has not been run")
 type Study struct {
 	Options simulate.Options
 
-	// mu guards agg and db against live ingestion: IngestSink and
-	// MergeShard take it exclusively per delivery, readers (Frame, Counts)
-	// share it. Batch callers that mutate the aggregate directly through
-	// Aggregate() stay single-goroutine and never contend.
+	// mu guards agg and db against live ingestion: MergeShard takes it
+	// exclusively per shard, readers (Frame, Counts) share it. Batch callers
+	// that mutate the aggregate directly through Aggregate() stay
+	// single-goroutine and never contend.
 	mu  sync.RWMutex
 	agg *notary.Aggregate
 	db  *fingerprint.DB
@@ -60,15 +60,14 @@ type Study struct {
 	frameMu sync.Mutex
 	// frame caches the columnar snapshot of agg that all figure/scalar
 	// queries evaluate against. It is brought up to date lazily whenever the
-	// aggregate's generation moves: advanced over the months the locked
-	// write paths touched, or built anew (see frameLocked).
+	// aggregate's generation moves: advanced over the months MergeShard
+	// touched, or built anew (see frameLocked).
 	frame *analysis.Frame
-	// touched lists the months IngestSink and MergeShard wrote since frame
-	// was built, and accounted is the generation the aggregate shows if
-	// those were the only writes: a write this study did not see (through
-	// Aggregate()) leaves the two generations apart, and the next frame is a
-	// full build. Both are written under mu held exclusively, or under mu
-	// shared plus frameMu.
+	// touched lists the months MergeShard wrote since frame was built, and
+	// accounted is the generation the aggregate shows if those were the only
+	// writes: a write this study did not see (through Aggregate()) leaves the
+	// two generations apart, and the next frame is a full build. Both are
+	// written under mu held exclusively, or under mu shared plus frameMu.
 	touched   []timeline.Month
 	accounted uint64
 
@@ -105,11 +104,11 @@ func NewStudy(connsPerMonth int) *Study {
 
 // NewLiveStudy creates an empty study ready for live ingestion: the
 // aggregate exists (so Frame and every query answer immediately, over zero
-// months) and records arrive through IngestSink or MergeShard instead of
-// Run. This is the service-mode constructor — the same aggregate that
-// answers queries keeps ingesting. The fingerprint database doubles as the
-// aggregate's classifier, so client-class attribution (the agent: query
-// family, Table 2) accumulates as records stream in.
+// months) and records arrive through MergeShard instead of Run. This is the
+// service-mode constructor — the same aggregate that answers queries keeps
+// ingesting. The fingerprint database doubles as the aggregate's classifier,
+// so client-class attribution (the agent: query family, Table 2) accumulates
+// as records stream in.
 func NewLiveStudy() *Study {
 	db := fingerprint.BuildDefault()
 	agg := notary.NewAggregate()
@@ -120,10 +119,10 @@ func NewLiveStudy() *Study {
 // NewStudyFromAggregate wraps an already-built aggregate — typically one
 // decoded from a durable snapshot — as a live study: queries answer off the
 // recovered months immediately and further records arrive through
-// IngestSink or MergeShard. This is the restart-recovery constructor. The
-// default fingerprint database is (re)installed as the classifier —
-// configuration is not serialized with snapshots — so attribution resumes
-// for newly ingested records.
+// MergeShard. This is the restart-recovery constructor. The default
+// fingerprint database is (re)installed as the classifier — configuration is
+// not serialized with snapshots — so attribution resumes for newly ingested
+// records.
 func NewStudyFromAggregate(agg *notary.Aggregate) *Study {
 	db := fingerprint.BuildDefault()
 	agg.SetClassifier(db)
@@ -149,7 +148,7 @@ func (s *Study) NewShard() *notary.Aggregate {
 // notary snapshot format, under the shared read lock so a concurrent merge
 // never tears the encoding. It returns the generation the snapshot
 // captured; because generations count ingested records, the value doubles
-// as the record count a recovery must skip when replaying the TSV log tail.
+// as the record count a recovery must skip when replaying the log's tail.
 func (s *Study) WriteSnapshot(w io.Writer) (uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -201,10 +200,11 @@ func (s *Study) RunSinks(logWriter io.Writer, extra ...notary.Sink) error {
 	return nil
 }
 
-// LoadLog rebuilds a study from a previously written TSV log instead of
-// re-simulating — the post-hoc analysis path. The TSV stream is sharded on
-// line boundaries across Options.Workers parse workers (0 = all cores) and
-// the per-shard aggregates are merged, so loading scales like Run does.
+// LoadLog rebuilds a study from a previously written record log — lines,
+// frames or both (see notary.ReadLog) — instead of re-simulating: the
+// post-hoc analysis path. The log is cut into runs of whole entries read by
+// Options.Workers parse workers (0 = all cores; see notary.ReadLogParallel)
+// and the per-worker aggregates are merged, so loading scales like Run does.
 // Parsing runs classified, so the reloaded study carries the same agent:
 // attribution a live run would.
 func (s *Study) LoadLog(r io.Reader) error {
@@ -231,47 +231,6 @@ func (s *Study) replaceAggregate(agg *notary.Aggregate, db *fingerprint.DB) {
 	s.frameMu.Unlock()
 }
 
-// noteWrite records that a locked write path took the aggregate from
-// generation before to its current one by writing months. Callers hold mu
-// exclusively.
-func (s *Study) noteWrite(before uint64, months ...timeline.Month) {
-	if before != s.accounted {
-		return // an unseen write came first; frameLocked will notice
-	}
-	s.accounted = s.agg.Generation()
-	for _, m := range months {
-		if !slices.Contains(s.touched, m) {
-			s.touched = append(s.touched, m)
-		}
-	}
-}
-
-// IngestSink returns a concurrency-safe sink feeding the study's live
-// aggregate: every Observe takes the study's write lock, so any number of
-// producers may deliver concurrently while readers pull Frame snapshots.
-// Close is a no-op — the study outlives its producers. The usual Sink
-// contract applies: records are only valid for the duration of Observe.
-func (s *Study) IngestSink() notary.Sink {
-	return ingestSink{s}
-}
-
-// ingestSink is the Sink view of a live study.
-type ingestSink struct{ s *Study }
-
-func (is ingestSink) Observe(r *notary.Record) error {
-	is.s.mu.Lock()
-	defer is.s.mu.Unlock()
-	if is.s.agg == nil {
-		return fmt.Errorf("core: study has no aggregate (use NewLiveStudy or Run first)")
-	}
-	before := is.s.agg.Generation()
-	is.s.agg.Add(r)
-	is.s.noteWrite(before, timeline.MonthOf(r.Date))
-	return nil
-}
-
-func (is ingestSink) Close() error { return nil }
-
 // MergeShard folds a privately accumulated aggregate into the live study in
 // one locked operation — the batched ingestion path: a network stream parses
 // into its own shard (no contention) and merges every few thousand records,
@@ -284,13 +243,21 @@ func (s *Study) MergeShard(shard *notary.Aggregate) error {
 	}
 	before := s.agg.Generation()
 	s.agg.Merge(shard)
-	s.noteWrite(before, shard.Months()...)
+	if before != s.accounted {
+		return nil // an unseen write came first; frameLocked will notice
+	}
+	s.accounted = s.agg.Generation()
+	for _, m := range shard.Months() {
+		if !slices.Contains(s.touched, m) {
+			s.touched = append(s.touched, m)
+		}
+	}
 	return nil
 }
 
 // Counts reports the live aggregate's record count, observed month count and
 // generation in one consistent read — the health-endpoint view. The
-// generation is monotonic under IngestSink/MergeShard ingestion.
+// generation is monotonic under MergeShard ingestion.
 func (s *Study) Counts() (records, months int, generation uint64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -302,9 +269,8 @@ func (s *Study) Counts() (records, months int, generation uint64, err error) {
 
 // Aggregate exposes the raw monthly statistics; nil before Run. Direct
 // mutation through this accessor is a batch-mode convenience — concurrent
-// producers must deliver through IngestSink or MergeShard instead — and
-// costs the next Frame call a full build, since the study cannot know which
-// months it wrote.
+// producers must deliver through MergeShard instead — and costs the next
+// Frame call a full build, since the study cannot know which months it wrote.
 func (s *Study) Aggregate() *notary.Aggregate { return s.agg }
 
 // Frame returns the columnar snapshot of the study's aggregate, building it
@@ -314,10 +280,10 @@ func (s *Study) Aggregate() *notary.Aggregate { return s.agg }
 // Frame call yields a fresh snapshot.
 //
 // Frame is safe for concurrent readers, including while producers deliver
-// through IngestSink or MergeShard: the aggregate is read under the shared
-// lock (excluding writers while the frame catches up) and the cache slot
-// has its own mutex, so every reader gets a self-consistent snapshot and
-// ingestion never observes a torn frame.
+// through MergeShard: the aggregate is read under the shared lock (excluding
+// writers while the frame catches up) and the cache slot has its own mutex,
+// so every reader gets a self-consistent snapshot and ingestion never
+// observes a torn frame.
 func (s *Study) Frame() (*analysis.Frame, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -326,10 +292,10 @@ func (s *Study) Frame() (*analysis.Frame, error) {
 
 // frameLocked is Frame's body; callers hold s.mu (read or write). It is the
 // one place that chooses between the two frame constructors: a stale frame
-// advances when every write since it was built went through IngestSink or
-// MergeShard (the aggregate stands at the accounted generation) and none of
-// them opened a new month; a first build, a replaced aggregate, a new month
-// or a write through Aggregate() gets NewFrame.
+// advances when every write since it was built went through MergeShard (the
+// aggregate stands at the accounted generation) and none of them opened a new
+// month; a first build, a replaced aggregate, a new month or a write through
+// Aggregate() gets NewFrame.
 func (s *Study) frameLocked() (*analysis.Frame, error) {
 	if s.agg == nil {
 		return nil, ErrNotRun

@@ -69,17 +69,27 @@ func simulated(t *testing.T, seed int64, conns int) ([]*notary.Record, []byte) {
 	return recs, log.Bytes()
 }
 
-// TestStudyFrameAdvancesAcrossLockedWrites interleaves the two locked write
-// paths in random chunks over a shuffled record set; every frame served in
-// between must equal NewFrame, and once the months are all open the study
-// must be advancing, not rebuilding.
+// mergeOne writes one record into the live study as a one-record shard: the
+// locked write path at its finest grain.
+func mergeOne(t *testing.T, s *Study, r *notary.Record) {
+	t.Helper()
+	shard := s.NewShard()
+	shard.Add(r)
+	if err := s.MergeShard(shard); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStudyFrameAdvancesAcrossLockedWrites interleaves locked writes of one
+// record and of many in random chunks over a shuffled record set; every frame
+// served in between must equal NewFrame, and once the months are all open the
+// study must be advancing, not rebuilding.
 func TestStudyFrameAdvancesAcrossLockedWrites(t *testing.T) {
 	recs, _ := simulated(t, 1, 120)
 	rnd := rand.New(rand.NewSource(3))
 	rnd.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 
 	s := NewLiveStudy()
-	sink := s.IngestSink()
 	prev := requireFreshFrame(t, s)
 	advanced, built := 0, 0
 	for len(recs) > 0 {
@@ -93,9 +103,7 @@ func TestStudyFrameAdvancesAcrossLockedWrites(t *testing.T) {
 		for _, part := range [][]*notary.Record{chunk[:n/2], chunk[n/2:]} {
 			if rnd.Intn(2) == 0 {
 				for _, r := range part {
-					if err := sink.Observe(r); err != nil {
-						t.Fatal(err)
-					}
+					mergeOne(t, s, r)
 				}
 				continue
 			}
@@ -126,11 +134,8 @@ func TestStudyFrameAdvancesAcrossLockedWrites(t *testing.T) {
 func TestStudyFrameRebuildsAfterUnseenWrite(t *testing.T) {
 	recs, _ := simulated(t, 1, 40)
 	s := NewLiveStudy()
-	sink := s.IngestSink()
 	for _, r := range recs[:len(recs)/2] {
-		if err := sink.Observe(r); err != nil {
-			t.Fatal(err)
-		}
+		mergeOne(t, s, r)
 	}
 	half := len(recs) / 2
 	rest := recs[half:]
@@ -143,12 +148,7 @@ func TestStudyFrameRebuildsAfterUnseenWrite(t *testing.T) {
 	}
 	prev := requireFreshFrame(t, s)
 
-	observe := func(r *notary.Record) {
-		t.Helper()
-		if err := sink.Observe(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	observe := func(r *notary.Record) { mergeOne(t, s, r) }
 	steps := []struct {
 		name  string
 		write func()
@@ -182,14 +182,11 @@ func TestStudyFrameAfterSwapOnEqualGeneration(t *testing.T) {
 	_, logB := simulated(t, 2, 40)
 
 	s := NewLiveStudy()
-	sink := s.IngestSink()
 	for i, r := range recsA {
 		if i == len(recsA)/2 {
 			requireFreshFrame(t, s) // a cached frame with writes accounted after it
 		}
-		if err := sink.Observe(r); err != nil {
-			t.Fatal(err)
-		}
+		mergeOne(t, s, r)
 	}
 	old, _, before, _ := s.Counts()
 	if err := s.LoadLog(bytes.NewReader(logB)); err != nil {
@@ -216,9 +213,7 @@ func TestStudyFrameAfterSwapOnEqualGeneration(t *testing.T) {
 
 	// The replacement keeps ingesting, and from here frames advance.
 	prev = requireFreshFrame(t, s)
-	if err := s.IngestSink().Observe(recsA[0]); err != nil {
-		t.Fatal(err)
-	}
+	mergeOne(t, s, recsA[0])
 	if f := requireFreshFrame(t, s); !advancedFrom(prev, f) {
 		t.Error("locked write after a swap did not advance")
 	}

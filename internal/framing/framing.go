@@ -160,6 +160,12 @@ func (rd *Reader) Next() (version byte, payload []byte, err error) {
 	return version, payload, nil
 }
 
+// AppendFrame appends to dst the frame Next last returned without an error —
+// header, payload and checksum, as read — and returns the extended slice.
+func (rd *Reader) AppendFrame(dst []byte) []byte {
+	return append(append(dst, rd.hdr[:rd.f.headerLen()]...), rd.body...)
+}
+
 // Decode reads exactly one frame from b — trailing bytes are an error — and
 // returns its version byte and a copy of its payload.
 func (f *Format) Decode(b []byte) (version byte, payload []byte, err error) {

@@ -88,6 +88,35 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendFrameRebuildsTheStream: AppendFrame of every frame a Reader hands
+// out, onto one slice, is the stream byte for byte — every accepted version,
+// payloads from empty to several growth chunks, read whole and byte by byte.
+func TestAppendFrameRebuildsTheStream(t *testing.T) {
+	for _, tc := range testFormats {
+		var stream []byte
+		for i, p := range [][]byte{nil, {0x42}, patterned(3*growChunk + 17), patterned(1000)} {
+			old := tc.f
+			old.Version = tc.f.MinVersion + byte(i)%(tc.f.Version-tc.f.MinVersion+1)
+			stream = frame(t, &old, stream, p)
+		}
+		for name, r := range map[string]io.Reader{"whole": bytes.NewReader(stream), "bytewise": bytewise(stream)} {
+			rd := tc.f.NewReader(r)
+			rebuilt := []byte("prefix")
+			for {
+				if _, _, err := rd.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("%s, %s: %v", tc.name, name, err)
+				}
+				rebuilt = rd.AppendFrame(rebuilt)
+			}
+			if !bytes.Equal(rebuilt[len("prefix"):], stream) {
+				t.Errorf("%s, %s: AppendFrame rebuilt %d bytes, not the %d-byte stream", tc.name, name, len(rebuilt)-len("prefix"), len(stream))
+			}
+		}
+	}
+}
+
 // bytewise returns a reader that yields b one byte per Read, so ReadFull
 // has to reassemble headers and bodies across short reads.
 func bytewise(b []byte) io.Reader { return &oneByteReader{b: b} }

@@ -202,10 +202,7 @@ func diffReadLog(t *testing.T, data []byte) {
 	}
 
 	pagg, perr := readLogParallel(bytes.NewReader(data), 3, 61, nil)
-	var le *LineError
-	if errors.As(werr, &le) && le.Err != nil && strings.HasPrefix(le.Err.Error(), "base directive") {
-		// The parallel reader does not read directives; see LogBaseDirective.
-	} else if errText(perr) != errText(werr) || (perr == nil && uint64(pagg.TotalRecords()) != wn) {
+	if errText(perr) != errText(werr) || (perr == nil && uint64(pagg.TotalRecords()) != wn) {
 		t.Fatalf("readLogParallel: err %v, serial reader %d records, err %v", perr, wn, werr)
 	}
 

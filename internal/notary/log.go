@@ -3,9 +3,10 @@ package notary
 import (
 	"bufio"
 	"bytes"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -64,8 +65,9 @@ const logBasePrefix = "#base "
 // in the log carries absolute generation gen+1. serve writes it when it
 // truncates the -out log after compacting recovered state into a snapshot;
 // ReadLogTail honors it when aligning a snapshot's record count against the
-// log. Readers that ignore comments (a plain ReadLog replay, the parallel
-// loader) see every record the file actually holds.
+// log. Every reader — ReadLog, ReadLogTail, ReadLogParallel at any worker
+// count — refuses a directive that rewinds the generation, and otherwise
+// delivers every record the file holds.
 func LogBaseDirective(gen uint64) string {
 	return fmt.Sprintf("%s%d\n", logBasePrefix, gen)
 }
@@ -97,23 +99,6 @@ func (e *LineError) Error() string { return fmt.Sprintf("notary: line %d: %v", e
 
 func (e *LineError) Unwrap() error { return e.Err }
 
-// consumeLine applies the shared per-line semantics of both log readers:
-// blank and comment (#...) lines are skipped, anything else is parsed into
-// rec with the error tagged by its 1-based line number. It reports whether
-// rec now holds a record. line is the reader's own buffer — the log reader's
-// window or a slice of the chunk — and is not kept: the only bytes that
-// outlive the call are the hellos and strings t copied on their first
-// appearance.
-func consumeLine(rec *Record, line []byte, lineNo int, t *decodeTables) (bool, error) {
-	if len(line) == 0 || line[0] == '#' {
-		return false, nil
-	}
-	if err := parseTSVLine(rec, line, t); err != nil {
-		return false, &LineError{Line: lineNo, Err: err}
-	}
-	return true, nil
-}
-
 // ReadLog reads a record log — what LogWriter wrote, what a collector's -out
 // tee wrote, or one continued by the other — delivering each record to sink.
 // A log is a sequence of entries, and at every entry boundary the next four
@@ -139,10 +124,10 @@ func ReadLog(r io.Reader, sink Sink) error {
 	return err
 }
 
-// maxLogLine is the line ceiling both log readers share: a line of this many
-// bytes or more (terminator excluded) fails with bufio.ErrTooLong. LogWriter
-// emits nothing near it; the ceiling is what keeps a newline-free input from
-// being buffered whole.
+// maxLogLine is the log reader's line ceiling: a line of this many bytes or
+// more (terminator excluded) fails with bufio.ErrTooLong. LogWriter emits
+// nothing near it; the ceiling is what keeps a newline-free input from being
+// buffered whole.
 const maxLogLine = 1 << 22
 
 // ReadLogTail is ReadLog that discards every record covered by the first
@@ -165,11 +150,30 @@ func ReadLogTail(r io.Reader, skip uint64, sink Sink) (delivered, base uint64, e
 }
 
 // readLogTail is ReadLogTail through the given decoder tables (see
-// readBatches). They serve the lines; frames are another spelling and go
-// through a table of the TLSB pool's, drawn at the log's first frame.
+// readBatches).
 func readLogTail(r io.Reader, skip uint64, sink Sink, t *decodeTables) (delivered, base uint64, err error) {
 	lr := newLogReader(r, t)
 	defer lr.release(t)
+	return readEntries(lr, skip, sink, t, logPos{entry: 1})
+}
+
+// logPos is where in a log an entry stands: its 1-based number among the
+// log's entries, the 0-based index the next frame has among its frames, and
+// the absolute generation of the last record before it.
+type logPos struct {
+	entry, frame int
+	gen          uint64
+}
+
+// readEntries is ReadLogTail's entry loop over lr, started at position at: the
+// one reading of a log's entries, for a whole log and for a run of one (see
+// readLogParallel), so error numbering, *BatchError frame indices and the #base
+// rewind check run from the entry's true position. The decoder tables t serve
+// the lines; frames are another spelling and go through a table of the TLSB
+// pool's, drawn at the first frame. A line is parsed where lr holds it and not
+// kept: the only bytes that outlive it are the hellos and strings t copied on
+// their first appearance.
+func readEntries(lr *logReader, skip uint64, sink Sink, t *decodeTables, at logPos) (delivered, base uint64, err error) {
 	var (
 		ft *decodeTables
 		fr *framing.Reader
@@ -181,10 +185,10 @@ func readLogTail(r io.Reader, skip uint64, sink Sink, t *decodeTables) (delivere
 		}
 	}()
 	var rec Record
-	frames := 0
+	frames := at.frame
 	sawBase := false
-	var gen uint64 // absolute generation of the last record seen
-	for entry := 1; ; entry++ {
+	gen := at.gen // absolute generation of the last record seen
+	for entry := at.entry; ; entry++ {
 		if lr.atFrame() {
 			if ft == nil {
 				ft = tlsbTables.Get().(*decodeTables)
@@ -192,7 +196,7 @@ func readLogTail(r io.Reader, skip uint64, sink Sink, t *decodeTables) (delivere
 			}
 			version, payload, err := fr.Next()
 			if err != nil {
-				return delivered, base, &LineError{Line: entry, Err: fmt.Errorf("batch frame: %w", err)}
+				return delivered, base, frameError(entry, err)
 			}
 			held, n, err := ft.decodeFrame(frames, version, payload, &rec, skip-min(skip, gen), sink)
 			gen += held
@@ -203,7 +207,7 @@ func readLogTail(r io.Reader, skip uint64, sink Sink, t *decodeTables) (delivere
 			frames++
 			continue
 		}
-		line, err := lr.line()
+		line, _, err := lr.line()
 		if err != nil {
 			if err == io.EOF {
 				err = nil
@@ -224,12 +228,11 @@ func readLogTail(r io.Reader, skip uint64, sink Sink, t *decodeTables) (delivere
 			gen = b
 			continue
 		}
-		ok, err := consumeLine(&rec, line, entry, t)
-		if err != nil {
-			return delivered, base, err
+		if len(line) == 0 || line[0] == '#' {
+			continue // blank, or a comment
 		}
-		if !ok {
-			continue
+		if err := parseTSVLine(&rec, line, t); err != nil {
+			return delivered, base, &LineError{Line: entry, Err: err}
 		}
 		gen++
 		if gen <= skip {
@@ -242,9 +245,16 @@ func readLogTail(r io.Reader, skip uint64, sink Sink, t *decodeTables) (delivere
 	}
 }
 
-// logReader hands readLogTail a log's bytes entry by entry: lines as
+// frameError is the *LineError of a frame entry cut short or failing its
+// envelope's checks.
+func frameError(entry int, err error) error {
+	return &LineError{Line: entry, Err: fmt.Errorf("batch frame: %w", err)}
+}
+
+// logReader hands the entry loop a log's bytes entry by entry: lines as
 // bufio.ScanLines cuts them, and, through Read, the frames between them. Its
-// window is the decoder table's from stream to stream.
+// window is the decoder table's from stream to stream; a parallel worker's
+// logReader has a run of entries for its window, and no src.
 type logReader struct {
 	src    io.Reader
 	buf    []byte // the window at full length; buf[rd:wr] is read and not yet consumed
@@ -317,27 +327,28 @@ func (l *logReader) Read(p []byte) (int, error) {
 }
 
 // line returns the next line without its terminator (a newline, with the
-// carriage return before it if any), valid until the next call. A log that
-// ends without a newline ends in a line all the same, as does one a read
-// error cut — the error follows the line. It returns io.EOF at the end of the
-// log and bufio.ErrTooLong for a line of maxLogLine bytes or more.
-func (l *logReader) line() ([]byte, error) {
+// carriage return before it if any), and raw, the line as the log holds it,
+// terminator included; both are valid until the next call. A log that ends
+// without a newline ends in a line all the same, as does one a read error cut
+// — the error follows the line. It returns io.EOF at the end of the log and
+// bufio.ErrTooLong for a line of maxLogLine bytes or more.
+func (l *logReader) line() (line, raw []byte, err error) {
 	for seen := 0; ; {
 		if i := bytes.IndexByte(l.buf[l.rd+seen:l.wr], '\n'); i >= 0 {
-			line := l.buf[l.rd : l.rd+seen+i]
-			l.rd += seen + i + 1
-			return dropCR(line), nil
+			raw = l.buf[l.rd : l.rd+seen+i+1]
+			l.rd += len(raw)
+			return dropCR(raw[:len(raw)-1]), raw, nil
 		}
 		if l.wr-l.rd >= maxLogLine {
-			return nil, bufio.ErrTooLong
+			return nil, nil, bufio.ErrTooLong
 		}
 		if l.err != nil {
 			if l.rd == l.wr {
-				return nil, l.err
+				return nil, nil, l.err
 			}
-			line := l.buf[l.rd:l.wr]
+			raw = l.buf[l.rd:l.wr]
 			l.rd = l.wr
-			return dropCR(line), nil
+			return dropCR(raw), raw, nil
 		}
 		seen = l.wr - l.rd
 		l.fill()
@@ -359,7 +370,7 @@ func LogEntryOffset(r io.Reader, entry int) (int64, error) {
 		if lr.atFrame() {
 			_, _, err = fr.Next()
 		} else {
-			_, err = lr.line()
+			_, _, err = lr.line()
 		}
 		if err != nil {
 			return 0, fmt.Errorf("notary: log entry %d of %d sought: %w", e, entry, err)
@@ -381,26 +392,32 @@ func dropCR(line []byte) []byte {
 const defaultChunkSize = 1 << 20
 
 // ReadLogParallel reads a record log (see ReadLog) on a pool of workers and
-// returns the merged Aggregate. The byte stream is split on line boundaries
-// into chunks, each worker folds its chunks into a shard of its own through a
-// ShardBuilder, and the shards are combined with Aggregate.Merge — so the
-// result is identical to feeding serial ReadLog into one Aggregate, for every
-// worker count. workers <= 0 uses GOMAXPROCS; workers == 1 is the serial path.
-// A malformed or over-long line (maxLogLine) produces the same error the
-// serial reader reports, and the earliest such line wins. A non-nil
+// returns the merged Aggregate. One goroutine cuts the log into runs of whole
+// entries — lines and frames alike, through the reader ReadLog uses — and each
+// worker reads its runs with ReadLog's own entry loop, started at the run's
+// entry number, frame index and generation, folding them into a shard of its
+// own through a ShardBuilder; the shards are combined with Aggregate.Merge. So
+// the result is identical to feeding serial ReadLog into one Aggregate, and
+// any error is the one serial ReadLog stops with, for every worker count.
+// workers <= 0 uses GOMAXPROCS; workers == 1 is the serial path. A non-nil
 // classifier is installed on every shard and on the merged result, so
 // ByClientClass fills during the parallel ingest exactly as a serial
-// classified Add would. Workers parse their chunk's lines in place, each
-// through decoder tables of its own. Only lines are spread over the workers:
-// a frame cannot be cut, and where its neighbours start is known only by
-// reading it, so from a log's first frame on the rest is read serially, into
-// one more shard.
+// classified Add would.
 func ReadLogParallel(r io.Reader, workers int, classifier Classifier) (*Aggregate, error) {
 	return readLogParallel(r, workers, defaultChunkSize, classifier)
 }
 
-// readLogParallel is ReadLogParallel with the chunk size exposed, so tests
-// can sweep chunk boundaries across every record offset.
+// logRun is a run of whole entries of a log, byte for byte as the log holds
+// them, and the position its first entry stands at; seq numbers the runs in
+// log order.
+type logRun struct {
+	data []byte
+	at   logPos
+	seq  int
+}
+
+// readLogParallel is ReadLogParallel with the run size exposed, so tests can
+// sweep run boundaries across every record offset.
 func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier) (*Aggregate, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -417,159 +434,52 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 		}
 		return shard.Flush(), nil
 	}
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
 
-	type chunk struct {
-		data      []byte
-		firstLine int // 1-based global line number of the chunk's first line
+	type runErr struct {
+		seq int
+		err error
 	}
-	type shardErr struct {
-		line int
-		err  error
-	}
-
-	bufPool := sync.Pool{New: func() any {
-		b := make([]byte, 0, chunkSize+4096)
+	free := sync.Pool{New: func() any {
+		b := make([]byte, 0, chunkSize+chunkSize/8) // room for the entry that ends a run
 		return &b
 	}}
-	jobs := make(chan chunk, workers)
+	runs := make(chan logRun, workers) // a run queued per worker: the cutter reads ahead
 	aggs := make([]*Aggregate, workers)
-	errs := make([]shardErr, workers)
-	var aborted atomic.Bool
+	errs := make([]runErr, workers)
+	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			shard := NewShardBuilder(newShard)
-			defer func() { aggs[w] = shard.Flush() }()
-			var rec Record
 			t := tsvTables.Get().(*decodeTables)
 			defer tsvTables.Put(t)
-			for c := range jobs {
-				// A worker keeps only its first error: its chunks arrive in
-				// file order, so later ones cannot lower the error line. Other
-				// workers still parse their dispatched chunks in full — the
-				// dispatched chunks are a prefix of the file, so the minimum
-				// error line across shards is exactly the line serial ReadLog
-				// would have stopped at.
-				if errs[w].err != nil {
-					continue
+			for run := range runs {
+				// A worker's runs come in log order, so its first error is
+				// its earliest; the runs cut are a prefix of the log, so the
+				// earliest run's error is the one ReadLog stops at.
+				if errs[w].err == nil {
+					lr := &logReader{buf: run.data, wr: len(run.data), err: io.EOF}
+					if _, _, err := readEntries(lr, 0, shard, t, run.at); err != nil {
+						errs[w] = runErr{run.seq, err}
+						stop.Store(true)
+					}
 				}
-				lineNo := c.firstLine
-				rest := c.data
-				for len(rest) > 0 {
-					var line []byte
-					if i := bytes.IndexByte(rest, '\n'); i >= 0 {
-						line, rest = rest[:i], rest[i+1:]
-					} else {
-						line, rest = rest, nil
-					}
-					// The serial reader gives up on a line it cannot buffer
-					// together with its terminator; match it.
-					if len(line) >= maxLogLine {
-						errs[w] = shardErr{line: lineNo, err: bufio.ErrTooLong}
-						aborted.Store(true)
-						break
-					}
-					ok, err := consumeLine(&rec, dropCR(line), lineNo, t)
-					if err != nil {
-						errs[w] = shardErr{line: lineNo, err: err}
-						aborted.Store(true)
-						break
-					}
-					if ok {
-						shard.Add(&rec)
-					}
-					lineNo++
-				}
-				data := c.data[:0]
-				bufPool.Put(&data)
+				data := run.data[:0]
+				free.Put(&data)
 			}
-		}(w)
+			aggs[w] = shard.Flush()
+		}()
 	}
-
-	// Chunker: read fixed-size blocks, cut at the last newline, and carry
-	// the trailing partial line into the next chunk — up to the line ceiling,
-	// so carry never holds more than maxLogLine plus one block.
-	var readErr error
-	var tooLong shardErr
-	block := make([]byte, chunkSize)
-	var carry []byte
-	nextLine := 1
-	dispatch := func(data []byte, firstLine int) {
-		jobs <- chunk{data: data, firstLine: firstLine}
-	}
-	var rest io.Reader // the log from its first frame on, once one is met
-	for !aborted.Load() && rest == nil {
-		n, err := io.ReadFull(r, block)
-		if n > 0 {
-			data := block[:n]
-			if at := frameStart(carry, data); at >= 0 {
-				// The lines before the frame are a last chunk; carry, when
-				// at is 0, is the frame's own first bytes.
-				rest = io.MultiReader(bytes.NewReader(data[at:]), r)
-				if at == 0 {
-					rest = io.MultiReader(bytes.NewReader(carry), rest)
-					break
-				}
-				data = data[:at]
-			}
-			cut := bytes.LastIndexByte(data, '\n')
-			if cut < 0 {
-				carry = append(carry, data...)
-			} else {
-				bp := bufPool.Get().(*[]byte)
-				buf := append((*bp)[:0], carry...)
-				buf = append(buf, data[:cut+1]...)
-				carry = append(carry[:0], data[cut+1:]...)
-				first := nextLine
-				nextLine += bytes.Count(buf, []byte{'\n'})
-				dispatch(buf, first)
-			}
-			if len(carry) >= maxLogLine {
-				tooLong = shardErr{line: nextLine, err: bufio.ErrTooLong}
-				break
-			}
-		}
-		if err != nil {
-			if err != io.EOF && err != io.ErrUnexpectedEOF {
-				readErr = err
-			}
-			break
-		}
-	}
-	if readErr == nil && tooLong.err == nil && len(carry) > 0 && rest == nil && !aborted.Load() {
-		dispatch(carry, nextLine)
-	}
-	close(jobs)
-	var restAgg *Aggregate
-	var restErr error
-	if rest != nil && !aborted.Load() {
-		// Entries from here on are numbered past the lines dispatched.
-		shard := NewShardBuilder(newShard)
-		restErr = ReadLog(rest, shard)
-		var le *LineError
-		if errors.As(restErr, &le) {
-			le.Line += nextLine - 1
-		}
-		restAgg = shard.Flush()
-	}
+	// The cutter's error lies past every run it sent, so any run's is earlier.
+	first := runErr{seq: math.MaxInt, err: cutLog(r, chunkSize, runs, &free, &stop)}
+	close(runs)
 	wg.Wait()
-
-	if readErr != nil {
-		return nil, readErr
-	}
-	first := tooLong // past every dispatched line, so any shard's error is earlier
-	for _, se := range errs {
-		if se.err != nil && (first.err == nil || se.line < first.line) {
-			first = se
+	for _, e := range errs {
+		if e.err != nil && e.seq < first.seq {
+			first = e
 		}
-	}
-	if first.err == nil {
-		first.err = restErr // past every line, so any of theirs is earlier
 	}
 	if first.err != nil {
 		return nil, first.err
@@ -578,31 +488,62 @@ func readLogParallel(r io.Reader, workers, chunkSize int, classifier Classifier)
 	for _, shard := range aggs {
 		agg.Merge(shard)
 	}
-	if restAgg != nil {
-		agg.Merge(restAgg)
-	}
 	return agg, nil
 }
 
-// frameStart returns where in data a log's first frame starts, given that
-// carry+data runs from a line boundary and carry holds no newline: the TLSB
-// magic at a line's start, looked for from carry's. -1 when there is none; 0
-// also when the frame starts in carry.
-func frameStart(carry, data []byte) int {
-	magic := batchFormat.Magic
-	if len(carry) < len(magic) {
-		var head [4]byte
-		n := copy(head[:], carry)
-		n += copy(head[n:], data)
-		if IsBatchStream(head[:n]) {
-			return 0
+// cutLog reads r entry by entry, by ReadLog's rule and through its reader, and
+// sends the log to runs in runs of whole entries, each of at least chunkSize
+// bytes but the last: a frame is held to its envelope and checksum and sent
+// whole, a line with its terminator. Each run carries the position of its first
+// entry, its generation counted as readEntries counts one: a frame adds its
+// leading record count, a #base directive sets it, and any other line that is
+// neither blank nor a comment adds one. cutLog's own error — a frame cut short
+// or failing its checks, an over-long line, a read error — lies past every run
+// it sent, the partial last one included; once stop is set it stops cutting,
+// without one. Run buffers come from free.
+func cutLog(r io.Reader, chunkSize int, runs chan<- logRun, free *sync.Pool, stop *atomic.Bool) error {
+	t := tsvTables.Get().(*decodeTables)
+	defer tsvTables.Put(t)
+	lr := newLogReader(r, t)
+	defer lr.release(t)
+	fr := batchFormat.NewReader(lr)
+	at := logPos{entry: 1}
+	run := logRun{data: (*free.Get().(*[]byte))[:0], at: at}
+	defer func() {
+		if len(run.data) > 0 {
+			runs <- run
+		}
+	}()
+	for !stop.Load() {
+		if lr.atFrame() {
+			_, payload, err := fr.Next()
+			if err != nil {
+				return frameError(at.entry, err)
+			}
+			run.data = fr.AppendFrame(run.data)
+			held, _ := binary.Uvarint(payload) // a count that is wrong fails the frame's run
+			at.frame++
+			at.gen += held
+		} else {
+			line, raw, err := lr.line()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			run.data = append(run.data, raw...)
+			if b, ok := parseLogBase(line); ok {
+				at.gen = b
+			} else if len(line) > 0 && line[0] != '#' {
+				at.gen++
+			}
+		}
+		at.entry++
+		if len(run.data) >= chunkSize {
+			runs <- run
+			run = logRun{data: (*free.Get().(*[]byte))[:0], at: at, seq: run.seq + 1}
 		}
 	}
-	if at := bytes.Index(data, lineStartMagic); at >= 0 {
-		return at + 1
-	}
-	return -1
+	return nil
 }
-
-// lineStartMagic is the frame magic where a line would start.
-var lineStartMagic = []byte("\n" + batchFormat.Magic)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -253,13 +254,16 @@ func TestLogEntryOffset(t *testing.T) {
 // The log reader's buffers are the pooled tables', frames included: a second
 // log through warm tables allocates neither the window nor the frame body.
 // (The TLSB table comes from the pool at the first frame, so the collector is
-// held off for the measurement.)
+// held off for the measurement, and the test runs on one P: a pool's newest
+// item is private to the P that put it back, and the table another P holds is
+// not this log's.)
 func TestLogReaderBuffersArePooled(t *testing.T) {
 	if raceDetector {
 		t.Skip("under the race detector a sync.Pool drops what it is given at random, and the frames' table is the pool's")
 	}
 	recs := buildBatchRecords(61, 512)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for name, log := range map[string][]byte{"frames": encodeFrames(recs, 64), "mixed": mixedLog(recs, 200, 64)} {
 		tab, rd := newDecodeTables(), bytes.NewReader(nil)
 		run := func() uint64 {

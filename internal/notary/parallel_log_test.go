@@ -3,12 +3,15 @@ package notary
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"tlsage/internal/registry"
@@ -99,54 +102,62 @@ func TestReadLogParallelNoTrailingNewline(t *testing.T) {
 	aggregatesEqual(t, want, got)
 }
 
-// A malformed line must produce the identical "notary: line N" error the
-// serial reader reports, for every worker count and chunk size — including
-// when several lines are malformed (the earliest wins, as serial stops
-// there).
+// Every error the parallel reader stops with is the one serial ReadLog
+// reports, for every worker count and run size: a malformed line (the earliest
+// wins when there are several, as serial stops there), a #base directive that
+// rewinds, a malformed line before a read error, and in a log of frames a
+// frame cut short or one that passes its checksum and does not decode (a
+// *BatchError naming the frame's index in the whole log).
 func TestReadLogParallelErrorParity(t *testing.T) {
 	log, _ := buildCorpus(t, 7, 300)
+	lines := bytes.Split(bytes.TrimSuffix(log, []byte("\n")), []byte("\n"))
 	corrupt := func(lines [][]byte, at int) []byte {
-		cp := make([][]byte, len(lines))
-		copy(cp, lines)
+		cp := slices.Clone(lines)
 		cp[at] = []byte("garbage\tline")
 		return bytes.Join(cp, []byte("\n"))
 	}
-	lines := bytes.Split(bytes.TrimSuffix(log, []byte("\n")), []byte("\n"))
-	for _, at := range []int{3, 50, len(lines) / 2, len(lines) - 1} {
-		bad := corrupt(lines, at)
-		serialErr := ReadLog(bytes.NewReader(bad), NewAggregate())
+	check := func(name string, src func() io.Reader, runSizes []int) {
+		t.Helper()
+		serialErr := ReadLog(src(), NewAggregate())
 		if serialErr == nil {
-			t.Fatalf("corrupt@%d: serial reader accepted the line", at)
+			t.Fatalf("%s: serial reader accepted the log", name)
 		}
 		for _, workers := range []int{2, 4, 16} {
-			for _, cs := range []int{7, 100, 1 << 12, 1 << 22} {
-				agg, err := readLogParallel(bytes.NewReader(bad), workers, cs, nil)
+			for _, cs := range runSizes {
+				agg, err := readLogParallel(src(), workers, cs, nil)
 				if err == nil {
-					t.Fatalf("corrupt@%d workers=%d chunk=%d: parallel reader accepted the line", at, workers, cs)
+					t.Fatalf("%s workers=%d run=%d: parallel reader accepted the log", name, workers, cs)
 				}
 				if agg != nil {
-					t.Errorf("corrupt@%d: non-nil aggregate alongside error", at)
+					t.Errorf("%s: non-nil aggregate alongside error", name)
 				}
 				if err.Error() != serialErr.Error() {
-					t.Fatalf("corrupt@%d workers=%d chunk=%d: error %q, serial %q", at, workers, cs, err, serialErr)
+					t.Fatalf("%s workers=%d run=%d: error %q, serial %q", name, workers, cs, err, serialErr)
 				}
 			}
 		}
 	}
+	of := func(b []byte) func() io.Reader { return func() io.Reader { return bytes.NewReader(b) } }
 
-	// Two malformed lines: the earliest must win even when a later chunk
+	lineRuns := []int{7, 64, 100, 1 << 12, 1 << 22}
+	for _, at := range []int{3, 50, len(lines) / 2, len(lines) - 1} {
+		check(fmt.Sprintf("corrupt@%d", at), of(corrupt(lines, at)), lineRuns)
+	}
+	// Two malformed lines: the earliest must win even when a later run
 	// errors first.
-	multi := corrupt(lines, 20)
-	multiLines := bytes.Split(multi, []byte("\n"))
-	multi = corrupt(multiLines, 250)
-	serialErr := ReadLog(bytes.NewReader(multi), NewAggregate())
-	par, err := readLogParallel(bytes.NewReader(multi), 8, 64, nil)
-	if err == nil || par != nil {
-		t.Fatal("double-corrupt log accepted")
-	}
-	if err.Error() != serialErr.Error() {
-		t.Fatalf("double-corrupt: error %q, serial %q", err, serialErr)
-	}
+	check("double-corrupt", of(corrupt(bytes.Split(corrupt(lines, 20), []byte("\n")), 250)), lineRuns)
+	check("rewinding base", of(bytes.Join(slices.Insert(slices.Clone(lines), 150, []byte("#base 1")), []byte("\n"))), lineRuns)
+	check("malformed line, then a read error", func() io.Reader {
+		return io.MultiReader(bytes.NewReader(corrupt(lines, 50)), iotest.ErrReader(errors.New("disk gone")))
+	}, lineRuns)
+
+	recs := buildBatchRecords(41, 60)
+	frames := encodeFrames(recs, 5)
+	frameLen := len(encodeFrames(recs[:5], 5))
+	frameRuns := []int{1, frameLen / 2, frameLen + 1, 3 * frameLen, 1 << 22}
+	check("cut last frame", of(frames[:len(frames)-10]), frameRuns)
+	junk := reframe(BatchVersion, appendRecordBinary(appendCount(nil, 2), recs[0]))
+	check("a frame that does not decode", of(slices.Concat(encodeFrames(recs[:40], 5), junk, encodeFrames(recs[40:], 5))), frameRuns)
 }
 
 // The parallel reader must also agree with serial on a stream interleaving

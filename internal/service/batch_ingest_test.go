@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -718,6 +719,12 @@ func TestWarmIngestAllocs(t *testing.T) {
 	}
 	srv := NewServer(core.NewLiveStudy())
 	defer srv.Close()
+	// What is pinned is what a stream allocates with the server's pools warm.
+	// A collection would empty them, and so, in effect, would a goroutine
+	// moving to another P: a pool's newest item is private to the P that put
+	// it back. So the collector is paused and the server runs on one P.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ingest := func() {
 		if st, err := srv.ingest(bytes.NewReader(stream.Bytes()), true); err != nil || st.Records != n {
 			t.Fatalf("ingested %d records, err %v; want %d", st.Records, err, n)

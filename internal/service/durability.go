@@ -211,7 +211,10 @@ func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*
 		study = core.NewLiveStudy()
 	}
 	if logPath != "" {
-		n, base, torn, err := replayLogTail(logPath, info.SnapshotRecords, study.IngestSink())
+		// The tail folds into a shard of the study's, merged once; a torn
+		// tail's valid prefix is in it.
+		tail := notary.NewShardBuilder(study.NewShard)
+		n, base, torn, err := replayLogTail(logPath, info.SnapshotRecords, tail)
 		if err != nil {
 			// A frame that passed its checksum is not a torn tail and is not
 			// trimmed: say what an operator can do about it.
@@ -220,6 +223,9 @@ func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*
 				hint = " (no crash writes such a frame; move the log aside to start from the snapshots alone)"
 			}
 			return nil, info, fmt.Errorf("service: replaying %s: %w%s", logPath, err, hint)
+		}
+		if err := study.MergeShard(tail.Flush()); err != nil {
+			return nil, info, err
 		}
 		info.ReplayedRecords, info.LogBase = n, base
 		if torn != nil {

@@ -49,11 +49,12 @@ func countRecords(log []byte) int {
 	return n
 }
 
-// studyFromLog serially ingests a TSV log into a fresh live study.
+// studyFromLog serially ingests a TSV log into a fresh live study, record by
+// record.
 func studyFromLog(t *testing.T, log []byte) *core.Study {
 	t.Helper()
 	st := core.NewLiveStudy()
-	if err := notary.ReadLog(bytes.NewReader(log), st.IngestSink()); err != nil {
+	if err := notary.ReadLog(bytes.NewReader(log), st.Aggregate()); err != nil {
 		t.Fatal(err)
 	}
 	return st
