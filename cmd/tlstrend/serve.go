@@ -27,7 +27,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	cfg := service.Config{Logf: stderrf}
 	fs.StringVar(&cfg.HTTP, "http", "127.0.0.1:8080", "HTTP listen address (ingest + query)")
-	fs.StringVar(&cfg.TCP, "tcp", "", "optional raw-TCP ingest listen address (TSV or binary batch, sniffed; default study)")
+	fs.StringVar(&cfg.TCP, "tcp", "", "optional raw-TCP ingest listen address (a record log: TSV lines, batch frames or both; default study)")
 	fs.StringVar(&cfg.Out, "out", "", "tee every record ingested into the default study to this record log (binary batch frames; an existing TSV log is continued)")
 	fs.IntVar(&cfg.Flush, "flush", 0, "records per ingest shard before merging (0 = default)")
 	fs.IntVar(&cfg.QueueBound, "queue-bound", service.DefaultQueueBound,

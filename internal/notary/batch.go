@@ -1,7 +1,6 @@
 package notary
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -81,9 +80,9 @@ import (
 const BatchVersion = 3
 
 // batchFormat is the TLSB envelope. The magic differs from the snapshot
-// magic in its first bytes read off the wire, which is what lets the TCP
-// listener sniff binary streams apart from TSV (no TSV log starts with it:
-// headers start with '#', record lines with a decimal year). Frames are
+// magic in its first bytes read off the wire, which is what lets a record
+// log hold frames between its lines (no TSV line starts with it: headers
+// start with '#', record lines with a decimal year). Frames are
 // producer-sized (a few hundred records, tens of KiB); the 64 MiB cap keeps
 // a corrupt length field from driving a huge allocation.
 var batchFormat = framing.Format{
@@ -100,9 +99,9 @@ var batchFormat = framing.Format{
 const DefaultBatchSize = 512
 
 // IsBatchStream reports whether prefix (the first bytes of a stream, at
-// least 4 to be conclusive) begins with the batch frame magic. The TCP
-// listener peeks ahead with this to route one port between binary batches
-// and TSV lines.
+// least 4 to be conclusive) begins with the batch frame magic. It is
+// ReadLog's entry rule: at every entry boundary of a record log it decides
+// whether a frame or a line follows.
 func IsBatchStream(prefix []byte) bool {
 	magic := batchFormat.Magic
 	return len(prefix) >= len(magic) && string(prefix[:len(magic)]) == magic
@@ -678,12 +677,4 @@ func (t *decodeTables) decodeFrame(frame int, version byte, payload []byte, rec 
 		return held, delivered, &BatchError{Frame: frame, Err: d.err}
 	}
 	return held, delivered, nil
-}
-
-// Sniff peeks at the first bytes br reads, consuming nothing, and reports
-// whether the stream starts with a batch frame. Short or empty streams are
-// reported as not-binary and left for the TSV reader to diagnose.
-func Sniff(br *bufio.Reader) bool {
-	prefix, _ := br.Peek(len(batchFormat.Magic))
-	return IsBatchStream(prefix)
 }

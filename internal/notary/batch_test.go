@@ -560,7 +560,9 @@ func TestBatchErrorsAreBatchErrors(t *testing.T) {
 	}
 }
 
-// TestIsBatchStream pins the sniffing contract ServeTCP relies on.
+// TestIsBatchStream pins the log reader's entry rule: at an entry boundary
+// the TLSB magic starts a frame, and anything else — a snapshot's magic, a
+// header, a record line, fewer than four bytes — is a line.
 func TestIsBatchStream(t *testing.T) {
 	if !IsBatchStream([]byte("TLSB\x01anything")) {
 		t.Error("batch prefix not recognized")

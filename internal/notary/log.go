@@ -110,10 +110,12 @@ func (e *LineError) Unwrap() error { return e.Err }
 // as a *LineError carrying the entry's 1-based number, nothing of the entry
 // delivered; a frame that passes its checksum and still does not decode — no
 // writer and no crash produces one — as a *BatchError, the records before the
-// malformed one delivered. Records are parsed into a reused buffer whose lists
-// are the decoder's own, shared between records, so the Sink contract applies:
-// the record is only valid for the duration of Observe, and read-only. The
-// sink is not closed.
+// malformed one delivered. Only io.EOF ends a line that has no newline: any
+// other read error is returned as it is (wrapped in the frame's *LineError
+// when it cuts a frame), and the fragment it cut is not delivered. Records
+// are parsed into a reused buffer whose lists are the decoder's own, shared
+// between records, so the Sink contract applies: the record is only valid for
+// the duration of Observe, and read-only. The sink is not closed.
 //
 // Lines are parsed where the reader holds them (parseTSVLine over the
 // window): no string is made of a line or of a field, and hellos and strings
@@ -329,9 +331,10 @@ func (l *logReader) Read(p []byte) (int, error) {
 // line returns the next line without its terminator (a newline, with the
 // carriage return before it if any), and raw, the line as the log holds it,
 // terminator included; both are valid until the next call. A log that ends
-// without a newline ends in a line all the same, as does one a read error cut
-// — the error follows the line. It returns io.EOF at the end of the log and
-// bufio.ErrTooLong for a line of maxLogLine bytes or more.
+// without a newline ends in a line all the same, but only at io.EOF: a
+// fragment any other error cut is not a line, and that error is returned in
+// its place. It returns io.EOF at the end of the log and bufio.ErrTooLong for
+// a line of maxLogLine bytes or more.
 func (l *logReader) line() (line, raw []byte, err error) {
 	for seen := 0; ; {
 		if i := bytes.IndexByte(l.buf[l.rd+seen:l.wr], '\n'); i >= 0 {
@@ -343,7 +346,7 @@ func (l *logReader) line() (line, raw []byte, err error) {
 			return nil, nil, bufio.ErrTooLong
 		}
 		if l.err != nil {
-			if l.rd == l.wr {
+			if l.rd == l.wr || l.err != io.EOF {
 				return nil, nil, l.err
 			}
 			raw = l.buf[l.rd:l.wr]

@@ -10,7 +10,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -262,11 +261,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseStream()
-	body := io.Reader(r.Body)
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	d, err := federation.ReadDelta(body)
+	d, err := federation.ReadDelta(s.body(w, r))
 	if err != nil {
 		s.setGeneration(w)
 		status := http.StatusBadRequest

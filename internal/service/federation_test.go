@@ -422,7 +422,7 @@ func TestFederationParity(t *testing.T) {
 	e2parts := splitLog(halves[1], 2)
 	feed := func(srv *Server, part []byte) {
 		t.Helper()
-		if _, err := srv.ingest(bytes.NewReader(part), false); err != nil {
+		if _, err := srv.ingest(bytes.NewReader(part)); err != nil {
 			t.Fatalf("edge ingest: %v", err)
 		}
 	}
@@ -445,7 +445,7 @@ func TestFederationParity(t *testing.T) {
 	// Reference: one node ingesting the concatenated logs the edges split.
 	ref := NewServer(core.NewLiveStudy())
 	defer ref.Close()
-	if _, err := ref.ingest(bytes.NewReader(log), false); err != nil {
+	if _, err := ref.ingest(bytes.NewReader(log)); err != nil {
 		t.Fatal(err)
 	}
 	refTS := httptest.NewServer(ref.Handler())

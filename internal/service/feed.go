@@ -18,9 +18,9 @@ import (
 // reported as an error, matching the old one-shot feeder.
 type FeedOptions struct {
 	// Binary declares the stream body uses the batch framing rather than
-	// TSV. FeedHTTP then posts it with the batch Content-Type; FeedTCP needs
-	// no flag (the server sniffs the frame magic) but accepts it for
-	// symmetry.
+	// TSV. FeedHTTP then labels it with the batch Content-Type; FeedTCP
+	// sends no label. The server reads either as a record log, whatever the
+	// label says.
 	Binary bool
 	// MaxRetries is how many times a shed stream is retried before giving
 	// up. 0 means no retries.
@@ -135,12 +135,12 @@ func FeedHTTP(baseURL string, open func() (io.ReadCloser, error), opts FeedOptio
 	})
 }
 
-// FeedTCP streams a record log (TSV or batch-framed — the server sniffs the
-// wire format) over a raw TCP connection, retrying when the server replies
-// with a "busy <seconds>" shed line. The server only says "busy" when
-// nothing from the stream was applied; a part-applied shed comes back as
-// "error: ..." and fails hard, so retries never double-count. open must
-// return a fresh body for every attempt.
+// FeedTCP streams a record log (TSV lines, batch frames or both — the
+// server reads each entry by its first bytes) over a raw TCP connection,
+// retrying when the server replies with a "busy <seconds>" shed line. The
+// server only says "busy" when nothing from the stream was applied; a
+// part-applied shed comes back as "error: ..." and fails hard, so retries
+// never double-count. open must return a fresh body for every attempt.
 func FeedTCP(addr string, open func() (io.ReadCloser, error), opts FeedOptions) (FeedResult, error) {
 	return feedRetry(opts, func() (FeedResult, error) {
 		var res FeedResult

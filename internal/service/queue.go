@@ -189,7 +189,8 @@ func (q *mergeQueue) loop() {
 
 // writeLog writes a shard's frame to the log: in one write through a sink
 // with WriteFrames (notary.BatchWriter); any other sink — a TSV LogWriter —
-// gets the frame's records, then Close, which flushes them.
+// gets the frame's records, replayed by ReadLog, then Close, which flushes
+// them.
 func (q *mergeQueue) writeLog(frame []byte) error {
 	if q.logErr != nil {
 		return q.logErr
@@ -198,7 +199,7 @@ func (q *mergeQueue) writeLog(frame []byte) error {
 	if fw, ok := q.log.(interface{ WriteFrames([]byte) error }); ok {
 		err = fw.WriteFrames(frame)
 	} else {
-		_, _, err = notary.ReadBatches(bytes.NewReader(frame), q.log)
+		err = notary.ReadLog(bytes.NewReader(frame), q.log)
 		if cerr := q.log.Close(); err == nil {
 			err = cerr
 		}

@@ -228,27 +228,52 @@ func TestFeedRetryAfterIsCappedAtMaxDelay(t *testing.T) {
 }
 
 // TestIngestMaxBodyBytes pins the 413 path: a capped body cuts the stream
-// off with RequestEntityTooLarge and keeps the prefix that fit.
+// off with RequestEntityTooLarge and keeps exactly the whole lines that fit.
+// The line the cap cuts is not a line — least of all when the cut falls
+// inside its last field, the cohort, where what was read still parses as a
+// record with a cut-short cohort.
 func TestIngestMaxBodyBytes(t *testing.T) {
 	log, _ := sharedLog(t)
-	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(1), WithMaxBodyBytes(4096))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/ingest", "text/tab-separated-values", bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
+	// inCohort is a cap that cuts a line of the log inside its cohort.
+	inCohort, off := 0, 0
+	for _, line := range bytes.SplitAfter(log, []byte{'\n'}) {
+		if cohort := line[bytes.LastIndexByte(line, '\t')+1 : len(line)-1]; off > 4096 && len(cohort) > 1 {
+			inCohort = off + len(line) - 1 - len(cohort)/2
+			break
+		}
+		off += len(line)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
+	if inCohort == 0 {
+		t.Fatal("no line past 4,096 bytes has a cohort to cut")
 	}
-	records, _, _, err := srv.Study().Counts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if records == 0 {
-		t.Fatal("no prefix kept from the oversized stream")
+	for _, limit := range []int{4096, inCohort} {
+		t.Run(fmt.Sprint(limit), func(t *testing.T) {
+			srv := NewServer(core.NewLiveStudy(), WithFlushEvery(1), WithMaxBodyBytes(int64(limit)))
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			resp, err := http.Post(ts.URL+"/ingest", ContentTypeTSV, bytes.NewReader(log))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply struct {
+				Error   string `json:"error"`
+				Records int    `json:"records"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d (%+v, err %v), want 413", resp.StatusCode, reply, err)
+			}
+			if want := fmt.Sprintf("the %d-byte ingest cap", limit); !strings.Contains(reply.Error, want) {
+				t.Errorf("error %q does not name %s", reply.Error, want)
+			}
+			whole := countRecords(log[:bytes.LastIndexByte(log[:limit], '\n')+1])
+			records, _, _, err := srv.Study().Counts()
+			if err != nil || records != whole || reply.Records != whole {
+				t.Errorf("study holds %d records (err %v), reply says %d; want the %d whole lines below the cap",
+					records, err, reply.Records, whole)
+			}
+		})
 	}
 }
 

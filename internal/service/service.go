@@ -1,19 +1,17 @@
 // Package service runs the live Notary collector: the long-runtime mode the
 // paper's vantage point implies. A Server keeps one core.Study hot — the
-// same aggregate that answers batch queries — and ingests record streams,
-// TSV or binary, over HTTP POST or raw TCP while serving JSON query endpoints off
+// same aggregate that answers batch queries — and ingests record logs over
+// HTTP POST or raw TCP while serving JSON query endpoints off
 // generation-checked analysis.Frame snapshots, so queries never observe a
 // half-applied record and ingestion never waits on a slow reader.
 //
 // Endpoints:
 //
-//	POST /ingest          a connection-log stream: a record log (ReadLog
-//	                      semantics: TSV lines in LogWriter's format, header
-//	                      and comment lines skipped — and, because a
-//	                      collector's -out log can be posted as it is, batch
-//	                      frames between them) or, with Content-Type
-//	                      application/x-tlsage-batch, the length-prefixed
-//	                      binary batch framing alone (notary.ReadBatches)
+//	POST /ingest          a record log (notary.ReadLog): TSV lines in
+//	                      LogWriter's format, header and comment lines
+//	                      skipped, and TLSB batch frames, in any mix — a
+//	                      feeder's batches and a collector's -out log are
+//	                      posted as they are; the Content-Type is not read
 //	GET  /figures         every catalog figure, evaluated on a frame snapshot
 //	GET  /figure/{name}   one figure by catalog name ("versions") or number ("1")
 //	GET  /scalars         the paper-vs-measured scalar report
@@ -42,15 +40,16 @@
 // is shed (429 / "busy") instead of buffering without bound. The merge loop
 // also writes each shard to the record log, if any, before merging it.
 //
-// Raw TCP ingest shares one port for both wire formats: the first bytes of
-// each connection are sniffed for the batch magic, and anything else takes
-// the TSV debug path. The dispatch — Content-Type or sniff — picks the reader
-// and the /healthz counter; the TSV reader is the log reader, so a stream it
-// is handed may carry frames too.
+// Every ingest stream, a POST body or a raw TCP connection, is read by
+// notary.ReadLog alone: at each entry boundary the next four bytes say
+// whether a frame or a line follows, so no header and no peek at a
+// connection's first bytes picks a reader, and TSV, the debug path one can
+// drive with netcat, shares the TCP port with the batch framing.
 package service
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,7 +57,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,14 +76,14 @@ const DefaultFlushEvery = 4096
 // the in-flight stream limit or the merge queue sheds an ingest.
 const DefaultRetryAfter = 1
 
-// Content types negotiated by POST /ingest. Anything other than the batch
-// type (including an absent header) takes the TSV path, so existing feeders
-// keep working unchanged.
+// Content types feeders label POST /ingest bodies with. They are labels
+// only: the server reads every body as a record log, whatever it is labelled
+// (or not), so a mislabelled body ingests by its content.
 const (
 	// ContentTypeTSV is the textual connection-log stream (LogWriter format).
 	ContentTypeTSV = "text/tab-separated-values"
 	// ContentTypeBatch is the length-prefixed binary batch framing
-	// (notary.BatchWriter / notary.ReadBatches).
+	// (notary.BatchWriter).
 	ContentTypeBatch = "application/x-tlsage-batch"
 )
 
@@ -127,11 +125,6 @@ type Server struct {
 	queue      *mergeQueue
 	queueBound int
 	queueGate  chan struct{}
-
-	// Wire-format ingest gauges for /healthz.
-	binaryFrames  atomic.Uint64
-	binaryRecords atomic.Uint64
-	tsvRecords    atomic.Uint64
 
 	// snaps, when durability is configured, snapshots the study at ingest
 	// flush boundaries / on a timer / at Close.
@@ -196,8 +189,9 @@ func WithMaxInFlight(n int) Option {
 }
 
 // WithMaxBodyBytes caps POST /ingest request bodies at n bytes; an
-// oversized stream is cut off with 413 and the prefix ingested so far is
-// kept. n <= 0 leaves bodies unlimited.
+// oversized stream is cut off with 413, keeping the whole lines and frames
+// before the cap and nothing of the entry it cuts. n <= 0 leaves bodies
+// unlimited.
 func WithMaxBodyBytes(n int64) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -361,30 +355,20 @@ type ingestStats struct {
 	Generation uint64 `json:"generation"`
 }
 
-// ingest drains one record stream into the live study — a record log with
-// ReadLog's semantics or, when binary is set, the batch framing via ReadBatches —
-// returning how many records were applied. On a malformed line or frame the
-// error is returned and everything already flushed stays applied — a live
-// collector keeps what it has seen. A merge-queue shed surfaces as
-// errIngestBusy with Records reporting only what actually reached the study,
-// so feeders can tell a cleanly shed stream (0 applied, safe to retry) from
-// a part-applied one.
-func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
+// ingest drains one record log (notary.ReadLog: lines, frames or both) into
+// the live study, returning how many records were applied. On a malformed
+// line or frame, or a read error, the error is returned and everything
+// already flushed stays applied — a live collector keeps what it has seen. A
+// merge-queue shed surfaces as errIngestBusy with Records reporting only what
+// actually reached the study, so feeders can tell a cleanly shed stream (0
+// applied, safe to retry) from a part-applied one.
+func (s *Server) ingest(r io.Reader) (ingestStats, error) {
 	ing := &shardIngester{shard: s.builders.Get().(*notary.ShardBuilder), every: s.flushEvery,
 		queue: s.queue, qs: &queueStream{shards: &s.shards}}
 	if s.logSink != nil {
 		ing.stage = s.stages.Get().(*stage)
 	}
-	var readErr error
-	if binary {
-		frames, _, err := notary.ReadBatches(r, ing)
-		s.binaryFrames.Add(frames)
-		s.binaryRecords.Add(uint64(ing.seen))
-		readErr = err
-	} else {
-		readErr = notary.ReadLog(r, ing)
-		s.tsvRecords.Add(uint64(ing.seen))
-	}
+	readErr := notary.ReadLog(r, ing)
 	flushErr := ing.Close() // leaves the builder empty
 	s.builders.Put(ing.shard)
 	if ing.stage != nil {
@@ -397,15 +381,8 @@ func (s *Server) ingest(r io.Reader, binary bool) (ingestStats, error) {
 	if err != nil {
 		return ingestStats{}, err
 	}
-	st := ingestStats{Records: ing.total, Generation: gen}
-	switch {
-	case readErr != nil:
-		return st, readErr
-	case flushErr != nil:
-		return st, flushErr
-	default:
-		return st, mergeErr
-	}
+	// The first failure is the stream's: reading, then flushing, then merging.
+	return ingestStats{Records: ing.total, Generation: gen}, cmp.Or(readErr, flushErr, mergeErr)
 }
 
 // shardIngester accumulates a stream into private shards of the study's, one
@@ -417,7 +394,6 @@ type shardIngester struct {
 	every int
 	since int
 	total int // records applied (or accepted into the queue)
-	seen  int // records observed, including any in a shed shard
 	// queue is the server's bounded merge queue; qs tracks the shards this
 	// stream enqueued on it.
 	queue *mergeQueue
@@ -435,7 +411,6 @@ func (si *shardIngester) Observe(r *notary.Record) error {
 	}
 	si.shard.Add(r)
 	si.total++
-	si.seen++
 	si.since++
 	if si.since >= si.every {
 		return si.send(nil)
@@ -554,33 +529,14 @@ func ingestErrorStatus(err error) int {
 	}
 }
 
-// bodyCapTracker remembers that the wrapped MaxBytesReader cut the stream
-// off. The log reader treats a read error like EOF, so the cap usually
-// surfaces as a parse failure on the torn final line — without the sticky
-// flag an oversized body would misreport as 400 instead of 413.
-type bodyCapTracker struct {
-	r   io.Reader
-	hit bool
-}
-
-func (b *bodyCapTracker) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		b.hit = true
+// body is the body of an ingest or merge request, capped at the
+// WithMaxBodyBytes limit when there is one: reading past it fails with an
+// *http.MaxBytesError, which both handlers answer with 413.
+func (s *Server) body(w http.ResponseWriter, r *http.Request) io.Reader {
+	if s.maxBody > 0 {
+		return http.MaxBytesReader(w, r.Body, s.maxBody)
 	}
-	return n, err
-}
-
-// isBatchContentType reports whether a Content-Type header selects the
-// binary batch framing. Parameters (";charset=..." etc.) are ignored and
-// the match is case-insensitive; everything else falls back to TSV so
-// pre-batch feeders keep working unchanged.
-func isBatchContentType(ct string) bool {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.EqualFold(strings.TrimSpace(ct), ContentTypeBatch)
+	return r.Body
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -591,19 +547,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseStream()
-	body := io.Reader(r.Body)
-	var capped *bodyCapTracker
-	if s.maxBody > 0 {
-		capped = &bodyCapTracker{r: http.MaxBytesReader(w, r.Body, s.maxBody)}
-		body = capped
-	}
-	st, err := s.ingest(body, isBatchContentType(r.Header.Get("Content-Type")))
+	st, err := s.ingest(s.body(w, r))
 	s.setGeneration(w)
 	if err != nil {
 		status := ingestErrorStatus(err)
-		if capped != nil && capped.hit {
-			status = http.StatusRequestEntityTooLarge
-			err = fmt.Errorf("request body exceeds the %d-byte ingest cap: %w", s.maxBody, err)
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			err = fmt.Errorf("request body exceeds the %d-byte ingest cap: %w", mbe.Limit, err)
 		}
 		if status == http.StatusTooManyRequests {
 			// A shed stream is retryable only when nothing was applied; the
@@ -762,13 +712,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.sem != nil {
 		health["max_in_flight"] = s.maxInFlight
 	}
-	// Wire-format gauges: how many records arrived per framing, and how many
-	// binary frames were decoded (records/frame tracks producer batch size).
-	health["ingest"] = map[string]any{
-		"binary_frames":  s.binaryFrames.Load(),
-		"binary_records": s.binaryRecords.Load(),
-		"tsv_records":    s.tsvRecords.Load(),
-	}
 	// Merge-queue gauges: depth/lag say how far merging trails parsing,
 	// shed_full how often saturation turned arrivals away.
 	health["ingest_queue"] = s.queue.stats()
@@ -825,20 +768,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // maxAcceptBackoff caps the retry delay after transient Accept errors.
 const maxAcceptBackoff = time.Second
 
-// tcpReaders recycles the buffered readers raw-TCP streams are read through.
-var tcpReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
-
-// ServeTCP accepts raw record streams on ln: each connection is one log
-// stream, ingested with the same semantics as POST /ingest; the server
-// replies with a single status line ("ok <records> <generation>",
-// "busy <retry-after-seconds>" when the in-flight limit or merge queue
-// sheds the stream before anything applied, or "error: ...") and closes the
-// connection. The first bytes of each connection are sniffed: the batch
-// magic selects the binary framing, anything else (including an empty
-// stream) is read as TSV — both formats share the port, TSV staying the
-// debug path one can drive with netcat. Transient Accept errors (EMFILE,
-// timeouts) are retried with capped exponential backoff instead of killing
-// the loop. It returns after the listener closes (Close does that).
+// ServeTCP accepts raw record streams on ln: each connection is one record
+// log, read by notary.ReadLog as a POST /ingest body is, straight off the
+// connection (through the idle deadline, when set) into the decoder's pooled
+// window; the server replies with a single status line ("ok <records>
+// <generation>", "busy <retry-after-seconds>" when the in-flight limit or
+// merge queue sheds the stream before anything applied, or "error: ...") and
+// closes the connection. Transient Accept errors (EMFILE, timeouts) are
+// retried with capped exponential backoff instead of killing the loop. It
+// returns after the listener closes (Close does that).
 func (s *Server) ServeTCP(ln net.Listener) error {
 	s.tcpMu.Lock()
 	s.tcpLns = append(s.tcpLns, ln)
@@ -879,43 +817,40 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 			continue
 		}
 		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			defer s.releaseStream()
-			defer conn.Close()
-			src := io.Reader(conn)
-			if s.idleTimeout > 0 {
-				src = &idleDeadlineReader{conn: conn, idle: s.idleTimeout}
-			}
-			br := tcpReaders.Get().(*bufio.Reader)
-			br.Reset(src)
-			defer func() {
-				br.Reset(nil)
-				tcpReaders.Put(br)
-			}()
-			// Sniff under the idle deadline too — a client that connects and
-			// never sends its first bytes must still time out.
-			st, err := s.ingest(br, notary.Sniff(br))
-			if err != nil {
-				// The client may still be mid-stream; stop reading without
-				// resetting the connection so the error line below survives
-				// long enough to be read (closing with unread inbound data
-				// would RST the queued reply away).
-				if tc, ok := conn.(*net.TCPConn); ok {
-					_ = tc.CloseRead()
-				}
-				if errors.Is(err, errIngestBusy) && st.Records == 0 {
-					// Cleanly shed: nothing applied, so the feeder may back
-					// off and replay the stream without duplicating records.
-					s.writeTCPReply(conn, fmt.Sprintf("busy %d\n", DefaultRetryAfter))
-					return
-				}
-				s.writeTCPReply(conn, fmt.Sprintf("error: %v\n", err))
-				return
-			}
-			s.writeTCPReply(conn, fmt.Sprintf("ok %d %d\n", st.Records, st.Generation))
-		}()
+		go s.serveConn(conn)
 	}
+}
+
+// serveConn ingests the record log one raw-TCP connection carries, answers
+// it with its status line and closes it, giving back the in-flight slot
+// ServeTCP took for it.
+func (s *Server) serveConn(conn net.Conn) {
+	defer s.connWG.Done()
+	defer s.releaseStream()
+	defer conn.Close()
+	src := io.Reader(conn)
+	if s.idleTimeout > 0 {
+		src = &idleDeadlineReader{conn: conn, idle: s.idleTimeout}
+	}
+	st, err := s.ingest(src)
+	if err != nil {
+		// The client may still be mid-stream; stop reading without resetting
+		// the connection so the error line below survives long enough to be
+		// read (closing with unread inbound data would RST the queued reply
+		// away).
+		if tc, ok := conn.(*net.TCPConn); ok {
+			_ = tc.CloseRead()
+		}
+		if errors.Is(err, errIngestBusy) && st.Records == 0 {
+			// Cleanly shed: nothing applied, so the feeder may back off and
+			// replay the stream without duplicating records.
+			s.writeTCPReply(conn, fmt.Sprintf("busy %d\n", DefaultRetryAfter))
+			return
+		}
+		s.writeTCPReply(conn, fmt.Sprintf("error: %v\n", err))
+		return
+	}
+	s.writeTCPReply(conn, fmt.Sprintf("ok %d %d\n", st.Records, st.Generation))
 }
 
 // writeTCPReply writes the status line under the idle deadline (when
