@@ -536,16 +536,18 @@ func BenchmarkScalarTLS13(b *testing.B) {
 
 // Ablation 1: wire-level simulation vs struct-level fast path. Like every
 // simulation ablation below it times what `tlstrend simulate` runs:
-// Simulator.Run into one classified aggregate.
+// Simulator.Run into one classified aggregate. Reports ns per record.
 func benchSimulate(b *testing.B, wireLevel bool) {
 	opts := simulate.DefaultOptions(100)
 	opts.End = timeline.M(2013, time.December)
 	opts.WireLevel = wireLevel
+	records := len(timeline.MonthsBetween(opts.Start, opts.End)) * opts.ConnectionsPerMonth
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(i + 1)
 		simulateClassified(b, opts)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
 
 func BenchmarkAblationSimWireLevel(b *testing.B)   { benchSimulate(b, true) }

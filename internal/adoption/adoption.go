@@ -20,6 +20,7 @@ package adoption
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tlsage/internal/timeline"
@@ -72,9 +73,11 @@ type Point struct {
 
 // Piecewise interpolates linearly between knots, holding the first and last
 // values outside the knot range. Construct with NewPiecewise, which sorts
-// and validates.
+// and validates the knots and numbers their days once (timeline's
+// DayNumber), so Value numbers one date and searches integers.
 type Piecewise struct {
 	points []Point
+	days   []int // days[i] is points[i].Date's day number, strictly ascending
 }
 
 // NewPiecewise builds a piecewise-linear curve from at least one knot.
@@ -82,15 +85,16 @@ func NewPiecewise(points ...Point) (*Piecewise, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("adoption: piecewise curve needs at least one point")
 	}
-	sorted := make([]Point, len(points))
-	copy(sorted, points)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Date.Before(sorted[j].Date) })
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].Date == sorted[i-1].Date {
-			return nil, fmt.Errorf("adoption: duplicate knot date %v", sorted[i].Date)
+	sorted := slices.Clone(points)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Date.DayNumber() < sorted[j].Date.DayNumber() })
+	days := make([]int, len(sorted))
+	for i, p := range sorted {
+		days[i] = p.Date.DayNumber()
+		if i > 0 && days[i] == days[i-1] {
+			return nil, fmt.Errorf("adoption: duplicate knot date %v", p.Date)
 		}
 	}
-	return &Piecewise{points: sorted}, nil
+	return &Piecewise{points: sorted, days: days}, nil
 }
 
 // MustPiecewise is NewPiecewise panicking on error, for static tables.
@@ -104,19 +108,21 @@ func MustPiecewise(points ...Point) *Piecewise {
 
 // Value implements Curve.
 func (p *Piecewise) Value(d timeline.Date) float64 {
-	pts := p.points
-	if d.Before(pts[0].Date) {
-		return clamp01(pts[0].Value)
+	x, days := d.DayNumber(), p.days
+	last := len(days) - 1
+	if x < days[0] {
+		return clamp01(p.points[0].Value)
 	}
-	last := pts[len(pts)-1]
-	if d.AtOrAfter(last.Date) {
-		return clamp01(last.Value)
+	if x >= days[last] {
+		return clamp01(p.points[last].Value)
 	}
-	// Invariant: pts[i].Date ≤ d < pts[i+1].Date for some i.
-	i := sort.Search(len(pts), func(i int) bool { return d.Before(pts[i].Date) }) - 1
-	a, b := pts[i], pts[i+1]
-	span := b.Date.DaysSince(a.Date)
-	frac := float64(d.DaysSince(a.Date)) / float64(span)
+	// Invariant: days[i] ≤ x < days[i+1] for the i found.
+	i, found := slices.BinarySearch(days, x)
+	if !found {
+		i--
+	}
+	a, b := p.points[i], p.points[i+1]
+	frac := float64(x-days[i]) / float64(days[i+1]-days[i])
 	return clamp01(a.Value + frac*(b.Value-a.Value))
 }
 

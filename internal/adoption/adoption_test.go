@@ -11,6 +11,12 @@ import (
 
 func d(y int, m time.Month, day int) timeline.Date { return timeline.D(y, m, day) }
 
+// plusDays is the calendar date n days after y-m-day.
+func plusDays(y int, m time.Month, day, n int) timeline.Date {
+	t := time.Date(y, m, day+n, 0, 0, 0, 0, time.UTC)
+	return timeline.D(t.Year(), t.Month(), t.Day())
+}
+
 func TestConstant(t *testing.T) {
 	if Constant(0.4).Value(d(2015, 1, 1)) != 0.4 {
 		t.Error("constant broken")
@@ -73,6 +79,15 @@ func TestPiecewiseValidation(t *testing.T) {
 	}
 }
 
+// Value numbers one date and searches the knots' day numbers in place.
+func TestPiecewiseValueAllocs(t *testing.T) {
+	p := MustPiecewise(Point{d(2012, 1, 1), 0.9}, Point{d(2014, 1, 1), 0.5}, Point{d(2016, 1, 1), 0.1})
+	probe := d(2015, 3, 14)
+	if got := testing.AllocsPerRun(100, func() { _ = p.Value(probe) }); got != 0 {
+		t.Errorf("Piecewise.Value: %v allocs/run, want 0", got)
+	}
+}
+
 func TestLogistic(t *testing.T) {
 	l := Logistic{Mid: d(2014, 6, 1), SlopeDays: 60, Floor: 0, Cei: 1}
 	if got := l.Value(d(2014, 6, 1)); math.Abs(got-0.5) > 1e-9 {
@@ -87,8 +102,7 @@ func TestLogistic(t *testing.T) {
 	// Monotone nondecreasing.
 	prev := -1.0
 	for day := 0; day < 1500; day += 30 {
-		tt := d(2012, 1, 1).Time().AddDate(0, 0, day)
-		v := l.Value(timeline.D(tt.Year(), tt.Month(), tt.Day()))
+		v := l.Value(plusDays(2012, 1, 1, day))
 		if v < prev {
 			t.Fatalf("logistic not monotone at day %d", day)
 		}
@@ -126,9 +140,7 @@ func TestCurvesBounded(t *testing.T) {
 		Decay{Start: d(2014, 1, 1), From: 0.9, To: 0.05, HalfLifeDays: 200},
 	}
 	f := func(dayOffset uint16) bool {
-		date := timeline.D(2012, time.January, 1)
-		tt := date.Time().AddDate(0, 0, int(dayOffset)%3000)
-		probe := timeline.D(tt.Year(), tt.Month(), tt.Day())
+		probe := plusDays(2012, time.January, 1, int(dayOffset)%3000)
 		for _, c := range curves {
 			v := c.Value(probe)
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -186,8 +198,7 @@ func TestVersionMixSumsToOne(t *testing.T) {
 		{"44", d(2016, 1, 26)},
 	}
 	f := func(dayOffset uint16) bool {
-		tt := timeline.D(2012, time.January, 1).Time().AddDate(0, 0, int(dayOffset)%2500)
-		probe := timeline.D(tt.Year(), tt.Month(), tt.Day())
+		probe := plusDays(2012, time.January, 1, int(dayOffset)%2500)
 		mix := VersionMix(releases, probe, BrowserLag)
 		if len(mix) != len(releases)+1 {
 			return false

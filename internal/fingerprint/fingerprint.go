@@ -9,7 +9,7 @@
 package fingerprint
 
 import (
-	"fmt"
+	"slices"
 	"strings"
 
 	"tlsage/internal/registry"
@@ -20,42 +20,42 @@ import (
 // stable across runs and usable as a map key and log token.
 type Fingerprint string
 
-// FromParts computes the fingerprint from the four Client Hello features.
-// All inputs are taken in wire order; GREASE values are stripped.
+// FromParts computes the fingerprint from the four Client Hello features,
+// all in wire order: "cs:" suites "|ext:" extensions "|grp:" curves "|pf:"
+// point formats, each value four lowercase hex digits, comma-separated.
+// GREASE values are skipped in place; a point format is one byte, never a
+// GREASE code point, so that list is written whole. The lists are written
+// into one buffer sized up front, which becomes the returned string: the
+// only allocation.
 func FromParts(suites []uint16, exts []registry.ExtensionID, curves []registry.CurveID, pfs []registry.ECPointFormat) Fingerprint {
 	var b strings.Builder
-	b.Grow(4*len(suites) + 4*len(exts) + 4*len(curves) + 2*len(pfs) + 16)
+	b.Grow(len("cs:|ext:|grp:|pf:") + 5*(len(suites)+len(exts)+len(curves)+len(pfs)))
 	b.WriteString("cs:")
-	writeHex16(&b, registry.StripGREASE16(suites))
+	writeHexList(&b, suites)
 	b.WriteString("|ext:")
-	extsClean := registry.StripGREASEExt(exts)
-	u := make([]uint16, len(extsClean))
-	for i, e := range extsClean {
-		u[i] = uint16(e)
-	}
-	writeHex16(&b, u)
+	writeHexList(&b, exts)
 	b.WriteString("|grp:")
-	curvesClean := registry.StripGREASECurves(curves)
-	u = u[:0]
-	for _, c := range curvesClean {
-		u = append(u, uint16(c))
-	}
-	writeHex16(&b, u)
+	writeHexList(&b, curves)
 	b.WriteString("|pf:")
-	u = u[:0]
-	for _, p := range pfs {
-		u = append(u, uint16(p))
-	}
-	writeHex16(&b, u)
+	writeHexList(&b, pfs)
 	return Fingerprint(b.String())
 }
 
-func writeHex16(b *strings.Builder, vals []uint16) {
-	for i, v := range vals {
-		if i > 0 {
+const hexDigits = "0123456789abcdef"
+
+// writeHexList writes the non-GREASE values of vals as %04x, comma-separated.
+func writeHexList[T ~uint16 | ~uint8](b *strings.Builder, vals []T) {
+	sep := false
+	for _, v := range vals {
+		u := uint16(v)
+		if registry.IsGREASE(u) {
+			continue
+		}
+		if sep {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(b, "%04x", v)
+		sep = true
+		b.Write([]byte{hexDigits[u>>12], hexDigits[u>>8&0xf], hexDigits[u>>4&0xf], hexDigits[u&0xf]})
 	}
 }
 
@@ -66,8 +66,8 @@ func FromClientHello(ch *wire.ClientHello) Fingerprint {
 
 // Usable reports whether a hello carries enough of the §4 feature set to be
 // fingerprinted meaningfully. The paper requires the fingerprinting fields
-// introduced into the Notary in February 2014; here the proxy is a non-empty
-// cipher list.
+// introduced into the Notary in February 2014; here the proxy is a cipher
+// list with at least one non-GREASE suite.
 func Usable(suites []uint16) bool {
-	return len(registry.StripGREASE16(suites)) > 0
+	return slices.ContainsFunc(suites, func(s uint16) bool { return !registry.IsGREASE(s) })
 }

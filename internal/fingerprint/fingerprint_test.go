@@ -1,8 +1,10 @@
 package fingerprint
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,6 +33,107 @@ func TestFromPartsStable(t *testing.T) {
 	c := FromParts([]uint16{0x002F, 0xC02F}, exts, curves, pfs)
 	if a == c {
 		t.Error("suite order should change the fingerprint")
+	}
+}
+
+// refFromParts is the fmt-based writer FromParts replaced: strip GREASE from
+// the suite, extension and curve lists into copies, then Fprintf each value
+// as %04x. The point formats were never stripped.
+func refFromParts(suites []uint16, exts []registry.ExtensionID, curves []registry.CurveID, pfs []registry.ECPointFormat) Fingerprint {
+	var b strings.Builder
+	list := func(prefix string, vals []uint16, strip bool) {
+		b.WriteString(prefix)
+		var kept []uint16
+		for _, v := range vals {
+			if !strip || !registry.IsGREASE(v) {
+				kept = append(kept, v)
+			}
+		}
+		for i, v := range kept {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%04x", v)
+		}
+	}
+	list("cs:", suites, true)
+	list("|ext:", widen(exts), true)
+	list("|grp:", widen(curves), true)
+	list("|pf:", widen(pfs), false)
+	return Fingerprint(b.String())
+}
+
+func widen[T ~uint16 | ~uint8](vals []T) []uint16 {
+	u := make([]uint16, len(vals))
+	for i, v := range vals {
+		u[i] = uint16(v)
+	}
+	return u
+}
+
+// FromParts writes what the fmt-based reference wrote, on random lists with
+// GREASE anywhere in each of the three stripped lists, on empty and all-GREASE
+// lists, and with every point-format byte.
+func TestFromPartsMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	grease := registry.GREASEValues()
+	draw := func() []uint16 {
+		vals := make([]uint16, rnd.Intn(12))
+		for i := range vals {
+			switch rnd.Intn(4) {
+			case 0:
+				vals[i] = grease[rnd.Intn(len(grease))]
+			case 1:
+				vals[i] = uint16(rnd.Intn(0x100)) // leading zero digits
+			default:
+				vals[i] = uint16(rnd.Intn(0x10000))
+			}
+		}
+		return vals
+	}
+	check := func(suites []uint16, exts []registry.ExtensionID, curves []registry.CurveID, pfs []registry.ECPointFormat) {
+		t.Helper()
+		if got, want := FromParts(suites, exts, curves, pfs), refFromParts(suites, exts, curves, pfs); got != want {
+			t.Fatalf("FromParts(%04x, %04x, %04x, %02x) =\n%s\nreference\n%s", suites, exts, curves, pfs, got, want)
+		}
+	}
+	check(nil, nil, nil, nil)
+	check(grease, []registry.ExtensionID{0x0a0a}, []registry.CurveID{0xfafa, 0x1a1a}, nil)
+	allPFs := make([]registry.ECPointFormat, 256)
+	for i := range allPFs {
+		allPFs[i] = registry.ECPointFormat(i)
+	}
+	check(nil, nil, nil, allPFs)
+	for trial := 0; trial < 5000; trial++ {
+		var exts []registry.ExtensionID
+		for _, v := range draw() {
+			exts = append(exts, registry.ExtensionID(v))
+		}
+		var curves []registry.CurveID
+		for _, v := range draw() {
+			curves = append(curves, registry.CurveID(v))
+		}
+		var pfs []registry.ECPointFormat
+		for _, v := range draw() {
+			pfs = append(pfs, registry.ECPointFormat(v))
+		}
+		check(draw(), exts, curves, pfs)
+	}
+}
+
+// A fingerprint costs one allocation, the returned string, with or without
+// GREASE in its lists.
+func TestFromPartsAllocs(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	for _, name := range []string{"Chrome", "Firefox"} {
+		p, _ := clientdb.ProfileByName(name)
+		hello := p.Releases[len(p.Releases)-1].Config.BuildHello(rnd, false)
+		exts, curves, pfs := hello.ExtensionIDs(), hello.SupportedGroups(), hello.ECPointFormats()
+		if got := testing.AllocsPerRun(100, func() {
+			_ = FromParts(hello.CipherSuites, exts, curves, pfs)
+		}); got != 1 {
+			t.Errorf("%s: FromParts %v allocs/run, want 1", name, got)
+		}
 	}
 }
 

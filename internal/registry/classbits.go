@@ -117,9 +117,9 @@ func (sc *SuiteScan) FirstIndex(c ClassBits) int {
 	return int(sc.first[bits.TrailingZeros16(uint16(c))])
 }
 
-// ScanSuitesNoGREASE characterises StripGREASE16(ids) in a single pass over
-// the dense class table, and returns the length of that stripped list with
-// it. GREASE code points are stepped over in place: no copy is made and
+// ScanSuitesNoGREASE characterises ids with its GREASE code points removed,
+// in a single pass over the dense class table, and returns the length of that
+// stripped list with it. GREASE code points are stepped over in place: no copy is made and
 // nothing is allocated. A GREASE code point has no class bits, so the GREASE
 // test only runs on the classless slots.
 func ScanSuitesNoGREASE(ids []uint16) (sc SuiteScan, n int) {

@@ -4,8 +4,8 @@ package registry
 // draft-ietf-tls-grease) reserves sixteen code points of the form 0xNANA that
 // Chrome-lineage clients inject into cipher-suite lists, extension lists,
 // named-group lists and version lists to keep servers tolerant of unknown
-// values. §4 of the paper strips GREASE values before fingerprinting; the
-// functions here implement that.
+// values. §4 of the paper strips GREASE values before fingerprinting; IsGREASE
+// is the test every list walk that does so applies in place.
 
 // IsGREASE reports whether v is one of the sixteen reserved GREASE code
 // points (0x0A0A, 0x1A1A, ... 0xFAFA).
@@ -19,70 +19,6 @@ func GREASEValues() []uint16 {
 	for i := 0; i < 16; i++ {
 		hi := uint16(i)<<4 | 0x0a
 		out = append(out, hi<<8|hi)
-	}
-	return out
-}
-
-// StripGREASE16 returns values with all GREASE code points removed. The
-// input slice is never modified; when no GREASE value is present the input
-// is returned as-is (no allocation).
-func StripGREASE16(values []uint16) []uint16 {
-	n := 0
-	for _, v := range values {
-		if IsGREASE(v) {
-			n++
-		}
-	}
-	if n == 0 {
-		return values
-	}
-	out := make([]uint16, 0, len(values)-n)
-	for _, v := range values {
-		if !IsGREASE(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// StripGREASEExt filters GREASE values from an extension-ID list with the
-// same no-copy fast path as StripGREASE16.
-func StripGREASEExt(values []ExtensionID) []ExtensionID {
-	n := 0
-	for _, v := range values {
-		if IsGREASE(uint16(v)) {
-			n++
-		}
-	}
-	if n == 0 {
-		return values
-	}
-	out := make([]ExtensionID, 0, len(values)-n)
-	for _, v := range values {
-		if !IsGREASE(uint16(v)) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// StripGREASECurves filters GREASE values from a curve list with the same
-// no-copy fast path as StripGREASE16.
-func StripGREASECurves(values []CurveID) []CurveID {
-	n := 0
-	for _, v := range values {
-		if IsGREASE(uint16(v)) {
-			n++
-		}
-	}
-	if n == 0 {
-		return values
-	}
-	out := make([]CurveID, 0, len(values)-n)
-	for _, v := range values {
-		if !IsGREASE(uint16(v)) {
-			out = append(out, v)
-		}
 	}
 	return out
 }

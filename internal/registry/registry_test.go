@@ -201,14 +201,6 @@ func TestStripGREASEProperty(t *testing.T) {
 	}
 }
 
-func TestStripGREASENoCopyFastPath(t *testing.T) {
-	in := []uint16{1, 2, 3}
-	out := StripGREASE16(in)
-	if &out[0] != &in[0] {
-		t.Error("StripGREASE16 should return input unchanged when no GREASE present")
-	}
-}
-
 func TestClassify(t *testing.T) {
 	ids := []uint16{
 		0xC02F,         // ECDHE-RSA-AES128-GCM (AEAD)

@@ -383,12 +383,13 @@ func (s *Simulator) buildHello(cfg *clientdb.Config, profileName string, rnd *ra
 	return &parsed, nil
 }
 
-// observe fills the record's client-side fields and fingerprint.
+// observe fills the record's client-side fields and fingerprints the lists
+// it has just copied out of the hello.
 func (s *Simulator) observe(rec *notary.Record, hello *wire.ClientHello) error {
 	rec.FromClientHello(hello)
 	rec.Fingerprint = ""
-	if !timeline.MonthOf(rec.Date).Before(s.opts.FingerprintFrom) && fingerprint.Usable(hello.CipherSuites) {
-		rec.Fingerprint = string(fingerprint.FromClientHello(hello))
+	if !timeline.MonthOf(rec.Date).Before(s.opts.FingerprintFrom) && fingerprint.Usable(rec.ClientSuites) {
+		rec.Fingerprint = string(fingerprint.FromParts(rec.ClientSuites, rec.ClientExtensions, rec.ClientCurves, rec.ClientPointFmts))
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ package timeline
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -22,11 +23,6 @@ func D(year int, month time.Month, day int) Date { return Date{year, month, day}
 // String renders the date as YYYY-MM-DD.
 func (d Date) String() string { return fmt.Sprintf("%04d-%02d-%02d", d.Year, d.Month, d.Day) }
 
-// Time converts to a time.Time at midnight UTC.
-func (d Date) Time() time.Time {
-	return time.Date(d.Year, d.Month, d.Day, 0, 0, 0, 0, time.UTC)
-}
-
 // Before reports whether d is strictly before other.
 func (d Date) Before(other Date) bool {
 	if d.Year != other.Year {
@@ -41,12 +37,41 @@ func (d Date) Before(other Date) bool {
 // After reports whether d is strictly after other.
 func (d Date) After(other Date) bool { return other.Before(d) }
 
-// AtOrAfter reports whether d is on or after other.
-func (d Date) AtOrAfter(other Date) bool { return !d.Before(other) }
+// DayNumber returns d's civil day number, the days from 1970-01-01 to d. A
+// month outside 1–12 carries into the year and a day outside its month into
+// the neighbouring months, as time.Date normalises them: 2015-02-31 is
+// 2015-03-03's number.
+func (d Date) DayNumber() int {
+	y, m := d.Year, int(d.Month)-1
+	y, m = y+m/12, m%12
+	if m < 0 {
+		y, m = y-1, m+12
+	}
+	// Count years from March (days-from-civil), so a leap day ends its year.
+	if m < 2 {
+		y, m = y-1, m+10
+	} else {
+		m -= 2
+	}
+	era := y / 400
+	if y < 0 {
+		era = (y - 399) / 400
+	}
+	yoe := y - era*400
+	return era*146097 + yoe*365 + yoe/4 - yoe/100 + (153*m+2)/5 + d.Day - 1 - 719468
+}
+
+// maxDays is the longest span a time.Duration holds, in whole days: 106,751
+// (about 292 years).
+const maxDays = int(math.MaxInt64 / int64(24*time.Hour))
 
 // DaysSince returns the (possibly negative) number of days from other to d.
+// It is exact integer arithmetic on the two day numbers, so it normalises an
+// out-of-range month or day as time.Date does, and it saturates at ±106,751
+// days as time.Duration does: for every pair it equals the time.Time formula
+// int(t(d).Sub(t(other)) / 24h) it replaced, without building either time.
 func (d Date) DaysSince(other Date) int {
-	return int(d.Time().Sub(other.Time()) / (24 * time.Hour))
+	return min(max(d.DayNumber()-other.DayNumber(), -maxDays), maxDays)
 }
 
 // Month identifies one calendar month, the aggregation granularity of every

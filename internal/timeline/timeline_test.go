@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,11 +13,87 @@ func TestDateOrdering(t *testing.T) {
 	if !a.Before(b) || b.Before(a) || !b.After(a) {
 		t.Error("date ordering broken")
 	}
-	if a.Before(a) || !a.AtOrAfter(a) {
+	if a.Before(a) || a.After(a) {
 		t.Error("date self-comparison broken")
 	}
 	if got := b.DaysSince(a); got != 190 {
 		t.Errorf("DaysSince = %d, want 190", got)
+	}
+	if got := D(1970, time.January, 1).DayNumber(); got != 0 {
+		t.Errorf("DayNumber(1970-01-01) = %d, want 0", got)
+	}
+}
+
+// refDaysSince is the time.Time formula DaysSince replaced: two time.Date
+// values, their Duration, whole days truncated toward zero.
+func refDaysSince(d, other Date) int {
+	t := func(d Date) time.Time { return time.Date(d.Year, d.Month, d.Day, 0, 0, 0, 0, time.UTC) }
+	return int(t(d).Sub(t(other)) / (24 * time.Hour))
+}
+
+// DaysSince equals the time.Time formula on calendar dates, on days past
+// their month's end (which a record decoder accepts and time.Date rolls
+// over), on months outside 1–12, and where the formula saturates because the
+// span overflows a time.Duration.
+func TestDaysSinceMatchesTimeFormula(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	check := func(d, o Date) {
+		t.Helper()
+		if got, want := d.DaysSince(o), refDaysSince(d, o); got != want {
+			t.Fatalf("%+v.DaysSince(%+v) = %d, time formula %d", d, o, got, want)
+		}
+	}
+	year := func() int { return 1 + rnd.Intn(9999) }
+	// near is a year less than 292 years from y, so a pair spanning it is
+	// exact, not saturated.
+	near := func(y int) int { return y - 290 + rnd.Intn(581) }
+	for y := 1; y <= 9999; y += 1 + rnd.Intn(7) {
+		for m := time.January; m <= time.December; m++ {
+			for day := 28; day <= 32; day++ {
+				d := D(y, m, day)
+				check(d, D(y, time.January, 1))
+				check(D(1970, time.January, 1), d)
+				check(d, D(near(y), time.Month(1+rnd.Intn(12)), 1+rnd.Intn(31)))
+			}
+		}
+	}
+	// Months and days anywhere time.Date normalises them, down to the years
+	// before year 1 that early months and days carry into.
+	for y := 1; y <= 3; y++ {
+		for m := time.Month(-40); m <= 15; m++ {
+			for day := -40; day <= 40; day += 3 {
+				check(D(y, m, day), D(1, time.January, 1))
+			}
+		}
+	}
+	wild := func(y int) Date { return D(y, time.Month(rnd.Intn(61)-30), rnd.Intn(101)-35) }
+	for i := 0; i < 20000; i++ {
+		d := wild(year())
+		o := wild(near(d.Year))
+		check(d, o)
+		check(o, d)
+	}
+	// Saturation: time.Duration spans about 292 years, so these pairs pin the
+	// formula's clamp at ±106,751 days, and the spans either side of it.
+	for i := 0; i < 20000; i++ {
+		y := 1 + rnd.Intn(9000)
+		d := D(y, time.Month(1+rnd.Intn(12)), 1+rnd.Intn(31))
+		o := D(y+285+rnd.Intn(700), time.Month(1+rnd.Intn(12)), 1+rnd.Intn(31))
+		check(d, o)
+		check(o, d)
+	}
+	edge := D(2000, time.January, 1)
+	for span := maxDays - 3; span <= maxDays+3; span++ {
+		check(D(2000, time.January, 1+span), edge)
+		check(edge, D(2000, time.January, 1+span))
+	}
+}
+
+// DaysSince and DayNumber are plain integer arithmetic.
+func TestDaysSinceAllocs(t *testing.T) {
+	a, b := D(2014, time.April, 7), D(2018, time.February, 31)
+	if got := testing.AllocsPerRun(100, func() { _ = b.DaysSince(a) + a.DayNumber() }); got != 0 {
+		t.Errorf("DaysSince: %v allocs/run, want 0", got)
 	}
 }
 
