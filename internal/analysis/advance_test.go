@@ -154,7 +154,15 @@ func TestAdvanceEqualsNewFrame(t *testing.T) {
 
 // fpRecord is a minimal record carrying fingerprint fp in month m.
 func fpRecord(m timeline.Month, fp string) *notary.Record {
-	return &notary.Record{Date: m.Mid(), Fingerprint: fp}
+	return withFingerprint(&notary.Record{Date: m.Mid()}, fp)
+}
+
+// withFingerprint points r at its hello under fingerprint fp, and returns r.
+func withFingerprint(r *notary.Record, fp string) *notary.Record {
+	h := notary.Hello{Suites: r.Suites(), Extensions: r.Extensions(), Curves: r.Curves(), PointFmts: r.PointFmts(),
+		SupportedVersions: r.SupportedVersions(), Fingerprint: fp, Truth: r.Truth()}
+	new(notary.HelloTable).Intern(r, &h)
+	return r
 }
 
 // TestAdvanceTopKBoundary walks fingerprints across the top-K cap by hand:
@@ -293,7 +301,7 @@ func TestAdvanceLeavesPredecessorAlone(t *testing.T) {
 	for step := 0; step < 40; step++ {
 		r := rest[rnd.Intn(len(rest))].Clone()
 		r.Date = recs[rnd.Intn(half)].Date
-		r.Fingerprint = fmt.Sprintf("%s|step%d", r.Fingerprint, step)
+		withFingerprint(r, fmt.Sprintf("%s|step%d", r.Fingerprint(), step))
 		agg.Add(r)
 		var ok bool
 		from := f

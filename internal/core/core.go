@@ -170,19 +170,22 @@ func (s *Study) Run(logWriter io.Writer) error {
 }
 
 // RunSinks is Run with additional record consumers: every simulated record
-// is delivered to the study's aggregate, the optional TSV log, and each
-// extra sink (in that order) — the attachment point for long-running
-// consumers. Every sink is closed on every exit path, including a failed
-// simulation, so attached consumers are always flushed and detached; a
-// simulation error takes precedence over close errors, and among close
-// errors the first wins.
+// is delivered to the study's aggregate — through a ShardBuilder, the fold
+// ingest uses — the optional TSV log, and each extra sink (in that order) —
+// the attachment point for long-running consumers. Every sink is closed on
+// every exit path, including a failed simulation, so attached consumers are
+// always flushed and detached; a simulation error takes precedence over close
+// errors, and among close errors the first wins.
 func (s *Study) RunSinks(logWriter io.Writer, extra ...notary.Sink) error {
 	sim := simulate.New(s.Options)
 	db := fingerprint.BuildDefault()
-	agg := notary.NewAggregate()
-	agg.SetClassifier(db)
+	built := notary.NewShardBuilder(func() *notary.Aggregate {
+		agg := notary.NewAggregate()
+		agg.SetClassifier(db)
+		return agg
+	})
 	sinks := make([]notary.Sink, 0, 2+len(extra))
-	sinks = append(sinks, agg)
+	sinks = append(sinks, built)
 	if logWriter != nil {
 		sinks = append(sinks, notary.NewLogWriter(logWriter))
 	}
@@ -196,7 +199,7 @@ func (s *Study) RunSinks(logWriter io.Writer, extra ...notary.Sink) error {
 	if closeErr != nil {
 		return closeErr
 	}
-	s.replaceAggregate(agg, db)
+	s.replaceAggregate(built.Flush(), db)
 	return nil
 }
 

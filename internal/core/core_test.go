@@ -675,12 +675,13 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			shard := notary.NewAggregate()
+			var hellos notary.HelloTable // one per producer: a table is not shared
 			for i := 0; i < perProducer; i++ {
 				rec := &notary.Record{
-					Date:         timeline.D(2012+i%3, time.Month(1+i%12), 1+i%27),
-					Established:  i%2 == 0,
-					ClientSuites: []uint16{0x002f},
+					Date:        timeline.D(2012+i%3, time.Month(1+i%12), 1+i%27),
+					Established: i%2 == 0,
 				}
+				hellos.Intern(rec, &notary.Hello{Suites: []uint16{0x002f}})
 				// Odd producers batch shardEvery records a merge, even
 				// producers merge record-at-a-time.
 				shard.Add(rec)

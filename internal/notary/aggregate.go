@@ -186,9 +186,9 @@ func (a *Aggregate) life(fp string, first, last timeline.Date) *fpLife {
 // Classifier returns the installed classifier, nil when attribution is off.
 func (a *Aggregate) Classifier() Classifier { return a.classifier }
 
-// Observe ingests one record, making *Aggregate a Sink. Add copies
-// everything it keeps (counters, strings, dates — never slices), so pooled
-// records may be reclaimed as soon as the call returns.
+// Observe ingests one record, making *Aggregate a Sink. Add keeps nothing of
+// the record itself, so its producer may refill it as soon as the call
+// returns.
 func (a *Aggregate) Observe(r *Record) error {
 	a.Add(r)
 	return nil
@@ -249,17 +249,9 @@ func (a *Aggregate) Reset() {
 // through the same three bodies.
 func (a *Aggregate) Add(r *Record) {
 	ms := a.month(timeline.MonthOf(r.Date))
-	// The offered side, as a shape: the one the record's decoder prepared
-	// when this hello's bytes were first seen, or one made here for a record
-	// that carries none.
-	sh := r.memoShape()
-	if sh == nil {
-		var exts [32]registry.ExtensionID // beyond any real hello; a longer list allocates
-		spot := shapeOf(r.ClientSuites, r.ClientExtensions, r.ClientSupportedVs, exts[:0])
-		sh = &spot
-	}
-	a.tally(ms, r, sh)
-	a.foldHello(ms, sh, r.Fingerprint, r.Date, r.Date, 1)
+	row := r.row()
+	a.tally(ms, r, &row.shape)
+	a.foldHello(ms, &row.shape, row.Fingerprint, r.Date, r.Date, 1)
 	if r.Established {
 		ms.foldSuite(r.Suite, 1)
 	}

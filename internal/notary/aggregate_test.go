@@ -15,12 +15,12 @@ import (
 // aggregate — Add allocates nothing, with or without GREASE in the hello.
 func TestAddAllocFree(t *testing.T) {
 	plain := sampleRecord()
-	grease := sampleRecord()
-	grease.ClientSuites = append([]uint16{0x0a0a}, grease.ClientSuites...)
-	grease.ClientSuites = append(grease.ClientSuites, 0xfafa)
-	grease.ClientExtensions = append([]registry.ExtensionID{0x2a2a}, grease.ClientExtensions...)
-	grease.ClientSupportedVs = append([]registry.Version{0x3a3a}, grease.ClientSupportedVs...)
-	grease.Fingerprint = "fp-grease"
+	grease := editHello(sampleRecord(), func(h *Hello) {
+		h.Suites = append(append([]uint16{0x0a0a}, h.Suites...), 0xfafa)
+		h.Extensions = append([]registry.ExtensionID{0x2a2a}, h.Extensions...)
+		h.SupportedVersions = append([]registry.Version{0x3a3a}, h.SupportedVersions...)
+		h.Fingerprint = "fp-grease"
+	})
 
 	for _, tc := range []struct {
 		name string
@@ -43,17 +43,16 @@ func TestAddAllocFree(t *testing.T) {
 // copy did: a hello with GREASE sprinkled through it aggregates like the
 // same hello without it.
 func TestAddIgnoresGREASEInPlace(t *testing.T) {
-	clean := &Record{
-		Date:              timeline.D(2017, time.March, 1),
-		ClientVersion:     registry.VersionTLS12,
-		ClientSuites:      []uint16{0xC02F, 0xC013, 0x0005, 0x000A},
-		ClientExtensions:  []registry.ExtensionID{registry.ExtServerName, registry.ExtALPN},
-		ClientSupportedVs: []registry.Version{registry.VersionTLS13Draft18},
-	}
-	greased := clean.Clone()
-	greased.ClientSuites = []uint16{0x0a0a, 0xC02F, 0x1a1a, 0xC013, 0x0005, 0xfafa, 0x000A, 0x2a2a}
-	greased.ClientExtensions = []registry.ExtensionID{0x4a4a, registry.ExtServerName, 0x5a5a, registry.ExtALPN}
-	greased.ClientSupportedVs = []registry.Version{0x6a6a, registry.VersionTLS13Draft18}
+	clean := withHello(&Record{Date: timeline.D(2017, time.March, 1), ClientVersion: registry.VersionTLS12}, Hello{
+		Suites:            []uint16{0xC02F, 0xC013, 0x0005, 0x000A},
+		Extensions:        []registry.ExtensionID{registry.ExtServerName, registry.ExtALPN},
+		SupportedVersions: []registry.Version{registry.VersionTLS13Draft18},
+	})
+	greased := withHello(clean.Clone(), Hello{
+		Suites:            []uint16{0x0a0a, 0xC02F, 0x1a1a, 0xC013, 0x0005, 0xfafa, 0x000A, 0x2a2a},
+		Extensions:        []registry.ExtensionID{0x4a4a, registry.ExtServerName, 0x5a5a, registry.ExtALPN},
+		SupportedVersions: []registry.Version{0x6a6a, registry.VersionTLS13Draft18},
+	})
 
 	want, got := NewAggregate(), NewAggregate()
 	want.Add(clean)
@@ -77,8 +76,7 @@ func TestAddIgnoresGREASEInPlace(t *testing.T) {
 // fingerprints the snapshot already held; records that arrived while no
 // classifier was set stay unattributed.
 func TestSetClassifierAfterDecode(t *testing.T) {
-	rec := sampleRecord()
-	rec.Fingerprint = "fp-known"
+	rec := editHello(sampleRecord(), func(h *Hello) { h.Fingerprint = "fp-known" })
 	src := NewAggregate()
 	src.Add(rec)
 	agg, err := DecodeSnapshot(EncodeSnapshot(nil, src))
@@ -114,12 +112,12 @@ func TestSetClassifierAfterDecode(t *testing.T) {
 // BenchmarkAggregateAdd is the ingest inner loop the service runs: records
 // are folded into a private shard, which is merged into the standing
 // aggregate every 4096 records (the default flush) or every 256 (a live
-// feeder's stream). The plain runs add records held in memory, which carry no
-// hello row, so Add makes each one's shape on the spot; the decoded runs read
-// the same records from a TLSB stream straight into the shard, so their time
-// is BenchmarkIngestBinary's decode plus an Add that folds the decoder's
-// rows; the built runs read that stream into a ShardBuilder, as the service
-// does, which folds each row once per flush.
+// feeder's stream). The plain runs add records held in memory, on the rows
+// of the table they were built through; the decoded runs read the same records from a TLSB
+// stream straight into the shard, so their time is BenchmarkIngestBinary's
+// decode plus an Add that folds the decoder's rows; the built runs read that
+// stream into a ShardBuilder, as the service does, which folds each row once
+// per flush.
 func BenchmarkAggregateAdd(b *testing.B) {
 	recs := benchIngestRecordSet()
 	stream := encodeBatch(recs)

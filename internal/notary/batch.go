@@ -164,6 +164,17 @@ func appendCodeList[T ~uint8 | ~uint16](dst []byte, vals []T) []byte {
 	return dst
 }
 
+// appendHelloSpan appends h as a record's hello span: the five lists, fp and
+// truth.
+func appendHelloSpan(dst []byte, h *Hello) []byte {
+	dst = appendCodeList(dst, h.Suites)
+	dst = appendCodeList(dst, h.Extensions)
+	dst = appendCodeList(dst, h.Curves)
+	dst = appendCodeList(dst, h.PointFmts)
+	dst = appendCodeList(dst, h.SupportedVersions)
+	return appendString(appendString(dst, h.Fingerprint), h.Truth)
+}
+
 // frameDict is one of a BatchWriter's two dictionaries, hellos or cohorts:
 // which entry of the frame being built stands for a value. It outlives the
 // frame — a slot is stamped with the frame that defined it last and stands
@@ -227,11 +238,10 @@ func (t *frameDict) put(dst []byte, s *dictSlot, body []byte, frame int) []byte 
 // across frames, so steady-state writing allocates nothing — the binary
 // counterpart of LogWriter.
 //
-// A record that still carries its decoder's hello row — what a collector's
-// streams pack for its log and what feed -binary -in transcodes — is not
-// spelled and hashed again: the writer remembers the slot it found for the
-// row. The slots, keyed by content, stay the authority on what a frame has
-// defined, because two decoder tables hand a writer two rows for one hello.
+// A record's hello row is spelled and hashed once: the writer remembers the
+// slot it found for the row. The slots, keyed by content, stay the authority
+// on what a frame has defined, because two tables hand a writer two rows for
+// one hello.
 type BatchWriter struct {
 	w     io.Writer
 	every int
@@ -242,7 +252,7 @@ type BatchWriter struct {
 
 	hellos, cohorts frameDict
 	out             []byte // reused frame assembly buffer
-	// rows holds, at a decoder row's slot, the slot in hellos of that row's
+	// rows holds, at a hello row's slot, the slot in hellos of that row's
 	// span as this format spells it; an entry is good for the row it names,
 	// and only while hellos.emptied is rowsAt.
 	rows   [maxHelloRows]rowSlot
@@ -265,37 +275,20 @@ func NewBatchWriter(w io.Writer, batchSize int) *BatchWriter {
 		cohorts: frameDict{slots: make(map[string]*dictSlot)}}
 }
 
-// intactRow returns the row r was decoded through while r's offered side is
-// still all of it the row's (memoShape, and the two strings), else nil.
-func (r *Record) intactRow() *helloRow {
-	if r.memoShape() == nil || r.Fingerprint != r.hello.fp || r.TruthClient != r.hello.truth {
-		return nil
-	}
-	return r.hello
-}
-
 // helloSlot returns the slot of r's hello span, or nil with the span left in
 // bw.value when it gets none.
 func (bw *BatchWriter) helloSlot(r *Record) *dictSlot {
-	row := r.intactRow()
-	if row != nil {
-		if bw.rowsAt != bw.hellos.emptied {
-			clear(bw.rows[:])
-			bw.rowsAt = bw.hellos.emptied
-		}
-		if memo := bw.rows[row.slot()]; memo.row == row {
-			return memo.slot
-		}
+	row := r.row()
+	if bw.rowsAt != bw.hellos.emptied {
+		clear(bw.rows[:])
+		bw.rowsAt = bw.hellos.emptied
 	}
-	v := appendCodeList(bw.value[:0], r.ClientSuites)
-	v = appendCodeList(v, r.ClientExtensions)
-	v = appendCodeList(v, r.ClientCurves)
-	v = appendCodeList(v, r.ClientPointFmts)
-	v = appendCodeList(v, r.ClientSupportedVs)
-	v = appendString(appendString(v, r.Fingerprint), r.TruthClient)
-	bw.value = v
-	s := bw.hellos.slot(v)
-	if s != nil && row != nil {
+	if memo := bw.rows[row.slot()]; memo.row == row {
+		return memo.slot
+	}
+	bw.value = appendHelloSpan(bw.value[:0], &row.Hello)
+	s := bw.hellos.slot(bw.value)
+	if s != nil {
 		// Should the lookup have emptied hellos, the next one clears rows.
 		bw.rows[row.slot()] = rowSlot{row, s}
 	}
@@ -515,11 +508,10 @@ func (d *snapDecoder) ref(defined int) int {
 // decodeRecordBinary decodes one packed record of a frame of the given version
 // into r through the decoder tables t. The five lists, fp and truth are the
 // record's hello span: a span t holds is stepped over, and one it does not is
-// read by the checked decoders into t's scratch lists and remembered once all
+// read by the checked decoders into t's scratch hello and made a row once all
 // of it decoded. A version-3 record may name an entry of its frame in place of
 // the span, or of the cohort, and a span or cohort it defines becomes one. It
-// assigns every field of r, whose lists are then t's — a row's or the scratch
-// — and read-only.
+// assigns every field of r and points it at its row.
 func decodeRecordBinary(d *snapDecoder, r *Record, t *decodeTables, version byte) {
 	flags, ok := decodeRecordHead(d, r)
 	if !ok {
@@ -546,27 +538,29 @@ func decodeRecordBinary(d *snapDecoder, r *Record, t *decodeTables, version byte
 		ref = d.ref(len(t.hellos))
 	}
 	if 0 < ref && ref <= len(t.hellos) {
-		r.setHello(t.hellos[ref-1])
+		r.hello = t.hellos[ref-1]
 	} else {
 		start := d.off
 		key := tlsbHelloSpan(d.b, start)
 		if row := t.rows[string(key)]; row != nil && d.err == nil {
-			r.setHello(row)
+			r.hello = row
 			d.off += len(key)
 		} else {
 			s := &t.scratch
-			s.suites = decodeCodeList(d, s.suites)
-			s.exts = decodeCodeList(d, s.exts)
-			s.curves = decodeCodeList(d, s.curves)
-			s.pfs = decodeCodeList(d, s.pfs)
-			s.svs = decodeCodeList(d, s.svs)
-			fp := t.str(d)
-			truth := t.str(d)
-			t.settle(r, d.b[start:d.off], fp, truth, d.err == nil)
+			s.Suites = decodeCodeList(d, s.Suites)
+			s.Extensions = decodeCodeList(d, s.Extensions)
+			s.Curves = decodeCodeList(d, s.Curves)
+			s.PointFmts = decodeCodeList(d, s.PointFmts)
+			s.SupportedVersions = decodeCodeList(d, s.SupportedVersions)
+			s.Fingerprint = t.str(d)
+			s.Truth = t.str(d)
+			if d.err == nil {
+				t.settle(r, d.b[start:d.off], s)
+			}
 		}
 		if ref != 0 && d.err == nil {
-			// What settle would not keep is not an entry either.
-			if r.hello == nil {
+			// What the table would not keep is not an entry either.
+			if d.off-start > maxHelloSpan {
 				d.fail("definition of %d bytes exceeds %d", d.off-start, maxHelloSpan)
 				return
 			}
@@ -595,9 +589,8 @@ func decodeRecordBinary(d *snapDecoder, r *Record, t *decodeTables, version byte
 // EOF at a frame boundary (including an empty stream) ends the stream
 // cleanly; a truncated, corrupted or version-mismatched frame surfaces as
 // *BatchError and stops the stream, like ReadLog's *LineError. Records are
-// decoded into a reused buffer whose lists are the decoder's own, shared
-// between records, so the Sink contract applies: the record is only valid for
-// the duration of Observe, and read-only. The sink is not closed. It returns
+// decoded into one reused Record, so the Sink contract applies: the record is
+// only valid for the duration of Observe. The sink is not closed. It returns
 // how many frames and records were delivered.
 func ReadBatches(r io.Reader, sink Sink) (frames, records uint64, err error) {
 	t := tlsbTables.Get().(*decodeTables)

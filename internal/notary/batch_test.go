@@ -19,10 +19,10 @@ import (
 // codec carries: curves, point formats, alerts, fallback, truth labels and
 // cohorts all get populated some of the time.
 func randomBatchRecord(rnd *rand.Rand, all []registry.Suite) *Record {
-	r := randomRecord(rnd, all)
+	r, h := randomParts(rnd, all)
 	if rnd.Intn(3) == 0 {
-		r.ClientCurves = []registry.CurveID{registry.CurveSecp256r1, registry.CurveID(rnd.Intn(30))}
-		r.ClientPointFmts = []registry.ECPointFormat{0}
+		h.Curves = []registry.CurveID{registry.CurveSecp256r1, registry.CurveID(rnd.Intn(30))}
+		h.PointFmts = []registry.ECPointFormat{0}
 	}
 	if !r.Established && rnd.Intn(2) == 0 {
 		r.AlertDesc = uint8(rnd.Intn(120))
@@ -31,12 +31,12 @@ func randomBatchRecord(rnd *rand.Rand, all []registry.Suite) *Record {
 		r.UsedFallback = true
 	}
 	if rnd.Intn(3) == 0 {
-		r.TruthClient = fmt.Sprintf("profile-%d", rnd.Intn(6))
+		h.Truth = fmt.Sprintf("profile-%d", rnd.Intn(6))
 	}
 	if rnd.Intn(3) == 0 {
 		r.ServerCohort = fmt.Sprintf("cohort-%d", rnd.Intn(3))
 	}
-	return r
+	return withHello(r, h)
 }
 
 func buildBatchRecords(seed int64, n int) []*Record {
@@ -50,8 +50,7 @@ func buildBatchRecords(seed int64, n int) []*Record {
 }
 
 // collectSink clones every record it sees (ReadBatches reuses one buffer),
-// after holding the row handle it arrives with to its lists: the handle is
-// only there to see during Observe, a clone carries none.
+// after holding its row to the row's lists.
 type collectSink struct{ recs []*Record }
 
 func (c *collectSink) Observe(r *Record) error {
@@ -91,9 +90,9 @@ func encodeFrames(recs []*Record, size int) []byte {
 func nullSink() Sink { return SinkFunc(func(*Record) error { return nil }) }
 
 // TestBatchRoundTrip is the codec's core property: reading back an encoded
-// batch yields records field-for-field equal to the originals (compared
-// through Clone, which normalizes empty-vs-nil slices), and an Aggregate
-// built from the decoded stream deep-equals one built from the originals.
+// batch yields records field-for-field equal to the originals, and an
+// Aggregate built from the decoded stream deep-equals one built from the
+// originals.
 func TestBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 500, 3000} {
 		recs := buildBatchRecords(int64(n)+1, n)
@@ -220,8 +219,7 @@ func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
 
 	// One record alone past the cap cannot be framed: the envelope refuses
 	// it when the frame is flushed, and nothing is written.
-	huge := recs[0].Clone()
-	huge.Fingerprint = strings.Repeat("f", int(batchFormat.MaxPayload))
+	huge := editHello(recs[0].Clone(), func(h *Hello) { h.Fingerprint = strings.Repeat("f", int(batchFormat.MaxPayload)) })
 	buf.Reset()
 	bw = NewBatchWriter(&buf, 10_000_000)
 	err = bw.Observe(huge)
@@ -235,15 +233,14 @@ func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
 
 // TestBatchWriterAllocsAreSteadyState: a writer's dictionaries outlive its
 // frames, so once they hold the stream's hellos and cohorts a record costs no
-// allocation, whether it defines an entry of its frame or names one — and
-// whether the writer finds its hello by content or by the decoder row the
-// record still carries.
+// allocation, whether it defines an entry of its frame or names one — on rows
+// a HelloTable made as on a decoder's, either way found by the row.
 func TestBatchWriterAllocsAreSteadyState(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's build allocates once per frame inside the envelope")
 	}
-	cloned := benchIngestRecordSet()
-	for name, recs := range map[string][]*Record{"by content": cloned, "by row": onRows(t, newDecodeTables(), cloned)} {
+	built := benchIngestRecordSet()
+	for name, recs := range map[string][]*Record{"built": built, "decoded": onRows(t, newDecodeTables(), built)} {
 		bw := NewBatchWriter(io.Discard, 64)
 		write := func() {
 			for _, r := range recs {
@@ -256,24 +253,19 @@ func TestBatchWriterAllocsAreSteadyState(t *testing.T) {
 		if got := testing.AllocsPerRun(5, write); got != 0 {
 			t.Errorf("%s: a warm writer allocates %v times per %d records, want 0", name, got, len(recs))
 		}
-		if byRow := usedRows(bw) > 0; byRow != (name == "by row") {
-			t.Errorf("%s: the writer remembers %d rows", name, usedRows(bw))
+		if usedRows(bw) == 0 {
+			t.Errorf("%s: vacuous: the writer remembers no row", name)
 		}
 	}
 }
 
-// onRows returns recs as a decoder hands them to a sink — each still on the
-// hello row of tab it was decoded through — by way of a frame stream. The
-// copies share the rows' lists, which is what a row is for.
+// onRows returns recs as a decoder hands them to a sink — each on the hello
+// row of tab it was decoded through — by way of a frame stream.
 func onRows(t *testing.T, tab *decodeTables, recs []*Record) []*Record {
 	t.Helper()
 	var out []*Record
 	_, _, err := readBatches(bytes.NewReader(encodeFrames(recs, DefaultBatchSize)), SinkFunc(func(r *Record) error {
-		if r.intactRow() == nil {
-			t.Fatalf("record %d arrived without a row", len(out))
-		}
-		keep := *r
-		out = append(out, &keep)
+		out = append(out, r.Clone())
 		return nil
 	}), tab)
 	if err != nil || len(out) != len(recs) {
@@ -293,33 +285,37 @@ func usedRows(bw *BatchWriter) int {
 	return n
 }
 
+// rowCopy returns a copy of r on a copy of its row: the same hello, on a row
+// no other record has, so a writer can find it by content only.
+func rowCopy(r *Record) *Record {
+	row := *r.row()
+	cp := r.Clone()
+	cp.hello = &row
+	return cp
+}
+
 // The writer's row memo is a shortcut to the content-keyed dictionary, never a
-// second opinion: a stream of records on decoder rows is framed byte for byte
-// as the stream of their clones, which carry no row, is — across frames,
-// across a dictionary filled past its cap and emptied, when the dictionary is
-// emptied under rows the memo still holds (a record's second appearance then
-// shares its frame with a clone, and must share its definition), for records
-// whose fingerprint a sink rewrote under a row others still use, and for rows
-// of two tables whose ordinals collide, so each takes the other's memo slot.
+// second opinion: a stream of records on shared rows is framed byte for byte
+// as the stream of their row copies (rowCopy) is — across frames, across a
+// dictionary filled past its cap and emptied, when the dictionary is emptied
+// under rows the memo still holds (a record's second appearance then shares
+// its frame with a row copy, and must share its definition), and for rows of
+// two tables whose ordinals collide, so each takes the other's memo slot.
 func TestRowKeyedWriterMatchesContentKeyed(t *testing.T) {
-	rewritten := onRows(t, newDecodeTables(), benchIngestRecordSet()[:600])
-	for i, r := range rewritten {
-		if i%3 == 0 {
-			r.Fingerprint += "'" // no longer the row's: the memo must not be used
-		}
-	}
 	// Spans of ≈ 3 KiB fill the dictionary's byte bound with some 700 of
 	// them, long before the memo's row bound.
 	wide := distinctHellos(900)
 	for _, r := range wide {
-		for len(r.ClientSuites) < 1400 {
-			r.ClientSuites = append(r.ClientSuites, uint16(0x1000+len(r.ClientSuites)))
-		}
+		editHello(r, func(h *Hello) {
+			for len(h.Suites) < 1400 {
+				h.Suites = append(h.Suites, uint16(0x1000+len(h.Suites)))
+			}
+		})
 	}
 	wide = onRows(t, newDecodeTables(), wide)
 	emptied := wide
 	for _, r := range wide[:50] {
-		emptied = append(emptied, r, r.Clone())
+		emptied = append(emptied, r, rowCopy(r))
 	}
 	hellos := distinctHellos(400)
 	mine, theirs := onRows(t, newDecodeTables(), hellos[:200]), onRows(t, newDecodeTables(), hellos[200:])
@@ -338,14 +334,13 @@ func TestRowKeyedWriterMatchesContentKeyed(t *testing.T) {
 		"past the dictionary's cap":         {onRows(t, newDecodeTables(), append(distinctHellos(maxHelloRows+300), distinctHellos(500)...)), 700},
 		"one frame past its cap":            {onRows(t, newDecodeTables(), distinctHellos(maxHelloRows+50)), maxHelloRows + 50},
 		"the dictionary emptied under rows": {emptied, 2000},
-		"rewritten under the row":           {rewritten, 16},
 		"rows whose ordinals collide":       {colliding, 90},
 	} {
 		var byRow, byContent bytes.Buffer
 		rw, cw := NewBatchWriter(&byRow, c.size), NewBatchWriter(&byContent, c.size)
 		remembered := 0
 		for _, r := range c.recs {
-			if err := errors.Join(rw.Observe(r), cw.Observe(r.Clone())); err != nil {
+			if err := errors.Join(rw.Observe(r), cw.Observe(rowCopy(r))); err != nil {
 				t.Fatal(err)
 			}
 			remembered = max(remembered, usedRows(rw))
@@ -353,8 +348,8 @@ func TestRowKeyedWriterMatchesContentKeyed(t *testing.T) {
 		if err := errors.Join(rw.Close(), cw.Close()); err != nil {
 			t.Fatal(err)
 		}
-		if remembered == 0 || usedRows(cw) != 0 {
-			t.Fatalf("%s: vacuous: the row-keyed writer remembered %d rows, the content-keyed one %d", name, remembered, usedRows(cw))
+		if remembered == 0 {
+			t.Fatalf("%s: vacuous: the row-keyed writer remembered no row", name)
 		}
 		if name == "the dictionary emptied under rows" && (rw.hellos.emptied == 0 || remembered >= maxHelloRows) {
 			t.Fatalf("%s: vacuous: the dictionary was emptied %d times, the memo reached %d rows", name, rw.hellos.emptied, remembered)
@@ -406,7 +401,7 @@ func TestTwoTablesOneDefinitionPerHello(t *testing.T) {
 			endOfFrame()
 		}
 		defined = len(tab.hellos)
-		distinct[string(appendHelloSpan(nil, r))] = true
+		distinct[string(appendHelloSpan(nil, &r.row().Hello))] = true
 		return nil
 	}), tab)
 	endOfFrame()

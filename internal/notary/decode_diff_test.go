@@ -26,18 +26,11 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkHandle holds a record that carries a table row to what the handle
-// promises: the lists, fp and truth are the row's, and the row's shape is the
-// one shapeOf makes of those lists (extensions sorted).
+// checkHandle holds a record's row to what a row promises: its shape is the
+// one shapeOf makes of its lists (extensions sorted).
 func checkHandle(r *Record) error {
-	row := r.hello
-	if row == nil {
-		return nil
-	}
-	if r.memoShape() == nil || r.Fingerprint != row.fp || r.TruthClient != row.truth {
-		return fmt.Errorf("record %+v is not on its row %+v", r, row)
-	}
-	want := shapeOf(r.ClientSuites, r.ClientExtensions, r.ClientSupportedVs, nil)
+	row := r.row()
+	want := shapeOf(row.Suites, row.Extensions, row.SupportedVersions, nil)
 	slices.Sort(want.exts)
 	got := row.shape
 	if !slices.Equal(got.exts, want.exts) {
@@ -50,9 +43,10 @@ func checkHandle(r *Record) error {
 	return nil
 }
 
-// sameRecord reports whether a and b say the same thing: every field but the
-// row handle, which names the decoder table a record came through and is
-// held to the lists by checkHandle instead.
+// sameRecord reports whether a and b say the same thing: every field, and
+// the hello of their rows, which name the table a record came through and
+// are held to their lists by checkHandle. A row holds an empty list as nil,
+// whoever made it.
 func sameRecord(t testing.TB, a, b *Record) bool {
 	t.Helper()
 	x, y := *a, *b
@@ -60,8 +54,11 @@ func sameRecord(t testing.TB, a, b *Record) bool {
 		if err := checkHandle(r); err != nil {
 			t.Error(err)
 		}
-		r.hello = nil
 	}
+	if !reflect.DeepEqual(x.row().Hello, y.row().Hello) {
+		return false
+	}
+	x.hello, y.hello = nil, nil
 	return reflect.DeepEqual(&x, &y)
 }
 
@@ -154,7 +151,7 @@ func diffReadBatches(t *testing.T, data []byte) {
 			// Where the predecessor got through the record, it shows the string.
 			if on > wn {
 				bad := old.recs[wn]
-				if loggable([]byte(bad.Fingerprint)) && loggable([]byte(bad.TruthClient)) && loggable([]byte(bad.ServerCohort)) {
+				if loggable([]byte(bad.Fingerprint())) && loggable([]byte(bad.Truth())) && loggable([]byte(bad.ServerCohort)) {
 					t.Fatalf("record %d refused for its strings, but all three can be logged: %+v", wn, bad)
 				}
 			}
@@ -170,7 +167,7 @@ func diffReadBatches(t *testing.T, data []byte) {
 }
 
 func longestList(r *Record) int {
-	return max(len(r.ClientSuites), len(r.ClientExtensions), len(r.ClientCurves), len(r.ClientPointFmts), len(r.ClientSupportedVs))
+	return max(len(r.Suites()), len(r.Extensions()), len(r.Curves()), len(r.PointFmts()), len(r.SupportedVersions()))
 }
 
 // diffReadLog is diffReadBatches for the log readers — lines, frames and the
@@ -249,12 +246,13 @@ func appendRecordSpelled(dst []byte, r *Record, uv func([]byte, uint64) []byte) 
 	dst = uv(uv(uv(dst, uint64(r.Date.Year)), uint64(r.Date.Month)), uint64(r.Date.Day))
 	dst = uv(uv(uv(uv(dst, uint64(r.ClientVersion)), uint64(r.Version)), uint64(r.Suite)), uint64(r.Curve))
 	dst = append(dst, r.AlertDesc)
-	dst = list(dst, len(r.ClientSuites), func(i int) uint64 { return uint64(r.ClientSuites[i]) })
-	dst = list(dst, len(r.ClientExtensions), func(i int) uint64 { return uint64(r.ClientExtensions[i]) })
-	dst = list(dst, len(r.ClientCurves), func(i int) uint64 { return uint64(r.ClientCurves[i]) })
-	dst = list(dst, len(r.ClientPointFmts), func(i int) uint64 { return uint64(r.ClientPointFmts[i]) })
-	dst = list(dst, len(r.ClientSupportedVs), func(i int) uint64 { return uint64(r.ClientSupportedVs[i]) })
-	return str(str(str(dst, r.Fingerprint), r.TruthClient), r.ServerCohort)
+	h := r.row()
+	dst = list(dst, len(h.Suites), func(i int) uint64 { return uint64(h.Suites[i]) })
+	dst = list(dst, len(h.Extensions), func(i int) uint64 { return uint64(h.Extensions[i]) })
+	dst = list(dst, len(h.Curves), func(i int) uint64 { return uint64(h.Curves[i]) })
+	dst = list(dst, len(h.PointFmts), func(i int) uint64 { return uint64(h.PointFmts[i]) })
+	dst = list(dst, len(h.SupportedVersions), func(i int) uint64 { return uint64(h.SupportedVersions[i]) })
+	return str(str(str(dst, h.Fingerprint), h.Truth), r.ServerCohort)
 }
 
 // paddedUvarint writes v as a varint of at least width bytes: legal to
@@ -322,7 +320,7 @@ func tlsbSeeds() map[string][]byte {
 	// A payload that ends inside, or just after, each of the last bytes of a
 	// record: lists ending one and two bytes before the payload's end, string
 	// lengths with nothing behind them.
-	short := &Record{Date: one.Date, ClientSuites: []uint16{0xc02f, 5}, ClientSupportedVs: []registry.Version{0x0303}}
+	short := withHello(&Record{Date: one.Date}, Hello{Suites: []uint16{0xc02f, 5}, SupportedVersions: []registry.Version{0x0303}})
 	whole := appendRecordBinary(binary.AppendUvarint(nil, 1), short)
 	for cut := 1; cut <= 12 && cut < len(whole); cut++ {
 		seeds[fmt.Sprintf("payload cut %d bytes short", cut)] = reframe(2, whole[:len(whole)-cut])
@@ -330,19 +328,18 @@ func tlsbSeeds() map[string][]byte {
 	// Strings the TSV log cannot carry.
 	for _, s := range []string{"a\tb", "a\nb", "a\rb", "\r", "-", "--", " - "} {
 		for field := 0; field < 3; field++ {
-			r := one.Clone()
-			*[]*string{&r.Fingerprint, &r.TruthClient, &r.ServerCohort}[field] = s
+			r := withString(one.Clone(), field, s)
 			seeds[fmt.Sprintf("string %q in field %d", s, field)] = encodeBatch([]*Record{recs[0], r, recs[1]})
 		}
 	}
 	// Streams that try the hello table: every one repeats its hellos, so the
 	// later records are table hits — or must not be.
-	a, b := helloPair(func(r *Record) { r.ClientSuites = []uint16{0xc02f, 0x0005, 0x000a} })
+	a, b := helloPair(func(h *Hello) { h.Suites = []uint16{0xc02f, 0x0005, 0x000a} })
 	seeds["one fingerprint over two lists"] = encodeBatch([]*Record{a, b, a, b, b, a})
-	a, b = helloPair(func(r *Record) { r.ClientSuites[0] = 0x1a1a })
-	a.ClientSuites[0] = 0x0a0a
+	a, b = helloPair(func(h *Hello) { h.Suites[0] = 0x1a1a })
+	editHello(a, func(h *Hello) { h.Suites[0] = 0x0a0a })
 	seeds["lists differing only in a GREASE value"] = encodeBatch([]*Record{a, b, a, b, b, a})
-	a, b = helloPair(func(r *Record) { r.TruthClient = "Firefox" })
+	a, b = helloPair(func(h *Hello) { h.Truth = "Firefox" })
 	seeds["one hello under two truth labels"] = encodeBatch([]*Record{a, b, a, b})
 	spellings := binary.AppendUvarint(nil, 6)
 	for i := 0; i < 6; i++ {
@@ -350,10 +347,10 @@ func tlsbSeeds() map[string][]byte {
 	}
 	seeds["one hello spelled three ways"] = reframe(2, spellings)
 	twice := appendRecordBinary(appendRecordBinary(binary.AppendUvarint(nil, 2), one), one)
-	for cut := 1; cut <= len(one.Fingerprint)+len(one.TruthClient)+len(one.ServerCohort)+6; cut++ {
+	for cut := 1; cut <= len(one.Fingerprint())+len(one.Truth())+len(one.ServerCohort)+6; cut++ {
 		seeds[fmt.Sprintf("a known hello cut %d bytes short", cut)] = reframe(2, twice[:len(twice)-cut])
 	}
-	bare := &Record{Date: one.Date, ClientSuites: []uint16{5}}
+	bare := withHello(&Record{Date: one.Date}, Hello{Suites: []uint16{5}})
 	seeds["a hello that ends its payload"] = encodeBatch([]*Record{bare, one, bare, bare})
 	// Every seed above that a BatchWriter framed is version 3; the hand-spelled
 	// ones are version 2. The same records the other way round, and together.
@@ -372,7 +369,7 @@ func tlsbSeeds() map[string][]byte {
 func appendRecordV3(dst []byte, r *Record, uv func([]byte, uint64) []byte, helloRef uint64, hello bool, cohortRef uint64, cohort bool) []byte {
 	dst = uv(appendRecordHead(dst, r), helloRef)
 	if hello {
-		dst = appendHelloSpan(dst, r)
+		dst = appendHelloSpan(dst, &r.row().Hello)
 	}
 	dst = uv(dst, cohortRef)
 	if cohort {
@@ -391,7 +388,8 @@ func v3Frame(recs ...[]byte) []byte {
 // entries that must outlive the decoder table's.
 func v3Seeds() map[string][]byte {
 	a, b := sampleRecord(), sampleRecord()
-	b.ClientSuites, b.ServerCohort = []uint16{0xc02f, 0x0005}, "legacy-rsa"
+	editHello(b, func(h *Hello) { h.Suites = []uint16{0xc02f, 0x0005} })
+	b.ServerCohort = "legacy-rsa"
 	uv := binary.AppendUvarint
 	def := func(r *Record, hello, cohort uint64) []byte {
 		return appendRecordV3(nil, r, uv, hello, true, cohort, true)
@@ -423,7 +421,7 @@ func v3Seeds() map[string][]byte {
 	// A definition above maxHelloSpan bytes is refused; the same value sent as
 	// 0, which is what a writer does with it, is read every time and never kept.
 	long, wide := sampleRecord(), sampleRecord()
-	long.Fingerprint = strings.Repeat("f", maxHelloSpan+1)
+	editHello(long, func(h *Hello) { h.Fingerprint = strings.Repeat("f", maxHelloSpan+1) })
 	wide.ServerCohort = strings.Repeat("c", maxHelloSpan+1)
 	seeds["v3: a hello definition past the span bound"] = v3Frame(def(a, 1, 1), appendRecordV3(nil, long, uv, 2, true, 1, false))
 	seeds["v3: the same hello sent as 0"] = v3Frame(def(a, 1, 1), appendRecordV3(nil, long, uv, 0, true, 1, false),
@@ -461,20 +459,34 @@ func v3Seeds() map[string][]byte {
 	return seeds
 }
 
-// helloPair returns two copies of the sample record, the second changed by
-// edit: one fingerprint string, one everything else, over whatever differs.
-func helloPair(edit func(*Record)) (a, b *Record) {
-	a, b = sampleRecord(), sampleRecord()
-	a.ClientSuites = append([]uint16{0x2a2a}, a.ClientSuites...)
-	b.ClientSuites = append([]uint16{0x2a2a}, b.ClientSuites...)
-	edit(b)
+// helloPair returns two copies of the sample record, the second's hello
+// changed by edit: one fingerprint string, one everything else, over whatever
+// differs.
+func helloPair(edit func(*Hello)) (a, b *Record) {
+	grease := func(h *Hello) { h.Suites = append([]uint16{0x2a2a}, h.Suites...) }
+	a = editHello(sampleRecord(), grease)
+	b = editHello(sampleRecord(), func(h *Hello) { grease(h); edit(h) })
 	return a, b
+}
+
+// withString sets r's field-th record string — fp, truth, cohort — to s, and
+// returns r.
+func withString(r *Record, field int, s string) *Record {
+	switch field {
+	case 0:
+		editHello(r, func(h *Hello) { h.Fingerprint = s })
+	case 1:
+		editHello(r, func(h *Hello) { h.Truth = s })
+	default:
+		r.ServerCohort = s
+	}
+	return r
 }
 
 // listElementOrdinal is the 1-based position, among the varints
 // appendRecordSpelled writes for r, of the first element of its list-th list.
 func listElementOrdinal(r *Record, list int) int {
-	lens := []int{len(r.ClientSuites), len(r.ClientExtensions), len(r.ClientCurves), len(r.ClientPointFmts), len(r.ClientSupportedVs)}
+	lens := []int{len(r.Suites()), len(r.Extensions()), len(r.Curves()), len(r.PointFmts()), len(r.SupportedVersions())}
 	n := 3 + 4 // date, scalars
 	for i := 0; i < list; i++ {
 		n += 1 + lens[i]
@@ -620,8 +632,7 @@ func TestTLSBRefusesStringsTheLogCannotCarry(t *testing.T) {
 	good := buildBatchRecords(29, 2)
 	for field, name := range []string{"fp", "truth", "cohort"} {
 		for _, s := range []string{"a\tb", "a\nb", "a\rb", "-"} {
-			r := sampleRecord()
-			*[]*string{&r.Fingerprint, &r.TruthClient, &r.ServerCohort}[field] = s
+			r := withString(sampleRecord(), field, s)
 			var log bytes.Buffer
 			lw := NewLogWriter(&log)
 			_, n, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{good[0], r, good[1]})), lw)
@@ -659,7 +670,9 @@ func TestAcceptedTLSBSurvivesTheTSVTee(t *testing.T) {
 	accepted, refused := 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		r := base[rnd.Intn(len(base))].Clone()
-		r.Fingerprint, r.TruthClient, r.ServerCohort = text(), text(), text()
+		fp, truth := text(), text()
+		editHello(r, func(h *Hello) { h.Fingerprint, h.Truth = fp, truth })
+		r.ServerCohort = text()
 		var log bytes.Buffer
 		var took collectSink
 		lw := NewLogWriter(&log)
@@ -673,9 +686,9 @@ func TestAcceptedTLSBSurvivesTheTSVTee(t *testing.T) {
 		}
 		var back collectSink
 		if err := ReadLog(&log, &back); err != nil {
-			t.Fatalf("accepted %q/%q/%q, but the teed log does not replay: %v", r.Fingerprint, r.TruthClient, r.ServerCohort, err)
+			t.Fatalf("accepted %q/%q/%q, but the teed log does not replay: %v", fp, truth, r.ServerCohort, err)
 		}
-		requireSameRecords(t, fmt.Sprintf("tee of %q/%q/%q", r.Fingerprint, r.TruthClient, r.ServerCohort), back.recs, took.recs)
+		requireSameRecords(t, fmt.Sprintf("tee of %q/%q/%q", fp, truth, r.ServerCohort), back.recs, took.recs)
 	}
 	if accepted < 300 || refused < 300 {
 		t.Fatalf("vacuous: %d inputs accepted, %d refused", accepted, refused)
@@ -695,7 +708,7 @@ func TestPointFormatsAreBoundedInBothFormats(t *testing.T) {
 	line[14] = "0000,00ff"
 	var got collectSink
 	if err := ReadLog(strings.NewReader(strings.Join(line, "\t")), &got); err != nil ||
-		!reflect.DeepEqual(got.recs[0].ClientPointFmts, []registry.ECPointFormat{0, 255}) {
+		!reflect.DeepEqual(got.recs[0].PointFmts(), []registry.ECPointFormat{0, 255}) {
 		t.Errorf("TSV client_pfs 0000,00ff: %v, err %v", got.recs, err)
 	}
 

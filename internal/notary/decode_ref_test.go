@@ -149,9 +149,9 @@ func refDecodeCodeList[T ~uint8 | ~uint16](d *snapDecoder, dst []T, max uint64, 
 }
 
 // refEntries is what a version-3 frame has defined so far, as the reference
-// keeps it: copies of the values, looked up by position and nothing else.
+// keeps it: the values, looked up by position and nothing else.
 type refEntries struct {
-	hellos  []*Record // the five lists, fp and truth of each defined hello
+	hellos  []Hello
 	cohorts []string
 }
 
@@ -172,8 +172,10 @@ func refRef(d *snapDecoder, defined int) int {
 	return int(v)
 }
 
-func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rules refRules, version byte, e *refEntries) {
-	r.Reset()
+// refDecodeRecordBinary decodes one record into r, its hello into h, whose
+// lists it allocates afresh.
+func refDecodeRecordBinary(d *snapDecoder, r *Record, h *Hello, in map[string]string, rules refRules, version byte, e *refEntries) {
+	*r = Record{}
 	flags := refByte(d)
 	if d.err == nil && flags&^byte(batchFlagMask) != 0 {
 		d.fail("unknown record flag bits %#x", flags)
@@ -196,25 +198,22 @@ func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rule
 		ref = refRef(d, len(e.hellos))
 	}
 	if ref >= 1 && ref <= len(e.hellos) {
-		h := e.hellos[ref-1].Clone()
-		r.ClientSuites, r.ClientExtensions, r.ClientCurves = h.ClientSuites, h.ClientExtensions, h.ClientCurves
-		r.ClientPointFmts, r.ClientSupportedVs = h.ClientPointFmts, h.ClientSupportedVs
-		r.Fingerprint, r.TruthClient = h.Fingerprint, h.TruthClient
+		*h = e.hellos[ref-1]
 	} else {
 		start := d.off
-		r.ClientSuites = refDecodeCodeList(d, r.ClientSuites, math.MaxUint16, rules)
-		r.ClientExtensions = refDecodeCodeList(d, r.ClientExtensions, math.MaxUint16, rules)
-		r.ClientCurves = refDecodeCodeList(d, r.ClientCurves, math.MaxUint16, rules)
-		r.ClientPointFmts = refDecodeCodeList(d, r.ClientPointFmts, math.MaxUint8, rules)
-		r.ClientSupportedVs = refDecodeCodeList(d, r.ClientSupportedVs, math.MaxUint16, rules)
-		r.Fingerprint = refStr(d, in, rules)
-		r.TruthClient = refStr(d, in, rules)
+		h.Suites = refDecodeCodeList[uint16](d, nil, math.MaxUint16, rules)
+		h.Extensions = refDecodeCodeList[registry.ExtensionID](d, nil, math.MaxUint16, rules)
+		h.Curves = refDecodeCodeList[registry.CurveID](d, nil, math.MaxUint16, rules)
+		h.PointFmts = refDecodeCodeList[registry.ECPointFormat](d, nil, math.MaxUint8, rules)
+		h.SupportedVersions = refDecodeCodeList[registry.Version](d, nil, math.MaxUint16, rules)
+		h.Fingerprint = refStr(d, in, rules)
+		h.Truth = refStr(d, in, rules)
 		if ref != 0 && d.err == nil {
 			if d.off-start > maxHelloSpan {
 				d.fail("definition of %d bytes exceeds %d", d.off-start, maxHelloSpan)
 				return
 			}
-			e.hellos = append(e.hellos, r.Clone())
+			e.hellos = append(e.hellos, *h)
 		}
 	}
 	ref = 0
@@ -239,6 +238,7 @@ func refDecodeRecordBinary(d *snapDecoder, r *Record, in map[string]string, rule
 func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uint64, err error) {
 	fr := batchFormat.NewReader(r)
 	intern := make(map[string]string)
+	var tab HelloTable
 	for frame := 0; ; frame++ {
 		version, payload, err := fr.Next()
 		if err == io.EOF {
@@ -247,7 +247,7 @@ func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uin
 		if err != nil {
 			return frames, records, &BatchError{Frame: frame, Err: err}
 		}
-		_, n, err := refDecodeFrame(frame, version, payload, intern, rules, 0, sink)
+		_, n, err := refDecodeFrame(frame, version, payload, intern, &tab, rules, 0, sink)
 		records += n
 		if err != nil {
 			return frames, records, err
@@ -256,11 +256,12 @@ func refReadBatches(r io.Reader, sink Sink, rules refRules) (frames, records uin
 	}
 }
 
-// refDecodeFrame decodes one frame's payload record by record and delivers
-// the records past the first skip; a frame of no more than skip records is
-// believed at its count.
-func refDecodeFrame(frame int, version byte, payload []byte, intern map[string]string, rules refRules, skip uint64, sink Sink) (held, delivered uint64, err error) {
+// refDecodeFrame decodes one frame's payload record by record, interning each
+// hello through tab, and delivers the records past the first skip; a frame of
+// no more than skip records is believed at its count.
+func refDecodeFrame(frame int, version byte, payload []byte, intern map[string]string, tab *HelloTable, rules refRules, skip uint64, sink Sink) (held, delivered uint64, err error) {
 	var rec Record
+	var h Hello
 	d := &snapDecoder{b: payload, what: "batch"}
 	minLen := 17 // flags, 3 date, 4 code points, alert, 5 counts, 3 string lengths
 	if version >= 3 {
@@ -272,10 +273,11 @@ func refDecodeFrame(frame int, version byte, payload []byte, intern map[string]s
 	}
 	var entries refEntries // nothing crosses a frame
 	for i := 0; i < count && d.err == nil; i++ {
-		refDecodeRecordBinary(d, &rec, intern, rules, version, &entries)
+		refDecodeRecordBinary(d, &rec, &h, intern, rules, version, &entries)
 		if d.err != nil {
 			break
 		}
+		tab.Intern(&rec, &h)
 		if held++; held <= skip {
 			continue
 		}
@@ -300,7 +302,7 @@ func refDecodeFrame(frame int, version byte, payload []byte, intern map[string]s
 // are held to (the same records must come back from either spelling) and what
 // the hand-built payloads of these tests start from.
 func appendRecordBinary(dst []byte, r *Record) []byte {
-	return appendString(appendHelloSpan(appendRecordHead(dst, r), r), r.ServerCohort)
+	return appendString(appendHelloSpan(appendRecordHead(dst, r), &r.row().Hello), r.ServerCohort)
 }
 
 func appendRecordHead(dst []byte, r *Record) []byte {
@@ -311,16 +313,6 @@ func appendRecordHead(dst []byte, r *Record) []byte {
 	dst = appendUvarint(dst, uint64(r.Suite))
 	dst = appendUvarint(dst, uint64(r.Curve))
 	return append(dst, r.AlertDesc)
-}
-
-func appendHelloSpan(dst []byte, r *Record) []byte {
-	dst = appendCodeList(dst, r.ClientSuites)
-	dst = appendCodeList(dst, r.ClientExtensions)
-	dst = appendCodeList(dst, r.ClientCurves)
-	dst = appendCodeList(dst, r.ClientPointFmts)
-	dst = appendCodeList(dst, r.ClientSupportedVs)
-	dst = appendString(dst, r.Fingerprint)
-	return appendString(dst, r.TruthClient)
 }
 
 // encodeBatchV2 frames recs as one version-2 frame.
@@ -334,8 +326,10 @@ func encodeBatchV2(recs []*Record) []byte {
 
 // --- TSV ---
 
-func refParseTSVInto(r *Record, line string, rules refRules) error {
-	r.Reset()
+// refParseTSVInto parses one line into r, interning its hello through tab.
+func refParseTSVInto(r *Record, line string, rules refRules, tab *HelloTable) error {
+	*r = Record{}
+	var h Hello
 	line = strings.TrimSuffix(line, "\n")
 	var fields [20]string
 	n := 0
@@ -391,32 +385,33 @@ func refParseTSVInto(r *Record, line string, rules refRules) error {
 	} else {
 		return err
 	}
-	if r.ClientSuites, err = refAppendParsedHexList(r.ClientSuites, fields[11], rules); err != nil {
+	if h.Suites, err = refAppendParsedHexList(h.Suites, fields[11], rules); err != nil {
 		return err
 	}
-	if r.ClientExtensions, err = refAppendParsedHexList(r.ClientExtensions, fields[12], rules); err != nil {
+	if h.Extensions, err = refAppendParsedHexList(h.Extensions, fields[12], rules); err != nil {
 		return err
 	}
-	if r.ClientCurves, err = refAppendParsedHexList(r.ClientCurves, fields[13], rules); err != nil {
+	if h.Curves, err = refAppendParsedHexList(h.Curves, fields[13], rules); err != nil {
 		return err
 	}
-	if r.ClientPointFmts, err = refAppendParsedHexList(r.ClientPointFmts, fields[14], rules); err != nil {
+	if h.PointFmts, err = refAppendParsedHexList(h.PointFmts, fields[14], rules); err != nil {
 		return err
 	}
-	if r.ClientSupportedVs, err = refAppendParsedHexList(r.ClientSupportedVs, fields[15], rules); err != nil {
+	if h.SupportedVersions, err = refAppendParsedHexList(h.SupportedVersions, fields[15], rules); err != nil {
 		return err
 	}
 	r.OffersHeartbeat = fields[16] == "T"
-	r.Fingerprint = refDashEmpty(fields[17])
-	r.TruthClient = refDashEmpty(fields[18])
+	h.Fingerprint = refDashEmpty(fields[17])
+	h.Truth = refDashEmpty(fields[18])
 	r.ServerCohort = refDashEmpty(fields[19])
 	if rules.loggableStrings {
-		for _, s := range []string{r.Fingerprint, r.TruthClient, r.ServerCohort} {
+		for _, s := range []string{h.Fingerprint, h.Truth, r.ServerCohort} {
 			if strings.Contains(s, "\r") {
 				return fmt.Errorf("notary: record string %q cannot be written to a log", s)
 			}
 		}
 	}
+	tab.Intern(r, &h)
 	return nil
 }
 
@@ -490,6 +485,7 @@ func refReadLogTail(r io.Reader, skip uint64, sink Sink, rules refRules) (delive
 		return 0, 0, err
 	}
 	var rec Record
+	var tab HelloTable
 	intern := make(map[string]string)
 	entry, frames := 0, 0
 	sawBase := false
@@ -507,7 +503,7 @@ func refReadLogTail(r io.Reader, skip uint64, sink Sink, rules refRules) (delive
 			if skip > gen {
 				behind = skip - gen
 			}
-			held, n, err := refDecodeFrame(frames, version, payload, intern, rules, behind, sink)
+			held, n, err := refDecodeFrame(frames, version, payload, intern, &tab, rules, behind, sink)
 			gen += held
 			delivered += n
 			if err != nil {
@@ -536,7 +532,7 @@ func refReadLogTail(r io.Reader, skip uint64, sink Sink, rules refRules) (delive
 		if line == "" || line[0] == '#' {
 			continue
 		}
-		if err := refParseTSVInto(&rec, line, rules); err != nil {
+		if err := refParseTSVInto(&rec, line, rules, &tab); err != nil {
 			return delivered, base, &LineError{Line: entry, Err: err}
 		}
 		gen++

@@ -12,24 +12,37 @@ import (
 // Hello rows: the offered side of a connection — the five client lists, the
 // fingerprint and the truth label — repeats. §4's fingerprint is a hash of
 // those lists, and a few thousand of them cover a collector's whole intake.
-// So each record decoder remembers the hellos it has decoded, keyed by their
-// raw encoded bytes, and a record that spells a known hello is not decoded
-// again: its lists are pointed at the remembered row's, and Aggregate.Add
-// folds the row's prepared helloShape instead of scanning the lists.
+// So a record does not hold its offered side: it points at a row, immutable
+// and shared by every record of that hello, which carries the helloShape
+// Aggregate.Add and ShardBuilder fold. Every record has one — a zero Record
+// reads as the empty hello.
 //
-// The key is the record's bytes from its first list through its truth label,
-// which are contiguous in both formats, and never the fingerprint string
-// alone: that is input, and two different lists may carry one fingerprint.
-// Decoding a span reads nothing outside it, so equal bytes decode equally —
-// a hit gives the records, and the refusals, the checked decoders give.
+// Rows are made by a table (decodeTables). Each record decoder keeps one,
+// keyed by a hello's raw encoded bytes, and a record that spells a known hello
+// is not decoded again; a producer that builds hellos as lists (the
+// simulator, a test) interns them through a HelloTable, the same table keyed
+// by the hello's TLSB spelling. The key is the record's bytes from its first
+// list through its truth label, which are contiguous in both formats, and
+// never the fingerprint string alone: that is input, and two different lists
+// may carry one fingerprint. Decoding a span reads nothing outside it, so
+// equal bytes decode equally — a hit gives the records, and the refusals, the
+// checked decoders give. A span above maxHelloSpan bytes gets a row the table
+// does not keep.
 
-// lists is the five client lists of a Record.
-type lists struct {
-	suites []uint16
-	exts   []registry.ExtensionID
-	curves []registry.CurveID
-	pfs    []registry.ECPointFormat
-	svs    []registry.Version
+// Hello is the offered side of a connection as a producer holds it, before a
+// table makes a row of it.
+type Hello struct {
+	Suites            []uint16
+	Extensions        []registry.ExtensionID
+	Curves            []registry.CurveID
+	PointFmts         []registry.ECPointFormat
+	SupportedVersions []registry.Version
+	// Fingerprint is the §4 client fingerprint string (GREASE-stripped).
+	Fingerprint string
+	// Truth is ground truth for evaluation (the generating profile's name),
+	// empty in purely passive deployments; the analysis pipeline never reads
+	// it.
+	Truth string
 }
 
 // helloShape is everything Aggregate.Add takes from a hello's lists.
@@ -80,11 +93,10 @@ func shapeOf(suites []uint16, exts []registry.ExtensionID, svs []registry.Versio
 	return sh
 }
 
-// helloRow is one remembered hello. It is immutable once inserted: records
-// decoded through it share its slices.
+// helloRow is one hello as a table made it. It is immutable: the records on
+// it share its slices.
 type helloRow struct {
-	lists
-	fp, truth string
+	Hello
 	// offersHB is offers_hb of the record the row was made from. That field
 	// lies inside a TSV span, so it is what every TSV record on the row says;
 	// a TLSB record's is in its flags byte and never read from here.
@@ -94,8 +106,9 @@ type helloRow struct {
 	// maxHelloRows rows, so the rows it holds at once have distinct ids modulo
 	// maxHelloRows. A sink that keeps something per row (ShardBuilder,
 	// BatchWriter) keeps it in a direct-mapped array at slot() and believes
-	// an entry only for the row the entry names: rows of other tables, and
-	// the table's own from before it emptied, share the slots.
+	// an entry only for the row the entry names: rows of other tables, the
+	// table's own from before it emptied, and the rows it did not keep (id 0)
+	// share the slots.
 	id    uint32
 	shape helloShape
 }
@@ -103,34 +116,37 @@ type helloRow struct {
 // slot is the row's index in a direct-mapped array of maxHelloRows entries.
 func (row *helloRow) slot() int { return int(row.id % maxHelloRows) }
 
-// setHello points r's offered side at row.
-func (r *Record) setHello(row *helloRow) {
-	r.setLists(row.lists)
-	r.Fingerprint, r.TruthClient, r.hello = row.fp, row.truth, row
-}
+// emptyRow is the row of a record that was given none: the empty hello, whose
+// shape is the zero one.
+var emptyRow helloRow
 
-func (r *Record) setLists(l lists) {
-	r.ClientSuites, r.ClientExtensions, r.ClientCurves, r.ClientPointFmts, r.ClientSupportedVs =
-		l.suites, l.exts, l.curves, l.pfs, l.svs
-}
-
-// sameList reports whether a and b are one slice: same length, same storage.
-func sameList[T any](a, b []T) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// memoShape returns the shape of the row r was decoded through, for as long
-// as r's five lists are still that row's slices; nil once any of them was
-// replaced, or when r never had a row (a simulated, hand-built or cloned
-// record).
-func (r *Record) memoShape() *helloShape {
-	row := r.hello
-	if row == nil || !sameList(r.ClientSuites, row.suites) || !sameList(r.ClientExtensions, row.exts) ||
-		!sameList(r.ClientCurves, row.curves) || !sameList(r.ClientPointFmts, row.pfs) ||
-		!sameList(r.ClientSupportedVs, row.svs) {
-		return nil
+// row returns the row of r's offered side.
+func (r *Record) row() *helloRow {
+	if r.hello == nil {
+		return &emptyRow
 	}
-	return &row.shape
+	return r.hello
+}
+
+// HelloTable interns the hellos a producer builds as lists, the way a record
+// decoder's table interns the ones it reads: one row per content, keyed by the
+// hello's TLSB spelling. The zero value is ready to use. A HelloTable is not
+// safe for concurrent use; the rows it makes are, and outlive it.
+type HelloTable struct {
+	t   *decodeTables
+	key []byte
+}
+
+// Intern points r's offered side at the row of h, which it makes, copying h,
+// when the table has none. h stays the caller's to refill. Nothing of h is
+// checked: a record decoder refuses what a log cannot carry, a producer may
+// make it.
+func (ht *HelloTable) Intern(r *Record, h *Hello) {
+	if ht.t == nil {
+		ht.t = newDecodeTables()
+	}
+	ht.key = appendHelloSpan(ht.key[:0], h)
+	ht.t.settle(r, ht.key, h)
 }
 
 // What bounds a decodeTables: a hello span or string above maxHelloSpan bytes
@@ -168,9 +184,9 @@ type decodeTables struct {
 	held int    // bytes of the keys of both maps
 	made uint32 // rows made: the next row's id
 
-	// scratch is where the checked decoders put a hello's lists on a miss; a
-	// row takes copies.
-	scratch lists
+	// scratch is where the checked decoders put a hello on a miss; a row
+	// takes copies.
+	scratch Hello
 
 	// The buffer the stream is read through, kept from stream to stream so a
 	// connection does not grow its own: the TLSB reader's frame body (see
@@ -183,11 +199,12 @@ type decodeTables struct {
 	hellos  []*helloRow
 	cohorts []string
 
-	// A row's lists are carved from chunks, so a distinct hello costs its key,
-	// its row and a share of a chunk, not an allocation per list. A chunk is
-	// only ever appended to: emptying the tables drops the chunks, it does not
-	// rewind them, because a record may still point into one.
-	chunk lists
+	// A kept row's lists are carved from chunks (its strings are unused), so a
+	// distinct hello costs its key, its row and a share of a chunk, not an
+	// allocation per list. A chunk is only ever appended to: emptying the
+	// tables drops the chunks, it does not rewind them, because a record may
+	// still point into one.
+	chunk Hello
 }
 
 // chunkLen is the elements a list chunk is opened with.
@@ -218,7 +235,7 @@ func (t *decodeTables) reserve(n int) {
 		clear(t.rows)
 		clear(t.strs)
 		t.held = 0
-		t.chunk = lists{}
+		t.chunk = Hello{}
 	}
 	t.held += n
 }
@@ -251,34 +268,52 @@ func carve[T any](chunk *[]T, src []T) []T {
 	return (*chunk)[n:len(*chunk):len(*chunk)]
 }
 
-// settle ends a miss. The checked decoders have read the span key into
-// t.scratch, r.OffersHeartbeat, fp and truth; clean says they read all of it
-// without error. A clean span of ordinary size is remembered and r pointed at
-// its row; anything else leaves r on the scratch lists, which hold until the
-// next record is decoded through t.
-func (t *decodeTables) settle(r *Record, key []byte, fp, truth string, clean bool) {
-	if !clean || len(key) > maxHelloSpan {
-		r.setLists(t.scratch)
-		r.Fingerprint, r.TruthClient, r.hello = fp, truth, nil
-		return
+// own copies src into storage of its own, which no other row shares; nil for
+// an empty src, as carve gives.
+func own[T any](src []T) []T {
+	if len(src) == 0 {
+		return nil
 	}
+	return slices.Clone(src)
+}
+
+// settle points r at the row of h, whose span is key: the row t holds, or a
+// new one. h is a hello read whole (and r.OffersHeartbeat with it, for a TSV
+// span).
+func (t *decodeTables) settle(r *Record, key []byte, h *Hello) {
 	// The decoders look a span up only where they can find its end without
 	// decoding; one they could not may still be here.
 	row := t.rows[string(key)]
 	if row == nil {
+		row = t.newRow(key, h, r.OffersHeartbeat)
+	}
+	r.hello = row
+}
+
+// newRow makes the row of h, whose span is key, copying h. A span of
+// ordinary size is remembered, its lists carved from t's chunks; a longer one
+// gets a row of its own that t does not keep.
+func (t *decodeTables) newRow(key []byte, h *Hello, offersHB bool) *helloRow {
+	row := &helloRow{offersHB: offersHB}
+	var exts []registry.ExtensionID // the shape's: a second copy of the list, which has room for all of it
+	if len(key) > maxHelloSpan {
+		row.Hello = Hello{own(h.Suites), own(h.Extensions), own(h.Curves), own(h.PointFmts), own(h.SupportedVersions),
+			h.Fingerprint, h.Truth}
+		exts = own(h.Extensions)
+	} else {
 		t.reserve(len(key))
-		c, s := &t.chunk, &t.scratch
-		row = &helloRow{fp: fp, truth: truth, offersHB: r.OffersHeartbeat, id: t.made,
-			lists: lists{carve(&c.suites, s.suites), carve(&c.exts, s.exts), carve(&c.curves, s.curves),
-				carve(&c.pfs, s.pfs), carve(&c.svs, s.svs)}}
+		c := &t.chunk
+		row.Hello = Hello{carve(&c.Suites, h.Suites), carve(&c.Extensions, h.Extensions), carve(&c.Curves, h.Curves),
+			carve(&c.PointFmts, h.PointFmts), carve(&c.SupportedVersions, h.SupportedVersions), h.Fingerprint, h.Truth}
+		exts = carve(&c.Extensions, h.Extensions)
+		row.id = t.made
 		t.made++
-		// The shape's extension set is stripped into a second carved copy of
-		// the list, which has room for all of it, and sorted there.
-		row.shape = shapeOf(row.suites, row.exts, row.svs, carve(&c.exts, s.exts)[:0])
-		slices.Sort(row.shape.exts)
 		t.rows[string(key)] = row
 	}
-	r.setHello(row)
+	// The extension set is stripped into its copy, and sorted there.
+	row.shape = shapeOf(row.Suites, row.Extensions, row.SupportedVersions, exts[:0])
+	slices.Sort(row.shape.exts)
+	return row
 }
 
 // tlsbHelloSpan returns the TLSB hello span that starts at b[off] — five

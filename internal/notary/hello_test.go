@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,8 +14,8 @@ import (
 
 // Tests of the hello tables (hello.go) beyond what the differential harness
 // of decode_diff_test.go gives every seed: one table across streams and
-// across its cap, the two decoders' pools kept apart, Add's distrust of a
-// record whose lists were replaced, the list cap, and the allocation pins.
+// across its cap, the rows a table does not keep, the two decoders' pools kept
+// apart, the list cap, and the allocation pins.
 
 // tsvLog is the log LogWriter makes of recs.
 func tsvLog(recs []*Record) []byte {
@@ -37,10 +36,10 @@ func tsvLog(recs []*Record) []byte {
 func distinctHellos(n int) []*Record {
 	recs := make([]*Record, n)
 	for i := range recs {
-		r := sampleRecord()
-		r.ClientSuites = []uint16{0xc02f, uint16(i), 0x000a}
-		r.Fingerprint = fmt.Sprintf("fp-%d", i%7) // fewer fingerprints than lists
-		recs[i] = r
+		recs[i] = editHello(sampleRecord(), func(h *Hello) {
+			h.Suites = []uint16{0xc02f, uint16(i), 0x000a}
+			h.Fingerprint = fmt.Sprintf("fp-%d", i%7) // fewer fingerprints than lists
+		})
 	}
 	return recs
 }
@@ -99,30 +98,47 @@ func TestOneTableManyStreams(t *testing.T) {
 	}
 }
 
-// A span or string too long to keep is decoded, correctly, every time, and
-// the table stays as it was.
+// A span too long to keep is decoded, correctly, every time, into a row of
+// the record's own: the table keeps neither it nor any of its bytes, and the
+// record folds through a builder as through Add.
 func TestOversizeHelloIsNeverKept(t *testing.T) {
-	long := sampleRecord()
-	long.Fingerprint = strings.Repeat("f", maxHelloSpan+1)
-	wide := sampleRecord()
-	wide.ClientSuites = make([]uint16, maxHelloSpan)
-	recs := []*Record{long, wide, long, wide}
-	tlsb, tsv := newDecodeTables(), newDecodeTables()
-	var got collectSink
-	if _, _, err := readBatches(bytes.NewReader(encodeBatch(recs)), &got, tlsb); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readLogTail(bytes.NewReader(tsvLog(recs)), 0, &got, tsv); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range got.recs {
-		if !sameRecord(t, r, recs[i%len(recs)].Clone()) {
-			t.Fatalf("record %d changed", i)
+	long := editHello(sampleRecord(), func(h *Hello) { h.Fingerprint = strings.Repeat("f", maxHelloSpan+1) })
+	wide := editHello(sampleRecord(), func(h *Hello) { h.Suites = make([]uint16, maxHelloSpan) })
+	recs := []*Record{sampleRecord(), long, wide, long, wide}
+	for name, read := range map[string]func([]*Record, Sink, *decodeTables) error{
+		"tlsb": func(recs []*Record, sink Sink, tab *decodeTables) error {
+			_, _, err := readBatches(bytes.NewReader(encodeBatch(recs)), sink, tab)
+			return err
+		},
+		"tsv": func(recs []*Record, sink Sink, tab *decodeTables) error {
+			_, _, err := readLogTail(bytes.NewReader(tsvLog(recs)), 0, sink, tab)
+			return err
+		},
+	} {
+		tab := newDecodeTables()
+		if err := read(recs[:1], nullSink(), tab); err != nil || len(tab.rows) != 1 {
+			t.Fatalf("%s: the sample record made %d rows, err %v", name, len(tab.rows), err)
 		}
-	}
-	for _, tab := range []*decodeTables{tlsb, tsv} {
-		if len(tab.rows) != 0 || tab.held > 64 { // the truth and cohort strings
-			t.Errorf("a table kept %d rows and %d bytes of oversize hellos", len(tab.rows), tab.held)
+		held := tab.held
+		var got collectSink
+		agg, built := classified(), NewShardBuilder(classified)
+		if err := read(recs, Tee(&got, agg, built), tab); err != nil {
+			t.Fatal(err)
+		}
+		requireSameRecords(t, name, got.recs, recs)
+		requireSameAggregate(t, name+", through a builder", built.Flush(), agg)
+		if len(tab.rows) != 1 || tab.held != held {
+			t.Errorf("%s: the table grew from 1 row and %d bytes to %d and %d", name, held, len(tab.rows), tab.held)
+		}
+		for i, r := range got.recs[1:] {
+			if r.hello == nil || r.hello == got.recs[i].hello {
+				t.Errorf("%s: record %d is on row %p, not one of its own", name, i+1, r.hello)
+			}
+			for _, row := range tab.rows {
+				if row == r.hello {
+					t.Errorf("%s: the table kept record %d's row", name, i+1)
+				}
+			}
 		}
 	}
 }
@@ -215,11 +231,12 @@ func TestHostileFrameOfDefinitionsIsRefusedAtTheCap(t *testing.T) {
 	frame, mark := batchFormat.Begin(make([]byte, 0, size+16))
 	count := len(frame)
 	frame = append(frame, 0x80, 0x80, 0x80, 0) // the record count, once it is known
-	r, suite := &Record{Date: sampleRecord().Date}, make([]uint16, 1)
+	r, h := &Record{Date: sampleRecord().Date}, Hello{Suites: make([]uint16, 1)}
 	n := 0
 	for ; len(frame)-count+64 < size; n++ {
-		r.ClientSuites, suite[0] = suite, uint16(n)
-		frame = appendRecordV3(frame, r, binary.AppendUvarint, uint64(n+1), true, 0, true)
+		h.Suites[0] = uint16(n)
+		frame = binary.AppendUvarint(appendRecordHead(frame, r), uint64(n+1)) // defines entry n+1
+		frame = append(appendHelloSpan(frame, &h), 0, 0)                      // and sends an empty cohort as 0
 	}
 	copy(frame[count:], paddedUvarint(4)(nil, uint64(n)))
 	frame, err := batchFormat.End(frame, mark)
@@ -250,22 +267,19 @@ func TestHostileFrameOfDefinitionsIsRefusedAtTheCap(t *testing.T) {
 // its row must not let the TLSB reader, next on the same goroutine and so next
 // at any pool they shared, take that row for its own hello.
 func TestTSVTablesNeverServeTLSB(t *testing.T) {
-	line := sampleRecord()
-	line.setLists(lists{})
+	line := withHello(sampleRecord(), Hello{Fingerprint: strings.Repeat("a", 34) + "\x00\x00\x00\x00\x01f", Truth: "truthtrut"})
 	line.OffersHeartbeat = false
-	line.Fingerprint, line.TruthClient = strings.Repeat("a", 34)+"\x00\x00\x00\x00\x01f", "truthtrut"
 	tsv := tsvLog([]*Record{line})
 	row := bytes.TrimSuffix(tsv[len(Header()):], []byte("\n"))
 	span := tsvHelloSpan(row, bytes.Index(row, []byte("-\t-\t-")))
 
-	framed := sampleRecord()
-	framed.setLists(lists{})
+	h := Hello{Fingerprint: "f", Truth: "truthtrut"}
 	for _, b := range span[1:46] {
-		framed.ClientSuites = append(framed.ClientSuites, uint16(b))
+		h.Suites = append(h.Suites, uint16(b))
 	}
-	framed.Fingerprint, framed.TruthClient = "f", "truthtrut"
-	if !bytes.Equal(span, appendHelloSpan(nil, framed)) {
-		t.Fatalf("vacuous: the spans differ\n tsv  %q\n tlsb %q", span, appendHelloSpan(nil, framed))
+	framed := withHello(sampleRecord(), h)
+	if !bytes.Equal(span, appendHelloSpan(nil, &h)) {
+		t.Fatalf("vacuous: the spans differ\n tsv  %q\n tlsb %q", span, appendHelloSpan(nil, &h))
 	}
 	for round := 0; round < 20; round++ {
 		var got collectSink
@@ -279,93 +293,17 @@ func TestTSVTablesNeverServeTLSB(t *testing.T) {
 	}
 }
 
-// Add folds a record's row only while the record's lists are the row's. A
-// sink that points a list elsewhere — against the contract, but cheap to
-// survive — gets that record folded from the lists it now has.
-func TestAddDistrustsARowWhoseListsWereReplaced(t *testing.T) {
-	recs := buildBatchRecords(83, 300)
-	other := []uint16{0x0005, 0xc02f, 0x000a, 0x0004}
-	edits := []func(*Record){
-		func(r *Record) { r.ClientSuites = other },
-		func(r *Record) { r.ClientSuites = r.ClientSuites[:len(r.ClientSuites)-1] },
-		func(r *Record) {
-			r.ClientExtensions = append([]registry.ExtensionID{registry.ExtALPN}, r.ClientExtensions...)
-		},
-		func(r *Record) { r.ClientSupportedVs = []registry.Version{registry.VersionTLS13Draft18} },
-		func(r *Record) { r.ClientCurves = nil; r.ClientPointFmts = nil },
-		func(r *Record) { *r = *r.Clone() },
-		func(r *Record) { r.Fingerprint = "another" }, // no list: the row still holds
-	}
-	want, got := NewAggregate(), NewAggregate()
-	n, trusted := 0, 0
-	edit := func(r *Record) {
-		if n%3 == 0 {
-			edits[n/3%len(edits)](r)
-		}
-		n++
-	}
-	for _, r := range recs {
-		cp := r.Clone()
-		edit(cp)
-		want.Add(cp)
-	}
-	n = 0
-	for pass := 0; pass < 2; pass++ { // the second pass is all table hits
-		got, n = NewAggregate(), 0
-		_, _, err := ReadBatches(bytes.NewReader(encodeBatch(recs)), SinkFunc(func(r *Record) error {
-			if r.hello == nil {
-				t.Fatal("a decoded record carries no row")
-			}
-			edit(r)
-			if r.memoShape() != nil {
-				trusted++
-			}
-			got.Add(r)
-			return nil
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pass %d: the aggregate of the edited decoded records differs from that of edited clones", pass)
-		}
-	}
-	if trusted < len(recs) || trusted > 2*len(recs)-len(recs)/4 {
-		t.Errorf("vacuous: %d of %d records kept their row", trusted, 2*len(recs))
-	}
-}
-
-// A record that came through a decoder and is then reset — a pooled record
-// parsed into and released — gives up its lists: they are a table row's.
-func TestResetDropsARowsLists(t *testing.T) {
-	tab := newDecodeTables()
-	line := bytes.TrimSuffix(sampleRecord().AppendTSV(nil), []byte("\n"))
-	var r Record
-	if err := parseTSVLine(&r, line, tab); err != nil || r.hello == nil {
-		t.Fatalf("parse: err %v, row %v", err, r.hello)
-	}
-	row := r.hello
-	r.Reset()
-	if !reflect.DeepEqual(r, Record{}) {
-		t.Errorf("Reset kept %+v of a record on a row", r)
-	}
-	r.ClientSuites = append(r.ClientSuites[:0], 1, 2, 3, 4, 5, 6, 7, 8) // as FromClientHello refills
-	if row.suites[0] != sampleRecord().ClientSuites[0] {
-		t.Error("refilling a reset record wrote into the row it had been on")
-	}
-}
-
 // --- the list cap ---
 
 // A list above maxListLen elements is refused by both decoders, one element
 // under it is read by both, and what TLSB accepts the TSV tee reads back.
 func TestListCapInBothFormats(t *testing.T) {
-	atCap, over := sampleRecord(), sampleRecord()
-	atCap.ClientSuites = make([]uint16, maxListLen)
-	over.ClientExtensions = make([]registry.ExtensionID, maxListLen+1)
-	for i := range atCap.ClientSuites {
-		atCap.ClientSuites[i] = uint16(i)
+	suites := make([]uint16, maxListLen)
+	for i := range suites {
+		suites[i] = uint16(i)
 	}
+	atCap := editHello(sampleRecord(), func(h *Hello) { h.Suites = suites })
+	over := editHello(sampleRecord(), func(h *Hello) { h.Extensions = make([]registry.ExtensionID, maxListLen+1) })
 	good := sampleRecord()
 
 	t.Run("tlsb", func(t *testing.T) {

@@ -113,9 +113,8 @@ func (e *LineError) Unwrap() error { return e.Err }
 // malformed one delivered. Only io.EOF ends a line that has no newline: any
 // other read error is returned as it is (wrapped in the frame's *LineError
 // when it cuts a frame), and the fragment it cut is not delivered. Records
-// are parsed into a reused buffer whose lists are the decoder's own, shared
-// between records, so the Sink contract applies: the record is only valid for
-// the duration of Observe, and read-only. The sink is not closed.
+// are parsed into one reused Record, so the Sink contract applies: the record
+// is only valid for the duration of Observe. The sink is not closed.
 //
 // Lines are parsed where the reader holds them (parseTSVLine over the
 // window): no string is made of a line or of a field, and hellos and strings

@@ -137,11 +137,11 @@ func TestLogKindsFoldAlike(t *testing.T) {
 			lists := map[string]string{}
 			partitionFree := true
 			for _, r := range recs {
-				l := string(appendCodeList(nil, r.ClientSuites))
-				if seen, ok := lists[r.Fingerprint]; ok && seen != l {
+				l := string(appendCodeList(nil, r.Suites()))
+				if seen, ok := lists[r.Fingerprint()]; ok && seen != l {
 					partitionFree = false
 				}
-				lists[r.Fingerprint] = l
+				lists[r.Fingerprint()] = l
 			}
 			// The first frame of the mixed log starts at record k; skips are
 			// chosen around it and around the frame log's second frame.

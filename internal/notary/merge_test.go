@@ -18,6 +18,12 @@ import (
 // real fingerprinting pipeline derives it — so FPCaps are a function of the
 // fingerprint and partitioning cannot change them.
 func randomRecord(rnd *rand.Rand, all []registry.Suite) *Record {
+	r, h := randomParts(rnd, all)
+	return withHello(r, h)
+}
+
+// randomParts is randomRecord with its hello not yet interned.
+func randomParts(rnd *rand.Rand, all []registry.Suite) (*Record, Hello) {
 	n := 1 + rnd.Intn(25)
 	suites := make([]uint16, 0, n)
 	for i := 0; i < n; i++ {
@@ -37,11 +43,11 @@ func randomRecord(rnd *rand.Rand, all []registry.Suite) *Record {
 			Day:   1 + rnd.Intn(28),
 		},
 		ClientVersion: registry.VersionTLS12,
-		ClientSuites:  suites,
 		SSLv2Hello:    rnd.Intn(50) == 0,
 	}
+	h := Hello{Suites: suites}
 	if rnd.Intn(3) > 0 {
-		r.Fingerprint = fmt.Sprintf("fp-%x", suites)
+		h.Fingerprint = fmt.Sprintf("fp-%x", suites)
 	}
 	if rnd.Intn(4) > 0 {
 		r.Established = true
@@ -52,11 +58,11 @@ func randomRecord(rnd *rand.Rand, all []registry.Suite) *Record {
 		r.SuiteUnoffer = rnd.Intn(20) == 0
 	}
 	if rnd.Intn(8) == 0 {
-		r.ClientSupportedVs = []registry.Version{registry.VersionTLS13}
+		h.SupportedVersions = []registry.Version{registry.VersionTLS13}
 	}
 	r.OffersHeartbeat = rnd.Intn(6) == 0
-	r.ClientExtensions = []registry.ExtensionID{registry.ExtensionID(rnd.Intn(4))}
-	return r
+	h.Extensions = []registry.ExtensionID{registry.ExtensionID(rnd.Intn(4))}
+	return r, h
 }
 
 // testClassifier is a stub notary.Classifier: fingerprints with a mapped
@@ -193,8 +199,7 @@ func TestMergeIsAdditiveAndNonDestructive(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	all := registry.AllSuites()
 	a, b := NewAggregate(), NewAggregate()
-	rec := randomRecord(rnd, all)
-	rec.Fingerprint = "fp-shared"
+	rec := editHello(randomRecord(rnd, all), func(h *Hello) { h.Fingerprint = "fp-shared" })
 	for i := 0; i < 10; i++ {
 		a.Add(rec)
 		b.Add(rec)

@@ -3,7 +3,7 @@ package notary
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,24 +14,45 @@ import (
 )
 
 func sampleRecord() *Record {
-	return &Record{
-		Date:              timeline.D(2015, time.June, 3),
-		ClientVersion:     registry.VersionTLS12,
-		ClientSuites:      []uint16{0xC02F, 0xC013, 0x0005, 0x000A},
-		ClientExtensions:  []registry.ExtensionID{registry.ExtServerName, registry.ExtSupportedGroups},
-		ClientCurves:      []registry.CurveID{registry.CurveSecp256r1},
-		ClientPointFmts:   []registry.ECPointFormat{registry.PointFormatUncompressed},
-		ClientSupportedVs: []registry.Version{registry.VersionTLS13Google, registry.VersionTLS12},
-		OffersHeartbeat:   true,
-		Established:       true,
-		Version:           registry.VersionTLS12,
-		Suite:             0xC02F,
-		Curve:             registry.CurveSecp256r1,
-		HeartbeatAck:      true,
+	return withHello(&Record{
+		Date:            timeline.D(2015, time.June, 3),
+		ClientVersion:   registry.VersionTLS12,
+		OffersHeartbeat: true,
+		Established:     true,
+		Version:         registry.VersionTLS12,
+		Suite:           0xC02F,
+		Curve:           registry.CurveSecp256r1,
+		HeartbeatAck:    true,
+		ServerCohort:    "modern-ecdhe",
+	}, Hello{
+		Suites:            []uint16{0xC02F, 0xC013, 0x0005, 0x000A},
+		Extensions:        []registry.ExtensionID{registry.ExtServerName, registry.ExtSupportedGroups},
+		Curves:            []registry.CurveID{registry.CurveSecp256r1},
+		PointFmts:         []registry.ECPointFormat{registry.PointFormatUncompressed},
+		SupportedVersions: []registry.Version{registry.VersionTLS13Google, registry.VersionTLS12},
 		Fingerprint:       "fp-test",
-		TruthClient:       "Chrome",
-		ServerCohort:      "modern-ecdhe",
-	}
+		Truth:             "Chrome",
+	})
+}
+
+// testHellos interns the hellos tests build (the tests of this package run
+// one at a time), so records built alike share a row, as decoded ones do.
+var testHellos HelloTable
+
+// withHello points r's offered side at h and returns r.
+func withHello(r *Record, h Hello) *Record {
+	testHellos.Intern(r, &h)
+	return r
+}
+
+// editHello points r at the hello edit makes of a copy of r's, and returns r.
+// The copy's lists are r's own copies: edit may write through them.
+func editHello(r *Record, edit func(*Hello)) *Record {
+	h := r.row().Hello
+	h.Suites, h.Extensions, h.Curves = slices.Clone(h.Suites), slices.Clone(h.Extensions), slices.Clone(h.Curves)
+	h.PointFmts, h.SupportedVersions = slices.Clone(h.PointFmts), slices.Clone(h.SupportedVersions)
+	edit(&h)
+	return withHello(r, h)
 }
 
 // parseTSV parses one log line, with or without its terminator, into a
@@ -55,12 +76,11 @@ func TestTSVRoundTrip(t *testing.T) {
 }
 
 func TestTSVRoundTripEmptyFields(t *testing.T) {
-	r := &Record{
+	r := withHello(&Record{
 		Date:          timeline.D(2012, time.February, 1),
 		ClientVersion: registry.VersionTLS10,
-		ClientSuites:  []uint16{0x002F},
 		AlertDesc:     40,
-	}
+	}, Hello{Suites: []uint16{0x002F}})
 	got, err := parseTSV(string(r.AppendTSV(nil)))
 	if err != nil {
 		t.Fatal(err)
@@ -100,19 +120,20 @@ func TestObserveWireTLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r Record
-	if err := r.ObserveWire(raw); err != nil {
+	var h Hello
+	if err := r.ObserveWire(raw, &h); err != nil {
 		t.Fatal(err)
 	}
-	if r.ClientVersion != registry.VersionTLS12 || len(r.ClientSuites) != 2 {
-		t.Errorf("observed %+v", r)
+	if r.ClientVersion != registry.VersionTLS12 || len(h.Suites) != 2 {
+		t.Errorf("observed %+v, %+v", r, h)
 	}
 	if !r.OffersHeartbeat {
 		t.Error("extension observation broken")
 	}
-	if v := shapeOf(r.ClientSuites, r.ClientExtensions, r.ClientSupportedVs, nil).variant; v != registry.VersionTLS13Draft18 {
+	if v := shapeOf(h.Suites, h.Extensions, h.SupportedVersions, nil).variant; v != registry.VersionTLS13Draft18 {
 		t.Errorf("variant = %v", v)
 	}
-	if len(r.ClientCurves) != 1 || r.ClientCurves[0] != registry.CurveX25519 {
+	if len(h.Curves) != 1 || h.Curves[0] != registry.CurveX25519 {
 		t.Error("curves not observed")
 	}
 }
@@ -125,22 +146,24 @@ func TestObserveWireSSLv2(t *testing.T) {
 	}
 	raw, _ := v2.MarshalBinary()
 	var r Record
-	if err := r.ObserveWire(raw); err != nil {
+	h := sampleRecord().row().Hello // lists an SSLv2 hello has none of
+	if err := r.ObserveWire(raw, &h); err != nil {
 		t.Fatal(err)
 	}
-	if !r.SSLv2Hello || len(r.ClientSuites) != 1 || r.ClientSuites[0] != 0x0005 {
-		t.Errorf("sslv2 observation: %+v", r)
+	if !r.SSLv2Hello || !slices.Equal(h.Suites, []uint16{0x0005}) || len(h.Extensions)+len(h.Curves)+len(h.PointFmts)+len(h.SupportedVersions) != 0 {
+		t.Errorf("sslv2 observation: %+v, %+v", r, h)
 	}
 }
 
 func TestObserveWireRejectsGarbage(t *testing.T) {
 	var r Record
-	if err := r.ObserveWire([]byte{0x16, 0x03}); err == nil {
+	var h Hello
+	if err := r.ObserveWire([]byte{0x16, 0x03}, &h); err == nil {
 		t.Error("truncated record observed")
 	}
 	// Alert record instead of handshake.
 	raw, _ := wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, []byte{2, 40})
-	if err := r.ObserveWire(raw); err == nil {
+	if err := r.ObserveWire(raw, &h); err == nil {
 		t.Error("alert record observed as hello")
 	}
 }
@@ -152,7 +175,7 @@ func TestAggregateCounters(t *testing.T) {
 	r2 := sampleRecord()
 	r2.Established = false
 	r2.AlertDesc = 40
-	r2.Fingerprint = "fp-other"
+	editHello(r2, func(h *Hello) { h.Fingerprint = "fp-other" })
 	agg.Add(r2)
 
 	months := agg.Months()
@@ -191,12 +214,11 @@ func TestAggregateCounters(t *testing.T) {
 
 func TestAggregateGREASEStripped(t *testing.T) {
 	agg := NewAggregate()
-	r := &Record{
+	r := withHello(&Record{
 		Date:          timeline.D(2017, time.March, 1),
 		ClientVersion: registry.VersionTLS12,
-		ClientSuites:  []uint16{0x0a0a, 0xC02F},
 		Established:   true, Version: registry.VersionTLS12, Suite: 0xC02F,
-	}
+	}, Hello{Suites: []uint16{0x0a0a, 0xC02F}})
 	agg.Add(r)
 	ms := agg.Stats(timeline.M(2017, time.March))
 	if ms.N[AdvRC4] != 0 || ms.N[AdvAEAD] != 1 {
@@ -207,11 +229,10 @@ func TestAggregateGREASEStripped(t *testing.T) {
 func TestFigure5Positions(t *testing.T) {
 	agg := NewAggregate()
 	// AEAD at position 0, CBC at 1, RC4 at 2, 3DES at 3 of a 4-suite list.
-	r := &Record{
+	r := withHello(&Record{
 		Date:          timeline.D(2015, time.January, 10),
 		ClientVersion: registry.VersionTLS12,
-		ClientSuites:  []uint16{0xC02F, 0xC013, 0x0005, 0x000A},
-	}
+	}, Hello{Suites: []uint16{0xC02F, 0xC013, 0x0005, 0x000A}})
 	agg.Add(r)
 	ms := agg.Stats(timeline.M(2015, time.January))
 	if got := ms.Pos[PosAEAD].Sum / float64(ms.Pos[PosAEAD].Count); got != 0 {
@@ -230,12 +251,10 @@ func TestFigure5Positions(t *testing.T) {
 func TestFPDurations(t *testing.T) {
 	agg := NewAggregate()
 	mk := func(day int, fp string) *Record {
-		return &Record{
+		return withHello(&Record{
 			Date:          timeline.D(2015, time.June, day),
 			ClientVersion: registry.VersionTLS12,
-			ClientSuites:  []uint16{0x002F},
-			Fingerprint:   fp,
-		}
+		}, Hello{Suites: []uint16{0x002F}, Fingerprint: fp})
 	}
 	agg.Add(mk(1, "long"))
 	agg.Add(mk(20, "long"))
@@ -260,12 +279,12 @@ func TestLogWriterReader(t *testing.T) {
 	var buf bytes.Buffer
 	lw := NewLogWriter(&buf)
 	rnd := rand.New(rand.NewSource(20))
-	var want []Record
+	var want []*Record
 	for i := 0; i < 50; i++ {
 		r := sampleRecord()
 		r.Date = timeline.D(2014+rnd.Intn(4), time.Month(1+rnd.Intn(12)), 1+rnd.Intn(28))
 		r.Suite = []uint16{0xC02F, 0x0005, 0x002F}[rnd.Intn(3)]
-		want = append(want, *r)
+		want = append(want, r)
 		if err := lw.Write(r); err != nil {
 			t.Fatal(err)
 		}
@@ -273,17 +292,11 @@ func TestLogWriterReader(t *testing.T) {
 	if err := lw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	err := ReadLog(&buf, SinkFunc(func(r *Record) error {
-		got = append(got, *r.Clone())
-		return nil
-	}))
-	if err != nil {
+	var got collectSink
+	if err := ReadLog(&buf, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("log round trip mismatch")
-	}
+	requireSameRecords(t, "log round trip", got.recs, want)
 }
 
 func TestReadLogBadLine(t *testing.T) {
@@ -295,7 +308,7 @@ func TestReadLogBadLine(t *testing.T) {
 }
 
 func TestClientOffers(t *testing.T) {
-	scan, _ := registry.ScanSuitesNoGREASE(sampleRecord().ClientSuites)
+	scan, _ := registry.ScanSuitesNoGREASE(sampleRecord().Suites())
 	if !scan.Bits.Has(registry.ClassRC4) {
 		t.Error("sample offers RC4")
 	}
@@ -314,7 +327,7 @@ func TestAggregateByExtension(t *testing.T) {
 	}
 	// GREASE extensions are stripped.
 	r2 := sampleRecord()
-	r2.ClientExtensions = []registry.ExtensionID{registry.ExtensionID(0x0a0a), registry.ExtALPN}
+	editHello(r2, func(h *Hello) { h.Extensions = []registry.ExtensionID{registry.ExtensionID(0x0a0a), registry.ExtALPN} })
 	agg.Add(r2)
 	if ms.ByExtension.Get(registry.ExtensionID(0x0a0a)) != 0 {
 		t.Error("GREASE extension counted")

@@ -198,9 +198,8 @@ func TestReadLogParallelEndToEndDates(t *testing.T) {
 	var buf bytes.Buffer
 	lw := NewLogWriter(&buf)
 	for m := time.January; m <= time.December; m++ {
-		r := sampleRecord()
+		r := editHello(sampleRecord(), func(h *Hello) { h.Fingerprint = fmt.Sprintf("fp-%d", m) })
 		r.Date = timeline.D(2016, m, 1+int(m))
-		r.Fingerprint = fmt.Sprintf("fp-%d", m)
 		if err := lw.Write(r); err != nil {
 			t.Fatal(err)
 		}

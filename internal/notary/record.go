@@ -20,20 +20,17 @@ import (
 
 // Record is the metadata the Notary retains about one observed connection.
 // Like the real Notary it keeps no client identity — only the hello
-// parameters and the negotiation outcome. TruthClient (the generating
-// profile) is recorded by the simulator for evaluation only and is never
-// consulted by the analysis pipeline.
+// parameters and the negotiation outcome. The offered side — the five client
+// lists, the fingerprint and the truth label (the generating profile,
+// recorded by the simulator for evaluation only) — is a hello row, shared and
+// immutable, read through Suites … Truth; a HelloTable or a record decoder
+// points the record at it, and a zero Record reads as the empty hello.
 type Record struct {
 	Date timeline.Date
 
-	// Client Hello side.
-	ClientVersion     registry.Version
-	ClientSuites      []uint16
-	ClientExtensions  []registry.ExtensionID
-	ClientCurves      []registry.CurveID
-	ClientPointFmts   []registry.ECPointFormat
-	ClientSupportedVs []registry.Version
-	OffersHeartbeat   bool
+	// Client Hello side, beside the row.
+	ClientVersion   registry.Version
+	OffersHeartbeat bool
 
 	// Negotiation outcome.
 	Established  bool
@@ -46,72 +43,43 @@ type Record struct {
 	UsedFallback bool
 	SSLv2Hello   bool
 
-	// Fingerprint is the §4 client fingerprint string (GREASE-stripped),
-	// filled by the observation pipeline.
-	Fingerprint string
-
-	// TruthClient is ground truth for evaluation (profile name); empty in
-	// purely passive deployments.
-	TruthClient string
 	// ServerCohort labels the responding server's cohort for evaluation.
 	ServerCohort string
 
-	// hello is the table row a record decoder pointed the five lists at (see
-	// hello.go), nil for a record made any other way. Aggregate.Add reads the
-	// row's prepared shape through it, after checking the lists still are the
-	// row's.
+	// hello is the record's offered side (hello.go); nil for the empty hello.
 	hello *helloRow
 }
 
-// Reset zeroes the record while keeping the capacity of its five
-// client-side slices, so a pooled record is refilled without allocating.
-// Lists that may be a decoder's table row are dropped instead: that storage
-// is shared and not this record's to refill.
-func (r *Record) Reset() {
-	if r.hello != nil {
-		*r = Record{}
-		return
-	}
-	suites := r.ClientSuites[:0]
-	exts := r.ClientExtensions[:0]
-	curves := r.ClientCurves[:0]
-	pfs := r.ClientPointFmts[:0]
-	svs := r.ClientSupportedVs[:0]
-	*r = Record{
-		ClientSuites:      suites,
-		ClientExtensions:  exts,
-		ClientCurves:      curves,
-		ClientPointFmts:   pfs,
-		ClientSupportedVs: svs,
-	}
-}
+// The offered side, read from the record's row. The lists are shared with
+// every record of the hello and must not be written through.
 
-// Clone returns a deep copy of r that shares no slices with it. Sinks that
-// retain records beyond Observe must clone them, because producers reclaim
-// pooled records as soon as Observe returns.
+func (r *Record) Suites() []uint16                      { return r.row().Suites }
+func (r *Record) Extensions() []registry.ExtensionID    { return r.row().Extensions }
+func (r *Record) Curves() []registry.CurveID            { return r.row().Curves }
+func (r *Record) PointFmts() []registry.ECPointFormat   { return r.row().PointFmts }
+func (r *Record) SupportedVersions() []registry.Version { return r.row().SupportedVersions }
+func (r *Record) Fingerprint() string                   { return r.row().Fingerprint }
+func (r *Record) Truth() string                         { return r.row().Truth }
+
+// Clone returns a copy of r, which shares r's row. A sink that retains a
+// record beyond Observe clones it, because producers refill the record they
+// hand over as soon as Observe returns.
 func (r *Record) Clone() *Record {
 	cp := *r
-	cp.hello = nil
-	cp.ClientSuites = append([]uint16(nil), r.ClientSuites...)
-	cp.ClientExtensions = append([]registry.ExtensionID(nil), r.ClientExtensions...)
-	cp.ClientCurves = append([]registry.CurveID(nil), r.ClientCurves...)
-	cp.ClientPointFmts = append([]registry.ECPointFormat(nil), r.ClientPointFmts...)
-	cp.ClientSupportedVs = append([]registry.Version(nil), r.ClientSupportedVs...)
 	return &cp
 }
 
-// ObserveWire reconstructs the client-side fields of a Record from raw
-// ClientHello record bytes, exactly as a passive monitor on the wire would.
-// It returns an error for bytes the Bro analyzer would reject.
-func (r *Record) ObserveWire(clientHelloRecord []byte) error {
+// ObserveWire reconstructs the client side of a connection from raw
+// ClientHello record bytes, exactly as a passive monitor on the wire would:
+// r's version and flags, and h's lists, for the caller to intern. It returns
+// an error for bytes the Bro analyzer would reject.
+func (r *Record) ObserveWire(clientHelloRecord []byte, h *Hello) error {
 	if wire.IsSSLv2Hello(clientHelloRecord) {
 		var v2 wire.SSLv2ClientHello
 		if err := v2.DecodeFromBytes(clientHelloRecord); err != nil {
 			return err
 		}
-		r.SSLv2Hello = true
-		r.ClientVersion = v2.Version
-		r.ClientSuites = wire.TLSSuitesFromSSLv2(v2.CipherSpecs)
+		r.FromSSLv2Hello(&v2, h)
 		return nil
 	}
 	rec, _, err := wire.DecodeRecord(clientHelloRecord)
@@ -132,21 +100,31 @@ func (r *Record) ObserveWire(clientHelloRecord []byte) error {
 	if err := ch.DecodeFromBytes(body); err != nil {
 		return err
 	}
-	r.FromClientHello(&ch)
+	r.FromClientHello(&ch, h)
 	return nil
 }
 
-// FromClientHello fills the client-side fields from a parsed hello. The
-// record's existing slice capacity is reused, so feeding pooled records
-// through here is allocation-free in steady state.
-func (r *Record) FromClientHello(ch *wire.ClientHello) {
+// FromClientHello fills the client side from a parsed hello: r's version and
+// heartbeat offer, and h's lists, whose capacity is reused, so refilling one
+// Hello connection after connection is allocation-free in steady state.
+func (r *Record) FromClientHello(ch *wire.ClientHello, h *Hello) {
 	r.ClientVersion = ch.Version
-	r.ClientSuites = append(r.ClientSuites[:0], ch.CipherSuites...)
-	r.ClientExtensions = ch.AppendExtensionIDs(r.ClientExtensions[:0])
-	r.ClientCurves = ch.AppendSupportedGroups(r.ClientCurves[:0])
-	r.ClientPointFmts = ch.AppendECPointFormats(r.ClientPointFmts[:0])
-	r.ClientSupportedVs = ch.AppendSupportedVersions(r.ClientSupportedVs[:0])
 	r.OffersHeartbeat = ch.OffersHeartbeat()
+	h.Suites = append(h.Suites[:0], ch.CipherSuites...)
+	h.Extensions = ch.AppendExtensionIDs(h.Extensions[:0])
+	h.Curves = ch.AppendSupportedGroups(h.Curves[:0])
+	h.PointFmts = ch.AppendECPointFormats(h.PointFmts[:0])
+	h.SupportedVersions = ch.AppendSupportedVersions(h.SupportedVersions[:0])
+}
+
+// FromSSLv2Hello is FromClientHello for an SSLv2-compatible hello: its cipher
+// specs that name TLS suites, and no other list.
+func (r *Record) FromSSLv2Hello(v2 *wire.SSLv2ClientHello, h *Hello) {
+	r.SSLv2Hello = true
+	r.ClientVersion = v2.Version
+	r.OffersHeartbeat = false
+	h.Suites = wire.TLSSuitesFromSSLv2(v2.CipherSpecs)
+	h.Extensions, h.Curves, h.PointFmts, h.SupportedVersions = h.Extensions[:0], h.Curves[:0], h.PointFmts[:0], h.SupportedVersions[:0]
 }
 
 // --- TSV serialization (Bro-style log line) ---
@@ -176,14 +154,14 @@ func (r *Record) AppendTSV(dst []byte) []byte {
 	dst = appendBoolField(dst, r.UsedFallback)
 	dst = appendBoolField(dst, r.SSLv2Hello)
 	dst = appendHex16(append(dst, '\t'), uint16(r.ClientVersion))
-	dst = appendHexList(append(dst, '\t'), r.ClientSuites)
-	dst = appendHexList(append(dst, '\t'), r.ClientExtensions)
-	dst = appendHexList(append(dst, '\t'), r.ClientCurves)
-	dst = appendHexList(append(dst, '\t'), r.ClientPointFmts)
-	dst = appendHexList(append(dst, '\t'), r.ClientSupportedVs)
+	dst = appendHexList(append(dst, '\t'), r.Suites())
+	dst = appendHexList(append(dst, '\t'), r.Extensions())
+	dst = appendHexList(append(dst, '\t'), r.Curves())
+	dst = appendHexList(append(dst, '\t'), r.PointFmts())
+	dst = appendHexList(append(dst, '\t'), r.SupportedVersions())
 	dst = appendBoolField(dst, r.OffersHeartbeat)
-	dst = appendStrField(dst, r.Fingerprint)
-	dst = appendStrField(dst, r.TruthClient)
+	dst = appendStrField(dst, r.Fingerprint())
+	dst = appendStrField(dst, r.Truth())
 	dst = appendStrField(dst, r.ServerCohort)
 	return append(dst, '\n')
 }
@@ -272,10 +250,9 @@ func hex4(p []byte) (v uint16, ok bool) {
 // excluded) into r through the decoder tables t, so the log-ingestion hot
 // path allocates only for a hello or a string new to t. The eight fields
 // client_suites … truth are the line's hello span: a span t holds is not
-// parsed again, and one it does not is parsed into t's scratch lists and
-// remembered once all of it parsed. It assigns every field of r, whose lists
-// are then t's — a row's or the scratch — and read-only; on error r is left
-// in an unspecified partially-filled state.
+// parsed again, and one it does not is parsed into t's scratch hello and
+// made a row once all of it parsed. It assigns every field of r and points it
+// at its row; on error r is left in an unspecified partially-filled state.
 func parseTSVLine(r *Record, line []byte, t *decodeTables) error {
 	p := tsvLine{b: line}
 	r.Date = p.date()
@@ -292,25 +269,24 @@ func parseTSVLine(r *Record, line []byte, t *decodeTables) error {
 	start := p.off
 	key := tsvHelloSpan(line, start)
 	if row := t.rows[string(key)]; row != nil {
-		r.setHello(row)
+		r.hello = row
 		r.OffersHeartbeat = row.offersHB
 		p.off += len(key) + 1
 	} else {
 		s := &t.scratch
-		s.suites = parseHexList(&p, s.suites)
-		s.exts = parseHexList(&p, s.exts)
-		s.curves = parseHexList(&p, s.curves)
-		s.pfs = parseHexList(&p, s.pfs)
-		s.svs = parseHexList(&p, s.svs)
+		s.Suites = parseHexList(&p, s.Suites)
+		s.Extensions = parseHexList(&p, s.Extensions)
+		s.Curves = parseHexList(&p, s.Curves)
+		s.PointFmts = parseHexList(&p, s.PointFmts)
+		s.SupportedVersions = parseHexList(&p, s.SupportedVersions)
 		r.OffersHeartbeat = p.flag()
-		fp := p.text(t)
-		truth := p.text(t)
-		// The eight fields are a span once a tab has ended the last of them.
-		clean := p.err == nil && p.off <= len(line)
-		if clean {
-			key = line[start : p.off-1]
+		s.Fingerprint = p.text(t)
+		s.Truth = p.text(t)
+		// The eight fields are a span once a tab has ended the last of them;
+		// until then the line has an error to report.
+		if p.err == nil && p.off <= len(line) {
+			t.settle(r, line[start:p.off-1], s)
 		}
-		t.settle(r, key, fp, truth, clean)
 	}
 	r.ServerCohort = p.text(t)
 	if p.err == nil && p.off > len(line) {

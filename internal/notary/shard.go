@@ -2,13 +2,13 @@ package notary
 
 import "tlsage/internal/timeline"
 
-// ShardBuilder accumulates decoder records into a private Aggregate — the
-// shard a stream builds before a merge — paying for a hello's shape once per
-// distinct hello, not once per record: a 4,096-record shard of a simulated
-// stream holds under two hundred distinct (month, hello) pairs and a few
-// dozen (month, suite) ones. For a record on a decoder's hello row it does
-// what is the record's own (Aggregate.tally) and counts the record in its
-// (month, row) cell and its month's raw-suite table; Flush folds each cell's
+// ShardBuilder accumulates records into a private Aggregate — the shard a
+// stream builds before a merge — paying for a hello's shape once per distinct
+// hello, not once per record: a 4,096-record shard of a simulated stream
+// holds under two hundred distinct (month, hello) pairs and a few dozen
+// (month, suite) ones. For each record it does what is the record's own
+// (Aggregate.tally) and counts the record in its (month, hello row) cell and
+// its month's raw-suite table; Flush folds each cell's
 // shape and each suite times its count through the bodies Add runs with a
 // count of one (foldHello, foldSuite). Those counters are integers, so the
 // product is the sum; Figure 5's position sums are floats, which is why tally
@@ -22,11 +22,6 @@ import "tlsage/internal/timeline"
 // pair count what one would, and the pair's first cell keeps its first-seen
 // place. A stream whose rows or months thrash a slot only folds sooner, at
 // maxPendingCells.
-//
-// A record with no row (an oversize hello, a list or fingerprint a sink
-// replaced, a record no decoder made) goes through Add once the pending cells
-// are folded: the first hello seen for a fingerprint in a month decides its
-// FPCaps.Classes, in a builder as in Add.
 //
 // A ShardBuilder serves one stream at a time: it is not safe for concurrent
 // use, and nothing of the shard may be read before Flush.
@@ -111,25 +106,20 @@ func (b *ShardBuilder) Observe(r *Record) error {
 }
 
 // Add counts one record into the shard. Like Aggregate.Add it keeps nothing
-// of r but the row its decoder gave it, which is immutable.
+// of r but its hello row, which is immutable.
 func (b *ShardBuilder) Add(r *Record) {
-	sh := r.memoShape()
-	if sh == nil || r.Fingerprint != r.hello.fp {
-		b.foldCells()
-		b.shard().Add(r)
-		return
-	}
+	row := r.row()
 	bm := b.month(timeline.MonthOf(r.Date))
-	b.agg.tally(bm.ms, r, sh)
+	b.agg.tally(bm.ms, r, &row.shape)
 	if r.Established {
 		bm.suites.Add(r.Suite, 1)
 	}
-	slot := &b.slots[r.hello.slot()]
-	if i := *slot - 1; i < 0 || b.cells[i].row != r.hello || b.cells[i].bm != bm {
+	slot := &b.slots[row.slot()]
+	if i := *slot - 1; i < 0 || b.cells[i].row != row || b.cells[i].bm != bm {
 		if len(b.cells) >= maxPendingCells {
 			b.foldCells()
 		}
-		b.cells = append(b.cells, helloCell{bm: bm, row: r.hello, first: r.Date, last: r.Date})
+		b.cells = append(b.cells, helloCell{bm: bm, row: row, first: r.Date, last: r.Date})
 		*slot = int32(len(b.cells))
 	}
 	c := &b.cells[*slot-1]
@@ -149,7 +139,7 @@ func (b *ShardBuilder) Close() error { return nil }
 // them and their slots.
 func (b *ShardBuilder) foldCells() {
 	for _, c := range b.cells {
-		b.agg.foldHello(c.bm.ms, &c.row.shape, c.row.fp, c.first, c.last, c.n)
+		b.agg.foldHello(c.bm.ms, &c.row.shape, c.row.Fingerprint, c.first, c.last, c.n)
 		b.slots[c.row.slot()] = 0
 	}
 	clear(b.cells) // let go of the rows

@@ -20,19 +20,20 @@ import (
 // cadences, and what a warm pool spares a stream.
 
 // oversize returns r with a cipher list too long for a hello table to keep:
-// the decoders hand it to sinks with no row. Its list is all RC4.
+// the decoders hand it to sinks on a row of its own. Its list is all RC4.
 func oversize(r *Record) *Record {
-	r.ClientSuites = make([]uint16, maxHelloSpan)
-	for i := range r.ClientSuites {
-		r.ClientSuites[i] = 0x0005
-	}
-	return r
+	return editHello(r, func(h *Hello) {
+		h.Suites = make([]uint16, maxHelloSpan)
+		for i := range h.Suites {
+			h.Suites[i] = 0x0005
+		}
+	})
 }
 
 // builderSeeds are streams whose aggregate depends on what a builder defers.
 func builderSeeds() map[string][]*Record {
 	// One fingerprint over two lists with different class bits: AEAD among
-	// others on a table row, RC4 alone on a record no table keeps.
+	// others on a row the table keeps, RC4 alone on a row it does not.
 	row, bare := sampleRecord(), oversize(sampleRecord())
 	// One hello on descending dates, over a month boundary and back.
 	var dated []*Record
@@ -46,9 +47,9 @@ func builderSeeds() map[string][]*Record {
 		dated = append(dated, r)
 	}
 	return map[string][]*Record{
-		"one fingerprint, two class sets, the row first":       {row, row, bare, row},
-		"one fingerprint, two class sets, the row-less first":  {bare, row, bare, row, row},
-		"descending dates and a month boundary inside a shard": dated,
+		"one fingerprint, two class sets, the kept row first":   {row, row, bare, row},
+		"one fingerprint, two class sets, the unkept row first": {bare, row, bare, row, row},
+		"descending dates and a month boundary inside a shard":  dated,
 	}
 }
 
@@ -66,12 +67,12 @@ func TestBuilderSeedsMatchReference(t *testing.T) {
 		if _, _, err := ReadBatches(bytes.NewReader(encodeBatch(recs)), b); err != nil {
 			t.Fatal(err)
 		}
-		return b.Flush().Stats(timeline.MonthOf(recs[0].Date)).FPs[recs[0].Fingerprint].Classes
+		return b.Flush().Stats(timeline.MonthOf(recs[0].Date)).FPs[recs[0].Fingerprint()].Classes
 	}
-	first := classes(seeds["one fingerprint, two class sets, the row first"])
-	second := classes(seeds["one fingerprint, two class sets, the row-less first"])
+	first := classes(seeds["one fingerprint, two class sets, the kept row first"])
+	second := classes(seeds["one fingerprint, two class sets, the unkept row first"])
 	if first == second || !first.Has(registry.ClassAEAD) || second.Has(registry.ClassAEAD) {
-		t.Errorf("vacuous: FPCaps.Classes %b with the row first, %b with the row-less record first", first, second)
+		t.Errorf("vacuous: FPCaps.Classes %b with the kept row first, %b with the unkept one first", first, second)
 	}
 }
 
@@ -175,7 +176,7 @@ func dyadicRecords(seed int64, n int) []*Record {
 	recs := buildBatchRecords(seed, n)
 	for i, r := range recs {
 		var suites []uint16
-		for _, s := range r.ClientSuites {
+		for _, s := range r.Suites() {
 			if !registry.IsGREASE(s) {
 				suites = append(suites, s)
 			}
@@ -186,7 +187,7 @@ func dyadicRecords(seed int64, n int) []*Record {
 				break
 			}
 		}
-		r.ClientSuites = suites
+		editHello(r, func(h *Hello) { h.Suites = suites })
 		if i%9 == 0 {
 			oversize(r)
 		}
@@ -289,8 +290,7 @@ func TestStreamBuffersAllocBound(t *testing.T) {
 
 // A frame above maxKeptBuffer is read, and its body leaves with the stream.
 func TestOversizeFrameBodyIsNotKept(t *testing.T) {
-	big := sampleRecord()
-	big.ClientSuites = make([]uint16, maxListLen)
+	big := editHello(sampleRecord(), func(h *Hello) { h.Suites = make([]uint16, maxListLen) })
 	var recs []*Record
 	for i := 0; i < 40; i++ {
 		recs = append(recs, big)

@@ -1,22 +1,17 @@
 package notary
 
-import "sync"
-
 // Sink consumes a stream of connection records. It is the attachment point
 // of the record pipeline: the simulator, the log reader and any future
 // network ingest all deliver into a Sink instead of an ad-hoc callback.
 //
 // Observe is called once per record, always from a single goroutine per
 // sink instance. The record is only valid for the duration of the call —
-// producers lease records from a shared pool and reclaim them as soon as
-// Observe returns — so a sink that retains data beyond the call must copy
-// it explicitly (Record.Clone, or per-field copies as Aggregate.Add does).
-// The record's five client lists are read-only during the call: a record
-// from ReadLog or ReadBatches shares them with every other record of the
-// same hello (see hello.go), so a sink that wants to change one replaces the
-// slice — Add then folds the record from the lists it has — and never writes
-// through it. Close flushes whatever the sink buffers; producers do not call
-// it, the owner of the sink does.
+// producers refill the one they hand over for the next record — so a sink
+// that retains it beyond the call copies it (Record.Clone, a struct copy).
+// The record's offered side is a hello row (see hello.go): immutable, shared
+// with every other record of the same hello, and safe to keep. Close flushes
+// whatever the sink buffers; producers do not call it, the owner of the sink
+// does.
 type Sink interface {
 	Observe(*Record) error
 	Close() error
@@ -74,27 +69,4 @@ func (m *multiSink) Close() error {
 		}
 	}
 	return first
-}
-
-// recordPool recycles Records (and the five client-side slices each one
-// carries) across connections. At study scale the simulator emits millions
-// of records whose allocations otherwise dominate the profile.
-var recordPool = sync.Pool{New: func() any { return new(Record) }}
-
-// LeaseRecord returns a clean Record from the shared pool. The caller owns
-// it until it hands it to ReleaseRecord; the five client-side slices keep
-// their capacity across the pool round-trip, so a leased record is filled
-// without fresh slice allocations in steady state.
-func LeaseRecord() *Record {
-	return recordPool.Get().(*Record)
-}
-
-// ReleaseRecord resets r and returns it to the pool. The caller must not
-// touch r afterwards. Releasing nil is a no-op.
-func ReleaseRecord(r *Record) {
-	if r == nil {
-		return
-	}
-	r.Reset()
-	recordPool.Put(r)
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
+	"tlsage/internal/wire"
 )
 
 func TestTeeFansOutInOrder(t *testing.T) {
@@ -81,68 +83,54 @@ func TestLogWriterIsSink(t *testing.T) {
 	}
 }
 
-func TestRecordResetKeepsCapacity(t *testing.T) {
-	r := sampleRecord()
-	suitesCap := cap(r.ClientSuites)
-	ptr := &r.ClientSuites[0]
-	r.Reset()
-	if !reflect.DeepEqual(*r, Record{
-		ClientSuites:      r.ClientSuites,
-		ClientExtensions:  r.ClientExtensions,
-		ClientCurves:      r.ClientCurves,
-		ClientPointFmts:   r.ClientPointFmts,
-		ClientSupportedVs: r.ClientSupportedVs,
-	}) {
-		t.Error("Reset left non-slice state behind")
-	}
-	if len(r.ClientSuites) != 0 || cap(r.ClientSuites) != suitesCap {
-		t.Error("Reset should empty but keep slice capacity")
-	}
-	r.ClientSuites = append(r.ClientSuites, 1)
-	if &r.ClientSuites[0] != ptr {
-		t.Error("Reset reallocated the suites backing array")
-	}
-}
-
-func TestRecordCloneIsDeep(t *testing.T) {
+// A clone is a copy of the record that shares its row: the offered side is
+// immutable, so there is nothing of it to copy.
+func TestRecordCloneSharesTheRow(t *testing.T) {
 	r := sampleRecord()
 	cp := r.Clone()
-	if !reflect.DeepEqual(r, cp) {
-		t.Fatal("clone differs")
+	if cp == r || !reflect.DeepEqual(r, cp) || cp.hello != r.hello {
+		t.Fatal("the clone is not a copy of the record on its row")
 	}
-	r.ClientSuites[0] = 0xdead
-	r.ClientCurves[0] = 0xbeef
-	if cp.ClientSuites[0] == 0xdead || cp.ClientCurves[0] == 0xbeef {
-		t.Error("clone shares slices with the original")
+	cp.Suite, cp.ServerCohort = 0x0005, "other"
+	if r.Suite != 0xC02F || r.ServerCohort != "modern-ecdhe" {
+		t.Error("writing the clone wrote the original")
 	}
 }
 
-func TestLeaseReleaseRoundTrip(t *testing.T) {
-	r := LeaseRecord()
-	if !reflect.DeepEqual(*r, Record{
-		ClientSuites:      r.ClientSuites,
-		ClientExtensions:  r.ClientExtensions,
-		ClientCurves:      r.ClientCurves,
-		ClientPointFmts:   r.ClientPointFmts,
-		ClientSupportedVs: r.ClientSupportedVs,
-	}) || len(r.ClientSuites) != 0 {
-		t.Fatal("leased record not clean")
+// A record nothing pointed at a row reads as the empty hello, and writes,
+// frames, reads back and folds as one.
+func TestZeroRecordIsTheEmptyHello(t *testing.T) {
+	r := &Record{Date: sampleRecord().Date}
+	if len(r.Suites())+len(r.Extensions())+len(r.Curves())+len(r.PointFmts())+len(r.SupportedVersions()) != 0 ||
+		r.Fingerprint() != "" || r.Truth() != "" {
+		t.Fatalf("a zero record reads %+v", r.row().Hello)
 	}
-	*r = *sampleRecord()
-	ReleaseRecord(r)
-	ReleaseRecord(nil) // no-op
-	again := LeaseRecord()
-	if again.Fingerprint != "" || again.Established || len(again.ClientSuites) != 0 {
-		t.Error("pool returned a dirty record")
+	interned := withHello(&Record{Date: r.Date}, Hello{})
+	if err := checkHandle(r); err != nil {
+		t.Fatal(err)
 	}
-	ReleaseRecord(again)
+	if !bytes.Equal(r.AppendTSV(nil), interned.AppendTSV(nil)) || !bytes.Equal(encodeBatch([]*Record{r}), encodeBatch([]*Record{interned})) {
+		t.Error("a zero record is written unlike an interned empty hello")
+	}
+	add, built := classified(), NewShardBuilder(classified)
+	for _, x := range []*Record{r, interned, r} {
+		add.Add(x)
+		built.Add(x)
+	}
+	want := classified()
+	var back collectSink
+	if _, _, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{r, interned, r})), Tee(want, &back)); err != nil {
+		t.Fatal(err)
+	}
+	requireSameRecords(t, "a zero record framed", back.recs, []*Record{interned, interned, interned})
+	requireSameAggregate(t, "zero records by Add", add, want)
+	requireSameAggregate(t, "zero records through a builder", built.Flush(), want)
 }
 
-// The pooled serialization path must be allocation-free: a leased record
-// filled, serialized into a reused buffer, and released allocates nothing
-// in steady state. This is the regression guard for the direct-append
-// AppendTSV rewrite (it used to build every line in a strings.Builder and
-// copy it into dst, allocating twice per record).
+// The serialization path must be allocation-free: a record serialized into
+// a reused buffer allocates nothing in steady state. This is the regression
+// guard for the direct-append AppendTSV rewrite (it used to build every line
+// in a strings.Builder and copy it into dst, allocating twice per record).
 func TestAppendTSVAllocFree(t *testing.T) {
 	r := sampleRecord()
 	buf := make([]byte, 0, 1024)
@@ -162,9 +150,9 @@ func TestAppendTSVAllocFree(t *testing.T) {
 	}
 }
 
-// The pooled parse path: once the stream's strings are interned, parsing a
-// line into a reused record allocates nothing — no line string, no field
-// strings, no list growth.
+// The parse path: once the stream's strings are interned, parsing a line
+// into a reused record allocates nothing — no line string, no field strings,
+// no list growth.
 func TestParseTSVIntoAllocBound(t *testing.T) {
 	line := bytes.TrimSuffix(sampleRecord().AppendTSV(nil), []byte("\n"))
 	var rec Record
@@ -181,27 +169,38 @@ func TestParseTSVIntoAllocBound(t *testing.T) {
 	}
 }
 
-// A full pooled lease → fill-from-TSV → re-serialize → release cycle stays
-// allocation-free once the pool and the intern table are warm.
-func TestPooledRecordCycleAllocBound(t *testing.T) {
-	line := bytes.TrimSuffix(sampleRecord().AppendTSV(nil), []byte("\n"))
-	intern := newDecodeTables()
-	// Warm the pool with one fully-grown record.
-	warm := LeaseRecord()
-	if err := parseTSVLine(warm, line, intern); err != nil {
-		t.Fatal(err)
+// A producer's per-connection path, once its table is warm: a parsed hello's
+// lists refilled into one Hello, interned, and the record written as a line,
+// with no allocation per record — a repeated hello is a key spelled into the
+// table's buffer and a lookup.
+func TestHelloTableAllocBound(t *testing.T) {
+	ch := &wire.ClientHello{
+		Version:      registry.VersionTLS12,
+		CipherSuites: []uint16{0x0a0a, 0xC02F, 0xC013, 0x0005},
+		Extensions: []wire.Extension{
+			wire.NewSupportedGroupsExtension([]registry.CurveID{registry.CurveX25519}),
+			wire.NewHeartbeatExtension(1),
+			wire.NewSupportedVersionsExtension([]registry.Version{registry.VersionTLS13Draft18}),
+		},
 	}
-	ReleaseRecord(warm)
-	buf := make([]byte, 0, 1024)
-	if got := testing.AllocsPerRun(200, func() {
-		r := LeaseRecord()
-		if err := parseTSVLine(r, line, intern); err != nil {
-			t.Fatal(err)
-		}
+	var tab HelloTable
+	var r Record
+	var h Hello
+	buf, date := make([]byte, 0, 1024), sampleRecord().Date
+	cycle := func() {
+		r = Record{Date: date, ServerCohort: "modern-ecdhe"}
+		r.FromClientHello(ch, &h)
+		h.Fingerprint, h.Truth = "fp-test", "Chrome"
+		tab.Intern(&r, &h)
 		buf = r.AppendTSV(buf[:0])
-		ReleaseRecord(r)
-	}); got > 3 {
-		t.Errorf("pooled cycle allocates %v times per record, want ≤3", got)
+	}
+	cycle()
+	row := r.hello
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Errorf("a warm producer table costs %v allocations per record, want 0", got)
+	}
+	if r.hello != row || len(tab.t.rows) != 1 {
+		t.Errorf("a repeated hello made %d rows", len(tab.t.rows))
 	}
 }
 

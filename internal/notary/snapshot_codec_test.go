@@ -199,7 +199,7 @@ func TestDecodeRefusesImpossiblePositions(t *testing.T) {
 func TestDecodeRefusesImpossibleFingerprintRows(t *testing.T) {
 	agg := NewAggregate()
 	for _, fp := range []string{"fp-a", "fp-b"} {
-		agg.Add(&Record{Date: timeline.D(2016, time.May, 9), Fingerprint: fp})
+		agg.Add(withHello(&Record{Date: timeline.D(2016, time.May, 9)}, Hello{Fingerprint: fp}))
 	}
 	payload := AppendAggregatePayload(nil, agg)
 	if _, err := DecodeAggregatePayload(payload, SnapshotVersion); err != nil {

@@ -355,13 +355,13 @@ func TestOpenHostileTLSBRecordKeepsTheLogTail(t *testing.T) {
 	log, _ := sharedLog(t)
 	total := countRecords(log)
 	half := total / 2
-	for name, hostile := range map[string]notary.Record{
-		"tab in cohort": {ServerCohort: "modern\tecdhe"},
-		"dash as fp":    {Fingerprint: "-"},
+	for name, c := range map[string]struct{ cohort, fp string }{
+		"tab in cohort": {cohort: "modern\tecdhe"},
+		"dash as fp":    {fp: "-"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			hostile.Date = timeline.D(2013, time.March, 9)
-			hostile.ClientSuites = []uint16{0xc02f}
+			hostile := notary.Record{Date: timeline.D(2013, time.March, 9), ServerCohort: c.cohort}
+			new(notary.HelloTable).Intern(&hostile, &notary.Hello{Suites: []uint16{0xc02f}, Fingerprint: c.fp})
 			var frame bytes.Buffer
 			bw := notary.NewBatchWriter(&frame, 1)
 			if err := bw.Observe(&hostile); err != nil {

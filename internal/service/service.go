@@ -65,6 +65,7 @@ import (
 	"tlsage/internal/core"
 	"tlsage/internal/federation"
 	"tlsage/internal/notary"
+	"tlsage/internal/retry"
 )
 
 // DefaultFlushEvery is the per-stream shard size: small enough that
@@ -765,9 +766,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // --- raw TCP ingest ---
 
-// maxAcceptBackoff caps the retry delay after transient Accept errors.
-const maxAcceptBackoff = time.Second
-
 // ServeTCP accepts raw record streams on ln: each connection is one record
 // log, read by notary.ReadLog as a POST /ingest body is, straight off the
 // connection (through the idle deadline, when set) into the decoder's pooled
@@ -775,14 +773,15 @@ const maxAcceptBackoff = time.Second
 // <generation>", "busy <retry-after-seconds>" when the in-flight limit or
 // merge queue sheds the stream before anything applied, or "error: ...") and
 // closes the connection. Transient Accept errors (EMFILE, timeouts) are
-// retried with capped exponential backoff instead of killing the loop. It
-// returns after the listener closes (Close does that).
+// retried after the retry package's backoff, from 5 ms up to a second,
+// instead of killing the loop. It returns after the listener closes (Close
+// does that).
 func (s *Server) ServeTCP(ln net.Listener) error {
 	s.tcpMu.Lock()
 	s.tcpLns = append(s.tcpLns, ln)
 	s.tcpMu.Unlock()
 	defer s.connWG.Wait()
-	var backoff time.Duration
+	backoff := retry.Backoff{Base: 5 * time.Millisecond, Max: time.Second}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -793,17 +792,12 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 			// multi-year collection: back off and try again. Only
 			// non-transient errors abort the loop.
 			if isTransientAcceptErr(err) {
-				if backoff == 0 {
-					backoff = 5 * time.Millisecond
-				} else if backoff *= 2; backoff > maxAcceptBackoff {
-					backoff = maxAcceptBackoff
-				}
-				time.Sleep(backoff)
+				time.Sleep(backoff.Next(0))
 				continue
 			}
 			return err
 		}
-		backoff = 0
+		backoff.Reset()
 		if !s.acquireStream() {
 			// Saturated: shed with a status line the feeder understands
 			// (tlstrend feed -retry backs off and retries on "busy"). Stop

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"tlsage/internal/fingerprint"
 	"tlsage/internal/notary"
 )
 
@@ -45,6 +47,32 @@ func TestCorpusDigest(t *testing.T) {
 					t.Errorf("sha256 of the TSV stream = %s, want %s", got, c.sha256)
 				}
 			})
+		}
+	}
+}
+
+// A ShardBuilder folds a simulated stream — every record on a row of its
+// worker's HelloTable — to the aggregate per-record Add makes of it, bit for
+// bit, as it does a decoded one.
+func TestBuilderFoldsASimulatedStreamAsAdd(t *testing.T) {
+	db := fingerprint.BuildDefault()
+	classified := func() *notary.Aggregate {
+		agg := notary.NewAggregate()
+		agg.SetClassifier(db)
+		return agg
+	}
+	for _, seed := range []int64{1, 2} {
+		for _, workers := range []int{1, 4} {
+			opts := DefaultOptions(100)
+			opts.Seed, opts.Workers = seed, workers
+			added, built := classified(), notary.NewShardBuilder(classified)
+			if err := New(opts).Run(notary.Tee(added, built)); err != nil {
+				t.Fatal(err)
+			}
+			if got := built.Flush(); !reflect.DeepEqual(got, added) || got.TotalRecords() != 75*100 {
+				t.Errorf("seed %d, %d workers: the builder's %d records fold unlike Add's %d",
+					seed, workers, got.TotalRecords(), added.TotalRecords())
+			}
 		}
 	}
 }

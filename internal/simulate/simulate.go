@@ -129,26 +129,31 @@ func (s *Simulator) monthRNG(m timeline.Month) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
 
-// scratch is the per-worker reusable state: wire encode buffers and the
-// randomizer shuffle buffer, reused across every connection the worker
-// simulates. A scratch must not be shared between goroutines.
+// scratch is the per-worker reusable state: wire encode buffers, the
+// randomizer shuffle buffer and the offered side of the connection being
+// simulated, reused across every connection the worker simulates, and the
+// table that interns that offered side. A scratch must not be shared between
+// goroutines.
 type scratch struct {
 	enc    wire.HelloEncoder
 	raw    []byte
 	suites []uint16
+	hello  notary.Hello
+	hellos notary.HelloTable
 }
 
 // runMonth simulates one month's connections in order, invoking observe for
-// each record. Records are leased from the notary pool; observe takes
-// ownership and must release (or forward) them.
+// each record. The record is refilled for the next connection once observe
+// returns.
 func (s *Simulator) runMonth(m timeline.Month, sc *scratch, observe func(*notary.Record) error) error {
 	rnd := s.monthRNG(m)
+	var rec notary.Record
 	for i := 0; i < s.opts.ConnectionsPerMonth; i++ {
-		rec, err := s.connection(m, rnd, sc)
-		if err != nil {
+		if err := s.connection(&rec, m, rnd, sc); err != nil {
 			return err
 		}
-		if err := observe(rec); err != nil {
+		sc.hellos.Intern(&rec, &sc.hello)
+		if err := observe(&rec); err != nil {
 			return err
 		}
 	}
@@ -158,21 +163,16 @@ func (s *Simulator) runMonth(m timeline.Month, sc *scratch, observe func(*notary
 // Run generates the dataset, delivering every record to sink in
 // chronological-month order. With Workers > 1 months are simulated
 // concurrently and delivered in order; Observe is always called from a
-// single goroutine. Records are pooled: each is valid only for the duration
-// of Observe (clone to retain). A sink error aborts the run. The sink is
-// not closed — its owner is.
+// single goroutine. Each record is valid only for the duration of Observe
+// (clone to retain). A sink error aborts the run. The sink is not closed —
+// its owner is.
 func (s *Simulator) Run(sink notary.Sink) error {
 	months := timeline.MonthsBetween(s.opts.Start, s.opts.End)
 	workers := s.workerCount(len(months))
 	if workers <= 1 {
 		var sc scratch
-		deliver := func(r *notary.Record) error {
-			err := sink.Observe(r)
-			notary.ReleaseRecord(r)
-			return err
-		}
 		for _, m := range months {
-			if err := s.runMonth(m, &sc, deliver); err != nil {
+			if err := s.runMonth(m, &sc, sink.Observe); err != nil {
 				return err
 			}
 		}
@@ -180,7 +180,7 @@ func (s *Simulator) Run(sink notary.Sink) error {
 	}
 
 	type monthOut struct {
-		recs []*notary.Record
+		recs []notary.Record
 		err  error
 	}
 	outs := make([]chan monthOut, len(months))
@@ -203,9 +203,9 @@ func (s *Simulator) Run(sink notary.Sink) error {
 					outs[idx] <- monthOut{}
 					continue
 				}
-				recs := make([]*notary.Record, 0, s.opts.ConnectionsPerMonth)
+				recs := make([]notary.Record, 0, s.opts.ConnectionsPerMonth)
 				err := s.runMonth(months[idx], &sc, func(r *notary.Record) error {
-					recs = append(recs, r)
+					recs = append(recs, *r)
 					return nil
 				})
 				if err != nil {
@@ -230,23 +230,23 @@ func (s *Simulator) Run(sink notary.Sink) error {
 		if out.err != nil && firstErr == nil {
 			firstErr = out.err
 		}
-		for _, rec := range out.recs {
-			if firstErr == nil {
-				if err := sink.Observe(rec); err != nil {
-					firstErr = err
-					aborted.Store(true)
-				}
+		for j := range out.recs {
+			if firstErr != nil {
+				break
 			}
-			notary.ReleaseRecord(rec)
+			if err := sink.Observe(&out.recs[j]); err != nil {
+				firstErr = err
+				aborted.Store(true)
+			}
 		}
 		<-sem
 	}
 	return firstErr
 }
 
-// connection simulates one observed connection in month m. The returned
-// record is leased from the notary pool; the caller owns it.
-func (s *Simulator) connection(m timeline.Month, rnd *rand.Rand, sc *scratch) (*notary.Record, error) {
+// connection simulates one observed connection in month m into rec, and its
+// offered side into sc.hello.
+func (s *Simulator) connection(rec *notary.Record, m timeline.Month, rnd *rand.Rand, sc *scratch) error {
 	date := timeline.Date{Year: m.Year, Month: m.M, Day: 1 + rnd.Intn(28)}
 	profile, relIdx := s.Clients.Sample(date, rnd)
 	rel := profile.Releases[relIdx]
@@ -254,31 +254,21 @@ func (s *Simulator) connection(m timeline.Month, rnd *rand.Rand, sc *scratch) (*
 
 	_, serverCfg := s.Servers.SampleForClient(profile.Name, date, rnd)
 
-	rec := notary.LeaseRecord()
-	rec.Date = date
-	rec.TruthClient = profile.Name
-	rec.ServerCohort = serverCfg.Name
+	*rec = notary.Record{Date: date, ServerCohort: serverCfg.Name}
+	h := &sc.hello
+	h.Fingerprint, h.Truth = "", profile.Name
 
 	// The Nagios monitoring traffic opens with SSLv2-compatible hellos part
 	// of the time (§5.1).
 	if cfg.SSLv2Compat && rnd.Float64() < 0.3 {
-		out, err := s.sslv2Connection(rec, &cfg, serverCfg, rnd)
-		if err != nil {
-			notary.ReleaseRecord(rec)
-			return nil, err
-		}
-		return out, nil
+		return s.sslv2Connection(rec, h, &cfg, serverCfg, rnd)
 	}
 
 	hello, err := s.buildHello(&cfg, profile.Name, rnd, sc, false)
 	if err != nil {
-		notary.ReleaseRecord(rec)
-		return nil, err
+		return err
 	}
-	if err := s.observe(rec, hello); err != nil {
-		notary.ReleaseRecord(rec)
-		return nil, err
-	}
+	s.observe(rec, h, hello)
 
 	res := handshake.Negotiate(hello, serverCfg)
 
@@ -292,24 +282,20 @@ func (s *Simulator) connection(m timeline.Month, rnd *rand.Rand, sc *scratch) (*
 			fb.SupportedVersions = nil
 			retryHello, err := s.buildHello(&fb, profile.Name, rnd, sc, true)
 			if err != nil {
-				notary.ReleaseRecord(rec)
-				return nil, err
+				return err
 			}
 			res = handshake.Negotiate(retryHello, serverCfg)
 			if res.OK {
 				rec.UsedFallback = true
 				// The Notary sees the successful exchange's hello.
-				if err := s.observe(rec, retryHello); err != nil {
-					notary.ReleaseRecord(rec)
-					return nil, err
-				}
+				s.observe(rec, h, retryHello)
 				break
 			}
 		}
 	}
 
 	s.finishRecord(rec, &cfg, profile.Name, res)
-	return rec, nil
+	return nil
 }
 
 // fallbackVersions lists the retry versions a fallback-capable client walks
@@ -383,15 +369,14 @@ func (s *Simulator) buildHello(cfg *clientdb.Config, profileName string, rnd *ra
 	return &parsed, nil
 }
 
-// observe fills the record's client-side fields and fingerprints the lists
-// it has just copied out of the hello.
-func (s *Simulator) observe(rec *notary.Record, hello *wire.ClientHello) error {
-	rec.FromClientHello(hello)
-	rec.Fingerprint = ""
-	if !timeline.MonthOf(rec.Date).Before(s.opts.FingerprintFrom) && fingerprint.Usable(rec.ClientSuites) {
-		rec.Fingerprint = string(fingerprint.FromParts(rec.ClientSuites, rec.ClientExtensions, rec.ClientCurves, rec.ClientPointFmts))
+// observe fills the record's client side, the lists into h, and fingerprints
+// the lists it has just copied out of the hello.
+func (s *Simulator) observe(rec *notary.Record, h *notary.Hello, hello *wire.ClientHello) {
+	rec.FromClientHello(hello, h)
+	h.Fingerprint = ""
+	if !timeline.MonthOf(rec.Date).Before(s.opts.FingerprintFrom) && fingerprint.Usable(h.Suites) {
+		h.Fingerprint = string(fingerprint.FromParts(h.Suites, h.Extensions, h.Curves, h.PointFmts))
 	}
-	return nil
 }
 
 // finishRecord applies the negotiation outcome.
@@ -418,8 +403,9 @@ func (s *Simulator) finishRecord(rec *notary.Record, cfg *clientdb.Config, profi
 	return
 }
 
-// sslv2Connection handles the legacy SSLv2-compatible opening.
-func (s *Simulator) sslv2Connection(rec *notary.Record, cfg *clientdb.Config, serverCfg *handshake.ServerConfig, rnd *rand.Rand) (*notary.Record, error) {
+// sslv2Connection handles the legacy SSLv2-compatible opening, its lists into
+// h.
+func (s *Simulator) sslv2Connection(rec *notary.Record, h *notary.Hello, cfg *clientdb.Config, serverCfg *handshake.ServerConfig, rnd *rand.Rand) error {
 	v2 := &wire.SSLv2ClientHello{
 		Version:     registry.VersionSSL2,
 		CipherSpecs: []uint32{0x010080, 0x020080},
@@ -432,15 +418,13 @@ func (s *Simulator) sslv2Connection(rec *notary.Record, cfg *clientdb.Config, se
 	if s.opts.WireLevel {
 		raw, err := v2.MarshalBinary()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := rec.ObserveWire(raw); err != nil {
-			return nil, err
+		if err := rec.ObserveWire(raw, h); err != nil {
+			return err
 		}
 	} else {
-		rec.SSLv2Hello = true
-		rec.ClientVersion = registry.VersionSSL2
-		rec.ClientSuites = wire.TLSSuitesFromSSLv2(v2.CipherSpecs)
+		rec.FromSSLv2Hello(v2, h)
 	}
 	res := handshake.NegotiateSSLv2(v2, serverCfg)
 	if res.OK {
@@ -450,5 +434,5 @@ func (s *Simulator) sslv2Connection(rec *notary.Record, cfg *clientdb.Config, se
 	} else {
 		rec.AlertDesc = res.Alert.Description
 	}
-	return rec, nil
+	return nil
 }
