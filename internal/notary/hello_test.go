@@ -115,31 +115,33 @@ func TestOversizeHelloIsNeverKept(t *testing.T) {
 			return err
 		},
 	} {
-		tab := newDecodeTables()
-		if err := read(recs[:1], nullSink(), tab); err != nil || len(tab.rows) != 1 {
-			t.Fatalf("%s: the sample record made %d rows, err %v", name, len(tab.rows), err)
-		}
-		held := tab.held
-		var got collectSink
-		agg, built := classified(), NewShardBuilder(classified)
-		if err := read(recs, Tee(&got, agg, built), tab); err != nil {
-			t.Fatal(err)
-		}
-		requireSameRecords(t, name, got.recs, recs)
-		requireSameAggregate(t, name+", through a builder", built.Flush(), agg)
-		if len(tab.rows) != 1 || tab.held != held {
-			t.Errorf("%s: the table grew from 1 row and %d bytes to %d and %d", name, held, len(tab.rows), tab.held)
-		}
-		for i, r := range got.recs[1:] {
-			if r.hello == nil || r.hello == got.recs[i].hello {
-				t.Errorf("%s: record %d is on row %p, not one of its own", name, i+1, r.hello)
+		t.Run(name, func(t *testing.T) {
+			tab := newDecodeTables()
+			if err := read(recs[:1], nullSink(), tab); err != nil || len(tab.rows) != 1 {
+				t.Fatalf("the sample record made %d rows, err %v", len(tab.rows), err)
 			}
-			for _, row := range tab.rows {
-				if row == r.hello {
-					t.Errorf("%s: the table kept record %d's row", name, i+1)
+			held := tab.held
+			var got collectSink
+			agg, built := classified(), NewShardBuilder(classified)
+			if err := read(recs, Tee(&got, agg, built), tab); err != nil {
+				t.Fatal(err)
+			}
+			requireSameRecords(t, name, got.recs, recs)
+			requireSameAggregate(t, name+", through a builder", built.Flush(), agg)
+			if len(tab.rows) != 1 || tab.held != held {
+				t.Errorf("the table grew from 1 row and %d bytes to %d and %d", held, len(tab.rows), tab.held)
+			}
+			for i, r := range got.recs[1:] {
+				if r.hello == nil || r.hello == got.recs[i].hello {
+					t.Errorf("record %d is on row %p, not one of its own", i+1, r.hello)
+				}
+				for _, row := range tab.rows {
+					if row == r.hello {
+						t.Errorf("the table kept record %d's row", i+1)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

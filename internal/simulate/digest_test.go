@@ -63,16 +63,18 @@ func TestBuilderFoldsASimulatedStreamAsAdd(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 2} {
 		for _, workers := range []int{1, 4} {
-			opts := DefaultOptions(100)
-			opts.Seed, opts.Workers = seed, workers
-			added, built := classified(), notary.NewShardBuilder(classified)
-			if err := New(opts).Run(notary.Tee(added, built)); err != nil {
-				t.Fatal(err)
-			}
-			if got := built.Flush(); !reflect.DeepEqual(got, added) || got.TotalRecords() != 75*100 {
-				t.Errorf("seed %d, %d workers: the builder's %d records fold unlike Add's %d",
-					seed, workers, got.TotalRecords(), added.TotalRecords())
-			}
+			t.Run(fmt.Sprintf("seed%d/workers%d", seed, workers), func(t *testing.T) {
+				opts := DefaultOptions(100)
+				opts.Seed, opts.Workers = seed, workers
+				added, built := classified(), notary.NewShardBuilder(classified)
+				if err := New(opts).Run(notary.Tee(added, built)); err != nil {
+					t.Fatal(err)
+				}
+				if got := built.Flush(); !reflect.DeepEqual(got, added) || got.TotalRecords() != 75*100 {
+					t.Errorf("the builder's %d records fold unlike Add's %d",
+						got.TotalRecords(), added.TotalRecords())
+				}
+			})
 		}
 	}
 }
