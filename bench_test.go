@@ -536,7 +536,9 @@ func BenchmarkScalarTLS13(b *testing.B) {
 
 // Ablation 1: wire-level simulation vs struct-level fast path. Like every
 // simulation ablation below it times what `tlstrend simulate` runs:
-// Simulator.Run into one classified aggregate. Reports ns per record.
+// Simulator.Run into one classified aggregate. Reports ns per record. Only a
+// hello-memo miss — a hello a worker has not built yet, or a randomizer's —
+// round-trips through the codec, so the two arms differ on misses alone.
 func benchSimulate(b *testing.B, wireLevel bool) {
 	opts := simulate.DefaultOptions(100)
 	opts.End = timeline.M(2013, time.December)
@@ -751,12 +753,11 @@ func BenchmarkAblationLoadLogSpeedup(b *testing.B) {
 // sampleFarmConfigs draws deterministic host configs for the worker ablation.
 func sampleFarmConfigs(n int) ([]*handshake.ServerConfig, []string) {
 	rnd := rand.New(rand.NewSource(9))
-	servers := population.DefaultServers()
-	date := timeline.D(2016, time.June, 15)
+	census := population.DefaultServers().Day(timeline.D(2016, time.June, 15))
 	cfgs := make([]*handshake.ServerConfig, n)
 	cohorts := make([]string, n)
 	for i := 0; i < n; i++ {
-		cohort, cfg := servers.Sample(date, population.ByHosts, rnd)
+		cohort, cfg := census.Sample(population.ByHosts, rnd)
 		cfgs[i] = cfg
 		cohorts[i] = cohort.Name
 	}

@@ -105,11 +105,53 @@ func (c *Config) CountWhere(pred func(registry.Suite) bool) int {
 
 // BuildHello constructs the wire ClientHello for this configuration.
 // rnd seeds the random field and GREASE placement; fallback selects the
-// downgraded retry form (used after a failed first attempt).
+// downgraded retry form (used after a failed first attempt). It is Draw, then
+// Assemble.
 func (c *Config) BuildHello(rnd *rand.Rand, fallback bool) *wire.ClientHello {
+	var d Draws
+	c.Draw(rnd, &d)
+	return c.Assemble(&d, fallback)
+}
+
+// Draws are a hello's random choices. GREASE holds the GREASE value of each
+// slot — 0 the cipher list, 1 supported_groups, 2 supported_versions, 3 the
+// trailing extension — and 0, which no GREASE value is, where the config sends
+// none. Nothing else of a hello is random: with the fallback flag, the draws
+// fix the hello, and GREASE alone fixes every field but Random.
+type Draws struct {
+	GREASE [4]uint16
+	Random [32]byte
+}
+
+// Draw makes a hello's random choices from rnd, in the order the hello holds
+// them: slot 0, the Random bytes, slots 1 and 2 in extension order, slot 3.
+// It allocates nothing.
+func (c *Config) Draw(rnd *rand.Rand, d *Draws) {
+	d.GREASE = [4]uint16{}
+	if c.GREASE {
+		d.GREASE[0] = grease(rnd, 0)
+	}
+	rnd.Read(d.Random[:])
+	if !c.GREASE {
+		return
+	}
+	for _, id := range c.Extensions {
+		switch {
+		case id == registry.ExtSupportedGroups:
+			d.GREASE[1] = grease(rnd, 1)
+		case id == registry.ExtSupportedVersions && len(c.SupportedVersions) > 0:
+			d.GREASE[2] = grease(rnd, 2)
+		}
+	}
+	d.GREASE[3] = grease(rnd, 3)
+}
+
+// Assemble builds the hello of the given draws; fallback selects the
+// downgraded retry form.
+func (c *Config) Assemble(d *Draws, fallback bool) *wire.ClientHello {
 	suites := make([]uint16, 0, len(c.Suites)+2)
 	if c.GREASE {
-		suites = append(suites, grease(rnd, 0))
+		suites = append(suites, d.GREASE[0])
 	}
 	suites = append(suites, c.Suites...)
 	if c.RC4FallbackOnly && fallback {
@@ -121,10 +163,10 @@ func (c *Config) BuildHello(rnd *rand.Rand, fallback bool) *wire.ClientHello {
 
 	ch := &wire.ClientHello{
 		Version:            c.LegacyVersion,
+		Random:             d.Random,
 		CipherSuites:       suites,
 		CompressionMethods: []byte{0},
 	}
-	rnd.Read(ch.Random[:])
 
 	for _, id := range c.Extensions {
 		switch id {
@@ -132,7 +174,7 @@ func (c *Config) BuildHello(rnd *rand.Rand, fallback bool) *wire.ClientHello {
 			curves := c.Curves
 			if c.GREASE {
 				withGrease := make([]registry.CurveID, 0, len(curves)+1)
-				withGrease = append(withGrease, registry.CurveID(grease(rnd, 1)))
+				withGrease = append(withGrease, registry.CurveID(d.GREASE[1]))
 				curves = append(withGrease, curves...)
 			}
 			ch.Extensions = append(ch.Extensions, wire.NewSupportedGroupsExtension(curves))
@@ -143,7 +185,7 @@ func (c *Config) BuildHello(rnd *rand.Rand, fallback bool) *wire.ClientHello {
 				vs := c.SupportedVersions
 				if c.GREASE {
 					withGrease := make([]registry.Version, 0, len(vs)+1)
-					withGrease = append(withGrease, registry.Version(grease(rnd, 2)))
+					withGrease = append(withGrease, registry.Version(d.GREASE[2]))
 					vs = append(withGrease, vs...)
 				}
 				ch.Extensions = append(ch.Extensions, wire.NewSupportedVersionsExtension(vs))
@@ -157,15 +199,17 @@ func (c *Config) BuildHello(rnd *rand.Rand, fallback bool) *wire.ClientHello {
 		}
 	}
 	if c.GREASE {
-		ch.Extensions = append(ch.Extensions, wire.Extension{ID: registry.ExtensionID(grease(rnd, 3))})
+		ch.Extensions = append(ch.Extensions, wire.Extension{ID: registry.ExtensionID(d.GREASE[3])})
 	}
 	return ch
 }
 
+// greaseValues are the values grease picks from.
+var greaseValues = registry.GREASEValues()
+
 // grease picks a GREASE value; slot diversifies which one per position.
 func grease(rnd *rand.Rand, slot int) uint16 {
-	vals := registry.GREASEValues()
-	return vals[(rnd.Intn(len(vals))+slot)%len(vals)]
+	return greaseValues[(rnd.Intn(len(greaseValues))+slot)%len(greaseValues)]
 }
 
 // rc4FallbackSuites is the RC4 set Firefox re-enabled on retry during its
@@ -228,20 +272,6 @@ func (p *Profile) MixAt(d timeline.Date) []float64 {
 		out[i] = raw[i+1]
 	}
 	return out
-}
-
-// SampleRelease draws a release index according to MixAt(d).
-func (p *Profile) SampleRelease(d timeline.Date, rnd *rand.Rand) int {
-	mix := p.MixAt(d)
-	x := rnd.Float64()
-	acc := 0.0
-	for i, w := range mix {
-		acc += w
-		if x < acc {
-			return i
-		}
-	}
-	return len(mix) - 1
 }
 
 // ReleaseByVersion finds a release by version string.

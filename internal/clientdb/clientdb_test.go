@@ -64,22 +64,6 @@ func TestMixSumsToOne(t *testing.T) {
 	}
 }
 
-func TestSampleReleaseDeterministicBounds(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	p, _ := ProfileByName("Firefox")
-	d := timeline.D(2015, time.June, 15)
-	for i := 0; i < 200; i++ {
-		idx := p.SampleRelease(d, rnd)
-		if idx < 0 || idx >= len(p.Releases) {
-			t.Fatalf("index out of range: %d", idx)
-		}
-		// In mid-2015 Firefox 60 (2018) must never be sampled.
-		if p.Releases[idx].Version == "60" {
-			t.Fatal("future release sampled")
-		}
-	}
-}
-
 // Table 3 of the paper: CBC cipher-suite count changes.
 func TestTable3CBC(t *testing.T) {
 	rows := Table3CBC()

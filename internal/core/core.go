@@ -671,8 +671,9 @@ func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
 	configs := make([]*handshake.ServerConfig, hosts)
 	cohorts := make([]string, hosts)
 	groundTruth := 0
+	census := servers.Day(c.Date)
 	for i := 0; i < hosts; i++ {
-		cohort, cfg := servers.Sample(c.Date, universe, rnd)
+		cohort, cfg := census.Sample(universe, rnd)
 		configs[i] = cfg
 		cohorts[i] = cohort.Name
 		if cfg.HeartbleedVulnerable {

@@ -69,6 +69,13 @@ func (r *Record) Clone() *Record {
 	return &cp
 }
 
+// CopyClientSide sets r's client side — ClientVersion, OffersHeartbeat and the
+// row of its offered side — to src's. A producer that keeps the record of a
+// hello it built gives later records that hello without interning it again.
+func (r *Record) CopyClientSide(src *Record) {
+	r.ClientVersion, r.OffersHeartbeat, r.hello = src.ClientVersion, src.OffersHeartbeat, src.hello
+}
+
 // ObserveWire reconstructs the client side of a connection from raw
 // ClientHello record bytes, exactly as a passive monitor on the wire would:
 // r's version and flags, and h's lists, for the caller to intern. It returns

@@ -50,26 +50,61 @@ func NewClientPopulation(entries []WeightedProfile) (*ClientPopulation, error) {
 	return &ClientPopulation{entries: entries}, nil
 }
 
-// Sample draws a client profile (by traffic weight at d) and a release index
-// (by the profile's installed-version mix at d).
-func (cp *ClientPopulation) Sample(d timeline.Date, rnd *rand.Rand) (*clientdb.Profile, int) {
-	total := 0.0
-	weights := make([]float64, len(cp.entries))
+// ClientDay is a ClientPopulation at one date, the only way to draw from it:
+// every weight a draw at that date reads, evaluated once. A ClientDay is not
+// safe for concurrent use.
+type ClientDay struct {
+	cp   *ClientPopulation
+	date timeline.Date
+	// cum holds the running sums of the profiles' traffic weights; mix[i]
+	// those of profile i's release mix, nil until profile i is first drawn.
+	cum []float64
+	mix [][]float64
+}
+
+// Day returns the population's table for date d.
+func (cp *ClientPopulation) Day(d timeline.Date) *ClientDay {
+	t := &ClientDay{cp: cp, date: d, cum: make([]float64, len(cp.entries)), mix: make([][]float64, len(cp.entries))}
 	for i, e := range cp.entries {
-		w := e.Weight.Value(d)
-		weights[i] = w
-		total += w
+		t.cum[i] = e.Weight.Value(d)
 	}
-	x := rnd.Float64() * total
+	runningSums(t.cum)
+	return t
+}
+
+// Sample draws a client profile by traffic weight, then a release index by
+// the profile's installed-version mix.
+func (t *ClientDay) Sample(rnd *rand.Rand) (*clientdb.Profile, int) {
+	i := pick(t.cum, rnd.Float64()*t.cum[len(t.cum)-1])
+	return t.cp.entries[i].Profile, t.release(i, rnd)
+}
+
+// release draws a release index of profile i.
+func (t *ClientDay) release(i int, rnd *rand.Rand) int {
+	if t.mix[i] == nil {
+		t.mix[i] = runningSums(t.cp.entries[i].Profile.MixAt(t.date))
+	}
+	return pick(t.mix[i], rnd.Float64())
+}
+
+// runningSums replaces each weight of w by the sum of it and those before it,
+// added in order, and returns w.
+func runningSums(w []float64) []float64 {
 	acc := 0.0
-	idx := len(cp.entries) - 1
-	for i, w := range weights {
-		acc += w
-		if x < acc {
-			idx = i
-			break
+	for i, v := range w {
+		acc += v
+		w[i] = acc
+	}
+	return w
+}
+
+// pick is the draw of every table in this package: the index of the first
+// running sum above x, or the last index when none is.
+func pick(cum []float64, x float64) int {
+	for i, c := range cum {
+		if x < c {
+			return i
 		}
 	}
-	p := cp.entries[idx].Profile
-	return p, p.SampleRelease(d, rnd)
+	return len(cum) - 1
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // The normalized views below are how the calibration tests read the model;
-// the simulator itself only ever draws from it (Sample, SampleForClient).
+// the simulator itself only ever draws from it (its day tables).
 
 // Weights returns the normalized traffic share per profile name at date d.
 func (cp *ClientPopulation) Weights(d timeline.Date) map[string]float64 {
@@ -63,6 +63,16 @@ func (sp *ServerPopulation) Weights(d timeline.Date, u Universe) map[string]floa
 		}
 	}
 	return out
+}
+
+// CohortByName locates a cohort.
+func (sp *ServerPopulation) CohortByName(name string) (*Cohort, bool) {
+	for i := range sp.cohorts {
+		if sp.cohorts[i].Name == name {
+			return &sp.cohorts[i], true
+		}
+	}
+	return nil, false
 }
 
 func TestDefaultClientsCoversAllProfiles(t *testing.T) {
@@ -121,8 +131,9 @@ func TestClientSampleDistribution(t *testing.T) {
 	d := timeline.D(2016, time.June, 15)
 	counts := map[string]int{}
 	const n = 20000
+	day := cp.Day(d)
 	for i := 0; i < n; i++ {
-		p, idx := cp.Sample(d, rnd)
+		p, idx := day.Sample(rnd)
 		counts[p.Name]++
 		if idx < 0 || idx >= len(p.Releases) {
 			t.Fatal("release index out of range")
@@ -202,8 +213,9 @@ func TestSSL3HostSupportMatchesCensys(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	support := func(d timeline.Date) float64 {
 		n, hits := 60000, 0
+		census := sp.Day(d)
 		for i := 0; i < n; i++ {
-			_, cfg := sp.Sample(d, ByHosts, rnd)
+			_, cfg := census.Sample(ByHosts, rnd)
 			if cfg.MinVersion <= registry.VersionSSL3 {
 				hits++
 			}
@@ -229,8 +241,9 @@ func TestHeartbleedDynamics(t *testing.T) {
 	measure := func(d timeline.Date) (hb, vuln float64) {
 		n := 60000
 		var nhb, nv int
+		census := sp.Day(d)
 		for i := 0; i < n; i++ {
-			_, cfg := sp.Sample(d, ByHosts, rnd)
+			_, cfg := census.Sample(ByHosts, rnd)
 			if cfg.HeartbeatEnabled {
 				nhb++
 			}
@@ -263,23 +276,23 @@ func TestHeartbleedDynamics(t *testing.T) {
 func TestAffinityRouting(t *testing.T) {
 	sp := DefaultServers()
 	rnd := rand.New(rand.NewSource(11))
-	d := timeline.D(2015, time.June, 15)
-	c, cfg := sp.SampleForClient("Nagios check_tcp", d, rnd)
+	day := sp.Day(timeline.D(2015, time.June, 15))
+	c, cfg := day.SampleForClient("Nagios check_tcp", rnd)
 	if c.Name != "nagios" || !cfg.SupportsSSLv2 {
 		t.Errorf("nagios affinity broken: %s", c.Name)
 	}
-	c, _ = sp.SampleForClient("Globus GridFTP", d, rnd)
+	c, _ = day.SampleForClient("Globus GridFTP", rnd)
 	if c.Name != "gridftp" {
 		t.Errorf("gridftp affinity broken: %s", c.Name)
 	}
-	c, _ = sp.SampleForClient("Interwise client", d, rnd)
+	c, _ = day.SampleForClient("Interwise client", rnd)
 	if c.Name != "interwise" {
 		t.Errorf("interwise affinity broken: %s", c.Name)
 	}
 	// Ordinary clients never land on special cohorts deterministically.
 	seen := map[string]bool{}
 	for i := 0; i < 500; i++ {
-		c, _ := sp.SampleForClient("Chrome", d, rnd)
+		c, _ := day.SampleForClient("Chrome", rnd)
 		seen[c.Name] = true
 	}
 	if len(seen) < 3 {
@@ -295,8 +308,9 @@ func TestInstantiateDoesNotMutateBase(t *testing.T) {
 		t.Fatal("cohort missing")
 	}
 	baseMin := c.Base.MinVersion
+	day := sp.Day(timeline.D(2013, time.June, 15))
 	for i := 0; i < 200; i++ {
-		_, cfg := sp.Sample(timeline.D(2013, time.June, 15), ByTraffic, rnd)
+		_, cfg := day.Sample(ByTraffic, rnd)
 		_ = cfg
 	}
 	if c.Base.MinVersion != baseMin {

@@ -51,21 +51,38 @@ type Cohort struct {
 type ServerPopulation struct {
 	cohorts []Cohort
 	// affinity routes special client profiles to their dedicated cohorts
-	// (Nagios checks hit Nagios servers, GridFTP hits GRID endpoints, ...).
-	affinity map[string]string
+	// (Nagios checks hit Nagios servers, GridFTP hits GRID endpoints, ...),
+	// by cohort index.
+	affinity map[string]int
 	// vulnGivenHeartbeat is the global probability that a heartbeat-enabled
 	// server is still Heartbleed-vulnerable (§5.4 patch dynamics).
 	vulnGivenHeartbeat adoption.Curve
+	// noRC4 holds, by cohort, the cohort's base suites without RC4: what a
+	// server that no longer supports RC4 keeps. Shared like the base lists.
+	noRC4 [][]uint16
 }
 
-// CohortByName locates a cohort.
-func (sp *ServerPopulation) CohortByName(name string) (*Cohort, bool) {
-	for i := range sp.cohorts {
-		if sp.cohorts[i].Name == name {
-			return &sp.cohorts[i], true
+// newServerPopulation validates the cohorts and resolves what a draw reads by
+// name or would recompute: each affinity target's cohort index and each
+// cohort's RC4-stripped suites.
+func newServerPopulation(cohorts []Cohort, affinity map[string]string, vulnGivenHeartbeat adoption.Curve) (*ServerPopulation, error) {
+	sp := &ServerPopulation{cohorts: cohorts, affinity: make(map[string]int, len(affinity)),
+		vulnGivenHeartbeat: vulnGivenHeartbeat, noRC4: make([][]uint16, len(cohorts))}
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	for i := range cohorts {
+		sp.noRC4[i] = stripRC4(cohorts[i].Base.Suites)
+		for client, cohort := range affinity {
+			if cohort == cohorts[i].Name {
+				sp.affinity[client] = i
+			}
 		}
 	}
-	return nil, false
+	if len(sp.affinity) != len(affinity) {
+		return nil, fmt.Errorf("population: an affinity route names an unknown cohort: %v", affinity)
+	}
+	return sp, nil
 }
 
 func (c *Cohort) curve(u Universe) adoption.Curve {
@@ -75,59 +92,87 @@ func (c *Cohort) curve(u Universe) adoption.Curve {
 	return c.Traffic
 }
 
-// Sample draws a cohort by weight and instantiates a concrete ServerConfig
-// from it (attribute probabilities rolled).
-func (sp *ServerPopulation) Sample(d timeline.Date, u Universe, rnd *rand.Rand) (*Cohort, *handshake.ServerConfig) {
-	total := 0.0
-	for _, c := range sp.cohorts {
-		total += c.curve(u).Value(d)
+// ServerDay is a ServerPopulation at one date, the only way to draw from it:
+// every weight and probability a draw at that date reads, evaluated once.
+type ServerDay struct {
+	sp *ServerPopulation
+	// cum holds, by universe, the running sums of the cohorts' weights.
+	cum [2][]float64
+	// attrs holds each cohort's attribute probabilities (0 for a nil curve,
+	// which is never rolled).
+	attrs []cohortDay
+	// vuln is vulnGivenHeartbeat's value.
+	vuln float64
+}
+
+// cohortDay is one cohort's attribute probabilities at a date.
+type cohortDay struct {
+	heartbeat, ssl3, intolerant, rc4 float64
+}
+
+// Day returns the population's table for date d.
+func (sp *ServerPopulation) Day(d timeline.Date) *ServerDay {
+	t := &ServerDay{sp: sp, attrs: make([]cohortDay, len(sp.cohorts)), vuln: sp.vulnGivenHeartbeat.Value(d)}
+	value := func(c adoption.Curve) float64 {
+		if c == nil {
+			return 0
+		}
+		return c.Value(d)
 	}
-	x := rnd.Float64() * total
-	acc := 0.0
-	idx := len(sp.cohorts) - 1
-	for i, c := range sp.cohorts {
-		acc += c.curve(u).Value(d)
-		if x < acc {
-			idx = i
-			break
+	for u := range t.cum {
+		t.cum[u] = make([]float64, len(sp.cohorts))
+		for i := range sp.cohorts {
+			t.cum[u][i] = sp.cohorts[i].curve(Universe(u)).Value(d)
 		}
 	}
-	c := &sp.cohorts[idx]
-	return c, sp.instantiate(c, d, rnd)
+	runningSums(t.cum[ByTraffic])
+	runningSums(t.cum[ByHosts])
+	for i := range sp.cohorts {
+		c := &sp.cohorts[i]
+		t.attrs[i] = cohortDay{value(c.HeartbeatProb), value(c.SSL3Prob), value(c.IntolerantProb), value(c.RC4Prob)}
+	}
+	return t
+}
+
+// Sample draws a cohort by its weight in universe u and instantiates a
+// concrete ServerConfig from it (attribute probabilities rolled).
+func (t *ServerDay) Sample(u Universe, rnd *rand.Rand) (*Cohort, *handshake.ServerConfig) {
+	cum := t.cum[u]
+	i := pick(cum, rnd.Float64()*cum[len(cum)-1])
+	return &t.sp.cohorts[i], t.instantiate(i, rnd)
 }
 
 // SampleForClient draws a server for a passive connection from the named
 // client profile, honouring affinity routes.
-func (sp *ServerPopulation) SampleForClient(clientProfile string, d timeline.Date, rnd *rand.Rand) (*Cohort, *handshake.ServerConfig) {
-	if target, ok := sp.affinity[clientProfile]; ok {
-		if c, found := sp.CohortByName(target); found {
-			return c, sp.instantiate(c, d, rnd)
-		}
+func (t *ServerDay) SampleForClient(clientProfile string, rnd *rand.Rand) (*Cohort, *handshake.ServerConfig) {
+	if i, ok := t.sp.affinity[clientProfile]; ok {
+		return &t.sp.cohorts[i], t.instantiate(i, rnd)
 	}
-	return sp.Sample(d, ByTraffic, rnd)
+	return t.Sample(ByTraffic, rnd)
 }
 
-// instantiate copies the cohort base config and rolls its attributes.
-func (sp *ServerPopulation) instantiate(c *Cohort, d timeline.Date, rnd *rand.Rand) *handshake.ServerConfig {
+// instantiate copies cohort i's base config and rolls its attributes.
+func (t *ServerDay) instantiate(i int, rnd *rand.Rand) *handshake.ServerConfig {
+	c, p := &t.sp.cohorts[i], &t.attrs[i]
 	cfg := c.Base // value copy; slices are shared but never mutated
-	if c.HeartbeatProb != nil && rnd.Float64() < c.HeartbeatProb.Value(d) {
+	if c.HeartbeatProb != nil && rnd.Float64() < p.heartbeat {
 		cfg.HeartbeatEnabled = true
-		if rnd.Float64() < sp.vulnGivenHeartbeat.Value(d) {
+		if rnd.Float64() < t.vuln {
 			cfg.HeartbleedVulnerable = true
 		}
 	}
 	if c.SSL3Prob != nil {
-		if rnd.Float64() < c.SSL3Prob.Value(d) {
+		if rnd.Float64() < p.ssl3 {
 			cfg.MinVersion = registry.VersionSSL3
 		} else if cfg.MinVersion < registry.VersionTLS10 {
 			cfg.MinVersion = registry.VersionTLS10
 		}
 	}
-	if c.IntolerantProb != nil && rnd.Float64() < c.IntolerantProb.Value(d) {
+	if c.IntolerantProb != nil && rnd.Float64() < p.intolerant {
 		cfg.VersionIntolerant = true
 	}
-	if c.RC4Prob != nil && rnd.Float64() >= c.RC4Prob.Value(d) {
-		cfg.Suites = stripRC4(cfg.Suites)
+	if c.RC4Prob != nil && rnd.Float64() >= p.rc4 {
+		cfg.Suites = t.sp.noRC4[i]
 	}
 	return &cfg
 }
@@ -155,11 +200,6 @@ func (sp *ServerPopulation) Validate() error {
 		}
 		if sp.cohorts[i].Traffic == nil || sp.cohorts[i].Hosts == nil {
 			return fmt.Errorf("population: cohort %s missing weight curves", sp.cohorts[i].Name)
-		}
-	}
-	for client, cohort := range sp.affinity {
-		if _, ok := sp.CohortByName(cohort); !ok {
-			return fmt.Errorf("population: affinity %s → unknown cohort %s", client, cohort)
 		}
 	}
 	return nil

@@ -327,16 +327,12 @@ func DefaultServers() *ServerPopulation {
 		},
 	}
 
-	sp := &ServerPopulation{
-		cohorts: cohorts,
-		affinity: map[string]string{
-			"Globus GridFTP":   "gridftp",
-			"Nagios check_tcp": "nagios",
-			"Interwise client": "interwise",
-		},
-		vulnGivenHeartbeat: vuln,
-	}
-	if err := sp.Validate(); err != nil {
+	sp, err := newServerPopulation(cohorts, map[string]string{
+		"Globus GridFTP":   "gridftp",
+		"Nagios check_tcp": "nagios",
+		"Interwise client": "interwise",
+	}, vuln)
+	if err != nil {
 		panic(err)
 	}
 	return sp

@@ -129,17 +129,50 @@ func (s *Simulator) monthRNG(m timeline.Month) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
 
-// scratch is the per-worker reusable state: wire encode buffers, the
-// randomizer shuffle buffer and the offered side of the connection being
-// simulated, reused across every connection the worker simulates, and the
-// table that interns that offered side. A scratch must not be shared between
-// goroutines.
+// scratch is the per-worker reusable state, reused across every connection
+// the worker simulates: the wire encode buffers, the randomizer shuffle
+// buffer, the offered side of the hello being built and the table that
+// interns it, the hello memo, and the current month's day tables. A scratch
+// must not be shared between goroutines.
 type scratch struct {
 	enc    wire.HelloEncoder
 	raw    []byte
 	suites []uint16
 	hello  notary.Hello
 	hellos notary.HelloTable
+
+	// memo holds the hellos built so far, by what makes them.
+	memo map[memoKey]*offer
+
+	// The month's day tables, by day of the month, built on first use.
+	clientDays [28]*population.ClientDay
+	serverDays [28]*population.ServerDay
+}
+
+// memoKey is everything a hello — its parsed form and the record's client
+// side — is a function of: the release's config (which also fixes the truth
+// label, its profile's name), the legacy version and form of the attempt, the
+// GREASE draws, and whether the month is fingerprinted. The Random bytes are
+// the only other draws, and nothing reads them.
+type memoKey struct {
+	release       *clientdb.Config
+	version       registry.Version
+	fallback      bool
+	fingerprinted bool
+	grease        [4]uint16
+}
+
+// maxMemo bounds a worker's memo, as maxHelloRows bounds its row table: a
+// memo that reaches it is emptied. The study at 2,000 connections a month
+// makes about 2,600 distinct hellos.
+const maxMemo = 1 << 12
+
+// offer is one hello as a connection uses it: the parsed hello negotiation
+// reads, which nothing writes, and a record holding only its client side —
+// ClientVersion, OffersHeartbeat and the interned row.
+type offer struct {
+	hello  *wire.ClientHello
+	client notary.Record
 }
 
 // runMonth simulates one month's connections in order, invoking observe for
@@ -147,12 +180,13 @@ type scratch struct {
 // returns.
 func (s *Simulator) runMonth(m timeline.Month, sc *scratch, observe func(*notary.Record) error) error {
 	rnd := s.monthRNG(m)
+	fingerprinted := !m.Before(s.opts.FingerprintFrom)
+	sc.clientDays, sc.serverDays = [28]*population.ClientDay{}, [28]*population.ServerDay{}
 	var rec notary.Record
 	for i := 0; i < s.opts.ConnectionsPerMonth; i++ {
-		if err := s.connection(&rec, m, rnd, sc); err != nil {
+		if err := s.connection(&rec, m, fingerprinted, rnd, sc); err != nil {
 			return err
 		}
-		sc.hellos.Intern(&rec, &sc.hello)
 		if err := observe(&rec); err != nil {
 			return err
 		}
@@ -244,57 +278,57 @@ func (s *Simulator) Run(sink notary.Sink) error {
 	return firstErr
 }
 
-// connection simulates one observed connection in month m into rec, and its
-// offered side into sc.hello.
-func (s *Simulator) connection(rec *notary.Record, m timeline.Month, rnd *rand.Rand, sc *scratch) error {
-	date := timeline.Date{Year: m.Year, Month: m.M, Day: 1 + rnd.Intn(28)}
-	profile, relIdx := s.Clients.Sample(date, rnd)
-	rel := profile.Releases[relIdx]
-	cfg := rel.Config
+// connection simulates one observed connection in month m into rec.
+func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprinted bool, rnd *rand.Rand, sc *scratch) error {
+	day := rnd.Intn(28)
+	date := timeline.Date{Year: m.Year, Month: m.M, Day: 1 + day}
+	if sc.clientDays[day] == nil {
+		sc.clientDays[day] = s.Clients.Day(date)
+		sc.serverDays[day] = s.Servers.Day(date)
+	}
+	profile, relIdx := sc.clientDays[day].Sample(rnd)
+	cfg := &profile.Releases[relIdx].Config
 
-	_, serverCfg := s.Servers.SampleForClient(profile.Name, date, rnd)
+	_, serverCfg := sc.serverDays[day].SampleForClient(profile.Name, rnd)
 
 	*rec = notary.Record{Date: date, ServerCohort: serverCfg.Name}
-	h := &sc.hello
-	h.Fingerprint, h.Truth = "", profile.Name
 
 	// The Nagios monitoring traffic opens with SSLv2-compatible hellos part
 	// of the time (§5.1).
 	if cfg.SSLv2Compat && rnd.Float64() < 0.3 {
-		return s.sslv2Connection(rec, h, &cfg, serverCfg, rnd)
+		return s.sslv2Connection(rec, cfg, profile.Name, serverCfg, rnd, sc)
 	}
 
-	hello, err := s.buildHello(&cfg, profile.Name, rnd, sc, false)
+	first, err := s.attempt(cfg, cfg, false, profile.Name, fingerprinted, rnd, sc)
 	if err != nil {
 		return err
 	}
-	s.observe(rec, h, hello)
-
-	res := handshake.Negotiate(hello, serverCfg)
+	rec.CopyClientSide(&first.client)
+	res := handshake.Negotiate(first.hello, serverCfg)
 
 	// Version fallback dance: real pre-2015 clients retried failed
 	// handshakes at lower versions (and Firefox's RC4-fallback retried with
 	// RC4 restored).
 	if !res.OK && (cfg.SSL3Fallback || cfg.RC4FallbackOnly) {
-		for _, v := range fallbackVersions(&cfg) {
-			fb := cfg
+		for _, v := range fallbackVersions(cfg) {
+			fb := *cfg
 			fb.LegacyVersion = v
 			fb.SupportedVersions = nil
-			retryHello, err := s.buildHello(&fb, profile.Name, rnd, sc, true)
+			retry, err := s.attempt(cfg, &fb, true, profile.Name, fingerprinted, rnd, sc)
 			if err != nil {
 				return err
 			}
-			res = handshake.Negotiate(retryHello, serverCfg)
+			res = handshake.Negotiate(retry.hello, serverCfg)
 			if res.OK {
 				rec.UsedFallback = true
 				// The Notary sees the successful exchange's hello.
-				s.observe(rec, h, retryHello)
+				rec.CopyClientSide(&retry.client)
 				break
 			}
 		}
 	}
 
-	s.finishRecord(rec, &cfg, profile.Name, res)
+	s.finishRecord(rec, cfg, profile.Name, res)
 	return nil
 }
 
@@ -327,23 +361,64 @@ func fallbackVersions(cfg *clientdb.Config) []registry.Version {
 	return out
 }
 
-// buildHello constructs (and optionally wire-round-trips) a hello, reusing
-// sc's buffers for the shuffle copy and the encoded bytes.
-func (s *Simulator) buildHello(cfg *clientdb.Config, profileName string, rnd *rand.Rand, sc *scratch, fallback bool) (*wire.ClientHello, error) {
-	working := cfg
-	if profileName == clientdb.RandomizerProfileName {
-		// The §4.1 randomizer: a fresh cipher order every connection.
-		// BuildHello copies the list it is given, so the shuffle buffer can
-		// be reused across connections.
+// attempt makes the draws of one hello of cfg, a form of release's config,
+// and returns what the hello offers: the memo's offer for those draws, or,
+// on a miss, the hello built, round-tripped through the wire codec as the
+// Notary would see it, fingerprinted when the month is, and interned.
+func (s *Simulator) attempt(release, cfg *clientdb.Config, fallback bool, profileName string, fingerprinted bool, rnd *rand.Rand, sc *scratch) (*offer, error) {
+	var hello *wire.ClientHello
+	var key memoKey
+	randomizer := profileName == clientdb.RandomizerProfileName
+	if randomizer {
+		// The §4.1 randomizer: a fresh cipher order every connection, so no
+		// two hellos are alike and none is remembered. BuildHello copies the
+		// list it is given, so the shuffle buffer can be reused across
+		// connections.
 		shuffled := *cfg
 		shuffled.Suites = append(sc.suites[:0], cfg.Suites...)
 		sc.suites = shuffled.Suites
 		rnd.Shuffle(len(shuffled.Suites), func(i, j int) {
 			shuffled.Suites[i], shuffled.Suites[j] = shuffled.Suites[j], shuffled.Suites[i]
 		})
-		working = &shuffled
+		hello = shuffled.BuildHello(rnd, fallback)
+	} else {
+		var d clientdb.Draws
+		cfg.Draw(rnd, &d)
+		key = memoKey{release, cfg.LegacyVersion, fallback, fingerprinted, d.GREASE}
+		if sc.memo == nil {
+			sc.memo = make(map[memoKey]*offer)
+		}
+		if o := sc.memo[key]; o != nil {
+			return o, nil
+		}
+		hello = cfg.Assemble(&d, fallback)
 	}
-	hello := working.BuildHello(rnd, fallback)
+	hello, err := s.observable(hello, profileName, sc)
+	if err != nil {
+		return nil, err
+	}
+
+	o := &offer{hello: hello}
+	h := &sc.hello
+	o.client.FromClientHello(hello, h)
+	h.Fingerprint, h.Truth = "", profileName
+	if fingerprinted && fingerprint.Usable(h.Suites) {
+		h.Fingerprint = string(fingerprint.FromParts(h.Suites, h.Extensions, h.Curves, h.PointFmts))
+	}
+	sc.hellos.Intern(&o.client, h)
+	if !randomizer {
+		if len(sc.memo) >= maxMemo {
+			clear(sc.memo)
+		}
+		sc.memo[key] = o
+	}
+	return o, nil
+}
+
+// observable returns the hello as the Notary observes it: round-tripped
+// through the wire codec, reusing sc's encode buffer, or the built hello
+// itself in the struct-level ablation.
+func (s *Simulator) observable(hello *wire.ClientHello, profileName string, sc *scratch) (*wire.ClientHello, error) {
 	if !s.opts.WireLevel {
 		return hello, nil
 	}
@@ -367,16 +442,6 @@ func (s *Simulator) buildHello(cfg *clientdb.Config, profileName string, rnd *ra
 		return nil, fmt.Errorf("simulate: reparsing hello for %s: %w", profileName, err)
 	}
 	return &parsed, nil
-}
-
-// observe fills the record's client side, the lists into h, and fingerprints
-// the lists it has just copied out of the hello.
-func (s *Simulator) observe(rec *notary.Record, h *notary.Hello, hello *wire.ClientHello) {
-	rec.FromClientHello(hello, h)
-	h.Fingerprint = ""
-	if !timeline.MonthOf(rec.Date).Before(s.opts.FingerprintFrom) && fingerprint.Usable(h.Suites) {
-		h.Fingerprint = string(fingerprint.FromParts(h.Suites, h.Extensions, h.Curves, h.PointFmts))
-	}
 }
 
 // finishRecord applies the negotiation outcome.
@@ -403,9 +468,9 @@ func (s *Simulator) finishRecord(rec *notary.Record, cfg *clientdb.Config, profi
 	return
 }
 
-// sslv2Connection handles the legacy SSLv2-compatible opening, its lists into
-// h.
-func (s *Simulator) sslv2Connection(rec *notary.Record, h *notary.Hello, cfg *clientdb.Config, serverCfg *handshake.ServerConfig, rnd *rand.Rand) error {
+// sslv2Connection handles the legacy SSLv2-compatible opening. Its hello
+// bypasses the memo.
+func (s *Simulator) sslv2Connection(rec *notary.Record, cfg *clientdb.Config, truth string, serverCfg *handshake.ServerConfig, rnd *rand.Rand, sc *scratch) error {
 	v2 := &wire.SSLv2ClientHello{
 		Version:     registry.VersionSSL2,
 		CipherSpecs: []uint32{0x010080, 0x020080},
@@ -415,6 +480,7 @@ func (s *Simulator) sslv2Connection(rec *notary.Record, h *notary.Hello, cfg *cl
 		v2.CipherSpecs = append(v2.CipherSpecs, uint32(id))
 	}
 	rnd.Read(v2.Challenge)
+	h := &sc.hello
 	if s.opts.WireLevel {
 		raw, err := v2.MarshalBinary()
 		if err != nil {
@@ -426,6 +492,8 @@ func (s *Simulator) sslv2Connection(rec *notary.Record, h *notary.Hello, cfg *cl
 	} else {
 		rec.FromSSLv2Hello(v2, h)
 	}
+	h.Fingerprint, h.Truth = "", truth
+	sc.hellos.Intern(rec, h)
 	res := handshake.NegotiateSSLv2(v2, serverCfg)
 	if res.OK {
 		rec.Established = true

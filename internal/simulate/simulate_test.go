@@ -2,10 +2,13 @@ package simulate
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"tlsage/internal/clientdb"
 	"tlsage/internal/fingerprint"
 	"tlsage/internal/notary"
 	"tlsage/internal/registry"
@@ -621,5 +624,33 @@ func TestStructLevelSSLv2Path(t *testing.T) {
 	})
 	if sslv2 == 0 {
 		t.Skip("no Nagios samples at this size/seed")
+	}
+}
+
+// A fallback retry at the first attempt's version is another hello — Firefox
+// 36 adds RC4 and the fallback SCSV — though its draws may be the same, so the
+// memo keeps the two apart.
+func TestMemoKeepsARetryApartFromTheFirstAttempt(t *testing.T) {
+	p, _ := clientdb.ProfileByName("Firefox")
+	i := slices.IndexFunc(p.Releases, func(r clientdb.VersionConfig) bool { return r.Version == "36" })
+	cfg := &p.Releases[i].Config
+	if cfg.GREASE || cfg.LegacyVersion != registry.VersionTLS12 || !cfg.RC4FallbackOnly {
+		t.Fatalf("Firefox 36 is no longer a TLS 1.2 RC4-fallback client without GREASE: pick another")
+	}
+	s := New(DefaultOptions(100))
+	var sc scratch
+	first, err := s.attempt(cfg, cfg, false, p.Name, true, rand.New(rand.NewSource(1)), &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstSuites := first.client.Suites()
+	retry := *cfg
+	retry.SupportedVersions = nil
+	again, err := s.attempt(cfg, &retry, true, p.Name, true, rand.New(rand.NewSource(1)), &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(again.client.Suites(), firstSuites) || len(sc.memo) != 2 {
+		t.Errorf("the retry at %v offers the first attempt's suites (%d memo entries)", retry.LegacyVersion, len(sc.memo))
 	}
 }
