@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"maps"
 	"math/rand"
 
 	"tlsage/internal/clientdb"
@@ -25,6 +26,9 @@ type Entry struct {
 type DB struct {
 	entries map[Fingerprint]Entry
 	removed map[Fingerprint]bool
+	// classes counts the entries by class, kept as Add changes them; a class
+	// with none has no key.
+	classes map[clientdb.Class]int
 }
 
 // NewDB returns an empty database.
@@ -32,6 +36,7 @@ func NewDB() *DB {
 	return &DB{
 		entries: make(map[Fingerprint]Entry),
 		removed: make(map[Fingerprint]bool),
+		classes: make(map[clientdb.Class]int),
 	}
 }
 
@@ -43,6 +48,7 @@ func (db *DB) Add(fp Fingerprint, software string, class clientdb.Class, version
 	cur, exists := db.entries[fp]
 	if !exists {
 		db.entries[fp] = Entry{Software: software, Class: class, Versions: []string{version}}
+		db.classes[class]++
 		return
 	}
 	if cur.Software == software {
@@ -57,10 +63,20 @@ func (db *DB) Add(fp Fingerprint, software string, class clientdb.Class, version
 		// Library wins; keep the current entry.
 	case newIsLib && !curIsLib:
 		db.entries[fp] = Entry{Software: software, Class: class, Versions: []string{version}}
+		db.uncount(cur.Class)
+		db.classes[class]++
 	default:
 		// Two distinct programs (or two distinct libraries): ambiguous.
 		delete(db.entries, fp)
 		db.removed[fp] = true
+		db.uncount(cur.Class)
+	}
+}
+
+// uncount takes one entry of class c off the class counts.
+func (db *DB) uncount(c clientdb.Class) {
+	if db.classes[c]--; db.classes[c] == 0 {
+		delete(db.classes, c)
 	}
 }
 
@@ -90,11 +106,7 @@ func (db *DB) RemovedCount() int { return len(db.removed) }
 // CountByClass returns the number of fingerprints per class (Table 2's
 // "№ FPs" column).
 func (db *DB) CountByClass() map[clientdb.Class]int {
-	out := make(map[clientdb.Class]int)
-	for _, e := range db.entries {
-		out[e.Class]++
-	}
-	return out
+	return maps.Clone(db.classes)
 }
 
 // table2Targets is the per-class fingerprint count from Table 2. (The
@@ -117,7 +129,8 @@ var table2Targets = map[clientdb.Class]int{
 // class until the Table 2 per-class counts are met. Variants model the point
 // releases, platform builds and configuration tweaks that give real products
 // many fingerprints each (BrowserStack sweeps, multiple compiled OpenSSL
-// versions, §4).
+// versions, §4). A variant costs one fingerprint and one Add, whatever the
+// database holds already: the loop reads its class's kept count.
 func BuildDefault() *DB {
 	db := NewDB()
 	rnd := rand.New(rand.NewSource(4242)) // fixed seed: the DB is a dataset
@@ -138,7 +151,7 @@ func BuildDefault() *DB {
 			continue
 		}
 		guard := 0
-		for db.CountByClass()[class] < target && guard < target*20 {
+		for db.classes[class] < target && guard < target*20 {
 			guard++
 			p := profiles[rnd.Intn(len(profiles))]
 			rel := p.Releases[rnd.Intn(len(p.Releases))]

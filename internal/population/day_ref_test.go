@@ -69,8 +69,8 @@ func refServerSample(sp *ServerPopulation, d timeline.Date, u Universe, rnd *ran
 	return c, refInstantiate(sp, c, d, rnd)
 }
 
-// refSampleForClient is the body SampleForClient had: the affinity target by
-// name, then CohortByName's scan.
+// refSampleForClient is the body the draw for a client profile had: the
+// affinity target by name, then CohortByName's scan.
 func refSampleForClient(sp *ServerPopulation, targets map[string]string, clientProfile string, d timeline.Date, rnd *rand.Rand) (*Cohort, *handshake.ServerConfig) {
 	if target, ok := targets[clientProfile]; ok {
 		if c, found := sp.CohortByName(target); found {
@@ -107,7 +107,8 @@ func refInstantiate(sp *ServerPopulation, c *Cohort, d timeline.Date, rnd *rand.
 // On every day of the study window, for several seeds: each draw of a day
 // table — clients, servers in both universes, servers for every affinity
 // profile and for an ordinary one — gives the reference body's profile and
-// release, or cohort and config, and leaves rnd where the reference leaves it.
+// release, or cohort and config (the drawn variant's), and leaves rnd where
+// the reference leaves it.
 func TestDayDrawsMatchReference(t *testing.T) {
 	cp, sp := DefaultClients(), DefaultServers()
 	targets := map[string]string{}
@@ -156,9 +157,9 @@ func TestDayDrawsMatchReference(t *testing.T) {
 					same(fmt.Sprintf("%s universe %d", where, u), mine, ref)
 				}
 				for _, client := range clients {
-					c, cfg := sd.SampleForClient(client, mine)
+					v := sd.DrawForClient(client, mine)
 					rc, rcfg := refSampleForClient(sp, targets, client, d, ref)
-					sameServer(where+" for "+client, c, cfg, rc, rcfg)
+					sameServer(where+" for "+client, sp.Cohort(v), sp.Config(v), rc, rcfg)
 					same(where+" for "+client, mine, ref)
 				}
 			}
@@ -171,8 +172,8 @@ func TestDayDrawsMatchReference(t *testing.T) {
 }
 
 // The simulator draws from its day tables on every connection: once each
-// profile's release mix is built, a client draw allocates nothing and a
-// server draw only the ServerConfig it returns.
+// profile's release mix is built, a client draw allocates nothing, nor does a
+// server's variant; Sample allocates only the ServerConfig it returns.
 func TestDayDrawAllocs(t *testing.T) {
 	d := timeline.D(2015, time.June, 15)
 	cd, sd := DefaultClients().Day(d), DefaultServers().Day(d)
@@ -184,14 +185,17 @@ func TestDayDrawAllocs(t *testing.T) {
 		t.Errorf("ClientDay.Sample allocates %v times", n)
 	}
 	for name, draw := range map[string]func(){
-		"Sample(ByTraffic)":       func() { sd.Sample(ByTraffic, rnd) },
-		"Sample(ByHosts)":         func() { sd.Sample(ByHosts, rnd) },
-		"SampleForClient(Chrome)": func() { sd.SampleForClient("Chrome", rnd) },
-		"SampleForClient(Nagios)": func() { sd.SampleForClient("Nagios check_tcp", rnd) },
+		"Draw(ByTraffic)":       func() { sd.Draw(ByTraffic, rnd) },
+		"Draw(ByHosts)":         func() { sd.Draw(ByHosts, rnd) },
+		"DrawForClient(Chrome)": func() { sd.DrawForClient("Chrome", rnd) },
+		"DrawForClient(Nagios)": func() { sd.DrawForClient("Nagios check_tcp", rnd) },
 	} {
-		if n := testing.AllocsPerRun(1000, draw); n > 1 {
-			t.Errorf("ServerDay.%s allocates %v times, want only its ServerConfig", name, n)
+		if n := testing.AllocsPerRun(1000, draw); n != 0 {
+			t.Errorf("ServerDay.%s allocates %v times", name, n)
 		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { sd.Sample(ByHosts, rnd) }); n > 1 {
+		t.Errorf("ServerDay.Sample allocates %v times, want only its ServerConfig", n)
 	}
 }
 

@@ -277,23 +277,20 @@ func TestAffinityRouting(t *testing.T) {
 	sp := DefaultServers()
 	rnd := rand.New(rand.NewSource(11))
 	day := sp.Day(timeline.D(2015, time.June, 15))
-	c, cfg := day.SampleForClient("Nagios check_tcp", rnd)
-	if c.Name != "nagios" || !cfg.SupportsSSLv2 {
+	v := day.DrawForClient("Nagios check_tcp", rnd)
+	if c := sp.Cohort(v); c.Name != "nagios" || !sp.Config(v).SupportsSSLv2 {
 		t.Errorf("nagios affinity broken: %s", c.Name)
 	}
-	c, _ = day.SampleForClient("Globus GridFTP", rnd)
-	if c.Name != "gridftp" {
+	if c := sp.Cohort(day.DrawForClient("Globus GridFTP", rnd)); c.Name != "gridftp" {
 		t.Errorf("gridftp affinity broken: %s", c.Name)
 	}
-	c, _ = day.SampleForClient("Interwise client", rnd)
-	if c.Name != "interwise" {
+	if c := sp.Cohort(day.DrawForClient("Interwise client", rnd)); c.Name != "interwise" {
 		t.Errorf("interwise affinity broken: %s", c.Name)
 	}
 	// Ordinary clients never land on special cohorts deterministically.
 	seen := map[string]bool{}
 	for i := 0; i < 500; i++ {
-		c, _ := day.SampleForClient("Chrome", rnd)
-		seen[c.Name] = true
+		seen[sp.Cohort(day.DrawForClient("Chrome", rnd)).Name] = true
 	}
 	if len(seen) < 3 {
 		t.Error("Chrome should spread across cohorts")

@@ -134,45 +134,94 @@ func (sp *ServerPopulation) Day(d timeline.Date) *ServerDay {
 	return t
 }
 
+// Variant is one server a draw makes: a cohort and the attributes the draw
+// rolled for it. Equal variants of one population instantiate equal configs,
+// so what a server answers a hello is a function of the hello and the variant.
+type Variant struct {
+	cohort uint16
+	attrs  uint8
+}
+
+// The attributes a draw rolls, as Variant.attrs bits.
+const (
+	attrHeartbeat uint8 = 1 << iota
+	attrVulnerable
+	attrSSL3
+	attrIntolerant
+	attrNoRC4
+)
+
 // Sample draws a cohort by its weight in universe u and instantiates a
 // concrete ServerConfig from it (attribute probabilities rolled).
 func (t *ServerDay) Sample(u Universe, rnd *rand.Rand) (*Cohort, *handshake.ServerConfig) {
+	v := t.Draw(u, rnd)
+	return t.sp.Cohort(v), t.sp.Config(v)
+}
+
+// Draw draws a cohort by its weight in universe u and rolls its attributes.
+func (t *ServerDay) Draw(u Universe, rnd *rand.Rand) Variant {
 	cum := t.cum[u]
-	i := pick(cum, rnd.Float64()*cum[len(cum)-1])
-	return &t.sp.cohorts[i], t.instantiate(i, rnd)
+	return t.roll(pick(cum, rnd.Float64()*cum[len(cum)-1]), rnd)
 }
 
-// SampleForClient draws a server for a passive connection from the named
+// DrawForClient draws the server of a passive connection from the named
 // client profile, honouring affinity routes.
-func (t *ServerDay) SampleForClient(clientProfile string, rnd *rand.Rand) (*Cohort, *handshake.ServerConfig) {
+func (t *ServerDay) DrawForClient(clientProfile string, rnd *rand.Rand) Variant {
 	if i, ok := t.sp.affinity[clientProfile]; ok {
-		return &t.sp.cohorts[i], t.instantiate(i, rnd)
+		return t.roll(i, rnd)
 	}
-	return t.Sample(ByTraffic, rnd)
+	return t.Draw(ByTraffic, rnd)
 }
 
-// instantiate copies cohort i's base config and rolls its attributes.
-func (t *ServerDay) instantiate(i int, rnd *rand.Rand) *handshake.ServerConfig {
+// roll rolls cohort i's attributes, one draw for each probability the cohort
+// has (and the vulnerability draw after a heartbeat).
+func (t *ServerDay) roll(i int, rnd *rand.Rand) Variant {
 	c, p := &t.sp.cohorts[i], &t.attrs[i]
-	cfg := c.Base // value copy; slices are shared but never mutated
+	v := Variant{cohort: uint16(i)}
 	if c.HeartbeatProb != nil && rnd.Float64() < p.heartbeat {
-		cfg.HeartbeatEnabled = true
+		v.attrs |= attrHeartbeat
 		if rnd.Float64() < t.vuln {
+			v.attrs |= attrVulnerable
+		}
+	}
+	if c.SSL3Prob != nil && rnd.Float64() < p.ssl3 {
+		v.attrs |= attrSSL3
+	}
+	if c.IntolerantProb != nil && rnd.Float64() < p.intolerant {
+		v.attrs |= attrIntolerant
+	}
+	if c.RC4Prob != nil && rnd.Float64() >= p.rc4 {
+		v.attrs |= attrNoRC4
+	}
+	return v
+}
+
+// Cohort returns v's cohort.
+func (sp *ServerPopulation) Cohort(v Variant) *Cohort { return &sp.cohorts[v.cohort] }
+
+// Config instantiates v: a copy of its cohort's base config with the rolled
+// attributes applied.
+func (sp *ServerPopulation) Config(v Variant) *handshake.ServerConfig {
+	c := &sp.cohorts[v.cohort]
+	cfg := c.Base // value copy; slices are shared but never mutated
+	if v.attrs&attrHeartbeat != 0 {
+		cfg.HeartbeatEnabled = true
+		if v.attrs&attrVulnerable != 0 {
 			cfg.HeartbleedVulnerable = true
 		}
 	}
 	if c.SSL3Prob != nil {
-		if rnd.Float64() < p.ssl3 {
+		if v.attrs&attrSSL3 != 0 {
 			cfg.MinVersion = registry.VersionSSL3
 		} else if cfg.MinVersion < registry.VersionTLS10 {
 			cfg.MinVersion = registry.VersionTLS10
 		}
 	}
-	if c.IntolerantProb != nil && rnd.Float64() < p.intolerant {
+	if v.attrs&attrIntolerant != 0 {
 		cfg.VersionIntolerant = true
 	}
-	if c.RC4Prob != nil && rnd.Float64() >= p.rc4 {
-		cfg.Suites = t.sp.noRC4[i]
+	if v.attrs&attrNoRC4 != 0 {
+		cfg.Suites = sp.noRC4[v.cohort]
 	}
 	return &cfg
 }

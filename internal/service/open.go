@@ -107,12 +107,14 @@ func Open(cfg Config) (_ *Node, err error) {
 			WithIdleTimeout(cfg.IdleTimeout), WithQueryCache(cache, id)}
 	}
 
-	study := core.NewLiveStudy()
+	var study *core.Study
 	var recovery RecoveryInfo
 	if cfg.SnapshotDir != "" || cfg.Out != "" {
 		if study, recovery, err = RecoverStudy(cfg.SnapshotDir, cfg.Out, cfg.Logf); err != nil {
 			return nil, fmt.Errorf("recovering previous state: %w", err)
 		}
+	} else {
+		study = core.NewLiveStudy()
 	}
 	recovered := recovery.Records()
 	if recovered > 0 {

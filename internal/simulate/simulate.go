@@ -173,6 +173,10 @@ const maxMemo = 1 << 12
 type offer struct {
 	hello  *wire.ClientHello
 	client notary.Record
+	// answers holds, for a memo's offer, what each server variant it has met
+	// answered, without the ServerHello nothing reads; nil for an offer no
+	// memo keeps.
+	answers map[population.Variant]handshake.Result
 }
 
 // runMonth simulates one month's connections in order, invoking observe for
@@ -289,14 +293,14 @@ func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprint
 	profile, relIdx := sc.clientDays[day].Sample(rnd)
 	cfg := &profile.Releases[relIdx].Config
 
-	_, serverCfg := sc.serverDays[day].SampleForClient(profile.Name, rnd)
+	server := sc.serverDays[day].DrawForClient(profile.Name, rnd)
 
-	*rec = notary.Record{Date: date, ServerCohort: serverCfg.Name}
+	*rec = notary.Record{Date: date, ServerCohort: s.Servers.Cohort(server).Base.Name}
 
 	// The Nagios monitoring traffic opens with SSLv2-compatible hellos part
 	// of the time (§5.1).
 	if cfg.SSLv2Compat && rnd.Float64() < 0.3 {
-		return s.sslv2Connection(rec, cfg, profile.Name, serverCfg, rnd, sc)
+		return s.sslv2Connection(rec, cfg, profile.Name, s.Servers.Config(server), rnd, sc)
 	}
 
 	first, err := s.attempt(cfg, cfg, false, profile.Name, fingerprinted, rnd, sc)
@@ -304,7 +308,7 @@ func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprint
 		return err
 	}
 	rec.CopyClientSide(&first.client)
-	res := handshake.Negotiate(first.hello, serverCfg)
+	res := s.negotiate(first, server)
 
 	// Version fallback dance: real pre-2015 clients retried failed
 	// handshakes at lower versions (and Firefox's RC4-fallback retried with
@@ -318,7 +322,7 @@ func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprint
 			if err != nil {
 				return err
 			}
-			res = handshake.Negotiate(retry.hello, serverCfg)
+			res = s.negotiate(retry, server)
 			if res.OK {
 				rec.UsedFallback = true
 				// The Notary sees the successful exchange's hello.
@@ -410,9 +414,26 @@ func (s *Simulator) attempt(release, cfg *clientdb.Config, fallback bool, profil
 		if len(sc.memo) >= maxMemo {
 			clear(sc.memo)
 		}
+		o.answers = make(map[population.Variant]handshake.Result)
 		sc.memo[key] = o
 	}
 	return o, nil
+}
+
+// negotiate returns what server variant v answers o's hello: the answer o
+// keeps for v, or Negotiate's, kept the first time a memo's offer meets v.
+// Negotiate is a function of the hello and the config, and equal variants
+// instantiate equal configs.
+func (s *Simulator) negotiate(o *offer, v population.Variant) handshake.Result {
+	res, ok := o.answers[v]
+	if !ok {
+		res = handshake.Negotiate(o.hello, s.Servers.Config(v))
+		res.ServerHello = nil
+		if o.answers != nil {
+			o.answers[v] = res
+		}
+	}
+	return res
 }
 
 // observable returns the hello as the Notary observes it: round-tripped

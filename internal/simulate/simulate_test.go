@@ -3,6 +3,7 @@ package simulate
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"tlsage/internal/clientdb"
 	"tlsage/internal/fingerprint"
+	"tlsage/internal/handshake"
 	"tlsage/internal/notary"
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
@@ -652,5 +654,36 @@ func TestMemoKeepsARetryApartFromTheFirstAttempt(t *testing.T) {
 	}
 	if slices.Equal(again.client.Suites(), firstSuites) || len(sc.memo) != 2 {
 		t.Errorf("the retry at %v offers the first attempt's suites (%d memo entries)", retry.LegacyVersion, len(sc.memo))
+	}
+}
+
+// Every answer a memo's offer keeps is Negotiate's for its hello and the
+// variant's config, ServerHello aside; a study year at 2,000 connections a
+// month meets each (hello, server variant) pair many times and negotiates it
+// once.
+func TestKeptAnswersAreNegotiates(t *testing.T) {
+	opts := DefaultOptions(2000)
+	opts.Start, opts.End = timeline.M(2014, time.January), timeline.M(2014, time.December)
+	s := New(opts)
+	var sc scratch
+	conns := 0
+	for _, m := range timeline.MonthsBetween(opts.Start, opts.End) {
+		if err := s.runMonth(m, &sc, func(*notary.Record) error { conns++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := 0
+	for key, o := range sc.memo {
+		for v, got := range o.answers {
+			want := handshake.Negotiate(o.hello, s.Servers.Config(v))
+			want.ServerHello = nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("hello %+v, server %+v: kept %+v, Negotiate answers %+v", key, v, got, want)
+			}
+			kept++
+		}
+	}
+	if kept == 0 || kept*4 > conns {
+		t.Errorf("%d answers kept for %d connections", kept, conns)
 	}
 }
