@@ -69,9 +69,10 @@ func startServe(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, httpUR
 // TestCLI drives the built binary: serve refuses a queue bound below 1 —
 // the merge queue is the only ingest path, so there is no "0 = off" — serve's
 // flag set is the one pinned in testdata, a served study survives SIGTERM and
-// a restart byte for byte, every command that takes a log reads a TSV log, a
-// serve -out frame log and one continued by the other alike, and an offline
-// query prints exactly what core.Study.Query computes.
+// a restart byte for byte, scan, scansweep and experiments print their
+// goldens, every command that takes a log reads a TSV log, a serve -out frame
+// log and one continued by the other alike, and an offline query prints
+// exactly what core.Study.Query computes.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tlstrend")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -105,6 +106,34 @@ func TestCLI(t *testing.T) {
 			t.Errorf("serve -h printed\n%s\nwant\n%s", got, want)
 		}
 	})
+
+	// The goldens pin, byte for byte, the §5 tables scan and scansweep print
+	// and the whole experiments report; no other test runs experiments.
+	for _, g := range []struct {
+		golden string
+		args   []string
+	}{
+		{"scan.golden", []string{"scan", "-hosts", "60"}},
+		{"scansweep.golden", []string{"scansweep", "-hosts", "40", "-step", "12"}},
+		{"experiments.golden", []string{"experiments", "-conns", "200", "-hosts", "60"}},
+	} {
+		t.Run(strings.Join(g.args, " ")+" matches its golden", func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, g.args...)
+			cmd.Stderr = &stderr
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%v\n%s", err, stderr.Bytes())
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", g.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stdout differs from testdata/%s:\n%s\nwant\n%s", g.golden, got, want)
+			}
+		})
+	}
 
 	t.Run("serve feed query SIGTERM restart", func(t *testing.T) {
 		dir := t.TempDir()

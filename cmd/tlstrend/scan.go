@@ -7,8 +7,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -17,20 +15,6 @@ import (
 	"tlsage/internal/service"
 	"tlsage/internal/timeline"
 )
-
-func parseDate(s string) (timeline.Date, error) {
-	parts := strings.Split(s, "-")
-	if len(parts) != 3 {
-		return timeline.Date{}, fmt.Errorf("bad date %q (want YYYY-MM-DD)", s)
-	}
-	y, err1 := strconv.Atoi(parts[0])
-	m, err2 := strconv.Atoi(parts[1])
-	d, err3 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > 31 {
-		return timeline.Date{}, fmt.Errorf("bad date %q", s)
-	}
-	return timeline.D(y, time.Month(m), d), nil
-}
 
 func cmdScan(args []string) error {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
@@ -41,24 +25,19 @@ func cmdScan(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	date, err := parseDate(*dateStr)
+	date, err := time.Parse("2006-1-2", *dateStr)
 	if err != nil {
-		return err
+		return fmt.Errorf("bad -date: %w", err)
 	}
-	c := &core.ScanCampaign{Date: date, Hosts: *hosts, Workers: *workers, Seed: *seed}
+	c := &core.ScanCampaign{Date: timeline.D(date.Date()), Hosts: *hosts, Workers: *workers, Seed: *seed}
 	rep, err := c.Run(context.Background())
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Scan campaign at %s over %d hosts\n", rep.Date, rep.Hosts)
-	fmt.Printf("  SSL3 support:        %6.2f%%\n", rep.SSL3SupportPct())
-	fmt.Printf("  chose RC4:           %6.2f%%\n", rep.RC4ChosenPct())
-	fmt.Printf("  chose CBC:           %6.2f%%\n", rep.CBCChosenPct())
-	fmt.Printf("  chose 3DES:          %6.2f%%\n", rep.TDESChosenPct())
-	fmt.Printf("  heartbeat support:   %6.2f%%\n", rep.HeartbeatSupportPct())
-	fmt.Printf("  Heartbleed vuln.:    %6.2f%%\n", rep.HeartbleedVulnerablePct())
-	fmt.Printf("  export support:      %6.2f%%\n", rep.ExportSupportPct())
-	fmt.Printf("  RC4 supported:       %6.2f%%\n", rep.RC4SupportPct())
+	if err := core.RenderCampaign(os.Stdout, rep); err != nil {
+		return err
+	}
 	fmt.Printf("  Heartbleed leak:     %d bytes over-read across %d hosts\n", rep.LeakedBytes, rep.VulnerableHosts)
 	return nil
 }
@@ -87,17 +66,17 @@ func cmdScanSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := core.RenderSweep(os.Stdout, core.SweepPoints(months, reports)); err != nil {
+	agg, err := core.ScanAggregate(months, reports)
+	if err != nil {
+		return err
+	}
+	if err := core.RenderSweep(os.Stdout, agg); err != nil {
 		return err
 	}
 	if *pushURL != "" {
-		// Federated form of -serve: fold the campaign into a bare aggregate
-		// and ship it to a running core's /merge endpoint as one delta, where
-		// it answers the same queries without the core re-running the sweep.
-		agg, err := core.ScanAggregate(months, reports)
-		if err != nil {
-			return err
-		}
+		// Federated form of -serve: ship the campaign's aggregate to a running
+		// core's /merge endpoint as one delta, where it answers the same
+		// queries without the core re-running the sweep.
 		ack, err := federation.PushDelta(*pushURL, &federation.Delta{Source: *pushSource, Agg: agg}, nil)
 		if err != nil {
 			return err

@@ -17,6 +17,7 @@ import (
 
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
+	"tlsage/internal/scanner"
 	"tlsage/internal/timeline"
 )
 
@@ -54,16 +55,13 @@ func main() {
 		rep   *core.CampaignReport
 	}{{"September 2015", sep15}, {"May 2018", may18}} {
 		fmt.Printf("\n%s (%d hosts):\n", snap.label, snap.rep.Hosts)
-		fmt.Printf("  SSL3 support        %6.2f%%\n", snap.rep.SSL3SupportPct())
-		fmt.Printf("  chose RC4           %6.2f%%\n", snap.rep.RC4ChosenPct())
-		fmt.Printf("  chose CBC           %6.2f%%\n", snap.rep.CBCChosenPct())
-		fmt.Printf("  chose 3DES          %6.2f%%\n", snap.rep.TDESChosenPct())
-		fmt.Printf("  heartbeat support   %6.2f%%\n", snap.rep.HeartbeatSupportPct())
-		fmt.Printf("  Heartbleed vuln.    %6.2f%%\n", snap.rep.HeartbleedVulnerablePct())
-		fmt.Printf("  export support      %6.2f%%\n", snap.rep.ExportSupportPct())
-		for name, sum := range snap.rep.Probes {
+		if err := core.RenderCampaign(os.Stdout, snap.rep); err != nil {
+			log.Fatal(err)
+		}
+		for _, probe := range scanner.AllProbes() {
+			sum := snap.rep.Probes[probe.Name]
 			fmt.Printf("  probe %-12s answered %4d, alerted %4d, errors %d\n",
-				name, sum.Answered, sum.Alerted, sum.Errors)
+				probe.Name, sum.Answered, sum.Alerted, sum.Errors)
 		}
 	}
 

@@ -592,56 +592,13 @@ type CampaignReport struct {
 	LeakedBytes int
 }
 
-// Frac is a convenience percentage over farm hosts.
-func (r *CampaignReport) Frac(n int) float64 {
-	if r.Hosts == 0 {
-		return 0
+// positiveOr returns v, or def when v is not positive: how the scan types
+// resolve their unset fields to defaults.
+func positiveOr[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return 100 * float64(n) / float64(r.Hosts)
-}
-
-// SSL3SupportPct returns the §5.1 metric: hosts answering the SSL3-only probe.
-func (r *CampaignReport) SSL3SupportPct() float64 {
-	return r.Frac(r.Probes["ssl3only"].Answered)
-}
-
-// RC4ChosenPct returns the §5.3 metric: hosts choosing RC4 against the
-// Chrome-2015 list.
-func (r *CampaignReport) RC4ChosenPct() float64 {
-	return r.Frac(r.Probes["chrome2015"].ChoseRC4)
-}
-
-// CBCChosenPct returns the §5.2 metric.
-func (r *CampaignReport) CBCChosenPct() float64 {
-	return r.Frac(r.Probes["chrome2015"].CBCTotal())
-}
-
-// TDESChosenPct returns the §5.6 metric.
-func (r *CampaignReport) TDESChosenPct() float64 {
-	return r.Frac(r.Probes["chrome2015"].Chose3DES)
-}
-
-// HeartbeatSupportPct returns the §5.4 extension-support metric.
-func (r *CampaignReport) HeartbeatSupportPct() float64 {
-	return r.Frac(r.Probes["chrome2015"].HeartbeatAck)
-}
-
-// ExportSupportPct returns the §5.5 metric: hosts answering the export-only
-// probe with an export suite.
-func (r *CampaignReport) ExportSupportPct() float64 {
-	return r.Frac(r.Probes["exportonly"].ChoseExport)
-}
-
-// HeartbleedVulnerablePct returns the §5.4 vulnerability metric, from the
-// live exploit check.
-func (r *CampaignReport) HeartbleedVulnerablePct() float64 {
-	return r.Frac(r.VulnerableHosts)
-}
-
-// RC4SupportPct returns the SSL-Pulse-style §5.3 metric: hosts answering an
-// RC4-only offer.
-func (r *CampaignReport) RC4SupportPct() float64 {
-	return r.Frac(r.Probes["rc4only"].Answered)
+	return def
 }
 
 // Run executes the campaign. Defaults for Hosts, Workers and Timeout are
@@ -649,18 +606,7 @@ func (r *CampaignReport) RC4SupportPct() float64 {
 // value can be reused across dates without its configuration silently
 // pinning to the first run's defaults.
 func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
-	hosts := c.Hosts
-	if hosts <= 0 {
-		hosts = 200
-	}
-	workers := c.Workers
-	if workers <= 0 {
-		workers = 16
-	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 3 * time.Second
-	}
+	hosts, workers, timeout := positiveOr(c.Hosts, 200), positiveOr(c.Workers, 16), positiveOr(c.Timeout, 3*time.Second)
 	rnd := rand.New(rand.NewSource(c.Seed))
 	servers := population.DefaultServers()
 	universe := population.ByHosts
@@ -704,10 +650,7 @@ func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
 	for i, probe := range probes {
 		hellos[i] = probe.Build(rnd)
 	}
-	probeWorkers := runtime.GOMAXPROCS(0)
-	if probeWorkers > len(probes) {
-		probeWorkers = len(probes)
-	}
+	probeWorkers := min(runtime.GOMAXPROCS(0), len(probes))
 	summaries := make([]scanner.Summary, len(probes))
 	probeErrs := make([]error, len(probes))
 	sem := make(chan struct{}, probeWorkers)
@@ -746,22 +689,4 @@ func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// ScanScalars compares two campaign snapshots against the paper's Censys
-// numbers (experiments S1–S4). Rows are emitted in experiment-ID order.
-func ScanScalars(sep2015, may2018 *CampaignReport) []analysis.Scalar {
-	return []analysis.Scalar{
-		{ID: "S1a", Name: "SSL3 server support, Sep 2015", Paper: 45, Measured: sep2015.SSL3SupportPct(), Unit: "%"},
-		{ID: "S1b", Name: "SSL3 server support, May 2018", Paper: 25, Measured: may2018.SSL3SupportPct(), Unit: "%"},
-		{ID: "S2a", Name: "servers choosing RC4, Sep 2015", Paper: 11.2, Measured: sep2015.RC4ChosenPct(), Unit: "%"},
-		{ID: "S2b", Name: "servers choosing RC4, May 2018", Paper: 3.4, Measured: may2018.RC4ChosenPct(), Unit: "%"},
-		{ID: "S2c", Name: "servers choosing CBC, Sep 2015", Paper: 54, Measured: sep2015.CBCChosenPct(), Unit: "%"},
-		{ID: "S2d", Name: "servers choosing CBC, May 2018", Paper: 35, Measured: may2018.CBCChosenPct(), Unit: "%"},
-		{ID: "S2e", Name: "RC4 supported (SSL Pulse), May 2018", Paper: 19.1, Measured: may2018.RC4SupportPct(), Unit: "%"},
-		{ID: "S3a", Name: "heartbeat support, May 2018", Paper: 34, Measured: may2018.HeartbeatSupportPct(), Unit: "%"},
-		{ID: "S3b", Name: "Heartbleed vulnerable, May 2018", Paper: 0.32, Measured: may2018.HeartbleedVulnerablePct(), Unit: "%"},
-		{ID: "S4a", Name: "servers choosing 3DES, Sep 2015", Paper: 0.54, Measured: sep2015.TDESChosenPct(), Unit: "%"},
-		{ID: "S4b", Name: "servers choosing 3DES, May 2018", Paper: 0.25, Measured: may2018.TDESChosenPct(), Unit: "%"},
-	}
 }

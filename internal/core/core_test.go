@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -224,41 +226,42 @@ func TestScanCampaignTwoSnapshots(t *testing.T) {
 	}
 	sep15 := run(timeline.D(2015, time.September, 15))
 	may18 := run(timeline.D(2018, time.May, 13))
+	sep, may := campaignMetrics(sep15), campaignMetrics(may18)
 
 	// §5.1: SSL3 support declines, in the paper's ranges.
-	if got := sep15.SSL3SupportPct(); got < 34 || got > 58 {
+	if got := sep["ssl3"]; got < 34 || got > 58 {
 		t.Errorf("SSL3 support Sep 2015 = %0.1f%%, want ≈45%%", got)
 	}
-	if got := may18.SSL3SupportPct(); got > 32 {
+	if got := may["ssl3"]; got > 32 {
 		t.Errorf("SSL3 support May 2018 = %0.1f%%, want <25%%", got)
 	}
-	if may18.SSL3SupportPct() >= sep15.SSL3SupportPct() {
+	if may["ssl3"] >= sep["ssl3"] {
 		t.Error("SSL3 support should decline")
 	}
 	// §5.3: RC4 chosen declines ≈11.2% → ≈3.4%.
-	if got := sep15.RC4ChosenPct(); got < 6 || got > 17 {
+	if got := sep["rc4sel"]; got < 6 || got > 17 {
 		t.Errorf("RC4 chosen Sep 2015 = %0.1f%%, want ≈11%%", got)
 	}
-	if got := may18.RC4ChosenPct(); got > 8 {
+	if got := may["rc4sel"]; got > 8 {
 		t.Errorf("RC4 chosen May 2018 = %0.1f%%, want ≈3.4%%", got)
 	}
 	// §5.2: CBC chosen declines ≈54% → ≈35%.
-	if got := sep15.CBCChosenPct(); got < 40 || got > 68 {
+	if got := sep["cbc"]; got < 40 || got > 68 {
 		t.Errorf("CBC chosen Sep 2015 = %0.1f%%, want ≈54%%", got)
 	}
-	if got := may18.CBCChosenPct(); got < 20 || got > 50 {
+	if got := may["cbc"]; got < 20 || got > 50 {
 		t.Errorf("CBC chosen May 2018 = %0.1f%%, want ≈35%%", got)
 	}
 	// §5.4: heartbeat ≈34% in 2018; vulnerability ≈0.32% (sampling noise at
 	// 250 hosts allows 0–2 hosts).
-	if got := may18.HeartbeatSupportPct(); got < 18 || got > 50 {
+	if got := may["hb"]; got < 18 || got > 50 {
 		t.Errorf("heartbeat support 2018 = %0.1f%%, want ≈34%%", got)
 	}
-	if got := may18.HeartbleedVulnerablePct(); got > 3 {
+	if got := may["bleed"]; got > 3 {
 		t.Errorf("Heartbleed vulnerable 2018 = %0.1f%%, want ≈0.3%%", got)
 	}
 	// Export support exists but is not universal.
-	if got := sep15.ExportSupportPct(); got <= 0 || got > 60 {
+	if got := sep["export"]; got <= 0 || got > 60 {
 		t.Errorf("export support Sep 2015 = %0.1f%%", got)
 	}
 
@@ -273,10 +276,23 @@ func TestScanCampaignTwoSnapshots(t *testing.T) {
 	}
 }
 
+// TestCampaignReportFracEmpty pins the zero-denominator convention: a
+// report of no hosts reads 0 on every metric, whatever its probe counters.
 func TestCampaignReportFracEmpty(t *testing.T) {
-	r := &CampaignReport{}
-	if r.Frac(5) != 0 {
-		t.Error("empty report Frac should be 0")
+	r := &CampaignReport{
+		Probes: map[string]scanner.Summary{
+			"ssl3only":   {Answered: 5},
+			"chrome2015": {Answered: 5, ChoseRC4: 5, ChoseCBC: 5, Chose3DES: 5, HeartbeatAck: 5},
+			"rc4only":    {Answered: 5},
+			"exportonly": {ChoseExport: 5},
+		},
+		VulnerableHosts: 5,
+	}
+	vals := campaignMetrics(r)
+	for _, m := range ScanMetrics {
+		if got, ok := vals[m.Key]; !ok || got != 0 {
+			t.Errorf("%s of a zero-host report = %v (present %v), want 0", m.Key, got, ok)
+		}
 	}
 }
 
@@ -294,14 +310,15 @@ func TestHeartbleedCheckMatchesGroundTruth(t *testing.T) {
 	}
 	// Mid-April 2014: disclosure was days ago, patching underway but far
 	// from done — a meaningful fraction must still be vulnerable.
-	if rep.HeartbleedVulnerablePct() < 2 {
-		t.Errorf("vulnerable ≈2 weeks after disclosure = %0.1f%%, want >2%%", rep.HeartbleedVulnerablePct())
+	vals := campaignMetrics(rep)
+	if vals["bleed"] < 2 {
+		t.Errorf("vulnerable ≈2 weeks after disclosure = %0.1f%%, want >2%%", vals["bleed"])
 	}
 	if rep.VulnerableHosts > 0 && rep.LeakedBytes == 0 {
 		t.Error("vulnerable hosts leaked no bytes")
 	}
 	// SSL-Pulse-style RC4 support: most hosts still answer RC4-only in 2014.
-	if got := rep.RC4SupportPct(); got < 40 {
+	if got := vals["rc4sup"]; got < 40 {
 		t.Errorf("RC4 support Apr 2014 = %0.1f%%, want high", got)
 	}
 }
@@ -351,13 +368,12 @@ func TestPopularityWeightedCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aRep.SSL3SupportPct() >= cRep.SSL3SupportPct() {
-		t.Errorf("Alexa SSL3 support (%0.1f%%) should be below census (%0.1f%%)",
-			aRep.SSL3SupportPct(), cRep.SSL3SupportPct())
+	a, c := campaignMetrics(aRep), campaignMetrics(cRep)
+	if a["ssl3"] >= c["ssl3"] {
+		t.Errorf("Alexa SSL3 support (%0.1f%%) should be below census (%0.1f%%)", a["ssl3"], c["ssl3"])
 	}
-	if aRep.RC4ChosenPct() > cRep.RC4ChosenPct() {
-		t.Errorf("Alexa RC4 choice (%0.1f%%) should not exceed census (%0.1f%%)",
-			aRep.RC4ChosenPct(), cRep.RC4ChosenPct())
+	if a["rc4sel"] > c["rc4sel"] {
+		t.Errorf("Alexa RC4 choice (%0.1f%%) should not exceed census (%0.1f%%)", a["rc4sel"], c["rc4sel"])
 	}
 }
 
@@ -374,22 +390,21 @@ func TestScanSweepDeclines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := SweepPoints(months, reports)
-	if len(points) != 4 {
-		t.Fatalf("got %d snapshots", len(points))
+	agg, err := ScanAggregate(months, reports)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first, last := points[0], points[len(points)-1]
-	if last.SSL3Support >= first.SSL3Support {
-		t.Errorf("SSL3 support should decline: %0.1f → %0.1f", first.SSL3Support, last.SSL3Support)
+	axis, series := scanSeries(agg)
+	if len(axis) != 4 {
+		t.Fatalf("got %d snapshots", len(axis))
 	}
-	if last.RC4Supported >= first.RC4Supported {
-		t.Errorf("RC4 support should decline: %0.1f → %0.1f", first.RC4Supported, last.RC4Supported)
-	}
-	if last.CBCChosen >= first.CBCChosen {
-		t.Errorf("CBC choice should decline: %0.1f → %0.1f", first.CBCChosen, last.CBCChosen)
+	for _, key := range []string{"ssl3", "rc4sup", "cbc"} {
+		if s := series[key]; s[len(s)-1] >= s[0] {
+			t.Errorf("%s should decline: %0.1f → %0.1f", key, s[0], s[len(s)-1])
+		}
 	}
 	var buf bytes.Buffer
-	if err := RenderSweep(&buf, points); err != nil {
+	if err := RenderSweep(&buf, agg); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "2015-09") {
@@ -518,7 +533,7 @@ func TestStudyQuery(t *testing.T) {
 // bounded snapshot pool must produce byte-identical sweeps for every pool
 // width, in chronological order.
 func TestScanSweepParallelDeterministic(t *testing.T) {
-	run := func(snapshotWorkers int) []SweepPoint {
+	run := func(snapshotWorkers int) ([]timeline.Month, string) {
 		sweep := &ScanSweep{
 			Start:            timeline.M(2016, time.February),
 			End:              timeline.M(2017, time.February),
@@ -532,23 +547,42 @@ func TestScanSweepParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return SweepPoints(months, reports)
+		agg, err := ScanAggregate(months, reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var table strings.Builder
+		if err := RenderSweep(&table, agg); err != nil {
+			t.Fatal(err)
+		}
+		return months, table.String()
 	}
-	serial := run(1)
-	parallel := run(3)
-	if len(serial) != 3 {
-		t.Fatalf("got %d snapshots, want 3", len(serial))
+	_, serial := run(1)
+	months, parallel := run(3)
+	if len(months) != 3 {
+		t.Fatalf("got %d snapshots, want 3", len(months))
 	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("snapshot %d differs between pool widths:\nserial:   %+v\nparallel: %+v",
-				i, serial[i], parallel[i])
+	if serial != parallel {
+		t.Fatalf("sweep differs between pool widths:\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	}
+	for i := 1; i < len(months); i++ {
+		if !months[i-1].Before(months[i]) {
+			t.Fatal("sweep months out of chronological order")
 		}
 	}
-	for i := 1; i < len(parallel); i++ {
-		if !parallel[i-1].Month.Before(parallel[i].Month) {
-			t.Fatal("sweep points out of chronological order")
-		}
+}
+
+// TestScanSweepCancelled pins the failure contract of RunReports: under a
+// cancelled context every snapshot fails, so the slices stop before the first
+// and the error is the cancellation.
+func TestScanSweepCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sweep := &ScanSweep{Start: timeline.M(2016, time.February), End: timeline.M(2016, time.August), HostsPerSnapshot: 10}
+	months, reports, err := sweep.RunReports(ctx)
+	if !errors.Is(err, context.Canceled) || len(months) != 0 || len(reports) != 0 {
+		t.Errorf("RunReports under a cancelled context = (%d months, %d reports, %v), want (0, 0, context.Canceled)",
+			len(months), len(reports), err)
 	}
 }
 
@@ -618,17 +652,35 @@ func TestRunSinksClosesEverythingOnFailure(t *testing.T) {
 // defaults into locals, leaving a zero-valued campaign byte-identical so one
 // value can be reused across dates.
 func TestScanCampaignReceiverUnchanged(t *testing.T) {
-	c := &ScanCampaign{Date: timeline.D(2018, time.May, 13), Hosts: 60, Seed: 9}
-	before := *c
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if *c != before {
-		t.Errorf("Run mutated its receiver:\nbefore: %+v\nafter:  %+v", before, *c)
-	}
-	if c.Workers != 0 || c.Timeout != 0 {
-		t.Error("defaults written back into the campaign struct")
-	}
+	t.Run("campaign", func(t *testing.T) {
+		c := &ScanCampaign{Date: timeline.D(2018, time.May, 13), Hosts: 60, Seed: 9}
+		before := *c
+		if _, err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if *c != before {
+			t.Errorf("Run mutated its receiver:\nbefore: %+v\nafter:  %+v", before, *c)
+		}
+		if c.Workers != 0 || c.Timeout != 0 {
+			t.Error("defaults written back into the campaign struct")
+		}
+	})
+	t.Run("sweep", func(t *testing.T) {
+		// End, StepMonths and HostsPerSnapshot default: one snapshot (Mar 2018;
+		// the next, Jun 2018, is past the default End) of 150 hosts.
+		s := &ScanSweep{Start: timeline.M(2018, time.March), Seed: 9}
+		before := *s
+		months, _, err := s.RunReports(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(months) != 1 {
+			t.Errorf("%d snapshots, want 1", len(months))
+		}
+		if *s != before {
+			t.Errorf("RunReports mutated its receiver:\nbefore: %+v\nafter:  %+v", before, *s)
+		}
+	})
 }
 
 // TestScanScalarsOrderAndLabels pins the row order (experiment-ID order,
@@ -655,6 +707,27 @@ func TestScanScalarsOrderAndLabels(t *testing.T) {
 	s4a := scalars[9]
 	if s4a.ID != "S4a" || !strings.Contains(s4a.Name, "Sep 2015") {
 		t.Errorf("S4a label = %q, want a Sep 2015 label", s4a.Name)
+	}
+}
+
+// TestScanMetricKeys pins the references into ScanMetrics: a misspelt key
+// would read as a silent 0, and a metric missing from sweepColumns would
+// drop out of the sweep table.
+func TestScanMetricKeys(t *testing.T) {
+	keys := map[string]bool{}
+	for _, m := range ScanMetrics {
+		if keys[m.Key] {
+			t.Errorf("duplicate scan metric key %q", m.Key)
+		}
+		keys[m.Key] = true
+	}
+	if !slices.Equal(slices.Sorted(maps.Keys(keys)), slices.Sorted(slices.Values(sweepColumns))) {
+		t.Errorf("sweepColumns %v is not a permutation of the ScanMetrics keys", sweepColumns)
+	}
+	for _, s := range scanScalarSpecs {
+		if !keys[s.metric] {
+			t.Errorf("%s reads unknown scan metric %q", s.ID, s.metric)
+		}
 	}
 }
 

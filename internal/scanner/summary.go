@@ -60,7 +60,3 @@ func Summarize(results []Result) Summary {
 	}
 	return s
 }
-
-// CBCTotal counts servers choosing any CBC-mode suite (3DES included), the
-// §5.2 metric.
-func (s Summary) CBCTotal() int { return s.ChoseCBC + s.Chose3DES }

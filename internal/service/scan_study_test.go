@@ -31,8 +31,8 @@ func scanReport(hosts, ssl3, answered, rc4, cbc, tdes, hbAck, rc4only, export, v
 // TestScanStudyOnRouter is the e2e acceptance check for hosted scan
 // campaigns: a sweep's reports fold into a core.NewScanStudy, mount on the
 // Router next to a passive study, and POST /studies/scan/query answers the
-// campaign metrics through the same Frame/Expr pipeline — each queried value
-// equal to the corresponding CampaignReport percentage method.
+// campaign metrics through the same Frame/Expr pipeline — each of
+// core.ScanMetrics equal to the share of hosts the report's fields give.
 func TestScanStudyOnRouter(t *testing.T) {
 	months := []timeline.Month{
 		timeline.M(2015, time.September),
@@ -60,36 +60,44 @@ func TestScanStudyOnRouter(t *testing.T) {
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	// Every sweep metric, as a query over the scan study's counters, must
-	// reproduce the CampaignReport percentage it was folded from.
-	series := []struct {
-		query string
-		want  func(r *core.CampaignReport) float64
-	}{
-		{"pct(version:ssl3 / total)", (*core.CampaignReport).SSL3SupportPct},
-		{"pct(class:rc4 / total)", (*core.CampaignReport).RC4ChosenPct},
-		{"pct(class:cbc / total)", (*core.CampaignReport).CBCChosenPct},
-		{"pct(class:3des / total)", (*core.CampaignReport).TDESChosenPct},
-		{"pct(adv-rc4 / total)", (*core.CampaignReport).RC4SupportPct},
-		{"pct(adv-export / total)", (*core.CampaignReport).ExportSupportPct},
-		{"pct(offers-heartbeat / total)", (*core.CampaignReport).HeartbeatSupportPct},
-		{"pct(heartbeat-ack / total)", (*core.CampaignReport).HeartbleedVulnerablePct},
+	// Every declared scan metric, as a query over the scan study's counters,
+	// must equal the share of hosts computed here straight from the report's
+	// fields. A metric added to core.ScanMetrics without a numerator here
+	// fails.
+	numerators := map[string]func(r *core.CampaignReport) int{
+		"ssl3":   func(r *core.CampaignReport) int { return r.Probes["ssl3only"].Answered },
+		"rc4sel": func(r *core.CampaignReport) int { return r.Probes["chrome2015"].ChoseRC4 },
+		"rc4sup": func(r *core.CampaignReport) int { return r.Probes["rc4only"].Answered },
+		"cbc": func(r *core.CampaignReport) int { // 3DES is a CBC suite too
+			c := r.Probes["chrome2015"]
+			return c.ChoseCBC + c.Chose3DES
+		},
+		"3des":   func(r *core.CampaignReport) int { return r.Probes["chrome2015"].Chose3DES },
+		"hb":     func(r *core.CampaignReport) int { return r.Probes["chrome2015"].HeartbeatAck },
+		"bleed":  func(r *core.CampaignReport) int { return r.VulnerableHosts },
+		"export": func(r *core.CampaignReport) int { return r.Probes["exportonly"].ChoseExport },
 	}
-	for _, tc := range series {
-		res, _ := postQuery(t, ts.URL+"/studies/scan/query", tc.query)
+	pct := func(n, hosts int) float64 { return 100 * float64(n) / float64(hosts) }
+	for _, m := range core.ScanMetrics {
+		num, ok := numerators[m.Key]
+		if !ok {
+			t.Errorf("scan metric %q has no independent check", m.Key)
+			continue
+		}
+		res, _ := postQuery(t, ts.URL+"/studies/scan/query", m.Query)
 		if len(res.Series.Points) != len(months) {
-			t.Fatalf("%q: %d points, want %d", tc.query, len(res.Series.Points), len(months))
+			t.Fatalf("%q: %d points, want %d", m.Query, len(res.Series.Points), len(months))
 		}
 		for i, p := range res.Series.Points {
-			if want := tc.want(reports[i]); p.Value != want {
-				t.Errorf("%q month %v: got %v, want %v", tc.query, months[i], p.Value, want)
+			if want := pct(num(reports[i]), reports[i].Hosts); p.Value != want {
+				t.Errorf("%q month %v: got %v, want %v", m.Query, months[i], p.Value, want)
 			}
 		}
 	}
 
 	// Scalar shape over the mounted study: the Sep 2015 RC4 selection rate.
 	res, _ := postQuery(t, ts.URL+"/studies/scan/query", "at(pct(class:rc4 / total), 2015-09)")
-	if want := reports[0].RC4ChosenPct(); res.Value != want {
+	if want := pct(22, 200); res.Value != want {
 		t.Errorf("at() scalar: got %v, want %v", res.Value, want)
 	}
 
