@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"tlsage/internal/analysis"
 	"tlsage/internal/core"
 	"tlsage/internal/notary"
 )
@@ -69,10 +70,11 @@ func startServe(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, httpUR
 // TestCLI drives the built binary: serve refuses a queue bound below 1 —
 // the merge queue is the only ingest path, so there is no "0 = off" — serve's
 // flag set is the one pinned in testdata, a served study survives SIGTERM and
-// a restart byte for byte, scan, scansweep and experiments print their
-// goldens, every command that takes a log reads a TSV log, a serve -out frame
-// log and one continued by the other alike, and an offline query prints
-// exactly what core.Study.Query computes.
+// a restart byte for byte, scan, scansweep, experiments and the passive
+// figure and table commands print their goldens, an unknown figure fails
+// before any simulation or load, every command that takes a log reads a TSV
+// log, a serve -out frame log and one continued by the other alike, and an
+// offline query prints exactly what core.Study.Query computes.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tlstrend")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -107,8 +109,10 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
-	// The goldens pin, byte for byte, the §5 tables scan and scansweep print
-	// and the whole experiments report; no other test runs experiments.
+	// The goldens pin, byte for byte, the §5 tables scan and scansweep print,
+	// the whole experiments report (no other test runs experiments), and the
+	// figures, Table 2 and fingerprint report the passive commands read off
+	// the study's frame.
 	for _, g := range []struct {
 		golden string
 		args   []string
@@ -116,6 +120,12 @@ func TestCLI(t *testing.T) {
 		{"scan.golden", []string{"scan", "-hosts", "60"}},
 		{"scansweep.golden", []string{"scansweep", "-hosts", "40", "-step", "12"}},
 		{"experiments.golden", []string{"experiments", "-conns", "200", "-hosts", "60"}},
+		{"figure_n2.golden", []string{"figure", "-n", "2", "-conns", "50"}},
+		{"figure_extensions_chart.golden", []string{"figure", "-name", "extensions", "-chart", "-conns", "50"}},
+		{"figures.golden", []string{"figures", "-conns", "50"}},
+		{"extensions.golden", []string{"extensions", "-conns", "50"}},
+		{"table2.golden", []string{"table2", "-conns", "50"}},
+		{"fingerprints.golden", []string{"fingerprints", "-conns", "50"}},
 	} {
 		t.Run(strings.Join(g.args, " ")+" matches its golden", func(t *testing.T) {
 			var stderr bytes.Buffer
@@ -134,6 +144,29 @@ func TestCLI(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("an unknown figure fails before anything is simulated or loaded", func(t *testing.T) {
+		tsv := filepath.Join("..", "..", "internal", "service", "testdata", "outlog_tsv.log")
+		for _, c := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"figure", "-n", "11", "-conns", "5"}, "tlstrend: core: no figure 11\n"},
+			{[]string{"figure", "-name", "nope", "-conns", "5"},
+				"tlstrend: no figure named \"nope\" (valid names: " + strings.Join(analysis.CatalogNames(), ", ") + ")\n"},
+			{[]string{"loadlog", "-figure", "11", "-in", tsv}, "tlstrend: core: no figure 11\n"},
+		} {
+			out, err := exec.Command(bin, c.args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("%v: err=%v, want exit 1", c.args, err)
+			}
+			// The error is all there is: no simulated or loaded line before it.
+			if string(out) != c.want {
+				t.Errorf("%v printed\n%s\nwant only\n%s", c.args, out, c.want)
+			}
+		}
+	})
 
 	t.Run("serve feed query SIGTERM restart", func(t *testing.T) {
 		dir := t.TempDir()

@@ -54,6 +54,10 @@ func cmdLoadLog(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	spec, ok := analysis.SpecByNum(*figure)
+	if *figure > 0 && !ok {
+		return fmt.Errorf("core: no figure %d", *figure)
+	}
 	var s core.Study
 	s.Options.Workers = *workers
 	start := time.Now()
@@ -62,12 +66,12 @@ func cmdLoadLog(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "loaded %d records from %s in %v\n",
 		s.Aggregate().TotalRecords(), *in, time.Since(start).Round(time.Millisecond))
-	if *figure > 0 {
-		fig, err := s.Figure(*figure)
+	if ok {
+		f, err := s.Frame()
 		if err != nil {
 			return err
 		}
-		if err := renderFigure(fig, *chart, 20); err != nil {
+		if err := renderFigure(f.EvalFigure(spec), *chart, 20); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -83,26 +87,25 @@ func cmdFigure(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Both lookups fail before anything is simulated.
+	spec, ok := analysis.SpecByNum(*n)
 	if *name != "" {
-		if _, ok := analysis.SpecByName(*name); !ok {
+		if spec, ok = analysis.SpecByName(*name); !ok {
 			return fmt.Errorf("no figure named %q (valid names: %s)",
 				*name, strings.Join(analysis.CatalogNames(), ", "))
 		}
+	} else if !ok {
+		return fmt.Errorf("core: no figure %d", *n)
 	}
 	s, err := sim.run("")
 	if err != nil {
 		return err
 	}
-	var fig analysis.Figure
-	if *name != "" {
-		fig, err = s.FigureByName(*name)
-	} else {
-		fig, err = s.Figure(*n)
-	}
+	f, err := s.Frame()
 	if err != nil {
 		return err
 	}
-	return renderFigure(fig, *chart, 20)
+	return renderFigure(f.EvalFigure(spec), *chart, 20)
 }
 
 // renderFigure prints fig to stdout as an ASCII chart of the given height or
@@ -142,11 +145,11 @@ func cmdFigures(args []string) error {
 	if err != nil {
 		return err
 	}
-	figs, err := s.Figures()
+	f, err := s.Frame()
 	if err != nil {
 		return err
 	}
-	for _, fig := range figs {
+	for _, fig := range f.Figures() {
 		if err := fig.RenderChart(os.Stdout, 100, 16); err != nil {
 			return err
 		}
@@ -230,19 +233,16 @@ func cmdExtensions(args []string) error {
 	if err != nil {
 		return err
 	}
-	fig, err := s.ExtensionFigure()
+	f, err := s.Frame()
 	if err != nil {
 		return err
 	}
+	fig, _ := f.FigureByName("extensions") // a catalog name: always found
 	if err := renderFigure(fig, *chart, 18); err != nil {
 		return err
 	}
-	shares, err := s.TLS13Variants()
-	if err != nil {
-		return err
-	}
 	fmt.Println("\nAdvertised TLS 1.3 variants (paper: 0x7e02 82.3%, draft-18 13.4%):")
-	for _, v := range shares {
+	for _, v := range analysis.TLS13VariantSharesFrame(f) {
 		fmt.Printf("  %-16v %6.1f%%\n", v.Variant, v.Share)
 	}
 	return nil

@@ -22,10 +22,11 @@ func main() {
 		log.Fatal(err)
 	}
 	// Impacts evaluate against the study's cached columnar frame.
-	impacts, err := study.Impacts()
+	f, err := study.Frame()
 	if err != nil {
 		log.Fatal(err)
 	}
+	impacts := analysis.AttackImpactsFrame(f)
 	if err := analysis.RenderImpacts(os.Stdout, impacts); err != nil {
 		log.Fatal(err)
 	}

@@ -62,11 +62,11 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "log reload verified: sharded reload matches the streamed aggregate")
 
-	figs, err := study.Figures()
+	f, err := study.Frame()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, fig := range figs {
+	for _, fig := range f.Figures() {
 		if err := fig.RenderTable(os.Stdout); err != nil {
 			log.Fatal(err)
 		}

@@ -17,12 +17,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Figures come from the declarative catalog; "negotiated-classes" is
-	// Figure 2 (study.Figure(2) resolves the same entry by number).
-	fig, err := study.FigureByName("negotiated-classes")
+	// Figures come from the declarative catalog, evaluated against the
+	// study's frame; "negotiated-classes" is Figure 2 (f.FigureByNum(2)
+	// resolves the same entry by number).
+	f, err := study.Frame()
 	if err != nil {
 		log.Fatal(err)
 	}
+	fig, _ := f.FigureByName("negotiated-classes")
 	if err := fig.RenderChart(os.Stdout, 96, 18); err != nil {
 		log.Fatal(err)
 	}

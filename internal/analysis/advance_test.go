@@ -48,7 +48,7 @@ func requireSameFrame(t *testing.T, want, got *Frame) {
 	}
 }
 
-// advanceOrBuild is the caller's rule (core.Study.frameLocked): advance while
+// advanceOrBuild is the caller's rule (core.Study.refresh): advance while
 // the month axis holds, build anew when a month appeared. It always checks
 // the result against NewFrame and reports whether it advanced.
 func advanceOrBuild(t *testing.T, prev *Frame, agg *notary.Aggregate, touched []timeline.Month) (*Frame, bool) {

@@ -285,7 +285,7 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 // while the top-K set holds, its column list and names).
 //
 // The caller decides whether these preconditions hold and calls NewFrame
-// when they do not (core.Study.frameLocked is that caller). A month missing
+// when they do not (core.Study.refresh is that caller). A month missing
 // from touched leaves its row stale; a touched month outside the axis panics.
 //
 // The fp: family stays exact because both constructors rank it from the one

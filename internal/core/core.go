@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,27 +46,23 @@ var ErrNotRun = errors.New("core: study has not been run")
 type Study struct {
 	Options simulate.Options
 
-	// mu guards agg and db against live ingestion: MergeShard takes it
-	// exclusively per shard, readers (Frame, Counts) share it. Batch callers
-	// that mutate the aggregate directly through Aggregate() stay
-	// single-goroutine and never contend.
+	// mu guards every field below. MergeShard and aggregate replacements
+	// take it exclusively; readers share it while the cached frame is at the
+	// aggregate's generation, and take it exclusively to bring the frame up
+	// to date (see read). Batch callers that mutate the aggregate directly
+	// through Aggregate() stay single-goroutine and never contend.
 	mu  sync.RWMutex
 	agg *notary.Aggregate
 	db  *fingerprint.DB
-	// frameMu guards the frame cache below; it is separate from mu so
-	// concurrent readers can settle who brings the frame up to date without
-	// writing under a shared read lock.
-	frameMu sync.Mutex
 	// frame caches the columnar snapshot of agg that all figure/scalar
 	// queries evaluate against. It is brought up to date lazily whenever the
 	// aggregate's generation moves: advanced over the months MergeShard
-	// touched, or built anew (see frameLocked).
+	// touched, or built anew (see refresh).
 	frame *analysis.Frame
 	// touched lists the months MergeShard wrote since frame was built, and
 	// accounted is the generation the aggregate shows if those were the only
 	// writes: a write this study did not see (through Aggregate()) leaves the
-	// two generations apart, and the next frame is a full build. Both are
-	// written under mu held exclusively, or under mu shared plus frameMu.
+	// two generations apart, and the next frame is a full build.
 	touched   []timeline.Month
 	accounted uint64
 
@@ -75,9 +70,8 @@ type Study struct {
 	// generation-keyed result cache; cacheID namespaces this study's keys
 	// within it. cacheEpoch versions aggregate replacements (Run, LoadLog):
 	// generations count records, so a rebuilt study can land on a colliding
-	// generation, and the epoch — bumped under mu in the same critical
-	// section as the swap — keeps its cache keys disjoint from the old
-	// aggregate's. Guarded by mu like the aggregate it versions.
+	// generation, and the epoch — bumped in the same critical section as the
+	// swap — keeps its cache keys disjoint from the old aggregate's.
 	queryCache *analysis.QueryCache
 	cacheID    string
 	cacheEpoch uint64
@@ -229,9 +223,7 @@ func (s *Study) replaceAggregate(agg *notary.Aggregate, db *fingerprint.DB) {
 	defer s.mu.Unlock()
 	s.agg, s.db = agg, db
 	s.cacheEpoch++
-	s.frameMu.Lock()
 	s.frame = nil
-	s.frameMu.Unlock()
 }
 
 // MergeShard folds a privately accumulated aggregate into the live study in
@@ -247,7 +239,7 @@ func (s *Study) MergeShard(shard *notary.Aggregate) error {
 	before := s.agg.Generation()
 	s.agg.Merge(shard)
 	if before != s.accounted {
-		return nil // an unseen write came first; frameLocked will notice
+		return nil // an unseen write came first; refresh will notice
 	}
 	s.accounted = s.agg.Generation()
 	for _, m := range shard.Months() {
@@ -270,44 +262,64 @@ func (s *Study) Counts() (records, months int, generation uint64, err error) {
 	return s.agg.TotalRecords(), s.agg.NumMonths(), s.agg.Generation(), nil
 }
 
-// Aggregate exposes the raw monthly statistics; nil before Run. Direct
-// mutation through this accessor is a batch-mode convenience — concurrent
-// producers must deliver through MergeShard instead — and costs the next
-// Frame call a full build, since the study cannot know which months it wrote.
+// Aggregate exposes the raw monthly statistics; nil before Run. It returns
+// the pointer without taking the study's lock. Direct mutation through this
+// accessor is a batch-mode convenience — concurrent producers must deliver
+// through MergeShard instead — and costs the next read of the frame a full
+// build, since the study cannot know which months it wrote.
 func (s *Study) Aggregate() *notary.Aggregate { return s.agg }
 
 // Frame returns the columnar snapshot of the study's aggregate, building it
 // on first use and bringing it up to date whenever the aggregate has mutated
 // since the cached snapshot (generation check). Callers may hold the
 // returned frame across further ingestion: it is immutable, and a later
-// Frame call yields a fresh snapshot.
+// Frame call yields a fresh snapshot. Figures, the §7.4 impacts and the
+// TLS 1.3 variant split are the frame's methods, or analysis's *Frame
+// functions, applied to it.
 //
 // Frame is safe for concurrent readers, including while producers deliver
-// through MergeShard: the aggregate is read under the shared lock (excluding
-// writers while the frame catches up) and the cache slot has its own mutex,
-// so every reader gets a self-consistent snapshot and ingestion never
-// observes a torn frame.
-func (s *Study) Frame() (*analysis.Frame, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.frameLocked()
+// through MergeShard (see read).
+func (s *Study) Frame() (f *analysis.Frame, err error) {
+	err = s.read(func(cur *analysis.Frame) { f = cur })
+	return f, err
 }
 
-// frameLocked is Frame's body; callers hold s.mu (read or write). It is the
+// read calls fn with the frame at the aggregate's current generation, with
+// s.mu held so fn can read the study's other fields consistently with that
+// frame. fn only reads: callers evaluate against the frame after read
+// returns, outside the lock, and fn must not call back into the study. A
+// current frame is read under the shared lock, released by hand after fn;
+// a stale one is brought up to date under the exclusive lock, so no writer
+// or other reader sees it half-built.
+func (s *Study) read(fn func(*analysis.Frame)) error {
+	s.mu.RLock()
+	if s.agg != nil && s.frame != nil && s.frame.Generation() == s.agg.Generation() {
+		fn(s.frame)
+		s.mu.RUnlock()
+		return nil
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.agg == nil {
+		return ErrNotRun
+	}
+	s.refresh()
+	fn(s.frame)
+	return nil
+}
+
+// refresh brings the cached frame up to the aggregate's generation; the
+// caller holds s.mu exclusively and has checked that agg is set. It is the
 // one place that chooses between the two frame constructors: a stale frame
 // advances when every write since it was built went through MergeShard (the
 // aggregate stands at the accounted generation) and none of them opened a new
 // month; a first build, a replaced aggregate, a new month or a write through
 // Aggregate() gets NewFrame.
-func (s *Study) frameLocked() (*analysis.Frame, error) {
-	if s.agg == nil {
-		return nil, ErrNotRun
-	}
-	s.frameMu.Lock()
-	defer s.frameMu.Unlock()
+func (s *Study) refresh() {
 	gen := s.agg.Generation()
 	if s.frame != nil && s.frame.Generation() == gen {
-		return s.frame, nil
+		return // another reader refreshed it between read's two locks
 	}
 	if s.frame != nil && gen == s.accounted && s.agg.NumMonths() == s.frame.Len() {
 		// Months are never removed, so an equal count means an equal axis.
@@ -316,45 +328,6 @@ func (s *Study) frameLocked() (*analysis.Frame, error) {
 		s.frame = analysis.NewFrame(s.agg)
 	}
 	s.accounted, s.touched = gen, s.touched[:0]
-	return s.frame, nil
-}
-
-// Figures builds all ten passive figures from the cached frame.
-func (s *Study) Figures() ([]analysis.Figure, error) {
-	f, err := s.Frame()
-	if err != nil {
-		return nil, err
-	}
-	return f.Figures(), nil
-}
-
-// Figure builds figure n (1–10).
-func (s *Study) Figure(n int) (analysis.Figure, error) {
-	f, err := s.Frame()
-	if err != nil {
-		return analysis.Figure{}, err
-	}
-	fig, ok := f.FigureByNum(n)
-	if !ok {
-		return analysis.Figure{}, fmt.Errorf("core: no figure %d", n)
-	}
-	return fig, nil
-}
-
-// FigureByName builds the catalog figure with the given name (see
-// analysis.Catalog; e.g. "fingerprint-classes" or "extensions"). Names
-// match case-insensitively; a miss lists the valid catalog names.
-func (s *Study) FigureByName(name string) (analysis.Figure, error) {
-	f, err := s.Frame()
-	if err != nil {
-		return analysis.Figure{}, err
-	}
-	fig, ok := f.FigureByName(name)
-	if !ok {
-		return analysis.Figure{}, fmt.Errorf("core: no figure named %q (valid names: %s)",
-			name, strings.Join(analysis.CatalogNames(), ", "))
-	}
-	return fig, nil
 }
 
 // Query parses src with analysis.ParseQuery and evaluates it against the
@@ -389,43 +362,25 @@ func (s *Study) QueryExprInfoJSON(e *analysis.Expr) (analysis.QueryResult, []byt
 	return s.queryValidated(e)
 }
 
-// cacheCoords snapshots the cache handle and the study's current
-// (epoch, generation) coordinates in one shared lock acquisition — the hit
-// path's only shared-state read; it never builds or touches a Frame.
-func (s *Study) cacheCoords() (cache *analysis.QueryCache, id string, epoch, generation uint64, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.agg == nil {
-		return nil, "", 0, 0, ErrNotRun
-	}
-	return s.queryCache, s.cacheID, s.cacheEpoch, s.agg.Generation(), nil
-}
-
-// frameWithEpoch returns the current frame together with the cache epoch it
-// belongs to, read under one shared lock acquisition so an aggregate swap
-// can never pair a frame with the wrong epoch.
-func (s *Study) frameWithEpoch() (*analysis.Frame, uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.frameLocked()
-	if err != nil {
-		return nil, 0, err
-	}
-	return f, s.cacheEpoch, nil
-}
-
 // queryValidated serves a validated expression: from the result cache when
-// an entry exists for the study's current (epoch, generation) — without
-// touching the frame — and otherwise by compiling a plan against the
-// current frame, evaluating it, and caching the result (with its serialized
-// body) under coordinates read atomically with that frame. Concurrent misses
-// for one key each compile and evaluate (microseconds; the frame they share
-// is brought up to date once, under frameMu) and QueryCache.Put keeps the
-// last of their identical entries. A nil cache degrades to plain
-// compile-and-evaluate.
+// an entry exists for the study's current (epoch, generation), and otherwise
+// by compiling a plan against the current frame, evaluating it, and caching
+// the result (with its serialized body) under coordinates read in the same
+// critical section as that frame. The lookup, compile and evaluation run
+// outside the lock. Concurrent misses for one key each compile and evaluate
+// (microseconds; the frame they share is brought up to date once) and
+// QueryCache.Put keeps the last of their identical entries. A nil cache
+// degrades to plain compile-and-evaluate.
 func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
-	cache, id, epoch, gen, err := s.cacheCoords()
-	if err != nil {
+	var (
+		f          *analysis.Frame
+		cache      *analysis.QueryCache
+		id         string
+		epoch, gen uint64
+	)
+	if err := s.read(func(cur *analysis.Frame) {
+		f, cache, id, epoch, gen = cur, s.queryCache, s.cacheID, s.cacheEpoch, cur.Generation()
+	}); err != nil {
 		return analysis.QueryResult{}, nil, 0, false, err
 	}
 	var key string
@@ -434,10 +389,6 @@ func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, 
 		if res, body, hit := cache.Get(id, epoch, gen, key); hit {
 			return res, body, gen, true, nil
 		}
-	}
-	f, epoch, err := s.frameWithEpoch()
-	if err != nil {
-		return analysis.QueryResult{}, nil, 0, false, err
 	}
 	p, err := analysis.Compile(e, f)
 	if err != nil {
@@ -450,9 +401,9 @@ func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, 
 		// A marshal failure only costs this entry the serialized-body fast
 		// path; the result itself still caches and serves.
 		body, _ = res.EncodeJSONBody()
-		cache.Put(id, epoch, f.Generation(), key, res, body)
+		cache.Put(id, epoch, gen, key, res, body)
 	}
-	return res, body, f.Generation(), false, nil
+	return res, body, gen, false, nil
 }
 
 // PlanCompiles reports how many times the query path called
@@ -460,8 +411,8 @@ func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, 
 func (s *Study) PlanCompiles() uint64 { return s.compiles.Load() }
 
 // Scalars returns the passive and fingerprint scalar findings. Both halves
-// are computed under one shared lock acquisition, so a live report never
-// mixes two generations.
+// come from one read of the study, so a live report never mixes two
+// generations.
 func (s *Study) Scalars() ([]analysis.Scalar, error) {
 	out, _, err := s.ScalarsWithGeneration()
 	return out, err
@@ -471,56 +422,34 @@ func (s *Study) Scalars() ([]analysis.Scalar, error) {
 // was computed against, read atomically with the report itself — the
 // service uses it to stamp staleness headers that match the body exactly.
 func (s *Study) ScalarsWithGeneration() ([]analysis.Scalar, uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.frameLocked()
-	if err != nil {
+	var (
+		f  *analysis.Frame
+		fp []analysis.Scalar
+	)
+	if err := s.read(func(cur *analysis.Frame) { f, fp = cur, analysis.FingerprintScalars(s.agg) }); err != nil {
 		return nil, 0, err
 	}
-	out := analysis.PassiveScalarsFrame(f)
-	return append(out, analysis.FingerprintScalars(s.agg)...), f.Generation(), nil
-}
-
-// Impacts returns the §7.4 attack-impact rows.
-func (s *Study) Impacts() ([]analysis.AttackImpact, error) {
-	f, err := s.Frame()
-	if err != nil {
-		return nil, err
-	}
-	return analysis.AttackImpactsFrame(f), nil
+	return append(analysis.PassiveScalarsFrame(f), fp...), f.Generation(), nil
 }
 
 // Table2 reproduces the fingerprint summary table through the query surface:
 // every coverage number is an agent:-family expression evaluated against the
-// study's cached frame (analysis.BuildTable2Frame). The coverage is the
-// fingerprint database's own because the study installs that database as
-// its aggregate's classifier. An aggregate recovered from a pre-attribution
+// study's cached frame (analysis.BuildTable2Frame), outside the study's lock.
+// The coverage is the fingerprint database's own because the study installs
+// that database as its aggregate's classifier. An aggregate recovered from a pre-attribution
 // (v1) snapshot has no class attribution — fp-conns and the fp: family answer
 // from the per-month fingerprint rows version 1 always carried, the agent:
 // family is empty — so its Table 2 reports zero coverage until records are
 // re-ingested or new ones arrive.
 func (s *Study) Table2() (analysis.Table2Report, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := s.frameLocked()
-	if err != nil {
+	var (
+		f  *analysis.Frame
+		db *fingerprint.DB
+	)
+	if err := s.read(func(cur *analysis.Frame) { f, db = cur, s.db }); err != nil {
 		return analysis.Table2Report{}, err
 	}
-	return analysis.BuildTable2Frame(f, s.db), nil
-}
-
-// ExtensionFigure builds the §9 extension-uptake figure (Figure E1).
-func (s *Study) ExtensionFigure() (analysis.Figure, error) {
-	return s.FigureByName("extensions")
-}
-
-// TLS13Variants returns the advertised TLS 1.3 variant split (§6.4).
-func (s *Study) TLS13Variants() ([]analysis.TLS13VariantShare, error) {
-	f, err := s.Frame()
-	if err != nil {
-		return nil, err
-	}
-	return analysis.TLS13VariantSharesFrame(f), nil
+	return analysis.BuildTable2Frame(f, db), nil
 }
 
 // FingerprintDurations returns the §4.1 lifetime statistics.

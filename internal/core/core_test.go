@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"reflect"
 	"slices"
@@ -35,10 +36,20 @@ func sharedStudy(t *testing.T) *Study {
 	return study
 }
 
+// frameOf returns s's current frame, failing the test when there is none.
+func frameOf(t *testing.T, s *Study) *analysis.Frame {
+	t.Helper()
+	f, err := s.Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestStudyLifecycle(t *testing.T) {
 	s := NewStudy(10)
-	if _, err := s.Figures(); err == nil {
-		t.Error("figures before Run should error")
+	if _, err := s.Frame(); err == nil {
+		t.Error("frame before Run should error")
 	}
 	if _, err := s.Scalars(); err == nil {
 		t.Error("scalars before Run should error")
@@ -53,19 +64,19 @@ func TestStudyLifecycle(t *testing.T) {
 
 func TestStudyFiguresAndScalars(t *testing.T) {
 	s := sharedStudy(t)
-	figs, err := s.Figures()
-	if err != nil || len(figs) != 10 {
-		t.Fatalf("figures: %v (%d)", err, len(figs))
+	f := frameOf(t, s)
+	if figs := f.Figures(); len(figs) != 10 {
+		t.Fatalf("figures: %d, want 10", len(figs))
 	}
-	fig, err := s.Figure(1)
-	if err != nil || fig.ID != "Figure 1" {
-		t.Errorf("Figure(1): %v %s", err, fig.ID)
+	fig, ok := f.FigureByNum(1)
+	if !ok || fig.ID != "Figure 1" {
+		t.Errorf("FigureByNum(1): %v %s", ok, fig.ID)
 	}
-	if _, err := s.Figure(0); err == nil {
-		t.Error("Figure(0) should error")
+	if _, ok := f.FigureByNum(0); ok {
+		t.Error("FigureByNum(0) should miss")
 	}
-	if _, err := s.Figure(11); err == nil {
-		t.Error("Figure(11) should error")
+	if _, ok := f.FigureByNum(11); ok {
+		t.Error("FigureByNum(11) should miss")
 	}
 	scalars, err := s.Scalars()
 	if err != nil || len(scalars) < 15 {
@@ -325,13 +336,14 @@ func TestHeartbleedCheckMatchesGroundTruth(t *testing.T) {
 
 func TestExtensionFigureAndVariants(t *testing.T) {
 	s := sharedStudy(t)
-	fig, err := s.ExtensionFigure()
-	if err != nil || fig.ID != "Figure E1" {
-		t.Fatalf("extension figure: %v %s", err, fig.ID)
+	f := frameOf(t, s)
+	fig, ok := f.FigureByName("extensions")
+	if !ok || fig.ID != "Figure E1" {
+		t.Fatalf("extension figure: %v %s", ok, fig.ID)
 	}
-	shares, err := s.TLS13Variants()
-	if err != nil || len(shares) == 0 {
-		t.Fatalf("variant shares: %v", err)
+	shares := analysis.TLS13VariantSharesFrame(f)
+	if len(shares) == 0 {
+		t.Fatal("no variant shares")
 	}
 	// §6.4: the Google experimental variant dominates advertised variants.
 	if shares[0].Variant != registry.VersionTLS13Google {
@@ -344,13 +356,10 @@ func TestExtensionFigureAndVariants(t *testing.T) {
 	if sum < 99.9 || sum > 100.1 {
 		t.Errorf("variant shares sum to %0.1f", sum)
 	}
-	// Before Run, both error.
+	// Before Run there is no frame to read either from.
 	var empty Study
-	if _, err := empty.ExtensionFigure(); err == nil {
-		t.Error("extension figure before Run should error")
-	}
-	if _, err := empty.TLS13Variants(); err == nil {
-		t.Error("variants before Run should error")
+	if _, err := empty.Frame(); !errors.Is(err, ErrNotRun) {
+		t.Errorf("frame before Run: %v, want ErrNotRun", err)
 	}
 }
 
@@ -454,25 +463,23 @@ func TestStudyFrameCache(t *testing.T) {
 
 func TestStudyFigureByName(t *testing.T) {
 	s := sharedStudy(t)
-	fig, err := s.FigureByName("fingerprint-classes")
-	if err != nil || fig.ID != "Figure 4" {
-		t.Fatalf("FigureByName: %v %s", err, fig.ID)
+	f := frameOf(t, s)
+	fig, ok := f.FigureByName("fingerprint-classes")
+	if !ok || fig.ID != "Figure 4" {
+		t.Fatalf("FigureByName: %v %s", ok, fig.ID)
 	}
-	ext, err := s.FigureByName("extensions")
-	if err != nil || ext.ID != "Figure E1" {
-		t.Fatalf("extensions figure: %v %s", err, ext.ID)
+	ext, ok := f.FigureByName("extensions")
+	if !ok || ext.ID != "Figure E1" {
+		t.Fatalf("extensions figure: %v %s", ok, ext.ID)
 	}
-	if upper, err := s.FigureByName("Fingerprint-Classes"); err != nil || upper.ID != "Figure 4" {
-		t.Errorf("case-insensitive lookup: %v %s", err, upper.ID)
+	if upper, ok := f.FigureByName("Fingerprint-Classes"); !ok || upper.ID != "Figure 4" {
+		t.Errorf("case-insensitive lookup: %v %s", ok, upper.ID)
 	}
-	if _, err := s.FigureByName("nope"); err == nil {
-		t.Error("unknown figure name should error")
-	} else if !strings.Contains(err.Error(), "versions") {
-		t.Errorf("miss error %q does not list the valid names", err)
+	if _, ok := f.FigureByName("nope"); ok {
+		t.Error("unknown figure name should miss")
 	}
-	impacts, err := s.Impacts()
-	if err != nil || len(impacts) < 6 {
-		t.Fatalf("Impacts: %v (%d rows)", err, len(impacts))
+	if impacts := analysis.AttackImpactsFrame(f); len(impacts) < 6 {
+		t.Fatalf("impacts: %d rows, want at least 6", len(impacts))
 	}
 }
 
@@ -485,10 +492,7 @@ func TestStudyQuery(t *testing.T) {
 	if err != nil || res.Kind != "series" {
 		t.Fatalf("Query: %v (%+v)", err, res.Kind)
 	}
-	fig, err := s.Figure(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig, _ := frameOf(t, s).FigureByNum(1)
 	var want analysis.Series
 	for _, s := range fig.Series {
 		if s.Name == "TLSv12" {
@@ -732,16 +736,87 @@ func TestScanMetricKeys(t *testing.T) {
 }
 
 // TestStudyConcurrentIngestAndFrame hammers the live-ingest write path
-// (MergeShard, of one record and of many) while readers pull Frame snapshots
-// and Counts — run under -race. Every observed generation must be monotonic and every
-// frame self-consistent: the aggregate's generation counts records, so a
-// frame's Total column must sum to exactly its generation.
+// (MergeShard, of one record and of many) while readers go through each of
+// the study's frame reads, with a query cache attached — run under -race.
+// The aggregate's generation counts records, so every read must agree with
+// the generation it reports: a frame's Total column and a count(total)
+// query sum to exactly it, and scalars read with it equal those of the frame
+// at it. Generations must never go backwards. Readers race one another to
+// bring the frame up to date, so every stale read takes read's exclusive
+// path.
 func TestStudyConcurrentIngestAndFrame(t *testing.T) {
+	countTotal, err := analysis.ParseQuery("count(total)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		// read makes one read and returns the generation it observed, or an
+		// error describing the inconsistency it found.
+		read func(s *Study) (uint64, error)
+	}{
+		{"Frame and Counts", func(s *Study) (uint64, error) {
+			f, err := s.Frame()
+			if err != nil {
+				return 0, err
+			}
+			total := 0
+			for i := range f.Months {
+				total += f.Plain[notary.Total][i]
+			}
+			if uint64(total) != f.Generation() {
+				return 0, fmt.Errorf("torn frame: %d records at generation %d", total, f.Generation())
+			}
+			if len(f.Plain[notary.Established]) != f.Len() || len(f.Plain[notary.AdvRC4]) != f.Len() {
+				return 0, errors.New("frame columns misaligned with month axis")
+			}
+			_, _, gen, err := s.Counts()
+			return gen, err
+		}},
+		{"QueryInfoJSON", func(s *Study) (uint64, error) {
+			res, _, gen, _, err := s.QueryInfoJSON("count(total)")
+			if err == nil && res.Value != float64(gen) {
+				err = fmt.Errorf("count(total) = %v at generation %d", res.Value, gen)
+			}
+			return gen, err
+		}},
+		{"ScalarsWithGeneration", func(s *Study) (uint64, error) {
+			got, gen, err := s.ScalarsWithGeneration()
+			if err != nil {
+				return 0, err
+			}
+			if f, err := s.Frame(); err == nil && f.Generation() == gen {
+				if want := analysis.PassiveScalarsFrame(f); !reflect.DeepEqual(got[:len(want)], want) {
+					return 0, fmt.Errorf("scalars at generation %d differ from the frame's", gen)
+				}
+			}
+			return gen, nil
+		}},
+		{"Table2", func(s *Study) (uint64, error) {
+			if _, err := s.Table2(); err != nil {
+				return 0, err
+			}
+			res, _, gen, _, err := s.QueryExprInfoJSON(countTotal)
+			if err == nil && res.Value != float64(gen) {
+				err = fmt.Errorf("count(total) = %v at generation %d", res.Value, gen)
+			}
+			return gen, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { ingestWhileReading(t, tc.read) })
+	}
+}
+
+// ingestWhileReading runs four producers merging into a live study with a
+// query cache while three readers call read until the producers are done,
+// then checks the final state.
+func ingestWhileReading(t *testing.T, read func(*Study) (uint64, error)) {
 	const producers = 4
 	const perProducer = 400
 	const shardEvery = 64
 
 	s := NewLiveStudy()
+	s.SetQueryCache(analysis.NewQueryCache(64, 1<<20), "concurrent")
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -787,26 +862,9 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 					return
 				default:
 				}
-				f, err := s.Frame()
+				gen, err := read(s)
 				if err != nil {
-					t.Errorf("frame: %v", err)
-					return
-				}
-				total := 0
-				for i := range f.Months {
-					total += f.Plain[notary.Total][i]
-				}
-				if uint64(total) != f.Generation() {
-					t.Errorf("torn frame: %d records at generation %d", total, f.Generation())
-					return
-				}
-				if len(f.Plain[notary.Established]) != f.Len() || len(f.Plain[notary.AdvRC4]) != f.Len() {
-					t.Errorf("frame columns misaligned with month axis")
-					return
-				}
-				_, _, gen, err := s.Counts()
-				if err != nil {
-					t.Errorf("counts: %v", err)
+					t.Error(err)
 					return
 				}
 				if gen < lastGen {
@@ -830,12 +888,8 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 	if records != want || gen != uint64(want) {
 		t.Fatalf("final state: %d records at generation %d, want %d", records, gen, want)
 	}
-	f, err := s.Frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Generation() != uint64(want) {
-		t.Errorf("final frame generation %d, want %d", f.Generation(), want)
+	if got, err := read(s); err != nil || got != uint64(want) {
+		t.Errorf("final read: generation %d, %v; want %d", got, err, want)
 	}
 }
 

@@ -750,9 +750,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// seen, the per-frame column cap, and the share of fingerprinted volume
 	// folded into the "other" bucket. A poll is free while the generation
 	// stands still; after ingest it advances the frame over the months that
-	// were written (tens of microseconds under the study's read lock), and
-	// pays a full build (about a millisecond at study scale) only when a new
-	// month opened or the aggregate was replaced.
+	// were written (tens of microseconds under the study's exclusive lock),
+	// and pays a full build (about a millisecond at study scale) only when a
+	// new month opened or the aggregate was replaced.
 	if f, err := s.study.Frame(); err == nil {
 		distinct, topK, otherShare := f.FingerprintGauges()
 		health["fingerprints"] = map[string]any{

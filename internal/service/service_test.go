@@ -187,10 +187,11 @@ func TestServeFeedScalarParity(t *testing.T) {
 	// accumulators whose merge order differs between the live shard cadence
 	// and the offline parallel load. Every integer-counter series matches
 	// exactly.
-	offlineFigs, err := offline.Figures()
+	offlineFrame, err := offline.Frame()
 	if err != nil {
 		t.Fatal(err)
 	}
+	offlineFigs := offlineFrame.Figures()
 	var servedFigs []figureJSON
 	if err := json.Unmarshal(mustGet(t, ts.URL+"/figures"), &servedFigs); err != nil {
 		t.Fatal(err)
