@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"tlsage/internal/framing"
 	"tlsage/internal/notary"
 	"tlsage/internal/retry"
 )
@@ -52,8 +53,9 @@ type PusherOptions struct {
 	// Shipped replayed into a fresh shard. Nil starts empty.
 	Initial *notary.Aggregate
 	// StatePath, when set, persists the shipped-through generation there
-	// (atomic tmp+rename) after every acknowledged push. Empty keeps the
-	// cursor in memory only.
+	// after every acknowledged push, in place in a file of two checksummed
+	// slots the pusher keeps open (SaveShippedState). Empty keeps the cursor
+	// in memory only.
 	StatePath string
 	// Rebase, when set, rebuilds the unshipped delta after an upstream
 	// overlap conflict (409): it must return the merged contributions of
@@ -96,6 +98,8 @@ type Pusher struct {
 	errs        uint64 // failed push attempts
 	stateErrs   uint64 // shipped-state persist failures
 	lastPush    time.Time
+	state       *os.File // StatePath open for in-place writes; nil until a persist rewrites it whole
+	stateSlot   int      // the slot of state the next persist writes: the one not holding the newest cursor
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -112,6 +116,7 @@ type PusherStats struct {
 	RetainedBytes   int           // encoded size of the retained delta
 	LastPushAge     time.Duration // -1 when nothing has shipped yet
 	UpstreamErrors  uint64
+	StateErrors     uint64 // failed persists of the shipped-through cursor
 	LastError       string
 }
 
@@ -183,6 +188,7 @@ func (p *Pusher) Stats() PusherStats {
 		RetainedRecords: p.pending.Generation(),
 		LastPushAge:     -1,
 		UpstreamErrors:  p.errs,
+		StateErrors:     p.stateErrs,
 	}
 	if buf, err := AppendDelta(nil, &Delta{Source: p.opts.Source, Base: p.shipped, Agg: p.pending}); err == nil {
 		st.RetainedBytes = len(buf)
@@ -216,12 +222,24 @@ func (p *Pusher) run() {
 // A failure leaves the delta retained for the next attempt.
 func (p *Pusher) Flush() error { return p.push(true) }
 
-// Close stops the timer and ships the pending delta one final time. The
-// flush error is returned: a delta the upstream never acked survives only
-// in the edge's durable record log, and the caller should know that.
+// Close stops the timer, ships the pending delta one final time and closes
+// the cursor file. The flush error is returned, else the file's: a delta the
+// upstream never acked survives only in the edge's durable record log, and
+// the caller should know that.
 func (p *Pusher) Close() error {
 	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.done
+	err := p.drain()
+	p.mu.Lock()
+	if cerr := p.dropStateLocked(); err == nil {
+		err = cerr
+	}
+	p.mu.Unlock()
+	return err
+}
+
+// drain pushes until nothing is pending or an attempt fails.
+func (p *Pusher) drain() error {
 	// A push can succeed and still leave work behind: resolving a 409
 	// replaces the pending delta with the tail rebuilt past the upstream's
 	// cursor. Keep pushing until nothing is pending or an attempt fails —
@@ -339,20 +357,84 @@ func (p *Pusher) rebase(take *notary.Aggregate, ack MergeAck) error {
 }
 
 // persistLocked writes the shipped-through cursor to StatePath (callers
-// hold p.mu). Failures are counted and logged, never fatal: the cursor is a
-// restart optimization, and a stale one only costs a duplicate push the
-// upstream recognizes.
+// hold p.mu) and returns once it is synced. The first persist after start-up
+// or after a failure rewrites the file whole (SaveShippedState) and keeps it
+// open; every later one overwrites the slot not holding the newest cursor —
+// one write and one sync, the file's size and inode unchanged. Failures are
+// counted and logged, never fatal: the cursor is a restart optimization, and
+// a stale one only costs a duplicate push the upstream recognizes.
 func (p *Pusher) persistLocked() {
 	if p.opts.StatePath == "" {
 		return
 	}
-	if err := SaveShippedState(p.opts.StatePath, p.shipped); err != nil {
+	if err := p.writeStateLocked(); err != nil {
 		p.stateErrs++
 		p.logf("federation: persisting shipped state: %v", err)
 	}
 }
 
+// writeStateLocked is persistLocked's write: whole on a first persist, one
+// slot in place on every later one.
+func (p *Pusher) writeStateLocked() error {
+	if p.state == nil {
+		if err := SaveShippedState(p.opts.StatePath, p.shipped); err != nil {
+			return err
+		}
+		f, err := os.OpenFile(p.opts.StatePath, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		p.state, p.stateSlot = f, 0
+		return nil
+	}
+	_, err := p.state.WriteAt(appendSlot(nil, p.shipped), int64(p.stateSlot*slotLen))
+	if err == nil {
+		err = p.state.Sync()
+	}
+	if err != nil {
+		_ = p.dropStateLocked() // the next persist rewrites the file
+		return err
+	}
+	p.stateSlot ^= 1
+	return nil
+}
+
+// dropStateLocked closes the cursor file, so the next persist rewrites it.
+func (p *Pusher) dropStateLocked() error {
+	if p.state == nil {
+		return nil
+	}
+	err := p.state.Close()
+	p.state = nil
+	return err
+}
+
 // --- shipped-state persistence ---
+//
+// The cursor file is two slots of one line each, a cursor in 20 zero-padded
+// decimal digits and the CRC32 of those digits in hex:
+//
+//	00000000000000012345 45ac2cca
+//	00000000000000012301 26ad2dd7
+//
+// A persist overwrites the slot not holding the newest cursor, so a torn
+// write damages only that slot and the other still holds the cursor before
+// it. A reader takes the larger cursor of the slots whose checksum holds:
+// the cursor never decreases (a push moves it to base+records, a rebase to
+// an upstream cursor past base), so a damaged slot can only send the edge
+// back to an older cursor — a duplicate push, or a 409 rebased from the log
+// — never past records the upstream has not acked.
+
+const (
+	slotDigits = 20                     // the widest uint64 in decimal
+	slotLen    = slotDigits + 1 + 8 + 1 // digits, space, CRC32 in hex, newline
+)
+
+// appendSlot appends the slot holding gen to dst.
+func appendSlot(dst []byte, gen uint64) []byte {
+	digits := fmt.Appendf(nil, "%0*d", slotDigits, gen)
+	return fmt.Appendf(dst, "%s %08x\n", digits, framing.Checksum(digits))
+}
 
 // LoadShippedState reads the shipped-through generation persisted at path.
 // A missing file is generation 0 (nothing acked yet), not an error.
@@ -364,20 +446,42 @@ func LoadShippedState(path string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	gen, err := strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64)
+	gen, err := parseShippedState(b)
 	if err != nil {
 		return 0, fmt.Errorf("federation: shipped state %s: %w", path, err)
 	}
 	return gen, nil
 }
 
-// SaveShippedState atomically persists the shipped-through generation
-// (notary.ReplaceFile: temp file in the same directory, fsync, rename, fsync
-// the directory). A crash leaves either the old cursor or the new one, never
-// a torn file.
+// parseShippedState reads a cursor file: two slots, or any other shape as
+// the single decimal line older builds wrote.
+func parseShippedState(b []byte) (uint64, error) {
+	if len(b) != 2*slotLen {
+		return strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64)
+	}
+	var gen uint64
+	held := false
+	for s := 0; s < 2; s++ {
+		slot := b[s*slotLen : (s+1)*slotLen]
+		g, err := strconv.ParseUint(string(slot[:slotDigits]), 10, 64)
+		if err == nil && bytes.Equal(slot, appendSlot(nil, g)) && (!held || g > gen) {
+			gen, held = g, true
+		}
+	}
+	if !held {
+		return 0, errors.New("neither cursor slot's checksum holds")
+	}
+	return gen, nil
+}
+
+// SaveShippedState writes the cursor file whole, gen in both slots, through
+// notary.ReplaceFile (temp file in the same directory, fsync, rename, fsync
+// the directory), so a crash leaves the old file or the new one. A Pusher
+// does this on its first persist, which also converts a single-line file,
+// and after a failed one; it then overwrites slots in place.
 func SaveShippedState(path string, gen uint64) error {
 	return notary.ReplaceFile(filepath.Dir(path), ".shipped-*", func(w io.Writer) (string, error) {
-		_, err := fmt.Fprintf(w, "%d\n", gen)
+		_, err := w.Write(appendSlot(appendSlot(nil, gen), gen))
 		return filepath.Base(path), err
 	})
 }

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -412,39 +413,167 @@ func TestPusherNoRebaseHook(t *testing.T) {
 	_ = p.Close()
 }
 
-// TestShippedState: the cursor file round-trips, a missing file reads as
-// zero, and an acked push persists atomically.
+// TestShippedState: the cursor file's contract. A missing file reads as
+// zero, a single-line file from an older build reads as its number and the
+// next persist converts it, a value round-trips through the slots, a damaged
+// slot falls back to the other one and never yields a cursor nobody wrote,
+// and an acked push persists.
 func TestShippedState(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sub", "shipped.gen")
-	if gen, err := LoadShippedState(path); err != nil || gen != 0 {
-		t.Fatalf("missing state file: (%d, %v), want (0, nil)", gen, err)
-	}
-	if err := SaveShippedState(path, 12345); err != nil {
-		t.Fatalf("SaveShippedState: %v", err)
-	}
-	if gen, err := LoadShippedState(path); err != nil || gen != 12345 {
-		t.Fatalf("round trip: (%d, %v), want (12345, nil)", gen, err)
-	}
-	if err := os.WriteFile(path, []byte("not a number\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShippedState(path); err == nil {
-		t.Fatal("corrupt state file read without error")
+	// twoSlots is a cursor file whose slots hold a and b.
+	twoSlots := func(a, b uint64) []byte { return appendSlot(appendSlot(nil, a), b) }
+	persistOnePush := func(t *testing.T, statePath string, shipped uint64) uint64 {
+		t.Helper()
+		sink := newMergeSink()
+		sink.applied["edge-test"] = shipped
+		srv := httptest.NewServer(sink)
+		defer srv.Close()
+		p := testPusher(t, srv.URL, PusherOptions{StatePath: statePath, Shipped: shipped})
+		shard := buildAggregate(1, 5)
+		p.Observe(shard)
+		if err := p.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		return shipped + shard.Generation()
 	}
 
+	t.Run("missing-file-reads-as-zero", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "sub", "shipped.gen")
+		if gen, err := LoadShippedState(path); err != nil || gen != 0 {
+			t.Fatalf("missing state file: (%d, %v), want (0, nil)", gen, err)
+		}
+	})
+
+	t.Run("legacy-line-is-read-and-converted", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "shipped.gen")
+		if err := os.WriteFile(path, []byte("12345\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if gen, err := LoadShippedState(path); err != nil || gen != 12345 {
+			t.Fatalf("legacy file: (%d, %v), want (12345, nil)", gen, err)
+		}
+		want := persistOnePush(t, path, 12345)
+		raw, err := os.ReadFile(path)
+		if err != nil || len(raw) != 2*slotLen {
+			t.Fatalf("after a persist the file is %q (err %v), want two slots", raw, err)
+		}
+		if gen, err := LoadShippedState(path); err != nil || gen != want {
+			t.Fatalf("converted file: (%d, %v), want (%d, nil)", gen, err, want)
+		}
+	})
+
+	t.Run("value-round-trips-through-the-slots", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "sub", "shipped.gen")
+		for _, gen := range []uint64{0, 12345, math.MaxUint64} {
+			if err := SaveShippedState(path, gen); err != nil {
+				t.Fatalf("SaveShippedState: %v", err)
+			}
+			if got, err := LoadShippedState(path); err != nil || got != gen {
+				t.Fatalf("round trip: (%d, %v), want (%d, nil)", got, err, gen)
+			}
+		}
+		if got, err := parseShippedState(twoSlots(700, 701)); err != nil || got != 701 {
+			t.Fatalf("slots 700 and 701 read as (%d, %v), want the larger", got, err)
+		}
+	})
+
+	t.Run("a-damaged-slot-reads-as-the-other", func(t *testing.T) {
+		// Either slot may hold the newest cursor, and either may be the one
+		// a crash tore.
+		for _, slots := range [][2]uint64{{12345, 12301}, {12301, 12345}} {
+			file := twoSlots(slots[0], slots[1])
+			for damaged := 0; damaged < 2; damaged++ {
+				other := slots[1-damaged]
+				for at := damaged * slotLen; at < (damaged+1)*slotLen; at++ {
+					orig := file[at]
+					for v := 0; v < 256; v++ {
+						if byte(v) == orig {
+							continue
+						}
+						file[at] = byte(v)
+						if got, err := parseShippedState(file); err != nil || got != other {
+							t.Fatalf("slots %v, byte %d set to %#02x: read (%d, %v), want the other slot's %d",
+								slots, at, v, got, err, other)
+						}
+					}
+					file[at] = orig
+				}
+			}
+		}
+	})
+
+	t.Run("both-slots-damaged-is-an-error", func(t *testing.T) {
+		file := twoSlots(12345, 12301)
+		file[3]++
+		file[slotLen+slotDigits+2]++
+		if gen, err := parseShippedState(file); err == nil {
+			t.Fatalf("both slots damaged read as %d without error", gen)
+		}
+	})
+
+	t.Run("not-a-number-is-an-error", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "shipped.gen")
+		if err := os.WriteFile(path, []byte("not a number\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadShippedState(path); err == nil {
+			t.Fatal("corrupt state file read without error")
+		}
+	})
+
+	t.Run("acked-push-persists", func(t *testing.T) {
+		statePath := filepath.Join(t.TempDir(), "pusher", "shipped.gen")
+		want := persistOnePush(t, statePath, 0)
+		if gen, err := LoadShippedState(statePath); err != nil || gen != want {
+			t.Fatalf("persisted cursor (%d, %v), want (%d, nil)", gen, err, want)
+		}
+	})
+}
+
+// TestCursorPersistsInPlace: after the persist that creates the cursor file,
+// every acked push rewrites a slot of that same file — same inode, same size,
+// and nothing else ever appears in its directory, no temp file included.
+func TestCursorPersistsInPlace(t *testing.T) {
 	sink := newMergeSink()
 	srv := httptest.NewServer(sink)
 	defer srv.Close()
-	statePath := filepath.Join(dir, "pusher", "shipped.gen")
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "shipped.gen")
 	p := testPusher(t, srv.URL, PusherOptions{StatePath: statePath})
-	shard := buildAggregate(1, 5)
-	p.Observe(shard)
-	if err := p.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	defer p.Close()
+	push := func() {
+		t.Helper()
+		p.Observe(buildAggregate(1, 1))
+		if err := p.Flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
 	}
-	if gen, err := LoadShippedState(statePath); err != nil || gen != shard.Generation() {
-		t.Fatalf("persisted cursor (%d, %v), want (%d, nil)", gen, err, shard.Generation())
+	push() // creates the file
+	first, err := os.Stat(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		push()
+		fi, err := os.Stat(statePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(first, fi) || fi.Size() != 2*slotLen {
+			t.Fatalf("persist %d: the cursor file is a new file or changed size (%d bytes, want %d)", i, fi.Size(), 2*slotLen)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "shipped.gen" {
+			t.Fatalf("persist %d: the directory holds %v, want only shipped.gen", i, entries)
+		}
+	}
+	if gen, err := LoadShippedState(statePath); err != nil || gen != p.Stats().ShippedThrough {
+		t.Fatalf("persisted cursor (%d, %v), want (%d, nil)", gen, err, p.Stats().ShippedThrough)
+	}
+	if st := p.Stats(); st.StateErrors != 0 {
+		t.Fatalf("%d persists failed", st.StateErrors)
 	}
 }
 

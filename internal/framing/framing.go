@@ -33,6 +33,10 @@ const (
 	growChunk = 1 << 20
 )
 
+// Checksum is the envelope's CRC32-IEEE, for a record too small to frame:
+// each slot of the edge's shipped-through cursor file carries it in hex.
+func Checksum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+
 // Format describes one wire format's envelope; declare one per format,
 // beside its payload codec.
 type Format struct {

@@ -8,7 +8,9 @@ import (
 
 // ReplaceFile atomically creates or replaces a file in dir (created if
 // missing): the write path of what tlsage keeps on disk beside the record
-// log — study snapshots, the edge's shipped-through cursor. write streams the
+// log — study snapshots, and the edge's shipped-through cursor file when it
+// is created or converted from an older build's (federation.SaveShippedState;
+// the pusher writes later cursors in place). write streams the
 // content into a temp file beside the target (tmpPattern with its * filled
 // in) and returns the final base name, which may depend on what was written.
 // The temp file is fsynced, closed and renamed into place, then the

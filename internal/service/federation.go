@@ -234,6 +234,7 @@ func federationEdgeHealth(st federation.PusherStats) map[string]any {
 		"retained_bytes":        st.RetainedBytes,
 		"last_push_age_seconds": age,
 		"upstream_errors":       st.UpstreamErrors,
+		"state_errors":          st.StateErrors,
 		"last_error":            st.LastError,
 	}
 }

@@ -710,6 +710,61 @@ func TestEdgeRestartNoReship(t *testing.T) {
 	})
 }
 
+// TestEdgeCursorPersistFailureShowsInHealthz: a shipped-through cursor that
+// cannot be persisted — its directory is a regular file — costs no push:
+// every push still acks and the cursor advances in memory, and the failed
+// persists show in /healthz's federation edge block.
+func TestEdgeCursorPersistFailureShowsInHealthz(t *testing.T) {
+	log, _ := sharedLog(t)
+	coreSrv := NewServer(core.NewLiveStudy())
+	defer coreSrv.Close()
+	coreTS := httptest.NewServer(coreSrv.Handler())
+	defer coreTS.Close()
+	notADir := filepath.Join(t.TempDir(), "snaps")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := federation.NewPusher(federation.PusherOptions{
+		Source:    "edge-unpersisted",
+		Upstream:  coreTS.URL,
+		Interval:  time.Hour,
+		StatePath: filepath.Join(notADir, "shipped.gen"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := NewServer(core.NewLiveStudy(), WithPusher(p))
+	defer edge.Close()
+	edgeTS := httptest.NewServer(edge.Handler())
+	defer edgeTS.Close()
+
+	const half = 20
+	for _, span := range [][2]int{{0, half}, {half, 2 * half}} {
+		postTSV(t, edgeTS.URL, recordLines(t, log, span[0], span[1]))
+		if err := p.Flush(); err != nil {
+			t.Fatalf("push of records %v: %v", span, err)
+		}
+	}
+	var health struct {
+		Federation struct {
+			Edge struct {
+				ShippedThrough uint64 `json:"shipped_through"`
+				DeltasShipped  uint64 `json:"deltas_shipped"`
+				StateErrors    uint64 `json:"state_errors"`
+			} `json:"edge"`
+		} `json:"federation"`
+	}
+	if err := json.Unmarshal(mustGet(t, edgeTS.URL+"/healthz"), &health); err != nil {
+		t.Fatal(err)
+	}
+	if e := health.Federation.Edge; e.ShippedThrough != 2*half || e.DeltasShipped != 2 || e.StateErrors < 1 {
+		t.Fatalf("edge block %+v: want shipped through %d in 2 deltas and at least 1 state error", e, 2*half)
+	}
+	if _, _, gen, err := coreSrv.Study().Counts(); err != nil || gen != 2*half {
+		t.Fatalf("core at generation %d (err %v), want %d", gen, err, 2*half)
+	}
+}
+
 // TestScanCampaignMergeParity: POST /merge doubles as the ingest path for
 // externally-run scan campaigns — a pre-aggregated sweep pushed as one
 // delta answers every query byte-identical to `tlstrend scansweep -serve`

@@ -323,6 +323,43 @@ func TestFailedLogWriteStopsTheLog(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls that reach it.
+type writeCounter struct{ calls atomic.Int64 }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.calls.Add(1)
+	return len(p), nil
+}
+
+// TestLogWritesFollowShards: the merge loop writes each shard's frames to the
+// -out log in one call, so the log's write calls grow with the shards merged,
+// not with the records — equal to the shards at n and at 8n records a shard.
+func TestLogWritesFollowShards(t *testing.T) {
+	log, _ := sharedLog(t)
+	const n = 16
+	records := countRecords(log)
+	if records < 4*8*n {
+		t.Fatalf("shared log too small for shards of %d: %d records", 8*n, records)
+	}
+	for _, every := range []int{n, 8 * n} {
+		var w writeCounter
+		srv := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithLogSink(notary.NewBatchWriter(&w, 0)))
+		ts := httptest.NewServer(srv.Handler())
+		postTSV(t, ts.URL, recordLines(t, log, 0, records))
+		ts.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		shards := srv.queue.merged.Load()
+		if want := uint64((records + every - 1) / every); shards != want {
+			t.Fatalf("%d records a shard: %d shards merged, want %d", every, shards, want)
+		}
+		if calls := w.calls.Load(); calls != int64(shards) {
+			t.Errorf("%d records a shard: %d writes to the log for %d shards merged", every, calls, shards)
+		}
+	}
+}
+
 // TestStageAllocsAreSteadyState: a warm stage packs records on their
 // decoder's hello rows into shard frames, and hands the frames over, without
 // allocating.
