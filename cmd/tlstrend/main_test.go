@@ -109,8 +109,9 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
-	// The goldens pin, byte for byte, the §5 tables scan and scansweep print,
-	// the whole experiments report (no other test runs experiments), and the
+	// The goldens pin, byte for byte, the §5 tables scan and scansweep print
+	// (scan_2014.golden, two weeks after the Heartbleed disclosure, is the
+	// one with vulnerable hosts), the whole experiments report (no other test runs experiments), and the
 	// figures, Table 2 and fingerprint report the passive commands read off
 	// the study's frame.
 	for _, g := range []struct {
@@ -118,6 +119,7 @@ func TestCLI(t *testing.T) {
 		args   []string
 	}{
 		{"scan.golden", []string{"scan", "-hosts", "60"}},
+		{"scan_2014.golden", []string{"scan", "-hosts", "60", "-date", "2014-04-20"}},
 		{"scansweep.golden", []string{"scansweep", "-hosts", "40", "-step", "12"}},
 		{"experiments.golden", []string{"experiments", "-conns", "200", "-hosts", "60"}},
 		{"figure_n2.golden", []string{"figure", "-n", "2", "-conns", "50"}},

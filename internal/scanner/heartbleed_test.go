@@ -17,6 +17,9 @@ func vulnerableCfg() *handshake.ServerConfig {
 	return cfg
 }
 
+// TestHeartbleedCheckDistinguishesServers runs the check where a scan runs
+// it, on the chrome2015 connection, and pins one connection per host: a
+// second connection for the check would make the farm serve 5.
 func TestHeartbleedCheckDistinguishesServers(t *testing.T) {
 	patched := heartbeatCfg() // heartbeat on, patched
 	vuln := vulnerableCfg()   // heartbeat on, unpatched
@@ -25,38 +28,39 @@ func TestHeartbleedCheckDistinguishesServers(t *testing.T) {
 
 	sc := New(4)
 	sc.Timeout = 2 * time.Second
-	results, err := sc.ScanHeartbleed(context.Background(), farm.Addrs())
+	results, err := sc.Scan(context.Background(), farm.Addrs(), Chrome2015().Build(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
-	byTarget := map[string]HeartbleedResult{}
-	for _, r := range results {
-		byTarget[r.Target] = r
-	}
-	p := byTarget[farm.Hosts[0].Addr()]
-	if !p.HeartbeatAck || p.Vulnerable {
+	if p := results[0]; !p.HeartbeatAck || p.Vulnerable {
 		t.Errorf("patched server: %+v", p)
 	}
-	v := byTarget[farm.Hosts[1].Addr()]
+	v := results[1]
 	if !v.HeartbeatAck || !v.Vulnerable {
 		t.Errorf("vulnerable server not detected: %+v", v)
 	}
 	if v.LeakedBytes != hbClaim-hbSent {
 		t.Errorf("leaked %d bytes, want %d", v.LeakedBytes, hbClaim-hbSent)
 	}
-	n := byTarget[farm.Hosts[2].Addr()]
-	if n.HeartbeatAck || n.Vulnerable {
+	if n := results[2]; n.HeartbeatAck || n.Vulnerable {
 		t.Errorf("heartbeat-less server: %+v", n)
+	}
+	served := 0
+	for _, h := range farm.Hosts {
+		served += h.Served()
+	}
+	if served != 3 {
+		t.Errorf("farm served %d connections for 3 hosts, want 3: one per (probe, host)", served)
 	}
 }
 
 func TestHeartbleedCheckUnreachable(t *testing.T) {
 	sc := New(1)
 	sc.Timeout = 300 * time.Millisecond
-	results, err := sc.ScanHeartbleed(context.Background(), []string{"127.0.0.1:1"})
+	results, err := sc.Scan(context.Background(), []string{"127.0.0.1:1"}, Chrome2015().Build(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,21 +32,26 @@ type Result struct {
 	Version      registry.Version
 	Suite        uint16
 	HeartbeatAck bool
+	// Vulnerable: the server acked heartbeat and the Heartbleed check on
+	// the same connection over-read (§5.4). LeakedBytes is how many bytes
+	// beyond the sent payload came back.
+	Vulnerable  bool
+	LeakedBytes int
 	// RTT is the time from dial start to response parse.
 	RTT time.Duration
 }
 
-// Scanner is a concurrent hello prober.
+// Scanner is a concurrent hello prober: Scan makes one connection per
+// target, and a server that acks heartbeat gets the Heartbleed check on it.
 type Scanner struct {
 	// Timeout bounds each connection (dial + exchange).
 	Timeout time.Duration
-	// Workers is the pool width; defaults to 32.
+	// Workers is the pool width.
 	Workers int
-	// Dialer may be customized (e.g. for source-address binding).
-	Dialer net.Dialer
 }
 
-// New returns a scanner with the given pool width.
+// New returns a scanner with the given pool width (32 when not positive)
+// and a 5 s timeout.
 func New(workers int) *Scanner {
 	if workers <= 0 {
 		workers = 32
@@ -54,83 +59,57 @@ func New(workers int) *Scanner {
 	return &Scanner{Timeout: 5 * time.Second, Workers: workers}
 }
 
-// Scan probes every target with the given hello, streaming results in
-// completion order until targets are exhausted or ctx is cancelled. The
-// returned slice has one entry per target (order not guaranteed).
+// Scan probes every target with the given hello on a pool of Workers
+// goroutines and returns one result per target, in target order. When ctx
+// is cancelled, in-flight connections are closed and Scan returns ctx's
+// error.
 func (s *Scanner) Scan(ctx context.Context, targets []string, hello *wire.ClientHello) ([]Result, error) {
 	raw, err := hello.AppendRecord(nil)
 	if err != nil {
 		return nil, fmt.Errorf("scanner: encoding probe hello: %w", err)
 	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 32
-	}
-	if workers > len(targets) && len(targets) > 0 {
-		workers = len(targets)
-	}
-
-	jobs := make(chan string)
-	results := make(chan Result)
+	out := make([]Result, len(targets))
+	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for range max(1, min(s.Workers, len(targets))) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for target := range jobs {
-				res := s.probe(ctx, target, raw)
-				select {
-				case results <- res:
-				case <-ctx.Done():
-					return
-				}
+			for i := range jobs {
+				out[i] = s.probe(ctx, targets[i], raw)
 			}
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for _, t := range targets {
-			select {
-			case jobs <- t:
-			case <-ctx.Done():
-				return
-			}
+feed:
+	for i := range targets {
+		select {
+		case jobs <- i:
+		case <-ctx.Done():
+			break feed
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	out := make([]Result, 0, len(targets))
-	for res := range results {
-		out = append(out, res)
 	}
+	close(jobs)
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return out, err
+		return nil, err
 	}
 	return out, nil
 }
 
-// probe performs one dial + hello exchange.
+// probe performs one dial + hello exchange, then the Heartbleed check when
+// the server acks heartbeat. Cancelling ctx closes the connection.
 func (s *Scanner) probe(ctx context.Context, target string, helloBytes []byte) Result {
 	start := time.Now()
 	res := Result{Target: target}
 
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	dialCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	conn, err := s.Dialer.DialContext(dialCtx, "tcp", target)
+	conn, err := (&net.Dialer{Timeout: s.Timeout}).DialContext(ctx, "tcp", target)
 	if err != nil {
 		res.Err = fmt.Errorf("dial: %w", err)
 		return res
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	_ = conn.SetDeadline(time.Now().Add(s.Timeout))
 
 	if _, err := conn.Write(helloBytes); err != nil {
 		res.Err = fmt.Errorf("write: %w", err)
@@ -168,6 +147,10 @@ func (s *Scanner) probe(ctx context.Context, target string, helloBytes []byte) R
 		res.Version = sh.SelectedVersion().Canonical()
 		res.Suite = sh.CipherSuite
 		res.HeartbeatAck = sh.AcksHeartbeat()
+		if res.HeartbeatAck {
+			res.LeakedBytes = overRead(conn, s.Timeout/4)
+			res.Vulnerable = res.LeakedBytes > 0
+		}
 		return res
 	default:
 		res.Err = fmt.Errorf("scanner: unexpected record type %v", rec.Type)

@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"testing"
@@ -63,19 +64,13 @@ func TestScanChrome2015AgainstFarm(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
-	byTarget := map[string]Result{}
-	for _, r := range results {
-		byTarget[r.Target] = r
-	}
-	modern := byTarget[farm.Hosts[0].Addr()]
+	modern, rc4, hb := results[0], results[1], results[2]
 	if !modern.OK || modern.Suite != 0xC02F || modern.Version != registry.VersionTLS12 {
 		t.Errorf("modern host: %+v", modern)
 	}
-	rc4 := byTarget[farm.Hosts[1].Addr()]
 	if !rc4.OK || rc4.Suite != 0x0005 || rc4.Version != registry.VersionTLS10 {
 		t.Errorf("rc4 host: %+v", rc4)
 	}
-	hb := byTarget[farm.Hosts[2].Addr()]
 	if !hb.OK || !hb.HeartbeatAck {
 		t.Errorf("heartbeat host: %+v", hb)
 	}
@@ -110,15 +105,10 @@ func TestSSL3OnlyProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byTarget := map[string]Result{}
-	for _, r := range results {
-		byTarget[r.Target] = r
-	}
-	old := byTarget[farm.Hosts[0].Addr()]
+	old, modern := results[0], results[1]
 	if !old.OK || old.Version != registry.VersionSSL3 {
 		t.Errorf("SSL3-capable server should answer: %+v", old)
 	}
-	modern := byTarget[farm.Hosts[1].Addr()]
 	if modern.OK || !modern.Alerted {
 		t.Errorf("SSL3-intolerant server should alert: %+v", modern)
 	}
@@ -164,20 +154,55 @@ func TestScanUnreachableTarget(t *testing.T) {
 }
 
 func TestScanContextCancellation(t *testing.T) {
-	// A listener that accepts but never responds.
-	cfg := modernCfg()
-	farm := startFarm(t, cfg)
-	targets := make([]string, 200)
-	for i := range targets {
-		targets[i] = farm.Hosts[0].Addr()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancel before starting
-	sc := New(8)
-	_, err := sc.Scan(ctx, targets, Chrome2015().Build(rand.New(rand.NewSource(5))))
-	if err == nil {
-		t.Error("cancelled scan should report context error")
-	}
+	hello := Chrome2015().Build(rand.New(rand.NewSource(5)))
+	t.Run("before start", func(t *testing.T) {
+		farm := startFarm(t, modernCfg())
+		targets := make([]string, 200)
+		for i := range targets {
+			targets[i] = farm.Hosts[0].Addr()
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := New(8).Scan(ctx, targets, hello); err == nil {
+			t.Error("cancelled scan should report context error")
+		}
+	})
+	t.Run("mid-exchange", func(t *testing.T) {
+		// A listener that accepts but never responds: only the cancel can
+		// end the exchange before the 5 s timeout.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			var held []net.Conn
+			defer func() {
+				for _, c := range held {
+					c.Close()
+				}
+			}()
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				held = append(held, c)
+			}
+		}()
+		t.Cleanup(func() { ln.Close() })
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := make(chan time.Time, 1)
+		time.AfterFunc(100*time.Millisecond, func() { cancelled <- time.Now(); cancel() })
+		sc := New(4)
+		sc.Timeout = 5 * time.Second
+		_, err = sc.Scan(ctx, []string{ln.Addr().String(), ln.Addr().String()}, hello)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Scan = %v, want context.Canceled", err)
+		}
+		if late := time.Since(<-cancelled); late > time.Second {
+			t.Errorf("Scan returned %v after the cancel, want within 1s", late)
+		}
+	})
 }
 
 func TestScanConcurrencyCompletes(t *testing.T) {
@@ -194,6 +219,11 @@ func TestScanConcurrencyCompletes(t *testing.T) {
 	}
 	if len(results) != 60 {
 		t.Fatalf("got %d/60 results", len(results))
+	}
+	for i, r := range results {
+		if r.Target != targets[i] {
+			t.Fatalf("results[%d] probed %s, want %s: results come back in target order", i, r.Target, targets[i])
+		}
 	}
 	sum := Summarize(results)
 	if sum.Answered != 60 {

@@ -16,7 +16,11 @@ type Summary struct {
 	ChoseNULL    int
 	ChoseExport  int
 	HeartbeatAck int
-	ByVersion    map[registry.Version]int
+	// Vulnerable counts hosts the Heartbleed check over-read; LeakedBytes
+	// totals what they leaked.
+	Vulnerable  int
+	LeakedBytes int
+	ByVersion   map[registry.Version]int
 }
 
 // Summarize folds scan results.
@@ -34,6 +38,10 @@ func Summarize(results []Result) Summary {
 		}
 		s.Answered++
 		s.ByVersion[r.Version]++
+		if r.Vulnerable {
+			s.Vulnerable++
+			s.LeakedBytes += r.LeakedBytes
+		}
 		suite, ok := registry.SuiteByID(r.Suite)
 		if !ok {
 			continue
