@@ -149,6 +149,11 @@ func TestAdvanceEqualsNewFrame(t *testing.T) {
 			t.Errorf("seed %d: advanced=%d built=%d topHeld=%d topMoved=%d — a path went unexercised",
 				seed, advanced, built, topHeld, topMoved)
 		}
+		if seed == 0 {
+			// The top-K ranking has a total order: two builds over one
+			// aggregate carry identical fp:/agent: columns.
+			t.Run("fp-columns-deterministic", func(t *testing.T) { requireSameFrame(t, NewFrame(agg), NewFrame(agg)) })
+		}
 	}
 }
 

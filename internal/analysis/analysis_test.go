@@ -53,28 +53,6 @@ func figByNum(t testing.TB, n int) Figure {
 	return fig
 }
 
-func TestAllFiguresBuild(t *testing.T) {
-	figs := sharedFrame(t).Figures()
-	if len(figs) != 10 {
-		t.Fatalf("expected 10 figures, got %d", len(figs))
-	}
-	for _, f := range figs {
-		if f.ID == "" || f.Title == "" || len(f.Series) == 0 {
-			t.Errorf("figure %q malformed", f.ID)
-		}
-		for _, s := range f.Series {
-			if len(s.Points) != 75 {
-				t.Errorf("%s series %s has %d points, want 75", f.ID, s.Name, len(s.Points))
-			}
-			for _, p := range s.Points {
-				if p.Value < 0 || p.Value > 100 {
-					t.Errorf("%s %s at %v: value %f out of range", f.ID, s.Name, p.Month, p.Value)
-				}
-			}
-		}
-	}
-}
-
 // seriesByName locates a figure's series.
 func seriesByName(f Figure, name string) (*Series, bool) {
 	for i := range f.Series {
@@ -83,33 +61,6 @@ func seriesByName(f Figure, name string) (*Series, bool) {
 		}
 	}
 	return nil, false
-}
-
-func TestFigure1SeriesShape(t *testing.T) {
-	f := figByNum(t, 1)
-	tls10, ok := seriesByName(f, "TLSv10")
-	if !ok {
-		t.Fatal("TLSv10 series missing")
-	}
-	early, _ := tls10.Value(timeline.M(2012, time.April))
-	late, _ := tls10.Value(timeline.M(2018, time.February))
-	if early < 70 || late > 12 {
-		t.Errorf("TLS1.0 series %0.1f → %0.1f lacks the paper's decline", early, late)
-	}
-	if len(f.Events) == 0 {
-		t.Error("Figure 1 should carry attack events")
-	}
-}
-
-func TestFigure8SeriesConsistency(t *testing.T) {
-	f := figByNum(t, 8)
-	rsa, _ := seriesByName(f, "RSA")
-	ecdhe, _ := seriesByName(f, "ECDHE")
-	rsaEarly, _ := rsa.Value(timeline.M(2012, time.June))
-	ecdheLate, _ := ecdhe.Value(timeline.M(2018, time.March))
-	if rsaEarly < 40 || ecdheLate < 70 {
-		t.Errorf("Figure 8 shape off: RSA2012=%0.1f ECDHE2018=%0.1f", rsaEarly, ecdheLate)
-	}
 }
 
 func TestRenderTable(t *testing.T) {
@@ -259,28 +210,6 @@ func curveShare(t *testing.T, f *Frame, c registry.CurveID) float64 {
 	return mustCompile(t, "over(curve:"+fold(c.String())+" / curve:*)", f).EvalScalar()
 }
 
-func TestCurveSharesOrdered(t *testing.T) {
-	f := sharedFrame(t)
-	if len(f.Curve) == 0 {
-		t.Fatal("no curve shares")
-	}
-	var sum, topShare float64
-	var top registry.CurveID
-	for c := range f.Curve {
-		share := curveShare(t, f, c)
-		sum += share
-		if share > topShare {
-			top, topShare = c, share
-		}
-	}
-	if sum < 99.9 || sum > 100.1 {
-		t.Errorf("shares sum to %0.2f", sum)
-	}
-	if top != registry.CurveSecp256r1 {
-		t.Errorf("top curve = %v, want secp256r1", top)
-	}
-}
-
 func TestSeriesValueMissing(t *testing.T) {
 	s := Series{Name: "x", Points: []Point{{Month: timeline.M(2015, time.June), Value: 5}}}
 	if _, ok := s.Value(timeline.M(2015, time.July)); ok {
@@ -360,22 +289,5 @@ func TestAttackImpacts(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Snowden") {
 		t.Error("impact rendering incomplete")
-	}
-}
-
-func TestTLS13VariantSharesAnalysis(t *testing.T) {
-	shares := TLS13VariantSharesFrame(sharedFrame(t))
-	if len(shares) == 0 {
-		t.Fatal("no variant shares")
-	}
-	sum := 0.0
-	for i, v := range shares {
-		sum += v.Share
-		if i > 0 && shares[i-1].Share < v.Share {
-			t.Error("variant shares not descending")
-		}
-	}
-	if sum < 99.9 || sum > 100.1 {
-		t.Errorf("variant shares sum to %0.1f", sum)
 	}
 }

@@ -196,17 +196,6 @@ func TestAgentFamilyMatchesAggregate(t *testing.T) {
 	}
 }
 
-// TestFPColumnsDeterministic: two frames over the same aggregate carry
-// identical fp:/agent: column sets — the top-K ranking has a total order.
-func TestFPColumnsDeterministic(t *testing.T) {
-	agg, _ := classifiedAgg(t)
-	a, b := NewFrame(agg), NewFrame(agg)
-	if !reflect.DeepEqual(a.FPCol, b.FPCol) || !reflect.DeepEqual(a.FPNames, b.FPNames) ||
-		!reflect.DeepEqual(a.Agent, b.Agent) {
-		t.Fatal("fingerprint columns differ across identical builds")
-	}
-}
-
 // BenchmarkFrameBuildFP measures the frame build on a classified aggregate —
 // the fp:/agent: column materialization rides the same single pass.
 func BenchmarkFrameBuildFP(b *testing.B) {

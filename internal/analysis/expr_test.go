@@ -10,47 +10,6 @@ import (
 	"tlsage/internal/notary"
 )
 
-// TestCatalogExprSerializedParity is the tentpole guarantee: every catalog
-// metric survives a trip through both encodings (JSON and the text grammar)
-// and still evaluates byte-identically to the in-memory expression — so a
-// remote client holding only the serialized form computes exactly what
-// Frame.EvalFigure computes.
-func TestCatalogExprSerializedParity(t *testing.T) {
-	f := sharedFrame(t)
-	for _, spec := range Catalog() {
-		for _, m := range spec.Metrics {
-			series := func(e *Expr) []float64 {
-				p, err := Compile(e, f)
-				if err != nil {
-					t.Fatalf("%s/%s: compile %s: %v", spec.Name, m.Name, e, err)
-				}
-				return p.EvalSeries()
-			}
-			want := series(m.Expr)
-
-			reparsed, err := ParseQuery(m.Expr.String())
-			if err != nil {
-				t.Fatalf("%s/%s: reparse %q: %v", spec.Name, m.Name, m.Expr, err)
-			}
-			if got := series(reparsed); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: text round-trip changed values", spec.Name, m.Name)
-			}
-
-			raw, err := json.Marshal(m.Expr)
-			if err != nil {
-				t.Fatalf("%s/%s: marshal: %v", spec.Name, m.Name, err)
-			}
-			var decoded Expr
-			if err := json.Unmarshal(raw, &decoded); err != nil {
-				t.Fatalf("%s/%s: unmarshal: %v", spec.Name, m.Name, err)
-			}
-			if got := series(&decoded); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: JSON round-trip changed values", spec.Name, m.Name)
-			}
-		}
-	}
-}
-
 // TestQueryScalarOps pins each scalar reduction against a hand computation
 // over the shared frame.
 func TestQueryScalarOps(t *testing.T) {
@@ -217,16 +176,13 @@ func randomExpr(rnd *rand.Rand, wantKind Kind, depth int) *Expr {
 
 // TestExprJSONRoundTripProperty: random valid expressions survive
 // marshal→unmarshal bit-exactly, their text form re-parses to the same
-// tree, and both forms evaluate identically.
+// tree, and both forms evaluate identically. The catalog's own expressions
+// are held to the same property, so a remote client holding only the
+// serialized form computes exactly what Frame.EvalFigure computes.
 func TestExprJSONRoundTripProperty(t *testing.T) {
 	f := sharedFrame(t)
-	rnd := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		e := randomExpr(rnd, Kind(rnd.Intn(3)), 3)
-		if err := e.Validate(); err != nil {
-			t.Fatalf("generated invalid expr %s: %v", e, err)
-		}
-
+	roundTrip := func(t *testing.T, e *Expr) {
+		t.Helper()
 		raw, err := json.Marshal(e)
 		if err != nil {
 			t.Fatalf("marshal %s: %v", e, err)
@@ -261,6 +217,21 @@ func TestExprJSONRoundTripProperty(t *testing.T) {
 			t.Fatalf("decoded tree evaluates differently: %s", e)
 		}
 	}
+	rnd := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		e := randomExpr(rnd, Kind(rnd.Intn(3)), 3)
+		if err := e.Validate(); err != nil {
+			t.Fatalf("generated invalid expr %s: %v", e, err)
+		}
+		roundTrip(t, e)
+	}
+	t.Run("catalog-expr-serialized-parity", func(t *testing.T) {
+		for _, spec := range Catalog() {
+			for _, m := range spec.Metrics {
+				roundTrip(t, m.Expr)
+			}
+		}
+	})
 }
 
 // FuzzParseQuery: the parser must never panic, and any accepted input must

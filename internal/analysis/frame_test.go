@@ -68,6 +68,49 @@ func TestFrameFigureParity(t *testing.T) {
 		t.Fatal("extensions figure missing")
 	}
 	requireFigureEqual(t, legacyExtensionUptake(agg), ext)
+
+	t.Run("all-figures-build", func(t *testing.T) {
+		if len(frame) != 10 {
+			t.Fatalf("expected 10 figures, got %d", len(frame))
+		}
+		for _, fig := range frame {
+			if fig.ID == "" || fig.Title == "" || len(fig.Series) == 0 {
+				t.Errorf("figure %q malformed", fig.ID)
+			}
+			for _, s := range fig.Series {
+				if len(s.Points) != 75 {
+					t.Errorf("%s series %s has %d points, want 75", fig.ID, s.Name, len(s.Points))
+				}
+				for _, p := range s.Points {
+					if p.Value < 0 || p.Value > 100 {
+						t.Errorf("%s %s at %v: value %f out of range", fig.ID, s.Name, p.Month, p.Value)
+					}
+				}
+			}
+		}
+	})
+	// within checks one point of the paper's shape on a frame figure.
+	within := func(t *testing.T, fig Figure, series string, m timeline.Month, lo, hi float64) {
+		t.Helper()
+		s, ok := seriesByName(fig, series)
+		if !ok {
+			t.Fatalf("%s: no %s series", fig.ID, series)
+		}
+		if v, _ := s.Value(m); v < lo || v > hi {
+			t.Errorf("%s %s at %v = %0.1f, want in [%v, %v]", fig.ID, series, m, v, lo, hi)
+		}
+	}
+	t.Run("figure1-series-shape", func(t *testing.T) {
+		within(t, frame[0], "TLSv10", timeline.M(2012, time.April), 70, 100)
+		within(t, frame[0], "TLSv10", timeline.M(2018, time.February), 0, 12)
+		if len(frame[0].Events) == 0 {
+			t.Error("Figure 1 should carry attack events")
+		}
+	})
+	t.Run("figure8-series-consistency", func(t *testing.T) {
+		within(t, frame[7], "RSA", timeline.M(2012, time.June), 40, 100)
+		within(t, frame[7], "ECDHE", timeline.M(2018, time.March), 70, 100)
+	})
 }
 
 // TestFrameScalarParity pins the scalar pipeline to the seed output.
@@ -91,14 +134,39 @@ func TestFrameScalarParity(t *testing.T) {
 	if len(legacyShares) != len(f.Curve) {
 		t.Errorf("frame carries %d curves, the map-walking output %d", len(f.Curve), len(legacyShares))
 	}
+	var sum, topShare float64
+	var top registry.CurveID
 	for _, s := range legacyShares {
-		if got := curveShare(t, f, s.Curve); got != s.Share {
+		got := curveShare(t, f, s.Curve)
+		if got != s.Share {
 			t.Errorf("%v share = %v, diverges from the map-walking output %v", s.Curve, got, s.Share)
 		}
+		if sum += got; got > topShare {
+			top, topShare = s.Curve, got
+		}
 	}
-	if !reflect.DeepEqual(TLS13VariantSharesFrame(f), legacyTLS13VariantShares(agg)) {
+	variants := TLS13VariantSharesFrame(f)
+	if !reflect.DeepEqual(variants, legacyTLS13VariantShares(agg)) {
 		t.Error("TLS 1.3 variant shares diverge from the map-walking output")
 	}
+
+	t.Run("curve-shares-ordered", func(t *testing.T) {
+		if sum < 99.9 || sum > 100.1 || top != registry.CurveSecp256r1 {
+			t.Errorf("curve shares sum to %0.2f with %v on top, want 100 and secp256r1", sum, top)
+		}
+	})
+	t.Run("tls13-variant-shares", func(t *testing.T) {
+		sum := 0.0
+		for i, v := range variants {
+			sum += v.Share
+			if i > 0 && variants[i-1].Share < v.Share {
+				t.Error("variant shares not descending")
+			}
+		}
+		if sum < 99.9 || sum > 100.1 {
+			t.Errorf("%d variant shares sum to %0.1f", len(variants), sum)
+		}
+	})
 }
 
 // monthSplitSink shards a record stream across two aggregates by month
@@ -187,23 +255,6 @@ func TestFrameRowAndSeriesIndex(t *testing.T) {
 	}
 	if _, ok := s.Value(timeline.M(1999, time.January)); ok {
 		t.Error("indexed lookup reported a missing month present")
-	}
-}
-
-func TestFrameStalenessGeneration(t *testing.T) {
-	opts := simulate.DefaultOptions(40)
-	opts.End = timeline.M(2012, time.June)
-	agg := simulated(t, opts)
-	f := NewFrame(agg)
-	if f.Generation() != agg.Generation() {
-		t.Fatalf("fresh frame generation %d != aggregate %d", f.Generation(), agg.Generation())
-	}
-	agg.Merge(simulated(t, opts)) // ingest more records: the frame must become stale
-	if f.Generation() == agg.Generation() {
-		t.Error("frame not detectably stale after aggregate mutation")
-	}
-	if NewFrame(agg).Generation() != agg.Generation() {
-		t.Error("rebuilt frame generation lags the aggregate")
 	}
 }
 

@@ -94,44 +94,34 @@ func TestStudyFiguresAndScalars(t *testing.T) {
 	if s.Aggregate() == nil {
 		t.Error("aggregate nil after Run")
 	}
-}
-
-func TestStudyLogRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStudy(40)
-	s.Options.End = timeline.M(2012, time.December)
-	if err := s.Run(&buf); err != nil {
-		t.Fatal(err)
-	}
-	direct := s.Aggregate().TotalRecords()
-
-	var s2 Study
-	if err := s2.LoadLog(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Aggregate().TotalRecords() != direct {
-		t.Errorf("log reload: %d records, want %d", s2.Aggregate().TotalRecords(), direct)
-	}
-	// Monthly stats agree.
-	m := timeline.M(2012, time.June)
-	a, b := s.Aggregate().Stats(m), s2.Aggregate().Stats(m)
-	if a.N[notary.Total] != b.N[notary.Total] || a.N[notary.Established] != b.N[notary.Established] || a.N[notary.AdvRC4] != b.N[notary.AdvRC4] {
-		t.Error("reloaded aggregate differs")
-	}
+	t.Run("static-tables", func(t *testing.T) {
+		if len(Table1()) != 6 || len(Table3()) < 15 || len(Table4()) < 10 || len(Table5()) < 6 || len(Table6()) < 10 {
+			t.Errorf("static table rows: %d, %d, %d, %d, %d",
+				len(Table1()), len(Table3()), len(Table4()), len(Table5()), len(Table6()))
+		}
+	})
 }
 
 // Study.Run is what `tlstrend simulate` runs — Simulator.Run teed into a
 // classified aggregate and the TSV log — and Options.Workers may not move a
 // byte of it: every width must fill the identical aggregate (client-class
 // attribution included), write the identical log and report the identical
-// scalars.
+// scalars. The subtests read those runs and their log.
 func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
+	seen := map[int]int{}
 	run := func(workers int) (*Study, []byte) {
 		s := NewStudy(60)
 		s.Options.End = timeline.M(2015, time.June) // 41 months, fingerprints from Feb 2014
 		s.Options.Workers = workers
+		counter := notary.SinkFunc(func(r *notary.Record) error {
+			if r.Date.Year == 0 {
+				t.Error("sink saw an empty record")
+			}
+			seen[workers]++
+			return nil
+		})
 		var log bytes.Buffer
-		if err := s.Run(&log); err != nil {
+		if err := s.RunSinks(&log, counter); err != nil {
 			t.Fatal(err)
 		}
 		return s, log.Bytes()
@@ -147,15 +137,15 @@ func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8} {
-		got, gotLog := run(workers)
-		if !reflect.DeepEqual(want.Aggregate(), got.Aggregate()) {
-			t.Errorf("Workers=%d: aggregate differs from Workers=1", workers)
-		}
+	widths := []int{0, 2, 3, 8, 64}
+	got := map[int]*Study{}
+	for _, workers := range widths {
+		s, gotLog := run(workers)
+		got[workers] = s
 		if !bytes.Equal(wantLog, gotLog) {
 			t.Errorf("Workers=%d: TSV log differs from Workers=1", workers)
 		}
-		gotScalars, err := got.Scalars()
+		gotScalars, err := s.Scalars()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,65 +153,36 @@ func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
 			t.Errorf("Workers=%d: scalars differ from Workers=1:\n%+v\n%+v", workers, gotScalars, wantScalars)
 		}
 	}
-}
-
-// LoadLog spreads the log's parse across Options.Workers; every width must
-// rebuild the identical aggregate, and extra sinks teed into the run must
-// see every record.
-func TestStudyLoadLogParallelAndSinks(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStudy(40)
-	s.Options.End = timeline.M(2013, time.June)
-	seen := 0
-	counter := notary.SinkFunc(func(r *notary.Record) error {
-		if r.Date.Year == 0 {
-			t.Error("sink saw an empty record")
-		}
-		seen++
-		return nil
-	})
-	if err := s.RunSinks(&buf, counter); err != nil {
-		t.Fatal(err)
-	}
-	direct := s.Aggregate().TotalRecords()
-	if seen != direct {
-		t.Errorf("teed sink saw %d records, aggregate has %d", seen, direct)
-	}
-
-	log := buf.Bytes()
-	for _, workers := range []int{1, 2, 8} {
-		var s2 Study
-		s2.Options.Workers = workers
-		if err := s2.LoadLog(bytes.NewReader(log)); err != nil {
+	// reload requires the run's log, loaded at the given width, to hold the
+	// run's records and report its scalars.
+	reload := func(t *testing.T, workers int) {
+		var s Study
+		s.Options.Workers = workers
+		if err := s.LoadLog(bytes.NewReader(wantLog)); err != nil {
 			t.Fatal(err)
 		}
-		if got := s2.Aggregate().TotalRecords(); got != direct {
-			t.Errorf("workers=%d: %d records, want %d", workers, got, direct)
-		}
-		m := timeline.M(2012, time.August)
-		a, b := s.Aggregate().Stats(m), s2.Aggregate().Stats(m)
-		if b == nil || a.N[notary.Total] != b.N[notary.Total] || a.N[notary.Established] != b.N[notary.Established] || a.N[notary.AdvRC4] != b.N[notary.AdvRC4] {
-			t.Errorf("workers=%d: reloaded aggregate differs", workers)
+		gotScalars, err := s.Scalars()
+		if err != nil || s.Aggregate().TotalRecords() != 41*60 || !reflect.DeepEqual(wantScalars, gotScalars) {
+			t.Errorf("Workers=%d: the reloaded log holds %d records, scalars %+v (%v)",
+				workers, s.Aggregate().TotalRecords(), gotScalars, err)
 		}
 	}
-}
-
-func TestStaticTables(t *testing.T) {
-	if len(Table1()) != 6 {
-		t.Error("Table 1 rows")
-	}
-	if len(Table3()) < 15 {
-		t.Error("Table 3 rows")
-	}
-	if len(Table4()) < 10 {
-		t.Error("Table 4 rows")
-	}
-	if len(Table5()) < 6 {
-		t.Error("Table 5 rows")
-	}
-	if len(Table6()) < 10 {
-		t.Error("Table 6 rows")
-	}
+	t.Run("aggregate-at-every-width", func(t *testing.T) {
+		for workers, s := range got {
+			if !reflect.DeepEqual(want.Aggregate(), s.Aggregate()) {
+				t.Errorf("Workers=%d: aggregate differs from Workers=1", workers)
+			}
+		}
+	})
+	t.Run("log-round-trip", func(t *testing.T) { reload(t, 1) })
+	t.Run("load-log-parallel-and-sinks", func(t *testing.T) {
+		for _, workers := range widths {
+			if seen[workers] != 41*60 {
+				t.Errorf("Workers=%d: the teed sink saw %d records, want %d", workers, seen[workers], 41*60)
+			}
+			reload(t, workers)
+		}
+	})
 }
 
 func TestScanCampaignTwoSnapshots(t *testing.T) {
@@ -419,46 +380,6 @@ func TestScanSweepDeclines(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "2015-09") {
 		t.Error("sweep rendering incomplete")
-	}
-}
-
-func TestStudyFrameCache(t *testing.T) {
-	// Own study: this test mutates the aggregate, which must not leak into
-	// the shared one.
-	s := NewStudy(30)
-	s.Options.End = timeline.M(2012, time.December)
-	if err := s.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	f1, err := s.Frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := s.Frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1 != f2 {
-		t.Error("Frame rebuilt without any aggregate mutation")
-	}
-	// Mutating the aggregate through the public accessor must invalidate
-	// the cached snapshot (the live-ingestion read path).
-	donor := notary.NewAggregate()
-	donor.Add(&notary.Record{Date: timeline.D(2012, time.March, 3)})
-	s.Aggregate().Merge(donor)
-	f3, err := s.Frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f3 == f1 {
-		t.Error("stale frame served after aggregate mutation")
-	}
-	if f3.Generation() != s.Aggregate().Generation() {
-		t.Error("rebuilt frame lags the aggregate generation")
-	}
-	var none Study
-	if _, err := none.Frame(); err == nil {
-		t.Error("Frame before Run should error")
 	}
 }
 

@@ -167,9 +167,34 @@ func TestStudyFrameRebuildsAfterUnseenWrite(t *testing.T) {
 		prev = f
 	}
 	observe(rest[9])
-	if f := requireFreshFrame(t, s); !advancedFrom(prev, f) {
+	f := requireFreshFrame(t, s)
+	if !advancedFrom(prev, f) {
 		t.Error("locked write after a rebuild did not advance")
 	}
+	// Without a write the study serves the frame it holds; a zero Study has none.
+	t.Run("frame-cache", func(t *testing.T) {
+		if again := frameOf(t, s); again != f {
+			t.Error("Frame rebuilt without any aggregate mutation")
+		}
+		var none Study
+		if _, err := none.Frame(); err == nil {
+			t.Error("Frame before Run should error")
+		}
+	})
+	// A served frame carries its aggregate's generation, and a write leaves
+	// it detectably stale.
+	t.Run("frame-staleness-generation", func(t *testing.T) {
+		if f.Generation() != s.Aggregate().Generation() {
+			t.Fatalf("served frame generation %d != aggregate %d", f.Generation(), s.Aggregate().Generation())
+		}
+		s.Aggregate().Add(rest[8])
+		if f.Generation() == s.Aggregate().Generation() {
+			t.Error("frame not detectably stale after aggregate mutation")
+		}
+		if requireFreshFrame(t, s).Generation() != s.Aggregate().Generation() {
+			t.Error("rebuilt frame generation lags the aggregate")
+		}
+	})
 }
 
 // TestStudyFrameAfterSwapOnEqualGeneration: LoadLog and RunSinks replace the

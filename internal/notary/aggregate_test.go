@@ -64,12 +64,16 @@ func TestAddIgnoresGREASEInPlace(t *testing.T) {
 			t.Errorf("%v position: greased %+v, clean %+v", class, g.Pos[class], w.Pos[class])
 		}
 	}
-	if g.ByExtension.Len() != 2 || g.ByExtension.Get(registry.ExtALPN) != 1 {
-		t.Errorf("greased hello counted %d extensions, want the 2 real ones", g.ByExtension.Len())
-	}
-	if g.N[AdvRC4] != 1 || g.N[Adv3DES] != 1 || g.N[AdvAEAD] != 1 || g.N[AdvTLS13] != 1 {
-		t.Error("greased hello lost an advertisement counter")
-	}
+	t.Run("aggregate-grease-stripped", func(t *testing.T) {
+		if g.N[AdvRC4] != 1 || g.N[Adv3DES] != 1 || g.N[AdvAEAD] != 1 || g.N[AdvTLS13] != 1 || g.N != w.N {
+			t.Errorf("greased hello's counters %v, clean hello's %v", g.N, w.N)
+		}
+	})
+	t.Run("aggregate-by-extension", func(t *testing.T) {
+		if g.ByExtension.Len() != 2 || g.ByExtension.Get(registry.ExtServerName) != 1 || g.ByExtension.Get(registry.ExtALPN) != 1 {
+			t.Errorf("greased hello counted %d extensions, want the 2 real ones once each", g.ByExtension.Len())
+		}
+	})
 }
 
 // A classifier installed after a snapshot decode attributes records of the

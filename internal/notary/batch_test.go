@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -89,75 +88,6 @@ func encodeFrames(recs []*Record, size int) []byte {
 
 func nullSink() Sink { return SinkFunc(func(*Record) error { return nil }) }
 
-// TestBatchRoundTrip is the codec's core property: reading back an encoded
-// batch yields records field-for-field equal to the originals, and an
-// Aggregate built from the decoded stream deep-equals one built from the
-// originals.
-func TestBatchRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 500, 3000} {
-		recs := buildBatchRecords(int64(n)+1, n)
-		enc := encodeBatch(recs)
-
-		var got collectSink
-		frames, records, err := ReadBatches(bytes.NewReader(enc), &got)
-		if err != nil {
-			t.Fatalf("n=%d: ReadBatches: %v", n, err)
-		}
-		if frames != 1 || records != uint64(n) {
-			t.Fatalf("n=%d: got %d frames / %d records", n, frames, records)
-		}
-		if len(got.recs) != n {
-			t.Fatalf("n=%d: sink saw %d records", n, len(got.recs))
-		}
-		for i, r := range recs {
-			if want, have := r.Clone(), got.recs[i]; !sameRecord(t, want, have) {
-				t.Fatalf("n=%d: record %d mismatch:\n want %+v\n have %+v", n, i, want, have)
-			}
-		}
-
-		want, have := NewAggregate(), NewAggregate()
-		for _, r := range recs {
-			want.Add(r)
-		}
-		for _, r := range got.recs {
-			have.Add(r)
-		}
-		if !reflect.DeepEqual(want, have) {
-			t.Fatalf("n=%d: aggregates diverge after round trip", n)
-		}
-	}
-}
-
-// TestBatchWriterFraming drives records through the Sink-facing producer and
-// checks frame accounting plus a multi-frame round trip (batch size not
-// dividing the record count, so the Close-flushed partial frame is covered).
-func TestBatchWriterFraming(t *testing.T) {
-	recs := buildBatchRecords(99, 100)
-	var buf bytes.Buffer
-	bw := NewBatchWriter(&buf, 7)
-	for _, r := range recs {
-		if err := bw.Observe(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var got collectSink
-	frames, records, err := ReadBatches(&buf, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frames != 15 || records != 100 { // ceil(100/7)
-		t.Fatalf("reader saw %d frames / %d records", frames, records)
-	}
-	for i, r := range recs {
-		if !sameRecord(t, r.Clone(), got.recs[i]) {
-			t.Fatalf("record %d mismatch across writer framing", i)
-		}
-	}
-}
-
 // TestBatchWriterSplitsAtPayloadCap: the record count is not the only flush
 // trigger. A writer whose batchSize would never fire (feed -batch 10000000)
 // still cuts a frame before the packed bytes cross the envelope's payload
@@ -195,11 +125,26 @@ func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
 	if most := 2*size/int(batchFormat.MaxPayload) + 1; int(frames) > most {
 		t.Fatalf("%d bytes went out in %d frames, want at most %d", size, frames, most)
 	}
-	for i, r := range recs {
-		if !sameRecord(t, r.Clone(), got.recs[i]) {
-			t.Fatalf("record %d changed across a cap split", i)
+	requireSameRecords(t, "a cap split", got.recs, recs)
+	// The decoded stream folds to the originals' aggregate.
+	t.Run("batch-round-trip", func(t *testing.T) {
+		want, have := NewAggregate(), NewAggregate()
+		for i := range recs {
+			want.Add(recs[i])
+			have.Add(got.recs[i])
 		}
-	}
+		requireSameAggregate(t, "decoded records", have, want)
+	})
+	// A frame size that does not divide the stream: Close flushes the last,
+	// partial frame.
+	t.Run("batch-writer-framing", func(t *testing.T) {
+		var back collectSink
+		frames, n, err := ReadBatches(bytes.NewReader(encodeFrames(recs, 7)), &back)
+		if err != nil || int(frames) != (len(recs)+6)/7 || n != uint64(len(recs)) {
+			t.Fatalf("7 records a frame: %d frames / %d records, err %v", frames, n, err)
+		}
+		requireSameRecords(t, "7 records a frame", back.recs, recs)
+	})
 	// The record that did not fit was packed against the frame it was cut
 	// from; it opens the next one packed again, as that frame's first
 	// definitions. Every frame decodes alone, and starts that way.
@@ -540,20 +485,6 @@ func TestBatchErrorsAreBatchErrors(t *testing.T) {
 	_, _, err = ReadBatches(bytes.NewReader(enc), SinkFunc(func(*Record) error { return sinkErr }))
 	if err != sinkErr {
 		t.Fatalf("sink error = %v, want passthrough", err)
-	}
-}
-
-// TestIsBatchStream pins the log reader's entry rule: at an entry boundary
-// the TLSB magic starts a frame, and anything else — a snapshot's magic, a
-// header, a record line, fewer than four bytes — is a line.
-func TestIsBatchStream(t *testing.T) {
-	if !IsBatchStream([]byte("TLSB\x01anything")) {
-		t.Error("batch prefix not recognized")
-	}
-	for _, s := range []string{"", "T", "TLS", "TLSN", "#separator \\t", "2016-01-02\tT"} {
-		if IsBatchStream([]byte(s)) {
-			t.Errorf("%q misrecognized as batch stream", s)
-		}
 	}
 }
 

@@ -429,12 +429,13 @@ func v3Seeds() map[string][]byte {
 	seeds["v3: a cohort definition past the span bound"] = v3Frame(def(a, 1, 1), appendRecordV3(nil, wide, uv, 1, false, 2, true))
 	seeds["v3: the same cohort sent as 0"] = v3Frame(def(a, 1, 1), appendRecordV3(nil, wide, uv, 1, false, 0, true),
 		appendRecordV3(nil, wide, uv, 1, false, 0, true), ref(a, 1, 1))
-	// A frame that fills the decoder's string table until it is emptied, and
-	// goes on naming the entries it defined before that.
+	// A frame that fills the decoder's string table until it is emptied — by
+	// its byte bound, with cohorts of maxHelloSpan bytes — and goes on naming
+	// the entries it defined before that.
 	churn := [][]byte{def(a, 1, 1), def(b, 2, 2)}
-	for i := 0; i < maxInternEntries+10; i++ {
+	for i := 0; i <= maxTableBytes/maxHelloSpan; i++ {
 		r := *a
-		r.ServerCohort = strconv.FormatInt(int64(i), 36)
+		r.ServerCohort = fmt.Sprintf("%0*d", maxHelloSpan, i)
 		churn = append(churn, appendRecordV3(nil, &r, uv, 1+uint64(i%2), false, 0, true))
 	}
 	seeds["v3: the table emptied under the frame's entries"] = v3Frame(append(churn, ref(a, 1, 1), ref(b, 2, 2), ref(a, 1, 2))...)
@@ -534,6 +535,7 @@ func tsvSeeds() map[string][]byte {
 		"a known hello in 19 fields":             []byte(line + "\n" + strings.Join(f[1:], "\t") + "\n"),
 		"a known hello, no cohort":               []byte(line + "\n" + strings.Join(f[:19], "\t") + "\n"),
 		"a known hello, bad date":                []byte(line + "\n" + "x" + line + "\n" + line + "\n"),
+		"a header, then a garbage line":          []byte(Header() + "garbage line\n"),
 	}
 	for _, empty := range []string{"-", ""} {
 		g := append([]string(nil), f...)
@@ -589,16 +591,16 @@ func longLines() map[string][]byte {
 }
 
 func TestDecodersMatchReference(t *testing.T) {
-	tlsb := tlsbSeeds()
+	tlsb, tsv, logs := tlsbSeeds(), tsvSeeds(), logSeeds()
 	for name, data := range tlsb {
 		t.Run("tlsb/"+name, func(t *testing.T) { diffReadBatches(t, data) })
 	}
-	for _, seeds := range []map[string][]byte{tsvSeeds(), longLines()} {
+	for _, seeds := range []map[string][]byte{tsv, longLines()} {
 		for name, data := range seeds {
 			t.Run("tsv/"+name, func(t *testing.T) { diffReadLog(t, data) })
 		}
 	}
-	for name, data := range logSeeds() {
+	for name, data := range logs {
 		t.Run("log/"+name, func(t *testing.T) { diffReadLog(t, data) })
 	}
 	// The seeds above are only worth their names if both outcomes occur.
@@ -612,6 +614,54 @@ func TestDecodersMatchReference(t *testing.T) {
 	if n, _, err := ReadLogTail(bytes.NewReader(longLines()["a 4 MiB-1 line"]), 0, nullSink()); err != nil || n != 3 {
 		t.Errorf("a line one byte under the ceiling: %d records, err %v", n, err)
 	}
+	// refused requires a log reader to stop at a *LineError naming text,
+	// after the given number of records.
+	refused := func(t *testing.T, name string, data []byte, records uint64, text string) {
+		t.Helper()
+		var le *LineError
+		if n, _, err := ReadLogTail(bytes.NewReader(data), 0, nullSink()); !errors.As(err, &le) || n != records || !strings.Contains(err.Error(), text) {
+			t.Errorf("%s: %d records, err %v; want %d and a *LineError naming %q", name, n, err, records, text)
+		}
+	}
+	t.Run("parse-tsv-errors", func(t *testing.T) {
+		refused(t, "too few fields", tsv["19 fields"], 0, "line 1")
+		for _, name := range []string{`date "201a-06-03"`, `scalar "c02g" in field 2`, `list "c02g" in field 11`} {
+			refused(t, name, tsv[name], 1, "line 2")
+		}
+		refused(t, "a garbage line", tsv["a header, then a garbage line"], 0, "line 4")
+	})
+	// A #base directive that moves the generation backwards is a bad line:
+	// the records before it are kept.
+	t.Run("base-rewind", func(t *testing.T) {
+		refused(t, "base rewind", tsv["base rewind"], 2, "line 3: base directive rewinds")
+		refused(t, "a base directive rewinding a frame", logs["a base directive rewinding a frame"], 16, "rewinds generation 16")
+	})
+	// A point format is one byte, in both formats: 0x100 is refused, 0xff read.
+	t.Run("point-formats-bounded", func(t *testing.T) {
+		refused(t, "client_pfs 0100,01ff", tsv[`list "0100,01ff" in field 14`], 1, `bad hex list element "0100"`)
+		var got collectSink
+		if err := ReadLog(bytes.NewReader(tsv[`list "00ff" in field 14`]), &got); err != nil ||
+			!reflect.DeepEqual(got.recs[1].PointFmts(), []registry.ECPointFormat{255}) {
+			t.Errorf("client_pfs 00ff: %v, err %v", got.recs, err)
+		}
+		var be *BatchError
+		if _, _, err := ReadBatches(bytes.NewReader(tlsb["value 0x100 in field 7"]), nullSink()); !errors.As(err, &be) ||
+			!strings.Contains(err.Error(), "list element 256 out of range") {
+			t.Errorf("TLSB point format 256: err %v, want a *BatchError naming it", err)
+		}
+	})
+	// The entry rule: at an entry boundary the TLSB magic starts a frame; a
+	// snapshot's magic, a header, a record line or under four bytes is a line.
+	t.Run("is-batch-stream", func(t *testing.T) {
+		if !IsBatchStream(logs["frames"]) || !IsBatchStream(logs["the magic alone"]) {
+			t.Error("a frame's magic not recognized")
+		}
+		for _, s := range [][]byte{nil, []byte("T"), []byte("TLS"), []byte("TLSN"), tsv["valid"], tsv["dash string"]} {
+			if IsBatchStream(s) {
+				t.Errorf("%q misrecognized as a frame", s[:min(len(s), 16)])
+			}
+		}
+	})
 }
 
 func FuzzReadLog(f *testing.F) {
@@ -623,35 +673,7 @@ func FuzzReadLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { diffReadLog(t, data) })
 }
 
-// --- the two refusals, each failing before this build ---
-
-// A TLSB record whose fp, truth or cohort could not be written to the -out
-// log and read back — it would add or drop a field, or read back as empty —
-// is refused as a *BatchError, not acknowledged and teed.
-func TestTLSBRefusesStringsTheLogCannotCarry(t *testing.T) {
-	good := buildBatchRecords(29, 2)
-	for field, name := range []string{"fp", "truth", "cohort"} {
-		for _, s := range []string{"a\tb", "a\nb", "a\rb", "-"} {
-			r := withString(sampleRecord(), field, s)
-			var log bytes.Buffer
-			lw := NewLogWriter(&log)
-			_, n, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{good[0], r, good[1]})), lw)
-			var be *BatchError
-			if !errors.As(err, &be) || n != 1 {
-				t.Errorf("%s = %q: %d records, err %v; want the first record and a *BatchError", name, s, n, err)
-				continue
-			}
-			// What was delivered replays.
-			if err := lw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			var back collectSink
-			if err := ReadLog(&log, &back); err != nil || len(back.recs) != 1 || !sameRecord(t, back.recs[0], good[0].Clone()) {
-				t.Errorf("%s = %q: the teed log replays %d records, err %v", name, s, len(back.recs), err)
-			}
-		}
-	}
-}
+// --- strings the log cannot carry ---
 
 // Whatever ReadBatches accepts survives the TSV tee: the log LogWriter makes
 // of it reads back as the same records. Strings are drawn from an alphabet
@@ -693,29 +715,31 @@ func TestAcceptedTLSBSurvivesTheTSVTee(t *testing.T) {
 	if accepted < 300 || refused < 300 {
 		t.Fatalf("vacuous: %d inputs accepted, %d refused", accepted, refused)
 	}
-}
-
-// A point format is one byte. The TSV reader used to parse 16 bits and keep
-// the low eight, where the TLSB reader refuses the same value.
-func TestPointFormatsAreBoundedInBothFormats(t *testing.T) {
-	line := strings.Split(string(sampleRecord().AppendTSV(nil)), "\t")
-	line[14] = "0100,01ff"
-	var le *LineError
-	if err := ReadLog(strings.NewReader(strings.Join(line, "\t")), nullSink()); !errors.As(err, &le) ||
-		!strings.Contains(err.Error(), `bad hex list element "0100"`) {
-		t.Errorf("TSV client_pfs 0100,01ff: err %v, want a *LineError naming 0100", err)
-	}
-	line[14] = "0000,00ff"
-	var got collectSink
-	if err := ReadLog(strings.NewReader(strings.Join(line, "\t")), &got); err != nil ||
-		!reflect.DeepEqual(got.recs[0].PointFmts(), []registry.ECPointFormat{0, 255}) {
-		t.Errorf("TSV client_pfs 0000,00ff: %v, err %v", got.recs, err)
-	}
-
-	wide := tlsbSeeds()["value 0x100 in field 7"] // the first point format of the sample record
-	var be *BatchError
-	if _, _, err := ReadBatches(bytes.NewReader(wide), nullSink()); !errors.As(err, &be) ||
-		!strings.Contains(err.Error(), "list element 256 out of range") {
-		t.Errorf("TLSB point format 256: err %v, want a *BatchError naming it", err)
-	}
+	// A record whose fp, truth or cohort would add or drop a log field, or
+	// read back as empty, is refused as a *BatchError after the record before
+	// it, and what was delivered replays from the tee.
+	t.Run("refuses-strings-the-log-cannot-carry", func(t *testing.T) {
+		seeds := tlsbSeeds()
+		for _, s := range []string{"a\tb", "a\nb", "a\rb", "-"} {
+			for field := 0; field < 3; field++ {
+				name := fmt.Sprintf("string %q in field %d", s, field)
+				var log bytes.Buffer
+				var took, back collectSink
+				lw := NewLogWriter(&log)
+				_, n, err := ReadBatches(bytes.NewReader(seeds[name]), Tee(&took, lw))
+				var be *BatchError
+				if !errors.As(err, &be) || n != 1 {
+					t.Errorf("%s: %d records, err %v; want the first record and a *BatchError", name, n, err)
+					continue
+				}
+				if err := lw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := ReadLog(&log, &back); err != nil {
+					t.Fatalf("%s: the teed log does not replay: %v", name, err)
+				}
+				requireSameRecords(t, name+": the teed log", back.recs, took.recs)
+			}
+		}
+	})
 }

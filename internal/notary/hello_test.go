@@ -171,7 +171,7 @@ func TestFrameReferencesFollowTheRule(t *testing.T) {
 		{"v3: the same hello sent as 0", 4, ""},
 		{"v3: a cohort definition past the span bound", 1, fmt.Sprintf("definition of %d bytes exceeds %d", maxHelloSpan+3, maxHelloSpan)},
 		{"v3: the same cohort sent as 0", 4, ""},
-		{"v3: the table emptied under the frame's entries", maxInternEntries + 15, ""},
+		{"v3: the table emptied under the frame's entries", maxTableBytes/maxHelloSpan + 6, ""},
 		{"v3: more distinct hellos than a frame may define", maxHelloRows + 40, ""},
 		{"v3: a frame at its definition cap", maxHelloRows + 2, ""},
 		{"v3: one hello definition past the cap", maxHelloRows, fmt.Sprintf("more than %d definitions in one frame", maxHelloRows)},
@@ -293,6 +293,21 @@ func TestTSVTablesNeverServeTLSB(t *testing.T) {
 			t.Fatalf("round %d: TLSB read %+v, err %v; want %+v", round, got.recs, err, framed)
 		}
 	}
+	// A LogWriter used as a Sink writes the same log: three header lines, then
+	// the record.
+	t.Run("log-writer-is-sink", func(t *testing.T) {
+		var buf bytes.Buffer
+		var sink Sink = NewLogWriter(&buf)
+		if err := sink.Observe(line); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), tsv) || !bytes.HasPrefix(tsv, []byte("#separator")) || bytes.Count(tsv, []byte("\n")) != 4 {
+			t.Errorf("the sink wrote %q, want %q", buf.Bytes(), tsv)
+		}
+	})
 }
 
 // --- the list cap ---

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
+
+	"tlsage/internal/registry"
+	"tlsage/internal/timeline"
 )
 
 // Tests of the record log as a sequence of entries (log.go): lines, frames and
@@ -85,11 +90,34 @@ func logSeeds() map[string][]byte {
 }
 
 // seedRecords are the record streams the kinds of log are compared on: the
-// benchmark-shaped stream, and what the reference decoders deliver of every
+// benchmark-shaped stream; the sample record, a record of empty fields, fifty
+// sample records on random dates and suites, and twelve months of one
+// fingerprint each; and what the reference decoders deliver of every
 // differential seed, TLSB and TSV, before it fails.
 func seedRecords(t *testing.T) map[string][]*Record {
 	t.Helper()
-	streams := map[string][]*Record{"benchmark-shaped": benchIngestRecordSet()}
+	empty := withHello(&Record{Date: timeline.D(2012, time.February, 1), ClientVersion: registry.VersionTLS10, AlertDesc: 40},
+		Hello{Suites: []uint16{0x002F}})
+	rnd := rand.New(rand.NewSource(20))
+	var dated, months []*Record
+	for i := 0; i < 50; i++ {
+		r := sampleRecord()
+		r.Date = timeline.D(2014+rnd.Intn(4), time.Month(1+rnd.Intn(12)), 1+rnd.Intn(28))
+		r.Suite = []uint16{0xC02F, 0x0005, 0x002F}[rnd.Intn(3)]
+		dated = append(dated, r)
+	}
+	for m := time.January; m <= time.December; m++ {
+		r := editHello(sampleRecord(), func(h *Hello) { h.Fingerprint = fmt.Sprintf("fp-%d", m) })
+		r.Date = timeline.D(2016, m, 1+int(m))
+		months = append(months, r)
+	}
+	streams := map[string][]*Record{
+		"benchmark-shaped": benchIngestRecordSet(),
+		"tsv round trip":   {sampleRecord()},
+		"empty fields":     {empty},
+		"log writer":       dated,
+		"end-to-end dates": months,
+	}
 	for name, data := range tlsbSeeds() {
 		var got collectSink
 		_, _, _ = refReadBatches(bytes.NewReader(data), &got, current)

@@ -2,7 +2,6 @@ package notary
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
@@ -45,31 +44,5 @@ func TestReadLogTailBaseDirective(t *testing.T) {
 			t.Fatalf("skip=%d: delivered %d (sink saw %d), base %d; want %d, base 40",
 				c.skip, got, n, base, c.delivered)
 		}
-	}
-}
-
-// TestReadLogTailBaseRewind treats a directive that moves the generation
-// backwards as corruption: the valid prefix is kept and the bad line is
-// reported like any torn tail.
-func TestReadLogTailBaseRewind(t *testing.T) {
-	var buf bytes.Buffer
-	lw := NewLogWriter(&buf)
-	for i := 0; i < 5; i++ {
-		if err := lw.Write(sampleRecord()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString(LogBaseDirective(2)) // rewinds generation 5 to 2
-
-	got, _, err := ReadLogTail(&buf, 0, SinkFunc(func(*Record) error { return nil }))
-	var le *LineError
-	if !errors.As(err, &le) {
-		t.Fatalf("rewinding directive: err = %v, want *LineError", err)
-	}
-	if got != 5 {
-		t.Fatalf("delivered %d records before the rewind, want 5", got)
 	}
 }

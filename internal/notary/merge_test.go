@@ -129,8 +129,9 @@ func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 		// associative, so an arbitrary within-month partition may differ in
 		// the last bits. Compare it with an epsilon, everything else exactly.
 		// (The sharded simulation pipeline itself shards at month granularity
-		// and is therefore byte-identical — TestParallelRunAggregateIdentical
-		// in internal/simulate asserts that.)
+		// and is therefore byte-identical — core's
+		// TestStudyRunIdenticalAcrossWorkers/aggregate-at-every-width and
+		// simulate's TestCorpusDigest assert that.)
 		for _, m := range want.Months() {
 			wms, gms := want.Stats(m), got.Stats(m)
 			if gms == nil {

@@ -1,8 +1,6 @@
 package notary
 
 import (
-	"bytes"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -61,48 +59,6 @@ func parseTSV(line string) (Record, error) {
 	var r Record
 	err := parseTSVLine(&r, []byte(strings.TrimSuffix(line, "\n")), newDecodeTables())
 	return r, err
-}
-
-func TestTSVRoundTrip(t *testing.T) {
-	r := sampleRecord()
-	line := string(r.AppendTSV(nil))
-	got, err := parseTSV(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRecord(t, r, &got) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", *r, got)
-	}
-}
-
-func TestTSVRoundTripEmptyFields(t *testing.T) {
-	r := withHello(&Record{
-		Date:          timeline.D(2012, time.February, 1),
-		ClientVersion: registry.VersionTLS10,
-		AlertDesc:     40,
-	}, Hello{Suites: []uint16{0x002F}})
-	got, err := parseTSV(string(r.AppendTSV(nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRecord(t, r, &got) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", *r, got)
-	}
-}
-
-func TestParseTSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"too\tfew\tfields",
-		"notadate\tT\t0303\tc02f\t0017\tT\tF\t0\tF\tF\t0303\t-\t-\t-\t-\t-\tT\t-\t-\t-",
-		"2015-06-03\tT\tZZZZ\tc02f\t0017\tT\tF\t0\tF\tF\t0303\t-\t-\t-\t-\t-\tT\t-\t-\t-",
-		"2015-06-03\tT\t0303\tc02f\t0017\tT\tF\t0\tF\tF\t0303\tXY\t-\t-\t-\t-\tT\t-\t-\t-",
-	}
-	for i, c := range cases {
-		if _, err := parseTSV(c); err == nil {
-			t.Errorf("case %d: bad line parsed", i)
-		}
-	}
 }
 
 func TestObserveWireTLS(t *testing.T) {
@@ -212,20 +168,6 @@ func TestAggregateCounters(t *testing.T) {
 	}
 }
 
-func TestAggregateGREASEStripped(t *testing.T) {
-	agg := NewAggregate()
-	r := withHello(&Record{
-		Date:          timeline.D(2017, time.March, 1),
-		ClientVersion: registry.VersionTLS12,
-		Established:   true, Version: registry.VersionTLS12, Suite: 0xC02F,
-	}, Hello{Suites: []uint16{0x0a0a, 0xC02F}})
-	agg.Add(r)
-	ms := agg.Stats(timeline.M(2017, time.March))
-	if ms.N[AdvRC4] != 0 || ms.N[AdvAEAD] != 1 {
-		t.Error("GREASE not stripped in advertisement counting")
-	}
-}
-
 func TestFigure5Positions(t *testing.T) {
 	agg := NewAggregate()
 	// AEAD at position 0, CBC at 1, RC4 at 2, 3DES at 3 of a 4-suite list.
@@ -272,67 +214,5 @@ func TestFPDurations(t *testing.T) {
 	}
 	if byFP["short"].Days != 1 {
 		t.Errorf("short: %+v", byFP["short"])
-	}
-}
-
-func TestLogWriterReader(t *testing.T) {
-	var buf bytes.Buffer
-	lw := NewLogWriter(&buf)
-	rnd := rand.New(rand.NewSource(20))
-	var want []*Record
-	for i := 0; i < 50; i++ {
-		r := sampleRecord()
-		r.Date = timeline.D(2014+rnd.Intn(4), time.Month(1+rnd.Intn(12)), 1+rnd.Intn(28))
-		r.Suite = []uint16{0xC02F, 0x0005, 0x002F}[rnd.Intn(3)]
-		want = append(want, r)
-		if err := lw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var got collectSink
-	if err := ReadLog(&buf, &got); err != nil {
-		t.Fatal(err)
-	}
-	requireSameRecords(t, "log round trip", got.recs, want)
-}
-
-func TestReadLogBadLine(t *testing.T) {
-	in := bytes.NewBufferString(Header() + "garbage line\n")
-	err := ReadLog(in, SinkFunc(func(*Record) error { return nil }))
-	if err == nil {
-		t.Error("garbage line accepted")
-	}
-}
-
-func TestClientOffers(t *testing.T) {
-	scan, _ := registry.ScanSuitesNoGREASE(sampleRecord().Suites())
-	if !scan.Bits.Has(registry.ClassRC4) {
-		t.Error("sample offers RC4")
-	}
-	if scan.Bits.Has(registry.ClassExport) {
-		t.Error("sample offers no export")
-	}
-}
-
-func TestAggregateByExtension(t *testing.T) {
-	agg := NewAggregate()
-	r := sampleRecord()
-	agg.Add(r)
-	ms := agg.Stats(timeline.M(2015, time.June))
-	if ms.ByExtension.Get(registry.ExtServerName) != 1 || ms.ByExtension.Get(registry.ExtSupportedGroups) != 1 {
-		t.Errorf("extension counters: %v", ms.ByExtension)
-	}
-	// GREASE extensions are stripped.
-	r2 := sampleRecord()
-	editHello(r2, func(h *Hello) { h.Extensions = []registry.ExtensionID{registry.ExtensionID(0x0a0a), registry.ExtALPN} })
-	agg.Add(r2)
-	if ms.ByExtension.Get(registry.ExtensionID(0x0a0a)) != 0 {
-		t.Error("GREASE extension counted")
-	}
-	if ms.ByExtension.Get(registry.ExtALPN) != 1 {
-		t.Error("ALPN not counted")
 	}
 }

@@ -9,13 +9,10 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"testing/iotest"
-	"time"
 
 	"tlsage/internal/registry"
-	"tlsage/internal/timeline"
 )
 
 // buildCorpus writes n random records through a LogWriter and returns the
@@ -65,7 +62,9 @@ func aggregatesEqual(t *testing.T, want, got *Aggregate) {
 
 // ReadLogParallel must equal serial ReadLog for every worker count and for
 // chunk sizes that sweep the cut across every interesting boundary — mid
-// line, exactly on a newline, bigger than the whole log.
+// line, exactly on a newline, bigger than the whole log — also without the
+// final newline, and with comments, blank lines and CRLF endings between the
+// records.
 func TestReadLogParallelMatchesSerial(t *testing.T) {
 	log, want := buildCorpus(t, 3, 700)
 
@@ -89,17 +88,31 @@ func TestReadLogParallelMatchesSerial(t *testing.T) {
 		}
 		aggregatesEqual(t, want, got)
 	}
-}
 
-// A log without a trailing newline must still deliver its last record.
-func TestReadLogParallelNoTrailingNewline(t *testing.T) {
-	log, want := buildCorpus(t, 11, 40)
-	trimmed := bytes.TrimSuffix(log, []byte("\n"))
-	got, err := readLogParallel(bytes.NewReader(trimmed), 4, 256, nil)
-	if err != nil {
-		t.Fatal(err)
+	parallel := func(t *testing.T, log []byte) {
+		got, err := readLogParallel(bytes.NewReader(log), 4, 256, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggregatesEqual(t, want, got)
 	}
-	aggregatesEqual(t, want, got)
+	t.Run("no-trailing-newline", func(t *testing.T) { parallel(t, bytes.TrimSuffix(log, []byte("\n"))) })
+	t.Run("comments-and-crlf", func(t *testing.T) {
+		var decorated []byte
+		for i, line := range bytes.SplitAfter(log, []byte("\n")) {
+			decorated = append(decorated, line...)
+			if i%7 == 0 {
+				decorated = append(decorated, "# interleaved comment\n"...)
+			}
+			if i%11 == 0 {
+				decorated = append(decorated, '\n')
+			}
+			if i%13 == 0 {
+				decorated = append(decorated, "\r\n"...)
+			}
+		}
+		parallel(t, decorated)
+	})
 }
 
 // Every error the parallel reader stops with is the one serial ReadLog
@@ -158,67 +171,6 @@ func TestReadLogParallelErrorParity(t *testing.T) {
 	check("cut last frame", of(frames[:len(frames)-10]), frameRuns)
 	junk := reframe(BatchVersion, appendRecordBinary(appendCount(nil, 2), recs[0]))
 	check("a frame that does not decode", of(slices.Concat(encodeFrames(recs[:40], 5), junk, encodeFrames(recs[40:], 5))), frameRuns)
-}
-
-// The parallel reader must also agree with serial on a stream interleaving
-// comments, blank lines and CRLF endings.
-func TestReadLogParallelCommentsAndCRLF(t *testing.T) {
-	log, _ := buildCorpus(t, 9, 120)
-	var decorated strings.Builder
-	for i, line := range strings.SplitAfter(string(log), "\n") {
-		if line == "" {
-			continue
-		}
-		decorated.WriteString(line)
-		if i%7 == 0 {
-			decorated.WriteString("# interleaved comment\n")
-		}
-		if i%11 == 0 {
-			decorated.WriteString("\n")
-		}
-		if i%13 == 0 {
-			decorated.WriteString("\r\n")
-		}
-	}
-	want := NewAggregate()
-	if err := ReadLog(strings.NewReader(decorated.String()), want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readLogParallel(strings.NewReader(decorated.String()), 4, 300, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggregatesEqual(t, want, got)
-}
-
-// Study-facing sanity: the parallel path over a real simulated log equals
-// the streaming aggregate (the cross-layer version of the property above).
-func TestReadLogParallelEndToEndDates(t *testing.T) {
-	// A tiny deterministic hand-built log exercising date/month spread.
-	var buf bytes.Buffer
-	lw := NewLogWriter(&buf)
-	for m := time.January; m <= time.December; m++ {
-		r := editHello(sampleRecord(), func(h *Hello) { h.Fingerprint = fmt.Sprintf("fp-%d", m) })
-		r.Date = timeline.D(2016, m, 1+int(m))
-		if err := lw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := NewAggregate()
-	if err := ReadLog(bytes.NewReader(buf.Bytes()), want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readLogParallel(bytes.NewReader(buf.Bytes()), 3, 128, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggregatesEqual(t, want, got)
-	if !reflect.DeepEqual(want.FPDurations(), got.FPDurations()) {
-		t.Fatal("FPDurations differ after parallel load")
-	}
 }
 
 // Both readers share one line ceiling: a line of maxLogLine bytes or more

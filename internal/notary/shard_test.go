@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -74,22 +73,6 @@ func TestBuilderSeedsMatchReference(t *testing.T) {
 	if first == second || !first.Has(registry.ClassAEAD) || second.Has(registry.ClassAEAD) {
 		t.Errorf("vacuous: FPCaps.Classes %b with the kept row first, %b with the unkept one first", first, second)
 	}
-}
-
-// Flush of nothing is a fresh shard, and leaves the builder usable.
-func TestBuilderFlushOfNothing(t *testing.T) {
-	b := NewShardBuilder(classified)
-	for i := 0; i < 2; i++ {
-		if got := b.Flush(); !reflect.DeepEqual(got, classified()) {
-			t.Fatalf("Flush %d of an empty builder: %d records", i, got.TotalRecords())
-		}
-	}
-	if err := b.Observe(sampleRecord()); err != nil {
-		t.Fatal(err)
-	}
-	want := classified()
-	want.Add(sampleRecord())
-	requireSameAggregate(t, "one record after two empty flushes", b.Flush(), want)
 }
 
 // A decoder table emptied mid-shard lets go of its rows and makes new ones for

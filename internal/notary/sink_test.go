@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -66,23 +65,6 @@ func TestTeeSingleAndNestedFlatten(t *testing.T) {
 	}
 }
 
-func TestLogWriterIsSink(t *testing.T) {
-	var buf bytes.Buffer
-	var sink Sink = NewLogWriter(&buf)
-	if err := sink.Observe(sampleRecord()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "#separator") {
-		t.Error("header missing")
-	}
-	if strings.Count(buf.String(), "\n") != 4 {
-		t.Errorf("expected 3 header lines + 1 record, got %q", buf.String())
-	}
-}
-
 // A clone is a copy of the record that shares its row: the offered side is
 // immutable, so there is nothing of it to copy.
 func TestRecordCloneSharesTheRow(t *testing.T) {
@@ -125,6 +107,19 @@ func TestZeroRecordIsTheEmptyHello(t *testing.T) {
 	requireSameRecords(t, "a zero record framed", back.recs, []*Record{interned, interned, interned})
 	requireSameAggregate(t, "zero records by Add", add, want)
 	requireSameAggregate(t, "zero records through a builder", built.Flush(), want)
+	// The builder just flushed holds nothing: a Flush of nothing is a fresh
+	// shard, and leaves the builder usable.
+	t.Run("flush-of-nothing", func(t *testing.T) {
+		for i := 0; i < 2; i++ {
+			if got := built.Flush(); !reflect.DeepEqual(got, classified()) {
+				t.Fatalf("Flush %d of an empty builder: %d records", i, got.TotalRecords())
+			}
+		}
+		built.Add(r)
+		want := classified()
+		want.Add(r)
+		requireSameAggregate(t, "one record after two empty flushes", built.Flush(), want)
+	})
 }
 
 // The serialization path must be allocation-free: a record serialized into

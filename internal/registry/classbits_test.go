@@ -142,6 +142,12 @@ func TestScanSuitesEquivalence(t *testing.T) {
 			}
 		}
 	}
+	// A browser's list of the RC4 era: RC4 offered, no export suite.
+	t.Run("client-offers", func(t *testing.T) {
+		if scan, _ := ScanSuitesNoGREASE([]uint16{0xC02F, 0xC013, 0x0005, 0x000A}); !scan.Bits.Has(ClassRC4) || scan.Bits.Has(ClassExport) {
+			t.Errorf("class bits %b: want RC4 and no export", scan.Bits)
+		}
+	})
 }
 
 // Scanning in place equals scanning the stripped copy, without the copy.

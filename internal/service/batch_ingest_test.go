@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,58 +42,29 @@ func transcodeBatch(t *testing.T, log []byte, batchSize int) []byte {
 	return buf.Bytes()
 }
 
-// tsvPrefix returns the first n data lines of a TSV log (comments skipped) —
-// a small well-formed stream for saturation tests.
-func tsvPrefix(t *testing.T, log []byte, n int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	taken := 0
-	for _, l := range bytes.SplitAfter(log, []byte{'\n'}) {
-		if taken == n {
-			return buf.Bytes()
-		}
-		if len(bytes.TrimSpace(l)) == 0 || l[0] == '#' {
-			continue
-		}
-		buf.Write(l)
-		taken++
-	}
-	t.Fatalf("log has fewer than %d records", n)
-	return nil
-}
-
 // TestIngestWireFormatParity is the cross-format acceptance check: the same
 // log fed as binary batches over HTTP, TSV over HTTP, TSV over TCP and
-// binary over TCP must answer /scalars and /query byte-identically — the
-// wire format and transport must never leak into results. A body is read by
-// its content, not its label, so frames posted as TSV and lines posted as
+// binary over TCP must serve what an offline LoadLog of it serves — the wire
+// format and transport must never leak into results. A body is read by its
+// content, not its label, so frames posted as TSV and lines posted as
 // batches ingest alike too. Every server runs with a bounded merge queue so
-// the queued-merge path is covered, and every query is asked twice so the
+// the queued-merge path is covered, and a query is asked twice so the
 // cached-body fast path must also match the freshly encoded body.
 func TestIngestWireFormatParity(t *testing.T) {
 	log, offline := sharedLog(t)
 	batch := transcodeBatch(t, log, 53) // odd frame size sweeps frame boundaries
 	wantRecords := offline.Aggregate().TotalRecords()
-	const queryBody = `{"query": "pct(version:tls12 / established)"}`
+	ref := serveLog(t, log)
 
-	postIngest := func(body []byte, contentType string) func(t *testing.T, srv *Server, ts *httptest.Server, tcpAddr string) {
-		return func(t *testing.T, srv *Server, ts *httptest.Server, tcpAddr string) {
-			resp, err := http.Post(ts.URL+"/ingest", contentType, bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fed ingestStats
-			if err := json.NewDecoder(resp.Body).Decode(&fed); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || fed.Records != wantRecords {
-				t.Fatalf("ingest: status %d, %d records, want 200 with %d", resp.StatusCode, fed.Records, wantRecords)
+	postStream := func(body []byte, contentType string) func(t *testing.T, url, tcpAddr string) {
+		return func(t *testing.T, url, tcpAddr string) {
+			if r := <-postIngest(url, contentType, bytes.NewReader(body)); r.status != http.StatusOK || r.Records != wantRecords {
+				t.Fatalf("ingest replied %+v, want 200 with %d records", r, wantRecords)
 			}
 		}
 	}
-	dialIngest := func(body []byte) func(t *testing.T, srv *Server, ts *httptest.Server, tcpAddr string) {
-		return func(t *testing.T, srv *Server, ts *httptest.Server, tcpAddr string) {
+	dialStream := func(body []byte) func(t *testing.T, url, tcpAddr string) {
+		return func(t *testing.T, url, tcpAddr string) {
 			conn, err := net.Dial("tcp", tcpAddr)
 			if err != nil {
 				t.Fatal(err)
@@ -104,29 +77,23 @@ func TestIngestWireFormatParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			reply, err := io.ReadAll(conn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := fmt.Sprintf("ok %d ", wantRecords); !strings.HasPrefix(string(reply), want) {
-				t.Fatalf("tcp reply %q, want prefix %q", reply, want)
+			if want := fmt.Sprintf("ok %d %d\n", wantRecords, wantRecords); err != nil || string(reply) != want {
+				t.Fatalf("tcp reply %q (err %v), want %q", reply, err, want)
 			}
 		}
 	}
 
-	paths := []struct {
+	for i, p := range []struct {
 		name string
-		feed func(t *testing.T, srv *Server, ts *httptest.Server, tcpAddr string)
+		feed func(t *testing.T, url, tcpAddr string)
 	}{
-		{"tsv-http", postIngest(log, ContentTypeTSV)},
-		{"binary-http", postIngest(batch, ContentTypeBatch)},
-		{"tsv-tcp", dialIngest(log)},
-		{"binary-tcp", dialIngest(batch)},
-		{"binary-http-labelled-tsv", postIngest(batch, ContentTypeTSV)},
-		{"tsv-http-labelled-batch", postIngest(log, ContentTypeBatch)},
-	}
-
-	var refScalars, refQuery []byte
-	for i, p := range paths {
+		{"tsv-http", postStream(log, ContentTypeTSV)},
+		{"binary-http", postStream(batch, ContentTypeBatch)},
+		{"tsv-tcp", dialStream(log)},
+		{"binary-tcp", dialStream(batch)},
+		{"binary-http-labelled-tsv", postStream(batch, ContentTypeTSV)},
+		{"tsv-http-labelled-batch", postStream(log, ContentTypeBatch)},
+	} {
 		t.Run(p.name, func(t *testing.T) {
 			srv := NewServer(core.NewLiveStudy(),
 				WithFlushEvery(89+i), // sweep shard boundaries across paths
@@ -141,40 +108,12 @@ func TestIngestWireFormatParity(t *testing.T) {
 			served := make(chan error, 1)
 			go func() { served <- srv.ServeTCP(ln) }()
 
-			p.feed(t, srv, ts, ln.Addr().String())
-
-			scalars := mustGet(t, ts.URL+"/scalars")
-			query := func(wantCache string) []byte {
-				resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(queryBody))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				body, err := io.ReadAll(resp.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != wantCache {
-					t.Fatalf("query: status %d X-Cache %q, want 200 %q",
-						resp.StatusCode, resp.Header.Get("X-Cache"), wantCache)
-				}
-				return body
-			}
-			miss := query("miss")
-			hit := query("hit")
-			if !bytes.Equal(miss, hit) {
-				t.Errorf("cached query body diverges from the computed one:\nmiss: %s\nhit:  %s", miss, hit)
-			}
-
-			if refScalars == nil {
-				refScalars, refQuery = scalars, miss
-			} else {
-				if !bytes.Equal(scalars, refScalars) {
-					t.Errorf("/scalars diverges from the %s path", paths[0].name)
-				}
-				if !bytes.Equal(miss, refQuery) {
-					t.Errorf("/query diverges from the %s path", paths[0].name)
-				}
+			p.feed(t, ts.URL, ln.Addr().String())
+			requireSameServed(t, ts.URL, ref, "an offline LoadLog")
+			const q = "pct(version:tls12 / established)"
+			_, want := postQuery(t, ref+"/query", q)
+			if h, body := postQuery(t, ts.URL+"/query", q); h.Get("X-Cache") != "hit" || !bytes.Equal(body, want) {
+				t.Errorf("the repeated query: X-Cache %q, body %s", h.Get("X-Cache"), body)
 			}
 
 			if err := srv.Close(); err != nil {
@@ -191,44 +130,56 @@ func TestIngestWireFormatParity(t *testing.T) {
 // folded at each flush (notary.ShardBuilder), one builder for all of a
 // stream's shards, so the cadence must not show. The same log, as TSV and as
 // binary batches, flushed every record, every 7 and once per 4,096, serves
-// /scalars and the query sweep byte-identically to an offline LoadLog.
+// what an offline LoadLog serves; so does the log fed by FeedHTTP, the
+// client `tlstrend feed` runs, flushed every 97, /figures included.
 func TestFlushCadenceParity(t *testing.T) {
 	log, offline := sharedLog(t)
 	batch := transcodeBatch(t, log, 53)
 	records := offline.Aggregate().TotalRecords()
+	ref := serveLog(t, log)
+	// serve starts a server flushing every `every` records, with room for a
+	// shard per record: nothing is shed.
+	serve := func(t *testing.T, every int) string {
+		srv := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithQueueBound(records))
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+		return ts.URL
+	}
 	for _, every := range []int{1, 7, 4096} {
 		for _, in := range []struct {
 			name, contentType string
 			body              []byte
 		}{{"tsv", ContentTypeTSV, log}, {"binary", ContentTypeBatch, batch}} {
 			t.Run(fmt.Sprintf("every-%d/%s", every, in.name), func(t *testing.T) {
-				// Room for a shard per record: nothing is shed.
-				srv := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithQueueBound(records))
-				defer srv.Close()
-				ts := httptest.NewServer(srv.Handler())
-				defer ts.Close()
-				resp, err := http.Post(ts.URL+"/ingest", in.contentType, bytes.NewReader(in.body))
-				if err != nil {
-					t.Fatal(err)
+				url := serve(t, every)
+				if r := <-postIngest(url, in.contentType, bytes.NewReader(in.body)); r.status != http.StatusOK || r.Records != records || r.Generation != uint64(records) {
+					t.Fatalf("ingest replied %+v; want 200 with %d records", r, records)
 				}
-				var fed ingestStats
-				err = json.NewDecoder(resp.Body).Decode(&fed)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK || fed.Records != records || fed.Generation != uint64(records) {
-					t.Fatalf("ingest: status %d, %+v, err %v; want %d records", resp.StatusCode, fed, err, records)
-				}
-				requireServedParity(t, ts.URL, log)
+				requireSameServed(t, url, ref, "an offline LoadLog")
 			})
 		}
 	}
+	t.Run("feed-http", func(t *testing.T) {
+		url := serve(t, 97)
+		res, err := FeedHTTP(url, func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(log)), nil }, FeedOptions{})
+		if err != nil || res.Records != records || res.Generation != uint64(records) {
+			t.Fatalf("FeedHTTP = %+v, err %v; want %d records", res, err, records)
+		}
+		requireSameServed(t, url, ref, "an offline LoadLog")
+		requireSameFigures(t, url, ref, "an offline LoadLog")
+	})
 }
 
 // TestConcurrentStreamsOfBothFormats is the parity check for what streams
 // share: the record decoders draw their hello tables from one pool per format
 // (notary/hello.go), so a table warmed by one peer's stream decodes the next
 // peer's. Eight streams — TSV and binary, over HTTP and TCP, two of each —
-// feed disjoint slices of one log at the same time, and /scalars must come
-// out byte-identical to the offline load of the whole log. Run under -race.
+// feed disjoint slices of one log at the same time, while three readers poll
+// /healthz and /figures, and /scalars must come out byte-identical to the
+// offline load of the whole log. Run under -race.
 func TestConcurrentStreamsOfBothFormats(t *testing.T) {
 	log, offline := sharedLog(t)
 	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(61), WithQueueBound(64))
@@ -263,15 +214,8 @@ func TestConcurrentStreamsOfBothFormats(t *testing.T) {
 		go func(overTCP bool) {
 			defer wg.Done()
 			if !overTCP {
-				resp, err := http.Post(ts.URL+"/ingest", contentType, bytes.NewReader(body))
-				if err != nil {
-					t.Errorf("ingest: %v", err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("ingest status %d", resp.StatusCode)
+				if r := <-postIngest(ts.URL, contentType, bytes.NewReader(body)); r.status != http.StatusOK {
+					t.Errorf("ingest replied %+v", r)
 				}
 				return
 			}
@@ -294,7 +238,53 @@ func TestConcurrentStreamsOfBothFormats(t *testing.T) {
 			}
 		}(i/2%2 == 1)
 	}
+	// Readers poll while the streams land: each sees its generation only grow.
+	get := func(path string, v any) error {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		return json.NewDecoder(resp.Body).Decode(v)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var backwards atomic.Int64
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var health struct {
+					Generation uint64 `json:"generation"`
+				}
+				var figs []figureJSON
+				if err := errors.Join(get("/healthz", &health), get("/figures", &figs)); err != nil {
+					t.Errorf("a reader: %v", err)
+					return
+				}
+				if health.Generation < last {
+					backwards.Add(1)
+				}
+				last = health.Generation
+			}
+		}()
+	}
 	wg.Wait()
+	close(stop)
+	readers.Wait()
+	t.Run("ingest-and-query", func(t *testing.T) {
+		if _, _, gen, err := srv.Study().Counts(); err != nil || backwards.Load() != 0 || gen != uint64(offline.Aggregate().TotalRecords()) {
+			t.Errorf("final generation %d (err %v), %d readers saw it go backwards; want %d, none",
+				gen, err, backwards.Load(), offline.Aggregate().TotalRecords())
+		}
+	})
 
 	offlineScalars, err := offline.Scalars()
 	if err != nil {
@@ -317,8 +307,10 @@ func TestConcurrentStreamsOfBothFormats(t *testing.T) {
 // TestIngestBoundsPointFormatsOnEveryPath is the parity suite's refusal arm:
 // a point format is one byte, and a record naming format 0x100 is refused on
 // all four format × transport pairs alike — 400 over HTTP, an error line over
-// TCP, a study holding the one good record before it. The TSV reader used to
-// keep the low byte and acknowledge the record.
+// TCP, a study holding the one good record before it, which still snapshots.
+// The TSV reader used to keep the low byte and acknowledge the record. A line
+// that is no record, and one whose year no snapshot could carry, are refused
+// alike.
 func TestIngestBoundsPointFormatsOnEveryPath(t *testing.T) {
 	// Two records, alike but for client_pfs: 0000, then 0100,01ff.
 	line := func(pfs string) string {
@@ -357,15 +349,20 @@ func TestIngestBoundsPointFormatsOnEveryPath(t *testing.T) {
 		t.Fatalf("the hand-packed frame's first record is not the TSV line's (err %v)", err)
 	}
 
+	good := line("0000")
 	for _, p := range []struct {
 		name, contentType string
 		body              []byte
 		tcp               bool
+		names             string // what the refusal must name
 	}{
-		{"tsv-http", ContentTypeTSV, tsv, false},
-		{"binary-http", ContentTypeBatch, batch, false},
-		{"tsv-tcp", "", tsv, true},
-		{"binary-tcp", "", batch, true},
+		{"tsv-http", ContentTypeTSV, tsv, false, "0100"},
+		{"binary-http", ContentTypeBatch, batch, false, "element 256 out of range"},
+		{"tsv-tcp", "", tsv, true, "0100"},
+		{"binary-tcp", "", batch, true, "element 256 out of range"},
+		{"bad-line-keeps-prefix", ContentTypeTSV, []byte(good + "this is not a record\n"), false, "line 2"},
+		{"out-of-range-date-http", ContentTypeTSV, []byte(good + "9223372036854775807" + good[4:] + good), false, "line 2"},
+		{"out-of-range-date-tcp", "", []byte(good + "9223372036854775807" + good[4:] + good), true, "line 2"},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			srv := NewServer(core.NewLiveStudy())
@@ -398,21 +395,23 @@ func TestIngestBoundsPointFormatsOnEveryPath(t *testing.T) {
 			} else {
 				ts := httptest.NewServer(srv.Handler())
 				defer ts.Close()
-				resp, err := http.Post(ts.URL+"/ingest", p.contentType, bytes.NewReader(p.body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if reply = string(raw); resp.StatusCode != http.StatusBadRequest {
-					t.Fatalf("status %d (%s), want 400", resp.StatusCode, reply)
+				r := <-postIngest(ts.URL, p.contentType, bytes.NewReader(p.body))
+				if reply = r.Error; r.status != http.StatusBadRequest || r.Records != 1 {
+					t.Fatalf("ingest replied %+v, want 400 with the 1 record before the refusal", r)
 				}
 			}
-			if !strings.Contains(reply, "0100") && !strings.Contains(reply, "element 256 out of range") {
-				t.Errorf("reply %q does not name the element", reply)
+			if !strings.Contains(reply, p.names) {
+				t.Errorf("reply %q does not name %q", reply, p.names)
 			}
 			if records, _, _, err := srv.Study().Counts(); err != nil || records != 1 {
 				t.Errorf("study holds %d records (err %v), want the one before the refusal", records, err)
+			}
+			var snap bytes.Buffer
+			if _, err := srv.Study().WriteSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := notary.ReadSnapshot(&snap); err != nil {
+				t.Fatalf("the study's own snapshot does not decode: %v", err)
 			}
 		})
 	}
@@ -447,20 +446,9 @@ func TestIngestBatchRejection(t *testing.T) {
 			srv := NewServer(core.NewLiveStudy())
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
-			resp, err := http.Post(ts.URL+"/ingest", ContentTypeBatch, bytes.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var reply struct {
-				Error   string `json:"error"`
-				Records int    `json:"records"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d (%s), want 400", resp.StatusCode, reply.Error)
+			reply := <-postIngest(ts.URL, ContentTypeBatch, bytes.NewReader(tc.body))
+			if reply.status != http.StatusBadRequest {
+				t.Fatalf("status %d (%s), want 400", reply.status, reply.Error)
 			}
 			if !strings.Contains(reply.Error, "batch") {
 				t.Errorf("error %q lacks the batch frame tag", reply.Error)
@@ -481,37 +469,28 @@ func TestIngestBatchRejection(t *testing.T) {
 
 // TestDefaultServerIngestsThroughQueue pins the single ingest path: a server
 // built with no options owns a DefaultQueueBound merge queue, its ingest
-// reply describes applied state, /healthz carries the queue gauges, and
-// Close returns only after a shard still waiting in the queue has merged.
+// reply describes applied state, /healthz carries that state and the queue
+// gauges, and Close returns only after a shard still waiting in the queue has
+// merged.
 func TestDefaultServerIngestsThroughQueue(t *testing.T) {
 	log, _ := sharedLog(t)
-	post := func(url string) (ingestStats, int) {
-		resp, err := http.Post(url+"/ingest", ContentTypeTSV, bytes.NewReader(log))
-		if err != nil {
-			t.Error(err)
-			return ingestStats{}, 0
-		}
-		defer resp.Body.Close()
-		var st ingestStats
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Error(err)
-		}
-		return st, resp.StatusCode
-	}
-
 	srv := NewServer(core.NewLiveStudy())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	reply, status := post(ts.URL)
-	records, _, gen, err := srv.Study().Counts()
+	reply := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(log))
+	records, months, gen, err := srv.Study().Counts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != http.StatusOK || reply.Records == 0 || reply.Records != records || reply.Generation != gen {
-		t.Fatalf("ingest replied %d %+v, study holds %d records at generation %d", status, reply, records, gen)
+	if reply.status != http.StatusOK || reply.Records == 0 || reply.Records != records || reply.Generation != gen {
+		t.Fatalf("ingest replied %+v, study holds %d records at generation %d", reply, records, gen)
 	}
 	var health struct {
-		Queue struct {
+		Status     string `json:"status"`
+		Records    int    `json:"records"`
+		Months     int    `json:"months"`
+		Generation uint64 `json:"generation"`
+		Queue      struct {
 			Capacity int    `json:"capacity"`
 			Enqueued uint64 `json:"batches_enqueued"`
 			Merged   uint64 `json:"batches_merged"`
@@ -519,6 +498,9 @@ func TestDefaultServerIngestsThroughQueue(t *testing.T) {
 	}
 	if err := json.Unmarshal(mustGet(t, ts.URL+"/healthz"), &health); err != nil {
 		t.Fatal(err)
+	}
+	if health.Status != "ok" || health.Records != records || health.Months != months || months == 0 || health.Generation != gen {
+		t.Errorf("healthz = %+v, want status ok, %d records over %d months at generation %d", health, records, months, gen)
 	}
 	if q := health.Queue; q.Capacity != DefaultQueueBound || q.Enqueued == 0 || q.Merged != q.Enqueued {
 		t.Errorf("ingest_queue = %+v, want capacity %d with every shard merged", q, DefaultQueueBound)
@@ -533,12 +515,7 @@ func TestDefaultServerIngestsThroughQueue(t *testing.T) {
 	held := NewServer(core.NewLiveStudy(), Option(func(s *Server) { s.queueGate = gate }))
 	hts := httptest.NewServer(held.Handler())
 	defer hts.Close()
-	var heldReply ingestStats
-	posted := make(chan struct{})
-	go func() {
-		defer close(posted)
-		heldReply, _ = post(hts.URL)
-	}()
+	posted := postIngest(hts.URL, ContentTypeTSV, bytes.NewReader(log))
 	deadline := time.Now().Add(5 * time.Second)
 	for held.queue.enqueued.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -560,9 +537,8 @@ func TestDefaultServerIngestsThroughQueue(t *testing.T) {
 	if got, _, _, _ := held.Study().Counts(); got != records {
 		t.Errorf("study holds %d records after Close, want the drained %d", got, records)
 	}
-	<-posted
-	if heldReply.Records != records {
-		t.Errorf("held stream replied %d records, want %d", heldReply.Records, records)
+	if r := <-posted; r.Records != records {
+		t.Errorf("held stream replied %+v, want %d records", r, records)
 	}
 }
 
@@ -574,7 +550,7 @@ func TestDefaultServerIngestsThroughQueue(t *testing.T) {
 // exposes the shed in its queue gauges.
 func TestIngestQueueSaturationSheds(t *testing.T) {
 	log, _ := sharedLog(t)
-	batchA := transcodeBatch(t, tsvPrefix(t, log, 8), 2)
+	batchA := transcodeBatch(t, recordLines(t, log, 0, 8), 2)
 
 	gate := make(chan struct{})
 	var gateOnce sync.Once
@@ -623,7 +599,7 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(tsvPrefix(t, log, 1)); err != nil {
+	if _, err := conn.Write(recordLines(t, log, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
@@ -817,7 +793,7 @@ func TestRecycledShardParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt := NewRouter()
-			edge := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithQueueBound(countRecords(log)), WithPusher(p))
+			edge := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithQueueBound(len(recordsOf(t, log))), WithPusher(p))
 			if err := rt.Add("edge", edge); err != nil {
 				t.Fatal(err)
 			}
@@ -837,14 +813,8 @@ func TestRecycledShardParity(t *testing.T) {
 			postTSV(t, edgeURL, chunks[0])
 			concurrentStreams(t, edgeURL, chunks[1], chunks[2], chunks[3])
 			flushUntilAcked(t, p)
-			resp, err := http.Post(edgeURL+"/ingest", ContentTypeBatch, bytes.NewReader(transcodeBatch(t, chunks[4], 37)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("binary ingest: status %d", resp.StatusCode)
+			if r := <-postIngest(edgeURL, ContentTypeBatch, bytes.NewReader(transcodeBatch(t, chunks[4], 37))); r.status != http.StatusOK {
+				t.Fatalf("binary ingest replied %+v", r)
 			}
 			for _, body := range [][]byte{chunks[5], transcodeBatch(t, chunks[6], 53), chunks[7]} {
 				conn, err := net.Dial("tcp", ln.Addr().String())
@@ -868,7 +838,7 @@ func TestRecycledShardParity(t *testing.T) {
 				t.Fatalf("ServeTCP: %v", err)
 			}
 
-			requireServedParity(t, edgeURL, log)
+			requireSameServed(t, edgeURL, serveLog(t, log), "an offline LoadLog")
 			requireSameServed(t, ts.URL+"/studies/all", edgeURL, "the edge")
 			requireSameServed(t, upTS.URL, edgeURL, "the edge")
 			agg := edge.Study().Aggregate()

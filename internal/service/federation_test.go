@@ -468,25 +468,8 @@ func TestFederationParity(t *testing.T) {
 		"count(established)",
 		"mean(pct(version:tls12 / established))",
 	} {
-		body, err := json.Marshal(map[string]string{"query": q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		post := func(url string) []byte {
-			resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("POST %s %q: %d %v: %s", url, q, resp.StatusCode, err, raw)
-			}
-			return raw
-		}
-		got := post(coreTS.URL + "/studies/global")
-		want := post(refTS.URL)
-		if !bytes.Equal(got, want) {
+		_, got := postQuery(t, coreTS.URL+"/studies/global/query", q)
+		if _, want := postQuery(t, refTS.URL+"/query", q); !bytes.Equal(got, want) {
 			t.Errorf("query %q: federated answer differs:\n%s\n---\n%s", q, got, want)
 		}
 	}
@@ -571,12 +554,12 @@ func TestFederationParity(t *testing.T) {
 // have truncated). Every crash leaves a torn final log line.
 func TestEdgeRestartNoReship(t *testing.T) {
 	log, _ := sharedLog(t)
-	total := countRecords(log)
+	total := len(recordsOf(t, log))
 	if total < 30 {
 		t.Fatalf("shared log too small for the restart scenarios: %d records", total)
 	}
 	k1, k2 := total/3, 2*total/3
-	torn := recordLines(t, log, 0, 1)
+	torn := recordLines(t, log, 1, 2)
 	torn = torn[:len(torn)/2]
 
 	// edge is one scenario's handle on the edge node across its sessions.
@@ -610,7 +593,7 @@ func TestEdgeRestartNoReship(t *testing.T) {
 			}
 		}
 		requireCore("after the restart scenario")
-		requireServedParity(t, ts.URL, log)
+		requireSameServed(t, ts.URL, serveLog(t, log), "an offline LoadLog")
 		e.testNode = startNode(t, e.cfg)
 		if _, queued := e.narrated("queued for push"); queued {
 			t.Fatal("a clean restart found records to re-ship")
@@ -762,87 +745,5 @@ func TestEdgeCursorPersistFailureShowsInHealthz(t *testing.T) {
 	}
 	if _, _, gen, err := coreSrv.Study().Counts(); err != nil || gen != 2*half {
 		t.Fatalf("core at generation %d (err %v), want %d", gen, err, 2*half)
-	}
-}
-
-// TestScanCampaignMergeParity: POST /merge doubles as the ingest path for
-// externally-run scan campaigns — a pre-aggregated sweep pushed as one
-// delta answers every query byte-identical to `tlstrend scansweep -serve`
-// hosting the same reports locally (core.NewScanStudy).
-func TestScanCampaignMergeParity(t *testing.T) {
-	months := []timeline.Month{
-		timeline.M(2015, time.September),
-		timeline.M(2016, time.June),
-		timeline.M(2018, time.May),
-	}
-	reports := []*core.CampaignReport{
-		scanReport(200, 90, 180, 22, 108, 1, 68, 38, 56, 3),
-		scanReport(150, 55, 140, 12, 70, 1, 48, 21, 30, 1),
-		scanReport(180, 45, 175, 6, 63, 0, 61, 34, 2, 0),
-	}
-
-	// The local path: the sweep's own study, as scansweep -serve hosts it.
-	local, err := core.NewScanStudy(months, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localTS := httptest.NewServer(NewServer(local).Handler())
-	defer localTS.Close()
-
-	// The federated path: the campaign aggregates externally and pushes one
-	// delta to an empty hosted study.
-	agg, err := core.ScanAggregate(months, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosted := NewServer(core.NewLiveStudy())
-	defer hosted.Close()
-	hostedTS := httptest.NewServer(hosted.Handler())
-	defer hostedTS.Close()
-	ack, err := federation.PushDelta(hostedTS.URL, &federation.Delta{Source: "campaign-2018", Agg: agg}, nil)
-	if err != nil {
-		t.Fatalf("PushDelta: %v", err)
-	}
-	if ack.Records != agg.Generation() {
-		t.Fatalf("campaign push applied %d records, want %d", ack.Records, agg.Generation())
-	}
-
-	for _, q := range []string{
-		"pct(version:ssl3 / total)",
-		"pct(class:rc4 / total)",
-		"pct(class:cbc / total)",
-		"pct(class:3des / total)",
-		"pct(adv-rc4 / total)",
-		"pct(adv-export / total)",
-		"pct(offers-heartbeat / total)",
-		"pct(heartbeat-ack / total)",
-		"at(pct(class:rc4 / total), 2015-09)",
-	} {
-		body, err := json.Marshal(map[string]string{"query": q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		post := func(url string) []byte {
-			resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("POST %s %q: %d %v: %s", url, q, resp.StatusCode, err, raw)
-			}
-			return raw
-		}
-		got := post(hostedTS.URL)
-		want := post(localTS.URL)
-		if !bytes.Equal(got, want) {
-			t.Errorf("query %q: merged campaign differs from local scan study:\n%s\n---\n%s", q, got, want)
-		}
-	}
-	got := mustGet(t, hostedTS.URL+"/scalars")
-	want := mustGet(t, localTS.URL+"/scalars")
-	if !bytes.Equal(got, want) {
-		t.Fatal("merged campaign /scalars differs from local scan study")
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -21,44 +20,6 @@ import (
 // The -out log is written by the merge loop: a shard's frame goes to the log
 // before the shard merges, so the log holds exactly the merged shards, in
 // merge order. These tests fail wherever records reach the log any other way.
-
-// ingestReply is what a POST /ingest answered.
-type ingestReply struct{ status, records int }
-
-// postIngest POSTs a TSV stream and returns the reply on a channel, so a test
-// can hold the merge loop while the stream waits for it.
-func postIngest(url string, body io.Reader) <-chan ingestReply {
-	out := make(chan ingestReply, 1)
-	go func() {
-		resp, err := http.Post(url+"/ingest", ContentTypeTSV, body)
-		if err != nil {
-			out <- ingestReply{}
-			return
-		}
-		defer resp.Body.Close()
-		var reply struct {
-			Records int `json:"records"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&reply)
-		out <- ingestReply{resp.StatusCode, reply.Records}
-	}()
-	return out
-}
-
-// logRecords counts the records of the log at path.
-func logRecords(t *testing.T, path string) uint64 {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var n uint64
-	if err := notary.ReadLog(f, notary.SinkFunc(func(*notary.Record) error { n++; return nil })); err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
 
 // openTestLog opens a fresh -out log in a temporary directory.
 func openTestLog(t *testing.T) (*os.File, string) {
@@ -112,14 +73,14 @@ func TestShedShardLeavesTheLog(t *testing.T) {
 
 	// Two one-record streams fill the queue: the loop takes the first and
 	// parks on the gate, the second waits in the channel.
-	held := []<-chan ingestReply{postIngest(ts.URL, bytes.NewReader(recordLines(t, log, 0, 1)))}
+	held := []<-chan ingestReply{postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(recordLines(t, log, 0, 1)))}
 	waitFor(t, "the loop to take the first shard", func() bool { return q.enqueued.Load() == 1 && len(q.ch) == 0 })
-	held = append(held, postIngest(ts.URL, bytes.NewReader(recordLines(t, log, 1, 2))))
+	held = append(held, postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(recordLines(t, log, 1, 2))))
 	waitFor(t, "the second shard to fill the queue", func() bool { return len(q.ch) == 1 })
 
 	// A one-shard stream is shed cleanly, and retried once the queue drains.
 	clean := recordLines(t, log, 2, 4)
-	if r := <-postIngest(ts.URL, bytes.NewReader(clean)); r.status != http.StatusTooManyRequests || r.records != 0 {
+	if r := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(clean)); r.status != http.StatusTooManyRequests || r.Records != 0 {
 		t.Fatalf("clean shed replied %+v, want 429 with nothing applied", r)
 	}
 	release()
@@ -128,19 +89,19 @@ func TestShedShardLeavesTheLog(t *testing.T) {
 			t.Fatalf("held stream replied %+v", r)
 		}
 	}
-	retried := postIngest(ts.URL, bytes.NewReader(clean))
+	retried := postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(clean))
 	gate <- struct{}{}
-	if r := <-retried; r.status != http.StatusOK || r.records != 2 {
+	if r := <-retried; r.status != http.StatusOK || r.Records != 2 {
 		t.Fatalf("retried stream replied %+v, want 200 with 2 records", r)
 	}
 
 	// A three-shard stream with the loop parked: its first shard is taken, a
 	// later one is shed, and the stream stops there.
-	partial := postIngest(ts.URL, bytes.NewReader(recordLines(t, log, 4, 10)))
+	partial := postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(recordLines(t, log, 4, 10)))
 	waitFor(t, "the part-way shed", func() bool { return q.shedFull.Load() == 2 })
 	release()
 	r := <-partial
-	if r.status != http.StatusTooManyRequests || r.records == 0 || r.records >= 6 {
+	if r.status != http.StatusTooManyRequests || r.Records == 0 || r.Records >= 6 {
 		t.Fatalf("part-way shed replied %+v, want 429 with part of the stream applied", r)
 	}
 
@@ -148,10 +109,14 @@ func TestShedShardLeavesTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := uint64(4 + r.records); gen != want {
+	if want := uint64(4 + r.Records); gen != want {
 		t.Fatalf("served generation %d, want %d", gen, want)
 	}
-	if n := logRecords(t, path); n != gen {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := uint64(len(recordsOf(t, raw))); n != gen {
 		t.Fatalf("the log holds %d records, the study %d: shed shards reached the log", n, gen)
 	}
 	requireRecoversToServed(t, "", path, ts.URL, gen)
@@ -169,7 +134,7 @@ func concurrentStreams(t *testing.T, url string, streams ...[]byte) {
 	replies := make([]<-chan ingestReply, len(streams))
 	for i := range streams {
 		pr, pw := io.Pipe()
-		writers[i], replies[i] = pw, postIngest(url, pr)
+		writers[i], replies[i] = pw, postIngest(url, ContentTypeTSV, pr)
 	}
 	for more := true; more; {
 		more = false
@@ -202,7 +167,7 @@ func concurrentStreams(t *testing.T, url string, streams ...[]byte) {
 // — must equal the shards that merged past the cursor. Run under -race in CI.
 func TestConcurrentStreamsCrashRecoversAcknowledged(t *testing.T) {
 	log, _ := sharedLog(t)
-	total := countRecords(log)
+	total := len(recordsOf(t, log))
 	f, path := openTestLog(t)
 	snaps := filepath.Join(filepath.Dir(path), "snaps")
 
@@ -299,10 +264,10 @@ func TestFailedLogWriteStopsTheLog(t *testing.T) {
 	defer ts.Close()
 
 	// Shards of 17, 17 and 16 records: the third one's write fails.
-	if r := <-postIngest(ts.URL, bytes.NewReader(recordLines(t, log, 0, 50))); r.status != http.StatusInternalServerError {
+	if r := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(recordLines(t, log, 0, 50))); r.status != http.StatusInternalServerError {
 		t.Fatalf("the stream whose write failed replied %+v, want 500", r)
 	}
-	if r := <-postIngest(ts.URL, bytes.NewReader(recordLines(t, log, 50, 60))); r.status != http.StatusInternalServerError {
+	if r := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(recordLines(t, log, 50, 60))); r.status != http.StatusInternalServerError {
 		t.Fatalf("a stream after the failed write replied %+v, want 500", r)
 	}
 	if calls := w.calls.Load(); calls != w.n {
@@ -337,7 +302,7 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 func TestLogWritesFollowShards(t *testing.T) {
 	log, _ := sharedLog(t)
 	const n = 16
-	records := countRecords(log)
+	records := len(recordsOf(t, log))
 	if records < 4*8*n {
 		t.Fatalf("shared log too small for shards of %d: %d records", 8*n, records)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -153,39 +154,17 @@ func (tn *testNode) generation(t *testing.T) uint64 {
 	return gen
 }
 
-// postTSV ingests a TSV stream over HTTP and requires a clean 200.
-func postTSV(t *testing.T, url string, body []byte) {
-	t.Helper()
-	resp, err := http.Post(url+"/ingest", ContentTypeTSV, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s/ingest: %d: %s", url, resp.StatusCode, raw)
-	}
-}
-
-// paritySweep is the query sweep the restart tests compare byte for byte.
+// paritySweep is the query sweep served parity compares byte for byte, the
+// fp:/agent: families among it.
 var paritySweep = []string{
 	"pct(version:tls12 / established)",
 	"pct(class:rc4 / established)",
 	"pct(fp:* / established)",
+	"pct(agent:libraries / fp-conns)",
 	"over(agent:* / fp-conns)",
+	"count(fp:other)",
 	"count(total)",
 	"mean(pct(version:tls12 / established))",
-}
-
-// requireServedParity compares /scalars and the query sweep served at url
-// with an offline LoadLog of want, byte for byte.
-func requireServedParity(t *testing.T, url string, want []byte) {
-	t.Helper()
-	var offline core.Study
-	if err := offline.LoadLog(bytes.NewReader(want)); err != nil {
-		t.Fatal(err)
-	}
-	requireSameServed(t, url, serveStudy(t, &offline), "an offline LoadLog")
 }
 
 // serveStudy serves st on loopback for the rest of the test and returns the
@@ -201,32 +180,62 @@ func serveStudy(t *testing.T, st *core.Study) string {
 	return ts.URL
 }
 
-// requireSameServed compares /scalars and the query sweep served at url with
-// those served at ref (what ref is, for the message), byte for byte.
-func requireSameServed(t *testing.T, url, ref, what string) {
+// serveLog serves an offline LoadLog of log, the parity reference, and
+// returns its base URL.
+func serveLog(t *testing.T, log []byte) string {
+	t.Helper()
+	var offline core.Study
+	if err := offline.LoadLog(bytes.NewReader(log)); err != nil {
+		t.Fatal(err)
+	}
+	return serveStudy(t, &offline)
+}
+
+// requireSameServed is served parity: url serves what ref serves (what ref
+// is, for the message) — /scalars and each query byte for byte, paritySweep
+// unless queries are given.
+func requireSameServed(t *testing.T, url, ref, what string, queries ...string) {
 	t.Helper()
 	if got, want := mustGet(t, url+"/scalars"), mustGet(t, ref+"/scalars"); !bytes.Equal(got, want) {
 		t.Fatalf("/scalars differs from %s:\n%s\n---\n%s", what, got, want)
 	}
-	for _, q := range paritySweep {
-		body, err := json.Marshal(map[string]string{"query": q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		post := func(base string) []byte {
-			resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("POST %s/query %q: %d %v: %s", base, q, resp.StatusCode, err, raw)
-			}
-			return raw
-		}
-		if got, want := post(url), post(ref); !bytes.Equal(got, want) {
+	if len(queries) == 0 {
+		queries = paritySweep
+	}
+	for _, q := range queries {
+		_, got := postQuery(t, url+"/query", q)
+		if _, want := postQuery(t, ref+"/query", q); !bytes.Equal(got, want) {
 			t.Errorf("query %q differs from %s:\n%s\n---\n%s", q, what, got, want)
+		}
+	}
+}
+
+// requireSameFigures is served parity for /figures, which requireSameServed
+// leaves out: every point of every figure url serves equals ref's within 1e-9,
+// because Figure 5's relative-position series sums float64 accumulators whose
+// merge order follows the shard cadence.
+func requireSameFigures(t *testing.T, url, ref, what string) {
+	t.Helper()
+	var got, want []figureJSON
+	if json.Unmarshal(mustGet(t, url+"/figures"), &got) != nil || json.Unmarshal(mustGet(t, ref+"/figures"), &want) != nil ||
+		len(got) != len(want) {
+		t.Fatalf("/figures: %d figures, %s serves %d", len(got), what, len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.ID != w.ID || len(g.Series) != len(w.Series) {
+			t.Fatalf("figure %d: %s with %d series, %s serves %s with %d", i, g.ID, len(g.Series), what, w.ID, len(w.Series))
+		}
+		for j, ws := range w.Series {
+			gs := g.Series[j]
+			if gs.Name != ws.Name || len(gs.Points) != len(ws.Points) {
+				t.Fatalf("%s series %d: %s/%d points, %s serves %s/%d", w.ID, j, gs.Name, len(gs.Points), what, ws.Name, len(ws.Points))
+			}
+			for k, wp := range ws.Points {
+				if gp := gs.Points[k]; gp.Month != wp.Month || math.Abs(gp.Value-wp.Value) > 1e-9 {
+					t.Fatalf("%s %s @%s = %v, %s serves %v", w.ID, ws.Name, wp.Month, gp.Value, what, wp.Value)
+				}
+			}
 		}
 	}
 }
@@ -241,11 +250,34 @@ func requireSameServed(t *testing.T, url, ref, what string) {
 // in between: a reopen that truncates the log before its records are in a
 // snapshot only shows at the restart after it.
 func TestOpenRestartParity(t *testing.T) {
-	log, _ := sharedLog(t)
-	total := countRecords(log)
+	log, offline := sharedLog(t)
+	total := len(recordsOf(t, log))
 	half := total / 2
-	torn := recordLines(t, log, 0, 1)
+	torn := recordLines(t, log, 1, 2)
 	torn = torn[:len(torn)/2]
+
+	// A snapshot at any point k and the whole log recover to the whole log;
+	// neither recovers to an empty study.
+	t.Run("restart-parity-sweep", func(t *testing.T) {
+		logPath := filepath.Join(t.TempDir(), "conn.log")
+		if err := os.WriteFile(logPath, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, 1, 7, half, total - 1, total} {
+			dir := t.TempDir()
+			if _, gen, err := WriteStudySnapshot(dir, studyFromLog(t, recordLines(t, log, 0, k)), 0); err != nil || gen != uint64(k) {
+				t.Fatalf("k=%d: snapshot at generation %d, err %v", k, gen, err)
+			}
+			rec, info, err := RecoverStudy(dir, logPath, t.Logf)
+			if err != nil || info.SnapshotRecords != uint64(k) || info.ReplayedRecords != uint64(total-k) ||
+				!bytes.Equal(scalarsBytes(t, rec), scalarsBytes(t, offline)) {
+				t.Fatalf("k=%d: recovered %+v, err %v; want %d + %d records serving the whole log's scalars", k, info, err, k, total-k)
+			}
+		}
+		if _, info, err := RecoverStudy(t.TempDir(), filepath.Join(t.TempDir(), "absent.log"), t.Logf); err != nil || info.Records() != 0 {
+			t.Fatalf("recovery from nothing: %+v, err %v", info, err)
+		}
+	})
 
 	for _, snapshots := range []bool{true, false} {
 		for _, stop := range []string{"close", "crash"} {
@@ -254,18 +286,23 @@ func TestOpenRestartParity(t *testing.T) {
 				cfg := Config{TCP: "127.0.0.1:0", Out: filepath.Join(dir, "conn.log"), Flush: 61}
 				if snapshots {
 					// The record-count trigger leaves mid-run snapshots that
-					// trail the log at the crash.
+					// trail the log at a crash.
 					cfg.SnapshotDir = filepath.Join(dir, "snaps")
-					cfg.SnapshotEvery = 200
+					cfg.SnapshotEvery = 120
 				}
-				// requireLogShape checks the reopened log against the recovered
-				// generation.
-				requireLogShape := func(gen int) {
-					t.Helper()
-					raw, err := os.ReadFile(cfg.Out)
-					if err != nil {
-						t.Fatal(err)
+				// newestSnapshot is the generation of the newest snapshot.
+				newestSnapshot := func(t *testing.T) uint64 {
+					snaps, err := listSnapshots(cfg.SnapshotDir)
+					if err != nil || len(snaps) == 0 {
+						t.Fatalf("no snapshot (err %v)", err)
 					}
+					gen, _ := parseSnapshotName(filepath.Base(snaps[0]))
+					return gen
+				}
+				// requireLogShape checks a reopened log, raw, against the
+				// recovered generation.
+				requireLogShape := func(t *testing.T, raw []byte, gen int) {
+					t.Helper()
 					if snapshots {
 						if want := notary.LogBaseDirective(uint64(gen)); string(raw) != want {
 							t.Fatalf("reopened log is %q, want just %q", raw, want)
@@ -281,17 +318,26 @@ func TestOpenRestartParity(t *testing.T) {
 					if err := lw.Flush(); err != nil {
 						t.Fatal(err)
 					}
-					if want := logPrefix(t, log, gen); !bytes.Equal(relogged.Bytes(), want) {
+					if want := recordLines(t, log, 0, gen); !bytes.Equal(relogged.Bytes(), want) {
 						t.Fatalf("reopened append-mode log holds %d bytes of records, want the clean prefix of %d records (torn tail trimmed, nothing truncated)",
 							relogged.Len(), gen)
 					}
 				}
+				readLog := func() []byte {
+					raw, err := os.ReadFile(cfg.Out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return raw
+				}
 
+				// The nodes start and stop here; the subtests only assert, so
+				// each runs alone and a failing one leaves no node behind.
 				// Session 1: the first half over HTTP, the rest of the first
 				// three quarters over raw TCP.
 				durable := half + total/4
 				n := startNode(t, cfg)
-				postTSV(t, n.http, logPrefix(t, log, half))
+				postTSV(t, n.http, recordLines(t, log, 0, half))
 				tail := recordLines(t, log, half, durable)
 				if _, err := FeedTCP(n.tcp, func() (io.ReadCloser, error) {
 					return io.NopCloser(bytes.NewReader(tail)), nil
@@ -302,44 +348,76 @@ func TestOpenRestartParity(t *testing.T) {
 					n.shutdown(t)
 				} else {
 					n.crash(t, torn)
-					if snapshots {
-						snaps, err := listSnapshots(cfg.SnapshotDir)
-						if err != nil || len(snaps) == 0 {
-							t.Fatalf("no mid-run snapshot at the crash (err %v)", err)
-						}
-						if gen, _ := parseSnapshotName(filepath.Base(snaps[0])); gen >= uint64(durable) {
-							t.Fatalf("newest snapshot at the crash covers generation %d, want it to trail the log's %d records", gen, durable)
-						}
+					if snapshots && newestSnapshot(t) >= uint64(durable) {
+						t.Fatalf("newest snapshot at the crash covers generation %d, want it to trail the log's %d records", newestSnapshot(t), durable)
 					}
 				}
 
-				// Session 2: everything that reached the log is back.
+				// Session 2: everything that reached the log is back — after a
+				// crash, past a torn tail and from a snapshot that trails it.
 				n = startNode(t, cfg)
-				if gen := n.generation(t); gen != uint64(durable) {
-					t.Fatalf("reopened at generation %d, want the %d durable records", gen, durable)
-				}
-				requireServedParity(t, n.http, logPrefix(t, log, durable))
-				requireLogShape(durable)
+				t.Run("recovers-durable", func(t *testing.T) {
+					if gen := n.generation(t); gen != uint64(durable) {
+						t.Fatalf("reopened at generation %d, want the %d durable records", gen, durable)
+					}
+					requireSameServed(t, n.http, serveLog(t, recordLines(t, log, 0, durable)), "an offline LoadLog")
+				})
+				// The log is left as the next recovery needs it: rebased behind
+				// "#base <generation>" with snapshots; without, appended to,
+				// the torn tail trimmed and nothing truncated — also after a
+				// kill straight after the reopen, which shows a reopen that
+				// truncated records no snapshot holds.
+				reopened := readLog()
+				var again uint64
 				if stop == "crash" {
-					// Session 3, straight after another kill.
 					n.crash(t, nil)
 					n = startNode(t, cfg)
-					if gen := n.generation(t); gen != uint64(durable) {
-						t.Fatalf("second reopen at generation %d, want %d: the first reopen lost records", gen, durable)
-					}
-					requireLogShape(durable)
+					again = n.generation(t)
 				}
+				t.Run("log-shape", func(t *testing.T) {
+					requireLogShape(t, reopened, durable)
+					if stop == "crash" {
+						if again != uint64(durable) {
+							t.Fatalf("second reopen at generation %d, want %d: the first reopen lost records", again, durable)
+						}
+						requireLogShape(t, readLog(), durable)
+					}
+				})
 
 				// The recovered node keeps collecting, and a last restart sees
-				// the whole log.
+				// the whole log. The crash arms stop with another kill; with
+				// snapshots its newest lies past the rebased log's #base, so
+				// recovery skips by generation, not by line: it loads the
+				// newest snapshot and replays only the records past it.
 				postTSV(t, n.http, recordLines(t, log, durable, total))
-				n.shutdown(t)
+				if stop == "close" {
+					n.shutdown(t)
+				} else {
+					n.crash(t, nil)
+				}
+				var newest, base uint64
+				if snapshots {
+					newest, base = newestSnapshot(t), uint64(durable)
+				}
+				_, info, err := RecoverStudy(cfg.SnapshotDir, cfg.Out, t.Logf)
+				if err != nil {
+					t.Fatal(err)
+				}
 				n = startNode(t, cfg)
 				defer n.shutdown(t)
-				if gen := n.generation(t); gen != uint64(total) {
-					t.Fatalf("final reopen at generation %d, want %d", gen, total)
-				}
-				requireServedParity(t, n.http, log)
+				t.Run("keeps-ingesting", func(t *testing.T) {
+					if stop == "crash" && snapshots && newest <= base {
+						t.Fatalf("newest snapshot at generation %d, want one past the #base %d", newest, base)
+					}
+					if info.LogBase != base || info.SnapshotRecords != newest || info.ReplayedRecords != uint64(total)-newest {
+						t.Fatalf("last recovery: %d snapshot + %d replayed records (log base %d), want %d + %d (base %d)",
+							info.SnapshotRecords, info.ReplayedRecords, info.LogBase, newest, uint64(total)-newest, base)
+					}
+					if gen := n.generation(t); gen != uint64(total) {
+						t.Fatalf("final reopen at generation %d, want %d", gen, total)
+					}
+					requireSameServed(t, n.http, serveLog(t, log), "an offline LoadLog")
+				})
 			})
 		}
 	}
@@ -353,7 +431,7 @@ func TestOpenRestartParity(t *testing.T) {
 // counted, and a kill after it recovers everything that was acknowledged.
 func TestOpenHostileTLSBRecordKeepsTheLogTail(t *testing.T) {
 	log, _ := sharedLog(t)
-	total := countRecords(log)
+	total := len(recordsOf(t, log))
 	half := total / 2
 	for name, c := range map[string]struct{ cohort, fp string }{
 		"tab in cohort": {cohort: "modern\tecdhe"},
@@ -370,15 +448,9 @@ func TestOpenHostileTLSBRecordKeepsTheLogTail(t *testing.T) {
 
 			cfg := Config{Out: filepath.Join(t.TempDir(), "conn.log"), Flush: 61}
 			n := startNode(t, cfg)
-			postTSV(t, n.http, logPrefix(t, log, half))
-			resp, err := http.Post(n.http+"/ingest", ContentTypeBatch, &frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("hostile frame: %d: %s, want 400", resp.StatusCode, raw)
+			postTSV(t, n.http, recordLines(t, log, 0, half))
+			if r := <-postIngest(n.http, ContentTypeBatch, &frame); r.status != http.StatusBadRequest {
+				t.Fatalf("hostile frame replied %+v, want 400", r)
 			}
 			postTSV(t, n.http, recordLines(t, log, half, total))
 
@@ -388,7 +460,7 @@ func TestOpenHostileTLSBRecordKeepsTheLogTail(t *testing.T) {
 			if gen := n.generation(t); gen != uint64(total) {
 				t.Fatalf("reopened at generation %d, want all %d acknowledged records", gen, total)
 			}
-			requireServedParity(t, n.http, log)
+			requireSameServed(t, n.http, serveLog(t, log), "an offline LoadLog")
 		})
 	}
 }
@@ -435,7 +507,7 @@ func TestOpenFailureReleasesEverything(t *testing.T) {
 	durable := func(t *testing.T) Config {
 		dir := t.TempDir()
 		out := filepath.Join(dir, "conn.log")
-		if err := os.WriteFile(out, logPrefix(t, log, 40), 0o644); err != nil {
+		if err := os.WriteFile(out, recordLines(t, log, 0, 40), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return Config{Out: out, SnapshotDir: filepath.Join(dir, "snaps"), SnapshotInterval: time.Hour,

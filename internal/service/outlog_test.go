@@ -194,9 +194,9 @@ func TestTSVLogCutAtEveryOffsetContinuesAsFrames(t *testing.T) {
 	recs := recordsOf(t, log)
 	const lines = 12
 	old, fresh := recs[:lines], recs[20:33]
-	whole := logPrefix(t, log, lines)
-	start := len(logPrefix(t, log, lines-2))
-	last := len(logPrefix(t, log, lines-1))
+	whole := recordLines(t, log, 0, lines)
+	start := len(recordLines(t, log, 0, lines-2))
+	last := len(recordLines(t, log, 0, lines-1))
 	path := filepath.Join(t.TempDir(), "conn.log")
 	for cut := start; cut <= len(whole); cut++ {
 		kept, lineStart := lines-2, start
@@ -238,7 +238,7 @@ func TestCommittedLogsRecoverToPinnedScalars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := append(logPrefix(t, tsv, 75), v3[second:]...)
+	mixed := append(recordLines(t, tsv, 0, 75), v3[second:]...)
 	for name, log := range map[string][]byte{"tsv": tsv, "v3": v3, "mixed": mixed} {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{Out: filepath.Join(t.TempDir(), "conn.log")}

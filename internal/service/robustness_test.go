@@ -34,15 +34,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func holdIngestSlot(t *testing.T, srv *Server, url string) (release func()) {
 	t.Helper()
 	pr, pw := io.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := http.Post(url+"/ingest", "text/tab-separated-values", pr)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
+	done := postIngest(url, ContentTypeTSV, pr)
 	waitFor(t, "the held stream to enter ingest", func() bool { return srv.inFlight.Load() == 1 })
 	return func() {
 		pw.Close()
@@ -55,7 +47,8 @@ func holdIngestSlot(t *testing.T, srv *Server, url string) (release func()) {
 // contract on both transports: over HTTP a 429 with a Retry-After header and
 // healthz gauges that report the saturation, over raw TCP the status line
 // "busy <seconds>"; and a retrying feeder of each kind that eventually lands
-// the stream (over HTTP no sooner than Retry-After).
+// the stream (over HTTP no sooner than Retry-After). A stream that reaches a
+// closed server's merge queue is shed the same way.
 func TestIngestBackpressure(t *testing.T) {
 	log, offline := sharedLog(t)
 	for _, transport := range []string{"http", "tcp"} {
@@ -88,16 +81,11 @@ func TestIngestBackpressure(t *testing.T) {
 					t.Fatalf("saturated tcp reply = %q", got)
 				}
 			} else {
-				resp, err := http.Post(ts.URL+"/ingest", ContentTypeTSV, bytes.NewReader(log))
-				if err != nil {
-					t.Fatal(err)
+				r := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(log))
+				if r.status != http.StatusTooManyRequests {
+					t.Fatalf("saturated ingest replied %+v, want 429", r)
 				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusTooManyRequests {
-					t.Fatalf("saturated ingest status %d, want 429 (%s)", resp.StatusCode, body)
-				}
-				if got := resp.Header.Get("Retry-After"); got != fmt.Sprint(DefaultRetryAfter) {
+				if got := r.header.Get("Retry-After"); got != fmt.Sprint(DefaultRetryAfter) {
 					t.Fatalf("Retry-After = %q, want %d", got, DefaultRetryAfter)
 				}
 				// healthz exposes the gauges while still saturated.
@@ -146,6 +134,19 @@ func TestIngestBackpressure(t *testing.T) {
 			}
 		})
 	}
+	// The queue is closed, so the stream's shard is shed with 429 and nothing
+	// applied, never sent on the closed channel.
+	t.Run("closed", func(t *testing.T) {
+		srv := NewServer(core.NewLiveStudy())
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if r := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(log)); r.status != http.StatusTooManyRequests || r.Records != 0 {
+			t.Fatalf("ingest after Close replied %+v, want 429 with no records", r)
+		}
+	})
 }
 
 // TestFeedRetryGivesUp: a server that stays saturated exhausts the retry
@@ -233,23 +234,14 @@ func TestIngestMaxBodyBytes(t *testing.T) {
 			srv := NewServer(core.NewLiveStudy(), WithFlushEvery(1), WithMaxBodyBytes(int64(limit)))
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
-			resp, err := http.Post(ts.URL+"/ingest", ContentTypeTSV, bytes.NewReader(log))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var reply struct {
-				Error   string `json:"error"`
-				Records int    `json:"records"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&reply)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge {
-				t.Fatalf("status %d (%+v, err %v), want 413", resp.StatusCode, reply, err)
+			reply := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(log))
+			if reply.status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("ingest replied %+v, want 413", reply)
 			}
 			if want := fmt.Sprintf("the %d-byte ingest cap", limit); !strings.Contains(reply.Error, want) {
 				t.Errorf("error %q does not name %s", reply.Error, want)
 			}
-			whole := countRecords(log[:bytes.LastIndexByte(log[:limit], '\n')+1])
+			whole := len(recordsOf(t, log[:bytes.LastIndexByte(log[:limit], '\n')+1]))
 			records, _, _, err := srv.Study().Counts()
 			if err != nil || records != whole || reply.Records != whole {
 				t.Errorf("study holds %d records (err %v), reply says %d; want the %d whole lines below the cap",
@@ -279,14 +271,8 @@ func TestIngestInternalErrorIs500(t *testing.T) {
 	srv := NewServer(core.NewLiveStudy(), WithLogSink(&failingSink{n: 5}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/ingest", "text/tab-separated-values", bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500 (%s)", resp.StatusCode, body)
+	if r := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(log)); r.status != http.StatusInternalServerError {
+		t.Fatalf("ingest replied %+v, want 500", r)
 	}
 }
 

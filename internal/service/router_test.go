@@ -14,30 +14,15 @@ import (
 	"tlsage/internal/core"
 )
 
-// postQuery sends one expression to a /query endpoint and decodes the reply.
-func postQuery(t *testing.T, url, expr string) (analysis.QueryResult, *http.Response) {
+// queryResult is postQuery's reply, decoded.
+func queryResult(t *testing.T, url, expr string) (analysis.QueryResult, http.Header) {
 	t.Helper()
-	body, err := json.Marshal(map[string]string{"query": expr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s %q: %d: %s", url, expr, resp.StatusCode, raw)
-	}
+	header, raw := postQuery(t, url, expr)
 	var res analysis.QueryResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatalf("decoding query result: %v\n%s", err, raw)
 	}
-	return res, resp
+	return res, header
 }
 
 // TestRouterTwoStudyQueryParity is the e2e acceptance check for the query
@@ -73,18 +58,10 @@ func TestRouterTwoStudyQueryParity(t *testing.T) {
 		path string
 		body []byte
 	}{
-		{"/studies/alpha/ingest", log},
-		{"/studies/beta/ingest", betaLog.Bytes()},
+		{"/studies/alpha", log},
+		{"/studies/beta", betaLog.Bytes()},
 	} {
-		resp, err := http.Post(ts.URL+feed.path, "text/tab-separated-values", bytes.NewReader(feed.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", feed.path, resp.StatusCode)
-		}
+		postTSV(t, ts.URL+feed.path, feed.body)
 	}
 
 	// Offline references: the same records through the offline path.
@@ -105,7 +82,7 @@ func TestRouterTwoStudyQueryParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := postQuery(t, ts.URL+"/studies/"+c.id+"/query", expr)
+		got, _ := queryResult(t, ts.URL+"/studies/"+c.id+"/query", expr)
 		if got.Kind != "series" || got.Query != want.Query {
 			t.Fatalf("%s: result header %q/%q, want %q/series", c.id, got.Query, got.Kind, want.Query)
 		}
@@ -115,8 +92,8 @@ func TestRouterTwoStudyQueryParity(t *testing.T) {
 	}
 
 	// The two studies really answer differently (different record sets).
-	a, _ := postQuery(t, ts.URL+"/studies/alpha/query", "count(total)")
-	bq, _ := postQuery(t, ts.URL+"/studies/beta/query", "count(total)")
+	a, _ := queryResult(t, ts.URL+"/studies/alpha/query", "count(total)")
+	bq, _ := queryResult(t, ts.URL+"/studies/beta/query", "count(total)")
 	if a.Value == bq.Value {
 		t.Errorf("alpha and beta report the same record count %v", a.Value)
 	}
@@ -125,7 +102,7 @@ func TestRouterTwoStudyQueryParity(t *testing.T) {
 	}
 
 	// Legacy root routes alias the default (first-added) study.
-	rootRes, _ := postQuery(t, ts.URL+"/query", "count(total)")
+	rootRes, _ := queryResult(t, ts.URL+"/query", "count(total)")
 	if rootRes.Value != a.Value {
 		t.Errorf("root /query answered %v, default study holds %v", rootRes.Value, a.Value)
 	}
@@ -190,20 +167,15 @@ func TestQueryEndpointShapes(t *testing.T) {
 	srv := NewServer(core.NewLiveStudy())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/ingest", "text/tab-separated-values", bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	postTSV(t, ts.URL, log)
 
 	// Scalar via the text grammar.
-	res, httpResp := postQuery(t, ts.URL+"/query", "count(total)")
+	res, header := queryResult(t, ts.URL+"/query", "count(total)")
 	if want := float64(offline.Aggregate().TotalRecords()); res.Kind != "scalar" || res.Value != want {
 		t.Errorf("count(total) = %+v, want scalar %v", res, want)
 	}
 	wantGen := strconv.Itoa(offline.Aggregate().TotalRecords())
-	if got := httpResp.Header.Get("X-Generation"); got != wantGen {
+	if got := header.Get("X-Generation"); got != wantGen {
 		t.Errorf("X-Generation = %q, want %q", got, wantGen)
 	}
 
@@ -216,7 +188,7 @@ func TestQueryEndpointShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,19 +219,14 @@ func TestQueryEndpointShapes(t *testing.T) {
 
 // TestGenerationHeaderAndFigureMiss pins the two polish satellites: every
 // JSON endpoint stamps X-Generation, and a figure-name miss is a 404 whose
-// body lists the valid catalog names (with case-insensitive hits).
+// body lists the valid catalog names. A figure is found by number and by
+// name, in any case, and /metrics lists the whole catalog.
 func TestGenerationHeaderAndFigureMiss(t *testing.T) {
 	log, offline := sharedLog(t)
 	srv := NewServer(core.NewLiveStudy())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/ingest", "text/tab-separated-values", bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Generation"); got == "" || got == "0" {
+	if got := postTSV(t, ts.URL, log).header.Get("X-Generation"); got == "" || got == "0" {
 		t.Errorf("ingest X-Generation = %q", got)
 	}
 
@@ -276,28 +243,36 @@ func TestGenerationHeaderAndFigureMiss(t *testing.T) {
 		}
 	}
 
-	// Case-insensitive name hit.
-	if !bytes.Equal(mustGet(t, ts.URL+"/figure/VERSIONS"), mustGet(t, ts.URL+"/figure/versions")) {
-		t.Error("figure lookup is case-sensitive")
+	versions := mustGet(t, ts.URL+"/figure/versions")
+	if !bytes.Equal(mustGet(t, ts.URL+"/figure/VERSIONS"), versions) || !bytes.Equal(mustGet(t, ts.URL+"/figure/1"), versions) {
+		t.Error("figure lookup by number, by name and by upper-case name diverge")
+	}
+	var specs []struct {
+		Name string `json:"name"`
+	}
+	if err := json.Unmarshal(mustGet(t, ts.URL+"/metrics"), &specs); err != nil || len(specs) != len(analysis.Catalog()) {
+		t.Errorf("metrics lists %d specs (err %v), catalog has %d", len(specs), err, len(analysis.Catalog()))
 	}
 
 	// Miss: 404 + valid-name list.
-	resp, err = http.Get(ts.URL + "/figure/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var miss struct {
-		Error string   `json:"error"`
-		Valid []string `json:"valid"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&miss); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("figure miss status %d", resp.StatusCode)
-	}
-	if !reflect.DeepEqual(miss.Valid, analysis.CatalogNames()) || miss.Error == "" {
-		t.Errorf("figure miss body = %+v, want the catalog names", miss)
-	}
+	t.Run("figure-not-found", func(t *testing.T) {
+		resp, err := http.Get(ts.URL + "/figure/nope")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var miss struct {
+			Error string   `json:"error"`
+			Valid []string `json:"valid"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&miss); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("figure miss status %d", resp.StatusCode)
+		}
+		if !reflect.DeepEqual(miss.Valid, analysis.CatalogNames()) || miss.Error == "" {
+			t.Errorf("figure miss body = %+v, want the catalog names", miss)
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tlsage/internal/core"
+	"tlsage/internal/federation"
 	"tlsage/internal/scanner"
 	"tlsage/internal/timeline"
 )
@@ -84,7 +85,7 @@ func TestScanStudyOnRouter(t *testing.T) {
 			t.Errorf("scan metric %q has no independent check", m.Key)
 			continue
 		}
-		res, _ := postQuery(t, ts.URL+"/studies/scan/query", m.Query)
+		res, _ := queryResult(t, ts.URL+"/studies/scan/query", m.Query)
 		if len(res.Series.Points) != len(months) {
 			t.Fatalf("%q: %d points, want %d", m.Query, len(res.Series.Points), len(months))
 		}
@@ -96,7 +97,7 @@ func TestScanStudyOnRouter(t *testing.T) {
 	}
 
 	// Scalar shape over the mounted study: the Sep 2015 RC4 selection rate.
-	res, _ := postQuery(t, ts.URL+"/studies/scan/query", "at(pct(class:rc4 / total), 2015-09)")
+	res, _ := queryResult(t, ts.URL+"/studies/scan/query", "at(pct(class:rc4 / total), 2015-09)")
 	if want := pct(22, 200); res.Value != want {
 		t.Errorf("at() scalar: got %v, want %v", res.Value, want)
 	}
@@ -132,4 +133,27 @@ func TestScanStudyOnRouter(t *testing.T) {
 	if health.Fingerprints.Distinct != 0 || health.Fingerprints.TopK <= 0 {
 		t.Errorf("fingerprint gauges = %+v", *health.Fingerprints)
 	}
+
+	// POST /merge doubles as the ingest path for campaigns run elsewhere: the
+	// same sweep, aggregated and pushed as one delta to an empty live study,
+	// serves every scan metric and /scalars as the mounted study does.
+	t.Run("campaign-merge-parity", func(t *testing.T) {
+		agg, err := core.ScanAggregate(months, reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosted := NewServer(core.NewLiveStudy())
+		defer hosted.Close()
+		hostedTS := httptest.NewServer(hosted.Handler())
+		defer hostedTS.Close()
+		ack, err := federation.PushDelta(hostedTS.URL, &federation.Delta{Source: "campaign-2018", Agg: agg}, nil)
+		if err != nil || ack.Records != agg.Generation() {
+			t.Fatalf("campaign push applied %+v (err %v), want %d records", ack, err, agg.Generation())
+		}
+		queries := []string{"at(pct(class:rc4 / total), 2015-09)"}
+		for _, m := range core.ScanMetrics {
+			queries = append(queries, m.Query)
+		}
+		requireSameServed(t, hostedTS.URL, ts.URL+"/studies/scan", "the mounted scan study", queries...)
+	})
 }

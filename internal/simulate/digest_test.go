@@ -3,6 +3,7 @@ package simulate
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -32,19 +33,32 @@ type corpusPin struct {
 	tsv, frames string
 }
 
-// corpusDigest runs a simulation through run into both renderings and checks
-// them against c: every record as a TSV line, and as a BatchWriter frame of
-// 512 records.
-func corpusDigest(t *testing.T, run func(notary.Sink) error, c corpusPin) {
+// corpusRun is what corpusDigest saw of one run: both digests, and the runs
+// of equal months in arrival order with their record counts.
+type corpusRun struct {
+	tsv, frames string
+	months      []timeline.Month
+	counts      []int
+}
+
+// corpusDigest runs a simulation through run into both renderings: every
+// record as a TSV line, and as a BatchWriter frame of 512 records.
+func corpusDigest(t *testing.T, run func(notary.Sink) error) corpusRun {
 	t.Helper()
 	tsv, frames := sha256.New(), sha256.New()
 	bw := notary.NewBatchWriter(frames, 512)
 	var line []byte
+	var got corpusRun
 	n := 0
 	lines := notary.SinkFunc(func(r *notary.Record) error {
 		line = r.AppendTSV(line[:0])
 		tsv.Write(line)
 		n++
+		if m := timeline.MonthOf(r.Date); len(got.months) == 0 || got.months[len(got.months)-1] != m {
+			got.months = append(got.months, m)
+			got.counts = append(got.counts, 0)
+		}
+		got.counts[len(got.counts)-1]++
 		return nil
 	})
 	if err := run(notary.Tee(lines, bw)); err != nil {
@@ -56,25 +70,94 @@ func corpusDigest(t *testing.T, run func(notary.Sink) error, c corpusPin) {
 	if n != 75*100 {
 		t.Fatalf("%d records, want %d", n, 75*100)
 	}
-	if got := hex.EncodeToString(tsv.Sum(nil)); got != c.tsv {
-		t.Errorf("sha256 of the TSV stream = %s, want %s", got, c.tsv)
+	got.tsv, got.frames = hex.EncodeToString(tsv.Sum(nil)), hex.EncodeToString(frames.Sum(nil))
+	return got
+}
+
+// requirePin checks both of r's digests against c.
+func (r corpusRun) requirePin(t *testing.T, c corpusPin) {
+	t.Helper()
+	if r.tsv != c.tsv {
+		t.Errorf("sha256 of the TSV stream = %s, want %s", r.tsv, c.tsv)
 	}
-	if got := hex.EncodeToString(frames.Sum(nil)); got != c.frames {
-		t.Errorf("sha256 of the TLSB frames = %s, want %s", got, c.frames)
+	if r.frames != c.frames {
+		t.Errorf("sha256 of the TLSB frames = %s, want %s", r.frames, c.frames)
 	}
 }
 
+// TestCorpusDigest simulates each seed's stream at Workers 1 and 4 once, and
+// every subtest reads those runs: the pins, and what the stream must hold
+// whatever it hashes to.
 func TestCorpusDigest(t *testing.T) {
+	runs := map[int64]map[int]corpusRun{}
+	for _, c := range corpusDigests {
+		runs[c.seed] = map[int]corpusRun{}
+		for _, workers := range []int{1, 4} {
+			opts := DefaultOptions(100)
+			opts.Seed = c.seed
+			opts.Workers = workers
+			runs[c.seed][workers] = corpusDigest(t, New(opts).Run)
+		}
+	}
 	for _, c := range corpusDigests {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("seed%d/workers%d", c.seed, workers), func(t *testing.T) {
-				opts := DefaultOptions(100)
-				opts.Seed = c.seed
-				opts.Workers = workers
-				corpusDigest(t, New(opts).Run, c)
+				runs[c.seed][workers].requirePin(t, c)
 			})
 		}
 	}
+	// Equal seeds make equal streams, whatever the width; seeds differ. This
+	// holds of any pins, so it survives a re-pin.
+	t.Run("deterministic", func(t *testing.T) {
+		for seed, byWidth := range runs {
+			if a, b := byWidth[1], byWidth[4]; a.tsv == "" || a.tsv != b.tsv || a.frames != b.frames {
+				t.Errorf("seed %d: two runs made different streams", seed)
+			}
+		}
+		if runs[1][1].tsv == runs[2][1].tsv {
+			t.Error("seeds 1 and 2 made the same stream")
+		}
+	})
+	// Every run covers the study window, Feb 2012 to Apr 2018, 100 records a month.
+	t.Run("record-count-and-window", func(t *testing.T) {
+		for seed, byWidth := range runs {
+			for workers, r := range byWidth {
+				if len(r.months) != 75 || r.months[0] != timeline.StudyStart || r.months[74] != timeline.StudyEnd {
+					t.Errorf("seed %d, Workers=%d: months %v, want the 75 from %v to %v",
+						seed, workers, r.months, timeline.StudyStart, timeline.StudyEnd)
+				}
+			}
+		}
+	})
+	// Workers > 1 delivers months whole and in chronological order.
+	t.Run("parallel-stream-order", func(t *testing.T) {
+		for seed, byWidth := range runs {
+			r := byWidth[4]
+			for i := 1; i < len(r.months); i++ {
+				if !r.months[i-1].Before(r.months[i]) {
+					t.Fatalf("seed %d, Workers=4: month %v arrived after %v", seed, r.months[i], r.months[i-1])
+				}
+			}
+		}
+	})
+	// No month's shard is lost or cut when months run concurrently, and a
+	// sink error stops the run: the months not yet simulated are skipped, and
+	// Run reports the error.
+	t.Run("parallel-sink-coverage", func(t *testing.T) {
+		for seed, byWidth := range runs {
+			for i, n := range byWidth[4].counts {
+				if n != 100 {
+					t.Errorf("seed %d, Workers=4: %v has %d records, want 100", seed, byWidth[4].months[i], n)
+				}
+			}
+		}
+		opts := DefaultOptions(100)
+		opts.Workers = 4
+		stop := errors.New("sink full")
+		if err := New(opts).Run(notary.SinkFunc(func(*notary.Record) error { return stop })); err != stop {
+			t.Errorf("Run into a failing sink = %v, want the sink's error", err)
+		}
+	})
 }
 
 // A worker's hello memo empties when it reaches maxMemo entries, and the
@@ -94,7 +177,7 @@ func TestMemoEmptiesAndKeepsTheDigest(t *testing.T) {
 			}
 		}
 		return nil
-	}, corpusDigests[0])
+	}).requirePin(t, corpusDigests[0])
 	if _, ok := sc.memo[memoKey{}]; ok {
 		t.Errorf("the memo never emptied: it holds %d entries", len(sc.memo))
 	}

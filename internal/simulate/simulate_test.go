@@ -85,39 +85,6 @@ func pct(t *testing.T, a *notary.Aggregate, y int, m time.Month, f func(*notary.
 	return f(ms)
 }
 
-func TestDeterminism(t *testing.T) {
-	opts := DefaultOptions(50)
-	opts.End = timeline.M(2012, time.June)
-	var lines1, lines2 []string
-	run := func(out *[]string) {
-		runEach(t, opts, func(r *notary.Record) { *out = append(*out, string(r.AppendTSV(nil))) })
-	}
-	run(&lines1)
-	run(&lines2)
-	if len(lines1) != len(lines2) {
-		t.Fatal("different record counts")
-	}
-	for i := range lines1 {
-		if lines1[i] != lines2[i] {
-			t.Fatalf("record %d differs between runs with equal seed", i)
-		}
-	}
-}
-
-func TestRecordCountAndWindow(t *testing.T) {
-	a := studyAgg(t)
-	months := a.Months()
-	if len(months) != 75 {
-		t.Fatalf("observed %d months, want 75", len(months))
-	}
-	if months[0] != timeline.StudyStart || months[len(months)-1] != timeline.StudyEnd {
-		t.Error("window endpoints wrong")
-	}
-	if a.TotalRecords() != 75*1500 {
-		t.Errorf("total records = %d", a.TotalRecords())
-	}
-}
-
 // Figure 1: negotiated versions. TLS 1.0 ≈ dominant in early 2012 falling to
 // a few percent by Feb 2018; TLS 1.2 ≈ 90% by 2018.
 func TestFigure1VersionShape(t *testing.T) {
@@ -562,23 +529,6 @@ func TestWireAblationAgreement(t *testing.T) {
 	diff := math.Abs(pctEstablished(msA, msA.ByClass["RC4"]) - pctEstablished(msB, msB.ByClass["RC4"]))
 	if diff > 8 {
 		t.Errorf("wire vs struct RC4 share differs by %0.1f points", diff)
-	}
-}
-
-func TestFallbackDanceHappens(t *testing.T) {
-	// POODLE-era clients fall back. Count fallback-marked records pre-2015.
-	opts := DefaultOptions(800)
-	opts.Start = timeline.M(2014, time.January)
-	opts.End = timeline.M(2014, time.June)
-	n, fallbacks := 0, 0
-	runEach(t, opts, func(r *notary.Record) {
-		n++
-		if r.UsedFallback {
-			fallbacks++
-		}
-	})
-	if fallbacks == 0 {
-		t.Error("no fallback retries observed in 2014")
 	}
 }
 
