@@ -59,14 +59,14 @@ func TestOneFrameEnvelope(t *testing.T) {
 }
 
 // TestOneServeAssembly guards the "one assembly" decision: recovery,
-// compaction, the ingest log and the pusher are put together by
-// service.Open, so a production file under cmd/ that calls one of the pieces
-// is assembling a second serve. bench/ is not walked (its in-process host
-// predates Open and is frozen).
+// compaction, the ingest log, the pusher and the servers and router that
+// listen are put together by service.Open, so a production file under cmd/
+// that calls one of the pieces is assembling a second serve. bench/ is not
+// walked (its in-process host predates Open and is frozen).
 func TestOneServeAssembly(t *testing.T) {
 	// The pieces, by the package that declares them.
 	pieces := map[string][]string{
-		"service":    {"RecoverStudy", "OpenIngestLog", "WriteStudySnapshot"},
+		"service":    {"RecoverStudy", "OpenIngestLog", "WriteStudySnapshot", "NewServer", "NewRouter"},
 		"federation": {"NewPusher", "LoadShippedState"},
 	}
 	// references lists the pieces the production files of dir mention,

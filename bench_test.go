@@ -38,9 +38,9 @@ var (
 	benchDB = sync.OnceValue(fingerprint.BuildDefault)
 )
 
-// simulateClassified runs the simulator the way `tlstrend simulate` does
-// (Study.RunSinks): Simulator.Run into one aggregate whose classifier is the
-// fingerprint database.
+// simulateClassified runs the simulator into one aggregate whose classifier
+// is the fingerprint database, as `tlstrend simulate` (Study.Run) does,
+// though Run folds through a ShardBuilder and writes no log here.
 func simulateClassified(b *testing.B, opts simulate.Options) *notary.Aggregate {
 	b.Helper()
 	agg := notary.NewAggregate()

@@ -12,68 +12,40 @@ import (
 )
 
 // cmdFeed streams records into a running serve instance: either a replay of
-// a connection log — TSV, or the record log serve -out writes — or a live
-// simulation encoded on the fly. Without -binary a log is sent as it is (the
-// server's TSV reader is the log reader); with -binary the stream travels as
-// length-prefixed batch frames (the log is transcoded on the fly) — the fast
-// path for bulk replay. With
-// -retry, a stream the server sheds under load (HTTP 429 or a TCP "busy"
-// line) is retried with exponential backoff and jitter, honoring the
-// server's Retry-After hint.
+// a record log, sent as it is (the server reads frames, TSV lines or both),
+// or a live simulation sent as TLSB frames of -batch records. With -retry, a
+// stream the server sheds under load (HTTP 429 or a TCP "busy" line) is
+// retried with exponential backoff and jitter, honoring the server's
+// Retry-After hint.
 func cmdFeed(args []string) error {
 	fs, sim := simFlagSet("feed", 1000)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "server base URL (HTTP ingest)")
 	tcpAddr := fs.String("tcp", "", "stream over raw TCP to this address instead of HTTP")
-	in := fs.String("in", "", "connection log to replay: TSV or a serve -out record log (empty = simulate live)")
-	binary := fs.Bool("binary", false, "send the binary batch framing instead of TSV (a log given with -in is transcoded)")
-	batch := fs.Int("batch", notary.DefaultBatchSize, "records per binary batch frame")
+	in := fs.String("in", "", "record log to replay as it is: TLSB frames, TSV lines or both (empty = simulate live)")
+	batch := fs.Int("batch", notary.DefaultBatchSize, "records per TLSB frame of a simulated stream")
 	retry := fs.Int("retry", 0, "retries when the server sheds the stream under load (0 = fail fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// encoded streams what produce delivers through a pipe in the chosen wire
-	// encoding (batch frames of -batch records, or TSV lines), so the feeder
-	// never holds more than one frame plus the pipe's buffer.
-	encoded := func(produce func(notary.Sink) error) io.ReadCloser {
-		pr, pw := io.Pipe()
-		go func() {
-			var enc notary.Sink = notary.NewLogWriter(pw)
-			if *binary {
-				enc = notary.NewBatchWriter(pw, *batch)
-			}
-			err := produce(enc)
-			if err == nil {
-				err = enc.Close()
-			}
-			pw.CloseWithError(err)
-		}()
-		return pr
-	}
-
 	// The stream must be reopenable: a shed attempt restarts from the top,
 	// so each try replays the file — or re-runs the deterministic simulation
-	// (the same seed reproduces the same stream).
-	var open func() (io.ReadCloser, error)
-	switch {
-	case *in != "" && !*binary:
-		open = func() (io.ReadCloser, error) { return os.Open(*in) }
-	case *in != "":
-		// Transcode the log into batch frames on the fly.
-		open = func() (io.ReadCloser, error) {
-			f, err := os.Open(*in)
-			if err != nil {
-				return nil, err
-			}
-			return encoded(func(enc notary.Sink) error {
-				defer f.Close()
-				return notary.ReadLog(f, enc)
-			}), nil
-		}
-	default:
+	// (the same seed reproduces the same stream), framed through a pipe so
+	// the feeder never holds more than one frame plus the pipe's buffer.
+	open := func() (io.ReadCloser, error) { return os.Open(*in) }
+	if *in == "" {
 		opts := sim.options()
 		open = func() (io.ReadCloser, error) {
-			return encoded(func(enc notary.Sink) error { return simulate.New(opts).Run(enc) }), nil
+			pr, pw := io.Pipe()
+			go func() {
+				enc := notary.NewBatchWriter(pw, *batch)
+				err := simulate.New(opts).Run(enc)
+				if err == nil {
+					err = enc.Close()
+				}
+				pw.CloseWithError(err)
+			}()
+			return pr, nil
 		}
 	}
 
@@ -90,11 +62,7 @@ func cmdFeed(args []string) error {
 		return countingReader{rc, &sent}, nil
 	}
 
-	fopts := service.FeedOptions{
-		Binary:     *binary,
-		MaxRetries: *retry,
-		Logf:       stderrf,
-	}
+	fopts := service.FeedOptions{MaxRetries: *retry, Logf: stderrf}
 	start := time.Now()
 	var res service.FeedResult
 	var err error

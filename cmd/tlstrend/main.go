@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	tlstrend simulate   [-conns N] [-seed S] [-workers W] [-out conn.log]   run the passive study, optionally writing a TSV log
-//	tlstrend loadlog    [-in conn.log] [-workers W] [-figure N] [-chart]    post-hoc analysis of a TSV log or a serve -out record log (sharded parse)
+//	tlstrend simulate   [-conns N] [-seed S] [-workers W] [-out conn.log]   run the passive study, optionally writing a TLSB frame log
+//	tlstrend loadlog    [-in conn.log] [-workers W] [-figure N] [-chart]    post-hoc analysis of a record log: frames, TSV lines or both (sharded parse)
 //	tlstrend serve      [-http ADDR] [-tcp ADDR] [-out conn.log] [-studies a,b] [-snapshot-dir DIR] [-max-inflight N] [-queue-bound N] [-query-cache N] [-upstream URL [-push-interval D] [-push-source S]] [-union ID]  live notary service: TSV + binary-batch ingest, JSON query endpoints, durable snapshots, restart recovery, cached queries; -upstream turns the node into an edge collector pushing aggregate deltas, -union hosts a federated union study
-//	tlstrend feed       [-addr URL | -tcp ADDR] [-in conn.log | -conns N] [-binary [-batch N]] [-retry N]  stream a log or a live simulation into a server
+//	tlstrend feed       [-addr URL | -tcp ADDR] [-in conn.log | -conns N [-batch N]] [-retry N]  stream a log, or a live simulation as TLSB frames, into a server
 //	tlstrend query      -q EXPR [-in conn.log | -conns N | -addr URL [-study ID]]  evaluate a metric expression offline or remotely
 //	                    (column families include fp:<id12|other> top-K fingerprints and agent:<class> client attribution)
 //	tlstrend figure     [-n N | -name NAME] [-conns N] [-chart]  print one catalog figure as table or chart
@@ -16,7 +16,7 @@
 //	tlstrend table      [-n N]                                 print Table 1, 3, 4, 5 or 6
 //	tlstrend table2     [-conns N]                             print the Table 2 reproduction
 //	tlstrend scan       [-hosts N] [-date YYYY-MM-DD]          run an active scan campaign over a local farm
-//	tlstrend scansweep  [-hosts N] [-step M] [-alexa] [-serve ADDR] [-push URL]  campaigns across the Censys window, hosted as a queryable study and/or pushed to a core's /merge
+//	tlstrend scansweep  [-hosts N] [-step M] [-alexa] [-push URL]  campaigns across the Censys window, optionally pushed to a serving study's /merge
 //	tlstrend fingerprints [-conns N]                           fingerprint DB summary and §4.1 lifetimes
 //	tlstrend extensions [-conns N] [-chart]                    extension uptake + TLS 1.3 variants
 //	tlstrend experiments [-conns N] [-hosts N]                 full paper-vs-measured report
@@ -77,12 +77,12 @@ func usage() {
 	fmt.Fprint(os.Stderr, `tlstrend — reproduce "Coming of Age: A Longitudinal Study of TLS Deployment"
 
 commands:
-  simulate      run the passive Notary study (optionally write a TSV log)
-  loadlog       rebuild the study from a TSV log or a serve -out record log (post-hoc, sharded parsing)
+  simulate      run the passive Notary study (optionally write a TLSB frame log)
+  loadlog       rebuild the study from a record log: frames, TSV lines or both (post-hoc, sharded parsing)
   serve         run the live notary service: ingest TSV or binary-batch streams, serve JSON queries;
                 -upstream pushes merged shards upstream as aggregate deltas (edge collector),
                 -union hosts a study that is the live union of every hosted study
-  feed          stream a log or a live simulation into a running server (TSV or -binary batch frames)
+  feed          stream a log as it is, or a live simulation as TLSB frames, into a running server
   query         evaluate a metric expression (see README grammar) offline or against a server;
                 families span versions, ciphers, curves, extensions, and the attribution
                 columns fp:<id|other> (top-32 fingerprints) and agent:<class> (client classes)
@@ -93,8 +93,8 @@ commands:
   table2        print the Table 2 fingerprint-summary reproduction
   scan          run an active Censys-style campaign over a local TCP farm
   scansweep     run campaigns across Aug 2015 – May 2018 (the Censys window);
-                -serve hosts the results as study 'scan' on the query/figure API,
-                -push ships them to a running core's POST /merge as one delta
+                -push ships them to a serving study's POST /merge as one delta
+                (host them with serve -studies notary,scan and -push URL/studies/scan)
   fingerprints  fingerprint database summary and §4.1 lifetime stats
   extensions    extension-uptake figure (RIE, EtM, EMS, ...) and TLS 1.3 variants
   experiments   full paper-vs-measured report (passive + active + fingerprints)
@@ -135,7 +135,8 @@ func (sf *simFlags) parseAndRun(fs *flag.FlagSet, args []string) (*core.Study, e
 	return sf.run("")
 }
 
-// run executes the passive study, teeing a TSV log to logPath when set.
+// run executes the passive study, teeing a TLSB frame log to logPath when
+// set.
 func (sf *simFlags) run(logPath string) (*core.Study, error) {
 	s := &core.Study{Options: sf.options()}
 	var out *os.File
@@ -149,7 +150,7 @@ func (sf *simFlags) run(logPath string) (*core.Study, error) {
 	start := time.Now()
 	if out != nil {
 		err = s.Run(out)
-		// A full disk surfaces at Close (the log is buffered); reporting
+		// A write the file system deferred can fail at Close; reporting
 		// success with a truncated log would be a silent data loss.
 		if cerr := out.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("closing %s: %w", logPath, cerr)
@@ -165,7 +166,7 @@ func (sf *simFlags) run(logPath string) (*core.Study, error) {
 	return s, nil
 }
 
-// loadLog rebuilds s from the log at path, TSV or a serve -out record log
+// loadLog rebuilds s from the record log at path — frames, TSV lines or both
 // (the sharded post-hoc parse).
 func loadLog(s *core.Study, path string) error {
 	f, err := os.Open(path)

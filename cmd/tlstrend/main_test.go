@@ -3,9 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,6 +23,8 @@ import (
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
 	"tlsage/internal/notary"
+	"tlsage/internal/service"
+	"tlsage/internal/simulate"
 )
 
 // startServe launches `tlstrend serve` on loopback ports of the kernel's
@@ -67,14 +73,48 @@ func startServe(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, httpUR
 	return cmd, httpURL, tcpAddr, wait
 }
 
+// readmeCommands returns what follows "tlstrend" on each command line of
+// README's fenced blocks, shell comments cut, lines that end in a backslash
+// joined with the next, and single-quoted arguments emptied.
+func readmeCommands(readme string) []string {
+	comment := regexp.MustCompile(`(^|\s)#.*`)
+	quoted := regexp.MustCompile(`'[^']*'`)
+	command := regexp.MustCompile(`(?:^|[\s/])tlstrend\s+(\S.*)`)
+	var cmds []string
+	fenced, joined := false, ""
+	for _, line := range strings.Split(readme, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			continue
+		}
+		line = strings.TrimRight(comment.ReplaceAllString(line, ""), " \t")
+		if head, ok := strings.CutSuffix(line, "\\"); ok {
+			joined += head + " "
+			continue
+		}
+		line, joined = joined+line, ""
+		if m := command.FindStringSubmatch(quoted.ReplaceAllString(line, "''")); m != nil {
+			cmds = append(cmds, m[1])
+		}
+	}
+	return cmds
+}
+
 // TestCLI drives the built binary: serve refuses a queue bound below 1 —
 // the merge queue is the only ingest path, so there is no "0 = off" — serve's
 // flag set is the one pinned in testdata, a served study survives SIGTERM and
 // a restart byte for byte, scan, scansweep, experiments and the passive
 // figure and table commands print their goldens, an unknown figure fails
 // before any simulation or load, every command that takes a log reads a TSV
-// log, a serve -out frame log and one continued by the other alike, and an
-// offline query prints exactly what core.Study.Query computes.
+// log, a serve -out frame log and one continued by the other alike, simulate
+// -out writes a frame log that reads as the TSV log of the same records does,
+// scansweep -push into serve -studies notary,scan serves what a study built
+// from the sweep's aggregate does, every README command line names only
+// flags its command has, and an offline query prints exactly what
+// core.Study.Query computes.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tlstrend")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -157,6 +197,7 @@ func TestCLI(t *testing.T) {
 			{[]string{"figure", "-name", "nope", "-conns", "5"},
 				"tlstrend: no figure named \"nope\" (valid names: " + strings.Join(analysis.CatalogNames(), ", ") + ")\n"},
 			{[]string{"loadlog", "-figure", "11", "-in", tsv}, "tlstrend: core: no figure 11\n"},
+			{[]string{"loadlog", "-figure", "-1", "-in", tsv}, "tlstrend: core: no figure -1\n"},
 		} {
 			out, err := exec.Command(bin, c.args...).CombinedOutput()
 			var exit *exec.ExitError
@@ -188,16 +229,17 @@ func TestCLI(t *testing.T) {
 
 		serve, url, tcp, wait := startServe(t, bin, "-out", out, "-snapshot-dir", snaps)
 		run("feed", "-addr", url, "-conns", "20")
-		// feed's summary line carries the stream's wire cost: a TLSB record
-		// of these frames is a few dozen bytes, a TSV line a few hundred.
-		summary, err := exec.Command(bin, "feed", "-tcp", tcp, "-conns", "20", "-seed", "2", "-binary").CombinedOutput()
+		// feed's summary line carries the stream's wire cost: a simulated
+		// stream goes as TLSB frames, a few dozen bytes a record (a TSV line
+		// is a few hundred).
+		summary, err := exec.Command(bin, "feed", "-tcp", tcp, "-conns", "20", "-seed", "2").CombinedOutput()
 		m := regexp.MustCompile(`fed 1500 records in \S+ \((\d+) bytes, ([\d.]+) B/record, `).FindSubmatch(summary)
 		if err != nil || m == nil {
-			t.Fatalf("feed -binary: err %v, summary %q", err, summary)
+			t.Fatalf("feed: err %v, summary %q", err, summary)
 		}
 		sent, _ := strconv.Atoi(string(m[1]))
 		if perRecord := fmt.Sprintf("%.1f", float64(sent)/1500); sent < 20*1500 || sent > 100*1500 || string(m[2]) != perRecord {
-			t.Errorf("feed -binary sent %d bytes at %s B/record: want 20 to 100 bytes a record, and %s", sent, m[2], perRecord)
+			t.Errorf("feed sent %d bytes at %s B/record: want 20 to 100 bytes a record, and %s", sent, m[2], perRecord)
 		}
 		before := run("query", "-addr", url, "-q", q, "-json")
 		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
@@ -280,7 +322,7 @@ func TestCLI(t *testing.T) {
 			if got, _ := run("query", "-in", path, "-q", "count(total)", "-json"); !bytes.Equal(got, wantQuery) {
 				t.Errorf("query -in %s printed\n%s\nwant\n%s", kind, got, wantQuery)
 			}
-			for _, how := range [][]string{{"-addr", url}, {"-addr", url, "-binary"}, {"-tcp", tcp}} {
+			for _, how := range [][]string{{"-addr", url}, {"-tcp", tcp}} {
 				_, summary := run(append([]string{"feed", "-in", path}, how...)...)
 				if fed += 150; !bytes.Contains(summary, []byte("fed 150 records in")) ||
 					!bytes.Contains(summary, []byte(fmt.Sprintf("server generation %d,", fed))) {
@@ -293,6 +335,154 @@ func TestCLI(t *testing.T) {
 		}
 		if log, err := wait(); err != nil || !strings.Contains(log, fmt.Sprintf("final state of notary: %d records", fed)) {
 			t.Errorf("serve: exit %v, want 0 and %d records\n%s", err, fed, log)
+		}
+	})
+
+	t.Run("simulate -out writes a frame log that reads as its TSV spelling does", func(t *testing.T) {
+		dir := t.TempDir()
+		frames, tsv := filepath.Join(dir, "frames.log"), filepath.Join(dir, "tsv.log")
+		if out, err := exec.Command(bin, "simulate", "-conns", "20", "-seed", "3", "-out", frames).CombinedOutput(); err != nil {
+			t.Fatalf("simulate -out: %v\n%s", err, out)
+		}
+		opts := simulate.DefaultOptions(20)
+		opts.Seed = 3
+		var lines bytes.Buffer
+		w := notary.NewLogWriter(&lines)
+		err := simulate.New(opts).Run(w)
+		if err == nil {
+			err = w.Close()
+		}
+		if err == nil {
+			err = os.WriteFile(tsv, lines.Bytes(), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, []byte("TLSB")) || 5*len(raw) >= lines.Len() {
+			t.Errorf("simulate -out wrote %d bytes starting %q; want the TLSB magic and under a fifth of the %d-byte TSV log",
+				len(raw), raw[:min(len(raw), 8)], lines.Len())
+		}
+		for _, args := range [][]string{
+			{"loadlog", "-workers", "1"},
+			{"loadlog", "-workers", "4"},
+			{"query", "-q", "pct(version:tls12 / established)", "-json"},
+		} {
+			var got, want []byte
+			for path, out := range map[string]*[]byte{frames: &got, tsv: &want} {
+				if *out, err = exec.Command(bin, append(args, "-in", path)...).Output(); err != nil {
+					t.Fatalf("tlstrend %s -in %s: %v", strings.Join(args, " "), path, err)
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v on the frame log printed\n%s\nwant what the TSV log gives\n%s", args, got, want)
+			}
+		}
+	})
+
+	t.Run("scansweep -push into serve -studies notary,scan serves what the sweep's aggregate does", func(t *testing.T) {
+		serve, url, _, wait := startServe(t, bin, "-studies", "notary,scan")
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, "scansweep", "-hosts", "40", "-step", "12", "-push", url+"/studies/scan")
+		cmd.Stderr = &stderr
+		got, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("scansweep -push: %v\n%s", err, stderr.Bytes())
+		}
+		if want, err := os.ReadFile(filepath.Join("testdata", "scansweep.golden")); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("scansweep -push printed\n%s\nwant testdata/scansweep.golden (%v)", got, err)
+		}
+
+		// The reference: the same sweep, run here, hosted as a study built
+		// from its aggregate.
+		sweep := &core.ScanSweep{StepMonths: 12, HostsPerSnapshot: 40, Workers: 24, Seed: 7}
+		months, reports, err := sweep.RunReports(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := core.ScanAggregate(months, reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := service.NewServer(core.NewStudyFromAggregate(agg))
+		defer built.Close()
+		ref := httptest.NewServer(built.Handler())
+		defer ref.Close()
+		served := func(base, path, query string) []byte {
+			t.Helper()
+			var resp *http.Response
+			var err error
+			if query == "" {
+				resp, err = http.Get(base + path)
+			} else {
+				resp, err = http.Post(base+path, "application/json", strings.NewReader(`{"query": "`+query+`"}`))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s%s %q: %s %v\n%s", base, path, query, resp.Status, err, body)
+			}
+			return body
+		}
+		reads := [][2]string{{"/figures", ""}, {"/scalars", ""}}
+		for _, m := range core.ScanMetrics {
+			reads = append(reads, [2]string{"/query", m.Query})
+		}
+		for _, r := range reads {
+			if got, want := served(url+"/studies/scan", r[0], r[1]), served(ref.URL, r[0], r[1]); !bytes.Equal(got, want) {
+				t.Errorf("/studies/scan%s %q served\n%s\nwant\n%s", r[0], r[1], got, want)
+			}
+		}
+		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if log, err := wait(); err != nil || !strings.Contains(log, fmt.Sprintf("final state of scan: %d records", agg.TotalRecords())) {
+			t.Errorf("serve: exit %v, want 0 and the pushed campaign's %d records in study scan\n%s", err, agg.TotalRecords(), log)
+		}
+	})
+
+	t.Run("README's command lines use only flags their commands have", func(t *testing.T) {
+		readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		helpFlag := regexp.MustCompile(`(?m)^  -(\S+)`)
+		flagArg := regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+		flagsOf := map[string]map[string]bool{}
+		lines := readmeCommands(string(readme))
+		for _, line := range lines {
+			args := strings.Fields(line)
+			cmd := args[0]
+			flags, ok := flagsOf[cmd]
+			if !ok {
+				help, err := exec.Command(bin, cmd, "-h").CombinedOutput()
+				if err != nil {
+					t.Errorf("README runs tlstrend %s, and tlstrend %s -h fails: %v\n%s", cmd, cmd, err, help)
+				} else {
+					flags = map[string]bool{}
+					for _, m := range helpFlag.FindAllSubmatch(help, -1) {
+						flags[string(m[1])] = true
+					}
+				}
+				flagsOf[cmd] = flags
+			}
+			for _, arg := range args[1:] {
+				if strings.ContainsAny(arg, "&|;>") {
+					break // the shell takes over: a pipe, a redirect, a background job
+				}
+				if m := flagArg.FindStringSubmatch(arg); m != nil && flags != nil && !flags[m[1]] {
+					t.Errorf("README runs tlstrend %s, which has no flag -%s", line, m[1])
+				}
+			}
+		}
+		if len(lines) < 20 {
+			t.Errorf("found %d tlstrend command lines in README's fenced blocks, want at least 20:\n%s", len(lines), strings.Join(lines, "\n"))
 		}
 	})
 

@@ -13,7 +13,7 @@ import (
 )
 
 // cmdQuery evaluates one metric expression (the README query grammar):
-// offline against a TSV log or a fresh simulation, or remotely by POSTing
+// offline against a record log or a fresh simulation, or remotely by POSTing
 // to a running server's /query endpoint (optionally a named study on a
 // multi-study router).
 func cmdQuery(args []string) error {
@@ -21,7 +21,7 @@ func cmdQuery(args []string) error {
 	expr := fs.String("q", "", "metric expression, e.g. 'pct(version:tls12 / established)'")
 	addr := fs.String("addr", "", "query a running server at this base URL instead of evaluating offline")
 	study := fs.String("study", "", "server study id (with -addr; empty = the default study's routes)")
-	in := fs.String("in", "", "connection log to load: TSV or a serve -out record log (offline; empty = simulate)")
+	in := fs.String("in", "", "record log to load: TLSB frames, TSV lines or both (offline; empty = simulate)")
 	asJSON := fs.Bool("json", false, "print the raw JSON result instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return err

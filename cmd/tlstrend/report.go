@@ -16,7 +16,7 @@ import (
 
 func cmdSimulate(args []string) error {
 	fs, sim := simFlagSet("simulate", 1000)
-	out := fs.String("out", "", "write a Bro-style TSV connection log to this path")
+	out := fs.String("out", "", "write the simulated records to this path as a TLSB frame log")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,7 +47,7 @@ func printTable2(s *core.Study) error {
 
 func cmdLoadLog(args []string) error {
 	fs := flag.NewFlagSet("loadlog", flag.ExitOnError)
-	in := fs.String("in", "notary_conn.log", "connection log to analyze: TSV or a serve -out record log")
+	in := fs.String("in", "notary_conn.log", "record log to analyze: TLSB frames, TSV lines or both")
 	workers := fs.Int("workers", 0, "parse workers (0 = all cores, 1 = serial)")
 	figure := fs.Int("figure", 0, "also print figure N (1–10)")
 	chart := fs.Bool("chart", false, "render the figure as an ASCII chart")
@@ -55,7 +55,7 @@ func cmdLoadLog(args []string) error {
 		return err
 	}
 	spec, ok := analysis.SpecByNum(*figure)
-	if *figure > 0 && !ok {
+	if *figure != 0 && !ok {
 		return fmt.Errorf("core: no figure %d", *figure)
 	}
 	var s core.Study

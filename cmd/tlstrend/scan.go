@@ -4,15 +4,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"tlsage/internal/core"
 	"tlsage/internal/federation"
-	"tlsage/internal/service"
 	"tlsage/internal/timeline"
 )
 
@@ -49,8 +45,7 @@ func cmdScanSweep(args []string) error {
 	workers := fs.Int("workers", 24, "scanner workers")
 	seed := fs.Int64("seed", 7, "population seed")
 	alexa := fs.Bool("alexa", false, "popularity-weighted (Alexa-style) universe")
-	serveAddr := fs.String("serve", "", "after the sweep, host the results as study 'scan' at this HTTP address")
-	pushURL := fs.String("push", "", "POST the sweep as one pre-aggregated delta to this core study URL ({url}/merge)")
+	pushURL := fs.String("push", "", "POST the sweep as one pre-aggregated delta to this study URL ({url}/merge), e.g. http://HOST/studies/scan of a serve -studies notary,scan")
 	pushSource := fs.String("push-source", "scansweep", "delta source name for -push; re-pushing the same campaign from the same source is an idempotent no-op, a different campaign needs a distinct source")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,9 +69,9 @@ func cmdScanSweep(args []string) error {
 		return err
 	}
 	if *pushURL != "" {
-		// Federated form of -serve: ship the campaign's aggregate to a running
-		// core's /merge endpoint as one delta, where it answers the same
-		// queries without the core re-running the sweep.
+		// Ship the campaign's aggregate to a serving study's /merge endpoint
+		// as one delta, where it answers the same queries without the server
+		// re-running the sweep.
 		ack, err := federation.PushDelta(*pushURL, &federation.Delta{Source: *pushSource, Agg: agg}, nil)
 		if err != nil {
 			return err
@@ -89,28 +84,5 @@ func cmdScanSweep(args []string) error {
 				ack.Records, *pushURL, ack.Generation)
 		}
 	}
-	if *serveAddr == "" {
-		return nil
-	}
-	// Host the sweep on the standard query surface: the campaign counters
-	// fold into a Study (see core.NewScanStudy) and mount on a Router, so
-	// e.g. POST /studies/scan/query {"query": "pct(version:ssl3 / total)"}
-	// replays the table above month by month.
-	study, err := core.NewScanStudy(months, reports)
-	if err != nil {
-		return err
-	}
-	rt := service.NewRouter()
-	if err := rt.Add("scan", service.NewServer(study)); err != nil {
-		return err
-	}
-	defer rt.Close()
-	ln, err := net.Listen("tcp", *serveAddr)
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Fprintf(os.Stderr, "serving sweep results on http://%s/studies/scan/ (Ctrl-C to stop)\n", ln.Addr())
-	return service.ServeUntilDone(ctx, ln, rt.Handler())
+	return nil
 }

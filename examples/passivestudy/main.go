@@ -1,6 +1,6 @@
 // Passivestudy reproduces the full Notary-side measurement: it simulates
 // the Feb 2012 – Apr 2018 window, streams every record through a teed sink
-// into both the live aggregate and a Bro-style connection log, rebuilds the
+// into both the live aggregate and a TLSB frame log, rebuilds the
 // aggregate from that log with the sharded parallel reader (proving the
 // post-hoc analysis path), and prints every figure plus the
 // paper-vs-measured scalar report.
@@ -44,7 +44,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d connections)\n", logPath, study.Aggregate().TotalRecords())
 
-	// Post-hoc path: reload the log on all cores (LoadLog shards the TSV
+	// Post-hoc path: reload the log on all cores (LoadLog shards the frames
 	// across Options.Workers parse workers) and verify the aggregate matches.
 	reloaded, err := os.Open(logPath)
 	if err != nil {

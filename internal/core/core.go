@@ -153,22 +153,14 @@ func (s *Study) WriteSnapshot(w io.Writer) (uint64, error) {
 	return s.agg.Generation(), nil
 }
 
-// Run executes the simulation and aggregation. When logWriter is non-nil
-// every connection record is additionally streamed to it as a Bro-style TSV
-// log. Extra sinks (network forwarders, extra indices, ...) can be teed in
-// with RunSinks.
-func (s *Study) Run(logWriter io.Writer) error {
-	return s.RunSinks(logWriter)
-}
-
-// RunSinks is Run with additional record consumers: every simulated record
-// is delivered to the study's aggregate — through a ShardBuilder, the fold
-// ingest uses — the optional TSV log, and each extra sink (in that order) —
-// the attachment point for long-running consumers. Every sink is closed on
-// every exit path, including a failed simulation, so attached consumers are
-// always flushed and detached; a simulation error takes precedence over close
-// errors, and among close errors the first wins.
-func (s *Study) RunSinks(logWriter io.Writer, extra ...notary.Sink) error {
+// Run executes the simulation and aggregation: every simulated record is
+// folded into the study's aggregate through a ShardBuilder, the fold ingest
+// uses. When w is non-nil every record is also written to it as a TLSB frame
+// log (notary.DefaultBatchSize records a frame), the encoding serve -out
+// writes. The log writer is closed, writing its last frame, on every exit
+// path; a simulation or write error takes precedence over the close error,
+// and a failed run installs no aggregate.
+func (s *Study) Run(w io.Writer) error {
 	sim := simulate.New(s.Options)
 	db := fingerprint.BuildDefault()
 	built := notary.NewShardBuilder(func() *notary.Aggregate {
@@ -176,15 +168,12 @@ func (s *Study) RunSinks(logWriter io.Writer, extra ...notary.Sink) error {
 		agg.SetClassifier(db)
 		return agg
 	})
-	sinks := make([]notary.Sink, 0, 2+len(extra))
-	sinks = append(sinks, built)
-	if logWriter != nil {
-		sinks = append(sinks, notary.NewLogWriter(logWriter))
+	var sink notary.Sink = built
+	if w != nil {
+		sink = notary.Tee(built, notary.NewBatchWriter(w, notary.DefaultBatchSize))
 	}
-	sinks = append(sinks, extra...)
-	tee := notary.Tee(sinks...)
-	runErr := sim.Run(tee)
-	closeErr := tee.Close() // best effort: closes every sink, first error wins
+	runErr := sim.Run(sink)
+	closeErr := sink.Close()
 	if runErr != nil {
 		return runErr
 	}

@@ -103,27 +103,21 @@ func TestStudyFiguresAndScalars(t *testing.T) {
 }
 
 // Study.Run is what `tlstrend simulate` runs — Simulator.Run teed into a
-// classified aggregate and the TSV log — and Options.Workers may not move a
-// byte of it: every width must fill the identical aggregate (client-class
-// attribution included), write the identical log and report the identical
-// scalars. The subtests read those runs and their log.
+// classified aggregate and the TLSB frame log — and Options.Workers may not
+// move a byte of it: every width must fill the identical aggregate
+// (client-class attribution included), write the identical log and report
+// the identical scalars. The subtests read those runs and their log.
 func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
-	seen := map[int]int{}
+	logs := map[int][]byte{}
 	run := func(workers int) (*Study, []byte) {
 		s := NewStudy(60)
 		s.Options.End = timeline.M(2015, time.June) // 41 months, fingerprints from Feb 2014
 		s.Options.Workers = workers
-		counter := notary.SinkFunc(func(r *notary.Record) error {
-			if r.Date.Year == 0 {
-				t.Error("sink saw an empty record")
-			}
-			seen[workers]++
-			return nil
-		})
 		var log bytes.Buffer
-		if err := s.RunSinks(&log, counter); err != nil {
+		if err := s.Run(&log); err != nil {
 			t.Fatal(err)
 		}
+		logs[workers] = log.Bytes()
 		return s, log.Bytes()
 	}
 	want, wantLog := run(1)
@@ -143,7 +137,7 @@ func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
 		s, gotLog := run(workers)
 		got[workers] = s
 		if !bytes.Equal(wantLog, gotLog) {
-			t.Errorf("Workers=%d: TSV log differs from Workers=1", workers)
+			t.Errorf("Workers=%d: frame log differs from Workers=1", workers)
 		}
 		gotScalars, err := s.Scalars()
 		if err != nil {
@@ -177,8 +171,20 @@ func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
 	t.Run("log-round-trip", func(t *testing.T) { reload(t, 1) })
 	t.Run("load-log-parallel-and-sinks", func(t *testing.T) {
 		for _, workers := range widths {
-			if seen[workers] != 41*60 {
-				t.Errorf("Workers=%d: the teed sink saw %d records, want %d", workers, seen[workers], 41*60)
+			log := logs[workers]
+			if !bytes.HasPrefix(log, []byte("TLSB")) {
+				t.Errorf("Workers=%d: the log starts %q, want a TLSB frame", workers, log[:min(len(log), 8)])
+			}
+			seen := 0
+			counter := notary.SinkFunc(func(r *notary.Record) error {
+				if r.Date.Year == 0 {
+					t.Error("the log holds an empty record")
+				}
+				seen++
+				return nil
+			})
+			if err := notary.ReadLog(bytes.NewReader(log), counter); err != nil || seen != 41*60 {
+				t.Errorf("Workers=%d: the log reads %d records (%v), want %d", workers, seen, err, 41*60)
 			}
 			reload(t, workers)
 		}
@@ -514,65 +520,42 @@ func TestScanSweepCancelled(t *testing.T) {
 	}
 }
 
-// closeTracker is a sink that records deliveries and closes, optionally
-// failing at the Nth record — the failing-simulation probe for RunSinks'
-// lifecycle guarantees.
-type closeTracker struct {
-	seen      int
-	closed    int
-	failAfter int // fail Observe once seen reaches this (0 = never)
-	closeErr  error
+// failWriter accepts ok writes and fails every one after them.
+type failWriter struct{ ok, writes int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes > w.ok {
+		return 0, errors.New("injected write failure")
+	}
+	return len(p), nil
 }
 
-func (c *closeTracker) Observe(r *notary.Record) error {
-	c.seen++
-	if c.failAfter > 0 && c.seen >= c.failAfter {
-		return errors.New("injected sink failure")
-	}
-	return nil
-}
-
-func (c *closeTracker) Close() error { c.closed++; return c.closeErr }
-
-// TestRunSinksClosesEverythingOnFailure pins the lifecycle fix: when the
-// simulation fails mid-run, the TSV log writer and every extra sink must
-// still be closed (flushed and detached), and the simulation error wins.
-func TestRunSinksClosesEverythingOnFailure(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStudy(10)
-	s.Options.End = timeline.M(2012, time.April)
-	failer := &closeTracker{failAfter: 5}
-	bystander := &closeTracker{}
-	err := s.RunSinks(&buf, failer, bystander)
-	if err == nil || !strings.Contains(err.Error(), "injected sink failure") {
-		t.Fatalf("RunSinks error = %v, want the injected failure", err)
-	}
-	if failer.closed != 1 || bystander.closed != 1 {
-		t.Errorf("sinks closed (%d, %d) times on failure, want (1, 1)",
-			failer.closed, bystander.closed)
-	}
-	if buf.Len() == 0 {
-		t.Error("log writer was not flushed on the failure path")
-	}
-	if s.Aggregate() != nil {
-		t.Error("failed run must not install a partial aggregate")
-	}
-
-	// On a successful run a sink's close error is reported (first one wins),
-	// and every sink still closes exactly once.
-	s2 := NewStudy(5)
-	s2.Options.End = timeline.M(2012, time.March)
-	badClose := &closeTracker{closeErr: errors.New("close failed")}
-	tail := &closeTracker{}
-	err = s2.RunSinks(nil, badClose, tail)
-	if err == nil || !strings.Contains(err.Error(), "close failed") {
-		t.Fatalf("RunSinks close error = %v, want propagation", err)
-	}
-	if badClose.closed != 1 || tail.closed != 1 {
-		t.Errorf("sinks closed (%d, %d) times, want (1, 1)", badClose.closed, tail.closed)
-	}
-	if badClose.seen == 0 || badClose.seen != tail.seen {
-		t.Errorf("sinks saw (%d, %d) records", badClose.seen, tail.seen)
+// TestRunFailingWriter: a log writer that fails — mid-run, or only at the
+// final flush of a run shorter than one frame — makes Run return that error
+// and install no aggregate.
+func TestRunFailingWriter(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		conns int // a month; Feb – Apr 2012 is three months
+		ok    int
+	}{
+		{"mid-run", 400, 1},    // 1,200 records: the second frame's write fails
+		{"final-flush", 10, 0}, // 30 records: the one frame is written at Close
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewStudy(c.conns)
+			s.Options.End = timeline.M(2012, time.April)
+			w := &failWriter{ok: c.ok}
+			if err := s.Run(w); err == nil || err.Error() != "injected write failure" {
+				t.Fatalf("Run error = %v, want the injected failure", err)
+			}
+			if w.writes != c.ok+1 {
+				t.Errorf("%d writes reached the writer, want %d", w.writes, c.ok+1)
+			}
+			if s.Aggregate() != nil {
+				t.Error("failed run must not install a partial aggregate")
+			}
+		})
 	}
 }
 

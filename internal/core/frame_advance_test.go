@@ -197,7 +197,7 @@ func TestStudyFrameRebuildsAfterUnseenWrite(t *testing.T) {
 	})
 }
 
-// TestStudyFrameAfterSwapOnEqualGeneration: LoadLog and RunSinks replace the
+// TestStudyFrameAfterSwapOnEqualGeneration: LoadLog and Run replace the
 // aggregate, and the replacement can stand at exactly the generation the
 // study's own writes had reached. The cached frame belongs to the old
 // aggregate and must not be advanced (nothing was touched, so it would be
@@ -222,18 +222,18 @@ func TestStudyFrameAfterSwapOnEqualGeneration(t *testing.T) {
 	}
 	prev := requireFreshFrame(t, s)
 
-	// RunSinks: same sample size, other seed — equal generation again.
+	// Run: same sample size, other seed — equal generation again.
 	s.Options = simulate.DefaultOptions(40)
 	s.Options.Seed = 3
 	s.Options.Start, s.Options.End = timeline.M(2014, time.February), timeline.M(2015, time.July)
-	if err := s.RunSinks(nil); err != nil {
+	if err := s.Run(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, after, _ := s.Counts(); after != before {
-		t.Fatalf("RunSinks landed on generation %d, want %d", after, before)
+		t.Fatalf("Run landed on generation %d, want %d", after, before)
 	}
 	if f := requireFreshFrame(t, s); f == prev {
-		t.Error("frame of the replaced aggregate served after RunSinks")
+		t.Error("frame of the replaced aggregate served after Run")
 	}
 
 	// The replacement keeps ingesting, and from here frames advance.

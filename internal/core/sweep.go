@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"tlsage/internal/analysis"
-	"tlsage/internal/fingerprint"
 	"tlsage/internal/notary"
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
@@ -44,7 +43,7 @@ type ScanSweep struct {
 // RunReports executes the sweep — all snapshots on a bounded worker pool —
 // and returns the raw per-month campaign reports in chronological order
 // regardless of completion order: the input ScanAggregate folds for
-// RenderSweep and NewScanStudy. On failure both slices stop before the
+// RenderSweep and for a delta pushed to /merge. On failure both slices stop before the
 // (chronologically) first failing snapshot, and that snapshot's error is
 // returned. As in ScanCampaign.Run, defaults are resolved into locals and
 // the receiver is never written, so concurrent runs of one sweep value do
@@ -108,10 +107,9 @@ func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*Campai
 	return months, reports, nil
 }
 
-// NewScanStudy folds per-month scan campaign reports into a hostable Study,
-// putting the active measurement on the same Frame/Expr query surface (and
-// Router mount) as the passive notary data. Each report lands in its month's
-// counters as pre-aggregated volume — ScanAggregate's mapping, the only one:
+// ScanAggregate folds per-month scan campaign reports into an aggregate,
+// each report landing in its month's counters as pre-aggregated volume —
+// the one mapping from campaigns to counters:
 //
 //	total             farm hosts probed
 //	established       hosts answering the Chrome-2015 probe
@@ -124,20 +122,10 @@ func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*Campai
 //	heartbeat-ack     hosts the live Heartbleed check actually over-read
 //
 // so each ScanMetrics query, e.g. pct(version:ssl3 / total), answers month by
-// month what RenderSweep prints.
-func NewScanStudy(months []timeline.Month, reports []*CampaignReport) (*Study, error) {
-	agg, err := ScanAggregate(months, reports)
-	if err != nil {
-		return nil, err
-	}
-	return &Study{agg: agg, db: fingerprint.BuildDefault()}, nil
-}
-
-// ScanAggregate folds per-month scan campaign reports into a bare aggregate
-// — the NewScanStudy counter mapping without the study wrapper. This is the
-// federation form: an externally-run campaign encodes the aggregate into a
-// delta frame and POSTs it to a core's /merge endpoint, which hosts the
-// months without rebuilding the sweep locally.
+// month what RenderSweep prints. A campaign is hosted by encoding the
+// aggregate into a delta frame and POSTing it to a serving study's /merge
+// endpoint (tlstrend scansweep -push), which then answers those queries
+// without re-running the sweep.
 func ScanAggregate(months []timeline.Month, reports []*CampaignReport) (*notary.Aggregate, error) {
 	if len(months) != len(reports) {
 		return nil, fmt.Errorf("core: %d months but %d reports", len(months), len(reports))

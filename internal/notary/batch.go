@@ -68,8 +68,8 @@ import (
 //
 // The three strings must be ones a TSV line can carry too (see loggable): a
 // collector writes what it acknowledges to -out as frames of this format,
-// recovery reads them back, and LogWriter — simulate -out, feed without
-// -binary — must be able to write any record either decoder accepted.
+// recovery reads them back, and LogWriter must be able to write any record
+// either decoder accepted.
 
 // BatchVersion is the batch wire-format version byte written by this build.
 // Version 2 marks the generation where aggregates derive fingerprint/client

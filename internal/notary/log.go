@@ -17,10 +17,10 @@ import (
 
 // LogWriter streams records to a Bro-style TSV log. It implements Sink:
 // Observe appends one line, Close flushes. The line buffer is reused across
-// records, so writing is allocation-free in steady state. It is the interop
-// writer — simulate -out, feed without -binary — and not what a collector
-// tees its intake through: serve -out appends frames (BatchWriter), which
-// ReadLog reads as it reads these lines.
+// records, so writing is allocation-free in steady state. No command writes
+// TSV — simulate -out, feed and serve -out write frames (BatchWriter), which
+// ReadLog reads as it reads these lines — so it is the spelling tests and
+// the benchmark's TSV workload write.
 type LogWriter struct {
 	w       *bufio.Writer
 	buf     []byte

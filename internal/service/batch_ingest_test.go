@@ -27,8 +27,7 @@ import (
 )
 
 // transcodeBatch re-encodes a TSV log into the binary batch framing with the
-// given records-per-frame — the same transformation `tlstrend feed -binary
-// -in log` applies on the fly.
+// given records-per-frame.
 func transcodeBatch(t *testing.T, log []byte, batchSize int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -583,7 +582,7 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 		defer close(fed)
 		feedRes, feedErr = FeedHTTP(ts.URL,
 			func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(batchA)), nil },
-			FeedOptions{Binary: true, MaxRetries: 3})
+			FeedOptions{MaxRetries: 3})
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.queue.shedFull.Load() == 0 {

@@ -17,11 +17,6 @@ import (
 // value never retries — a shed stream (HTTP 429 or a TCP "busy" line) is
 // reported as an error, matching the old one-shot feeder.
 type FeedOptions struct {
-	// Binary declares the stream body uses the batch framing rather than
-	// TSV. FeedHTTP then labels it with the batch Content-Type; FeedTCP
-	// sends no label. The server reads either as a record log, whatever the
-	// label says.
-	Binary bool
 	// MaxRetries is how many times a shed stream is retried before giving
 	// up. 0 means no retries.
 	MaxRetries int
@@ -78,8 +73,9 @@ func feedRetry(opts FeedOptions, attempt func() (FeedResult, error)) (FeedResult
 	}
 }
 
-// FeedHTTP streams a record log (TSV, or batch-framed with opts.Binary)
-// into a server's POST /ingest endpoint, retrying when the server sheds the
+// FeedHTTP streams a record log (TLSB frames, TSV lines or both) into a
+// server's POST /ingest endpoint, labelled ContentTypeBatch whatever it holds
+// (the server reads a body by its content), retrying when the server sheds the
 // stream with 429 (honoring its Retry-After header as the backoff floor).
 // open must return a fresh body for every attempt — a shed stream was never
 // read, but the connection is gone, so the feeder needs to restart it from
@@ -88,17 +84,13 @@ func feedRetry(opts FeedOptions, attempt func() (FeedResult, error)) (FeedResult
 // replaying from the top would double-count those records.
 func FeedHTTP(baseURL string, open func() (io.ReadCloser, error), opts FeedOptions) (FeedResult, error) {
 	url := strings.TrimSuffix(baseURL, "/") + "/ingest"
-	contentType := ContentTypeTSV
-	if opts.Binary {
-		contentType = ContentTypeBatch
-	}
 	return feedRetry(opts, func() (FeedResult, error) {
 		var res FeedResult
 		body, err := open()
 		if err != nil {
 			return res, err
 		}
-		resp, err := http.Post(url, contentType, body)
+		resp, err := http.Post(url, ContentTypeBatch, body)
 		body.Close()
 		if err != nil {
 			return res, err

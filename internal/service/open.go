@@ -274,29 +274,24 @@ func (n *Node) Serve(ctx context.Context) error {
 		go func() { cancel(n.def.ServeTCP(ln)) }()
 		n.cfg.Logf("raw ingest (TSV or binary batch) on tcp://%s", ln.Addr())
 	}
-	err = ServeUntilDone(ctx, httpLn, n.Handler())
+	// Serve until ctx is done, then shut down gracefully, giving in-flight
+	// requests five seconds to finish; an HTTP server that fails on its own
+	// ends Serve with its error.
+	hs := &http.Server{Handler: n.Handler()}
+	failed := make(chan error, 1)
+	go func() { failed <- hs.Serve(httpLn) }()
+	select {
+	case err = <-failed:
+	case <-ctx.Done():
+		shutCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+		err = hs.Shutdown(shutCtx)
+		stop()
+	}
 	n.cfg.Logf("shutting down")
 	if cause := context.Cause(ctx); err == nil && !errors.Is(cause, context.Canceled) {
 		err = cause
 	}
 	return err
-}
-
-// ServeUntilDone serves h on ln until ctx is done, then shuts down
-// gracefully, giving in-flight requests five seconds to finish. It returns
-// early with the error when the server fails on its own.
-func ServeUntilDone(ctx context.Context, ln net.Listener, h http.Handler) error {
-	hs := &http.Server{Handler: h}
-	failed := make(chan error, 1)
-	go func() { failed <- hs.Serve(ln) }()
-	select {
-	case err := <-failed:
-		return err
-	case <-ctx.Done():
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return hs.Shutdown(shutCtx)
 }
 
 // Close shuts the node down: every hosted server closes — TCP listeners

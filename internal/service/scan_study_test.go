@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -30,10 +31,12 @@ func scanReport(hosts, ssl3, answered, rc4, cbc, tdes, hbAck, rc4only, export, v
 }
 
 // TestScanStudyOnRouter is the e2e acceptance check for hosted scan
-// campaigns: a sweep's reports fold into a core.NewScanStudy, mount on the
-// Router next to a passive study, and POST /studies/scan/query answers the
-// campaign metrics through the same Frame/Expr pipeline — each of
-// core.ScanMetrics equal to the share of hosts the report's fields give.
+// campaigns, the path `tlstrend scansweep -push` takes into `tlstrend serve
+// -studies notary,scan`: a sweep's reports fold into core.ScanAggregate, go
+// as one delta to POST /studies/scan/merge of a Router that also hosts a
+// passive study, and POST /studies/scan/query answers the campaign metrics
+// through the same Frame/Expr pipeline — each of core.ScanMetrics equal to
+// the share of hosts the report's fields give.
 func TestScanStudyOnRouter(t *testing.T) {
 	months := []timeline.Month{
 		timeline.M(2015, time.September),
@@ -45,21 +48,24 @@ func TestScanStudyOnRouter(t *testing.T) {
 		scanReport(150, 55, 140, 12, 70, 1, 48, 21, 30, 1),
 		scanReport(180, 45, 175, 6, 63, 0, 61, 34, 2, 0),
 	}
-	study, err := core.NewScanStudy(months, reports)
+	agg, err := core.ScanAggregate(months, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rt := NewRouter()
-	if err := rt.Add("passive", NewServer(core.NewLiveStudy())); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Add("scan", NewServer(study)); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"passive", "scan"} {
+		if err := rt.Add(id, NewServer(core.NewLiveStudy())); err != nil {
+			t.Fatal(err)
+		}
 	}
 	defer rt.Close()
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
+	ack, err := federation.PushDelta(ts.URL+"/studies/scan", &federation.Delta{Source: "campaign-2018", Agg: agg}, nil)
+	if err != nil || ack.Records != agg.Generation() {
+		t.Fatalf("campaign push applied %+v (err %v), want %d records", ack, err, agg.Generation())
+	}
 
 	// Every declared scan metric, as a query over the scan study's counters,
 	// must equal the share of hosts computed here straight from the report's
@@ -134,26 +140,20 @@ func TestScanStudyOnRouter(t *testing.T) {
 		t.Errorf("fingerprint gauges = %+v", *health.Fingerprints)
 	}
 
-	// POST /merge doubles as the ingest path for campaigns run elsewhere: the
-	// same sweep, aggregated and pushed as one delta to an empty live study,
-	// serves every scan metric and /scalars as the mounted study does.
+	// The pushed campaign serves /scalars, /figures and every scan metric
+	// byte for byte as a study built straight from the sweep's aggregate.
 	t.Run("campaign-merge-parity", func(t *testing.T) {
-		agg, err := core.ScanAggregate(months, reports)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosted := NewServer(core.NewLiveStudy())
-		defer hosted.Close()
-		hostedTS := httptest.NewServer(hosted.Handler())
-		defer hostedTS.Close()
-		ack, err := federation.PushDelta(hostedTS.URL, &federation.Delta{Source: "campaign-2018", Agg: agg}, nil)
-		if err != nil || ack.Records != agg.Generation() {
-			t.Fatalf("campaign push applied %+v (err %v), want %d records", ack, err, agg.Generation())
-		}
+		built := NewServer(core.NewStudyFromAggregate(agg))
+		defer built.Close()
+		builtTS := httptest.NewServer(built.Handler())
+		defer builtTS.Close()
 		queries := []string{"at(pct(class:rc4 / total), 2015-09)"}
 		for _, m := range core.ScanMetrics {
 			queries = append(queries, m.Query)
 		}
-		requireSameServed(t, hostedTS.URL, ts.URL+"/studies/scan", "the mounted scan study", queries...)
+		requireSameServed(t, ts.URL+"/studies/scan", builtTS.URL, "a study built from the sweep's aggregate", queries...)
+		if got, want := mustGet(t, ts.URL+"/studies/scan/figures"), mustGet(t, builtTS.URL+"/figures"); !bytes.Equal(got, want) {
+			t.Errorf("/figures differs from a study built from the sweep's aggregate:\n%s\n---\n%s", got, want)
+		}
 	})
 }

@@ -16,11 +16,12 @@ import (
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
 	"tlsage/internal/notary"
+	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
 )
 
-// studyLog simulates a small study once and returns its TSV log plus the
-// offline study built from it — the parity reference.
+// sharedLog simulates a small study once and returns its records as a TSV
+// log plus the offline study built from it — the parity reference.
 var (
 	logOnce    sync.Once
 	logBytes   []byte
@@ -31,9 +32,14 @@ func sharedLog(t *testing.T) ([]byte, *core.Study) {
 	t.Helper()
 	logOnce.Do(func() {
 		var buf bytes.Buffer
-		s := core.NewStudy(40)
-		s.Options.End = timeline.M(2013, time.June)
-		if err := s.Run(&buf); err != nil {
+		opts := simulate.DefaultOptions(40)
+		opts.End = timeline.M(2013, time.June)
+		w := notary.NewLogWriter(&buf)
+		err := simulate.New(opts).Run(w)
+		if err == nil {
+			err = w.Close()
+		}
+		if err != nil {
 			panic(err)
 		}
 		logBytes = buf.Bytes()
