@@ -2,6 +2,7 @@ package tlsage
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -200,6 +201,65 @@ func TestProductionCallsProduction(t *testing.T) {
 		}
 		if !declared[name] || named[name] {
 			t.Errorf("allow-list entry %s is stale: it is no longer declared under internal/, or production names it now", name)
+		}
+	}
+}
+
+// TestOnePackageDoc guards what go doc shows first: every package under
+// internal/ and cmd/ has its package doc in exactly one file, and the doc
+// opens with "Package <name>" ("Command <name>" for a command). A file
+// comment that sits directly on the package clause is glued into the package
+// doc, so a file's own header comment needs a blank line before `package`.
+func TestOnePackageDoc(t *testing.T) {
+	dirs := map[string][]string{} // directory → its production files
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				dirs[filepath.Dir(path)] = append(dirs[filepath.Dir(path)], path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(dirs) < 19 {
+		t.Fatalf("found %d packages under internal/ and cmd/: the guard is looking in the wrong place", len(dirs))
+	}
+	for dir, paths := range dirs {
+		fset := token.NewFileSet()
+		var files []*ast.File
+		var documented []string
+		for _, path := range paths {
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.PackageClauseOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+			if f.Doc != nil {
+				documented = append(documented, filepath.Base(path))
+			}
+		}
+		if len(documented) != 1 {
+			t.Errorf("%s: package doc in %d files %v, want exactly one", dir, len(documented), documented)
+		}
+		pkg, err := doc.NewFromFiles(fset, files, "tlsage/"+filepath.ToSlash(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "Package " + pkg.Name + " "
+		if pkg.Name == "main" {
+			want = "Command " + filepath.Base(dir) + " "
+		}
+		if !strings.HasPrefix(pkg.Doc, want) {
+			first, _, _ := strings.Cut(pkg.Doc, "\n")
+			t.Errorf("%s: go doc opens with %q, want %q…", dir, first, want)
 		}
 	}
 }

@@ -27,13 +27,15 @@ import (
 	"tlsage/internal/simulate"
 )
 
-// startServe launches `tlstrend serve` on loopback ports of the kernel's
-// choosing and reads both listen addresses off stderr through the markers the
-// benchmark relies on ("on http://", "on tcp://"). wait blocks until the
-// process exits and returns everything it wrote to stderr.
-func startServe(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, httpURL, tcpAddr string, wait func() (string, error)) {
+// startServe launches `tlstrend serve` in dir ("" = this one) on loopback
+// ports of the kernel's choosing and reads both listen addresses off stderr
+// through the markers the benchmark relies on ("on http://", "on tcp://").
+// wait blocks until the process exits and returns everything it wrote to
+// stderr.
+func startServe(t *testing.T, bin, dir string, args ...string) (cmd *exec.Cmd, httpURL, tcpAddr string, wait func() (string, error)) {
 	t.Helper()
 	cmd = exec.Command(bin, append([]string{"serve", "-http", "127.0.0.1:0", "-tcp", "127.0.0.1:0"}, args...)...)
+	cmd.Dir = dir
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -73,36 +75,6 @@ func startServe(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, httpUR
 	return cmd, httpURL, tcpAddr, wait
 }
 
-// readmeCommands returns what follows "tlstrend" on each command line of
-// README's fenced blocks, shell comments cut, lines that end in a backslash
-// joined with the next, and single-quoted arguments emptied.
-func readmeCommands(readme string) []string {
-	comment := regexp.MustCompile(`(^|\s)#.*`)
-	quoted := regexp.MustCompile(`'[^']*'`)
-	command := regexp.MustCompile(`(?:^|[\s/])tlstrend\s+(\S.*)`)
-	var cmds []string
-	fenced, joined := false, ""
-	for _, line := range strings.Split(readme, "\n") {
-		if strings.HasPrefix(line, "```") {
-			fenced = !fenced
-			continue
-		}
-		if !fenced {
-			continue
-		}
-		line = strings.TrimRight(comment.ReplaceAllString(line, ""), " \t")
-		if head, ok := strings.CutSuffix(line, "\\"); ok {
-			joined += head + " "
-			continue
-		}
-		line, joined = joined+line, ""
-		if m := command.FindStringSubmatch(quoted.ReplaceAllString(line, "''")); m != nil {
-			cmds = append(cmds, m[1])
-		}
-	}
-	return cmds
-}
-
 // TestCLI drives the built binary: serve refuses a queue bound below 1 —
 // the merge queue is the only ingest path, so there is no "0 = off" — serve's
 // flag set is the one pinned in testdata, a served study survives SIGTERM and
@@ -113,8 +85,9 @@ func readmeCommands(readme string) []string {
 // -out writes a frame log that reads as the TSV log of the same records does,
 // scansweep -push into serve -studies notary,scan serves what a study built
 // from the sweep's aggregate does, every README command line names only
-// flags its command has, and an offline query prints exactly what
-// core.Study.Query computes.
+// flags its command has, README stays a map of at most 25,000 bytes and
+// every command it shows runs (runREADME), and an offline query prints
+// exactly what core.Study.Query computes.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tlstrend")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -227,7 +200,7 @@ func TestCLI(t *testing.T) {
 		}
 		const q = "pct(version:tls12 / established)"
 
-		serve, url, tcp, wait := startServe(t, bin, "-out", out, "-snapshot-dir", snaps)
+		serve, url, tcp, wait := startServe(t, bin, "", "-out", out, "-snapshot-dir", snaps)
 		run("feed", "-addr", url, "-conns", "20")
 		// feed's summary line carries the stream's wire cost: a simulated
 		// stream goes as TLSB frames, a few dozen bytes a record (a TSV line
@@ -258,7 +231,7 @@ func TestCLI(t *testing.T) {
 			t.Errorf("no final snapshot at generation 3000 in %s", snaps)
 		}
 
-		serve, url, _, wait = startServe(t, bin, "-out", out, "-snapshot-dir", snaps)
+		serve, url, _, wait = startServe(t, bin, "", "-out", out, "-snapshot-dir", snaps)
 		after := run("query", "-addr", url, "-q", q, "-json")
 		if !bytes.Equal(before, after) {
 			t.Errorf("query after restart printed\n%s\nbefore it\n%s", after, before)
@@ -309,7 +282,7 @@ func TestCLI(t *testing.T) {
 			}
 			return stdout, errBuf.Bytes()
 		}
-		serve, url, tcp, wait := startServe(t, bin)
+		serve, url, tcp, wait := startServe(t, bin, "")
 		wantLoaded, _ := run("loadlog", "-in", logs["tsv"], "-workers", "1")
 		wantQuery, _ := run("query", "-in", logs["tsv"], "-q", "count(total)", "-json")
 		fed := 0
@@ -384,7 +357,7 @@ func TestCLI(t *testing.T) {
 	})
 
 	t.Run("scansweep -push into serve -studies notary,scan serves what the sweep's aggregate does", func(t *testing.T) {
-		serve, url, _, wait := startServe(t, bin, "-studies", "notary,scan")
+		serve, url, _, wait := startServe(t, bin, "", "-studies", "notary,scan")
 		var stderr bytes.Buffer
 		cmd := exec.Command(bin, "scansweep", "-hosts", "40", "-step", "12", "-push", url+"/studies/scan")
 		cmd.Stderr = &stderr
@@ -447,23 +420,33 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commands, readmeErr := readmeCommands(string(readme))
+
 	t.Run("README's command lines use only flags their commands have", func(t *testing.T) {
-		readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
-		if err != nil {
-			t.Fatal(err)
+		if readmeErr != nil {
+			t.Fatal(readmeErr)
 		}
 		helpFlag := regexp.MustCompile(`(?m)^  -(\S+)`)
 		flagArg := regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
 		flagsOf := map[string]map[string]bool{}
-		lines := readmeCommands(string(readme))
-		for _, line := range lines {
-			args := strings.Fields(line)
+		var lines []string
+		for _, c := range commands {
+			args, ok := c.tlstrend()
+			if !ok {
+				continue
+			}
+			line := strings.Join(args, " ")
+			lines = append(lines, line)
 			cmd := args[0]
 			flags, ok := flagsOf[cmd]
 			if !ok {
 				help, err := exec.Command(bin, cmd, "-h").CombinedOutput()
 				if err != nil {
-					t.Errorf("README runs tlstrend %s, and tlstrend %s -h fails: %v\n%s", cmd, cmd, err, help)
+					t.Errorf("README.md:%d runs tlstrend %s, and tlstrend %s -h fails: %v\n%s", c.line, cmd, cmd, err, help)
 				} else {
 					flags = map[string]bool{}
 					for _, m := range helpFlag.FindAllSubmatch(help, -1) {
@@ -473,17 +456,29 @@ func TestCLI(t *testing.T) {
 				flagsOf[cmd] = flags
 			}
 			for _, arg := range args[1:] {
-				if strings.ContainsAny(arg, "&|;>") {
-					break // the shell takes over: a pipe, a redirect, a background job
-				}
 				if m := flagArg.FindStringSubmatch(arg); m != nil && flags != nil && !flags[m[1]] {
-					t.Errorf("README runs tlstrend %s, which has no flag -%s", line, m[1])
+					t.Errorf("README.md:%d runs tlstrend %s, which has no flag -%s", c.line, line, m[1])
 				}
 			}
 		}
 		if len(lines) < 20 {
 			t.Errorf("found %d tlstrend command lines in README's fenced blocks, want at least 20:\n%s", len(lines), strings.Join(lines, "\n"))
 		}
+	})
+
+	t.Run("README stays a map of at most 25,000 bytes", func(t *testing.T) {
+		// Mechanism belongs in the doc comment beside its code and history in
+		// CHANGES.md; README says what each package does and how to run it.
+		if len(readme) > 25000 {
+			t.Errorf("README.md is %d bytes, want at most 25,000", len(readme))
+		}
+	})
+
+	t.Run("README's commands run in README order", func(t *testing.T) {
+		if readmeErr != nil {
+			t.Fatal(readmeErr)
+		}
+		runREADME(t, bin, t.TempDir(), commands)
 	})
 
 	t.Run("query matches Study.Query", func(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"tlsage/internal/core"
 )
 
-// cmdQuery evaluates one metric expression (the README query grammar):
+// cmdQuery evaluates one metric expression (analysis.ParseQuery's grammar):
 // offline against a record log or a fresh simulation, or remotely by POSTing
 // to a running server's /query endpoint (optionally a named study on a
 // multi-study router).

@@ -280,9 +280,12 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 // f's axis. The result equals NewFrame(agg) in every exported column, in
 // FPNames, FingerprintGauges, Generation and Row, at the cost of copying the
 // columns and re-reading the touched months instead of walking every month's
-// maps. f itself is not written, so readers may keep evaluating against it;
-// the two frames share what cannot differ between them (the month axis and,
-// while the top-K set holds, its column list and names).
+// maps: after a 256-record shard at the benchmark's 150,000-record scale an
+// advance costs ≈ 40 µs where NewFrame costs ≈ 0.35 ms
+// (core.frame_rebuild_us, analysis.new_frame_us). f itself is not written, so
+// readers may keep evaluating against it; the two frames share what cannot
+// differ between them (the month axis and, while the top-K set holds, its
+// column list and names).
 //
 // The caller decides whether these preconditions hold and calls NewFrame
 // when they do not (core.Study.refresh is that caller). A month missing

@@ -356,7 +356,8 @@ func (s *Study) QueryExprInfoJSON(e *analysis.Expr) (analysis.QueryResult, []byt
 // critical section as that frame. The lookup, compile and evaluation run
 // outside the lock. Concurrent misses for one key each compile and evaluate
 // (microseconds; the frame they share is brought up to date once) and
-// QueryCache.Put keeps the last of their identical entries. A nil cache
+// QueryCache.Put keeps the last of their identical entries. Ad-hoc plans are
+// not memoized: a plan's key would be the result cache's key. A nil cache
 // degrades to plain compile-and-evaluate.
 func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
 	var (

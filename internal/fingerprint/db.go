@@ -130,7 +130,9 @@ var table2Targets = map[clientdb.Class]int{
 // releases, platform builds and configuration tweaks that give real products
 // many fingerprints each (BrowserStack sweeps, multiple compiled OpenSSL
 // versions, §4). A variant costs one fingerprint and one Add, whatever the
-// database holds already: the loop reads its class's kept count.
+// database holds already: the loop reads its class's kept count. Every
+// core.Study constructor builds one, so every `tlstrend serve` start pays
+// for it (≈ 3 ms), whether or not it recovers.
 func BuildDefault() *DB {
 	db := NewDB()
 	rnd := rand.New(rand.NewSource(4242)) // fixed seed: the DB is a dataset

@@ -15,8 +15,11 @@ import (
 
 // Batch codec: frames carrying batches of Records, in the same envelope as
 // the snapshot codec (see package framing) — the binary sibling of the TSV
-// log line. A producer packs records into frames (BatchWriter); a consumer
-// streams frames back into a Sink (ReadBatches).
+// log line. A producer packs records into frames (BatchWriter); ReadLog, the
+// one record reader, streams them back into a Sink wherever they arrive,
+// alone or between the lines of a record log. ReadBatches, which reads a
+// stream of frames alone, is left to the benchmark's per-layer decode timing
+// and the tests.
 // TSV stays the debug/interop path; this format exists so a record costs a
 // few dozen varint reads rather than a line of text, and a stream one
 // checksum and one read per frame.
@@ -76,7 +79,10 @@ import (
 // attribution counters from Record.Fingerprint, over version 1's payload;
 // version 3 adds the two frame-local references. Readers accept
 // batchFormat.MinVersion through BatchVersion and reject anything newer — the
-// format can evolve without silent misdecodes.
+// format can evolve without silent misdecodes. So a version-2 feeder still
+// feeds this build, and this build's feeder fails loudly against a collector
+// older than version 3 ("batch frame 0: version 3, this build reads 1..2"),
+// with nothing ingested.
 const BatchVersion = 3
 
 // batchFormat is the TLSB envelope. The magic differs from the snapshot

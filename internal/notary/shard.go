@@ -4,11 +4,14 @@ import "tlsage/internal/timeline"
 
 // ShardBuilder accumulates records into a private Aggregate — the shard a
 // stream builds before a merge — paying for a hello's shape once per distinct
-// hello, not once per record: a 4,096-record shard of a simulated stream
-// holds under two hundred distinct (month, hello) pairs and a few dozen
-// (month, suite) ones. For each record it does what is the record's own
-// (Aggregate.tally) and counts the record in its (month, hello row) cell and
-// its month's raw-suite table; Flush folds each cell's
+// hello, not once per record: a 4,096-record shard of the benchmark's
+// simulated corpus holds 177 distinct (month, hello) pairs and 35 (month,
+// suite) ones. Every fold into a private shard goes through one: a served
+// stream's, each ReadLogParallel worker's (the one of -workers 1 too),
+// recovery's replay of the log past its snapshot, an edge's replay of its
+// unshipped log tail, and core.Study.Run's. For each record it does what is
+// the record's own (Aggregate.tally) and counts the record in its (month,
+// hello row) cell and its month's raw-suite table; Flush folds each cell's
 // shape and each suite times its count through the bodies Add runs with a
 // count of one (foldHello, foldSuite). Those counters are integers, so the
 // product is the sum; Figure 5's position sums are floats, which is why tally

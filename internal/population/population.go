@@ -88,7 +88,9 @@ func (t *ClientDay) release(i int, rnd *rand.Rand) int {
 }
 
 // runningSums replaces each weight of w by the sum of it and those before it,
-// added in order, and returns w.
+// added in order, and returns w. They are the float additions, in the order,
+// that summing the weights at every draw made, so a day table draws exactly
+// what the per-draw sums drew.
 func runningSums(w []float64) []float64 {
 	acc := 0.0
 	for i, v := range w {

@@ -19,6 +19,7 @@
 // build appends; TSV lines, which is what builds before it wrote and what a
 // log they started still begins with; and #base directives. A frame the crash
 // cut short is a torn entry exactly as a cut line is.
+
 package service
 
 import (

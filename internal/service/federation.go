@@ -5,6 +5,7 @@
 // that is the live union of named children; and every merged shard flows
 // through shard observers — the tee that feeds an attached edge Pusher and
 // union studies alike.
+
 package service
 
 import (
@@ -249,7 +250,9 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		// Recovery skips the log lines the snapshot's generation covers, and
 		// a delta advances the generation without writing any: the next
 		// restart would skip the wrong records. 403 is neither the status a
-		// pusher backs off on (429) nor the one it rebases on (409).
+		// pusher backs off on (429) nor the one it rebases on (409), so a
+		// misdirected pusher keeps its delta, as after any failed push, and
+		// logs the refusal until it is pointed at a study without -out.
 		s.setGeneration(w)
 		writeError(w, http.StatusForbidden, errors.New(
 			"this study tees its records into a log (serve -out), which a merged delta would misalign on the next recovery; push to a study hosted without -out"))

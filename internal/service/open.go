@@ -20,6 +20,7 @@
 // truncated before its records are in a snapshot, or before its unshipped
 // tail reached the pusher, is data loss. A failure at any step releases what
 // the earlier steps acquired.
+
 package service
 
 import (

@@ -3,6 +3,7 @@
 // per-study endpoint (ingest, figures, query, healthz, ...) keeps its exact
 // single-study behaviour — and aliases the default study's routes at the
 // root, so single-study clients keep working against a routed deployment.
+
 package service
 
 import (

@@ -30,15 +30,19 @@
 // pusher, record log, router, union — is one Node, assembled from the flag
 // set by Open (open.go) in a fixed order that tests run as-is.
 //
-// Ingestion is sharded: each stream parses into a private notary.Aggregate
-// (no lock contention on the parse) and folds into the live study via
-// Aggregate.Merge every FlushEvery records and at stream end. The merged
-// content is identical to serial ingestion for every flush cadence, so a
-// served study's figures and scalars match the offline loadlog path
-// exactly. Shards travel a bounded queue (queue.go) to the single merge loop
-// that owns the study's write path, and a stream that finds the queue full
-// is shed (429 / "busy") instead of buffering without bound. The merge loop
-// also writes each shard to the record log, if any, before merging it.
+// Ingestion is sharded: each stream folds its records into a pooled
+// notary.ShardBuilder (no lock contention on the parse), which hands over a
+// private shard every WithFlushEvery records (serve -flush;
+// DefaultFlushEvery unless set) and at stream end. Shards travel a bounded
+// queue (queue.go) to the single merge loop that owns the study's write path
+// and folds each into the live study with core.Study.MergeShard; a stream
+// that finds the queue full is shed (429 / "busy") instead of buffering
+// without bound. The merged content is identical to serial ingestion for
+// every flush cadence, so a served study's figures and scalars match the
+// offline loadlog path exactly. The merge loop also writes each shard to the
+// record log, if any, before merging it, and hands each merged shard back to
+// the pool emptied (Aggregate.Reset) once the shard observers — the edge
+// pusher, union studies — have returned.
 //
 // Every ingest stream, a POST body or a raw TCP connection, is read by
 // notary.ReadLog alone: at each entry boundary the next four bytes say
