@@ -263,3 +263,73 @@ func TestOnePackageDoc(t *testing.T) {
 		}
 	}
 }
+
+// TestServeConfigIsItsFlagSet guards open.go's "one field per flag": every
+// exported service.Config field but Logf is bound by exactly one
+// fs.*Var(&cfg.X, …) in cmd/tlstrend/serve.go, and every flag serve defines
+// binds a Config field, so a knob cannot be added on one side only.
+func TestServeConfigIsItsFlagSet(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		t.Helper()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	fields := map[string]int{} // Config field → flags binding it
+	ast.Inspect(parse(filepath.Join("internal", "service", "open.go")), func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "Config" {
+			return true
+		}
+		for _, field := range ts.Type.(*ast.StructType).Fields.List {
+			for _, name := range field.Names {
+				if name.IsExported() && name.Name != "Logf" {
+					fields[name.Name] = 0
+				}
+			}
+		}
+		return false
+	})
+	if len(fields) == 0 {
+		t.Fatal("no service.Config fields: the guard is looking in the wrong place")
+	}
+	// The FlagSet methods that define no flag.
+	reads := []string{"Parse", "Parsed", "Args", "Arg", "NArg", "NFlag", "Lookup", "Set", "Visit", "VisitAll",
+		"PrintDefaults", "SetOutput", "Output", "Name", "ErrorHandling", "Init"}
+	ast.Inspect(parse(filepath.Join("cmd", "tlstrend", "serve.go")), func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "fs" || slices.Contains(reads, sel.Sel.Name) {
+			return true
+		}
+		pos := fset.Position(call.Pos())
+		bound := ""
+		if addr, ok := call.Args[0].(*ast.UnaryExpr); ok && addr.Op == token.AND && strings.HasSuffix(sel.Sel.Name, "Var") {
+			if field, ok := addr.X.(*ast.SelectorExpr); ok {
+				if cfg, ok := field.X.(*ast.Ident); ok && cfg.Name == "cfg" {
+					bound = field.Sel.Name
+				}
+			}
+		}
+		if _, isField := fields[bound]; !isField {
+			t.Errorf("%s:%d: fs.%s defines a flag that binds no service.Config field", pos.Filename, pos.Line, sel.Sel.Name)
+			return true
+		}
+		fields[bound]++
+		return true
+	})
+	for name, flags := range fields {
+		if flags != 1 {
+			t.Errorf("service.Config.%s is bound by %d serve flags, want exactly 1", name, flags)
+		}
+	}
+}

@@ -384,13 +384,12 @@ func benchScanWorkers(b *testing.B, workers int) {
 	cfg := scanner.Chrome2015()
 	hello := cfg.Build(rand.New(rand.NewSource(2)))
 	farmCfgs, cohorts := sampleFarmConfigs(64)
-	farm, err := serverfarm.StartFarm(farmCfgs, cohorts, 3*time.Second)
+	farm, err := serverfarm.StartFarm(farmCfgs, cohorts, scanner.DefaultTimeout)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer farm.Close()
 	sc := scanner.New(workers)
-	sc.Timeout = 3 * time.Second
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results, err := sc.Scan(context.Background(), farm.Addrs(), hello)
@@ -444,7 +443,7 @@ func BenchmarkAblationAggPostHoc(b *testing.B) {
 // --- Sharded log ingestion (the post-hoc Notary workload) ---
 
 // logFrameSize is the records per frame of the frame-log arm: a shard of
-// serve's default -flush, what serve -out writes one frame per.
+// service.DefaultFlushEvery, what serve -out writes one frame per.
 const logFrameSize = 4096
 
 // benchLogs renders a study-shaped log (~55k records) once per process in

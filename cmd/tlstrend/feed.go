@@ -13,16 +13,15 @@ import (
 
 // cmdFeed streams records into a running serve instance: either a replay of
 // a record log, sent as it is (the server reads frames, TSV lines or both),
-// or a live simulation sent as TLSB frames of -batch records. With -retry, a
-// stream the server sheds under load (HTTP 429 or a TCP "busy" line) is
-// retried with exponential backoff and jitter, honoring the server's
-// Retry-After hint.
+// or a live simulation sent as TLSB frames of notary.DefaultBatchSize
+// records. With -retry, a stream the server sheds under load (HTTP 429 or a
+// TCP "busy" line) is retried with exponential backoff and jitter, honoring
+// the server's Retry-After hint.
 func cmdFeed(args []string) error {
 	fs, sim := simFlagSet("feed", 1000)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "server base URL (HTTP ingest)")
 	tcpAddr := fs.String("tcp", "", "stream over raw TCP to this address instead of HTTP")
 	in := fs.String("in", "", "record log to replay as it is: TLSB frames, TSV lines or both (empty = simulate live)")
-	batch := fs.Int("batch", notary.DefaultBatchSize, "records per TLSB frame of a simulated stream")
 	retry := fs.Int("retry", 0, "retries when the server sheds the stream under load (0 = fail fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -38,7 +37,7 @@ func cmdFeed(args []string) error {
 		open = func() (io.ReadCloser, error) {
 			pr, pw := io.Pipe()
 			go func() {
-				enc := notary.NewBatchWriter(pw, *batch)
+				enc := notary.NewBatchWriter(pw, notary.DefaultBatchSize)
 				err := simulate.New(opts).Run(enc)
 				if err == nil {
 					err = enc.Close()

@@ -6,8 +6,8 @@
 //
 //	tlstrend simulate   [-conns N] [-seed S] [-workers W] [-out conn.log]   run the passive study, optionally writing a TLSB frame log
 //	tlstrend loadlog    [-in conn.log] [-workers W] [-figure N] [-chart]    post-hoc analysis of a record log: frames, TSV lines or both (sharded parse)
-//	tlstrend serve      [-http ADDR] [-tcp ADDR] [-out conn.log] [-studies a,b] [-snapshot-dir DIR] [-max-inflight N] [-queue-bound N] [-query-cache N] [-upstream URL [-push-interval D] [-push-source S]] [-union ID]  live notary service: TSV + binary-batch ingest, JSON query endpoints, durable snapshots, restart recovery, cached queries; -upstream turns the node into an edge collector pushing aggregate deltas, -union hosts a federated union study
-//	tlstrend feed       [-addr URL | -tcp ADDR] [-in conn.log | -conns N [-batch N]] [-retry N]  stream a log, or a live simulation as TLSB frames, into a server
+//	tlstrend serve      [-http ADDR] [-tcp ADDR] [-out conn.log] [-studies a,b] [-snapshot-dir DIR] [-query-cache N] [-upstream URL [-push-interval D] [-push-source S]] [-union ID]  live notary service: TSV + binary-batch ingest, JSON query endpoints, durable snapshots, restart recovery, cached queries; -upstream turns the node into an edge collector pushing aggregate deltas, -union hosts a federated union study
+//	tlstrend feed       [-addr URL | -tcp ADDR] [-in conn.log | -conns N] [-retry N]  stream a log, or a live simulation as TLSB frames, into a server
 //	tlstrend query      -q EXPR [-in conn.log | -conns N | -addr URL [-study ID]]  evaluate a metric expression offline or remotely
 //	                    (column families include fp:<id12|other> top-K fingerprints and agent:<class> client attribution)
 //	tlstrend figure     [-n N | -name NAME] [-conns N] [-chart]  print one catalog figure as table or chart

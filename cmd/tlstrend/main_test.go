@@ -75,9 +75,9 @@ func startServe(t *testing.T, bin, dir string, args ...string) (cmd *exec.Cmd, h
 	return cmd, httpURL, tcpAddr, wait
 }
 
-// TestCLI drives the built binary: serve refuses a queue bound below 1 —
-// the merge queue is the only ingest path, so there is no "0 = off" — serve's
-// flag set is the one pinned in testdata, a served study survives SIGTERM and
+// TestCLI drives the built binary: an Open that sets no tuning value runs
+// at serve's queue bound and in-flight limit, serve's flag set is the one
+// pinned in testdata, a served study survives SIGTERM and
 // a restart byte for byte, scan, scansweep, experiments and the passive
 // figure and table commands print their goldens, an unknown figure fails
 // before any simulation or load, every command that takes a log reads a TSV
@@ -94,14 +94,33 @@ func TestCLI(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	t.Run("serve rejects -queue-bound 0", func(t *testing.T) {
-		out, err := exec.Command(bin, "serve", "-http", "127.0.0.1:0", "-queue-bound", "0").CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-			t.Fatalf("serve -queue-bound 0: err=%v, want a non-zero exit\n%s", err, out)
+	t.Run("serve's cadence is service's constants", func(t *testing.T) {
+		// A Config that sets no tuning value comes up at the values serve runs
+		// at: the constants live in service, not in serve's flag literals.
+		node, err := service.Open(service.Config{Studies: "notary"})
+		if err != nil {
+			t.Fatalf("Open with no tuning field: %v", err)
 		}
-		if !strings.Contains(string(out), "-queue-bound") {
-			t.Errorf("error output does not name the flag:\n%s", out)
+		defer node.Close()
+		srv := httptest.NewServer(node.Handler())
+		defer srv.Close()
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var health struct {
+			MaxInFlight int `json:"max_in_flight"`
+			Queue       struct {
+				Capacity int `json:"capacity"`
+			} `json:"ingest_queue"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+			t.Fatal(err)
+		}
+		if health.Queue.Capacity != 256 || health.MaxInFlight != 64 {
+			t.Errorf("/healthz reports ingest_queue.capacity %d and max_in_flight %d, want 256 and 64",
+				health.Queue.Capacity, health.MaxInFlight)
 		}
 	})
 
@@ -371,7 +390,7 @@ func TestCLI(t *testing.T) {
 
 		// The reference: the same sweep, run here, hosted as a study built
 		// from its aggregate.
-		sweep := &core.ScanSweep{StepMonths: 12, HostsPerSnapshot: 40, Workers: 24, Seed: 7}
+		sweep := &core.ScanSweep{StepMonths: 12, HostsPerSnapshot: 40, Seed: 7}
 		months, reports, err := sweep.RunReports(context.Background())
 		if err != nil {
 			t.Fatal(err)

@@ -261,7 +261,7 @@ func cmdExperiments(args []string) error {
 	fmt.Println()
 
 	run := func(d timeline.Date) (*core.CampaignReport, error) {
-		c := &core.ScanCampaign{Date: d, Hosts: *hosts, Workers: 24, Seed: sim.seed}
+		c := &core.ScanCampaign{Date: d, Hosts: *hosts, Seed: sim.seed}
 		return c.Run(context.Background())
 	}
 	sep15, err := run(timeline.D(2015, time.September, 15))

@@ -15,7 +15,6 @@ import (
 func cmdScan(args []string) error {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
 	hosts := fs.Int("hosts", 300, "farm size")
-	workers := fs.Int("workers", 24, "scanner workers")
 	seed := fs.Int64("seed", 7, "population seed")
 	dateStr := fs.String("date", "2018-05-13", "population snapshot date")
 	if err := fs.Parse(args); err != nil {
@@ -25,7 +24,7 @@ func cmdScan(args []string) error {
 	if err != nil {
 		return fmt.Errorf("bad -date: %w", err)
 	}
-	c := &core.ScanCampaign{Date: timeline.D(date.Date()), Hosts: *hosts, Workers: *workers, Seed: *seed}
+	c := &core.ScanCampaign{Date: timeline.D(date.Date()), Hosts: *hosts, Seed: *seed}
 	rep, err := c.Run(context.Background())
 	if err != nil {
 		return err
@@ -42,7 +41,6 @@ func cmdScanSweep(args []string) error {
 	fs := flag.NewFlagSet("scansweep", flag.ExitOnError)
 	hosts := fs.Int("hosts", 150, "farm size per snapshot")
 	step := fs.Int("step", 3, "months between snapshots")
-	workers := fs.Int("workers", 24, "scanner workers")
 	seed := fs.Int64("seed", 7, "population seed")
 	alexa := fs.Bool("alexa", false, "popularity-weighted (Alexa-style) universe")
 	pushURL := fs.String("push", "", "POST the sweep as one pre-aggregated delta to this study URL ({url}/merge), e.g. http://HOST/studies/scan of a serve -studies notary,scan")
@@ -53,7 +51,6 @@ func cmdScanSweep(args []string) error {
 	sweep := &core.ScanSweep{
 		StepMonths:         *step,
 		HostsPerSnapshot:   *hosts,
-		Workers:            *workers,
 		Seed:               *seed,
 		PopularityWeighted: *alexa,
 	}

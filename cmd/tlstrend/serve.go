@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"tlsage/internal/federation"
 	"tlsage/internal/service"
@@ -29,15 +28,8 @@ func cmdServe(args []string) error {
 	fs.StringVar(&cfg.HTTP, "http", "127.0.0.1:8080", "HTTP listen address (ingest + query)")
 	fs.StringVar(&cfg.TCP, "tcp", "", "optional raw-TCP ingest listen address (a record log: TSV lines, batch frames or both; default study)")
 	fs.StringVar(&cfg.Out, "out", "", "tee every record ingested into the default study to this record log (binary batch frames; an existing TSV log is continued)")
-	fs.IntVar(&cfg.Flush, "flush", 0, "records per ingest shard before merging (0 = default)")
-	fs.IntVar(&cfg.QueueBound, "queue-bound", service.DefaultQueueBound,
-		"parsed shards buffered between stream readers and the merge loop; full = shed with 429/busy (at least 1)")
 	fs.StringVar(&cfg.Studies, "studies", "notary", "comma-separated study ids to host; the first is the default")
 	fs.StringVar(&cfg.SnapshotDir, "snapshot-dir", "", "durable snapshot directory for the default study (enables crash recovery)")
-	fs.Uint64Var(&cfg.SnapshotEvery, "snapshot-every", 50000, "snapshot after this many new records (0 = off)")
-	fs.DurationVar(&cfg.SnapshotInterval, "snapshot-interval", 30*time.Second, "snapshot on this timer when records arrived (0 = off)")
-	fs.IntVar(&cfg.SnapshotKeep, "snapshot-keep", service.DefaultSnapshotKeep, "snapshots to retain")
-	fs.IntVar(&cfg.MaxInflight, "max-inflight", 64, "concurrent ingest streams before shedding with 429/busy (0 = unbounded)")
 	fs.Int64Var(&cfg.MaxBody, "max-body", 0, "max POST /ingest body bytes, answered with 413 beyond (0 = unlimited)")
 	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", 0, "idle read deadline on raw-TCP ingest connections (0 = none)")
 	fs.IntVar(&cfg.QueryCache, "query-cache", 1024, "query result cache entries, shared across studies (0 = disable caching)")

@@ -30,13 +30,7 @@ func main() {
 	}
 
 	run := func(date timeline.Date) *core.CampaignReport {
-		campaign := &core.ScanCampaign{
-			Date:    date,
-			Hosts:   hosts,
-			Workers: 32,
-			Seed:    7,
-			Timeout: 3 * time.Second,
-		}
+		campaign := &core.ScanCampaign{Date: date, Hosts: hosts, Seed: 7}
 		start := time.Now()
 		rep, err := campaign.Run(context.Background())
 		if err != nil {

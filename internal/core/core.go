@@ -19,7 +19,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tlsage/internal/analysis"
 	"tlsage/internal/clientdb"
@@ -477,18 +476,15 @@ func Table6() []clientdb.VersionSupportRow { return clientdb.Table6Versions() }
 // of server configurations from the host-census universe at a given date,
 // binds them to loopback TCP listeners and runs every probe against them,
 // one probe after another: one connection per (probe, host), the Heartbleed
-// check riding the chrome2015 one.
+// check riding the chrome2015 one. The probes run on a pool of scanWorkers,
+// each connection bounded by scanner.DefaultTimeout.
 type ScanCampaign struct {
 	// Date selects the population snapshot (e.g. Sep 2015 vs May 2018).
 	Date timeline.Date
 	// Hosts is the farm size.
 	Hosts int
-	// Workers is the scanner pool width.
-	Workers int
 	// Seed drives the population sampling.
 	Seed int64
-	// Timeout bounds each probe connection.
-	Timeout time.Duration
 	// PopularityWeighted samples the farm from the traffic universe instead
 	// of the host census — the Alexa-Top-1M flavour of the Censys scans
 	// (§3.2): popular sites are more modern than the average IPv4 host.
@@ -513,21 +509,24 @@ type CampaignReport struct {
 	GroundTruthVulnerable int
 }
 
+// scanWorkers is the scanner pool width of a campaign.
+const scanWorkers = 24
+
 // positiveOr returns v, or def when v is not positive: how the scan types
 // resolve their unset fields to defaults.
-func positiveOr[T int | time.Duration](v, def T) T {
+func positiveOr(v, def int) int {
 	if v > 0 {
 		return v
 	}
 	return def
 }
 
-// Run executes the campaign. Defaults for Hosts, Workers and Timeout are
-// resolved into locals — the receiver is never written, so one campaign
-// value can be reused across dates without its configuration silently
-// pinning to the first run's defaults.
+// Run executes the campaign. The default for Hosts is resolved into a local
+// — the receiver is never written, so one campaign value can be reused
+// across dates without its configuration silently pinning to the first
+// run's defaults.
 func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
-	hosts, workers, timeout := positiveOr(c.Hosts, 200), positiveOr(c.Workers, 16), positiveOr(c.Timeout, 3*time.Second)
+	hosts := positiveOr(c.Hosts, 200)
 	rnd := rand.New(rand.NewSource(c.Seed))
 	servers := population.DefaultServers()
 	universe := population.ByHosts
@@ -547,7 +546,7 @@ func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
 			groundTruth++
 		}
 	}
-	farm, err := serverfarm.StartFarm(configs, cohorts, timeout)
+	farm, err := serverfarm.StartFarm(configs, cohorts, scanner.DefaultTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -559,8 +558,7 @@ func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
 		Probes:                make(map[string]scanner.Summary),
 		GroundTruthVulnerable: groundTruth,
 	}
-	sc := scanner.New(workers)
-	sc.Timeout = timeout
+	sc := scanner.New(scanWorkers)
 	// The probes run in turn, each fanned out over the farm by the scanner's
 	// pool; their hellos draw from rnd in AllProbes order, so the report is
 	// deterministic. Only chrome2015 offers heartbeat, so its summary holds

@@ -196,7 +196,7 @@ func TestScanCampaignTwoSnapshots(t *testing.T) {
 		t.Skip("network farm test")
 	}
 	run := func(d timeline.Date) *CampaignReport {
-		c := &ScanCampaign{Date: d, Hosts: 250, Workers: 24, Seed: 7, Timeout: 3 * time.Second}
+		c := &ScanCampaign{Date: d, Hosts: 250, Seed: 7}
 		rep, err := c.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +278,7 @@ func TestCampaignReportFracEmpty(t *testing.T) {
 func TestHeartbleedCheckMatchesGroundTruth(t *testing.T) {
 	// The live exploit check over the farm must find exactly the hosts the
 	// population configured as unpatched.
-	c := &ScanCampaign{Date: timeline.D(2014, time.April, 20), Hosts: 300, Workers: 24, Seed: 3}
+	c := &ScanCampaign{Date: timeline.D(2014, time.April, 20), Hosts: 300, Seed: 3}
 	rep, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -335,8 +335,8 @@ func TestPopularityWeightedCampaign(t *testing.T) {
 	// The Alexa-style flavour samples the traffic universe: popular sites
 	// are more modern, so SSL3 support is lower than in the host census.
 	date := timeline.D(2016, time.June, 15)
-	census := &ScanCampaign{Date: date, Hosts: 250, Workers: 24, Seed: 5}
-	alexa := &ScanCampaign{Date: date, Hosts: 250, Workers: 24, Seed: 5, PopularityWeighted: true}
+	census := &ScanCampaign{Date: date, Hosts: 250, Seed: 5}
+	alexa := &ScanCampaign{Date: date, Hosts: 250, Seed: 5, PopularityWeighted: true}
 	cRep, err := census.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +360,6 @@ func TestScanSweepDeclines(t *testing.T) {
 		End:              timeline.M(2018, time.March),
 		StepMonths:       10,
 		HostsPerSnapshot: 180,
-		Workers:          24,
 		Seed:             11,
 	}
 	months, reports, err := sweep.RunReports(context.Background())
@@ -474,7 +473,6 @@ func TestScanSweepParallelDeterministic(t *testing.T) {
 			End:              timeline.M(2017, time.February),
 			StepMonths:       6,
 			HostsPerSnapshot: 60,
-			Workers:          16,
 			Seed:             21,
 		}
 		months, reports, err := sweep.RunReports(context.Background())
@@ -571,9 +569,6 @@ func TestScanCampaignReceiverUnchanged(t *testing.T) {
 		}
 		if *c != before {
 			t.Errorf("Run mutated its receiver:\nbefore: %+v\nafter:  %+v", before, *c)
-		}
-		if c.Workers != 0 || c.Timeout != 0 {
-			t.Error("defaults written back into the campaign struct")
 		}
 	})
 	t.Run("sweep", func(t *testing.T) {

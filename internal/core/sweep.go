@@ -32,10 +32,8 @@ type ScanSweep struct {
 	StepMonths int
 	// HostsPerSnapshot is the farm size per snapshot; default 150.
 	HostsPerSnapshot int
-	// Workers, Seed, Timeout as in ScanCampaign.
-	Workers int
-	Seed    int64
-	Timeout time.Duration
+	// Seed as in ScanCampaign; each snapshot adds its month index.
+	Seed int64
 	// PopularityWeighted selects the Alexa-style universe.
 	PopularityWeighted bool
 }
@@ -56,7 +54,7 @@ func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*Campai
 		months = append(months, m)
 	}
 
-	// Each snapshot already fans its probes out over Workers scanner
+	// Each snapshot already fans its probes out over scanWorkers scanner
 	// goroutines and binds HostsPerSnapshot TCP listeners, so the pool stays
 	// deliberately narrow.
 	pool := min(runtime.GOMAXPROCS(0), 4, len(months))
@@ -79,9 +77,7 @@ func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*Campai
 			campaign := &ScanCampaign{
 				Date:               m.Mid(),
 				Hosts:              hosts,
-				Workers:            s.Workers,
 				Seed:               s.Seed + int64(m.Index()),
-				Timeout:            s.Timeout,
 				PopularityWeighted: s.PopularityWeighted,
 			}
 			rep, err := campaign.Run(ctx)

@@ -89,7 +89,7 @@ func encodeFrames(recs []*Record, size int) []byte {
 func nullSink() Sink { return SinkFunc(func(*Record) error { return nil }) }
 
 // TestBatchWriterSplitsAtPayloadCap: the record count is not the only flush
-// trigger. A writer whose batchSize would never fire (feed -batch 10000000)
+// trigger. A writer whose batchSize would never fire (10,000,000 records)
 // still cuts a frame before the packed bytes cross the envelope's payload
 // cap, so it never streams a frame every reader would reject; a single
 // record past the cap is refused with an error rather than written. The cap

@@ -50,14 +50,12 @@ type Scanner struct {
 	Workers int
 }
 
-// New returns a scanner with the given pool width (32 when not positive)
-// and a 5 s timeout.
-func New(workers int) *Scanner {
-	if workers <= 0 {
-		workers = 32
-	}
-	return &Scanner{Timeout: 5 * time.Second, Workers: workers}
-}
+// DefaultTimeout is the per-connection timeout New gives a scanner.
+const DefaultTimeout = 3 * time.Second
+
+// New returns a scanner with the given pool width (at least one worker runs)
+// and DefaultTimeout.
+func New(workers int) *Scanner { return &Scanner{Timeout: DefaultTimeout, Workers: workers} }
 
 // Scan probes every target with the given hello on a pool of Workers
 // goroutines and returns one result per target, in target order. When ctx

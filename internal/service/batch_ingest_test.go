@@ -95,7 +95,7 @@ func TestIngestWireFormatParity(t *testing.T) {
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			srv := NewServer(core.NewLiveStudy(),
-				WithFlushEvery(89+i), // sweep shard boundaries across paths
+				withFlushEvery(89+i), // sweep shard boundaries across paths
 				WithQueueBound(32),
 				WithQueryCache(analysis.NewQueryCache(16, 1<<20), "p"))
 			ts := httptest.NewServer(srv.Handler())
@@ -139,7 +139,7 @@ func TestFlushCadenceParity(t *testing.T) {
 	// serve starts a server flushing every `every` records, with room for a
 	// shard per record: nothing is shed.
 	serve := func(t *testing.T, every int) string {
-		srv := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithQueueBound(records))
+		srv := NewServer(core.NewLiveStudy(), withFlushEvery(every), WithQueueBound(records))
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() {
 			ts.Close()
@@ -181,7 +181,7 @@ func TestFlushCadenceParity(t *testing.T) {
 // offline load of the whole log. Run under -race.
 func TestConcurrentStreamsOfBothFormats(t *testing.T) {
 	log, offline := sharedLog(t)
-	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(61), WithQueueBound(64))
+	srv := NewServer(core.NewLiveStudy(), withFlushEvery(61), WithQueueBound(64))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -555,7 +555,7 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 	var gateOnce sync.Once
 	releaseGate := func() { gateOnce.Do(func() { close(gate) }) }
 	srv := NewServer(core.NewLiveStudy(),
-		WithFlushEvery(1), // shard per record: the queue fills after 2 records
+		withFlushEvery(1), // shard per record: the queue fills after 2 records
 		WithQueueBound(1),
 		Option(func(s *Server) { s.queueGate = gate }))
 	t.Cleanup(func() {
@@ -792,7 +792,7 @@ func TestRecycledShardParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt := NewRouter()
-			edge := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithQueueBound(len(recordsOf(t, log))), WithPusher(p))
+			edge := NewServer(core.NewLiveStudy(), withFlushEvery(every), WithQueueBound(len(recordsOf(t, log))), WithPusher(p))
 			if err := rt.Add("edge", edge); err != nil {
 				t.Fatal(err)
 			}

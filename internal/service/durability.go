@@ -15,10 +15,10 @@
 // plus the log's records past G is exactly the merged state.
 //
 // The log (serve -out) is a sequence of entries, read by notary.ReadLog: TLSB
-// frames, one per merged shard (up to -flush records), which is what this
-// build appends; TSV lines, which is what builds before it wrote and what a
-// log they started still begins with; and #base directives. A frame the crash
-// cut short is a torn entry exactly as a cut line is.
+// frames, one per merged shard (up to DefaultFlushEvery records), which is
+// what this build appends; TSV lines, which is what builds before it wrote
+// and what a log they started still begins with; and #base directives. A
+// frame the crash cut short is a torn entry exactly as a cut line is.
 
 package service
 
@@ -49,9 +49,15 @@ const (
 	snapshotTmpPat = "snap-*.tmp"
 )
 
-// DefaultSnapshotKeep is the retention depth when DurabilityOptions.Keep is
-// unset: the newest snapshot plus two fallbacks for torn/corrupt recovery.
-const DefaultSnapshotKeep = 3
+// The snapshot cadence `tlstrend serve` runs at: a snapshot after
+// DefaultSnapshotEvery new records or every DefaultSnapshotInterval when
+// records arrived, keeping DefaultSnapshotKeep of them — the newest plus two
+// fallbacks for torn/corrupt recovery.
+const (
+	DefaultSnapshotEvery    = 50000
+	DefaultSnapshotInterval = 30 * time.Second
+	DefaultSnapshotKeep     = 3
+)
 
 // DurabilityOptions configures the snapshot manager attached with
 // WithDurability.
@@ -66,9 +72,6 @@ type DurabilityOptions struct {
 	// Interval snapshots on a timer whenever the generation has moved.
 	// 0 disables the timer.
 	Interval time.Duration
-	// Keep is how many snapshots to retain (older ones are pruned after
-	// each successful write). <= 0 means DefaultSnapshotKeep.
-	Keep int
 	// Logf receives snapshot-failure warnings; nil means log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -448,7 +451,7 @@ func (m *snapshotManager) snapshotLocked() {
 	if err != nil || gen == m.lastGen.Load() {
 		return
 	}
-	if _, gen, err = WriteStudySnapshot(m.opts.Dir, m.study, m.opts.Keep); err != nil {
+	if _, gen, err = WriteStudySnapshot(m.opts.Dir, m.study, DefaultSnapshotKeep); err != nil {
 		m.errs.Add(1)
 		m.opts.Logf("service: snapshot failed: %v", err)
 		return

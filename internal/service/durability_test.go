@@ -178,8 +178,8 @@ func TestServerDurabilityEndToEnd(t *testing.T) {
 	total := len(recordsOf(t, log))
 	dir := t.TempDir()
 	srv := NewServer(core.NewLiveStudy(),
-		WithFlushEvery(37),
-		WithDurability(DurabilityOptions{Dir: dir, EveryRecords: 100, Keep: 2, Logf: t.Logf}))
+		withFlushEvery(37),
+		WithDurability(DurabilityOptions{Dir: dir, EveryRecords: 100, Logf: t.Logf}))
 	ts := httptest.NewServer(srv.Handler())
 
 	postTSV(t, ts.URL, log)
@@ -206,11 +206,12 @@ func TestServerDurabilityEndToEnd(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Of the snapshots written, exactly Keep survive, the newest the final.
+	// Of the snapshots written, exactly DefaultSnapshotKeep survive, the
+	// newest the final.
 	t.Run("snapshot-retention", func(t *testing.T) {
 		snaps, err := listSnapshots(dir)
-		if err != nil || len(snaps) != 2 || filepath.Base(snaps[0]) != snapshotName(uint64(total)) {
-			t.Fatalf("retained %v (err %v), want 2, the newest at generation %d", snaps, err, total)
+		if err != nil || len(snaps) != DefaultSnapshotKeep || filepath.Base(snaps[0]) != snapshotName(uint64(total)) {
+			t.Fatalf("retained %v (err %v), want %d, the newest at generation %d", snaps, err, DefaultSnapshotKeep, total)
 		}
 	})
 

@@ -261,7 +261,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if !s.acquireStream() {
 		w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfter))
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("ingest saturated: %d streams in flight", s.maxInFlight))
+			fmt.Errorf("ingest saturated: %d streams in flight", cap(s.sem)))
 		return
 	}
 	defer s.releaseStream()

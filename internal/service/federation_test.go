@@ -410,7 +410,7 @@ func TestFederationParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewServer(core.NewLiveStudy(), WithFlushEvery(flushEvery), WithPusher(p)), p
+		return NewServer(core.NewLiveStudy(), withFlushEvery(flushEvery), WithPusher(p)), p
 	}
 	edge1, p1 := newEdge("vantage-eu", "eu", 61)
 	edge2, p2 := newEdge("vantage-us", "us", 89)

@@ -58,7 +58,7 @@ func TestShedShardLeavesTheLog(t *testing.T) {
 	log, _ := sharedLog(t)
 	f, path := openTestLog(t)
 	gate := make(chan struct{})
-	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(2), WithQueueBound(1),
+	srv := NewServer(core.NewLiveStudy(), withFlushEvery(2), WithQueueBound(1),
 		WithLogSink(notary.NewBatchWriter(f, 0)), Option(func(s *Server) { s.queueGate = gate }))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -180,7 +180,7 @@ func TestConcurrentStreamsCrashRecoversAcknowledged(t *testing.T) {
 		merged []mergedShard
 		gen    uint64
 	)
-	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(23), WithLogSink(notary.NewBatchWriter(f, 0)),
+	srv := NewServer(core.NewLiveStudy(), withFlushEvery(23), WithLogSink(notary.NewBatchWriter(f, 0)),
 		WithDurability(DurabilityOptions{Dir: snaps, EveryRecords: 100, Logf: t.Logf}),
 		WithShardObserver(func(shard *notary.Aggregate) {
 			own := notary.NewAggregate()
@@ -259,7 +259,7 @@ func TestFailedLogWriteStopsTheLog(t *testing.T) {
 	log, _ := sharedLog(t)
 	f, path := openTestLog(t)
 	w := &failAt{f: f, n: 3}
-	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(17), WithLogSink(notary.NewBatchWriter(w, 0)))
+	srv := NewServer(core.NewLiveStudy(), withFlushEvery(17), WithLogSink(notary.NewBatchWriter(w, 0)))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -308,7 +308,7 @@ func TestLogWritesFollowShards(t *testing.T) {
 	}
 	for _, every := range []int{n, 8 * n} {
 		var w writeCounter
-		srv := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithLogSink(notary.NewBatchWriter(&w, 0)))
+		srv := NewServer(core.NewLiveStudy(), withFlushEvery(every), WithLogSink(notary.NewBatchWriter(&w, 0)))
 		ts := httptest.NewServer(srv.Handler())
 		postTSV(t, ts.URL, recordLines(t, log, 0, records))
 		ts.Close()
@@ -343,7 +343,7 @@ func TestStageAllocsAreSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	const every = 64
-	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(every), WithLogSink(notary.NewBatchWriter(io.Discard, 0)))
+	srv := NewServer(core.NewLiveStudy(), withFlushEvery(every), WithLogSink(notary.NewBatchWriter(io.Discard, 0)))
 	defer srv.Close()
 	st := srv.stages.Get().(*stage)
 	stageAll := func() {

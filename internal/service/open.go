@@ -41,27 +41,24 @@ import (
 )
 
 // Config is `tlstrend serve`'s flag set, one field per flag, plus the
-// narration sink.
+// narration sink. Every study runs at the package's cadence constants:
+// DefaultFlushEvery, DefaultQueueBound, DefaultMaxInFlight, and for the
+// default study's snapshots DefaultSnapshotEvery, DefaultSnapshotInterval and
+// DefaultSnapshotKeep.
 type Config struct {
-	HTTP             string        // -http: HTTP listen address (ingest + query)
-	TCP              string        // -tcp: raw-TCP ingest listen address for the default study ("" = none)
-	Out              string        // -out: tee the default study's records into this record log
-	Flush            int           // -flush: records per ingest shard (0 = DefaultFlushEvery)
-	QueueBound       int           // -queue-bound: merge-queue capacity, at least 1
-	Studies          string        // -studies: comma-separated study ids; the first is the default
-	SnapshotDir      string        // -snapshot-dir: durable snapshots + crash recovery for the default study
-	SnapshotEvery    uint64        // -snapshot-every: snapshot after this many new records (0 = off)
-	SnapshotInterval time.Duration // -snapshot-interval: snapshot timer (0 = off)
-	SnapshotKeep     int           // -snapshot-keep: snapshots to retain
-	MaxInflight      int           // -max-inflight: concurrent ingest streams (0 = unbounded)
-	MaxBody          int64         // -max-body: POST /ingest body cap in bytes (0 = unlimited)
-	IdleTimeout      time.Duration // -idle-timeout: raw-TCP idle read deadline (0 = none)
-	QueryCache       int           // -query-cache: result cache entries (0 = no cache)
-	QueryCacheBytes  int64         // -query-cache-bytes: result cache byte budget
-	Upstream         string        // -upstream: edge mode, push deltas to this study URL
-	PushInterval     time.Duration // -push-interval: delta push cadence
-	PushSource       string        // -push-source: delta source name ("" = the default study id)
-	Union            string        // -union: also host the union of every study under this id
+	HTTP            string        // -http: HTTP listen address (ingest + query)
+	TCP             string        // -tcp: raw-TCP ingest listen address for the default study ("" = none)
+	Out             string        // -out: tee the default study's records into this record log
+	Studies         string        // -studies: comma-separated study ids; the first is the default
+	SnapshotDir     string        // -snapshot-dir: durable snapshots + crash recovery for the default study
+	MaxBody         int64         // -max-body: POST /ingest body cap in bytes (0 = unlimited)
+	IdleTimeout     time.Duration // -idle-timeout: raw-TCP idle read deadline (0 = none)
+	QueryCache      int           // -query-cache: result cache entries (0 = no cache)
+	QueryCacheBytes int64         // -query-cache-bytes: result cache byte budget
+	Upstream        string        // -upstream: edge mode, push deltas to this study URL
+	PushInterval    time.Duration // -push-interval: delta push cadence
+	PushSource      string        // -push-source: delta source name ("" = the default study id)
+	Union           string        // -union: also host the union of every study under this id
 
 	// Logf receives every line the node narrates — recovery, compaction,
 	// federation, listen addresses, snapshot and push failures, final state —
@@ -81,10 +78,11 @@ type Node struct {
 // Open assembles a node from cfg in the order the file comment lists. The
 // node is not listening yet: mount Handler somewhere, or call Serve. Close
 // releases it.
-func Open(cfg Config) (_ *Node, err error) {
-	if cfg.QueueBound < 1 {
-		return nil, fmt.Errorf("serve: -queue-bound must be at least 1 (got %d)", cfg.QueueBound)
-	}
+func Open(cfg Config) (*Node, error) { return open(cfg) }
+
+// open is Open with tune appended to every hosted server's options, after
+// the ones Open sets: how tests run a node at small cadences.
+func open(cfg Config, tune ...Option) (_ *Node, err error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -103,9 +101,7 @@ func Open(cfg Config) (_ *Node, err error) {
 	// Members and the union are full Servers with /ingest, so they take the
 	// same per-study options.
 	studyOpts := func(id string) []Option {
-		return []Option{WithFlushEvery(cfg.Flush), WithQueueBound(cfg.QueueBound),
-			WithMaxInFlight(cfg.MaxInflight), WithMaxBodyBytes(cfg.MaxBody),
-			WithIdleTimeout(cfg.IdleTimeout), WithQueryCache(cache, id)}
+		return []Option{WithMaxBodyBytes(cfg.MaxBody), WithIdleTimeout(cfg.IdleTimeout), WithQueryCache(cache, id)}
 	}
 
 	var study *core.Study
@@ -122,7 +118,7 @@ func Open(cfg Config) (_ *Node, err error) {
 		cfg.Logf("recovered %d records (%d from snapshot %s, %d replayed from %s)",
 			recovered, recovery.SnapshotRecords, recovery.SnapshotPath, recovery.ReplayedRecords, cfg.Out)
 		if cfg.SnapshotDir != "" {
-			_, gen, err := WriteStudySnapshot(cfg.SnapshotDir, study, cfg.SnapshotKeep)
+			_, gen, err := WriteStudySnapshot(cfg.SnapshotDir, study, DefaultSnapshotKeep)
 			if err != nil {
 				return nil, fmt.Errorf("compacting recovered state: %w", err)
 			}
@@ -163,15 +159,15 @@ func Open(cfg Config) (_ *Node, err error) {
 		defOpts = append(defOpts, WithLogSink(notary.NewBatchWriter(n.logFile, notary.DefaultBatchSize)))
 	}
 	defOpts = append(defOpts, WithDurability(DurabilityOptions{Dir: cfg.SnapshotDir,
-		EveryRecords: cfg.SnapshotEvery, Interval: cfg.SnapshotInterval, Keep: cfg.SnapshotKeep, Logf: cfg.Logf}))
+		EveryRecords: DefaultSnapshotEvery, Interval: DefaultSnapshotInterval, Logf: cfg.Logf}))
 
 	for i, id := range ids {
 		var s *Server
 		if i == 0 {
-			s = NewServer(study, defOpts...)
+			s = NewServer(study, append(defOpts, tune...)...)
 			n.def = s
 		} else {
-			s = NewServer(core.NewLiveStudy(), studyOpts(id)...)
+			s = NewServer(core.NewLiveStudy(), append(studyOpts(id), tune...)...)
 		}
 		if err = n.rt.Add(id, s); err != nil {
 			_ = s.Close() // never mounted, so n.Close would miss it
@@ -179,7 +175,7 @@ func Open(cfg Config) (_ *Node, err error) {
 		}
 	}
 	if cfg.Union != "" {
-		us := NewServer(core.NewLiveStudy(), studyOpts(cfg.Union)...)
+		us := NewServer(core.NewLiveStudy(), append(studyOpts(cfg.Union), tune...)...)
 		if err = n.rt.Union(cfg.Union, us, n.rt.IDs()...); err != nil {
 			_ = us.Close()
 			return nil, err
@@ -276,7 +272,7 @@ func (n *Node) Serve(ctx context.Context) error {
 		n.cfg.Logf("raw ingest (TSV or binary batch) on tcp://%s", ln.Addr())
 	}
 	// Serve until ctx is done, then shut down gracefully, giving in-flight
-	// requests five seconds to finish; an HTTP server that fails on its own
+	// requests shutdownGrace to finish; an HTTP server that fails on its own
 	// ends Serve with its error.
 	hs := &http.Server{Handler: n.Handler()}
 	failed := make(chan error, 1)
@@ -284,7 +280,7 @@ func (n *Node) Serve(ctx context.Context) error {
 	select {
 	case err = <-failed:
 	case <-ctx.Done():
-		shutCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+		shutCtx, stop := context.WithTimeout(context.Background(), shutdownGrace)
 		err = hs.Shutdown(shutCtx)
 		stop()
 	}

@@ -55,14 +55,13 @@ func (tn *testNode) narrated(marker string) (string, bool) {
 	return "", false
 }
 
-// startNode fills the fields every test leaves alone, opens cfg and serves
-// it. Timers are off unless the test sets them: an abandoned node must not
-// write into a directory its successor owns.
-func startNode(t *testing.T, cfg Config) *testNode {
+// startNode fills the fields every test leaves alone, opens cfg with tune
+// and serves it. Snapshot triggers are off unless tune sets them: an
+// abandoned node must not write into a directory its successor owns.
+func startNode(t *testing.T, cfg Config, tune ...Option) *testNode {
 	t.Helper()
 	tn := &testNode{served: make(chan error, 1)}
 	cfg.HTTP = "127.0.0.1:0"
-	cfg.QueueBound = DefaultQueueBound
 	cfg.QueryCache, cfg.QueryCacheBytes = 64, 1<<20
 	if cfg.Studies == "" {
 		cfg.Studies = "notary"
@@ -78,7 +77,7 @@ func startNode(t *testing.T, cfg Config) *testNode {
 			tn.mu.Unlock()
 		}
 	})
-	n, err := Open(cfg)
+	n, err := open(cfg, append([]Option{withSnapshotCadence(0, 0)}, tune...)...)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -283,12 +282,13 @@ func TestOpenRestartParity(t *testing.T) {
 		for _, stop := range []string{"close", "crash"} {
 			t.Run(fmt.Sprintf("snapshots=%v/%s", snapshots, stop), func(t *testing.T) {
 				dir := t.TempDir()
-				cfg := Config{TCP: "127.0.0.1:0", Out: filepath.Join(dir, "conn.log"), Flush: 61}
+				cfg := Config{TCP: "127.0.0.1:0", Out: filepath.Join(dir, "conn.log")}
+				tune := []Option{withFlushEvery(61)}
 				if snapshots {
 					// The record-count trigger leaves mid-run snapshots that
 					// trail the log at a crash.
 					cfg.SnapshotDir = filepath.Join(dir, "snaps")
-					cfg.SnapshotEvery = 120
+					tune = append(tune, withSnapshotCadence(120, 0))
 				}
 				// newestSnapshot is the generation of the newest snapshot.
 				newestSnapshot := func(t *testing.T) uint64 {
@@ -336,7 +336,7 @@ func TestOpenRestartParity(t *testing.T) {
 				// Session 1: the first half over HTTP, the rest of the first
 				// three quarters over raw TCP.
 				durable := half + total/4
-				n := startNode(t, cfg)
+				n := startNode(t, cfg, tune...)
 				postTSV(t, n.http, recordLines(t, log, 0, half))
 				tail := recordLines(t, log, half, durable)
 				if _, err := FeedTCP(n.tcp, func() (io.ReadCloser, error) {
@@ -355,7 +355,7 @@ func TestOpenRestartParity(t *testing.T) {
 
 				// Session 2: everything that reached the log is back — after a
 				// crash, past a torn tail and from a snapshot that trails it.
-				n = startNode(t, cfg)
+				n = startNode(t, cfg, tune...)
 				t.Run("recovers-durable", func(t *testing.T) {
 					if gen := n.generation(t); gen != uint64(durable) {
 						t.Fatalf("reopened at generation %d, want the %d durable records", gen, durable)
@@ -371,7 +371,7 @@ func TestOpenRestartParity(t *testing.T) {
 				var again uint64
 				if stop == "crash" {
 					n.crash(t, nil)
-					n = startNode(t, cfg)
+					n = startNode(t, cfg, tune...)
 					again = n.generation(t)
 				}
 				t.Run("log-shape", func(t *testing.T) {
@@ -403,7 +403,7 @@ func TestOpenRestartParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n = startNode(t, cfg)
+				n = startNode(t, cfg, tune...)
 				defer n.shutdown(t)
 				t.Run("keeps-ingesting", func(t *testing.T) {
 					if stop == "crash" && snapshots && newest <= base {
@@ -446,8 +446,8 @@ func TestOpenHostileTLSBRecordKeepsTheLogTail(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfg := Config{Out: filepath.Join(t.TempDir(), "conn.log"), Flush: 61}
-			n := startNode(t, cfg)
+			cfg := Config{Out: filepath.Join(t.TempDir(), "conn.log")}
+			n := startNode(t, cfg, withFlushEvery(61))
 			postTSV(t, n.http, recordLines(t, log, 0, half))
 			if r := <-postIngest(n.http, ContentTypeBatch, &frame); r.status != http.StatusBadRequest {
 				t.Fatalf("hostile frame replied %+v, want 400", r)
@@ -455,7 +455,7 @@ func TestOpenHostileTLSBRecordKeepsTheLogTail(t *testing.T) {
 			postTSV(t, n.http, recordLines(t, log, half, total))
 
 			n.crash(t, nil)
-			n = startNode(t, cfg)
+			n = startNode(t, cfg, withFlushEvery(61))
 			defer n.shutdown(t)
 			if gen := n.generation(t); gen != uint64(total) {
 				t.Fatalf("reopened at generation %d, want all %d acknowledged records", gen, total)
@@ -466,10 +466,10 @@ func TestOpenHostileTLSBRecordKeepsTheLogTail(t *testing.T) {
 }
 
 // TestOpenUnionTakesStudyOptions: the union is a full Server with /ingest,
-// so -flush, -queue-bound and -idle-timeout apply to it like to any member.
+// so -max-body and -idle-timeout apply to it like to any member, and it runs
+// at the package's cadence constants as the members do.
 func TestOpenUnionTakesStudyOptions(t *testing.T) {
-	n, err := Open(Config{Studies: "eu,us", Union: "global",
-		Flush: 5, QueueBound: 7, IdleTimeout: time.Second, MaxInflight: 3, MaxBody: 1 << 10})
+	n, err := Open(Config{Studies: "eu,us", Union: "global", IdleTimeout: time.Second, MaxBody: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,9 +479,12 @@ func TestOpenUnionTakesStudyOptions(t *testing.T) {
 		if !ok {
 			t.Fatalf("study %q not hosted", id)
 		}
-		if s.flushEvery != 5 || s.queueBound != 7 || s.idleTimeout != time.Second || s.maxInFlight != 3 || s.maxBody != 1<<10 {
-			t.Errorf("study %q: flush %d, queue bound %d, idle timeout %v, max in flight %d, max body %d; want 5, 7, 1s, 3, 1024",
-				id, s.flushEvery, s.queueBound, s.idleTimeout, s.maxInFlight, s.maxBody)
+		if s.idleTimeout != time.Second || s.maxBody != 1<<10 {
+			t.Errorf("study %q: idle timeout %v, max body %d; want 1s, 1024", id, s.idleTimeout, s.maxBody)
+		}
+		if s.flushEvery != DefaultFlushEvery || cap(s.queue.ch) != DefaultQueueBound || cap(s.sem) != DefaultMaxInFlight {
+			t.Errorf("study %q: flush %d, queue bound %d, max in flight %d; want %d, %d, %d", id,
+				s.flushEvery, cap(s.queue.ch), cap(s.sem), DefaultFlushEvery, DefaultQueueBound, DefaultMaxInFlight)
 		}
 	}
 }
@@ -510,15 +513,9 @@ func TestOpenFailureReleasesEverything(t *testing.T) {
 		if err := os.WriteFile(out, recordLines(t, log, 0, 40), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return Config{Out: out, SnapshotDir: filepath.Join(dir, "snaps"), SnapshotInterval: time.Hour,
-			QueueBound: DefaultQueueBound, Studies: "eu,us", PushInterval: time.Hour}
+		return Config{Out: out, SnapshotDir: filepath.Join(dir, "snaps"), Studies: "eu,us", PushInterval: time.Hour}
 	}
 	cases := map[string]func(t *testing.T) Config{
-		"queue bound below 1": func(t *testing.T) Config {
-			cfg := durable(t)
-			cfg.QueueBound = 0
-			return cfg
-		},
 		"unwritable out": func(t *testing.T) Config {
 			cfg := durable(t)
 			cfg.Upstream = "http://127.0.0.1:1/studies/eu" // nothing unshipped: never dialled

@@ -284,7 +284,7 @@ func TestUndecodableFrameFailsRecovery(t *testing.T) {
 	if !errors.As(err, &be) || be.Frame != 1 || !strings.Contains(err.Error(), "move the log aside") {
 		t.Fatalf("recovery over an undecodable frame: %v, want a refusal naming frame 1 that says what to do", err)
 	}
-	if _, err := Open(Config{Out: path, QueueBound: DefaultQueueBound, Studies: "notary"}); err == nil {
+	if _, err := Open(Config{Out: path, Studies: "notary"}); err == nil {
 		t.Fatal("Open started over an undecodable frame")
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, state.Bytes()) {

@@ -23,9 +23,9 @@ import (
 // shard from the reported record count and the feed clients refuse to
 // blind-retry a stream the server partially applied (see FeedHTTP/FeedTCP).
 
-// DefaultQueueBound is the merge-queue capacity `tlstrend serve` uses unless
-// -queue-bound says otherwise: at the default flush cadence it holds roughly
-// a million records of parsed-but-unmerged backlog.
+// DefaultQueueBound is the merge-queue capacity a server runs at unless
+// WithQueueBound says otherwise: at DefaultFlushEvery it holds roughly a
+// million records of parsed-but-unmerged backlog.
 const DefaultQueueBound = 256
 
 // errIngestBusy marks a stream shed because the bounded merge queue was

@@ -54,7 +54,7 @@ func TestIngestBackpressure(t *testing.T) {
 	for _, transport := range []string{"http", "tcp"} {
 		overTCP := transport == "tcp"
 		t.Run(transport, func(t *testing.T) {
-			srv := NewServer(core.NewLiveStudy(), WithFlushEvery(61), WithMaxInFlight(1))
+			srv := NewServer(core.NewLiveStudy(), withFlushEvery(61), WithMaxInFlight(1))
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -231,7 +231,7 @@ func TestIngestMaxBodyBytes(t *testing.T) {
 	}
 	for _, limit := range []int{4096, inCohort} {
 		t.Run(fmt.Sprint(limit), func(t *testing.T) {
-			srv := NewServer(core.NewLiveStudy(), WithFlushEvery(1), WithMaxBodyBytes(int64(limit)))
+			srv := NewServer(core.NewLiveStudy(), withFlushEvery(1), WithMaxBodyBytes(int64(limit)))
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			reply := <-postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(log))
@@ -276,42 +276,55 @@ func TestIngestInternalErrorIs500(t *testing.T) {
 	}
 }
 
-// TestStalledTCPClientReleasesClose: with an idle timeout, a client that
-// stops sending mid-stream cannot wedge Server.Close behind the handler
-// drain — the deadline fires, the handler exits, Close returns.
+// TestStalledTCPClientReleasesClose: a client that stops sending mid-stream
+// cannot wedge Server.Close behind the handler drain. With an idle timeout
+// its deadline fires first; without one, Close gives the connection
+// shutdownGrace and then expires its read. Either way the handler exits and
+// Close returns.
 func TestStalledTCPClientReleasesClose(t *testing.T) {
 	log, _ := sharedLog(t)
-	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(31), WithIdleTimeout(50*time.Millisecond))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.ServeTCP(ln) }()
+	for name, c := range map[string]struct {
+		opts  []Option
+		bound time.Duration // how long Close may take
+	}{
+		"idle timeout":    {[]Option{withFlushEvery(31), WithIdleTimeout(50 * time.Millisecond)}, 2 * time.Second},
+		"no idle timeout": {[]Option{withFlushEvery(31)}, shutdownGrace + 10*time.Second},
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			srv := NewServer(core.NewLiveStudy(), c.opts...)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- srv.ServeTCP(ln) }()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Half a stream, then silence — the stall.
-	if _, err := conn.Write(log[:len(log)/2]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the stalled stream to enter ingest", func() bool { return srv.inFlight.Load() == 1 })
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// Half a stream, then silence — the stall.
+			if _, err := conn.Write(log[:len(log)/2]); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the stalled stream to enter ingest", func() bool { return srv.inFlight.Load() == 1 })
 
-	closed := make(chan error, 1)
-	go func() { closed <- srv.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close blocked behind the stalled client — idle deadline never fired")
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("ServeTCP: %v", err)
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			case <-time.After(c.bound):
+				t.Fatalf("Close still blocked behind the stalled client after %v", c.bound)
+			}
+			if err := <-served; err != nil {
+				t.Fatalf("ServeTCP: %v", err)
+			}
+		})
 	}
 }
 
@@ -340,7 +353,7 @@ func (fl *flakyListener) Accept() (net.Conn, error) {
 // still ingests.
 func TestServeTCPRetriesTransientAccept(t *testing.T) {
 	log, offline := sharedLog(t)
-	srv := NewServer(core.NewLiveStudy(), WithFlushEvery(83))
+	srv := NewServer(core.NewLiveStudy(), withFlushEvery(83))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

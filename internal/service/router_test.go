@@ -34,8 +34,8 @@ func TestRouterTwoStudyQueryParity(t *testing.T) {
 	log, offline := sharedLog(t)
 
 	rt := NewRouter()
-	alpha := NewServer(core.NewLiveStudy(), WithFlushEvery(61))
-	beta := NewServer(core.NewLiveStudy(), WithFlushEvery(89))
+	alpha := NewServer(core.NewLiveStudy(), withFlushEvery(61))
+	beta := NewServer(core.NewLiveStudy(), withFlushEvery(89))
 	if err := rt.Add("alpha", alpha); err != nil {
 		t.Fatal(err)
 	}

@@ -32,17 +32,16 @@
 //
 // Ingestion is sharded: each stream folds its records into a pooled
 // notary.ShardBuilder (no lock contention on the parse), which hands over a
-// private shard every WithFlushEvery records (serve -flush;
-// DefaultFlushEvery unless set) and at stream end. Shards travel a bounded
-// queue (queue.go) to the single merge loop that owns the study's write path
-// and folds each into the live study with core.Study.MergeShard; a stream
-// that finds the queue full is shed (429 / "busy") instead of buffering
-// without bound. The merged content is identical to serial ingestion for
-// every flush cadence, so a served study's figures and scalars match the
-// offline loadlog path exactly. The merge loop also writes each shard to the
-// record log, if any, before merging it, and hands each merged shard back to
-// the pool emptied (Aggregate.Reset) once the shard observers — the edge
-// pusher, union studies — have returned.
+// private shard every DefaultFlushEvery records and at stream end. Shards
+// travel a bounded queue (queue.go) to the single merge loop that owns the
+// study's write path and folds each into the live study with
+// core.Study.MergeShard; a stream that finds the queue full is shed (429 /
+// "busy") instead of buffering without bound. The merged content is
+// identical to serial ingestion for every flush cadence, so a served study's
+// figures and scalars match the offline loadlog path exactly. The merge loop
+// also writes each shard to the record log, if any, before merging it, and
+// hands each merged shard back to the pool emptied (Aggregate.Reset) once the
+// shard observers — the edge pusher, union studies — have returned.
 //
 // Every ingest stream, a POST body or a raw TCP connection, is read by
 // notary.ReadLog alone: at each entry boundary the next four bytes say
@@ -77,6 +76,15 @@ import (
 // arriving, large enough to amortize the merge lock.
 const DefaultFlushEvery = 4096
 
+// DefaultMaxInFlight is how many ingest streams a server takes at once
+// unless WithMaxInFlight says otherwise; more are shed with 429/busy.
+const DefaultMaxInFlight = 64
+
+// shutdownGrace is how long a closing server lets in-flight streams keep
+// reading: HTTP requests in Node.Serve's Shutdown, raw-TCP connections in
+// Server.Close.
+const shutdownGrace = 5 * time.Second
+
 // DefaultRetryAfter is the Retry-After hint (seconds) sent with a 429 when
 // the in-flight stream limit or the merge queue sheds an ingest.
 const DefaultRetryAfter = 1
@@ -110,16 +118,15 @@ type Server struct {
 	// Backpressure: sem bounds concurrently ingesting streams (nil =
 	// unbounded); saturated arrivals are shed with 429/Retry-After (HTTP)
 	// or a "busy" status line (TCP) instead of buffering without bound.
-	sem         chan struct{}
-	maxInFlight int
-	inFlight    atomic.Int64
-	shed        atomic.Uint64
+	sem      chan struct{}
+	inFlight atomic.Int64
+	shed     atomic.Uint64
 	// maxBody caps POST /ingest request bodies (0 = unlimited); overruns
 	// answer 413 so one oversized stream cannot exhaust the collector.
 	maxBody int64
 	// idleTimeout bounds how long a raw-TCP ingest connection may sit
-	// without delivering bytes; a stalled client errors out instead of
-	// wedging Close behind the handler drain (0 = no deadline).
+	// without delivering bytes; a stalled client errors out and gives back
+	// its in-flight slot (0 = no deadline).
 	idleTimeout time.Duration
 
 	// queue decouples stream readers from the study write path: parsed
@@ -150,26 +157,19 @@ type Server struct {
 	fed      fedState
 	pusher   *federation.Pusher
 
-	// tcpMu guards tcpLns, the raw-TCP listeners Close shuts down; connWG
-	// tracks in-flight TCP ingest handlers so Close can drain them before
-	// it drains the merge queue.
-	tcpMu  sync.Mutex
-	tcpLns []net.Listener
-	connWG sync.WaitGroup
+	// tcpMu guards tcpLns, the raw-TCP listeners Close shuts down, and
+	// tcpConns, the connections being ingested; connWG tracks their handlers
+	// so Close can drain them before it drains the merge queue. drainBy is
+	// the read deadline Close gives those connections (nil while serving).
+	tcpMu    sync.Mutex
+	tcpLns   []net.Listener
+	tcpConns map[net.Conn]struct{}
+	drainBy  atomic.Pointer[time.Time]
+	connWG   sync.WaitGroup
 }
 
 // Option configures a Server.
 type Option func(*Server)
-
-// WithFlushEvery sets the per-stream shard size (records buffered before a
-// merge into the live aggregate). n <= 0 keeps the default.
-func WithFlushEvery(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.flushEvery = n
-		}
-	}
-}
 
 // WithLogSink makes sink (typically a notary.BatchWriter over a file) the
 // study's record log. The merge loop writes every shard to it before the shard
@@ -183,11 +183,12 @@ func WithLogSink(sink notary.Sink) Option {
 // WithMaxInFlight bounds how many ingest streams (HTTP + TCP combined) may
 // be in flight at once. Saturated HTTP ingests answer 429 with a
 // Retry-After header; saturated TCP connections get a "busy" status line.
-// n <= 0 leaves ingestion unbounded.
+// Without it the bound is DefaultMaxInFlight; n <= 0 leaves ingestion
+// unbounded.
 func WithMaxInFlight(n int) Option {
 	return func(s *Server) {
+		s.sem = nil
 		if n > 0 {
-			s.maxInFlight = n
 			s.sem = make(chan struct{}, n)
 		}
 	}
@@ -207,9 +208,9 @@ func WithMaxBodyBytes(n int64) Option {
 
 // WithIdleTimeout sets the idle read deadline on raw-TCP ingest
 // connections: each successful read rearms it, and a connection that
-// delivers nothing for d errors out. Without it one stalled client blocks
-// Server.Close forever behind the handler drain. d <= 0 disables the
-// deadline.
+// delivers nothing for d errors out, so a stalled client gives back its
+// in-flight slot. d <= 0 disables the deadline; Server.Close bounds the drain
+// either way.
 func WithIdleTimeout(d time.Duration) Option {
 	return func(s *Server) {
 		if d > 0 {
@@ -242,7 +243,7 @@ func WithQueryCache(c *analysis.QueryCache, id string) Option {
 
 // WithDurability attaches a snapshot manager: the study is snapshotted into
 // opts.Dir at ingest flush boundaries (opts.EveryRecords), on a timer
-// (opts.Interval) and at Close, keeping the last opts.Keep snapshots. Pair
+// (opts.Interval) and at Close, keeping the last DefaultSnapshotKeep. Pair
 // it with RecoverStudy at startup for crash recovery. An empty Dir is a
 // no-op.
 func WithDurability(opts DurabilityOptions) Option {
@@ -257,7 +258,8 @@ func WithDurability(opts DurabilityOptions) Option {
 // any already-run study works too (serving a batch result while ingesting
 // more records on top).
 func NewServer(study *core.Study, opts ...Option) *Server {
-	s := &Server{study: study, flushEvery: DefaultFlushEvery}
+	s := &Server{study: study, flushEvery: DefaultFlushEvery, sem: make(chan struct{}, DefaultMaxInFlight),
+		tcpConns: map[net.Conn]struct{}{}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -298,11 +300,12 @@ func (s *Server) Study() *core.Study { return s.study }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close releases the server's durable resources: raw-TCP listeners stop
-// accepting, in-flight TCP ingest streams are drained to completion, and
-// queued shards are written to the log and merge. With durability configured
-// a final snapshot of the drained state is written last (the SIGTERM path).
-// The drain is bounded when WithIdleTimeout is set: a stalled client's read
-// deadline expires and its handler exits instead of wedging Close.
+// accepting, in-flight TCP ingest streams are drained, and queued shards are
+// written to the log and merge. With durability configured a final snapshot
+// of the drained state is written last (the SIGTERM path). The drain is
+// bounded: each in-flight connection may read for shutdownGrace more, then
+// its read deadline expires and its handler exits, so a stalled client cannot
+// wedge Close.
 func (s *Server) Close() error {
 	s.tcpMu.Lock()
 	lns := s.tcpLns
@@ -314,6 +317,17 @@ func (s *Server) Close() error {
 			first = err
 		}
 	}
+	drainBy := time.Now().Add(shutdownGrace)
+	s.tcpMu.Lock()
+	s.drainBy.Store(&drainBy)
+	// An idle deadline shorter than the grace already ends a stalled read
+	// sooner, and setting drainBy would postpone it.
+	if s.idleTimeout <= 0 || s.idleTimeout >= shutdownGrace {
+		for conn := range s.tcpConns {
+			_ = conn.SetReadDeadline(drainBy)
+		}
+	}
+	s.tcpMu.Unlock()
 	s.connWG.Wait()
 	// Drain queued shards into the log and the study before the final
 	// snapshot is cut, so durable state matches what merged.
@@ -548,7 +562,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.acquireStream() {
 		w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfter))
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("ingest saturated: %d streams in flight", s.maxInFlight))
+			fmt.Errorf("ingest saturated: %d streams in flight", cap(s.sem)))
 		return
 	}
 	defer s.releaseStream()
@@ -715,7 +729,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"shed":      s.shed.Load(),
 	}
 	if s.sem != nil {
-		health["max_in_flight"] = s.maxInFlight
+		health["max_in_flight"] = cap(s.sem)
 	}
 	// Merge-queue gauges: depth/lag say how far merging trails parsing,
 	// shed_full how often saturation turned arrivals away.
@@ -825,10 +839,21 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWG.Done()
 	defer s.releaseStream()
-	defer conn.Close()
+	s.tcpMu.Lock()
+	s.tcpConns[conn] = struct{}{}
+	if by := s.drainBy.Load(); by != nil { // started while Close ran
+		_ = conn.SetReadDeadline(*by)
+	}
+	s.tcpMu.Unlock()
+	defer func() {
+		s.tcpMu.Lock()
+		delete(s.tcpConns, conn)
+		s.tcpMu.Unlock()
+		conn.Close()
+	}()
 	src := io.Reader(conn)
 	if s.idleTimeout > 0 {
-		src = &idleDeadlineReader{conn: conn, idle: s.idleTimeout}
+		src = &idleDeadlineReader{conn: conn, idle: s.idleTimeout, drainBy: &s.drainBy}
 	}
 	st, err := s.ingest(src)
 	if err != nil {
@@ -884,14 +909,20 @@ func isTransientAcceptErr(err error) bool {
 // idleDeadlineReader rearms a read deadline of idle before every Read, so a
 // connection only errors out after delivering nothing for a full idle
 // window — slow-but-live feeders keep streaming, stalled ones release their
-// handler (and their in-flight slot) instead of wedging shutdown.
+// handler (and their in-flight slot). Once Close has set drainBy, the
+// deadline never passes it.
 type idleDeadlineReader struct {
-	conn net.Conn
-	idle time.Duration
+	conn    net.Conn
+	idle    time.Duration
+	drainBy *atomic.Pointer[time.Time]
 }
 
 func (ir *idleDeadlineReader) Read(p []byte) (int, error) {
-	if err := ir.conn.SetReadDeadline(time.Now().Add(ir.idle)); err != nil {
+	deadline := time.Now().Add(ir.idle)
+	if by := ir.drainBy.Load(); by != nil && by.Before(deadline) {
+		deadline = *by
+	}
+	if err := ir.conn.SetReadDeadline(deadline); err != nil {
 		return 0, err
 	}
 	return ir.conn.Read(p)

@@ -20,6 +20,24 @@ import (
 	"tlsage/internal/timeline"
 )
 
+// withFlushEvery sets a server's per-stream shard size, so tests can sweep
+// shard boundaries across small streams; production runs at
+// DefaultFlushEvery.
+func withFlushEvery(n int) Option {
+	return func(s *Server) { s.flushEvery = n }
+}
+
+// withSnapshotCadence sets the snapshot triggers of a server with
+// durability; production runs at DefaultSnapshotEvery and
+// DefaultSnapshotInterval.
+func withSnapshotCadence(every uint64, interval time.Duration) Option {
+	return func(s *Server) {
+		if s.durOpts != nil {
+			s.durOpts.EveryRecords, s.durOpts.Interval = every, interval
+		}
+	}
+}
+
 // sharedLog simulates a small study once and returns its records as a TSV
 // log plus the offline study built from it — the parity reference.
 var (
@@ -182,7 +200,7 @@ func TestCloseDrainsInFlightTCPStream(t *testing.T) {
 	log, offline := sharedLog(t)
 	var teed bytes.Buffer
 	srv := NewServer(core.NewLiveStudy(),
-		WithFlushEvery(37), WithLogSink(notary.NewLogWriter(&teed)))
+		withFlushEvery(37), WithLogSink(notary.NewLogWriter(&teed)))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +217,9 @@ func TestCloseDrainsInFlightTCPStream(t *testing.T) {
 	if _, err := conn.Write(log[:half]); err != nil {
 		t.Fatal(err)
 	}
+	// Close only once the stream is in flight: a connection still in the
+	// listener's backlog is reset when the listener closes, not drained.
+	waitFor(t, "the stream to enter ingest", func() bool { return srv.inFlight.Load() == 1 })
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
 	time.Sleep(20 * time.Millisecond) // let Close reach the handler drain

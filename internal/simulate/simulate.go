@@ -46,10 +46,6 @@ type Options struct {
 	// WireLevel round-trips every hello through the binary codec, exactly as
 	// the Notary would observe it. Disabling it is the struct-only ablation.
 	WireLevel bool
-	// FingerprintFrom is the month fingerprinting fields become available
-	// (the Notary gained them in February 2014, §4.0.1). Records before it
-	// carry no fingerprint.
-	FingerprintFrom timeline.Month
 	// Workers bounds how many months are simulated concurrently. 0 means
 	// GOMAXPROCS; 1 forces the sequential path. The generated dataset is
 	// identical for every value: each month has its own seed-derived RNG
@@ -65,7 +61,6 @@ func DefaultOptions(connsPerMonth int) Options {
 		Start:               timeline.StudyStart,
 		End:                 timeline.StudyEnd,
 		WireLevel:           true,
-		FingerprintFrom:     timeline.M(2014, time.February),
 	}
 }
 
@@ -83,9 +78,6 @@ func New(opts Options) *Simulator {
 	}
 	if opts.End == (timeline.Month{}) {
 		opts.End = timeline.StudyEnd
-	}
-	if opts.FingerprintFrom == (timeline.Month{}) {
-		opts.FingerprintFrom = timeline.M(2014, time.February)
 	}
 	if opts.ConnectionsPerMonth <= 0 {
 		opts.ConnectionsPerMonth = 1000
@@ -184,7 +176,9 @@ type offer struct {
 // returns.
 func (s *Simulator) runMonth(m timeline.Month, sc *scratch, observe func(*notary.Record) error) error {
 	rnd := s.monthRNG(m)
-	fingerprinted := !m.Before(s.opts.FingerprintFrom)
+	// The Notary gained fingerprinting fields in February 2014 (§4.0.1);
+	// records before it carry no fingerprint.
+	fingerprinted := !m.Before(timeline.M(2014, time.February))
 	sc.clientDays, sc.serverDays = [28]*population.ClientDay{}, [28]*population.ServerDay{}
 	var rec notary.Record
 	for i := 0; i < s.opts.ConnectionsPerMonth; i++ {
