@@ -333,3 +333,128 @@ func TestServeConfigIsItsFlagSet(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameWrittenOnlyByConstructors guards what analysis.Frame's doc claims:
+// a frame is data, never written after its constructor returns, so it holds no
+// memo and no lock. Frame declares no field of a sync or sync/atomic type,
+// and in internal/analysis's production files only the constructors and the
+// two fillers they call assign to a field through a *Frame. A *Frame is a
+// receiver, parameter or result declared *Frame, or a local made from
+// &Frame{…}; a write is an assignment or ++/-- whose left side selects a
+// field of one, directly or through indexing.
+func TestFrameWrittenOnlyByConstructors(t *testing.T) {
+	writers := map[string]bool{"NewFrame": false, "Advance": false, "fillRow": false, "buildFPColumns": false}
+	isFrame := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == "Frame"
+	}
+	// throughFrame reports whether lhs selects a field of one of frames.
+	throughFrame := func(lhs ast.Expr, frames map[string]bool) bool {
+		for {
+			switch x := lhs.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && frames[id.Name] {
+					return true
+				}
+				lhs = x.X
+			case *ast.IndexExpr:
+				lhs = x.X
+			case *ast.ParenExpr:
+				lhs = x.X
+			default:
+				return false
+			}
+		}
+	}
+
+	paths, err := filepath.Glob(filepath.Join("internal", "analysis", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	sawFrame := false
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if d, ok := d.(*ast.GenDecl); ok {
+				for _, s := range d.Specs {
+					if ts, ok := s.(*ast.TypeSpec); ok && ts.Name.Name == "Frame" {
+						sawFrame = true
+						ast.Inspect(ts.Type, func(n ast.Node) bool {
+							if sel, ok := n.(*ast.SelectorExpr); ok {
+								if pkg, ok := sel.X.(*ast.Ident); ok && (pkg.Name == "sync" || pkg.Name == "atomic") {
+									t.Errorf("%s: Frame has a %s.%s field: a frame holds no lock or memo",
+										fset.Position(sel.Pos()), pkg.Name, sel.Sel.Name)
+								}
+							}
+							return true
+						})
+					}
+				}
+			}
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			frames := map[string]bool{}
+			for _, list := range []*ast.FieldList{fn.Recv, fn.Type.Params, fn.Type.Results} {
+				if list == nil {
+					continue
+				}
+				for _, field := range list.List {
+					if star, ok := field.Type.(*ast.StarExpr); ok && isFrame(star.X) {
+						for _, name := range field.Names {
+							frames[name.Name] = true
+						}
+					}
+				}
+			}
+			write := func(lhs ast.Expr) {
+				if !throughFrame(lhs, frames) {
+					return
+				}
+				if _, ok := writers[fn.Name.Name]; ok {
+					writers[fn.Name.Name] = true
+					return
+				}
+				t.Errorf("%s: %s writes a Frame field: a frame is never written after NewFrame or Advance returns",
+					fset.Position(lhs.Pos()), fn.Name.Name)
+			}
+			// Source order: a local is declared before it is written through.
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						write(lhs)
+						id, ok := lhs.(*ast.Ident)
+						if !ok || len(n.Lhs) != len(n.Rhs) {
+							continue
+						}
+						if u, ok := n.Rhs[i].(*ast.UnaryExpr); ok && u.Op == token.AND {
+							if lit, ok := u.X.(*ast.CompositeLit); ok && isFrame(lit.Type) {
+								frames[id.Name] = true
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				}
+				return true
+			})
+		}
+	}
+	if !sawFrame {
+		t.Fatal("no Frame type in internal/analysis: the guard is looking in the wrong place")
+	}
+	for name, wrote := range writers {
+		if !wrote {
+			t.Errorf("allowed writer %s writes no Frame field: the guard is looking in the wrong place, or the entry is stale", name)
+		}
+	}
+}

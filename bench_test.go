@@ -231,7 +231,7 @@ func BenchmarkQueryCompiled(b *testing.B) {
 }
 
 // BenchmarkQueryCompiledResult measures compiled evaluation of the full
-// served QueryResult (Plan.Eval — the fused kernel plus materializing the
+// served QueryResult (Plan.Eval — seriesAt at every row, materializing the
 // month-labelled point list) for the same expression set. This is the exact
 // work a cache hit skips: BenchmarkQueryCacheHit returns the same results
 // from the generation-keyed cache without touching the frame.
@@ -278,12 +278,11 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 	b.ReportMetric(float64(len(res.Series.Points)), "points")
 }
 
-// BenchmarkAllFiguresCompiled measures the whole catalog through the
-// pre-compiled shared plans (the first Figures call pays the one-time
-// compile; the loop measures the steady state every /figures request sees).
+// BenchmarkAllFiguresCompiled measures the whole catalog as every /figures
+// request evaluates it: each metric compiled against the frame and
+// evaluated.
 func BenchmarkAllFiguresCompiled(b *testing.B) {
 	f := studyFrame(b)
-	f.Figures() // warm the shared plan memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	var figs []analysis.Figure

@@ -219,7 +219,6 @@ func BenchmarkQueryFP(b *testing.B) {
 	} {
 		plans = append(plans, mustCompile(b, src, f))
 	}
-	buf := make([]float64, f.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,7 +226,7 @@ func BenchmarkQueryFP(b *testing.B) {
 			if p.Kind() == KindScalar {
 				_ = p.EvalScalar()
 			} else {
-				p.EvalSeriesInto(buf)
+				_ = p.EvalSeries()
 			}
 		}
 	}

@@ -239,10 +239,9 @@ func SpecByName(name string) (FigureSpec, bool) {
 // EvalFigure evaluates one spec against the frame: every metric expression
 // becomes a series with one point per month on the frame's axis. The
 // produced Series share the frame's month index, making Series.Value O(1).
-// Catalog specs evaluate through the frame's pre-compiled plans (no
-// per-call validation or selector resolution); a hand-built spec compiles
-// on the spot. EvalFigure panics on a spec whose expression does not
-// compile to a series — specs are static data, so that is a programming
+// Each metric compiles against the frame here, whether the spec is the
+// catalog's or hand-built. EvalFigure panics on a spec whose expression does
+// not compile to a series — specs are static data, so that is a programming
 // error, not an input error.
 func (f *Frame) EvalFigure(spec FigureSpec) Figure {
 	fig := Figure{
@@ -252,19 +251,16 @@ func (f *Frame) EvalFigure(spec FigureSpec) Figure {
 		Events: attackEvents(spec.Events...),
 	}
 	for _, m := range spec.Metrics {
-		p, err := f.planFor(m.Expr)
+		p, err := Compile(m.Expr, f)
 		if err == nil && p.Kind() == KindScalar {
 			err = fmt.Errorf("expression %s is a scalar, not a series", m.Expr)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("analysis: figure %s metric %s: %v", spec.ID, m.Name, err))
 		}
-		vals := p.EvalSeries()
-		pts := make([]Point, len(vals))
-		for i, v := range vals {
-			pts[i] = Point{Month: f.Months[i], Value: v}
-		}
-		fig.Series = append(fig.Series, Series{Name: m.Name, Points: pts, index: f.index})
+		s := p.Eval().Series
+		s.Name = m.Name
+		fig.Series = append(fig.Series, s)
 	}
 	return fig
 }

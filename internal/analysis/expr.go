@@ -35,9 +35,10 @@ import (
 type Expr struct {
 	// Op is the node operation, one of the Op* constants.
 	Op string `json:"op"`
-	// Col is the column selector for OpCol (canonical lowercase form).
+	// Col is the column selector for OpCol, matched case-insensitively;
+	// String prints it in its canonical lowercase form.
 	Col string `json:"col,omitempty"`
-	// Class is the suite class for OpPosition (canonical lowercase form).
+	// Class is the suite class for OpPosition, matched and printed as Col is.
 	Class string `json:"class,omitempty"`
 	// Month is the "YYYY-MM" row selector for OpAt.
 	Month string `json:"month,omitempty"`
@@ -313,8 +314,8 @@ func parseMonth(s string) (timeline.Month, error) {
 // Validate checks the expression tree without modifying it, so validating
 // a shared expression (the catalog specs) is safe from any number of
 // goroutines. Selectors match case-insensitively; an expression that
-// validates cleanly cannot fail evaluation. ParseQuery additionally
-// canonicalizes the trees it builds (see canonicalize).
+// validates cleanly cannot fail evaluation, and its String is its canonical
+// text, however its selectors are spelled.
 func (e *Expr) Validate() error {
 	if e == nil {
 		return fmt.Errorf("nil expression")

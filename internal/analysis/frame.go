@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"tlsage/internal/notary"
 	"tlsage/internal/registry"
@@ -60,8 +59,9 @@ func FPID(fp string) string {
 // suite-class totals of Figure 9 and the forward-secret key-exchange total —
 // are classified once at build time.
 //
-// A Frame never mutates after its constructor returns, so it is safe to share
-// across goroutines and to cache: Generation records the aggregate
+// A Frame is never written after its constructor returns: it is data, and
+// the plans compiled against it belong to their callers. So it is safe to
+// share across goroutines and to cache: Generation records the aggregate
 // generation it snapshotted, letting holders detect staleness while the
 // aggregate keeps ingesting (the live-service read path).
 type Frame struct {
@@ -72,14 +72,6 @@ type Frame struct {
 	index map[timeline.Month]int
 	// generation is the aggregate generation this frame snapshotted.
 	generation uint64
-
-	// planOnce/plans memoize compiled plans for the package's static
-	// expressions (figure catalog, impact metrics, passive scalars), built
-	// lazily on first catalog evaluation and keyed by expression identity.
-	// Memoization is the only post-build write; it is guarded by the Once,
-	// so the frame stays safe to share across goroutines.
-	planOnce sync.Once
-	plans    map[*Expr]*Plan
 
 	// Plain holds every unkeyed int column: the notary schema's counters,
 	// indexed by notary.Counter, then the frame's own derived columns (the
@@ -523,58 +515,12 @@ func (f *Frame) FingerprintGauges() (distinct, topK int, otherShare float64) {
 	return f.fpDistinct, TopKFingerprints, otherShare
 }
 
-// sharedPlans returns the memoized compiled plans for the package's static
-// expressions — every catalog metric, impact metric and passive scalar —
-// compiling them on first use. Static expressions cannot fail compilation
-// (they are validated at package init), so a failure here is a programming
-// error.
-func (f *Frame) sharedPlans() map[*Expr]*Plan {
-	f.planOnce.Do(func() {
-		plans := make(map[*Expr]*Plan, 64)
-		add := func(e *Expr) {
-			p, err := Compile(e, f)
-			if err != nil {
-				panic("analysis: static expression failed to compile: " + err.Error())
-			}
-			plans[e] = p
-		}
-		for _, spec := range catalog {
-			for _, m := range spec.Metrics {
-				add(m.Expr)
-			}
-		}
-		for _, im := range impactMetrics {
-			add(im.expr)
-		}
-		for _, s := range passiveScalarSpecs {
-			add(s.Expr)
-		}
-		for _, e := range conditionalScalarExprs {
-			add(e)
-		}
-		for _, e := range table2Exprs {
-			add(e)
-		}
-		f.plans = plans
-	})
-	return f.plans
-}
-
-// planFor returns a compiled plan for e: the memoized one for the package's
-// static expressions, a fresh Compile for a foreign expression.
-func (f *Frame) planFor(e *Expr) (*Plan, error) {
-	if p := f.sharedPlans()[e]; p != nil {
-		return p, nil
-	}
-	return Compile(e, f)
-}
-
-// mustPlan is planFor for the package's own static expressions, which are
-// validated at init: a compile failure is a programming error.
+// mustPlan compiles one of the package's static expressions against f. They
+// are validated at package init, so a compile failure is a programming error.
 func (f *Frame) mustPlan(e *Expr) *Plan {
-	p, err := f.planFor(e)
+	p, err := Compile(e, f)
 	if err != nil {
-		panic("analysis: static expression failed to compile: " + err.Error())
+		panic(fmt.Sprintf("analysis: static expression %s failed to compile: %v", e, err))
 	}
 	return p
 }

@@ -3,7 +3,8 @@ package analysis
 // The plan compiler: the query engine's one evaluator. A Plan validates an
 // expression and resolves its column selectors through the vocabulary maps
 // exactly once, against one Frame's column layout, and leaves behind a flat
-// program whose evaluation is a single fused loop over the month axis.
+// program. Evaluation has one loop body, seriesAt, which computes the
+// series at one row; EvalSeries, EvalScalar and Eval all loop over it.
 //
 // Compilation lowers an expression as follows:
 //
@@ -11,11 +12,11 @@ package analysis
 //     the concrete dense []int column — wildcard and sum nodes materialize
 //     their element-wise total once at compile time, so evaluation never
 //     allocates a scratch column;
-//   - the dominant pct(column / column) shape becomes a specialized fused
-//     kernel: one loop computing 100·num/den with the figure convention
-//     that an empty denominator yields 0;
+//   - the series shapes become one of four kernels (zero, a column's raw
+//     counts, pct(column / column) with the figure convention that an empty
+//     denominator yields 0, and the Figure 5 position series);
 //   - scalar reductions (at/over/count/mean/min/max/first/last) stream the
-//     fused series value-by-value, so no intermediate slice is ever
+//     kernel's series value-by-value, so no intermediate slice is ever
 //     materialized.
 //
 // A Plan is bound to the Frame it was compiled against (its kernels hold
@@ -35,7 +36,7 @@ import (
 	"tlsage/internal/notary"
 )
 
-// planKernel selects the fused series loop.
+// planKernel selects what seriesAt computes.
 type planKernel uint8
 
 const (
@@ -69,8 +70,7 @@ const (
 // Plan is a compiled, frame-bound query program. Compile it once per
 // (expression, frame) pair and evaluate it any number of times; evaluation
 // performs no validation, no vocabulary lookups and no allocation beyond
-// the result slice (none at all for scalars or EvalSeriesInto with a
-// caller-owned buffer).
+// the result slice (none at all for scalars).
 type Plan struct {
 	frame *Frame
 	kind  Kind
@@ -215,8 +215,9 @@ func (p *Plan) compileScalar(e *Expr) {
 // Kind returns what the plan evaluates to.
 func (p *Plan) Kind() Kind { return p.kind }
 
-// seriesAt evaluates the fused series at one row — the streaming form the
-// scalar reductions consume, so they never materialize the series.
+// seriesAt evaluates the plan's series at one row. It is the only place the
+// kernels' arithmetic is written: the series evaluators collect it row by
+// row and the scalar reductions stream it, so they never materialize it.
 func (p *Plan) seriesAt(i int) float64 {
 	switch p.kernel {
 	case kernelCol:
@@ -235,59 +236,22 @@ func (p *Plan) seriesAt(i int) float64 {
 	return 0
 }
 
-// EvalSeriesInto evaluates a series- or column-kind plan into dst, growing
-// it only when its capacity is short — with a caller-owned buffer of
-// frame length the evaluation is allocation-free. Scalar-kind plans return
-// nil (use EvalScalar).
-func (p *Plan) EvalSeriesInto(dst []float64) []float64 {
+// EvalSeries evaluates a series- or column-kind plan; the returned slice is
+// the evaluation's only allocation. Scalar-kind plans return nil (use
+// EvalScalar).
+func (p *Plan) EvalSeries() []float64 {
 	if p.kind == KindScalar {
 		return nil
 	}
-	n := p.frame.Len()
-	if cap(dst) < n {
-		dst = make([]float64, n)
+	out := make([]float64, p.frame.Len())
+	for i := range out {
+		out[i] = p.seriesAt(i)
 	}
-	dst = dst[:n]
-	switch p.kernel {
-	case kernelCol:
-		col := p.col[:n]
-		for i := range dst {
-			dst[i] = float64(col[i])
-		}
-	case kernelPct:
-		// The dominant catalog shape, fused into one loop with the slices
-		// pre-sliced for bounds-check elimination.
-		num, den := p.num[:n], p.den[:n]
-		for i := range dst {
-			if d := den[i]; d != 0 {
-				dst[i] = 100 * float64(num[i]) / float64(d)
-			} else {
-				dst[i] = 0
-			}
-		}
-	case kernelPosition:
-		sums, counts := p.posSum[:n], p.posCount[:n]
-		for i := range dst {
-			if c := counts[i]; c != 0 {
-				dst[i] = 100 * sums[i] / float64(c)
-			} else {
-				dst[i] = 0
-			}
-		}
-	default: // kernelZero
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-	return dst
+	return out
 }
 
-// EvalSeries evaluates a series- or column-kind plan; the returned slice is
-// the evaluation's only allocation.
-func (p *Plan) EvalSeries() []float64 { return p.EvalSeriesInto(nil) }
-
 // EvalScalar evaluates a scalar-kind plan with zero allocations: the
-// reduction streams the fused series instead of materializing it.
+// reduction streams seriesAt instead of materializing the series.
 func (p *Plan) EvalScalar() float64 {
 	switch p.reduce {
 	case reduceAt:
@@ -346,20 +310,8 @@ func (p *Plan) Eval() QueryResult {
 	}
 	f := p.frame
 	pts := make([]Point, f.Len())
-	switch p.kernel {
-	case kernelPct:
-		num, den := p.num[:len(pts)], p.den[:len(pts)]
-		for i := range pts {
-			v := 0.0
-			if d := den[i]; d != 0 {
-				v = 100 * float64(num[i]) / float64(d)
-			}
-			pts[i] = Point{Month: f.Months[i], Value: v}
-		}
-	default:
-		for i := range pts {
-			pts[i] = Point{Month: f.Months[i], Value: p.seriesAt(i)}
-		}
+	for i := range pts {
+		pts[i] = Point{Month: f.Months[i], Value: p.seriesAt(i)}
 	}
 	return QueryResult{
 		Query:  p.query,

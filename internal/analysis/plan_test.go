@@ -47,9 +47,9 @@ func assertSameResult(t *testing.T, e *Expr, want, got QueryResult) {
 }
 
 // TestCompileCatalogParity: every static expression in the package — all
-// catalog metrics, impact metrics and passive scalars — must evaluate
-// identically through the compiled plan and the interpreter, on every test
-// frame including the empty one.
+// catalog metrics, impact metrics, passive scalars, the guarded scalar rows
+// and Table 2's coverage — must evaluate identically through the compiled
+// plan and the interpreter, on every test frame including the empty one.
 func TestCompileCatalogParity(t *testing.T) {
 	var exprs []*Expr
 	for _, spec := range catalog {
@@ -63,7 +63,13 @@ func TestCompileCatalogParity(t *testing.T) {
 	for _, s := range passiveScalarSpecs {
 		exprs = append(exprs, s.Expr)
 	}
-	exprs = append(exprs, conditionalScalarExprs...)
+	exprs = append(exprs,
+		exprNullNegotiated, exprAnonNegotiated,
+		exprSecp256r1Share, exprSecp384r1Share, exprX25519Share, exprX25519Feb18,
+		exprTable2TotalCoverage)
+	for _, e := range table2ClassExprs {
+		exprs = append(exprs, e.coverage, e.conns)
+	}
 
 	for _, f := range testFrames(t) {
 		for _, e := range exprs {
@@ -76,12 +82,6 @@ func TestCompileCatalogParity(t *testing.T) {
 				t.Fatalf("interpret %s: %v", e, err)
 			}
 			assertSameResult(t, e, want, p.Eval())
-			// The memoized catalog plan must agree too.
-			if mp := f.sharedPlans()[e]; mp == nil {
-				t.Fatalf("no shared plan for static expression %s", e)
-			} else {
-				assertSameResult(t, e, want, mp.Eval())
-			}
 		}
 	}
 }
@@ -129,10 +129,9 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestEvalFigureHandBuiltSpec: a spec outside the catalog has no memoized
-// plan, so EvalFigure compiles it on the spot — equal to the interpreter —
-// and a metric that does not compile to a series panics naming the figure
-// and the metric.
+// TestEvalFigureHandBuiltSpec: a spec outside the catalog compiles as a
+// catalog spec does — equal to the interpreter — and a metric that does not
+// compile to a series panics naming the figure and the metric.
 func TestEvalFigureHandBuiltSpec(t *testing.T) {
 	f := sharedFrame(t)
 	e, err := ParseQuery("pct(sum(version:tls11, version:tls12) / established)")
@@ -170,9 +169,11 @@ func TestEvalFigureHandBuiltSpec(t *testing.T) {
 }
 
 // TestPlanEvalAllocs pins the compiled engine's allocation discipline:
-// series evaluation allocates only its result slice (nothing at all with a
-// reused buffer), and scalar evaluation allocates nothing — including for
-// sum() and wildcard selectors, which materialize at compile time.
+// series evaluation allocates only its result slice, and scalar evaluation
+// allocates nothing — including for sum() and wildcard selectors, which
+// materialize at compile time. Eval, the evaluation a /query miss takes,
+// keeps the same counts: one allocation (the points) for a series, none for
+// a scalar.
 func TestPlanEvalAllocs(t *testing.T) {
 	f := sharedFrame(t)
 	series := []string{
@@ -186,9 +187,8 @@ func TestPlanEvalAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { p.EvalSeries() }); n > 1 {
 			t.Errorf("%s: EvalSeries %.1f allocs/run, want 1 (the result slice)", src, n)
 		}
-		buf := make([]float64, f.Len())
-		if n := testing.AllocsPerRun(200, func() { p.EvalSeriesInto(buf) }); n != 0 {
-			t.Errorf("%s: EvalSeriesInto(reused) %.1f allocs/run, want 0", src, n)
+		if n := testing.AllocsPerRun(200, func() { p.Eval() }); n != 1 {
+			t.Errorf("%s: Eval %.1f allocs/run, want 1 (the points)", src, n)
 		}
 	}
 	scalars := []string{
@@ -201,6 +201,9 @@ func TestPlanEvalAllocs(t *testing.T) {
 		p := mustCompile(t, src, f)
 		if n := testing.AllocsPerRun(200, func() { p.EvalScalar() }); n != 0 {
 			t.Errorf("%s: EvalScalar %.1f allocs/run, want 0", src, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { p.Eval() }); n != 0 {
+			t.Errorf("%s: Eval %.1f allocs/run, want 0", src, n)
 		}
 	}
 }

@@ -49,21 +49,7 @@ func ParseQuery(src string) (*Expr, error) {
 	if err := e.Validate(); err != nil {
 		return nil, fmt.Errorf("query %q: %w", src, err)
 	}
-	// The freshly-parsed tree is private, so canonicalizing in place is
-	// safe here — Validate itself never writes (shared specs are validated
-	// concurrently).
-	e.canonicalize()
 	return e, nil
-}
-
-// canonicalize folds the tree's selectors to their canonical lowercase
-// forms so String() output is stable (parse→format→parse is a fixpoint).
-func (e *Expr) canonicalize() {
-	e.Col = fold(e.Col)
-	e.Class = fold(e.Class)
-	for _, a := range e.Args {
-		a.canonicalize()
-	}
 }
 
 // queryParser is a tiny recursive-descent parser over four token shapes:
@@ -193,8 +179,9 @@ func (p *queryParser) parseExpr() (*Expr, error) {
 	return e, nil
 }
 
-// String renders the expression in the canonical text grammar; for a
-// validated expression, ParseQuery(e.String()) reproduces e.
+// String renders the expression in the canonical text grammar, selectors
+// folded to lowercase; for a validated expression, ParseQuery(e.String())
+// reproduces e up to the case of its selectors.
 func (e *Expr) String() string {
 	var b strings.Builder
 	e.format(&b)
@@ -208,7 +195,7 @@ func (e *Expr) format(b *strings.Builder) {
 	}
 	switch e.Op {
 	case OpCol:
-		b.WriteString(e.Col)
+		b.WriteString(fold(e.Col))
 	case OpPct, OpOver:
 		b.WriteString(e.Op)
 		b.WriteByte('(')
@@ -220,7 +207,7 @@ func (e *Expr) format(b *strings.Builder) {
 		b.WriteByte(')')
 	case OpPosition:
 		b.WriteString("position(")
-		b.WriteString(e.Class)
+		b.WriteString(fold(e.Class))
 		b.WriteByte(')')
 	case OpAt:
 		b.WriteString("at(")

@@ -50,9 +50,7 @@ var passiveScalarSpecs = []struct {
 	{"S-F7b", "export advertised, 2018", 1.03, q("at(pct(adv-export / total), 2018-03)")},
 }
 
-// conditionalScalarExprs holds the guarded scalar rows' expressions as
-// package-level data, so they parse once and compile into every frame's
-// shared plan set instead of re-parsing on each PassiveScalarsFrame call.
+// The guarded scalar rows' expressions, parsed once at package init.
 var (
 	exprNullNegotiated = q("over(null-negotiated / established)")
 	exprAnonNegotiated = q("over(anon-negotiated / established)")
@@ -60,20 +58,15 @@ var (
 	exprSecp384r1Share = q("over(curve:secp384r1 / curve:*)")
 	exprX25519Share    = q("over(curve:x25519 / curve:*)")
 	exprX25519Feb18    = q("at(pct(curve:x25519 / curve:*), 2018-02)")
-
-	conditionalScalarExprs = []*Expr{
-		exprNullNegotiated, exprAnonNegotiated,
-		exprSecp256r1Share, exprSecp384r1Share, exprX25519Share, exprX25519Feb18,
-	}
 )
 
-// scalarOf evaluates a static scalar expression through the frame's
-// pre-compiled plan.
+// scalarOf compiles a static scalar expression against the frame and
+// evaluates it.
 func (f *Frame) scalarOf(e *Expr) float64 { return f.mustPlan(e).EvalScalar() }
 
 // PassiveScalarsFrame extracts the passive scalars from a frame snapshot.
 // Every value is the evaluation of a serializable query expression,
-// executed through the frame's pre-compiled plans; the few rows the seed
+// compiled against the frame where it is read; the few rows the seed
 // emitted conditionally keep their presence guards.
 func PassiveScalarsFrame(f *Frame) []Scalar {
 	out := make([]Scalar, 0, len(passiveScalarSpecs)+6)
@@ -165,8 +158,7 @@ type Table2Row struct {
 // table2ClassExprs declares Table 2's per-class measurements as static query
 // expressions over the agent: family, keyed by clientdb class name: coverage
 // is the whole-window share of fingerprinted connections attributed to the
-// class, conns the raw attributed volume (the row ranking key). Static like
-// the catalog, they compile into every frame's shared plan set.
+// class, conns the raw attributed volume (the row ranking key).
 var table2ClassExprs = func() map[string]struct{ coverage, conns *Expr } {
 	out := make(map[string]struct{ coverage, conns *Expr }, len(agentKeys))
 	for slug, class := range agentKeys {
@@ -181,15 +173,6 @@ var table2ClassExprs = func() map[string]struct{ coverage, conns *Expr } {
 // exprTable2TotalCoverage is Table 2's "All" coverage: every attributed
 // connection over every fingerprinted connection.
 var exprTable2TotalCoverage = q("over(agent:* / fp-conns)")
-
-// table2Exprs flattens the Table 2 expressions for shared-plan registration.
-var table2Exprs = func() []*Expr {
-	out := []*Expr{exprTable2TotalCoverage}
-	for _, e := range table2ClassExprs {
-		out = append(out, e.coverage, e.conns)
-	}
-	return out
-}()
 
 // BuildTable2Frame reproduces Table 2 from a frame through the query surface:
 // every coverage number is the evaluation of an agent:-family expression

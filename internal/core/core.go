@@ -338,9 +338,9 @@ func (s *Study) QueryInfoJSON(src string) (analysis.QueryResult, []byte, uint64,
 
 // QueryExprInfoJSON is QueryInfoJSON for an already-built expression (e.g.
 // decoded from JSON). The expression is validated before anything else: the
-// cache is keyed by canonical text, and only a validated expression's
-// String() is guaranteed to be canonical (a malformed column name could
-// otherwise impersonate another query's key).
+// cache is keyed by String(), which prints any spelling of a valid tree's
+// selectors in one canonical form, but a malformed column name could
+// otherwise impersonate another query's key.
 func (s *Study) QueryExprInfoJSON(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
 	if err := e.Validate(); err != nil {
 		return analysis.QueryResult{}, nil, 0, false, err
@@ -355,9 +355,9 @@ func (s *Study) QueryExprInfoJSON(e *analysis.Expr) (analysis.QueryResult, []byt
 // critical section as that frame. The lookup, compile and evaluation run
 // outside the lock. Concurrent misses for one key each compile and evaluate
 // (microseconds; the frame they share is brought up to date once) and
-// QueryCache.Put keeps the last of their identical entries. Ad-hoc plans are
-// not memoized: a plan's key would be the result cache's key. A nil cache
-// degrades to plain compile-and-evaluate.
+// QueryCache.Put keeps the last of their identical entries. No plan is
+// memoized, ad hoc or static: a plan's key would be the result cache's key.
+// A nil cache degrades to plain compile-and-evaluate.
 func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
 	var (
 		f          *analysis.Frame

@@ -20,17 +20,16 @@ type FeedOptions struct {
 	// MaxRetries is how many times a shed stream is retried before giving
 	// up. 0 means no retries.
 	MaxRetries int
-	// BaseDelay, MaxDelay and Rand configure the retry.Backoff between
-	// attempts (zero values: 250ms doubling to 10s, math/rand jitter); the
-	// server's Retry-After, or the busy line's seconds, is its floor.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	Rand      func() float64
-	// Sleep is the delay function — a test hook; nil means time.Sleep.
-	Sleep func(time.Duration)
 	// Logf, when set, receives one line per retry ("server busy, retrying
 	// in ...").
 	Logf func(format string, args ...any)
+
+	// backoff spaces the attempts (its zero value: 250ms doubling to 10s,
+	// math/rand jitter); the server's Retry-After, or the busy line's
+	// seconds, is its floor. sleep waits out a delay; nil means time.Sleep.
+	// Both are set by this package's tests only.
+	backoff retry.Backoff
+	sleep   func(time.Duration)
 }
 
 // FeedResult reports a successfully ingested stream.
@@ -49,11 +48,11 @@ func (e errShed) Error() string { return "server busy" }
 // feedRetry runs attempt until it succeeds, fails hard, or exhausts the
 // retry budget. Only errShed results are retried.
 func feedRetry(opts FeedOptions, attempt func() (FeedResult, error)) (FeedResult, error) {
-	sleep := opts.Sleep
+	sleep := opts.sleep
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	backoff := retry.Backoff{Base: opts.BaseDelay, Max: opts.MaxDelay, Rand: opts.Rand}
+	backoff := opts.backoff
 	for try := 0; ; try++ {
 		res, err := attempt()
 		res.Attempts = try + 1

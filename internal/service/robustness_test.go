@@ -15,6 +15,7 @@ import (
 
 	"tlsage/internal/core"
 	"tlsage/internal/notary"
+	"tlsage/internal/retry"
 )
 
 // waitFor polls cond for up to two seconds.
@@ -109,9 +110,9 @@ func TestIngestBackpressure(t *testing.T) {
 				return io.NopCloser(bytes.NewReader(log)), nil
 			}, FeedOptions{
 				MaxRetries: 5,
-				Rand:       func() float64 { return 0 },
 				Logf:       t.Logf,
-				Sleep: func(d time.Duration) {
+				backoff:    retry.Backoff{Rand: func() float64 { return 0 }},
+				sleep: func(d time.Duration) {
 					delays = append(delays, d)
 					release()
 				},
@@ -162,8 +163,8 @@ func TestFeedRetryGivesUp(t *testing.T) {
 		return io.NopCloser(strings.NewReader("")), nil
 	}, FeedOptions{
 		MaxRetries: 2,
-		Rand:       func() float64 { return 0 },
-		Sleep:      func(d time.Duration) { delays = append(delays, d) },
+		backoff:    retry.Backoff{Rand: func() float64 { return 0 }},
+		sleep:      func(d time.Duration) { delays = append(delays, d) },
 	})
 	if err == nil || !strings.Contains(err.Error(), "still busy") {
 		t.Fatalf("err = %v, want still-busy failure", err)
@@ -179,7 +180,7 @@ func TestFeedRetryGivesUp(t *testing.T) {
 }
 
 // TestFeedRetryAfterIsCappedAtMaxDelay: the server's Retry-After raises the
-// backoff floor but never past MaxDelay — not for a value of days, nor for
+// backoff floor but never past the backoff's Max — not for a value of days, nor for
 // one with more seconds than a Duration holds (which must saturate, not wrap
 // into a negative floor).
 func TestFeedRetryAfterIsCappedAtMaxDelay(t *testing.T) {
@@ -194,15 +195,15 @@ func TestFeedRetryAfterIsCappedAtMaxDelay(t *testing.T) {
 			return io.NopCloser(strings.NewReader("")), nil
 		}, FeedOptions{
 			MaxRetries: 4,
-			MaxDelay:   maxDelay,
-			Sleep:      func(d time.Duration) { delays = append(delays, d) },
+			backoff:    retry.Backoff{Max: maxDelay},
+			sleep:      func(d time.Duration) { delays = append(delays, d) },
 		})
 		hs.Close()
 		if err == nil || len(delays) != 4 {
 			t.Fatalf("Retry-After %s: err %v after %d sleeps, want a still-busy failure after 4", retryAfter, err, len(delays))
 		}
 		for i, d := range delays {
-			// The floor is honoured as far as the cap allows: exactly MaxDelay.
+			// The floor is honoured as far as the cap allows: exactly the Max.
 			if d != maxDelay {
 				t.Errorf("Retry-After %s: delay %d = %v, want %v", retryAfter, i, d, maxDelay)
 			}

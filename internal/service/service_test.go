@@ -156,7 +156,14 @@ func postTSV(t testing.TB, url string, body []byte) ingestReply {
 // reply's header and body, which must be a 200.
 func postQuery(t testing.TB, url, expr string) (http.Header, []byte) {
 	t.Helper()
-	body, err := json.Marshal(map[string]string{"query": expr})
+	return postQueryRequest(t, url, map[string]string{"query": expr})
+}
+
+// postQueryRequest POSTs req, JSON-encoded, as a /query body and returns the
+// 200 response's headers and body.
+func postQueryRequest(t testing.TB, url string, req any) (http.Header, []byte) {
+	t.Helper()
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func postQuery(t testing.TB, url, expr string) (http.Header, []byte) {
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s %q: %d %v: %s", url, expr, resp.StatusCode, err, raw)
+		t.Fatalf("POST %s %s: %d %v: %s", url, body, resp.StatusCode, err, raw)
 	}
 	return resp.Header, raw
 }
@@ -262,9 +269,10 @@ func TestCloseDrainsInFlightTCPStream(t *testing.T) {
 }
 
 // TestQueryCacheEndToEnd pins the served cache behavior: X-Cache flips
-// miss→hit with byte-identical bodies, cached and uncached servers answer
-// identically, ingestion invalidates by generation, and /healthz reports
-// the cache gauges only when a cache is attached.
+// miss→hit with byte-identical bodies, an Expr body hits its text twin's
+// entry, cached and uncached servers answer identically, ingestion
+// invalidates by generation, and /healthz reports the cache gauges only
+// when a cache is attached.
 func TestQueryCacheEndToEnd(t *testing.T) {
 	log, offline := sharedLog(t)
 
@@ -303,6 +311,22 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 	if !bytes.Equal(bodyPlain, body1) {
 		t.Error("cached and uncached servers serve different bodies")
 	}
+	// The same query as an {"expr": …} body with its selectors in capitals
+	// answers the text query's bytes, canonical text included, out of the
+	// text query's entry.
+	t.Run("expr_shares_the_text_entry", func(t *testing.T) {
+		expr := &analysis.Expr{Op: analysis.OpPct, Args: []*analysis.Expr{
+			{Op: analysis.OpCol, Col: "VERSION:TLS12"},
+			{Op: analysis.OpCol, Col: "Established"},
+		}}
+		h, body := postQueryRequest(t, tsCached.URL+"/query", map[string]any{"expr": expr})
+		if !bytes.Equal(body, body1) {
+			t.Errorf("expr query answers differently from %q:\n%s\n%s", q, body, body1)
+		}
+		if h.Get("X-Cache") != "hit" {
+			t.Errorf("expr query after the text query: X-Cache=%q, want hit", h.Get("X-Cache"))
+		}
+	})
 	// /query has one encoder whatever serves the body: over the whole query
 	// sweep, series and scalars alike, the uncached server — a miss every
 	// time — writes the bytes the cached server computes and then replays.
