@@ -130,13 +130,15 @@ var calledOnlyByTests = map[string]string{
 // TestProductionCallsProduction guards the "production code is what
 // production calls" decision: every top-level func or method declared in a
 // non-test file under internal/ must be named in some non-test file of the
-// module (cmd/, examples/ and bench/ count as callers) outside its own
-// declaration. What only _test.go files reach is either a predecessor that
-// belongs beside the differential test using it, or dead. The check is by
-// name on purpose (go/parser only; the type-checked scan needs a source
-// importer and 13 s), so two declarations sharing a name vouch for each
-// other; the methods the standard library calls through its interfaces are
-// exempt.
+// module (cmd/ and bench/ count as callers) outside its own declaration, or
+// in the body of an Example function that go test runs: one with an
+// "// Output:" comment, as go/doc.Examples reads it. An example with no
+// output is only compiled, and vouches for nothing. What only other _test.go
+// code reaches is either a predecessor that belongs beside the differential
+// test using it, or dead. The check is by name on purpose (go/parser only;
+// the type-checked scan needs a source importer and 13 s), so two
+// declarations sharing a name vouch for each other; the methods the standard
+// library calls through its interfaces are exempt.
 func TestProductionCallsProduction(t *testing.T) {
 	exempt := []string{"init", "String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON", "MarshalBinary",
 		"Read", "Write", "Len", "Less", "Swap", "ServeHTTP"}
@@ -157,7 +159,25 @@ func TestProductionCallsProduction(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, ex := range doc.Examples(f) {
+				if ex.Output == "" && !ex.EmptyOutput {
+					continue
+				}
+				ast.Inspect(ex.Code, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						named[id.Name] = true
+					}
+					return true
+				})
+			}
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)

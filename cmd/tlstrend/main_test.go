@@ -78,8 +78,9 @@ func startServe(t *testing.T, bin, dir string, args ...string) (cmd *exec.Cmd, h
 // TestCLI drives the built binary: an Open that sets no tuning value runs
 // at serve's queue bound and in-flight limit, serve's flag set is the one
 // pinned in testdata, a served study survives SIGTERM and
-// a restart byte for byte, scan, scansweep, experiments and the passive
-// figure and table commands print their goldens, an unknown figure fails
+// a restart byte for byte, scan, scansweep, experiments, the passive
+// figure and Table 2 commands and the five static tables print their goldens
+// (table -n 2 fails, naming table2), an unknown figure fails
 // before any simulation or load, every command that takes a log reads a TSV
 // log, a serve -out frame log and one continued by the other alike, simulate
 // -out writes a frame log that reads as the TSV log of the same records does,
@@ -90,7 +91,15 @@ func startServe(t *testing.T, bin, dir string, args ...string) (cmd *exec.Cmd, h
 // exactly what core.Study.Query computes.
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tlstrend")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+	build := []string{"build", "-o", bin}
+	if os.Getenv("GOCOVERDIR") != "" {
+		// A covered binary writes its counters into GOCOVERDIR as it exits.
+		// go test -cover points GOCOVERDIR at this test binary's own
+		// coverage directory, so what these subprocesses run joins the
+		// package's profile.
+		build = append(build, "-cover", "-coverpkg=tlsage/...")
+	}
+	if out, err := exec.Command("go", append(build, ".")...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
@@ -178,6 +187,34 @@ func TestCLI(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("table -n 1, 3, 4, 5 and 6 match their golden and -n 2 points at table2", func(t *testing.T) {
+		// tables.golden is the five tables' stdout in that order. Table 2
+		// is read off a simulated study, so table refuses it by name.
+		var got []byte
+		for _, n := range []string{"1", "3", "4", "5", "6"} {
+			out, err := exec.Command(bin, "table", "-n", n).Output()
+			if err != nil {
+				t.Fatalf("table -n %s: %v", n, err)
+			}
+			got = append(got, out...)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "tables.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("stdout differs from testdata/tables.golden:\n%s\nwant\n%s", got, want)
+		}
+		out, err := exec.Command(bin, "table", "-n", "2").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("table -n 2: err=%v, want exit 1", err)
+		}
+		if want := "tlstrend: no table 2 (Table 2 has its own subcommand)\n"; string(out) != want {
+			t.Errorf("table -n 2 printed\n%s\nwant only\n%s", out, want)
+		}
+	})
 
 	t.Run("an unknown figure fails before anything is simulated or loaded", func(t *testing.T) {
 		tsv := filepath.Join("..", "..", "internal", "service", "testdata", "outlog_tsv.log")

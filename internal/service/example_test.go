@@ -1,27 +1,26 @@
-// Query: evaluate ad-hoc metric expressions beyond the figure catalog —
-// first offline against a simulated study, then over HTTP against a live
-// service hosting the same study, demonstrating that the two surfaces are
-// the same query API (the served answer matches the offline one exactly).
-package main
+package service_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
-	"net"
 	"net/http"
+	"net/http/httptest"
 
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
 	"tlsage/internal/service"
 )
 
-func main() {
+// Evaluate ad-hoc metric expressions beyond the figure catalog, first
+// offline against a simulated study, then over HTTP against a router
+// hosting the same study: the two surfaces are one query API, and the
+// served answer matches the offline one exactly.
+func ExampleNewRouter() {
 	study := core.NewStudy(300)
 	if err := study.Run(nil); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	// Offline: the text grammar parses into a serializable analysis.Expr
@@ -36,7 +35,7 @@ func main() {
 	for _, src := range queries {
 		res, err := study.Query(src)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		switch res.Kind {
 		case "scalar":
@@ -52,44 +51,49 @@ func main() {
 	// expression to /studies/notary/query and compare.
 	rt := service.NewRouter()
 	if err := rt.Add("notary", service.NewServer(study)); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: rt.Handler()}
-	go hs.Serve(ln)
+	defer rt.Close()
+	hs := httptest.NewServer(rt.Handler())
 	defer hs.Close()
 
 	const expr = "over(null-negotiated / established)"
 	body, err := json.Marshal(map[string]string{"query": expr})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
-	resp, err := http.Post("http://"+ln.Addr().String()+"/studies/notary/query",
-		"application/json", bytes.NewReader(body))
+	resp, err := http.Post(hs.URL+"/studies/notary/query", "application/json", bytes.NewReader(body))
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	var served analysis.QueryResult
 	if err := json.Unmarshal(raw, &served); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	offline, err := study.Query(expr)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("\nover HTTP (generation %s):\n  %-46s = %8.4f\n",
 		resp.Header.Get("X-Generation"), served.Query, served.Value)
 	if served.Value == offline.Value {
 		fmt.Println("  matches the offline evaluation exactly")
 	} else {
-		log.Fatalf("served %v != offline %v", served.Value, offline.Value)
+		fmt.Printf("  served %v, offline %v\n", served.Value, offline.Value)
 	}
+	// Output:
+	// offline:
+	//   at(pct(version:tls12 / established), 2018-02)  =  93.5374
+	//   over(null-negotiated / established)            =   2.4916
+	//   max(pct(ext:heartbeat / total))                =  32.6667
+	//   pct(sum(kex:ecdhe, kex:tls13) / established)   = series over 75 months (last: 2018-04 94.46)
+	//
+	// over HTTP (generation 22500):
+	//   over(null-negotiated / established)            =   2.4916
+	//   matches the offline evaluation exactly
 }
