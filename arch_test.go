@@ -2,10 +2,16 @@ package tlsage
 
 import (
 	"go/ast"
+	"go/build"
 	"go/doc"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -117,37 +123,73 @@ func TestOneServeAssembly(t *testing.T) {
 	}
 }
 
-// calledOnlyByTests is TestProductionCallsProduction's allow-list: name →
-// why a declaration that only tests reach stays in a production file.
+// calledOnlyByTests is TestProductionCallsProduction's allow-list: a
+// declaration, spelled as its package's directory and its own part of the
+// symbol, → why it stays in a production file though neither binary links it.
 var calledOnlyByTests = map[string]string{
-	"AllSuites": "read accessor: the registered suites in code-point order. The notary codec, merge and snapshot " +
-		"property tests and the registry's class-bit property test draw their random suite lists from it; " +
-		"production looks a suite up by ID and never enumerates them",
-	"Served": "read accessor: the connections a farm host has answered. The scanner tests assert through it that a " +
-		"finished scan probed every target exactly once and that a cancelled one opened no connection",
+	"internal/registry.AllSuites": "read accessor: the registered suites in code-point order. The notary codec, merge " +
+		"and snapshot property tests and the registry's class-bit property test draw their random suite lists from " +
+		"it; production looks a suite up by ID and never enumerates them",
+	"internal/serverfarm.(*Host).Served": "read accessor: the connections a farm host has answered. The scanner tests " +
+		"assert through it that a finished scan probed every target exactly once and that a cancelled one opened no " +
+		"connection",
+	"internal/notary.(*Counts).Get": "read accessor: one key's count. The paged counter's model test compares it " +
+		"with a map after every operation, and the aggregate, merge and notary tests read single counts through it; " +
+		"production reads a Counts only through All",
+	"internal/notary.(*Counts).Has": "read accessor: whether a key is present. The model test tells a zero count " +
+		"from an absent key through it, as the merge test does for a zero-count curve; production reads a Counts " +
+		"only through All",
 }
 
 // TestProductionCallsProduction guards the "production code is what
-// production calls" decision: every top-level func or method declared in a
-// non-test file under internal/ must be named in some non-test file of the
-// module (cmd/ and bench/ count as callers) outside its own declaration, or
-// in the body of an Example function that go test runs: one with an
-// "// Output:" comment, as go/doc.Examples reads it. An example with no
-// output is only compiled, and vouches for nothing. What only other _test.go
-// code reaches is either a predecessor that belongs beside the differential
-// test using it, or dead. The check is by name on purpose (go/parser only;
-// the type-checked scan needs a source importer and 13 s), so two
-// declarations sharing a name vouch for each other; the methods the standard
-// library calls through its interfaces are exempt.
+// production runs" decision: every top-level func or method declared in a
+// non-test file under internal/ or cmd/ must be linked into tlstrend or the
+// bench harness. Both are built with inlining off in the module's packages,
+// so every called function keeps its symbol, and read with go tool nm. What
+// neither binary links is dead, or a predecessor that belongs beside the
+// differential test using it. Two ways out: calledOnlyByTests, and use in the
+// body of an Example function that go test runs — one with an "// Output:"
+// comment, as go/doc.Examples reads it (an example with no output is only
+// compiled and vouches for nothing). Examples are type-checked, so a use
+// names one declaration, not every declaration that shares its name. A
+// declaration is matched by its symbol: pkg.F, pkg.T.M, pkg.(*T).M, type
+// arguments dropped (pkg.F[…], pkg.(*T[…]).M), and the Nth init of a
+// package, counted in file order, as pkg.init.N; cmd/tlstrend's are main.*
+// of tlstrend alone.
 func TestProductionCallsProduction(t *testing.T) {
-	exempt := []string{"init", "String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON", "MarshalBinary",
-		"Read", "Write", "Len", "Less", "Swap", "ServeHTTP"}
+	dir := t.TempDir()
+	gobuild := exec.Command("go", "build", "-gcflags=tlsage/...=-l", "-o", dir+string(filepath.Separator), "./cmd/tlstrend", "./bench")
+	if out, err := gobuild.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// symbols reads a binary's symbol table, type arguments dropped.
+	symbols := func(bin string) map[string]bool {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(dir, bin)).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", bin, err)
+		}
+		syms := map[string]bool{}
+		for _, line := range strings.Split(string(out), "\n") {
+			if f := strings.Fields(line); len(f) >= 3 && (f[1] == "T" || f[1] == "t") {
+				syms[dropTypeArgs(strings.Join(f[2:], " "))] = true
+			}
+		}
+		return syms
+	}
+	tlstrend, bench := symbols("tlstrend"), symbols("bench")
+
 	type decl struct {
-		name string
-		pos  token.Position
+		key string // the package's directory, then the symbol's own part
+		sym string // as go tool nm prints it, type arguments dropped
+		pos token.Position
 	}
 	var decls []decl
-	named := map[string]bool{}
+	inits := map[string]int{}
+	// Output examples live in external test packages (package x_test),
+	// where they are type-checked: examples holds their bodies by
+	// directory, and exampleFiles the files of each such package.
+	examples := map[string][]ast.Node{}
+	exampleFiles := map[string][]*ast.File{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -162,67 +204,250 @@ func TestProductionCallsProduction(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
+		pkg := filepath.ToSlash(filepath.Dir(path))
 		if strings.HasSuffix(path, "_test.go") {
 			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
+			external := strings.HasSuffix(f.Name.Name, "_test")
+			if external {
+				exampleFiles[pkg] = append(exampleFiles[pkg], f)
+			}
 			for _, ex := range doc.Examples(f) {
 				if ex.Output == "" && !ex.EmptyOutput {
 					continue
 				}
-				ast.Inspect(ex.Code, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						named[id.Name] = true
-					}
-					return true
-				})
+				if !external {
+					t.Errorf("%s: %s is in package %s: put it in package %s_test, where this guard reads it",
+						path, "Example"+ex.Name, f.Name.Name, f.Name.Name)
+				}
+				examples[pkg] = append(examples[pkg], ex.Code)
 			}
+			return nil
+		}
+		if !strings.HasPrefix(pkg, "internal/") && !strings.HasPrefix(pkg, "cmd/") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		prefix := "tlsage/" + pkg + "."
+		if f.Name.Name == "main" {
+			prefix = "main."
+		}
 		for _, d := range f.Decls {
-			fn, isFunc := d.(*ast.FuncDecl)
-			if isFunc && internal {
-				decls = append(decls, decl{fn.Name.Name, fset.Position(fn.Pos())})
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name != "_" {
+				own := ownSymbol(fn, inits, pkg)
+				decls = append(decls, decl{pkg + "." + own, prefix + own, fset.Position(fn.Pos())})
 			}
-			// Every identifier names something, except a func's own name
-			// and, inside its declaration, calls to itself.
-			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !(isFunc && id.Name == fn.Name.Name) {
-					named[id.Name] = true
-				}
-				return true
-			})
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) == 0 {
-		t.Fatal("no declarations under internal/: the guard is looking in the wrong place")
+	exampled := exampleUses(t, fset, examples, exampleFiles)
+	linked := func(sym string) bool {
+		return tlstrend[sym] || (!strings.HasPrefix(sym, "main.") && bench[sym])
 	}
-	declared := map[string]bool{}
+	byKey := map[string]decl{}
+	nLinked := 0
 	for _, d := range decls {
-		declared[d.name] = true
-		if named[d.name] || slices.Contains(exempt, d.name) || calledOnlyByTests[d.name] != "" {
+		byKey[d.key] = d
+		if linked(d.sym) {
+			nLinked++
 			continue
 		}
-		t.Errorf("%s:%d: %s is reached only from tests: delete it, or move it into the _test.go that uses it as a reference", d.pos.Filename, d.pos.Line, d.name)
+		if exampled[d.key] || calledOnlyByTests[d.key] != "" {
+			continue
+		}
+		t.Errorf("%s:%d: %s is linked into neither tlstrend nor bench: delete it, or move it into the _test.go that uses it as a reference",
+			d.pos.Filename, d.pos.Line, d.key)
 	}
-	for name, reason := range calledOnlyByTests {
+	for key, reason := range calledOnlyByTests {
 		if reason == "" {
-			t.Errorf("allow-list entry %s has no reason", name)
+			t.Errorf("allow-list entry %s has no reason", key)
 		}
-		if !declared[name] || named[name] {
-			t.Errorf("allow-list entry %s is stale: it is no longer declared under internal/, or production names it now", name)
+		if d, ok := byKey[key]; !ok || linked(d.sym) || exampled[key] {
+			t.Errorf("allow-list entry %s is stale: it is no longer declared, or a binary links it, or an example uses it", key)
 		}
 	}
+
+	// One linked declaration of each symbol shape, so a shape the matching
+	// gets wrong fails here instead of passing for want of declarations.
+	for _, c := range []struct{ shape, key string }{
+		{"plain func", "internal/adoption.MustPiecewise"},
+		{"value receiver", "internal/adoption.Constant.Value"},
+		{"pointer receiver", "internal/notary.(*ShardBuilder).Flush"},
+		{"generic method", "internal/notary.(*Counts).Set"},
+	} {
+		t.Run(c.shape, func(t *testing.T) {
+			d, ok := byKey[c.key]
+			if !ok {
+				t.Fatalf("%s is not among the declarations read", c.key)
+			}
+			if !linked(d.sym) {
+				t.Errorf("%s is declared but %s is not found linked", c.key, d.sym)
+			}
+		})
+	}
+	t.Run("init", func(t *testing.T) {
+		// No production file declares an init, so the shape is checked on
+		// a standard package that both binaries link.
+		pkg, err := build.Import("flag", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inits := map[string]int{}
+		for _, name := range pkg.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(pkg.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "init" {
+					sym := pkg.ImportPath + "." + ownSymbol(fn, inits, pkg.ImportPath)
+					if !tlstrend[sym] || !bench[sym] {
+						t.Errorf("%s is declared but not found linked into both binaries", sym)
+					}
+				}
+			}
+		}
+		if inits[pkg.ImportPath] == 0 {
+			t.Fatalf("%s declares no init", pkg.ImportPath)
+		}
+	})
+	t.Run("examples are read", func(t *testing.T) {
+		for _, key := range []string{"internal/core.NewStudy", "internal/fingerprint.(*DB).Lookup"} {
+			if !exampled[key] {
+				t.Errorf("%s is used by an Output example but not found among the example uses", key)
+			}
+		}
+	})
+	t.Run("floor of linked declarations", func(t *testing.T) {
+		const floor = 600 // 709 at the time of writing
+		if nLinked < floor {
+			t.Errorf("%d of %d declarations found linked, want at least %d", nLinked, len(decls), floor)
+		}
+	})
+}
+
+// exampleUses type-checks the external test packages that hold Output
+// examples, against the export data go list -export gives for their imports,
+// and returns the funcs and methods the examples' bodies use, spelled as
+// calledOnlyByTests spells a declaration.
+func exampleUses(t *testing.T, fset *token.FileSet, examples map[string][]ast.Node, files map[string][]*ast.File) map[string]bool {
+	t.Helper()
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}
+	for dir := range examples {
+		for _, f := range files[dir] {
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				args = append(args, path)
+			}
+		}
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			exports[path] = file
+		}
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	uses := map[string]bool{}
+	for dir, bodies := range examples {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		if _, err := conf.Check("tlsage/"+dir+"_test", fset, files[dir], info); err != nil {
+			t.Fatalf("type-checking the examples in %s: %v", dir, err)
+		}
+		for _, body := range bodies {
+			ast.Inspect(body, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := info.Uses[id].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					return true
+				}
+				fn = fn.Origin()
+				own := fn.Name()
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					typ := recv.Type()
+					ptr, isPtr := typ.(*types.Pointer)
+					if isPtr {
+						typ = ptr.Elem()
+					}
+					named, ok := typ.(*types.Named)
+					if !ok {
+						return true // a method of an unnamed interface
+					}
+					name := named.Obj().Name()
+					if isPtr {
+						name = "(*" + name + ")"
+					}
+					own = name + "." + own
+				}
+				uses[strings.TrimPrefix(fn.Pkg().Path(), "tlsage/")+"."+own] = true
+				return true
+			})
+		}
+	}
+	return uses
+}
+
+// ownSymbol is fn's symbol after its package path: F, T.M or (*T).M, type
+// parameters dropped, or init.N for the Nth init declared in pkg, counted in
+// inits in file order.
+func ownSymbol(fn *ast.FuncDecl, inits map[string]int, pkg string) string {
+	if fn.Recv == nil {
+		if fn.Name.Name != "init" {
+			return fn.Name.Name
+		}
+		inits[pkg]++
+		return "init." + strconv.Itoa(inits[pkg]-1)
+	}
+	recv, star := fn.Recv.List[0].Type, false
+	if s, ok := recv.(*ast.StarExpr); ok {
+		recv, star = s.X, true
+	}
+	switch x := recv.(type) {
+	case *ast.IndexExpr:
+		recv = x.X
+	case *ast.IndexListExpr:
+		recv = x.X
+	}
+	typ := recv.(*ast.Ident).Name
+	if star {
+		typ = "(*" + typ + ")"
+	}
+	return typ + "." + fn.Name.Name
+}
+
+// dropTypeArgs removes every bracketed type-argument list from a symbol:
+// pkg.(*T[go.shape.int]).M becomes pkg.(*T).M.
+func dropTypeArgs(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }
 
 // TestOnePackageDoc guards what go doc shows first: every package under

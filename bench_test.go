@@ -382,8 +382,7 @@ func BenchmarkAblationFingerprintNoGREASE(b *testing.B) {
 func benchScanWorkers(b *testing.B, workers int) {
 	cfg := scanner.Chrome2015()
 	hello := cfg.Build(rand.New(rand.NewSource(2)))
-	farmCfgs, cohorts := sampleFarmConfigs(64)
-	farm, err := serverfarm.StartFarm(farmCfgs, cohorts, scanner.DefaultTimeout)
+	farm, err := serverfarm.StartFarm(sampleFarmConfigs(64), scanner.DefaultTimeout)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,15 +511,12 @@ func BenchmarkAblationLoadLogSpeedup(b *testing.B) {
 }
 
 // sampleFarmConfigs draws deterministic host configs for the worker ablation.
-func sampleFarmConfigs(n int) ([]*handshake.ServerConfig, []string) {
+func sampleFarmConfigs(n int) []*handshake.ServerConfig {
 	rnd := rand.New(rand.NewSource(9))
 	census := population.DefaultServers().Day(timeline.D(2016, time.June, 15))
 	cfgs := make([]*handshake.ServerConfig, n)
-	cohorts := make([]string, n)
-	for i := 0; i < n; i++ {
-		cohort, cfg := census.Sample(population.ByHosts, rnd)
-		cfgs[i] = cfg
-		cohorts[i] = cohort.Name
+	for i := range cfgs {
+		_, cfgs[i] = census.Sample(population.ByHosts, rnd)
 	}
-	return cfgs, cohorts
+	return cfgs
 }

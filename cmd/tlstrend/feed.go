@@ -23,9 +23,7 @@ func cmdFeed(args []string) error {
 	tcpAddr := fs.String("tcp", "", "stream over raw TCP to this address instead of HTTP")
 	in := fs.String("in", "", "record log to replay as it is: TLSB frames, TSV lines or both (empty = simulate live)")
 	retry := fs.Int("retry", 0, "retries when the server sheds the stream under load (0 = fail fast)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 
 	// The stream must be reopenable: a shed attempt restarts from the top,
 	// so each try replays the file — or re-runs the deterministic simulation

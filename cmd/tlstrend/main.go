@@ -32,7 +32,9 @@ import (
 	"tlsage/internal/simulate"
 )
 
-// commands maps each subcommand to its entry point.
+// commands maps each subcommand to its entry point. Each builds its flag set
+// with flag.ExitOnError, so Parse exits on a bad flag (status 2; 0 for -h)
+// and never returns an error.
 var commands = map[string]func(args []string) error{
 	"simulate":     cmdSimulate,
 	"loadlog":      cmdLoadLog,
@@ -129,9 +131,7 @@ func (sf *simFlags) options() simulate.Options {
 
 // parseAndRun parses args into fs, then runs the study the triple describes.
 func (sf *simFlags) parseAndRun(fs *flag.FlagSet, args []string) (*core.Study, error) {
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
+	fs.Parse(args)
 	return sf.run("")
 }
 

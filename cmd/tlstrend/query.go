@@ -23,9 +23,7 @@ func cmdQuery(args []string) error {
 	study := fs.String("study", "", "server study id (with -addr; empty = the default study's routes)")
 	in := fs.String("in", "", "record log to load: TLSB frames, TSV lines or both (offline; empty = simulate)")
 	asJSON := fs.Bool("json", false, "print the raw JSON result instead of a table")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	if *expr == "" {
 		return fmt.Errorf("query: -q is required (try 'pct(version:tls12 / established)')")
 	}

@@ -17,9 +17,7 @@ import (
 func cmdSimulate(args []string) error {
 	fs, sim := simFlagSet("simulate", 1000)
 	out := fs.String("out", "", "write the simulated records to this path as a TLSB frame log")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	s, err := sim.run(*out)
 	if err != nil {
 		return err
@@ -51,9 +49,7 @@ func cmdLoadLog(args []string) error {
 	workers := fs.Int("workers", 0, "parse workers (0 = all cores, 1 = serial)")
 	figure := fs.Int("figure", 0, "also print figure N (1–10)")
 	chart := fs.Bool("chart", false, "render the figure as an ASCII chart")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	spec, ok := analysis.SpecByNum(*figure)
 	if *figure != 0 && !ok {
 		return fmt.Errorf("core: no figure %d", *figure)
@@ -84,9 +80,7 @@ func cmdFigure(args []string) error {
 	n := fs.Int("n", 1, "figure number (1–10)")
 	name := fs.String("name", "", "catalog figure name (see 'tlstrend metrics'); overrides -n")
 	chart := fs.Bool("chart", false, "render an ASCII chart instead of a table")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	// Both lookups fail before anything is simulated.
 	spec, ok := analysis.SpecByNum(*n)
 	if *name != "" {
@@ -122,9 +116,7 @@ func renderFigure(fig analysis.Figure, chart bool, height int) error {
 // simulation runs.
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	fmt.Printf("%-4s %-10s %-22s %s\n", "n", "id", "name", "title")
 	for _, spec := range analysis.Catalog() {
 		num := "-"
@@ -161,9 +153,7 @@ func cmdFigures(args []string) error {
 func cmdTable(args []string) error {
 	fs := flag.NewFlagSet("table", flag.ExitOnError)
 	n := fs.Int("n", 3, "table number (1, 3, 4, 5 or 6)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	switch *n {
 	case 1:
 		fmt.Println("Table 1 — Release dates of all SSL/TLS versions")

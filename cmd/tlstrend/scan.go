@@ -17,9 +17,7 @@ func cmdScan(args []string) error {
 	hosts := fs.Int("hosts", 300, "farm size")
 	seed := fs.Int64("seed", 7, "population seed")
 	dateStr := fs.String("date", "2018-05-13", "population snapshot date")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	date, err := time.Parse("2006-1-2", *dateStr)
 	if err != nil {
 		return fmt.Errorf("bad -date: %w", err)
@@ -45,9 +43,7 @@ func cmdScanSweep(args []string) error {
 	alexa := fs.Bool("alexa", false, "popularity-weighted (Alexa-style) universe")
 	pushURL := fs.String("push", "", "POST the sweep as one pre-aggregated delta to this study URL ({url}/merge), e.g. http://HOST/studies/scan of a serve -studies notary,scan")
 	pushSource := fs.String("push-source", "scansweep", "delta source name for -push; re-pushing the same campaign from the same source is an idempotent no-op, a different campaign needs a distinct source")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	sweep := &core.ScanSweep{
 		StepMonths:         *step,
 		HostsPerSnapshot:   *hosts,

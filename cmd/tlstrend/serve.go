@@ -38,9 +38,7 @@ func cmdServe(args []string) error {
 	fs.DurationVar(&cfg.PushInterval, "push-interval", federation.DefaultPushInterval, "delta push cadence in edge mode")
 	fs.StringVar(&cfg.PushSource, "push-source", "", "source name for pushed deltas (default: the default study id)")
 	fs.StringVar(&cfg.Union, "union", "", "also host a union study under this id, federating every hosted study")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	node, err := service.Open(cfg)
 	if err != nil {
 		return err

@@ -7,8 +7,7 @@
 // Three primitives cover everything the population models need:
 //
 //   - Curve: a deterministic share-over-time function in [0,1], with
-//     constant, linear-ramp, piecewise-linear, logistic and exponential-decay
-//     implementations.
+//     constant, piecewise-linear and exponential-decay implementations.
 //   - LagDistribution: the CDF of "time from release to user upgrade",
 //     mixing fast updaters (browsers with auto-update), slow updaters
 //     (OS-bundled libraries) and a never-updating remnant (abandoned
@@ -37,33 +36,6 @@ type Constant float64
 
 // Value implements Curve.
 func (c Constant) Value(timeline.Date) float64 { return clamp01(float64(c)) }
-
-// Ramp interpolates linearly from StartValue at Start to EndValue at End and
-// holds the endpoint values outside the window.
-type Ramp struct {
-	Start, End           timeline.Date
-	StartValue, EndValue float64
-}
-
-// Value implements Curve.
-func (r Ramp) Value(d timeline.Date) float64 {
-	total := r.End.DaysSince(r.Start)
-	if total <= 0 {
-		if d.Before(r.Start) {
-			return clamp01(r.StartValue)
-		}
-		return clamp01(r.EndValue)
-	}
-	elapsed := d.DaysSince(r.Start)
-	switch {
-	case elapsed <= 0:
-		return clamp01(r.StartValue)
-	case elapsed >= total:
-		return clamp01(r.EndValue)
-	}
-	frac := float64(elapsed) / float64(total)
-	return clamp01(r.StartValue + frac*(r.EndValue-r.StartValue))
-}
 
 // Point is one knot of a piecewise-linear curve.
 type Point struct {
@@ -124,28 +96,6 @@ func (p *Piecewise) Value(d timeline.Date) float64 {
 	a, b := p.points[i], p.points[i+1]
 	frac := float64(x-days[i]) / float64(days[i+1]-days[i])
 	return clamp01(a.Value + frac*(b.Value-a.Value))
-}
-
-// Logistic is an S-shaped uptake curve: Floor before the transition,
-// rising to Ceil with midpoint Mid and a characteristic width of SlopeDays
-// (days from 12% to 88% of the transition ≈ 4·SlopeDays/2).
-type Logistic struct {
-	Mid        timeline.Date
-	SlopeDays  float64
-	Floor, Cei float64
-}
-
-// Value implements Curve.
-func (l Logistic) Value(d timeline.Date) float64 {
-	if l.SlopeDays <= 0 {
-		if d.Before(l.Mid) {
-			return clamp01(l.Floor)
-		}
-		return clamp01(l.Cei)
-	}
-	x := float64(d.DaysSince(l.Mid)) / l.SlopeDays
-	s := 1 / (1 + math.Exp(-x))
-	return clamp01(l.Floor + (l.Cei-l.Floor)*s)
 }
 
 // Decay is an exponential decline from From toward To starting at Start,

@@ -26,25 +26,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestRamp(t *testing.T) {
-	r := Ramp{Start: d(2014, 1, 1), End: d(2015, 1, 1), StartValue: 0, EndValue: 1}
-	if r.Value(d(2013, 6, 1)) != 0 {
-		t.Error("before start")
-	}
-	if r.Value(d(2016, 1, 1)) != 1 {
-		t.Error("after end")
-	}
-	mid := r.Value(d(2014, 7, 2)) // ~halfway through the year
-	if mid < 0.45 || mid > 0.55 {
-		t.Errorf("midpoint = %v", mid)
-	}
-	// Degenerate window behaves as a step.
-	step := Ramp{Start: d(2014, 1, 1), End: d(2014, 1, 1), StartValue: 0.2, EndValue: 0.8}
-	if step.Value(d(2013, 12, 31)) != 0.2 || step.Value(d(2014, 1, 1)) != 0.8 {
-		t.Error("degenerate ramp")
-	}
-}
-
 func TestPiecewise(t *testing.T) {
 	p := MustPiecewise(
 		Point{d(2012, 1, 1), 0.9},
@@ -88,32 +69,6 @@ func TestPiecewiseValueAllocs(t *testing.T) {
 	}
 }
 
-func TestLogistic(t *testing.T) {
-	l := Logistic{Mid: d(2014, 6, 1), SlopeDays: 60, Floor: 0, Cei: 1}
-	if got := l.Value(d(2014, 6, 1)); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("midpoint = %v", got)
-	}
-	if got := l.Value(d(2012, 1, 1)); got > 0.01 {
-		t.Errorf("long before mid = %v", got)
-	}
-	if got := l.Value(d(2017, 1, 1)); got < 0.99 {
-		t.Errorf("long after mid = %v", got)
-	}
-	// Monotone nondecreasing.
-	prev := -1.0
-	for day := 0; day < 1500; day += 30 {
-		v := l.Value(plusDays(2012, 1, 1, day))
-		if v < prev {
-			t.Fatalf("logistic not monotone at day %d", day)
-		}
-		prev = v
-	}
-	step := Logistic{Mid: d(2014, 6, 1), SlopeDays: 0, Floor: 0.1, Cei: 0.9}
-	if step.Value(d(2014, 5, 31)) != 0.1 || step.Value(d(2014, 6, 1)) != 0.9 {
-		t.Error("degenerate logistic")
-	}
-}
-
 func TestDecay(t *testing.T) {
 	c := Decay{Start: d(2014, 4, 7), From: 0.24, To: 0.003, HalfLifeDays: 30}
 	if got := c.Value(d(2014, 1, 1)); got != 0.24 {
@@ -134,9 +89,7 @@ func TestDecay(t *testing.T) {
 func TestCurvesBounded(t *testing.T) {
 	curves := []Curve{
 		Constant(0.5),
-		Ramp{Start: d(2013, 1, 1), End: d(2015, 1, 1), StartValue: -0.5, EndValue: 1.5},
 		MustPiecewise(Point{d(2013, 1, 1), 0.2}, Point{d(2015, 1, 1), 0.9}),
-		Logistic{Mid: d(2014, 1, 1), SlopeDays: 90, Floor: 0, Cei: 1},
 		Decay{Start: d(2014, 1, 1), From: 0.9, To: 0.05, HalfLifeDays: 200},
 	}
 	f := func(dayOffset uint16) bool {

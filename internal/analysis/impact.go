@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"tlsage/internal/timeline"
 )
@@ -44,25 +45,20 @@ var impactMetrics = []struct {
 // AttackImpactsFrame evaluates the event/metric pairs against a frame.
 func AttackImpactsFrame(f *Frame) []AttackImpact {
 	var out []AttackImpact
+	events := timeline.Events()
 	for _, im := range impactMetrics {
-		date, ok := timeline.EventDate(im.event)
-		if !ok {
+		i := slices.IndexFunc(events, func(e timeline.Event) bool { return e.Name == im.event })
+		if i < 0 {
 			continue
 		}
-		m0 := timeline.MonthOf(date)
+		m0 := timeline.MonthOf(events[i].Date)
 		before, okB := f.Row(m0.AddMonths(-1))
 		after6, ok6 := f.Row(m0.AddMonths(6))
 		after12, ok12 := f.Row(m0.AddMonths(12))
 		if !okB || !ok6 || !ok12 {
 			continue
 		}
-		ev := timeline.Event{Name: im.event, Date: date}
-		for _, e := range timeline.Events() {
-			if e.Name == im.event {
-				ev = e
-			}
-		}
-		imp := AttackImpact{Event: ev, Metric: im.metric}
+		imp := AttackImpact{Event: events[i], Metric: im.metric}
 		// The compiled plan streams single rows, so reading the three
 		// sample months never materializes the full series.
 		p := f.mustPlan(im.expr)

@@ -231,7 +231,7 @@ func TestBuildHelloWire(t *testing.T) {
 	for _, p := range AllProfiles() {
 		for _, rel := range p.Releases {
 			ch := rel.Config.BuildHello(rnd, false)
-			raw, err := ch.MarshalBinary()
+			raw, err := ch.Append(nil)
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, rel.Version, err)
 			}

@@ -535,18 +535,16 @@ func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
 	}
 
 	configs := make([]*handshake.ServerConfig, hosts)
-	cohorts := make([]string, hosts)
 	groundTruth := 0
 	census := servers.Day(c.Date)
 	for i := 0; i < hosts; i++ {
-		cohort, cfg := census.Sample(universe, rnd)
+		_, cfg := census.Sample(universe, rnd)
 		configs[i] = cfg
-		cohorts[i] = cohort.Name
 		if cfg.HeartbleedVulnerable {
 			groundTruth++
 		}
 	}
-	farm, err := serverfarm.StartFarm(configs, cohorts, scanner.DefaultTimeout)
+	farm, err := serverfarm.StartFarm(configs, scanner.DefaultTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func writeHexList[T ~uint16 | ~uint8](b *strings.Builder, vals []T) {
 
 // FromClientHello computes the fingerprint of a parsed hello.
 func FromClientHello(ch *wire.ClientHello) Fingerprint {
-	return FromParts(ch.CipherSuites, ch.ExtensionIDs(), ch.SupportedGroups(), ch.ECPointFormats())
+	return FromParts(ch.CipherSuites, ch.AppendExtensionIDs(nil), ch.SupportedGroups(), ch.AppendECPointFormats(nil))
 }
 
 // Usable reports whether a hello carries enough of the §4 feature set to be

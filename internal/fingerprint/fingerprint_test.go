@@ -128,7 +128,7 @@ func TestFromPartsAllocs(t *testing.T) {
 	for _, name := range []string{"Chrome", "Firefox"} {
 		p, _ := clientdb.ProfileByName(name)
 		hello := p.Releases[len(p.Releases)-1].Config.BuildHello(rnd, false)
-		exts, curves, pfs := hello.ExtensionIDs(), hello.SupportedGroups(), hello.ECPointFormats()
+		exts, curves, pfs := hello.AppendExtensionIDs(nil), hello.SupportedGroups(), hello.AppendECPointFormats(nil)
 		if got := testing.AllocsPerRun(100, func() {
 			_ = FromParts(hello.CipherSuites, exts, curves, pfs)
 		}); got != 1 {

@@ -88,31 +88,6 @@ const (
 	AuthTLS13 // authentication negotiated outside the suite
 )
 
-// String returns the conventional short name of the authentication algorithm.
-func (a AuthAlgorithm) String() string {
-	switch a {
-	case AuthNULL:
-		return "NULL"
-	case AuthRSA:
-		return "RSA"
-	case AuthDSS:
-		return "DSS"
-	case AuthECDSA:
-		return "ECDSA"
-	case AuthAnon:
-		return "anon"
-	case AuthPSK:
-		return "PSK"
-	case AuthKRB5:
-		return "KRB5"
-	case AuthGOST:
-		return "GOST"
-	case AuthTLS13:
-		return "TLS13"
-	}
-	return fmt.Sprintf("AuthAlgorithm(%d)", uint8(a))
-}
-
 // CipherAlgorithm identifies the bulk encryption primitive.
 type CipherAlgorithm uint8
 
@@ -137,45 +112,6 @@ const (
 	CipherGOST28147
 )
 
-// String returns the conventional short name of the bulk cipher.
-func (c CipherAlgorithm) String() string {
-	switch c {
-	case CipherNULL:
-		return "NULL"
-	case CipherRC4:
-		return "RC4"
-	case CipherRC2:
-		return "RC2"
-	case CipherDES:
-		return "DES"
-	case CipherDES40:
-		return "DES40"
-	case Cipher3DES:
-		return "3DES"
-	case CipherIDEA:
-		return "IDEA"
-	case CipherSEED:
-		return "SEED"
-	case CipherAES128:
-		return "AES128"
-	case CipherAES256:
-		return "AES256"
-	case CipherCamellia128:
-		return "Camellia128"
-	case CipherCamellia256:
-		return "Camellia256"
-	case CipherARIA128:
-		return "ARIA128"
-	case CipherARIA256:
-		return "ARIA256"
-	case CipherChaCha20:
-		return "ChaCha20"
-	case CipherGOST28147:
-		return "GOST28147"
-	}
-	return fmt.Sprintf("CipherAlgorithm(%d)", uint8(c))
-}
-
 // CipherMode identifies the mode of operation of the bulk cipher.
 type CipherMode uint8
 
@@ -191,27 +127,6 @@ const (
 	ModeCCM8
 	ModePoly1305
 )
-
-// String returns the conventional name of the mode.
-func (m CipherMode) String() string {
-	switch m {
-	case ModeNone:
-		return "None"
-	case ModeStream:
-		return "Stream"
-	case ModeCBC:
-		return "CBC"
-	case ModeGCM:
-		return "GCM"
-	case ModeCCM:
-		return "CCM"
-	case ModeCCM8:
-		return "CCM8"
-	case ModePoly1305:
-		return "Poly1305"
-	}
-	return fmt.Sprintf("CipherMode(%d)", uint8(m))
-}
 
 // AEAD reports whether the mode is an authenticated-encryption mode.
 func (m CipherMode) AEAD() bool {
@@ -238,27 +153,6 @@ const (
 	MACGOST
 )
 
-// String returns the conventional name of the MAC algorithm.
-func (m MACAlgorithm) String() string {
-	switch m {
-	case MACNULL:
-		return "NULL"
-	case MACMD5:
-		return "MD5"
-	case MACSHA1:
-		return "SHA"
-	case MACSHA256:
-		return "SHA256"
-	case MACSHA384:
-		return "SHA384"
-	case MACAEAD:
-		return "AEAD"
-	case MACGOST:
-		return "GOST"
-	}
-	return fmt.Sprintf("MACAlgorithm(%d)", uint8(m))
-}
-
 // Suite describes one registered cipher suite: its IANA code point, name and
 // the algorithm decomposition the study's analyses classify on.
 type Suite struct {
@@ -273,14 +167,6 @@ type Suite struct {
 	Export bool
 	// MinVersion is the lowest protocol version the suite may be used with.
 	MinVersion Version
-}
-
-// String returns the suite name, or a hex rendering for unknown suites.
-func (s Suite) String() string {
-	if s.Name != "" {
-		return s.Name
-	}
-	return fmt.Sprintf("UNKNOWN_%04x", s.ID)
 }
 
 // IsAEAD reports whether the suite uses an AEAD mode.

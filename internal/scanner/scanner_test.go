@@ -40,11 +40,7 @@ func heartbeatCfg() *handshake.ServerConfig {
 
 func startFarm(t *testing.T, cfgs ...*handshake.ServerConfig) *serverfarm.Farm {
 	t.Helper()
-	cohorts := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		cohorts[i] = c.Name
-	}
-	farm, err := serverfarm.StartFarm(cfgs, cohorts, 2*time.Second)
+	farm, err := serverfarm.StartFarm(cfgs, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +295,7 @@ func TestProbeNames(t *testing.T) {
 		if len(hello.CipherSuites) == 0 {
 			t.Errorf("probe %s offers no suites", p.Name)
 		}
-		if _, err := hello.MarshalBinary(); err != nil {
+		if _, err := hello.Append(nil); err != nil {
 			t.Errorf("probe %s does not encode: %v", p.Name, err)
 		}
 	}

@@ -25,7 +25,6 @@ import (
 // Host is one simulated server: a TCP listener bound to a configuration.
 type Host struct {
 	cfg     *handshake.ServerConfig
-	cohort  string
 	ln      net.Listener
 	wg      sync.WaitGroup
 	mu      sync.Mutex
@@ -36,7 +35,7 @@ type Host struct {
 
 // StartHost launches a listener on addr (use "127.0.0.1:0" for an ephemeral
 // port) answering with cfg.
-func StartHost(addr string, cohort string, cfg *handshake.ServerConfig, timeout time.Duration) (*Host, error) {
+func StartHost(addr string, cfg *handshake.ServerConfig, timeout time.Duration) (*Host, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -47,7 +46,7 @@ func StartHost(addr string, cohort string, cfg *handshake.ServerConfig, timeout 
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	h := &Host{cfg: cfg, cohort: cohort, ln: ln, timeout: timeout}
+	h := &Host{cfg: cfg, ln: ln, timeout: timeout}
 	h.wg.Add(1)
 	go h.acceptLoop()
 	return h, nil
@@ -55,12 +54,6 @@ func StartHost(addr string, cohort string, cfg *handshake.ServerConfig, timeout 
 
 // Addr returns the host's listen address.
 func (h *Host) Addr() string { return h.ln.Addr().String() }
-
-// Cohort returns the cohort label the host was configured from.
-func (h *Host) Cohort() string { return h.cohort }
-
-// Config returns the host's configuration (read-only).
-func (h *Host) Config() *handshake.ServerConfig { return h.cfg }
 
 // Served reports how many connections the host has produced a reply for,
 // counted before the reply is written.
@@ -275,15 +268,11 @@ func (f *Farm) Addrs() []string {
 	return out
 }
 
-// StartFarm launches n hosts on loopback with the provided configurations.
-// configs[i] pairs with cohorts[i].
-func StartFarm(configs []*handshake.ServerConfig, cohorts []string, timeout time.Duration) (*Farm, error) {
-	if len(configs) != len(cohorts) {
-		return nil, errors.New("serverfarm: configs and cohorts length mismatch")
-	}
+// StartFarm launches one loopback host for each configuration.
+func StartFarm(configs []*handshake.ServerConfig, timeout time.Duration) (*Farm, error) {
 	farm := &Farm{}
-	for i, cfg := range configs {
-		h, err := StartHost("127.0.0.1:0", cohorts[i], cfg, timeout)
+	for _, cfg := range configs {
+		h, err := StartHost("127.0.0.1:0", cfg, timeout)
 		if err != nil {
 			farm.Close()
 			return nil, err

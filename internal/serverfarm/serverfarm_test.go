@@ -41,14 +41,11 @@ func dialHello(t *testing.T, addr string, ch *wire.ClientHello) wire.Record {
 }
 
 func TestHostAnswersHello(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", "t", testCfg(), time.Second)
+	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if h.Cohort() != "t" || h.Config() == nil {
-		t.Error("accessors broken")
-	}
 	ch := &wire.ClientHello{
 		Version:      registry.VersionTLS12,
 		CipherSuites: []uint16{0x002F},
@@ -63,7 +60,7 @@ func TestHostAnswersHello(t *testing.T) {
 }
 
 func TestHostAlertsOnNoCommonSuite(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", "t", testCfg(), time.Second)
+	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +83,7 @@ func TestHostAlertsOnNoCommonSuite(t *testing.T) {
 }
 
 func TestHostCloseIdempotent(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", "t", testCfg(), time.Second)
+	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +102,13 @@ func TestHostCloseIdempotent(t *testing.T) {
 func TestStartHostRejectsInvalidConfig(t *testing.T) {
 	bad := &handshake.ServerConfig{Name: "bad", MinVersion: registry.VersionTLS12,
 		MaxVersion: registry.VersionTLS10, Suites: []uint16{0x002F}}
-	if _, err := StartHost("127.0.0.1:0", "bad", bad, time.Second); err == nil {
+	if _, err := StartHost("127.0.0.1:0", bad, time.Second); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
-func TestStartFarmMismatch(t *testing.T) {
-	if _, err := StartFarm([]*handshake.ServerConfig{testCfg()}, nil, time.Second); err == nil {
-		t.Fatal("mismatched lengths accepted")
-	}
-}
-
 func TestFarmAddrs(t *testing.T) {
-	farm, err := StartFarm(
-		[]*handshake.ServerConfig{testCfg(), testCfg()},
-		[]string{"a", "b"}, time.Second)
+	farm, err := StartFarm([]*handshake.ServerConfig{testCfg(), testCfg()}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +122,7 @@ func TestFarmAddrs(t *testing.T) {
 func TestHeartbeatExchangeCorrectServer(t *testing.T) {
 	cfg := testCfg()
 	cfg.HeartbeatEnabled = true
-	h, err := StartHost("127.0.0.1:0", "hb", cfg, time.Second)
+	h, err := StartHost("127.0.0.1:0", cfg, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +183,7 @@ func writeRaw(t *testing.T, addr string, raw []byte) (int, []byte) {
 }
 
 func TestHostDropsOversizedRecord(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", "t", testCfg(), time.Second)
+	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +195,7 @@ func TestHostDropsOversizedRecord(t *testing.T) {
 }
 
 func TestHostDropsNonHandshakeRecord(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", "t", testCfg(), time.Second)
+	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +207,7 @@ func TestHostDropsNonHandshakeRecord(t *testing.T) {
 }
 
 func TestHostDropsNonHelloHandshake(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", "t", testCfg(), time.Second)
+	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +223,7 @@ func TestHostDropsMalformedSSLv2(t *testing.T) {
 	cfg := testCfg()
 	cfg.SupportsSSLv2 = true
 	cfg.MinVersion = registry.VersionSSL2
-	h, err := StartHost("127.0.0.1:0", "t", cfg, time.Second)
+	h, err := StartHost("127.0.0.1:0", cfg, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

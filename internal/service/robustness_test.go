@@ -329,6 +329,43 @@ func TestStalledTCPClientReleasesClose(t *testing.T) {
 	}
 }
 
+// TestConnAcceptedWhileClosingGetsTheDrainDeadline: a connection ServeTCP
+// accepted just before Close stopped its listener may start serveConn after
+// Close swept tcpConns for read deadlines, so serveConn sets the stored drain
+// deadline itself. Here serveConn starts after drainBy is stored, on a client
+// that sends nothing and with no idle timeout: that deadline alone must end
+// the stream, answered with an error line.
+func TestConnAcceptedWhileClosingGetsTheDrainDeadline(t *testing.T) {
+	srv := NewServer(core.NewLiveStudy())
+	by := time.Now().Add(50 * time.Millisecond)
+	srv.drainBy.Store(&by)
+	server, client := net.Pipe()
+	defer client.Close()
+	if !srv.acquireStream() {
+		t.Fatal("no in-flight slot")
+	}
+	srv.connWG.Add(1)
+	go srv.serveConn(server)
+
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := io.ReadAll(client)
+	if err != nil {
+		t.Fatalf("the connection was not ended by the drain deadline: %v (read %q)", err, reply)
+	}
+	if time.Now().Before(by) {
+		t.Errorf("the connection ended before the drain deadline")
+	}
+	if !strings.HasPrefix(string(reply), "error: ") || !strings.Contains(string(reply), "timeout") {
+		t.Errorf("reply %q, want an error line naming the timeout", reply)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.inFlight.Load(); n != 0 {
+		t.Errorf("%d streams still in flight after Close", n)
+	}
+}
+
 // flakyListener fails its first Accept calls with a retryable error.
 type flakyListener struct {
 	net.Listener

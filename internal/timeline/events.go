@@ -26,7 +26,7 @@ const (
 	KindBrowserChange
 )
 
-// Canonical event names, usable as map keys into Events().
+// Canonical event names, the Name of each entry of Events().
 const (
 	EventBEAST        = "BEAST"
 	EventLucky13      = "Lucky13"
@@ -65,15 +65,4 @@ func Events() []Event {
 	out := make([]Event, len(events))
 	copy(out, events)
 	return out
-}
-
-// EventDate looks up an event date by canonical name; ok is false when the
-// name is unknown.
-func EventDate(name string) (Date, bool) {
-	for _, e := range events {
-		if e.Name == name {
-			return e.Date, true
-		}
-	}
-	return Date{}, false
 }

@@ -182,14 +182,14 @@ func TestEventCatalogue(t *testing.T) {
 		EventSweet32:    D(2016, time.August, 31),
 		EventHeartbleed: D(2014, time.April, 7),
 	}
-	for name, want := range checks {
-		got, ok := EventDate(name)
-		if !ok || got != want {
-			t.Errorf("EventDate(%s) = %v,%v want %v", name, got, ok, want)
+	for _, e := range evs {
+		if want, ok := checks[e.Name]; ok && e.Date != want {
+			t.Errorf("%s dated %v, want %v", e.Name, e.Date, want)
 		}
+		delete(checks, e.Name)
 	}
-	if _, ok := EventDate("nonexistent"); ok {
-		t.Error("unknown event found")
+	for name := range checks {
+		t.Errorf("%s is not in Events()", name)
 	}
 }
 

@@ -43,10 +43,6 @@ func (ch *ClientHello) Append(dst []byte) ([]byte, error) {
 	return b.buf, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler, returning the handshake
-// body.
-func (ch *ClientHello) MarshalBinary() ([]byte, error) { return ch.Append(nil) }
-
 // DecodeFromBytes parses a ClientHello handshake body. On error the receiver
 // is left in an undefined state. The input is not retained.
 func (ch *ClientHello) DecodeFromBytes(data []byte) error {
@@ -114,11 +110,6 @@ func (e *HelloEncoder) AppendRecord(ch *ClientHello, dst []byte) ([]byte, error)
 		recVer = registry.VersionTLS10
 	}
 	return AppendRecord(dst, ContentHandshake, recVer, msg)
-}
-
-// ExtensionIDs returns the extension code points in wire order.
-func (ch *ClientHello) ExtensionIDs() []registry.ExtensionID {
-	return ch.AppendExtensionIDs(nil)
 }
 
 // AppendExtensionIDs appends the extension code points in wire order to dst.
@@ -190,11 +181,6 @@ func (ch *ClientHello) AppendSupportedVersions(dst []registry.Version) []registr
 // extension, or nil when absent.
 func (ch *ClientHello) SupportedGroups() []registry.CurveID {
 	return ch.AppendSupportedGroups(nil)
-}
-
-// ECPointFormats returns the offered EC point formats, or nil when absent.
-func (ch *ClientHello) ECPointFormats() []registry.ECPointFormat {
-	return ch.AppendECPointFormats(nil)
 }
 
 // SupportedVersions returns the supported_versions list (TLS 1.3 style

@@ -7,8 +7,8 @@
 // API: each message type has a DecodeFromBytes method that parses from a
 // byte slice without retaining it (all variable-length fields are copied),
 // and an Append method that serializes into a caller-provided buffer to
-// avoid allocation in hot paths. MarshalBinary/UnmarshalBinary wrappers are
-// provided for convenience and for use with testing/quick.
+// avoid allocation in hot paths. The messages sent whole (ServerHello,
+// alerts, heartbeats, the SSLv2 hello) also have a MarshalBinary.
 package wire
 
 import (
@@ -168,13 +168,4 @@ func (a *Alert) DecodeFromBytes(data []byte) error {
 	}
 	a.Level, a.Description = data[0], data[1]
 	return nil
-}
-
-// String renders the alert for logs.
-func (a Alert) String() string {
-	level := "warning"
-	if a.Level == 2 {
-		level = "fatal"
-	}
-	return fmt.Sprintf("alert(%s, %d)", level, a.Description)
 }
