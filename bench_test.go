@@ -516,7 +516,7 @@ func sampleFarmConfigs(n int) []*handshake.ServerConfig {
 	census := population.DefaultServers().Day(timeline.D(2016, time.June, 15))
 	cfgs := make([]*handshake.ServerConfig, n)
 	for i := range cfgs {
-		_, cfgs[i] = census.Sample(population.ByHosts, rnd)
+		cfgs[i] = census.Sample(population.ByHosts, rnd)
 	}
 	return cfgs
 }

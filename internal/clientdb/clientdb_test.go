@@ -3,11 +3,13 @@ package clientdb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
+	"tlsage/internal/wire"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -231,12 +233,12 @@ func TestBuildHelloWire(t *testing.T) {
 	for _, p := range AllProfiles() {
 		for _, rel := range p.Releases {
 			ch := rel.Config.BuildHello(rnd, false)
-			raw, err := ch.Append(nil)
-			if err != nil {
+			var got wire.ClientHello
+			if err := got.DecodeFromBytes(ch.Append(nil)); err != nil {
 				t.Fatalf("%s %s: %v", p.Name, rel.Version, err)
 			}
-			if len(raw) == 0 {
-				t.Fatalf("%s %s: empty hello", p.Name, rel.Version)
+			if !slices.Equal(got.CipherSuites, ch.CipherSuites) || len(got.Extensions) != len(ch.Extensions) {
+				t.Fatalf("%s %s: hello does not read back", p.Name, rel.Version)
 			}
 		}
 	}

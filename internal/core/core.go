@@ -538,7 +538,7 @@ func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
 	groundTruth := 0
 	census := servers.Day(c.Date)
 	for i := 0; i < hosts; i++ {
-		_, cfg := census.Sample(universe, rnd)
+		cfg := census.Sample(universe, rnd)
 		configs[i] = cfg
 		if cfg.HeartbleedVulnerable {
 			groundTruth++

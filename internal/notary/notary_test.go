@@ -71,13 +71,9 @@ func TestObserveWireTLS(t *testing.T) {
 			wire.NewSupportedVersionsExtension([]registry.Version{registry.VersionTLS13Draft18}),
 		},
 	}
-	raw, err := ch.AppendRecord(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var r Record
 	var h Hello
-	if err := r.ObserveWire(raw, &h); err != nil {
+	if err := r.ObserveWire(ch.AppendRecord(nil), &h); err != nil {
 		t.Fatal(err)
 	}
 	if r.ClientVersion != registry.VersionTLS12 || len(h.Suites) != 2 {
@@ -100,7 +96,7 @@ func TestObserveWireSSLv2(t *testing.T) {
 		CipherSpecs: []uint32{0x010080, 0x000005},
 		Challenge:   make([]byte, 16),
 	}
-	raw, _ := v2.MarshalBinary()
+	raw := v2.Append(nil)
 	var r Record
 	h := sampleRecord().row().Hello // lists an SSLv2 hello has none of
 	if err := r.ObserveWire(raw, &h); err != nil {
@@ -118,7 +114,7 @@ func TestObserveWireRejectsGarbage(t *testing.T) {
 		t.Error("truncated record observed")
 	}
 	// Alert record instead of handshake.
-	raw, _ := wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, []byte{2, 40})
+	raw := wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, []byte{2, 40})
 	if err := r.ObserveWire(raw, &h); err == nil {
 		t.Error("alert record observed as hello")
 	}

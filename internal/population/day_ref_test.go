@@ -151,9 +151,9 @@ func TestDayDrawsMatchReference(t *testing.T) {
 				}
 				same(where+" (clients)", mine, ref)
 				for _, u := range []Universe{ByTraffic, ByHosts} {
-					c, cfg := sd.Sample(u, mine)
+					v := sd.Draw(u, mine)
 					rc, rcfg := refServerSample(sp, d, u, ref)
-					sameServer(fmt.Sprintf("%s universe %d", where, u), c, cfg, rc, rcfg)
+					sameServer(fmt.Sprintf("%s universe %d", where, u), sp.Cohort(v), sp.Config(v), rc, rcfg)
 					same(fmt.Sprintf("%s universe %d", where, u), mine, ref)
 				}
 				for _, client := range clients {

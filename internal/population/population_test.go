@@ -215,7 +215,7 @@ func TestSSL3HostSupportMatchesCensys(t *testing.T) {
 		n, hits := 60000, 0
 		census := sp.Day(d)
 		for i := 0; i < n; i++ {
-			_, cfg := census.Sample(ByHosts, rnd)
+			cfg := census.Sample(ByHosts, rnd)
 			if cfg.MinVersion <= registry.VersionSSL3 {
 				hits++
 			}
@@ -243,7 +243,7 @@ func TestHeartbleedDynamics(t *testing.T) {
 		var nhb, nv int
 		census := sp.Day(d)
 		for i := 0; i < n; i++ {
-			_, cfg := census.Sample(ByHosts, rnd)
+			cfg := census.Sample(ByHosts, rnd)
 			if cfg.HeartbeatEnabled {
 				nhb++
 			}
@@ -307,8 +307,7 @@ func TestInstantiateDoesNotMutateBase(t *testing.T) {
 	baseMin := c.Base.MinVersion
 	day := sp.Day(timeline.D(2013, time.June, 15))
 	for i := 0; i < 200; i++ {
-		_, cfg := day.Sample(ByTraffic, rnd)
-		_ = cfg
+		day.Sample(ByTraffic, rnd)
 	}
 	if c.Base.MinVersion != baseMin {
 		t.Error("Sample mutated cohort base config")

@@ -153,9 +153,8 @@ const (
 
 // Sample draws a cohort by its weight in universe u and instantiates a
 // concrete ServerConfig from it (attribute probabilities rolled).
-func (t *ServerDay) Sample(u Universe, rnd *rand.Rand) (*Cohort, *handshake.ServerConfig) {
-	v := t.Draw(u, rnd)
-	return t.sp.Cohort(v), t.sp.Config(v)
+func (t *ServerDay) Sample(u Universe, rnd *rand.Rand) *handshake.ServerConfig {
+	return t.sp.Config(t.Draw(u, rnd))
 }
 
 // Draw draws a cohort by its weight in universe u and rolls its attributes.

@@ -23,14 +23,7 @@ const (
 // request silently, so a read that fails within wait means 0.
 func overRead(conn net.Conn, wait time.Duration) int {
 	req := wire.HeartbeatMessage{Type: wire.HeartbeatRequest, PayloadLength: hbClaim, Payload: make([]byte, hbSent)}
-	raw, err := req.MarshalBinary()
-	if err != nil {
-		return 0
-	}
-	out, err := wire.AppendRecord(nil, wire.ContentHeartbeat, registry.VersionTLS12, raw)
-	if err != nil {
-		return 0
-	}
+	out := wire.AppendRecord(nil, wire.ContentHeartbeat, registry.VersionTLS12, req.Append(nil))
 	if _, err := conn.Write(out); err != nil {
 		return 0
 	}

@@ -62,10 +62,7 @@ func New(workers int) *Scanner { return &Scanner{Timeout: DefaultTimeout, Worker
 // is cancelled, in-flight connections are closed and Scan returns ctx's
 // error.
 func (s *Scanner) Scan(ctx context.Context, targets []string, hello *wire.ClientHello) ([]Result, error) {
-	raw, err := hello.AppendRecord(nil)
-	if err != nil {
-		return nil, fmt.Errorf("scanner: encoding probe hello: %w", err)
-	}
+	raw := hello.AppendRecord(nil)
 	out := make([]Result, len(targets))
 	jobs := make(chan int)
 	var wg sync.WaitGroup

@@ -242,7 +242,7 @@ func TestFarmAnswersSSLv2(t *testing.T) {
 		CipherSpecs: []uint32{0x010080, 0x000005},
 		Challenge:   make([]byte, 16),
 	}
-	raw, _ := v2.MarshalBinary()
+	raw := v2.Append(nil)
 	conn, err := netDial(farm.Hosts[0].Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -295,8 +295,9 @@ func TestProbeNames(t *testing.T) {
 		if len(hello.CipherSuites) == 0 {
 			t.Errorf("probe %s offers no suites", p.Name)
 		}
-		if _, err := hello.Append(nil); err != nil {
-			t.Errorf("probe %s does not encode: %v", p.Name, err)
+		var got wire.ClientHello
+		if err := got.DecodeFromBytes(hello.Append(nil)); err != nil {
+			t.Errorf("probe %s does not read back: %v", p.Name, err)
 		}
 	}
 	for _, want := range []string{"chrome2015", "ssl3only", "exportonly", "dheonly"} {

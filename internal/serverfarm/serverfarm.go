@@ -132,7 +132,9 @@ func (h *Host) serveHeartbeat(conn net.Conn) {
 		if err := req.BuggyDecode(rec.Payload); err != nil || req.Type != wire.HeartbeatRequest {
 			return
 		}
-		// The bug: echo payload_length bytes regardless of what arrived.
+		// The bug: echo payload_length bytes regardless of what arrived,
+		// up to what fits in one record with the header and padding
+		// (AppendRecord panics past 2^14).
 		n := int(req.PayloadLength)
 		if n > 1<<14-32 {
 			n = 1<<14 - 32
@@ -153,15 +155,7 @@ func (h *Host) serveHeartbeat(conn net.Conn) {
 		PayloadLength: uint16(len(payload)),
 		Payload:       payload,
 	}
-	raw, err := resp.MarshalBinary()
-	if err != nil {
-		return
-	}
-	out, err := wire.AppendRecord(nil, wire.ContentHeartbeat, registry.VersionTLS12, raw)
-	if err != nil {
-		return
-	}
-	_, _ = conn.Write(out)
+	_, _ = conn.Write(wire.AppendRecord(nil, wire.ContentHeartbeat, registry.VersionTLS12, resp.Append(nil)))
 }
 
 // answer reads one hello from the connection and produces the response
@@ -205,10 +199,9 @@ func (h *Host) answerTLS(conn net.Conn, firstByte byte) ([]byte, error) {
 
 	res := handshake.Negotiate(&ch, h.cfg)
 	if !res.OK {
-		alert, _ := res.Alert.MarshalBinary()
-		return wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, alert)
+		return wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, res.Alert.Append(nil)), nil
 	}
-	return res.ServerHello.AppendRecord(nil)
+	return res.ServerHello.AppendRecord(nil), nil
 }
 
 // answerSSLv2 handles an SSLv2 2-byte-header CLIENT-HELLO.
@@ -233,8 +226,7 @@ func (h *Host) answerSSLv2(conn net.Conn, firstByte byte) ([]byte, error) {
 	res := handshake.NegotiateSSLv2(&v2, h.cfg)
 	if !res.OK {
 		// SSLv2-intolerant servers just drop; emulate with a TLS alert.
-		alert, _ := res.Alert.MarshalBinary()
-		return wire.AppendRecord(nil, wire.ContentAlert, registry.VersionSSL3, alert)
+		return wire.AppendRecord(nil, wire.ContentAlert, registry.VersionSSL3, res.Alert.Append(nil)), nil
 	}
 	// Emulate a minimal SSLv2 SERVER-HELLO: 2-byte header, type 4, then the
 	// chosen cipher in the low bytes. The scanner only needs the cipher echo.

@@ -26,11 +26,7 @@ func dialHello(t *testing.T, addr string, ch *wire.ClientHello) wire.Record {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	raw, err := ch.AppendRecord(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(raw); err != nil {
+	if _, err := conn.Write(ch.AppendRecord(nil)); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := wire.ReadRecord(conn)
@@ -119,40 +115,47 @@ func TestFarmAddrs(t *testing.T) {
 	}
 }
 
-func TestHeartbeatExchangeCorrectServer(t *testing.T) {
+// heartbeatExchange completes a hello exchange with a heartbeat-enabled
+// host, patched or vulnerable, then sends req in one heartbeat record and
+// returns the connection the answer arrives on.
+func heartbeatExchange(t *testing.T, vulnerable bool, req wire.HeartbeatMessage) net.Conn {
+	t.Helper()
 	cfg := testCfg()
 	cfg.HeartbeatEnabled = true
+	cfg.HeartbleedVulnerable = vulnerable
 	h, err := StartHost("127.0.0.1:0", cfg, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
+	t.Cleanup(func() { h.Close() })
 
 	conn, err := net.DialTimeout("tcp", h.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
 	ch := &wire.ClientHello{
 		Version:      registry.VersionTLS12,
 		CipherSuites: []uint16{0x002F},
 		Extensions:   []wire.Extension{wire.NewHeartbeatExtension(1)},
 	}
-	raw, _ := ch.AppendRecord(nil)
-	if _, err := conn.Write(raw); err != nil {
+	if _, err := conn.Write(ch.AppendRecord(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := wire.ReadRecord(conn); err != nil {
 		t.Fatal(err)
 	}
-	// Well-formed heartbeat request: echoed payload, no over-read.
-	req := wire.HeartbeatMessage{Type: wire.HeartbeatRequest, PayloadLength: 4, Payload: []byte{1, 2, 3, 4}}
-	hb, _ := req.MarshalBinary()
-	out, _ := wire.AppendRecord(nil, wire.ContentHeartbeat, registry.VersionTLS12, hb)
+	out := wire.AppendRecord(nil, wire.ContentHeartbeat, registry.VersionTLS12, req.Append(nil))
 	if _, err := conn.Write(out); err != nil {
 		t.Fatal(err)
 	}
+	return conn
+}
+
+func TestHeartbeatExchangeCorrectServer(t *testing.T) {
+	// Well-formed heartbeat request: echoed payload, no over-read.
+	conn := heartbeatExchange(t, false, wire.HeartbeatMessage{Type: wire.HeartbeatRequest, PayloadLength: 4, Payload: []byte{1, 2, 3, 4}})
 	rec, err := wire.ReadRecord(conn)
 	if err != nil || rec.Type != wire.ContentHeartbeat {
 		t.Fatalf("heartbeat response: %v %v", rec.Type, err)
@@ -164,6 +167,38 @@ func TestHeartbeatExchangeCorrectServer(t *testing.T) {
 	if resp.Type != wire.HeartbeatResponse || len(resp.Payload) != 4 {
 		t.Errorf("response: %+v", resp)
 	}
+}
+
+// A request claiming 0xffff bytes: the vulnerable host clamps its echo to
+// fit one record, so the farm never asks AppendRecord for more than 2^14
+// bytes (which would panic in the host's goroutine), and the patched host
+// discards the request.
+func TestHeartbeatClaimBeyondRecordLimit(t *testing.T) {
+	req := wire.HeartbeatMessage{Type: wire.HeartbeatRequest, PayloadLength: 0xffff, Payload: make([]byte, 16)}
+	t.Run("vulnerable", func(t *testing.T) {
+		conn := heartbeatExchange(t, true, req)
+		rec, err := wire.ReadRecord(conn)
+		if err != nil || rec.Type != wire.ContentHeartbeat {
+			t.Fatalf("heartbeat response: %v %v", rec.Type, err)
+		}
+		var resp wire.HeartbeatMessage
+		if err := resp.BuggyDecode(rec.Payload); err != nil || resp.Type != wire.HeartbeatResponse {
+			t.Fatalf("response: %v %+v", err, resp)
+		}
+		if len(rec.Payload) > 1<<14 || resp.PayloadLength != 1<<14-32 {
+			t.Errorf("echo of %d bytes claiming %d, want one record of at most 2^14 claiming %d",
+				len(rec.Payload), resp.PayloadLength, 1<<14-32)
+		}
+		if rec, err := wire.ReadRecord(conn); err == nil {
+			t.Errorf("a second %v record followed the echo", rec.Type)
+		}
+	})
+	t.Run("patched", func(t *testing.T) {
+		conn := heartbeatExchange(t, false, req)
+		if rec, err := wire.ReadRecord(conn); err == nil {
+			t.Errorf("patched host answered with a %v record", rec.Type)
+		}
+	})
 }
 
 func writeRaw(t *testing.T, addr string, raw []byte) (int, []byte) {
@@ -200,7 +235,7 @@ func TestHostDropsNonHandshakeRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	raw, _ := wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, []byte{1, 0})
+	raw := wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, []byte{1, 0})
 	if n, _ := writeRaw(t, h.Addr(), raw); n != 0 {
 		t.Errorf("alert record got %d-byte answer", n)
 	}
@@ -212,8 +247,8 @@ func TestHostDropsNonHelloHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	msg, _ := wire.AppendHandshake(nil, wire.TypeServerHello, []byte{1, 2, 3})
-	raw, _ := wire.AppendRecord(nil, wire.ContentHandshake, registry.VersionTLS10, msg)
+	msg := wire.AppendHandshake(nil, wire.TypeServerHello, []byte{1, 2, 3})
+	raw := wire.AppendRecord(nil, wire.ContentHandshake, registry.VersionTLS10, msg)
 	if n, _ := writeRaw(t, h.Addr(), raw); n != 0 {
 		t.Errorf("server-hello-in got %d-byte answer", n)
 	}

@@ -142,7 +142,7 @@ func TestCorpusDigest(t *testing.T) {
 	})
 	// No month's shard is lost or cut when months run concurrently, and a
 	// sink error stops the run: the months not yet simulated are skipped, and
-	// Run reports the error.
+	// Run reports the error. A rate of 0 simulates 1,000 connections a month.
 	t.Run("parallel-sink-coverage", func(t *testing.T) {
 		for seed, byWidth := range runs {
 			for i, n := range byWidth[4].counts {
@@ -151,11 +151,29 @@ func TestCorpusDigest(t *testing.T) {
 				}
 			}
 		}
-		opts := DefaultOptions(100)
-		opts.Workers = 4
+		parallel := DefaultOptions(100)
+		parallel.Workers = 4
 		stop := errors.New("sink full")
-		if err := New(opts).Run(notary.SinkFunc(func(*notary.Record) error { return stop })); err != stop {
-			t.Errorf("Run into a failing sink = %v, want the sink's error", err)
+		for _, tc := range []struct {
+			name     string
+			opts     Options
+			perMonth int
+		}{
+			{"Workers=4", parallel, 100},
+			{"DefaultOptions(0)", DefaultOptions(0), 1000},
+		} {
+			first := 0
+			err := New(tc.opts).Run(notary.SinkFunc(func(r *notary.Record) error {
+				if timeline.MonthOf(r.Date) != timeline.StudyStart {
+					return stop
+				}
+				first++
+				return nil
+			}))
+			if err != stop || first != tc.perMonth {
+				t.Errorf("%s: Run into a sink failing at the second month = %v after %d records, want the sink's error after %d",
+					tc.name, err, first, tc.perMonth)
+			}
 		}
 	})
 }

@@ -40,8 +40,7 @@ type Options struct {
 	Seed int64
 	// ConnectionsPerMonth is the sample size per calendar month.
 	ConnectionsPerMonth int
-	// Start and End bound the simulated window (inclusive). Zero values
-	// default to the study window (Feb 2012 – Apr 2018).
+	// Start and End bound the simulated window (inclusive).
 	Start, End timeline.Month
 	// WireLevel round-trips every hello through the binary codec, exactly as
 	// the Notary would observe it. Disabling it is the struct-only ablation.
@@ -72,13 +71,8 @@ type Simulator struct {
 }
 
 // New builds a simulator over the default populations.
+// A ConnectionsPerMonth of 0 or less means 1,000.
 func New(opts Options) *Simulator {
-	if opts.Start == (timeline.Month{}) {
-		opts.Start = timeline.StudyStart
-	}
-	if opts.End == (timeline.Month{}) {
-		opts.End = timeline.StudyEnd
-	}
 	if opts.ConnectionsPerMonth <= 0 {
 		opts.ConnectionsPerMonth = 1000
 	}
@@ -437,12 +431,8 @@ func (s *Simulator) observable(hello *wire.ClientHello, profileName string, sc *
 	if !s.opts.WireLevel {
 		return hello, nil
 	}
-	raw, err := sc.enc.AppendRecord(hello, sc.raw[:0])
-	if err != nil {
-		return nil, fmt.Errorf("simulate: encoding hello for %s: %w", profileName, err)
-	}
-	sc.raw = raw
-	recBytes, _, err := wire.DecodeRecord(raw)
+	sc.raw = sc.enc.AppendRecord(hello, sc.raw[:0])
+	recBytes, _, err := wire.DecodeRecord(sc.raw)
 	if err != nil {
 		return nil, err
 	}
@@ -497,11 +487,8 @@ func (s *Simulator) sslv2Connection(rec *notary.Record, cfg *clientdb.Config, tr
 	rnd.Read(v2.Challenge)
 	h := &sc.hello
 	if s.opts.WireLevel {
-		raw, err := v2.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		if err := rec.ObserveWire(raw, h); err != nil {
+		sc.raw = v2.Append(sc.raw[:0])
+		if err := rec.ObserveWire(sc.raw, h); err != nil {
 			return err
 		}
 	} else {

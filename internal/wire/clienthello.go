@@ -19,28 +19,21 @@ type ClientHello struct {
 }
 
 // Append serializes the ClientHello handshake body (without the handshake
-// header) into dst and returns the extended slice.
-func (ch *ClientHello) Append(dst []byte) ([]byte, error) {
+// header) into dst and returns the extended slice. An empty compression
+// list is written as [0] (null compression).
+func (ch *ClientHello) Append(dst []byte) []byte {
 	b := builder{buf: dst}
 	b.u16(uint16(ch.Version))
 	b.raw(ch.Random[:])
-	if len(ch.SessionID) > 32 {
-		return dst, fmt.Errorf("%w: session id %d bytes", ErrMalformed, len(ch.SessionID))
-	}
 	b.vec8(ch.SessionID)
-	if len(ch.CipherSuites) == 0 {
-		return dst, fmt.Errorf("%w: empty cipher suite list", ErrMalformed)
-	}
 	b.u16listVec(ch.CipherSuites)
 	comp := ch.CompressionMethods
 	if len(comp) == 0 {
 		comp = []byte{0}
 	}
 	b.vec8(comp)
-	if err := appendExtensions(&b, ch.Extensions); err != nil {
-		return dst, err
-	}
-	return b.buf, nil
+	appendExtensions(&b, ch.Extensions)
+	return b.buf
 }
 
 // DecodeFromBytes parses a ClientHello handshake body. On error the receiver
@@ -75,7 +68,7 @@ func (ch *ClientHello) DecodeFromBytes(data []byte) error {
 
 // AppendRecord serializes the full on-the-wire form: handshake header plus
 // record header, appended to dst.
-func (ch *ClientHello) AppendRecord(dst []byte) ([]byte, error) {
+func (ch *ClientHello) AppendRecord(dst []byte) []byte {
 	var e HelloEncoder
 	return e.AppendRecord(ch, dst)
 }
@@ -92,24 +85,16 @@ type HelloEncoder struct {
 
 // AppendRecord appends ch's full on-the-wire form to dst — identical bytes
 // to (*ClientHello).AppendRecord — reusing the encoder's internal buffers.
-func (e *HelloEncoder) AppendRecord(ch *ClientHello, dst []byte) ([]byte, error) {
-	body, err := ch.Append(e.body[:0])
-	if err != nil {
-		return dst, err
-	}
-	e.body = body
-	msg, err := AppendHandshake(e.msg[:0], TypeClientHello, body)
-	if err != nil {
-		return dst, err
-	}
-	e.msg = msg
+func (e *HelloEncoder) AppendRecord(ch *ClientHello, dst []byte) []byte {
+	e.body = ch.Append(e.body[:0])
+	e.msg = AppendHandshake(e.msg[:0], TypeClientHello, e.body)
 	// The record-layer version of a ClientHello is conventionally TLS 1.0
 	// for maximum middlebox tolerance when the hello itself is ≥ TLS 1.0.
 	recVer := ch.Version
 	if recVer > registry.VersionTLS10 {
 		recVer = registry.VersionTLS10
 	}
-	return AppendRecord(dst, ContentHandshake, recVer, msg)
+	return AppendRecord(dst, ContentHandshake, recVer, e.msg)
 }
 
 // AppendExtensionIDs appends the extension code points in wire order to dst.

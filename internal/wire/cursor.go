@@ -6,9 +6,9 @@ import (
 	"fmt"
 )
 
-// Parsing and serialization errors. All decode failures wrap ErrMalformed so
-// callers can classify with errors.Is; truncation additionally wraps
-// ErrTruncated.
+// Decode errors: every decode failure wraps ErrMalformed so callers can
+// classify with errors.Is; truncation additionally wraps ErrTruncated.
+// Encoding has no errors (see the package doc).
 var (
 	ErrMalformed = errors.New("wire: malformed message")
 	ErrTruncated = fmt.Errorf("%w: truncated", ErrMalformed)

@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"fmt"
-
-	"tlsage/internal/registry"
-)
+import "tlsage/internal/registry"
 
 // Extension is one raw TLS extension: its code point and opaque body.
 // Typed accessors for the bodies the study decodes (supported_groups,
@@ -17,20 +13,13 @@ type Extension struct {
 
 // appendExtensions serializes an extension block (uint16 total length, then
 // each extension as ID, uint16 body length, body).
-func appendExtensions(b *builder, exts []Extension) error {
+func appendExtensions(b *builder, exts []Extension) {
 	var inner builder
 	for _, e := range exts {
-		if len(e.Data) > 0xffff {
-			return fmt.Errorf("%w: extension %v body too large", ErrMalformed, e.ID)
-		}
 		inner.u16(uint16(e.ID))
 		inner.vec16(e.Data)
 	}
-	if len(inner.buf) > 0xffff {
-		return fmt.Errorf("%w: extension block too large", ErrMalformed)
-	}
 	b.vec16(inner.buf)
-	return nil
 }
 
 // parseExtensions parses an extension block. Bodies are copied so the result

@@ -23,17 +23,16 @@ const (
 	HeartbeatResponse = 2
 )
 
-// MarshalBinary serializes the message, preserving any mismatch between
-// PayloadLength and len(Payload) — that mismatch is the exploit.
-func (h *HeartbeatMessage) MarshalBinary() ([]byte, error) {
-	padding := h.Padding
-	if padding == nil {
-		padding = make([]byte, 16)
+// Append appends the message to dst, preserving any mismatch between
+// PayloadLength and len(Payload) — that mismatch is the exploit. A nil
+// Padding is written as 16 zero bytes, the RFC 6520 minimum.
+func (h *HeartbeatMessage) Append(dst []byte) []byte {
+	dst = append(dst, h.Type, byte(h.PayloadLength>>8), byte(h.PayloadLength))
+	dst = append(dst, h.Payload...)
+	if h.Padding == nil {
+		return append(dst, make([]byte, 16)...)
 	}
-	out := make([]byte, 0, 3+len(h.Payload)+len(padding))
-	out = append(out, h.Type, byte(h.PayloadLength>>8), byte(h.PayloadLength))
-	out = append(out, h.Payload...)
-	return append(out, padding...), nil
+	return append(dst, h.Padding...)
 }
 
 // DecodeFromBytes parses a heartbeat message the way a *correct*

@@ -12,12 +12,8 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 		PayloadLength: 4,
 		Payload:       []byte{1, 2, 3, 4},
 	}
-	raw, err := msg.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got HeartbeatMessage
-	if err := got.DecodeFromBytes(raw); err != nil {
+	if err := got.DecodeFromBytes(msg.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Type != HeartbeatRequest || !bytes.Equal(got.Payload, msg.Payload) {
@@ -36,10 +32,7 @@ func TestHeartbeatCorrectDecodeRejectsOverread(t *testing.T) {
 		PayloadLength: 4096,
 		Payload:       make([]byte, 16),
 	}
-	raw, err := msg.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := msg.Append(nil)
 	var correct HeartbeatMessage
 	if err := correct.DecodeFromBytes(raw); err == nil {
 		t.Fatal("compliant decoder accepted an over-read claim")
@@ -90,12 +83,8 @@ func TestHeartbeatHonestRoundTripProperty(t *testing.T) {
 			PayloadLength: uint16(len(payload)),
 			Payload:       payload,
 		}
-		raw, err := msg.MarshalBinary()
-		if err != nil {
-			return false
-		}
 		var got HeartbeatMessage
-		if err := got.DecodeFromBytes(raw); err != nil {
+		if err := got.DecodeFromBytes(msg.Append(nil)); err != nil {
 			return false
 		}
 		return bytes.Equal(got.Payload, payload)

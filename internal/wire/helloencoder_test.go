@@ -36,14 +36,8 @@ func TestHelloEncoderMatchesAppendRecord(t *testing.T) {
 	var scratch []byte
 	for i := 0; i < 200; i++ {
 		ch := encoderTestHello(rnd)
-		want, err := ch.AppendRecord(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch, err = enc.AppendRecord(ch, scratch[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := ch.AppendRecord(nil)
+		scratch = enc.AppendRecord(ch, scratch[:0])
 		if !bytes.Equal(want, scratch) {
 			t.Fatalf("message %d: encoder bytes differ from AppendRecord", i)
 		}
@@ -55,16 +49,9 @@ func TestHelloEncoderSteadyStateAllocs(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	ch := encoderTestHello(rnd)
 	var enc HelloEncoder
-	dst, err := enc.AppendRecord(ch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := enc.AppendRecord(ch, nil)
 	if got := testing.AllocsPerRun(200, func() {
-		var err error
-		dst, err = enc.AppendRecord(ch, dst[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		dst = enc.AppendRecord(ch, dst[:0])
 	}); got != 0 {
 		t.Errorf("steady-state HelloEncoder.AppendRecord: %v allocs/run, want 0", got)
 	}

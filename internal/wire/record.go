@@ -7,8 +7,16 @@
 // API: each message type has a DecodeFromBytes method that parses from a
 // byte slice without retaining it (all variable-length fields are copied),
 // and an Append method that serializes into a caller-provided buffer to
-// avoid allocation in hot paths. The messages sent whole (ServerHello,
-// alerts, heartbeats, the SSLv2 hello) also have a MarshalBinary.
+// avoid allocation in hot paths.
+//
+// Encoding is total: Append never fails. A length that its prefix or the
+// record layer cannot hold panics, because every encoder's input is either
+// built by the program or already bounded by a decoder, so exceeding a
+// limit is a programming error. Nothing else is checked on encode: each
+// message's Append takes every value its decoder returns. Re-framing a
+// decoded ClientHello whole is the exception: Append writes the extension
+// block and compression list a decoded hello may lack, so a hello that
+// filled its record can outgrow it. No caller re-frames a decoded hello.
 package wire
 
 import (
@@ -67,13 +75,13 @@ type Record struct {
 }
 
 // AppendRecord serializes a record header plus payload into dst and returns
-// the extended slice.
-func AppendRecord(dst []byte, typ ContentType, ver registry.Version, payload []byte) ([]byte, error) {
+// the extended slice. It panics on a payload over 2^14 bytes.
+func AppendRecord(dst []byte, typ ContentType, ver registry.Version, payload []byte) []byte {
 	if len(payload) > maxRecordLen {
-		return dst, fmt.Errorf("%w: record payload %d exceeds 2^14", ErrMalformed, len(payload))
+		panic("wire: record payload exceeds 2^14")
 	}
 	dst = append(dst, byte(typ), byte(ver>>8), byte(ver), byte(len(payload)>>8), byte(len(payload)))
-	return append(dst, payload...), nil
+	return append(dst, payload...)
 }
 
 // ReadRecord reads exactly one TLS record from r. The payload is freshly
@@ -120,13 +128,14 @@ func DecodeRecord(data []byte) (Record, int, error) {
 }
 
 // AppendHandshake wraps a handshake body with its 4-byte message header
-// (type + uint24 length) and appends to dst.
-func AppendHandshake(dst []byte, typ HandshakeType, body []byte) ([]byte, error) {
+// (type + uint24 length) and appends to dst. It panics on a body of 2^24
+// bytes or more.
+func AppendHandshake(dst []byte, typ HandshakeType, body []byte) []byte {
 	if len(body) >= 1<<24 {
-		return dst, fmt.Errorf("%w: handshake body too large", ErrMalformed)
+		panic("wire: handshake body exceeds 2^24-1")
 	}
 	dst = append(dst, byte(typ), byte(len(body)>>16), byte(len(body)>>8), byte(len(body)))
-	return append(dst, body...), nil
+	return append(dst, body...)
 }
 
 // DecodeHandshake splits one handshake message off the front of data,
@@ -156,9 +165,9 @@ const (
 	AlertInappropriateFallback = 86 // RFC 7507, TLS_FALLBACK_SCSV
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (a Alert) MarshalBinary() ([]byte, error) {
-	return []byte{a.Level, a.Description}, nil
+// Append appends the 2-byte alert to dst.
+func (a Alert) Append(dst []byte) []byte {
+	return append(dst, a.Level, a.Description)
 }
 
 // DecodeFromBytes parses an alert payload.

@@ -18,25 +18,16 @@ type ServerHello struct {
 }
 
 // Append serializes the ServerHello handshake body into dst.
-func (sh *ServerHello) Append(dst []byte) ([]byte, error) {
+func (sh *ServerHello) Append(dst []byte) []byte {
 	b := builder{buf: dst}
 	b.u16(uint16(sh.Version))
 	b.raw(sh.Random[:])
-	if len(sh.SessionID) > 32 {
-		return dst, fmt.Errorf("%w: session id %d bytes", ErrMalformed, len(sh.SessionID))
-	}
 	b.vec8(sh.SessionID)
 	b.u16(sh.CipherSuite)
 	b.u8(sh.CompressionMethod)
-	if err := appendExtensions(&b, sh.Extensions); err != nil {
-		return dst, err
-	}
-	return b.buf, nil
+	appendExtensions(&b, sh.Extensions)
+	return b.buf
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler, returning the handshake
-// body.
-func (sh *ServerHello) MarshalBinary() ([]byte, error) { return sh.Append(nil) }
 
 // DecodeFromBytes parses a ServerHello handshake body. The input is not
 // retained.
@@ -68,15 +59,8 @@ func (sh *ServerHello) DecodeFromBytes(data []byte) error {
 
 // AppendRecord serializes the full on-the-wire form (record + handshake
 // headers) appended to dst.
-func (sh *ServerHello) AppendRecord(dst []byte) ([]byte, error) {
-	body, err := sh.MarshalBinary()
-	if err != nil {
-		return dst, err
-	}
-	msg, err := AppendHandshake(nil, TypeServerHello, body)
-	if err != nil {
-		return dst, err
-	}
+func (sh *ServerHello) AppendRecord(dst []byte) []byte {
+	msg := AppendHandshake(nil, TypeServerHello, sh.Append(nil))
 	recVer := sh.Version
 	if recVer.IsTLS13Variant() {
 		recVer = registry.VersionTLS12 // 1.3 ServerHellos use a 1.2 record version

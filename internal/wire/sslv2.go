@@ -22,11 +22,9 @@ type SSLv2ClientHello struct {
 // sslv2MsgClientHello is the SSLv2 CLIENT-HELLO message type byte.
 const sslv2MsgClientHello = 1
 
-// MarshalBinary serializes the full SSLv2 record (2-byte header + hello).
-func (h *SSLv2ClientHello) MarshalBinary() ([]byte, error) {
-	if len(h.Challenge) == 0 {
-		return nil, fmt.Errorf("%w: sslv2 hello needs a challenge", ErrMalformed)
-	}
+// Append appends the full SSLv2 record (2-byte header + hello) to dst. It
+// panics on a hello over 0x7fff bytes, the most the header can carry.
+func (h *SSLv2ClientHello) Append(dst []byte) []byte {
 	var b builder
 	b.u8(sslv2MsgClientHello)
 	b.u16(uint16(h.Version))
@@ -39,11 +37,10 @@ func (h *SSLv2ClientHello) MarshalBinary() ([]byte, error) {
 	b.raw(h.SessionID)
 	b.raw(h.Challenge)
 	if len(b.buf) > 0x7fff {
-		return nil, fmt.Errorf("%w: sslv2 hello too large", ErrMalformed)
+		panic("wire: sslv2 hello exceeds 0x7fff")
 	}
-	out := make([]byte, 0, 2+len(b.buf))
-	out = append(out, byte(len(b.buf)>>8)|0x80, byte(len(b.buf)))
-	return append(out, b.buf...), nil
+	dst = append(dst, byte(len(b.buf)>>8)|0x80, byte(len(b.buf)))
+	return append(dst, b.buf...)
 }
 
 // DecodeFromBytes parses a full SSLv2 record containing a CLIENT-HELLO.

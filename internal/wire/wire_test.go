@@ -44,10 +44,7 @@ func sampleClientHello() *ClientHello {
 
 func TestClientHelloRoundTrip(t *testing.T) {
 	ch := sampleClientHello()
-	raw, err := ch.Append(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := ch.Append(nil)
 	var got ClientHello
 	if err := got.DecodeFromBytes(raw); err != nil {
 		t.Fatal(err)
@@ -81,10 +78,7 @@ func TestClientHelloNoExtensions(t *testing.T) {
 		Version:      registry.VersionSSL3,
 		CipherSuites: []uint16{0x0005, 0x0004},
 	}
-	raw, err := ch.Append(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := ch.Append(nil)
 	// An SSL3-era hello may legitimately end right after compression methods.
 	// Strip the (empty) extensions block we emit and check the parser accepts
 	// the shorter form.
@@ -101,19 +95,24 @@ func TestClientHelloNoExtensions(t *testing.T) {
 	}
 }
 
-func TestClientHelloEmptySuitesRejected(t *testing.T) {
+// The decoder accepts an empty suite list and an empty compression list, so
+// the encoder writes both; the one normalisation is that an empty
+// compression list reads back as [0].
+func TestClientHelloEmptyListsRoundTrip(t *testing.T) {
 	ch := &ClientHello{Version: registry.VersionTLS12}
-	if _, err := ch.Append(nil); !errors.Is(err, ErrMalformed) {
-		t.Errorf("empty suite list should be rejected, got %v", err)
+	var got ClientHello
+	if err := got.DecodeFromBytes(ch.Append(nil)); err != nil {
+		t.Fatal(err)
+	}
+	ch.CompressionMethods = []byte{0}
+	if !reflect.DeepEqual(ch, &got) {
+		t.Fatalf("round trip mismatch:\n%+v\n%+v", ch, &got)
 	}
 }
 
 func TestClientHelloTruncationNeverPanics(t *testing.T) {
 	full := sampleClientHello()
-	raw, err := full.Append(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := full.Append(nil)
 	// The one prefix that is legitimately parseable: a hello ending exactly
 	// after compression methods (extension-less SSL3-style form).
 	noExtLen := 2 + 32 + 1 + len(full.SessionID) + 2 + 2*len(full.CipherSuites) + 1 + len(full.CompressionMethods)
@@ -142,10 +141,7 @@ func TestServerHelloRoundTrip(t *testing.T) {
 			NewServerSupportedVersionsExtension(registry.VersionTLS13),
 		},
 	}
-	raw, err := sh.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := sh.Append(nil)
 	var got ServerHello
 	if err := got.DecodeFromBytes(raw); err != nil {
 		t.Fatal(err)
@@ -171,7 +167,7 @@ func TestServerHelloSelectedVersionLegacy(t *testing.T) {
 func TestServerHelloTruncation(t *testing.T) {
 	sh := &ServerHello{Version: registry.VersionTLS12, CipherSuite: 0xC02F,
 		Extensions: []Extension{NewHeartbeatExtension(1)}}
-	raw, _ := sh.MarshalBinary()
+	raw := sh.Append(nil)
 	noExtLen := 2 + 32 + 1 + len(sh.SessionID) + 2 + 1
 	for i := 0; i < len(raw); i++ {
 		var got ServerHello
@@ -183,10 +179,7 @@ func TestServerHelloTruncation(t *testing.T) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5}
-	raw, err := AppendRecord(nil, ContentHandshake, registry.VersionTLS10, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := AppendRecord(nil, ContentHandshake, registry.VersionTLS10, payload)
 	rec, n, err := DecodeRecord(raw)
 	if err != nil || n != len(raw) {
 		t.Fatalf("DecodeRecord: %v n=%d", err, n)
@@ -202,12 +195,54 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !bytes.Equal(rec2.Payload, payload) {
 		t.Error("ReadRecord payload mismatch")
 	}
+	for typ, want := range map[ContentType]string{
+		ContentChangeCipherSpec: "change_cipher_spec",
+		ContentAlert:            "alert",
+		ContentHandshake:        "handshake",
+		ContentApplicationData:  "application_data",
+		ContentHeartbeat:        "heartbeat",
+		99:                      "content(99)",
+	} {
+		if got := typ.String(); got != want {
+			t.Errorf("ContentType(%d).String() = %q, want %q", uint8(typ), got, want)
+		}
+	}
 }
 
+// Every encode limit panics: a length its prefix or the record layer cannot
+// hold is a programming error, not an input the encoder refuses.
 func TestRecordOversizeRejected(t *testing.T) {
-	big := make([]byte, maxRecordLen+1)
-	if _, err := AppendRecord(nil, ContentHandshake, registry.VersionTLS10, big); err == nil {
-		t.Error("oversize record accepted")
+	for _, tc := range []struct {
+		name   string
+		encode func()
+	}{
+		{"vec8 of 256 bytes", func() {
+			(&ClientHello{SessionID: make([]byte, 0x100)}).Append(nil)
+		}},
+		{"extension body of 0x10000 bytes", func() {
+			(&ServerHello{Extensions: []Extension{{Data: make([]byte, 0x10000)}}}).Append(nil)
+		}},
+		{"0x8000 cipher suites", func() {
+			(&ClientHello{CipherSuites: make([]uint16, 0x8000)}).Append(nil)
+		}},
+		{"handshake body of 2^24 bytes", func() {
+			AppendHandshake(nil, TypeClientHello, make([]byte, 1<<24))
+		}},
+		{"sslv2 body over 0x7fff", func() {
+			(&SSLv2ClientHello{Challenge: make([]byte, 0x7fff)}).Append(nil)
+		}},
+		{"record over 2^14", func() {
+			AppendRecord(nil, ContentHandshake, registry.VersionTLS10, make([]byte, maxRecordLen+1))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("encoded without panicking")
+				}
+			}()
+			tc.encode()
+		})
 	}
 	hdr := []byte{22, 3, 1, 0xff, 0xff}
 	if _, _, err := DecodeRecord(append(hdr, make([]byte, 0xffff)...)); err == nil {
@@ -217,10 +252,7 @@ func TestRecordOversizeRejected(t *testing.T) {
 
 func TestHandshakeFraming(t *testing.T) {
 	body := []byte{0xde, 0xad}
-	msg, err := AppendHandshake(nil, TypeClientHello, body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	msg := AppendHandshake(nil, TypeClientHello, body)
 	typ, got, n, err := DecodeHandshake(msg)
 	if err != nil || n != len(msg) {
 		t.Fatal(err)
@@ -236,11 +268,7 @@ func TestHandshakeFraming(t *testing.T) {
 func TestFullRecordPath(t *testing.T) {
 	// ClientHello → record bytes → record decode → handshake decode → hello.
 	ch := sampleClientHello()
-	raw, err := ch.AppendRecord(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, _, err := DecodeRecord(raw)
+	rec, _, err := DecodeRecord(ch.AppendRecord(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +293,7 @@ func TestFullRecordPath(t *testing.T) {
 
 func TestServerHelloRecordVersionClamp(t *testing.T) {
 	sh := &ServerHello{Version: registry.VersionTLS13, CipherSuite: 0x1301}
-	raw, err := sh.AppendRecord(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, _, err := DecodeRecord(raw)
+	rec, _, err := DecodeRecord(sh.AppendRecord(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +304,8 @@ func TestServerHelloRecordVersionClamp(t *testing.T) {
 
 func TestAlertRoundTrip(t *testing.T) {
 	a := Alert{Level: 2, Description: AlertHandshakeFailure}
-	raw, _ := a.MarshalBinary()
 	var got Alert
-	if err := got.DecodeFromBytes(raw); err != nil {
+	if err := got.DecodeFromBytes(a.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got != a {
@@ -299,10 +322,7 @@ func TestSSLv2RoundTrip(t *testing.T) {
 		CipherSpecs: []uint32{0x010080, 0x020080, 0x000005}, // v2 RC4, v2 RC4-export, TLS RSA_RC4_SHA
 		Challenge:   bytes.Repeat([]byte{7}, 16),
 	}
-	raw, err := h.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := h.Append(nil)
 	if !IsSSLv2Hello(raw) {
 		t.Error("IsSSLv2Hello = false on valid hello")
 	}
@@ -324,7 +344,7 @@ func TestSSLv2RoundTrip(t *testing.T) {
 
 func TestSSLv2Truncation(t *testing.T) {
 	h := &SSLv2ClientHello{Version: registry.VersionSSL2, CipherSpecs: []uint32{0x010080}, Challenge: make([]byte, 16)}
-	raw, _ := h.MarshalBinary()
+	raw := h.Append(nil)
 	for i := 0; i < len(raw); i++ {
 		var got SSLv2ClientHello
 		if err := got.DecodeFromBytes(raw[:i]); err == nil {
@@ -381,12 +401,8 @@ func TestClientHelloRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 300; i++ {
 		ch := quickClientHello(r)
-		raw, err := ch.Append(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var got ClientHello
-		if err := got.DecodeFromBytes(raw); err != nil {
+		if err := got.DecodeFromBytes(ch.Append(nil)); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		// Normalize nil vs empty for comparison.
