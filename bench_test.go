@@ -296,15 +296,14 @@ func BenchmarkAllFiguresCompiled(b *testing.B) {
 
 // --- Ablations (DESIGN.md §4) ---
 
-// Ablation 1: wire-level simulation vs struct-level fast path. Like every
-// simulation ablation below it times what `tlstrend simulate` runs:
-// Simulator.Run into one classified aggregate. Reports ns per record. Only a
-// hello-memo miss — a hello a worker has not built yet, or a randomizer's —
-// round-trips through the codec, so the two arms differ on misses alone.
-func benchSimulate(b *testing.B, wireLevel bool) {
+// Ablation 1: the wire-level simulation's cost, the baseline the other
+// simulation ablations move from. Like each of them it times what `tlstrend
+// simulate` runs: Simulator.Run into one classified aggregate. Reports ns per
+// record. Only a hello-memo miss — a hello a worker has not built yet, or a
+// randomizer's — round-trips through the codec.
+func BenchmarkAblationSimWireLevel(b *testing.B) {
 	opts := simulate.DefaultOptions(100)
 	opts.End = timeline.M(2013, time.December)
-	opts.WireLevel = wireLevel
 	records := len(timeline.MonthsBetween(opts.Start, opts.End)) * opts.ConnectionsPerMonth
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -313,9 +312,6 @@ func benchSimulate(b *testing.B, wireLevel bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }
-
-func BenchmarkAblationSimWireLevel(b *testing.B)   { benchSimulate(b, true) }
-func BenchmarkAblationSimStructLevel(b *testing.B) { benchSimulate(b, false) }
 
 // Ablation 5: months simulated in parallel vs the sequential path, at the
 // study configuration (800 conns/month, full window, wire level). Reports

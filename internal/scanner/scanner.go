@@ -37,8 +37,6 @@ type Result struct {
 	// beyond the sent payload came back.
 	Vulnerable  bool
 	LeakedBytes int
-	// RTT is the time from dial start to response parse.
-	RTT time.Duration
 }
 
 // Scanner is a concurrent hello prober: Scan makes one connection per
@@ -94,7 +92,6 @@ feed:
 // probe performs one dial + hello exchange, then the Heartbleed check when
 // the server acks heartbeat. Cancelling ctx closes the connection.
 func (s *Scanner) probe(ctx context.Context, target string, helloBytes []byte) Result {
-	start := time.Now()
 	res := Result{Target: target}
 
 	conn, err := (&net.Dialer{Timeout: s.Timeout}).DialContext(ctx, "tcp", target)
@@ -115,7 +112,6 @@ func (s *Scanner) probe(ctx context.Context, target string, helloBytes []byte) R
 		res.Err = fmt.Errorf("read: %w", err)
 		return res
 	}
-	res.RTT = time.Since(start)
 
 	switch rec.Type {
 	case wire.ContentAlert:

@@ -5,28 +5,25 @@ import "tlsage/internal/registry"
 // Summary aggregates a scan sweep into the fractions the paper reports from
 // Censys data.
 type Summary struct {
-	Targets      int
 	Answered     int // ServerHello received
 	Alerted      int
 	Errors       int
 	ChoseRC4     int
 	ChoseCBC     int
 	Chose3DES    int
-	ChoseAEAD    int
-	ChoseNULL    int
 	ChoseExport  int
 	HeartbeatAck int
 	// Vulnerable counts hosts the Heartbleed check over-read; LeakedBytes
 	// totals what they leaked.
 	Vulnerable  int
 	LeakedBytes int
-	ByVersion   map[registry.Version]int
 }
 
-// Summarize folds scan results.
+// Summarize folds scan results. A suite the registry does not know counts
+// toward no suite class; its result still counts in Answered, HeartbeatAck
+// and Vulnerable.
 func Summarize(results []Result) Summary {
-	s := Summary{ByVersion: make(map[registry.Version]int)}
-	s.Targets = len(results)
+	var s Summary
 	for _, r := range results {
 		switch {
 		case r.Err != nil:
@@ -37,7 +34,9 @@ func Summarize(results []Result) Summary {
 			continue
 		}
 		s.Answered++
-		s.ByVersion[r.Version]++
+		if r.HeartbeatAck {
+			s.HeartbeatAck++
+		}
 		if r.Vulnerable {
 			s.Vulnerable++
 			s.LeakedBytes += r.LeakedBytes
@@ -53,17 +52,9 @@ func Summarize(results []Result) Summary {
 			s.Chose3DES++
 		case suite.IsCBC():
 			s.ChoseCBC++
-		case suite.IsAEAD():
-			s.ChoseAEAD++
-		}
-		if suite.IsNULLCipher() {
-			s.ChoseNULL++
 		}
 		if suite.IsExport() {
 			s.ChoseExport++
-		}
-		if r.HeartbeatAck {
-			s.HeartbeatAck++
 		}
 	}
 	return s

@@ -10,6 +10,7 @@
 package serverfarm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -34,7 +35,7 @@ type Host struct {
 }
 
 // StartHost launches a listener on addr (use "127.0.0.1:0" for an ephemeral
-// port) answering with cfg.
+// port) answering with cfg. timeout bounds each connection's exchange.
 func StartHost(addr string, cfg *handshake.ServerConfig, timeout time.Duration) (*Host, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -42,9 +43,6 @@ func StartHost(addr string, cfg *handshake.ServerConfig, timeout time.Duration) 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serverfarm: %w", err)
-	}
-	if timeout <= 0 {
-		timeout = 5 * time.Second
 	}
 	h := &Host{cfg: cfg, ln: ln, timeout: timeout}
 	h.wg.Add(1)
@@ -169,26 +167,19 @@ func (h *Host) answer(conn net.Conn) ([]byte, error) {
 	if first[0]&0x80 != 0 {
 		return h.answerSSLv2(conn, first[0])
 	}
-	return h.answerTLS(conn, first[0])
+	return h.answerTLS(io.MultiReader(bytes.NewReader(first[:]), conn))
 }
 
-func (h *Host) answerTLS(conn net.Conn, firstByte byte) ([]byte, error) {
-	var rest [4]byte
-	if _, err := io.ReadFull(conn, rest[:]); err != nil {
+// answerTLS handles a ClientHello in one TLS record read from r.
+func (h *Host) answerTLS(r io.Reader) ([]byte, error) {
+	rec, err := wire.ReadRecord(r)
+	if err != nil {
 		return nil, err
 	}
-	length := int(rest[2])<<8 | int(rest[3])
-	if length > 1<<14 {
-		return nil, errors.New("serverfarm: oversized record")
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return nil, err
-	}
-	if wire.ContentType(firstByte) != wire.ContentHandshake {
+	if rec.Type != wire.ContentHandshake {
 		return nil, errors.New("serverfarm: not a handshake record")
 	}
-	typ, body, _, err := wire.DecodeHandshake(payload)
+	typ, body, _, err := wire.DecodeHandshake(rec.Payload)
 	if err != nil || typ != wire.TypeClientHello {
 		return nil, errors.New("serverfarm: not a client hello")
 	}
@@ -240,15 +231,13 @@ type Farm struct {
 	Hosts []*Host
 }
 
-// Close shuts every host down.
+// Close shuts every host down and returns their errors joined.
 func (f *Farm) Close() error {
-	var firstErr error
-	for _, h := range f.Hosts {
-		if err := h.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	errs := make([]error, len(f.Hosts))
+	for i, h := range f.Hosts {
+		errs[i] = h.Close()
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // Addrs returns the hosts' listen addresses.

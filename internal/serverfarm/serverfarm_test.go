@@ -1,7 +1,11 @@
 package serverfarm
 
 import (
+	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,6 +82,28 @@ func TestHostAlertsOnNoCommonSuite(t *testing.T) {
 	}
 }
 
+// A host that does not speak SSLv2 answers an SSLv2 hello with a TLS alert,
+// and counts it as served.
+func TestHostAlertsSSLv2HelloWithoutSSLv2(t *testing.T) {
+	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	v2 := &wire.SSLv2ClientHello{Version: registry.VersionSSL2, CipherSpecs: []uint32{0x010080, 0x00002F}, Challenge: make([]byte, 16)}
+	rec, _, err := wire.DecodeRecord(exchangeRaw(t, h.Addr(), v2.Append(nil)))
+	if err != nil || rec.Type != wire.ContentAlert {
+		t.Fatalf("reply: %v record, %v; want an alert", rec.Type, err)
+	}
+	var alert wire.Alert
+	if err := alert.DecodeFromBytes(rec.Payload); err != nil || alert.Description != wire.AlertHandshakeFailure {
+		t.Errorf("alert %+v (%v), want handshake_failure", alert, err)
+	}
+	if n := h.Served(); n != 1 {
+		t.Errorf("served %d connections, want 1", n)
+	}
+}
+
 func TestHostCloseIdempotent(t *testing.T) {
 	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
 	if err != nil {
@@ -95,12 +121,42 @@ func TestHostCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestStartHostRejectsInvalidConfig(t *testing.T) {
-	bad := &handshake.ServerConfig{Name: "bad", MinVersion: registry.VersionTLS12,
+func badCfg() *handshake.ServerConfig {
+	return &handshake.ServerConfig{Name: "bad", MinVersion: registry.VersionTLS12,
 		MaxVersion: registry.VersionTLS10, Suites: []uint16{0x002F}}
-	if _, err := StartHost("127.0.0.1:0", bad, time.Second); err == nil {
+}
+
+func TestStartHostRejectsInvalidConfig(t *testing.T) {
+	if _, err := StartHost("127.0.0.1:0", badCfg(), time.Second); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	if _, err := StartHost("127.0.0.1:65536", testCfg(), time.Second); err == nil {
+		t.Fatal("a port above 65535 accepted")
+	}
+}
+
+// A farm that cannot start every host closes the ones it started before
+// returning the error: no host's accept loop, which only a closed listener
+// ends, is left running.
+func TestStartFarmClosesStartedHostsOnError(t *testing.T) {
+	before := acceptLoops()
+	if farm, err := StartFarm([]*handshake.ServerConfig{testCfg(), testCfg(), badCfg()}, time.Second); err == nil {
+		farm.Close()
+		t.Fatal("a farm with an invalid config started")
+	}
+	// A closed host's accept loop has signalled Close but may not have
+	// returned yet; one left running never returns.
+	for deadline := time.Now().Add(2 * time.Second); acceptLoops() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d accept loops running, %d before StartFarm: a started host was not closed", acceptLoops(), before)
+		}
+	}
+}
+
+// acceptLoops counts the goroutines running a host's accept loop.
+func acceptLoops() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "serverfarm.(*Host).acceptLoop(")
 }
 
 func TestFarmAddrs(t *testing.T) {
@@ -153,6 +209,20 @@ func heartbeatExchange(t *testing.T, vulnerable bool, req wire.HeartbeatMessage)
 	return conn
 }
 
+// A heartbeat record that is not a request gets no answer, from a patched
+// host or a vulnerable one.
+func TestHeartbeatIgnoresNonRequests(t *testing.T) {
+	resp := wire.HeartbeatMessage{Type: wire.HeartbeatResponse, PayloadLength: 4, Payload: []byte{1, 2, 3, 4}}
+	for _, vulnerable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("vulnerable=%v", vulnerable), func(t *testing.T) {
+			conn := heartbeatExchange(t, vulnerable, resp)
+			if rec, err := wire.ReadRecord(conn); err == nil {
+				t.Errorf("a heartbeat response got a %v record", rec.Type)
+			}
+		})
+	}
+}
+
 func TestHeartbeatExchangeCorrectServer(t *testing.T) {
 	// Well-formed heartbeat request: echoed payload, no over-read.
 	conn := heartbeatExchange(t, false, wire.HeartbeatMessage{Type: wire.HeartbeatRequest, PayloadLength: 4, Payload: []byte{1, 2, 3, 4}})
@@ -201,70 +271,67 @@ func TestHeartbeatClaimBeyondRecordLimit(t *testing.T) {
 	})
 }
 
-func writeRaw(t *testing.T, addr string, raw []byte) (int, []byte) {
+// TestHostDropsMalformedClients sends each row's bytes, half-closes the
+// connection and reads to its end: a host drops a client it cannot read a
+// hello from, answering nothing and counting nothing, whatever the framing.
+func TestHostDropsMalformedClients(t *testing.T) {
+	handshakeRecord := func(typ wire.HandshakeType, body []byte) []byte {
+		return wire.AppendRecord(nil, wire.ContentHandshake, registry.VersionTLS10, wire.AppendHandshake(nil, typ, body))
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"empty", nil},
+		{"cut-record-header", []byte{22, 3, 1}},
+		{"oversized-record", []byte{22, 3, 1, 0xff, 0xff}}, // claims 0xffff > 2^14
+		{"cut-record-payload", []byte{22, 3, 1, 0, 10, 1, 2, 3}},
+		{"non-handshake-record", wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, []byte{1, 0})},
+		{"cut-handshake-header", []byte{22, 3, 1, 0, 3, 1, 2, 3}},
+		{"non-hello-handshake", handshakeRecord(wire.TypeServerHello, []byte{1, 2, 3})},
+		{"malformed-hello", handshakeRecord(wire.TypeClientHello, []byte{1, 2, 3})},
+		{"cut-sslv2-header", []byte{0x80}},
+		{"oversized-sslv2", []byte{0xff, 0xff}}, // claims 0x7fff > 2^14
+		{"cut-sslv2-body", []byte{0x80, 0x10, 1, 2}},
+		{"malformed-sslv2", []byte{0x80, 0x03, 0xff, 0xff, 0xff}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg()
+			cfg.SupportsSSLv2, cfg.MinVersion = true, registry.VersionSSL2
+			h, err := StartHost("127.0.0.1:0", cfg, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			if reply := exchangeRaw(t, h.Addr(), tc.raw); len(reply) != 0 {
+				t.Errorf("answered % x", reply)
+			}
+			if n := h.Served(); n != 0 {
+				t.Errorf("served %d connections, want 0", n)
+			}
+		})
+	}
+}
+
+// exchangeRaw writes raw to addr, half-closes the connection and returns
+// everything the host sends before it closes its side.
+func exchangeRaw(t *testing.T, addr string, raw []byte) []byte {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(700 * time.Millisecond))
+	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 64)
-	n, _ := conn.Read(buf)
-	return n, buf[:n]
-}
-
-func TestHostDropsOversizedRecord(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	// Claimed record length 0xffff exceeds 2^14.
-	if n, _ := writeRaw(t, h.Addr(), []byte{22, 3, 1, 0xff, 0xff}); n != 0 {
-		t.Errorf("oversized record got %d-byte answer", n)
-	}
-}
-
-func TestHostDropsNonHandshakeRecord(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	raw := wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, []byte{1, 0})
-	if n, _ := writeRaw(t, h.Addr(), raw); n != 0 {
-		t.Errorf("alert record got %d-byte answer", n)
-	}
-}
-
-func TestHostDropsNonHelloHandshake(t *testing.T) {
-	h, err := StartHost("127.0.0.1:0", testCfg(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	msg := wire.AppendHandshake(nil, wire.TypeServerHello, []byte{1, 2, 3})
-	raw := wire.AppendRecord(nil, wire.ContentHandshake, registry.VersionTLS10, msg)
-	if n, _ := writeRaw(t, h.Addr(), raw); n != 0 {
-		t.Errorf("server-hello-in got %d-byte answer", n)
-	}
-}
-
-func TestHostDropsMalformedSSLv2(t *testing.T) {
-	cfg := testCfg()
-	cfg.SupportsSSLv2 = true
-	cfg.MinVersion = registry.VersionSSL2
-	h, err := StartHost("127.0.0.1:0", cfg, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	// High-bit header but garbage body.
-	if n, _ := writeRaw(t, h.Addr(), []byte{0x80, 0x03, 0xFF, 0xFF, 0xFF}); n != 0 {
-		t.Errorf("garbage sslv2 got %d-byte answer", n)
-	}
+	return reply
 }

@@ -141,8 +141,8 @@ func TestCorpusDigest(t *testing.T) {
 		}
 	})
 	// No month's shard is lost or cut when months run concurrently, and a
-	// sink error stops the run: the months not yet simulated are skipped, and
-	// Run reports the error. A rate of 0 simulates 1,000 connections a month.
+	// sink error stops the run, sequential or not: the months not yet
+	// simulated are skipped, and Run reports the error. A rate of 0 simulates 1,000 connections a month.
 	t.Run("parallel-sink-coverage", func(t *testing.T) {
 		for seed, byWidth := range runs {
 			for i, n := range byWidth[4].counts {
@@ -151,14 +151,15 @@ func TestCorpusDigest(t *testing.T) {
 				}
 			}
 		}
-		parallel := DefaultOptions(100)
-		parallel.Workers = 4
+		sequential, parallel := DefaultOptions(100), DefaultOptions(100)
+		sequential.Workers, parallel.Workers = 1, 4
 		stop := errors.New("sink full")
 		for _, tc := range []struct {
 			name     string
 			opts     Options
 			perMonth int
 		}{
+			{"Workers=1", sequential, 100},
 			{"Workers=4", parallel, 100},
 			{"DefaultOptions(0)", DefaultOptions(0), 1000},
 		} {

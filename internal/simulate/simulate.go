@@ -42,9 +42,6 @@ type Options struct {
 	ConnectionsPerMonth int
 	// Start and End bound the simulated window (inclusive).
 	Start, End timeline.Month
-	// WireLevel round-trips every hello through the binary codec, exactly as
-	// the Notary would observe it. Disabling it is the struct-only ablation.
-	WireLevel bool
 	// Workers bounds how many months are simulated concurrently. 0 means
 	// GOMAXPROCS; 1 forces the sequential path. The generated dataset is
 	// identical for every value: each month has its own seed-derived RNG
@@ -59,7 +56,6 @@ func DefaultOptions(connsPerMonth int) Options {
 		ConnectionsPerMonth: connsPerMonth,
 		Start:               timeline.StudyStart,
 		End:                 timeline.StudyEnd,
-		WireLevel:           true,
 	}
 }
 
@@ -89,13 +85,7 @@ func (s *Simulator) workerCount(months int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > months {
-		w = months
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(w, months)
 }
 
 // splitmix64 is the SplitMix64 finalizer, used to spread correlated
@@ -176,9 +166,7 @@ func (s *Simulator) runMonth(m timeline.Month, sc *scratch, observe func(*notary
 	sc.clientDays, sc.serverDays = [28]*population.ClientDay{}, [28]*population.ServerDay{}
 	var rec notary.Record
 	for i := 0; i < s.opts.ConnectionsPerMonth; i++ {
-		if err := s.connection(&rec, m, fingerprinted, rnd, sc); err != nil {
-			return err
-		}
+		s.connection(&rec, m, fingerprinted, rnd, sc)
 		if err := observe(&rec); err != nil {
 			return err
 		}
@@ -205,13 +193,9 @@ func (s *Simulator) Run(sink notary.Sink) error {
 		return nil
 	}
 
-	type monthOut struct {
-		recs []notary.Record
-		err  error
-	}
-	outs := make([]chan monthOut, len(months))
+	outs := make([]chan []notary.Record, len(months))
 	for i := range outs {
-		outs[i] = make(chan monthOut, 1)
+		outs[i] = make(chan []notary.Record, 1)
 	}
 	jobs := make(chan int)
 	// sem bounds the months buffered ahead of the sink so a slow sink does
@@ -226,18 +210,16 @@ func (s *Simulator) Run(sink notary.Sink) error {
 			var sc scratch
 			for idx := range jobs {
 				if aborted.Load() {
-					outs[idx] <- monthOut{}
+					outs[idx] <- nil
 					continue
 				}
+				// The collecting observe never fails, so neither does runMonth.
 				recs := make([]notary.Record, 0, s.opts.ConnectionsPerMonth)
-				err := s.runMonth(months[idx], &sc, func(r *notary.Record) error {
+				s.runMonth(months[idx], &sc, func(r *notary.Record) error {
 					recs = append(recs, *r)
 					return nil
 				})
-				if err != nil {
-					aborted.Store(true)
-				}
-				outs[idx] <- monthOut{recs: recs, err: err}
+				outs[idx] <- recs
 			}
 		}()
 	}
@@ -252,15 +234,12 @@ func (s *Simulator) Run(sink notary.Sink) error {
 
 	var firstErr error
 	for i := range months {
-		out := <-outs[i]
-		if out.err != nil && firstErr == nil {
-			firstErr = out.err
-		}
-		for j := range out.recs {
+		recs := <-outs[i]
+		for j := range recs {
 			if firstErr != nil {
 				break
 			}
-			if err := sink.Observe(&out.recs[j]); err != nil {
+			if err := sink.Observe(&recs[j]); err != nil {
 				firstErr = err
 				aborted.Store(true)
 			}
@@ -271,7 +250,7 @@ func (s *Simulator) Run(sink notary.Sink) error {
 }
 
 // connection simulates one observed connection in month m into rec.
-func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprinted bool, rnd *rand.Rand, sc *scratch) error {
+func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprinted bool, rnd *rand.Rand, sc *scratch) {
 	day := rnd.Intn(28)
 	date := timeline.Date{Year: m.Year, Month: m.M, Day: 1 + day}
 	if sc.clientDays[day] == nil {
@@ -288,13 +267,11 @@ func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprint
 	// The Nagios monitoring traffic opens with SSLv2-compatible hellos part
 	// of the time (§5.1).
 	if cfg.SSLv2Compat && rnd.Float64() < 0.3 {
-		return s.sslv2Connection(rec, cfg, profile.Name, s.Servers.Config(server), rnd, sc)
+		sslv2Connection(rec, cfg, profile.Name, s.Servers.Config(server), rnd, sc)
+		return
 	}
 
-	first, err := s.attempt(cfg, cfg, false, profile.Name, fingerprinted, rnd, sc)
-	if err != nil {
-		return err
-	}
+	first := s.attempt(cfg, cfg, false, profile.Name, fingerprinted, rnd, sc)
 	rec.CopyClientSide(&first.client)
 	res := s.negotiate(first, server)
 
@@ -306,10 +283,7 @@ func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprint
 			fb := *cfg
 			fb.LegacyVersion = v
 			fb.SupportedVersions = nil
-			retry, err := s.attempt(cfg, &fb, true, profile.Name, fingerprinted, rnd, sc)
-			if err != nil {
-				return err
-			}
+			retry := s.attempt(cfg, &fb, true, profile.Name, fingerprinted, rnd, sc)
 			res = s.negotiate(retry, server)
 			if res.OK {
 				rec.UsedFallback = true
@@ -321,7 +295,6 @@ func (s *Simulator) connection(rec *notary.Record, m timeline.Month, fingerprint
 	}
 
 	s.finishRecord(rec, cfg, profile.Name, res)
-	return nil
 }
 
 // fallbackVersions lists the retry versions a fallback-capable client walks
@@ -357,7 +330,7 @@ func fallbackVersions(cfg *clientdb.Config) []registry.Version {
 // and returns what the hello offers: the memo's offer for those draws, or,
 // on a miss, the hello built, round-tripped through the wire codec as the
 // Notary would see it, fingerprinted when the month is, and interned.
-func (s *Simulator) attempt(release, cfg *clientdb.Config, fallback bool, profileName string, fingerprinted bool, rnd *rand.Rand, sc *scratch) (*offer, error) {
+func (s *Simulator) attempt(release, cfg *clientdb.Config, fallback bool, profileName string, fingerprinted bool, rnd *rand.Rand, sc *scratch) *offer {
 	var hello *wire.ClientHello
 	var key memoKey
 	randomizer := profileName == clientdb.RandomizerProfileName
@@ -381,18 +354,13 @@ func (s *Simulator) attempt(release, cfg *clientdb.Config, fallback bool, profil
 			sc.memo = make(map[memoKey]*offer)
 		}
 		if o := sc.memo[key]; o != nil {
-			return o, nil
+			return o
 		}
 		hello = cfg.Assemble(&d, fallback)
 	}
-	hello, err := s.observable(hello, profileName, sc)
-	if err != nil {
-		return nil, err
-	}
-
-	o := &offer{hello: hello}
+	o := &offer{hello: observable(hello, sc)}
 	h := &sc.hello
-	o.client.FromClientHello(hello, h)
+	o.client.FromClientHello(o.hello, h)
 	h.Fingerprint, h.Truth = "", profileName
 	if fingerprinted && fingerprint.Usable(h.Suites) {
 		h.Fingerprint = string(fingerprint.FromParts(h.Suites, h.Extensions, h.Curves, h.PointFmts))
@@ -405,7 +373,7 @@ func (s *Simulator) attempt(release, cfg *clientdb.Config, fallback bool, profil
 		o.answers = make(map[population.Variant]handshake.Result)
 		sc.memo[key] = o
 	}
-	return o, nil
+	return o
 }
 
 // negotiate returns what server variant v answers o's hello: the answer o
@@ -425,28 +393,27 @@ func (s *Simulator) negotiate(o *offer, v population.Variant) handshake.Result {
 }
 
 // observable returns the hello as the Notary observes it: round-tripped
-// through the wire codec, reusing sc's encode buffer, or the built hello
-// itself in the struct-level ablation.
-func (s *Simulator) observable(hello *wire.ClientHello, profileName string, sc *scratch) (*wire.ClientHello, error) {
-	if !s.opts.WireLevel {
-		return hello, nil
-	}
+// through the wire codec, reusing sc's encode buffer.
+func observable(hello *wire.ClientHello, sc *scratch) *wire.ClientHello {
 	sc.raw = sc.enc.AppendRecord(hello, sc.raw[:0])
-	recBytes, _, err := wire.DecodeRecord(sc.raw)
-	if err != nil {
-		return nil, err
-	}
-	_, body, _, err := wire.DecodeHandshake(recBytes.Payload)
-	if err != nil {
-		return nil, err
-	}
+	rec, _, err := wire.DecodeRecord(sc.raw)
+	mustDecode(err)
+	_, body, _, err := wire.DecodeHandshake(rec.Payload)
+	mustDecode(err)
 	// The parsed hello copies everything out of the scratch buffer, so the
 	// buffer is free for the next connection.
 	var parsed wire.ClientHello
-	if err := parsed.DecodeFromBytes(body); err != nil {
-		return nil, fmt.Errorf("simulate: reparsing hello for %s: %w", profileName, err)
+	mustDecode(parsed.DecodeFromBytes(body))
+	return &parsed
+}
+
+// mustDecode panics on a decode error. The simulator decodes only bytes the
+// wire codec's total encoder has just written, which its decoders accept: a
+// refusal means the codec is broken, not that an input was bad.
+func mustDecode(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("simulate: the wire codec refused its own encoding: %v", err))
 	}
-	return &parsed, nil
 }
 
 // finishRecord applies the negotiation outcome.
@@ -475,7 +442,7 @@ func (s *Simulator) finishRecord(rec *notary.Record, cfg *clientdb.Config, profi
 
 // sslv2Connection handles the legacy SSLv2-compatible opening. Its hello
 // bypasses the memo.
-func (s *Simulator) sslv2Connection(rec *notary.Record, cfg *clientdb.Config, truth string, serverCfg *handshake.ServerConfig, rnd *rand.Rand, sc *scratch) error {
+func sslv2Connection(rec *notary.Record, cfg *clientdb.Config, truth string, serverCfg *handshake.ServerConfig, rnd *rand.Rand, sc *scratch) {
 	v2 := &wire.SSLv2ClientHello{
 		Version:     registry.VersionSSL2,
 		CipherSpecs: []uint32{0x010080, 0x020080},
@@ -486,14 +453,8 @@ func (s *Simulator) sslv2Connection(rec *notary.Record, cfg *clientdb.Config, tr
 	}
 	rnd.Read(v2.Challenge)
 	h := &sc.hello
-	if s.opts.WireLevel {
-		sc.raw = v2.Append(sc.raw[:0])
-		if err := rec.ObserveWire(sc.raw, h); err != nil {
-			return err
-		}
-	} else {
-		rec.FromSSLv2Hello(v2, h)
-	}
+	sc.raw = v2.Append(sc.raw[:0])
+	mustDecode(rec.ObserveWire(sc.raw, h))
 	h.Fingerprint, h.Truth = "", truth
 	sc.hellos.Intern(rec, h)
 	res := handshake.NegotiateSSLv2(v2, serverCfg)
@@ -504,5 +465,4 @@ func (s *Simulator) sslv2Connection(rec *notary.Record, cfg *clientdb.Config, tr
 	} else {
 		rec.AlertDesc = res.Alert.Description
 	}
-	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"tlsage/internal/notary"
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
+	"tlsage/internal/wire"
 )
 
 // The shared study-scale aggregate used by the shape tests. Built once;
@@ -442,7 +443,8 @@ func TestFingerprintDurations(t *testing.T) {
 	}
 }
 
-// §5.1: SSLv2 appears in the dataset, exclusively from the Nagios traffic.
+// §5.1: SSLv2 appears in the dataset, exclusively from the Nagios traffic,
+// and every SSLv2 record reads back the SSLv2 version from its wire bytes.
 func TestSSLv2Trickle(t *testing.T) {
 	a := studyAgg(t)
 	total := 0
@@ -455,6 +457,42 @@ func TestSSLv2Trickle(t *testing.T) {
 	frac := float64(total) / float64(a.TotalRecords())
 	if frac > 0.005 {
 		t.Errorf("SSLv2 fraction = %0.4f, should be a trickle", frac)
+	}
+
+	opts := DefaultOptions(2000)
+	opts.Start, opts.End = timeline.M(2013, time.March), timeline.M(2013, time.March)
+	sslv2 := 0
+	runEach(t, opts, func(r *notary.Record) {
+		if r.SSLv2Hello {
+			sslv2++
+			if r.ClientVersion != registry.VersionSSL2 {
+				t.Errorf("sslv2 record with version %v", r.ClientVersion)
+			}
+		}
+	})
+	if sslv2 == 0 {
+		t.Error("no SSLv2 hello in March 2013 at 2,000 connections")
+	}
+}
+
+// An SSLv2 opening to a server that does not speak SSLv2 is recorded as the
+// server's alert, not as an established connection.
+func TestSSLv2ConnectionToAnSSLv2IntolerantServer(t *testing.T) {
+	p, ok := clientdb.ProfileByName("Nagios check_tcp")
+	if !ok || !p.Releases[0].Config.SSLv2Compat {
+		t.Fatal("the Nagios profile no longer opens with SSLv2-compatible hellos: pick another")
+	}
+	cfg := &p.Releases[0].Config
+	server := &handshake.ServerConfig{
+		Name: "no-sslv2", MinVersion: registry.VersionSSL3, MaxVersion: registry.VersionTLS12,
+		Suites: []uint16{0x002F, 0x0035},
+	}
+	var rec notary.Record
+	var sc scratch
+	sslv2Connection(&rec, cfg, p.Name, server, rand.New(rand.NewSource(1)), &sc)
+	if rec.Established || rec.AlertDesc != wire.AlertHandshakeFailure || !rec.SSLv2Hello || rec.ClientVersion != registry.VersionSSL2 {
+		t.Errorf("SSLv2 hello to %s: established %v, alert %d, SSLv2 %v, version %v; want an alert on an SSLv2 record",
+			server.Name, rec.Established, rec.AlertDesc, rec.SSLv2Hello, rec.ClientVersion)
 	}
 }
 
@@ -513,25 +551,6 @@ func TestCurveShares(t *testing.T) {
 	}
 }
 
-// The ablation path (struct-level, no wire round-trip) must agree with the
-// wire-level path on aggregate shape.
-func TestWireAblationAgreement(t *testing.T) {
-	optsA := DefaultOptions(300)
-	optsA.End = timeline.M(2013, time.December)
-	optsB := optsA
-	optsB.WireLevel = false
-	aggA, aggB := runAggregate(t, optsA), runAggregate(t, optsB)
-	msA := aggA.Stats(timeline.M(2013, time.June))
-	msB := aggB.Stats(timeline.M(2013, time.June))
-	if msA.N[notary.Total] != msB.N[notary.Total] {
-		t.Fatal("sample sizes differ")
-	}
-	diff := math.Abs(pctEstablished(msA, msA.ByClass["RC4"]) - pctEstablished(msB, msB.ByClass["RC4"]))
-	if diff > 8 {
-		t.Errorf("wire vs struct RC4 share differs by %0.1f points", diff)
-	}
-}
-
 func TestFingerprintsAbsentBeforeNotaryUpgrade(t *testing.T) {
 	// §4.0.1: the fields needed for fingerprinting reached the Notary in
 	// February 2014; earlier records must carry no fingerprint.
@@ -560,25 +579,6 @@ func TestRandomizerProducesDistinctFingerprints(t *testing.T) {
 	}
 }
 
-func TestStructLevelSSLv2Path(t *testing.T) {
-	opts := DefaultOptions(2000)
-	opts.Start = timeline.M(2013, time.March)
-	opts.End = timeline.M(2013, time.March)
-	opts.WireLevel = false
-	sslv2 := 0
-	runEach(t, opts, func(r *notary.Record) {
-		if r.SSLv2Hello {
-			sslv2++
-			if r.ClientVersion != registry.VersionSSL2 {
-				t.Errorf("sslv2 record with version %v", r.ClientVersion)
-			}
-		}
-	})
-	if sslv2 == 0 {
-		t.Skip("no Nagios samples at this size/seed")
-	}
-}
-
 // A fallback retry at the first attempt's version is another hello — Firefox
 // 36 adds RC4 and the fallback SCSV — though its draws may be the same, so the
 // memo keeps the two apart.
@@ -591,17 +591,10 @@ func TestMemoKeepsARetryApartFromTheFirstAttempt(t *testing.T) {
 	}
 	s := New(DefaultOptions(100))
 	var sc scratch
-	first, err := s.attempt(cfg, cfg, false, p.Name, true, rand.New(rand.NewSource(1)), &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstSuites := first.client.Suites()
+	firstSuites := s.attempt(cfg, cfg, false, p.Name, true, rand.New(rand.NewSource(1)), &sc).client.Suites()
 	retry := *cfg
 	retry.SupportedVersions = nil
-	again, err := s.attempt(cfg, &retry, true, p.Name, true, rand.New(rand.NewSource(1)), &sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := s.attempt(cfg, &retry, true, p.Name, true, rand.New(rand.NewSource(1)), &sc)
 	if slices.Equal(again.client.Suites(), firstSuites) || len(sc.memo) != 2 {
 		t.Errorf("the retry at %v offers the first attempt's suites (%d memo entries)", retry.LegacyVersion, len(sc.memo))
 	}
