@@ -243,51 +243,27 @@ func (a *Aggregate) Reset() {
 	a.generation = 0
 }
 
-// Add ingests one record: what varies from record to record (tally), then
-// its hello and its negotiated suite, folded once each. A ShardBuilder does
-// the first per record and the two folds once per distinct hello and suite,
-// through the same three bodies.
+// Add ingests one record: what must be added record by record (tally), then
+// its hello and its outcome, each folded with a count of one. A ShardBuilder
+// does the first per record and the two folds once per (month, hello) and
+// (month, outcome) cell, through the same three bodies.
 func (a *Aggregate) Add(r *Record) {
 	ms := a.month(timeline.MonthOf(r.Date))
 	row := r.row()
-	a.tally(ms, r, &row.shape)
+	a.tally(ms, &row.shape)
 	a.foldHello(ms, &row.shape, row.Fingerprint, r.Date, r.Date, 1)
-	if r.Established {
-		ms.foldSuite(r.Suite, 1)
-	}
+	ms.foldOutcome(outcomeOf(r), 1)
 }
 
-// tally counts what is r's own in ms, r's month: the record and its flags,
-// Figure 5's position terms — float sums, so added record by record in
-// arrival order whoever calls — and the negotiated side but for the suite.
-func (a *Aggregate) tally(ms *MonthStats, r *Record, sh *helloShape) {
+// tally advances the generation by the record and adds Figure 5's position
+// terms of its hello sh to ms, its month. The terms are floats, so they are
+// added record by record, in arrival order whoever calls, over the classes the
+// hello has a term for in ascending order; everything else a record counts is
+// an integer, folded per cell.
+func (a *Aggregate) tally(ms *MonthStats, sh *helloShape) {
 	a.generation++
-	ms.N[Total]++
-	if r.SSLv2Hello {
-		ms.N[SSLv2Hellos]++
-	}
-	if r.OffersHeartbeat {
-		ms.N[OffersHeartbeatN]++
-	}
-	for c := range ms.Pos {
-		if sh.pos[c].ok {
-			ms.Pos[c].Sum += sh.pos[c].term
-			ms.Pos[c].Count++
-		}
-	}
-	if !r.Established {
-		return
-	}
-	ms.N[Established]++
-	ms.ByVersion.Add(r.Version.Canonical(), 1)
-	if r.Curve != 0 {
-		ms.ByCurve.Add(r.Curve, 1)
-	}
-	if r.HeartbeatAck {
-		ms.N[HeartbeatAckN]++
-	}
-	if r.SuiteUnoffer {
-		ms.N[UnofferedChoice]++
+	for _, p := range sh.pos[:sh.npos] {
+		ms.Pos[p.class].Sum += p.term
 	}
 }
 
@@ -305,6 +281,9 @@ func (a *Aggregate) foldHello(ms *MonthStats, sh *helloShape, fp string, first, 
 		ms.TLS13Variant.Add(sh.variant, n)
 	}
 	ms.ByExtension.addEach(sh.exts, n)
+	for _, p := range sh.pos[:sh.npos] {
+		ms.Pos[p.class].Count += n
+	}
 	if fp == "" {
 		return
 	}
@@ -319,6 +298,75 @@ func (a *Aggregate) foldHello(ms *MonthStats, sh *helloShape, fp string, first, 
 	if life.attributed {
 		ms.ByClientClass[life.class] += n
 	}
+}
+
+// outcome is a record's negotiated side packed into one key: the flags its
+// counters read and, for an established connection, the version, the curve
+// and the suite it negotiated. The records of a month with one outcome count
+// alike, so a ShardBuilder counts them per (month, outcome) cell and folds
+// each cell once. The version is kept as it came and made canonical by the
+// fold, once per cell.
+type outcome uint64
+
+const (
+	outEstablished outcome = 1 << (48 + iota)
+	outSSLv2
+	outOffersHB
+	outHBAck
+	outUnoffered
+)
+
+// outcomeCounters pairs each flag of an outcome with the counter it bumps.
+var outcomeCounters = [...]struct {
+	bit outcome
+	c   Counter
+}{
+	{outEstablished, Established},
+	{outSSLv2, SSLv2Hellos},
+	{outOffersHB, OffersHeartbeatN},
+	{outHBAck, HeartbeatAckN},
+	{outUnoffered, UnofferedChoice},
+}
+
+// outcomeOf returns r's outcome. A connection that was not established
+// negotiated nothing, so its outcome holds its framing and heartbeat offer only.
+func outcomeOf(r *Record) outcome {
+	var k outcome
+	if r.SSLv2Hello {
+		k = outSSLv2
+	}
+	if r.OffersHeartbeat {
+		k |= outOffersHB
+	}
+	if !r.Established {
+		return k
+	}
+	k |= outEstablished | outcome(r.Version)<<32 | outcome(r.Curve)<<16 | outcome(r.Suite)
+	if r.HeartbeatAck {
+		k |= outHBAck
+	}
+	if r.SuiteUnoffer {
+		k |= outUnoffered
+	}
+	return k
+}
+
+// foldOutcome counts n records of month ms with outcome k.
+func (ms *MonthStats) foldOutcome(k outcome, n int) {
+	ms.N[Total] += n
+	for _, oc := range outcomeCounters {
+		if k&oc.bit != 0 {
+			ms.N[oc.c] += n
+		}
+	}
+	if k&outEstablished == 0 {
+		return
+	}
+	ms.ByVersion.Add(registry.Version(k>>32).Canonical(), n)
+	if curve := registry.CurveID(k >> 16); curve != 0 {
+		ms.ByCurve.Add(curve, n)
+	}
+	ms.foldSuite(uint16(k), n)
 }
 
 // foldSuite counts n established connections that negotiated suite.

@@ -467,18 +467,29 @@ const maxRecordHeadLen = 1 + 7*3 + 1
 // varint one to three bytes wide, each value in range. It reports the flags
 // and whether it did; when it did not (a wider varint, a bad value, a head
 // within maxRecordHeadLen of the payload's end) it has consumed nothing and
-// the checked statements in decodeRecordBinary read the same bytes.
+// the checked statements in decodeRecordBinary read the same bytes. The head
+// is cut to maxRecordHeadLen bytes once, so each varint is read from a
+// three-byte window the cut already holds: varint3 without its length check.
 func decodeRecordHead(d *snapDecoder, r *Record) (flags byte, ok bool) {
-	b := d.b[d.off:]
-	if d.err != nil || len(b) < maxRecordHeadLen {
+	if d.err != nil || d.remaining() < maxRecordHeadLen {
 		return 0, false
 	}
+	b := d.b[d.off : d.off+maxRecordHeadLen]
 	off := 1
 	var v [7]uint32 // year, month, day, client_version, version, suite, curve
 	for i := range v {
-		x, w := varint3(b, off)
-		if w == 0 {
-			return 0, false
+		p := b[off : off+3]
+		x, w := uint32(p[0]), 1
+		if x >= 0x80 {
+			y := uint32(p[1])
+			x, w = x&0x7f|y<<7, 2
+			if y >= 0x80 {
+				z := uint32(p[2])
+				if z >= 0x80 {
+					return 0, false
+				}
+				x, w = x&0x3fff|z<<14, 3
+			}
 		}
 		v[i], off = x, off+w
 	}

@@ -57,12 +57,17 @@ type helloShape struct {
 	// exts is the GREASE-stripped extension list — a multiset: a repeated
 	// extension counts twice. A table row holds it sorted ascending.
 	exts []registry.ExtensionID
-	// pos holds Figure 5's term per class: the relative position of the
-	// class's first suite, for a list of more than one suite that has one.
-	pos [NumPosClasses]struct {
-		term float64
-		ok   bool
-	}
+	// pos[:npos] are Figure 5's terms, in ascending class order: for a list
+	// of more than one suite, the relative position of the first suite of
+	// each class the list has.
+	pos  [NumPosClasses]posTerm
+	npos uint8
+}
+
+// posTerm is one class's Figure 5 term in a hello.
+type posTerm struct {
+	class PosClass
+	term  float64
 }
 
 // shapeOf computes the shape of a hello. exts is built in scratch's storage.
@@ -84,9 +89,10 @@ func shapeOf(suites []uint16, exts []registry.ExtensionID, svs []registry.Versio
 		}
 	}
 	if n > 1 {
-		for c := range sh.pos {
-			if idx := scan.FirstIndex(posClasses[c].bit); idx >= 0 {
-				sh.pos[c].term, sh.pos[c].ok = float64(idx)/float64(n-1), true
+		for c, pc := range posClasses {
+			if idx := scan.FirstIndex(pc.bit); idx >= 0 {
+				sh.pos[sh.npos] = posTerm{PosClass(c), float64(idx) / float64(n-1)}
+				sh.npos++
 			}
 		}
 	}

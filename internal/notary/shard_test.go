@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,32 +125,115 @@ func TestBuilderCellsOutliveAnEmptiedTable(t *testing.T) {
 }
 
 // A builder nobody flushes folds its cells itself at maxPendingCells, and a
-// stream that keeps making new cells — more hellos than the bound, over two
-// months — still comes out as Add has it.
+// stream that keeps making new cells of one kind — more hellos than the
+// bound, over two months, or more outcomes, every suite a different one on
+// one hello — still comes out as Add has it. The outcome stream's months come
+// in two runs, so it keeps two hello cells: its outcome cells alone reach the
+// bound.
 func TestBuilderFoldsEarlyAtItsCellBound(t *testing.T) {
-	recs := distinctHellos(maxPendingCells + 300)
-	for i, r := range recs {
+	const n = maxPendingCells + 300
+	hellos, outcomes := distinctHellos(n), make([]*Record, n)
+	for i := range n {
 		if i%2 == 1 {
-			r.Date = timeline.D(2015, time.July, 1+i%28)
+			hellos[i].Date = timeline.D(2015, time.July, 1+i%28)
+		}
+		outcomes[i] = sampleRecord()
+		outcomes[i].Suite = uint16(i)
+		if i >= n/2 {
+			outcomes[i].Date = timeline.D(2015, time.July, 1+i%28)
 		}
 	}
-	recs = append(recs, recs[:600]...)
-	want, b := classified(), NewShardBuilder(classified)
-	most := 0
-	for _, r := range recs {
-		want.Add(r)
+	for name, c := range map[string]struct {
+		recs        []*Record
+		grows, stay func(*ShardBuilder) int
+	}{
+		"hello cells":   {hellos, func(b *ShardBuilder) int { return len(b.cells) }, func(b *ShardBuilder) int { return len(b.outcomes) }},
+		"outcome cells": {outcomes, func(b *ShardBuilder) int { return len(b.outcomes) }, func(b *ShardBuilder) int { return len(b.cells) }},
+	} {
+		recs := append(c.recs, c.recs[:600]...)
+		want, b := classified(), NewShardBuilder(classified)
+		most, other := 0, 0
+		for _, r := range recs {
+			want.Add(r)
+		}
+		_, _, err := ReadBatches(bytes.NewReader(encodeBatch(recs)), Tee(b, SinkFunc(func(*Record) error {
+			most, other = max(most, c.grows(b)), max(other, c.stay(b))
+			return nil
+		})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if most != maxPendingCells || other != 2 {
+			t.Errorf("%s: the builder held %d of them and %d of the other kind at most, want %d and 2", name, most, other, maxPendingCells)
+		}
+		requireSameAggregate(t, name+": a builder folding early", b.Flush(), want)
 	}
-	_, _, err := ReadBatches(bytes.NewReader(encodeBatch(recs)), Tee(b, SinkFunc(func(*Record) error {
-		most = max(most, len(b.cells))
-		return nil
-	})))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// A builder that met more than maxKeptMonths months forgets them at Flush, and
+// its next shard, whose months it numbers afresh, is still Add's.
+func TestBuilderForgetsMonthsPastItsBound(t *testing.T) {
+	var recs []*Record
+	for m := range maxKeptMonths + 10 {
+		r := sampleRecord()
+		r.Date = timeline.D(2000+m/12, time.Month(1+m%12), 1+m%28)
+		recs = append(recs, r)
 	}
-	if most != maxPendingCells {
-		t.Errorf("the builder held %d cells at most, want %d", most, maxPendingCells)
+	b := NewShardBuilder(classified)
+	for round := range 2 {
+		want := classified()
+		for _, r := range recs {
+			want.Add(r)
+			b.Add(r)
+		}
+		requireSameAggregate(t, fmt.Sprintf("shard %d", round), b.Flush(), want)
+		if len(b.months) != 0 {
+			t.Fatalf("shard %d: the builder kept %d months past its bound of %d", round, len(b.months), maxKeptMonths)
+		}
+		slices.Reverse(recs)
 	}
-	requireSameAggregate(t, "a builder folding early", b.Flush(), want)
+}
+
+// Outcomes whose slots collide, record by record: a slot keeps naming the
+// other outcome's cell, or the other month's, every such lookup misses and
+// opens a duplicate cell, and the shard is still Add's, bit for bit. The
+// first order needs the builder to check a cell's outcome, the second its
+// month. A builder numbers its months as they come: June is 0, July 1.
+func TestBuilderOutcomeSlotThrash(t *testing.T) {
+	june, july := &builderMonth{ord: 0}, &builderMonth{ord: 1}
+	withSuite := func(suite uint16, d timeline.Date) *Record {
+		r := sampleRecord()
+		r.Suite, r.Date = suite, d
+		return r
+	}
+	at := func(bm *builderMonth, suite uint16) int {
+		return outcomeSlot(bm, outcomeOf(withSuite(suite, timeline.Date{})))
+	}
+	var twoOutcomes, twoMonths []*Record
+	for s := uint16(1); s != 0 && (twoOutcomes == nil || twoMonths == nil); s++ {
+		if twoOutcomes == nil && at(june, s) == at(june, 0) {
+			twoOutcomes = []*Record{withSuite(0, timeline.D(2015, time.June, 3)), withSuite(s, timeline.D(2015, time.June, 4))}
+		}
+		if twoMonths == nil && at(june, s) == at(july, s) {
+			twoMonths = []*Record{withSuite(s, timeline.D(2015, time.June, 3)), withSuite(s, timeline.D(2015, time.July, 4))}
+		}
+	}
+	for name, pair := range map[string][]*Record{"two outcomes in one month": twoOutcomes, "one outcome over two months": twoMonths} {
+		t.Run(name, func(t *testing.T) {
+			if pair == nil {
+				t.Fatal("vacuous: no suite collides")
+			}
+			want, b := classified(), NewShardBuilder(classified)
+			for i := 0; i < 300; i++ {
+				want.Add(pair[i%2])
+				b.Add(pair[i%2])
+			}
+			if len(b.outcomes) != 300 {
+				t.Fatalf("vacuous: %d outcome cells pending for 300 records of two", len(b.outcomes))
+			}
+			requireSameAggregate(t, name, b.Flush(), want)
+		})
+	}
 }
 
 // dyadicRecords are random records whose position terms add exactly in any
@@ -300,6 +384,33 @@ func TestOversizeFrameBodyIsNotKept(t *testing.T) {
 func TestBuilderMatchesAddAtRandomFlushPoints(t *testing.T) {
 	rnd := rand.New(rand.NewSource(103))
 	recs := buildBatchRecords(107, 400)
+	// Every outcome a record's counters tell apart: besides the random
+	// records' failures, heartbeat acks and unoffered choices, a connection
+	// on no curve, on a suite the registry does not know and on a TLS 1.3
+	// draft.
+	seen := map[string]bool{}
+	for i, r := range recs {
+		if !r.Established {
+			seen["not established"] = true
+			continue
+		}
+		switch i % 8 {
+		case 1:
+			r.Curve = 0
+		case 2:
+			r.Suite = 0xfefe
+		case 3:
+			r.Version = registry.VersionTLS13Draft18
+		}
+		_, known := registry.SuiteByID(r.Suite)
+		for what, ok := range map[string]bool{"heartbeat ack": r.HeartbeatAck, "unoffered choice": r.SuiteUnoffer,
+			"curve 0": r.Curve == 0, "unknown suite": !known, "TLS 1.3 draft": r.Version != r.Version.Canonical()} {
+			seen[what] = seen[what] || ok
+		}
+	}
+	if len(seen) != 6 {
+		t.Fatalf("vacuous: the records have only %v", seen)
+	}
 	for trial := 0; trial < 30; trial++ {
 		var stream []*Record
 		for i := 0; i < 600; i++ {
@@ -363,5 +474,36 @@ func TestBuilderSlotThrash(t *testing.T) {
 			}
 			requireSameAggregate(t, name, b.Flush(), want)
 		})
+	}
+}
+
+// A warm builder over a shard its owner empties and hands back keeps its
+// months, cells and slots from one shard to the next, so once it has built a
+// shard of a stream, every Add of the next allocates nothing; only Flush's
+// folds may.
+func TestShardBuilderAllocsAreSteadyState(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's build allocates on its own")
+	}
+	recs := benchIngestRecordSet()
+	shard := classified()
+	b := NewShardBuilder(func() *Aggregate { return shard })
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, r := range recs {
+			b.Add(r)
+		}
+		runtime.ReadMemStats(&after)
+		if cells := len(b.cells) + len(b.outcomes); cells == 0 || cells >= maxPendingCells {
+			t.Fatalf("vacuous: %d cells pending", cells)
+		}
+		if n := after.Mallocs - before.Mallocs; round > 0 && n != 0 {
+			t.Errorf("round %d: %d records through a warm builder allocate %d times, want 0", round, len(recs), n)
+		}
+		if b.Flush() != shard {
+			t.Fatal("the builder did not build in the recycled shard")
+		}
+		shard.Reset()
 	}
 }

@@ -164,10 +164,11 @@ func (h *Host) answer(conn net.Conn) ([]byte, error) {
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
 		return nil, err
 	}
+	r := io.MultiReader(bytes.NewReader(first[:]), conn)
 	if first[0]&0x80 != 0 {
-		return h.answerSSLv2(conn, first[0])
+		return h.answerSSLv2(r)
 	}
-	return h.answerTLS(io.MultiReader(bytes.NewReader(first[:]), conn))
+	return h.answerTLS(r)
 }
 
 // answerTLS handles a ClientHello in one TLS record read from r.
@@ -195,21 +196,12 @@ func (h *Host) answerTLS(r io.Reader) ([]byte, error) {
 	return res.ServerHello.AppendRecord(nil), nil
 }
 
-// answerSSLv2 handles an SSLv2 2-byte-header CLIENT-HELLO.
-func (h *Host) answerSSLv2(conn net.Conn, firstByte byte) ([]byte, error) {
-	var second [1]byte
-	if _, err := io.ReadFull(conn, second[:]); err != nil {
+// answerSSLv2 handles an SSLv2 2-byte-header CLIENT-HELLO read from r.
+func (h *Host) answerSSLv2(r io.Reader) ([]byte, error) {
+	raw, err := wire.ReadSSLv2Record(r)
+	if err != nil {
 		return nil, err
 	}
-	length := int(firstByte&0x7f)<<8 | int(second[0])
-	if length > 1<<14 {
-		return nil, errors.New("serverfarm: oversized sslv2 record")
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return nil, err
-	}
-	raw := append([]byte{firstByte, second[0]}, body...)
 	var v2 wire.SSLv2ClientHello
 	if err := v2.DecodeFromBytes(raw); err != nil {
 		return nil, err

@@ -61,7 +61,8 @@ func observeSeeds() [][]byte {
 }
 
 // FuzzObserveWire runs arbitrary bytes through the decoders in the order an
-// observer does: sniff for an SSLv2 hello and decode it, or decode a record
+// observer does: sniff for an SSLv2 hello and decode it (a record the stream
+// reader takes from the front decodes as the slice does), or decode a record
 // (from a slice and from a stream, which must agree), its handshake message
 // and the ClientHello or ServerHello it carries, then the ClientHello's list
 // accessors; alert and heartbeat records decode by content type. Nothing may
@@ -75,8 +76,13 @@ func FuzzObserveWire(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if IsSSLv2Hello(data) {
-			var v2, back SSLv2ClientHello
-			if v2.DecodeFromBytes(data) != nil {
+			var v2, back, streamed SSLv2ClientHello
+			err := v2.DecodeFromBytes(data)
+			if raw, serr := ReadSSLv2Record(bytes.NewReader(data)); serr == nil &&
+				(!bytes.Equal(raw, data[:len(raw)]) || (streamed.DecodeFromBytes(raw) == nil) != (err == nil)) {
+				t.Fatalf("ReadSSLv2Record read % x; the slice decodes with error %v", raw, err)
+			}
+			if err != nil {
 				return
 			}
 			if err := back.DecodeFromBytes(v2.Append(nil)); err != nil || !reflect.DeepEqual(v2, back) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"io"
 
 	"tlsage/internal/registry"
 )
@@ -82,6 +83,30 @@ func (h *SSLv2ClientHello) DecodeFromBytes(data []byte) error {
 	h.SessionID = append([]byte(nil), sid...)
 	h.Challenge = append([]byte(nil), challenge...)
 	return nil
+}
+
+// ReadSSLv2Record reads exactly one SSLv2 record with a 2-byte header from r
+// and returns it whole, header and body: the bytes DecodeFromBytes takes. It
+// rejects a header without the high bit and, as ReadRecord does, a body
+// longer than 2^14.
+func ReadSSLv2Record(r io.Reader) ([]byte, error) {
+	var hdr [2]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("wire: reading sslv2 record header: %w", err)
+	}
+	if hdr[0]&0x80 == 0 {
+		return nil, fmt.Errorf("%w: not an sslv2 2-byte record header", ErrMalformed)
+	}
+	length := int(hdr[0]&0x7f)<<8 | int(hdr[1])
+	if length > maxRecordLen {
+		return nil, fmt.Errorf("%w: sslv2 record length %d exceeds 2^14", ErrMalformed, length)
+	}
+	raw := make([]byte, 2+length)
+	copy(raw, hdr[:])
+	if _, err := io.ReadFull(r, raw[2:]); err != nil {
+		return nil, fmt.Errorf("wire: reading sslv2 record body: %w", err)
+	}
+	return raw, nil
 }
 
 // IsSSLv2Hello sniffs whether data starts with an SSLv2 2-byte record header

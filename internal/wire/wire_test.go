@@ -357,6 +357,26 @@ func TestSSLv2Truncation(t *testing.T) {
 	}
 }
 
+// ReadSSLv2Record reads one whole SSLv2 record and no byte past it, and
+// refuses a cut header, a TLS header, a body over 2^14 and a cut body.
+func TestReadSSLv2Record(t *testing.T) {
+	raw := (&SSLv2ClientHello{Version: registry.VersionSSL2, CipherSpecs: []uint32{0x010080}, Challenge: make([]byte, 16)}).Append(nil)
+	r := bytes.NewReader(append(append([]byte(nil), raw...), 22, 3, 1))
+	if got, err := ReadSSLv2Record(r); err != nil || !bytes.Equal(got, raw) || r.Len() != 3 {
+		t.Fatalf("read % x with %d bytes left, err %v; want % x with 3 left", got, r.Len(), err, raw)
+	}
+	for name, in := range map[string][]byte{
+		"cut header": {0x80},
+		"tls header": {22, 3, 1, 0, 5},
+		"oversized":  {0xff, 0xff},
+		"cut body":   {0x80, 0x10, 1, 2},
+	} {
+		if got, err := ReadSSLv2Record(bytes.NewReader(in)); err == nil {
+			t.Errorf("%s: read % x", name, got)
+		}
+	}
+}
+
 func TestIsSSLv2HelloRejectsNonHelloType(t *testing.T) {
 	// High bit set but message type 4 (server-verify) is not a client hello.
 	if IsSSLv2Hello([]byte{0x80, 0x03, 0x04}) {
