@@ -33,10 +33,11 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
+	text := parsed.String()
 
 	var res analysis.QueryResult
 	if *addr != "" {
-		res, err = remoteQuery(*addr, *study, parsed)
+		res, err = remoteQuery(*addr, *study, text)
 	} else {
 		var s core.Study
 		s.Options = sim.options()
@@ -48,7 +49,7 @@ func cmdQuery(args []string) error {
 		if err != nil {
 			return err
 		}
-		res, _, _, _, err = s.QueryExprInfoJSON(parsed)
+		res, err = s.Query(text)
 	}
 	if err != nil {
 		return err
@@ -62,14 +63,14 @@ func cmdQuery(args []string) error {
 	return renderQueryResult(os.Stdout, res)
 }
 
-// remoteQuery POSTs an expression to a server's /query endpoint.
-func remoteQuery(addr, study string, e *analysis.Expr) (analysis.QueryResult, error) {
+// remoteQuery POSTs a query's text to a server's /query endpoint.
+func remoteQuery(addr, study, text string) (analysis.QueryResult, error) {
 	var res analysis.QueryResult
 	url := strings.TrimSuffix(addr, "/")
 	if study != "" {
 		url += "/studies/" + study
 	}
-	body, err := json.Marshal(map[string]string{"query": e.String()})
+	body, err := json.Marshal(map[string]string{"query": text})
 	if err != nil {
 		return res, err
 	}

@@ -223,7 +223,7 @@ func BenchmarkQueryFP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range plans {
-			if p.Kind() == KindScalar {
+			if p.kind == KindScalar {
 				_ = p.EvalScalar()
 			} else {
 				_ = p.EvalSeries()

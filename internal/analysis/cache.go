@@ -20,7 +20,10 @@ import (
 )
 
 // QueryCacheStats is a point-in-time snapshot of cache counters, exported
-// on /healthz by the service layer.
+// on /healthz by the service layer. Hits and Misses count lookups, not
+// queries: core.Study.QueryInfoJSON looks a text up as received and, when it
+// is not canonical, its canonical text too, so a respelled query served from
+// the canonical entry counts a miss and a hit.
 type QueryCacheStats struct {
 	Hits       uint64 `json:"hits"`
 	Misses     uint64 `json:"misses"`
@@ -31,9 +34,10 @@ type QueryCacheStats struct {
 	MaxBytes   int64  `json:"max_bytes"`
 }
 
-// cacheKey identifies one cached result. The query component is canonical
+// cacheKey identifies one cached result. Entries are stored under canonical
 // text (the parse→format fixpoint), so syntactic variants of the same
-// expression share an entry.
+// expression share an entry; a lookup may carry any text, and every one is
+// counted in the hit and miss counters.
 type cacheKey struct {
 	study      string
 	epoch      uint64

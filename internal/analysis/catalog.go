@@ -7,9 +7,9 @@ import (
 )
 
 // MetricSpec names one series of a figure and the expression that computes
-// it. Specs are pure data: they marshal to JSON and round-trip through the
-// query grammar, so the catalog itself is servable and any metric can be
-// re-evaluated from its serialized form.
+// it. Specs are pure data: they marshal to JSON with each expression as its
+// query text, so the catalog itself is servable and any metric can be
+// re-evaluated through POST /query.
 type MetricSpec struct {
 	Name string
 	Expr *Expr
@@ -35,7 +35,7 @@ type FigureSpec struct {
 }
 
 // q parses a catalog expression, panicking on error: the catalog is static
-// data validated at package init.
+// data parsed at package init.
 func q(src string) *Expr {
 	e, err := ParseQuery(src)
 	if err != nil {
@@ -240,9 +240,9 @@ func SpecByName(name string) (FigureSpec, bool) {
 // becomes a series with one point per month on the frame's axis. The
 // produced Series share the frame's month index, making Series.Value O(1).
 // Each metric compiles against the frame here, whether the spec is the
-// catalog's or hand-built. EvalFigure panics on a spec whose expression does
-// not compile to a series — specs are static data, so that is a programming
-// error, not an input error.
+// catalog's or hand-built. EvalFigure panics on a spec whose expression is
+// a scalar — specs are static data, so that is a programming error, not an
+// input error.
 func (f *Frame) EvalFigure(spec FigureSpec) Figure {
 	fig := Figure{
 		ID:     spec.ID,
@@ -251,14 +251,11 @@ func (f *Frame) EvalFigure(spec FigureSpec) Figure {
 		Events: attackEvents(spec.Events...),
 	}
 	for _, m := range spec.Metrics {
-		p, err := Compile(m.Expr, f)
-		if err == nil && p.Kind() == KindScalar {
-			err = fmt.Errorf("expression %s is a scalar, not a series", m.Expr)
+		if m.Expr.Kind() == KindScalar {
+			panic(fmt.Sprintf("analysis: figure %s metric %s: expression %s is a scalar, not a series",
+				spec.ID, m.Name, m.Expr))
 		}
-		if err != nil {
-			panic(fmt.Sprintf("analysis: figure %s metric %s: %v", spec.ID, m.Name, err))
-		}
-		s := p.Eval().Series
+		s := f.plan(m.Expr).Eval().Series
 		s.Name = m.Name
 		fig.Series = append(fig.Series, s)
 	}

@@ -12,11 +12,13 @@ import (
 	"tlsage/internal/timeline"
 )
 
-// Expr is a serializable metric expression over a Frame — the query API the
-// figure catalog, the ad-hoc CLI/service queries and the impact metrics all
-// share. Unlike the closure-based evaluators it replaces, an Expr is pure
-// data: it marshals to JSON, round-trips through the compact text grammar
-// (ParseQuery / String) and is evaluated by one engine (Compile → Plan).
+// Expr is a metric expression over a Frame — the query API the figure
+// catalog, the ad-hoc CLI/service queries and the impact metrics all share.
+// Unlike the closure-based evaluators it replaces, an Expr is pure data: its
+// text is the compact grammar (ParseQuery / String) and it is evaluated by
+// one engine (Compile → Plan). Its fields are unexported, so ParseQuery,
+// which checks every node as it builds it, is the only way to build one:
+// every Expr is valid, and the zero Expr is not a query.
 //
 // An expression has one of three kinds:
 //
@@ -33,33 +35,27 @@ import (
 //     whole-window ratio), count(column), or mean/min/max/first/last of a
 //     series.
 type Expr struct {
-	// Op is the node operation, one of the Op* constants.
-	Op string `json:"op"`
-	// Col is the column selector for OpCol, matched case-insensitively;
-	// String prints it in its canonical lowercase form.
-	Col string `json:"col,omitempty"`
-	// Class is the suite class for OpPosition, matched and printed as Col is.
-	Class string `json:"class,omitempty"`
-	// Month is the "YYYY-MM" row selector for OpAt.
-	Month string `json:"month,omitempty"`
-	// Args are the operand expressions (see each Op for arity).
-	Args []*Expr `json:"args,omitempty"`
+	op    string         // one of the op* constants
+	col   string         // opCol: the selector, folded to its canonical form
+	class string         // opPosition: the classKeys key
+	month timeline.Month // opAt: the row selector
+	args  []*Expr        // operands, as many as the grammar gives op
 }
 
-// Expression operations.
+// Expression operations, spelled as the canonical text prints them.
 const (
-	OpCol      = "col"      // column: named or family:key selector
-	OpSum      = "sum"      // column: element-wise sum of column args
-	OpPct      = "pct"      // series: 100·num/den per month (args: num, den)
-	OpPosition = "position" // series: Figure 5 avg relative suite position
-	OpAt       = "at"       // scalar: series value at Month (0 when absent)
-	OpOver     = "over"     // scalar: 100·Σnum/Σden over the whole window
-	OpCount    = "count"    // scalar: Σ of a column over the whole window
-	OpMean     = "mean"     // scalar: arithmetic mean of a series
-	OpMin      = "min"      // scalar: minimum of a series
-	OpMax      = "max"      // scalar: maximum of a series
-	OpFirst    = "first"    // scalar: first monthly value
-	OpLast     = "last"     // scalar: last monthly value
+	opCol      = "col"      // column: named or family:key selector
+	opSum      = "sum"      // column: element-wise sum of column args
+	opPct      = "pct"      // series: 100·num/den per month (args: num, den)
+	opPosition = "position" // series: Figure 5 avg relative suite position
+	opAt       = "at"       // scalar: series value at month (0 when absent)
+	opOver     = "over"     // scalar: 100·Σnum/Σden over the whole window
+	opCount    = "count"    // scalar: Σ of a column over the whole window
+	opMean     = "mean"     // scalar: arithmetic mean of a series
+	opMin      = "min"      // scalar: minimum of a series
+	opMax      = "max"      // scalar: maximum of a series
+	opFirst    = "first"    // scalar: first monthly value
+	opLast     = "last"     // scalar: last monthly value
 )
 
 // Kind classifies what an expression evaluates to.
@@ -85,13 +81,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Kind returns the expression's result kind. Only meaningful for valid
-// expressions; unknown ops report KindScalar.
+// Kind returns the expression's result kind.
 func (e *Expr) Kind() Kind {
-	switch e.Op {
-	case OpCol, OpSum:
+	switch e.op {
+	case opCol, opSum:
 		return KindColumn
-	case OpPct, OpPosition:
+	case opPct, opPosition:
 		return KindSeries
 	}
 	return KindScalar
@@ -161,7 +156,7 @@ var agentKeys = map[string]string{
 }
 
 // isFPID reports whether s has the shape of an FPID column key: exactly 12
-// lowercase hex digits. Any well-formed ID validates — an ID outside the
+// lowercase hex digits. Any well-formed ID parses — an ID outside the
 // frame's top-K set simply reads as the zero column, like any never-observed
 // family key.
 func isFPID(s string) bool {
@@ -179,7 +174,7 @@ func isFPID(s string) bool {
 
 // extKeys and curveKeys are derived from the registry name tables (IANA
 // names are already lowercase). They are var-initialized, not filled in an
-// init func, because the catalog's own initializer validates expressions
+// init func, because the catalog's own initializer parses expressions
 // against them.
 var (
 	extKeys = func() map[string]registry.ExtensionID {
@@ -264,7 +259,7 @@ func ColumnNames() []string {
 	return slices.Sorted(slices.Values(plainNames[:]))
 }
 
-// --- validation ---
+// --- checks the parser makes ---
 
 // fold lowercases ASCII in place-ish; returns s unchanged (and unallocated)
 // when it is already lowercase.
@@ -277,8 +272,8 @@ func fold(s string) string {
 	return s
 }
 
-// checkColumn validates a column selector, returning its canonical
-// (folded) form without touching the input.
+// checkColumn checks a column selector, returning its canonical (folded)
+// form.
 func checkColumn(name string) (string, error) {
 	name = fold(name)
 	if _, ok := plainIndex[name]; ok {
@@ -309,90 +304,6 @@ func parseMonth(s string) (timeline.Month, error) {
 		return timeline.Month{}, fmt.Errorf("bad month %q (want YYYY-MM)", s)
 	}
 	return timeline.M(y, time.Month(m)), nil
-}
-
-// Validate checks the expression tree without modifying it, so validating
-// a shared expression (the catalog specs) is safe from any number of
-// goroutines. Selectors match case-insensitively; an expression that
-// validates cleanly cannot fail evaluation, and its String is its canonical
-// text, however its selectors are spelled.
-func (e *Expr) Validate() error {
-	if e == nil {
-		return fmt.Errorf("nil expression")
-	}
-	arity := func(n int) error {
-		if len(e.Args) != n {
-			return fmt.Errorf("%s takes %d argument(s), got %d", e.Op, n, len(e.Args))
-		}
-		return nil
-	}
-	wantKind := func(a *Expr, k Kind) error {
-		if err := a.Validate(); err != nil {
-			return err
-		}
-		got := a.Kind()
-		if got == k || (k == KindSeries && got == KindColumn) { // columns promote to series
-			return nil
-		}
-		return fmt.Errorf("%s needs a %s argument, got %s (%s)", e.Op, k, got, a)
-	}
-	switch e.Op {
-	case OpCol:
-		if _, err := checkColumn(e.Col); err != nil {
-			return err
-		}
-		if len(e.Args) != 0 {
-			return fmt.Errorf("col takes no arguments")
-		}
-		return nil
-	case OpSum:
-		if len(e.Args) == 0 {
-			return fmt.Errorf("sum needs at least one column")
-		}
-		for _, a := range e.Args {
-			if err := wantKind(a, KindColumn); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpPct, OpOver:
-		if err := arity(2); err != nil {
-			return err
-		}
-		for _, a := range e.Args {
-			if err := wantKind(a, KindColumn); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpPosition:
-		if _, ok := classKeys[fold(e.Class)]; !ok {
-			return fmt.Errorf("unknown suite class %q", e.Class)
-		}
-		if len(e.Args) != 0 {
-			return fmt.Errorf("position takes no expression arguments")
-		}
-		return nil
-	case OpAt:
-		if err := arity(1); err != nil {
-			return err
-		}
-		if _, err := parseMonth(e.Month); err != nil {
-			return err
-		}
-		return wantKind(e.Args[0], KindSeries)
-	case OpCount:
-		if err := arity(1); err != nil {
-			return err
-		}
-		return wantKind(e.Args[0], KindColumn)
-	case OpMean, OpMin, OpMax, OpFirst, OpLast:
-		if err := arity(1); err != nil {
-			return err
-		}
-		return wantKind(e.Args[0], KindSeries)
-	}
-	return fmt.Errorf("unknown operation %q", e.Op)
 }
 
 // QueryResult is the answer to one expression query: a monthly series or a

@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tlsage/internal/notary"
+	"tlsage/internal/timeline"
 )
 
 // TestQueryScalarOps pins each scalar reduction against a hand computation
@@ -100,6 +103,15 @@ func TestParseQueryErrors(t *testing.T) {
 		"sum(pct(adv-rc4 / total), total)", // series where column expected
 		"position(nosuchclass)",
 		"pct(version:tls12 / established) trailing",
+		"pct(established / no-such-column)", // bad denominator
+		"at(no-such-column, 2018-02)",       // bad at operand
+		"count(pct(adv-rc4 / total))",       // series where count wants a column
+		"sum(total, no-such-column)",        // bad later sum operand
+		"pct(total # established)",          // a byte outside the grammar
+		"fp:0123abcd",                       // short fingerprint key
+		"fp:0123456789ag",                   // non-hex fingerprint key
+		"at(established, 20x8-02)",          // non-digit month
+		"at(established, 18-02)",            // short month
 	}
 	for _, src := range bad {
 		if _, err := ParseQuery(src); err == nil {
@@ -120,16 +132,21 @@ func TestParseQueryErrors(t *testing.T) {
 	}
 }
 
-// randomExpr generates a valid expression tree of bounded depth for the
-// round-trip property tests.
+// randomExpr generates an expression tree of bounded depth, in the
+// canonical form ParseQuery builds, for the round-trip and parity property
+// tests.
 func randomExpr(rnd *rand.Rand, wantKind Kind, depth int) *Expr {
 	cols := []string{
 		"total", "established", "fingerprints", "adv-rc4", "neg-aead",
 		"kex-forward-secret", "version:tls12", "version:ssl3", "class:aead",
 		"kex:ecdhe", "ext:heartbeat", "curve:x25519", "curve:*", "tls13:tls13-google",
+		"version:*", "class:*", "kex:*", "ext:*", "tls13:*",
 	}
-	column := func() *Expr { return &Expr{Op: OpCol, Col: cols[rnd.Intn(len(cols))]} }
-	months := []string{"2012-02", "2015-09", "2018-04", "1999-01"}
+	column := func() *Expr { return &Expr{op: opCol, col: cols[rnd.Intn(len(cols))]} }
+	months := []timeline.Month{
+		timeline.M(2012, time.February), timeline.M(2015, time.September),
+		timeline.M(2018, time.April), timeline.M(1999, time.January),
+	}
 	classes := []string{"aead", "cbc", "rc4", "des", "3des"}
 	switch wantKind {
 	case KindColumn:
@@ -141,15 +158,15 @@ func randomExpr(rnd *rand.Rand, wantKind Kind, depth int) *Expr {
 		for i := range args {
 			args[i] = randomExpr(rnd, KindColumn, depth-1)
 		}
-		return &Expr{Op: OpSum, Args: args}
+		return &Expr{op: opSum, args: args}
 	case KindSeries:
 		switch rnd.Intn(3) {
 		case 0:
-			return &Expr{Op: OpPosition, Class: classes[rnd.Intn(len(classes))]}
+			return &Expr{op: opPosition, class: classes[rnd.Intn(len(classes))]}
 		case 1:
 			return randomExpr(rnd, KindColumn, depth-1)
 		default:
-			return &Expr{Op: OpPct, Args: []*Expr{
+			return &Expr{op: opPct, args: []*Expr{
 				randomExpr(rnd, KindColumn, depth-1),
 				randomExpr(rnd, KindColumn, depth-1),
 			}}
@@ -157,73 +174,44 @@ func randomExpr(rnd *rand.Rand, wantKind Kind, depth int) *Expr {
 	default:
 		switch rnd.Intn(4) {
 		case 0:
-			return &Expr{Op: OpAt, Month: months[rnd.Intn(len(months))],
-				Args: []*Expr{randomExpr(rnd, KindSeries, depth-1)}}
+			return &Expr{op: opAt, month: months[rnd.Intn(len(months))],
+				args: []*Expr{randomExpr(rnd, KindSeries, depth-1)}}
 		case 1:
-			return &Expr{Op: OpOver, Args: []*Expr{
+			return &Expr{op: opOver, args: []*Expr{
 				randomExpr(rnd, KindColumn, depth-1),
 				randomExpr(rnd, KindColumn, depth-1),
 			}}
 		case 2:
-			return &Expr{Op: OpCount, Args: []*Expr{randomExpr(rnd, KindColumn, depth-1)}}
+			return &Expr{op: opCount, args: []*Expr{randomExpr(rnd, KindColumn, depth-1)}}
 		default:
-			reds := []string{OpMean, OpMin, OpMax, OpFirst, OpLast}
-			return &Expr{Op: reds[rnd.Intn(len(reds))],
-				Args: []*Expr{randomExpr(rnd, KindSeries, depth-1)}}
+			reds := []string{opMean, opMin, opMax, opFirst, opLast}
+			return &Expr{op: reds[rnd.Intn(len(reds))],
+				args: []*Expr{randomExpr(rnd, KindSeries, depth-1)}}
 		}
 	}
 }
 
-// TestExprJSONRoundTripProperty: random valid expressions survive
-// marshal→unmarshal bit-exactly, their text form re-parses to the same
-// tree, and both forms evaluate identically. The catalog's own expressions
-// are held to the same property, so a remote client holding only the
-// serialized form computes exactly what Frame.EvalFigure computes.
-func TestExprJSONRoundTripProperty(t *testing.T) {
-	f := sharedFrame(t)
+// TestExprTextRoundTripProperty: random expressions and the catalog's own
+// come back from their text as the same tree, spelled canonically or in
+// capitals, so every spelling of a query reaches one cache entry and one
+// plan, and a remote client holding only a catalog metric's text computes
+// exactly what Frame.EvalFigure computes.
+func TestExprTextRoundTripProperty(t *testing.T) {
 	roundTrip := func(t *testing.T, e *Expr) {
 		t.Helper()
-		raw, err := json.Marshal(e)
-		if err != nil {
-			t.Fatalf("marshal %s: %v", e, err)
-		}
-		var decoded Expr
-		if err := json.Unmarshal(raw, &decoded); err != nil {
-			t.Fatalf("unmarshal %s: %v", raw, err)
-		}
-		if !reflect.DeepEqual(&decoded, e) {
-			t.Fatalf("JSON round trip changed the tree:\n%s\n%s", e, &decoded)
-		}
-
-		reparsed, err := ParseQuery(e.String())
-		if err != nil {
-			t.Fatalf("reparse %q: %v", e, err)
-		}
-		if !reflect.DeepEqual(reparsed, e) {
-			t.Fatalf("text round trip changed the tree: %q -> %q", e, reparsed)
-		}
-
-		p, err := Compile(e, f)
-		if err != nil {
-			t.Fatalf("compile %s: %v", e, err)
-		}
-		pd, err := Compile(&decoded, f)
-		if err != nil {
-			t.Fatalf("compile decoded %s: %v", &decoded, err)
-		}
-		want, got := p.Eval(), pd.Eval()
-		if want.Kind != got.Kind || want.Value != got.Value ||
-			!reflect.DeepEqual(want.Series.Points, got.Series.Points) {
-			t.Fatalf("decoded tree evaluates differently: %s", e)
+		for _, src := range []string{e.String(), strings.ToUpper(e.String())} {
+			reparsed, err := ParseQuery(src)
+			if err != nil {
+				t.Fatalf("reparse %q: %v", src, err)
+			}
+			if !reflect.DeepEqual(reparsed, e) {
+				t.Fatalf("text round trip changed the tree: %q -> %q", e, reparsed)
+			}
 		}
 	}
 	rnd := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		e := randomExpr(rnd, Kind(rnd.Intn(3)), 3)
-		if err := e.Validate(); err != nil {
-			t.Fatalf("generated invalid expr %s: %v", e, err)
-		}
-		roundTrip(t, e)
+		roundTrip(t, randomExpr(rnd, Kind(rnd.Intn(3)), 3))
 	}
 	t.Run("catalog-expr-serialized-parity", func(t *testing.T) {
 		for _, spec := range Catalog() {
@@ -234,8 +222,10 @@ func TestExprJSONRoundTripProperty(t *testing.T) {
 	})
 }
 
-// FuzzParseQuery: the parser must never panic, and any accepted input must
-// reach the parse→format→parse fixpoint.
+// FuzzParseQuery: the parser must never panic, and any accepted input's
+// canonical text must parse back to the very same tree — the invariant the
+// query cache's raw-text lookup relies on (an entry stored under a canonical
+// text is the answer to that text).
 func FuzzParseQuery(fz *testing.F) {
 	for _, spec := range Catalog() {
 		for _, m := range spec.Metrics {
@@ -258,14 +248,14 @@ func FuzzParseQuery(fz *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form %q of %q fails to parse: %v", canonical, src, err)
 		}
-		if got := again.String(); got != canonical {
-			t.Fatalf("no fixpoint: %q -> %q -> %q", src, canonical, got)
+		if !reflect.DeepEqual(again, e) {
+			t.Fatalf("%q and its canonical form %q parse to different trees", src, canonical)
 		}
 	})
 }
 
 // TestQueryEvalAllocs pins the interpreter's allocation discipline: a
-// validated catalog-shaped query allocates only its result slice, and a
+// catalog-shaped query allocates only its result slice, and a
 // sum-based query adds exactly one scratch column — no per-month garbage.
 func TestQueryEvalAllocs(t *testing.T) {
 	f := sharedFrame(t)
@@ -297,7 +287,7 @@ func TestQueryEvalAllocs(t *testing.T) {
 }
 
 // TestConcurrentCatalogEval hammers the shared catalog specs from many
-// goroutines (run under -race): Validate and evaluation must never write to
+// goroutines (run under -race): printing and evaluation must never write to
 // the shared expression trees, or concurrent /figures requests would race.
 func TestConcurrentCatalogEval(t *testing.T) {
 	f := sharedFrame(t)
@@ -313,8 +303,8 @@ func TestConcurrentCatalogEval(t *testing.T) {
 				}
 				for _, spec := range Catalog() {
 					for _, m := range spec.Metrics {
-						if err := m.Expr.Validate(); err != nil {
-							t.Errorf("validate %s: %v", m.Expr, err)
+						if m.Expr.String() == "" {
+							t.Errorf("%s: metric %s prints no text", spec.Name, m.Name)
 							return
 						}
 					}

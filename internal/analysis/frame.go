@@ -515,16 +515,6 @@ func (f *Frame) FingerprintGauges() (distinct, topK int, otherShare float64) {
 	return f.fpDistinct, TopKFingerprints, otherShare
 }
 
-// mustPlan compiles one of the package's static expressions against f. They
-// are validated at package init, so a compile failure is a programming error.
-func (f *Frame) mustPlan(e *Expr) *Plan {
-	p, err := Compile(e, f)
-	if err != nil {
-		panic(fmt.Sprintf("analysis: static expression %s failed to compile: %v", e, err))
-	}
-	return p
-}
-
 // Len returns the number of months on the frame's axis.
 func (f *Frame) Len() int { return len(f.Months) }
 

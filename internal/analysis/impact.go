@@ -61,7 +61,7 @@ func AttackImpactsFrame(f *Frame) []AttackImpact {
 		imp := AttackImpact{Event: events[i], Metric: im.metric}
 		// The compiled plan streams single rows, so reading the three
 		// sample months never materializes the full series.
-		p := f.mustPlan(im.expr)
+		p := f.plan(im.expr)
 		imp.Before = p.seriesAt(before)
 		imp.After6 = p.seriesAt(after6)
 		imp.After12 = p.seriesAt(after12)

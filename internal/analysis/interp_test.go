@@ -4,10 +4,11 @@ package analysis
 // plan compiler (plan.go) took over every production path, the reference the
 // differential tests hold it to — TestCompileCatalogParity,
 // TestCompileRandomParity and FuzzCompileEval require a compiled plan to
-// answer bit-for-bit what this file computes. It re-walks the tree,
-// re-validates it and re-resolves column selectors through the vocabulary
-// maps on every evaluation, which is what makes it a useful oracle: it shares
-// the vocabulary with the compiler and nothing else.
+// answer bit-for-bit what this file computes. It re-walks the tree and
+// re-resolves column selectors through the vocabulary maps on every
+// evaluation, which is what makes it a useful oracle: it shares the
+// vocabulary with the compiler and nothing else. It does not re-check the
+// tree: ParseQuery, the only constructor of an Expr, has checked it.
 
 import (
 	"fmt"
@@ -45,26 +46,20 @@ func mustQuery(t *testing.T, f *Frame, src string) QueryResult {
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	want, err := f.Query(e)
-	if err != nil {
-		t.Fatalf("interpret %q: %v", src, err)
-	}
 	got := p.Eval()
-	assertSameResult(t, e, want, got)
+	assertSameResult(t, e, f.Query(e), got)
 	return got
 }
 
 // --- evaluation ---
 
-// evalColumn resolves a validated column-kind expression to a dense []int
+// evalColumn resolves a column-kind expression to a dense []int
 // aligned with the frame's months; nil means all-zero. Only sum nodes and
 // family wildcards allocate (one scratch column each).
 func (f *Frame) evalColumn(e *Expr) []int {
-	switch e.Op {
-	case OpCol:
-		// fold is a no-op (and alloc-free) for canonical selectors; it keeps
-		// evaluation of a JSON-decoded, never-canonicalized tree working.
-		name := fold(e.Col)
+	switch e.op {
+	case opCol:
+		name := e.col
 		if i, ok := plainIndex[name]; ok {
 			return f.Plain[i]
 		}
@@ -80,32 +75,32 @@ func (f *Frame) evalColumn(e *Expr) []int {
 			}
 		}
 		return out
-	case OpSum:
+	case opSum:
 		out := make([]int, f.Len())
-		for _, a := range e.Args {
+		for _, a := range e.args {
 			for i, v := range f.evalColumn(a) {
 				out[i] += v
 			}
 		}
 		return out
 	}
-	panic(fmt.Sprintf("analysis: evalColumn on %q node", e.Op))
+	panic(fmt.Sprintf("analysis: evalColumn on %q node", e.op))
 }
 
-// evalSeries evaluates a validated series- or column-kind expression into
+// evalSeries evaluates a series- or column-kind expression into
 // one float64 per month. The returned slice is the only allocation for
 // pct/position over plain columns.
 func (f *Frame) evalSeries(e *Expr) []float64 {
 	out := make([]float64, f.Len())
-	switch e.Op {
-	case OpPct:
-		num, den := f.evalColumn(e.Args[0]), f.evalColumn(e.Args[1])
+	switch e.op {
+	case opPct:
+		num, den := f.evalColumn(e.args[0]), f.evalColumn(e.args[1])
 		for i := range out {
 			out[i] = pctAt(num, den, i)
 		}
-	case OpPosition:
+	case opPosition:
 		// stream and other are valid spellings Figure 5 does not track.
-		if class, ok := notary.ParsePosClass(classKeys[fold(e.Class)]); ok {
+		if class, ok := notary.ParsePosClass(classKeys[e.class]); ok {
 			sums, counts := f.Pos[class].Sum, f.Pos[class].Count
 			for i := range out {
 				if c := at(counts, i); c != 0 {
@@ -121,37 +116,36 @@ func (f *Frame) evalSeries(e *Expr) []float64 {
 	return out
 }
 
-// evalScalar evaluates a validated scalar-kind expression.
+// evalScalar evaluates a scalar-kind expression.
 func (f *Frame) evalScalar(e *Expr) float64 {
-	switch e.Op {
-	case OpAt:
-		m, _ := parseMonth(e.Month) // validated
-		row, ok := f.Row(m)
+	switch e.op {
+	case opAt:
+		row, ok := f.Row(e.month)
 		if !ok {
 			return 0
 		}
-		return f.evalSeries(e.Args[0])[row]
-	case OpOver:
-		num, den := sumCol(f.evalColumn(e.Args[0])), sumCol(f.evalColumn(e.Args[1]))
+		return f.evalSeries(e.args[0])[row]
+	case opOver:
+		num, den := sumCol(f.evalColumn(e.args[0])), sumCol(f.evalColumn(e.args[1]))
 		if den == 0 {
 			return 0
 		}
 		return 100 * float64(num) / float64(den)
-	case OpCount:
-		return float64(sumCol(f.evalColumn(e.Args[0])))
+	case opCount:
+		return float64(sumCol(f.evalColumn(e.args[0])))
 	}
-	vals := f.evalSeries(e.Args[0])
+	vals := f.evalSeries(e.args[0])
 	if len(vals) == 0 {
 		return 0
 	}
-	switch e.Op {
-	case OpMean:
+	switch e.op {
+	case opMean:
 		s := 0.0
 		for _, v := range vals {
 			s += v
 		}
 		return s / float64(len(vals))
-	case OpMin:
+	case opMin:
 		m := vals[0]
 		for _, v := range vals[1:] {
 			if v < m {
@@ -159,7 +153,7 @@ func (f *Frame) evalScalar(e *Expr) float64 {
 			}
 		}
 		return m
-	case OpMax:
+	case opMax:
 		m := vals[0]
 		for _, v := range vals[1:] {
 			if v > m {
@@ -167,47 +161,38 @@ func (f *Frame) evalScalar(e *Expr) float64 {
 			}
 		}
 		return m
-	case OpFirst:
+	case opFirst:
 		return vals[0]
-	case OpLast:
+	case opLast:
 		return vals[len(vals)-1]
 	}
-	panic(fmt.Sprintf("analysis: evalScalar on %q node", e.Op))
+	panic(fmt.Sprintf("analysis: evalScalar on %q node", e.op))
 }
 
-// EvalSeries validates e and evaluates it as a monthly series (columns
-// evaluate to their raw counts). Beyond validation bookkeeping, the result
-// slice is the only per-month allocation for plain-column expressions.
+// EvalSeries evaluates e as a monthly series (columns evaluate to their raw
+// counts). The result slice is the only per-month allocation for
+// plain-column expressions.
 func (f *Frame) EvalSeries(e *Expr) ([]float64, error) {
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
 	if e.Kind() == KindScalar {
 		return nil, fmt.Errorf("expression %s is a scalar, not a series", e)
 	}
 	return f.evalSeries(e), nil
 }
 
-// EvalScalar validates e and evaluates it as a single value.
+// EvalScalar evaluates e as a single value.
 func (f *Frame) EvalScalar(e *Expr) (float64, error) {
-	if err := e.Validate(); err != nil {
-		return 0, err
-	}
 	if e.Kind() != KindScalar {
 		return 0, fmt.Errorf("expression %s is a %s, not a scalar (wrap it in at/over/mean/...)", e, e.Kind())
 	}
 	return f.evalScalar(e), nil
 }
 
-// Query validates and evaluates an expression of any kind against the frame.
-// Series results share the frame's month index (Series.Value is O(1)).
-func (f *Frame) Query(e *Expr) (QueryResult, error) {
-	if err := e.Validate(); err != nil {
-		return QueryResult{}, err
-	}
+// Query evaluates an expression of any kind against the frame. Series
+// results share the frame's month index (Series.Value is O(1)).
+func (f *Frame) Query(e *Expr) QueryResult {
 	src := e.String()
 	if e.Kind() == KindScalar {
-		return QueryResult{Query: src, Kind: "scalar", Value: f.evalScalar(e)}, nil
+		return QueryResult{Query: src, Kind: "scalar", Value: f.evalScalar(e)}
 	}
 	vals := f.evalSeries(e)
 	pts := make([]Point, len(vals))
@@ -218,7 +203,7 @@ func (f *Frame) Query(e *Expr) (QueryResult, error) {
 		Query:  src,
 		Kind:   "series",
 		Series: Series{Name: src, Points: pts, index: f.index},
-	}, nil
+	}
 }
 
 // at reads column c at row i, treating a nil (never-observed) column as 0.

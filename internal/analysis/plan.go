@@ -1,10 +1,10 @@
 package analysis
 
-// The plan compiler: the query engine's one evaluator. A Plan validates an
-// expression and resolves its column selectors through the vocabulary maps
-// exactly once, against one Frame's column layout, and leaves behind a flat
-// program. Evaluation has one loop body, seriesAt, which computes the
-// series at one row; EvalSeries, EvalScalar and Eval all loop over it.
+// The plan compiler: the query engine's one evaluator. A Plan resolves an
+// expression's column selectors through the vocabulary maps exactly once,
+// against one Frame's column layout, and leaves behind a flat program.
+// Evaluation has one loop body, seriesAt, which computes the series at one
+// row; EvalSeries, EvalScalar and Eval all loop over it.
 //
 // Compilation lowers an expression as follows:
 //
@@ -69,8 +69,8 @@ const (
 
 // Plan is a compiled, frame-bound query program. Compile it once per
 // (expression, frame) pair and evaluate it any number of times; evaluation
-// performs no validation, no vocabulary lookups and no allocation beyond
-// the result slice (none at all for scalars).
+// performs no vocabulary lookups and no allocation beyond the result slice
+// (none at all for scalars).
 type Plan struct {
 	frame *Frame
 	kind  Kind
@@ -88,17 +88,20 @@ type Plan struct {
 	row    int // reduceAt: resolved row index, -1 when outside the frame
 }
 
-// Compile lowers a validated expression into a flat plan bound to f's
-// column layout. Compilation validates e (so any Expr is accepted) and is
-// the only place selector resolution happens; the returned plan evaluates
-// without ever consulting the column vocabulary again.
+// Compile lowers an expression into a flat plan bound to f's column layout.
+// ParseQuery checked every node, so only a nil frame fails; compilation is
+// the only place selector resolution happens, and the returned plan
+// evaluates without ever consulting the column vocabulary again.
 func Compile(e *Expr, f *Frame) (*Plan, error) {
 	if f == nil {
 		return nil, fmt.Errorf("analysis: Compile on nil frame")
 	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
+	return f.plan(e), nil
+}
+
+// plan is Compile on a frame that exists: the package's static expressions
+// compile through it, with no error to handle.
+func (f *Frame) plan(e *Expr) *Plan {
 	p := &Plan{frame: f, kind: e.Kind(), query: e.String(), row: -1}
 	switch p.kind {
 	case KindColumn, KindSeries:
@@ -106,17 +109,17 @@ func Compile(e *Expr, f *Frame) (*Plan, error) {
 	default:
 		p.compileScalar(e)
 	}
-	return p, nil
+	return p
 }
 
-// compileColumn resolves a validated column-kind expression to one dense
-// []int aligned with the frame's months. Sum nodes and family wildcards
+// compileColumn resolves a column-kind expression to one dense []int
+// aligned with the frame's months. Sum nodes and family wildcards
 // materialize their total here, at compile time; nil means all-zero.
 func (p *Plan) compileColumn(e *Expr) []int {
 	f := p.frame
-	switch e.Op {
-	case OpCol:
-		name := fold(e.Col)
+	switch e.op {
+	case opCol:
+		name := e.col
 		if i, ok := plainIndex[name]; ok {
 			return f.Plain[i]
 		}
@@ -132,9 +135,9 @@ func (p *Plan) compileColumn(e *Expr) []int {
 			}
 		}
 		return out
-	case OpSum:
+	case opSum:
 		out := make([]int, f.Len())
-		for _, a := range e.Args {
+		for _, a := range e.args {
 			if c := p.compileColumn(a); c != nil {
 				for i, v := range c {
 					out[i] += v
@@ -143,24 +146,24 @@ func (p *Plan) compileColumn(e *Expr) []int {
 		}
 		return out
 	}
-	panic(fmt.Sprintf("analysis: compileColumn on %q node", e.Op))
+	panic(fmt.Sprintf("analysis: compileColumn on %q node", e.op))
 }
 
-// compileSeries lowers a validated series- or column-kind expression into
-// the plan's kernel slots.
+// compileSeries lowers a series- or column-kind expression into the plan's
+// kernel slots.
 func (p *Plan) compileSeries(e *Expr) {
-	switch e.Op {
-	case OpPct:
-		num := p.compileColumn(e.Args[0])
-		den := p.compileColumn(e.Args[1])
+	switch e.op {
+	case opPct:
+		num := p.compileColumn(e.args[0])
+		den := p.compileColumn(e.args[1])
 		if num == nil || den == nil {
 			// 100·0/den and n/0 both yield 0 under the figure convention.
 			p.kernel = kernelZero
 			return
 		}
 		p.kernel, p.num, p.den = kernelPct, num, den
-	case OpPosition:
-		class, ok := notary.ParsePosClass(classKeys[fold(e.Class)])
+	case opPosition:
+		class, ok := notary.ParsePosClass(classKeys[e.class])
 		if !ok { // stream, other: valid spellings Figure 5 does not track
 			p.kernel = kernelZero
 			return
@@ -176,44 +179,40 @@ func (p *Plan) compileSeries(e *Expr) {
 	}
 }
 
-// compileScalar lowers a validated scalar-kind expression: the reductions
-// that fold whole columns (over/count) keep the resolved columns, the
-// series reductions keep the inner kernel and stream it at eval time.
+// compileScalar lowers a scalar-kind expression: the reductions that fold
+// whole columns (over/count) keep the resolved columns, the series
+// reductions keep the inner kernel and stream it at eval time.
 func (p *Plan) compileScalar(e *Expr) {
-	switch e.Op {
-	case OpAt:
+	switch e.op {
+	case opAt:
 		p.reduce = reduceAt
-		m, _ := parseMonth(e.Month) // validated
-		if row, ok := p.frame.Row(m); ok {
+		if row, ok := p.frame.Row(e.month); ok {
 			p.row = row
 		}
-		p.compileSeries(e.Args[0])
-	case OpOver:
+		p.compileSeries(e.args[0])
+	case opOver:
 		p.reduce = reduceOver
-		p.num = p.compileColumn(e.Args[0])
-		p.den = p.compileColumn(e.Args[1])
-	case OpCount:
+		p.num = p.compileColumn(e.args[0])
+		p.den = p.compileColumn(e.args[1])
+	case opCount:
 		p.reduce = reduceCount
-		p.col = p.compileColumn(e.Args[0])
+		p.col = p.compileColumn(e.args[0])
 	default:
-		switch e.Op {
-		case OpMean:
+		switch e.op {
+		case opMean:
 			p.reduce = reduceMean
-		case OpMin:
+		case opMin:
 			p.reduce = reduceMin
-		case OpMax:
+		case opMax:
 			p.reduce = reduceMax
-		case OpFirst:
+		case opFirst:
 			p.reduce = reduceFirst
-		case OpLast:
+		case opLast:
 			p.reduce = reduceLast
 		}
-		p.compileSeries(e.Args[0])
+		p.compileSeries(e.args[0])
 	}
 }
-
-// Kind returns what the plan evaluates to.
-func (p *Plan) Kind() Kind { return p.kind }
 
 // seriesAt evaluates the plan's series at one row. It is the only place the
 // kernels' arithmetic is written: the series evaluators collect it row by

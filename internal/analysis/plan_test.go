@@ -3,6 +3,7 @@ package analysis
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -77,11 +78,7 @@ func TestCompileCatalogParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile %s: %v", e, err)
 			}
-			want, err := f.Query(e)
-			if err != nil {
-				t.Fatalf("interpret %s: %v", e, err)
-			}
-			assertSameResult(t, e, want, p.Eval())
+			assertSameResult(t, e, f.Query(e), p.Eval())
 		}
 	}
 }
@@ -99,39 +96,39 @@ func TestCompileRandomParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile %s: %v", e, err)
 			}
-			want, err := f.Query(e)
-			if err != nil {
-				t.Fatalf("interpret %s: %v", e, err)
-			}
-			assertSameResult(t, e, want, p.Eval())
-			if p.Kind() != e.Kind() || p.query != e.String() {
-				t.Fatalf("%s: plan metadata (%s, %q)", e, p.Kind(), p.query)
+			assertSameResult(t, e, f.Query(e), p.Eval())
+			if p.kind != e.Kind() || p.query != e.String() {
+				t.Fatalf("%s: plan metadata (%s, %q)", e, p.kind, p.query)
 			}
 		}
 	}
 }
 
-// TestCompileRejectsInvalid: compilation must validate, not trust, its input
-// — the result cache keys on canonical text, so an invalid tree must never
-// produce a plan (or a key).
-func TestCompileRejectsInvalid(t *testing.T) {
-	f := sharedFrame(t)
-	bad := []*Expr{
-		{Op: OpCol, Col: "no-such-column"},
-		{Op: OpCol, Col: "pct(total / total)"}, // key-impersonation attempt
-		{Op: OpPct, Args: []*Expr{{Op: OpCol, Col: "total"}}},
-		{Op: OpAt, Month: "2018-13", Args: []*Expr{{Op: OpCol, Col: "total"}}},
-	}
-	for _, e := range bad {
-		if _, err := Compile(e, f); err == nil {
-			t.Errorf("Compile accepted invalid expr %q", e)
+// TestParseRejectsWhatCompileTrusts: Compile trusts its input, so the
+// parser, the only constructor of an Expr, must reject the trees that once
+// reached Compile by hand — an unknown column, a one-operand pct, a month out
+// of range — returning no tree and an error naming the query. A column named
+// like another query's text (a key-impersonation attempt on the result
+// cache) has no spelling at all: the text parses as that query.
+func TestParseRejectsWhatCompileTrusts(t *testing.T) {
+	for _, src := range []string{
+		"no-such-column",
+		"pct(total)",
+		"at(total, 2018-13)",
+	} {
+		e, err := ParseQuery(src)
+		if e != nil || err == nil || !strings.HasPrefix(err.Error(), "query "+strconv.Quote(src)+": ") {
+			t.Errorf("ParseQuery(%q) = %v, %v; want no tree and an error naming the query", src, e, err)
 		}
+	}
+	if e, err := ParseQuery("pct(total / total)"); err != nil || e.op != opPct {
+		t.Errorf(`"pct(total / total)" parses to %v, %v; want the pct query`, e, err)
 	}
 }
 
 // TestEvalFigureHandBuiltSpec: a spec outside the catalog compiles as a
-// catalog spec does — equal to the interpreter — and a metric that does not
-// compile to a series panics naming the figure and the metric.
+// catalog spec does — equal to the interpreter — and a scalar metric panics
+// naming the figure and the metric.
 func TestEvalFigureHandBuiltSpec(t *testing.T) {
 	f := sharedFrame(t)
 	e, err := ParseQuery("pct(sum(version:tls11, version:tls12) / established)")
@@ -152,20 +149,13 @@ func TestEvalFigureHandBuiltSpec(t *testing.T) {
 		}
 	}
 
-	for name, bad := range map[string]*Expr{
-		"invalid": {Op: OpCol, Col: "no-such-column"},
-		"scalar":  q("count(total)"),
-	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "analysis: figure Figure X metric "+name+": ") {
-					t.Errorf("%s metric: panic %q, want the figure/metric prefix", name, msg)
-				}
-			}()
-			f.EvalFigure(FigureSpec{ID: "Figure X", Metrics: []MetricSpec{{Name: name, Expr: bad}}})
-		}()
-	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "analysis: figure Figure X metric scalar: ") {
+			t.Errorf("scalar metric: panic %q, want the figure/metric prefix", msg)
+		}
+	}()
+	f.EvalFigure(FigureSpec{ID: "Figure X", Metrics: []MetricSpec{{Name: "scalar", Expr: q("count(total)")}}})
 }
 
 // TestPlanEvalAllocs pins the compiled engine's allocation discipline:
@@ -243,11 +233,7 @@ func FuzzCompileEval(fz *testing.F) {
 			if err != nil {
 				t.Fatalf("parsed query %q fails to compile: %v", src, err)
 			}
-			want, err := f.Query(e)
-			if err != nil {
-				t.Fatalf("parsed query %q fails to interpret: %v", src, err)
-			}
-			got := p.Eval()
+			want, got := f.Query(e), p.Eval()
 			if want.Kind != got.Kind || want.Value != got.Value ||
 				!reflect.DeepEqual(want.Series.Points, got.Series.Points) {
 				t.Fatalf("compiled and interpreted results differ for %q", src)

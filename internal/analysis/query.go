@@ -5,8 +5,9 @@ import (
 	"strings"
 )
 
-// The compact query grammar, the human-facing encoding of Expr (JSON is the
-// machine-facing one). Case-insensitive; whitespace is free. EBNF:
+// The compact query grammar, the one spelling of an Expr: the catalog, the
+// CLI and POST /query all speak it. Case-insensitive; whitespace is free.
+// EBNF:
 //
 //	expr     := call | column
 //	call     := ratio | reduce | "sum" "(" expr {"," expr} ")"
@@ -28,15 +29,20 @@ import (
 // "ratio" parses as an alias of "pct"; the canonical rendering (Expr.String)
 // always prints "pct".
 
-// queryOps names the call operations the parser accepts (beyond the ratio
-// alias) and their slash-separated vs comma-separated argument shape.
+// queryOps names the call operations the parser accepts, the ratio alias
+// included.
 var queryOps = map[string]string{
-	"sum": OpSum, "pct": OpPct, "ratio": OpPct, "over": OpOver,
-	"position": OpPosition, "at": OpAt, "count": OpCount,
-	"mean": OpMean, "min": OpMin, "max": OpMax, "first": OpFirst, "last": OpLast,
+	"sum": opSum, "pct": opPct, "ratio": opPct, "over": opOver,
+	"position": opPosition, "at": opAt, "count": opCount,
+	"mean": opMean, "min": opMin, "max": opMax, "first": opFirst, "last": opLast,
 }
 
-// ParseQuery parses the compact text grammar into a validated expression.
+// ParseQuery parses the compact text grammar into an expression. It is the
+// only constructor of an Expr and checks each node as it builds it — the
+// column at a bare word, the class in position, the month in at and the
+// kind of every operand — so an expression it returns cannot fail to
+// compile. Selectors are stored folded, so String prints the canonical text,
+// and ParseQuery(e.String()) rebuilds e exactly.
 func ParseQuery(src string) (*Expr, error) {
 	p := &queryParser{src: src}
 	e, err := p.parseExpr()
@@ -45,9 +51,6 @@ func ParseQuery(src string) (*Expr, error) {
 	}
 	if tok, _ := p.next(); tok != "" {
 		return nil, fmt.Errorf("query %q: trailing %q", src, tok)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, fmt.Errorf("query %q: %w", src, err)
 	}
 	return e, nil
 }
@@ -116,62 +119,72 @@ func (p *queryParser) parseExpr() (*Expr, error) {
 	}
 	op, isCall := queryOps[fold(tok)]
 	if !isCall || p.peek() != "(" {
-		// A bare word is a column selector; validation resolves it.
-		return &Expr{Op: OpCol, Col: tok}, nil
+		col, err := checkColumn(tok)
+		if err != nil {
+			return nil, err
+		}
+		return &Expr{op: opCol, col: col}, nil
 	}
 	p.next() // consume "("
-	e := &Expr{Op: op}
+	e := &Expr{op: op}
 	switch op {
-	case OpPct, OpOver:
-		num, err := p.parseExpr()
+	case opPct, opOver:
+		num, err := p.arg(op, KindColumn)
 		if err != nil {
 			return nil, err
 		}
 		if err := p.expect("/"); err != nil {
 			return nil, err
 		}
-		den, err := p.parseExpr()
+		den, err := p.arg(op, KindColumn)
 		if err != nil {
 			return nil, err
 		}
-		e.Args = []*Expr{num, den}
-	case OpSum:
+		e.args = []*Expr{num, den}
+	case opSum:
 		for {
-			a, err := p.parseExpr()
+			a, err := p.arg(op, KindColumn)
 			if err != nil {
 				return nil, err
 			}
-			e.Args = append(e.Args, a)
+			e.args = append(e.args, a)
 			if p.peek() != "," {
 				break
 			}
 			p.next()
 		}
-	case OpPosition:
+	case opPosition:
 		tok, at := p.next()
-		if tok == "" || !isWordByte(tok[0]) {
-			return nil, fmt.Errorf("position needs a suite class at offset %d", at)
+		e.class = fold(tok)
+		if _, ok := classKeys[e.class]; !ok {
+			return nil, fmt.Errorf("unknown suite class %q at offset %d", tok, at)
 		}
-		e.Class = tok
-	case OpAt:
-		a, err := p.parseExpr()
+	case opAt:
+		a, err := p.arg(op, KindSeries)
 		if err != nil {
 			return nil, err
 		}
 		if err := p.expect(","); err != nil {
 			return nil, err
 		}
-		m, at := p.next()
-		if m == "" {
-			return nil, fmt.Errorf("at needs a YYYY-MM month at offset %d", at)
-		}
-		e.Args, e.Month = []*Expr{a}, m
-	default: // single-argument reductions
-		a, err := p.parseExpr()
+		tok, _ := p.next()
+		m, err := parseMonth(tok)
 		if err != nil {
 			return nil, err
 		}
-		e.Args = []*Expr{a}
+		e.args, e.month = []*Expr{a}, m
+	case opCount:
+		a, err := p.arg(op, KindColumn)
+		if err != nil {
+			return nil, err
+		}
+		e.args = []*Expr{a}
+	default: // the series reductions
+		a, err := p.arg(op, KindSeries)
+		if err != nil {
+			return nil, err
+		}
+		e.args = []*Expr{a}
 	}
 	if err := p.expect(")"); err != nil {
 		return nil, err
@@ -179,9 +192,21 @@ func (p *queryParser) parseExpr() (*Expr, error) {
 	return e, nil
 }
 
+// arg parses one operand of op and checks that it is of kind k; a column
+// passes where a series is wanted (it promotes to its raw counts).
+func (p *queryParser) arg(op string, k Kind) (*Expr, error) {
+	a, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if got := a.Kind(); got == k || k == KindSeries && got == KindColumn {
+		return a, nil
+	}
+	return nil, fmt.Errorf("%s needs a %s argument, got %s (%s)", op, k, a.Kind(), a)
+}
+
 // String renders the expression in the canonical text grammar, selectors
-// folded to lowercase; for a validated expression, ParseQuery(e.String())
-// reproduces e up to the case of its selectors.
+// folded to lowercase; ParseQuery(e.String()) reproduces e exactly.
 func (e *Expr) String() string {
 	var b strings.Builder
 	e.format(&b)
@@ -189,38 +214,30 @@ func (e *Expr) String() string {
 }
 
 func (e *Expr) format(b *strings.Builder) {
-	if e == nil {
-		b.WriteString("<nil>")
-		return
-	}
-	switch e.Op {
-	case OpCol:
-		b.WriteString(fold(e.Col))
-	case OpPct, OpOver:
-		b.WriteString(e.Op)
+	switch e.op {
+	case opCol:
+		b.WriteString(e.col)
+	case opPct, opOver:
+		b.WriteString(e.op)
 		b.WriteByte('(')
-		if len(e.Args) == 2 {
-			e.Args[0].format(b)
-			b.WriteString(" / ")
-			e.Args[1].format(b)
-		}
+		e.args[0].format(b)
+		b.WriteString(" / ")
+		e.args[1].format(b)
 		b.WriteByte(')')
-	case OpPosition:
+	case opPosition:
 		b.WriteString("position(")
-		b.WriteString(fold(e.Class))
+		b.WriteString(e.class)
 		b.WriteByte(')')
-	case OpAt:
+	case opAt:
 		b.WriteString("at(")
-		if len(e.Args) == 1 {
-			e.Args[0].format(b)
-		}
+		e.args[0].format(b)
 		b.WriteString(", ")
-		b.WriteString(e.Month)
+		b.WriteString(e.month.String())
 		b.WriteByte(')')
 	default:
-		b.WriteString(e.Op)
+		b.WriteString(e.op)
 		b.WriteByte('(')
-		for i, a := range e.Args {
+		for i, a := range e.args {
 			if i > 0 {
 				b.WriteString(", ")
 			}

@@ -62,10 +62,10 @@ var (
 
 // scalarOf compiles a static scalar expression against the frame and
 // evaluates it.
-func (f *Frame) scalarOf(e *Expr) float64 { return f.mustPlan(e).EvalScalar() }
+func (f *Frame) scalarOf(e *Expr) float64 { return f.plan(e).EvalScalar() }
 
 // PassiveScalarsFrame extracts the passive scalars from a frame snapshot.
-// Every value is the evaluation of a serializable query expression,
+// Every value is the evaluation of a query-grammar expression,
 // compiled against the frame where it is read; the few rows the seed
 // emitted conditionally keep their presence guards.
 func PassiveScalarsFrame(f *Frame) []Scalar {

@@ -328,37 +328,22 @@ func (s *Study) Query(src string) (analysis.QueryResult, error) {
 // otherwise, so a hit skips json.Marshal as well as evaluation), the
 // aggregate generation the result belongs to, and whether it was served from
 // the cache.
+//
+// The result cache is keyed by the study's current (epoch, generation) and
+// the canonical query text, and QueryInfoJSON looks src up as received
+// before parsing it: entries are stored only under canonical text, whose
+// parse is the very tree it was printed from, so a hit on src is src's
+// answer and a repeated canonical text is served unparsed. On a miss it
+// parses src, looks up the canonical text if src is spelled otherwise, and
+// on a second miss compiles a plan against the current frame, evaluates it
+// and caches the result (with its serialized body) under coordinates read in
+// the same critical section as that frame. The lookups, compile and
+// evaluation run outside the lock. Concurrent misses for one key each
+// compile and evaluate (microseconds; the frame they share is brought up to
+// date once) and QueryCache.Put keeps the last of their identical entries.
+// No plan is memoized, ad hoc or static: a plan's key would be the result
+// cache's key. A nil cache degrades to plain compile-and-evaluate.
 func (s *Study) QueryInfoJSON(src string) (analysis.QueryResult, []byte, uint64, bool, error) {
-	e, err := analysis.ParseQuery(src)
-	if err != nil {
-		return analysis.QueryResult{}, nil, 0, false, err
-	}
-	return s.queryValidated(e)
-}
-
-// QueryExprInfoJSON is QueryInfoJSON for an already-built expression (e.g.
-// decoded from JSON). The expression is validated before anything else: the
-// cache is keyed by String(), which prints any spelling of a valid tree's
-// selectors in one canonical form, but a malformed column name could
-// otherwise impersonate another query's key.
-func (s *Study) QueryExprInfoJSON(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
-	if err := e.Validate(); err != nil {
-		return analysis.QueryResult{}, nil, 0, false, err
-	}
-	return s.queryValidated(e)
-}
-
-// queryValidated serves a validated expression: from the result cache when
-// an entry exists for the study's current (epoch, generation), and otherwise
-// by compiling a plan against the current frame, evaluating it, and caching
-// the result (with its serialized body) under coordinates read in the same
-// critical section as that frame. The lookup, compile and evaluation run
-// outside the lock. Concurrent misses for one key each compile and evaluate
-// (microseconds; the frame they share is brought up to date once) and
-// QueryCache.Put keeps the last of their identical entries. No plan is
-// memoized, ad hoc or static: a plan's key would be the result cache's key.
-// A nil cache degrades to plain compile-and-evaluate.
-func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, uint64, bool, error) {
 	var (
 		f          *analysis.Frame
 		cache      *analysis.QueryCache
@@ -370,9 +355,15 @@ func (s *Study) queryValidated(e *analysis.Expr) (analysis.QueryResult, []byte, 
 	}); err != nil {
 		return analysis.QueryResult{}, nil, 0, false, err
 	}
-	var key string
-	if cache != nil {
-		key = e.String()
+	if res, body, hit := cache.Get(id, epoch, gen, src); hit {
+		return res, body, gen, true, nil
+	}
+	e, err := analysis.ParseQuery(src)
+	if err != nil {
+		return analysis.QueryResult{}, nil, 0, false, err
+	}
+	key := e.String()
+	if key != src {
 		if res, body, hit := cache.Get(id, epoch, gen, key); hit {
 			return res, body, gen, true, nil
 		}

@@ -438,17 +438,13 @@ func TestStudyQuery(t *testing.T) {
 		}
 	}
 
-	e, err := analysis.ParseQuery("over(null-negotiated / established)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	byExpr, _, _, _, err := s.QueryExprInfoJSON(e)
+	respelled, err := s.Query("OVER(Null-Negotiated / ESTABLISHED)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	byText, err := s.Query("over(null-negotiated / established)")
-	if err != nil || byExpr.Value != byText.Value || byExpr.Kind != "scalar" {
-		t.Errorf("QueryExprInfoJSON %v/%v vs Query %v (err %v)", byExpr.Value, byExpr.Kind, byText.Value, err)
+	if err != nil || respelled.Query != byText.Query || respelled.Value != byText.Value || respelled.Kind != "scalar" {
+		t.Errorf("respelled query %+v vs canonical %+v (err %v)", respelled, byText, err)
 	}
 
 	if _, err := s.Query("pct(bogus / total)"); err == nil {
@@ -647,10 +643,6 @@ func TestScanMetricKeys(t *testing.T) {
 // bring the frame up to date, so every stale read takes read's exclusive
 // path.
 func TestStudyConcurrentIngestAndFrame(t *testing.T) {
-	countTotal, err := analysis.ParseQuery("count(total)")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		// read makes one read and returns the generation it observed, or an
@@ -698,7 +690,7 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 			if _, err := s.Table2(); err != nil {
 				return 0, err
 			}
-			res, _, gen, _, err := s.QueryExprInfoJSON(countTotal)
+			res, _, gen, _, err := s.QueryInfoJSON("COUNT(Total)")
 			if err == nil && res.Value != float64(gen) {
 				err = fmt.Errorf("count(total) = %v at generation %d", res.Value, gen)
 			}
@@ -827,13 +819,13 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 		}
 	}
 
-	// The Expr form canonicalizes to the same key and shares the entry.
+	// Another spelling canonicalizes to the same key and shares the entry.
+	if _, _, _, hit, err := s.QueryInfoJSON("PCT(Version:TLS12 / ESTABLISHED)"); err != nil || !hit {
+		t.Errorf("respelled cached query: err=%v hit=%v, want a hit", err, hit)
+	}
 	e, err := analysis.ParseQuery(src)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, _, _, hit, err := s.QueryExprInfoJSON(e); err != nil || !hit {
-		t.Errorf("Expr form of a cached query: err=%v hit=%v, want a hit", err, hit)
 	}
 
 	// A generation advance through live ingestion makes the entry

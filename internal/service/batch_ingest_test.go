@@ -571,10 +571,17 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- srv.ServeTCP(ln) }()
 
-	// Stream A (binary over HTTP): the merge loop parks on the gate holding
-	// its first shard, the next fills the queue, and a later flush sheds.
-	// FeedHTTP would normally retry a 429, but this one reports applied
-	// records, so retrying must be refused.
+	// A held one-record stream parks the merge loop on the gate. Only then
+	// does a shed say the queue is full: the loop takes a shard off the
+	// channel before it waits on the gate, so a shed seen earlier could be
+	// followed by the loop emptying the channel.
+	q := srv.queue
+	held := postIngest(ts.URL, ContentTypeTSV, bytes.NewReader(recordLines(t, log, 0, 1)))
+	waitFor(t, "the loop to take the held shard", func() bool { return q.enqueued.Load() == 1 && len(q.ch) == 0 })
+
+	// Stream A (binary over HTTP): its first shard fills the queue and a
+	// later flush sheds. FeedHTTP would normally retry a 429, but this one
+	// reports applied records, so retrying must be refused.
 	var feedRes FeedResult
 	var feedErr error
 	fed := make(chan struct{})
@@ -584,13 +591,7 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 			func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(batchA)), nil },
 			FeedOptions{MaxRetries: 3})
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.queue.shedFull.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stream A never hit the saturated queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "stream A to hit the saturated queue", func() bool { return q.shedFull.Load() > 0 })
 
 	// Stream B (TSV over TCP) arrives while the queue is still full: nothing
 	// of it applies, so the server sheds it with the retryable busy line.
@@ -613,9 +614,13 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 		t.Fatalf("clean shed replied %q, want busy %d", got, DefaultRetryAfter)
 	}
 
-	// Release the merge loop: stream A's accepted shards fold in, its 429
-	// arrives reporting them, and the feeder fails hard instead of retrying.
+	// Release the merge loop: the held record and stream A's accepted shards
+	// fold in, A's 429 arrives reporting them, and the feeder fails hard
+	// instead of retrying.
 	releaseGate()
+	if r := <-held; r.status != http.StatusOK || r.Records != 1 {
+		t.Fatalf("held stream replied %+v, want 200 with 1 record", r)
+	}
 	<-fed
 	if feedErr == nil || !strings.Contains(feedErr.Error(), "not retrying") {
 		t.Fatalf("part-applied shed feed error = %v, want a no-retry refusal", feedErr)
@@ -627,8 +632,8 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if records < 1 || records >= 8 {
-		t.Errorf("study holds %d records, want the part-applied prefix (1..7)", records)
+	if records < 2 || records >= 9 {
+		t.Errorf("study holds %d records, want the held one and stream A's part-applied prefix (1..7)", records)
 	}
 
 	// /healthz exposes the saturation: both sheds counted, capacity visible.

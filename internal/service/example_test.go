@@ -23,8 +23,8 @@ func ExampleNewRouter() {
 		panic(err)
 	}
 
-	// Offline: the text grammar parses into a serializable analysis.Expr
-	// and evaluates against the study's cached Frame.
+	// Offline: the text grammar parses into an analysis.Expr and evaluates
+	// against the study's cached Frame.
 	queries := []string{
 		"at(pct(version:tls12 / established), 2018-02)", // a catalog-style read
 		"over(null-negotiated / established)",           // whole-dataset ratio

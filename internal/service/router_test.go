@@ -160,8 +160,8 @@ func TestRouterTwoStudyQueryParity(t *testing.T) {
 	}
 }
 
-// TestQueryEndpointShapes pins the query endpoint's scalar results, Expr
-// JSON bodies and error paths on a single server.
+// TestQueryEndpointShapes pins the query endpoint's scalar results and
+// error paths on a single server.
 func TestQueryEndpointShapes(t *testing.T) {
 	log, offline := sharedLog(t)
 	srv := NewServer(core.NewLiveStudy())
@@ -179,41 +179,23 @@ func TestQueryEndpointShapes(t *testing.T) {
 		t.Errorf("X-Generation = %q, want %q", got, wantGen)
 	}
 
-	// The same expression as an Expr JSON body evaluates identically.
-	expr, err := analysis.ParseQuery("count(total)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(map[string]any{"expr": expr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var exprRes analysis.QueryResult
-	if err := json.NewDecoder(resp.Body).Decode(&exprRes); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if exprRes.Value != res.Value {
-		t.Errorf("expr body answered %v, text body %v", exprRes.Value, res.Value)
-	}
-
-	// Malformed expressions are a 400 with the parse error.
-	bad, err := json.Marshal(map[string]string{"query": "pct(no-such-col / total)"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/query", "application/json", bytes.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad query: status %d, want 400", resp.StatusCode)
+	// Malformed requests are a 400: a query that does not parse, a body
+	// without a query — the retired {"expr": …} tree among them — and a body
+	// that is not JSON.
+	for _, bad := range []string{
+		`{"query": "pct(no-such-col / total)"}`,
+		`{"expr": {"op": "count", "args": [{"op": "col", "col": "total"}]}}`,
+		`{"query": "count(total)"`,
+	} {
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(bad)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 

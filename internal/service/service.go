@@ -17,9 +17,9 @@
 //	GET  /scalars         the paper-vs-measured scalar report
 //	GET  /metrics         the declarative figure catalog (incl. each series'
 //	                      query expression)
-//	POST /query           evaluate an ad-hoc metric expression: a JSON body
-//	                      {"query": "pct(version:tls12 / established)"} or
-//	                      {"expr": {...}} (the analysis.Expr JSON encoding)
+//	POST /query           evaluate an ad-hoc metric expression, the JSON body
+//	                      {"query": "pct(version:tls12 / established)"} in
+//	                      analysis.ParseQuery's grammar, the only shape taken
 //	GET  /healthz         liveness: record count, generation, month count
 //
 // Every JSON response carries an X-Generation header with the served
@@ -644,11 +644,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, analysis.Catalog())
 }
 
-// queryRequest is the POST /query body: either the text grammar or the
-// Expr JSON encoding (query wins when both are present).
+// queryRequest is the POST /query body: a query in the text grammar.
 type queryRequest struct {
-	Query string         `json:"query"`
-	Expr  *analysis.Expr `json:"expr"`
+	Query string `json:"query"`
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -658,30 +656,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding query request: %w", err))
 		return
 	}
+	if req.Query == "" {
+		s.setGeneration(w)
+		writeError(w, http.StatusBadRequest, errors.New(`no "query" in the body (want {"query": "..."})`))
+		return
+	}
 	// Queries go through the study's compiled-plan path, which consults the
 	// result cache (when one is attached) and reports the exact generation
 	// the body was computed against — the X-Generation header therefore
 	// always describes the data in the body even while ingestion advances
 	// the study, and X-Cache says whether the body came out of the cache (hit)
 	// or this request computed it (miss).
-	var (
-		res  analysis.QueryResult
-		body []byte
-		gen  uint64
-		hit  bool
-		err  error
-	)
-	switch {
-	case req.Query != "":
-		res, body, gen, hit, err = s.study.QueryInfoJSON(req.Query)
-	case req.Expr != nil:
-		res, body, gen, hit, err = s.study.QueryExprInfoJSON(req.Expr)
-	default:
-		s.setGeneration(w)
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf(`empty query request (want {"query": "..."} or {"expr": {...}})`))
-		return
-	}
+	res, body, gen, hit, err := s.study.QueryInfoJSON(req.Query)
 	if err != nil {
 		if errors.Is(err, core.ErrNotRun) {
 			writeError(w, http.StatusServiceUnavailable, err)

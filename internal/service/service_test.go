@@ -156,14 +156,7 @@ func postTSV(t testing.TB, url string, body []byte) ingestReply {
 // reply's header and body, which must be a 200.
 func postQuery(t testing.TB, url, expr string) (http.Header, []byte) {
 	t.Helper()
-	return postQueryRequest(t, url, map[string]string{"query": expr})
-}
-
-// postQueryRequest POSTs req, JSON-encoded, as a /query body and returns the
-// 200 response's headers and body.
-func postQueryRequest(t testing.TB, url string, req any) (http.Header, []byte) {
-	t.Helper()
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(map[string]string{"query": expr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +262,8 @@ func TestCloseDrainsInFlightTCPStream(t *testing.T) {
 }
 
 // TestQueryCacheEndToEnd pins the served cache behavior: X-Cache flips
-// miss→hit with byte-identical bodies, an Expr body hits its text twin's
-// entry, cached and uncached servers answer identically, ingestion
+// miss→hit with byte-identical bodies, a respelled query hits the canonical
+// text's entry, cached and uncached servers answer identically, ingestion
 // invalidates by generation, and /healthz reports the cache gauges only
 // when a cache is attached.
 func TestQueryCacheEndToEnd(t *testing.T) {
@@ -311,20 +304,15 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 	if !bytes.Equal(bodyPlain, body1) {
 		t.Error("cached and uncached servers serve different bodies")
 	}
-	// The same query as an {"expr": …} body with its selectors in capitals
-	// answers the text query's bytes, canonical text included, out of the
-	// text query's entry.
-	t.Run("expr_shares_the_text_entry", func(t *testing.T) {
-		expr := &analysis.Expr{Op: analysis.OpPct, Args: []*analysis.Expr{
-			{Op: analysis.OpCol, Col: "VERSION:TLS12"},
-			{Op: analysis.OpCol, Col: "Established"},
-		}}
-		h, body := postQueryRequest(t, tsCached.URL+"/query", map[string]any{"expr": expr})
+	// The same query spelled in capitals answers the canonical query's
+	// bytes, canonical text included, out of the canonical query's entry.
+	t.Run("spelling_shares_the_text_entry", func(t *testing.T) {
+		h, body := postQuery(t, tsCached.URL+"/query", "PCT(VERSION:TLS12 / Established)")
 		if !bytes.Equal(body, body1) {
-			t.Errorf("expr query answers differently from %q:\n%s\n%s", q, body, body1)
+			t.Errorf("respelled query answers differently from %q:\n%s\n%s", q, body, body1)
 		}
 		if h.Get("X-Cache") != "hit" {
-			t.Errorf("expr query after the text query: X-Cache=%q, want hit", h.Get("X-Cache"))
+			t.Errorf("respelled query after the canonical one: X-Cache=%q, want hit", h.Get("X-Cache"))
 		}
 	})
 	// /query has one encoder whatever serves the body: over the whole query
