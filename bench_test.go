@@ -181,8 +181,8 @@ func BenchmarkAllFigures(b *testing.B) {
 
 // BenchmarkQueryEvalNative measures Figure 1 (five version-share series)
 // through the catalog engine (Frame.EvalFigure): the shared compiled plans
-// plus the Figure/Point packaging. Compare BenchmarkQueryCompiled, the same
-// five series as bare plans.
+// plus the Figure/Point packaging. Compare BenchmarkQueryCompiledResult, the
+// same five series as bare plans.
 func BenchmarkQueryEvalNative(b *testing.B) {
 	studyFrame(b)
 	b.ReportAllocs()
@@ -214,25 +214,10 @@ func benchPlans(b *testing.B) []*analysis.Plan {
 	return plans
 }
 
-// BenchmarkQueryCompiled measures the plan path on the Figure 1 expression
-// set: compile once, then evaluate per request — the served hot path on a
-// cache miss.
-func BenchmarkQueryCompiled(b *testing.B) {
-	plans := benchPlans(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var vals []float64
-	for i := 0; i < b.N; i++ {
-		for _, p := range plans {
-			vals = p.EvalSeries()
-		}
-	}
-	b.ReportMetric(vals[len(vals)-1], "tls13_apr18_pct")
-}
-
-// BenchmarkQueryCompiledResult measures compiled evaluation of the full
-// served QueryResult (Plan.Eval — seriesAt at every row, materializing the
-// month-labelled point list) for the same expression set. This is the exact
+// BenchmarkQueryCompiledResult measures the plan path on the Figure 1
+// expression set: compile once, then evaluate the full served QueryResult per
+// request (Plan.Eval — seriesAt at every row, materializing the
+// month-labelled point list), the served hot path on a miss. This is the exact
 // work a cache hit skips: BenchmarkQueryCacheHit returns the same results
 // from the generation-keyed cache without touching the frame.
 func BenchmarkQueryCompiledResult(b *testing.B) {

@@ -428,14 +428,11 @@ func TestCLI(t *testing.T) {
 		// The reference: the same sweep, run here, hosted as a study built
 		// from its aggregate.
 		sweep := &core.ScanSweep{StepMonths: 12, HostsPerSnapshot: 40, Seed: 7}
-		months, reports, err := sweep.RunReports(context.Background())
+		reports, err := sweep.RunReports(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := core.ScanAggregate(months, reports)
-		if err != nil {
-			t.Fatal(err)
-		}
+		agg := core.ScanAggregate(reports)
 		built := service.NewServer(core.NewStudyFromAggregate(agg))
 		defer built.Close()
 		ref := httptest.NewServer(built.Handler())

@@ -50,14 +50,11 @@ func cmdScanSweep(args []string) error {
 		Seed:               *seed,
 		PopularityWeighted: *alexa,
 	}
-	months, reports, err := sweep.RunReports(context.Background())
+	reports, err := sweep.RunReports(context.Background())
 	if err != nil {
 		return err
 	}
-	agg, err := core.ScanAggregate(months, reports)
-	if err != nil {
-		return err
-	}
+	agg := core.ScanAggregate(reports)
 	if err := core.RenderSweep(os.Stdout, agg); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package adoption
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -58,6 +59,13 @@ func TestPiecewiseValidation(t *testing.T) {
 	if p.Value(d(2012, 1, 1)) != 0 {
 		t.Error("unsorted knots not handled")
 	}
+	// A static table with duplicate knots panics at MustPiecewise.
+	defer func() {
+		if recover() == nil {
+			t.Error("MustPiecewise accepted duplicate knots")
+		}
+	}()
+	MustPiecewise(Point{d(2012, 1, 1), 0.5}, Point{d(2012, 1, 1), 0.7})
 }
 
 // Value numbers one date and searches the knots' day numbers in place.
@@ -107,10 +115,17 @@ func TestCurvesBounded(t *testing.T) {
 	}
 }
 
+// validLag reports whether l's shares and time constants are in range: the
+// check every static lag table (these, and clientdb's profiles) passes.
+func validLag(l LagDistribution) bool {
+	return l.FastShare >= 0 && l.NeverShare >= 0 && l.FastShare+l.NeverShare <= 1 &&
+		l.FastTauDays > 0 && l.SlowTauDays > 0
+}
+
 func TestLagAdoptedMonotone(t *testing.T) {
 	for _, lag := range []LagDistribution{BrowserLag, LibraryLag, DeviceLag} {
-		if err := lag.Validate(); err != nil {
-			t.Fatal(err)
+		if !validLag(lag) {
+			t.Fatalf("invalid lag %+v", lag)
 		}
 		prev := -1.0
 		for days := -10; days < 4000; days += 7 {
@@ -137,7 +152,7 @@ func TestLagValidate(t *testing.T) {
 		{FastShare: 0.5, FastTauDays: 0, SlowTauDays: 100},
 	}
 	for i, l := range bad {
-		if err := l.Validate(); err == nil {
+		if validLag(l) {
 			t.Errorf("case %d: invalid lag accepted", i)
 		}
 	}
@@ -167,6 +182,19 @@ func TestVersionMixSumsToOne(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVersionMixOutOfOrderReleases: a release listed after one it predates
+// cannot be adopted by more of the base than its predecessor, so no share
+// goes negative: the base that adopted the first release counts as on the
+// second, and the first holds nothing.
+func TestVersionMixOutOfOrderReleases(t *testing.T) {
+	at := d(2018, 1, 1)
+	alone := VersionMix([]Release{{"2016", d(2016, 1, 1)}}, at, BrowserLag)
+	mix := VersionMix([]Release{{"2016", d(2016, 1, 1)}, {"2013", d(2013, 1, 1)}}, at, BrowserLag)
+	if want := []float64{alone[0], 0, alone[1]}; !slices.Equal(mix, want) {
+		t.Errorf("out-of-order mix = %v, want %v", mix, want)
 	}
 }
 

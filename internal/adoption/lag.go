@@ -1,7 +1,6 @@
 package adoption
 
 import (
-	"fmt"
 	"math"
 
 	"tlsage/internal/timeline"
@@ -22,17 +21,6 @@ type LagDistribution struct {
 	FastTauDays float64
 	SlowTauDays float64
 	NeverShare  float64
-}
-
-// Validate checks share bounds.
-func (l LagDistribution) Validate() error {
-	if l.FastShare < 0 || l.NeverShare < 0 || l.FastShare+l.NeverShare > 1 {
-		return fmt.Errorf("adoption: invalid lag shares fast=%v never=%v", l.FastShare, l.NeverShare)
-	}
-	if l.FastTauDays <= 0 || l.SlowTauDays <= 0 {
-		return fmt.Errorf("adoption: non-positive tau")
-	}
-	return nil
 }
 
 // Adopted returns the fraction of the population that has adopted a release

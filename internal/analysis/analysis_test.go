@@ -115,6 +115,53 @@ func TestRenderChart(t *testing.T) {
 	}
 }
 
+// TestRenderEdgeCases renders figures the catalog never makes: a series
+// missing a month prints "-" in its cell, a flat zero series scales to 1 %,
+// a single month spans one column, and a negative value clamps to the
+// chart's bottom row.
+func TestRenderEdgeCases(t *testing.T) {
+	jan, feb := timeline.M(2015, time.January), timeline.M(2015, time.February)
+	f := Figure{ID: "Figure X", Title: "edges", Series: []Series{
+		{Name: "both", Points: []Point{{Month: jan, Value: 1}, {Month: feb, Value: 2}}},
+		{Name: "feb", Points: []Point{{Month: feb, Value: 3}}},
+	}}
+	var table bytes.Buffer
+	if err := f.RenderTable(&table); err != nil {
+		t.Fatal(err)
+	}
+	want := "Figure X — edges\n" +
+		"month                  both                feb\n" +
+		"2015-01               1.00%                  -\n" +
+		"2015-02               2.00%              3.00%\n"
+	if table.String() != want {
+		t.Errorf("table:\n%s\nwant:\n%s", table.String(), want)
+	}
+	for _, c := range []struct {
+		name   string
+		points []Point
+		want   string
+	}{
+		{"flat", []Point{{Month: jan}, {Month: feb}}, "Figure X — edges  (max 1.0%)\n" +
+			"|                    |\n|                    |\n|                    |\n|                    |\n|A                  A|\n" +
+			"2015-01      2015-02\nA=flat\n"},
+		{"one-month", []Point{{Month: jan, Value: 4}}, "Figure X — edges  (max 4.0%)\n" +
+			"|A                   |\n|                    |\n|                    |\n|                    |\n|                    |\n" +
+			"2015-01      2015-01\nA=one-month\n"},
+		{"negative", []Point{{Month: jan, Value: -5}, {Month: feb, Value: 5}}, "Figure X — edges  (max 5.0%)\n" +
+			"|                   A|\n|                    |\n|                    |\n|                    |\n|A                   |\n" +
+			"2015-01      2015-02\nA=negative\n"},
+	} {
+		fig := Figure{ID: "Figure X", Title: "edges", Series: []Series{{Name: c.name, Points: c.points}}}
+		var chart bytes.Buffer
+		if err := fig.RenderChart(&chart, 20, 5); err != nil {
+			t.Fatal(err)
+		}
+		if chart.String() != c.want {
+			t.Errorf("%s chart:\n%s\nwant:\n%s", c.name, chart.String(), c.want)
+		}
+	}
+}
+
 func TestPassiveScalars(t *testing.T) {
 	scalars := PassiveScalarsFrame(sharedFrame(t))
 	if len(scalars) < 14 {
@@ -258,8 +305,14 @@ func TestExtensionUptake(t *testing.T) {
 
 func TestAttackImpacts(t *testing.T) {
 	impacts := AttackImpactsFrame(sharedFrame(t))
-	if len(impacts) < 6 {
-		t.Fatalf("only %d impacts", len(impacts))
+	// Every event impactMetrics names is on the timeline (an unknown one
+	// would index events[-1]) and has its three sample months in the window.
+	if len(impacts) != len(impactMetrics) {
+		t.Fatalf("%d impacts, want one per impactMetrics row (%d)", len(impacts), len(impactMetrics))
+	}
+	// A frame without the sample months skips every event.
+	if short := AttackImpactsFrame(NewFrame(notary.NewAggregate())); short != nil {
+		t.Errorf("an empty frame's impacts: %+v, want none", short)
 	}
 	byEvent := map[string]AttackImpact{}
 	for _, im := range impacts {

@@ -153,9 +153,6 @@ func (c *QueryCache) Put(study string, epoch, generation uint64, query string, r
 // evictOldest drops the least-recently-used entry. Callers hold c.mu.
 func (c *QueryCache) evictOldest() {
 	el := c.ll.Back()
-	if el == nil {
-		return
-	}
 	ent := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
 	delete(c.entries, ent.key)

@@ -119,6 +119,19 @@ var versionKeys = map[string]registry.Version{
 	"tls13-google": registry.VersionTLS13Google, "tlsv13-google": registry.VersionTLS13Google,
 }
 
+// canonicalVersion resolves a version key to its canonical spelling, the
+// one without the "v" after "ssl" or "tls" ("tlsv12" → "tls12"), so both
+// spellings of a column print, and cache, as one query.
+func canonicalVersion(k string) (string, bool) {
+	if _, ok := versionKeys[k]; !ok {
+		return "", false
+	}
+	if k[3] == 'v' {
+		return k[:3] + k[4:], true
+	}
+	return k, true
+}
+
 // classKeys maps canonical class names to the Frame's suite-class map keys,
 // which for the five Figure 5 classes are also notary.PosClass names (shared
 // by class: selectors and position(); position(stream) and position(other)
@@ -198,47 +211,47 @@ var (
 // columnFamilies routes a "family:key" selector to the frame map it reads.
 // The wildcard key "*" sums every observed column of the family.
 var columnFamilies = map[string]struct {
-	resolve func(key string) bool            // key validity (canonical form)
+	resolve func(key string) (string, bool)  // a folded key's canonical form, and its validity
 	column  func(f *Frame, key string) []int // nil when never observed
 	all     func(f *Frame) map[string][]int  // nil: family has no wildcard
 }{
 	"version": {
-		resolve: func(k string) bool { _, ok := versionKeys[k]; return ok },
+		resolve: canonicalVersion,
 		column:  func(f *Frame, k string) []int { return f.Version[versionKeys[k]] },
 		all:     func(f *Frame) map[string][]int { return intCols(f.Version) },
 	},
 	"class": {
-		resolve: func(k string) bool { _, ok := classKeys[k]; return ok },
+		resolve: func(k string) (string, bool) { _, ok := classKeys[k]; return k, ok },
 		column:  func(f *Frame, k string) []int { return f.Class[classKeys[k]] },
 		all:     func(f *Frame) map[string][]int { return intCols(f.Class) },
 	},
 	"kex": {
-		resolve: func(k string) bool { _, ok := kexKeys[k]; return ok },
+		resolve: func(k string) (string, bool) { _, ok := kexKeys[k]; return k, ok },
 		column:  func(f *Frame, k string) []int { return f.Kex[kexKeys[k]] },
 		all:     func(f *Frame) map[string][]int { return intCols(f.Kex) },
 	},
 	"ext": {
-		resolve: func(k string) bool { _, ok := extKeys[k]; return ok },
+		resolve: func(k string) (string, bool) { _, ok := extKeys[k]; return k, ok },
 		column:  func(f *Frame, k string) []int { return f.Extension[extKeys[k]] },
 		all:     func(f *Frame) map[string][]int { return intCols(f.Extension) },
 	},
 	"curve": {
-		resolve: func(k string) bool { _, ok := curveKeys[k]; return ok },
+		resolve: func(k string) (string, bool) { _, ok := curveKeys[k]; return k, ok },
 		column:  func(f *Frame, k string) []int { return f.Curve[curveKeys[k]] },
 		all:     func(f *Frame) map[string][]int { return intCols(f.Curve) },
 	},
 	"tls13": {
-		resolve: func(k string) bool { _, ok := versionKeys[k]; return ok },
+		resolve: canonicalVersion,
 		column:  func(f *Frame, k string) []int { return f.TLS13Variant[versionKeys[k]] },
 		all:     func(f *Frame) map[string][]int { return intCols(f.TLS13Variant) },
 	},
 	"fp": {
-		resolve: func(k string) bool { return k == FPOtherKey || isFPID(k) },
+		resolve: func(k string) (string, bool) { return k, k == FPOtherKey || isFPID(k) },
 		column:  func(f *Frame, k string) []int { return f.FPCol[k] },
 		all:     func(f *Frame) map[string][]int { return f.FPCol },
 	},
 	"agent": {
-		resolve: func(k string) bool { _, ok := agentKeys[k]; return ok },
+		resolve: func(k string) (string, bool) { _, ok := agentKeys[k]; return k, ok },
 		column:  func(f *Frame, k string) []int { return f.Agent[agentKeys[k]] },
 		all:     func(f *Frame) map[string][]int { return f.Agent },
 	},
@@ -285,10 +298,17 @@ func checkColumn(name string) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("unknown column family %q (have version, class, kex, ext, curve, tls13, fp, agent)", fam)
 		}
-		if key == "*" || def.resolve(key) {
+		if key == "*" {
 			return name, nil
 		}
-		return "", fmt.Errorf("unknown %s key %q", fam, key)
+		canon, ok := def.resolve(key)
+		if !ok {
+			return "", fmt.Errorf("unknown %s key %q", fam, key)
+		}
+		if canon == key {
+			return name, nil
+		}
+		return fam + ":" + canon, nil
 	}
 	return "", fmt.Errorf("unknown column %q (see analysis.ColumnNames; family selectors are family:key)", name)
 }

@@ -213,6 +213,25 @@ func TestExprTextRoundTripProperty(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		roundTrip(t, randomExpr(rnd, Kind(rnd.Intn(3)), 3))
 	}
+	// A key's alias is the same column: it parses to the canonical tree and
+	// prints the canonical text, so both spellings share one cache entry.
+	t.Run("aliases-print-the-canonical-text", func(t *testing.T) {
+		for alias, canonical := range map[string]string{
+			"PCT(Version:TLSv12 / ESTABLISHED)":        "pct(version:tls12 / established)",
+			"pct(tls13:tlsv13-draft18 / established)":  "pct(tls13:tls13-draft18 / established)",
+			"count(version:sslv3)":                     "count(version:ssl3)",
+			"sum(version:TLSv13-Google, tls13:tlsv13)": "sum(version:tls13-google, tls13:tls13)",
+		} {
+			e, err := ParseQuery(alias)
+			if err != nil {
+				t.Fatalf("%q: %v", alias, err)
+			}
+			if e.String() != canonical {
+				t.Errorf("%q prints %q, want %q", alias, e, canonical)
+			}
+			roundTrip(t, e)
+		}
+	})
 	t.Run("catalog-expr-serialized-parity", func(t *testing.T) {
 		for _, spec := range Catalog() {
 			for _, m := range spec.Metrics {
@@ -376,6 +395,24 @@ func TestPositionClassSpellings(t *testing.T) {
 	}
 	if tracked != int(notary.NumPosClasses) {
 		t.Errorf("classKeys spells %d of the %d position classes", tracked, notary.NumPosClasses)
+	}
+}
+
+// TestQueryResultJSONRefusesMalformedReplies: a remote server's reply is
+// input from outside the program, so each decoder refuses a field of the
+// wrong type, a month that is not YYYY-MM and a kind it does not know.
+func TestQueryResultJSONRefusesMalformedReplies(t *testing.T) {
+	for _, reply := range []string{
+		`{"query": "q", "kind": 7}`,
+		`{"query": "q", "kind": "table"}`,
+		`{"query": "q", "kind": "series", "series": {"name": 7}}`,
+		`{"query": "q", "kind": "series", "series": {"name": "s", "points": [7]}}`,
+		`{"query": "q", "kind": "series", "series": {"name": "s", "points": [{"month": "2018-13", "value": 1}]}}`,
+	} {
+		var r QueryResult
+		if err := json.Unmarshal([]byte(reply), &r); err == nil {
+			t.Errorf("%s decoded to %+v, want an error", reply, r)
+		}
 	}
 }
 

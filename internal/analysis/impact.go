@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 
 	"tlsage/internal/timeline"
 )
@@ -48,9 +49,6 @@ func AttackImpactsFrame(f *Frame) []AttackImpact {
 	events := timeline.Events()
 	for _, im := range impactMetrics {
 		i := slices.IndexFunc(events, func(e timeline.Event) bool { return e.Name == im.event })
-		if i < 0 {
-			continue
-		}
 		m0 := timeline.MonthOf(events[i].Date)
 		before, okB := f.Row(m0.AddMonths(-1))
 		after6, ok6 := f.Row(m0.AddMonths(6))
@@ -72,16 +70,14 @@ func AttackImpactsFrame(f *Frame) []AttackImpact {
 
 // RenderImpacts writes the §7.4 table.
 func RenderImpacts(w io.Writer, impacts []AttackImpact) error {
-	if _, err := fmt.Fprintf(w, "%-14s %-12s %-28s %8s %8s %8s %8s\n",
-		"event", "date", "metric", "before", "+6mo", "+12mo", "Δ12"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-14s %-12s %-28s %8s %8s %8s %8s\n",
+		"event", "date", "metric", "before", "+6mo", "+12mo", "Δ12")
 	for _, im := range impacts {
-		if _, err := fmt.Fprintf(w, "%-14s %-12s %-28s %7.1f%% %7.1f%% %7.1f%% %+7.1f\n",
+		fmt.Fprintf(&b, "%-14s %-12s %-28s %7.1f%% %7.1f%% %7.1f%% %+7.1f\n",
 			im.Event.Name, im.Event.Date, im.Metric,
-			im.Before, im.After6, im.After12, im.Delta12()); err != nil {
-			return err
-		}
+			im.Before, im.After6, im.After12, im.Delta12())
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

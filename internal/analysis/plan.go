@@ -4,7 +4,7 @@ package analysis
 // expression's column selectors through the vocabulary maps exactly once,
 // against one Frame's column layout, and leaves behind a flat program.
 // Evaluation has one loop body, seriesAt, which computes the series at one
-// row; EvalSeries, EvalScalar and Eval all loop over it.
+// row; EvalScalar and Eval loop over it.
 //
 // Compilation lowers an expression as follows:
 //
@@ -233,20 +233,6 @@ func (p *Plan) seriesAt(i int) float64 {
 		return 0
 	}
 	return 0
-}
-
-// EvalSeries evaluates a series- or column-kind plan; the returned slice is
-// the evaluation's only allocation. Scalar-kind plans return nil (use
-// EvalScalar).
-func (p *Plan) EvalSeries() []float64 {
-	if p.kind == KindScalar {
-		return nil
-	}
-	out := make([]float64, p.frame.Len())
-	for i := range out {
-		out[i] = p.seriesAt(i)
-	}
-	return out
 }
 
 // EvalScalar evaluates a scalar-kind plan with zero allocations: the

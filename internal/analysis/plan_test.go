@@ -30,6 +30,20 @@ func testFrames(t testing.TB) []*Frame {
 	return frames
 }
 
+// EvalSeries evaluates a series- or column-kind plan into its values, the
+// evaluation's only allocation, as Eval does into points. Scalar-kind plans
+// return nil (use EvalScalar). The tests read series through it.
+func (p *Plan) EvalSeries() []float64 {
+	if p.kind == KindScalar {
+		return nil
+	}
+	out := make([]float64, p.frame.Len())
+	for i := range out {
+		out[i] = p.seriesAt(i)
+	}
+	return out
+}
+
 // assertSameResult requires two QueryResults to be bit-for-bit equal: same
 // kind, same scalar value, same points.
 func assertSameResult(t *testing.T, e *Expr, want, got QueryResult) {
@@ -123,6 +137,22 @@ func TestParseRejectsWhatCompileTrusts(t *testing.T) {
 	}
 	if e, err := ParseQuery("pct(total / total)"); err != nil || e.op != opPct {
 		t.Errorf(`"pct(total / total)" parses to %v, %v; want the pct query`, e, err)
+	}
+}
+
+// TestCompileNilFrame: Compile is the exported way to bind a parsed query to
+// a frame, and refuses a nil frame instead of panicking on its first read.
+// An out-of-range Kind prints its number.
+func TestCompileNilFrame(t *testing.T) {
+	e, err := ParseQuery("count(total)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := Compile(e, nil); p != nil || err == nil {
+		t.Errorf("Compile on a nil frame = %v, %v; want no plan and an error", p, err)
+	}
+	if got := Kind(9).String(); got != "Kind(9)" {
+		t.Errorf("Kind(9).String() = %q", got)
 	}
 }
 

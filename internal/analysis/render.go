@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"tlsage/internal/timeline"
@@ -12,39 +13,33 @@ import (
 // RenderTable writes the figure as an aligned text table: one row per month,
 // one column per series, with attack-event annotations inline.
 func (f *Figure) RenderTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s — %s\n", f.ID, f.Title); err != nil {
-		return err
-	}
-	header := fmt.Sprintf("%-8s", "month")
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s — %s\n%-8s", f.ID, f.Title, "month")
 	for _, s := range f.Series {
-		header += fmt.Sprintf(" %18s", s.Name)
+		fmt.Fprintf(&b, " %18s", s.Name)
 	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	months := f.months()
+	b.WriteString("\n")
 	eventsByMonth := map[timeline.Month][]string{}
 	for _, e := range f.Events {
 		m := timeline.MonthOf(e.Date)
 		eventsByMonth[m] = append(eventsByMonth[m], e.Name)
 	}
-	for _, m := range months {
-		row := fmt.Sprintf("%-8s", m)
+	for _, m := range f.months() {
+		fmt.Fprintf(&b, "%-8s", m)
 		for _, s := range f.Series {
 			if v, ok := s.Value(m); ok {
-				row += fmt.Sprintf(" %17.2f%%", v)
+				fmt.Fprintf(&b, " %17.2f%%", v)
 			} else {
-				row += fmt.Sprintf(" %18s", "-")
+				fmt.Fprintf(&b, " %18s", "-")
 			}
 		}
 		if names := eventsByMonth[m]; len(names) > 0 {
-			row += "   ← " + strings.Join(names, ", ")
+			b.WriteString("   ← " + strings.Join(names, ", "))
 		}
-		if _, err := fmt.Fprintln(w, row); err != nil {
-			return err
-		}
+		b.WriteString("\n")
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // RenderChart writes a compact ASCII chart of the figure (one glyph per
@@ -87,35 +82,25 @@ func (f *Figure) RenderChart(w io.Writer, width, height int) error {
 			x := (p.Month.Sub(months[0]) * (width - 1)) / span
 			yf := p.Value / maxVal
 			y := height - 1 - int(math.Round(yf*float64(height-1)))
-			if y < 0 {
-				y = 0
-			}
-			if y >= height {
-				y = height - 1
-			}
-			grid[y][x] = g
+			grid[min(max(y, 0), height-1)][x] = g
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s — %s  (max %.1f%%)\n", f.ID, f.Title, maxVal); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s — %s  (max %.1f%%)\n", f.ID, f.Title, maxVal)
 	for _, row := range grid {
-		if _, err := fmt.Fprintf(w, "|%s|\n", string(row)); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "|%s|\n", row)
 	}
-	axis := fmt.Sprintf("%s%s%s", months[0], strings.Repeat(" ", max(1, width-14)), months[len(months)-1])
-	if _, err := fmt.Fprintln(w, axis); err != nil {
-		return err
-	}
+	fmt.Fprintf(&b, "%s%s%s\n", months[0], strings.Repeat(" ", max(1, width-14)), months[len(months)-1])
 	legend := make([]string, 0, len(f.Series))
 	for si, s := range f.Series {
 		legend = append(legend, fmt.Sprintf("%c=%s", glyphs[si%len(glyphs)], s.Name))
 	}
-	_, err := fmt.Fprintln(w, strings.Join(legend, "  "))
+	b.WriteString(strings.Join(legend, "  ") + "\n")
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
+// months returns the distinct months of the figure's points, in order.
 func (f *Figure) months() []timeline.Month {
 	seen := map[timeline.Month]bool{}
 	var out []timeline.Month
@@ -127,17 +112,6 @@ func (f *Figure) months() []timeline.Month {
 			}
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Before(out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b timeline.Month) int { return a.Sub(b) })
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"tlsage/internal/clientdb"
@@ -123,20 +124,18 @@ func FingerprintScalars(agg *notary.Aggregate) []Scalar {
 
 // RenderScalars writes a paper-vs-measured table.
 func RenderScalars(w io.Writer, title string, scalars []Scalar) error {
-	if _, err := fmt.Fprintf(w, "%s\n%-8s %-42s %10s %10s %6s\n",
-		title, "id", "metric", "paper", "measured", "unit"); err != nil {
-		return err
-	}
 	sorted := make([]Scalar, len(scalars))
 	copy(sorted, scalars)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%-8s %-42s %10s %10s %6s\n",
+		title, "id", "metric", "paper", "measured", "unit")
 	for _, s := range sorted {
-		if _, err := fmt.Fprintf(w, "%-8s %-42s %10.2f %10.2f %6s\n",
-			s.ID, s.Name, s.Paper, s.Measured, s.Unit); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-8s %-42s %10.2f %10.2f %6s\n",
+			s.ID, s.Name, s.Paper, s.Measured, s.Unit)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Table2Report reproduces Table 2 against a traffic aggregate and the
@@ -211,14 +210,12 @@ func BuildTable2Frame(f *Frame, db *fingerprint.DB) Table2Report {
 
 // RenderTable2 writes the Table 2 reproduction.
 func (r Table2Report) RenderTable2(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Table 2 — Fingerprint summary (DB size %d, coverage %.2f%% of fingerprinted connections)\n%-26s %8s %10s\n",
-		r.TotalFPs, r.TotalCoverage, "class", "№ FPs", "coverage"); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Table 2 — Fingerprint summary (DB size %d, coverage %.2f%% of fingerprinted connections)\n%-26s %8s %10s\n",
+		r.TotalFPs, r.TotalCoverage, "class", "№ FPs", "coverage")
 	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%-26s %8d %9.2f%%\n", row.Class, row.NumFPs, row.Coverage); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%-26s %8d %9.2f%%\n", row.Class, row.NumFPs, row.Coverage)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

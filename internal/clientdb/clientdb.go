@@ -12,7 +12,6 @@
 package clientdb
 
 import (
-	"fmt"
 	"math/rand"
 
 	"tlsage/internal/adoption"
@@ -234,27 +233,6 @@ type Profile struct {
 	// (Table 2). Unlabeled profiles still generate traffic and fingerprints,
 	// but the fingerprint DB holds no entry for them.
 	Unlabeled bool
-}
-
-// Validate checks chronological ordering and config sanity.
-func (p *Profile) Validate() error {
-	if len(p.Releases) == 0 {
-		return fmt.Errorf("clientdb: profile %s has no releases", p.Name)
-	}
-	for i, r := range p.Releases {
-		if len(r.Config.Suites) == 0 {
-			return fmt.Errorf("clientdb: %s %s has no cipher suites", p.Name, r.Version)
-		}
-		if i > 0 && r.Date.Before(p.Releases[i-1].Date) {
-			return fmt.Errorf("clientdb: %s releases out of order at %s", p.Name, r.Version)
-		}
-		for _, id := range r.Config.Suites {
-			if _, ok := registry.SuiteByID(id); !ok {
-				return fmt.Errorf("clientdb: %s %s advertises unknown suite %#04x", p.Name, r.Version, id)
-			}
-		}
-	}
-	return p.Lag.Validate()
 }
 
 // MixAt returns the share of the installed base on each release at date d.

@@ -12,6 +12,10 @@ import (
 	"tlsage/internal/wire"
 )
 
+// TestAllProfilesValidate checks the static profile tables: each profile has
+// releases in chronological order, each release advertises registered
+// suites only, and each lag distribution's shares and time constants are
+// in range.
 func TestAllProfilesValidate(t *testing.T) {
 	profiles := AllProfiles()
 	if len(profiles) < 20 {
@@ -19,8 +23,24 @@ func TestAllProfilesValidate(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, p := range profiles {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
+		if len(p.Releases) == 0 {
+			t.Errorf("%s has no releases", p.Name)
+		}
+		for i, r := range p.Releases {
+			if len(r.Config.Suites) == 0 {
+				t.Errorf("%s %s has no cipher suites", p.Name, r.Version)
+			}
+			if i > 0 && r.Date.Before(p.Releases[i-1].Date) {
+				t.Errorf("%s releases out of order at %s", p.Name, r.Version)
+			}
+			for _, id := range r.Config.Suites {
+				if _, ok := registry.SuiteByID(id); !ok {
+					t.Errorf("%s %s advertises unknown suite %#04x", p.Name, r.Version, id)
+				}
+			}
+		}
+		if l := p.Lag; l.FastShare < 0 || l.NeverShare < 0 || l.FastShare+l.NeverShare > 1 || l.FastTauDays <= 0 || l.SlowTauDays <= 0 {
+			t.Errorf("%s: invalid lag %+v", p.Name, l)
 		}
 		if seen[p.Name] {
 			t.Errorf("duplicate profile name %s", p.Name)
@@ -33,6 +53,9 @@ func TestProfileByName(t *testing.T) {
 	p, ok := ProfileByName("Chrome")
 	if !ok || p.Class != ClassBrowser {
 		t.Fatal("Chrome lookup failed")
+	}
+	if rel, ok := p.ReleaseByVersion("1"); ok {
+		t.Errorf("Chrome has no release 1, got %+v", rel)
 	}
 	if _, ok := ProfileByName("Netscape"); ok {
 		t.Error("unexpected profile found")

@@ -135,22 +135,18 @@ func concat(parts ...[]uint16) []uint16 {
 	return out
 }
 
-// take returns the first n entries of pool; n larger than the pool panics
-// (static-table programming error).
+// take returns the first n entries of pool. The pools are slice literals,
+// whose capacity is their length, so an n beyond the pool panics: a
+// static-table programming error.
 func take(pool []uint16, n int) []uint16 {
-	if n > len(pool) {
-		panic("clientdb: pool exhausted")
-	}
 	return pool[:n]
 }
 
 // browserList assembles a browser cipher list with exact class counts:
 // nAEAD AEAD suites, a total of nCBC CBC-mode suites of which n3DES are
-// Triple-DES, and nRC4 RC4 suites. Order: AEAD, AES-CBC, RC4, 3DES.
+// Triple-DES, and nRC4 RC4 suites. Order: AEAD, AES-CBC, RC4, 3DES. An
+// n3DES above nCBC panics in take, like any count beyond its pool.
 func browserList(nAEAD, nCBC, n3DES, nRC4 int) []uint16 {
-	if n3DES > nCBC {
-		panic("clientdb: 3DES count exceeds CBC count")
-	}
 	return concat(
 		take(aeadPool, nAEAD),
 		take(cbcAESPool, nCBC-n3DES),

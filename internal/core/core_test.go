@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"reflect"
 	"runtime"
@@ -60,6 +61,23 @@ func TestStudyLifecycle(t *testing.T) {
 	}
 	if _, err := s.FingerprintDurations(); err == nil {
 		t.Error("durations before Run should error")
+	}
+	if _, err := s.WriteSnapshot(io.Discard); err == nil {
+		t.Error("snapshot before Run should error")
+	}
+	if err := s.MergeShard(notary.NewAggregate()); err == nil {
+		t.Error("merge before Run should error")
+	}
+	if _, _, _, err := s.Counts(); !errors.Is(err, ErrNotRun) {
+		t.Errorf("counts before Run: %v, want ErrNotRun", err)
+	}
+	// A log that is not one fails the load and installs nothing.
+	if err := s.LoadLog(strings.NewReader("not a record log\n")); err == nil || s.Aggregate() != nil {
+		t.Errorf("LoadLog of a malformed log = %v, aggregate %v; want an error and none", err, s.Aggregate())
+	}
+	// A writer that fails fails the snapshot.
+	if _, err := NewLiveStudy().WriteSnapshot(&failWriter{}); err == nil || err.Error() != "injected write failure" {
+		t.Errorf("WriteSnapshot to a failing writer = %v, want the injected failure", err)
 	}
 }
 
@@ -362,14 +380,11 @@ func TestScanSweepDeclines(t *testing.T) {
 		HostsPerSnapshot: 180,
 		Seed:             11,
 	}
-	months, reports, err := sweep.RunReports(context.Background())
+	reports, err := sweep.RunReports(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := ScanAggregate(months, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := ScanAggregate(reports)
 	axis, series := scanSeries(agg)
 	if len(axis) != 4 {
 		t.Fatalf("got %d snapshots", len(axis))
@@ -462,7 +477,7 @@ func TestStudyQuery(t *testing.T) {
 func TestScanSweepParallelDeterministic(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	run := func(procs int) ([]timeline.Month, string) {
+	run := func(procs int) ([]*CampaignReport, string) {
 		runtime.GOMAXPROCS(procs)
 		sweep := &ScanSweep{
 			Start:            timeline.M(2016, time.February),
@@ -471,46 +486,41 @@ func TestScanSweepParallelDeterministic(t *testing.T) {
 			HostsPerSnapshot: 60,
 			Seed:             21,
 		}
-		months, reports, err := sweep.RunReports(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg, err := ScanAggregate(months, reports)
+		reports, err := sweep.RunReports(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var table strings.Builder
-		if err := RenderSweep(&table, agg); err != nil {
+		if err := RenderSweep(&table, ScanAggregate(reports)); err != nil {
 			t.Fatal(err)
 		}
-		return months, table.String()
+		return reports, table.String()
 	}
 	_, serial := run(1)
-	months, parallel := run(3)
-	if len(months) != 3 {
-		t.Fatalf("got %d snapshots, want 3", len(months))
+	reports, parallel := run(3)
+	if len(reports) != 3 {
+		t.Fatalf("got %d snapshots, want 3", len(reports))
 	}
 	if serial != parallel {
 		t.Fatalf("sweep differs between pool widths:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
-	for i := 1; i < len(months); i++ {
-		if !months[i-1].Before(months[i]) {
-			t.Fatal("sweep months out of chronological order")
+	for i := 1; i < len(reports); i++ {
+		if !reports[i-1].Date.Before(reports[i].Date) {
+			t.Fatal("sweep reports out of chronological order")
 		}
 	}
 }
 
 // TestScanSweepCancelled pins the failure contract of RunReports: under a
-// cancelled context every snapshot fails, so the slices stop before the first
-// and the error is the cancellation.
+// cancelled context every snapshot fails, so the reports stop before the
+// first and the error is the cancellation.
 func TestScanSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sweep := &ScanSweep{Start: timeline.M(2016, time.February), End: timeline.M(2016, time.August), HostsPerSnapshot: 10}
-	months, reports, err := sweep.RunReports(ctx)
-	if !errors.Is(err, context.Canceled) || len(months) != 0 || len(reports) != 0 {
-		t.Errorf("RunReports under a cancelled context = (%d months, %d reports, %v), want (0, 0, context.Canceled)",
-			len(months), len(reports), err)
+	reports, err := sweep.RunReports(ctx)
+	if !errors.Is(err, context.Canceled) || len(reports) != 0 {
+		t.Errorf("RunReports under a cancelled context = (%d reports, %v), want (0, context.Canceled)", len(reports), err)
 	}
 }
 
@@ -572,12 +582,12 @@ func TestScanCampaignReceiverUnchanged(t *testing.T) {
 		// the next, Jun 2018, is past the default End) of 150 hosts.
 		s := &ScanSweep{Start: timeline.M(2018, time.March), Seed: 9}
 		before := *s
-		months, _, err := s.RunReports(context.Background())
+		reports, err := s.RunReports(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(months) != 1 {
-			t.Errorf("%d snapshots, want 1", len(months))
+		if len(reports) != 1 {
+			t.Errorf("%d snapshots, want 1", len(reports))
 		}
 		if *s != before {
 			t.Errorf("RunReports mutated its receiver:\nbefore: %+v\nafter:  %+v", before, *s)

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -41,12 +40,13 @@ type ScanSweep struct {
 // RunReports executes the sweep — all snapshots on a bounded worker pool —
 // and returns the raw per-month campaign reports in chronological order
 // regardless of completion order: the input ScanAggregate folds for
-// RenderSweep and for a delta pushed to /merge. On failure both slices stop before the
-// (chronologically) first failing snapshot, and that snapshot's error is
-// returned. As in ScanCampaign.Run, defaults are resolved into locals and
-// the receiver is never written, so concurrent runs of one sweep value do
-// not race.
-func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*CampaignReport, error) {
+// RenderSweep and for a delta pushed to /merge. On failure the reports stop
+// before the (chronologically) first failing snapshot, and the error is the
+// first failure's in time: a snapshot cancelled by another's failure is a
+// knock-on effect and fails after it. As in ScanCampaign.Run, defaults are
+// resolved into locals and the receiver is never written, so concurrent runs
+// of one sweep value do not race.
+func (s *ScanSweep) RunReports(ctx context.Context) ([]*CampaignReport, error) {
 	start, end := cmp.Or(s.Start, timeline.M(2015, time.August)), cmp.Or(s.End, timeline.M(2018, time.May))
 	step, hosts := positiveOr(s.StepMonths, 3), positiveOr(s.HostsPerSnapshot, 150)
 	var months []timeline.Month
@@ -65,7 +65,10 @@ func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*Campai
 	defer cancel()
 
 	reports := make([]*CampaignReport, len(months))
-	errs := make([]error, len(months))
+	var (
+		fail  sync.Once
+		first error
+	)
 	sem := make(chan struct{}, pool)
 	var wg sync.WaitGroup
 	for i, m := range months {
@@ -82,29 +85,24 @@ func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*Campai
 			}
 			rep, err := campaign.Run(ctx)
 			if err != nil {
-				errs[i] = fmt.Errorf("core: sweep at %v: %w", m, err)
-				cancel()
+				fail.Do(func() {
+					first = fmt.Errorf("core: sweep at %v: %w", m, err)
+					cancel()
+				})
 				return
 			}
 			reports[i] = rep
 		}(i, m)
 	}
 	wg.Wait()
-	if i := slices.IndexFunc(errs, func(e error) bool { return e != nil }); i >= 0 {
-		// A snapshot cancelled by another's failure is a knock-on effect;
-		// surface the root failure instead.
-		err := errs[i]
-		root := slices.IndexFunc(errs[i:], func(e error) bool { return e != nil && !errors.Is(e, context.Canceled) })
-		if errors.Is(err, context.Canceled) && root >= 0 {
-			err = errs[i+root]
-		}
-		return months[:i], reports[:i], err
+	if first != nil {
+		return reports[:slices.Index(reports, nil)], first
 	}
-	return months, reports, nil
+	return reports, nil
 }
 
-// ScanAggregate folds per-month scan campaign reports into an aggregate,
-// each report landing in its month's counters as pre-aggregated volume —
+// ScanAggregate folds scan campaign reports into an aggregate, each report
+// landing in the counters of its date's month as pre-aggregated volume —
 // the one mapping from campaigns to counters:
 //
 //	total             farm hosts probed
@@ -122,13 +120,10 @@ func (s *ScanSweep) RunReports(ctx context.Context) ([]timeline.Month, []*Campai
 // aggregate into a delta frame and POSTing it to a serving study's /merge
 // endpoint (tlstrend scansweep -push), which then answers those queries
 // without re-running the sweep.
-func ScanAggregate(months []timeline.Month, reports []*CampaignReport) (*notary.Aggregate, error) {
-	if len(months) != len(reports) {
-		return nil, fmt.Errorf("core: %d months but %d reports", len(months), len(reports))
-	}
+func ScanAggregate(reports []*CampaignReport) *notary.Aggregate {
 	agg := notary.NewAggregate()
-	for i, rep := range reports {
-		agg.UpdateMonth(months[i], uint64(rep.Hosts), func(ms *notary.MonthStats) {
+	for _, rep := range reports {
+		agg.UpdateMonth(timeline.MonthOf(rep.Date), uint64(rep.Hosts), func(ms *notary.MonthStats) {
 			chrome := rep.Probes["chrome2015"]
 			ms.N[notary.Total] += rep.Hosts
 			ms.N[notary.Established] += chrome.Answered
@@ -142,7 +137,7 @@ func ScanAggregate(months []timeline.Month, reports []*CampaignReport) (*notary.
 			ms.N[notary.HeartbeatAckN] += rep.VulnerableHosts
 		})
 	}
-	return agg, nil
+	return agg
 }
 
 // ScanMetrics declares the paper's §5 server-side percentages once, each a
@@ -164,21 +159,32 @@ var ScanMetrics = []struct{ Key, Label, Query string }{
 // puts RC4 supported beside RC4 chosen, where RenderCampaign lists it last.
 var sweepColumns = []string{"ssl3", "rc4sel", "rc4sup", "cbc", "3des", "hb", "bleed", "export"}
 
-// scanSeries evaluates every ScanMetrics series, keyed by Key, through plans
-// compiled over a frame of agg, and returns the frame's month axis with them.
-func scanSeries(agg *notary.Aggregate) ([]timeline.Month, map[string][]float64) {
-	f := analysis.NewFrame(agg)
-	series := make(map[string][]float64, len(ScanMetrics))
+// scanFigure is ScanMetrics as a figure spec, one metric per Key, its
+// queries parsed once: ScanMetrics is static, so a query that fails to parse
+// is a programming error.
+var scanFigure = func() analysis.FigureSpec {
+	spec := analysis.FigureSpec{ID: "scan"}
 	for _, m := range ScanMetrics {
 		e, err := analysis.ParseQuery(m.Query)
 		if err != nil {
 			panic(fmt.Sprintf("core: scan metric %s: %v", m.Key, err))
 		}
-		p, err := analysis.Compile(e, f)
-		if err != nil {
-			panic(fmt.Sprintf("core: scan metric %s: %v", m.Key, err))
+		spec.Metrics = append(spec.Metrics, analysis.MetricSpec{Name: m.Key, Expr: e})
+	}
+	return spec
+}()
+
+// scanSeries evaluates every ScanMetrics series, keyed by Key, over a frame
+// of agg, and returns the frame's month axis with them.
+func scanSeries(agg *notary.Aggregate) ([]timeline.Month, map[string][]float64) {
+	f := analysis.NewFrame(agg)
+	series := make(map[string][]float64, len(ScanMetrics))
+	for _, s := range f.EvalFigure(scanFigure).Series {
+		vals := make([]float64, len(s.Points))
+		for i, p := range s.Points {
+			vals[i] = p.Value
 		}
-		series[m.Key] = p.EvalSeries()
+		series[s.Name] = vals
 	}
 	return f.Months, series
 }
@@ -186,8 +192,7 @@ func scanSeries(agg *notary.Aggregate) ([]timeline.Month, map[string][]float64) 
 // campaignMetrics is scanSeries over one report's one-month ScanAggregate:
 // its value of every ScanMetrics entry, keyed by Key.
 func campaignMetrics(rep *CampaignReport) map[string]float64 {
-	agg, _ := ScanAggregate([]timeline.Month{timeline.MonthOf(rep.Date)}, []*CampaignReport{rep}) // equal lengths: no error
-	_, series := scanSeries(agg)
+	_, series := scanSeries(ScanAggregate([]*CampaignReport{rep}))
 	vals := make(map[string]float64, len(series))
 	for key, s := range series {
 		vals[key] = s[0]

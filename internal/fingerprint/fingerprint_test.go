@@ -244,6 +244,17 @@ func TestDBCollisionRules(t *testing.T) {
 }
 
 func TestBuildDefaultMatchesTable2Counts(t *testing.T) {
+	// BuildDefault fills a class from its labeled profiles, so every class
+	// with a target has some.
+	labeled := map[clientdb.Class]bool{}
+	for _, p := range clientdb.LabeledProfiles() {
+		labeled[p.Class] = true
+	}
+	for class, want := range table2Targets {
+		if want > 0 && !labeled[class] {
+			t.Fatalf("class %s has a target of %d fingerprints but no labeled profile", class, want)
+		}
+	}
 	db := BuildDefault()
 	counts := db.CountByClass()
 	for class, want := range table2Targets {
@@ -348,5 +359,30 @@ func TestQuantile(t *testing.T) {
 	}
 	if q := quantile(vals, 0); q != 1 {
 		t.Errorf("min quantile = %v", q)
+	}
+	if q := quantile([]float64{7}, 0.75); q != 7 {
+		t.Errorf("quantile of one value = %v", q)
+	}
+}
+
+// TestVariantConfigOfAShortList: a suite list too short to swap or drop
+// within gains the renegotiation SCSV instead, keeps its leading suite, and
+// the base config is left as it was.
+func TestVariantConfigOfAShortList(t *testing.T) {
+	base := clientdb.Config{Suites: []uint16{0x002F}, Extensions: []registry.ExtensionID{registry.ExtServerName},
+		Curves: []registry.CurveID{registry.CurveSecp256r1}}
+	for seed := int64(0); seed < 200; seed++ {
+		v := variantConfig(&base, rand.New(rand.NewSource(seed)))
+		if v.Suites[0] != 0x002F {
+			t.Fatalf("seed %d: variant %#04x lost its leading suite", seed, v.Suites)
+		}
+		for _, id := range v.Suites[1:] {
+			if id != 0x00FF {
+				t.Fatalf("seed %d: variant %#04x gained a suite other than the SCSV", seed, v.Suites)
+			}
+		}
+	}
+	if len(base.Suites) != 1 || len(base.Extensions) != 1 || len(base.Curves) != 1 {
+		t.Errorf("variantConfig changed its base: %+v", base)
 	}
 }

@@ -65,14 +65,9 @@ func ComputeDurationStats(durations []notary.FPDuration) DurationStats {
 }
 
 // quantile returns the q-quantile of sorted values using linear
-// interpolation between order statistics.
+// interpolation between order statistics. sorted is not empty:
+// ComputeDurationStats returns before it for no durations.
 func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
 	pos := q * float64(len(sorted)-1)
 	lo := int(pos)
 	if lo >= len(sorted)-1 {

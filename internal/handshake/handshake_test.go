@@ -2,6 +2,7 @@ package handshake
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,8 +135,9 @@ func TestNegotiateTLS13VariantMatching(t *testing.T) {
 		t.Fatalf("got %+v", res)
 	}
 	// The ServerHello keeps the draft code point in supported_versions.
-	if res.ServerHello.SelectedVersion() != registry.VersionTLS13Google {
-		t.Errorf("selected version on wire = %v", res.ServerHello.SelectedVersion())
+	if e, ok := wire.FindExtension(res.ServerHello.Extensions, registry.ExtSupportedVersions); !ok ||
+		!slices.Equal(e.Data, wire.NewServerSupportedVersionsExtension(registry.VersionTLS13Google).Data) {
+		t.Errorf("supported_versions on wire = %v, %v; want the 0x7e02 code point", e, ok)
 	}
 	if res.ServerHello.Version != registry.VersionTLS12 {
 		t.Errorf("legacy field = %v, want TLS12", res.ServerHello.Version)
@@ -218,6 +220,33 @@ func TestMisbehaviorGOST(t *testing.T) {
 	res := Negotiate(ch, cfg)
 	if !res.OK || res.Suite != 0x0081 || !res.SuiteUnoffered {
 		t.Fatalf("got %+v", res)
+	}
+}
+
+// TestMisbehaviorNULL: BehaveChooseNULL answers with the anonymous NULL
+// suite whether or not the client offered it.
+func TestMisbehaviorNULL(t *testing.T) {
+	cfg := modernServer()
+	cfg.Misbehavior = BehaveChooseNULL
+	for _, offered := range []bool{false, true} {
+		suites := []uint16{0xC02F, 0x002F}
+		if offered {
+			suites = append(suites, 0x0082)
+		}
+		res := Negotiate(hello(registry.VersionTLS12, suites, groupsExt(registry.CurveSecp256r1)), cfg)
+		if !res.OK || res.Suite != 0x0082 || res.SuiteUnoffered == offered {
+			t.Errorf("NULL offered %v: got %+v", offered, res)
+		}
+	}
+}
+
+// TestLegacyVersionAboveTLS12: a hello whose legacy version field claims
+// more than TLS 1.2 and offers no supported_versions negotiates as a TLS 1.2
+// hello would.
+func TestLegacyVersionAboveTLS12(t *testing.T) {
+	res := Negotiate(hello(registry.VersionTLS13, []uint16{0xC02F}, groupsExt(registry.CurveSecp256r1)), modernServer())
+	if !res.OK || res.Version != registry.VersionTLS12 || res.Suite != 0xC02F {
+		t.Errorf("got %+v", res)
 	}
 }
 
@@ -309,6 +338,14 @@ func TestServerConfigValidate(t *testing.T) {
 	bad2 := &ServerConfig{Name: "b2", MinVersion: registry.VersionTLS10, MaxVersion: registry.VersionTLS12, Suites: []uint16{0x9999}}
 	if err := bad2.Validate(); err == nil {
 		t.Error("unknown suite accepted")
+	}
+	empty := &ServerConfig{Name: "e", MinVersion: registry.VersionTLS10, MaxVersion: registry.VersionTLS12}
+	if err := empty.Validate(); err == nil {
+		t.Error("compliant server with no suites accepted")
+	}
+	empty.Misbehavior = BehaveChooseGOST
+	if err := empty.Validate(); err != nil {
+		t.Errorf("a misbehaving server answers without suites of its own: %v", err)
 	}
 }
 

@@ -99,19 +99,13 @@ var defaultClientWeights = map[string]adoption.Curve{
 	"unknown-randomizer": adoption.Constant(0.004),
 }
 
-// DefaultClients returns the calibrated study client population.
+// DefaultClients returns the calibrated study client population: every
+// clientdb profile, weighted by defaultClientWeights, which names each of
+// them (TestDefaultClientsCoversAllProfiles).
 func DefaultClients() *ClientPopulation {
 	var entries []WeightedProfile
 	for _, p := range clientdb.AllProfiles() {
-		w, ok := defaultClientWeights[p.Name]
-		if !ok {
-			panic("population: no weight for profile " + p.Name)
-		}
-		entries = append(entries, WeightedProfile{Profile: p, Weight: w})
+		entries = append(entries, WeightedProfile{Profile: p, Weight: defaultClientWeights[p.Name]})
 	}
-	cp, err := NewClientPopulation(entries)
-	if err != nil {
-		panic(err)
-	}
-	return cp
+	return NewClientPopulation(entries)
 }

@@ -14,7 +14,6 @@
 package population
 
 import (
-	"fmt"
 	"math/rand"
 
 	"tlsage/internal/adoption"
@@ -34,20 +33,10 @@ type ClientPopulation struct {
 	entries []WeightedProfile
 }
 
-// NewClientPopulation builds a population from explicit weights.
-func NewClientPopulation(entries []WeightedProfile) (*ClientPopulation, error) {
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("population: empty client population")
-	}
-	for _, e := range entries {
-		if e.Profile == nil || e.Weight == nil {
-			return nil, fmt.Errorf("population: nil profile or weight")
-		}
-		if err := e.Profile.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &ClientPopulation{entries: entries}, nil
+// NewClientPopulation builds a population from explicit weights: at least
+// one entry, each with a profile and a weight curve.
+func NewClientPopulation(entries []WeightedProfile) *ClientPopulation {
+	return &ClientPopulation{entries: entries}
 }
 
 // ClientDay is a ClientPopulation at one date, the only way to draw from it:

@@ -75,11 +75,21 @@ func (sp *ServerPopulation) CohortByName(name string) (*Cohort, bool) {
 	return nil, false
 }
 
+// TestDefaultClientsCoversAllProfiles: every clientdb profile has a weight
+// curve, and every weight names a profile.
 func TestDefaultClientsCoversAllProfiles(t *testing.T) {
 	cp := DefaultClients()
 	if len(cp.entries) != len(clientdb.AllProfiles()) {
 		t.Fatalf("population covers %d profiles, clientdb has %d",
 			len(cp.entries), len(clientdb.AllProfiles()))
+	}
+	for _, e := range cp.entries {
+		if e.Weight == nil {
+			t.Errorf("no weight for profile %s", e.Profile.Name)
+		}
+	}
+	if len(defaultClientWeights) != len(cp.entries) {
+		t.Errorf("%d weights for %d profiles", len(defaultClientWeights), len(cp.entries))
 	}
 }
 
@@ -149,13 +159,37 @@ func TestClientSampleDistribution(t *testing.T) {
 	}
 }
 
+// TestPickFallsThroughToLast: a draw at or above the last running sum, which
+// float rounding can make of rnd.Float64() times the total, takes the last
+// entry instead of running off the table.
+func TestPickFallsThroughToLast(t *testing.T) {
+	cum := []float64{0.25, 0.5, 0.75}
+	for x, want := range map[float64]int{0: 0, 0.25: 1, 0.74: 2, 0.75: 2, 1: 2} {
+		if got := pick(cum, x); got != want {
+			t.Errorf("pick(%v, %v) = %d, want %d", cum, x, got, want)
+		}
+	}
+}
+
+// TestServerPopulationValidates checks the static server tables: every
+// cohort's base config is valid and has both weight curves, and every
+// affinity route names a cohort.
 func TestServerPopulationValidates(t *testing.T) {
 	sp := DefaultServers()
-	if err := sp.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if len(sp.cohorts) < 12 {
 		t.Errorf("expected ≥12 cohorts, got %d", len(sp.cohorts))
+	}
+	for i := range sp.cohorts {
+		c := &sp.cohorts[i]
+		if err := c.Base.Validate(); err != nil {
+			t.Errorf("cohort %s: %v", c.Name, err)
+		}
+		if c.Traffic == nil || c.Hosts == nil {
+			t.Errorf("cohort %s misses a weight curve", c.Name)
+		}
+	}
+	if len(sp.affinity) != len(defaultAffinity) {
+		t.Errorf("affinity routes %v resolve to %v: one names an unknown cohort", defaultAffinity, sp.affinity)
 	}
 }
 

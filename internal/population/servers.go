@@ -1,7 +1,6 @@
 package population
 
 import (
-	"fmt"
 	"math/rand"
 
 	"tlsage/internal/adoption"
@@ -62,15 +61,12 @@ type ServerPopulation struct {
 	noRC4 [][]uint16
 }
 
-// newServerPopulation validates the cohorts and resolves what a draw reads by
-// name or would recompute: each affinity target's cohort index and each
-// cohort's RC4-stripped suites.
-func newServerPopulation(cohorts []Cohort, affinity map[string]string, vulnGivenHeartbeat adoption.Curve) (*ServerPopulation, error) {
+// newServerPopulation resolves what a draw reads by name or would recompute:
+// each affinity target's cohort index and each cohort's RC4-stripped suites.
+// An affinity route to a cohort that is not there routes nothing.
+func newServerPopulation(cohorts []Cohort, affinity map[string]string, vulnGivenHeartbeat adoption.Curve) *ServerPopulation {
 	sp := &ServerPopulation{cohorts: cohorts, affinity: make(map[string]int, len(affinity)),
 		vulnGivenHeartbeat: vulnGivenHeartbeat, noRC4: make([][]uint16, len(cohorts))}
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
 	for i := range cohorts {
 		sp.noRC4[i] = stripRC4(cohorts[i].Base.Suites)
 		for client, cohort := range affinity {
@@ -79,10 +75,7 @@ func newServerPopulation(cohorts []Cohort, affinity map[string]string, vulnGiven
 			}
 		}
 	}
-	if len(sp.affinity) != len(affinity) {
-		return nil, fmt.Errorf("population: an affinity route names an unknown cohort: %v", affinity)
-	}
-	return sp, nil
+	return sp
 }
 
 func (c *Cohort) curve(u Universe) adoption.Curve {
@@ -235,22 +228,6 @@ func stripRC4(suites []uint16) []uint16 {
 		out = append(out, id)
 	}
 	return out
-}
-
-// Validate checks every cohort's base config.
-func (sp *ServerPopulation) Validate() error {
-	if len(sp.cohorts) == 0 {
-		return fmt.Errorf("population: no server cohorts")
-	}
-	for i := range sp.cohorts {
-		if err := sp.cohorts[i].Base.Validate(); err != nil {
-			return err
-		}
-		if sp.cohorts[i].Traffic == nil || sp.cohorts[i].Hosts == nil {
-			return fmt.Errorf("population: cohort %s missing weight curves", sp.cohorts[i].Name)
-		}
-	}
-	return nil
 }
 
 // Server-side suite support sets, in server preference order.

@@ -327,13 +327,14 @@ func DefaultServers() *ServerPopulation {
 		},
 	}
 
-	sp, err := newServerPopulation(cohorts, map[string]string{
-		"Globus GridFTP":   "gridftp",
-		"Nagios check_tcp": "nagios",
-		"Interwise client": "interwise",
-	}, vuln)
-	if err != nil {
-		panic(err)
-	}
-	return sp
+	return newServerPopulation(cohorts, defaultAffinity, vuln)
+}
+
+// defaultAffinity routes the client profiles that only talk to their own
+// servers to those servers' cohorts, by name; each names a cohort of
+// DefaultServers (TestServerPopulationValidates).
+var defaultAffinity = map[string]string{
+	"Globus GridFTP":   "gridftp",
+	"Nagios check_tcp": "nagios",
+	"Interwise client": "interwise",
 }

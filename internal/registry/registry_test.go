@@ -253,6 +253,16 @@ func TestCurveNames(t *testing.T) {
 	if CurveSecp256r1.String() != "secp256r1" || CurveX25519.String() != "x25519" {
 		t.Error("curve naming broken")
 	}
+	for p, want := range map[ECPointFormat]string{
+		PointFormatUncompressed:            "uncompressed",
+		PointFormatANSIX962CompressedPrime: "ansiX962_compressed_prime",
+		PointFormatANSIX962CompressedChar2: "ansiX962_compressed_char2",
+		3:                                  "pointformat(3)",
+	} {
+		if got := p.String(); got != want {
+			t.Errorf("ECPointFormat(%d).String() = %q, want %q", uint8(p), got, want)
+		}
+	}
 	if CurveID(999).String() != "curve(0x03e7)" {
 		t.Error("curve 999 should be unknown")
 	}

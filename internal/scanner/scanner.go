@@ -13,23 +13,20 @@ import (
 	"sync"
 	"time"
 
-	"tlsage/internal/registry"
 	"tlsage/internal/wire"
 )
 
 // Result is the outcome of probing one target.
 type Result struct {
-	Target string
 	// OK is true when the server answered with a ServerHello.
 	OK bool
 	// Err is the network- or protocol-level failure, nil when the server
 	// answered (even with an alert).
 	Err error
-	// Alerted is true when the server answered with a TLS alert.
+	// Alerted is true when the server answered with a well-formed TLS
+	// alert.
 	Alerted bool
-	Alert   wire.Alert
 	// Negotiated parameters when OK.
-	Version      registry.Version
 	Suite        uint16
 	HeartbeatAck bool
 	// Vulnerable: the server acked heartbeat and the Heartbleed check on
@@ -92,7 +89,7 @@ feed:
 // probe performs one dial + hello exchange, then the Heartbleed check when
 // the server acks heartbeat. Cancelling ctx closes the connection.
 func (s *Scanner) probe(ctx context.Context, target string, helloBytes []byte) Result {
-	res := Result{Target: target}
+	var res Result
 
 	conn, err := (&net.Dialer{Timeout: s.Timeout}).DialContext(ctx, "tcp", target)
 	if err != nil {
@@ -121,7 +118,6 @@ func (s *Scanner) probe(ctx context.Context, target string, helloBytes []byte) R
 			return res
 		}
 		res.Alerted = true
-		res.Alert = alert
 		return res
 	case wire.ContentHandshake:
 		typ, body, _, err := wire.DecodeHandshake(rec.Payload)
@@ -135,7 +131,6 @@ func (s *Scanner) probe(ctx context.Context, target string, helloBytes []byte) R
 			return res
 		}
 		res.OK = true
-		res.Version = sh.SelectedVersion().Canonical()
 		res.Suite = sh.CipherSuite
 		res.HeartbeatAck = sh.AcksHeartbeat()
 		if res.HeartbeatAck {

@@ -62,10 +62,10 @@ func TestScanChrome2015AgainstFarm(t *testing.T) {
 		t.Fatalf("got %d results", len(results))
 	}
 	modern, rc4, hb := results[0], results[1], results[2]
-	if !modern.OK || modern.Suite != 0xC02F || modern.Version != registry.VersionTLS12 {
+	if !modern.OK || modern.Suite != 0xC02F {
 		t.Errorf("modern host: %+v", modern)
 	}
-	if !rc4.OK || rc4.Suite != 0x0005 || rc4.Version != registry.VersionTLS10 {
+	if !rc4.OK || rc4.Suite != 0x0005 {
 		t.Errorf("rc4 host: %+v", rc4)
 	}
 	if !hb.OK || !hb.HeartbeatAck {
@@ -100,7 +100,7 @@ func TestSSL3OnlyProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	old, modern := results[0], results[1]
-	if !old.OK || old.Version != registry.VersionSSL3 {
+	if !old.OK || old.Suite != 0x0005 {
 		t.Errorf("SSL3-capable server should answer: %+v", old)
 	}
 	if modern.OK || !modern.Alerted {
@@ -205,7 +205,7 @@ func TestProbeReadsCannedReplies(t *testing.T) {
 	rows := []struct {
 		name  string
 		reply []byte
-		// want is the result without its Target and Err; a zero want is a
+		// want is the result without its Err; a zero want is a
 		// refusal, which must come with an error.
 		want Result
 	}{
@@ -215,9 +215,9 @@ func TestProbeReadsCannedReplies(t *testing.T) {
 		{"truncated-server-hello", handshake(wire.TypeServerHello, []byte{3, 3, 1, 2}), Result{}},
 		{"application-data", wire.AppendRecord(nil, wire.ContentApplicationData, registry.VersionTLS12, []byte{1, 2, 3}), Result{}},
 		{"heartbeat-reply-of-request-type", append(serverHello(0xC02F, hbAck), heartbeat(wire.HeartbeatRequest, make([]byte, 4*hbSent))...),
-			Result{OK: true, Version: registry.VersionTLS12, Suite: 0xC02F, HeartbeatAck: true}},
+			Result{OK: true, Suite: 0xC02F, HeartbeatAck: true}},
 		{"unknown-suite-over-read", append(serverHello(unknownSuite, hbAck), heartbeat(wire.HeartbeatResponse, make([]byte, 4*hbSent))...),
-			Result{OK: true, Version: registry.VersionTLS12, Suite: unknownSuite, HeartbeatAck: true, Vulnerable: true, LeakedBytes: 3 * hbSent}},
+			Result{OK: true, Suite: unknownSuite, HeartbeatAck: true, Vulnerable: true, LeakedBytes: 3 * hbSent}},
 	}
 	targets := make([]string, len(rows))
 	for i, r := range rows {
@@ -235,7 +235,7 @@ func TestProbeReadsCannedReplies(t *testing.T) {
 			if refused := r.want == (Result{}); (got.Err != nil) != refused {
 				t.Fatalf("err = %v, want an error: %v", got.Err, refused)
 			}
-			got.Target, got.Err = "", nil
+			got.Err = nil
 			if got != r.want {
 				t.Errorf("result %+v, want %+v", got, r.want)
 			}
@@ -315,9 +315,11 @@ func TestScanConcurrencyCompletes(t *testing.T) {
 	if len(results) != 60 {
 		t.Fatalf("got %d/60 results", len(results))
 	}
+	// The targets alternate between the hosts, and each host picks its own
+	// suite, so a result in the wrong slot shows as the other host's suite.
 	for i, r := range results {
-		if r.Target != targets[i] {
-			t.Fatalf("results[%d] probed %s, want %s: results come back in target order", i, r.Target, targets[i])
+		if want := []uint16{0xC02F, 0x0005}[i%2]; r.Suite != want {
+			t.Fatalf("results[%d] chose %#04x, want %#04x: results come back in target order", i, r.Suite, want)
 		}
 	}
 	sum := Summarize(results)

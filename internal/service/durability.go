@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"log"
 	"os"
 	"path/filepath"
 	"slices"
@@ -72,7 +71,8 @@ type DurabilityOptions struct {
 	// Interval snapshots on a timer whenever the generation has moved.
 	// 0 disables the timer.
 	Interval time.Duration
-	// Logf receives snapshot-failure warnings; nil means log.Printf.
+	// Logf receives snapshot-failure warnings. It is required: a caller
+	// that wants them dropped passes a func that drops them.
 	Logf func(format string, args ...any)
 }
 
@@ -176,11 +176,8 @@ func (ri RecoveryInfo) Records() uint64 { return ri.SnapshotRecords + ri.Replaye
 // mid-write: a cut line, a cut frame) is dropped with a warning and the valid
 // prefix kept; a frame that passes its checksum and does not decode is no
 // crash's doing and fails the recovery. Leftover .tmp files from interrupted
-// snapshot writes are removed.
+// snapshot writes are removed. logf receives the warnings and is required.
 func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*core.Study, RecoveryInfo, error) {
-	if logf == nil {
-		logf = log.Printf
-	}
 	var info RecoveryInfo
 	var agg *notary.Aggregate
 	if dir != "" {
@@ -379,9 +376,6 @@ type snapshotManager struct {
 }
 
 func newSnapshotManager(study *core.Study, opts DurabilityOptions) *snapshotManager {
-	if opts.Logf == nil {
-		opts.Logf = log.Printf
-	}
 	m := &snapshotManager{
 		study: study,
 		opts:  opts,

@@ -17,8 +17,9 @@ import (
 
 // scanReport hand-builds one campaign report — no TCP farm, so the e2e test
 // exercises exactly the study/query plumbing, deterministically.
-func scanReport(hosts, ssl3, answered, rc4, cbc, tdes, hbAck, rc4only, export, vuln int) *core.CampaignReport {
+func scanReport(m timeline.Month, hosts, ssl3, answered, rc4, cbc, tdes, hbAck, rc4only, export, vuln int) *core.CampaignReport {
 	return &core.CampaignReport{
+		Date:  m.Mid(),
 		Hosts: hosts,
 		Probes: map[string]scanner.Summary{
 			"ssl3only":   {Answered: ssl3},
@@ -44,14 +45,11 @@ func TestScanStudyOnRouter(t *testing.T) {
 		timeline.M(2018, time.May),
 	}
 	reports := []*core.CampaignReport{
-		scanReport(200, 90, 180, 22, 108, 1, 68, 38, 56, 3),
-		scanReport(150, 55, 140, 12, 70, 1, 48, 21, 30, 1),
-		scanReport(180, 45, 175, 6, 63, 0, 61, 34, 2, 0),
+		scanReport(months[0], 200, 90, 180, 22, 108, 1, 68, 38, 56, 3),
+		scanReport(months[1], 150, 55, 140, 12, 70, 1, 48, 21, 30, 1),
+		scanReport(months[2], 180, 45, 175, 6, 63, 0, 61, 34, 2, 0),
 	}
-	agg, err := core.ScanAggregate(months, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := core.ScanAggregate(reports)
 
 	rt := NewRouter()
 	for _, id := range []string{"passive", "scan"} {

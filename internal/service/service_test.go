@@ -304,15 +304,28 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 	if !bytes.Equal(bodyPlain, body1) {
 		t.Error("cached and uncached servers serve different bodies")
 	}
-	// The same query spelled in capitals answers the canonical query's
-	// bytes, canonical text included, out of the canonical query's entry.
+	// The same query spelled in capitals, or with a key's alias, answers the
+	// canonical query's bytes, canonical text included, out of the canonical
+	// query's entry.
 	t.Run("spelling_shares_the_text_entry", func(t *testing.T) {
-		h, body := postQuery(t, tsCached.URL+"/query", "PCT(VERSION:TLS12 / Established)")
-		if !bytes.Equal(body, body1) {
-			t.Errorf("respelled query answers differently from %q:\n%s\n%s", q, body, body1)
-		}
-		if h.Get("X-Cache") != "hit" {
-			t.Errorf("respelled query after the canonical one: X-Cache=%q, want hit", h.Get("X-Cache"))
+		const q13 = "pct(tls13:tls13-draft18 / established)"
+		_, body13 := postQuery(t, tsCached.URL+"/query", q13)
+		for _, row := range []struct{ spelling, canonical string }{
+			{"PCT(VERSION:TLS12 / Established)", q},
+			{"PCT(Version:TLSv12 / ESTABLISHED)", q},
+			{"pct(tls13:tlsv13-draft18 / established)", q13},
+		} {
+			want := body1
+			if row.canonical == q13 {
+				want = body13
+			}
+			h, body := postQuery(t, tsCached.URL+"/query", row.spelling)
+			if !bytes.Equal(body, want) {
+				t.Errorf("%q answers differently from %q:\n%s\n%s", row.spelling, row.canonical, body, want)
+			}
+			if h.Get("X-Cache") != "hit" {
+				t.Errorf("%q after %q: X-Cache=%q, want hit", row.spelling, row.canonical, h.Get("X-Cache"))
+			}
 		}
 	})
 	// /query has one encoder whatever serves the body: over the whole query

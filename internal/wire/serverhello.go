@@ -68,16 +68,6 @@ func (sh *ServerHello) AppendRecord(dst []byte) []byte {
 	return AppendRecord(dst, ContentHandshake, recVer, msg)
 }
 
-// SelectedVersion returns the negotiated protocol version, honouring the
-// supported_versions extension when the server used TLS 1.3 negotiation.
-func (sh *ServerHello) SelectedVersion() registry.Version {
-	e, ok := FindExtension(sh.Extensions, registry.ExtSupportedVersions)
-	if ok && len(e.Data) == 2 {
-		return registry.Version(uint16(e.Data[0])<<8 | uint16(e.Data[1]))
-	}
-	return sh.Version
-}
-
 // AcksHeartbeat reports whether the server echoed the heartbeat extension
 // (the condition the paper uses for "heartbeat negotiated", §5.4).
 func (sh *ServerHello) AcksHeartbeat() bool {

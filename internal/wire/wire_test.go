@@ -152,15 +152,8 @@ func TestServerHelloRoundTrip(t *testing.T) {
 	if !got.AcksHeartbeat() {
 		t.Error("AcksHeartbeat = false")
 	}
-	if got.SelectedVersion() != registry.VersionTLS13 {
-		t.Errorf("SelectedVersion = %v, want TLS13 via supported_versions", got.SelectedVersion())
-	}
-}
-
-func TestServerHelloSelectedVersionLegacy(t *testing.T) {
-	sh := &ServerHello{Version: registry.VersionTLS11, CipherSuite: 0x002F}
-	if sh.SelectedVersion() != registry.VersionTLS11 {
-		t.Error("SelectedVersion should fall back to legacy version")
+	if e, ok := FindExtension(got.Extensions, registry.ExtSupportedVersions); !ok || !bytes.Equal(e.Data, []byte{0x03, 0x04}) {
+		t.Errorf("supported_versions = %v, %v; want TLS13 selected", e, ok)
 	}
 }
 
