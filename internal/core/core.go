@@ -515,8 +515,12 @@ func positiveOr(v, def int) int {
 // Run executes the campaign. The default for Hosts is resolved into a local
 // — the receiver is never written, so one campaign value can be reused
 // across dates without its configuration silently pinning to the first
-// run's defaults.
+// run's defaults. A context already done returns its error before any host
+// is sampled or bound.
 func (c *ScanCampaign) Run(ctx context.Context) (*CampaignReport, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	hosts := positiveOr(c.Hosts, 200)
 	rnd := rand.New(rand.NewSource(c.Seed))
 	servers := population.DefaultServers()

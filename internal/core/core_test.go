@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -521,6 +522,40 @@ func TestScanSweepCancelled(t *testing.T) {
 	reports, err := sweep.RunReports(ctx)
 	if !errors.Is(err, context.Canceled) || len(reports) != 0 {
 		t.Errorf("RunReports under a cancelled context = (%d reports, %v), want (0, context.Canceled)", len(reports), err)
+	}
+}
+
+// cancelledAfterCheck is a context that is live at its first Err call and
+// cancels itself there: a campaign cancelled just after it looked.
+type cancelledAfterCheck struct {
+	context.Context
+	cancel  context.CancelFunc
+	checked atomic.Bool
+}
+
+func (c *cancelledAfterCheck) Err() error {
+	if !c.checked.Swap(true) {
+		c.cancel()
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// TestScanCampaignCancelledBeforeTheFarm: a campaign under a context already
+// done returns the context's own error, before it samples or binds a host —
+// not a probe's wrapped error after the whole farm started for nothing. One
+// cancelled once its farm is up fails at its first probe, which it names.
+func TestScanCampaignCancelledBeforeTheFarm(t *testing.T) {
+	c := &ScanCampaign{Date: timeline.D(2016, time.May, 15), Hosts: 10, Seed: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rep, err := c.Run(ctx); err != context.Canceled || rep != nil {
+		t.Fatalf("Run under a cancelled context = (%v, %v), want (nil, context.Canceled)", rep, err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	rep, err := c.Run(&cancelledAfterCheck{Context: ctx, cancel: cancel})
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "core: probe ") || rep != nil {
+		t.Fatalf("Run cancelled after its check = (%v, %v), want (nil, the first probe's context.Canceled)", rep, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,6 +128,28 @@ func TestDeltaRejectsDamage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeltaPayloadRefusals: a frame whose envelope and checksum hold but
+// whose payload stops short of a field is refused, naming the field —
+// payloads no encoder writes, framed here by hand.
+func TestDeltaPayloadRefusals(t *testing.T) {
+	for payload, want := range map[string]string{
+		"":                 "bad source length varint",
+		"\x05ab":           "source length 5 exceeds remaining 2 bytes",
+		"\x02ab":           "bad base generation varint",
+		"\x02ab\x07":       "missing aggregate version byte",
+		"\x00\x80\x80\x80": "bad base generation varint",
+	} {
+		frame, mark := deltaFormat.Begin(nil)
+		frame, err := deltaFormat.End(append(frame, payload...), mark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeDelta(frame); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("payload %q: %v, want %q", payload, err, want)
+		}
 	}
 }
 

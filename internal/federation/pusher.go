@@ -37,11 +37,12 @@ type MergeAck struct {
 
 // PusherOptions configures an edge Pusher.
 type PusherOptions struct {
-	// Source names this collector on the wire; the upstream sequences deltas
-	// per source. Required.
+	// Source names this collector on the wire, at most MaxDeltaSource bytes;
+	// the upstream sequences deltas per source. serve sets it to -push-source
+	// or else the default study id.
 	Source string
 	// Upstream is the base URL of the target study (e.g.
-	// "http://core:8080/studies/eu"); "/merge" is appended. Required.
+	// "http://core:8080/studies/eu"); "/merge" is appended.
 	Upstream string
 	// Interval is the push cadence; <= 0 means DefaultPushInterval.
 	Interval time.Duration
@@ -60,21 +61,21 @@ type PusherOptions struct {
 	// Rebase, when set, rebuilds the unshipped delta after an upstream
 	// overlap conflict (409): it must return the merged contributions of
 	// every local record past generation `from` — typically a replay of the
-	// durable record log's tail. It runs under the pusher's lock with no
-	// other pusher activity; callers must only rely on it when no ingest is
-	// in flight (the restart-recovery scenario), because records parsed but
-	// not yet flushed into the pusher would otherwise be counted twice.
+	// durable record log's tail — as a non-nil aggregate. It runs under the
+	// pusher's lock with no other pusher activity; callers must only rely on
+	// it when no ingest is in flight (the restart-recovery scenario), because
+	// records parsed but not yet flushed into the pusher would otherwise be
+	// counted twice.
 	Rebase func(from uint64) (*notary.Aggregate, error)
 	// Client is the HTTP client to push with; nil uses http.DefaultClient.
 	Client *http.Client
-	// BaseDelay, MaxDelay and Rand configure the retry.Backoff after a failed
-	// push (zero values: 250ms doubling to 10s, math/rand jitter); the
-	// upstream's Retry-After is its floor. The feeders share the rule.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	Rand      func() float64
 	// Logf receives push-failure and rebase warnings; nil discards them.
 	Logf func(format string, args ...any)
+
+	// backoff spaces timer pushes after a failed one (its zero value: 250ms
+	// doubling to 10s, math/rand jitter); the upstream's Retry-After is its
+	// floor. The feeders share the rule. Set by this package's tests only.
+	backoff retry.Backoff
 }
 
 // Pusher is the edge half of the federation tier: shards merged into the
@@ -120,17 +121,12 @@ type PusherStats struct {
 	LastError       string
 }
 
-// NewPusher validates opts and starts the push timer. Close stops it and
-// flushes one final time.
+// NewPusher checks opts.Source's length, which no delta could carry past
+// MaxDeltaSource, and starts the push timer. Close stops it and flushes one
+// final time.
 func NewPusher(opts PusherOptions) (*Pusher, error) {
-	if opts.Source == "" {
-		return nil, fmt.Errorf("federation: pusher needs a source name")
-	}
 	if len(opts.Source) > MaxDeltaSource {
 		return nil, fmt.Errorf("federation: source name %d bytes long, max %d", len(opts.Source), MaxDeltaSource)
-	}
-	if opts.Upstream == "" {
-		return nil, fmt.Errorf("federation: pusher needs an upstream URL")
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultPushInterval
@@ -144,7 +140,7 @@ func NewPusher(opts PusherOptions) (*Pusher, error) {
 		url:     mergeURL(opts.Upstream),
 		pending: pending,
 		shipped: opts.Shipped,
-		backoff: retry.Backoff{Base: opts.BaseDelay, Max: opts.MaxDelay, Rand: opts.Rand},
+		backoff: opts.backoff,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -164,11 +160,9 @@ func (p *Pusher) logf(format string, args ...any) {
 
 // Observe tees one merged shard into the pending delta. It is the shard
 // observer the service layer calls after every merge into the local study,
-// so the pusher accumulates exactly the records the study accepted.
+// so the pusher accumulates exactly the records the study accepted; the
+// service merges, and so observes, only shards that hold records.
 func (p *Pusher) Observe(shard *notary.Aggregate) {
-	if shard == nil || shard.Generation() == 0 {
-		return
-	}
 	p.mu.Lock()
 	p.pending.Merge(shard)
 	p.mu.Unlock()
@@ -339,9 +333,6 @@ func (p *Pusher) rebase(take *notary.Aggregate, ack MergeAck) error {
 		return p.fail(take, fmt.Errorf("%w; rebase failed: %v", conflict, err), 0)
 	}
 	defer p.mu.Unlock()
-	if rebuilt == nil {
-		rebuilt = notary.NewAggregate()
-	}
 	// The rebuilt delta replaces both the taken delta and anything observed
 	// since the swap: the rebase source (the durable record log) already
 	// contains every record that has reached Observe.

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -9,10 +10,12 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"tlsage/internal/notary"
+	"tlsage/internal/retry"
 )
 
 // mergeSink is a minimal upstream for pusher tests: it folds accepted
@@ -88,15 +91,14 @@ func uitoa(v uint64) string {
 }
 
 // testPusher builds a pusher against srv with an hour-long timer so the
-// tests drive every push deterministically through Flush.
+// tests drive every push deterministically through Flush, and a 1ms backoff
+// without jitter.
 func testPusher(t *testing.T, url string, opts PusherOptions) *Pusher {
 	t.Helper()
 	opts.Source = "edge-test"
 	opts.Upstream = url
 	opts.Interval = time.Hour
-	if opts.Rand == nil {
-		opts.Rand = func() float64 { return 0 }
-	}
+	opts.backoff = retry.Backoff{Base: time.Millisecond, Rand: func() float64 { return 0 }}
 	p, err := NewPusher(opts)
 	if err != nil {
 		t.Fatalf("NewPusher: %v", err)
@@ -160,7 +162,7 @@ func TestPusherRetainsAcross429(t *testing.T) {
 	}
 	srv := httptest.NewServer(sink)
 	defer srv.Close()
-	p := testPusher(t, srv.URL, PusherOptions{BaseDelay: time.Millisecond})
+	p := testPusher(t, srv.URL, PusherOptions{})
 
 	first := buildAggregate(1, 5)
 	p.Observe(first)
@@ -208,7 +210,7 @@ func TestPusherRetryAfterCannotParkTimerPushes(t *testing.T) {
 		srv := httptest.NewServer(sink)
 		p, err := NewPusher(PusherOptions{
 			Source: "edge-test", Upstream: srv.URL, Interval: 5 * time.Millisecond,
-			BaseDelay: time.Millisecond, MaxDelay: maxDelay,
+			backoff: retry.Backoff{Base: time.Millisecond, Max: maxDelay},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +246,7 @@ func TestPusherRetainsAcrossTransportError(t *testing.T) {
 	url := srv.URL
 	srv.Close() // now refuses connections
 
-	p := testPusher(t, url, PusherOptions{BaseDelay: time.Millisecond})
+	p := testPusher(t, url, PusherOptions{})
 	shard := buildAggregate(1, 8)
 	p.Observe(shard)
 	if err := p.Flush(); err == nil {
@@ -305,7 +307,7 @@ func TestPusherDuplicateAck(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	p := testPusher(t, srv.URL, PusherOptions{BaseDelay: time.Millisecond})
+	p := testPusher(t, srv.URL, PusherOptions{})
 	shard := buildAggregate(1, 5)
 	p.Observe(shard)
 	if err := p.Flush(); err == nil {
@@ -356,7 +358,6 @@ func TestPusherRebase(t *testing.T) {
 	tail := buildAggregate(2, 3)
 	var rebaseFrom uint64
 	p := testPusher(t, srv.URL, PusherOptions{
-		BaseDelay: time.Millisecond,
 		Rebase: func(from uint64) (*notary.Aggregate, error) {
 			rebaseFrom = from
 			// The log replay past `from` yields exactly the unapplied tail.
@@ -392,6 +393,61 @@ func TestPusherRebase(t *testing.T) {
 	_ = p.Close()
 }
 
+// TestNewPusherOptions: a source no delta could carry is refused, and an
+// unset interval is DefaultPushInterval.
+func TestNewPusherOptions(t *testing.T) {
+	if _, err := NewPusher(PusherOptions{Source: strings.Repeat("x", MaxDeltaSource+1), Upstream: "http://127.0.0.1:1"}); err == nil {
+		t.Error("a source over MaxDeltaSource accepted")
+	}
+	p, err := NewPusher(PusherOptions{Source: "edge-test", Upstream: "http://127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil || p.opts.Interval != DefaultPushInterval {
+		t.Fatalf("close %v, interval %v; want nil, %v", err, p.opts.Interval, DefaultPushInterval)
+	}
+}
+
+// TestPusherRetainsWhatFails: an upstream status the pusher has no rule for,
+// and a conflict whose rebase source fails, are failed pushes like any
+// other — the error names the cause and the delta stays retained.
+func TestPusherRetainsWhatFails(t *testing.T) {
+	for name, c := range map[string]struct {
+		applied uint64 // the upstream's cursor; past 0, the push conflicts
+		status  int    // the upstream replies with it to every push, 0: no fault
+		want    string
+	}{
+		"unruled status":      {status: http.StatusInternalServerError, want: "replied 500: merge loop stopped"},
+		"failing rebase hook": {applied: 5, want: "rebase failed: the log is gone"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sink := newMergeSink()
+			sink.applied["edge-test"] = c.applied
+			if c.status != 0 {
+				sink.fail = func(_ int, w http.ResponseWriter) bool {
+					w.WriteHeader(c.status)
+					_, _ = w.Write([]byte(`{"error":"merge loop stopped"}`))
+					return true
+				}
+			}
+			srv := httptest.NewServer(sink)
+			defer srv.Close()
+			p := testPusher(t, srv.URL, PusherOptions{
+				Rebase: func(uint64) (*notary.Aggregate, error) { return nil, errors.New("the log is gone") },
+			})
+			shard := buildAggregate(1, 6)
+			p.Observe(shard)
+			if err := p.Flush(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("flush: %v, want %q", err, c.want)
+			}
+			if st := p.Stats(); st.RetainedRecords != shard.Generation() || st.UpstreamErrors != 1 {
+				t.Fatalf("stats %+v, want %d retained and 1 error", st, shard.Generation())
+			}
+			_ = p.Close()
+		})
+	}
+}
+
 // TestPusherNoRebaseHook: without a rebase source a conflict is a retained
 // failure, not silent data loss.
 func TestPusherNoRebaseHook(t *testing.T) {
@@ -400,7 +456,7 @@ func TestPusherNoRebaseHook(t *testing.T) {
 	defer srv.Close()
 	sink.applied["edge-test"] = 5
 
-	p := testPusher(t, srv.URL, PusherOptions{BaseDelay: time.Millisecond})
+	p := testPusher(t, srv.URL, PusherOptions{})
 	shard := buildAggregate(1, 6)
 	p.Observe(shard)
 	err := p.Flush()
@@ -510,6 +566,12 @@ func TestShippedState(t *testing.T) {
 		}
 	})
 
+	t.Run("a-directory-is-an-error", func(t *testing.T) {
+		if _, err := LoadShippedState(t.TempDir()); !errors.Is(err, syscall.EISDIR) {
+			t.Fatalf("a directory as the state file: %v, want EISDIR", err)
+		}
+	})
+
 	t.Run("not-a-number-is-an-error", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "shipped.gen")
 		if err := os.WriteFile(path, []byte("not a number\n"), 0o644); err != nil {
@@ -574,6 +636,43 @@ func TestCursorPersistsInPlace(t *testing.T) {
 	}
 	if st := p.Stats(); st.StateErrors != 0 {
 		t.Fatalf("%d persists failed", st.StateErrors)
+	}
+}
+
+// TestPushDeltaFailures: the one-shot push reports a delta it cannot frame,
+// a reply cut short and a refusal, with the upstream's ack where there is
+// one.
+func TestPushDeltaFailures(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Has("cut") {
+			// Promise a body, send a byte of it and hang up.
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{")
+				buf.Flush()
+				conn.Close()
+			}
+			return
+		}
+		w.WriteHeader(http.StatusConflict)
+		writeAck(w, MergeAck{AppliedThrough: 9})
+	}))
+	defer srv.Close()
+	agg := buildAggregate(3, 7)
+	for name, c := range map[string]struct {
+		upstream, source, want string
+	}{
+		"source over the bound": {srv.URL, strings.Repeat("x", MaxDeltaSource+1), "source name 257 bytes long"},
+		"reply cut short":       {srv.URL + "?cut=1", "campaign", "reading upstream reply: unexpected EOF"},
+		"refused":               {srv.URL, "campaign", "upstream replied 409: Conflict"},
+	} {
+		ack, err := PushDelta(c.upstream, &Delta{Source: c.source, Agg: agg}, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want %q", name, err, c.want)
+		}
+		if name == "refused" && ack.AppliedThrough != 9 {
+			t.Errorf("refused: ack %+v, want the upstream's cursor 9", ack)
+		}
 	}
 }
 

@@ -34,9 +34,6 @@ const (
 	// BehavePreferRC4 picks RC4 whenever offered even though stronger
 	// suites are available — the bankmellat.ir behaviour of §5.3.
 	BehavePreferRC4
-	// BehaveChooseNULL answers with an anonymous NULL suite not offered by
-	// the client (§7.3).
-	BehaveChooseNULL
 )
 
 // ServerConfig is one server's TLS posture.
@@ -130,8 +127,6 @@ func Negotiate(ch *wire.ClientHello, cfg *ServerConfig) Result {
 	switch cfg.Misbehavior {
 	case BehaveChooseGOST:
 		suite, unoffered = 0x0081, !hasSuite(ch.CipherSuites, 0x0081)
-	case BehaveChooseNULL:
-		suite, unoffered = 0x0082, !hasSuite(ch.CipherSuites, 0x0082)
 	case BehaveExportDowngrade:
 		if hasSuite(ch.CipherSuites, 0x0005) || hasSuite(ch.CipherSuites, 0x0004) {
 			suite, unoffered = 0x0003, true

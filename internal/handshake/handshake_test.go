@@ -223,23 +223,6 @@ func TestMisbehaviorGOST(t *testing.T) {
 	}
 }
 
-// TestMisbehaviorNULL: BehaveChooseNULL answers with the anonymous NULL
-// suite whether or not the client offered it.
-func TestMisbehaviorNULL(t *testing.T) {
-	cfg := modernServer()
-	cfg.Misbehavior = BehaveChooseNULL
-	for _, offered := range []bool{false, true} {
-		suites := []uint16{0xC02F, 0x002F}
-		if offered {
-			suites = append(suites, 0x0082)
-		}
-		res := Negotiate(hello(registry.VersionTLS12, suites, groupsExt(registry.CurveSecp256r1)), cfg)
-		if !res.OK || res.Suite != 0x0082 || res.SuiteUnoffered == offered {
-			t.Errorf("NULL offered %v: got %+v", offered, res)
-		}
-	}
-}
-
 // TestLegacyVersionAboveTLS12: a hello whose legacy version field claims
 // more than TLS 1.2 and offers no supported_versions negotiates as a TLS 1.2
 // hello would.

@@ -792,7 +792,7 @@ func TestRecycledShardParity(t *testing.T) {
 			upTS := httptest.NewServer(upstream.Handler())
 			defer upTS.Close()
 			p, err := federation.NewPusher(federation.PusherOptions{Source: "edge", Upstream: upTS.URL,
-				Interval: time.Hour, BaseDelay: time.Millisecond, Rand: func() float64 { return 0 }})
+				Interval: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -212,8 +212,9 @@ func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*
 		study = core.NewLiveStudy()
 	}
 	if logPath != "" {
-		// The tail folds into a shard of the study's, merged once; a torn
-		// tail's valid prefix is in it.
+		// The tail folds into a shard of the study's, merged straight into its
+		// aggregate: nothing has read the study, so its first read builds the
+		// frame whole. A torn tail's valid prefix is in the shard.
 		tail := notary.NewShardBuilder(study.NewShard)
 		n, base, torn, err := replayLogTail(logPath, info.SnapshotRecords, tail)
 		if err != nil {
@@ -225,9 +226,7 @@ func RecoverStudy(dir, logPath string, logf func(format string, args ...any)) (*
 			}
 			return nil, info, fmt.Errorf("service: replaying %s: %w%s", logPath, err, hint)
 		}
-		if err := study.MergeShard(tail.Flush()); err != nil {
-			return nil, info, err
-		}
+		study.Aggregate().Merge(tail.Flush())
 		info.ReplayedRecords, info.LogBase = n, base
 		if torn != nil {
 			info.LogTruncated, info.TornLine = true, torn.Line
@@ -265,7 +264,8 @@ func replayLogTail(path string, skip uint64, sink notary.Sink) (delivered, base 
 
 // OpenIngestLog opens the serve -out log for writing, consistently with the
 // state RecoverStudy just rebuilt (gen is the recovered study's generation,
-// tornLine the RecoveryInfo.TornLine it reported).
+// tornLine the RecoveryInfo.TornLine it reported: the 1-based entry, a line
+// or a frame, that recovery dropped with everything after it).
 //
 // restart says nothing but the log still needs the records it holds: the
 // recovered state was compacted into a fresh snapshot (and, on an edge, all
@@ -279,21 +279,20 @@ func replayLogTail(path string, skip uint64, sink notary.Sink) (delivered, base 
 // TSV line inside its last field, where what is left still reads as a record
 // and is not torn, and the frame appended next must not be read as the rest
 // of that line. (After a frame the newline is a blank line, which every
-// reader skips.)
+// reader skips.) Appending fresh records after a torn entry would fuse them
+// into one malformed entry and poison the next replay; after the trim the
+// file holds exactly the records recovery kept.
 func OpenIngestLog(path string, gen uint64, restart bool, tornLine int) (*os.File, error) {
 	if !restart && gen > 0 {
-		if tornLine > 0 {
-			if err := trimLogAt(path, tornLine); err != nil {
-				return nil, fmt.Errorf("service: trimming torn tail of %s: %w", path, err)
-			}
-		}
+		// Reads start at offset 0; with O_APPEND every write goes to the end,
+		// wherever the trim leaves it.
 		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
 		}
-		if err := endLastLine(f); err != nil {
+		if err := endAtLastEntry(f, tornLine); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("service: ending the last line of %s: %w", path, err)
+			return nil, fmt.Errorf("service: reopening %s at generation %d after its last whole entry: %w", path, gen, err)
 		}
 		return f, nil
 	}
@@ -310,8 +309,19 @@ func OpenIngestLog(path string, gen uint64, restart bool, tornLine int) (*os.Fil
 	return f, nil
 }
 
-// endLastLine appends a newline to a log that does not end in one.
-func endLastLine(f *os.File) error {
+// endAtLastEntry truncates the log f where its 1-based entry torn begins (0:
+// no entry is torn), then appends a newline if what is left does not end in
+// one.
+func endAtLastEntry(f *os.File, torn int) error {
+	if torn > 0 {
+		off, err := notary.LogEntryOffset(f, torn)
+		if err == nil {
+			err = f.Truncate(off)
+		}
+		if err != nil {
+			return err
+		}
+	}
 	st, err := f.Stat()
 	if err != nil || st.Size() == 0 {
 		return err
@@ -325,24 +335,6 @@ func endLastLine(f *os.File) error {
 	}
 	_, err = f.WriteString("\n")
 	return err
-}
-
-// trimLogAt truncates the log file to the byte offset where its 1-based
-// entry — a line or a frame — begins, dropping that entry and everything
-// after it. Appending fresh records after a torn entry would fuse them into
-// one malformed entry and poison the next replay; after the trim the file
-// holds exactly the records recovery kept.
-func trimLogAt(path string, entry int) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	off, err := notary.LogEntryOffset(f, entry)
-	if err != nil {
-		return err
-	}
-	return f.Truncate(off)
 }
 
 // readSnapshotFile decodes one snapshot file.
@@ -421,21 +413,13 @@ func (m *snapshotManager) run() {
 // and a later flush re-checks.
 func (m *snapshotManager) noteProgress() {
 	every := m.opts.EveryRecords
-	if every == 0 {
-		return
-	}
-	_, _, gen, err := m.study.Counts()
-	if err != nil || gen-m.lastGen.Load() < every {
-		return
-	}
-	if !m.mu.TryLock() {
+	if every == 0 || !m.mu.TryLock() {
 		return
 	}
 	defer m.mu.Unlock()
-	if gen-m.lastGen.Load() < every { // re-check under the lock
-		return
+	if _, _, gen, err := m.study.Counts(); err == nil && gen-m.lastGen.Load() >= every {
+		m.snapshotLocked()
 	}
-	m.snapshotLocked()
 }
 
 // snapshotLocked writes one snapshot if the generation moved since the last

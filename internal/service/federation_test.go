@@ -401,11 +401,9 @@ func TestFederationParity(t *testing.T) {
 	// explicitly.
 	newEdge := func(source, target string, flushEvery int) (*Server, *federation.Pusher) {
 		p, err := federation.NewPusher(federation.PusherOptions{
-			Source:    source,
-			Upstream:  coreTS.URL + "/studies/" + target,
-			Interval:  time.Hour,
-			BaseDelay: time.Millisecond,
-			Rand:      func() float64 { return 0 },
+			Source:   source,
+			Upstream: coreTS.URL + "/studies/" + target,
+			Interval: time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)

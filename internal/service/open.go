@@ -250,8 +250,8 @@ func replayUnshipped(study *core.Study, path string, from uint64, logf func(stri
 func (n *Node) Handler() http.Handler { return n.rt.Handler() }
 
 // Serve listens on the configured HTTP (and, when set, raw-TCP) address,
-// announces both through Logf, and serves until ctx is done or a listener
-// fails. Either way the caller then calls Close.
+// announces both through Logf, and serves until ctx is done or a server
+// fails on its own. Either way the caller then calls Close.
 func (n *Node) Serve(ctx context.Context) error {
 	httpLn, err := net.Listen("tcp", n.cfg.HTTP)
 	if err != nil {
@@ -267,25 +267,22 @@ func (n *Node) Serve(ctx context.Context) error {
 			return err
 		}
 		// ServeTCP returns nil once Close shuts the listener, long after Serve
-		// returned; an error before that ends Serve with it.
+		// returned.
 		go func() { cancel(n.def.ServeTCP(ln)) }()
 		n.cfg.Logf("raw ingest (TSV or binary batch) on tcp://%s", ln.Addr())
 	}
 	// Serve until ctx is done, then shut down gracefully, giving in-flight
-	// requests shutdownGrace to finish; an HTTP server that fails on its own
-	// ends Serve with its error.
+	// requests shutdownGrace to finish. Either server failing on its own
+	// cancels ctx with its error, which ends Serve with it (the HTTP server's
+	// ErrServerClosed after Shutdown comes too late to be a cause).
 	hs := &http.Server{Handler: n.Handler()}
-	failed := make(chan error, 1)
-	go func() { failed <- hs.Serve(httpLn) }()
-	select {
-	case err = <-failed:
-	case <-ctx.Done():
-		shutCtx, stop := context.WithTimeout(context.Background(), shutdownGrace)
-		err = hs.Shutdown(shutCtx)
-		stop()
-	}
+	go func() { cancel(hs.Serve(httpLn)) }()
+	<-ctx.Done()
+	shutCtx, stop := context.WithTimeout(context.Background(), shutdownGrace)
+	err = hs.Shutdown(shutCtx)
+	stop()
 	n.cfg.Logf("shutting down")
-	if cause := context.Cause(ctx); err == nil && !errors.Is(cause, context.Canceled) {
+	if cause := context.Cause(ctx); !errors.Is(cause, context.Canceled) {
 		err = cause
 	}
 	return err

@@ -12,12 +12,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tlsage/internal/core"
+	"tlsage/internal/federation"
 	"tlsage/internal/notary"
 	"tlsage/internal/timeline"
 )
@@ -522,6 +524,27 @@ func TestOpenFailureReleasesEverything(t *testing.T) {
 			cfg.Out = filepath.Join(filepath.Dir(cfg.Out), "missing-dir", "conn.log")
 			return cfg
 		},
+		"directory at the compaction snapshot's name": func(t *testing.T) Config {
+			cfg := durable(t)
+			if err := os.MkdirAll(filepath.Join(cfg.SnapshotDir, snapshotName(40)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return cfg
+		},
+		"shipped.gen is a directory": func(t *testing.T) Config {
+			cfg := durable(t)
+			cfg.Upstream = "http://127.0.0.1:1/studies/eu"
+			if err := os.MkdirAll(filepath.Join(cfg.SnapshotDir, "shipped.gen"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return cfg
+		},
+		"push source over the wire's bound": func(t *testing.T) Config {
+			cfg := durable(t)
+			cfg.Upstream = "http://127.0.0.1:1/studies/eu"
+			cfg.PushSource = strings.Repeat("x", federation.MaxDeltaSource+1)
+			return cfg
+		},
 		"corrupt shipped.gen": func(t *testing.T) Config {
 			cfg := durable(t)
 			cfg.Upstream = "http://127.0.0.1:1/studies/eu"
@@ -577,6 +600,72 @@ func TestOpenFailureReleasesEverything(t *testing.T) {
 			})
 			if after := openFDs(); after > fds {
 				t.Fatalf("%d file descriptors open after the failed Open, %d before", after, fds)
+			}
+		})
+	}
+}
+
+// TestOpenNarratesAShippedCursorItCannotHonour: an edge whose shipped.gen
+// lies past what it recovered, or that recovered records past the cursor
+// without the -out log that could rebuild them, opens and says so. Neither
+// node has anything to push, so the unreachable upstream is never dialled.
+func TestOpenNarratesAShippedCursorItCannotHonour(t *testing.T) {
+	log, _ := sharedLog(t)
+	for name, c := range map[string]struct {
+		shipped uint64 // 0: no shipped.gen
+		out     bool   // the 40 records are in an -out log; else in a snapshot
+		want    string
+	}{
+		"cursor past the recovered records": {shipped: 1000, out: true, want: "upstream was acked through generation 1000 but only 40 recovered"},
+		"records past the cursor, no log":   {want: "40 recovered records past the shipped cursor cannot be rebuilt without -out"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			var lines []string
+			cfg := Config{Studies: "eu", SnapshotDir: filepath.Join(dir, "snaps"), Upstream: "http://127.0.0.1:1/studies/eu",
+				PushInterval: time.Hour, Logf: func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }}
+			if c.shipped > 0 {
+				if err := federation.SaveShippedState(filepath.Join(cfg.SnapshotDir, "shipped.gen"), c.shipped); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.out {
+				cfg.Out = filepath.Join(dir, "conn.log")
+				if err := os.WriteFile(cfg.Out, recordLines(t, log, 0, 40), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, _, err := WriteStudySnapshot(cfg.SnapshotDir, studyFromLog(t, recordLines(t, log, 0, 40)), 0); err != nil {
+				t.Fatal(err)
+			}
+			n, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(lines, func(l string) bool { return strings.Contains(l, c.want) }) {
+				t.Fatalf("narrated %q, want a line with %q", lines, c.want)
+			}
+		})
+	}
+}
+
+// TestServeListenFailure: an address Serve cannot listen on, HTTP or raw
+// TCP, ends Serve with the listener's error before anything is announced.
+func TestServeListenFailure(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"http": {Studies: "notary", HTTP: "127.0.0.1:-1"},
+		"tcp":  {Studies: "notary", HTTP: "127.0.0.1:0", TCP: "127.0.0.1:-1"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			n, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if err := n.Serve(context.Background()); err == nil || !strings.Contains(err.Error(), "invalid port") {
+				t.Fatalf("Serve on port -1: %v, want the listener's error", err)
 			}
 		})
 	}
