@@ -16,6 +16,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -27,6 +28,16 @@ import (
 	"tlsage/internal/simulate"
 )
 
+// started counts the tlstrend processes the tests have made: a covered
+// TestCLI looks for their counter files only when one ran.
+var started atomic.Int64
+
+// command is exec.Command on the built tlstrend, counted in started.
+func command(bin string, args ...string) *exec.Cmd {
+	started.Add(1)
+	return exec.Command(bin, args...)
+}
+
 // startServe launches `tlstrend serve` in dir ("" = this one) on loopback
 // ports of the kernel's choosing and reads both listen addresses off stderr
 // through the markers the benchmark relies on ("on http://", "on tcp://").
@@ -34,7 +45,7 @@ import (
 // stderr.
 func startServe(t *testing.T, bin, dir string, args ...string) (cmd *exec.Cmd, httpURL, tcpAddr string, wait func() (string, error)) {
 	t.Helper()
-	cmd = exec.Command(bin, append([]string{"serve", "-http", "127.0.0.1:0", "-tcp", "127.0.0.1:0"}, args...)...)
+	cmd = command(bin, append([]string{"serve", "-http", "127.0.0.1:0", "-tcp", "127.0.0.1:0"}, args...)...)
 	cmd.Dir = dir
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -92,12 +103,22 @@ func startServe(t *testing.T, bin, dir string, args ...string) (cmd *exec.Cmd, h
 func TestCLI(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "tlstrend")
 	build := []string{"build", "-o", bin}
-	if os.Getenv("GOCOVERDIR") != "" {
+	if dir := os.Getenv("GOCOVERDIR"); dir != "" {
 		// A covered binary writes its counters into GOCOVERDIR as it exits.
 		// go test -cover points GOCOVERDIR at this test binary's own
 		// coverage directory, so what these subprocesses run joins the
-		// package's profile.
+		// package's profile. Without their counters a union reads
+		// cmd/tlstrend at about 41 % instead of 79 %, so a covered TestCLI
+		// whose children ran and left no counter file fails here, by name.
 		build = append(build, "-cover", "-coverpkg=tlsage/...")
+		counters := filepath.Join(dir, "covcounters.*")
+		before, _ := filepath.Glob(counters)
+		ran := started.Load()
+		t.Cleanup(func() {
+			if after, _ := filepath.Glob(counters); started.Load() > ran && len(after) <= len(before) {
+				t.Errorf("no new %s after TestCLI's covered children ran: the coverage profile lacks them", counters)
+			}
+		})
 	}
 	if out, err := exec.Command("go", append(build, ".")...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -137,7 +158,7 @@ func TestCLI(t *testing.T) {
 		// -h exits 0 after printing every flag with its default and usage:
 		// the golden is the parent commit's output, so a knob added, lost or
 		// re-defaulted shows as a diff.
-		got, err := exec.Command(bin, "serve", "-h").CombinedOutput()
+		got, err := command(bin, "serve", "-h").CombinedOutput()
 		if err != nil {
 			t.Fatalf("serve -h: %v\n%s", err, got)
 		}
@@ -172,7 +193,7 @@ func TestCLI(t *testing.T) {
 	} {
 		t.Run(strings.Join(g.args, " ")+" matches its golden", func(t *testing.T) {
 			var stderr bytes.Buffer
-			cmd := exec.Command(bin, g.args...)
+			cmd := command(bin, g.args...)
 			cmd.Stderr = &stderr
 			got, err := cmd.Output()
 			if err != nil {
@@ -193,7 +214,7 @@ func TestCLI(t *testing.T) {
 		// is read off a simulated study, so table refuses it by name.
 		var got []byte
 		for _, n := range []string{"1", "3", "4", "5", "6"} {
-			out, err := exec.Command(bin, "table", "-n", n).Output()
+			out, err := command(bin, "table", "-n", n).Output()
 			if err != nil {
 				t.Fatalf("table -n %s: %v", n, err)
 			}
@@ -206,7 +227,7 @@ func TestCLI(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("stdout differs from testdata/tables.golden:\n%s\nwant\n%s", got, want)
 		}
-		out, err := exec.Command(bin, "table", "-n", "2").CombinedOutput()
+		out, err := command(bin, "table", "-n", "2").CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("table -n 2: err=%v, want exit 1", err)
@@ -228,7 +249,7 @@ func TestCLI(t *testing.T) {
 			{[]string{"loadlog", "-figure", "11", "-in", tsv}, "tlstrend: core: no figure 11\n"},
 			{[]string{"loadlog", "-figure", "-1", "-in", tsv}, "tlstrend: core: no figure -1\n"},
 		} {
-			out, err := exec.Command(bin, c.args...).CombinedOutput()
+			out, err := command(bin, c.args...).CombinedOutput()
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 				t.Errorf("%v: err=%v, want exit 1", c.args, err)
@@ -245,7 +266,7 @@ func TestCLI(t *testing.T) {
 		out, snaps := filepath.Join(dir, "conn.log"), filepath.Join(dir, "snaps")
 		run := func(args ...string) []byte {
 			t.Helper()
-			cmd := exec.Command(bin, args...)
+			cmd := command(bin, args...)
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			stdout, err := cmd.Output()
@@ -261,7 +282,7 @@ func TestCLI(t *testing.T) {
 		// feed's summary line carries the stream's wire cost: a simulated
 		// stream goes as TLSB frames, a few dozen bytes a record (a TSV line
 		// is a few hundred).
-		summary, err := exec.Command(bin, "feed", "-tcp", tcp, "-conns", "20", "-seed", "2").CombinedOutput()
+		summary, err := command(bin, "feed", "-tcp", tcp, "-conns", "20", "-seed", "2").CombinedOutput()
 		m := regexp.MustCompile(`fed 1500 records in \S+ \((\d+) bytes, ([\d.]+) B/record, `).FindSubmatch(summary)
 		if err != nil || m == nil {
 			t.Fatalf("feed: err %v, summary %q", err, summary)
@@ -329,7 +350,7 @@ func TestCLI(t *testing.T) {
 		}
 		run := func(args ...string) (stdout, stderr []byte) {
 			t.Helper()
-			cmd := exec.Command(bin, args...)
+			cmd := command(bin, args...)
 			var errBuf bytes.Buffer
 			cmd.Stderr = &errBuf
 			stdout, err := cmd.Output()
@@ -370,7 +391,7 @@ func TestCLI(t *testing.T) {
 	t.Run("simulate -out writes a frame log that reads as its TSV spelling does", func(t *testing.T) {
 		dir := t.TempDir()
 		frames, tsv := filepath.Join(dir, "frames.log"), filepath.Join(dir, "tsv.log")
-		if out, err := exec.Command(bin, "simulate", "-conns", "20", "-seed", "3", "-out", frames).CombinedOutput(); err != nil {
+		if out, err := command(bin, "simulate", "-conns", "20", "-seed", "3", "-out", frames).CombinedOutput(); err != nil {
 			t.Fatalf("simulate -out: %v\n%s", err, out)
 		}
 		opts := simulate.DefaultOptions(20)
@@ -402,7 +423,7 @@ func TestCLI(t *testing.T) {
 		} {
 			var got, want []byte
 			for path, out := range map[string]*[]byte{frames: &got, tsv: &want} {
-				if *out, err = exec.Command(bin, append(args, "-in", path)...).Output(); err != nil {
+				if *out, err = command(bin, append(args, "-in", path)...).Output(); err != nil {
 					t.Fatalf("tlstrend %s -in %s: %v", strings.Join(args, " "), path, err)
 				}
 			}
@@ -415,7 +436,7 @@ func TestCLI(t *testing.T) {
 	t.Run("scansweep -push into serve -studies notary,scan serves what the sweep's aggregate does", func(t *testing.T) {
 		serve, url, _, wait := startServe(t, bin, "", "-studies", "notary,scan")
 		var stderr bytes.Buffer
-		cmd := exec.Command(bin, "scansweep", "-hosts", "40", "-step", "12", "-push", url+"/studies/scan")
+		cmd := command(bin, "scansweep", "-hosts", "40", "-step", "12", "-push", url+"/studies/scan")
 		cmd.Stderr = &stderr
 		got, err := cmd.Output()
 		if err != nil {
@@ -497,7 +518,7 @@ func TestCLI(t *testing.T) {
 			cmd := args[0]
 			flags, ok := flagsOf[cmd]
 			if !ok {
-				help, err := exec.Command(bin, cmd, "-h").CombinedOutput()
+				help, err := command(bin, cmd, "-h").CombinedOutput()
 				if err != nil {
 					t.Errorf("README.md:%d runs tlstrend %s, and tlstrend %s -h fails: %v\n%s", c.line, cmd, cmd, err, help)
 				} else {
@@ -536,7 +557,7 @@ func TestCLI(t *testing.T) {
 
 	t.Run("query matches Study.Query", func(t *testing.T) {
 		const q = "pct(version:tls12 / established)"
-		got, err := exec.Command(bin, "query", "-q", q, "-conns", "20", "-seed", "7", "-json").Output()
+		got, err := command(bin, "query", "-q", q, "-conns", "20", "-seed", "7", "-json").Output()
 		if err != nil {
 			t.Fatalf("query: %v", err)
 		}

@@ -250,6 +250,7 @@ func runREADME(t *testing.T, bin, dir string, cmds []readmeCommand) {
 				continue
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			started.Add(1)
 			cmd := exec.CommandContext(ctx, bin, run...)
 			cmd.Dir = dir
 			out, err := cmd.CombinedOutput()

@@ -346,13 +346,11 @@ func (bw *BatchWriter) Close() error {
 	return bw.flushFrame()
 }
 
-// WriteFrames closes the partial frame and writes frames — whole frames of
-// this format, such as another BatchWriter packed — in one Write. A collector
-// appends each merged shard's frame to its log this way.
+// WriteFrames writes frames — whole frames of this format, such as another
+// BatchWriter packed — in one Write. A collector appends each merged shard's
+// frame to its log this way. A BatchWriter that takes frames takes no
+// records: WriteFrames does not flush a partial frame of Observed ones.
 func (bw *BatchWriter) WriteFrames(frames []byte) error {
-	if err := bw.Close(); err != nil {
-		return err
-	}
 	_, err := bw.w.Write(frames)
 	return err
 }

@@ -162,6 +162,16 @@ func TestBatchWriterSplitsAtPayloadCap(t *testing.T) {
 		}
 	}
 
+	// A write that fails at the cap's split is Observe's error.
+	pr, pw := io.Pipe()
+	pr.CloseWithError(io.ErrShortWrite)
+	bw = NewBatchWriter(pw, 10_000_000)
+	for err = nil; err == nil; err = bw.Observe(recs[0]) {
+	}
+	if !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("a failing writer: err %v", err)
+	}
+
 	// One record alone past the cap cannot be framed: the envelope refuses
 	// it when the frame is flushed, and nothing is written.
 	huge := editHello(recs[0].Clone(), func(h *Hello) { h.Fingerprint = strings.Repeat("f", int(batchFormat.MaxPayload)) })
@@ -426,44 +436,24 @@ func reframe(version byte, payload []byte) []byte {
 	return dst
 }
 
-// TestBatchRejectsMalformedPayloads covers short frames and structurally
-// invalid payloads that arrive with a *valid* checksum: over-claimed record
-// counts, unknown flag bits, trailing payload bytes, bad months.
+// TestBatchRejectsMalformedPayloads: every "malformed" seed of tlsbSeeds, a
+// frame whose checksum holds and whose payload does not, is refused. One
+// grammar per version: a record reads under its own version's stamp, and
+// neither spelling reads under the other's.
 func TestBatchRejectsMalformedPayloads(t *testing.T) {
-	one := buildBatchRecords(11, 1)
-	rec := appendRecordBinary(nil, one[0])
-	// The same record as a version-3 writer opens a frame with it: both of its
-	// values are definitions.
-	rec3 := appendRecordV3(nil, one[0], binary.AppendUvarint, 1, true, 1, true)
-
-	for version, rec := range map[byte][]byte{2: rec, 3: rec3} {
-		cases := []struct {
-			name    string
-			payload []byte
-		}{
-			{"count exceeds payload", appendCount(nil, 50)},
-			{"count over records present", append(appendCount(nil, 2), rec...)},
-			{"trailing payload bytes", append(append(appendCount(nil, 1), rec...), 0xff)},
-			{"unknown flag bits", func() []byte {
-				p := append(appendCount(nil, 1), rec...)
-				p[1] |= 0x80 // first record's flags byte
-				return p
-			}()},
-			{"empty payload", nil},
-		}
-		for _, tc := range cases {
-			if _, _, err := ReadBatches(bytes.NewReader(reframe(version, tc.payload)), nullSink()); err == nil {
-				t.Errorf("version %d, %s: read without error", version, tc.name)
-			}
-		}
-		if _, n, err := ReadBatches(bytes.NewReader(reframe(version, append(appendCount(nil, 1), rec...))), nullSink()); err != nil || n != 1 {
-			t.Errorf("version %d: the record the cases damage reads as %d records, err %v", version, n, err)
+	for name, data := range tlsbSeeds() {
+		if _, _, err := ReadBatches(bytes.NewReader(data), nullSink()); strings.HasPrefix(name, "malformed") && err == nil {
+			t.Errorf("%s: read without error", name)
 		}
 	}
-	// One grammar per version: neither spelling reads under the other's stamp.
-	for version, rec := range map[byte][]byte{3: rec, 2: rec3} {
-		if _, _, err := ReadBatches(bytes.NewReader(reframe(version, append(appendCount(nil, 1), rec...))), nullSink()); err == nil {
-			t.Errorf("a version-%d record read under a version-%d stamp", 5-version, version)
+	one := buildBatchRecords(11, 1)[0]
+	rec, rec3 := appendRecordBinary(nil, one), appendRecordV3(nil, one, binary.AppendUvarint, 1, true, 1, true)
+	for version, spelled := range map[byte][]byte{2: rec, 3: rec3} {
+		for stamp := byte(2); stamp <= 3; stamp++ {
+			_, n, err := ReadBatches(bytes.NewReader(reframe(stamp, append(appendCount(nil, 1), spelled...))), nullSink())
+			if (stamp == version) != (err == nil && n == 1) {
+				t.Errorf("a version-%d record under a version-%d stamp: %d records, err %v", version, stamp, n, err)
+			}
 		}
 	}
 }
@@ -553,7 +543,7 @@ func BenchmarkIngestTSV(b *testing.B) {
 	var buf bytes.Buffer
 	lw := NewLogWriter(&buf)
 	for _, r := range recs {
-		if err := lw.Write(r); err != nil {
+		if err := lw.Observe(r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -60,25 +60,6 @@ func TestDateBoundsOnIngest(t *testing.T) {
 	}
 }
 
-// A snapshot (or delta payload) naming a month or a fingerprint date outside
-// the bounds is refused too, so no aggregate holds one whatever its source.
-func TestDateBoundsOnSnapshotDecode(t *testing.T) {
-	for name, build := range map[string]func(*Aggregate){
-		"month year": func(a *Aggregate) {
-			a.UpdateMonth(timeline.M(10000, time.May), 1, func(ms *MonthStats) { ms.N[Total]++ })
-		},
-		"fingerprint day": func(a *Aggregate) {
-			a.newLife("fp", timeline.D(2015, time.May, 10), timeline.D(2015, time.May, 32))
-		},
-	} {
-		a := NewAggregate()
-		build(a)
-		if _, err := DecodeSnapshot(EncodeSnapshot(nil, a)); err == nil {
-			t.Errorf("%s out of bounds: snapshot decoded", name)
-		}
-	}
-}
-
 // Whatever ReadLog or ReadBatches accepts, the resulting aggregate survives
 // EncodeSnapshot → DecodeSnapshot: input that was acknowledged can never
 // make a collector's own snapshots (or an edge's deltas) undecodable.

@@ -357,6 +357,22 @@ func tlsbSeeds() map[string][]byte {
 	seeds["valid, version 2"] = encodeBatchV2(recs)
 	seeds["a version-2 frame, then a version-3 frame"] = append(encodeBatchV2(recs[:5]), encodeBatch(recs[5:])...)
 	seeds["a hello that ends its payload, version 2"] = encodeBatchV2([]*Record{bare, one, bare, bare})
+	// Frames whose checksum holds and whose payload does not, in either
+	// version's spelling of one record; the second is how a version-3 writer
+	// opens a frame with it.
+	for version, rec := range map[byte][]byte{2: appendRecordBinary(nil, one), 3: appendRecordV3(nil, one, binary.AppendUvarint, 1, true, 1, true)} {
+		flagged := append(appendCount(nil, 1), rec...)
+		flagged[1] |= 0x80 // the record's flags byte
+		for name, payload := range map[string][]byte{
+			"a count over the payload": appendCount(nil, 50),
+			"a count over the records": append(appendCount(nil, 2), rec...),
+			"a byte after the records": append(append(appendCount(nil, 1), rec...), 0xff),
+			"unknown flag bits":        flagged,
+			"an empty payload":         nil,
+		} {
+			seeds[fmt.Sprintf("malformed, version %d: %s", version, name)] = reframe(version, payload)
+		}
+	}
 	for name, data := range v3Seeds() {
 		seeds[name] = data
 	}
@@ -521,6 +537,7 @@ func tsvSeeds() map[string][]byte {
 		"tabs only":           []byte(strings.Repeat("\t", 19) + "\n"),
 		"base directives":     []byte(LogBaseDirective(7) + line + "\n" + LogBaseDirective(9) + line + "\n"),
 		"base rewind":         []byte(line + "\n" + line + "\n" + LogBaseDirective(1) + line + "\n"),
+		"base not a number":   []byte(line + "\n#base x\n" + line + "\n"), // a comment line
 		"cr inside a string":  with(17, "a\rb"),
 		"dash string":         with(18, "-"),
 		"empty string":        with(19, ""),

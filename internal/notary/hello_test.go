@@ -22,7 +22,7 @@ func tsvLog(recs []*Record) []byte {
 	var buf bytes.Buffer
 	lw := NewLogWriter(&buf)
 	for _, r := range recs {
-		if err := lw.Write(r); err != nil {
+		if err := lw.Observe(r); err != nil {
 			panic(err)
 		}
 	}

@@ -22,31 +22,25 @@ import (
 // ReadLog reads as it reads these lines — so it is the spelling tests and
 // the benchmark's TSV workload write.
 type LogWriter struct {
-	w       *bufio.Writer
-	buf     []byte
-	wroteHd bool
+	w   *bufio.Writer
+	buf []byte
+	// keep is how much of buf the next Observe keeps before its line: the
+	// header, until the first record goes out behind it.
+	keep int
 }
 
 // NewLogWriter wraps w.
 func NewLogWriter(w io.Writer) *LogWriter {
-	return &LogWriter{w: bufio.NewWriterSize(w, 1<<16)}
+	return &LogWriter{w: bufio.NewWriterSize(w, 1<<16), buf: []byte(Header()), keep: len(Header())}
 }
 
-// Write appends one record (emitting the header first).
-func (lw *LogWriter) Write(r *Record) error {
-	if !lw.wroteHd {
-		if _, err := lw.w.WriteString(Header()); err != nil {
-			return err
-		}
-		lw.wroteHd = true
-	}
-	lw.buf = r.AppendTSV(lw.buf[:0])
+// Observe implements Sink: it appends one record (emitting the header first).
+func (lw *LogWriter) Observe(r *Record) error {
+	lw.buf = r.AppendTSV(lw.buf[:lw.keep])
+	lw.keep = 0
 	_, err := lw.w.Write(lw.buf)
 	return err
 }
-
-// Observe implements Sink.
-func (lw *LogWriter) Observe(r *Record) error { return lw.Write(r) }
 
 // Close implements Sink by flushing the underlying buffer.
 func (lw *LogWriter) Close() error { return lw.Flush() }

@@ -14,7 +14,7 @@ func TestReadLogTailBaseDirective(t *testing.T) {
 	buf.WriteString(LogBaseDirective(40))
 	lw := NewLogWriter(&buf)
 	for i := 0; i < 10; i++ {
-		if err := lw.Write(sampleRecord()); err != nil {
+		if err := lw.Observe(sampleRecord()); err != nil {
 			t.Fatal(err)
 		}
 	}

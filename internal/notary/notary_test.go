@@ -108,15 +108,21 @@ func TestObserveWireSSLv2(t *testing.T) {
 }
 
 func TestObserveWireRejectsGarbage(t *testing.T) {
-	var r Record
-	var h Hello
-	if err := r.ObserveWire([]byte{0x16, 0x03}, &h); err == nil {
-		t.Error("truncated record observed")
+	record := func(typ wire.ContentType, payload []byte) []byte {
+		return wire.AppendRecord(nil, typ, registry.VersionTLS10, payload)
 	}
-	// Alert record instead of handshake.
-	raw := wire.AppendRecord(nil, wire.ContentAlert, registry.VersionTLS10, []byte{2, 40})
-	if err := r.ObserveWire(raw, &h); err == nil {
-		t.Error("alert record observed as hello")
+	for name, raw := range map[string][]byte{
+		"a truncated record":           {0x16, 0x03},
+		"an alert record":              record(wire.ContentAlert, []byte{2, 40}),
+		"an SSLv2 hello cut short":     {0x80, 0x03, 0x01},
+		"a handshake header cut short": record(wire.ContentHandshake, []byte{1, 0}),
+		"a ServerHello":                record(wire.ContentHandshake, wire.AppendHandshake(nil, wire.TypeServerHello, nil)),
+		"a ClientHello body cut short": record(wire.ContentHandshake, wire.AppendHandshake(nil, wire.TypeClientHello, []byte{3})),
+	} {
+		var r Record
+		if err := r.ObserveWire(raw, &Hello{}); err == nil {
+			t.Errorf("%s observed as a hello", name)
+		}
 	}
 }
 

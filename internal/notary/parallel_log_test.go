@@ -27,7 +27,7 @@ func buildCorpus(t testing.TB, seed int64, n int) ([]byte, *Aggregate) {
 	for i := 0; i < n; i++ {
 		r := randomRecord(rnd, all)
 		want.Add(r)
-		if err := lw.Write(r); err != nil {
+		if err := lw.Observe(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,8 @@ func TestReadLogParallelMatchesSerial(t *testing.T) {
 // Every error the parallel reader stops with is the one serial ReadLog
 // reports, for every worker count and run size: a malformed line (the earliest
 // wins when there are several, as serial stops there), a #base directive that
-// rewinds, a malformed line before a read error, and in a log of frames a
+// rewinds, a malformed line before a read error, a reader that stops returning
+// anything (io.ErrNoProgress), and in a log of frames a
 // frame cut short or one that passes its checksum and does not decode (a
 // *BatchError naming the frame's index in the whole log).
 func TestReadLogParallelErrorParity(t *testing.T) {
@@ -163,6 +164,7 @@ func TestReadLogParallelErrorParity(t *testing.T) {
 	check("malformed line, then a read error", func() io.Reader {
 		return io.MultiReader(bytes.NewReader(corrupt(lines, 50)), iotest.ErrReader(errors.New("disk gone")))
 	}, lineRuns)
+	check("a reader that returns nothing", func() io.Reader { return io.MultiReader(bytes.NewReader(log), iotest.ErrReader(nil)) }, lineRuns)
 
 	recs := buildBatchRecords(41, 60)
 	frames := encodeFrames(recs, 5)

@@ -27,6 +27,9 @@ func TestReplaceFile(t *testing.T) {
 			t.Fatalf("target holds %q (%v), want %q", got, err, content)
 		}
 	}
+	if err := ReplaceFile(dir, "no/temp-*", write("x", nil)); err == nil {
+		t.Fatal("a temp pattern with a path separator was created")
+	}
 	boom := errors.New("writer failed")
 	if err := ReplaceFile(dir, ".cursor-*", write("torn", boom)); !errors.Is(err, boom) {
 		t.Fatalf("failed write: err %v, want the writer's", err)

@@ -171,7 +171,8 @@ func TestBuilderFoldsEarlyAtItsCellBound(t *testing.T) {
 }
 
 // A builder that met more than maxKeptMonths months forgets them at Flush, and
-// its next shard, whose months it numbers afresh, is still Add's.
+// its next shard, whose months it numbers afresh, is still Add's. The shard,
+// emptied, keeps maxKeptMonths of its months for the records to come.
 func TestBuilderForgetsMonthsPastItsBound(t *testing.T) {
 	var recs []*Record
 	for m := range maxKeptMonths + 10 {
@@ -186,9 +187,10 @@ func TestBuilderForgetsMonthsPastItsBound(t *testing.T) {
 			want.Add(r)
 			b.Add(r)
 		}
-		requireSameAggregate(t, fmt.Sprintf("shard %d", round), b.Flush(), want)
-		if len(b.months) != 0 {
-			t.Fatalf("shard %d: the builder kept %d months past its bound of %d", round, len(b.months), maxKeptMonths)
+		shard := b.Flush()
+		requireSameAggregate(t, fmt.Sprintf("shard %d", round), shard, want)
+		if shard.Reset(); len(b.months) != 0 || len(shard.spare) != maxKeptMonths {
+			t.Fatalf("shard %d: the builder kept %d months, the emptied shard %d, past their bound of %d", round, len(b.months), len(shard.spare), maxKeptMonths)
 		}
 		slices.Reverse(recs)
 	}

@@ -375,11 +375,8 @@ func (d *snapDecoder) count() int {
 }
 
 // length reads a collection/string length and checks it against the bytes
-// left (each encoded element needs at least min bytes).
+// left (each encoded element needs at least min bytes, min >= 1).
 func (d *snapDecoder) length(min int) int {
-	if min < 1 {
-		min = 1
-	}
 	// A length under 128 that fits — every list and string of a record — is
 	// its one byte, settled by a multiplication.
 	if b := d.b[d.off:]; d.err == nil && len(b) > 0 && b[0] < 0x80 && int(b[0])*min < len(b) {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -95,96 +96,84 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 }
 
-// poisonedAggregate holds one month whose AEAD position accumulators are set
-// by hand — the encoder writes whatever it is given, so this is how a hostile
-// or buggy peer's CRC-valid frame is built.
-func poisonedAggregate(sum float64, count int) *Aggregate {
-	agg := NewAggregate()
-	agg.UpdateMonth(timeline.M(2016, time.May), 3, func(ms *MonthStats) {
-		ms.N[Total] = 3
-		ms.Pos[PosAEAD].Sum, ms.Pos[PosAEAD].Count = sum, count
-	})
-	return agg
-}
-
-// TestDecodeRefusesImpossiblePositions: Add sums terms idx/(n-1) <= 1 and
-// counts each, so a position entry that is non-finite, negative, above its
-// count, of an unknown class or without a count cannot come from Add and
-// Merge. A NaN that got in would survive every merge, blank /figures and be
-// written into the receiver's own snapshots.
-func TestDecodeRefusesImpossiblePositions(t *testing.T) {
-	if _, err := DecodeSnapshot(EncodeSnapshot(nil, poisonedAggregate(1.5, 2))); err != nil {
-		t.Fatalf("a sum below its count must decode: %v", err)
-	}
-	for _, tc := range []struct {
-		name  string
-		sum   float64
-		count int
-	}{
-		{"NaN", math.NaN(), 2},
-		{"+Inf", math.Inf(1), 2},
-		{"-Inf", math.Inf(-1), 2},
-		{"negative", -0.25, 2},
-		{"above count", 2.5, 2},
-	} {
-		if _, err := DecodeSnapshot(EncodeSnapshot(nil, poisonedAggregate(tc.sum, tc.count))); err == nil {
-			t.Errorf("%s position sum decoded without error", tc.name)
+// TestSnapshotPayloadRefusals: a CRC-valid payload that Add and Merge cannot
+// build, or that no encoder writes, is refused with an error naming what is
+// wrong. Each row is one edit of the payload of one small aggregate — two
+// fingerprints, an AEAD position entry and a version key — made through the
+// encoder, which writes whatever it is given, or on its bytes. A position sum
+// is a sum of terms idx/(n-1) <= 1, one per count: a NaN that got in would
+// survive every merge, blank /figures and be written into the receiver's own
+// snapshots. The frame ranks the fp: family from the lifetime rows and fills
+// it from the month rows, so a repeated row must not replace the earlier one,
+// and a lifetime volume past int64 would turn negative under Merge.
+func TestSnapshotPayloadRefusals(t *testing.T) {
+	build := func(edit func(a *Aggregate, ms *MonthStats)) []byte {
+		a := NewAggregate()
+		for _, fp := range []string{"fp-a", "fp-b"} {
+			a.Add(withHello(&Record{Date: timeline.D(2016, time.May, 9)}, Hello{Fingerprint: fp}))
 		}
+		a.UpdateMonth(timeline.M(2016, time.May), 0, func(ms *MonthStats) {
+			ms.Pos[PosAEAD].Sum, ms.Pos[PosAEAD].Count = 1.5, 2
+			ms.ByVersion.Set(0xfffe, 1)
+			edit(a, ms)
+		})
+		return AppendAggregatePayload(nil, a)
 	}
-
-	// Class-table damage needs payload surgery: the two tables name the
-	// class once each, sums first.
-	payload := AppendAggregatePayload(nil, poisonedAggregate(1.5, 2))
-	name := []byte("\x04AEAD")
-	if bytes.Count(payload, name) != 2 {
-		t.Fatalf("payload names the class %d times, want 2", bytes.Count(payload, name))
+	sum := func(v float64) []byte { return build(func(_ *Aggregate, ms *MonthStats) { ms.Pos[PosAEAD].Sum = v }) }
+	good := sum(1.5)
+	at := func(s string, last bool) int { // where s starts, first or last time
+		if last {
+			return bytes.LastIndex(good, []byte(s))
+		}
+		return bytes.Index(good, []byte(s))
 	}
-	if _, err := DecodeAggregatePayload(payload, SnapshotVersion); err != nil {
-		t.Fatalf("unmodified payload: %v", err)
+	swap := func(at int, s string) []byte { return slices.Concat(good[:at], []byte(s), good[at+len(s):]) }
+	// The class and each fingerprint are named once per table: AEAD in the
+	// sums, then the counts; fp-a in the month's rows, its volumes, the
+	// lifetime rows. The generation and the month count take a byte each.
+	lifetimes, aead := at("\x04fp-a", true)-1, at("\x04AEAD", true)
+	for _, tc := range []struct {
+		want    string
+		payload []byte
+	}{
+		{"sum NaN outside [0, count 2]", sum(math.NaN())},
+		{"sum +Inf outside [0, count 2]", sum(math.Inf(1))},
+		{"sum -Inf outside [0, count 2]", sum(math.Inf(-1))},
+		{"sum -0.25 outside [0, count 2]", sum(-0.25)},
+		{"sum 2.5 outside [0, count 2]", sum(2.5)},
+		{`unknown position class "AEAX"`, swap(at("\x04AEAD", false), "\x04AEAX")},
+		// The count table's one entry (name, then 2) dropped, its length zeroed.
+		{"position class AEAD has a sum but no count", slices.Concat(good[:aead-1], []byte{0}, good[aead+6:])},
+		{"unexpected end of payload in float", good[:at("\x04AEAD", false)+9]},
+		{"map key 65536 out of range", swap(at("\xfe\xff\x03", false), "\x80\x80\x04")},
+		{`duplicate fingerprint "fp-a" in month 2016-05`, swap(at("\x04fp-b", false), "\x04fp-a")},
+		// The month's second row cut inside its name.
+		{"length 4 exceeds remaining 2 bytes", good[:at("\x04fp-b", false)+3]},
+		{"bad month 10000-5", build(func(a *Aggregate, _ *MonthStats) {
+			a.UpdateMonth(timeline.M(10000, time.May), 1, func(ms *MonthStats) { ms.N[Total]++ })
+		})},
+		{"duplicate month 2016-05", slices.Concat(good[:1], []byte{2}, good[2:lifetimes], good[2:])},
+		{`duplicate fingerprint "fp-a"`, swap(at("\x04fp-b", true), "\x04fp-a")},
+		{"bad date 2015-5-32", build(func(a *Aggregate, _ *MonthStats) {
+			a.newLife("fp", timeline.D(2015, time.May, 10), timeline.D(2015, time.May, 32))
+		})},
+		// The payload ends with the last lifetime row's volume, the one byte 1.
+		{"implausible count 9223372036854775808", binary.AppendUvarint(slices.Clip(good[:len(good)-1]), 1<<63)},
+		{"1 trailing bytes", append(slices.Clip(good), 0)},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			if _, err := DecodeAggregatePayload(tc.payload, SnapshotVersion); err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+				t.Errorf("err = %v, want one ending %q", err, tc.want)
+			}
+		})
 	}
-	unknown := bytes.Replace(payload, name, []byte("\x04AEAX"), 1)
-	if _, err := DecodeAggregatePayload(unknown, SnapshotVersion); err == nil {
-		t.Error("unknown position class decoded without error")
+	if _, err := DecodeAggregatePayload(good, SnapshotVersion); err != nil {
+		t.Fatalf("the payload the rows edit: %v", err)
 	}
-	// Drop the count table's one entry (name + varint 2) and zero its length.
-	at := bytes.LastIndex(payload, name)
-	noCount := append([]byte(nil), payload[:at-1]...)
-	noCount = append(noCount, 0)
-	noCount = append(noCount, payload[at+len(name)+1:]...)
-	if _, err := DecodeAggregatePayload(noCount, SnapshotVersion); err == nil {
-		t.Error("position sum without a count decoded without error")
-	}
-}
-
-// TestDecodeRefusesImpossibleFingerprintRows: the frame ranks the fp: family
-// from the lifetime rows and derives fp:other from the month rows, so neither
-// may carry what Add and Merge cannot build. A month's table naming one
-// fingerprint twice cannot come from an encoder (it writes a map's sorted
-// keys) and must not let the later row replace the earlier; a lifetime volume
-// past int64 would turn negative and shrink under Merge.
-func TestDecodeRefusesImpossibleFingerprintRows(t *testing.T) {
-	agg := NewAggregate()
-	for _, fp := range []string{"fp-a", "fp-b"} {
-		agg.Add(withHello(&Record{Date: timeline.D(2016, time.May, 9)}, Hello{Fingerprint: fp}))
-	}
-	payload := AppendAggregatePayload(nil, agg)
-	if _, err := DecodeAggregatePayload(payload, SnapshotVersion); err != nil {
-		t.Fatalf("unmodified payload: %v", err)
-	}
-	// The month's row table names each fingerprint first; its volume table
-	// and the lifetime rows follow.
-	name := []byte("\x04fp-b")
-	if bytes.Count(payload, name) != 3 {
-		t.Fatalf("payload names the fingerprint %d times, want 3", bytes.Count(payload, name))
-	}
-	repeated := bytes.Replace(payload, name, []byte("\x04fp-a"), 1)
-	if _, err := DecodeAggregatePayload(repeated, SnapshotVersion); err == nil || !strings.Contains(err.Error(), "duplicate fingerprint") {
-		t.Errorf("repeated fingerprint row: err = %v, want a duplicate-fingerprint refusal", err)
-	}
-	// The payload ends with the last lifetime row's volume, the one byte 1.
-	huge := binary.AppendUvarint(payload[:len(payload)-1:len(payload)-1], 1<<63)
-	if _, err := DecodeAggregatePayload(huge, SnapshotVersion); err == nil || !strings.Contains(err.Error(), "implausible count") {
-		t.Errorf("lifetime volume 1<<63: err = %v, want an implausible-count refusal", err)
+	for _, v := range []byte{0, SnapshotVersion + 1} {
+		if _, err := DecodeAggregatePayload(good, v); err == nil || !strings.Contains(err.Error(), "this build reads 1..2") {
+			t.Errorf("payload version %d: err = %v", v, err)
+		}
 	}
 }
 
@@ -216,8 +205,11 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(EncodeSnapshot(nil, NewAggregate()))
 	f.Add(EncodeSnapshot(nil, buildAggregate(1, 5)))
 	f.Add(EncodeSnapshot(nil, buildAggregate(2, 100)))
-	f.Add(EncodeSnapshot(nil, poisonedAggregate(math.NaN(), 2)))
-	f.Add(EncodeSnapshot(nil, poisonedAggregate(2.5, 2)))
+	for _, sum := range []float64{math.NaN(), 2.5} { // position sums no Add or Merge can produce
+		a := NewAggregate()
+		a.UpdateMonth(timeline.M(2016, time.May), 3, func(ms *MonthStats) { ms.Pos[PosAEAD].Sum, ms.Pos[PosAEAD].Count = sum, 2 })
+		f.Add(EncodeSnapshot(nil, a))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeSnapshot(data)
 		if err != nil {

@@ -156,20 +156,8 @@ func (f *fedState) complete(src string, base, recs, gen uint64, ok bool) uint64 
 }
 
 // registerChild pre-registers a union member so /healthz lists it before
-// any traffic arrives.
-func (f *fedState) registerChild(id string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.children == nil {
-		f.children = make(map[string]*fedChild)
-	}
-	if f.children[id] == nil {
-		f.children[id] = &fedChild{}
-	}
-}
-
-// noteChild ticks one union member's gauges after its shard folded in.
-func (f *fedState) noteChild(id string, recs, gen uint64) {
+// any traffic arrives, and returns its gauges.
+func (f *fedState) registerChild(id string) *fedChild {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.children == nil {
@@ -180,9 +168,16 @@ func (f *fedState) noteChild(id string, recs, gen uint64) {
 		c = &fedChild{}
 		f.children[id] = c
 	}
+	return c
+}
+
+// noteChild ticks one union member's gauges after its shard folded in.
+func (f *fedState) noteChild(c *fedChild, recs, gen uint64) {
+	f.mu.Lock()
 	c.shards++
 	c.records += recs
 	f.lastGen = gen
+	f.mu.Unlock()
 }
 
 // health builds the /healthz federation core block, or nil when this server
@@ -358,7 +353,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 // absorb folds one member study's merged shard into this (union) server's
 // study and feeds this server's own observers — so a union can itself push
 // upstream, making taller tiers compose.
-func (s *Server) absorb(child string, shard *notary.Aggregate) {
+func (s *Server) absorb(child *fedChild, shard *notary.Aggregate) {
 	if err := s.study.MergeShard(shard); err != nil {
 		// Only possible when the union study has no aggregate; Union mounts
 		// live studies, so this is unreachable in assembled routers.
@@ -393,15 +388,15 @@ func (rt *Router) Union(id string, srv *Server, members ...string) error {
 		return err
 	}
 	for _, member := range members {
-		srv.fed.registerChild(member)
+		child := srv.fed.registerChild(member)
 		// Seed with the member's current content — studies recovered from
 		// snapshots or pre-loaded before assembly are part of the union from
 		// the start; the observer covers everything merged afterwards.
 		if agg := rt.servers[member].study.Aggregate(); agg != nil && agg.Generation() > 0 {
-			srv.absorb(member, agg)
+			srv.absorb(child, agg)
 		}
 		rt.servers[member].addShardObserver(func(shard *notary.Aggregate) {
-			srv.absorb(member, shard)
+			srv.absorb(child, shard)
 		})
 	}
 	return nil

@@ -187,10 +187,10 @@ func (q *mergeQueue) loop() {
 	}
 }
 
-// writeLog writes a shard's frame to the log: in one write through a sink
-// with WriteFrames (notary.BatchWriter); any other sink — a TSV LogWriter —
-// gets the frame's records, replayed by ReadLog, then Close, which flushes
-// them.
+// writeLog writes a shard's frame to the log: a sink with WriteFrames
+// (notary.BatchWriter) gets the whole frame in one write and never a record;
+// any other sink — a TSV LogWriter — gets the frame's records, replayed by
+// ReadLog, then Close, which flushes them.
 func (q *mergeQueue) writeLog(frame []byte) error {
 	if q.logErr != nil {
 		return q.logErr

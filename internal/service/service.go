@@ -106,7 +106,8 @@ type Server struct {
 	flushEvery int
 	// logSink, when set, is the record log (a BatchWriter on the -out log),
 	// written by the merge loop alone: each shard's frame before the shard
-	// merges. stages pools the per-stream encoders that pack those frames.
+	// merges, as whole frames and no records when it has WriteFrames. stages
+	// pools the per-stream encoders that pack those frames.
 	logSink notary.Sink
 	stages  sync.Pool
 	// builders pools the streams' ShardBuilders, and shards the aggregates
@@ -173,9 +174,9 @@ type Option func(*Server)
 
 // WithLogSink makes sink (typically a notary.BatchWriter over a file) the
 // study's record log. The merge loop writes every shard to it before the shard
-// merges — as TLSB frames in one call to a sink with WriteFrames([]byte) error,
-// as records and then Close, which must flush, to any other — and a shard
-// whose write fails does not merge, nor does any after it.
+// merges — a sink with WriteFrames([]byte) error gets whole TLSB frames in one
+// call each and no records; any other gets records and then Close, which must
+// flush — and a shard whose write fails does not merge, nor does any after it.
 func WithLogSink(sink notary.Sink) Option {
 	return func(s *Server) { s.logSink = sink }
 }
