@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -580,44 +581,41 @@ func TestServeConfigIsItsFlagSet(t *testing.T) {
 }
 
 // TestFrameWrittenOnlyByConstructors guards what analysis.Frame's doc claims:
-// a frame is data, never written after its constructor returns, so it holds no
-// memo and no lock. Frame declares no field of a sync or sync/atomic type,
-// and in internal/analysis's production files only the constructors and the
-// two fillers they call assign to a field through a *Frame. A *Frame is a
-// receiver, parameter or result declared *Frame, or a local made from
-// &Frame{…}; a write is an assignment or ++/-- whose left side selects a
-// field of one, directly or through indexing.
+// a frame, its month rows and its cell table are data, never written after
+// the constructor that makes them returns, so successive frames may share
+// them and a frame holds no memo and no lock. Neither Frame nor frameRow
+// declares a field of a sync or sync/atomic type. In internal/analysis's
+// production files, type-checked, a field of a Frame, frameRow or cellTable
+// is written — by an assignment, ++/--, or copy or clear into it — only in
+// that type's writers below, and a writer other than the two constructors is
+// called only from a constructor or another writer, so it runs only while a
+// constructor does.
 func TestFrameWrittenOnlyByConstructors(t *testing.T) {
-	writers := map[string]bool{"NewFrame": false, "Advance": false, "fillRow": false, "buildFPColumns": false}
-	isFrame := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && id.Name == "Frame"
+	writers := map[string]map[string]bool{
+		"Frame":     {"NewFrame": false, "Advance": false, "put": false, "fillFP": false, "fillFPRow": false},
+		"frameRow":  {"fillRow": false, "put": false, "fillFPRow": false},
+		"cellTable": {"put": false, "add": false},
 	}
-	// throughFrame reports whether lhs selects a field of one of frames.
-	throughFrame := func(lhs ast.Expr, frames map[string]bool) bool {
-		for {
-			switch x := lhs.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok && frames[id.Name] {
-					return true
-				}
-				lhs = x.X
-			case *ast.IndexExpr:
-				lhs = x.X
-			case *ast.ParenExpr:
-				lhs = x.X
-			default:
-				return false
+	constructors := map[string]bool{"NewFrame": true, "Advance": true}
+	runsInConstructor := func(fn string) bool {
+		if constructors[fn] {
+			return true
+		}
+		for _, ws := range writers {
+			if _, ok := ws[fn]; ok {
+				return true
 			}
 		}
+		return false
 	}
 
-	paths, err := filepath.Glob(filepath.Join("internal", "analysis", "*.go"))
+	dir := filepath.Join("internal", "analysis")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	sawFrame := false
+	var files []*ast.File
 	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
@@ -626,80 +624,124 @@ func TestFrameWrittenOnlyByConstructors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range f.Decls {
-			if d, ok := d.(*ast.GenDecl); ok {
-				for _, s := range d.Specs {
-					if ts, ok := s.(*ast.TypeSpec); ok && ts.Name.Name == "Frame" {
-						sawFrame = true
-						ast.Inspect(ts.Type, func(n ast.Node) bool {
-							if sel, ok := n.(*ast.SelectorExpr); ok {
-								if pkg, ok := sel.X.(*ast.Ident); ok && (pkg.Name == "sync" || pkg.Name == "atomic") {
-									t.Errorf("%s: Frame has a %s.%s field: a frame holds no lock or memo",
-										fset.Position(sel.Pos()), pkg.Name, sel.Sel.Name)
-								}
-							}
-							return true
-						})
+		files = append(files, f)
+	}
+	out, err := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}", "./"+dir).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			exports[path] = file
+		}
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}, Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := conf.Check("tlsage/internal/analysis", fset, files, info)
+	if err != nil {
+		t.Fatalf("type-checking internal/analysis: %v", err)
+	}
+
+	for name := range writers {
+		obj := pkg.Scope().Lookup(name)
+		if obj == nil {
+			t.Fatalf("no %s type in internal/analysis: the guard is looking in the wrong place", name)
+		}
+		st := obj.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if named, ok := st.Field(i).Type().(*types.Named); ok && named.Obj().Pkg() != nil &&
+				(named.Obj().Pkg().Path() == "sync" || named.Obj().Pkg().Path() == "sync/atomic") {
+				t.Errorf("%s has a %s field %s: it holds no lock or memo", name, named, st.Field(i).Name())
+			}
+		}
+	}
+	// written names the guarded type whose field lhs selects, directly or
+	// through indexing, "" when it selects none.
+	written := func(lhs ast.Expr) string {
+		for {
+			switch x := lhs.(type) {
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					recv := sel.Recv()
+					if ptr, ok := recv.(*types.Pointer); ok {
+						recv = ptr.Elem()
+					}
+					if named, ok := recv.(*types.Named); ok && writers[named.Obj().Name()] != nil {
+						return named.Obj().Name()
 					}
 				}
+				lhs = x.X
+			case *ast.IndexExpr:
+				lhs = x.X
+			case *ast.SliceExpr:
+				lhs = x.X
+			case *ast.ParenExpr:
+				lhs = x.X
+			case *ast.StarExpr:
+				lhs = x.X
+			default:
+				return ""
 			}
+		}
+	}
+	for _, file := range files {
+		for _, d := range file.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			frames := map[string]bool{}
-			for _, list := range []*ast.FieldList{fn.Recv, fn.Type.Params, fn.Type.Results} {
-				if list == nil {
-					continue
-				}
-				for _, field := range list.List {
-					if star, ok := field.Type.(*ast.StarExpr); ok && isFrame(star.X) {
-						for _, name := range field.Names {
-							frames[name.Name] = true
-						}
-					}
-				}
-			}
 			write := func(lhs ast.Expr) {
-				if !throughFrame(lhs, frames) {
+				typ := written(lhs)
+				if typ == "" {
 					return
 				}
-				if _, ok := writers[fn.Name.Name]; ok {
-					writers[fn.Name.Name] = true
+				if _, ok := writers[typ][fn.Name.Name]; ok {
+					writers[typ][fn.Name.Name] = true
 					return
 				}
-				t.Errorf("%s: %s writes a Frame field: a frame is never written after NewFrame or Advance returns",
-					fset.Position(lhs.Pos()), fn.Name.Name)
+				t.Errorf("%s: %s writes a %s field: it is written only while NewFrame or Advance runs, by %v",
+					fset.Position(lhs.Pos()), fn.Name.Name, typ, slices.Sorted(maps.Keys(writers[typ])))
 			}
-			// Source order: a local is declared before it is written through.
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
+					for _, lhs := range n.Lhs {
 						write(lhs)
-						id, ok := lhs.(*ast.Ident)
-						if !ok || len(n.Lhs) != len(n.Rhs) {
-							continue
-						}
-						if u, ok := n.Rhs[i].(*ast.UnaryExpr); ok && u.Op == token.AND {
-							if lit, ok := u.X.(*ast.CompositeLit); ok && isFrame(lit.Type) {
-								frames[id.Name] = true
-							}
-						}
 					}
 				case *ast.IncDecStmt:
 					write(n.X)
+				case *ast.CallExpr:
+					callee, _ := ast.Unparen(n.Fun).(*ast.Ident)
+					if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+						callee = sel.Sel
+					}
+					if callee == nil {
+						return true
+					}
+					switch obj := info.Uses[callee].(type) {
+					case *types.Builtin:
+						if (obj.Name() == "copy" || obj.Name() == "clear") && len(n.Args) > 0 {
+							write(n.Args[0])
+						}
+					case *types.Func:
+						if obj.Pkg() == pkg && runsInConstructor(obj.Name()) && !constructors[obj.Name()] && !runsInConstructor(fn.Name.Name) {
+							t.Errorf("%s: %s calls the writer %s: a writer runs only inside NewFrame or Advance",
+								fset.Position(n.Pos()), fn.Name.Name, obj.Name())
+						}
+					}
 				}
 				return true
 			})
 		}
 	}
-	if !sawFrame {
-		t.Fatal("no Frame type in internal/analysis: the guard is looking in the wrong place")
-	}
-	for name, wrote := range writers {
-		if !wrote {
-			t.Errorf("allowed writer %s writes no Frame field: the guard is looking in the wrong place, or the entry is stale", name)
+	for typ, ws := range writers {
+		for name, wrote := range ws {
+			if !wrote {
+				t.Errorf("allowed writer %s writes no %s field: the guard is looking in the wrong place, or the entry is stale", name, typ)
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -122,11 +123,13 @@ func BenchmarkFrameAdvance(b *testing.B) {
 	b.ReportMetric(float64(f.Len()), "months")
 }
 
-// TestFrameAdvanceAllocsIndependentOfMonths pins Frame.Advance to an
-// allocation count that does not grow with the months it leaves untouched:
-// the same month content repeated over 3 and over 60 months, one month
-// touched, must cost the same number of allocations (the column copies come
-// out of one slab whatever the axis length).
+// TestFrameAdvanceAllocsIndependentOfMonths pins Frame.Advance to the
+// months it touches, not the axis it leaves alone: the same month content
+// repeated over 3, 60 and 600 months, one month touched, must cost the same
+// allocations, and its bytes may grow with the axis only by the row-pointer
+// slice — at most 9 B a month, one 8-byte pointer and the allocator's
+// size-class rounding (at most 1/8) — while touching 8 months costs about 8
+// rows: an advance's fixed part is below one row.
 func TestFrameAdvanceAllocsIndependentOfMonths(t *testing.T) {
 	opts := simulate.DefaultOptions(300)
 	opts.Start = opts.End
@@ -138,29 +141,63 @@ func TestFrameAdvanceAllocsIndependentOfMonths(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(months int) float64 {
+	// cost advances a frame of months months over its newest touch months
+	// and returns the allocations and bytes of one advance.
+	cost := func(months, touch int) (allocs, bytes float64) {
 		agg := notary.NewAggregate()
-		touched := opts.End
+		newest := opts.End
 		for m := 0; m < months; m++ {
 			for _, r := range recs {
-				r.Date = touched.AddMonths(-m).Mid()
+				r.Date = newest.AddMonths(-m).Mid()
 				agg.Add(r)
 			}
 		}
 		prev := analysis.NewFrame(agg)
-		for _, r := range recs { // every fingerprint grows alike, so the top-K set holds
-			r.Date = touched.Mid()
-			agg.Add(r)
+		var touched []timeline.Month
+		for m := 0; m < touch; m++ {
+			touched = append(touched, newest.AddMonths(-m))
+			for _, r := range recs { // every fingerprint grows alike, so the top-K set holds
+				r.Date = newest.AddMonths(-m).Mid()
+				agg.Add(r)
+			}
 		}
-		return testing.AllocsPerRun(20, func() { prev.Advance(agg, []timeline.Month{touched}) })
+		return allocsPerRun(20, func() { prev.Advance(agg, touched) })
 	}
-	few, many := allocs(3), allocs(60)
-	if few != many {
-		t.Errorf("Advance allocates %.0f times over 3 months but %.0f over 60", few, many)
+	allocs3, bytes3 := cost(3, 1)
+	allocs60, bytes60 := cost(60, 1)
+	allocs600, bytes600 := cost(600, 1)
+	_, bytes8 := cost(60, 8)
+	row := (bytes8 - bytes60) / 7
+	t.Logf("one touched month: %.0f allocations, %.0f/%.0f/%.0f B over 3/60/600 months; a row ≈ %.0f B", allocs3, bytes3, bytes60, bytes600, row)
+	if allocs3 != allocs60 || allocs3 != allocs600 {
+		t.Errorf("Advance allocates %.0f times over 3 months, %.0f over 60, %.0f over 600", allocs3, allocs60, allocs600)
 	}
-	if many > 64 {
-		t.Errorf("Advance allocates %.0f times, want at most 64", many)
+	if allocs600 > 64 {
+		t.Errorf("Advance allocates %.0f times, want at most 64", allocs600)
 	}
+	if row <= 0 || bytes60-row > row {
+		t.Errorf("touching 8 months costs %.0f B and 1 month %.0f B: a row is %.0f B and the fixed part %.0f B, want it below a row", bytes8, bytes60, row, bytes60-row)
+	}
+	for _, step := range []struct{ from, to, fromB, toB float64 }{{3, 60, bytes3, bytes60}, {60, 600, bytes60, bytes600}} {
+		if perMonth := (step.toB - step.fromB) / (step.to - step.from); perMonth > 9 {
+			t.Errorf("Advance allocates %.0f B over %.0f months and %.0f B over %.0f: %.1f B a month, want at most 9, a pointer's",
+				step.fromB, step.from, step.toB, step.to, perMonth)
+		}
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports bytes: the mean
+// allocations and allocated bytes of one call of f, after a warm-up call.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // BenchmarkAllFigures measures the full frame path end to end: snapshot

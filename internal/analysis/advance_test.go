@@ -2,34 +2,74 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"tlsage/internal/fingerprint"
 	"tlsage/internal/notary"
+	"tlsage/internal/registry"
 	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
 )
 
-// requireSameFrame asserts got answers exactly as want does: every exported
-// column (FPNames among them), FingerprintGauges, Generation, Len and Row.
-// Unexported state is deliberately not compared — an advanced frame whose
-// top-K set held keeps its predecessor's column list, in the old rank order.
+// frameColumns is every column of f by name, each read through the frame's
+// one gather: every ColumnNames entry and every vocabulary key of every
+// family through Column, each family's wildcard, every keyed cell of the
+// cell table (named by family and key, since no query can name a key outside
+// the vocabulary), the fp: columns by FPID and FPOtherKey, and Figure 5's
+// accumulators. A column the frame lacks is present here as nil.
+func frameColumns(f *Frame) map[string]any {
+	cols := map[string]any{}
+	named := ColumnNames()
+	for fam, keys := range map[string][]string{
+		"version": slices.Collect(maps.Keys(versionKeys)), "class": slices.Collect(maps.Keys(classKeys)),
+		"kex": slices.Collect(maps.Keys(kexKeys)), "ext": slices.Collect(maps.Keys(extKeys)),
+		"curve": slices.Collect(maps.Keys(curveKeys)), "tls13": slices.Collect(maps.Keys(versionKeys)),
+		"agent": slices.Collect(maps.Keys(agentKeys)), "fp": append(slices.Collect(maps.Keys(f.FPNames)), FPOtherKey),
+	} {
+		named = append(named, fam+":*")
+		for _, k := range keys {
+			named = append(named, fam+":"+k)
+		}
+	}
+	for _, name := range named {
+		cols[name] = f.Column(name)
+	}
+	for _, k := range f.cells.keys {
+		cols[fmt.Sprintf("cell %d/%#x/%q", k.fam, k.num, k.str)] = f.keyed(k)
+	}
+	for c := range notary.NumPosClasses {
+		sum, count := f.position(c)
+		cols[fmt.Sprintf("position %v sum", c)], cols[fmt.Sprintf("position %v count", c)] = sum, count
+	}
+	return cols
+}
+
+// requireSameFrame asserts got answers exactly as want does: every column
+// by name (frameColumns), FPNames, FingerprintGauges, Generation, Len and
+// Row. How the rows are stored is deliberately not compared — an advanced
+// frame shares rows with its predecessor, numbers its cells in the order
+// keys arrived, and keeps its predecessor's fp: column order while the top-K
+// set holds.
 func requireSameFrame(t *testing.T, want, got *Frame) {
 	t.Helper()
-	wv, gv := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
-	for i := 0; i < wv.NumField(); i++ {
-		field := wv.Type().Field(i)
-		if !field.IsExported() {
-			continue
+	wc, gc := frameColumns(want), frameColumns(got)
+	for _, name := range slices.Sorted(maps.Keys(wc)) {
+		if g, ok := gc[name]; !ok || !reflect.DeepEqual(wc[name], g) {
+			t.Fatalf("column %s differs:\n got %v\nwant %v", name, g, wc[name])
 		}
-		if !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
-			t.Fatalf("column %s differs:\n got %v\nwant %v", field.Name, gv.Field(i).Interface(), wv.Field(i).Interface())
-		}
+	}
+	if len(gc) != len(wc) {
+		t.Fatalf("got %d columns, want %d", len(gc), len(wc))
+	}
+	if !reflect.DeepEqual(want.FPNames, got.FPNames) {
+		t.Fatalf("FPNames differ:\n got %v\nwant %v", got.FPNames, want.FPNames)
 	}
 	if want.Generation() != got.Generation() || want.Len() != got.Len() {
 		t.Fatalf("generation/len: got %d/%d, want %d/%d", got.Generation(), got.Len(), want.Generation(), want.Len())
@@ -46,6 +86,17 @@ func requireSameFrame(t *testing.T, want, got *Frame) {
 			t.Fatalf("Row(%v): got %d,%v, want %d,%v", m, gi, gok, wi, wok)
 		}
 	}
+}
+
+// familyColumns gathers every keyed column of fam, by key.
+func familyColumns(f *Frame, fam family) map[cellKey][]int {
+	out := map[cellKey][]int{}
+	for _, k := range f.cells.keys {
+		if k.fam == fam {
+			out[k] = f.keyed(k)
+		}
+	}
+	return out
 }
 
 // advanceOrBuild is the caller's rule (core.Study.refresh): advance while
@@ -162,9 +213,10 @@ func fpRecord(m timeline.Month, fp string) *notary.Record {
 	return withFingerprint(&notary.Record{Date: m.Mid()}, fp)
 }
 
-// withFingerprint points r at its hello under fingerprint fp, and returns r.
-func withFingerprint(r *notary.Record, fp string) *notary.Record {
-	h := notary.Hello{Suites: r.Suites(), Extensions: r.Extensions(), Curves: r.Curves(), PointFmts: r.PointFmts(),
+// withFingerprint points r at its hello under fingerprint fp, advertising
+// the extensions extra besides its own, and returns r.
+func withFingerprint(r *notary.Record, fp string, extra ...registry.ExtensionID) *notary.Record {
+	h := notary.Hello{Suites: r.Suites(), Extensions: append(slices.Clip(r.Extensions()), extra...), Curves: r.Curves(), PointFmts: r.PointFmts(),
 		SupportedVersions: r.SupportedVersions(), Fingerprint: fp, Truth: r.Truth()}
 	new(notary.HelloTable).Intern(r, &h)
 	return r
@@ -173,7 +225,8 @@ func withFingerprint(r *notary.Record, fp string) *notary.Record {
 // TestAdvanceTopKBoundary walks fingerprints across the top-K cap by hand:
 // all volumes tied (the cap falls where the strings say), one fingerprint
 // rising into the top, the displaced one climbing back to a tie at the cap,
-// and a brand-new fingerprint arriving below it.
+// a brand-new fingerprint arriving below it, one arriving at the K-th place,
+// and an untouched one tied with the K-th staying out.
 func TestAdvanceTopKBoundary(t *testing.T) {
 	m1, m2 := timeline.M(2015, time.March), timeline.M(2015, time.April)
 	agg := notary.NewAggregate()
@@ -211,6 +264,29 @@ func TestAdvanceTopKBoundary(t *testing.T) {
 	if d, _, _ := f.FingerprintGauges(); d != TopKFingerprints+9 {
 		t.Fatalf("distinct fingerprints = %d, want %d", d, TopKFingerprints+9)
 	}
+
+	// Advance ranks only the old top K and the touched months' fingerprints.
+	// The K-th place can go to a fingerprint only the touched month has seen,
+	// and a fingerprint the touched month lacks, tied with the K-th, stays
+	// out. m3 holds none of the top K.
+	m3 := m2.Next()
+	agg = notary.NewAggregate()
+	for i := 0; i < TopKFingerprints+2; i++ {
+		agg.Add(fpRecord(m1, name(i)))
+		agg.Add(fpRecord(m2, name(i)))
+	}
+	agg.Add(fpRecord(m3, "fp-zz"))
+	f = NewFrame(agg)
+	newcomer := name(TopKFingerprints-2) + "a" // sorts between the last two of the tie
+	step(m2, newcomer)
+	step(m2, newcomer) // volume 2: ties with the K-th and wins on the string
+	if !inTop(f, newcomer) || inTop(f, last) || !inTop(f, name(TopKFingerprints-2)) {
+		t.Fatal("a fingerprint seen only in the touched month did not take the K-th place")
+	}
+	step(m3, name(0)) // last, tied with the K-th, is in no touched month
+	if inTop(f, last) || !inTop(f, newcomer) || !inTop(f, name(1)) {
+		t.Fatal("an untouched fingerprint tied with the K-th entered the top K, or a top fingerprint the touched month lacks left it")
+	}
 }
 
 // TestAdvanceEdgeShapes covers the aggregates the property walk does not
@@ -234,20 +310,27 @@ func TestAdvanceEdgeShapes(t *testing.T) {
 		v1.Stats(m).ByClientClass = make(map[string]int)
 	}
 	f, full := NewFrame(v1), NewFrame(whole)
-	if len(f.FPCol) != TopKFingerprints+1 || !reflect.DeepEqual(f.FPCol, full.FPCol) ||
-		!reflect.DeepEqual(f.FPNames, full.FPNames) || !reflect.DeepEqual(f.Plain[colFPConns], full.Plain[colFPConns]) {
-		t.Fatalf("v1-shaped aggregate's %d fp: columns and fp-conns are not the volumes its fingerprint rows carry", len(f.FPCol))
+	fpCols := func(f *Frame) map[string][]int {
+		out := map[string][]int{FPOtherKey: f.Column("fp:" + FPOtherKey)}
+		for id := range f.FPNames {
+			out[id] = f.Column("fp:" + id)
+		}
+		return out
 	}
-	if len(f.Agent) != 0 || len(full.Agent) == 0 {
-		t.Fatalf("v1-shaped aggregate has %d agent: columns (the attributed one %d), want none", len(f.Agent), len(full.Agent))
+	if len(f.FPNames) != TopKFingerprints || fpCols(f)[FPOtherKey] == nil || !reflect.DeepEqual(fpCols(f), fpCols(full)) ||
+		!reflect.DeepEqual(f.FPNames, full.FPNames) || !reflect.DeepEqual(f.Column("fp-conns"), full.Column("fp-conns")) {
+		t.Fatalf("v1-shaped aggregate's %d fp: columns and fp-conns are not the volumes its fingerprint rows carry", len(f.FPNames))
+	}
+	if n, all := len(familyColumns(f, famAgent)), len(familyColumns(full, famAgent)); n != 0 || all == 0 {
+		t.Fatalf("v1-shaped aggregate has %d agent: columns (the attributed one %d), want none", n, all)
 	}
 	for _, r := range recs[len(recs)-50:] { // new records attribute as usual
 		v1.Add(r)
 	}
 	last := timeline.MonthOf(recs[len(recs)-1].Date)
 	f, ok := advanceOrBuild(t, f, v1, []timeline.Month{last, timeline.MonthOf(recs[len(recs)-50].Date)})
-	if !ok || len(f.Agent) == 0 {
-		t.Fatalf("advanced=%v with %d agent: columns after classified records arrived", ok, len(f.Agent))
+	if n := len(familyColumns(f, famAgent)); !ok || n == 0 {
+		t.Fatalf("advanced=%v with %d agent: columns after classified records arrived", ok, n)
 	}
 
 	// A delta as large as the study: every one of the 75 rows is touched.
@@ -262,9 +345,9 @@ func TestAdvanceEdgeShapes(t *testing.T) {
 
 // TestAdvanceLeavesPredecessorAlone: Advance must not write the frame it
 // advances from, because readers are still evaluating against it. twin is an
-// independent build of the same aggregate state (NewFrame is deterministic,
-// see TestFrameMergeProperty), so it is the deep copy to compare against;
-// the readers make any write a -race report as well.
+// independent build of the same aggregate state, so it answers as prev did
+// before the advances (see TestFrameMergeProperty); the readers make any
+// write a -race report as well.
 func TestAdvanceLeavesPredecessorAlone(t *testing.T) {
 	recs, db := simulatedRecords(t)
 	agg := classified(db)
@@ -302,11 +385,12 @@ func TestAdvanceLeavesPredecessorAlone(t *testing.T) {
 	rest := append([]*notary.Record(nil), recs[half:]...)
 	// The second half of the window opens new months; keep to the first
 	// half's axis so every step is an advance from prev's lineage, and put a
-	// never-seen fingerprint in each.
+	// never-seen fingerprint and a never-seen extension, a key the cell table
+	// lacks, in each.
 	for step := 0; step < 40; step++ {
 		r := rest[rnd.Intn(len(rest))].Clone()
 		r.Date = recs[rnd.Intn(half)].Date
-		withFingerprint(r, fmt.Sprintf("%s|step%d", r.Fingerprint(), step))
+		withFingerprint(r, fmt.Sprintf("%s|step%d", r.Fingerprint(), step), registry.ExtensionID(0xfe00+step))
 		agg.Add(r)
 		var ok bool
 		from := f
@@ -323,9 +407,7 @@ func TestAdvanceLeavesPredecessorAlone(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if !reflect.DeepEqual(prev, twin) {
-		t.Fatal("Advance wrote to its predecessor")
-	}
+	requireSameFrame(t, twin, prev)
 }
 
 // FuzzFrameFromSnapshot: whatever notary.DecodeSnapshot accepts — the rows of
@@ -361,13 +443,17 @@ func FuzzFrameFromSnapshot(fz *testing.F) {
 			return
 		}
 		f := NewFrame(agg)
+		conns, other := f.Column("fp-conns"), f.Column("fp:"+FPOtherKey)
 		for i, m := range f.Months {
 			sum := 0
-			for _, c := range f.FPCol {
-				sum += c[i]
+			if other != nil {
+				sum = other[i]
 			}
-			if sum != f.Plain[colFPConns][i] {
-				t.Fatalf("%v: fp:* sums to %d, fp-conns is %d", m, sum, f.Plain[colFPConns][i])
+			for id := range f.FPNames {
+				sum += f.Column("fp:" + id)[i]
+			}
+			if sum != conns[i] {
+				t.Fatalf("%v: fp:* sums to %d, fp-conns is %d", m, sum, conns[i])
 			}
 		}
 		requireSameFrame(t, f, f.Advance(agg, agg.Months()))

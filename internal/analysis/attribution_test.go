@@ -124,7 +124,7 @@ func TestFPFamilyMatchesAggregate(t *testing.T) {
 	if sumCol(wantConns) == 0 {
 		t.Fatal("aggregate has no fingerprint volume — vacuous")
 	}
-	if !reflect.DeepEqual(f.Plain[colFPConns], wantConns) {
+	if !reflect.DeepEqual(f.Column("fp-conns"), wantConns) {
 		t.Errorf("fp-conns diverges from the FPs walk")
 	}
 	res := mustQuery(t, f, "fp:*")
@@ -142,13 +142,13 @@ func TestFPFamilyMatchesAggregate(t *testing.T) {
 		if FPID(fp) != id {
 			t.Errorf("FPNames id %q does not match FPID(%q)", id, fp)
 		}
-		if got := sumCol(f.FPCol[id]); got != totalVols[fp] {
+		if got := sumCol(f.Column("fp:" + id)); got != totalVols[fp] {
 			t.Errorf("fp:%s sums to %d, want %d (volume of %q)", id, got, totalVols[fp], fp)
 		}
 		topTotal += totalVols[fp]
 	}
-	if want := sumCol(wantConns) - topTotal; sumCol(f.FPCol[FPOtherKey]) != want {
-		t.Errorf("fp:other sums to %d, want %d", sumCol(f.FPCol[FPOtherKey]), want)
+	if want, got := sumCol(wantConns)-topTotal, sumCol(f.Column("fp:"+FPOtherKey)); got != want {
+		t.Errorf("fp:other sums to %d, want %d", got, want)
 	}
 
 	distinct, topK, otherShare := f.FingerprintGauges()
@@ -173,7 +173,8 @@ func TestAgentFamilyMatchesAggregate(t *testing.T) {
 		slugs[class] = slug
 	}
 	attributed := 0
-	for class, col := range f.Agent {
+	for k, col := range familyColumns(f, famAgent) {
+		class := k.str
 		slug, ok := slugs[class]
 		if !ok {
 			t.Fatalf("Agent column %q has no query slug", class)

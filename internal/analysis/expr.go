@@ -95,8 +95,8 @@ func (e *Expr) Kind() Kind {
 // --- column vocabulary ---
 
 // plainIndex inverts plainNames: the canonical name of every plain frame
-// column to its index in Frame.Plain. Keyed counters (versions, classes,
-// ...) go through the family selectors instead.
+// column to its index in a frame row's plain cells. Keyed counters
+// (versions, classes, ...) go through the family selectors instead.
 var plainIndex = func() map[string]int {
 	m := make(map[string]int, numPlain)
 	for i, name := range plainNames {
@@ -208,62 +208,53 @@ var (
 	}()
 )
 
-// columnFamilies routes a "family:key" selector to the frame map it reads.
-// The wildcard key "*" sums every observed column of the family.
+// columnFamilies routes a "family:key" selector to the frame cells it
+// reads. The wildcard key "*" sums every observed column of the family.
 var columnFamilies = map[string]struct {
 	resolve func(key string) (string, bool)  // a folded key's canonical form, and its validity
 	column  func(f *Frame, key string) []int // nil when never observed
-	all     func(f *Frame) map[string][]int  // nil: family has no wildcard
+	all     func(f *Frame) []int             // the family's element-wise sum
 }{
 	"version": {
 		resolve: canonicalVersion,
-		column:  func(f *Frame, k string) []int { return f.Version[versionKeys[k]] },
-		all:     func(f *Frame) map[string][]int { return intCols(f.Version) },
+		column:  func(f *Frame, k string) []int { return f.keyed(cellKey{fam: famVersion, num: uint16(versionKeys[k])}) },
+		all:     func(f *Frame) []int { return f.family(famVersion) },
 	},
 	"class": {
 		resolve: func(k string) (string, bool) { _, ok := classKeys[k]; return k, ok },
-		column:  func(f *Frame, k string) []int { return f.Class[classKeys[k]] },
-		all:     func(f *Frame) map[string][]int { return intCols(f.Class) },
+		column:  func(f *Frame, k string) []int { return f.keyed(cellKey{fam: famClass, str: classKeys[k]}) },
+		all:     func(f *Frame) []int { return f.family(famClass) },
 	},
 	"kex": {
 		resolve: func(k string) (string, bool) { _, ok := kexKeys[k]; return k, ok },
-		column:  func(f *Frame, k string) []int { return f.Kex[kexKeys[k]] },
-		all:     func(f *Frame) map[string][]int { return intCols(f.Kex) },
+		column:  func(f *Frame, k string) []int { return f.keyed(cellKey{fam: famKex, num: uint16(kexKeys[k])}) },
+		all:     func(f *Frame) []int { return f.family(famKex) },
 	},
 	"ext": {
 		resolve: func(k string) (string, bool) { _, ok := extKeys[k]; return k, ok },
-		column:  func(f *Frame, k string) []int { return f.Extension[extKeys[k]] },
-		all:     func(f *Frame) map[string][]int { return intCols(f.Extension) },
+		column:  func(f *Frame, k string) []int { return f.keyed(cellKey{fam: famExtension, num: uint16(extKeys[k])}) },
+		all:     func(f *Frame) []int { return f.family(famExtension) },
 	},
 	"curve": {
 		resolve: func(k string) (string, bool) { _, ok := curveKeys[k]; return k, ok },
-		column:  func(f *Frame, k string) []int { return f.Curve[curveKeys[k]] },
-		all:     func(f *Frame) map[string][]int { return intCols(f.Curve) },
+		column:  func(f *Frame, k string) []int { return f.keyed(cellKey{fam: famCurve, num: uint16(curveKeys[k])}) },
+		all:     func(f *Frame) []int { return f.family(famCurve) },
 	},
 	"tls13": {
 		resolve: canonicalVersion,
-		column:  func(f *Frame, k string) []int { return f.TLS13Variant[versionKeys[k]] },
-		all:     func(f *Frame) map[string][]int { return intCols(f.TLS13Variant) },
+		column:  func(f *Frame, k string) []int { return f.keyed(cellKey{fam: famTLS13, num: uint16(versionKeys[k])}) },
+		all:     func(f *Frame) []int { return f.family(famTLS13) },
 	},
 	"fp": {
 		resolve: func(k string) (string, bool) { return k, k == FPOtherKey || isFPID(k) },
-		column:  func(f *Frame, k string) []int { return f.FPCol[k] },
-		all:     func(f *Frame) map[string][]int { return f.FPCol },
+		column:  func(f *Frame, k string) []int { return f.fp(k) },
+		all:     func(f *Frame) []int { return gather(f, func(r *frameRow) int { return sumCol(r.fp) }) },
 	},
 	"agent": {
 		resolve: func(k string) (string, bool) { _, ok := agentKeys[k]; return k, ok },
-		column:  func(f *Frame, k string) []int { return f.Agent[agentKeys[k]] },
-		all:     func(f *Frame) map[string][]int { return f.Agent },
+		column:  func(f *Frame, k string) []int { return f.keyed(cellKey{fam: famAgent, str: agentKeys[k]}) },
+		all:     func(f *Frame) []int { return f.family(famAgent) },
 	},
-}
-
-// intCols erases a keyed column map's key type for the wildcard walk.
-func intCols[K comparable](m map[K][]int) map[string][]int {
-	out := make(map[string][]int, len(m))
-	for k, c := range m {
-		out[fmt.Sprint(k)] = c
-	}
-	return out
 }
 
 // ColumnNames lists every plain named column, sorted — the discoverable half

@@ -37,7 +37,7 @@ func TestQueryScalarOps(t *testing.T) {
 		{"max(pct(class:rc4 / established))", max},
 		{"first(pct(class:rc4 / established))", series[0]},
 		{"last(pct(class:rc4 / established))", series[len(series)-1]},
-		{"count(established)", float64(sumCol(f.Plain[notary.Established]))},
+		{"count(established)", float64(sumCol(f.Column("established")))},
 	}
 	for _, c := range cases {
 		res := mustQuery(t, f, c.src)
@@ -64,7 +64,7 @@ func TestQueryWildcardColumn(t *testing.T) {
 	vals := mustCompile(t, "curve:*", f).EvalSeries()
 	for i := 0; i < f.Len(); i++ {
 		want := 0
-		for _, c := range f.Curve {
+		for _, c := range familyColumns(f, famCurve) {
 			want += c[i]
 		}
 		if vals[i] != float64(want) {
@@ -274,8 +274,9 @@ func FuzzParseQuery(fz *testing.F) {
 }
 
 // TestQueryEvalAllocs pins the interpreter's allocation discipline: a
-// catalog-shaped query allocates only its result slice, and a
-// sum-based query adds exactly one scratch column — no per-month garbage.
+// catalog-shaped query allocates its result slice and one gathered slice per
+// column it reads, and a sum-based query adds exactly one scratch column — no
+// per-month garbage.
 func TestQueryEvalAllocs(t *testing.T) {
 	f := sharedFrame(t)
 	pct := q("pct(version:tls12 / established)")
@@ -283,25 +284,25 @@ func TestQueryEvalAllocs(t *testing.T) {
 		if _, err := f.EvalSeries(pct); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("pct query: %.1f allocs/run, want 1 (the result slice)", n)
+	}); n > 3 {
+		t.Errorf("pct query: %.1f allocs/run, want 3 (the result slice, two columns)", n)
 	}
 	sum := q("pct(sum(kex:ecdhe, kex:tls13) / established)")
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := f.EvalSeries(sum); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Errorf("sum query: %.1f allocs/run, want 2 (result + one scratch column)", n)
+	}); n > 5 {
+		t.Errorf("sum query: %.1f allocs/run, want 5 (result + one scratch column + three columns)", n)
 	}
-	// Scalar reads allocate at most the intermediate series.
+	// Scalar reads allocate at most the intermediate series and its columns.
 	at := q("at(pct(adv-tls13 / total), 2018-04)")
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := f.EvalScalar(at); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("at query: %.1f allocs/run, want 1", n)
+	}); n > 3 {
+		t.Errorf("at query: %.1f allocs/run, want 3", n)
 	}
 }
 
@@ -365,6 +366,14 @@ func TestColumnNames(t *testing.T) {
 	f := sharedFrame(t)
 	for _, n := range names {
 		mustQuery(t, f, n)
+	}
+	// Column reads only what a query could name: a name no query accepts is
+	// no column, even where its key would look up a real cell (ext:bogus is
+	// not extension 0).
+	for _, n := range []string{"bogus", "nosuch:tls12", "ext:bogus", "fp:bogus"} {
+		if c := f.Column(n); c != nil {
+			t.Errorf("Column(%q) = %v, want nil", n, c)
+		}
 	}
 }
 

@@ -77,11 +77,13 @@ type TLS13VariantShare struct {
 // months of the frame.
 func TLS13VariantSharesFrame(f *Frame) []TLS13VariantShare {
 	grand := 0
-	totals := make(map[registry.Version]int, len(f.TLS13Variant))
-	for v, c := range f.TLS13Variant {
-		n := sumCol(c)
-		totals[v] = n
-		grand += n
+	totals := make(map[registry.Version]int)
+	for _, k := range f.cells.keys {
+		if k.fam == famTLS13 {
+			n := sumCol(f.keyed(k))
+			totals[registry.Version(k.num)] = n
+			grand += n
+		}
 	}
 	out := make([]TLS13VariantShare, 0, len(totals))
 	for v, n := range totals {

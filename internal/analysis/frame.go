@@ -3,6 +3,7 @@ package analysis
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -41,31 +42,34 @@ func FPID(fp string) string {
 }
 
 // Frame is a columnar, immutable snapshot of a notary.Aggregate: a sorted
-// month axis plus one dense per-month column for every counter the analysis
-// layer queries. It is the substrate every figure, scalar and impact metric
+// month axis and one row per month holding every counter the analysis layer
+// queries. It is the substrate every figure, scalar and impact metric
 // evaluates against — instead of ten figure constructors each re-walking the
-// per-month maps, the maps are walked once here and the queries become slice
-// scans. NewFrame builds one in a single pass over the aggregate; Advance
+// per-month maps, the maps are walked once per month here, and a query
+// gathers the columns it reads into dense slices aligned with Months
+// (Column). NewFrame builds one in a single pass over the aggregate; Advance
 // derives the next one from its predecessor by re-reading only the months a
 // write touched.
 //
-// The unkeyed columns — notary's plain counters and the frame's own derived
-// totals — live in one array, Plain, and the Figure 5 accumulators in Pos;
-// both are fixed by the notary schema and always allocated. Keyed
-// columns (versions, classes, key exchanges, curves, extensions, TLS 1.3
-// variants) live in maps from key to a dense []int aligned with Months; a
-// key absent from the map means the counter was zero everywhere.
-// Derived columns that used to be recomputed per series — the negotiated
-// suite-class totals of Figure 9 and the forward-secret key-exchange total —
-// are classified once at build time.
+// A row holds the unkeyed counters — notary's plain counters and the frame's
+// own derived totals — Figure 5's position accumulators, and one cell per
+// keyed column (versions, classes, key exchanges, curves, extensions, TLS 1.3
+// variants, client classes). The frame's cell table gives every (family, key)
+// some month observed its cell; a key that no month has gets no column, and a
+// row shorter than the table reads 0 past its end. Derived columns that used
+// to be recomputed per series — the negotiated suite-class totals of Figure 9
+// and the forward-secret key-exchange total — are classified once, when the
+// row is made.
 //
-// A Frame is never written after its constructor returns: it is data, and
-// the plans compiled against it belong to their callers. So it is safe to
-// share across goroutines and to cache: Generation records the aggregate
-// generation it snapshotted, letting holders detect staleness while the
-// aggregate keeps ingesting (the live-service read path).
+// A Frame and its rows are never written after the constructor that makes
+// them returns: they are data, and the plans compiled against them belong to
+// their callers. So a frame is safe to share across goroutines and to cache,
+// and a successor shares with its predecessor every row and the cell table it
+// has no reason to change. Generation records the aggregate generation it
+// snapshotted, letting holders detect staleness while the aggregate keeps
+// ingesting (the live-service read path).
 type Frame struct {
-	// Months is the sorted month axis; every column below has len(Months).
+	// Months is the sorted month axis; row i is month Months[i].
 	Months []timeline.Month
 	// index maps a month to its row, shared with every Series the frame
 	// builds so Series.Value is O(1).
@@ -73,50 +77,59 @@ type Frame struct {
 	// generation is the aggregate generation this frame snapshotted.
 	generation uint64
 
-	// Plain holds every unkeyed int column: the notary schema's counters,
-	// indexed by notary.Counter, then the frame's own derived columns (the
-	// col* constants below). plainNames gives each its query name.
-	Plain [numPlain][]int
+	// rows holds the month rows, row i for month Months[i].
+	rows []*frameRow
+	// cells is the keyed columns' table.
+	cells *cellTable
 
-	// Negotiated parameters, one dense column per observed key.
-	Version      map[registry.Version][]int
-	Class        map[string][]int
-	Kex          map[registry.KeyExchange][]int
-	Curve        map[registry.CurveID][]int
-	Extension    map[registry.ExtensionID][]int
-	TLS13Variant map[registry.Version][]int
-
-	// Figure 5 relative-position accumulators, per suite class: the month's
-	// summed positions and the number of client lists they were summed over.
-	Pos [notary.NumPosClasses]struct {
-		Sum   []float64
-		Count []int
-	}
-
-	// Fingerprint attribution (§4 / Table 2). FPCol carries one dense volume
+	// Fingerprint attribution (§4 / Table 2). The fp: family has one volume
 	// column per top-K fingerprint — ranked by whole-window volume, keyed by
 	// FPID — plus the FPOtherKey bucket absorbing everything past the cap, so
 	// the family stays dense no matter how many distinct fingerprints the
 	// window saw. FPNames maps each top-K FPID back to its full fingerprint
 	// string.
-	// Agent holds attributed volume per client class (from the aggregate's
-	// classifier), keyed by the clientdb class name.
-	FPCol   map[string][]int
 	FPNames map[string]string
-	Agent   map[string][]int
 
-	// fpTop lists the fingerprints that own FPCol's columns, in rank order,
-	// and fpDistinct counts the aggregate's lifetime rows they were ranked
-	// from. fpFloor is the whole-window volume of the K-th of them (zero
-	// while there are fewer): volumes only grow, so a fingerprint below it
-	// cannot be in a successor's top K.
+	// fpTop lists the fingerprints that own the fp: columns, in the order of
+	// a row's fp cells (FPOtherKey's cell comes last), and fpOther reports
+	// whether FPOtherKey has a column: whether some month has a rest.
+	// fpDistinct counts the aggregate's lifetime rows, and fpFloor is the
+	// whole-window volume of the K-th ranked fingerprint (zero while there
+	// are fewer): volumes only grow, so a fingerprint below it cannot be in a
+	// successor's top K.
 	fpTop      []fpColumn
+	fpOther    bool
 	fpDistinct int
 	fpFloor    int64
 }
 
+// frameRow is one month's cells. Like its frame it is never written after
+// the constructor that makes it returns, so successive frames share it.
+type frameRow struct {
+	// plain holds the unkeyed counters, indexed like plainNames.
+	plain [numPlain]int
+	pos   [notary.NumPosClasses]struct {
+		Sum   float64
+		Count int
+	}
+	// cells holds the keyed columns, indexed by the frame's cell table.
+	cells []int
+	// fp holds the fp: family, in the order of the frame's fpTop, then
+	// FPOtherKey's cell.
+	fp []int
+}
+
+// cell reads keyed cell c: 0 past the row's end, for a key only later
+// months brought.
+func (r *frameRow) cell(c int) int {
+	if c < len(r.cells) {
+		return r.cells[c]
+	}
+	return 0
+}
+
 // The frame's derived plain columns, indexed after the notary schema's
-// counters in Frame.Plain.
+// counters in a row's plain cells.
 const (
 	// Fingerprint capability counts (Figure 4): distinct fingerprints per
 	// month and how many of them advertise each class.
@@ -178,52 +191,48 @@ var plainNames = [numPlain]string{
 	colKexForwardSecret:     "kex-forward-secret",
 }
 
-// slab carves len-n int columns out of one zeroed allocation, so building a
-// frame costs one column allocation instead of one per column. Past its
-// capacity (a key the build did not budget for) it allocates singly.
-type slab struct {
-	buf []int
-	n   int
+// family is a keyed column family of the cell table; columnFamilies maps
+// the query grammar's family names onto it (the fp: family has its own
+// cells).
+type family uint8
+
+const (
+	famVersion family = iota
+	famClass
+	famKex
+	famCurve
+	famExtension
+	famTLS13
+	famAgent
+)
+
+// cellKey names one keyed column: a numeric key (version, key exchange,
+// curve, extension, variant) in num, a string key (suite or client class) in
+// str.
+type cellKey struct {
+	fam family
+	num uint16
+	str string
 }
 
-func newSlab(cols, n int) *slab { return &slab{buf: make([]int, cols*n), n: n} }
+// cellTable gives every keyed column of a frame its cell in the rows, and
+// lists the keys in cell order.
+type cellTable struct {
+	cell map[cellKey]int
+	keys []cellKey
+}
 
-func (s *slab) take() []int {
-	if len(s.buf) < s.n {
-		return make([]int, s.n)
-	}
-	c := s.buf[:s.n:s.n]
-	s.buf = s.buf[s.n:]
+// add gives k the next cell and returns it.
+func (t *cellTable) add(k cellKey) int {
+	c := len(t.keys)
+	t.cell[k] = c
+	t.keys = append(t.keys, k)
 	return c
 }
 
-func (s *slab) copyOf(src []int) []int {
-	c := s.take()
-	copy(c, src)
-	return c
-}
-
-// col returns the dense column for key k in m, taking it from sl on first use.
-func col[K comparable](m map[K][]int, k K, sl *slab) []int {
-	c, ok := m[k]
-	if !ok {
-		c = sl.take()
-		m[k] = c
-	}
-	return c
-}
-
-// cloneCols copies a keyed column family into columns taken from sl.
-func cloneCols[K comparable](src map[K][]int, sl *slab) map[K][]int {
-	dst := make(map[K][]int, len(src))
-	for k, c := range src {
-		dst[k] = sl.copyOf(c)
-	}
-	return dst
-}
-
-// fpColumn is one top-K fingerprint's column: the fingerprint, the
-// whole-window volume it was ranked by, and its FPID key in FPCol and FPNames.
+// fpColumn is one top-K fingerprint: the fingerprint, the whole-window
+// volume it was ranked by, and its FPID key in FPNames, empty while Advance
+// ranks a fingerprint its predecessor's top K lacks.
 type fpColumn struct {
 	fp  string
 	vol int64
@@ -231,63 +240,55 @@ type fpColumn struct {
 }
 
 // NewFrame snapshots agg into a columnar frame in one chronological pass:
-// every row filled, no predecessor to copy from. Advance is the other
-// constructor; both fill rows through fillRow and build the fp: family
-// through buildFPColumns.
+// every row made, no predecessor to share with. Advance is the other
+// constructor; both make rows through fillRow and the fp: family through
+// fillFP.
 func NewFrame(agg *notary.Aggregate) *Frame {
 	n := agg.NumMonths()
 	f := &Frame{
 		Months:     make([]timeline.Month, 0, n),
 		index:      make(map[timeline.Month]int, n),
 		generation: agg.Generation(),
-
-		Version:      make(map[registry.Version][]int),
-		Class:        make(map[string][]int),
-		Kex:          make(map[registry.KeyExchange][]int),
-		Curve:        make(map[registry.CurveID][]int),
-		Extension:    make(map[registry.ExtensionID][]int),
-		TLS13Variant: make(map[registry.Version][]int),
-		Agent:        make(map[string][]int),
+		rows:       make([]*frameRow, n),
+		cells:      &cellTable{cell: make(map[cellKey]int)},
 	}
-	sl := newSlab(numPlain+len(f.Pos)+TopKFingerprints+1, n)
-	for c := range f.Plain {
-		f.Plain[c] = sl.take()
-	}
-	for c := range f.Pos {
-		f.Pos[c].Sum, f.Pos[c].Count = make([]float64, n), sl.take()
-	}
+	rows := make([]frameRow, n)
 	agg.EachMonth(func(ms *notary.MonthStats) {
 		i := len(f.Months)
 		f.Months = append(f.Months, ms.Month)
 		f.index[ms.Month] = i
-		f.fillRow(i, ms, sl)
+		f.rows[i] = &rows[i]
+		f.fillRow(&rows[i], ms, nil)
 	})
-	f.buildFPColumns(agg, nil, nil, sl)
+	f.fillFP(agg, nil, nil)
 	return f
 }
 
 // Advance returns the frame of agg given that f is the frame of an earlier
 // state of the same aggregate and that, since then, agg only grew — by Add
 // and Merge — in the months listed in touched, all of which are already on
-// f's axis. The result equals NewFrame(agg) in every exported column, in
-// FPNames, FingerprintGauges, Generation and Row, at the cost of copying the
-// columns and re-reading the touched months instead of walking every month's
-// maps: after a 256-record shard at the benchmark's 150,000-record scale an
-// advance costs ≈ 40 µs where NewFrame costs ≈ 0.35 ms
-// (core.frame_rebuild_us, analysis.new_frame_us). f itself is not written, so
-// readers may keep evaluating against it; the two frames share what cannot
-// differ between them (the month axis and, while the top-K set holds, its
-// column list and names).
+// f's axis. The result answers every column (Column), FPNames,
+// FingerprintGauges, Generation and Row as NewFrame(agg) does, at the cost of
+// the touched months: it makes their rows anew, copies the row pointers (one
+// per month) and shares every other row, the month axis and, unless a touched
+// month brings a key f lacks, the cell table. After a 256-record shard at the
+// benchmark's 150,000-record scale an advance costs ≈ 10–15 µs where NewFrame
+// costs ≈ 0.3 ms (core.frame_rebuild_us, analysis.new_frame_us; 2-core box).
+// f itself is not written, so readers may keep evaluating against it.
 //
 // The caller decides whether these preconditions hold and calls NewFrame
 // when they do not (core.Study.refresh is that caller). A month missing
 // from touched leaves its row stale; a touched month outside the axis panics.
 //
-// The fp: family stays exact because both constructors rank it from the one
-// whole-window source, the aggregate's lifetime rows: the top K are
-// re-selected under the same (volume desc, fingerprint asc) rule, and the
-// columns are patched in the touched rows when the top-K set held, or rebuilt
-// from every month's rows when it did not.
+// The fp: family stays exact without walking the window's long tail:
+// lifetime volumes only grow, and only the fingerprints of the touched months
+// grew, so the top K under the (volume desc, fingerprint asc) rule are the
+// top K of f's top K and those fingerprints, at their current volumes. While
+// that set holds, only the touched rows get fp: cells; when it changes,
+// every row does, as NewFrame fills them. That takes an aggregate whose
+// lifetime rows grow with its month rows, as Add and Merge keep them; a
+// merged aggregate whose lifetime rows name a fingerprint none of its months
+// carry may rank it late, until the next NewFrame.
 //
 // A design that looks simpler does not work: a mutation counter on
 // notary.Aggregate or MonthStats to find the touched months makes two
@@ -296,80 +297,61 @@ func NewFrame(agg *notary.Aggregate) *Frame {
 // pusher's exactly-once tests all rely on — so the writer (core.Study)
 // names the months instead.
 func (f *Frame) Advance(agg *notary.Aggregate, touched []timeline.Month) *Frame {
-	n := len(f.Months)
 	next := &Frame{
 		Months:     f.Months,
 		index:      f.index,
 		generation: agg.Generation(),
+		rows:       slices.Clone(f.rows),
+		cells:      f.cells,
 	}
-	sl := newSlab(numPlain+len(f.Pos)+len(f.Version)+len(f.Class)+len(f.Kex)+len(f.Curve)+
-		len(f.Extension)+len(f.TLS13Variant)+len(f.Agent)+TopKFingerprints+1, n)
-	for c := range f.Plain {
-		next.Plain[c] = sl.copyOf(f.Plain[c])
-	}
-	for c := range f.Pos {
-		next.Pos[c].Sum, next.Pos[c].Count = slices.Clone(f.Pos[c].Sum), sl.copyOf(f.Pos[c].Count)
-	}
-	next.Version = cloneCols(f.Version, sl)
-	next.Class = cloneCols(f.Class, sl)
-	next.Kex = cloneCols(f.Kex, sl)
-	next.Curve = cloneCols(f.Curve, sl)
-	next.Extension = cloneCols(f.Extension, sl)
-	next.TLS13Variant = cloneCols(f.TLS13Variant, sl)
-	next.Agent = cloneCols(f.Agent, sl)
-
-	rows := make([]int, 0, len(touched))
+	fresh := make([]int, 0, len(touched))
 	for _, m := range touched {
 		i, ok := f.index[m]
 		if !ok {
 			panic("analysis: Advance: touched month " + m.String() + " is not on the frame's axis")
 		}
-		if slices.Contains(rows, i) {
+		if next.rows[i] != f.rows[i] { // listed twice: its row is made
 			continue
 		}
-		rows = append(rows, i)
-		next.fillRow(i, agg.Stats(m), sl)
+		fresh = append(fresh, i)
+		next.rows[i] = new(frameRow)
+		next.fillRow(next.rows[i], agg.Stats(m), f)
 	}
-	next.buildFPColumns(agg, f, rows, sl)
+	next.fillFP(agg, f, fresh)
 	return next
 }
 
-// fillRow writes row i of every column except the fp: family from one
-// month's stats. A cell is only written for a key the month has, so a
-// refilled row relies on keys never leaving a month (Add and Merge only add).
-func (f *Frame) fillRow(i int, ms *notary.MonthStats, sl *slab) {
-	for c, v := range ms.N {
-		f.Plain[c][i] = v
-	}
-	for c, p := range ms.Pos {
-		f.Pos[c].Sum[i], f.Pos[c].Count[i] = p.Sum, p.Count
-	}
+// fillRow fills the zero row r with every cell but the fp: family's from
+// one month's stats, through put for the keyed cells.
+func (f *Frame) fillRow(r *frameRow, ms *notary.MonthStats, prev *Frame) {
+	r.cells = make([]int, len(f.cells.keys))
+	copy(r.plain[:], ms.N[:])
+	r.pos = ms.Pos
 	for v, c := range ms.ByVersion.All() {
-		col(f.Version, v, sl)[i] = c
+		f.put(r, cellKey{fam: famVersion, num: uint16(v)}, c, prev)
 	}
 	for cl, c := range ms.ByClass {
-		col(f.Class, cl, sl)[i] = c
+		f.put(r, cellKey{fam: famClass, str: cl}, c, prev)
 	}
 	forwardSecret := 0
 	for k, c := range ms.ByKex.All() {
-		col(f.Kex, k, sl)[i] = c
+		f.put(r, cellKey{fam: famKex, num: uint16(k)}, c, prev)
 		if k.ForwardSecret() {
 			forwardSecret += c
 		}
 	}
-	f.Plain[colKexForwardSecret][i] = forwardSecret
+	r.plain[colKexForwardSecret] = forwardSecret
 	for cv, c := range ms.ByCurve.All() {
-		col(f.Curve, cv, sl)[i] = c
+		f.put(r, cellKey{fam: famCurve, num: uint16(cv)}, c, prev)
 	}
 	for e, c := range ms.ByExtension.All() {
-		col(f.Extension, e, sl)[i] = c
+		f.put(r, cellKey{fam: famExtension, num: uint16(e)}, c, prev)
 	}
 	for v, c := range ms.TLS13Variant.All() {
-		col(f.TLS13Variant, v, sl)[i] = c
+		f.put(r, cellKey{fam: famTLS13, num: uint16(v)}, c, prev)
 	}
-
 	for class, c := range ms.ByClientClass {
-		col(f.Agent, class, sl)[i] = c
+		f.put(r, cellKey{fam: famAgent, str: class}, c, prev)
 	}
 
 	var conns, rc4, des, tdes, aead int
@@ -388,8 +370,8 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, sl *slab) {
 			aead++
 		}
 	}
-	f.Plain[colFingerprints][i], f.Plain[colFPConns][i] = len(ms.FPs), conns
-	f.Plain[colFPRC4][i], f.Plain[colFPDES][i], f.Plain[colFP3DES][i], f.Plain[colFPAEAD][i] = rc4, des, tdes, aead
+	r.plain[colFingerprints], r.plain[colFPConns] = len(ms.FPs), conns
+	r.plain[colFPRC4], r.plain[colFPDES], r.plain[colFP3DES], r.plain[colFPAEAD] = rc4, des, tdes, aead
 
 	// Figure 9: negotiated connections per AEAD family.
 	var negAEAD, gcm128, gcm256, chacha int
@@ -408,7 +390,24 @@ func (f *Frame) fillRow(i int, ms *notary.MonthStats, sl *slab) {
 			chacha += c
 		}
 	}
-	f.Plain[colNegAEAD][i], f.Plain[colNegGCM128][i], f.Plain[colNegGCM256][i], f.Plain[colNegChaCha][i] = negAEAD, gcm128, gcm256, chacha
+	r.plain[colNegAEAD], r.plain[colNegGCM128], r.plain[colNegGCM256], r.plain[colNegChaCha] = negAEAD, gcm128, gcm256, chacha
+}
+
+// put writes v to r's cell for k. A key the frame lacks gets the next cell,
+// added to a copy of the table while the frame still shares it with prev,
+// so prev's table never changes.
+func (f *Frame) put(r *frameRow, k cellKey, v int, prev *Frame) {
+	c, ok := f.cells.cell[k]
+	if !ok {
+		if prev != nil && f.cells == prev.cells {
+			t := *f.cells
+			t.cell, t.keys = maps.Clone(t.cell), slices.Clone(t.keys)
+			f.cells = &t
+		}
+		c = f.cells.add(k)
+		r.cells = append(r.cells, make([]int, c+1-len(r.cells))...)
+	}
+	r.cells[c] = v
 }
 
 // compareRank is the fp: family's ranking rule: higher whole-window volume
@@ -421,96 +420,187 @@ func compareRank(a, b fpColumn) int {
 	return strings.Compare(a.fp, b.fp)
 }
 
-// topFingerprints selects the TopKFingerprints highest-ranked fingerprints of
-// agg, in rank order, in one pass over its lifetime rows that keeps only the
-// current top K. It does not rank a fingerprint below floor, which spares an
-// advancing frame the window's long tail.
-func topFingerprints(agg *notary.Aggregate, floor int64) []fpColumn {
-	top := make([]fpColumn, 0, TopKFingerprints+1)
-	for fp, vol := range agg.FingerprintVolumes() {
-		e := fpColumn{fp: fp, vol: vol}
-		if vol < floor || len(top) == TopKFingerprints && compareRank(e, top[len(top)-1]) > 0 {
-			continue
-		}
-		at, _ := slices.BinarySearchFunc(top, e, compareRank)
-		top = slices.Insert(top, at, e)
-		if len(top) > TopKFingerprints {
-			top = top[:TopKFingerprints]
-		}
+// rank inserts e into top, the highest-ranked fingerprints met so far in
+// rank order, keeping TopKFingerprints of them and each fingerprint once.
+func rank(top []fpColumn, e fpColumn) []fpColumn {
+	if len(top) == TopKFingerprints && compareRank(e, top[len(top)-1]) > 0 {
+		return top
 	}
-	return top
+	at, dup := slices.BinarySearchFunc(top, e, compareRank)
+	if dup {
+		return top
+	}
+	top = slices.Insert(top, at, e)
+	return top[:min(len(top), TopKFingerprints)]
 }
 
-// buildFPColumns materializes the fp: family: agg's top K fingerprints get
-// their own dense columns keyed by FPID, filled from each month's rows, and
-// the rest of a month's fp-conns folds into the FPOtherKey bucket, which
-// exists once some month has a rest. When f advances from prev and the top-K
-// set held, prev's columns are copied and only rows — the rows fillRow just
-// wrote — are refilled; otherwise (no prev, or a fingerprint crossed the cap)
-// the family is built over every row.
-func (f *Frame) buildFPColumns(agg *notary.Aggregate, prev *Frame, rows []int, sl *slab) {
-	var floor int64
-	if prev != nil {
-		floor = prev.fpFloor
+// fillFP ranks agg's top K fingerprints and fills the fp: cells of the rows
+// that need them. With no prev it ranks every lifetime row and fills every
+// row. Advancing from prev it ranks prev's top K and the fingerprints of the
+// fresh rows' months (see Advance); while the top-K set holds it keeps
+// prev's column order and names and fills only the fresh rows, and when the
+// set changes it fills every row, a row shared with prev through a copy.
+func (f *Frame) fillFP(agg *notary.Aggregate, prev *Frame, fresh []int) {
+	var buf [TopKFingerprints + 1]fpColumn
+	top := buf[:0]
+	if prev == nil {
+		for fp, vol := range agg.FingerprintVolumes() {
+			top = rank(top, fpColumn{fp: fp, vol: vol})
+		}
+	} else {
+		for _, c := range prev.fpTop {
+			vol, _ := agg.FingerprintVolume(c.fp)
+			top = rank(top, fpColumn{fp: c.fp, vol: vol, key: c.key})
+		}
+		for _, i := range fresh {
+			for fp := range agg.Stats(f.Months[i]).FPs {
+				if vol, ok := agg.FingerprintVolume(fp); ok && vol >= prev.fpFloor {
+					top = rank(top, fpColumn{fp: fp, vol: vol})
+				}
+			}
+		}
 	}
-	top := topFingerprints(agg, floor)
 	f.fpDistinct = agg.NumFingerprints()
 	if len(top) == TopKFingerprints {
 		f.fpFloor = top[len(top)-1].vol
 	}
-	held := prev != nil && len(top) == len(prev.fpTop)
-	for r := 0; held && r < len(top); r++ {
-		held = slices.ContainsFunc(prev.fpTop, func(c fpColumn) bool { return c.fp == top[r].fp })
+
+	if prev != nil && len(top) == len(prev.fpTop) && !slices.ContainsFunc(top, func(c fpColumn) bool { return c.key == "" }) {
+		f.fpTop, f.FPNames, f.fpOther = prev.fpTop, prev.FPNames, prev.fpOther
+		cells := make([]int, len(fresh)*(len(f.fpTop)+1))
+		for _, i := range fresh {
+			cells = f.fillFPRow(f.rows[i], agg.Stats(f.Months[i]).FPs, cells)
+		}
+		return
 	}
-	if held {
-		f.fpTop, f.FPNames = prev.fpTop, prev.FPNames
-		f.FPCol = cloneCols(prev.FPCol, sl)
-		for _, c := range f.FPCol {
-			for _, i := range rows {
-				c[i] = 0
-			}
+	f.fpTop = slices.Clone(top)
+	f.FPNames = make(map[string]string, len(top))
+	for s := range f.fpTop {
+		if f.fpTop[s].key == "" {
+			f.fpTop[s].key = FPID(f.fpTop[s].fp)
 		}
-	} else {
-		f.fpTop = top
-		f.FPNames = make(map[string]string, len(top))
-		f.FPCol = make(map[string][]int, len(top)+1)
-		for r := range top {
-			top[r].key = FPID(top[r].fp)
-			f.FPNames[top[r].key] = top[r].fp
-		}
-		rows = make([]int, len(f.Months))
-		for i := range rows {
-			rows[i] = i
-		}
+		f.FPNames[f.fpTop[s].key] = f.fpTop[s].fp
 	}
-	cols := make([][]int, len(f.fpTop))
+	cells := make([]int, len(f.Months)*(len(f.fpTop)+1))
+	for i, m := range f.Months {
+		r := f.rows[i]
+		if r.fp != nil { // made by an earlier frame: this one gets a copy
+			cp := *r
+			r = &cp
+			f.rows[i] = r
+		}
+		cells = f.fillFPRow(r, agg.Stats(m).FPs, cells)
+	}
+}
+
+// fillFPRow fills r's fp: cells, taken from the front of cells, from its
+// month's fingerprint rows: each top-K fingerprint's volume, then the rest of
+// the month's fp-conns for FPOtherKey. It returns what is left of cells.
+func (f *Frame) fillFPRow(r *frameRow, fps map[string]*notary.FPCaps, cells []int) []int {
+	k := len(f.fpTop)
+	r.fp, cells = cells[:k+1:k+1], cells[k+1:]
+	rest := r.plain[colFPConns]
 	for s, tc := range f.fpTop {
-		cols[s] = col(f.FPCol, tc.key, sl)
-	}
-	other := f.FPCol[FPOtherKey]
-	for _, i := range rows {
-		fps, rest := agg.Stats(f.Months[i]).FPs, f.Plain[colFPConns][i]
-		for s, tc := range f.fpTop {
-			if caps := fps[tc.fp]; caps != nil {
-				cols[s][i] += caps.Count
-				rest -= caps.Count
-			}
-		}
-		if other == nil && rest != 0 {
-			other = col(f.FPCol, FPOtherKey, sl)
-		}
-		if other != nil {
-			other[i] = rest
+		if caps := fps[tc.fp]; caps != nil {
+			r.fp[s] = caps.Count
+			rest -= caps.Count
 		}
 	}
+	r.fp[k] = rest
+	f.fpOther = f.fpOther || rest != 0
+	return cells
+}
+
+// gather is the frame's one column read: at's value in every row, in a fresh
+// slice aligned with Months. Every column a plan, figure or scalar reads
+// comes through it, so nothing outside this file knows how rows are laid out.
+func gather[T int | float64](f *Frame, at func(*frameRow) T) []T {
+	out := make([]T, len(f.rows))
+	for i, r := range f.rows {
+		out[i] = at(r)
+	}
+	return out
+}
+
+// Column gathers the column a selector names, as ParseQuery canonicalizes
+// it — a plain column, family:key or family:* — into a fresh slice aligned
+// with Months. It returns nil for a key no month observed and for a name that
+// is no column; a wildcard, the family's element-wise sum, is never nil.
+func (f *Frame) Column(name string) []int {
+	if c, ok := plainIndex[name]; ok {
+		return f.plain(c)
+	}
+	fam, key, _ := strings.Cut(name, ":")
+	def, ok := columnFamilies[fam]
+	if !ok {
+		return nil
+	}
+	if key == "*" {
+		return def.all(f)
+	}
+	if _, ok := def.resolve(key); !ok {
+		return nil
+	}
+	return def.column(f, key)
+}
+
+// plain gathers plain column c.
+func (f *Frame) plain(c int) []int {
+	return gather(f, func(r *frameRow) int { return r.plain[c] })
+}
+
+// keyed gathers the keyed column k, nil when no month has k.
+func (f *Frame) keyed(k cellKey) []int {
+	c, ok := f.cells.cell[k]
+	if !ok {
+		return nil
+	}
+	return gather(f, func(r *frameRow) int { return r.cell(c) })
+}
+
+// family gathers the element-wise sum of every keyed column of fam.
+func (f *Frame) family(fam family) []int {
+	cs := make([]int, 0, len(f.cells.keys))
+	for c, k := range f.cells.keys {
+		if k.fam == fam {
+			cs = append(cs, c)
+		}
+	}
+	return gather(f, func(r *frameRow) int {
+		n := 0
+		for _, c := range cs {
+			n += r.cell(c)
+		}
+		return n
+	})
+}
+
+// fp gathers the fp: column keyed by an FPID or FPOtherKey, nil when the
+// frame has no such column.
+func (f *Frame) fp(key string) []int {
+	s := slices.IndexFunc(f.fpTop, func(c fpColumn) bool { return c.key == key })
+	if key == FPOtherKey && f.fpOther {
+		s = len(f.fpTop)
+	}
+	if s < 0 {
+		return nil
+	}
+	return gather(f, func(r *frameRow) int { return r.fp[s] })
+}
+
+// position gathers Figure 5's accumulators of class c: each month's summed
+// positions and the number of client lists they were summed over.
+func (f *Frame) position(c notary.PosClass) ([]float64, []int) {
+	return gather(f, func(r *frameRow) float64 { return r.pos[c].Sum }),
+		gather(f, func(r *frameRow) int { return r.pos[c].Count })
 }
 
 // FingerprintGauges reports the fp: family's shape for observability:
 // distinct fingerprints in the window, the column cap, and the share of
 // fingerprinted volume folded into the FPOtherKey bucket (percent).
 func (f *Frame) FingerprintGauges() (distinct, topK int, otherShare float64) {
-	if total := sumCol(f.Plain[colFPConns]); total > 0 {
-		otherShare = 100 * float64(sumCol(f.FPCol[FPOtherKey])) / float64(total)
+	if total := sumCol(f.plain(colFPConns)); total > 0 {
+		otherShare = 100 * float64(sumCol(f.fp(FPOtherKey))) / float64(total)
 	}
 	return f.fpDistinct, TopKFingerprints, otherShare
 }

@@ -12,7 +12,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"tlsage/internal/notary"
@@ -54,27 +53,11 @@ func mustQuery(t *testing.T, f *Frame, src string) QueryResult {
 // --- evaluation ---
 
 // evalColumn resolves a column-kind expression to a dense []int
-// aligned with the frame's months; nil means all-zero. Only sum nodes and
-// family wildcards allocate (one scratch column each).
+// aligned with the frame's months; nil means all-zero.
 func (f *Frame) evalColumn(e *Expr) []int {
 	switch e.op {
 	case opCol:
-		name := e.col
-		if i, ok := plainIndex[name]; ok {
-			return f.Plain[i]
-		}
-		i := strings.IndexByte(name, ':')
-		def := columnFamilies[name[:i]]
-		if key := name[i+1:]; key != "*" {
-			return def.column(f, key)
-		}
-		out := make([]int, f.Len())
-		for _, c := range def.all(f) {
-			for i, v := range c {
-				out[i] += v
-			}
-		}
-		return out
+		return f.Column(e.col)
 	case opSum:
 		out := make([]int, f.Len())
 		for _, a := range e.args {
@@ -101,7 +84,7 @@ func (f *Frame) evalSeries(e *Expr) []float64 {
 	case opPosition:
 		// stream and other are valid spellings Figure 5 does not track.
 		if class, ok := notary.ParsePosClass(classKeys[e.class]); ok {
-			sums, counts := f.Pos[class].Sum, f.Pos[class].Count
+			sums, counts := f.position(class)
 			for i := range out {
 				if c := at(counts, i); c != 0 {
 					out[i] = 100 * sums[i] / float64(c)

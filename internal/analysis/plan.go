@@ -8,10 +8,10 @@ package analysis
 //
 // Compilation lowers an expression as follows:
 //
-//   - column selectors (named, family:key, family:* wildcards) resolve to
-//     the concrete dense []int column — wildcard and sum nodes materialize
-//     their element-wise total once at compile time, so evaluation never
-//     allocates a scratch column;
+//   - column selectors (named, family:key, family:* wildcards) are gathered
+//     from the frame's rows into dense []int columns (Frame.Column) — wildcard
+//     and sum nodes materialize their element-wise total — once at compile
+//     time, so evaluation never allocates a scratch column;
 //   - the series shapes become one of four kernels (zero, a column's raw
 //     counts, pct(column / column) with the figure convention that an empty
 //     denominator yields 0, and the Figure 5 position series);
@@ -20,7 +20,7 @@ package analysis
 //     materialized.
 //
 // A Plan is bound to the Frame it was compiled against (its kernels hold
-// that frame's column slices), so holders re-Compile when the study's
+// columns gathered from that frame), so holders re-Compile when the study's
 // generation advances. Plans are immutable after Compile and safe for
 // concurrent evaluation.
 //
@@ -31,7 +31,6 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"tlsage/internal/notary"
 )
@@ -112,29 +111,14 @@ func (f *Frame) plan(e *Expr) *Plan {
 	return p
 }
 
-// compileColumn resolves a column-kind expression to one dense []int
+// compileColumn gathers a column-kind expression into one dense []int
 // aligned with the frame's months. Sum nodes and family wildcards
 // materialize their total here, at compile time; nil means all-zero.
 func (p *Plan) compileColumn(e *Expr) []int {
 	f := p.frame
 	switch e.op {
 	case opCol:
-		name := e.col
-		if i, ok := plainIndex[name]; ok {
-			return f.Plain[i]
-		}
-		i := strings.IndexByte(name, ':')
-		def := columnFamilies[name[:i]]
-		if key := name[i+1:]; key != "*" {
-			return def.column(f, key)
-		}
-		out := make([]int, f.Len())
-		for _, c := range def.all(f) {
-			for i, v := range c {
-				out[i] += v
-			}
-		}
-		return out
+		return f.Column(e.col)
 	case opSum:
 		out := make([]int, f.Len())
 		for _, a := range e.args {
@@ -168,8 +152,8 @@ func (p *Plan) compileSeries(e *Expr) {
 			p.kernel = kernelZero
 			return
 		}
-		pos := p.frame.Pos[class]
-		p.kernel, p.posSum, p.posCount = kernelPosition, pos.Sum, pos.Count
+		p.posSum, p.posCount = p.frame.position(class)
+		p.kernel = kernelPosition
 	default: // column promotion: raw counts
 		if col := p.compileColumn(e); col != nil {
 			p.kernel, p.col = kernelCol, col

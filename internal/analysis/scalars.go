@@ -76,7 +76,7 @@ func PassiveScalarsFrame(f *Frame) []Scalar {
 	}
 
 	// Whole-dataset NULL and anonymous negotiation rates (§6.1, §6.2).
-	if sumCol(f.Plain[notary.Established]) > 0 {
+	if sumCol(f.plain(int(notary.Established))) > 0 {
 		out = append(out,
 			Scalar{"S-61", "NULL negotiated, whole dataset", 2.84,
 				f.scalarOf(exprNullNegotiated), "%"},
@@ -95,11 +95,7 @@ func PassiveScalarsFrame(f *Frame) []Scalar {
 			f.scalarOf(exprX25519Share), "%"},
 	)
 	if feb18, ok := f.Row(timeline.M(2018, time.February)); ok {
-		grand := 0
-		for _, c := range f.Curve {
-			grand += c[feb18]
-		}
-		if grand > 0 {
+		if f.family(famCurve)[feb18] > 0 {
 			out = append(out, Scalar{"S6d", "x25519 share, Feb 2018", 22.2,
 				f.scalarOf(exprX25519Feb18), "%"})
 		}

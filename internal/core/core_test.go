@@ -700,13 +700,13 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 				return 0, err
 			}
 			total := 0
-			for i := range f.Months {
-				total += f.Plain[notary.Total][i]
+			for _, n := range f.Column("total") {
+				total += n
 			}
 			if uint64(total) != f.Generation() {
 				return 0, fmt.Errorf("torn frame: %d records at generation %d", total, f.Generation())
 			}
-			if len(f.Plain[notary.Established]) != f.Len() || len(f.Plain[notary.AdvRC4]) != f.Len() {
+			if len(f.Column("established")) != f.Len() || len(f.Column("adv-rc4")) != f.Len() {
 				return 0, errors.New("frame columns misaligned with month axis")
 			}
 			_, _, gen, err := s.Counts()

@@ -4,18 +4,116 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"tlsage/internal/analysis"
+	"tlsage/internal/clientdb"
 	"tlsage/internal/notary"
+	"tlsage/internal/registry"
 	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
 )
 
+// familyKeys is every key a query can name in each keyed family, by its
+// canonical spelling: the registry's versions (also the tls13: family's
+// keys), key exchanges, extensions and curves by name, the suite classes, and
+// one slug per clientdb class. frameColumns checks that a family's keys sum to
+// its wildcard, so a key the data has and this list lacks fails there.
+func familyKeys(t *testing.T) map[string][]string {
+	t.Helper()
+	var versions, kex, ext, curves []string
+	for _, v := range []registry.Version{registry.VersionSSL2, registry.VersionSSL3, registry.VersionTLS10,
+		registry.VersionTLS11, registry.VersionTLS12, registry.VersionTLS13,
+		registry.VersionTLS13Draft18, registry.VersionTLS13Draft28, registry.VersionTLS13Google} {
+		versions = append(versions, strings.ToLower(v.String()))
+	}
+	for k := registry.KexNULL; k <= registry.KexTLS13; k++ {
+		kex = append(kex, strings.ToLower(k.String()))
+	}
+	for _, e := range registry.AllExtensions() {
+		ext = append(ext, e.String())
+	}
+	for _, c := range registry.AllCurves() {
+		curves = append(curves, strings.ToLower(c.String()))
+	}
+	agents := []string{"libraries", "browsers", "os-tools", "mobile-apps", "dev-tools", "av", "cloud-storage", "email", "malware"}
+	if len(agents) != len(clientdb.AllClasses()) {
+		t.Fatalf("%d agent: slugs for %d client classes", len(agents), len(clientdb.AllClasses()))
+	}
+	keys := map[string][]string{
+		"version": versions, "tls13": versions, "kex": kex, "ext": ext, "curve": curves,
+		"class": {"aead", "cbc", "rc4", "des", "3des", "stream", "other"}, "agent": agents,
+	}
+	for fam, ks := range keys {
+		var names []string
+		for _, k := range ks {
+			e, err := analysis.ParseQuery(fam + ":" + k)
+			if err != nil {
+				t.Fatalf("%s:%s is no column: %v", fam, k, err)
+			}
+			if !slices.Contains(names, e.String()) {
+				names = append(names, e.String())
+			}
+		}
+		keys[fam] = names
+	}
+	return keys
+}
+
+// frameColumns is every column of f by name, each read through Column, the
+// frame's one gather: every ColumnNames entry, every key of every keyed
+// family (familyKeys) and its wildcard, the fp: columns by FPID and
+// FPOtherKey, and the Figure 5 position series. It fails when a keyed
+// family's columns do not sum to its wildcard.
+func frameColumns(t *testing.T, f *analysis.Frame) map[string]any {
+	t.Helper()
+	cols := map[string]any{}
+	for _, name := range analysis.ColumnNames() {
+		cols[name] = f.Column(name)
+	}
+	for fam, names := range familyKeys(t) {
+		sum := make([]int, f.Len())
+		for _, name := range names {
+			col := f.Column(name)
+			for i, n := range col {
+				sum[i] += n
+			}
+			cols[name] = col
+		}
+		all := f.Column(fam + ":*")
+		if !reflect.DeepEqual(sum, all) {
+			t.Fatalf("the %s: keys sum to %v, the wildcard reads %v: a key is missing from familyKeys", fam, sum, all)
+		}
+		cols[fam+":*"] = all
+	}
+	fps := []string{"fp:*", "fp:" + analysis.FPOtherKey}
+	for id := range f.FPNames {
+		fps = append(fps, "fp:"+id)
+	}
+	for _, name := range fps {
+		cols[name] = f.Column(name)
+	}
+	for _, class := range []string{"aead", "cbc", "rc4", "des", "3des"} {
+		e, err := analysis.ParseQuery("position(" + class + ")")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := analysis.Compile(e, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[e.String()] = p.Eval().Series.Points
+	}
+	return cols
+}
+
 // requireFreshFrame asserts the frame the study serves answers exactly like
-// one built from scratch off its aggregate: every exported column, the
-// generation and the fingerprint gauges. It returns the served frame.
+// one built from scratch off its aggregate: every column by name
+// (frameColumns), FPNames, the generation and the fingerprint gauges. It
+// returns the served frame.
 func requireFreshFrame(t *testing.T, s *Study) *analysis.Frame {
 	t.Helper()
 	got, err := s.Frame()
@@ -23,12 +121,14 @@ func requireFreshFrame(t *testing.T, s *Study) *analysis.Frame {
 		t.Fatal(err)
 	}
 	want := analysis.NewFrame(s.Aggregate())
-	wv, gv := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
-	for i := 0; i < wv.NumField(); i++ {
-		if field := wv.Type().Field(i); field.IsExported() &&
-			!reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
-			t.Fatalf("served frame differs from NewFrame in column %s", field.Name)
+	wc, gc := frameColumns(t, want), frameColumns(t, got)
+	for name, w := range wc {
+		if !reflect.DeepEqual(w, gc[name]) {
+			t.Fatalf("served frame differs from NewFrame in column %s", name)
 		}
+	}
+	if !reflect.DeepEqual(want.FPNames, got.FPNames) {
+		t.Fatal("served frame differs from NewFrame in FPNames")
 	}
 	wd, _, ws := want.FingerprintGauges()
 	gd, _, gs := got.FingerprintGauges()

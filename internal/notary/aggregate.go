@@ -506,6 +506,15 @@ func (a *Aggregate) FingerprintVolumes() iter.Seq2[string, int64] {
 	}
 }
 
+// FingerprintVolume returns fp's whole-window connections, ok=false when the
+// aggregate has never seen fp.
+func (a *Aggregate) FingerprintVolume(fp string) (int64, bool) {
+	if life := a.fps[fp]; life != nil {
+		return life.conns, true
+	}
+	return 0, false
+}
+
 // FPDuration describes one fingerprint's observed lifetime (§4.1).
 type FPDuration struct {
 	Fingerprint string
