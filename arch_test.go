@@ -321,7 +321,7 @@ func TestProductionCallsProduction(t *testing.T) {
 		}
 	})
 	t.Run("examples are read", func(t *testing.T) {
-		for _, key := range []string{"internal/core.NewStudy", "internal/fingerprint.(*DB).Lookup"} {
+		for _, key := range []string{"internal/core.Simulate", "internal/fingerprint.(*DB).Lookup"} {
 			if !exampled[key] {
 				t.Errorf("%s is used by an Output example but not found among the example uses", key)
 			}
@@ -507,6 +507,72 @@ func TestOnePackageDoc(t *testing.T) {
 			first, _, _ := strings.Cut(pkg.Doc, "\n")
 			t.Errorf("%s: go doc opens with %q, want %q…", dir, first, want)
 		}
+	}
+}
+
+// TestNoZeroStudy guards "a study is born with its data": core.Study's
+// reads assume an aggregate, which only its constructors (Simulate, LoadLog,
+// NewLiveStudy, NewStudyFromAggregate) install. So no Go file outside
+// internal/core — tests and bench/ included — spells a zero core.Study: a
+// composite literal, new(core.Study) or a var of that type.
+func TestNoZeroStudy(t *testing.T) {
+	fset := token.NewFileSet()
+	walked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || d.Name() == ".git" || path == filepath.Join("internal", "core")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		walked++
+		name := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"tlsage/internal/core"` {
+				name = "core"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		isStudy := func(e ast.Expr) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Study" {
+				return false
+			}
+			x, ok := sel.X.(*ast.Ident)
+			return ok && x.Name == name
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var zero bool
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				zero = isStudy(n.Type)
+			case *ast.CallExpr:
+				fn, ok := n.Fun.(*ast.Ident)
+				zero = ok && fn.Name == "new" && len(n.Args) == 1 && isStudy(n.Args[0])
+			case *ast.ValueSpec:
+				zero = n.Type != nil && isStudy(n.Type)
+			}
+			if zero && name != "" {
+				t.Errorf("%s: builds a zero core.Study; use one of its constructors", fset.Position(n.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walked < 100 {
+		t.Fatalf("walked %d Go files: the guard is looking in the wrong place", walked)
 	}
 }
 

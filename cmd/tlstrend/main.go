@@ -8,7 +8,7 @@
 //	tlstrend loadlog    [-in conn.log] [-workers W] [-figure N] [-chart]    post-hoc analysis of a record log: frames, TSV lines or both (sharded parse)
 //	tlstrend serve      [-http ADDR] [-tcp ADDR] [-out conn.log] [-studies a,b] [-snapshot-dir DIR] [-query-cache N] [-upstream URL [-push-interval D] [-push-source S]] [-union ID]  live notary service: TSV + binary-batch ingest, JSON query endpoints, durable snapshots, restart recovery, cached queries; -upstream turns the node into an edge collector pushing aggregate deltas, -union hosts a federated union study
 //	tlstrend feed       [-addr URL | -tcp ADDR] [-in conn.log | -conns N] [-retry N]  stream a log, or a live simulation as TLSB frames, into a server
-//	tlstrend query      -q EXPR [-in conn.log | -conns N | -addr URL [-study ID]]  evaluate a metric expression offline or remotely
+//	tlstrend query      -q EXPR [-in conn.log | -conns N]      evaluate a metric expression offline (POST /query asks a server)
 //	                    (column families include fp:<id12|other> top-K fingerprints and agent:<class> client attribution)
 //	tlstrend figure     [-n N | -name NAME] [-conns N] [-chart]  print one catalog figure as table or chart
 //	tlstrend figures    [-conns N]                             print all figures
@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -85,7 +86,7 @@ commands:
                 -upstream pushes merged shards upstream as aggregate deltas (edge collector),
                 -union hosts a study that is the live union of every hosted study
   feed          stream a log as it is, or a live simulation as TLSB frames, into a running server
-  query         evaluate a metric expression (see README grammar) offline or against a server;
+  query         evaluate a metric expression (see README grammar) offline (POST /query asks a server);
                 families span versions, ciphers, curves, extensions, and the attribution
                 columns fp:<id|other> (top-32 fingerprints) and agent:<class> (client classes)
   figure        print one catalog figure (-n 1–10 or -name) as a table or ASCII chart
@@ -129,34 +130,40 @@ func (sf *simFlags) options() simulate.Options {
 	return opts
 }
 
-// parseAndRun parses args into fs, then runs the study the triple describes.
-func (sf *simFlags) parseAndRun(fs *flag.FlagSet, args []string) (*core.Study, error) {
+// parseAndRun parses args into fs, then simulates the study the triple
+// describes.
+func (sf *simFlags) parseAndRun(fs *flag.FlagSet, args []string) *core.Study {
 	fs.Parse(args)
-	return sf.run("")
+	return sf.study()
 }
 
-// run executes the passive study, teeing a TLSB frame log to logPath when
-// set.
+// study simulates the passive study the triple describes. With no log to
+// write, core.Simulate cannot fail.
+func (sf *simFlags) study() *core.Study {
+	s, _ := sf.run("")
+	return s
+}
+
+// run simulates the passive study, teeing a TLSB frame log to logPath when
+// set. Only the log can fail it.
 func (sf *simFlags) run(logPath string) (*core.Study, error) {
-	s := &core.Study{Options: sf.options()}
+	var w io.Writer
 	var out *os.File
-	var err error
 	if logPath != "" {
-		out, err = os.Create(logPath)
-		if err != nil {
+		var err error
+		if out, err = os.Create(logPath); err != nil {
 			return nil, err
 		}
+		w = out
 	}
 	start := time.Now()
+	s, err := core.Simulate(sf.options(), w)
 	if out != nil {
-		err = s.Run(out)
 		// A write the file system deferred can fail at Close; reporting
 		// success with a truncated log would be a silent data loss.
 		if cerr := out.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("closing %s: %w", logPath, cerr)
 		}
-	} else {
-		err = s.Run(nil)
 	}
 	if err != nil {
 		return nil, err
@@ -166,16 +173,13 @@ func (sf *simFlags) run(logPath string) (*core.Study, error) {
 	return s, nil
 }
 
-// loadLog rebuilds s from the record log at path — frames, TSV lines or both
-// (the sharded post-hoc parse).
-func loadLog(s *core.Study, path string) error {
+// loadLog builds a study from the record log at path — frames, TSV lines or
+// both — parsed by workers workers (the sharded post-hoc parse).
+func loadLog(path string, workers int) (*core.Study, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	err = s.LoadLog(f)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing %s: %w", path, cerr)
-	}
-	return err
+	defer f.Close()
+	return core.LoadLog(f, workers)
 }

@@ -38,6 +38,28 @@ func command(bin string, args ...string) *exec.Cmd {
 	return exec.Command(bin, args...)
 }
 
+// served returns what the node at base answers at path: a GET, or with a
+// query a POST of it.
+func served(t *testing.T, base, path, query string) []byte {
+	t.Helper()
+	var resp *http.Response
+	var err error
+	if query == "" {
+		resp, err = http.Get(base + path)
+	} else {
+		resp, err = http.Post(base+path, "application/json", strings.NewReader(`{"query": "`+query+`"}`))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s%s %q: %s %v\n%s", base, path, query, resp.Status, err, body)
+	}
+	return body
+}
+
 // startServe launches `tlstrend serve` in dir ("" = this one) on loopback
 // ports of the kernel's choosing and reads both listen addresses off stderr
 // through the markers the benchmark relies on ("on http://", "on tcp://").
@@ -88,11 +110,13 @@ func startServe(t *testing.T, bin, dir string, args ...string) (cmd *exec.Cmd, h
 
 // TestCLI drives the built binary: an Open that sets no tuning value runs
 // at serve's queue bound and in-flight limit, serve's flag set is the one
-// pinned in testdata, a served study survives SIGTERM and
-// a restart byte for byte, scan, scansweep, experiments, the passive
-// figure and Table 2 commands and the five static tables print their goldens
-// (table -n 2 fails, naming table2), an unknown figure fails
-// before any simulation or load, every command that takes a log reads a TSV
+// pinned in testdata, a served study answers what query prints offline from
+// its -out log and survives SIGTERM and a restart byte for byte, scan,
+// scansweep, experiments, the passive figure and Table 2 commands and the
+// five static tables print their goldens (table -n 2 fails, naming table2),
+// an unknown figure or a bad query fails before any simulation or load, a
+// usage, file or stdout write error exits non-zero with its cause, every
+// command that takes a log reads a TSV
 // log, a serve -out frame log and one continued by the other alike, simulate
 // -out writes a frame log that reads as the TSV log of the same records does,
 // scansweep -push into serve -studies notary,scan serves what a study built
@@ -237,7 +261,7 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
-	t.Run("an unknown figure fails before anything is simulated or loaded", func(t *testing.T) {
+	t.Run("an unknown figure or a bad query fails before anything is simulated or loaded", func(t *testing.T) {
 		tsv := filepath.Join("..", "..", "internal", "service", "testdata", "outlog_tsv.log")
 		for _, c := range []struct {
 			args []string
@@ -248,6 +272,8 @@ func TestCLI(t *testing.T) {
 				"tlstrend: no figure named \"nope\" (valid names: " + strings.Join(analysis.CatalogNames(), ", ") + ")\n"},
 			{[]string{"loadlog", "-figure", "11", "-in", tsv}, "tlstrend: core: no figure 11\n"},
 			{[]string{"loadlog", "-figure", "-1", "-in", tsv}, "tlstrend: core: no figure -1\n"},
+			{[]string{"query", "-q", "pct(bogus", "-in", tsv},
+				"tlstrend: query \"pct(bogus\": unknown column \"bogus\" (see analysis.ColumnNames; family selectors are family:key)\n"},
 		} {
 			out, err := command(bin, c.args...).CombinedOutput()
 			var exit *exec.ExitError
@@ -257,6 +283,57 @@ func TestCLI(t *testing.T) {
 			// The error is all there is: no simulated or loaded line before it.
 			if string(out) != c.want {
 				t.Errorf("%v printed\n%s\nwant only\n%s", c.args, out, c.want)
+			}
+		}
+	})
+
+	t.Run("usage, file and write errors exit non-zero with their cause", func(t *testing.T) {
+		// full, when set, is the command's stdout: /dev/full, where every
+		// write fails with ENOSPC. An error is all a failed command prints.
+		tsv := filepath.Join("..", "..", "internal", "service", "testdata", "outlog_tsv.log")
+		dir := t.TempDir()
+		missing := filepath.Join(dir, "missing.log")
+		const enospc = "write /dev/stdout: no space left on device"
+		for _, c := range []struct {
+			args []string
+			full bool
+			exit int
+			want string
+		}{
+			{nil, false, 2, "commands:"},
+			{[]string{"help"}, false, 0, "commands:"},
+			{[]string{"nope"}, false, 2, `tlstrend: unknown command "nope"`},
+			{[]string{"query"}, false, 1, "tlstrend: query: -q is required"},
+			{[]string{"scan", "-date", "someday"}, false, 1, "tlstrend: bad -date"},
+			{[]string{"simulate", "-conns", "1", "-out", dir}, false, 1, "is a directory"},
+			{[]string{"simulate", "-conns", "1", "-out", "/dev/full"}, false, 1, "no space left on device"},
+			{[]string{"serve", "-http", "127.0.0.1:0", "-out", dir}, false, 1, "is a directory"},
+			{[]string{"loadlog", "-in", missing}, false, 1, "no such file or directory"},
+			{[]string{"query", "-q", "count(total)", "-in", missing}, false, 1, "no such file or directory"},
+			{[]string{"feed", "-in", missing, "-addr", "http://127.0.0.1:1"}, false, 1, "no such file or directory"},
+			{[]string{"query", "-q", "pct(version:tls12 / established)", "-conns", "5"}, true, 1, enospc},
+			{[]string{"loadlog", "-in", tsv, "-figure", "2"}, true, 1, enospc},
+			{[]string{"figures", "-conns", "5"}, true, 1, enospc},
+			{[]string{"extensions", "-conns", "5"}, true, 1, enospc},
+			{[]string{"fingerprints", "-conns", "5"}, true, 1, enospc},
+			{[]string{"experiments", "-conns", "5", "-hosts", "5"}, true, 1, enospc},
+			{[]string{"scan", "-hosts", "5"}, true, 1, enospc},
+			{[]string{"scansweep", "-hosts", "5", "-step", "24"}, true, 1, enospc},
+		} {
+			cmd := command(bin, c.args...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			if c.full {
+				full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+				if err != nil {
+					t.Skipf("no /dev/full here: %v", err)
+				}
+				defer full.Close()
+				cmd.Stdout = full
+			}
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); code != c.exit || !strings.Contains(stderr.String(), c.want) {
+				t.Errorf("tlstrend %s: exit %d (%v), want %d and %q\n%s", strings.Join(c.args, " "), code, err, c.exit, c.want, stderr.Bytes())
 			}
 		}
 	})
@@ -291,7 +368,7 @@ func TestCLI(t *testing.T) {
 		if perRecord := fmt.Sprintf("%.1f", float64(sent)/1500); sent < 20*1500 || sent > 100*1500 || string(m[2]) != perRecord {
 			t.Errorf("feed sent %d bytes at %s B/record: want 20 to 100 bytes a record, and %s", sent, m[2], perRecord)
 		}
-		before := run("query", "-addr", url, "-q", q, "-json")
+		before := served(t, url, "/query", q)
 		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatal(err)
 		}
@@ -308,10 +385,14 @@ func TestCLI(t *testing.T) {
 			t.Errorf("no final snapshot at generation 3000 in %s", snaps)
 		}
 
+		// What the node serves is what query prints offline from its log.
+		if offline := run("query", "-in", out, "-q", q, "-json"); !bytes.Equal(before, offline) {
+			t.Errorf("query -in of the -out log printed\n%s\nthe node served\n%s", offline, before)
+		}
+
 		serve, url, _, wait = startServe(t, bin, "", "-out", out, "-snapshot-dir", snaps)
-		after := run("query", "-addr", url, "-q", q, "-json")
-		if !bytes.Equal(before, after) {
-			t.Errorf("query after restart printed\n%s\nbefore it\n%s", after, before)
+		if after := served(t, url, "/query", q); !bytes.Equal(before, after) {
+			t.Errorf("the node served after restart\n%s\nbefore it\n%s", after, before)
 		}
 		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatal(err)
@@ -458,32 +539,30 @@ func TestCLI(t *testing.T) {
 		defer built.Close()
 		ref := httptest.NewServer(built.Handler())
 		defer ref.Close()
-		served := func(base, path, query string) []byte {
-			t.Helper()
-			var resp *http.Response
-			var err error
-			if query == "" {
-				resp, err = http.Get(base + path)
-			} else {
-				resp, err = http.Post(base+path, "application/json", strings.NewReader(`{"query": "`+query+`"}`))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s%s %q: %s %v\n%s", base, path, query, resp.Status, err, body)
-			}
-			return body
-		}
 		reads := [][2]string{{"/figures", ""}, {"/scalars", ""}}
 		for _, m := range core.ScanMetrics {
 			reads = append(reads, [2]string{"/query", m.Query})
 		}
 		for _, r := range reads {
-			if got, want := served(url+"/studies/scan", r[0], r[1]), served(ref.URL, r[0], r[1]); !bytes.Equal(got, want) {
+			if got, want := served(t, url+"/studies/scan", r[0], r[1]), served(t, ref.URL, r[0], r[1]); !bytes.Equal(got, want) {
 				t.Errorf("/studies/scan%s %q served\n%s\nwant\n%s", r[0], r[1], got, want)
+			}
+		}
+		// The same campaign pushed again is acknowledged as already applied,
+		// and a push to a study the node does not host fails.
+		for _, c := range []struct {
+			study, want string
+			exit        int
+		}{
+			{"scan", "had already applied this campaign", 0},
+			{"nope", "tlstrend: federation: upstream replied 404", 1},
+		} {
+			var stderr bytes.Buffer
+			cmd := command(bin, "scansweep", "-hosts", "40", "-step", "12", "-push", url+"/studies/"+c.study)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); code != c.exit || !strings.Contains(stderr.String(), c.want) {
+				t.Errorf("scansweep -push %s again: exit %d (%v), want %d and %q\n%s", c.study, code, err, c.exit, c.want, stderr.Bytes())
 			}
 		}
 		if err := serve.Process.Signal(syscall.SIGTERM); err != nil {
@@ -561,9 +640,10 @@ func TestCLI(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query: %v", err)
 		}
-		s := core.NewStudy(20)
-		s.Options.Seed = 7
-		if err := s.Run(nil); err != nil {
+		opts := simulate.DefaultOptions(20)
+		opts.Seed = 7
+		s, err := core.Simulate(opts, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := s.Query(q)

@@ -27,20 +27,13 @@ func cmdSimulate(args []string) error {
 
 // printScalars prints s's paper-vs-measured scalar report under title.
 func printScalars(s *core.Study, title string) error {
-	scalars, err := s.Scalars()
-	if err != nil {
-		return err
-	}
+	scalars, _ := s.Scalars() // err is always nil
 	return analysis.RenderScalars(os.Stdout, title, scalars)
 }
 
 // printTable2 prints s's Table 2 fingerprint-summary reproduction.
 func printTable2(s *core.Study) error {
-	rep, err := s.Table2()
-	if err != nil {
-		return err
-	}
-	return rep.RenderTable2(os.Stdout)
+	return s.Table2().RenderTable2(os.Stdout)
 }
 
 func cmdLoadLog(args []string) error {
@@ -54,25 +47,21 @@ func cmdLoadLog(args []string) error {
 	if *figure != 0 && !ok {
 		return fmt.Errorf("core: no figure %d", *figure)
 	}
-	var s core.Study
-	s.Options.Workers = *workers
 	start := time.Now()
-	if err := loadLog(&s, *in); err != nil {
+	s, err := loadLog(*in, *workers)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "loaded %d records from %s in %v\n",
 		s.Aggregate().TotalRecords(), *in, time.Since(start).Round(time.Millisecond))
 	if ok {
-		f, err := s.Frame()
-		if err != nil {
-			return err
-		}
+		f, _ := s.Frame() // err is always nil
 		if err := renderFigure(f.EvalFigure(spec), *chart, 20); err != nil {
 			return err
 		}
 		fmt.Println()
 	}
-	return printScalars(&s, "Post-hoc log analysis (paper vs measured)")
+	return printScalars(s, "Post-hoc log analysis (paper vs measured)")
 }
 
 func cmdFigure(args []string) error {
@@ -91,14 +80,7 @@ func cmdFigure(args []string) error {
 	} else if !ok {
 		return fmt.Errorf("core: no figure %d", *n)
 	}
-	s, err := sim.run("")
-	if err != nil {
-		return err
-	}
-	f, err := s.Frame()
-	if err != nil {
-		return err
-	}
+	f, _ := sim.study().Frame() // err is always nil
 	return renderFigure(f.EvalFigure(spec), *chart, 20)
 }
 
@@ -133,14 +115,7 @@ func cmdMetrics(args []string) error {
 
 func cmdFigures(args []string) error {
 	fs, sim := simFlagSet("figures", 600)
-	s, err := sim.parseAndRun(fs, args)
-	if err != nil {
-		return err
-	}
-	f, err := s.Frame()
-	if err != nil {
-		return err
-	}
+	f, _ := sim.parseAndRun(fs, args).Frame() // err is always nil
 	for _, fig := range f.Figures() {
 		if err := fig.RenderChart(os.Stdout, 100, 16); err != nil {
 			return err
@@ -188,26 +163,16 @@ func cmdTable(args []string) error {
 
 func cmdTable2(args []string) error {
 	fs, sim := simFlagSet("table2", 600)
-	s, err := sim.parseAndRun(fs, args)
-	if err != nil {
-		return err
-	}
-	return printTable2(s)
+	return printTable2(sim.parseAndRun(fs, args))
 }
 
 func cmdFingerprints(args []string) error {
 	fs, sim := simFlagSet("fingerprints", 600)
-	s, err := sim.parseAndRun(fs, args)
-	if err != nil {
-		return err
-	}
+	s := sim.parseAndRun(fs, args)
 	if err := printTable2(s); err != nil {
 		return err
 	}
-	st, err := s.FingerprintDurations()
-	if err != nil {
-		return err
-	}
+	st := s.FingerprintDurations()
 	fmt.Printf("\n§4.1 fingerprint lifetimes: %d fingerprints, median %.0f d, mean %.1f d, q3 %.0f d, σ %.1f d, max %d d\n",
 		st.Total, st.MedianDays, st.MeanDays, st.Q3Days, st.StdDevDays, st.MaxDays)
 	fmt.Printf("  single-day: %d (%.1f%%), carrying %d of %d connections\n",
@@ -219,15 +184,8 @@ func cmdFingerprints(args []string) error {
 func cmdExtensions(args []string) error {
 	fs, sim := simFlagSet("extensions", 600)
 	chart := fs.Bool("chart", false, "render an ASCII chart instead of a table")
-	s, err := sim.parseAndRun(fs, args)
-	if err != nil {
-		return err
-	}
-	f, err := s.Frame()
-	if err != nil {
-		return err
-	}
-	fig, _ := f.FigureByName("extensions") // a catalog name: always found
+	f, _ := sim.parseAndRun(fs, args).Frame() // err is always nil
+	fig, _ := f.FigureByName("extensions")    // a catalog name: always found
 	if err := renderFigure(fig, *chart, 18); err != nil {
 		return err
 	}
@@ -241,10 +199,7 @@ func cmdExtensions(args []string) error {
 func cmdExperiments(args []string) error {
 	fs, sim := simFlagSet("experiments", 1500)
 	hosts := fs.Int("hosts", 400, "scan farm size")
-	s, err := sim.parseAndRun(fs, args)
-	if err != nil {
-		return err
-	}
+	s := sim.parseAndRun(fs, args)
 	if err := printScalars(s, "Passive study (Notary substitute)"); err != nil {
 		return err
 	}

@@ -4,11 +4,9 @@ package analysis
 // engine. A frame is immutable and tagged with the generation it was built
 // from, so a QueryResult computed against (study, generation) never goes
 // stale — it can only become unreachable when the generation advances. That
-// makes the cache trivially correct: keys embed the generation (and an
-// epoch that study owners bump whenever they replace the aggregate outright,
-// guarding against a rebuilt study landing on the same record count), and
-// invalidation is just new keys shadowing old ones until the LRU evicts the
-// orphans.
+// makes the cache trivially correct: keys embed the generation (a study's
+// aggregate is never replaced, only merged into), and invalidation is just
+// new keys shadowing old ones until the LRU evicts the orphans.
 //
 // One cache is shared across every study a process serves; entries are
 // bounded both by count and by an approximate byte budget so a burst of
@@ -40,7 +38,6 @@ type QueryCacheStats struct {
 // counted in the hit and miss counters.
 type cacheKey struct {
 	study      string
-	epoch      uint64
 	generation uint64
 	query      string
 }
@@ -57,7 +54,7 @@ type cacheEntry struct {
 }
 
 // QueryCache is a bounded LRU of QueryResults keyed by
-// (study, epoch, generation, canonical query text). All methods are safe
+// (study, generation, canonical query text). All methods are safe
 // for concurrent use and safe on a nil receiver (a nil cache never hits,
 // making "caching disabled" the zero-configuration path).
 type QueryCache struct {
@@ -100,12 +97,14 @@ func resultSize(key cacheKey, res QueryResult, body []byte) int64 {
 // Series.Points as read-only (every existing consumer — JSON encoding,
 // rendering, Series.Value — already does). The body, when non-nil, is
 // likewise shared and must not be mutated; it may be nil even on a hit when
-// the entry was stored without one.
-func (c *QueryCache) Get(study string, epoch, generation uint64, query string) (QueryResult, []byte, bool) {
+// the entry was stored without one. The unnamed uint64 is ignored: it was
+// an aggregate-replacement epoch, and stays in the signature until the
+// benchmark harness's call sites drop it.
+func (c *QueryCache) Get(study string, _, generation uint64, query string) (QueryResult, []byte, bool) {
 	if c == nil {
 		return QueryResult{}, nil, false
 	}
-	key := cacheKey{study, epoch, generation, query}
+	key := cacheKey{study, generation, query}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -122,12 +121,12 @@ func (c *QueryCache) Get(study string, epoch, generation uint64, query string) (
 // Put stores a result (and optionally its serialized JSON body; nil is
 // fine) under the key, evicting least-recently-used entries while either
 // bound is exceeded. Storing an oversized single result is a no-op rather
-// than a cache flush.
-func (c *QueryCache) Put(study string, epoch, generation uint64, query string, res QueryResult, body []byte) {
+// than a cache flush. The unnamed uint64 is ignored, as in Get.
+func (c *QueryCache) Put(study string, _, generation uint64, query string, res QueryResult, body []byte) {
 	if c == nil {
 		return
 	}
-	key := cacheKey{study, epoch, generation, query}
+	key := cacheKey{study, generation, query}
 	size := resultSize(key, res, body)
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return

@@ -25,22 +25,25 @@ func TestQueryCacheHitMiss(t *testing.T) {
 	if got.Query != res.Query || len(got.Series.Points) != 75 {
 		t.Fatalf("hit returned wrong result: %+v", got)
 	}
-	// Any coordinate change misses: generation advance (ingest), epoch bump
-	// (aggregate replacement), different study, different query.
-	misses := [][4]any{
-		{"notary", uint64(0), uint64(101), res.Query},
-		{"notary", uint64(1), uint64(100), res.Query},
-		{"other", uint64(0), uint64(100), res.Query},
-		{"notary", uint64(0), uint64(100), "count(total)"},
+	// Any coordinate change misses: generation advance (ingest), different
+	// study, different query.
+	misses := []struct {
+		study string
+		gen   uint64
+		query string
+	}{
+		{"notary", 101, res.Query},
+		{"other", 100, res.Query},
+		{"notary", 100, "count(total)"},
 	}
 	for _, m := range misses {
-		if _, _, ok := c.Get(m[0].(string), m[1].(uint64), m[2].(uint64), m[3].(string)); ok {
+		if _, _, ok := c.Get(m.study, 0, m.gen, m.query); ok {
 			t.Errorf("unexpected hit for %v", m)
 		}
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 4 || st.Entries != 1 {
-		t.Errorf("stats = %+v, want 1 hit / 4 misses / 1 entry", st)
+	if st.Hits != 1 || st.Misses != 3 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 hit / 3 misses / 1 entry", st)
 	}
 }
 
@@ -132,8 +135,8 @@ func TestQueryCacheBody(t *testing.T) {
 	}
 
 	// The body is part of the accounted size.
-	with := resultSize(cacheKey{"s", 0, 1, res.Query}, res, body)
-	without := resultSize(cacheKey{"s", 0, 1, res.Query}, res, nil)
+	with := resultSize(cacheKey{"s", 1, res.Query}, res, body)
+	without := resultSize(cacheKey{"s", 1, res.Query}, res, nil)
 	if with != without+int64(len(body)) {
 		t.Errorf("body not accounted: %d vs %d + %d", with, without, len(body))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
+	"tlsage/internal/simulate"
 )
 
 // Quantify §7.4 of the paper, "Impact of Security Research": for each
@@ -14,14 +15,11 @@ import (
 // correlation with forward secrecy, the slow grind of RC4 retirement, no
 // immediate CBC reaction to Lucky 13, and the post-Sweet32 3DES decline.
 func ExampleAttackImpactsFrame() {
-	study := core.NewStudy(800)
-	if err := study.Run(nil); err != nil {
-		panic(err)
-	}
-	f, err := study.Frame()
+	study, err := core.Simulate(simulate.DefaultOptions(800), nil)
 	if err != nil {
 		panic(err)
 	}
+	f, _ := study.Frame() // err is always nil
 	impacts := analysis.AttackImpactsFrame(f)
 	if err := analysis.RenderImpacts(os.Stdout, impacts); err != nil {
 		panic(err)

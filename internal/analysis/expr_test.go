@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -194,7 +193,7 @@ func randomExpr(rnd *rand.Rand, wantKind Kind, depth int) *Expr {
 // TestExprTextRoundTripProperty: random expressions and the catalog's own
 // come back from their text as the same tree, spelled canonically or in
 // capitals, so every spelling of a query reaches one cache entry and one
-// plan, and a remote client holding only a catalog metric's text computes
+// plan, and a client holding only a catalog metric's text computes
 // exactly what Frame.EvalFigure computes.
 func TestExprTextRoundTripProperty(t *testing.T) {
 	roundTrip := func(t *testing.T, e *Expr) {
@@ -404,53 +403,5 @@ func TestPositionClassSpellings(t *testing.T) {
 	}
 	if tracked != int(notary.NumPosClasses) {
 		t.Errorf("classKeys spells %d of the %d position classes", tracked, notary.NumPosClasses)
-	}
-}
-
-// TestQueryResultJSONRefusesMalformedReplies: a remote server's reply is
-// input from outside the program, so each decoder refuses a field of the
-// wrong type, a month that is not YYYY-MM and a kind it does not know.
-func TestQueryResultJSONRefusesMalformedReplies(t *testing.T) {
-	for _, reply := range []string{
-		`{"query": "q", "kind": 7}`,
-		`{"query": "q", "kind": "table"}`,
-		`{"query": "q", "kind": "series", "series": {"name": 7}}`,
-		`{"query": "q", "kind": "series", "series": {"name": "s", "points": [7]}}`,
-		`{"query": "q", "kind": "series", "series": {"name": "s", "points": [{"month": "2018-13", "value": 1}]}}`,
-	} {
-		var r QueryResult
-		if err := json.Unmarshal([]byte(reply), &r); err == nil {
-			t.Errorf("%s decoded to %+v, want an error", reply, r)
-		}
-	}
-}
-
-// TestQueryResultJSONRoundTrip covers the client path: a served result
-// decodes back into an equal value (modulo the series month index).
-func TestQueryResultJSONRoundTrip(t *testing.T) {
-	f := sharedFrame(t)
-	for _, src := range []string{"pct(class:aead / established)", "count(total)"} {
-		want := mustQuery(t, f, src)
-		raw, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got QueryResult
-		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Query != want.Query || got.Kind != want.Kind || got.Value != want.Value ||
-			!reflect.DeepEqual(got.Series.Points, want.Series.Points) {
-			t.Errorf("%s: round trip changed the result", src)
-		}
-		// The decoded series still answers Value lookups (linear fallback).
-		if want.Kind == "series" {
-			m := f.Months[0]
-			wv, _ := want.Series.Value(m)
-			gv, ok := got.Series.Value(m)
-			if !ok || gv != wv {
-				t.Errorf("%s: decoded Value(%v) = %v,%v want %v", src, m, gv, ok, wv)
-			}
-		}
 	}
 }

@@ -21,44 +21,12 @@ func (p Point) MarshalJSON() ([]byte, error) {
 	}{p.Month.String(), p.Value})
 }
 
-// UnmarshalJSON parses the wire shape back into a point (the remote-query
-// client path).
-func (p *Point) UnmarshalJSON(b []byte) error {
-	var raw struct {
-		Month string  `json:"month"`
-		Value float64 `json:"value"`
-	}
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	m, err := parseMonth(raw.Month)
-	if err != nil {
-		return err
-	}
-	p.Month, p.Value = m, raw.Value
-	return nil
-}
-
 // MarshalJSON renders a series as its name plus monthly points.
 func (s Series) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		Name   string  `json:"name"`
 		Points []Point `json:"points"`
 	}{s.Name, s.Points})
-}
-
-// UnmarshalJSON parses a series; the month index is left nil, so Value
-// falls back to a linear scan.
-func (s *Series) UnmarshalJSON(b []byte) error {
-	var raw struct {
-		Name   string  `json:"name"`
-		Points []Point `json:"points"`
-	}
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	s.Name, s.Points, s.index = raw.Name, raw.Points, nil
-	return nil
 }
 
 // queryResultJSON is the wire shape of a query answer; Series is present
@@ -177,22 +145,6 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 		b = b[:n-1]
 	}
 	return b, nil
-}
-
-// UnmarshalJSON parses a served query result (the remote-query client path).
-func (r *QueryResult) UnmarshalJSON(b []byte) error {
-	var raw queryResultJSON
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	if raw.Kind != "series" && raw.Kind != "scalar" {
-		return fmt.Errorf("query result kind %q (want series or scalar)", raw.Kind)
-	}
-	*r = QueryResult{Query: raw.Query, Kind: raw.Kind, Value: raw.Value}
-	if raw.Series != nil {
-		r.Series = *raw.Series
-	}
-	return nil
 }
 
 // figureEventJSON is the wire shape of one attack-event marker.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tlsage/internal/analysis"
+	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
 )
 
@@ -15,9 +16,10 @@ import (
 // on a current frame allocates nothing, and neither does a QueryInfoJSON hit
 // on a repeated canonical text, which the cache answers before any parse.
 func TestStudyReadAllocs(t *testing.T) {
-	s := NewStudy(20)
-	s.Options.End = timeline.M(2012, time.June)
-	if err := s.Run(nil); err != nil {
+	opts := simulate.DefaultOptions(20)
+	opts.End = timeline.M(2012, time.June)
+	s, err := Simulate(opts, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetQueryCache(analysis.NewQueryCache(64, 1<<20), "allocs")

@@ -12,7 +12,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -33,21 +32,15 @@ import (
 	"tlsage/internal/timeline"
 )
 
-// ErrNotRun reports a study that has no aggregate yet: neither Run nor a
-// live constructor (NewLiveStudy, NewStudyFromAggregate) has given it data.
-// The service layer matches it with errors.Is to map "not ready" to 503
-// instead of 400.
-var ErrNotRun = errors.New("core: study has not been run")
-
-// Study orchestrates the passive measurement.
+// Study orchestrates the passive measurement. It is born with its data:
+// Simulate, LoadLog, NewLiveStudy and NewStudyFromAggregate are its four
+// constructors, and its zero value is unusable.
 type Study struct {
-	Options simulate.Options
-
-	// mu guards every field below. MergeShard and aggregate replacements
-	// take it exclusively; readers share it while the cached frame is at the
-	// aggregate's generation, and take it exclusively to bring the frame up
-	// to date (see read). Batch callers that mutate the aggregate directly
-	// through Aggregate() stay single-goroutine and never contend.
+	// mu guards every field below. MergeShard takes it exclusively; readers
+	// share it while the cached frame is at the aggregate's generation, and
+	// take it exclusively to bring the frame up to date (see read). Batch
+	// callers that mutate the aggregate directly through Aggregate() stay
+	// single-goroutine and never contend.
 	mu  sync.RWMutex
 	agg *notary.Aggregate
 	db  *fingerprint.DB
@@ -65,13 +58,10 @@ type Study struct {
 
 	// queryCache, when set, fronts every Query* call with a shared
 	// generation-keyed result cache; cacheID namespaces this study's keys
-	// within it. cacheEpoch versions aggregate replacements (Run, LoadLog):
-	// generations count records, so a rebuilt study can land on a colliding
-	// generation, and the epoch — bumped in the same critical section as the
-	// swap — keeps its cache keys disjoint from the old aggregate's.
+	// within it. A study's aggregate is never replaced, so its generation
+	// alone versions its keys.
 	queryCache *analysis.QueryCache
 	cacheID    string
-	cacheEpoch uint64
 
 	// compiles counts analysis.Compile calls on the query path: one per query
 	// that was not a result-cache hit.
@@ -87,24 +77,66 @@ func (s *Study) SetQueryCache(c *analysis.QueryCache, id string) {
 	s.mu.Unlock()
 }
 
-// NewStudy creates a study at the given per-month sample size with the
-// default seed and full window.
-func NewStudy(connsPerMonth int) *Study {
-	return &Study{Options: simulate.DefaultOptions(connsPerMonth)}
+// newStudy wraps agg, classified by db: what every constructor returns.
+func newStudy(agg *notary.Aggregate, db *fingerprint.DB) *Study {
+	agg.SetClassifier(db)
+	return &Study{agg: agg, db: db}
+}
+
+// Simulate runs the passive study opts describes: every simulated record is
+// folded into the study's aggregate through a ShardBuilder, the fold ingest
+// uses. When w is non-nil every record is also written to it as a TLSB frame
+// log (notary.DefaultBatchSize records a frame), the encoding serve -out
+// writes. The log writer is closed, writing its last frame, on every exit
+// path; a write error takes precedence over the close error, and a failed
+// run returns no study. Only w can fail it: with a nil w, err is always nil.
+func Simulate(opts simulate.Options, w io.Writer) (*Study, error) {
+	db := fingerprint.BuildDefault()
+	built := notary.NewShardBuilder(func() *notary.Aggregate {
+		agg := notary.NewAggregate()
+		agg.SetClassifier(db)
+		return agg
+	})
+	var sink notary.Sink = built
+	if w != nil {
+		sink = notary.Tee(built, notary.NewBatchWriter(w, notary.DefaultBatchSize))
+	}
+	runErr := simulate.New(opts).Run(sink)
+	closeErr := sink.Close()
+	if runErr != nil {
+		return nil, runErr
+	}
+	if closeErr != nil {
+		return nil, closeErr
+	}
+	return newStudy(built.Flush(), db), nil
+}
+
+// LoadLog builds a study from a previously written record log — lines,
+// frames or both (see notary.ReadLog) — instead of re-simulating: the
+// post-hoc analysis path. The log is cut into runs of whole entries read by
+// workers parse workers (0 = all cores; see notary.ReadLogParallel) and the
+// per-worker aggregates are merged, so loading scales like Simulate does.
+// Parsing runs classified, so the loaded study carries the same agent:
+// attribution a live run would.
+func LoadLog(r io.Reader, workers int) (*Study, error) {
+	db := fingerprint.BuildDefault()
+	agg, err := notary.ReadLogParallel(r, workers, db)
+	if err != nil {
+		return nil, err
+	}
+	return newStudy(agg, db), nil
 }
 
 // NewLiveStudy creates an empty study ready for live ingestion: the
 // aggregate exists (so Frame and every query answer immediately, over zero
-// months) and records arrive through MergeShard instead of Run. This is the
+// months) and records arrive through MergeShard. This is the
 // service-mode constructor — the same aggregate that answers queries keeps
 // ingesting. The fingerprint database doubles as the aggregate's classifier,
 // so client-class attribution (the agent: query family, Table 2) accumulates
 // as records stream in.
 func NewLiveStudy() *Study {
-	db := fingerprint.BuildDefault()
-	agg := notary.NewAggregate()
-	agg.SetClassifier(db)
-	return &Study{agg: agg, db: db}
+	return NewStudyFromAggregate(notary.NewAggregate())
 }
 
 // NewStudyFromAggregate wraps an already-built aggregate — typically one
@@ -115,9 +147,7 @@ func NewLiveStudy() *Study {
 // not serialized with snapshots — so attribution resumes for newly ingested
 // records.
 func NewStudyFromAggregate(agg *notary.Aggregate) *Study {
-	db := fingerprint.BuildDefault()
-	agg.SetClassifier(db)
-	return &Study{agg: agg, db: db}
+	return newStudy(agg, fingerprint.BuildDefault())
 }
 
 // NewShard returns a fresh private aggregate configured like the study's own
@@ -127,11 +157,7 @@ func NewStudyFromAggregate(agg *notary.Aggregate) *Study {
 // and only counters.
 func (s *Study) NewShard() *notary.Aggregate {
 	shard := notary.NewAggregate()
-	s.mu.RLock()
-	if s.agg != nil {
-		shard.SetClassifier(s.agg.Classifier())
-	}
-	s.mu.RUnlock()
+	shard.SetClassifier(s.db)
 	return shard
 }
 
@@ -143,85 +169,20 @@ func (s *Study) NewShard() *notary.Aggregate {
 func (s *Study) WriteSnapshot(w io.Writer) (uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.agg == nil {
-		return 0, fmt.Errorf("core: study has no aggregate (use NewLiveStudy or Run first)")
-	}
 	if err := notary.WriteSnapshot(w, s.agg); err != nil {
 		return 0, err
 	}
 	return s.agg.Generation(), nil
 }
 
-// Run executes the simulation and aggregation: every simulated record is
-// folded into the study's aggregate through a ShardBuilder, the fold ingest
-// uses. When w is non-nil every record is also written to it as a TLSB frame
-// log (notary.DefaultBatchSize records a frame), the encoding serve -out
-// writes. The log writer is closed, writing its last frame, on every exit
-// path; a simulation or write error takes precedence over the close error,
-// and a failed run installs no aggregate.
-func (s *Study) Run(w io.Writer) error {
-	sim := simulate.New(s.Options)
-	db := fingerprint.BuildDefault()
-	built := notary.NewShardBuilder(func() *notary.Aggregate {
-		agg := notary.NewAggregate()
-		agg.SetClassifier(db)
-		return agg
-	})
-	var sink notary.Sink = built
-	if w != nil {
-		sink = notary.Tee(built, notary.NewBatchWriter(w, notary.DefaultBatchSize))
-	}
-	runErr := sim.Run(sink)
-	closeErr := sink.Close()
-	if runErr != nil {
-		return runErr
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	s.replaceAggregate(built.Flush(), db)
-	return nil
-}
-
-// LoadLog rebuilds a study from a previously written record log — lines,
-// frames or both (see notary.ReadLog) — instead of re-simulating: the
-// post-hoc analysis path. The log is cut into runs of whole entries read by
-// Options.Workers parse workers (0 = all cores; see notary.ReadLogParallel)
-// and the per-worker aggregates are merged, so loading scales like Run does.
-// Parsing runs classified, so the reloaded study carries the same agent:
-// attribution a live run would.
-func (s *Study) LoadLog(r io.Reader) error {
-	db := fingerprint.BuildDefault()
-	agg, err := notary.ReadLogParallel(r, s.Options.Workers, db)
-	if err != nil {
-		return err
-	}
-	s.replaceAggregate(agg, db)
-	return nil
-}
-
-// replaceAggregate swaps in a rebuilt aggregate (Run, LoadLog). The cache
-// epoch moves and the cached frame is dropped in the same critical section,
-// so no reader can pair the old frame with the new aggregate even when both
-// stand at the same generation.
-func (s *Study) replaceAggregate(agg *notary.Aggregate, db *fingerprint.DB) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.agg, s.db = agg, db
-	s.cacheEpoch++
-	s.frame = nil
-}
-
 // MergeShard folds a privately accumulated aggregate into the live study in
 // one locked operation — the batched ingestion path: a network stream parses
 // into its own shard (no contention) and merges every few thousand records,
 // reusing Aggregate.Merge. The shard is not modified and may be reused.
+// The returned error is always nil.
 func (s *Study) MergeShard(shard *notary.Aggregate) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.agg == nil {
-		return fmt.Errorf("core: study has no aggregate (use NewLiveStudy or Run first)")
-	}
 	before := s.agg.Generation()
 	s.agg.Merge(shard)
 	if before != s.accounted {
@@ -238,17 +199,15 @@ func (s *Study) MergeShard(shard *notary.Aggregate) error {
 
 // Counts reports the live aggregate's record count, observed month count and
 // generation in one consistent read — the health-endpoint view. The
-// generation is monotonic under MergeShard ingestion.
+// generation is monotonic under MergeShard ingestion. err is always nil.
 func (s *Study) Counts() (records, months int, generation uint64, err error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.agg == nil {
-		return 0, 0, 0, ErrNotRun
-	}
-	return s.agg.TotalRecords(), s.agg.NumMonths(), s.agg.Generation(), nil
+	records, months, generation = s.agg.TotalRecords(), s.agg.NumMonths(), s.agg.Generation()
+	s.mu.RUnlock()
+	return records, months, generation, nil
 }
 
-// Aggregate exposes the raw monthly statistics; nil before Run. It returns
+// Aggregate exposes the raw monthly statistics. It returns
 // the pointer without taking the study's lock. Direct mutation through this
 // accessor is a batch-mode convenience — concurrent producers must deliver
 // through MergeShard instead — and costs the next read of the frame a full
@@ -264,10 +223,10 @@ func (s *Study) Aggregate() *notary.Aggregate { return s.agg }
 // functions, applied to it.
 //
 // Frame is safe for concurrent readers, including while producers deliver
-// through MergeShard (see read).
+// through MergeShard (see read). err is always nil.
 func (s *Study) Frame() (f *analysis.Frame, err error) {
-	err = s.read(func(cur *analysis.Frame) { f = cur })
-	return f, err
+	s.read(func(cur *analysis.Frame) { f = cur })
+	return f, nil
 }
 
 // read calls fn with the frame at the aggregate's current generation, with
@@ -277,36 +236,36 @@ func (s *Study) Frame() (f *analysis.Frame, err error) {
 // current frame is read under the shared lock, released by hand after fn;
 // a stale one is brought up to date under the exclusive lock, so no writer
 // or other reader sees it half-built.
-func (s *Study) read(fn func(*analysis.Frame)) error {
+func (s *Study) read(fn func(*analysis.Frame)) {
 	s.mu.RLock()
-	if s.agg != nil && s.frame != nil && s.frame.Generation() == s.agg.Generation() {
+	if s.current() {
 		fn(s.frame)
 		s.mu.RUnlock()
-		return nil
+		return
 	}
 	s.mu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.agg == nil {
-		return ErrNotRun
+	if !s.current() { // another reader may have refreshed it between the two locks
+		s.refresh()
 	}
-	s.refresh()
 	fn(s.frame)
-	return nil
 }
 
-// refresh brings the cached frame up to the aggregate's generation; the
-// caller holds s.mu exclusively and has checked that agg is set. It is the
-// one place that chooses between the two frame constructors: a stale frame
-// advances when every write since it was built went through MergeShard (the
-// aggregate stands at the accounted generation) and none of them opened a new
-// month; a first build, a replaced aggregate, a new month or a write through
-// Aggregate() gets NewFrame.
+// current reports whether the cached frame is at the aggregate's
+// generation; the caller holds s.mu.
+func (s *Study) current() bool {
+	return s.frame != nil && s.frame.Generation() == s.agg.Generation()
+}
+
+// refresh brings a stale cached frame up to the aggregate's generation; the
+// caller holds s.mu exclusively. It is the one place that chooses between
+// the two frame constructors: a stale frame advances when every write since
+// it was built went through MergeShard (the aggregate stands at the
+// accounted generation) and none of them opened a new month; a first build,
+// a new month or a write through Aggregate() gets NewFrame.
 func (s *Study) refresh() {
 	gen := s.agg.Generation()
-	if s.frame != nil && s.frame.Generation() == gen {
-		return // another reader refreshed it between read's two locks
-	}
 	if s.frame != nil && gen == s.accounted && s.agg.NumMonths() == s.frame.Len() {
 		// Months are never removed, so an equal count means an equal axis.
 		s.frame = s.frame.Advance(s.agg, s.touched)
@@ -329,7 +288,7 @@ func (s *Study) Query(src string) (analysis.QueryResult, error) {
 // aggregate generation the result belongs to, and whether it was served from
 // the cache.
 //
-// The result cache is keyed by the study's current (epoch, generation) and
+// The result cache is keyed by the study's id, its current generation and
 // the canonical query text, and QueryInfoJSON looks src up as received
 // before parsing it: entries are stored only under canonical text, whose
 // parse is the very tree it was printed from, so a hit on src is src's
@@ -345,17 +304,15 @@ func (s *Study) Query(src string) (analysis.QueryResult, error) {
 // cache's key. A nil cache degrades to plain compile-and-evaluate.
 func (s *Study) QueryInfoJSON(src string) (analysis.QueryResult, []byte, uint64, bool, error) {
 	var (
-		f          *analysis.Frame
-		cache      *analysis.QueryCache
-		id         string
-		epoch, gen uint64
+		f     *analysis.Frame
+		cache *analysis.QueryCache
+		id    string
+		gen   uint64
 	)
-	if err := s.read(func(cur *analysis.Frame) {
-		f, cache, id, epoch, gen = cur, s.queryCache, s.cacheID, s.cacheEpoch, cur.Generation()
-	}); err != nil {
-		return analysis.QueryResult{}, nil, 0, false, err
-	}
-	if res, body, hit := cache.Get(id, epoch, gen, src); hit {
+	s.read(func(cur *analysis.Frame) {
+		f, cache, id, gen = cur, s.queryCache, s.cacheID, cur.Generation()
+	})
+	if res, body, hit := cache.Get(id, 0, gen, src); hit {
 		return res, body, gen, true, nil
 	}
 	e, err := analysis.ParseQuery(src)
@@ -364,7 +321,7 @@ func (s *Study) QueryInfoJSON(src string) (analysis.QueryResult, []byte, uint64,
 	}
 	key := e.String()
 	if key != src {
-		if res, body, hit := cache.Get(id, epoch, gen, key); hit {
+		if res, body, hit := cache.Get(id, 0, gen, key); hit {
 			return res, body, gen, true, nil
 		}
 	}
@@ -379,7 +336,7 @@ func (s *Study) QueryInfoJSON(src string) (analysis.QueryResult, []byte, uint64,
 		// A marshal failure only costs this entry the serialized-body fast
 		// path; the result itself still caches and serves.
 		body, _ = res.EncodeJSONBody()
-		cache.Put(id, epoch, gen, key, res, body)
+		cache.Put(id, 0, gen, key, res, body)
 	}
 	return res, body, gen, false, nil
 }
@@ -390,24 +347,22 @@ func (s *Study) PlanCompiles() uint64 { return s.compiles.Load() }
 
 // Scalars returns the passive and fingerprint scalar findings. Both halves
 // come from one read of the study, so a live report never mixes two
-// generations.
+// generations. err is always nil.
 func (s *Study) Scalars() ([]analysis.Scalar, error) {
-	out, _, err := s.ScalarsWithGeneration()
-	return out, err
+	out, _ := s.ScalarsWithGeneration()
+	return out, nil
 }
 
 // ScalarsWithGeneration is Scalars plus the aggregate generation the report
 // was computed against, read atomically with the report itself — the
 // service uses it to stamp staleness headers that match the body exactly.
-func (s *Study) ScalarsWithGeneration() ([]analysis.Scalar, uint64, error) {
+func (s *Study) ScalarsWithGeneration() ([]analysis.Scalar, uint64) {
 	var (
 		f  *analysis.Frame
 		fp []analysis.Scalar
 	)
-	if err := s.read(func(cur *analysis.Frame) { f, fp = cur, analysis.FingerprintScalars(s.agg) }); err != nil {
-		return nil, 0, err
-	}
-	return append(analysis.PassiveScalarsFrame(f), fp...), f.Generation(), nil
+	s.read(func(cur *analysis.Frame) { f, fp = cur, analysis.FingerprintScalars(s.agg) })
+	return append(analysis.PassiveScalarsFrame(f), fp...), f.Generation()
 }
 
 // Table2 reproduces the fingerprint summary table through the query surface:
@@ -419,25 +374,17 @@ func (s *Study) ScalarsWithGeneration() ([]analysis.Scalar, uint64, error) {
 // from the per-month fingerprint rows version 1 always carried, the agent:
 // family is empty — so its Table 2 reports zero coverage until records are
 // re-ingested or new ones arrive.
-func (s *Study) Table2() (analysis.Table2Report, error) {
-	var (
-		f  *analysis.Frame
-		db *fingerprint.DB
-	)
-	if err := s.read(func(cur *analysis.Frame) { f, db = cur, s.db }); err != nil {
-		return analysis.Table2Report{}, err
-	}
-	return analysis.BuildTable2Frame(f, db), nil
+func (s *Study) Table2() analysis.Table2Report {
+	var f *analysis.Frame
+	s.read(func(cur *analysis.Frame) { f = cur })
+	return analysis.BuildTable2Frame(f, s.db)
 }
 
 // FingerprintDurations returns the §4.1 lifetime statistics.
-func (s *Study) FingerprintDurations() (fingerprint.DurationStats, error) {
+func (s *Study) FingerprintDurations() fingerprint.DurationStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.agg == nil {
-		return fingerprint.DurationStats{}, ErrNotRun
-	}
-	return fingerprint.ComputeDurationStats(s.agg.FPDurations()), nil
+	return fingerprint.ComputeDurationStats(s.agg.FPDurations())
 }
 
 // Static table reproductions (no simulation needed).

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"reflect"
 	"runtime"
@@ -20,6 +19,7 @@ import (
 	"tlsage/internal/notary"
 	"tlsage/internal/registry"
 	"tlsage/internal/scanner"
+	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
 )
 
@@ -31,8 +31,8 @@ var (
 func sharedStudy(t *testing.T) *Study {
 	t.Helper()
 	studyOnce.Do(func() {
-		study = NewStudy(300)
-		if err := study.Run(nil); err != nil {
+		var err error
+		if study, err = Simulate(simulate.DefaultOptions(300), nil); err != nil {
 			panic(err)
 		}
 	})
@@ -49,37 +49,37 @@ func frameOf(t *testing.T, s *Study) *analysis.Frame {
 	return f
 }
 
+// TestStudyLifecycle: a study is born with its data, so a live one answers
+// every read at zero months, and a constructor that fails returns no study.
 func TestStudyLifecycle(t *testing.T) {
-	s := NewStudy(10)
-	if _, err := s.Frame(); err == nil {
-		t.Error("frame before Run should error")
-	}
-	if _, err := s.Scalars(); err == nil {
-		t.Error("scalars before Run should error")
-	}
-	if _, err := s.Table2(); err == nil {
-		t.Error("table2 before Run should error")
-	}
-	if _, err := s.FingerprintDurations(); err == nil {
-		t.Error("durations before Run should error")
-	}
-	if _, err := s.WriteSnapshot(io.Discard); err == nil {
-		t.Error("snapshot before Run should error")
-	}
-	if err := s.MergeShard(notary.NewAggregate()); err == nil {
-		t.Error("merge before Run should error")
-	}
-	if _, _, _, err := s.Counts(); !errors.Is(err, ErrNotRun) {
-		t.Errorf("counts before Run: %v, want ErrNotRun", err)
-	}
-	// A log that is not one fails the load and installs nothing.
-	if err := s.LoadLog(strings.NewReader("not a record log\n")); err == nil || s.Aggregate() != nil {
-		t.Errorf("LoadLog of a malformed log = %v, aggregate %v; want an error and none", err, s.Aggregate())
-	}
-	// A writer that fails fails the snapshot.
-	if _, err := NewLiveStudy().WriteSnapshot(&failWriter{}); err == nil || err.Error() != "injected write failure" {
-		t.Errorf("WriteSnapshot to a failing writer = %v, want the injected failure", err)
-	}
+	t.Run("a live study answers at zero months", func(t *testing.T) {
+		s := NewLiveStudy()
+		if records, months, gen, _ := s.Counts(); records != 0 || months != 0 || gen != 0 {
+			t.Errorf("Counts = %d records, %d months, generation %d; want zeros", records, months, gen)
+		}
+		if f := frameOf(t, s); f.Len() != 0 {
+			t.Errorf("frame over %d months, want 0", f.Len())
+		}
+		if scalars, _ := s.Scalars(); len(scalars) == 0 {
+			t.Error("no scalar rows")
+		}
+		if rep := s.Table2(); rep.TotalFPs == 0 {
+			t.Error("Table 2 lists no database fingerprints")
+		}
+		if st := s.FingerprintDurations(); st.Total != 0 {
+			t.Errorf("%d fingerprint lifetimes, want 0", st.Total)
+		}
+	})
+	t.Run("a malformed log loads no study", func(t *testing.T) {
+		if s, err := LoadLog(strings.NewReader("not a record log\n"), 1); err == nil || s != nil {
+			t.Errorf("LoadLog of a malformed log = %v, %v; want an error and no study", s, err)
+		}
+	})
+	t.Run("a failing writer fails the snapshot", func(t *testing.T) {
+		if _, err := NewLiveStudy().WriteSnapshot(&failWriter{}); err == nil || err.Error() != "injected write failure" {
+			t.Errorf("WriteSnapshot to a failing writer = %v, want the injected failure", err)
+		}
+	})
 }
 
 func TestStudyFiguresAndScalars(t *testing.T) {
@@ -102,16 +102,11 @@ func TestStudyFiguresAndScalars(t *testing.T) {
 	if err != nil || len(scalars) < 15 {
 		t.Errorf("scalars: %v (%d)", err, len(scalars))
 	}
-	rep, err := s.Table2()
-	if err != nil || rep.TotalFPs == 0 {
-		t.Errorf("table2: %v", err)
+	if rep := s.Table2(); rep.TotalFPs == 0 {
+		t.Error("table2 lists no fingerprints")
 	}
-	st, err := s.FingerprintDurations()
-	if err != nil || st.Total == 0 {
-		t.Errorf("durations: %v", err)
-	}
-	if s.Aggregate() == nil {
-		t.Error("aggregate nil after Run")
+	if st := s.FingerprintDurations(); st.Total == 0 {
+		t.Error("no fingerprint lifetimes")
 	}
 	t.Run("static-tables", func(t *testing.T) {
 		if len(Table1()) != 6 || len(Table3()) < 15 || len(Table4()) < 10 || len(Table5()) < 6 || len(Table6()) < 10 {
@@ -121,7 +116,7 @@ func TestStudyFiguresAndScalars(t *testing.T) {
 	})
 }
 
-// Study.Run is what `tlstrend simulate` runs — Simulator.Run teed into a
+// Simulate is what `tlstrend simulate` runs — Simulator.Run teed into a
 // classified aggregate and the TLSB frame log — and Options.Workers may not
 // move a byte of it: every width must fill the identical aggregate
 // (client-class attribution included), write the identical log and report
@@ -129,11 +124,12 @@ func TestStudyFiguresAndScalars(t *testing.T) {
 func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
 	logs := map[int][]byte{}
 	run := func(workers int) (*Study, []byte) {
-		s := NewStudy(60)
-		s.Options.End = timeline.M(2015, time.June) // 41 months, fingerprints from Feb 2014
-		s.Options.Workers = workers
+		opts := simulate.DefaultOptions(60)
+		opts.End = timeline.M(2015, time.June) // 41 months, fingerprints from Feb 2014
+		opts.Workers = workers
 		var log bytes.Buffer
-		if err := s.Run(&log); err != nil {
+		s, err := Simulate(opts, &log)
+		if err != nil {
 			t.Fatal(err)
 		}
 		logs[workers] = log.Bytes()
@@ -169,9 +165,8 @@ func TestStudyRunIdenticalAcrossWorkers(t *testing.T) {
 	// reload requires the run's log, loaded at the given width, to hold the
 	// run's records and report its scalars.
 	reload := func(t *testing.T, workers int) {
-		var s Study
-		s.Options.Workers = workers
-		if err := s.LoadLog(bytes.NewReader(wantLog)); err != nil {
+		s, err := LoadLog(bytes.NewReader(wantLog), workers)
+		if err != nil {
 			t.Fatal(err)
 		}
 		gotScalars, err := s.Scalars()
@@ -343,11 +338,6 @@ func TestExtensionFigureAndVariants(t *testing.T) {
 	if sum < 99.9 || sum > 100.1 {
 		t.Errorf("variant shares sum to %0.1f", sum)
 	}
-	// Before Run there is no frame to read either from.
-	var empty Study
-	if _, err := empty.Frame(); !errors.Is(err, ErrNotRun) {
-		t.Errorf("frame before Run: %v, want ErrNotRun", err)
-	}
 }
 
 func TestPopularityWeightedCampaign(t *testing.T) {
@@ -428,7 +418,7 @@ func TestStudyFigureByName(t *testing.T) {
 
 // TestStudyQuery pins the ad-hoc query path: text and Expr forms answer
 // identically, catalog-equivalent expressions match the figure engine, and
-// errors surface for malformed input and unrun studies.
+// errors surface for malformed input.
 func TestStudyQuery(t *testing.T) {
 	s := sharedStudy(t)
 	res, err := s.Query("pct(version:tls12 / established)")
@@ -465,10 +455,6 @@ func TestStudyQuery(t *testing.T) {
 
 	if _, err := s.Query("pct(bogus / total)"); err == nil {
 		t.Error("bad column should error")
-	}
-	var unrun Study
-	if _, err := unrun.Query("count(total)"); err == nil {
-		t.Error("query before Run should error")
 	}
 }
 
@@ -569,10 +555,10 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRunFailingWriter: a log writer that fails — mid-run, or only at the
-// final flush of a run shorter than one frame — makes Run return that error
-// and install no aggregate.
-func TestRunFailingWriter(t *testing.T) {
+// TestSimulateFailingWriter: a log writer that fails — mid-run, or only at
+// the final flush of a run shorter than one frame — makes Simulate return
+// that error and no study.
+func TestSimulateFailingWriter(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		conns int // a month; Feb – Apr 2012 is three months
@@ -582,17 +568,18 @@ func TestRunFailingWriter(t *testing.T) {
 		{"final-flush", 10, 0}, // 30 records: the one frame is written at Close
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s := NewStudy(c.conns)
-			s.Options.End = timeline.M(2012, time.April)
+			opts := simulate.DefaultOptions(c.conns)
+			opts.End = timeline.M(2012, time.April)
 			w := &failWriter{ok: c.ok}
-			if err := s.Run(w); err == nil || err.Error() != "injected write failure" {
-				t.Fatalf("Run error = %v, want the injected failure", err)
+			s, err := Simulate(opts, w)
+			if err == nil || err.Error() != "injected write failure" {
+				t.Fatalf("Simulate error = %v, want the injected failure", err)
 			}
 			if w.writes != c.ok+1 {
 				t.Errorf("%d writes reached the writer, want %d", w.writes, c.ok+1)
 			}
-			if s.Aggregate() != nil {
-				t.Error("failed run must not install a partial aggregate")
+			if s != nil {
+				t.Error("a failed run must return no study")
 			}
 		})
 	}
@@ -720,10 +707,7 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 			return gen, err
 		}},
 		{"ScalarsWithGeneration", func(s *Study) (uint64, error) {
-			got, gen, err := s.ScalarsWithGeneration()
-			if err != nil {
-				return 0, err
-			}
+			got, gen := s.ScalarsWithGeneration()
 			if f, err := s.Frame(); err == nil && f.Generation() == gen {
 				if want := analysis.PassiveScalarsFrame(f); !reflect.DeepEqual(got[:len(want)], want) {
 					return 0, fmt.Errorf("scalars at generation %d differ from the frame's", gen)
@@ -732,9 +716,7 @@ func TestStudyConcurrentIngestAndFrame(t *testing.T) {
 			return gen, nil
 		}},
 		{"Table2", func(s *Study) (uint64, error) {
-			if _, err := s.Table2(); err != nil {
-				return 0, err
-			}
+			s.Table2()
 			res, _, gen, _, err := s.QueryInfoJSON("COUNT(Total)")
 			if err == nil && res.Value != float64(gen) {
 				err = fmt.Errorf("count(total) = %v at generation %d", res.Value, gen)
@@ -834,12 +816,12 @@ func ingestWhileReading(t *testing.T, read func(*Study) (uint64, error)) {
 
 // TestStudyQueryCacheIntegration pins the generation-keyed result cache:
 // repeats hit, canonicalization shares entries across text and Expr forms,
-// ingestion invalidates by generation, and an aggregate replacement that
-// lands on a colliding generation is kept apart by the epoch.
+// and ingestion invalidates by generation.
 func TestStudyQueryCacheIntegration(t *testing.T) {
-	s := NewStudy(30)
-	s.Options.End = timeline.M(2012, time.December)
-	if err := s.Run(nil); err != nil {
+	opts := simulate.DefaultOptions(30)
+	opts.End = timeline.M(2012, time.December)
+	s, err := Simulate(opts, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cache := analysis.NewQueryCache(64, 1<<20)
@@ -900,48 +882,11 @@ func TestStudyQueryCacheIntegration(t *testing.T) {
 		}
 	}
 
-	// Replacing the aggregate (Run with a different seed, same record
-	// count) lands on a colliding generation — the epoch must keep the old
-	// entries unreachable so no stale body is ever served.
-	s.Options.Seed = 2
-	if err := s.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	res4, _, gen4, hit4, err := s.QueryInfoJSON(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen4 != gen1 {
-		t.Fatalf("epoch test needs a generation collision: got %d, want %d", gen4, gen1)
-	}
-	if hit4 {
-		t.Fatal("stale cache hit across an aggregate replacement")
-	}
-	f4, err := s.Frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan4, err := analysis.Compile(e, f4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want4 := plan4.Eval()
-	for i := range want4.Series.Points {
-		if res4.Series.Points[i] != want4.Series.Points[i] {
-			t.Fatal("post-replacement result diverges from a fresh compile")
-		}
-	}
-	if _, _, _, hit5, err := s.QueryInfoJSON(src); err != nil || !hit5 {
-		t.Errorf("repeat after replacement: err=%v hit=%v, want a hit", err, hit5)
+	if _, _, _, hit4, err := s.QueryInfoJSON(src); err != nil || !hit4 {
+		t.Errorf("repeat after ingest: err=%v hit=%v, want a hit", err, hit4)
 	}
 	if st := cache.Stats(); st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("cache stats unchanged: %+v", st)
 	}
 
-	// An unrun study reports the sentinel through the cached path too.
-	var unrun Study
-	unrun.SetQueryCache(cache, "unrun")
-	if _, _, _, _, err := unrun.QueryInfoJSON(src); !errors.Is(err, ErrNotRun) {
-		t.Errorf("unrun study: err=%v, want ErrNotRun", err)
-	}
 }

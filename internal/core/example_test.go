@@ -10,6 +10,7 @@ import (
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
 	"tlsage/internal/scanner"
+	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
 )
 
@@ -24,15 +25,15 @@ func check(err error) {
 // Simulate the passive study at a small sample size and print Figure 2 (RC4
 // / CBC / AEAD negotiation over time) as a chart: the paper's headline
 // ecosystem shift.
-func ExampleNewStudy() {
-	study := core.NewStudy(400) // connections per month, Feb 2012 – Apr 2018
-	check(study.Run(nil))
+func ExampleSimulate() {
+	// 400 connections per month, Feb 2012 – Apr 2018.
+	study, err := core.Simulate(simulate.DefaultOptions(400), nil)
+	check(err)
 
 	// Figures come from the declarative catalog, evaluated against the
 	// study's frame; "negotiated-classes" is Figure 2 (f.FigureByNum(2)
 	// resolves the same entry by number).
-	f, err := study.Frame()
-	check(err)
+	f, _ := study.Frame() // err is always nil
 	fig, _ := f.FigureByName("negotiated-classes")
 	check(fig.RenderChart(os.Stdout, 96, 18))
 
@@ -67,21 +68,19 @@ func ExampleNewStudy() {
 // Reproduce the Notary-side measurement through its post-hoc path: simulate
 // the Feb 2012 – Apr 2018 window while teeing every record into a TLSB frame
 // log, rebuild a second study from that log on all cores (LoadLog cuts the
-// frames across Options.Workers parse workers), check that both hold the
-// same records, and print the paper-vs-measured report.
-func ExampleStudy_LoadLog() {
-	study := core.NewStudy(800)
+// frames across its parse workers), check that both hold the same records,
+// and print the paper-vs-measured report.
+func ExampleLoadLog() {
 	var frames bytes.Buffer
-	check(study.Run(&frames))
+	study, err := core.Simulate(simulate.DefaultOptions(800), &frames)
+	check(err)
 
-	var fromLog core.Study
-	fromLog.Options.Workers = 0 // 0 = GOMAXPROCS
-	check(fromLog.LoadLog(&frames))
+	fromLog, err := core.LoadLog(&frames, 0) // 0 workers = GOMAXPROCS
+	check(err)
 	fmt.Printf("streamed %d records, reloaded %d from the frame log\n\n",
 		study.Aggregate().TotalRecords(), fromLog.Aggregate().TotalRecords())
 
-	scalars, err := fromLog.Scalars()
-	check(err)
+	scalars, _ := fromLog.Scalars() // err is always nil
 	check(analysis.RenderScalars(os.Stdout, "Paper vs measured", scalars))
 	// Output:
 	// streamed 60000 records, reloaded 60000 from the frame log

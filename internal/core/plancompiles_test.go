@@ -6,6 +6,7 @@ import (
 
 	"tlsage/internal/analysis"
 	"tlsage/internal/notary"
+	"tlsage/internal/simulate"
 	"tlsage/internal/timeline"
 )
 
@@ -14,9 +15,10 @@ import (
 // one only the first per (generation, canonical text) — a whitespace variant
 // of a cached query does not compile.
 func TestPlanCompilesCountsMisses(t *testing.T) {
-	s := NewStudy(20)
-	s.Options.End = timeline.M(2012, time.June)
-	if err := s.Run(nil); err != nil {
+	opts := simulate.DefaultOptions(20)
+	opts.End = timeline.M(2012, time.June)
+	s, err := Simulate(opts, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	const q = "pct(version:tls12 / established)"

@@ -8,6 +8,7 @@ import (
 	"tlsage/internal/clientdb"
 	"tlsage/internal/core"
 	"tlsage/internal/fingerprint"
+	"tlsage/internal/simulate"
 )
 
 // Exercise the §4 fingerprinting pipeline: build the fingerprint database,
@@ -41,16 +42,12 @@ func ExampleDB_Lookup() {
 	}
 
 	// Match the database against simulated traffic: Table 2.
-	study := core.NewStudy(500)
-	if err := study.Run(nil); err != nil {
-		panic(err)
-	}
-	rep, err := study.Table2()
+	study, err := core.Simulate(simulate.DefaultOptions(500), nil)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println()
-	if err := rep.RenderTable2(os.Stdout); err != nil {
+	if err := study.Table2().RenderTable2(os.Stdout); err != nil {
 		panic(err)
 	}
 
@@ -76,10 +73,7 @@ func ExampleDB_Lookup() {
 		}
 	}
 
-	st, err := study.FingerprintDurations()
-	if err != nil {
-		panic(err)
-	}
+	st := study.FingerprintDurations()
 	fmt.Printf("\n§4.1 lifetimes over %d fingerprints:\n", st.Total)
 	fmt.Printf("  median %.0f d, mean %.1f d, 3rd quartile %.0f d, σ %.1f d, max %d d\n",
 		st.MedianDays, st.MeanDays, st.Q3Days, st.StdDevDays, st.MaxDays)

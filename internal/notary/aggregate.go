@@ -183,9 +183,6 @@ func (a *Aggregate) life(fp string, first, last timeline.Date) *fpLife {
 	return l
 }
 
-// Classifier returns the installed classifier, nil when attribution is off.
-func (a *Aggregate) Classifier() Classifier { return a.classifier }
-
 // Observe ingests one record, making *Aggregate a Sink. Add keeps nothing of
 // the record itself, so its producer may refill it as soon as the call
 // returns.

@@ -9,7 +9,7 @@ import "tlsage/internal/timeline"
 // (month, outcome) ones on average. Every fold into a private shard goes
 // through one: a served stream's, each ReadLogParallel worker's (the one of
 // -workers 1 too), recovery's replay of the log past its snapshot, an edge's
-// replay of its unshipped log tail, and core.Study.Run's. For each record it
+// replay of its unshipped log tail, and core.Simulate's. For each record it
 // does what is the record's own (Aggregate.tally) and counts the record in
 // its (month, hello row) cell and its (month, outcome) cell; Flush folds each
 // cell once, its count times, through the bodies Add runs with a count of one

@@ -22,8 +22,10 @@ import (
 	"tlsage/internal/analysis"
 	"tlsage/internal/core"
 	"tlsage/internal/federation"
+	"tlsage/internal/fingerprint"
 	"tlsage/internal/framing"
 	"tlsage/internal/notary"
+	"tlsage/internal/timeline"
 )
 
 // transcodeBatch re-encodes a TSV log into the binary batch framing with the
@@ -663,6 +665,27 @@ func TestIngestQueueSaturationSheds(t *testing.T) {
 	}
 }
 
+// TestClosedQueueShedsAndCounts: once Close has drained the merge queue, a
+// late enqueue sheds with errIngestBusy, counts in shed_full, the gauge
+// /healthz reports, and never reaches the study.
+func TestClosedQueueShedsAndCounts(t *testing.T) {
+	srv := NewServer(core.NewLiveStudy())
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shard := srv.Study().NewShard()
+	shard.Add(&notary.Record{Date: timeline.D(2014, time.March, 3)})
+	if err := srv.queue.enqueue(&queueStream{}, shard, nil); !errors.Is(err, errIngestBusy) {
+		t.Errorf("enqueue on a closed queue = %v, want errIngestBusy", err)
+	}
+	if shed := srv.queue.stats()["shed_full"]; shed != uint64(1) {
+		t.Errorf("shed_full = %v after one late enqueue, want 1", shed)
+	}
+	if records, _, _, _ := srv.Study().Counts(); records != 0 {
+		t.Errorf("the study holds %d records, want none", records)
+	}
+}
+
 // TestWarmIngestAllocs: a server recycles what a stream uses — the decoder
 // tables and the window they read through, its ShardBuilder, the shards the
 // merge loop hands back — so once those are warm a 16,384-record TLSB stream
@@ -850,7 +873,7 @@ func TestRecycledShardParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back.SetClassifier(agg.Classifier())
+			back.SetClassifier(fingerprint.BuildDefault()) // what the study installed
 			if !reflect.DeepEqual(back, agg) {
 				t.Error("the edge's aggregate differs from its own snapshot, decoded: a table holds a page with nothing present")
 			}

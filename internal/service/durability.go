@@ -417,7 +417,7 @@ func (m *snapshotManager) noteProgress() {
 		return
 	}
 	defer m.mu.Unlock()
-	if _, _, gen, err := m.study.Counts(); err == nil && gen-m.lastGen.Load() >= every {
+	if _, _, gen, _ := m.study.Counts(); gen-m.lastGen.Load() >= every { // err is always nil
 		m.snapshotLocked()
 	}
 }
@@ -425,11 +425,12 @@ func (m *snapshotManager) noteProgress() {
 // snapshotLocked writes one snapshot if the generation moved since the last
 // one. Callers hold m.mu.
 func (m *snapshotManager) snapshotLocked() {
-	_, _, gen, err := m.study.Counts()
-	if err != nil || gen == m.lastGen.Load() {
+	_, _, gen, _ := m.study.Counts() // err is always nil
+	if gen == m.lastGen.Load() {
 		return
 	}
-	if _, gen, err = WriteStudySnapshot(m.opts.Dir, m.study, DefaultSnapshotKeep); err != nil {
+	_, gen, err := WriteStudySnapshot(m.opts.Dir, m.study, DefaultSnapshotKeep)
+	if err != nil {
 		m.errs.Add(1)
 		m.opts.Logf("service: snapshot failed: %v", err)
 		return

@@ -8,9 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 
-	"tlsage/internal/analysis"
 	"tlsage/internal/core"
 	"tlsage/internal/service"
+	"tlsage/internal/simulate"
 )
 
 // Evaluate ad-hoc metric expressions beyond the figure catalog, first
@@ -18,8 +18,8 @@ import (
 // hosting the same study: the two surfaces are one query API, and the
 // served answer matches the offline one exactly.
 func ExampleNewRouter() {
-	study := core.NewStudy(300)
-	if err := study.Run(nil); err != nil {
+	study, err := core.Simulate(simulate.DefaultOptions(300), nil)
+	if err != nil {
 		panic(err)
 	}
 
@@ -71,7 +71,10 @@ func ExampleNewRouter() {
 	if err != nil {
 		panic(err)
 	}
-	var served analysis.QueryResult
+	var served struct {
+		Query string  `json:"query"`
+		Value float64 `json:"value"`
+	}
 	if err := json.Unmarshal(raw, &served); err != nil {
 		panic(err)
 	}

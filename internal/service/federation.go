@@ -354,11 +354,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 // study and feeds this server's own observers — so a union can itself push
 // upstream, making taller tiers compose.
 func (s *Server) absorb(child *fedChild, shard *notary.Aggregate) {
-	if err := s.study.MergeShard(shard); err != nil {
-		// Only possible when the union study has no aggregate; Union mounts
-		// live studies, so this is unreachable in assembled routers.
-		return
-	}
+	_ = s.study.MergeShard(shard) // err is always nil
 	_, _, gen, _ := s.study.Counts()
 	s.fed.noteChild(child, shard.Generation(), gen)
 	s.afterMerge(shard)
@@ -392,7 +388,7 @@ func (rt *Router) Union(id string, srv *Server, members ...string) error {
 		// Seed with the member's current content — studies recovered from
 		// snapshots or pre-loaded before assembly are part of the union from
 		// the start; the observer covers everything merged afterwards.
-		if agg := rt.servers[member].study.Aggregate(); agg != nil && agg.Generation() > 0 {
+		if agg := rt.servers[member].study.Aggregate(); agg.Generation() > 0 {
 			srv.absorb(child, agg)
 		}
 		rt.servers[member].addShardObserver(func(shard *notary.Aggregate) {

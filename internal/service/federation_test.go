@@ -278,6 +278,30 @@ func TestUnionValidation(t *testing.T) {
 	}
 }
 
+// TestUnionSeedsFromAMemberWithData: a member that already holds records
+// when the union mounts it — recovered or pre-loaded — seeds the union, which
+// serves them with no further ingest.
+func TestUnionSeedsFromAMemberWithData(t *testing.T) {
+	log, _ := sharedLog(t)
+	eu, err := core.LoadLog(bytes.NewReader(log), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter()
+	if err := rt.Add("eu", NewServer(eu)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Union("global", NewServer(core.NewLiveStudy()), "eu"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		rt.Close()
+	})
+	requireSameServed(t, ts.URL+"/studies/global", serveLog(t, log), "the member's records")
+}
+
 // faultGate injects upstream faults in front of a router: per /merge
 // request number it can shed with 429 or kill the connection after
 // optionally applying — the two failure classes an edge must survive.

@@ -303,9 +303,8 @@ func (n *Node) Close() error {
 	}
 	for _, id := range n.rt.IDs() {
 		s, _ := n.rt.Server(id)
-		if records, months, gen, cerr := s.Study().Counts(); cerr == nil {
-			n.cfg.Logf("final state of %s: %d records over %d months (generation %d)", id, records, months, gen)
-		}
+		records, months, gen, _ := s.Study().Counts() // err is always nil
+		n.cfg.Logf("final state of %s: %d records over %d months (generation %d)", id, records, months, gen)
 	}
 	return err
 }

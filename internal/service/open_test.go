@@ -185,11 +185,11 @@ func serveStudy(t *testing.T, st *core.Study) string {
 // returns its base URL.
 func serveLog(t *testing.T, log []byte) string {
 	t.Helper()
-	var offline core.Study
-	if err := offline.LoadLog(bytes.NewReader(log)); err != nil {
+	offline, err := core.LoadLog(bytes.NewReader(log), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return serveStudy(t, &offline)
+	return serveStudy(t, offline)
 }
 
 // requireSameServed is served parity: url serves what ref serves (what ref

@@ -173,12 +173,10 @@ func (q *mergeQueue) loop() {
 			err = q.writeLog(*qs.frame)
 			releaseFrame(qs.frame)
 		}
-		if err == nil {
-			err = q.study.MergeShard(qs.shard)
-		}
 		if err != nil {
 			qs.st.fail(err)
 		} else {
+			_ = q.study.MergeShard(qs.shard) // err is always nil
 			q.afterMerge(qs.shard)
 			qs.st.recycle(qs.shard)
 		}

@@ -397,10 +397,7 @@ func (s *Server) ingest(r io.Reader) (ingestStats, error) {
 	// Wait for every shard this stream enqueued to be logged and fold in, so
 	// the reply's record count and generation describe applied state.
 	mergeErr := ing.qs.wait()
-	_, _, gen, err := s.study.Counts()
-	if err != nil {
-		return ingestStats{}, err
-	}
+	_, _, gen, _ := s.study.Counts() // err is always nil
 	// The first failure is the stream's: reading, then flushing, then merging.
 	return ingestStats{Records: ing.total, Generation: gen}, cmp.Or(readErr, flushErr, mergeErr)
 }
@@ -523,9 +520,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // generation the response was computed against. Pollers compare headers
 // instead of re-downloading bodies.
 func (s *Server) setGeneration(w http.ResponseWriter) {
-	if _, _, gen, err := s.study.Counts(); err == nil {
-		w.Header().Set("X-Generation", strconv.FormatUint(gen, 10))
-	}
+	_, _, gen, _ := s.study.Counts() // err is always nil
+	w.Header().Set("X-Generation", strconv.FormatUint(gen, 10))
 }
 
 // ingestErrorStatus separates the error classes of a failed ingest so
@@ -592,22 +588,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
-	f, err := s.study.Frame()
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
+	f, _ := s.study.Frame() // err is always nil
 	w.Header().Set("X-Generation", strconv.FormatUint(f.Generation(), 10))
 	writeJSON(w, http.StatusOK, f.Figures())
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	f, err := s.study.Frame()
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
+	f, _ := s.study.Frame() // err is always nil
 	w.Header().Set("X-Generation", strconv.FormatUint(f.Generation(), 10))
 	var (
 		fig analysis.Figure
@@ -631,11 +619,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleScalars(w http.ResponseWriter, r *http.Request) {
-	scalars, gen, err := s.study.ScalarsWithGeneration()
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
+	scalars, gen := s.study.ScalarsWithGeneration()
 	w.Header().Set("X-Generation", strconv.FormatUint(gen, 10))
 	writeJSON(w, http.StatusOK, scalars)
 }
@@ -670,10 +654,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// or this request computed it (miss).
 	res, body, gen, hit, err := s.study.QueryInfoJSON(req.Query)
 	if err != nil {
-		if errors.Is(err, core.ErrNotRun) {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
 		s.setGeneration(w)
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -699,11 +679,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	records, months, gen, err := s.study.Counts()
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
+	records, months, gen, _ := s.study.Counts() // err is always nil
 	w.Header().Set("X-Generation", strconv.FormatUint(gen, 10))
 	health := map[string]any{
 		"status":     "ok",
@@ -757,14 +733,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// stands still; after ingest it advances the frame over the months that
 	// were written (tens of microseconds under the study's exclusive lock),
 	// and pays a full build (about a millisecond at study scale) only when a
-	// new month opened or the aggregate was replaced.
-	if f, err := s.study.Frame(); err == nil {
-		distinct, topK, otherShare := f.FingerprintGauges()
-		health["fingerprints"] = map[string]any{
-			"distinct":    distinct,
-			"top_k":       topK,
-			"other_share": otherShare,
-		}
+	// new month opened.
+	f, _ := s.study.Frame() // err is always nil
+	distinct, topK, otherShare := f.FingerprintGauges()
+	health["fingerprints"] = map[string]any{
+		"distinct":    distinct,
+		"top_k":       topK,
+		"other_share": otherShare,
 	}
 	writeJSON(w, http.StatusOK, health)
 }

@@ -61,11 +61,9 @@ func sharedLog(t *testing.T) ([]byte, *core.Study) {
 			panic(err)
 		}
 		logBytes = buf.Bytes()
-		offline := &core.Study{}
-		if err := offline.LoadLog(bytes.NewReader(logBytes)); err != nil {
+		if offlineRef, err = core.LoadLog(bytes.NewReader(logBytes), 0); err != nil {
 			panic(err)
 		}
-		offlineRef = offline
 	})
 	return logBytes, offlineRef
 }
@@ -251,8 +249,8 @@ func TestCloseDrainsInFlightTCPStream(t *testing.T) {
 	}
 	// Everything ingested lands in the teed log writer, and replays.
 	t.Run("log-sink-tee", func(t *testing.T) {
-		var replay core.Study
-		if err := replay.LoadLog(&teed); err != nil {
+		replay, err := core.LoadLog(&teed, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got := replay.Aggregate().TotalRecords(); got != want {
@@ -395,19 +393,5 @@ func TestQueryCacheEndToEnd(t *testing.T) {
 	}
 	if health.QueryCache != nil {
 		t.Error("healthz reports query_cache gauges without a cache")
-	}
-
-	// A study with no aggregate still maps to 503 through the cached path.
-	empty := NewServer(&core.Study{}, WithQueryCache(cache, "empty"))
-	tsEmpty := httptest.NewServer(empty.Handler())
-	defer tsEmpty.Close()
-	resp, err := http.Post(tsEmpty.URL+"/query", "application/json", strings.NewReader(`{"query": "`+q+`"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("unrun study query status %d, want 503", resp.StatusCode)
 	}
 }
