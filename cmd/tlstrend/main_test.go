@@ -319,6 +319,8 @@ func TestCLI(t *testing.T) {
 			{[]string{"experiments", "-conns", "5", "-hosts", "5"}, true, 1, enospc},
 			{[]string{"scan", "-hosts", "5"}, true, 1, enospc},
 			{[]string{"scansweep", "-hosts", "5", "-step", "24"}, true, 1, enospc},
+			{[]string{"metrics"}, true, 1, enospc},
+			{[]string{"table", "-n", "1"}, true, 1, enospc},
 		} {
 			cmd := command(bin, c.args...)
 			var stderr bytes.Buffer

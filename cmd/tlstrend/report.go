@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -99,18 +100,20 @@ func renderFigure(fig analysis.Figure, chart bool, height int) error {
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	fs.Parse(args)
-	fmt.Printf("%-4s %-10s %-22s %s\n", "n", "id", "name", "title")
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-4s %-10s %-22s %s\n", "n", "id", "name", "title")
 	for _, spec := range analysis.Catalog() {
 		num := "-"
 		if spec.Num != 0 {
 			num = strconv.Itoa(spec.Num)
 		}
-		fmt.Printf("%-4s %-10s %-22s %s\n", num, spec.ID, spec.Name, spec.Title)
+		fmt.Fprintf(&b, "%-4s %-10s %-22s %s\n", num, spec.ID, spec.Name, spec.Title)
 		for _, m := range spec.Metrics {
-			fmt.Printf("     %-24s %s\n", m.Name, m.Expr)
+			fmt.Fprintf(&b, "     %-24s %s\n", m.Name, m.Expr)
 		}
 	}
-	return nil
+	_, err := io.WriteString(os.Stdout, b.String())
+	return err
 }
 
 func cmdFigures(args []string) error {
@@ -129,36 +132,38 @@ func cmdTable(args []string) error {
 	fs := flag.NewFlagSet("table", flag.ExitOnError)
 	n := fs.Int("n", 3, "table number (1, 3, 4, 5 or 6)")
 	fs.Parse(args)
+	var b strings.Builder
 	switch *n {
 	case 1:
-		fmt.Println("Table 1 — Release dates of all SSL/TLS versions")
+		fmt.Fprintln(&b, "Table 1 — Release dates of all SSL/TLS versions")
 		for _, r := range core.Table1() {
-			fmt.Printf("%-8s %04d-%02d\n", r.Name, r.Date.Year, r.Date.Month)
+			fmt.Fprintf(&b, "%-8s %04d-%02d\n", r.Name, r.Date.Year, r.Date.Month)
 		}
 	case 3:
-		fmt.Println("Table 3 — Changes in the number of CBC ciphersuites offered by major browsers")
+		fmt.Fprintln(&b, "Table 3 — Changes in the number of CBC ciphersuites offered by major browsers")
 		for _, r := range core.Table3() {
-			fmt.Println(r)
+			fmt.Fprintln(&b, r)
 		}
 	case 4:
-		fmt.Println("Table 4 — Changes in the support of RC4 ciphersuites by major browsers")
+		fmt.Fprintln(&b, "Table 4 — Changes in the support of RC4 ciphersuites by major browsers")
 		for _, r := range core.Table4() {
-			fmt.Println(r)
+			fmt.Fprintln(&b, r)
 		}
 	case 5:
-		fmt.Println("Table 5 — Changes in the number of 3DES ciphersuites offered by major browsers")
+		fmt.Fprintln(&b, "Table 5 — Changes in the number of 3DES ciphersuites offered by major browsers")
 		for _, r := range core.Table5() {
-			fmt.Println(r)
+			fmt.Fprintln(&b, r)
 		}
 	case 6:
-		fmt.Println("Table 6 — Browser TLS version support")
+		fmt.Fprintln(&b, "Table 6 — Browser TLS version support")
 		for _, r := range core.Table6() {
-			fmt.Println(r)
+			fmt.Fprintln(&b, r)
 		}
 	default:
 		return fmt.Errorf("no table %d (Table 2 has its own subcommand)", *n)
 	}
-	return nil
+	_, err := io.WriteString(os.Stdout, b.String())
+	return err
 }
 
 func cmdTable2(args []string) error {

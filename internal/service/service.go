@@ -24,7 +24,7 @@
 //
 // Every JSON response carries an X-Generation header with the served
 // aggregate generation, so pollers can detect staleness without
-// re-downloading bodies. Multiple named studies are hosted by a Router
+// re-downloading bodies, and a Content-Length, so none is sent chunked. Multiple named studies are hosted by a Router
 // (router.go), which nests a whole Server under /studies/{id}/. A whole
 // `tlstrend serve` process — recovered study, compaction snapshot, edge
 // pusher, record log, router, union — is one Node, assembled from the flag
@@ -52,6 +52,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -507,9 +508,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, status, append(body, '\n'))
+}
+
+// Header values every reply shares: net/http only reads them.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheHit        = []string{"hit"}
+	cacheMiss       = []string{"miss"}
+)
+
+// writeBody sends a whole JSON reply: the status line, Content-Type and a
+// Content-Length, so net/http never chunks it, then body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n')) // nothing useful to do about a broken client connection
+	_, _ = w.Write(body) // nothing useful to do about a broken client connection
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -634,14 +650,83 @@ type queryRequest struct {
 	Query string `json:"query"`
 }
 
+// maxQueryBody caps what is read of a POST /query body.
+const maxQueryBody = 1 << 20
+
+// queryBodies pools the buffers POST /query bodies are read into.
+var queryBodies = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// readQuery reads a POST /query body, up to maxQueryBody bytes, and answers
+// it as json.NewDecoder(io.LimitReader(body, maxQueryBody)).Decode into a
+// queryRequest does. The spellings clients send, {"query":"<text>"} and
+// {"query": "<text>"} with <text> printable ASCII free of '"' and '\', are
+// their own text and take one scan; any other body goes to that decoder, as
+// the bytes read followed by the error that ended the read.
+func readQuery(body io.Reader) (string, error) {
+	bp := queryBodies.Get().(*[]byte)
+	b, lr := (*bp)[:0], io.LimitedReader{R: body, N: maxQueryBody}
+	var rerr error
+	for rerr == nil {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		var n int
+		n, rerr = lr.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+	}
+	var query string
+	var err error
+	if text, ok := plainQuery(b); ok {
+		query = string(text)
+	} else {
+		var req queryRequest
+		err = json.NewDecoder(io.MultiReader(bytes.NewReader(b), failedRead{rerr})).Decode(&req)
+		query = req.Query
+	}
+	if cap(b) <= 64<<10 { // a rare large body is not kept
+		*bp = b
+		queryBodies.Put(bp)
+	}
+	return query, err
+}
+
+// plainQuery returns the text of a body that is exactly {"query":"<text>"}
+// or {"query": "<text>"} with <text> printable ASCII free of '"' and '\',
+// which the JSON decoder reads as those bytes.
+func plainQuery(b []byte) ([]byte, bool) {
+	const key = `{"query":`
+	if len(b) < len(key)+3 || string(b[:len(key)]) != key || string(b[len(b)-2:]) != `"}` {
+		return nil, false
+	}
+	b = b[len(key) : len(b)-2]
+	if b[0] == ' ' {
+		b = b[1:]
+	}
+	if len(b) == 0 || b[0] != '"' {
+		return nil, false
+	}
+	b = b[1:]
+	for _, c := range b {
+		if c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return nil, false
+		}
+	}
+	return b, true
+}
+
+// failedRead returns the error that ended a body read.
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	query, err := readQuery(r.Body)
+	if err != nil {
 		s.setGeneration(w)
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding query request: %w", err))
 		return
 	}
-	if req.Query == "" {
+	if query == "" {
 		s.setGeneration(w)
 		writeError(w, http.StatusBadRequest, errors.New(`no "query" in the body (want {"query": "..."})`))
 		return
@@ -652,17 +737,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// always describes the data in the body even while ingestion advances
 	// the study, and X-Cache says whether the body came out of the cache (hit)
 	// or this request computed it (miss).
-	res, body, gen, hit, err := s.study.QueryInfoJSON(req.Query)
+	res, body, gen, hit, err := s.study.QueryInfoJSON(query)
 	if err != nil {
 		s.setGeneration(w)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	w.Header().Set("X-Generation", strconv.FormatUint(gen, 10))
+	h := w.Header()
+	h["X-Generation"] = []string{strconv.FormatUint(gen, 10)}
 	if hit {
-		w.Header().Set("X-Cache", "hit")
+		h["X-Cache"] = cacheHit
 	} else {
-		w.Header().Set("X-Cache", "miss")
+		h["X-Cache"] = cacheMiss
 	}
 	if body == nil {
 		// No result cache supplied the serialized response: encode it here
@@ -673,9 +759,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // nothing useful to do about a broken client connection
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
