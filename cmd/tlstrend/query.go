@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -42,9 +41,11 @@ func cmdQuery(args []string) error {
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		body, err := res.EncodeJSONBody()
+		if err == nil {
+			_, err = os.Stdout.Write(body)
+		}
+		return err
 	}
 	return renderQueryResult(os.Stdout, res)
 }

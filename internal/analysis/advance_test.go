@@ -243,11 +243,13 @@ func TestAdvanceTopKBoundary(t *testing.T) {
 	}
 	step := func(m timeline.Month, fp string) {
 		t.Helper()
+		prev, twin := f, NewFrame(agg)
 		agg.Add(fpRecord(m, fp))
 		var ok bool
 		if f, ok = advanceOrBuild(t, f, agg, []timeline.Month{m}); !ok {
 			t.Fatal("axis moved")
 		}
+		requireSameFrame(t, twin, prev) // a new top K refills rows prev shares
 	}
 	step(m2, outsider) // rises above the tie: enters, the last string leaves
 	if !inTop(f, outsider) || inTop(f, last) {

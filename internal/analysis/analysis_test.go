@@ -257,13 +257,6 @@ func curveShare(t *testing.T, f *Frame, c registry.CurveID) float64 {
 	return mustCompile(t, "over(curve:"+fold(c.String())+" / curve:*)", f).EvalScalar()
 }
 
-func TestSeriesValueMissing(t *testing.T) {
-	s := Series{Name: "x", Points: []Point{{Month: timeline.M(2015, time.June), Value: 5}}}
-	if _, ok := s.Value(timeline.M(2015, time.July)); ok {
-		t.Error("missing month reported present")
-	}
-}
-
 func TestExtensionUptake(t *testing.T) {
 	f, ok := sharedFrame(t).FigureByName("extensions")
 	if !ok {

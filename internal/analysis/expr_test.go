@@ -76,7 +76,7 @@ func TestQueryWildcardColumn(t *testing.T) {
 func TestQueryCaseInsensitive(t *testing.T) {
 	f := sharedFrame(t)
 	a := mustQuery(t, f, "pct(version:tls12 / established)")
-	b := mustQuery(t, f, "PCT(Version:TLSv12 / ESTABLISHED)")
+	b := mustQuery(t, f, "PCT(Version:TLSv12\t/\nESTABLISHED)")
 	c := mustQuery(t, f, "ratio(version:tls12 / established)")
 	for _, other := range []QueryResult{b, c} {
 		if !reflect.DeepEqual(a.Series.Points, other.Series.Points) {
@@ -116,6 +116,9 @@ func TestParseQueryErrors(t *testing.T) {
 		if _, err := ParseQuery(src); err == nil {
 			t.Errorf("ParseQuery(%q) accepted", src)
 		}
+	}
+	if _, err := ParseQuery("pct(total # established)"); err == nil || !strings.Contains(err.Error(), `got "#"`) {
+		t.Errorf("a byte outside the grammar: err %v, want it named", err)
 	}
 	// A scalar-kind plan has no series; the interpreter's EvalSeries rejects
 	// scalar-kind expressions, its EvalScalar series-kind.

@@ -251,8 +251,10 @@ func TestFrameRowAndSeriesIndex(t *testing.T) {
 			t.Fatalf("indexed Value(%v) = %v,%v, want %v,%v", m, got, gotOK, want, wantOK)
 		}
 	}
-	if _, ok := s.Value(timeline.M(1999, time.January)); ok {
-		t.Error("indexed lookup reported a missing month present")
+	for _, s := range []Series{s, linear} {
+		if _, ok := s.Value(timeline.M(1999, time.January)); ok {
+			t.Errorf("lookup (index %v) reported a missing month present", s.index != nil)
+		}
 	}
 }
 

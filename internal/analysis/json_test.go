@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,107 +12,29 @@ import (
 	"tlsage/internal/timeline"
 )
 
+// The JSON a figure, a scalar (with its deviation) and a catalog entry (with
+// its series names and events) marshal to; the whole catalog marshals too,
+// as /metrics serves it.
 func TestFigureJSONShape(t *testing.T) {
-	fig := Figure{
-		ID:    "Figure 1",
-		Title: "Versions",
-		Series: []Series{{
-			Name: "TLSv12",
-			Points: []Point{
-				{Month: timeline.M(2018, time.February), Value: 90.25},
-			},
-		}},
-		Events: attackEvents(timeline.EventPOODLE),
+	fig := Figure{ID: "Figure 1", Title: "Versions", Events: attackEvents(timeline.EventPOODLE),
+		Series: []Series{{Name: "TLSv12", Points: []Point{{Month: timeline.M(2018, time.February), Value: 90.25}}}}}
+	spec, _ := SpecByName("negotiated-classes")
+	for name, c := range map[string]struct {
+		v    any
+		want string
+	}{
+		"figure": {fig, `{"id":"Figure 1","title":"Versions","series":[{"name":"TLSv12","points":[{"month":"2018-02","value":90.25}]}],"events":[{"name":"POODLE","date":"2014-10-14"}]}`},
+		"scalar": {Scalar{ID: "S7a", Name: "x", Paper: 0.5, Measured: 0.75, Unit: "%"}, `{"id":"S7a","name":"x","paper":0.5,"measured":0.75,"deviation":0.25,"unit":"%"}`},
+		"spec": {spec, `{"num":2,"id":"Figure 2","name":"negotiated-classes","title":"Negotiated connections using RC4, CBC or AEAD (%)",` +
+			`"series":["AEAD","CBC","RC4"],"metrics":[{"name":"AEAD","query":"pct(class:aead / established)"},{"name":"CBC","query":"pct(class:cbc / established)"},` +
+			`{"name":"RC4","query":"pct(class:rc4 / established)"}],"events":["Lucky13","POODLE","RC4","Snowden","RC4 passwords","RC4 no more","Sweet32"]}`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if b, err := json.Marshal(c.v); err != nil || string(b) != c.want {
+				t.Errorf("%s, err %v; want %s", b, err, c.want)
+			}
+		})
 	}
-	b, err := json.Marshal(fig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		ID     string `json:"id"`
-		Title  string `json:"title"`
-		Series []struct {
-			Name   string `json:"name"`
-			Points []struct {
-				Month string  `json:"month"`
-				Value float64 `json:"value"`
-			} `json:"points"`
-		} `json:"series"`
-		Events []struct {
-			Name string `json:"name"`
-			Date string `json:"date"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.ID != "Figure 1" || decoded.Title != "Versions" {
-		t.Errorf("figure header: %+v", decoded)
-	}
-	if len(decoded.Series) != 1 || decoded.Series[0].Name != "TLSv12" {
-		t.Fatalf("series: %+v", decoded.Series)
-	}
-	p := decoded.Series[0].Points[0]
-	if p.Month != "2018-02" || p.Value != 90.25 {
-		t.Errorf("point = %+v, want 2018-02 / 90.25", p)
-	}
-	if len(decoded.Events) != 1 || decoded.Events[0].Name != timeline.EventPOODLE ||
-		!strings.HasPrefix(decoded.Events[0].Date, "2014-10") {
-		t.Errorf("events: %+v", decoded.Events)
-	}
-}
-
-func TestScalarJSONIncludesDeviation(t *testing.T) {
-	b, err := json.Marshal(Scalar{ID: "S7a", Name: "x", Paper: 0.5, Measured: 0.75, Unit: "%"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded["id"] != "S7a" || decoded["unit"] != "%" {
-		t.Errorf("scalar json: %v", decoded)
-	}
-	if dev, ok := decoded["deviation"].(float64); !ok || dev != 0.25 {
-		t.Errorf("deviation = %v, want 0.25", decoded["deviation"])
-	}
-}
-
-func TestFigureSpecJSONCarriesSeriesNames(t *testing.T) {
-	spec, ok := SpecByName("negotiated-classes")
-	if !ok {
-		t.Fatal("missing catalog entry")
-	}
-	b, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Num    int      `json:"num"`
-		Name   string   `json:"name"`
-		Series []string `json:"series"`
-		Events []string `json:"events"`
-	}
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Num != 2 || decoded.Name != "negotiated-classes" {
-		t.Errorf("spec header: %+v", decoded)
-	}
-	want := []string{"AEAD", "CBC", "RC4"}
-	if len(decoded.Series) != len(want) {
-		t.Fatalf("series: %v", decoded.Series)
-	}
-	for i, s := range want {
-		if decoded.Series[i] != s {
-			t.Errorf("series[%d] = %q, want %q", i, decoded.Series[i], s)
-		}
-	}
-	if len(decoded.Events) == 0 {
-		t.Error("catalog events missing from json")
-	}
-	// The whole catalog must marshal (the service /metrics endpoint).
 	if _, err := json.Marshal(Catalog()); err != nil {
 		t.Fatalf("catalog marshal: %v", err)
 	}

@@ -409,8 +409,9 @@ func TestNewPusherOptions(t *testing.T) {
 }
 
 // TestPusherRetainsWhatFails: an upstream status the pusher has no rule for,
-// and a conflict whose rebase source fails, are failed pushes like any
-// other — the error names the cause and the delta stays retained.
+// a conflict whose rebase source fails and a conflict with no rebase source
+// are failed pushes like any other, not silent data loss: the error names the
+// cause and the delta stays retained.
 func TestPusherRetainsWhatFails(t *testing.T) {
 	for name, c := range map[string]struct {
 		applied uint64 // the upstream's cursor; past 0, the push conflicts
@@ -419,6 +420,7 @@ func TestPusherRetainsWhatFails(t *testing.T) {
 	}{
 		"unruled status":      {status: http.StatusInternalServerError, want: "replied 500: merge loop stopped"},
 		"failing rebase hook": {applied: 5, want: "rebase failed: the log is gone"},
+		"no rebase hook":      {applied: 5, want: "no rebase source"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			sink := newMergeSink()
@@ -432,9 +434,11 @@ func TestPusherRetainsWhatFails(t *testing.T) {
 			}
 			srv := httptest.NewServer(sink)
 			defer srv.Close()
-			p := testPusher(t, srv.URL, PusherOptions{
-				Rebase: func(uint64) (*notary.Aggregate, error) { return nil, errors.New("the log is gone") },
-			})
+			var opts PusherOptions
+			if name != "no rebase hook" {
+				opts.Rebase = func(uint64) (*notary.Aggregate, error) { return nil, errors.New("the log is gone") }
+			}
+			p := testPusher(t, srv.URL, opts)
 			shard := buildAggregate(1, 6)
 			p.Observe(shard)
 			if err := p.Flush(); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -446,27 +450,6 @@ func TestPusherRetainsWhatFails(t *testing.T) {
 			_ = p.Close()
 		})
 	}
-}
-
-// TestPusherNoRebaseHook: without a rebase source a conflict is a retained
-// failure, not silent data loss.
-func TestPusherNoRebaseHook(t *testing.T) {
-	sink := newMergeSink()
-	srv := httptest.NewServer(sink)
-	defer srv.Close()
-	sink.applied["edge-test"] = 5
-
-	p := testPusher(t, srv.URL, PusherOptions{})
-	shard := buildAggregate(1, 6)
-	p.Observe(shard)
-	err := p.Flush()
-	if err == nil || !strings.Contains(err.Error(), "no rebase source") {
-		t.Fatalf("conflict without rebase hook: err = %v", err)
-	}
-	if st := p.Stats(); st.RetainedRecords != shard.Generation() {
-		t.Fatalf("retained %d records, want %d", st.RetainedRecords, shard.Generation())
-	}
-	_ = p.Close()
 }
 
 // TestShippedState: the cursor file's contract. A missing file reads as

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"tlsage/internal/registry"
 	"tlsage/internal/timeline"
@@ -37,43 +36,6 @@ func TestAddAllocFree(t *testing.T) {
 			t.Errorf("%s hello: Total %d, attributed %d, want 202 each", tc.name, ms.N[Total], ms.ByClientClass["Class fp"])
 		}
 	}
-}
-
-// The GREASE-skipping scan counts and positions exactly what the stripped
-// copy did: a hello with GREASE sprinkled through it aggregates like the
-// same hello without it.
-func TestAddIgnoresGREASEInPlace(t *testing.T) {
-	clean := withHello(&Record{Date: timeline.D(2017, time.March, 1), ClientVersion: registry.VersionTLS12}, Hello{
-		Suites:            []uint16{0xC02F, 0xC013, 0x0005, 0x000A},
-		Extensions:        []registry.ExtensionID{registry.ExtServerName, registry.ExtALPN},
-		SupportedVersions: []registry.Version{registry.VersionTLS13Draft18},
-	})
-	greased := withHello(clean.Clone(), Hello{
-		Suites:            []uint16{0x0a0a, 0xC02F, 0x1a1a, 0xC013, 0x0005, 0xfafa, 0x000A, 0x2a2a},
-		Extensions:        []registry.ExtensionID{0x4a4a, registry.ExtServerName, 0x5a5a, registry.ExtALPN},
-		SupportedVersions: []registry.Version{0x6a6a, registry.VersionTLS13Draft18},
-	})
-
-	want, got := NewAggregate(), NewAggregate()
-	want.Add(clean)
-	got.Add(greased)
-	m := timeline.M(2017, time.March)
-	w, g := want.Stats(m), got.Stats(m)
-	for _, class := range []PosClass{PosAEAD, PosCBC, PosRC4, Pos3DES} {
-		if w.Pos[class] != g.Pos[class] {
-			t.Errorf("%v position: greased %+v, clean %+v", class, g.Pos[class], w.Pos[class])
-		}
-	}
-	t.Run("aggregate-grease-stripped", func(t *testing.T) {
-		if g.N[AdvRC4] != 1 || g.N[Adv3DES] != 1 || g.N[AdvAEAD] != 1 || g.N[AdvTLS13] != 1 || g.N != w.N {
-			t.Errorf("greased hello's counters %v, clean hello's %v", g.N, w.N)
-		}
-	})
-	t.Run("aggregate-by-extension", func(t *testing.T) {
-		if g.ByExtension.Len() != 2 || g.ByExtension.Get(registry.ExtServerName) != 1 || g.ByExtension.Get(registry.ExtALPN) != 1 {
-			t.Errorf("greased hello counted %d extensions, want the 2 real ones once each", g.ByExtension.Len())
-		}
-	})
 }
 
 // A classifier installed after a snapshot decode attributes records of the

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -193,12 +193,18 @@ func TestLogKindsFoldAlike(t *testing.T) {
 					}
 					requireSameAggregate(t, fmt.Sprintf("%s: ReadLogTail(%d)", kind, skip), agg, added(skip))
 				}
-				for _, workers := range []int{1, 2, 8} {
+				for _, workers := range []int{0, 1, 2, 8} { // 0: ReadLogParallel's GOMAXPROCS
 					for _, chunk := range []int{defaultChunkSize, 257} {
-						if chunk == 257 && len(recs) > 1000 {
+						if chunk == 257 && (len(recs) > 1000 || workers == 0) {
 							continue
 						}
-						agg, err := readLogParallel(bytes.NewReader(log), workers, chunk, testClassifier{mark: "f"})
+						read := func(r io.Reader, workers int, cls Classifier) (*Aggregate, error) {
+							return readLogParallel(r, workers, chunk, cls)
+						}
+						if workers == 0 {
+							read = ReadLogParallel
+						}
+						agg, err := read(bytes.NewReader(log), workers, testClassifier{mark: "f"})
 						if err != nil {
 							t.Fatalf("%s: ReadLogParallel(%d workers, %d-byte chunks): %v", kind, workers, chunk, err)
 						}
@@ -307,39 +313,6 @@ func TestLogReaderBuffersArePooled(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(20, func() { run() }); got > 8 {
 			t.Errorf("%s: a log through warm tables costs %v allocations, want at most 8: a buffer is not the tables'", name, got)
-		}
-	}
-}
-
-// What a frame log's reader refuses, ReadBatches refuses in the same words.
-func TestLogFramesAreReadAsReadBatchesReadsThem(t *testing.T) {
-	for name, data := range tlsbSeeds() {
-		var viaLog, direct collectSink
-		_, _, berr := ReadBatches(bytes.NewReader(data), &direct)
-		lerr := ReadLog(bytes.NewReader(data), &viaLog)
-		if len(data) >= 4 && !IsBatchStream(data) {
-			continue // not a frame log: the seed's first bytes are no magic
-		}
-		requireSameRecords(t, name, viaLog.recs, direct.recs)
-		var be, lbe *BatchError
-		var le *LineError
-		switch {
-		case berr == nil:
-			if lerr != nil {
-				t.Errorf("%s: ReadBatches took it, ReadLog says %v", name, lerr)
-			}
-		case errors.As(lerr, &lbe) && errors.As(berr, &be):
-			// A payload's refusal: the same frame, the same words.
-			if lerr.Error() != berr.Error() {
-				t.Errorf("%s: ReadLog %v, ReadBatches %v", name, lerr, berr)
-			}
-		case errors.As(lerr, &le) && errors.As(berr, &be):
-			// An envelope's: the same cause, told as the torn entry it is.
-			if !reflect.DeepEqual(errors.Unwrap(le.Err).Error(), be.Err.Error()) && !strings.Contains(le.Err.Error(), "fields, want 20") {
-				t.Errorf("%s: ReadLog %v, ReadBatches %v", name, lerr, berr)
-			}
-		default:
-			t.Errorf("%s: ReadLog %v, ReadBatches %v", name, lerr, berr)
 		}
 	}
 }

@@ -196,30 +196,3 @@ func TestMergeEqualsSingleStreamAdd(t *testing.T) {
 		}
 	}
 }
-
-// Merge must also behave as plain addition when shards overlap months and
-// fingerprints, and must leave its argument intact.
-func TestMergeIsAdditiveAndNonDestructive(t *testing.T) {
-	rnd := rand.New(rand.NewSource(11))
-	all := registry.AllSuites()
-	a, b := NewAggregate(), NewAggregate()
-	rec := editHello(randomRecord(rnd, all), func(h *Hello) { h.Fingerprint = "fp-shared" })
-	for i := 0; i < 10; i++ {
-		a.Add(rec)
-		b.Add(rec)
-	}
-	snapshot := NewAggregate()
-	snapshot.Merge(b)
-
-	a.Merge(b)
-	m := timeline.MonthOf(rec.Date)
-	if got := a.Stats(m).N[Total]; got != 20 {
-		t.Errorf("merged Total = %d, want 20", got)
-	}
-	if got := a.Stats(m).FPs["fp-shared"].Count; got != 20 {
-		t.Errorf("merged FP count = %d, want 20", got)
-	}
-	if !reflect.DeepEqual(snapshot, b) {
-		t.Error("Merge modified its argument")
-	}
-}

@@ -61,7 +61,9 @@ func parseTSV(line string) (Record, error) {
 	return r, err
 }
 
-func TestObserveWireTLS(t *testing.T) {
+// ObserveWire reads a TLS and an SSLv2 hello into a record and its lists, and
+// refuses whatever is not a client hello.
+func TestObserveWire(t *testing.T) {
 	ch := &wire.ClientHello{
 		Version:      registry.VersionTLS12,
 		CipherSuites: []uint16{0xC02F, 0x0005},
@@ -88,26 +90,17 @@ func TestObserveWireTLS(t *testing.T) {
 	if len(h.Curves) != 1 || h.Curves[0] != registry.CurveX25519 {
 		t.Error("curves not observed")
 	}
-}
-
-func TestObserveWireSSLv2(t *testing.T) {
-	v2 := &wire.SSLv2ClientHello{
-		Version:     registry.VersionSSL2,
-		CipherSpecs: []uint32{0x010080, 0x000005},
-		Challenge:   make([]byte, 16),
-	}
-	raw := v2.Append(nil)
-	var r Record
-	h := sampleRecord().row().Hello // lists an SSLv2 hello has none of
-	if err := r.ObserveWire(raw, &h); err != nil {
-		t.Fatal(err)
-	}
-	if !r.SSLv2Hello || !slices.Equal(h.Suites, []uint16{0x0005}) || len(h.Extensions)+len(h.Curves)+len(h.PointFmts)+len(h.SupportedVersions) != 0 {
-		t.Errorf("sslv2 observation: %+v, %+v", r, h)
-	}
-}
-
-func TestObserveWireRejectsGarbage(t *testing.T) {
+	t.Run("sslv2", func(t *testing.T) {
+		v2 := &wire.SSLv2ClientHello{Version: registry.VersionSSL2, CipherSpecs: []uint32{0x010080, 0x000005}, Challenge: make([]byte, 16)}
+		var r Record
+		h := sampleRecord().row().Hello // lists an SSLv2 hello has none of
+		if err := r.ObserveWire(v2.Append(nil), &h); err != nil {
+			t.Fatal(err)
+		}
+		if !r.SSLv2Hello || !slices.Equal(h.Suites, []uint16{0x0005}) || len(h.Extensions)+len(h.Curves)+len(h.PointFmts)+len(h.SupportedVersions) != 0 {
+			t.Errorf("sslv2 observation: %+v, %+v", r, h)
+		}
+	})
 	record := func(typ wire.ContentType, payload []byte) []byte {
 		return wire.AppendRecord(nil, typ, registry.VersionTLS10, payload)
 	}
@@ -119,10 +112,11 @@ func TestObserveWireRejectsGarbage(t *testing.T) {
 		"a ServerHello":                record(wire.ContentHandshake, wire.AppendHandshake(nil, wire.TypeServerHello, nil)),
 		"a ClientHello body cut short": record(wire.ContentHandshake, wire.AppendHandshake(nil, wire.TypeClientHello, []byte{3})),
 	} {
-		var r Record
-		if err := r.ObserveWire(raw, &Hello{}); err == nil {
-			t.Errorf("%s observed as a hello", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if err := new(Record).ObserveWire(raw, &Hello{}); err == nil {
+				t.Error("observed as a hello")
+			}
+		})
 	}
 }
 
@@ -190,31 +184,4 @@ func TestFigure5Positions(t *testing.T) {
 	}
 	// Note: the CBC class includes the 3DES suite, but the *first* CBC suite
 	// is the AES one at index 1.
-}
-
-func TestFPDurations(t *testing.T) {
-	agg := NewAggregate()
-	mk := func(day int, fp string) *Record {
-		return withHello(&Record{
-			Date:          timeline.D(2015, time.June, day),
-			ClientVersion: registry.VersionTLS12,
-		}, Hello{Suites: []uint16{0x002F}, Fingerprint: fp})
-	}
-	agg.Add(mk(1, "long"))
-	agg.Add(mk(20, "long"))
-	agg.Add(mk(5, "short"))
-	durs := agg.FPDurations()
-	if len(durs) != 2 {
-		t.Fatalf("durations = %v", durs)
-	}
-	byFP := map[string]FPDuration{}
-	for _, d := range durs {
-		byFP[d.Fingerprint] = d
-	}
-	if byFP["long"].Days != 20 || byFP["long"].Connections != 2 {
-		t.Errorf("long: %+v", byFP["long"])
-	}
-	if byFP["short"].Days != 1 {
-		t.Errorf("short: %+v", byFP["short"])
-	}
 }

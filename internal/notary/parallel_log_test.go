@@ -60,61 +60,6 @@ func aggregatesEqual(t *testing.T, want, got *Aggregate) {
 	}
 }
 
-// ReadLogParallel must equal serial ReadLog for every worker count and for
-// chunk sizes that sweep the cut across every interesting boundary — mid
-// line, exactly on a newline, bigger than the whole log — also without the
-// final newline, and with comments, blank lines and CRLF endings between the
-// records.
-func TestReadLogParallelMatchesSerial(t *testing.T) {
-	log, want := buildCorpus(t, 3, 700)
-
-	for _, workers := range []int{0, 2, 3, 8, 64} {
-		got, err := ReadLogParallel(bytes.NewReader(log), workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aggregatesEqual(t, want, got)
-	}
-
-	rnd := rand.New(rand.NewSource(5))
-	chunkSizes := []int{1, 2, 3, 63, 64, 100, len(log) / 3, len(log) - 1, len(log), len(log) + 100}
-	for i := 0; i < 20; i++ {
-		chunkSizes = append(chunkSizes, 1+rnd.Intn(2000))
-	}
-	for _, cs := range chunkSizes {
-		got, err := readLogParallel(bytes.NewReader(log), 4, cs, nil)
-		if err != nil {
-			t.Fatalf("chunkSize=%d: %v", cs, err)
-		}
-		aggregatesEqual(t, want, got)
-	}
-
-	parallel := func(t *testing.T, log []byte) {
-		got, err := readLogParallel(bytes.NewReader(log), 4, 256, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aggregatesEqual(t, want, got)
-	}
-	t.Run("no-trailing-newline", func(t *testing.T) { parallel(t, bytes.TrimSuffix(log, []byte("\n"))) })
-	t.Run("comments-and-crlf", func(t *testing.T) {
-		var decorated []byte
-		for i, line := range bytes.SplitAfter(log, []byte("\n")) {
-			decorated = append(decorated, line...)
-			if i%7 == 0 {
-				decorated = append(decorated, "# interleaved comment\n"...)
-			}
-			if i%11 == 0 {
-				decorated = append(decorated, '\n')
-			}
-			if i%13 == 0 {
-				decorated = append(decorated, "\r\n"...)
-			}
-		}
-		parallel(t, decorated)
-	})
-}
-
 // Every error the parallel reader stops with is the one serial ReadLog
 // reports, for every worker count and run size: a malformed line (the earliest
 // wins when there are several, as serial stops there), a #base directive that
@@ -173,58 +118,6 @@ func TestReadLogParallelErrorParity(t *testing.T) {
 	check("cut last frame", of(frames[:len(frames)-10]), frameRuns)
 	junk := reframe(BatchVersion, appendRecordBinary(appendCount(nil, 2), recs[0]))
 	check("a frame that does not decode", of(slices.Concat(encodeFrames(recs[:40], 5), junk, encodeFrames(recs[40:], 5))), frameRuns)
-}
-
-// Both readers share one line ceiling: a line of maxLogLine bytes or more
-// fails with the identical error at every worker count, one byte less loads,
-// and the earliest bad line — malformed or over-long — wins as it does for
-// the serial reader.
-func TestReadLogLineCeiling(t *testing.T) {
-	log, _ := buildCorpus(t, 13, 60)
-	lines := bytes.SplitAfter(log, []byte("\n"))
-	comment := func(n int) []byte { // an n-byte comment line, terminator excluded
-		return append(bytes.Repeat([]byte("#"), n), '\n')
-	}
-	// with returns the log with extra lines spliced in before the given lines.
-	with := func(extra map[int][]byte) []byte {
-		var out []byte
-		for i, l := range lines {
-			out = append(out, extra[i]...)
-			out = append(out, l...)
-		}
-		return out
-	}
-	long, garbage := comment(5<<20), []byte("garbage\tline\n")
-	cases := []struct {
-		name     string
-		log      []byte
-		wantLong bool
-	}{
-		{"5 MiB line", with(map[int][]byte{30: long}), true},
-		{"exactly the ceiling", with(map[int][]byte{30: comment(maxLogLine)}), true},
-		{"one under the ceiling", with(map[int][]byte{30: comment(maxLogLine - 1)}), false},
-		{"5 MiB CRLF line", with(map[int][]byte{30: append(bytes.Repeat([]byte("x"), 5<<20), "\r\n"...)}), true},
-		{"over-long last line, unterminated", append(with(nil), bytes.Repeat([]byte("#"), maxLogLine)...), true},
-		{"malformed line first", with(map[int][]byte{10: garbage, 40: long}), false},
-		{"over-long line first", with(map[int][]byte{10: long, 40: garbage}), true},
-	}
-	for _, c := range cases {
-		want := ReadLog(bytes.NewReader(c.log), NewAggregate())
-		if c.wantLong != (want == bufio.ErrTooLong) {
-			t.Fatalf("%s: serial reader returned %v", c.name, want)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			for _, cs := range []int{1 << 12, defaultChunkSize, maxLogLine + 4096} {
-				agg, err := readLogParallel(bytes.NewReader(c.log), workers, cs, nil)
-				if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
-					t.Errorf("%s workers=%d chunk=%d: error %v, serial %v", c.name, workers, cs, err, want)
-				}
-				if (agg == nil) != (err != nil) {
-					t.Errorf("%s workers=%d chunk=%d: aggregate %v alongside error %v", c.name, workers, cs, agg != nil, err)
-				}
-			}
-		}
-	}
 }
 
 // newlineFree yields n bytes holding no newline and counts what was taken.

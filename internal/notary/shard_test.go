@@ -3,7 +3,6 @@ package notary
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -73,54 +72,6 @@ func TestBuilderSeedsMatchReference(t *testing.T) {
 	second := classes(seeds["one fingerprint, two class sets, the unkept row first"])
 	if first == second || !first.Has(registry.ClassAEAD) || second.Has(registry.ClassAEAD) {
 		t.Errorf("vacuous: FPCaps.Classes %b with the kept row first, %b with the unkept one first", first, second)
-	}
-}
-
-// A decoder table emptied mid-shard lets go of its rows and makes new ones for
-// the hellos that come again; the builder's cells hold the old rows, and the
-// shard comes out as if nothing had happened. The table is emptied through its
-// string bound, with three hellos, so the builder's own early fold (below)
-// stays out of it — and, for TLSB, between frames: the frame being read keeps
-// its entries' rows whatever the table does, the next one defines them anew.
-func TestBuilderCellsOutliveAnEmptiedTable(t *testing.T) {
-	hellos := distinctHellos(3)
-	recs := make([]*Record, maxInternEntries+500)
-	for i := range recs {
-		r := *hellos[i%len(hellos)]
-		r.ServerCohort = fmt.Sprintf("cohort-%d", i) // interned beside the rows
-		r.Date.Day = 1 + i%28
-		recs[i] = &r
-	}
-	want := classified()
-	for _, r := range recs {
-		want.Add(r)
-	}
-	for _, format := range []string{"tlsb", "tsv"} {
-		tab, b := newDecodeTables(), NewShardBuilder(classified)
-		var rows []*helloRow
-		emptied := false
-		probe := SinkFunc(func(r *Record) error {
-			if len(tab.strs) < 100 && len(rows) > 3 {
-				emptied = true
-			}
-			if len(rows) == 0 || rows[len(rows)-1] != r.hello {
-				rows = append(rows, r.hello)
-			}
-			return nil
-		})
-		var err error
-		if format == "tlsb" {
-			_, _, err = readBatches(bytes.NewReader(encodeFrames(recs, DefaultBatchSize)), Tee(probe, b), tab)
-		} else {
-			_, _, err = readLogTail(bytes.NewReader(tsvLog(recs)), 0, Tee(probe, b), tab)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !emptied || len(b.cells) <= len(hellos) {
-			t.Errorf("%s: vacuous: table emptied: %v; %d cells pending for %d hellos", format, emptied, len(b.cells), len(hellos))
-		}
-		requireSameAggregate(t, format+": a table emptied mid-shard", b.Flush(), want)
 	}
 }
 
@@ -354,84 +305,6 @@ func TestStreamBuffersAllocBound(t *testing.T) {
 		if perStream > 8<<10 {
 			t.Errorf("%s: a stream through a warm table allocates %d bytes, want at most 8 KiB: a stream buffer is not the table's", name, perStream)
 		}
-	}
-}
-
-// A frame above maxKeptBuffer is read, and its body leaves with the stream.
-func TestOversizeFrameBodyIsNotKept(t *testing.T) {
-	big := editHello(sampleRecord(), func(h *Hello) { h.Suites = make([]uint16, maxListLen) })
-	var recs []*Record
-	for i := 0; i < 40; i++ {
-		recs = append(recs, big)
-	}
-	stream := encodeBatch(recs)
-	if len(stream) <= maxKeptBuffer {
-		t.Fatalf("vacuous: the frame is %d bytes", len(stream))
-	}
-	tab := newDecodeTables()
-	if _, n, err := readBatches(bytes.NewReader(stream), nullSink(), tab); err != nil || n != uint64(len(recs)) {
-		t.Fatalf("%d records, err %v", n, err)
-	}
-	if tab.frame != nil {
-		t.Errorf("the table kept a %d-byte frame body", cap(tab.frame))
-	}
-	if _, _, err := readBatches(bytes.NewReader(encodeBatch(recs[:1])), nullSink(), tab); err != nil || tab.frame == nil {
-		t.Errorf("an ordinary frame after it: err %v, body kept: %v", err, tab.frame != nil)
-	}
-}
-
-// A property run on top of the named seeds: random records, most of them
-// repeated hellos, through one builder flushed at random points — every shard
-// is bit for bit the shard Add makes of the same records.
-func TestBuilderMatchesAddAtRandomFlushPoints(t *testing.T) {
-	rnd := rand.New(rand.NewSource(103))
-	recs := buildBatchRecords(107, 400)
-	// Every outcome a record's counters tell apart: besides the random
-	// records' failures, heartbeat acks and unoffered choices, a connection
-	// on no curve, on a suite the registry does not know and on a TLS 1.3
-	// draft.
-	seen := map[string]bool{}
-	for i, r := range recs {
-		if !r.Established {
-			seen["not established"] = true
-			continue
-		}
-		switch i % 8 {
-		case 1:
-			r.Curve = 0
-		case 2:
-			r.Suite = 0xfefe
-		case 3:
-			r.Version = registry.VersionTLS13Draft18
-		}
-		_, known := registry.SuiteByID(r.Suite)
-		for what, ok := range map[string]bool{"heartbeat ack": r.HeartbeatAck, "unoffered choice": r.SuiteUnoffer,
-			"curve 0": r.Curve == 0, "unknown suite": !known, "TLS 1.3 draft": r.Version != r.Version.Canonical()} {
-			seen[what] = seen[what] || ok
-		}
-	}
-	if len(seen) != 6 {
-		t.Fatalf("vacuous: the records have only %v", seen)
-	}
-	for trial := 0; trial < 30; trial++ {
-		var stream []*Record
-		for i := 0; i < 600; i++ {
-			stream = append(stream, recs[rnd.Intn(1+rnd.Intn(len(recs)))])
-		}
-		b, shard := NewShardBuilder(classified), classified()
-		_, _, err := ReadBatches(bytes.NewReader(encodeBatch(stream)), SinkFunc(func(r *Record) error {
-			b.Add(r)
-			shard.Add(r)
-			if rnd.Intn(50) == 0 {
-				requireSameAggregate(t, fmt.Sprintf("trial %d", trial), b.Flush(), shard)
-				shard = classified()
-			}
-			return nil
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameAggregate(t, fmt.Sprintf("trial %d, last shard", trial), b.Flush(), shard)
 	}
 }
 

@@ -3,6 +3,7 @@ package notary
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -35,6 +36,15 @@ func TestTeeFansOutInOrder(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+	t.Run("single-and-nested-flatten", func(t *testing.T) {
+		if Tee(agg) != Sink(agg) {
+			t.Error("single-sink tee should be the sink itself")
+		}
+		nested := Tee(Tee(agg, NewLogWriter(&bytes.Buffer{})), SinkFunc(func(*Record) error { return nil }))
+		if m, ok := nested.(*multiSink); !ok || len(m.sinks) != 3 {
+			t.Fatalf("nested tee not flattened: %T", nested)
+		}
+	})
 }
 
 func TestTeeStopsAtFirstObserveError(t *testing.T) {
@@ -50,76 +60,18 @@ func TestTeeStopsAtFirstObserveError(t *testing.T) {
 	if after != 0 {
 		t.Error("sink after the failing one was invoked")
 	}
-}
-
-func TestTeeSingleAndNestedFlatten(t *testing.T) {
-	agg := NewAggregate()
-	if Tee(agg) != Sink(agg) {
-		t.Error("single-sink tee should be the sink itself")
+	// Close closes every sink and reports the first one's error.
+	failing := func(err error) Sink {
+		r, w := io.Pipe()
+		r.CloseWithError(err)
+		lw := NewLogWriter(w)
+		lw.Observe(sampleRecord()) // buffered until Close
+		return lw
 	}
-	lw := NewLogWriter(&bytes.Buffer{})
-	nested := Tee(Tee(agg, lw), SinkFunc(func(*Record) error { return nil }))
-	m, ok := nested.(*multiSink)
-	if !ok || len(m.sinks) != 3 {
-		t.Fatalf("nested tee not flattened: %T", nested)
+	first := errors.New("first")
+	if err := Tee(failing(first), failing(boom)).Close(); !errors.Is(err, first) {
+		t.Errorf("Close = %v, want the first sink's error", err)
 	}
-}
-
-// A clone is a copy of the record that shares its row: the offered side is
-// immutable, so there is nothing of it to copy.
-func TestRecordCloneSharesTheRow(t *testing.T) {
-	r := sampleRecord()
-	cp := r.Clone()
-	if cp == r || !reflect.DeepEqual(r, cp) || cp.hello != r.hello {
-		t.Fatal("the clone is not a copy of the record on its row")
-	}
-	cp.Suite, cp.ServerCohort = 0x0005, "other"
-	if r.Suite != 0xC02F || r.ServerCohort != "modern-ecdhe" {
-		t.Error("writing the clone wrote the original")
-	}
-}
-
-// A record nothing pointed at a row reads as the empty hello, and writes,
-// frames, reads back and folds as one.
-func TestZeroRecordIsTheEmptyHello(t *testing.T) {
-	r := &Record{Date: sampleRecord().Date}
-	if len(r.Suites())+len(r.Extensions())+len(r.Curves())+len(r.PointFmts())+len(r.SupportedVersions()) != 0 ||
-		r.Fingerprint() != "" || r.Truth() != "" {
-		t.Fatalf("a zero record reads %+v", r.row().Hello)
-	}
-	interned := withHello(&Record{Date: r.Date}, Hello{})
-	if err := checkHandle(r); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r.AppendTSV(nil), interned.AppendTSV(nil)) || !bytes.Equal(encodeBatch([]*Record{r}), encodeBatch([]*Record{interned})) {
-		t.Error("a zero record is written unlike an interned empty hello")
-	}
-	add, built := classified(), NewShardBuilder(classified)
-	for _, x := range []*Record{r, interned, r} {
-		add.Add(x)
-		built.Add(x)
-	}
-	want := classified()
-	var back collectSink
-	if _, _, err := ReadBatches(bytes.NewReader(encodeBatch([]*Record{r, interned, r})), Tee(want, &back)); err != nil {
-		t.Fatal(err)
-	}
-	requireSameRecords(t, "a zero record framed", back.recs, []*Record{interned, interned, interned})
-	requireSameAggregate(t, "zero records by Add", add, want)
-	requireSameAggregate(t, "zero records through a builder", built.Flush(), want)
-	// The builder just flushed holds nothing: a Flush of nothing is a fresh
-	// shard, and leaves the builder usable.
-	t.Run("flush-of-nothing", func(t *testing.T) {
-		for i := 0; i < 2; i++ {
-			if got := built.Flush(); !reflect.DeepEqual(got, classified()) {
-				t.Fatalf("Flush %d of an empty builder: %d records", i, got.TotalRecords())
-			}
-		}
-		built.Add(r)
-		want := classified()
-		want.Add(r)
-		requireSameAggregate(t, "one record after two empty flushes", built.Flush(), want)
-	})
 }
 
 // The serialization path must be allocation-free: a record serialized into

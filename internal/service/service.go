@@ -24,8 +24,9 @@
 //
 // Every JSON response carries an X-Generation header with the served
 // aggregate generation, so pollers can detect staleness without
-// re-downloading bodies, and a Content-Length, so none is sent chunked. Multiple named studies are hosted by a Router
-// (router.go), which nests a whole Server under /studies/{id}/. A whole
+// re-downloading bodies, and a Content-Length, so none is sent chunked.
+// Multiple named studies are hosted by a Router (router.go), which nests a
+// whole Server under /studies/{id}/. A whole
 // `tlstrend serve` process — recovered study, compaction snapshot, edge
 // pusher, record log, router, union — is one Node, assembled from the flag
 // set by Open (open.go) in a fixed order that tests run as-is.

@@ -59,18 +59,6 @@ func TestHeartbeatTruncation(t *testing.T) {
 	}
 }
 
-func TestHeartbeatDecodeNeverPanics(t *testing.T) {
-	f := func(data []byte) bool {
-		var a, b HeartbeatMessage
-		_ = a.DecodeFromBytes(data)
-		_ = b.BuggyDecode(data)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHeartbeatHonestRoundTripProperty(t *testing.T) {
 	// For honest messages (claim == actual), the compliant decoder recovers
 	// the payload exactly.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"tlsage/internal/registry"
 )
@@ -40,18 +39,6 @@ func sampleClientHello() *ClientHello {
 		ch.Random[i] = byte(i)
 	}
 	return ch
-}
-
-func TestClientHelloRoundTrip(t *testing.T) {
-	ch := sampleClientHello()
-	raw := ch.Append(nil)
-	var got ClientHello
-	if err := got.DecodeFromBytes(raw); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ch, &got) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", ch, &got)
-	}
 }
 
 func TestClientHelloAccessors(t *testing.T) {
@@ -110,24 +97,30 @@ func TestClientHelloEmptyListsRoundTrip(t *testing.T) {
 	}
 }
 
+// Every cut of a hello is refused with ErrMalformed but one: a TLS hello cut
+// right after its compression methods is the extension-less form SSL3-era
+// clients send.
 func TestClientHelloTruncationNeverPanics(t *testing.T) {
 	full := sampleClientHello()
-	raw := full.Append(nil)
-	// The one prefix that is legitimately parseable: a hello ending exactly
-	// after compression methods (extension-less SSL3-style form).
-	noExtLen := 2 + 32 + 1 + len(full.SessionID) + 2 + 2*len(full.CipherSuites) + 1 + len(full.CompressionMethods)
-	for i := 0; i < len(raw); i++ {
-		var ch ClientHello
-		err := ch.DecodeFromBytes(raw[:i])
-		if err == nil {
-			if i != noExtLen {
-				t.Fatalf("truncated hello of %d/%d bytes decoded without error", i, len(raw))
+	sh := &ServerHello{Version: registry.VersionTLS12, CipherSuite: 0xC02F, Extensions: []Extension{NewHeartbeatExtension(1)}}
+	for name, c := range map[string]struct {
+		raw    []byte
+		noExt  int
+		decode func([]byte) error
+	}{
+		"client": {full.Append(nil), 2 + 32 + 1 + len(full.SessionID) + 2 + 2*len(full.CipherSuites) + 1 + len(full.CompressionMethods),
+			func(b []byte) error { return new(ClientHello).DecodeFromBytes(b) }},
+		"server": {sh.Append(nil), 2 + 32 + 1 + 2 + 1, func(b []byte) error { return new(ServerHello).DecodeFromBytes(b) }},
+		"sslv2": {(&SSLv2ClientHello{Version: registry.VersionSSL2, CipherSpecs: []uint32{0x010080}, Challenge: make([]byte, 16)}).Append(nil),
+			-1, func(b []byte) error { return new(SSLv2ClientHello).DecodeFromBytes(b) }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < len(c.raw); i++ {
+				if err := c.decode(c.raw[:i]); (err == nil) != (i == c.noExt) || err != nil && !errors.Is(err, ErrMalformed) {
+					t.Fatalf("a cut to %d of %d bytes: err %v", i, len(c.raw), err)
+				}
 			}
-			continue
-		}
-		if !errors.Is(err, ErrMalformed) {
-			t.Fatalf("error not wrapping ErrMalformed: %v", err)
-		}
+		})
 	}
 }
 
@@ -154,19 +147,6 @@ func TestServerHelloRoundTrip(t *testing.T) {
 	}
 	if e, ok := FindExtension(got.Extensions, registry.ExtSupportedVersions); !ok || !bytes.Equal(e.Data, []byte{0x03, 0x04}) {
 		t.Errorf("supported_versions = %v, %v; want TLS13 selected", e, ok)
-	}
-}
-
-func TestServerHelloTruncation(t *testing.T) {
-	sh := &ServerHello{Version: registry.VersionTLS12, CipherSuite: 0xC02F,
-		Extensions: []Extension{NewHeartbeatExtension(1)}}
-	raw := sh.Append(nil)
-	noExtLen := 2 + 32 + 1 + len(sh.SessionID) + 2 + 1
-	for i := 0; i < len(raw); i++ {
-		var got ServerHello
-		if err := got.DecodeFromBytes(raw[:i]); err == nil && i != noExtLen {
-			t.Fatalf("truncated server hello of %d bytes decoded", i)
-		}
 	}
 }
 
@@ -243,21 +223,6 @@ func TestRecordOversizeRejected(t *testing.T) {
 	}
 }
 
-func TestHandshakeFraming(t *testing.T) {
-	body := []byte{0xde, 0xad}
-	msg := AppendHandshake(nil, TypeClientHello, body)
-	typ, got, n, err := DecodeHandshake(msg)
-	if err != nil || n != len(msg) {
-		t.Fatal(err)
-	}
-	if typ != TypeClientHello || !bytes.Equal(got, body) {
-		t.Error("handshake framing mismatch")
-	}
-	if _, _, _, err := DecodeHandshake(msg[:3]); err == nil {
-		t.Error("truncated handshake header decoded")
-	}
-}
-
 func TestFullRecordPath(t *testing.T) {
 	// ClientHello → record bytes → record decode → handshake decode → hello.
 	ch := sampleClientHello()
@@ -274,6 +239,13 @@ func TestFullRecordPath(t *testing.T) {
 	typ, body, _, err := DecodeHandshake(rec.Payload)
 	if err != nil || typ != TypeClientHello {
 		t.Fatal(err)
+	}
+	for name, n := range map[string]int{"cut-header": 3, "cut-body": len(rec.Payload) - 1} {
+		t.Run(name, func(t *testing.T) {
+			if _, _, _, err := DecodeHandshake(rec.Payload[:n]); err == nil {
+				t.Errorf("a handshake message cut to %d bytes decoded", n)
+			}
+		})
 	}
 	var got ClientHello
 	if err := got.DecodeFromBytes(body); err != nil {
@@ -333,20 +305,14 @@ func TestSSLv2RoundTrip(t *testing.T) {
 	if len(tls) != 1 || tls[0] != 0x0005 {
 		t.Errorf("TLSSuitesFromSSLv2 = %v", tls)
 	}
-}
-
-func TestSSLv2Truncation(t *testing.T) {
-	h := &SSLv2ClientHello{Version: registry.VersionSSL2, CipherSpecs: []uint32{0x010080}, Challenge: make([]byte, 16)}
-	raw := h.Append(nil)
-	for i := 0; i < len(raw); i++ {
-		var got SSLv2ClientHello
-		if err := got.DecodeFromBytes(raw[:i]); err == nil {
-			t.Fatalf("truncated sslv2 hello of %d bytes decoded", i)
-		}
-	}
-	// A TLS record is not an SSLv2 hello.
-	if IsSSLv2Hello([]byte{22, 3, 1, 0, 5}) {
-		t.Error("TLS record misdetected as SSLv2")
+	// Neither a TLS record nor an SSLv2 message of another type (4,
+	// server-verify) is a client hello.
+	for name, b := range map[string][]byte{"tls-record": {22, 3, 1, 0, 5}, "server-verify": {0x80, 0x03, 0x04, 0, 2}} {
+		t.Run(name, func(t *testing.T) {
+			if IsSSLv2Hello(b) || got.DecodeFromBytes(b) == nil {
+				t.Errorf("% x detected or decoded as an SSLv2 client hello", b)
+			}
+		})
 	}
 }
 
@@ -367,13 +333,6 @@ func TestReadSSLv2Record(t *testing.T) {
 		if got, err := ReadSSLv2Record(bytes.NewReader(in)); err == nil {
 			t.Errorf("%s: read % x", name, got)
 		}
-	}
-}
-
-func TestIsSSLv2HelloRejectsNonHelloType(t *testing.T) {
-	// High bit set but message type 4 (server-verify) is not a client hello.
-	if IsSSLv2Hello([]byte{0x80, 0x03, 0x04}) {
-		t.Error("non-CLIENT-HELLO sslv2 message misdetected")
 	}
 }
 
@@ -425,24 +384,5 @@ func TestClientHelloRoundTripProperty(t *testing.T) {
 		if !reflect.DeepEqual(ch, &got) {
 			t.Fatalf("iteration %d mismatch:\n%+v\n%+v", i, ch, &got)
 		}
-	}
-}
-
-func TestDecodeRandomBytesNeverPanics(t *testing.T) {
-	// Property: arbitrary input must produce an error or a valid struct,
-	// never a panic. testing/quick drives the fuzzing.
-	f := func(data []byte) bool {
-		var ch ClientHello
-		_ = ch.DecodeFromBytes(data)
-		var sh ServerHello
-		_ = sh.DecodeFromBytes(data)
-		var v2 SSLv2ClientHello
-		_ = v2.DecodeFromBytes(data)
-		_, _, _ = DecodeRecord(data)
-		_, _, _, _ = DecodeHandshake(data)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
 	}
 }
